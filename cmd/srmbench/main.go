@@ -11,7 +11,6 @@
 //	srmbench -quick          # scaled-down grid for a fast smoke run
 //	srmbench -csv            # CSV instead of aligned text
 //	srmbench -j 8            # sweep worker count (output identical to -j 1)
-//	srmbench -benchjson F    # write the perf-regression report to F
 //	srmbench -trace F        # trace a basket of collectives to Chrome JSON
 //	srmbench -overlapjson F  # write the non-blocking overlap sweep to F
 //	srmbench -fig chaos      # fault-tolerance chaos campaign table
@@ -50,8 +49,6 @@ func main() {
 	charts := flag.Bool("plot", false, "render figures as terminal charts in addition to tables")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0),
 		"concurrent sweep workers; results are byte-identical at any value (1 = serial)")
-	benchjson := flag.String("benchjson", "",
-		"run the fixed perf-regression basket and write the JSON report to this file")
 	traceOut := flag.String("trace", "",
 		"trace a small basket of collectives and write Chrome trace-event JSON to this file")
 	overlapjson := flag.String("overlapjson", "",
@@ -118,9 +115,9 @@ func main() {
 		}
 	}
 	if !bad && *fig == "" && !*headline && *ablation == "" && !*extension &&
-		*benchjson == "" && *traceOut == "" && *overlapjson == "" && *chaosjson == "" &&
+		*traceOut == "" && *overlapjson == "" && *chaosjson == "" &&
 		*ranks == 0 && *tunejson == "" && *trainjson == "" {
-		fmt.Fprintln(os.Stderr, "srmbench: nothing to do; pass -fig, -headline, -extension, -ablation, -benchjson, -overlapjson, -chaosjson, -tunejson, -trainjson, -ranks or -trace")
+		fmt.Fprintln(os.Stderr, "srmbench: nothing to do; pass -fig, -headline, -extension, -ablation, -overlapjson, -chaosjson, -tunejson, -trainjson, -ranks or -trace")
 		bad = true
 	}
 	if bad {
@@ -231,23 +228,6 @@ func main() {
 		}
 	}
 
-	if *benchjson != "" {
-		// The JSON report carries the full ranks trajectory, 1k through the
-		// 1,048,576-rank point (tests run the ladder only to 64k).
-		exp.SetDeepRanks(true)
-		rep := exp.RunPerf()
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "srmbench: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchjson, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "srmbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchjson)
-	}
 	g := exp.DefaultGrid()
 	chaosCfg := exp.DefaultChaosConfig()
 	tuneCfg := exp.DefaultTuneConfig()

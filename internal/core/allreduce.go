@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/rma"
@@ -12,124 +11,75 @@ import (
 	"srmcoll/internal/tree"
 )
 
-// allreduceState is the shared state of one allreduce (§2.2, §2.4):
-//
-//   - up to 16 KB: SMP reduce on each node, then an integrated pairwise
-//     exchange based on recursive doubling between the node masters, then
-//     an SMP broadcast of the result;
-//   - above 16 KB: reduce-then-broadcast fused into the four-stage chunk
-//     pipeline of Figure 5 (SMP reduce / inter-node reduce / inter-node
-//     broadcast / SMP broadcast all overlapping).
-//
-// Node-indexed slices use the layout's participating node index; the
-// master of node index x is its first group member, lay.local[x][0].
-type allreduceState struct {
-	g     *Group
-	size  int
-	ds    dataspec
-	small bool
-	sp    []span
+// nodeStages is the SMP machinery every allreduce family wraps around its
+// inter-node exchange: the Figure-2 reduce into the node master and the
+// Figure-3 broadcast of the result back out. Node-indexed slices use the
+// layout's participating node index; the master of node index x is its
+// first group member, lay.local[x][0]. As a body (pc nsReduce, f.a send,
+// f.c recv) it is the complete role of a non-master task.
+type nodeStages struct {
+	size int
+	ds   dataspec
+	sp   []span // pipeline chunks of the vector
 
 	rn       []*redNode   // per-node SMP reduce machinery
 	resBuf   [][]byte     // per node: master's receive buffer (the result lands here)
 	resReady []*sim.Event // per node: resBuf registered
 	pub      []publisher  // per-node SMP distribution of the result
-
-	// Small path: recursive doubling among masters, with extra nodes
-	// (beyond the largest power of two) folded in and out.
-	pow      int
-	foldSlot [][]byte
-	foldArr  []*rma.Counter
-	rdSlot   [][][]byte // [node][round]
-	rdArr    [][]*rma.Counter
-	resArr   []*rma.Counter // result landed back at an extra node
-
-	// Large path: binomial reduce to the first participating node fused
-	// with the broadcast back.
-	emb        gEmbed
-	pslot      [][2][]byte
-	arr        [][2]*rma.Counter
-	credit     []*rma.Counter
-	chunkDone  *shm.Flag // at the root master: chunks fully reduced
-	bArr       [][2]*rma.Counter
-	helperDone []*sim.Event
 }
 
-func newAllreduceState(g *Group, size int, ds dataspec) *allreduceState {
-	s := g.s
-	cfg := s.m.Cfg
-	a := &allreduceState{
-		g:     g,
-		size:  size,
-		ds:    ds,
-		small: size <= cfg.SRMAllreduceRD,
-	}
-	chunk := size
-	if !a.small {
-		// "Pipelining over the entire message range" (§2.4): keep at least
-		// four chunks in flight until the full large chunk size pays off.
-		chunk = min(cfg.SRMLargeChunk, max((size+3)/4, cfg.SRMSmallChunk))
-		if ds.dt.Size() > 0 {
-			chunk -= chunk % ds.dt.Size()
-		}
-	}
-	a.sp = chunks(size, max(chunk, 1))
+func newNodeStages(g *Group, size int, ds dataspec, sp []span) nodeStages {
 	nn := len(g.lay.nodes)
-	chunkBytes := a.sp[0].n
-	a.rn = make([]*redNode, nn)
-	a.resBuf = make([][]byte, nn)
-	a.resReady = make([]*sim.Event, nn)
-	a.pub = make([]publisher, nn)
+	ns := nodeStages{
+		size: size, ds: ds, sp: sp,
+		rn:       make([]*redNode, nn),
+		resBuf:   make([][]byte, nn),
+		resReady: make([]*sim.Event, nn),
+		pub:      make([]publisher, nn),
+	}
 	for x, nd := range g.lay.nodes {
-		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
-		a.resReady[x] = s.m.Env.NewEvent()
-		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
+		ns.rn[x] = g.s.newRedNode(nd, 0, len(g.lay.local[x]), sp)
+		ns.resReady[x] = g.s.m.Env.NewEvent()
+		ns.pub[x] = g.s.newPublisher(nd, 0, len(g.lay.local[x]), sp[0].n)
 	}
-	if a.small {
-		a.pow = 1
-		for a.pow*2 <= nn {
-			a.pow *= 2
-		}
-		rounds := tree.Log2Ceil(a.pow)
-		a.foldSlot = make([][]byte, nn)
-		a.foldArr = make([]*rma.Counter, nn)
-		a.rdSlot = make([][][]byte, nn)
-		a.rdArr = make([][]*rma.Counter, nn)
-		a.resArr = make([]*rma.Counter, nn)
-		for x := 0; x < nn; x++ {
-			a.foldSlot[x] = make([]byte, size)
-			a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
-			a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
-			a.rdSlot[x] = make([][]byte, rounds)
-			a.rdArr[x] = make([]*rma.Counter, rounds)
-			for r := 0; r < rounds; r++ {
-				a.rdSlot[x][r] = make([]byte, size)
-				a.rdArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
-			}
-		}
-	} else {
-		a.emb = g.lay.embed(s.interKind("allreduce", size), s.opt.IntraTree, g.lay.local[0][0])
-		a.pslot = make([][2][]byte, nn)
-		a.arr = make([][2]*rma.Counter, nn)
-		a.credit = make([]*rma.Counter, nn)
-		a.bArr = make([][2]*rma.Counter, nn)
-		a.helperDone = make([]*sim.Event, nn)
-		a.chunkDone = shm.NewFlag(s.m, g.lay.nodes[0])
-		for x := 0; x < nn; x++ {
-			a.pslot[x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
-			a.arr[x] = [2]*rma.Counter{
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			}
-			a.credit[x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
-			a.bArr[x] = [2]*rma.Counter{
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			}
-			a.helperDone[x] = s.m.Env.NewEvent()
-		}
+	return ns
+}
+
+// stages gives the allreduce prologue the stages of whichever family's
+// state embeds them.
+func (ns *nodeStages) stages() *nodeStages { return ns }
+
+const (
+	nsReduce = iota
+	nsConsume
+)
+
+// step: workers contribute every chunk to the SMP reduce, then consume the
+// distributed result.
+func (ns *nodeStages) step(x *exec, f *frame) {
+	switch {
+	case f.pc == nsReduce:
+		f.pc = nsConsume
+		x.reduceWorker(ns.rn[x.nx], f.a)
+	case f.k < len(ns.sp):
+		c := ns.sp[f.k]
+		f.k++
+		x.consume(ns.pub[x.nx], f.k-1, f.c[c.off:c.off+c.n])
+	default:
+		x.ret()
 	}
-	return a
+}
+
+// pipeChunks cuts a vector into the chunks of the Figure-5 pipeline:
+// "pipelining over the entire message range" (§2.4) keeps at least four
+// chunks in flight until the full large chunk size pays off.
+func pipeChunks(g *Group, size int, ds dataspec) []span {
+	cfg := g.s.m.Cfg
+	chunk := min(cfg.SRMLargeChunk, max((size+3)/4, cfg.SRMSmallChunk))
+	if ds.dt.Size() > 0 {
+		chunk -= chunk % ds.dt.Size()
+	}
+	return chunks(size, max(chunk, 1))
 }
 
 // Allreduce combines send buffers across all ranks and leaves the full
@@ -139,10 +89,28 @@ func (s *SRM) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type,
 	s.World().Allreduce(p, rank, send, recv, dt, op)
 }
 
+// AllreduceT is Allreduce for the Task engine.
+func (s *SRM) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	s.World().AllreduceT(t, rank, send, recv, dt, op, kont)
+}
+
 // Allreduce combines the group members' send buffers into every member's
 // recv.
 func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	ds := dataspec{dt: dt, op: op}
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.allreduce(x, rank, send, recv, dataspec{dt, op})
+	x.runProc()
+}
+
+// AllreduceT is Allreduce for the Task engine; kont runs when it completes.
+func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.allreduce(x, rank, send, recv, dataspec{dt, op})
+	x.run()
+}
+
+func (g *Group) allreduce(x *exec, rank int, send, recv []byte, ds dataspec) {
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
 	}
@@ -151,196 +119,332 @@ func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Typ
 	}
 	// The resolver is a pure function of the size, so every rank of the
 	// group dispatches the same call to the same algorithm family.
-	switch g.s.allreduceAlg(len(send)) {
-	case AlgRing:
-		st, release := g.acquire(rank, func() any { return newRingState(g, len(send), ds) })
-		defer release()
-		a := st.(*ringState)
-		a.check(len(send), ds, rank)
-		a.run(p, rank, send, recv)
-		return
-	case AlgRHD:
-		st, release := g.acquire(rank, func() any { return newRHDState(g, len(send), ds) })
-		defer release()
-		a := st.(*rhdState)
-		a.check(len(send), ds, rank)
-		a.run(p, rank, send, recv)
-		return
-	case AlgDualRoot:
-		st, release := g.acquire(rank, func() any { return newDualRootState(g, len(send), ds) })
-		defer release()
-		a := st.(*dualRootState)
-		a.check(len(send), ds, rank)
-		a.run(p, rank, send, recv)
-		return
-	}
-	st, release := g.acquire(rank, func() any { return newAllreduceState(g, len(send), ds) })
-	defer release()
-	a := st.(*allreduceState)
-	if a.size != len(send) || a.ds != ds {
+	size, nn := len(send), len(g.lay.nodes)
+	alg := g.s.allreduceAlg(size)
+	st := g.acquire(x, rank, func() any {
+		switch {
+		case alg == AlgRing:
+			return newRingState(g, size, ds)
+		case alg == AlgRHD:
+			return newRHDState(g, size, ds)
+		case alg == AlgDualRoot:
+			return newPipeState(g, size, ds, 0, min(1, nn-1))
+		case size <= g.s.m.Cfg.SRMAllreduceRD:
+			return newRDState(g, size, ds)
+		}
+		return newPipeState(g, size, ds, 0)
+	})
+	a, ok := st.(interface {
+		stepper
+		stages() *nodeStages
+	})
+	if !ok || a.stages().size != size || a.stages().ds != ds {
 		panic(fmt.Sprintf("core: Allreduce mismatch at rank %d", rank))
 	}
-	a.run(p, rank, send, recv)
-}
-
-func (a *allreduceState) run(p *sim.Proc, rank int, send, recv []byte) {
-	g := a.g
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	if l != 0 {
-		// Workers contribute every chunk to the SMP reduce, then consume
-		// the distributed result.
-		a.rn[x].worker(p, l, send, a.sp, a.ds)
-		for k, c := range a.sp {
-			a.pub[x].Consume(p, l, k, recv[c.off:c.off+c.n])
-		}
+	ns := a.stages()
+	x.ds = ds
+	if x.l != 0 {
+		x.call(ns, nsReduce, 0, send, recv)
 		return
 	}
-	a.resBuf[x] = recv
-	a.resReady[x].Trigger()
-	ep := g.s.dom.Endpoint(rank)
-	enable := g.s.quietNet(ep, a.size)
-	defer enable()
-	if a.small {
-		a.masterSmall(p, ep, x, send, recv)
-	} else {
-		a.masterLarge(p, ep, x, send, recv)
+	ns.resBuf[x.nx] = recv
+	ns.resReady[x.nx].Trigger()
+	if alg != AlgDualRoot {
+		// The dual-root pipeline keeps interrupts enabled at every size:
+		// its broadcast helper waits on counters without entering RMA calls
+		// on the shared endpoint, so deferred delivery would strand its
+		// arrival notifications while the reduce side blocks in non-RMA
+		// waits — the same reason the one-tree pipeline, which only runs
+		// above the small-message limit, never runs quiet.
+		x.quietNet(size)
 	}
+	x.call(a, 0, 0, send, recv)
 }
 
-// master returns the master rank of participating node index x.
-func (a *allreduceState) master(x int) *rma.Endpoint {
-	return a.g.s.dom.Endpoint(a.g.lay.local[x][0])
+// rdState is the shared state of one allreduce of up to SRMAllreduceRD
+// bytes (§2.2, §2.4): SMP reduce on each node, then an integrated pairwise
+// exchange based on recursive doubling between the node masters, with extra
+// nodes (beyond the largest power of two) folded in and out, then an SMP
+// broadcast of the result.
+type rdState struct {
+	nodeStages
+	g        *Group
+	pow      int
+	foldSlot [][]byte
+	foldArr  []*rma.Counter
+	rdSlot   [][][]byte // [node][round]
+	rdArr    [][]*rma.Counter
+	resArr   []*rma.Counter // result landed back at an extra node
 }
 
-// masterSmall: SMP reduce into recv, recursive-doubling exchange between
-// masters (§2.4 Allreduce), SMP broadcast of the result.
-func (a *allreduceState) masterSmall(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
-	g := a.g
+func newRDState(g *Group, size int, ds dataspec) *rdState {
 	s := g.s
+	a := &rdState{g: g, nodeStages: newNodeStages(g, size, ds, chunks(size, max(size, 1)))}
 	nn := len(g.lay.nodes)
-	have := a.rn[x].masterChunk(p, 0, recv, send, a.ds)
+	a.pow = 1
+	for a.pow*2 <= nn {
+		a.pow *= 2
+	}
+	rounds := tree.Log2Ceil(a.pow)
+	a.foldSlot = make([][]byte, nn)
+	a.foldArr = make([]*rma.Counter, nn)
+	a.rdSlot = make([][][]byte, nn)
+	a.rdArr = make([][]*rma.Counter, nn)
+	a.resArr = make([]*rma.Counter, nn)
+	for x := 0; x < nn; x++ {
+		a.foldSlot[x] = make([]byte, size)
+		a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+		a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+		a.rdSlot[x] = make([][]byte, rounds)
+		a.rdArr[x] = make([]*rma.Counter, rounds)
+		for r := 0; r < rounds; r++ {
+			a.rdSlot[x][r] = make([]byte, size)
+			a.rdArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+		}
+	}
+	return a
+}
+
+const (
+	rdReduce = iota
+	rdFold
+	rdRounds // f.i counts exchange rounds
+	rdUnfold
+	rdPublish
+	rdDone
+)
+
+// step is the master's role; f.j records that recv holds a partial (until
+// then the node's contribution is send itself).
+func (a *rdState) step(x *exec, f *frame) {
+	g, nx, send, recv := a.g, x.nx, f.a, f.c
+	nn := len(g.lay.nodes)
 	cur := func() []byte {
-		if have {
+		if f.j != 0 {
 			return recv
 		}
 		return send
 	}
 	combine := func(src []byte) {
 		if a.size > 0 {
-			if have {
-				a.ds.acc(recv, src)
-			} else {
-				a.ds.into(recv, send, src)
+			own := send
+			if f.j != 0 {
+				own = nil
 			}
-			s.combineCharge(p, a.size, a.ds.dt.Size())
+			x.combine(recv, own, src)
 		}
-		have = true
+		f.j = 1
 	}
-	if x >= a.pow {
-		// Fold out: hand the node partial to the peer, then receive the
-		// final result straight into recv.
-		peer := x - a.pow
-		ep.Put(p, a.master(peer), a.foldSlot[peer], cur(), nil, a.foldArr[peer], nil)
-		ep.Waitcntr(p, a.resArr[x], 1)
-	} else {
-		if x+a.pow < nn {
-			ep.Waitcntr(p, a.foldArr[x], 1)
-			combine(a.foldSlot[x])
+	switch f.pc {
+	case rdReduce:
+		f.pc = rdFold
+		if x.reduceLocal(a.rn[nx], 0, recv, send) {
+			f.j = 1
 		}
-		for r := 0; r < len(a.rdArr[x]); r++ {
-			partner := x ^ (1 << r)
-			ep.Put(p, a.master(partner), a.rdSlot[partner][r], cur(),
-				nil, a.rdArr[partner][r], nil)
-			ep.Waitcntr(p, a.rdArr[x][r], 1)
-			combine(a.rdSlot[x][r])
+	case rdFold:
+		if nx >= a.pow {
+			// Fold out: hand the node partial to the peer, then receive the
+			// final result straight into recv.
+			peer := nx - a.pow
+			x.put(g.masterEp(peer), a.foldSlot[peer], cur(), a.foldArr[peer])
+			x.waitcntr(a.resArr[nx], 1)
+			f.pc = rdPublish
+			return
 		}
-		if x+a.pow < nn {
+		if nx+a.pow < nn {
+			x.waitcntr(a.foldArr[nx], 1)
+			combine(a.foldSlot[nx])
+		}
+		f.pc = rdRounds
+	case rdRounds:
+		if r := f.i; r < len(a.rdArr[nx]) {
+			partner := nx ^ (1 << r)
+			x.put(g.masterEp(partner), a.rdSlot[partner][r], cur(), a.rdArr[partner][r])
+			x.waitcntr(a.rdArr[nx][r], 1)
+			combine(a.rdSlot[nx][r])
+			f.i++
+			return
+		}
+		f.pc = rdUnfold
+		if nx+a.pow < nn {
+			x.waitEvent(a.resReady[nx+a.pow])
+		}
+	case rdUnfold:
+		if extra := nx + a.pow; extra < nn {
 			// Return the full result to the folded-out node's recv buffer.
-			extra := x + a.pow
-			p.Wait(a.resReady[extra])
-			ep.Put(p, a.master(extra), a.resBuf[extra], cur(), nil, a.resArr[extra], nil)
+			x.put(g.masterEp(extra), a.resBuf[extra], cur(), a.resArr[extra])
 		}
-		if !have && a.size > 0 {
-			s.m.Memcpy(p, g.lay.nodes[x], recv, send) // single node, single task
+		if f.j == 0 && a.size > 0 {
+			x.memcpy(recv, send) // single node, single task
 		}
+		f.pc = rdPublish
+	case rdPublish:
+		f.pc = rdDone
+		x.publish(a.pub[nx], 0, recv, false)
+	case rdDone:
+		a.pub[nx].waitConsumed(x, 0)
+		x.ret()
 	}
-	a.pub[x].Publish(p, 0, recv, false)
-	a.pub[x].waitConsumed(p, 0)
 }
 
-// masterLarge: the four-stage pipeline of Figure 5. The master's main
-// process runs the reduce stages; a helper process runs the broadcast
+// pipeState is the shared state of one pipelined tree allreduce: reduce up
+// a tree of node masters fused with the broadcast back down it, as the
+// four-stage chunk pipeline of Figure 5 (SMP reduce / inter-node reduce /
+// inter-node broadcast / SMP broadcast all overlapping). A master's main
+// actor runs the reduce stages; a helper beside it runs the broadcast
 // stages so a chunk can be broadcast while the next one is still being
 // reduced.
-func (a *allreduceState) masterLarge(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
-	g := a.g
+//
+// With one tree, rooted at the first participating node, this is the
+// paper's allreduce above SRMAllreduceRD bytes. With two (AlgDualRoot,
+// after Träff) even chunks use the first tree and odd chunks a second one
+// rooted at the second node, so neither root is the bottleneck for the
+// whole message and both directions of every master's links stay busy.
+// Within each tree the protocol is the same: double-buffered slots keyed by
+// the chunk's parity within its tree, two-deep credits from parent back to
+// child, direct puts into the children's receive buffers on the broadcast
+// side.
+type pipeState struct {
+	nodeStages
+	g          *Group
+	trees      []pipeTree
+	helperDone []*sim.Event
+}
+
+type pipeTree struct {
+	emb       gEmbed
+	pslot     [][2][]byte       // indexed by child node, allocated at its parent
+	arr       [][2]*rma.Counter // per-parity chunk arrivals from child node, at the parent
+	credit    []*rma.Counter    // free slots for child node's puts, at the child
+	bArr      [][2]*rma.Counter // per-parity result chunks landed, at the child
+	chunkDone *shm.Flag         // at the root master: chunks fully reduced
+}
+
+func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 	s := g.s
-	atRoot := x == a.emb.inter.Root
-	interKids := a.emb.inter.Children[x]
-
-	// Broadcast-side helper.
-	s.m.Env.SpawnIndexed("srm-arb-", x, func(hp *sim.Proc) {
-		if tr := s.m.Env.Trace; tr != nil {
-			// The helper gets its own timeline above the rank tracks so its
-			// broadcast-stage spans do not interleave with the reduce side.
-			ht := s.m.P() + ep.Rank
-			hp.SetTrack(ht)
-			tr.NameTrack(ht, "rank"+strconv.Itoa(ep.Rank)+"-bcast")
+	a := &pipeState{g: g, nodeStages: newNodeStages(g, size, ds, pipeChunks(g, size, ds))}
+	nn := len(g.lay.nodes)
+	a.helperDone = make([]*sim.Event, nn)
+	for x := range a.helperDone {
+		a.helperDone[x] = s.m.Env.NewEvent()
+	}
+	arrivals := func() [2]*rma.Counter {
+		return [2]*rma.Counter{
+			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
+			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 		}
-		defer a.helperDone[x].Trigger()
-		for k, c := range a.sp {
-			if atRoot {
-				a.chunkDone.WaitGE(hp, k+1)
-			} else {
-				a.bArr[x][k%2].WaitValue(hp, 1)
-			}
-			src := recv[c.off : c.off+c.n]
-			for _, child := range interKids {
-				hp.Wait(a.resReady[child])
-				dst := a.resBuf[child][c.off : c.off+c.n]
-				ep.Put(hp, a.master(child), dst, src, nil, a.bArr[child][k%2], nil)
-			}
-			a.pub[x].Publish(hp, k, src, false)
+	}
+	kind := s.interKind("allreduce", size)
+	a.trees = make([]pipeTree, len(roots))
+	for ti, root := range roots {
+		tp := &a.trees[ti]
+		tp.emb = g.lay.embed(kind, s.opt.IntraTree, g.lay.local[root][0])
+		tp.chunkDone = shm.NewFlag(s.m, g.lay.nodes[root])
+		tp.pslot = make([][2][]byte, nn)
+		tp.arr = make([][2]*rma.Counter, nn)
+		tp.credit = make([]*rma.Counter, nn)
+		tp.bArr = make([][2]*rma.Counter, nn)
+		for x := 0; x < nn; x++ {
+			tp.pslot[x] = [2][]byte{make([]byte, a.sp[0].n), make([]byte, a.sp[0].n)}
+			tp.arr[x] = arrivals()
+			tp.credit[x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
+			tp.bArr[x] = arrivals()
 		}
-		a.pub[x].waitConsumed(hp, len(a.sp)-1)
-	})
+	}
+	return a
+}
 
-	// Reduce side (same structure as reduceState.master, targeting recv).
-	for k, c := range a.sp {
-		tchunk := recv[c.off : c.off+c.n]
-		own := send[c.off : c.off+c.n]
-		have := a.rn[x].masterChunk(p, k, tchunk, own, a.ds)
-		for _, child := range interKids {
-			ep.Waitcntr(p, a.arr[child][k%2], 1)
-			slot := a.pslot[child][k%2][:c.n]
+const (
+	ppStart  = iota
+	ppReduce // reduce side: top of the chunk loop
+	ppUp     // f.i counts child nodes; f.j records a local partial
+	ppBcast  // broadcast side (helper): top of the chunk loop
+	ppDown
+	ppDownPut
+)
+
+// step walks chunks in global order; chunk k belongs to tree k%nt and is
+// the (k/nt)-th chunk of that tree.
+func (a *pipeState) step(x *exec, f *frame) {
+	g, nx, send, recv, k := a.g, x.nx, f.a, f.c, f.k
+	if k == len(a.sp) {
+		if f.pc == ppReduce {
+			x.waitEvent(a.helperDone[nx])
+		} else {
+			a.pub[nx].waitConsumed(x, k-1)
+		}
+		x.ret()
+		return
+	}
+	nt := len(a.trees)
+	tp, idx := &a.trees[k%nt], k/nt
+	par := idx % 2
+	kids := tp.emb.inter.Children[nx]
+	atRoot := nx == tp.emb.inter.Root
+	c := a.sp[k]
+	tchunk, own := recv[c.off:c.off+c.n], send[c.off:c.off+c.n]
+
+	switch f.pc {
+	case ppStart:
+		x.spawn(a, ppBcast, send, recv, a.helperDone[nx])
+		f.pc = ppReduce
+	case ppReduce:
+		f.pc, f.i, f.j = ppUp, 0, 0
+		if x.reduceLocal(a.rn[nx], k, tchunk, own) {
+			f.j = 1
+		}
+	case ppUp:
+		have := f.j != 0 || f.i > 0
+		if f.i < len(kids) {
+			child := kids[f.i]
+			f.i++
+			x.waitcntr(tp.arr[child][par], 1)
 			if c.n > 0 {
 				if have {
-					a.ds.acc(tchunk, slot)
-				} else {
-					a.ds.into(tchunk, own, slot)
+					own = nil
 				}
-				s.combineCharge(p, c.n, a.ds.dt.Size())
+				x.combine(tchunk, own, tp.pslot[child][par][:c.n])
 			}
-			have = true
-			if k+2 < len(a.sp) {
-				ep.PutZero(p, a.master(child), a.credit[child])
+			// The child's next send in this tree is chunk k+nt; returning
+			// this credit enables the one after that.
+			if k+2*nt < len(a.sp) {
+				x.putZero(g.masterEp(child), tp.credit[child])
 			}
+			return
 		}
 		if !atRoot {
 			src := tchunk
 			if !have {
 				src = own
 			}
-			ep.Waitcntr(p, a.credit[x], 1)
-			parent := a.master(a.emb.inter.Parent[x])
-			ep.Put(p, parent, a.pslot[x][k%2][:c.n], src, nil, a.arr[x][k%2], nil)
+			x.waitcntr(tp.credit[nx], 1)
+			x.put(g.masterEp(tp.emb.inter.Parent[nx]), tp.pslot[nx][par][:c.n], src, tp.arr[nx][par])
 		} else {
 			if !have && c.n > 0 {
-				s.m.Memcpy(p, g.lay.nodes[x], tchunk, own)
+				x.memcpy(tchunk, own)
 			}
-			a.chunkDone.Set(k + 1)
+			x.set(tp.chunkDone, idx+1)
 		}
+		f.pc, f.k = ppReduce, k+1
+
+	case ppBcast:
+		if atRoot {
+			x.waitGE(tp.chunkDone, idx+1)
+		} else {
+			x.waitValue(tp.bArr[nx][par], 1)
+		}
+		f.pc, f.i = ppDown, 0
+	case ppDown:
+		if f.i < len(kids) {
+			x.waitEvent(a.resReady[kids[f.i]])
+			f.pc = ppDownPut
+			return
+		}
+		f.pc, f.k = ppBcast, k+1
+		x.publish(a.pub[nx], k, tchunk, false)
+	case ppDownPut:
+		child := kids[f.i]
+		x.put(g.masterEp(child), a.resBuf[child][c.off:c.off+c.n], tchunk, tp.bArr[child][par])
+		f.pc, f.i = ppDown, f.i+1
 	}
-	p.Wait(a.helperDone[x])
 }

@@ -32,7 +32,7 @@ type alltoallState struct {
 	out [][][]byte // allocated at node x, indexed [x][y]
 	in  [][][]byte // allocated at node y, indexed [y][x]
 
-	staged []*shm.FlagSet   // per node: member finished staging
+	staged []flagSet        // per node: member finished staging
 	ready  []*shm.Flag      // per node: all inbound slabs landed
 	arr    [][]*rma.Counter // [dst node][src node] slab arrivals
 	pos    map[int]int      // member rank -> group rank
@@ -51,7 +51,7 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 		blk:    blk,
 		out:    make([][][]byte, nn),
 		in:     make([][][]byte, nn),
-		staged: make([]*shm.FlagSet, nn),
+		staged: make([]flagSet, nn),
 		ready:  make([]*shm.Flag, nn),
 		arr:    make([][]*rma.Counter, nn),
 		pos:    make(map[int]int, len(g.lay.members)),
@@ -79,7 +79,7 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 			st.in[x][y] = make([]byte, len(g.lay.local[y])*len(g.lay.local[x])*blk)
 			st.arr[x][y] = s.dom.NewCounter(0)
 		}
-		st.staged[x] = shm.NewFlagSet(s.m, nd, len(g.lay.local[x]))
+		st.staged[x] = newFlags(s.m, nd, len(g.lay.local[x]))
 		st.ready[x] = shm.NewFlag(s.m, nd)
 	}
 	return st
@@ -89,6 +89,31 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 // blk-byte block per member (group order), and its recv receives member
 // j's block for i at group offset j. len(send) = len(recv) = Size()*blk.
 func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.alltoall(x, rank, send, recv)
+	x.runProc()
+}
+
+// AlltoallT is Alltoall for the Task engine; kont runs when it completes.
+func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.alltoall(x, rank, send, recv)
+	x.run()
+}
+
+const (
+	a2aStage = iota // staged exchange, phase 1; f.i counts nodes or peers
+	a2aPut
+	a2aWait
+	a2aReady
+	a2aPick
+	a2aDirect // direct exchange; f.i counts peers
+	a2aDirectWait
+	a2aDirectPut
+)
+
+func (g *Group) alltoall(x *exec, rank int, send, recv []byte) {
 	if len(send) != len(recv) {
 		panic(fmt.Sprintf("core: Alltoall send %d / recv %d bytes", len(send), len(recv)))
 	}
@@ -97,119 +122,117 @@ func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
 			len(send), g.Size()))
 	}
 	blk := len(send) / g.Size()
-	st, release := g.acquire(rank, func() any { return newAlltoallState(g, blk) })
-	defer release()
-	a := st.(*alltoallState)
+	a := g.acquire(x, rank, func() any { return newAlltoallState(g, blk) }).(*alltoallState)
 	if a.blk != blk {
 		panic(fmt.Sprintf("core: Alltoall mismatch at rank %d", rank))
 	}
+	pc := a2aStage
 	if a.direct {
-		a.runDirect(p, rank, send, recv)
-	} else {
-		a.run(p, rank, send, recv)
+		pc = a2aDirect
 	}
+	x.call(a, pc, 0, send, recv)
 }
 
-// runDirect is the large-block path: every member writes each outgoing
-// block straight into its destination's receive buffer — a put across
-// nodes, a shared-memory copy within one — and waits until its own P-1
-// inbound blocks have landed.
-func (a *alltoallState) runDirect(p *sim.Proc, rank int, send, recv []byte) {
-	g := a.g
-	s := g.s
-	gi := a.pos[rank]
-	P := len(g.lay.members)
-	blk := a.blk
-	node := g.lay.nodes[g.lay.ni[rank]]
-	a.recvBuf[gi] = recv
-	a.registered[gi].Trigger()
-	// Own block stays local.
-	s.m.Memcpy(p, node, recv[gi*blk:(gi+1)*blk], send[gi*blk:(gi+1)*blk])
-	ep := s.dom.Endpoint(rank)
-	for step := 1; step < P; step++ {
-		gj := (gi + step) % P
-		target := g.lay.members[gj]
-		p.Wait(a.registered[gj])
-		dst := a.recvBuf[gj][gi*blk : (gi+1)*blk]
-		src := send[gj*blk : (gj+1)*blk]
-		if g.s.m.NodeOf(target) == node {
-			s.m.Memcpy(p, node, dst, src)
-			a.blkArr[gj].Incr(1)
-		} else {
-			ep.Put(p, s.dom.Endpoint(target), dst, src, nil, a.blkArr[gj], nil)
-		}
-	}
-	ep.Waitcntr(p, a.blkArr[gi], P-1)
-}
+func (a *alltoallState) step(x *exec, f *frame) {
+	g, s, nx, li, blk := a.g, a.g.s, x.nx, x.l, a.blk
+	send, recv := f.a, f.c
+	nn, P, gi := len(g.lay.nodes), len(g.lay.members), a.pos[x.rank]
+	mine := len(g.lay.local[nx])
 
-// Alltoall is Group.Alltoall over all ranks.
-func (s *SRM) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	s.World().Alltoall(p, rank, send, recv)
-}
-
-func (a *alltoallState) run(p *sim.Proc, rank int, send, recv []byte) {
-	g := a.g
-	s := g.s
-	x := g.lay.ni[rank]
-	li := g.lay.li[rank]
-	node := g.lay.nodes[x]
-	nn := len(g.lay.nodes)
-	blk := a.blk
-
+	switch f.pc {
 	// Phase 1: stage outgoing blocks, grouped by destination node. Each
 	// destination node's slab is laid out [src local][dst local], so runs
 	// to the same node are coalesced into contiguous ranges per source.
-	for y := 0; y < nn; y++ {
-		dsts := g.lay.local[y]
-		row := a.out[x][y][li*len(dsts)*blk : (li+1)*len(dsts)*blk]
-		if blk > 0 && len(dsts) > 0 {
-			// Gather this member's blocks for node y's members into its
-			// row of the slab (one contiguous copy per destination).
-			for lj, dst := range dsts {
-				off := a.groupRank(dst) * blk
-				copy(row[lj*blk:(lj+1)*blk], send[off:off+blk])
+	case a2aStage:
+		for ; f.i < nn; f.i++ {
+			dsts := g.lay.local[f.i]
+			row := a.out[nx][f.i][li*len(dsts)*blk : (li+1)*len(dsts)*blk]
+			if blk > 0 && len(dsts) > 0 {
+				// Gather this member's blocks for the node's members into
+				// its row of the slab (one contiguous copy per destination).
+				for lj, dst := range dsts {
+					off := a.pos[dst] * blk
+					copy(row[lj*blk:(lj+1)*blk], send[off:off+blk])
+				}
+				x.chargeCopy(len(row))
+				f.i++
+				return
 			}
-			s.m.ChargeCopy(p, node, len(row))
-			s.m.Stats.AddCopy(len(row))
 		}
-	}
-	a.staged[x].Flag(li).Set(1)
-
-	if rank == g.lay.local[x][0] {
-		// Master: wait for local staging, exchange slabs pairwise.
-		a.staged[x].WaitAll(p, 1)
-		ep := s.dom.Endpoint(rank)
-		for d := 1; d < nn; d++ {
-			y := (x + d) % nn
-			dst := a.in[y][x]
-			ep.Put(p, s.dom.Endpoint(g.lay.local[y][0]), dst, a.out[x][y],
-				nil, a.arr[y][x], nil)
+		x.set(a.staged[nx][li], 1)
+		f.pc = a2aReady
+		if li == 0 {
+			// Master: wait for local staging, exchange slabs pairwise.
+			x.waitAllEQ(&a.staged[nx], 1, -1)
+			f.pc, f.i = a2aPut, 1
+		}
+	case a2aPut:
+		if d := f.i; d < nn {
+			y := (nx + d) % nn
+			x.put(g.masterEp(y), a.in[y][nx], a.out[nx][y], a.arr[y][nx])
+			f.i++
+			return
 		}
 		// The node's own slab transfers through shared memory.
-		a.in[x][x] = a.out[x][x]
-		for d := 1; d < nn; d++ {
-			ep.Waitcntr(p, a.arr[x][(x+d)%nn], 1)
+		a.in[nx][nx] = a.out[nx][nx]
+		f.pc, f.i = a2aWait, 1
+	case a2aWait:
+		if d := f.i; d < nn {
+			x.waitcntr(a.arr[nx][(nx+d)%nn], 1)
+			f.i++
+			return
 		}
-		a.ready[x].Set(1)
-	}
-	a.ready[x].WaitFor(p, 1)
-
+		x.set(a.ready[nx], 1)
+		f.pc = a2aReady
+	case a2aReady:
+		x.waitEQ(a.ready[nx], 1)
+		f.pc, f.i = a2aPick, 0
 	// Phase 3: pick this member's column out of every inbound slab.
-	for y := 0; y < nn; y++ {
-		srcs := g.lay.local[y]
-		if blk == 0 || len(srcs) == 0 {
-			continue
+	case a2aPick:
+		for ; f.i < nn; f.i++ {
+			srcs := g.lay.local[f.i]
+			if blk == 0 || len(srcs) == 0 {
+				continue
+			}
+			slab := a.in[nx][f.i]
+			for lj, src := range srcs {
+				off := a.pos[src] * blk
+				copy(recv[off:off+blk], slab[(lj*mine+li)*blk:(lj*mine+li+1)*blk])
+			}
+			x.chargeCopy(len(srcs) * blk)
+			f.i++
+			return
 		}
-		for lj, src := range srcs {
-			slab := a.in[x][y]
-			from := slab[(lj*len(g.lay.local[x])+li)*blk : (lj*len(g.lay.local[x])+li+1)*blk]
-			off := a.groupRank(src) * blk
-			copy(recv[off:off+blk], from)
+		x.ret()
+
+	// The large-block path: every member writes each outgoing block
+	// straight into its destination's receive buffer — a put across nodes,
+	// a shared-memory copy within one — and waits until its own P-1 inbound
+	// blocks have landed.
+	case a2aDirect:
+		a.recvBuf[gi] = recv
+		a.registered[gi].Trigger()
+		// Own block stays local.
+		x.memcpy(recv[gi*blk:(gi+1)*blk], send[gi*blk:(gi+1)*blk])
+		f.pc, f.i = a2aDirectWait, 1
+	case a2aDirectWait:
+		if f.i == P {
+			x.waitcntr(a.blkArr[gi], P-1)
+			x.ret()
+			return
 		}
-		s.m.ChargeCopy(p, node, len(srcs)*blk)
-		s.m.Stats.AddCopy(len(srcs) * blk)
+		x.waitEvent(a.registered[(gi+f.i)%P])
+		f.pc = a2aDirectPut
+	case a2aDirectPut:
+		gj := (gi + f.i) % P
+		target := g.lay.members[gj]
+		dst, src := a.recvBuf[gj][gi*blk:(gi+1)*blk], send[gj*blk:(gj+1)*blk]
+		if s.m.NodeOf(target) == x.node {
+			x.memcpy(dst, src)
+			x.incr(a.blkArr[gj])
+		} else {
+			x.put(s.dom.Endpoint(target), dst, src, a.blkArr[gj])
+		}
+		f.pc, f.i = a2aDirectWait, f.i+1
 	}
 }
-
-// groupRank returns a member's group rank (its block index).
-func (a *alltoallState) groupRank(rank int) int { return a.pos[rank] }

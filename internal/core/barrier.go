@@ -2,7 +2,6 @@ package core
 
 import (
 	"srmcoll/internal/rma"
-	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
 )
@@ -13,7 +12,7 @@ import (
 // pairwise zero-byte puts between the node masters.
 type barrierState struct {
 	g      *Group
-	flags  []*shm.FlagSet   // per participating node
+	flags  []flagSet        // per participating node
 	cnt    [][]*rma.Counter // [node index][round]
 	rounds int
 }
@@ -22,12 +21,12 @@ func newBarrierState(g *Group) *barrierState {
 	nn := len(g.lay.nodes)
 	b := &barrierState{
 		g:      g,
-		flags:  make([]*shm.FlagSet, nn),
+		flags:  make([]flagSet, nn),
 		cnt:    make([][]*rma.Counter, nn),
 		rounds: tree.Log2Ceil(nn),
 	}
 	for x, nd := range g.lay.nodes {
-		b.flags[x] = shm.NewFlagSet(g.s.m, nd, len(g.lay.local[x]))
+		b.flags[x] = newFlags(g.s.m, nd, len(g.lay.local[x]))
 		b.cnt[x] = make([]*rma.Counter, b.rounds)
 		for r := range b.cnt[x] {
 			b.cnt[x][r] = g.s.dom.NewCounter(0)
@@ -39,40 +38,61 @@ func newBarrierState(g *Group) *barrierState {
 // Barrier blocks until every rank has entered the barrier.
 func (s *SRM) Barrier(p *sim.Proc, rank int) { s.World().Barrier(p, rank) }
 
+// BarrierT is Barrier for the Task engine.
+func (s *SRM) BarrierT(t *sim.Task, rank int, kont func()) { s.World().BarrierT(t, rank, kont) }
+
 // Barrier blocks until every group member has entered the barrier.
 func (g *Group) Barrier(p *sim.Proc, rank int) {
-	st, release := g.acquire(rank, func() any { return newBarrierState(g) })
-	defer release()
-	st.(*barrierState).run(p, rank)
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.barrier(x, rank)
+	x.runProc()
 }
 
-func (b *barrierState) run(p *sim.Proc, rank int) {
+// BarrierT runs kont once every group member has entered the barrier.
+func (g *Group) BarrierT(t *sim.Task, rank int, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.barrier(x, rank)
+	x.run()
+}
+
+func (g *Group) barrier(x *exec, rank int) {
+	b := g.acquire(x, rank, func() any { return newBarrierState(g) }).(*barrierState)
+	x.call(b, 0, 0, nil, nil)
+}
+
+// step: pc 0 is entry; the master counts dissemination rounds in f.k.
+func (b *barrierState) step(x *exec, f *frame) {
 	g := b.g
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	fs := b.flags[x]
-	if l != 0 {
-		// Check in, then wait for the master to reset the flag.
-		fs.Flag(l).Set(1)
-		fs.Flag(l).WaitFor(p, 0)
-		return
-	}
-	// The master first waits until all other member tasks on the node
-	// check in.
-	fs.WaitAll(p, 1, 0)
-	// Then it joins the inter-node phase: dissemination with zero-byte
-	// puts, log2(n) rounds, interrupts off for the duration (§2.3).
+	fs := b.flags[x.nx]
 	nn := len(g.lay.nodes)
-	if nn > 1 {
-		ep := g.s.dom.Endpoint(rank)
-		ep.SetInterrupts(false)
-		for r := 0; r < b.rounds; r++ {
-			peer := (x + 1<<r) % nn
-			ep.PutZero(p, g.s.dom.Endpoint(g.lay.local[peer][0]), b.cnt[peer][r])
-			ep.Waitcntr(p, b.cnt[x][r], 1)
+	switch {
+	case x.l != 0:
+		// Check in, then wait for the master to reset the flag.
+		x.set(fs[x.l], 1)
+		x.waitEQ(fs[x.l], 0)
+		x.ret()
+	case f.pc == 0:
+		// The master first waits until all other member tasks on the node
+		// check in, then joins the inter-node phase: dissemination with
+		// zero-byte puts, log2(n) rounds, interrupts off for the duration
+		// (§2.3).
+		x.waitAllEQ(&b.flags[x.nx], 1, 0)
+		if nn > 1 {
+			x.interrupts(false)
 		}
-		ep.SetInterrupts(true)
+		f.pc = 1
+	case nn > 1 && f.k < b.rounds:
+		peer := (x.nx + 1<<f.k) % nn
+		x.putZero(g.masterEp(peer), b.cnt[peer][f.k])
+		x.waitcntr(b.cnt[x.nx][f.k], 1)
+		f.k++
+	default:
+		if nn > 1 {
+			x.interrupts(true)
+		}
+		// Release the node: reset the value of all flags (§2.2).
+		x.setAll(&b.flags[x.nx], 0)
+		x.ret()
 	}
-	// Release the node: reset the value of all flags (§2.2).
-	fs.SetAll(0)
 }

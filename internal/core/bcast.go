@@ -88,117 +88,151 @@ func (s *SRM) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 	s.World().Bcast(p, rank, buf, root)
 }
 
+// BcastT is Bcast for the Task engine.
+func (s *SRM) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
+	s.World().BcastT(t, rank, buf, root, kont)
+}
+
 // Bcast broadcasts buf from the member rank root to every group member.
 func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	st, release := g.acquire(rank, func() any { return newBcastState(g, root, len(buf)) })
-	defer release()
-	b := st.(*bcastState)
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.bcast(x, rank, buf, root)
+	x.runProc()
+}
+
+// BcastT is Bcast for the Task engine; kont runs when it completes.
+func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.bcast(x, rank, buf, root)
+	x.run()
+}
+
+const (
+	bcConsume = iota // non-master: f.k counts chunks
+	bcSmall          // master, Fig. 4 left: top of the chunk loop
+	bcSmallKids
+	bcSmallDone
+	bcLarge // master, Fig. 4 right: entry
+	bcLargeChunk
+	bcLargeKids
+	bcLargePut
+)
+
+func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
+	b := g.acquire(x, rank, func() any { return newBcastState(g, root, len(buf)) }).(*bcastState)
 	if b.root != root || b.size != len(buf) {
 		panic(fmt.Sprintf("core: Bcast mismatch at rank %d: root %d/%d size %d/%d",
 			rank, root, b.root, len(buf), b.size))
 	}
-	b.run(p, rank, buf)
+	pc := bcConsume
+	if rank == b.emb.masters[x.nx] {
+		x.quietNet(b.size)
+		if pc = bcSmall; b.large {
+			pc = bcLarge
+		}
+	}
+	x.call(b, pc, 0, buf, nil)
 }
 
-func (b *bcastState) run(p *sim.Proc, rank int, buf []byte) {
-	g := b.g
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	if rank != b.emb.masters[x] {
-		// Non-master: consume every chunk from the node's publisher.
-		for k, c := range b.sp {
-			b.pub[x].Consume(p, l, k, buf[c.off:c.off+c.n])
+func (b *bcastState) step(x *exec, f *frame) {
+	g, nx, buf, k := b.g, x.nx, f.a, f.k
+	pub := b.pub[nx]
+	kids := b.emb.inter.Children[nx]
+	atRoot := nx == b.emb.inter.Root
+	masterEp := func(y int) *rma.Endpoint { return g.s.dom.Endpoint(b.emb.masters[y]) }
+	if k == len(b.sp) {
+		// Every chunk is out; masters that staged chunks through the node's
+		// buffers wait until the last one has been consumed.
+		if f.pc == bcLargeChunk || f.pc == bcSmall && atRoot {
+			pub.waitConsumed(x, k-1)
 		}
+		x.ret()
 		return
 	}
-	ep := g.s.dom.Endpoint(rank)
-	enable := g.s.quietNet(ep, b.size)
-	defer enable()
-	if b.large {
-		b.masterLarge(p, ep, x, buf)
-	} else {
-		b.masterSmall(p, ep, x, buf)
-	}
-}
+	c := b.sp[k]
+	parity := k % 2
+	mine := buf[c.off : c.off+c.n]
 
-// masterSmall runs a master through the small-message protocol (Fig. 4
-// left): data travels between nodes through the two shared buffers.
-func (b *bcastState) masterSmall(p *sim.Proc, ep *rma.Endpoint, x int, buf []byte) {
-	g := b.g
-	node := g.lay.nodes[x]
-	kids := b.emb.inter.Children[x]
-	atRoot := x == b.emb.inter.Root
-	for k, c := range b.sp {
-		parity := k % 2
-		slot := -1
-		var src []byte
-		if atRoot {
-			src = buf[c.off : c.off+c.n]
-		} else {
-			// Step: wait for the chunk to land in the shared buffer.
-			ep.Waitcntr(p, b.arr[x][parity], 1)
-			// The chunk now occupies this parity's shared receive slot; the
-			// span closes when the node is done with the buffer (credit
-			// returned, or the last chunk fully forwarded and published).
-			slot = g.s.m.Env.Trace.Begin(p.Track(), trace.ClassChunkSlot, "chunk:slot", int64(c.n))
-			src = b.netBuf[x][parity][:c.n]
+	switch f.pc {
+	case bcConsume:
+		f.k++
+		x.consume(pub, k, mine)
+
+	// Small-message protocol: data travels between nodes through the two
+	// shared buffers of each node.
+	case bcSmall:
+		if !atRoot {
+			x.waitcntr(b.arr[nx][parity], 1) // the chunk lands in the shared buffer
+		}
+		f.pc, f.i = bcSmallKids, 0
+	case bcSmallKids:
+		src := mine
+		if !atRoot {
+			src = b.netBuf[nx][parity][:c.n]
+			if f.i == 0 {
+				// The chunk now occupies this parity's shared receive slot;
+				// the span closes when the node is done with the buffer.
+				x.begin(f, trace.ClassChunkSlot, "chunk:slot", c.n)
+			}
 		}
 		// Send down the inter-node tree first (§2.4: "the received data is
-		// sent down the tree, and then SMP broadcast is performed").
-		for _, child := range kids {
-			ep.Waitcntr(p, b.freeC[child][parity], 1)
-			dst := b.netBuf[child][parity][:c.n]
-			ep.Put(p, g.s.dom.Endpoint(b.emb.masters[child]), dst, src, nil, b.arr[child][parity], nil)
+		// sent down the tree, and then SMP broadcast is performed"), each
+		// child once its buffer of this parity is free.
+		if f.i < len(kids) {
+			child := kids[f.i]
+			f.i++
+			x.waitcntr(b.freeC[child][parity], 1)
+			x.put(masterEp(child), b.netBuf[child][parity][:c.n], src, b.arr[child][parity])
+			return
 		}
 		// SMP broadcast of the chunk. From the root's private buffer this
 		// stages through the Figure 3 buffers; from the shared receive
 		// buffer it is exposed directly (no extra copy).
-		b.pub[x].Publish(p, k, src, !atRoot)
+		f.pc = bcSmallDone
+		x.publish(pub, k, src, !atRoot)
+	case bcSmallDone:
 		if !atRoot {
 			// The master's own share leaves the shared buffer too.
 			if c.n > 0 {
-				g.s.m.Memcpy(p, node, buf[c.off:c.off+c.n], src)
+				x.memcpy(mine, b.netBuf[nx][parity][:c.n])
 			}
 			// Free the buffer to the parent once the node is done with it
 			// (only while a chunk k+2 remains to reuse this parity).
 			if k+2 < len(b.sp) {
-				b.pub[x].waitConsumed(p, k)
-				parent := b.emb.inter.Parent[x]
-				ep.PutZero(p, g.s.dom.Endpoint(b.emb.masters[parent]), b.freeC[x][parity])
+				pub.waitConsumed(x, k)
+				x.putZero(masterEp(b.emb.inter.Parent[nx]), b.freeC[nx][parity])
 			}
+			x.end()
 		}
-		g.s.m.Env.Trace.End(slot)
-	}
-	if atRoot {
-		b.pub[x].waitConsumed(p, len(b.sp)-1)
-	}
-}
+		f.pc, f.k = bcSmall, k+1
 
-// masterLarge runs a master through the large-message protocol (Fig. 4
-// right): an address exchange, then puts straight into user buffers, with
-// the SMP broadcast pipelined behind the arrivals.
-func (b *bcastState) masterLarge(p *sim.Proc, ep *rma.Endpoint, x int, buf []byte) {
-	g := b.g
-	kids := b.emb.inter.Children[x]
-	atRoot := x == b.emb.inter.Root
-	b.userBuf[x] = buf
-	if !atRoot {
-		// Stage 1: send the user-buffer address to the inter-node parent.
-		parent := b.emb.masters[b.emb.inter.Parent[x]]
-		reg := b.registered[x]
-		ep.AM(p, g.s.dom.Endpoint(parent), make([]byte, 8), func([]byte) { reg.Trigger() })
-	}
-	for k, c := range b.sp {
+	// Large-message protocol: an address exchange, then puts straight into
+	// user buffers, with the SMP broadcast pipelined behind the arrivals.
+	case bcLarge:
+		b.userBuf[nx] = buf
 		if !atRoot {
-			ep.Waitcntr(p, b.arr[x][k%2], 1) // chunk landed in buf[c.off:]
+			// Stage 1: send the user-buffer address to the inter-node parent.
+			reg := b.registered[nx]
+			x.am(masterEp(b.emb.inter.Parent[nx]), make([]byte, 8), func([]byte) { reg.Trigger() })
 		}
-		src := buf[c.off : c.off+c.n]
-		for _, child := range kids {
-			p.Wait(b.registered[child])
-			dst := b.userBuf[child][c.off : c.off+c.n]
-			ep.Put(p, g.s.dom.Endpoint(b.emb.masters[child]), dst, src, nil, b.arr[child][k%2], nil)
+		f.pc = bcLargeChunk
+	case bcLargeChunk:
+		if !atRoot {
+			x.waitcntr(b.arr[nx][parity], 1) // chunk landed in buf[c.off:]
 		}
-		b.pub[x].Publish(p, k, src, false)
+		f.pc, f.i = bcLargeKids, 0
+	case bcLargeKids:
+		if f.i < len(kids) {
+			x.waitEvent(b.registered[kids[f.i]])
+			f.pc = bcLargePut
+			return
+		}
+		f.pc, f.k = bcLargeChunk, k+1
+		x.publish(pub, k, mine, false)
+	case bcLargePut:
+		child := kids[f.i]
+		x.put(masterEp(child), b.userBuf[child][c.off:c.off+c.n], mine, b.arr[child][parity])
+		f.pc, f.i = bcLargeKids, f.i+1
 	}
-	b.pub[x].waitConsumed(p, len(b.sp)-1)
 }

@@ -24,7 +24,9 @@
 //     re-enabled on completion (§2.3).
 //
 // Every operation moves real bytes; tests verify results against
-// sequential references.
+// sequential references. Every operation's per-rank control flow is written
+// once and runs on either simulator engine: X(p *sim.Proc, ...) blocks the
+// calling process, XT(t *sim.Task, ..., kont) runs kont when done (exec.go).
 package core
 
 import (
@@ -32,7 +34,7 @@ import (
 
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
-	"srmcoll/internal/sim"
+	"srmcoll/internal/shm"
 	"srmcoll/internal/tree"
 )
 
@@ -141,14 +143,16 @@ func (s *SRM) allreduceAlg(size int) Alg {
 // SRM is the collective-operations engine for one machine. All tasks share
 // one SRM instance and call its methods SPMD-style from their simulated
 // processes; every task must make the same sequence of collective calls.
-// Methods on SRM operate over all ranks; SRM.Group carves out arbitrary
-// task subsets (§5).
+// The paper's four operations are methods on SRM over all ranks; World
+// returns the group of all ranks, which has every operation, and SRM.Group
+// carves out arbitrary task subsets (§5).
 type SRM struct {
 	m      *machine.Machine
 	dom    *rma.Domain
 	opt    Options
 	groups map[string]*Group
 	world  *Group
+	free   []*exec // idle executors
 }
 
 type opEntry struct {
@@ -205,18 +209,13 @@ func chunks(total, chunk int) []span {
 	return out
 }
 
-// combineCharge charges the cost of one elementwise combine over n bytes.
-func (s *SRM) combineCharge(p *sim.Proc, n, elemSize int) {
-	p.Sleep(s.m.CombineTime(n))
-	s.m.Stats.AddReduce(n / max(1, elemSize))
-}
+// flagSet is one flag per local task, each on its own cache line (§2.2).
+type flagSet []*shm.Flag
 
-// quietNet turns interrupts off for small-message operations at a master
-// endpoint and returns the function that re-enables them (§2.3).
-func (s *SRM) quietNet(ep *rma.Endpoint, size int) func() {
-	if s.opt.KeepInterrupts || size > smallMsgInterruptLimit {
-		return func() {}
+func newFlags(m *machine.Machine, node, n int) flagSet {
+	fs := make(flagSet, n)
+	for i := range fs {
+		fs[i] = shm.NewFlag(m, node)
 	}
-	ep.SetInterrupts(false)
-	return func() { ep.SetInterrupts(true) }
+	return fs
 }

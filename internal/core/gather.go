@@ -62,7 +62,7 @@ type redistState struct {
 	masters []int
 	runs    []run
 	staged  [][]byte         // per node: slab staging in shared memory
-	inFlag  []*shm.FlagSet   // per node: member block staged (gather/allgather)
+	inFlag  []flagSet        // per node: member block staged (gather/allgather)
 	ready   []*shm.Flag      // per node: staging complete, members may copy out
 	arr     []*rma.Counter   // per node master: slabs arrived (gather/scatter)
 	stepArr [][]*rma.Counter // allgather: per node, per ring step
@@ -86,7 +86,7 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 		runs:    runsOf(g.lay),
 		masters: make([]int, len(g.lay.nodes)),
 		staged:  make([][]byte, len(g.lay.nodes)),
-		inFlag:  make([]*shm.FlagSet, len(g.lay.nodes)),
+		inFlag:  make([]flagSet, len(g.lay.nodes)),
 		ready:   make([]*shm.Flag, len(g.lay.nodes)),
 		arr:     make([]*rma.Counter, len(g.lay.nodes)),
 		rootSet: s.m.Env.NewEvent(),
@@ -122,7 +122,7 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 			size = total
 		}
 		st.staged[x] = make([]byte, size)
-		st.inFlag[x] = shm.NewFlagSet(s.m, nd, len(g.lay.local[x]))
+		st.inFlag[x] = newFlags(s.m, nd, len(g.lay.local[x]))
 		st.ready[x] = shm.NewFlag(s.m, nd)
 		st.arr[x] = s.dom.NewCounter(0)
 	}
@@ -138,11 +138,11 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 	return st
 }
 
-// groupOffset returns the gathered-vector byte offset of a member rank.
-func (st *redistState) groupOffset(rank int) int {
-	for i, r := range st.g.lay.members {
+// groupRank returns a member's group rank (its block index).
+func (g *Group) groupRank(rank int) int {
+	for i, r := range g.lay.members {
 		if r == rank {
-			return i * st.blk
+			return i
 		}
 	}
 	panic("core: rank not in group")
@@ -158,9 +158,70 @@ func (st *redistState) slabRange(rn run) (stagedOff, groupOff, n int) {
 // everywhere) into recv at root, ordered by group rank. recv must hold
 // Size()*blk bytes at root and is ignored elsewhere.
 func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "gather", root, len(send)) })
-	defer release()
-	r := st.(*redistState)
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.gather(x, rank, send, recv, root)
+	x.runProc()
+}
+
+// GatherT is Gather for the Task engine; kont runs when it completes.
+func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.gather(x, rank, send, recv, root)
+	x.run()
+}
+
+// Scatter distributes root's send buffer (Size()*blk bytes, ordered by
+// group rank) so each member receives its blk-byte block in recv. send is
+// ignored away from root.
+func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.scatter(x, rank, send, recv, root)
+	x.runProc()
+}
+
+// ScatterT is Scatter for the Task engine; kont runs when it completes.
+func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.scatter(x, rank, send, recv, root)
+	x.run()
+}
+
+// Allgather concatenates every member's send block into every member's
+// recv (Size()*blk bytes), ordered by group rank: an intra-node staging
+// phase, a slab ring between the node masters, and a node-local fan-out.
+func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.allgather(x, rank, send, recv)
+	x.runProc()
+}
+
+// AllgatherT is Allgather for the Task engine; kont runs when it completes.
+func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.allgather(x, rank, send, recv)
+	x.run()
+}
+
+// Entry pcs of the redistState body, one per operation; the pcs after an
+// entry are that operation's later stages. f.a is send, f.c recv.
+const (
+	rsGather = iota
+	rsGatherSlabs
+	rsScatter
+	rsScatterSlabs
+	rsScatterOut
+	rsAllgather
+	rsAllgatherRing
+	rsAllgatherFan
+	rsDirect
+	rsDirectRing
+)
+
+func (g *Group) gather(x *exec, rank int, send, recv []byte, root int) {
+	r := g.acquire(x, rank, func() any { return newRedistState(g, "gather", root, len(send)) }).(*redistState)
 	if r.kind != "gather" || r.root != root || r.blk != len(send) {
 		panic(fmt.Sprintf("core: Gather mismatch at rank %d", rank))
 	}
@@ -169,250 +230,213 @@ func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
 		r.rootBuf = recv
 		r.rootSet.Trigger()
 	}
-	r.runGather(p, rank, send)
+	x.call(r, rsGather, 0, send, recv)
 }
 
-func (st *redistState) runGather(p *sim.Proc, rank int, send []byte) {
-	g := st.g
-	s := g.s
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	node := g.lay.nodes[x]
-	// Every member stages its block in node shared memory.
-	if st.blk > 0 {
-		s.m.Memcpy(p, node, st.staged[x][l*st.blk:(l+1)*st.blk], send)
-	}
-	st.inFlag[x].Flag(l).Set(1)
-	if rank != st.masters[x] {
-		return
-	}
-	// The master forwards each contiguous slab straight to its final
-	// offset in the root's receive buffer — one put per run.
-	st.inFlag[x].WaitAll(p, 1)
-	ep := s.dom.Endpoint(rank)
-	rootNI := g.lay.ni[st.root]
-	rootEp := s.dom.Endpoint(st.masters[rootNI])
-	remoteRuns := 0
-	for _, rn := range st.runs {
-		if rn.node != rootNI {
-			remoteRuns++
-		}
-	}
-	if x == rootNI {
-		p.Wait(st.rootSet)
-		for _, rn := range st.runs {
-			so, po, n := st.slabRange(rn)
-			if rn.node != x || n == 0 {
-				continue
-			}
-			s.m.Memcpy(p, node, st.rootBuf[po:po+n], st.staged[x][so:so+n])
-		}
-		// Wait for every remote slab to land.
-		ep.Waitcntr(p, st.arr[x], remoteRuns)
-		return
-	}
-	p.Wait(st.rootSet)
-	for _, rn := range st.runs {
-		if rn.node != x {
-			continue
-		}
-		so, po, n := st.slabRange(rn)
-		ep.Put(p, rootEp, st.rootBuf[po:po+n], st.staged[x][so:so+n], nil, st.arr[rootNI], nil)
-	}
-}
-
-// Scatter distributes root's send buffer (Size()*blk bytes, ordered by
-// group rank) so each member receives its blk-byte block in recv. send is
-// ignored away from root.
-func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "scatter", root, len(recv)) })
-	defer release()
-	r := st.(*redistState)
+func (g *Group) scatter(x *exec, rank int, send, recv []byte, root int) {
+	r := g.acquire(x, rank, func() any { return newRedistState(g, "scatter", root, len(recv)) }).(*redistState)
 	if r.kind != "scatter" || r.root != root || r.blk != len(recv) {
 		panic(fmt.Sprintf("core: Scatter mismatch at rank %d", rank))
 	}
 	if rank == root {
 		check.Size("core.Scatter", rank, "send", len(send), r.blk*g.Size())
 	}
-	r.runScatter(p, rank, send, recv)
+	x.call(r, rsScatter, 0, send, recv)
 }
 
-func (st *redistState) runScatter(p *sim.Proc, rank int, send, recv []byte) {
-	g := st.g
-	s := g.s
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	node := g.lay.nodes[x]
-	rootNI := g.lay.ni[st.root]
-	if rank == st.masters[x] {
-		ep := s.dom.Endpoint(rank)
-		if x == rootNI {
-			// The root master slabs the send buffer out: remote runs by
-			// put into the target node's staging, local runs by memcpy.
-			for _, rn := range st.runs {
-				so, po, n := st.slabRange(rn)
-				if n == 0 {
-					continue
-				}
-				if rn.node == x {
-					s.m.Memcpy(p, node, st.staged[x][so:so+n], send[po:po+n])
-				} else {
-					dst := st.staged[rn.node][so : so+n]
-					ep.Put(p, s.dom.Endpoint(st.masters[rn.node]), dst, send[po:po+n],
-						nil, st.arr[rn.node], nil)
-				}
-			}
-			st.ready[x].Set(1)
-		} else {
-			runs := 0
-			for _, rn := range st.runs {
-				if rn.node == x {
-					runs++
-				}
-			}
-			ep.Waitcntr(p, st.arr[x], runs)
-			st.ready[x].Set(1)
-		}
-	}
-	// Every member copies its block out of the node staging.
-	st.ready[x].WaitFor(p, 1)
-	if st.blk > 0 {
-		s.m.Memcpy(p, node, recv, st.staged[x][l*st.blk:(l+1)*st.blk])
-	}
-}
-
-// Allgather concatenates every member's send block into every member's
-// recv (Size()*blk bytes), ordered by group rank: an intra-node staging
-// phase, a slab ring between the node masters, and a node-local fan-out.
-func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "allgather", g.lay.members[0], len(send)) })
-	defer release()
-	r := st.(*redistState)
+func (g *Group) allgather(x *exec, rank int, send, recv []byte) {
+	r := g.acquire(x, rank, func() any { return newRedistState(g, "allgather", g.lay.members[0], len(send)) }).(*redistState)
 	if r.kind != "allgather" || r.blk != len(send) {
 		panic(fmt.Sprintf("core: Allgather mismatch at rank %d", rank))
 	}
 	check.Size("core.Allgather", rank, "recv", len(recv), r.blk*g.Size())
+	pc := rsAllgather
 	if r.direct {
-		r.runAllgatherDirect(p, rank, send, recv)
-	} else {
-		r.runAllgather(p, rank, send, recv)
+		pc = rsDirect
 	}
+	x.call(r, pc, g.groupRank(rank), send, recv)
 }
 
-// runAllgatherDirect is the large-block path: a ring over group members
-// with each block put straight into the right neighbor's receive buffer
-// (a shared-memory copy when the neighbor is local). Bandwidth matches
-// the classic ring; the staging copies disappear.
-func (st *redistState) runAllgatherDirect(p *sim.Proc, rank int, send, recv []byte) {
-	g := st.g
-	s := g.s
-	gi := st.groupOffset(rank) / max(st.blk, 1)
-	P := len(g.lay.members)
-	blk := st.blk
-	node := g.lay.nodes[g.lay.ni[rank]]
-	st.recvBuf[gi] = recv
-	st.registered[gi].Trigger()
-	s.m.Memcpy(p, node, recv[gi*blk:(gi+1)*blk], send)
-	if P == 1 {
-		return
-	}
-	gr := (gi + 1) % P
-	right := g.lay.members[gr]
-	sameNode := g.s.m.NodeOf(right) == node
-	ep := s.dom.Endpoint(rank)
-	p.Wait(st.registered[gr])
-	for step := 1; step < P; step++ {
-		out := (gi - step + 1 + P) % P
-		src := recv[out*blk : (out+1)*blk]
-		dst := st.recvBuf[gr][out*blk : (out+1)*blk]
-		if sameNode {
-			s.m.Memcpy(p, node, dst, src)
-			st.stepCnt[gr][step].Incr(1)
-		} else {
-			ep.Put(p, s.dom.Endpoint(right), dst, src, nil, st.stepCnt[gr][step], nil)
-		}
-		in := (gi - step + P) % P
-		ep.Waitcntr(p, st.stepCnt[gi][step], 1)
-		_ = in // the step counter identifies the inbound block
-	}
-}
-
-func (st *redistState) runAllgather(p *sim.Proc, rank int, send, recv []byte) {
-	g := st.g
-	s := g.s
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	node := g.lay.nodes[x]
+func (st *redistState) step(x *exec, f *frame) {
+	g, s, rank, nx, l, blk := st.g, st.g.s, x.rank, x.nx, x.l, st.blk
+	send, recv := f.a, f.c
 	nn := len(g.lay.nodes)
-	// Members stage their block at its group offset in the node's copy of
-	// the full vector.
-	off := st.groupOffset(rank)
-	if st.blk > 0 {
-		s.m.Memcpy(p, node, st.staged[x][off:off+st.blk], send)
+	master := rank == st.masters[nx]
+	rootNI := g.lay.ni[st.root]
+	masterEp := func(y int) *rma.Endpoint { return s.dom.Endpoint(st.masters[y]) }
+	// runsOn counts the slabs node y's members form; each travels as one put.
+	runsOn := func(y int) (n int) {
+		for _, rn := range st.runs {
+			if rn.node == y {
+				n++
+			}
+		}
+		return n
 	}
-	st.inFlag[x].Flag(l).Set(1)
-	if rank == st.masters[x] {
-		st.inFlag[x].WaitAll(p, 1)
-		st.ready[x].Set(1) // step 0: the node's own slabs are staged
-		ep := s.dom.Endpoint(rank)
-		right := (x + 1) % nn
-		rightEp := s.dom.Endpoint(st.masters[right])
+
+	switch f.pc {
+	case rsGather:
+		// Every member stages its block in node shared memory.
+		if blk > 0 {
+			x.memcpy(st.staged[nx][l*blk:(l+1)*blk], send)
+		}
+		x.set(st.inFlag[nx][l], 1)
+		if !master {
+			x.ret()
+			return
+		}
+		x.waitAllEQ(&st.inFlag[nx], 1, -1)
+		x.waitEvent(st.rootSet)
+		f.pc = rsGatherSlabs
+	case rsGatherSlabs:
+		// The master forwards each contiguous slab straight to its final
+		// offset in the root's receive buffer — one put per run; the root's
+		// own node copies its slabs and waits for every remote one to land.
+		for f.i < len(st.runs) {
+			rn := st.runs[f.i]
+			so, po, n := st.slabRange(rn)
+			f.i++
+			switch {
+			case rn.node != nx || nx == rootNI && n == 0:
+				continue
+			case nx == rootNI:
+				x.memcpy(st.rootBuf[po:po+n], st.staged[nx][so:so+n])
+			default:
+				x.put(masterEp(rootNI), st.rootBuf[po:po+n], st.staged[nx][so:so+n], st.arr[rootNI])
+			}
+			return
+		}
+		if nx == rootNI {
+			x.waitcntr(st.arr[nx], len(st.runs)-runsOn(nx))
+		}
+		x.ret()
+
+	case rsScatter:
+		f.pc = rsScatterOut
+		switch {
+		case !master:
+		case nx == rootNI:
+			f.pc = rsScatterSlabs
+		default:
+			// Wait for this node's slabs; the root never sends an empty one.
+			slabs := 0
+			if blk > 0 {
+				slabs = runsOn(nx)
+			}
+			x.waitcntr(st.arr[nx], slabs)
+			x.set(st.ready[nx], 1)
+		}
+	case rsScatterSlabs:
+		// The root master slabs the send buffer out: remote runs by put
+		// into the target node's staging, local runs by memcpy.
+		for f.i < len(st.runs) {
+			rn := st.runs[f.i]
+			so, po, n := st.slabRange(rn)
+			f.i++
+			switch {
+			case n == 0:
+				continue
+			case rn.node == nx:
+				x.memcpy(st.staged[nx][so:so+n], send[po:po+n])
+			default:
+				x.put(masterEp(rn.node), st.staged[rn.node][so:so+n], send[po:po+n], st.arr[rn.node])
+			}
+			return
+		}
+		x.set(st.ready[nx], 1)
+		f.pc = rsScatterOut
+	case rsScatterOut:
+		// Every member copies its block out of the node staging.
+		x.waitEQ(st.ready[nx], 1)
+		if blk > 0 {
+			x.memcpy(recv, st.staged[nx][l*blk:(l+1)*blk])
+		}
+		x.ret()
+
+	case rsAllgather:
+		// Members stage their block at its group offset in the node's copy
+		// of the full vector.
+		if off := f.k * blk; blk > 0 {
+			x.memcpy(st.staged[nx][off:off+blk], send)
+		}
+		x.set(st.inFlag[nx][l], 1)
+		f.pc = rsAllgatherFan
+		if master {
+			x.waitAllEQ(&st.inFlag[nx], 1, -1)
+			x.set(st.ready[nx], 1) // step 0: the node's own slabs are staged
+			f.pc, f.i = rsAllgatherRing, 1
+		}
+	case rsAllgatherRing:
 		// Ring over node slabs: at step s, forward the slab that
 		// originated at node (x-s+1 mod nn); after nn-1 steps the node
 		// holds every slab at its final offset. The ready counter ticks
 		// per step so members fan slabs out while the ring still runs.
-		for step := 1; step < nn; step++ {
-			origin := (x - step + 1 + nn) % nn
-			for _, rn := range st.runs {
-				if rn.node != origin {
-					continue
-				}
-				_, po, n := st.slabRange(rn)
-				ep.Put(p, rightEp, st.staged[right][po:po+n], st.staged[x][po:po+n],
-					nil, st.stepArr[right][step], nil)
-			}
-			// Wait for this step's slabs from the left neighbor; the
-			// per-step counter ties the wait to this step's data.
-			inbound := (x - step + nn) % nn
-			cnt := 0
-			for _, rn := range st.runs {
-				if rn.node == inbound {
-					cnt++
-				}
-			}
-			ep.Waitcntr(p, st.stepArr[x][step], cnt)
-			st.ready[x].Set(step + 1)
+		step, right := f.i, (nx+1)%nn
+		if step >= nn {
+			f.pc, f.i = rsAllgatherFan, 0
+			return
 		}
-	}
-	// Fan out, pipelined with the ring: at step s the slabs that
-	// originated at node (x-s mod nn) become copyable.
-	for step := 0; step < nn; step++ {
-		step := step
-		st.ready[x].WaitGE(p, step+1)
-		origin := (x - step + nn) % nn
 		for _, rn := range st.runs {
-			if rn.node != origin {
-				continue
-			}
-			_, po, n := st.slabRange(rn)
-			if n > 0 {
-				s.m.Memcpy(p, node, recv[po:po+n], st.staged[x][po:po+n])
+			if rn.node == (nx-step+1+nn)%nn {
+				_, po, n := st.slabRange(rn)
+				x.put(masterEp(right), st.staged[right][po:po+n], st.staged[nx][po:po+n], st.stepArr[right][step])
 			}
 		}
+		// Wait for this step's slabs from the left neighbor; the per-step
+		// counter ties the wait to this step's data.
+		x.waitcntr(st.stepArr[nx][step], runsOn((nx-step+nn)%nn))
+		x.set(st.ready[nx], step+1)
+		f.i++
+	case rsAllgatherFan:
+		// Fan out, pipelined with the ring: at step s the slabs that
+		// originated at node (x-s mod nn) become copyable.
+		step := f.i
+		if step == nn {
+			x.ret()
+			return
+		}
+		x.waitGE(st.ready[nx], step+1)
+		for _, rn := range st.runs {
+			if _, po, n := st.slabRange(rn); rn.node == (nx-step+nn)%nn && n > 0 {
+				x.memcpy(recv[po:po+n], st.staged[nx][po:po+n])
+			}
+		}
+		f.i++
+
+	// The large-block allgather: a ring over group members with each block
+	// put straight into the right neighbor's receive buffer (a
+	// shared-memory copy when the neighbor is local). Bandwidth matches the
+	// classic ring; the staging copies disappear. f.k is the group rank.
+	case rsDirect:
+		gi, P := f.k, len(g.lay.members)
+		st.recvBuf[gi] = recv
+		st.registered[gi].Trigger()
+		x.memcpy(recv[gi*blk:(gi+1)*blk], send)
+		if P == 1 {
+			x.ret()
+			return
+		}
+		x.waitEvent(st.registered[(gi+1)%P])
+		f.pc, f.i = rsDirectRing, 1
+	case rsDirectRing:
+		gi, P, step := f.k, len(g.lay.members), f.i
+		if step == P {
+			x.ret()
+			return
+		}
+		gr := (gi + 1) % P
+		right := g.lay.members[gr]
+		out := (gi - step + 1 + P) % P
+		src := recv[out*blk : (out+1)*blk]
+		dst := st.recvBuf[gr][out*blk : (out+1)*blk]
+		if s.m.NodeOf(right) == x.node {
+			x.memcpy(dst, src)
+			x.incr(st.stepCnt[gr][step])
+		} else {
+			x.put(s.dom.Endpoint(right), dst, src, st.stepCnt[gr][step])
+		}
+		// The step counter identifies the inbound block.
+		x.waitcntr(st.stepCnt[gi][step], 1)
+		f.i++
 	}
-}
-
-// Gather is Group.Gather over all ranks.
-func (s *SRM) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	s.World().Gather(p, rank, send, recv, root)
-}
-
-// Scatter is Group.Scatter over all ranks.
-func (s *SRM) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	s.World().Scatter(p, rank, send, recv, root)
-}
-
-// Allgather is Group.Allgather over all ranks.
-func (s *SRM) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	s.World().Allgather(p, rank, send, recv)
 }

@@ -123,6 +123,8 @@ func TestScatterShapes(t *testing.T) {
 		{world12, 4096, 7},
 		{[]int{1, 3, 4, 6, 9, 11}, 256, 4},
 		{[]int{5}, 100, 5},
+		{world12, 0, 5}, // empty slabs are never sent, so nobody may wait for one
+		{[]int{1, 3, 4, 6, 9, 11}, 0, 9},
 	}
 	for _, c := range cases {
 		checkScatter(t, 3, 4, c.members, c.blk, c.root)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"srmcoll/internal/machine"
+	"srmcoll/internal/rma"
 	"srmcoll/internal/tree"
 )
 
@@ -145,8 +146,11 @@ func (g *Group) Members() []int { return append([]int(nil), g.lay.members...) }
 // Contains reports whether the global rank is a member.
 func (g *Group) Contains(rank int) bool { return g.lay.contains(rank) }
 
-// acquire mirrors SRM.acquire for the group's operation stream.
-func (g *Group) acquire(rank int, mk func() any) (any, func()) {
+// acquire enters rank into the group's next operation: it returns the
+// operation's shared state (built by mk for the first member to arrive) and
+// binds the executor to the rank's place in the group. exec.finish retires
+// the entry once every member has.
+func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 	if !g.lay.contains(rank) {
 		panic(fmt.Sprintf("core: rank %d is not a member of the group", rank))
 	}
@@ -157,12 +161,25 @@ func (g *Group) acquire(rank int, mk func() any) (any, func()) {
 		e = &opEntry{state: mk()}
 		g.ops[seq] = e
 	}
-	return e.state, func() {
-		e.done++
-		if e.done == len(g.lay.members) {
-			delete(g.ops, seq)
-		}
+	x.g, x.seq, x.rank = g, seq, rank
+	x.nx, x.l = g.lay.ni[rank], g.lay.li[rank]
+	x.node = g.lay.nodes[x.nx]
+	x.ep = g.s.dom.Endpoint(rank)
+	return e.state
+}
+
+func (g *Group) retire(seq int) {
+	e := g.ops[seq]
+	e.done++
+	if e.done == len(g.lay.members) {
+		delete(g.ops, seq)
 	}
+}
+
+// masterEp returns the endpoint of the first member on participating node
+// index x, the master of every operation that is not rooted.
+func (g *Group) masterEp(x int) *rma.Endpoint {
+	return g.s.dom.Endpoint(g.lay.local[x][0])
 }
 
 // Sub returns the group over a subset of this group's members (groups are

@@ -15,8 +15,6 @@ type dataspec struct {
 	op dtype.Op
 }
 
-func (ds dataspec) acc(dst, src []byte)   { dtype.Reduce(ds.op, ds.dt, dst, src) }
-func (ds dataspec) into(dst, a, b []byte) { dtype.ReduceInto(ds.op, ds.dt, dst, a, b) }
 func (ds dataspec) validate(n int) error {
 	if !dtype.Valid(ds.op, ds.dt) {
 		return fmt.Errorf("core: operator %s invalid for %s", ds.op, ds.dt)
@@ -76,7 +74,7 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 	r.credit = make([]*rma.Counter, nn)
 	chunkBytes := r.sp[0].n
 	for x, nd := range g.lay.nodes {
-		r.rn[x] = s.newRedNode(nd, g.lay.li[r.emb.masters[x]], len(g.lay.local[x]), chunkBytes)
+		r.rn[x] = s.newRedNode(nd, g.lay.li[r.emb.masters[x]], len(g.lay.local[x]), r.sp)
 		r.pslot[x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
 		r.arr[x] = [2]*rma.Counter{
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
@@ -94,88 +92,104 @@ func (s *SRM) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op
 	s.World().Reduce(p, rank, send, recv, dt, op, root)
 }
 
+// ReduceT is Reduce for the Task engine.
+func (s *SRM) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
+	s.World().ReduceT(t, rank, send, recv, dt, op, root, kont)
+}
+
 // Reduce combines the group members' send buffers into recv at root.
 func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int) {
-	ds := dataspec{dt: dt, op: op}
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.reduce(x, rank, send, recv, dataspec{dt, op}, root)
+	x.runProc()
+}
+
+// ReduceT is Reduce for the Task engine; kont runs when it completes.
+func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.reduce(x, rank, send, recv, dataspec{dt, op}, root)
+	x.run()
+}
+
+func (g *Group) reduce(x *exec, rank int, send, recv []byte, ds dataspec, root int) {
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
 	}
-	st, release := g.acquire(rank, func() any { return newReduceState(g, root, len(send), ds) })
-	defer release()
-	r := st.(*reduceState)
+	r := g.acquire(x, rank, func() any { return newReduceState(g, root, len(send), ds) }).(*reduceState)
 	if r.root != root || r.size != len(send) || r.ds != ds {
 		panic(fmt.Sprintf("core: Reduce mismatch at rank %d", rank))
 	}
+	x.ds = ds
 	if rank == root {
 		if len(recv) != len(send) {
 			panic(fmt.Sprintf("core: Reduce root recv %d bytes, want %d", len(recv), len(send)))
 		}
-		r.partial[g.lay.ni[rank]] = recv
+		r.partial[x.nx] = recv
 	}
-	r.run(p, rank, send)
-}
-
-func (r *reduceState) run(p *sim.Proc, rank int, send []byte) {
-	g := r.g
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	if rank != r.emb.masters[x] {
-		r.rn[x].worker(p, l, send, r.sp, r.ds)
+	if rank != r.emb.masters[x.nx] {
+		x.reduceWorker(r.rn[x.nx], send)
 		return
 	}
-	ep := g.s.dom.Endpoint(rank)
-	enable := g.s.quietNet(ep, r.size)
-	defer enable()
-	r.master(p, ep, x, send)
+	x.quietNet(r.size)
+	if r.partial[x.nx] == nil {
+		r.partial[x.nx] = make([]byte, r.size)
+	}
+	x.call(r, 0, 0, send, nil)
 }
 
-// master runs the node master: combine local children, combine arriving
+// step runs the node master: combine local children, combine arriving
 // child-node partials, and either forward the chunk to the parent master or
 // finish it into the root's receive buffer — all pipelined over chunks.
-func (r *reduceState) master(p *sim.Proc, ep *rma.Endpoint, x int, send []byte) {
-	g := r.g
-	s := g.s
-	node := g.lay.nodes[x]
-	atRoot := x == r.emb.inter.Root
-	if r.partial[x] == nil {
-		r.partial[x] = make([]byte, r.size)
+// pc 0 is the top of the chunk loop, pc 1 the rest of chunk f.k with f.i
+// counting child nodes; f.j records that the chunk has a local partial.
+func (r *reduceState) step(x *exec, f *frame) {
+	g, nx, k := r.g, x.nx, f.k
+	if k == len(r.sp) {
+		x.ret()
+		return
 	}
-	interKids := r.emb.inter.Children[x]
-	for k, c := range r.sp {
-		tchunk := r.partial[x][c.off : c.off+c.n]
-		own := send[c.off : c.off+c.n]
-		have := r.rn[x].masterChunk(p, k, tchunk, own, r.ds)
-		for _, child := range interKids {
-			ep.Waitcntr(p, r.arr[child][k%2], 1)
-			slot := r.pslot[child][k%2][:c.n]
-			if c.n > 0 {
-				if have {
-					r.ds.acc(tchunk, slot)
-				} else {
-					r.ds.into(tchunk, own, slot)
-				}
-				s.combineCharge(p, c.n, r.ds.dt.Size())
-			}
-			have = true
-			// Replenish the child's slot credit — only needed while a
-			// chunk k+2 remains to reuse this slot parity.
-			if k+2 < len(r.sp) {
-				ep.PutZero(p, s.dom.Endpoint(r.emb.masters[child]), r.credit[child])
-			}
+	c := r.sp[k]
+	tchunk := r.partial[nx][c.off : c.off+c.n]
+	own := f.a[c.off : c.off+c.n]
+	if f.pc == 0 {
+		f.pc, f.i, f.j = 1, 0, 0
+		if x.reduceLocal(r.rn[nx], k, tchunk, own) {
+			f.j = 1
 		}
-		switch {
-		case !atRoot:
-			// Forward the chunk partial to the parent's slot for this node.
-			src := tchunk
-			if !have {
-				src = own // single-task leaf node: send straight from the user buffer
-			}
-			ep.Waitcntr(p, r.credit[x], 1)
-			parent := s.dom.Endpoint(r.emb.masters[r.emb.inter.Parent[x]])
-			ep.Put(p, parent, r.pslot[x][k%2][:c.n], src, nil, r.arr[x][k%2], nil)
-		case !have && c.n > 0:
-			// Reduce over a single task: the result is a plain copy.
-			s.m.Memcpy(p, node, tchunk, own)
-		}
+		return
 	}
+	have := f.j != 0 || f.i > 0
+	if interKids := r.emb.inter.Children[nx]; f.i < len(interKids) {
+		child := interKids[f.i]
+		f.i++
+		x.waitcntr(r.arr[child][k%2], 1)
+		if c.n > 0 {
+			if have {
+				own = nil
+			}
+			x.combine(tchunk, own, r.pslot[child][k%2][:c.n])
+		}
+		// Replenish the child's slot credit — only needed while a chunk
+		// k+2 remains to reuse this slot parity.
+		if k+2 < len(r.sp) {
+			x.putZero(g.s.dom.Endpoint(r.emb.masters[child]), r.credit[child])
+		}
+		return
+	}
+	switch {
+	case nx != r.emb.inter.Root:
+		// Forward the chunk partial to the parent's slot for this node.
+		src := tchunk
+		if !have {
+			src = own // single-task leaf node: send straight from the user buffer
+		}
+		x.waitcntr(r.credit[nx], 1)
+		parent := g.s.dom.Endpoint(r.emb.masters[r.emb.inter.Parent[nx]])
+		x.put(parent, r.pslot[nx][k%2][:c.n], src, r.arr[nx][k%2])
+	case !have && c.n > 0:
+		// Reduce over a single task: the result is a plain copy.
+		x.memcpy(tchunk, own)
+	}
+	f.pc, f.k = 0, k+1
 }

@@ -60,7 +60,7 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 		pos[r] = i
 	}
 	for x, nd := range g.lay.nodes {
-		st.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), st.sp[0].n)
+		st.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), st.sp)
 		st.partial[x] = make([]byte, total)
 		size := blk * len(g.lay.local[x])
 		st.acc[x] = make([]byte, size)
@@ -82,7 +82,7 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 // slabFor extracts node y's members' blocks from a full-length vector, in
 // y's local-member order. Contiguous ranges (the whole-world case) are
 // returned as a slice; otherwise a compacted copy is built and charged.
-func (st *reduceScatterState) slabFor(p *sim.Proc, node int, vec []byte, y int) []byte {
+func (st *reduceScatterState) slabFor(x *exec, vec []byte, y int) []byte {
 	offs := st.offs[y]
 	if len(offs) == 0 || st.blk == 0 {
 		return nil
@@ -101,8 +101,7 @@ func (st *reduceScatterState) slabFor(p *sim.Proc, node int, vec []byte, y int) 
 	for l, off := range offs {
 		copy(slab[l*st.blk:(l+1)*st.blk], vec[off:off+st.blk])
 	}
-	st.g.s.m.ChargeCopy(p, node, len(slab))
-	st.g.s.m.Stats.AddCopy(len(slab))
+	x.chargeCopy(len(slab))
 	return slab
 }
 
@@ -111,73 +110,97 @@ func (st *reduceScatterState) slabFor(p *sim.Proc, node int, vec []byte, y int) 
 // rank i receives reduced block i in recv (MPI_Reduce_scatter_block
 // semantics).
 func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	ds := dataspec{dt: dt, op: op}
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.reduceScatter(x, rank, send, recv, dataspec{dt, op})
+	x.runProc()
+}
+
+// ReduceScatterT is ReduceScatter for the Task engine; kont runs when it
+// completes.
+func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.reduceScatter(x, rank, send, recv, dataspec{dt, op})
+	x.run()
+}
+
+const (
+	rscWorker = iota
+	rscReduce // master: f.k counts chunks of the local reduce
+	rscPut    // f.i counts peer nodes
+	rscFold
+	rscOut
+)
+
+func (g *Group) reduceScatter(x *exec, rank int, send, recv []byte, ds dataspec) {
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
 	}
 	if len(send) != len(recv)*g.Size() {
 		panic(fmt.Sprintf("core: ReduceScatter send %d bytes, want %d", len(send), len(recv)*g.Size()))
 	}
-	if len(recv)%dt.Size() != 0 {
+	if len(recv)%ds.dt.Size() != 0 {
 		panic(fmt.Sprintf("core: ReduceScatter block %d not element-aligned", len(recv)))
 	}
-	st, release := g.acquire(rank, func() any { return newReduceScatterState(g, len(recv), ds) })
-	defer release()
-	r := st.(*reduceScatterState)
+	r := g.acquire(x, rank, func() any { return newReduceScatterState(g, len(recv), ds) }).(*reduceScatterState)
 	if r.blk != len(recv) || r.ds != ds {
 		panic(fmt.Sprintf("core: ReduceScatter mismatch at rank %d", rank))
 	}
-	r.run(p, rank, send, recv)
+	x.ds = ds
+	pc := rscWorker
+	if x.l == 0 {
+		pc = rscReduce
+	}
+	x.call(r, pc, 0, send, recv)
 }
 
-// ReduceScatter is Group.ReduceScatter over all ranks.
-func (s *SRM) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	s.World().ReduceScatter(p, rank, send, recv, dt, op)
-}
-
-func (st *reduceScatterState) run(p *sim.Proc, rank int, send, recv []byte) {
-	g := st.g
-	s := g.s
-	x := g.lay.ni[rank]
-	li := g.lay.li[rank]
+func (st *reduceScatterState) step(x *exec, f *frame) {
+	g, nx, send, recv := st.g, x.nx, f.a, f.c
 	nn := len(g.lay.nodes)
-
+	y := (nx + f.i) % nn
+	switch f.pc {
 	// Phase 1: full-vector SMP reduce into the master's partial buffer.
-	if rank != g.lay.local[x][0] {
-		st.rn[x].worker(p, li, send, st.sp, st.ds)
-	} else {
-		ep := s.dom.Endpoint(rank)
-		for k, c := range st.sp {
-			tchunk := st.partial[x][c.off : c.off+c.n]
-			own := send[c.off : c.off+c.n]
-			if !st.rn[x].masterChunk(p, k, tchunk, own, st.ds) && c.n > 0 {
-				s.m.Memcpy(p, g.lay.nodes[x], tchunk, own) // single member node
+	case rscWorker:
+		f.pc = rscOut
+		x.reduceWorker(st.rn[nx], send)
+	case rscReduce:
+		if k := f.k; k < len(st.sp) {
+			c := st.sp[k]
+			tchunk, own := st.partial[nx][c.off:c.off+c.n], send[c.off:c.off+c.n]
+			f.k++
+			if !x.reduceLocal(st.rn[nx], k, tchunk, own) && c.n > 0 {
+				x.memcpy(tchunk, own) // single member node
 			}
+			return
 		}
 		// Phase 2: ship each peer node its members' blocks, combine the
 		// inbound partials for this node's own blocks.
-		copy(st.acc[x], st.slabFor(p, g.lay.nodes[x], st.partial[x], x))
-		for d := 1; d < nn; d++ {
-			y := (x + d) % nn
-			slab := st.slabFor(p, g.lay.nodes[x], st.partial[x], y)
-			ep.Put(p, s.dom.Endpoint(g.lay.local[y][0]), st.slot[y][x],
-				slab, nil, st.arr[y][x], nil)
+		copy(st.acc[nx], st.slabFor(x, st.partial[nx], nx))
+		f.pc, f.i = rscPut, 1
+	case rscPut:
+		if f.i == nn {
+			f.pc, f.i = rscFold, 1
+			return
 		}
-		for d := 1; d < nn; d++ {
-			y := (x + d) % nn
-			ep.Waitcntr(p, st.arr[x][y], 1)
-			if len(st.acc[x]) > 0 {
-				st.ds.acc(st.acc[x], st.slot[x][y])
-				s.combineCharge(p, len(st.acc[x]), st.ds.dt.Size())
-			}
+		x.put(g.masterEp(y), st.slot[y][nx], st.slabFor(x, st.partial[nx], y), st.arr[y][nx])
+		f.i++
+	case rscFold:
+		if f.i == nn {
+			x.set(st.ready[nx], 1)
+			f.pc = rscOut
+			return
 		}
-		st.ready[x].Set(1)
-	}
-
+		x.waitcntr(st.arr[nx][y], 1)
+		if len(st.acc[nx]) > 0 {
+			x.combine(st.acc[nx], nil, st.slot[nx][y])
+		}
+		f.i++
 	// Phase 3: every member copies its block out of shared memory.
-	st.ready[x].WaitFor(p, 1)
-	if st.blk > 0 {
-		off := li * st.blk
-		s.m.Memcpy(p, g.lay.nodes[x], recv, st.acc[x][off:off+st.blk])
+	case rscOut:
+		x.waitEQ(st.ready[nx], 1)
+		if st.blk > 0 {
+			x.memcpy(recv, st.acc[nx][x.l*st.blk:(x.l+1)*st.blk])
+		}
+		x.ret()
 	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"srmcoll/internal/rma"
-	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
 )
@@ -20,15 +17,8 @@ import (
 // the same pre/post fold-in step the small-message recursive-doubling
 // exchange uses.
 type rhdState struct {
-	g    *Group
-	size int
-	ds   dataspec
-	sp   []span // single whole-vector span for the SMP stages
-
-	rn       []*redNode
-	resBuf   [][]byte
-	resReady []*sim.Event
-	pub      []publisher
+	nodeStages // with a single whole-vector chunk
+	g          *Group
 
 	pow      int              // largest power of two <= participating nodes
 	foldSlot [][]byte         // extras fold their whole vector in here
@@ -41,18 +31,8 @@ type rhdState struct {
 
 func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 	s := g.s
-	a := &rhdState{g: g, size: size, ds: ds, sp: chunks(size, max(size, 1))}
+	a := &rhdState{g: g, nodeStages: newNodeStages(g, size, ds, chunks(size, max(size, 1)))}
 	nn := len(g.lay.nodes)
-	chunkBytes := a.sp[0].n
-	a.rn = make([]*redNode, nn)
-	a.resBuf = make([][]byte, nn)
-	a.resReady = make([]*sim.Event, nn)
-	a.pub = make([]publisher, nn)
-	for x, nd := range g.lay.nodes {
-		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
-		a.resReady[x] = s.m.Env.NewEvent()
-		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
-	}
 	a.pow = 1
 	for a.pow*2 <= nn {
 		a.pow *= 2
@@ -84,12 +64,6 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 	return a
 }
 
-func (a *rhdState) check(size int, ds dataspec, rank int) {
-	if a.size != size || a.ds != ds {
-		panic(fmt.Sprintf("core: Allreduce mismatch at rank %d", rank))
-	}
-}
-
 // segment returns the element range [lo, hi) master x is responsible for
 // after r halving rounds: each round keeps the lower half when the
 // round's distance bit of x is clear, the upper half when it is set.
@@ -107,91 +81,100 @@ func (a *rhdState) segment(x, r, elems int) (lo, hi int) {
 	return lo, hi
 }
 
-func (a *rhdState) run(p *sim.Proc, rank int, send, recv []byte) {
-	g := a.g
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	if l != 0 {
-		a.rn[x].worker(p, l, send, a.sp, a.ds)
-		for k, c := range a.sp {
-			a.pub[x].Consume(p, l, k, recv[c.off:c.off+c.n])
-		}
-		return
-	}
-	a.resBuf[x] = recv
-	a.resReady[x].Trigger()
-	ep := g.s.dom.Endpoint(rank)
-	enable := g.s.quietNet(ep, a.size)
-	defer enable()
-	a.master(p, ep, x, send, recv)
-	a.pub[x].Publish(p, 0, recv, false)
-	a.pub[x].waitConsumed(p, 0)
-}
+const (
+	rhdReduce = iota
+	rhdFold
+	rhdScatter // f.i counts halving rounds up
+	rhdGather  // f.i counts doubling rounds back down
+	rhdGatherPut
+	rhdUnfold
+	rhdPublish
+	rhdDone
+)
 
-// master runs the fold-in, the halving reduce-scatter, the doubling
-// allgather, and the fold-out, leaving the full result in recv.
-func (a *rhdState) master(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
-	g := a.g
-	s := g.s
+// step is the master's role: the fold-in, the halving reduce-scatter, the
+// doubling allgather and the fold-out leave the full result in recv, which
+// is then distributed on the node.
+func (a *rhdState) step(x *exec, f *frame) {
+	g, nx, send, recv, r := a.g, x.nx, f.a, f.c, f.i
 	nn := len(g.lay.nodes)
 	esize := a.ds.dt.Size()
 	elems := a.size / esize
-	have := a.rn[x].masterChunk(p, 0, recv, send, a.ds)
-	if !have && a.size > 0 {
-		s.m.Memcpy(p, g.lay.nodes[x], recv, send) // single task on the node
-	}
-	if x >= a.pow {
-		// Fold out: hand the node partial to the peer, then receive the
-		// finished vector straight into recv.
-		peer := x - a.pow
-		ep.Put(p, g.masterEp(peer), a.foldSlot[peer], recv[:a.size], nil, a.foldArr[peer], nil)
-		ep.Waitcntr(p, a.resArr[x], 1)
-		return
-	}
-	if x+a.pow < nn {
-		ep.Waitcntr(p, a.foldArr[x], 1)
-		if a.size > 0 {
-			a.ds.acc(recv, a.foldSlot[x])
-			s.combineCharge(p, a.size, esize)
+	rounds := len(a.halfArr[nx])
+	d := a.pow >> (r + 1)
+	partner := nx ^ d
+	switch f.pc {
+	case rhdReduce:
+		f.pc = rhdFold
+		if !x.reduceLocal(a.rn[nx], 0, recv, send) && a.size > 0 {
+			x.memcpy(recv, send) // single task on the node
 		}
-	}
-	rounds := len(a.halfArr[x])
-	// Reduce-scatter by recursive halving: each round trades the half of
-	// the current segment the partner keeps, then combines the received
-	// half into the kept one.
-	for r := 0; r < rounds; r++ {
-		d := a.pow >> (r + 1)
-		partner := x ^ d
-		lo, hi := a.segment(x, r, elems)
+	case rhdFold:
+		if nx >= a.pow {
+			// Fold out: hand the node partial to the peer, then receive the
+			// finished vector straight into recv.
+			peer := nx - a.pow
+			x.put(g.masterEp(peer), a.foldSlot[peer], recv, a.foldArr[peer])
+			x.waitcntr(a.resArr[nx], 1)
+			f.pc = rhdPublish
+			return
+		}
+		if nx+a.pow < nn {
+			x.waitcntr(a.foldArr[nx], 1)
+			if a.size > 0 {
+				x.combine(recv, nil, a.foldSlot[nx])
+			}
+		}
+		f.pc = rhdScatter
+	case rhdScatter:
+		// Reduce-scatter by recursive halving: each round trades the half
+		// of the current segment the partner keeps, then combines the
+		// received half into the kept one.
+		if r == rounds {
+			f.pc, f.i = rhdGather, rounds-1
+			return
+		}
+		lo, hi := a.segment(nx, r, elems)
 		mid := lo + (hi-lo)/2
 		sLo, sHi, kLo, kHi := mid, hi, lo, mid // distance bit clear: keep lower half
-		if x&d != 0 {
+		if nx&d != 0 {
 			sLo, sHi, kLo, kHi = lo, mid, mid, hi
 		}
 		sb := recv[sLo*esize : sHi*esize]
-		ep.Put(p, g.masterEp(partner), a.halfSlot[partner][r][:len(sb)], sb,
-			nil, a.halfArr[partner][r], nil)
-		ep.Waitcntr(p, a.halfArr[x][r], 1)
+		x.put(g.masterEp(partner), a.halfSlot[partner][r][:len(sb)], sb, a.halfArr[partner][r])
+		x.waitcntr(a.halfArr[nx][r], 1)
 		if n := (kHi - kLo) * esize; n > 0 {
-			a.ds.acc(recv[kLo*esize:kHi*esize], a.halfSlot[x][r][:n])
-			s.combineCharge(p, n, esize)
+			x.combine(recv[kLo*esize:kHi*esize], nil, a.halfSlot[nx][r][:n])
 		}
-	}
-	// Allgather by recursive doubling: walk the rounds back up, putting
-	// the finished segment straight into the partner's receive buffer.
-	for r := rounds - 1; r >= 0; r-- {
-		d := a.pow >> (r + 1)
-		partner := x ^ d
-		lo, hi := a.segment(x, r+1, elems)
-		p.Wait(a.resReady[partner])
-		ep.Put(p, g.masterEp(partner), a.resBuf[partner][lo*esize:hi*esize],
-			recv[lo*esize:hi*esize], nil, a.dblArr[partner][r], nil)
-		ep.Waitcntr(p, a.dblArr[x][r], 1)
-	}
-	if x+a.pow < nn {
+		f.i++
+	case rhdGather:
+		// Allgather by recursive doubling: walk the rounds back up, putting
+		// the finished segment straight into the partner's receive buffer.
+		switch {
+		case r >= 0:
+			x.waitEvent(a.resReady[partner])
+			f.pc = rhdGatherPut
+		case nx+a.pow < nn:
+			x.waitEvent(a.resReady[nx+a.pow])
+			f.pc = rhdUnfold
+		default:
+			f.pc = rhdPublish
+		}
+	case rhdGatherPut:
+		lo, hi := a.segment(nx, r+1, elems)
+		x.put(g.masterEp(partner), a.resBuf[partner][lo*esize:hi*esize], recv[lo*esize:hi*esize], a.dblArr[partner][r])
+		x.waitcntr(a.dblArr[nx][r], 1)
+		f.pc, f.i = rhdGather, r-1
+	case rhdUnfold:
 		// Return the full result to the folded-out node's recv buffer.
-		extra := x + a.pow
-		p.Wait(a.resReady[extra])
-		ep.Put(p, g.masterEp(extra), a.resBuf[extra], recv[:a.size], nil, a.resArr[extra], nil)
+		extra := nx + a.pow
+		x.put(g.masterEp(extra), a.resBuf[extra], recv, a.resArr[extra])
+		f.pc = rhdPublish
+	case rhdPublish:
+		f.pc = rhdDone
+		x.publish(a.pub[nx], 0, recv, false)
+	case rhdDone:
+		a.pub[nx].waitConsumed(x, 0)
+		x.ret()
 	}
 }

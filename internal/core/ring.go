@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"srmcoll/internal/rma"
-	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 )
 
@@ -18,15 +15,8 @@ import (
 // two-deep credit window back to the left neighbour, the same flow
 // control the Figure-5 pipeline uses between parent and child.
 type ringState struct {
-	g    *Group
-	size int
-	ds   dataspec
-	sp   []span // single whole-vector span for the SMP stages
-
-	rn       []*redNode   // per-node SMP reduce machinery
-	resBuf   [][]byte     // per node: master's receive buffer
-	resReady []*sim.Event // per node: resBuf registered
-	pub      []publisher  // per-node SMP distribution of the result
+	nodeStages // with a single whole-vector chunk
+	g          *Group
 
 	blk    []span            // one element-aligned vector block per node
 	slot   [][2][]byte       // per node: staging for the left neighbour's sends
@@ -34,26 +24,10 @@ type ringState struct {
 	credit []*rma.Counter    // per node: budget for sending to the right neighbour
 }
 
-// masterEp returns the endpoint of the master rank of participating node
-// index x.
-func (g *Group) masterEp(x int) *rma.Endpoint {
-	return g.s.dom.Endpoint(g.lay.local[x][0])
-}
-
 func newRingState(g *Group, size int, ds dataspec) *ringState {
 	s := g.s
-	a := &ringState{g: g, size: size, ds: ds, sp: chunks(size, max(size, 1))}
+	a := &ringState{g: g, nodeStages: newNodeStages(g, size, ds, chunks(size, max(size, 1)))}
 	nn := len(g.lay.nodes)
-	chunkBytes := a.sp[0].n
-	a.rn = make([]*redNode, nn)
-	a.resBuf = make([][]byte, nn)
-	a.resReady = make([]*sim.Event, nn)
-	a.pub = make([]publisher, nn)
-	for x, nd := range g.lay.nodes {
-		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
-		a.resReady[x] = s.m.Env.NewEvent()
-		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
-	}
 	esize := ds.dt.Size()
 	elems := size / esize
 	base, rem := elems/nn, elems%nn
@@ -84,12 +58,6 @@ func newRingState(g *Group, size int, ds dataspec) *ringState {
 	return a
 }
 
-func (a *ringState) check(size int, ds dataspec, rank int) {
-	if a.size != size || a.ds != ds {
-		panic(fmt.Sprintf("core: Allreduce mismatch at rank %d", rank))
-	}
-}
-
 // stepBlocks returns which vector block master x sends and receives at
 // ring step st. The reduce-scatter pass (first nn-1 steps) walks blocks
 // backwards so after it x holds the fully reduced block (x+1) mod nn; the
@@ -103,64 +71,46 @@ func (a *ringState) stepBlocks(x, st int) (sendIdx, recvIdx int) {
 	return ((x+1-s2)%nn + nn) % nn, ((x-s2)%nn + nn) % nn
 }
 
-func (a *ringState) run(p *sim.Proc, rank int, send, recv []byte) {
-	g := a.g
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	if l != 0 {
-		a.rn[x].worker(p, l, send, a.sp, a.ds)
-		for k, c := range a.sp {
-			a.pub[x].Consume(p, l, k, recv[c.off:c.off+c.n])
-		}
-		return
-	}
-	a.resBuf[x] = recv
-	a.resReady[x].Trigger()
-	ep := g.s.dom.Endpoint(rank)
-	enable := g.s.quietNet(ep, a.size)
-	defer enable()
-	a.master(p, ep, x, send, recv)
-	a.pub[x].Publish(p, 0, recv, false)
-	a.pub[x].waitConsumed(p, 0)
-}
-
-// master reduces the node contributions into recv, then runs the
-// 2(nn-1)-step ring exchange. Each step sends one block right, waits for
-// the matching block from the left, combines (reduce-scatter half) or
-// copies it in (allgather half), and recredits the left neighbour.
-func (a *ringState) master(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
-	g := a.g
-	s := g.s
+// step is the master's role: reduce the node contributions into recv, run
+// the 2(nn-1)-step ring exchange (f.i counts steps), distribute the result.
+// Each ring step sends one block right, waits for the matching block from
+// the left, combines (reduce-scatter half) or copies it in (allgather half),
+// and recredits the left neighbour.
+func (a *ringState) step(x *exec, f *frame) {
+	g, nx, send, recv := a.g, x.nx, f.a, f.c
 	nn := len(g.lay.nodes)
-	have := a.rn[x].masterChunk(p, 0, recv, send, a.ds)
-	if !have && a.size > 0 {
-		s.m.Memcpy(p, g.lay.nodes[x], recv, send) // single task on the node
-	}
-	if nn == 1 {
-		return
-	}
-	right := (x + 1) % nn
-	left := (x + nn - 1) % nn
 	steps := 2 * (nn - 1)
-	for st := 0; st < steps; st++ {
-		sendIdx, recvIdx := a.stepBlocks(x, st)
-		sb := a.blk[sendIdx]
-		rb := a.blk[recvIdx]
-		ep.Waitcntr(p, a.credit[x], 1)
-		ep.Put(p, g.masterEp(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n],
-			nil, a.arr[right][st%2], nil)
-		ep.Waitcntr(p, a.arr[x][st%2], 1)
-		src := a.slot[x][st%2][:rb.n]
-		if st < nn-1 {
-			if rb.n > 0 {
-				a.ds.acc(recv[rb.off:rb.off+rb.n], src)
-				s.combineCharge(p, rb.n, a.ds.dt.Size())
-			}
-		} else if rb.n > 0 {
-			s.m.Memcpy(p, g.lay.nodes[x], recv[rb.off:rb.off+rb.n], src)
+	switch {
+	case f.pc == 0:
+		f.pc = 1
+		if !x.reduceLocal(a.rn[nx], 0, recv, send) && a.size > 0 {
+			x.memcpy(recv, send) // single task on the node
+		}
+	case f.pc == 1 && f.i < steps:
+		st := f.i
+		f.i++
+		right, left := (nx+1)%nn, (nx+nn-1)%nn
+		sendIdx, recvIdx := a.stepBlocks(nx, st)
+		sb, rb := a.blk[sendIdx], a.blk[recvIdx]
+		x.waitcntr(a.credit[nx], 1)
+		x.put(g.masterEp(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n], a.arr[right][st%2])
+		x.waitcntr(a.arr[nx][st%2], 1)
+		src, dst := a.slot[nx][st%2][:rb.n], recv[rb.off:rb.off+rb.n]
+		switch {
+		case rb.n == 0:
+		case st < nn-1:
+			x.combine(dst, nil, src)
+		default:
+			x.memcpy(dst, src)
 		}
 		if st+2 < steps {
-			ep.PutZero(p, g.masterEp(left), a.credit[left])
+			x.putZero(g.masterEp(left), a.credit[left])
 		}
+	case f.pc == 1:
+		f.pc = 2
+		x.publish(a.pub[nx], 0, recv, false)
+	default:
+		a.pub[nx].waitConsumed(x, 0)
+		x.ret()
 	}
 }

@@ -58,90 +58,98 @@ func newScanState(g *Group, size int, ds dataspec) *scanState {
 // Scan leaves in each member's recv the reduction of the send buffers of
 // all members with group rank <= its own (inclusive prefix).
 func (g *Group) Scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.scan(p, rank, send, recv, dt, op, false)
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.scan(x, rank, send, recv, dataspec{dt, op}, false)
+	x.runProc()
+}
+
+// ScanT is Scan for the Task engine; kont runs when it completes.
+func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.scan(x, rank, send, recv, dataspec{dt, op}, false)
+	x.run()
 }
 
 // Exscan is the exclusive prefix: member i receives the reduction over
 // group ranks < i; the first member's recv is left zeroed.
 func (g *Group) Exscan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.scan(p, rank, send, recv, dt, op, true)
+	x := g.s.exec(p, nil, nil)
+	defer x.finish()
+	g.scan(x, rank, send, recv, dataspec{dt, op}, true)
+	x.runProc()
 }
 
-func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, exclusive bool) {
-	ds := dataspec{dt: dt, op: op}
+// ExscanT is Exscan for the Task engine; kont runs when it completes.
+func (g *Group) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	x := g.s.exec(nil, t, kont)
+	g.scan(x, rank, send, recv, dataspec{dt, op}, true)
+	x.run()
+}
+
+func (g *Group) scan(x *exec, rank int, send, recv []byte, ds dataspec, exclusive bool) {
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
 	}
 	if len(recv) != len(send) {
 		panic(fmt.Sprintf("core: scan recv %d bytes, want %d", len(recv), len(send)))
 	}
-	st, release := g.acquire(rank, func() any { return newScanState(g, len(send), ds) })
-	defer release()
-	sc := st.(*scanState)
+	sc := g.acquire(x, rank, func() any { return newScanState(g, len(send), ds) }).(*scanState)
 	if sc.size != len(send) || sc.ds != ds {
 		panic(fmt.Sprintf("core: scan mismatch at rank %d", rank))
 	}
-	sc.run(p, rank, send, recv, exclusive)
-}
-
-// Scan is Group.Scan over all ranks.
-func (s *SRM) Scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	s.World().Scan(p, rank, send, recv, dt, op)
-}
-
-// Exscan is Group.Exscan over all ranks.
-func (s *SRM) Exscan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	s.World().Exscan(p, rank, send, recv, dt, op)
-}
-
-func (st *scanState) run(p *sim.Proc, rank int, send, recv []byte, exclusive bool) {
-	g := st.g
-	s := g.s
-	gi := g.lay.li[rank] // placeholder; real group rank below
-	for i, r := range g.lay.members {
-		if r == rank {
-			gi = i
-		}
+	x.ds = ds
+	f := x.call(sc, 0, g.groupRank(rank), send, recv)
+	if exclusive {
+		f.j = 1
 	}
+}
+
+// step: f.k is the group rank, f.i counts rounds, f.j != 0 means Exscan.
+func (st *scanState) step(x *exec, f *frame) {
+	g, gi, send, recv := st.g, f.k, f.a, f.c
 	P := len(g.lay.members)
-	node := g.lay.nodes[g.lay.ni[rank]]
-	ep := s.dom.Endpoint(rank)
-
-	// Running inclusive partial lives in recv.
-	if st.size > 0 {
-		s.m.Memcpy(p, node, recv, send)
-	}
-	for r := 0; r < st.rounds; r++ {
-		dist := 1 << r
+	ep := func(i int) *rma.Endpoint { return g.s.dom.Endpoint(g.lay.members[i]) }
+	switch {
+	case f.pc == 0:
+		// Running inclusive partial lives in recv.
+		if st.size > 0 {
+			x.memcpy(recv, send)
+		}
+		f.pc = 1
+	case f.pc == 1 && f.i < st.rounds:
+		r, dist := f.i, 1<<f.i
 		if gi+dist < P {
-			target := g.lay.members[gi+dist]
-			ep.Put(p, s.dom.Endpoint(target), st.slot[gi+dist][r], recv,
-				nil, st.arr[gi+dist][r], nil)
+			x.put(ep(gi+dist), st.slot[gi+dist][r], recv, st.arr[gi+dist][r])
 		}
 		if gi-dist >= 0 {
-			ep.Waitcntr(p, st.arr[gi][r], 1)
+			x.waitcntr(st.arr[gi][r], 1)
 			if st.size > 0 {
-				st.ds.acc(recv, st.slot[gi][r]) // commutative fold
-				s.combineCharge(p, st.size, st.ds.dt.Size())
+				x.combine(recv, nil, st.slot[gi][r]) // commutative fold
 			}
 		}
-	}
-	if !exclusive {
-		return
-	}
-	// Exscan: shift the inclusive results right by one member.
-	if gi+1 < P {
-		target := g.lay.members[gi+1]
-		ep.Put(p, s.dom.Endpoint(target), st.shift[gi+1], recv, nil, st.sarr[gi+1], nil)
-	}
-	if gi > 0 {
-		ep.Waitcntr(p, st.sarr[gi], 1)
-		if st.size > 0 {
-			s.m.Memcpy(p, node, recv, st.shift[gi])
+		f.i++
+	case f.pc == 1:
+		f.pc = 2
+		if f.j == 0 {
+			x.ret()
+			return
 		}
-	} else {
-		for i := range recv {
-			recv[i] = 0
+		// Exscan: shift the inclusive results right by one member.
+		if gi+1 < P {
+			x.put(ep(gi+1), st.shift[gi+1], recv, st.sarr[gi+1])
 		}
+		if gi > 0 {
+			x.waitcntr(st.sarr[gi], 1)
+			if st.size > 0 {
+				x.memcpy(recv, st.shift[gi])
+			}
+			x.ret()
+		}
+	default:
+		// The first member's exclusive prefix is empty; recv was the put's
+		// source until now.
+		clear(recv)
+		x.ret()
 	}
 }

@@ -2,83 +2,101 @@ package core
 
 import (
 	"srmcoll/internal/shm"
-	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
 )
 
-// smpPub is the per-node SMP broadcast machinery of Figure 3: two shared
-// buffers with a READY counter published by the master and per-task DONE
-// flags, forming a two-slot pipeline. When the source of a chunk is already
-// in shared memory (the inter-node receive buffers of the small-message
-// broadcast), Publish skips the copy-in — "the SMP broadcast recognizing
-// that the data is in shared memory avoids unnecessary data copies" (§2.4).
+// publisher is the per-node SMP broadcast machinery: the node's master
+// publishes chunk after chunk and every other local task consumes them.
+// Masters call the body at pubPublish (f.k chunk, f.a source, f.i != 0 when
+// the source already is shared memory and is exposed as is), the others at
+// pubConsume (f.k chunk, f.a destination). waitConsumed issues the master's
+// wait until the whole node has consumed chunk k.
+type publisher interface {
+	stepper
+	waitConsumed(x *exec, k int)
+}
+
+const (
+	pubPublish = iota
+	pubExpose
+	pubConsume
+	pubCopyOut
+)
+
+// publish and consume call the node's publisher for chunk k.
+func (x *exec) publish(pub publisher, k int, src []byte, direct bool) {
+	f := x.call(pub, pubPublish, k, src, nil)
+	if direct {
+		f.i = 1
+	}
+}
+
+func (x *exec) consume(pub publisher, k int, dst []byte) { x.call(pub, pubConsume, k, dst, nil) }
+
+// smpPub is the flat SMP broadcast of Figure 3: two shared buffers with a
+// READY counter published by the master and per-task DONE flags, forming a
+// two-slot pipeline. When the source of a chunk is already in shared memory
+// (the inter-node receive buffers of the small-message broadcast), publish
+// skips the copy-in — "the SMP broadcast recognizing that the data is in
+// shared memory avoids unnecessary data copies" (§2.4).
 type smpPub struct {
-	s           *SRM
-	node        int
 	masterLocal int
 	buf         [2][]byte // shared staging buffers (A and B)
 	cur         [2][]byte // slice local tasks read chunk parity from
 	ready       *shm.Flag // chunks made readable (monotone count)
-	done        *shm.FlagSet
+	done        flagSet   // per task: chunks consumed
 }
 
 func (s *SRM) newSmpPub(node, masterLocal, count, bufSize int) *smpPub {
 	pub := &smpPub{
-		s:           s,
-		node:        node,
 		masterLocal: masterLocal,
 		ready:       shm.NewFlag(s.m, node),
-		done:        shm.NewFlagSet(s.m, node, count),
+		done:        newFlags(s.m, node, count),
 	}
 	pub.buf[0] = make([]byte, bufSize)
 	pub.buf[1] = make([]byte, bufSize)
 	return pub
 }
 
-// waitConsumed blocks the master until every other local task has consumed
-// chunks 0..k (done flags reach k+1).
-func (pub *smpPub) waitConsumed(p *sim.Proc, k int) {
-	for i := 0; i < pub.done.Len(); i++ {
-		if i == pub.masterLocal {
-			continue
-		}
-		pub.done.Flag(i).WaitGE(p, k+1)
-	}
-}
+func (pub *smpPub) waitConsumed(x *exec, k int) { x.waitAllGE(&pub.done, k+1, pub.masterLocal) }
 
-// Publish makes chunk k (content src) readable by the node's other tasks.
-// With direct=true src is already shared memory and is exposed as is;
-// otherwise the master copies it into the staging buffer of parity k%2,
-// first waiting for that buffer's previous chunk to be consumed.
-func (pub *smpPub) Publish(p *sim.Proc, k int, src []byte, direct bool) {
-	if pub.done.Len() == 1 {
-		return // no other task on the node
-	}
-	id := pub.s.m.Env.Trace.Begin(p.Track(), trace.ClassSmp, "smp:publish", int64(len(src)))
-	parity := k % 2
-	if direct {
-		pub.cur[parity] = src
-	} else {
-		if k >= 2 {
-			pub.waitConsumed(p, k-2) // buffer reuse: Figure 3 flag protocol
+func (pub *smpPub) step(x *exec, f *frame) {
+	k, parity := f.k, f.k%2
+	switch f.pc {
+	case pubPublish:
+		if len(pub.done) == 1 {
+			x.ret() // no other task on the node
+			return
 		}
-		pub.s.m.Memcpy(p, pub.node, pub.buf[parity][:len(src)], src)
-		pub.cur[parity] = pub.buf[parity][:len(src)]
+		x.begin(f, trace.ClassSmp, "smp:publish", len(f.a))
+		if f.i == 0 {
+			// Stage through the buffer of this parity, first waiting for
+			// its previous chunk to be consumed (Figure 3 flag protocol).
+			if k >= 2 {
+				pub.waitConsumed(x, k-2)
+			}
+			x.memcpy(pub.buf[parity][:len(f.a)], f.a)
+			f.a = pub.buf[parity][:len(f.a)]
+		}
+		f.pc = pubExpose
+	case pubExpose:
+		pub.cur[parity] = f.a
+		x.set(pub.ready, k+1)
+		x.end()
+		x.ret()
+	case pubConsume:
+		x.begin(f, trace.ClassSmp, "smp:consume", len(f.a))
+		x.waitGE(pub.ready, k+1)
+		f.pc = pubCopyOut
+	case pubCopyOut:
+		if len(f.a) > 0 {
+			x.memcpy(f.a, pub.cur[parity][:len(f.a)])
+		}
+		x.set(pub.done[x.l], k+1)
+		x.end()
+		x.ret()
 	}
-	pub.ready.Set(k + 1)
-	pub.s.m.Env.Trace.End(id)
-}
-
-// Consume copies chunk k into dst at a non-master task.
-func (pub *smpPub) Consume(p *sim.Proc, local, k int, dst []byte) {
-	id := pub.s.m.Env.Trace.Begin(p.Track(), trace.ClassSmp, "smp:consume", int64(len(dst)))
-	pub.ready.WaitGE(p, k+1)
-	if len(dst) > 0 {
-		pub.s.m.Memcpy(p, pub.node, dst, pub.cur[k%2][:len(dst)])
-	}
-	pub.done.Flag(local).Set(k + 1)
-	pub.s.m.Env.Trace.End(id)
 }
 
 // treePub is the tree-based SMP broadcast variant §2.2 measured and
@@ -87,104 +105,155 @@ func (pub *smpPub) Consume(p *sim.Proc, local, k int, dst []byte) {
 // A2. Each interior task owns a staging buffer; chunks flow down the
 // intra-node tree, one copy per level on the critical path.
 type treePub struct {
-	s    *SRM
-	node int
 	tr   tree.Tree
-	buf  [][2][]byte   // per local task
-	full []*shm.Flag   // chunks available at this task's buffer
-	ack  [][]*shm.Flag // per task, per child: chunks pulled by that child
+	buf  [][2][]byte // per local task
+	full []*shm.Flag // chunks available at this task's buffer
+	ack  []flagSet   // per task, per child: chunks pulled by that child
 }
 
 func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
 	tp := &treePub{
-		s:    s,
-		node: node,
 		tr:   tree.New(tree.Binomial, count, masterLocal),
 		buf:  make([][2][]byte, count),
 		full: make([]*shm.Flag, count),
-		ack:  make([][]*shm.Flag, count),
+		ack:  make([]flagSet, count),
 	}
 	for i := 0; i < count; i++ {
 		tp.buf[i] = [2][]byte{make([]byte, bufSize), make([]byte, bufSize)}
 		tp.full[i] = shm.NewFlag(s.m, node)
-		tp.ack[i] = make([]*shm.Flag, len(tp.tr.Children[i]))
-		for j := range tp.ack[i] {
-			tp.ack[i][j] = shm.NewFlag(s.m, node)
-		}
+		tp.ack[i] = newFlags(s.m, node, len(tp.tr.Children[i]))
 	}
 	return tp
 }
 
-// Publish runs the master side: copy chunk k into the master buffer and
-// mark it available; children pull it down the tree in their own Consume.
-func (tp *treePub) Publish(p *sim.Proc, k int, src []byte, direct bool) {
-	root := tp.tr.Root
-	if len(tp.full) == 1 {
-		return
-	}
-	parity := k % 2
-	if direct {
-		tp.buf[root][parity] = src // expose shared source without a copy
-	} else {
-		if k >= 2 {
-			tp.waitAcks(p, root, k-2)
+// waitConsumed: the master's direct children acking chunk k implies their
+// subtrees have copied it (children ack only after their own copy).
+func (tp *treePub) waitConsumed(x *exec, k int) { x.waitAllGE(&tp.ack[tp.tr.Root], k+1, -1) }
+
+func (tp *treePub) step(x *exec, f *frame) {
+	k, parity, local, dst := f.k, f.k%2, x.l, f.a
+	switch f.pc {
+	case pubPublish:
+		root := tp.tr.Root
+		if len(tp.full) == 1 {
+			x.ret()
+			return
 		}
-		tp.s.m.Memcpy(p, tp.node, tp.buf[root][parity][:len(src)], src)
+		if f.i != 0 {
+			tp.buf[root][parity] = f.a // expose shared source without a copy
+		} else {
+			if k >= 2 {
+				tp.waitConsumed(x, k-2)
+			}
+			x.memcpy(tp.buf[root][parity][:len(f.a)], f.a)
+		}
+		// Children pull the chunk down the tree in their own consume.
+		x.set(tp.full[root], k+1)
+		x.ret()
+	case pubConsume:
+		x.waitGE(tp.full[tp.tr.Parent[local]], k+1)
+		f.pc = pubCopyOut
+	case pubCopyOut:
+		// Pull chunk k from the parent's buffer into dst and, if this task
+		// has children, into its own staging buffer.
+		parent := tp.tr.Parent[local]
+		src := tp.buf[parent][parity][:len(dst)]
+		if len(tp.tr.Children[local]) > 0 {
+			if k >= 2 {
+				x.waitAllGE(&tp.ack[local], k-1, -1)
+			}
+			if len(dst) > 0 {
+				x.memcpy(tp.buf[local][parity][:len(dst)], src)
+				x.memcpy(dst, tp.buf[local][parity][:len(dst)])
+			}
+			x.set(tp.full[local], k+1)
+		} else if len(dst) > 0 {
+			x.memcpy(dst, src)
+		}
+		// Tell the parent this child is done with chunk k.
+		for j, c := range tp.tr.Children[parent] {
+			if c == local {
+				x.set(tp.ack[parent][j], k+1)
+			}
+		}
+		x.ret()
 	}
-	tp.full[root].Set(k + 1)
 }
 
-// waitAcks blocks until every child of local task v pulled chunk k.
-func (tp *treePub) waitAcks(p *sim.Proc, v, k int) {
-	for _, f := range tp.ack[v] {
-		f.WaitGE(p, k+1)
+// barrierPub is the Sistare-style SMP broadcast the paper contrasts with
+// in §4: access to the shared buffer is arbitrated by full SMP barriers
+// (everyone synchronizes before the master overwrites a buffer and after
+// the copy-out) instead of per-task flags. The stronger synchronization
+// makes every chunk wait for the slowest task — the "susceptible to
+// processor late arrivals" behaviour SRM's flag protocol avoids.
+type barrierPub struct {
+	masterLocal int
+	buf         [2][]byte
+	cur         [2][]byte
+	epoch       *shm.Flag // barrier generation counter
+	checkin     flagSet   // per-task arrival flags
+}
+
+func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
+	pub := &barrierPub{
+		masterLocal: masterLocal,
+		epoch:       shm.NewFlag(s.m, node),
+		checkin:     newFlags(s.m, node, count),
+	}
+	pub.buf[0] = make([]byte, bufSize)
+	pub.buf[1] = make([]byte, bufSize)
+	return pub
+}
+
+// barrier runs one flat SMP barrier among the node's tasks, master side;
+// the other tasks set their check-in flag and wait for the epoch.
+func (pub *barrierPub) barrier(x *exec, gen int) {
+	x.waitAllGE(&pub.checkin, gen, pub.masterLocal)
+	x.set(pub.epoch, gen)
+}
+
+// waitConsumed: one more barrier guarantees all reads of chunk k finished.
+func (pub *barrierPub) waitConsumed(x *exec, k int) {
+	if len(pub.checkin) > 1 {
+		pub.barrier(x, 2*k+3)
 	}
 }
 
-// Consume runs a non-master task: pull chunk k from the parent's buffer
-// into dst and, if this task has children, into its own staging buffer.
-func (tp *treePub) Consume(p *sim.Proc, local, k int, dst []byte) {
-	parent := tp.tr.Parent[local]
-	parity := k % 2
-	tp.full[parent].WaitGE(p, k+1)
-	src := tp.buf[parent][parity][:len(dst)]
-	if len(tp.tr.Children[local]) > 0 {
-		if k >= 2 {
-			tp.waitAcks(p, local, k-2)
+func (pub *barrierPub) step(x *exec, f *frame) {
+	k, parity := f.k, f.k%2
+	switch f.pc {
+	case pubPublish:
+		if len(pub.checkin) == 1 {
+			x.ret()
+			return
 		}
-		if len(dst) > 0 {
-			tp.s.m.Memcpy(p, tp.node, tp.buf[local][parity][:len(dst)], src)
-			tp.s.m.Memcpy(p, tp.node, dst, tp.buf[local][parity][:len(dst)])
+		// Barrier #1: nobody may still be reading this parity's buffer.
+		pub.barrier(x, 2*k+1)
+		if f.i == 0 {
+			x.memcpy(pub.buf[parity][:len(f.a)], f.a)
+			f.a = pub.buf[parity][:len(f.a)]
 		}
-		tp.full[local].Set(k + 1)
-	} else if len(dst) > 0 {
-		tp.s.m.Memcpy(p, tp.node, dst, src)
+		f.pc = pubExpose
+	case pubExpose:
+		pub.cur[parity] = f.a
+		// Barrier #2: the buffer is full; everyone may read.
+		pub.barrier(x, 2*k+2)
+		x.ret()
+	case pubConsume:
+		for gen := 2*k + 1; gen <= 2*k+2; gen++ {
+			x.set(pub.checkin[x.l], gen)
+			x.waitGE(pub.epoch, gen)
+		}
+		f.pc = pubCopyOut
+	case pubCopyOut:
+		if len(f.a) > 0 {
+			x.memcpy(f.a, pub.cur[parity][:len(f.a)])
+		}
+		// Check in to the buffer-free barrier (generation 2k+3); the master
+		// collects it in the next publish or in waitConsumed.
+		x.set(pub.checkin[x.l], 2*k+3)
+		x.ret()
 	}
-	// Tell the parent this child is done with chunk k.
-	for j, c := range tp.tr.Children[parent] {
-		if c == local {
-			tp.ack[parent][j].Set(k + 1)
-		}
-	}
-}
-
-// waitConsumed blocks the master until the whole subtree consumed chunk k.
-// With the ack chain, the master's direct children acking chunk k implies
-// their subtrees have copied it (children ack only after their own copy).
-func (tp *treePub) waitConsumed(p *sim.Proc, k int) {
-	tp.waitAcks(p, tp.tr.Root, k)
-}
-
-// publisher abstracts the SMP broadcast variants. Each variant implements
-// both engines: the Proc methods and their Task-engine CPS counterparts
-// (smp_task.go).
-type publisher interface {
-	Publish(p *sim.Proc, k int, src []byte, direct bool)
-	Consume(p *sim.Proc, local, k int, dst []byte)
-	waitConsumed(p *sim.Proc, k int)
-	PublishT(t *sim.Task, k int, src []byte, direct bool, kont func())
-	ConsumeT(t *sim.Task, local, k int, dst []byte, kont func())
-	waitConsumedT(t *sim.Task, k int, kont func())
 }
 
 // newPublisher picks the SMP broadcast variant per Options. count is the
@@ -205,167 +274,92 @@ func (s *SRM) newPublisher(node, masterLocal, count, bufSize int) publisher {
 // full/free flags. Leaves copy their contribution in; interior tasks
 // combine child slots with their own user buffer in place.
 type redNode struct {
-	s    *SRM
-	node int
 	tr   tree.Tree // intra-node reduce tree, rooted at the master
+	sp   []span    // the pipeline chunks of the vector being reduced
 	slot [][2][]byte
 	full []*shm.Flag
 	free []*shm.Flag
 }
 
-func (s *SRM) newRedNode(node, masterLocal, count, chunk int) *redNode {
+func (s *SRM) newRedNode(node, masterLocal, count int, sp []span) *redNode {
 	rn := &redNode{
-		s:    s,
-		node: node,
 		tr:   tree.New(s.opt.IntraTree, count, masterLocal),
+		sp:   sp,
 		slot: make([][2][]byte, count),
 		full: make([]*shm.Flag, count),
 		free: make([]*shm.Flag, count),
 	}
 	for i := 0; i < count; i++ {
-		rn.slot[i] = [2][]byte{make([]byte, chunk), make([]byte, chunk)}
+		rn.slot[i] = [2][]byte{make([]byte, sp[0].n), make([]byte, sp[0].n)}
 		rn.full[i] = shm.NewFlag(s.m, node)
 		rn.free[i] = shm.NewFlag(s.m, node)
 	}
 	return rn
 }
 
-// worker runs the complete non-master role of the SMP reduce over all
-// chunks of send: leaves copy chunks into their slot; interior tasks wait
-// for child slots and combine them with their own data into their slot.
-func (rn *redNode) worker(p *sim.Proc, local int, send []byte, sp []span, ds dataspec) {
-	for k, c := range sp {
-		parity := k % 2
-		// Wait for the parent to have consumed this parity's previous chunk.
-		rn.free[local].WaitGE(p, k-1)
-		target := rn.slot[local][parity][:c.n]
-		own := send[c.off : c.off+c.n]
-		kids := rn.tr.Children[local]
-		if len(kids) == 0 {
-			if c.n > 0 {
-				rn.s.m.Memcpy(p, rn.node, target, own) // the Figure 2 leaf copy
-			}
-		} else {
-			rn.combineChildren(p, k, kids, target, own, ds)
-		}
-		rn.full[local].Set(k + 1)
-	}
-}
+const (
+	redWorker = iota // f.a send: the whole non-master role over all chunks
+	redWorkerKids
+	redMaster // f.k chunk, f.a target, f.c own: the master's local combine
+)
 
-// combineChildren folds the chunk-k slots of kids together with own into
-// target, charging combine time; it marks each child slot free afterwards.
-func (rn *redNode) combineChildren(p *sim.Proc, k int, kids []int, target, own []byte, ds dataspec) {
-	parity := k % 2
-	first := true
-	for _, c := range kids {
-		rn.full[c].WaitGE(p, k+1)
-		src := rn.slot[c][parity][:len(target)]
-		if len(target) > 0 {
-			if first {
-				ds.into(target, own, src)
-			} else {
-				ds.acc(target, src)
-			}
-			rn.s.combineCharge(p, len(target), ds.dt.Size())
-		}
-		first = false
-		rn.free[c].Set(k + 1)
-	}
-}
+// reduceWorker runs a non-master task's role in the SMP reduce of send.
+func (x *exec) reduceWorker(rn *redNode, send []byte) { x.call(rn, redWorker, 0, send, nil) }
 
-// masterChunk runs the master's local-children combine for chunk k,
-// producing the node partial into target. It reports false when the master
-// has no local children (target untouched; the caller uses the master's
-// own send chunk as the partial).
-func (rn *redNode) masterChunk(p *sim.Proc, k int, target, own []byte, ds dataspec) bool {
-	kids := rn.tr.Children[rn.tr.Root]
-	if len(kids) == 0 {
+// reduceLocal combines the master's local children's chunk-k slots with own
+// into target. It reports false, calling nothing, when the master has no
+// local children: the caller then uses own as the node partial.
+func (x *exec) reduceLocal(rn *redNode, k int, target, own []byte) bool {
+	if len(rn.tr.Children[rn.tr.Root]) == 0 {
 		return false
 	}
-	rn.combineChildren(p, k, kids, target, own, ds)
+	x.call(rn, redMaster, k, target, own)
 	return true
 }
 
-// barrierPub is the Sistare-style SMP broadcast the paper contrasts with
-// in §4: access to the shared buffer is arbitrated by full SMP barriers
-// (everyone synchronizes before the master overwrites a buffer and after
-// the copy-out) instead of per-task flags. The stronger synchronization
-// makes every chunk wait for the slowest task — the "susceptible to
-// processor late arrivals" behaviour SRM's flag protocol avoids.
-type barrierPub struct {
-	s           *SRM
-	node        int
-	masterLocal int
-	count       int
-	buf         [2][]byte
-	cur         [2][]byte
-	epoch       *shm.Flag    // barrier generation counter
-	checkin     *shm.FlagSet // per-task arrival flags
-}
-
-func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
-	pub := &barrierPub{
-		s:           s,
-		node:        node,
-		masterLocal: masterLocal,
-		count:       count,
-		epoch:       shm.NewFlag(s.m, node),
-		checkin:     shm.NewFlagSet(s.m, node, count),
+func (rn *redNode) step(x *exec, f *frame) {
+	local := x.l
+	if f.pc == redMaster {
+		local = rn.tr.Root
 	}
-	pub.buf[0] = make([]byte, bufSize)
-	pub.buf[1] = make([]byte, bufSize)
-	return pub
-}
-
-// barrier runs one flat SMP barrier among the node's tasks, master side.
-func (pub *barrierPub) barrierMaster(p *sim.Proc, gen int) {
-	for i := 0; i < pub.count; i++ {
-		if i == pub.masterLocal {
-			continue
+	kids, k := rn.tr.Children[local], f.k
+	target, own := f.a, f.c
+	if f.pc != redMaster {
+		if k == len(rn.sp) {
+			x.ret()
+			return
 		}
-		pub.checkin.Flag(i).WaitGE(p, gen)
+		c := rn.sp[k]
+		target, own = rn.slot[local][k%2][:c.n], f.a[c.off:c.off+c.n]
 	}
-	pub.epoch.Set(gen)
-}
-
-// barrierWorker is the non-master side of the same barrier.
-func (pub *barrierPub) barrierWorker(p *sim.Proc, local, gen int) {
-	pub.checkin.Flag(local).Set(gen)
-	pub.epoch.WaitGE(p, gen)
-}
-
-func (pub *barrierPub) Publish(p *sim.Proc, k int, src []byte, direct bool) {
-	if pub.count == 1 {
-		return
+	switch {
+	case f.pc == redWorker:
+		// Leaves copy chunks into their slot; interior tasks combine their
+		// children's slots with their own data into theirs. Either way,
+		// first wait for the parent to have consumed this parity's
+		// previous chunk.
+		x.waitGE(rn.free[local], k-1)
+		f.pc = redWorkerKids
+		if len(kids) == 0 && len(target) > 0 {
+			x.memcpy(target, own) // the Figure 2 leaf copy
+		}
+	case f.i < len(kids):
+		// Fold child f.i's slot in, charging combine time, and mark the
+		// slot free afterwards.
+		c := kids[f.i]
+		x.waitGE(rn.full[c], k+1)
+		if len(target) > 0 {
+			if f.i > 0 {
+				own = nil
+			}
+			x.combine(target, own, rn.slot[c][k%2][:len(target)])
+		}
+		x.set(rn.free[c], k+1)
+		f.i++
+	case f.pc == redMaster:
+		x.ret()
+	default:
+		x.set(rn.full[local], k+1)
+		f.pc, f.i, f.k = redWorker, 0, k+1
 	}
-	// Barrier #1: nobody may still be reading this parity's buffer.
-	pub.barrierMaster(p, 2*k+1)
-	parity := k % 2
-	if direct {
-		pub.cur[parity] = src
-	} else {
-		pub.s.m.Memcpy(p, pub.node, pub.buf[parity][:len(src)], src)
-		pub.cur[parity] = pub.buf[parity][:len(src)]
-	}
-	// Barrier #2: the buffer is full; everyone may read.
-	pub.barrierMaster(p, 2*k+2)
-}
-
-func (pub *barrierPub) Consume(p *sim.Proc, local, k int, dst []byte) {
-	pub.barrierWorker(p, local, 2*k+1)
-	pub.barrierWorker(p, local, 2*k+2)
-	if len(dst) > 0 {
-		pub.s.m.Memcpy(p, pub.node, dst, pub.cur[k%2][:len(dst)])
-	}
-	// Check in to the buffer-free barrier (generation 2k+3); the master
-	// collects it in the next Publish or in waitConsumed.
-	pub.checkin.Flag(local).Set(2*k + 3)
-}
-
-func (pub *barrierPub) waitConsumed(p *sim.Proc, k int) {
-	if pub.count == 1 {
-		return
-	}
-	// One more barrier guarantees all reads of chunk k finished.
-	pub.barrierMaster(p, 2*k+3)
 }

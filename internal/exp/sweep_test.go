@@ -2,12 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"srmcoll"
 )
 
 func TestSetWorkersClampsToOne(t *testing.T) {
@@ -129,43 +126,5 @@ func TestSweepWorkerCountInvisible(t *testing.T) {
 	}
 	if ac1 != ac8 {
 		t.Errorf("ablation CSV differs between -j 1 and -j 8")
-	}
-}
-
-func TestMeasurePerfReportsSaneNumbers(t *testing.T) {
-	e := measurePerf(perfWorkload{
-		name: "tiny",
-		reps: 2,
-		run:  runCollective(srmcoll.SRM, Bcast, 2, 2, 256, 1),
-	})
-	if e.Name != "tiny" || e.Reps != 2 {
-		t.Fatalf("entry identity wrong: %+v", e)
-	}
-	if e.WallNsPerOp <= 0 || e.EventsPerOp == 0 || e.SimUsPerOp <= 0 {
-		t.Fatalf("non-positive measurements: %+v", e)
-	}
-	if e.EventsPerSec <= 0 || e.WallNsPerSimUs <= 0 {
-		t.Fatalf("derived rates missing: %+v", e)
-	}
-}
-
-func TestRunPerfSweepIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf basket is slow")
-	}
-	rep := RunPerf()
-	if !rep.SweepIdentical {
-		t.Fatal("sweep outputs differ between worker counts")
-	}
-	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-		t.Fatalf("GOMAXPROCS recorded as %d", rep.GOMAXPROCS)
-	}
-	if len(rep.Basket) == 0 || len(rep.Sweep) != 2 {
-		t.Fatalf("report shape: %d basket entries, %d sweeps", len(rep.Basket), len(rep.Sweep))
-	}
-	for _, e := range rep.Basket {
-		if e.WallNsPerOp <= 0 || e.EventsPerOp == 0 {
-			t.Errorf("%s: empty measurement %+v", e.Name, e)
-		}
 	}
 }

@@ -55,6 +55,9 @@ func decodeScenario(data []byte) confScenario {
 	// inputs keep their exact shapes (trailing zero bytes decode to Auto).
 	sc.alg = []AllreduceAlg{AllreduceAuto, AllreduceRing,
 		AllreduceRHD, AllreduceDualRoot}[next()%4]
+	if z := next(); z%4 == 1 {
+		sc.steps[(z/4)%len(sc.steps)].elems = 0 // an empty message
+	}
 	return sc
 }
 

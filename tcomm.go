@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"srmcoll/internal/core"
 	"srmcoll/internal/fault"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
@@ -82,80 +81,6 @@ type tcollectives interface {
 	ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
 	ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
 	SubgroupT(members []int) tcollectives
-}
-
-type srmTAdapter struct{ s *core.SRM }
-
-func (a srmTAdapter) BarrierT(t *sim.Task, rank int, k func()) { a.s.BarrierT(t, rank, k) }
-func (a srmTAdapter) BcastT(t *sim.Task, rank int, buf []byte, root int, k func()) {
-	a.s.BcastT(t, rank, buf, root, k)
-}
-func (a srmTAdapter) ReduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, root int, k func()) {
-	a.s.ReduceT(t, rank, send, recv, dt, op, root, k)
-}
-func (a srmTAdapter) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.AllreduceT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) GatherT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.s.GatherT(t, rank, send, recv, root, k)
-}
-func (a srmTAdapter) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.s.ScatterT(t, rank, send, recv, root, k)
-}
-func (a srmTAdapter) AllgatherT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.s.AllgatherT(t, rank, send, recv, k)
-}
-func (a srmTAdapter) AlltoallT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.s.AlltoallT(t, rank, send, recv, k)
-}
-func (a srmTAdapter) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.ReduceScatterT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.ScanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.ExscanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) SubgroupT(members []int) tcollectives {
-	return srmTGroupAdapter{a.s.Group(members)}
-}
-
-type srmTGroupAdapter struct{ g *core.Group }
-
-func (a srmTGroupAdapter) BarrierT(t *sim.Task, rank int, k func()) { a.g.BarrierT(t, rank, k) }
-func (a srmTGroupAdapter) BcastT(t *sim.Task, rank int, buf []byte, root int, k func()) {
-	a.g.BcastT(t, rank, buf, root, k)
-}
-func (a srmTGroupAdapter) ReduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, root int, k func()) {
-	a.g.ReduceT(t, rank, send, recv, dt, op, root, k)
-}
-func (a srmTGroupAdapter) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.AllreduceT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) GatherT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.g.GatherT(t, rank, send, recv, root, k)
-}
-func (a srmTGroupAdapter) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.g.ScatterT(t, rank, send, recv, root, k)
-}
-func (a srmTGroupAdapter) AllgatherT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.g.AllgatherT(t, rank, send, recv, k)
-}
-func (a srmTGroupAdapter) AlltoallT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.g.AlltoallT(t, rank, send, recv, k)
-}
-func (a srmTGroupAdapter) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.ReduceScatterT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.ScanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.ExscanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) SubgroupT(members []int) tcollectives {
-	return srmTGroupAdapter{a.g.Sub(members)}
 }
 
 // Rank returns this task's global rank.
@@ -404,15 +329,7 @@ func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, 
 	if cl.faults.Reliable {
 		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
 	}
-	tcoll := tcollectives(srmTAdapter{core.New(m, dom, core.Options{
-		InterTree:      cl.variant.InterTree,
-		TreeSMPBcst:    cl.variant.TreeSMPBcst,
-		BarrierSMPBcst: cl.variant.BarrierSMPBcst,
-		KeepInterrupts: cl.variant.KeepInterrupts,
-		TreeFor:        cl.treeFor(),
-		AllreduceAlg:   cl.variant.Allreduce,
-		AlgFor:         cl.algFor(),
-	})})
+	tcoll := tcollectives(cl.newSRM(m, dom))
 	if cl.tracing {
 		env.Trace = trace.New(env.Now)
 	}

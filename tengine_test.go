@@ -5,13 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // runBothEngines executes the scenario on the Procs reference engine and
 // on the Tasks engine, asserting the results the issue requires to be
-// bit-identical: Result.Time, PerRank, Stats, and whatever buffer checks
-// the scenario's verifier performs per engine.
+// bit-identical: Result.Time, PerRank, Stats, Events, and whatever buffer
+// checks the scenario's verifier performs per engine.
 func runBothEngines(t *testing.T, cl *Cluster, impl Impl,
 	mk func(P int) (func(tc *TComm, done func()), func(t *testing.T, eng string))) (*Result, *Result) {
 	t.Helper()
@@ -44,6 +45,9 @@ func runBothEngines(t *testing.T, cl *Cluster, impl Impl,
 	}
 	if rp.Faults != rt.Faults {
 		t.Errorf("Faults: procs %+v, tasks %+v", rp.Faults, rt.Faults)
+	}
+	if rp.Events != rt.Events {
+		t.Errorf("Events: procs %d, tasks %d", rp.Events, rt.Events)
 	}
 	return rp, rt
 }
@@ -380,7 +384,7 @@ func engCollectiveScenarios() map[string]func(P int) (func(tc *TComm, done func(
 		bufs := make([][]byte, P)
 		body := func(tc *TComm, done func()) {
 			r := tc.Rank()
-			if r%2 != 0 {
+			if r%2 != 0 || r > 6 {
 				done()
 				return
 			}
@@ -422,6 +426,9 @@ func engCollectiveScenarios() map[string]func(P int) (func(tc *TComm, done func(
 		"barrier":          mkBarrier,
 		"bcast-small":      mkBcast(512, 1),
 		"bcast-pipelined":  mkBcast(100<<10, 0),
+		"bcast-2buf-12k":   mkBcast(12<<10, 0), // 8-64 KiB: 4 KiB chunks through the two shared buffers
+		"bcast-2buf-16k":   mkBcast(16<<10, 2),
+		"bcast-2buf-64k":   mkBcast(64<<10, 1),
 		"reduce":           mkReduce(3000, 3),
 		"allreduce-small":  mkAllreduce(128),
 		"allreduce-large":  mkAllreduce(8192), // 64 KiB: pipelined-tree path with arbiter helpers
@@ -435,11 +442,79 @@ func engCollectiveScenarios() map[string]func(P int) (func(tc *TComm, done func(
 }
 
 func TestTaskEngineCollectivesBitIdentical(t *testing.T) {
-	for name, mk := range engCollectiveScenarios() {
-		t.Run(name, func(t *testing.T) {
-			cl := mustCluster(t, 2, 4)
-			runBothEngines(t, cl, SRM, mk)
-		})
+	for _, shape := range [][2]int{{2, 4}, {3, 4}, {5, 3}} {
+		for name, mk := range engCollectiveScenarios() {
+			if shape != [2]int{2, 4} {
+				name = fmt.Sprintf("%dx%d/%s", shape[0], shape[1], name)
+			}
+			t.Run(name, func(t *testing.T) {
+				cl := mustCluster(t, shape[0], shape[1])
+				runBothEngines(t, cl, SRM, mk)
+			})
+		}
+	}
+}
+
+// TestTaskEngineSMPBcastVariants runs every scenario that distributes data
+// inside a node through the two SMP broadcast variants the ablations keep
+// (the tree of §2.2 and the barrier-arbitrated buffers of §4).
+func TestTaskEngineSMPBcastVariants(t *testing.T) {
+	variants := map[string]Variant{"tree": {TreeSMPBcst: true}, "barrier": {BarrierSMPBcst: true}}
+	for vname, v := range variants {
+		for name, mk := range engCollectiveScenarios() {
+			if !strings.HasPrefix(name, "bcast") && !strings.HasPrefix(name, "allreduce") && name != "sub-communicator" {
+				continue
+			}
+			t.Run(vname+"/"+name, func(t *testing.T) {
+				cl := mustCluster(t, 3, 4)
+				cl.SetVariant(v)
+				runBothEngines(t, cl, SRM, mk)
+			})
+		}
+	}
+}
+
+// TestZeroByteCollectives runs every collective with empty buffers: control
+// flow (flags, counters, credits) must still complete on either engine, on
+// power-of-two, odd and single-task-per-node shapes. A zero-byte Scatter
+// used to hang on two or more nodes: the root skipped its empty slabs while
+// the other masters waited for them.
+func TestZeroByteCollectives(t *testing.T) {
+	ops := map[string]func(tc *TComm, k func(error)){
+		"barrier":       func(tc *TComm, k func(error)) { tc.Barrier(k) },
+		"bcast":         func(tc *TComm, k func(error)) { tc.Bcast(nil, 1, k) },
+		"reduce":        func(tc *TComm, k func(error)) { tc.Reduce(nil, nil, Float64, Sum, 1, k) },
+		"allreduce":     func(tc *TComm, k func(error)) { tc.Allreduce(nil, nil, Float64, Sum, k) },
+		"gather":        func(tc *TComm, k func(error)) { tc.Gather(nil, nil, 1, k) },
+		"scatter":       func(tc *TComm, k func(error)) { tc.Scatter(nil, nil, 1, k) },
+		"allgather":     func(tc *TComm, k func(error)) { tc.Allgather(nil, nil, k) },
+		"alltoall":      func(tc *TComm, k func(error)) { tc.Alltoall(nil, nil, k) },
+		"reducescatter": func(tc *TComm, k func(error)) { tc.ReduceScatter(nil, nil, Int32, Max, k) },
+		"scan":          func(tc *TComm, k func(error)) { tc.Scan(nil, nil, Int64, Sum, k) },
+		"exscan":        func(tc *TComm, k func(error)) { tc.Exscan(nil, nil, Int64, Sum, k) },
+	}
+	for _, shape := range [][2]int{{2, 4}, {3, 4}, {4, 16}, {5, 3}, {6, 1}, {7, 2}} {
+		for name, op := range ops {
+			t.Run(fmt.Sprintf("%dx%d/%s", shape[0], shape[1], name), func(t *testing.T) {
+				cl := mustCluster(t, shape[0], shape[1])
+				runBothEngines(t, cl, SRM, func(P int) (func(tc *TComm, done func()), func(t *testing.T, eng string)) {
+					errs := make([]error, P)
+					body := func(tc *TComm, done func()) {
+						op(tc, func(err error) {
+							errs[tc.Rank()] = err
+							done()
+						})
+					}
+					return body, func(t *testing.T, eng string) {
+						for r, err := range errs {
+							if err != nil {
+								t.Errorf("%s: rank %d: %v", eng, r, err)
+							}
+						}
+					}
+				})
+			})
+		}
 	}
 }
 
