@@ -134,7 +134,10 @@ func (c *Coll) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 // the result in recv at root (ignored elsewhere; may be nil). Each interior
 // rank stages its accumulator and receives children into scratch buffers —
 // the data movement at every tree level that Figure 2 contrasts with the
-// SRM shared-memory reduce.
+// SRM shared-memory reduce. The staging buffers come from the machine's pool
+// and go back once the rank is through with them; a rank unwound out of the
+// operation leaves them to the collector, because a transfer matched before
+// the unwind may still land in them.
 func (c *Coll) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op, root int) {
 	if !dtype.Valid(op, dt) {
@@ -152,12 +155,13 @@ func (c *Coll) Reduce(p *sim.Proc, rank int, send, recv []byte,
 		r.Send(p, tr.Parent[rank], tagReduce, send)
 		return
 	}
+	pool := c.machine().Buffers
 	acc := recv
 	if rank != root {
-		acc = make([]byte, n)
+		acc = pool.Get(n)
 	}
 	c.localCopy(p, rank, acc, send)
-	scratch := make([]byte, n)
+	scratch := pool.Get(n)
 	// Receive children nearest-first (ascending offset), the order they
 	// complete their subtrees.
 	kids := tr.Children[rank]
@@ -166,8 +170,10 @@ func (c *Coll) Reduce(p *sim.Proc, rank int, send, recv []byte,
 		dtype.Reduce(op, dt, acc, scratch)
 		c.combine(p, rank, n, dt.Size())
 	}
+	pool.Put(scratch)
 	if rank != root {
 		r.Send(p, tr.Parent[rank], tagReduce, acc)
+		pool.Put(acc)
 	}
 }
 
@@ -202,13 +208,13 @@ func (c *Coll) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 	for pow*2 <= P {
 		pow *= 2
 	}
-	scratch := make([]byte, n)
 	if rank >= pow {
 		// Fold out: contribute to the partner, then wait for the result.
 		r.Send(p, rank-pow, tagAllreduce, recv)
 		r.Recv(p, rank-pow, tagAllreduce, recv)
 		return
 	}
+	scratch := c.machine().Buffers.Get(n)
 	if rank+pow < P {
 		r.Recv(p, rank+pow, tagAllreduce, scratch)
 		dtype.Reduce(op, dt, recv, scratch)
@@ -220,6 +226,7 @@ func (c *Coll) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 		dtype.Reduce(op, dt, recv, scratch)
 		c.combine(p, rank, n, dt.Size())
 	}
+	c.machine().Buffers.Put(scratch)
 	if rank+pow < P {
 		r.Send(p, rank+pow, tagAllreduce, recv)
 	}
@@ -237,10 +244,11 @@ func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte,
 	root := g.members[0]
 	var full []byte
 	if rank == root {
-		full = make([]byte, len(send))
+		full = g.c.machine().Buffers.Get(len(send))
 	}
 	g.Reduce(p, rank, send, full, dt, op, root)
 	g.Scatter(p, rank, full, recv, root)
+	g.c.machine().Buffers.Put(full)
 }
 
 // ReduceScatter is Group.ReduceScatter over all ranks.

@@ -109,20 +109,23 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 		r.Send(p, g.members[tr.Parent[me]], tagReduce, send)
 		return
 	}
+	pool := g.c.machine().Buffers
 	acc := recv
 	if me != rootIdx {
-		acc = make([]byte, n)
+		acc = pool.Get(n)
 	}
 	g.c.localCopy(p, rank, acc, send)
-	scratch := make([]byte, n)
+	scratch := pool.Get(n)
 	kids := tr.Children[me]
 	for i := len(kids) - 1; i >= 0; i-- {
 		r.Recv(p, g.members[kids[i]], tagReduce, scratch)
 		dtype.Reduce(op, dt, acc, scratch)
 		g.c.combine(p, rank, n, dt.Size())
 	}
+	pool.Put(scratch)
 	if me != rootIdx {
 		r.Send(p, g.members[tr.Parent[me]], tagReduce, acc)
+		pool.Put(acc)
 	}
 }
 
@@ -156,12 +159,12 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 	for pow*2 <= P {
 		pow *= 2
 	}
-	scratch := make([]byte, n)
 	if me >= pow {
 		r.Send(p, g.members[me-pow], tagAllreduce, recv)
 		r.Recv(p, g.members[me-pow], tagAllreduce, recv)
 		return
 	}
+	scratch := g.c.machine().Buffers.Get(n)
 	if me+pow < P {
 		r.Recv(p, g.members[me+pow], tagAllreduce, scratch)
 		dtype.Reduce(op, dt, recv, scratch)
@@ -173,6 +176,7 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 		dtype.Reduce(op, dt, recv, scratch)
 		g.c.combine(p, rank, n, dt.Size())
 	}
+	g.c.machine().Buffers.Put(scratch)
 	if me+pow < P {
 		r.Send(p, g.members[me+pow], tagAllreduce, recv)
 	}

@@ -1,14 +1,18 @@
-// Package bufpool provides size-classed byte-buffer pooling for transient
-// payload copies inside one simulation (put payload snapshots, eager-send
-// copies). A pool belongs to a single sim.Env and is therefore
+// Package bufpool provides size-classed byte-buffer pooling for payload
+// memory inside one simulation: transient copies (put payload snapshots,
+// eager-send copies) and the slot and staging buffers of a collective
+// operation. A pool belongs to a single sim.Env and is therefore
 // single-threaded by construction — the DES runs one process at a time — so
 // there is no locking and recycling order is deterministic.
 //
-// Determinism argument: a Get(n) buffer is always fully overwritten with
-// exactly n payload bytes before any reader sees it, and readers only read
-// those n bytes (len, not cap). Stale bytes beyond len are unreachable, so
-// reusing a buffer cannot change any simulated outcome — only the number of
-// host allocations.
+// Determinism argument: memory from Get is never cleared, so its users write
+// every byte before anything reads it — a snapshot is overwritten with
+// exactly n payload bytes, a protocol slot is filled by the copy, put or
+// combine that precedes the flag or counter its reader waits on — and
+// readers only read those bytes (len, not cap). Stale bytes are unreachable,
+// so reusing a buffer cannot change any simulated outcome — only the number
+// of host allocations. The Poison hook turns a violation into a failed
+// payload check.
 package bufpool
 
 import "math/bits"
@@ -29,11 +33,34 @@ type Pool struct {
 	classes [][][]byte // per-class free lists; index by classIndex
 	gets    uint64
 	hits    uint64
+	fresh   int64 // bytes Get had to take from the allocator
+	poison  bool
 }
 
 // New returns an empty pool.
 func New() *Pool {
-	return &Pool{classes: make([][][]byte, classIndex(maxClass)+1)}
+	return &Pool{classes: make([][][]byte, classIndex(maxClass)+1), poison: poison}
+}
+
+// poison is a test hook: pools created while it is set fill every buffer
+// they hand out, and every buffer they take back, with poisonByte. A user of
+// the pool that reads a byte it did not write, or reads a buffer it has
+// returned, then computes on garbage and fails its payload check instead of
+// passing on whatever the memory happened to hold.
+var poison bool
+
+const poisonByte = 0xA5
+
+// Poison switches the hook for pools created from now on. Tests only; it is
+// not safe to call while simulations run on other goroutines.
+func Poison(on bool) { poison = on }
+
+func (p *Pool) taint(buf []byte) {
+	if p.poison {
+		for i := range buf {
+			buf[i] = poisonByte
+		}
+	}
 }
 
 // classIndex maps a size to its class slot: ceil(log2(max(size, minClass)))
@@ -57,18 +84,22 @@ func (p *Pool) Get(n int) []byte {
 		return nil
 	}
 	p.gets++
+	var buf []byte
 	if n > maxClass {
-		return make([]byte, n)
-	}
-	i := classIndex(n)
-	if list := p.classes[i]; len(list) > 0 {
-		buf := list[len(list)-1]
+		buf = make([]byte, n)
+		p.fresh += int64(n)
+	} else if i := classIndex(n); len(p.classes[i]) > 0 {
+		list := p.classes[i]
+		buf = list[len(list)-1][:n]
 		list[len(list)-1] = nil
 		p.classes[i] = list[:len(list)-1]
 		p.hits++
-		return buf[:n]
+	} else {
+		buf = make([]byte, n, classSize(i))
+		p.fresh += int64(classSize(i))
 	}
-	return make([]byte, n, classSize(i))
+	p.taint(buf)
+	return buf
 }
 
 // Put returns a buffer obtained from Get to its free list. The caller must
@@ -88,8 +119,13 @@ func (p *Pool) Put(buf []byte) {
 		// out at full class length would over-run it.
 		return
 	}
+	p.taint(buf[:c])
 	p.classes[i] = append(p.classes[i], buf[:c])
 }
 
 // Stats reports total Get calls and how many were served from a free list.
 func (p *Pool) Stats() (gets, hits uint64) { return p.gets, p.hits }
+
+// Fresh reports how many bytes the pool has taken from the allocator so far:
+// the memory that becomes garbage when the pool's simulation ends.
+func (p *Pool) Fresh() int64 { return p.fresh }

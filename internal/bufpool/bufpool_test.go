@@ -41,6 +41,9 @@ func TestGetPutRecycles(t *testing.T) {
 	if gets != 2 || hits != 1 {
 		t.Fatalf("Stats = %d gets, %d hits; want 2, 1", gets, hits)
 	}
+	if p.Fresh() != 128 {
+		t.Fatalf("Fresh = %d after one miss of class 128 and one hit, want 128", p.Fresh())
+	}
 }
 
 func TestOversizeAndForeignBuffersNotRetained(t *testing.T) {
@@ -48,6 +51,9 @@ func TestOversizeAndForeignBuffersNotRetained(t *testing.T) {
 	big := p.Get(maxClass + 1)
 	if len(big) != maxClass+1 {
 		t.Fatalf("oversize Get: len=%d", len(big))
+	}
+	if p.Fresh() != maxClass+1 {
+		t.Fatalf("Fresh = %d after an oversize Get, want %d", p.Fresh(), maxClass+1)
 	}
 	p.Put(big)
 	foreign := make([]byte, 100) // cap 100 is not a class size
@@ -76,5 +82,37 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Get/Put allocates %.1f per op, want 0", allocs)
+	}
+}
+
+func TestPoison(t *testing.T) {
+	Poison(true)
+	p := New()
+	Poison(false)
+	if clean := New(); clean.poison {
+		t.Fatal("a pool created after Poison(false) is poisoned")
+	}
+	filled := func(b []byte) bool {
+		for _, v := range b {
+			if v != poisonByte {
+				return false
+			}
+		}
+		return true
+	}
+	fresh := p.Get(100)
+	if !filled(fresh) {
+		t.Fatalf("a fresh buffer is handed out as % x", fresh[:8])
+	}
+	for i := range fresh {
+		fresh[i] = byte(i)
+	}
+	p.Put(fresh)
+	if !filled(fresh[:cap(fresh)]) {
+		t.Fatal("a returned buffer keeps its contents")
+	}
+	fresh[0] = 1 // a write after release
+	if again := p.Get(128); &again[0] != &fresh[0] || !filled(again) {
+		t.Fatal("a recycled buffer is handed out with stale contents")
 	}
 }

@@ -192,13 +192,13 @@ func newRDState(g *Group, size int, ds dataspec) *rdState {
 	a.rdArr = make([][]*rma.Counter, nn)
 	a.resArr = make([]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
-		a.foldSlot[x] = make([]byte, size)
+		a.foldSlot[x] = s.slot(size)
 		a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		a.rdSlot[x] = make([][]byte, rounds)
 		a.rdArr[x] = make([]*rma.Counter, rounds)
 		for r := 0; r < rounds; r++ {
-			a.rdSlot[x][r] = make([]byte, size)
+			a.rdSlot[x][r] = s.slot(size)
 			a.rdArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		}
 	}
@@ -345,7 +345,7 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 		tp.credit = make([]*rma.Counter, nn)
 		tp.bArr = make([][2]*rma.Counter, nn)
 		for x := 0; x < nn; x++ {
-			tp.pslot[x] = [2][]byte{make([]byte, a.sp[0].n), make([]byte, a.sp[0].n)}
+			tp.pslot[x] = [2][]byte{s.slot(a.sp[0].n), s.slot(a.sp[0].n)}
 			tp.arr[x] = arrivals()
 			tp.credit[x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
 			tp.bArr[x] = arrivals()

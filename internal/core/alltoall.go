@@ -75,8 +75,8 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 		st.in[x] = make([][]byte, nn)
 		st.arr[x] = make([]*rma.Counter, nn)
 		for y := range g.lay.nodes {
-			st.out[x][y] = make([]byte, len(g.lay.local[x])*len(g.lay.local[y])*blk)
-			st.in[x][y] = make([]byte, len(g.lay.local[y])*len(g.lay.local[x])*blk)
+			st.out[x][y] = s.slot(len(g.lay.local[x]) * len(g.lay.local[y]) * blk)
+			st.in[x][y] = s.slot(len(g.lay.local[y]) * len(g.lay.local[x]) * blk)
 			st.arr[x][y] = s.dom.NewCounter(0)
 		}
 		st.staged[x] = newFlags(s.m, nd, len(g.lay.local[x]))

@@ -66,7 +66,7 @@ func newBcastState(g *Group, root, size int) *bcastState {
 	chunkBytes := b.sp[0].n
 	for x, nd := range g.lay.nodes {
 		if !b.large {
-			b.netBuf[x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
+			b.netBuf[x] = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
 			b.freeC[x] = [2]*rma.Counter{
 				s.dom.NewCounter(1).TraceClass(trace.ClassWaitCredit),
 				s.dom.NewCounter(1).TraceClass(trace.ClassWaitCredit),

@@ -153,11 +153,51 @@ type SRM struct {
 	groups map[string]*Group
 	world  *Group
 	free   []*exec // idle executors
+
+	building *opEntry // the entry whose state Group.acquire is constructing
 }
 
+// opEntry is one collective call of a group: the state its members share,
+// how many of them have left it, and the protocol buffers it owns.
 type opEntry struct {
-	state any
-	done  int
+	state   any
+	done    int
+	aborted bool     // a member left by interrupt, kill or panic
+	bufs    [][]byte // pooled buffers, returned by Group.retire
+	slab    []byte   // the part of the newest slab not yet handed out
+}
+
+// Small slots are carved out of pooled slabs, slots above slabMax get a
+// pooled buffer of their own. An operation over many ranks owns that many
+// small slots; as separate pool entries they cost more memory parked in the
+// free lists than recycling saves (65,536 ranks x 2 x 64-byte reduce slots
+// took rank_ladder's peak RSS from 406 to 472 MB), as slab carvings they
+// cost one entry per slabSize bytes.
+const (
+	slabSize = 16 << 10
+	slabMax  = slabSize / 4
+)
+
+// slot returns an n-byte protocol buffer (an SMP staging buffer, a reduce
+// slot, an inter-node receive slot) owned by the operation entry under
+// construction: the simulator's form of the paper's shared buffers that are
+// set up once and recycled (§2.3). The memory comes from the machine's pool
+// and holds whatever its previous owner left — every protocol writes a slot
+// byte before anything reads it.
+func (s *SRM) slot(n int) []byte {
+	e := s.building
+	if n > slabMax {
+		b := s.m.Buffers.Get(n)
+		e.bufs = append(e.bufs, b)
+		return b
+	}
+	if len(e.slab) < n {
+		e.slab = s.m.Buffers.Get(slabSize)
+		e.bufs = append(e.bufs, e.slab)
+	}
+	b := e.slab[:n:n]
+	e.slab = e.slab[n:]
+	return b
 }
 
 // New creates the engine. The domain must belong to the machine.

@@ -160,6 +160,7 @@ func (x *exec) bind(t *sim.Task) {
 // open by an abort, signals a helper's master, re-enables interrupts,
 // retires the operation entry and recycles the executor.
 func (x *exec) finish() {
+	aborted := x.depth > 0
 	for ; x.depth > 0; x.depth-- {
 		x.s.m.Env.Trace.End(x.stack[x.depth-1].span)
 	}
@@ -170,7 +171,7 @@ func (x *exec) finish() {
 		x.quiet.SetInterrupts(true)
 	}
 	if x.g != nil {
-		x.g.retire(x.seq)
+		x.g.retire(x.seq, aborted)
 	}
 	clear(x.q) // operations an abort left behind
 	*x = exec{s: x.s, q: x.q[:0], resumeFn: x.resumeFn, abortFn: x.abortFn}

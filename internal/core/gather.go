@@ -121,7 +121,7 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 		if kind == "allgather" {
 			size = total
 		}
-		st.staged[x] = make([]byte, size)
+		st.staged[x] = s.slot(size)
 		st.inFlag[x] = newFlags(s.m, nd, len(g.lay.local[x]))
 		st.ready[x] = shm.NewFlag(s.m, nd)
 		st.arr[x] = s.dom.NewCounter(0)

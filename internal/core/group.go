@@ -158,8 +158,11 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 	g.seq[rank] = seq + 1
 	e := g.ops[seq]
 	if e == nil {
-		e = &opEntry{state: mk()}
+		e = &opEntry{}
 		g.ops[seq] = e
+		g.s.building = e
+		e.state = mk()
+		g.s.building = nil
 	}
 	x.g, x.seq, x.rank = g, seq, rank
 	x.nx, x.l = g.lay.ni[rank], g.lay.li[rank]
@@ -168,11 +171,27 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 	return e.state
 }
 
-func (g *Group) retire(seq int) {
+// retire counts one member out of the operation; the last one deletes the
+// entry and returns its buffers to the machine's pool. Buffers go back only
+// when nothing can still write to them: every member ran the operation to
+// completion (an aborted member may leave puts on the wire) and the wire
+// cannot deliver a put a second time after its receiver has moved on
+// (unreliable delivery under a plan that duplicates). Otherwise they are
+// left to the collector.
+func (g *Group) retire(seq int, aborted bool) {
 	e := g.ops[seq]
 	e.done++
-	if e.done == len(g.lay.members) {
-		delete(g.ops, seq)
+	e.aborted = e.aborted || aborted
+	if e.done < len(g.lay.members) {
+		return
+	}
+	delete(g.ops, seq)
+	s := g.s
+	if e.aborted || s.m.Faults.Duplicates() && !s.dom.Reliable() {
+		return
+	}
+	for _, b := range e.bufs {
+		s.m.Buffers.Put(b)
 	}
 }
 

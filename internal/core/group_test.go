@@ -348,3 +348,63 @@ func TestPropGroupBcast(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOperationOwnsItsBuffers pins the two ends of a protocol buffer's life:
+// an operation every member completed hands its buffers back to the machine's
+// pool when the last member retires; one that a member left by a kill keeps
+// them out of the pool for good, because puts it had under way may still land
+// in them.
+func TestOperationOwnsItsBuffers(t *testing.T) {
+	const size = 8 << 10 // above slabMax: every slot is a pooled buffer of its own
+	for _, abort := range []bool{false, true} {
+		env := sim.NewEnv()
+		m := machine.New(env, machine.ColonySP(2, 1))
+		s := New(m, rma.NewDomain(m), Options{})
+		procs := make([]*sim.Proc, 2)
+		for r := range procs {
+			r := r
+			procs[r] = env.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+				if r == 1 {
+					p.Sleep(1000) // rank 0 builds the state and waits in the exchange
+				}
+				s.Allreduce(p, r, pattern(size, r), make([]byte, size), dtype.Uint8, dtype.Bxor)
+			})
+		}
+		var owned [][]byte
+		env.At(500, func() {
+			owned = s.World().ops[0].bufs
+			if abort {
+				env.Kill(procs[0], "test")
+			}
+		})
+		if abort {
+			env.At(2000, func() { env.Kill(procs[1], "test") })
+		}
+		if err := env.Run(); (err != nil) != abort {
+			t.Fatalf("abort=%v: simulation: %v", abort, err)
+		}
+		if len(owned) == 0 || len(s.World().ops) != 0 {
+			t.Fatalf("abort=%v: %d buffers owned, %d operations left open", abort, len(owned), len(s.World().ops))
+		}
+		// Empty the pool's free lists of the owned buffers' size classes and
+		// count which of them come out.
+		back := 0
+		for _, o := range owned {
+			for {
+				_, hits := m.Buffers.Stats()
+				b := m.Buffers.Get(cap(o))
+				if _, h := m.Buffers.Stats(); h == hits {
+					break
+				}
+				for _, o := range owned {
+					if &o[0] == &b[0] {
+						back++
+					}
+				}
+			}
+		}
+		if want := map[bool]int{false: len(owned), true: 0}[abort]; back != want {
+			t.Errorf("abort=%v: %d of %d buffers returned to the pool, want %d", abort, back, len(owned), want)
+		}
+	}
+}

@@ -39,7 +39,7 @@ type reduceState struct {
 	sp   []span
 
 	rn      []*redNode // per-node SMP reduce machinery
-	partial [][]byte   // per node: master's partial-result buffer
+	partial [][]byte   // per node: master's partial-result buffer (the root's recv on its node)
 
 	// Inter-node: the parent holds two chunk slots per child; the child
 	// holds a credit counter (initially 2) replenished by zero-byte puts.
@@ -75,7 +75,10 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 	chunkBytes := r.sp[0].n
 	for x, nd := range g.lay.nodes {
 		r.rn[x] = s.newRedNode(nd, g.lay.li[r.emb.masters[x]], len(g.lay.local[x]), r.sp)
-		r.pslot[x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
+		if x != r.emb.inter.Root {
+			r.partial[x] = s.slot(size)
+		}
+		r.pslot[x] = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
 		r.arr[x] = [2]*rma.Counter{
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
@@ -132,9 +135,6 @@ func (g *Group) reduce(x *exec, rank int, send, recv []byte, ds dataspec, root i
 		return
 	}
 	x.quietNet(r.size)
-	if r.partial[x.nx] == nil {
-		r.partial[x.nx] = make([]byte, r.size)
-	}
 	x.call(r, 0, 0, send, nil)
 }
 

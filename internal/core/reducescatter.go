@@ -61,13 +61,13 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 	}
 	for x, nd := range g.lay.nodes {
 		st.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), st.sp)
-		st.partial[x] = make([]byte, total)
+		st.partial[x] = s.slot(total)
 		size := blk * len(g.lay.local[x])
-		st.acc[x] = make([]byte, size)
+		st.acc[x] = s.slot(size)
 		st.slot[x] = make([][]byte, nn)
 		st.arr[x] = make([]*rma.Counter, nn)
 		for y := 0; y < nn; y++ {
-			st.slot[x][y] = make([]byte, size)
+			st.slot[x][y] = s.slot(size)
 			st.arr[x][y] = s.dom.NewCounter(0)
 		}
 		st.ready[x] = shm.NewFlag(s.m, nd)

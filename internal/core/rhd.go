@@ -47,7 +47,7 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 	a.halfArr = make([][]*rma.Counter, nn)
 	a.dblArr = make([][]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
-		a.foldSlot[x] = make([]byte, size)
+		a.foldSlot[x] = s.slot(size)
 		a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		a.halfSlot[x] = make([][]byte, rounds)
@@ -56,7 +56,7 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 		for r := 0; r < rounds; r++ {
 			// The half received at round r is at most ceil(elems/2^(r+1))
 			// elements.
-			a.halfSlot[x][r] = make([]byte, ((elems>>(r+1))+1)*esize)
+			a.halfSlot[x][r] = s.slot(((elems >> (r + 1)) + 1) * esize)
 			a.halfArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 			a.dblArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		}

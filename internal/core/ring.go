@@ -48,7 +48,7 @@ func newRingState(g *Group, size int, ds dataspec) *ringState {
 	a.arr = make([][2]*rma.Counter, nn)
 	a.credit = make([]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
-		a.slot[x] = [2][]byte{make([]byte, maxBlk), make([]byte, maxBlk)}
+		a.slot[x] = [2][]byte{s.slot(maxBlk), s.slot(maxBlk)}
 		a.arr[x] = [2]*rma.Counter{
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),

@@ -46,10 +46,10 @@ func newScanState(g *Group, size int, ds dataspec) *scanState {
 		st.slot[i] = make([][]byte, st.rounds)
 		st.arr[i] = make([]*rma.Counter, st.rounds)
 		for r := 0; r < st.rounds; r++ {
-			st.slot[i][r] = make([]byte, size)
+			st.slot[i][r] = s.slot(size)
 			st.arr[i][r] = s.dom.NewCounter(0)
 		}
-		st.shift[i] = make([]byte, size)
+		st.shift[i] = s.slot(size)
 		st.sarr[i] = s.dom.NewCounter(0)
 	}
 	return st

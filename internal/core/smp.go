@@ -54,8 +54,8 @@ func (s *SRM) newSmpPub(node, masterLocal, count, bufSize int) *smpPub {
 		ready:       shm.NewFlag(s.m, node),
 		done:        newFlags(s.m, node, count),
 	}
-	pub.buf[0] = make([]byte, bufSize)
-	pub.buf[1] = make([]byte, bufSize)
+	pub.buf[0] = s.slot(bufSize)
+	pub.buf[1] = s.slot(bufSize)
 	return pub
 }
 
@@ -119,7 +119,7 @@ func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
 		ack:  make([]flagSet, count),
 	}
 	for i := 0; i < count; i++ {
-		tp.buf[i] = [2][]byte{make([]byte, bufSize), make([]byte, bufSize)}
+		tp.buf[i] = [2][]byte{s.slot(bufSize), s.slot(bufSize)}
 		tp.full[i] = shm.NewFlag(s.m, node)
 		tp.ack[i] = newFlags(s.m, node, len(tp.tr.Children[i]))
 	}
@@ -200,8 +200,8 @@ func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
 		epoch:       shm.NewFlag(s.m, node),
 		checkin:     newFlags(s.m, node, count),
 	}
-	pub.buf[0] = make([]byte, bufSize)
-	pub.buf[1] = make([]byte, bufSize)
+	pub.buf[0] = s.slot(bufSize)
+	pub.buf[1] = s.slot(bufSize)
 	return pub
 }
 
@@ -290,7 +290,14 @@ func (s *SRM) newRedNode(node, masterLocal, count int, sp []span) *redNode {
 		free: make([]*shm.Flag, count),
 	}
 	for i := 0; i < count; i++ {
-		rn.slot[i] = [2][]byte{make([]byte, sp[0].n), make([]byte, sp[0].n)}
+		// The master combines into its caller's buffer and has no slot; the
+		// second buffer of a slot serves odd chunks only.
+		if i != masterLocal {
+			rn.slot[i][0] = s.slot(sp[0].n)
+			if len(sp) > 1 {
+				rn.slot[i][1] = s.slot(sp[0].n)
+			}
+		}
 		rn.full[i] = shm.NewFlag(s.m, node)
 		rn.free[i] = shm.NewFlag(s.m, node)
 	}

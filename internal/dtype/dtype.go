@@ -95,44 +95,16 @@ func Valid(o Op, t Type) bool {
 	return o >= Sum && o <= Max
 }
 
-type number interface {
-	~float64 | ~float32 | ~int64 | ~int32 | ~uint8
-}
-
-type integer interface {
-	~int64 | ~int32 | ~uint8
-}
-
-func combine[T number](o Op, d, s T) T {
-	switch o {
-	case Sum:
-		return d + s
-	case Prod:
-		return d * s
-	case Min:
-		if s < d {
-			return s
-		}
-		return d
-	case Max:
-		if s > d {
-			return s
-		}
-		return d
+// check panics when the operator does not apply to the type or n bytes are
+// not a whole number of elements.
+func check(o Op, t Type, n int) {
+	if n%t.Size() != 0 {
+		panic(fmt.Sprintf("dtype: buffer length %d not a multiple of %s size %d",
+			n, t, t.Size()))
 	}
-	panic("dtype: " + o.String() + " is not an arithmetic operator")
-}
-
-func combineBits[T integer](o Op, d, s T) T {
-	switch o {
-	case Band:
-		return d & s
-	case Bor:
-		return d | s
-	case Bxor:
-		return d ^ s
+	if !Valid(o, t) {
+		panic(fmt.Sprintf("dtype: operator %s not valid for %s", o, t))
 	}
-	panic("dtype: not a bitwise operator")
 }
 
 // Reduce applies dst[i] = dst[i] op src[i] elementwise over buffers of the
@@ -143,77 +115,23 @@ func Reduce(o Op, t Type, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("dtype: Reduce length mismatch %d != %d", len(dst), len(src)))
 	}
-	if len(dst)%t.Size() != 0 {
-		panic(fmt.Sprintf("dtype: buffer length %d not a multiple of %s size %d",
-			len(dst), t, t.Size()))
-	}
-	if !Valid(o, t) {
-		panic(fmt.Sprintf("dtype: operator %s not valid for %s", o, t))
-	}
-	switch t {
-	case Float64:
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-			s := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(combine(o, d, s)))
-		}
-	case Float32:
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
-			s := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(combine(o, d, s)))
-		}
-	case Int64:
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d := int64(binary.LittleEndian.Uint64(dst[i:]))
-			s := int64(binary.LittleEndian.Uint64(src[i:]))
-			var r int64
-			if o >= Band {
-				r = combineBits(o, d, s)
-			} else {
-				r = combine(o, d, s)
-			}
-			binary.LittleEndian.PutUint64(dst[i:], uint64(r))
-		}
-	case Int32:
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d := int32(binary.LittleEndian.Uint32(dst[i:]))
-			s := int32(binary.LittleEndian.Uint32(src[i:]))
-			var r int32
-			if o >= Band {
-				r = combineBits(o, d, s)
-			} else {
-				r = combine(o, d, s)
-			}
-			binary.LittleEndian.PutUint32(dst[i:], uint32(r))
-		}
-	case Uint8:
-		for i := range dst {
-			if o >= Band {
-				dst[i] = combineBits(o, dst[i], src[i])
-			} else {
-				dst[i] = combine(o, dst[i], src[i])
-			}
-		}
-	}
+	check(o, t, len(dst))
+	kernels[t][o](dst, dst, src)
 }
 
-// ReduceInto computes dst[i] = a[i] op b[i] without requiring dst to hold an
-// operand first. The SRM interior reduce uses it to combine a task's own
-// user buffer with a child's shared-memory slot in one pass, avoiding the
-// extra copy message-passing implementations pay (Figure 2). dst may alias
-// a or b. All three buffers must have equal length.
+// ReduceInto computes dst[i] = a[i] op b[i] in one pass over a and b, without
+// requiring dst to hold an operand first. The SRM interior reduce uses it to
+// combine a task's own user buffer with a child's shared-memory slot,
+// avoiding the extra copy message-passing implementations pay (Figure 2).
+// dst may be the same buffer as a or as b (same first byte); any other
+// overlap between dst and an operand is not supported. All three buffers
+// must have equal length, and the checks and panics are those of Reduce.
 func ReduceInto(o Op, t Type, dst, a, b []byte) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic(fmt.Sprintf("dtype: ReduceInto length mismatch %d/%d/%d", len(dst), len(a), len(b)))
 	}
-	if len(dst) == 0 {
-		return
-	}
-	if &dst[0] != &a[0] {
-		copy(dst, a)
-	}
-	Reduce(o, t, dst, b)
+	check(o, t, len(dst))
+	kernels[t][o](dst, a, b)
 }
 
 // PutFloat64s encodes vals into dst (len(dst) >= 8*len(vals)).

@@ -137,16 +137,25 @@ func TestReducePanics(t *testing.T) {
 		{"not multiple", Sum, Float64, make([]byte, 7), make([]byte, 7)},
 		{"bitwise on float", Band, Float64, make([]byte, 8), make([]byte, 8)},
 		{"unknown op", Op(42), Int64, make([]byte, 8), make([]byte, 8)},
+		{"bitwise on float, empty", Bxor, Float32, nil, nil},
+		{"unknown op, empty", Op(42), Int64, nil, nil},
+	}
+	message := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
 	}
 	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", c.name)
-				}
-			}()
-			Reduce(c.op, c.ty, c.dst, c.src)
-		}()
+		r := message(func() { Reduce(c.op, c.ty, c.dst, c.src) })
+		ri := message(func() { ReduceInto(c.op, c.ty, c.dst, c.dst, c.src) })
+		if r == nil || ri == nil {
+			t.Errorf("%s: no panic (Reduce %v, ReduceInto %v)", c.name, r, ri)
+		}
+		// The two entry points run the same validation; only the length
+		// mismatch names its caller.
+		if len(c.dst) == len(c.src) && r != ri {
+			t.Errorf("%s: Reduce panics with %q, ReduceInto with %q", c.name, r, ri)
+		}
 	}
 }
 
@@ -360,17 +369,24 @@ func TestReduceUint8SumProdMin(t *testing.T) {
 }
 
 func TestReduceInto(t *testing.T) {
-	a := Float64Bytes([]float64{1, 2})
-	b := Float64Bytes([]float64{10, 20})
-	dst := make([]byte, 16)
-	ReduceInto(Sum, Float64, dst, a, b)
-	if got := Float64s(dst); !reflect.DeepEqual(got, []float64{11, 22}) {
-		t.Fatalf("ReduceInto = %v", got)
-	}
-	// dst aliasing a: in-place accumulate.
-	ReduceInto(Sum, Float64, a, a, b)
-	if got := Float64s(a); !reflect.DeepEqual(got, []float64{11, 22}) {
-		t.Fatalf("aliased ReduceInto = %v", got)
+	for _, alias := range []string{"distinct", "dst==a", "dst==b"} {
+		a := Float64Bytes([]float64{1, 2, 3})
+		b := Float64Bytes([]float64{10, 20, 30})
+		dst := make([]byte, 24)
+		switch alias {
+		case "dst==a":
+			dst = a
+		case "dst==b":
+			dst = b
+		}
+		ReduceInto(Sum, Float64, dst, a, b)
+		if got := Float64s(dst); !reflect.DeepEqual(got, []float64{11, 22, 33}) {
+			t.Errorf("%s: ReduceInto = %v, want [11 22 33]", alias, got)
+		}
+		if alias == "distinct" && (!reflect.DeepEqual(Float64s(a), []float64{1, 2, 3}) ||
+			!reflect.DeepEqual(Float64s(b), []float64{10, 20, 30})) {
+			t.Errorf("ReduceInto modified an operand: a %v b %v", Float64s(a), Float64s(b))
+		}
 	}
 	// Zero length is a no-op.
 	ReduceInto(Sum, Float64, nil, nil, nil)
@@ -381,42 +397,34 @@ func TestReduceInto(t *testing.T) {
 				t.Fatal("mismatched ReduceInto did not panic")
 			}
 		}()
-		ReduceInto(Sum, Float64, dst, a, b[:8])
+		ReduceInto(Sum, Float64, make([]byte, 16), make([]byte, 16), make([]byte, 8))
 	}()
 }
 
-// FuzzReduce exercises the byte-buffer reduction against a decoded
-// reference for arbitrary inputs.
+// FuzzReduce holds Reduce and ReduceInto, for a drawn type and any of the
+// seven operators, to the element-at-a-time reference on arbitrary bytes.
 func FuzzReduce(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1}, uint8(0))
-	f.Add(make([]byte, 32), make([]byte, 32), uint8(2))
-	f.Fuzz(func(t *testing.T, a, b []byte, opRaw uint8) {
-		n := len(a) / 8 * 8
-		if len(b) < n {
-			n = len(b) / 8 * 8
-		}
-		if n == 0 {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1}, uint8(0), uint8(2), false)
+	f.Add(make([]byte, 32), make([]byte, 32), uint8(2), uint8(0), true)
+	f.Add([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0, 0x80}, []byte{1, 0, 0xa0, 0xff, 0, 0, 0, 0}, uint8(3), uint8(1), true)
+	f.Fuzz(func(t *testing.T, a, b []byte, opRaw, tyRaw uint8, into bool) {
+		ty := allTypes[int(tyRaw)%len(allTypes)]
+		op := allOps[int(opRaw)%len(allOps)]
+		if !Valid(op, ty) {
 			return
 		}
-		op := Op(opRaw % 4) // arithmetic ops valid for int64
-		dst := append([]byte(nil), a[:n]...)
-		Reduce(op, Int64, dst, b[:n])
-		av, bv, got := Int64s(a[:n]), Int64s(b[:n]), Int64s(dst)
-		for i := range got {
-			var want int64
-			switch op {
-			case Sum:
-				want = av[i] + bv[i]
-			case Prod:
-				want = av[i] * bv[i]
-			case Min:
-				want = min(av[i], bv[i])
-			case Max:
-				want = max(av[i], bv[i])
-			}
-			if got[i] != want {
-				t.Fatalf("%v elem %d: got %d, want %d", op, i, got[i], want)
-			}
+		n := min(len(a), len(b)) / ty.Size() * ty.Size()
+		a, b = a[:n], b[:n]
+		want := refReduceInto(op, ty, a, b)
+		got := make([]byte, n)
+		if into {
+			ReduceInto(op, ty, got, a, b)
+		} else {
+			copy(got, a)
+			Reduce(op, ty, got, b)
+		}
+		if err := sameResult(op, ty, got, want, a, b); err != nil {
+			t.Fatalf("%s %s into=%v: %v", ty, op, into, err)
 		}
 	})
 }

@@ -201,6 +201,23 @@ func New(plan Plan) *Injector {
 // Plan returns the plan the injector was built from.
 func (in *Injector) Plan() Plan { return in.plan }
 
+// Duplicates reports whether the plan can deliver a put twice on some
+// channel. Without reliable delivery the second copy lands whenever the wire
+// gets to it, possibly after its receiver has moved on, so memory a put
+// targets must not be reused while this holds. A nil injector never
+// duplicates.
+func (in *Injector) Duplicates() bool {
+	if in == nil {
+		return false
+	}
+	for _, c := range in.plan.Channels {
+		if c.Dup > 0 {
+			return true
+		}
+	}
+	return in.plan.Dup > 0
+}
+
 // rates resolves the fault rates for a put src -> dst.
 func (in *Injector) rates(src, dst int) (drop, dup, delay float64, delayMax sim.Time) {
 	for _, c := range in.plan.Channels {

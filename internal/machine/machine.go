@@ -367,8 +367,10 @@ type Machine struct {
 	// interrupt-storm delivery penalties; nil costs nothing.
 	Faults *fault.Injector
 
-	// Buffers recycles transient payload copies (put snapshots, eager-send
-	// copies) for this machine's single-threaded simulation.
+	// Buffers recycles payload memory for this machine's single-threaded
+	// simulation: transient copies (put snapshots, eager-send copies) and the
+	// protocol buffers a collective operation owns from its first member's
+	// arrival to its last member's departure.
 	Buffers *bufpool.Pool
 
 	// tierPorts[i][g] holds the free-at times of tier i group g's uplink

@@ -386,8 +386,8 @@ type shmPipe struct {
 
 func newShmPipe(m *machine.Machine, node, chunk, total int) *shmPipe {
 	pp := &shmPipe{m: m, node: node, chunk: chunk, total: total, cond: m.Env.NewCond()}
-	pp.bufs[0] = make([]byte, chunk)
-	pp.bufs[1] = make([]byte, chunk)
+	pp.bufs[0] = m.Buffers.Get(chunk) // released by recvLoop after the last copy-out
+	pp.bufs[1] = m.Buffers.Get(chunk)
 	return pp
 }
 
@@ -418,6 +418,8 @@ func (pp *shmPipe) recvLoop(p *sim.Proc) {
 		off += n
 		slot ^= 1
 	}
+	pp.m.Buffers.Put(pp.bufs[0])
+	pp.m.Buffers.Put(pp.bufs[1])
 }
 
 // Request tracks a nonblocking operation. Wait blocks until it completes;

@@ -24,6 +24,7 @@ package srmcoll
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"srmcoll/internal/baseline"
 	"srmcoll/internal/check"
@@ -757,12 +758,52 @@ func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
 //     *DeadlockError listing each blocked rank and what it waits on;
 //   - a run stopped by a FaultPlan deadline returns a *StallError with the
 //     same blocked-rank report.
+//
+// A run whose buffers took 16 MiB or more from the allocator ends with a
+// garbage collection; see settle.
 func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
+	var fresh int64
+	res, err := cl.run(impl, body, &fresh)
+	settle(fresh)
+	return res, err
+}
+
+// settleAfter is how much fresh buffer memory a run may leave behind for
+// the collector to find in its own time.
+const settleAfter = 16 << 20
+
+// settle is the last thing Run and RunT do, once nothing of the simulation
+// is reachable any more: it collects a run that left settleAfter bytes or
+// more of buffers behind. fresh is what the run's pool took from the
+// allocator.
+//
+// All of a run's memory dies when the run returns, but the collector only
+// learns that at its next cycle; until then the next run's buffers stack on
+// top of this one's. And the heap goal is a multiple of whatever was live
+// when a cycle happened to mark: one that falls inside a run holding 130 MB
+// of staging buffers sets a goal 260 MB above one that falls between two
+// runs. With pooled buffers there are few cycles, so the peak memory of a
+// process running simulations back to back came down to where those few
+// fell (the benchmark's fig_grid: 590-750 MB from one invocation to the
+// next). Collecting at the one point where the garbage is known gives every
+// run the same heap, and the same goal, to start from (405 MB, every time).
+// Runs below the threshold are left alone: a cycle marks the caller's whole
+// live heap, and thousands of small runs should not each pay for that.
+func settle(fresh int64) {
+	if fresh >= settleAfter {
+		runtime.GC()
+	}
+}
+
+// run is Run without the settling; it leaves in *fresh how many bytes the
+// simulation's buffer pool allocated.
+func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, error) {
 	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
 		return nil, err
 	}
 	env := sim.NewEnv()
 	m := machine.New(env, cl.cfg)
+	defer func() { *fresh = m.Buffers.Fresh() }()
 	var inj *fault.Injector
 	if cl.faults.Active() {
 		inj = fault.New(cl.faults)

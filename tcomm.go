@@ -309,6 +309,14 @@ func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, 
 			body(&TComm{c: c}, func() {})
 		})
 	}
+	var fresh int64
+	res, err := cl.runTasks(impl, body, &fresh)
+	settle(fresh)
+	return res, err
+}
+
+// runTasks is RunT on the Tasks engine, before settling (see Cluster.run).
+func (cl *Cluster) runTasks(impl Impl, body func(tc *TComm, done func()), fresh *int64) (*Result, error) {
 	if impl != SRM {
 		return nil, fmt.Errorf("srmcoll: the Tasks engine supports only the SRM implementation (got %s); use EngineProcs for baselines", impl)
 	}
@@ -320,6 +328,7 @@ func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, 
 	}
 	env := sim.NewEnv()
 	m := machine.New(env, cl.cfg)
+	defer func() { *fresh = m.Buffers.Fresh() }()
 	var inj *fault.Injector
 	if cl.faults.Active() {
 		inj = fault.New(cl.faults)
