@@ -7,32 +7,35 @@ import (
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
+	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
 )
 
 // allocRegime is one of the ten protocol regimes bench/layers.go times at
 // 4x16, with the host allocations four back-to-back calls cost on the Proc
-// engine at the commit that still had one goroutine body and one CPS body
-// per collective (8be89bc, go1.24, warm pools).
+// engine (go1.24, warm pools; the largest of three runs, which differ by up
+// to 60 objects) at the commit that made a flag and a counter one object
+// each. With three objects each, and one goroutine body and one CPS body per
+// collective (8be89bc), the counts were 1.5-2.2 times these.
 type allocRegime struct {
 	name       string
 	op         string
 	size       int
 	alg        Alg
-	procBefore uint64
+	procAllocs uint64
 }
 
 var allocRegimes = []allocRegime{
-	{"bcast_small", "bcast", 4 << 10, AlgAuto, 2578},
-	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 3440},
-	{"bcast_large", "bcast", 512 << 10, AlgAuto, 4337},
-	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 3971},
-	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 5311},
-	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 7665},
-	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 5621},
-	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 5410},
-	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 7792},
-	{"barrier", "barrier", 0, AlgAuto, 2030},
+	{"bcast_small", "bcast", 4 << 10, AlgAuto, 1458},
+	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 2215},
+	{"bcast_large", "bcast", 512 << 10, AlgAuto, 2778},
+	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 2388},
+	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 2491},
+	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 4784},
+	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 2748},
+	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 2639},
+	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 4675},
+	{"barrier", "barrier", 0, AlgAuto, 1037},
 }
 
 const allocCalls = 4
@@ -100,8 +103,9 @@ func (rg allocRegime) run(t *testing.T, tasks bool, send, recv [][]byte) (allocs
 // TestEngineAllocGuard holds the step executor to its two allocation
 // promises. Task bodies used to be closure-per-step CPS and cost 0.9-2.7
 // more objects per event than the goroutine bodies; driven by the executor
-// they must stay within 0.3 of them. And the Proc engine must not pay for
-// that: its counts stay within 5 % of what the goroutine bodies cost.
+// they must stay within 0.3 of them. And neither engine may slide back toward
+// multi-object flags and counters or per-wait closures: the Proc counts stay
+// within 10 % of the recorded ones.
 func TestEngineAllocGuard(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -123,14 +127,86 @@ func TestEngineAllocGuard(t *testing.T) {
 			t.Errorf("%s: %d events on Procs, %d on Tasks", rg.name, pe, te)
 		}
 		perProc, perTask := float64(pa)/float64(pe), float64(ta)/float64(te)
-		t.Logf("%-18s events=%-6d proc allocs=%-6d (%.2f/event, was %d)  task allocs=%-6d (%.2f/event)",
-			rg.name, pe, pa, perProc, rg.procBefore, ta, perTask)
+		t.Logf("%-18s events=%-6d proc allocs=%-6d (%.2f/event, recorded %d)  task allocs=%-6d (%.2f/event)",
+			rg.name, pe, pa, perProc, rg.procAllocs, ta, perTask)
 		if perTask > perProc+0.3 {
 			t.Errorf("%s: %.2f allocs/event on Tasks, want <= %.2f (Procs) + 0.3", rg.name, perTask, perProc)
 		}
-		if limit := float64(rg.procBefore) * 1.05; float64(pa) > limit {
-			t.Errorf("%s: %d allocs on Procs, want <= %.0f (5%% over the goroutine bodies' %d)",
-				rg.name, pa, limit, rg.procBefore)
+		if limit := float64(rg.procAllocs) * 1.10; float64(pa) > limit {
+			t.Errorf("%s: %d allocs on Procs, want <= %.0f (10%% over the recorded %d)",
+				rg.name, pa, limit, rg.procAllocs)
 		}
+	}
+}
+
+// Sinks keep the constructors' results reachable, so the objects are heap
+// allocated as they are for every real caller.
+var (
+	sinkFlag    *shm.Flag
+	sinkCounter *rma.Counter
+)
+
+// TestSyncObjectAllocGuard holds the synchronization primitives to what they
+// cost since their conditions were embedded: a flag and a counter are one
+// heap object each, and a Task that parks on a flag and is released by a Set
+// allocates nothing once the frame pool and the item free list are warm.
+func TestSyncObjectAllocGuard(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	env := sim.NewEnv()
+	m := machine.New(env, machine.ColonySP(1, 2))
+	if n := testing.AllocsPerRun(100, func() { sinkFlag = shm.NewFlag(m, 0) }); n != 1 {
+		t.Errorf("shm.NewFlag allocates %v objects, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkCounter = rma.NewCounter(env, 0) }); n != 1 {
+		t.Errorf("rma.NewCounter allocates %v objects, want 1", n)
+	}
+
+	// Two tasks hand a pair of flags back and forth for ever; every WaitGET
+	// finds its flag short of the value and parks until the other side's Set
+	// has paid the wake latency.
+	ping, pong := shm.NewFlag(m, 0), shm.NewFlag(m, 0)
+	parks := 0
+	env.SpawnTask("ping", -1, func(tk *sim.Task) {
+		k := 0
+		var next func()
+		next = func() {
+			k++
+			ping.Set(k)
+			parks++
+			pong.WaitGET(tk, k, next)
+		}
+		next()
+	})
+	env.SpawnTask("pong", -1, func(tk *sim.Task) {
+		k := 0
+		var next, reply func()
+		reply = func() { pong.Set(k); next() }
+		next = func() {
+			k++
+			parks++
+			ping.WaitGET(tk, k, reply)
+		}
+		next()
+	})
+	// Warm-up: the items and wait frames, and one calendar year, so that
+	// every bucket of the wheel has its run array.
+	limit := sim.Time(4200)
+	if err := env.RunUntil(limit); err != nil {
+		t.Fatal(err)
+	}
+	slice := func() {
+		limit += 50
+		if err := env.RunUntil(limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := parks
+	if n := testing.AllocsPerRun(10, slice); n != 0 {
+		t.Errorf("a parked WaitGET + Set round trip allocates: %v objects per 50 us slice", n)
+	}
+	if parks-before < 100 {
+		t.Fatalf("only %d waits in the measured slices; the guard measured nothing", parks-before)
 	}
 }

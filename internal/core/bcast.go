@@ -77,7 +77,7 @@ func newBcastState(g *Group, root, size int) *bcastState {
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 		}
 		b.registered[x] = s.m.Env.NewEvent()
-		b.pub[x] = s.newPublisher(nd, g.lay.li[b.emb.masters[x]], len(g.lay.local[x]), chunkBytes)
+		b.pub[x] = s.newPublisher(nd, g.lay.li(b.emb.masters[x]), len(g.lay.local[x]), chunkBytes)
 	}
 	return b
 }

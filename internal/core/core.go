@@ -253,9 +253,10 @@ func chunks(total, chunk int) []span {
 type flagSet []*shm.Flag
 
 func newFlags(m *machine.Machine, node, n int) flagSet {
+	slab := shm.NewFlags(m, node, n)
 	fs := make(flagSet, n)
 	for i := range fs {
-		fs[i] = shm.NewFlag(m, node)
+		fs[i] = &slab[i]
 	}
 	return fs
 }

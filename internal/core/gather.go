@@ -27,15 +27,15 @@ type run struct {
 
 // runsOf splits the group into contiguous same-node runs. For the
 // whole-world layout this yields exactly one run per node.
-func runsOf(lay layout) []run {
+func runsOf(lay *layout) []run {
 	var out []run
 	for i := 0; i < len(lay.members); {
 		r := lay.members[i]
-		x := lay.ni[r]
-		rn := run{node: x, first: i, count: 1, lofff: lay.li[r]}
+		x := lay.ni(r)
+		rn := run{node: x, first: i, count: 1, lofff: lay.li(r)}
 		for i+rn.count < len(lay.members) {
 			next := lay.members[i+rn.count]
-			if lay.ni[next] != x || lay.li[next] != rn.lofff+rn.count {
+			if lay.ni(next) != x || lay.li(next) != rn.lofff+rn.count {
 				break
 			}
 			rn.count++
@@ -83,7 +83,7 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 		kind:    kind,
 		root:    root,
 		blk:     blk,
-		runs:    runsOf(g.lay),
+		runs:    runsOf(&g.lay),
 		masters: make([]int, len(g.lay.nodes)),
 		staged:  make([][]byte, len(g.lay.nodes)),
 		inFlag:  make([]flagSet, len(g.lay.nodes)),
@@ -93,7 +93,7 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 	}
 	rootNI := -1
 	if kind != "allgather" {
-		rootNI = g.lay.ni[root]
+		rootNI = g.lay.ni(root)
 	}
 	if kind == "allgather" && blk > allgatherDirectMin {
 		st.direct = true
@@ -262,7 +262,7 @@ func (st *redistState) step(x *exec, f *frame) {
 	send, recv := f.a, f.c
 	nn := len(g.lay.nodes)
 	master := rank == st.masters[nx]
-	rootNI := g.lay.ni[st.root]
+	rootNI := g.lay.ni(st.root)
 	masterEp := func(y int) *rma.Endpoint { return s.dom.Endpoint(st.masters[y]) }
 	// runsOn counts the slabs node y's members form; each travels as one put.
 	runsOn := func(y int) (n int) {

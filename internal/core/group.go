@@ -15,34 +15,51 @@ import (
 // layout is the paper's setting; arbitrary subsets implement the §5
 // extension ("embedding spanning trees for arbitrary MPI task groups").
 type layout struct {
-	members []int       // global ranks in group order (group rank = index)
-	nodes   []int       // participating machine node ids, ascending
-	local   [][]int     // per participating node: its member ranks, group order
-	ni      map[int]int // global rank -> index into nodes
-	li      map[int]int // global rank -> index into local[ni]
-	spans   []int       // hierarchy group widths (machine.Config.TierSpans)
+	members []int   // global ranks in group order (group rank = index)
+	nodes   []int   // participating machine node ids, ascending
+	local   [][]int // per participating node: its member ranks, group order
+	spans   []int   // hierarchy group widths (machine.Config.TierSpans)
+
+	// Where each member sits, as dense arrays so that entering an operation
+	// (Group.acquire, once per rank per call) does no map operation: idx
+	// covers the span of member ranks [lo, lo+len(idx)), at is by group rank.
+	lo  int
+	idx []int32 // global rank - lo -> group rank, -1 for a non-member
+	at  []slot
 }
+
+// slot places one member: its node's index into nodes and its own index into
+// local[nx].
+type slot struct{ nx, l int32 }
 
 // newLayout validates members and builds the node-grouped layout.
 func newLayout(m *machine.Machine, members []int) layout {
 	if len(members) == 0 {
 		panic("core: empty task group")
 	}
-	lay := layout{
-		members: append([]int(nil), members...),
-		ni:      make(map[int]int, len(members)),
-		li:      make(map[int]int, len(members)),
-		spans:   m.Cfg.TierSpans(),
-	}
-	byNode := make(map[int][]int)
+	lo, hi := members[0], members[0]
 	for _, r := range members {
 		if r < 0 || r >= m.P() {
 			panic(fmt.Sprintf("core: group rank %d out of range [0,%d)", r, m.P()))
 		}
-		if _, dup := lay.ni[r]; dup {
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	lay := layout{
+		members: append([]int(nil), members...),
+		spans:   m.Cfg.TierSpans(),
+		lo:      lo,
+		idx:     make([]int32, hi-lo+1),
+		at:      make([]slot, len(members)),
+	}
+	for i := range lay.idx {
+		lay.idx[i] = -1
+	}
+	byNode := make(map[int][]int)
+	for i, r := range members {
+		if lay.idx[r-lo] >= 0 {
 			panic(fmt.Sprintf("core: duplicate rank %d in group", r))
 		}
-		lay.ni[r] = -1 // reserve; filled below
+		lay.idx[r-lo] = int32(i)
 		byNode[m.NodeOf(r)] = append(byNode[m.NodeOf(r)], r)
 	}
 	for nd := range byNode {
@@ -53,15 +70,14 @@ func newLayout(m *machine.Machine, members []int) layout {
 	for x, nd := range lay.nodes {
 		lay.local[x] = byNode[nd]
 		for l, r := range lay.local[x] {
-			lay.ni[r] = x
-			lay.li[r] = l
+			lay.at[lay.idx[r-lo]] = slot{nx: int32(x), l: int32(l)}
 		}
 	}
 	return lay
 }
 
 // key returns a canonical identity for group registries.
-func (lay layout) key() string {
+func (lay *layout) key() string {
 	parts := make([]string, len(lay.members))
 	for i, r := range lay.members {
 		parts[i] = fmt.Sprint(r)
@@ -69,11 +85,21 @@ func (lay layout) key() string {
 	return strings.Join(parts, ",")
 }
 
-// contains reports whether the global rank participates.
-func (lay layout) contains(rank int) bool {
-	_, ok := lay.ni[rank]
-	return ok
+// index returns the group rank of a global rank, or -1 for a non-member.
+func (lay *layout) index(rank int) int {
+	if i := rank - lay.lo; uint(i) < uint(len(lay.idx)) {
+		return int(lay.idx[i])
+	}
+	return -1
 }
+
+// contains reports whether the global rank participates.
+func (lay *layout) contains(rank int) bool { return lay.index(rank) >= 0 }
+
+// ni and li return a member's node index (into nodes) and its index within
+// that node's member list (local[ni]).
+func (lay *layout) ni(rank int) int { return int(lay.at[lay.index(rank)].nx) }
+func (lay *layout) li(rank int) int { return int(lay.at[lay.index(rank)].l) }
 
 // gEmbed is a communication tree embedded into the participating subset of
 // the cluster: an inter-node tree over participating node indices plus an
@@ -85,11 +111,11 @@ type gEmbed struct {
 }
 
 // embed builds the group embedding rooted at the given member rank.
-func (lay layout) embed(interKind, intraKind tree.Kind, root int) gEmbed {
-	rootNI, ok := lay.ni[root]
-	if !ok {
+func (lay *layout) embed(interKind, intraKind tree.Kind, root int) gEmbed {
+	if !lay.contains(root) {
 		panic(fmt.Sprintf("core: root %d is not a group member", root))
 	}
+	rootNI := lay.ni(root)
 	// The inter-node tree is hierarchy-aware: node ids plus the machine's
 	// tier spans let multilevel trees group participants by switch.
 	e := gEmbed{
@@ -100,7 +126,7 @@ func (lay layout) embed(interKind, intraKind tree.Kind, root int) gEmbed {
 	for x := range lay.nodes {
 		rootLocal := 0
 		if x == rootNI {
-			rootLocal = lay.li[root]
+			rootLocal = lay.li(root)
 		}
 		e.intra[x] = tree.New(intraKind, len(lay.local[x]), rootLocal)
 		e.masters[x] = lay.local[x][rootLocal]
@@ -115,8 +141,13 @@ func (lay layout) embed(interKind, intraKind tree.Kind, root int) gEmbed {
 type Group struct {
 	s   *SRM
 	lay layout
-	seq map[int]int
-	ops map[int]*opEntry
+	seq []int // by group rank: operations the member has entered
+
+	// The operations in flight, oldest first: ops[i] has sequence number
+	// base+i. Members enter operations in order and an operation is retired
+	// by its last member, so entries come and go at the ends.
+	ops  []*opEntry
+	base int
 }
 
 // Group returns the (shared, cached) group for the given member ranks.
@@ -127,12 +158,7 @@ func (s *SRM) Group(members []int) *Group {
 	if g, ok := s.groups[key]; ok {
 		return g
 	}
-	g := &Group{
-		s:   s,
-		lay: lay,
-		seq: make(map[int]int, len(members)),
-		ops: make(map[int]*opEntry),
-	}
+	g := &Group{s: s, lay: lay, seq: make([]int, len(members))}
 	s.groups[key] = g
 	return g
 }
@@ -151,27 +177,28 @@ func (g *Group) Contains(rank int) bool { return g.lay.contains(rank) }
 // binds the executor to the rank's place in the group. exec.finish retires
 // the entry once every member has.
 func (g *Group) acquire(x *exec, rank int, mk func() any) any {
-	if !g.lay.contains(rank) {
+	i := g.lay.index(rank)
+	if i < 0 {
 		panic(fmt.Sprintf("core: rank %d is not a member of the group", rank))
 	}
-	seq := g.seq[rank]
-	g.seq[rank] = seq + 1
-	e := g.ops[seq]
-	if e == nil {
-		e = &opEntry{}
-		g.ops[seq] = e
+	seq := g.seq[i]
+	g.seq[i] = seq + 1
+	if seq-g.base == len(g.ops) {
+		e := &opEntry{}
+		g.ops = append(g.ops, e)
 		g.s.building = e
 		e.state = mk()
 		g.s.building = nil
 	}
+	at := g.lay.at[i]
 	x.g, x.seq, x.rank = g, seq, rank
-	x.nx, x.l = g.lay.ni[rank], g.lay.li[rank]
+	x.nx, x.l = int(at.nx), int(at.l)
 	x.node = g.lay.nodes[x.nx]
 	x.ep = g.s.dom.Endpoint(rank)
-	return e.state
+	return g.ops[seq-g.base].state
 }
 
-// retire counts one member out of the operation; the last one deletes the
+// retire counts one member out of the operation; the last one removes the
 // entry and returns its buffers to the machine's pool. Buffers go back only
 // when nothing can still write to them: every member ran the operation to
 // completion (an aborted member may leave puts on the wire) and the wire
@@ -179,13 +206,22 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 // (unreliable delivery under a plan that duplicates). Otherwise they are
 // left to the collector.
 func (g *Group) retire(seq int, aborted bool) {
-	e := g.ops[seq]
+	e := g.ops[seq-g.base]
 	e.done++
 	e.aborted = e.aborted || aborted
 	if e.done < len(g.lay.members) {
 		return
 	}
-	delete(g.ops, seq)
+	// Drop the entry and any retired ones it uncovers at the front; the few
+	// operations in flight slide down so the array never grows with the run.
+	g.ops[seq-g.base] = nil
+	k := 0
+	for k < len(g.ops) && g.ops[k] == nil {
+		k++
+	}
+	n := copy(g.ops, g.ops[k:])
+	clear(g.ops[n:])
+	g.ops, g.base = g.ops[:n], g.base+k
 	s := g.s
 	if e.aborted || s.m.Faults.Duplicates() && !s.dom.Reliable() {
 		return

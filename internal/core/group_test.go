@@ -42,8 +42,8 @@ func TestLayoutGrouping(t *testing.T) {
 		fmt.Sprint(lay.local[2]) != "[14]" {
 		t.Fatalf("local = %v", lay.local)
 	}
-	if lay.ni[8] != 1 || lay.li[8] != 1 || lay.li[2] != 0 {
-		t.Fatalf("index maps wrong: ni=%v li=%v", lay.ni, lay.li)
+	if lay.ni(8) != 1 || lay.li(8) != 1 || lay.li(2) != 0 {
+		t.Fatalf("placement wrong: idx=%v at=%v", lay.idx, lay.at)
 	}
 	if !lay.contains(14) || lay.contains(0) {
 		t.Fatal("contains wrong")
@@ -94,8 +94,8 @@ func TestGroupEmbedRootMaster(t *testing.T) {
 	m := machine.New(env, machine.ColonySP(4, 4))
 	lay := newLayout(m, []int{1, 2, 5, 6, 9, 13})
 	e := lay.embed(0, 0, 6) // root 6 on node 1 (members 5, 6)
-	if e.masters[lay.ni[6]] != 6 {
-		t.Fatalf("root node master = %d, want the root itself", e.masters[lay.ni[6]])
+	if e.masters[lay.ni(6)] != 6 {
+		t.Fatalf("root node master = %d, want the root itself", e.masters[lay.ni(6)])
 	}
 	// Other nodes take their first member as master.
 	if e.masters[0] != 1 || e.masters[2] != 9 || e.masters[3] != 13 {

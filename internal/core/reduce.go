@@ -74,7 +74,7 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 	r.credit = make([]*rma.Counter, nn)
 	chunkBytes := r.sp[0].n
 	for x, nd := range g.lay.nodes {
-		r.rn[x] = s.newRedNode(nd, g.lay.li[r.emb.masters[x]], len(g.lay.local[x]), r.sp)
+		r.rn[x] = s.newRedNode(nd, g.lay.li(r.emb.masters[x]), len(g.lay.local[x]), r.sp)
 		if x != r.emb.inter.Root {
 			r.partial[x] = s.slot(size)
 		}

@@ -23,17 +23,20 @@ import (
 
 // Counter is a LAPI-style completion counter. Waitcntr blocks until the
 // counter reaches a value and then subtracts it, so counters can carry
-// repeated round-trip flow control (§2.4 broadcast buffer management).
+// repeated round-trip flow control (§2.4 broadcast buffer management). A
+// counter is one heap object: its condition is embedded by value.
 type Counter struct {
 	env  *sim.Env
 	val  int
-	cond *sim.Cond
+	cond sim.Cond
 	wcl  trace.Class // span class recorded while a process blocks here
 }
 
 // NewCounter creates a counter with the given initial value.
 func NewCounter(env *sim.Env, initial int) *Counter {
-	return &Counter{env: env, val: initial, cond: env.NewCond(), wcl: trace.ClassWaitCntr}
+	c := &Counter{env: env, val: initial, wcl: trace.ClassWaitCntr}
+	c.cond.Init(env)
+	return c
 }
 
 // TraceClass sets the wait class recorded when a process blocks on the
@@ -340,25 +343,16 @@ func (ep *Endpoint) PutZero(p *sim.Proc, target *Endpoint, tgt *Counter) {
 // retransmit, delivery rules) is engine-free callback machinery shared with
 // the Proc paths.
 
-// waitGET is waitGE for the Task engine; k runs once the counter is >= v.
-func (c *Counter) waitGET(t *sim.Task, v int, k func()) {
+// WaitValueT is WaitValue for the Task engine.
+func (c *Counter) WaitValueT(t *sim.Task, v int, k func()) {
 	if c.val >= v {
+		c.val -= v
 		k()
 		return
 	}
-	id := c.env.Trace.Begin(t.Track(), c.wcl, c.wcl.String(), 0)
-	c.cond.WaitUntilOnT(t, c, v, func() bool { return c.val >= v }, func() {
-		c.env.Trace.End(id)
-		k()
-	})
-}
-
-// WaitValueT is WaitValue for the Task engine.
-func (c *Counter) WaitValueT(t *sim.Task, v int, k func()) {
-	c.waitGET(t, v, func() {
-		c.val -= v
-		k()
-	})
+	fr := cntrFramePool.Get().(*cntrFrame)
+	fr.c, fr.t, fr.v, fr.k = c, t, v, k
+	fr.park()
 }
 
 // drainFrame is a pooled continuation frame for drainPendingT: the resume
@@ -414,40 +408,48 @@ func (ep *Endpoint) drainPendingT(t *sim.Task, k func()) {
 	fr.step()
 }
 
-// cntrFrame is the pooled continuation frame for WaitcntrT: drain resume,
-// park predicate, wake continuation, and the unwind compensation are all
-// bound once per frame, so counter waits — the inner loop of the put/credit
-// protocols — allocate nothing per wait.
+// cntrFrame is the pooled frame of a Task-engine counter wait (WaitcntrT,
+// and WaitValueT with ep nil). Parked, it is the wait itself
+// (sim.WaitFrame): the Task holds it as one interface value, so a counter
+// wait — the inner loop of the put/credit protocols — binds no predicate or
+// continuation closure, and a frame the pool could not supply costs one
+// allocation.
 type cntrFrame struct {
-	ep           *Endpoint
-	c            *Counter
-	t            *sim.Task
-	v            int
-	id           int // open trace span while parked
-	k            func()
-	afterDrainFn func()
-	predFn       func() bool
-	doneFn       func()
-	unwindFn     func()
+	ep *Endpoint // inside an RMA call for the wait's duration; nil for WaitValueT
+	c  *Counter
+	t  *sim.Task
+	v  int
+	id int // open trace span while parked
+	k  func()
 }
 
 var cntrFramePool = sync.Pool{New: func() any { return new(cntrFrame) }}
 
-func (fr *cntrFrame) afterDrain() {
-	ep, c, t := fr.ep, fr.c, fr.t
-	ep.inCall = true
-	t.PushUnwind(fr.unwindFn)
-	if c.val >= fr.v {
+// enter puts the endpoint inside the RMA call and waits for the counter.
+func (fr *cntrFrame) enter() {
+	fr.ep.inCall = true
+	// The Proc version restores inCall via defer when a crash or
+	// fault-tolerance interrupt unwinds through the wait; here the same
+	// compensation rides the unwind stack, bound only when armed.
+	if fr.t.UnwindArmed() {
+		fr.t.PushUnwind(fr.unwind)
+	}
+	if fr.c.val >= fr.v {
 		fr.finish()
 		return
 	}
-	fr.id = c.env.Trace.Begin(t.Track(), c.wcl, c.wcl.String(), 0)
-	c.cond.WaitUntilOnT(t, c, fr.v, fr.predFn, fr.doneFn)
+	fr.park()
 }
 
-func (fr *cntrFrame) pred() bool { return fr.c.val >= fr.v }
+func (fr *cntrFrame) park() {
+	c := fr.c
+	fr.id = c.env.Trace.Begin(fr.t.Track(), c.wcl, c.wcl.String(), 0)
+	c.cond.WaitFrameT(fr.t, c, fr.v, fr)
+}
 
-func (fr *cntrFrame) done() {
+func (fr *cntrFrame) Ready() bool { return fr.c.val >= fr.v }
+
+func (fr *cntrFrame) Resume() {
 	fr.c.env.Trace.End(fr.id)
 	fr.finish()
 }
@@ -458,8 +460,10 @@ func (fr *cntrFrame) finish() {
 	ep, c, t, v, k := fr.ep, fr.c, fr.t, fr.v, fr.k
 	fr.release()
 	c.val -= v
-	ep.inCall = false
-	t.PopUnwind()
+	if ep != nil {
+		ep.inCall = false
+		t.PopUnwind()
+	}
 	k()
 }
 
@@ -472,30 +476,27 @@ func (fr *cntrFrame) unwind() {
 }
 
 func (fr *cntrFrame) release() {
-	fr.ep = nil
-	fr.c = nil
-	fr.t = nil
-	fr.k = nil
+	*fr = cntrFrame{}
 	cntrFramePool.Put(fr)
 }
 
 // WaitcntrT is Waitcntr for the Task engine. The endpoint counts as inside
 // an RMA call (dispatcher polling) from the moment the wait arms until k is
-// about to run. The Proc version restores inCall via defer when a crash or
-// fault-tolerance interrupt unwinds through the wait; here the same
-// compensation rides the task's unwind stack (a no-op unless fault-tolerant
-// execution armed it).
+// about to run. With nothing to drain and the counter already there, the
+// call begins and ends in one step and needs no frame.
 func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
-	fr := cntrFramePool.Get().(*cntrFrame)
-	if fr.afterDrainFn == nil {
-		// Bound once per frame, reused across the pool for its lifetime.
-		fr.afterDrainFn = fr.afterDrain
-		fr.predFn = fr.pred
-		fr.doneFn = fr.done
-		fr.unwindFn = fr.unwind
+	if len(ep.pending) == 0 && c.val >= v {
+		c.val -= v
+		k()
+		return
 	}
+	fr := cntrFramePool.Get().(*cntrFrame)
 	fr.ep, fr.c, fr.t, fr.v, fr.k = ep, c, t, v, k
-	ep.drainPendingT(t, fr.afterDrainFn)
+	if len(ep.pending) == 0 {
+		fr.enter() // the common case binds no method value
+		return
+	}
+	ep.drainPendingT(t, fr.enter)
 }
 
 // ProbeT is Probe for the Task engine.

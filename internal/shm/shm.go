@@ -18,20 +18,29 @@ import (
 // Flag is a synchronization word in shared memory, assumed to occupy its
 // own cache line. Setting it is an ordinary store; waiters observe the new
 // value after the machine's wake latency (slightly higher when the spin
-// loop yields its time slice, see machine.WakeLatency).
+// loop yields its time slice, see machine.WakeLatency). A flag is one heap
+// object: the condition its waiters park on is embedded by value.
 type Flag struct {
-	m     *machine.Machine
-	node  int
-	val   int
-	cond  *sim.Cond
-	bcast func() // == cond.Broadcast, bound once so Set allocates nothing
+	m    *machine.Machine
+	node int
+	val  int
+	cond sim.Cond
 }
 
 // NewFlag creates a flag in node's shared memory, initialized to zero.
 func NewFlag(m *machine.Machine, node int) *Flag {
-	f := &Flag{m: m, node: node, cond: m.Env.NewCond()}
-	f.bcast = f.cond.Broadcast
-	return f
+	return &NewFlags(m, node, 1)[0]
+}
+
+// NewFlags creates n zero flags on the node as one slab. Hold the flags by
+// pointer into the slice; a Flag must not be copied.
+func NewFlags(m *machine.Machine, node, n int) []Flag {
+	fs := make([]Flag, n)
+	for i := range fs {
+		fs[i].m, fs[i].node = m, node
+		fs[i].cond.Init(m.Env)
+	}
+	return fs
 }
 
 // Load returns the current value without waiting.
@@ -41,7 +50,7 @@ func (f *Flag) Load() int { return f.val }
 // observe it after the wake latency.
 func (f *Flag) Set(v int) {
 	f.val = v
-	f.m.Env.After(f.m.WakeLatency(), f.bcast)
+	f.cond.BroadcastAfter(f.m.WakeLatency())
 }
 
 // WaitUntil spins until pred(value) holds. While spinning the task is
@@ -77,35 +86,32 @@ func (f *Flag) WaitGE(p *sim.Proc, v int) {
 	}
 }
 
-// flagWait is a pooled continuation frame for a parked Task-engine flag
-// wait: the predicate, resume, and unwind continuations are bound to the
-// frame once, when the pool first materializes it, so the hot flag waits of
-// a million-rank run allocate nothing per park. A frame is live from park
-// to resume (a task parks on at most one thing at a time, and the simulator
-// drops stale waiters on interrupt or death, so reuse is safe — the same
-// contract the task's retryFn relies on).
+// flagWait is the pooled frame of a parked Task-engine flag wait. It is the
+// wait itself (sim.WaitFrame): the Task holds it as one interface value and
+// asks it on every wake-up whether the flag has reached the value, so a park
+// binds no predicate or continuation closure and a frame the pool could not
+// supply costs one allocation. A frame is live from park to resume (a task
+// parks on at most one thing at a time, and the simulator drops stale
+// waiters on interrupt or death, so reuse is safe).
 type flagWait struct {
-	f        *Flag
-	t        *sim.Task
-	v        int
-	eq       bool // wait for == v rather than >= v
-	id       int  // open trace span
-	k        func()
-	predFn   func() bool
-	doneFn   func()
-	unwindFn func()
+	f  *Flag
+	t  *sim.Task
+	v  int
+	eq bool // wait for == v rather than >= v
+	id int  // open trace span
+	k  func()
 }
 
 var flagWaitPool = sync.Pool{New: func() any { return new(flagWait) }}
 
-func (fr *flagWait) pred() bool {
+func (fr *flagWait) Ready() bool {
 	if fr.eq {
 		return fr.f.val == fr.v
 	}
 	return fr.f.val >= fr.v
 }
 
-func (fr *flagWait) done() {
+func (fr *flagWait) Resume() {
 	f, t, id, k := fr.f, fr.t, fr.id, fr.k
 	fr.release()
 	t.PopUnwind()
@@ -125,31 +131,25 @@ func (fr *flagWait) unwind() {
 }
 
 func (fr *flagWait) release() {
-	fr.f = nil
-	fr.t = nil
-	fr.k = nil
+	*fr = flagWait{}
 	flagWaitPool.Put(fr)
 }
 
-// park arms a pooled wait frame for f and suspends t until the predicate
-// holds, exactly mirroring the Proc spin (spinner set, trace span, unwind
-// compensation) without allocating per wait.
+// park arms a pooled wait frame for f and suspends t until the flag reaches
+// v, exactly mirroring the Proc spin (spinner set, trace span, unwind
+// compensation).
 func (f *Flag) park(t *sim.Task, v int, eq bool, k func()) {
 	fr := flagWaitPool.Get().(*flagWait)
-	if fr.predFn == nil {
-		// Bound once per frame, reused across the pool for its lifetime.
-		fr.predFn = fr.pred
-		fr.doneFn = fr.done
-		fr.unwindFn = fr.unwind
-	}
 	fr.f, fr.t, fr.v, fr.eq, fr.k = f, t, v, eq, k
 	fr.id = f.m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0)
 	f.m.SpinEnter(f.node)
 	// The Proc path exits the spinner set (and closes the span) via defer so
 	// a fault-tolerance interrupt cannot leave a phantom spinner; for tasks
-	// the same compensation rides the unwind stack (a no-op unless armed).
-	t.PushUnwind(fr.unwindFn)
-	f.cond.WaitUntilOnT(t, f, v, fr.predFn, fr.doneFn)
+	// the same compensation rides the unwind stack, bound only when armed.
+	if t.UnwindArmed() {
+		t.PushUnwind(fr.unwind)
+	}
+	f.cond.WaitFrameT(t, f, v, fr)
 }
 
 // WaitGET is WaitGE for the Task engine: the task spins (entering the
@@ -198,35 +198,31 @@ func (f *Flag) DescribeWait(want int) string {
 // FlagSet is one flag per local task, as used by the SMP barrier and
 // broadcast (§2.2): "each flag is located on a different cache line".
 type FlagSet struct {
-	flags []*Flag
+	flags []Flag
 }
 
 // NewFlagSet creates n zero flags on the node.
 func NewFlagSet(m *machine.Machine, node, n int) *FlagSet {
-	fs := &FlagSet{flags: make([]*Flag, n)}
-	for i := range fs.flags {
-		fs.flags[i] = NewFlag(m, node)
-	}
-	return fs
+	return &FlagSet{flags: NewFlags(m, node, n)}
 }
 
 // Len returns the number of flags.
 func (fs *FlagSet) Len() int { return len(fs.flags) }
 
 // Flag returns the i-th flag.
-func (fs *FlagSet) Flag(i int) *Flag { return fs.flags[i] }
+func (fs *FlagSet) Flag(i int) *Flag { return &fs.flags[i] }
 
 // SetAll stores v into every flag.
 func (fs *FlagSet) SetAll(v int) {
-	for _, f := range fs.flags {
-		f.Set(v)
+	for i := range fs.flags {
+		fs.flags[i].Set(v)
 	}
 }
 
 // WaitAll spins until every flag except those listed in skip equals v.
 // The master uses it to wait for all other tasks to check in.
 func (fs *FlagSet) WaitAll(p *sim.Proc, v int, skip ...int) {
-	for i, f := range fs.flags {
+	for i := range fs.flags {
 		sk := false
 		for _, s := range skip {
 			if s == i {
@@ -237,7 +233,7 @@ func (fs *FlagSet) WaitAll(p *sim.Proc, v int, skip ...int) {
 		if sk {
 			continue
 		}
-		f.WaitFor(p, v)
+		fs.flags[i].WaitFor(p, v)
 	}
 }
 

@@ -13,11 +13,14 @@ import (
 // offsets (latency-scale wakeups), and rare far-future deadlines (fault
 // plans, heartbeat suspicion timers) that must take the overflow path.
 
+// pop removes the earliest item whatever its time, as Env.Run does.
+func (q *calQueue) pop() *item { return q.popDue(-1) }
+
 func TestCalQueueMatchesHeapOrder(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q := newCalQueue()
-		var ref []*item
+		var ref eventHeap
 		var seq uint64
 		now := Time(0)
 		sawOverflow := false
@@ -56,7 +59,7 @@ func TestCalQueueMatchesHeapOrder(t *testing.T) {
 			}
 		}
 		if len(q.buckets) == calInitBuckets {
-			t.Fatalf("seed %d: queue never grew; the resize path went untested", seed)
+			t.Fatalf("seed %d: queue never narrowed; the resize path went untested", seed)
 		}
 		if !sawOverflow {
 			t.Fatalf("seed %d: no item ever overflowed; widen the far-future band", seed)
@@ -83,13 +86,13 @@ func TestCalQueueTaskEngineLoadProperty(t *testing.T) {
 	// spawns siblings at the current instant (SpawnTask), and occasionally
 	// arms a far deadline (suspicion timers). Unlike the mixed push/pop walk
 	// above, every push after warm-up is pop-driven, so the bucket wheel is
-	// forced to grow while the clock advances through it — the regime a
+	// forced to narrow while the clock advances through it — the regime a
 	// million-rank run keeps it in. 100k+ events, compared pop-for-pop
 	// against the binary-heap reference.
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q := newCalQueue()
-		var ref []*item
+		var ref eventHeap
 		var seq uint64
 		push := func(at Time) {
 			it := &item{t: at, seq: seq}
@@ -139,7 +142,7 @@ func TestCalQueueTaskEngineLoadProperty(t *testing.T) {
 			}
 		}
 		if !grew {
-			t.Fatalf("seed %d: bucket wheel never grew under task load", seed)
+			t.Fatalf("seed %d: bucket wheel never narrowed under task load", seed)
 		}
 		for q.Len() > 0 {
 			got, want := q.pop(), heapPop(&ref)
@@ -227,9 +230,11 @@ func TestCalQueueYearBoundaryRollover(t *testing.T) {
 }
 
 func TestCalQueuePeekDoesNotAdvanceClock(t *testing.T) {
-	// RunUntil peeks at the queue head to compare against its time limit. A
-	// peek that committed the calendar clock to a far-future head would let a
-	// later, earlier-time push land behind the clock and pop out of order.
+	// RunUntil compares the queue head against its time limit. A look that
+	// committed the calendar clock to a far-future head would let a later,
+	// earlier-time push land behind the clock and pop out of order. Both
+	// looks are held to it: peek, and a popDue that finds the head beyond
+	// its limit.
 	q := newCalQueue()
 
 	// Head in a later bucket of the current year.
@@ -237,6 +242,9 @@ func TestCalQueuePeekDoesNotAdvanceClock(t *testing.T) {
 	q.push(mid)
 	if got := q.peek(); got != mid {
 		t.Fatalf("peek = %v, want the mid-year item", got)
+	}
+	if got := q.popDue(99); got != nil || q.curDay != 0 || q.Len() != 1 {
+		t.Fatalf("popDue(99) = %v with curDay %d, Len %d; want nothing taken and the clock at day 0", got, q.curDay, q.Len())
 	}
 	early := &item{t: 2, seq: 1}
 	q.push(early)
@@ -254,8 +262,11 @@ func TestCalQueuePeekDoesNotAdvanceClock(t *testing.T) {
 	if got := q.peek(); got != far {
 		t.Fatalf("peek = %v, want the overflowed item", got)
 	}
-	if q.n != 0 {
-		t.Fatal("peek migrated the overflow item into the calendar")
+	if got := q.popDue(49999); got != nil {
+		t.Fatalf("popDue(49999) = (t=%v seq=%d), want nothing: the head is due at 50000", got.t, got.seq)
+	}
+	if q.n != 0 || q.curDay != q.day(mid.t) {
+		t.Fatalf("a look at the overflow head moved it (calendar holds %d) or the clock (day %d)", q.n, q.curDay)
 	}
 	early2 := &item{t: 3, seq: 3}
 	q.push(early2)
@@ -267,5 +278,162 @@ func TestCalQueuePeekDoesNotAdvanceClock(t *testing.T) {
 	}
 	if got := q.pop(); got != far {
 		t.Fatalf("final pop = (t=%v seq=%d), want the far item", got.t, got.seq)
+	}
+}
+
+// ladderShape replays what the 65,536-rank workload was measured to do to one
+// calendar bucket (DESIGN.md §13): `times` distinct timestamps inside a
+// window of `span` microseconds, `depth` items on each, pushed round-robin
+// across the timestamps so that no two consecutive pushes share one.
+func ladderShape(rng *rand.Rand, base Time, times, depth int, span Time, push func(Time)) {
+	at := make([]Time, times)
+	for i := range at {
+		at[i] = base + span*rng.Float64()
+	}
+	for d := 0; d < depth; d++ {
+		for _, i := range rng.Perm(times) {
+			push(at[i])
+		}
+	}
+}
+
+func TestCalQueueLadderShapeProperty(t *testing.T) {
+	// The measured shape, against the reference heap: every 4 us bucket the
+	// clock passes holds 64-128 distinct times, 20-40 ties deep, and each
+	// pop schedules into the buckets ahead — onto an existing time as often
+	// as onto a new one.
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := newCalQueue()
+		var ref eventHeap
+		var seq uint64
+		push := func(at Time) {
+			it := &item{t: at, seq: seq}
+			seq++
+			q.push(it)
+			heapPush(&ref, it)
+		}
+		var known []Time // timestamps of the round being filled
+		for round := 0; round < 6; round++ {
+			base := Time(round) * 3 * calWidth
+			for b := 0; b < 3; b++ {
+				times := 64 + rng.Intn(65)
+				ladderShape(rng, base+Time(b)*calWidth, times, 20+rng.Intn(21), calWidth, func(at Time) {
+					known = append(known, at)
+					push(at)
+				})
+				bk := &q.buckets[int(q.day(base+Time(b)*calWidth))&q.mask]
+				if live := len(bk.runs) - bk.head; q.width == calWidth && live < 64 {
+					t.Fatalf("seed %d: bucket holds %d distinct times, the shape wants >= 64", seed, live)
+				}
+			}
+			// Drain two thirds of the round; each pop reschedules a few
+			// microseconds ahead, half of the time onto a known timestamp.
+			for n := 2 * len(known) / 3; n > 0; n-- {
+				got, want := q.pop(), heapPop(&ref)
+				if got != want {
+					t.Fatalf("seed %d: pop = (t=%v seq=%d), heap order wants (t=%v seq=%d)",
+						seed, got.t, got.seq, want.t, want.seq)
+				}
+				if rng.Intn(4) == 0 {
+					at := known[rng.Intn(len(known))]
+					if rng.Intn(2) == 0 || at < got.t {
+						at = got.t + Time(rng.Float64()*10)
+					}
+					push(at)
+				}
+			}
+			known = known[:0]
+			if q.Len() != len(ref) {
+				t.Fatalf("seed %d: Len() = %d, reference holds %d", seed, q.Len(), len(ref))
+			}
+		}
+		for q.Len() > 0 {
+			got, want := q.pop(), heapPop(&ref)
+			if got != want {
+				t.Fatalf("seed %d: drain pop = (t=%v seq=%d), want (t=%v seq=%d)",
+					seed, got.t, got.seq, want.t, want.seq)
+			}
+		}
+		if q.n != 0 || q.nruns != 0 {
+			t.Fatalf("seed %d: drained calendar counts %d items in %d runs", seed, q.n, q.nruns)
+		}
+	}
+}
+
+func TestCalQueueNarrowsInTheMiddleOfARun(t *testing.T) {
+	// Crowd the calendar with distinct times until the next push narrows it,
+	// with a deep tie half pushed before the narrowing and half after: the
+	// run must move whole and keep taking ties at its tail, in seq order.
+	q := newCalQueue()
+	var ref eventHeap
+	var seq uint64
+	push := func(at Time) {
+		it := &item{t: at, seq: seq}
+		seq++
+		q.push(it)
+		heapPush(&ref, it)
+	}
+	const tie = Time(1001.5)
+	for i := 0; i < 50; i++ {
+		push(tie)
+	}
+	for i := 0; q.nruns <= calCrowd*calInitBuckets; i++ {
+		push(Time(i) * 0.25) // 16 distinct times per 4 us bucket
+	}
+	if len(q.buckets) != calInitBuckets {
+		t.Fatal("the calendar narrowed before the run was half pushed")
+	}
+	for i := 0; i < 50; i++ {
+		push(tie)
+		push(tie + 0.125) // a neighbour the narrowing separates from the tie
+	}
+	if len(q.buckets) != 2*calInitBuckets || q.width != calWidth/2 {
+		t.Fatalf("%d buckets of width %v after crowding; want one narrowing", len(q.buckets), q.width)
+	}
+	if q.Len() != len(ref) {
+		t.Fatalf("Len() = %d, reference holds %d", q.Len(), len(ref))
+	}
+	for len(ref) > 0 {
+		got, want := q.pop(), heapPop(&ref)
+		if got != want {
+			t.Fatalf("pop = (t=%v seq=%d), heap order wants (t=%v seq=%d)", got.t, got.seq, want.t, want.seq)
+		}
+	}
+}
+
+func TestCalQueueOverflowMigratesOntoARun(t *testing.T) {
+	// Three items of one far timestamp overflow; the clock then approaches
+	// and they migrate one by one, the second and third onto the run the
+	// first opened. Later pushes of the same timestamp go straight to the
+	// calendar and must queue behind all three.
+	q := newCalQueue()
+	const far = Time(5000)
+	var want []*item
+	add := func(at Time, seq uint64) *item {
+		it := &item{t: at, seq: seq}
+		q.push(it)
+		return it
+	}
+	for s := uint64(0); s < 3; s++ {
+		want = append(want, add(far, s))
+	}
+	other := add(far+1, 3) // shares the bucket: the run is found by exact time
+	if len(q.overflow) != 4 {
+		t.Fatalf("overflow holds %d items, want all 4", len(q.overflow))
+	}
+	stepping := add(2000, 4)
+	if got := q.pop(); got != stepping {
+		t.Fatalf("pop = (t=%v seq=%d), want the stepping stone", got.t, got.seq)
+	}
+	if len(q.overflow) != 0 || q.n != 4 || q.nruns != 2 {
+		t.Fatalf("after the clock moved: overflow %d, calendar %d items in %d runs; want 0, 4, 2",
+			len(q.overflow), q.n, q.nruns)
+	}
+	want = append(want, add(far, 5), add(far, 6), other)
+	for _, w := range want {
+		if got := q.pop(); got != w {
+			t.Fatalf("pop = (t=%v seq=%d), want (t=%v seq=%d)", got.t, got.seq, w.t, w.seq)
+		}
 	}
 }

@@ -153,8 +153,8 @@ func TestInterruptSleepingProcessDeliversAtWake(t *testing.T) {
 	e.At(0, func() {
 		// Grab the proc handle: it is the only live proc.
 		e.queue.forEach(func(it *item) bool {
-			if it.p != nil {
-				victim = it.p
+			if p, ok := it.tgt.(*Proc); ok {
+				victim = p
 			}
 			return true
 		})
@@ -197,8 +197,8 @@ func TestInterruptParkedTask(t *testing.T) {
 	if at != 7 {
 		t.Errorf("interrupt delivered at t=%v, want 7", at)
 	}
-	if len(c.twaiters) != 0 {
-		t.Errorf("cond still holds %d task waiters after interrupt", len(c.twaiters))
+	if c.tasks.len() != 0 {
+		t.Errorf("cond still holds %d task waiters after interrupt", c.tasks.len())
 	}
 }
 
@@ -230,8 +230,8 @@ func TestInterruptDropsTaskWaiterSoBroadcastIsClean(t *testing.T) {
 	if fmt.Sprint(order) != want {
 		t.Errorf("order = %v, want %v", order, want)
 	}
-	if len(ev.twaiters) != 0 {
-		t.Errorf("ev still holds %d task waiters", len(ev.twaiters))
+	if ev.tasks.len() != 0 {
+		t.Errorf("ev still holds %d task waiters", ev.tasks.len())
 	}
 }
 
@@ -267,8 +267,8 @@ func TestInterruptTaskWithoutHandlerDies(t *testing.T) {
 	if len(ce.Failures) != 1 || fmt.Sprint(ce.Failures[0].Cause) != "unhandled" {
 		t.Fatalf("failures = %+v, want one with cause \"unhandled\"", ce.Failures)
 	}
-	if len(c.twaiters) != 0 {
-		t.Errorf("cond still holds %d task waiters", len(c.twaiters))
+	if c.tasks.len() != 0 {
+		t.Errorf("cond still holds %d task waiters", c.tasks.len())
 	}
 }
 

@@ -34,7 +34,7 @@ type Env struct {
 	seq       uint64
 	live      int            // spawned processes and tasks that have not finished
 	parked    map[*Proc]bool // processes blocked with no scheduled wake-up
-	tparked   map[*Task]bool // tasks blocked with no scheduled wake-up
+	tasks     []*Task        // registry of spawned tasks (Env.register); the parked ones have Task.parked set
 	yield     chan struct{}  // running process -> scheduler handoff
 	cur       *Proc
 	stopped   bool
@@ -58,9 +58,8 @@ type Env struct {
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	return &Env{
-		queue:   newCalQueue(),
-		parked:  make(map[*Proc]bool),
-		tparked: make(map[*Task]bool),
+		queue:  newCalQueue(),
+		parked: make(map[*Proc]bool),
 		// Buffered so the handoff sends never block: the sender continues to
 		// its own receive (or exit) without a cross-goroutine rendezvous,
 		// halving scheduler wake-ups per process switch. Alternation is
@@ -77,49 +76,35 @@ func (e *Env) Now() Time { return e.now }
 // executed so far. Perf harnesses use it to derive events/sec.
 func (e *Env) Events() uint64 { return e.processed }
 
-// item is one scheduled occurrence: a callback, a process wake-up, or a
-// task resume.
+// item is one scheduled occurrence: a callback (fn), or — fn nil — what tgt
+// names: a *Proc to wake, a *Task to resume or a *Cond to broadcast. The one
+// interface field keeps the struct at six words: items are allocated by the
+// hundred thousand, and a seventh word would move them from the 48-byte
+// size class to the 64-byte one (a test holds the size).
 type item struct {
-	t   Time
-	seq uint64
-	fn  func()
-	p   *Proc
-	tk  *Task
+	t    Time
+	seq  uint64
+	next *item // the following item of the same timestamp; the last one's is the first (calendar run)
+	fn   func()
+	tgt  any
 }
 
 // eventHeap is a (t, seq)-ordered binary min-heap of items, manipulated
-// through the shared heapPush/heapPop primitives in calqueue.go. The
-// calendar queue uses it as the far-future overflow store; the calendar
-// property tests use it as the reference ordering.
+// through the heapPush/heapPop primitives in calqueue.go. The calendar
+// queue uses it as the far-future overflow store; the calendar property
+// tests use it as the reference ordering.
 type eventHeap []*item
 
-// pushItem schedules one occurrence, reusing a recycled item if available.
-func (e *Env) pushItem(t Time, fn func(), p *Proc) {
+// push schedules one occurrence, reusing a recycled item if available.
+func (e *Env) push(t Time, fn func(), tgt any) {
 	var it *item
 	if n := len(e.free); n > 0 {
 		it = e.free[n-1]
 		e.free = e.free[:n-1]
-		it.t, it.fn, it.p = t, fn, p
 	} else {
-		it = &item{t: t, fn: fn, p: p}
+		it = new(item)
 	}
-	it.seq = e.seq
-	e.seq++
-	e.queue.push(it)
-}
-
-// pushTask schedules a task resume, reusing a recycled item if available.
-func (e *Env) pushTask(t Time, tk *Task) {
-	var it *item
-	if n := len(e.free); n > 0 {
-		it = e.free[n-1]
-		e.free = e.free[:n-1]
-		it.t = t
-	} else {
-		it = &item{t: t}
-	}
-	it.tk = tk
-	it.seq = e.seq
+	it.t, it.seq, it.fn, it.tgt = t, e.seq, fn, tgt
 	e.seq++
 	e.queue.push(it)
 }
@@ -127,8 +112,7 @@ func (e *Env) pushTask(t Time, tk *Task) {
 // recycle returns an executed item to the free list.
 func (e *Env) recycle(it *item) {
 	it.fn = nil
-	it.p = nil
-	it.tk = nil
+	it.tgt = nil
 	e.free = append(e.free, it)
 }
 
@@ -136,7 +120,7 @@ func (e *Env) schedule(t Time, f func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.pushItem(t, f, nil)
+	e.push(t, f, nil)
 }
 
 // At schedules fn to run at absolute time t (clamped to now).
@@ -254,7 +238,7 @@ func (e *Env) spawn(prefix string, num int, fn func(*Proc)) *Proc {
 		p.checkKilled()
 		fn(p)
 	}()
-	e.pushItem(e.now, nil, p)
+	e.push(e.now, nil, p)
 	return p
 }
 
@@ -397,7 +381,7 @@ func (p *Proc) Sleep(d Time) {
 	if p.slow > 1 {
 		d *= p.slow
 	}
-	p.env.pushItem(p.env.now+d, nil, p)
+	p.env.push(p.env.now+d, nil, p)
 	p.park()
 }
 
@@ -431,7 +415,7 @@ func (e *Env) unblock(p *Proc) {
 		panic("sim: unblock of process that is not parked: " + p.Name())
 	}
 	delete(e.parked, p)
-	e.pushItem(e.now, nil, p)
+	e.push(e.now, nil, p)
 }
 
 // BlockedProc is a snapshot of one process blocked with no scheduled
@@ -448,7 +432,7 @@ type BlockedProc struct {
 // events, after Run or RunUntil return) and backs stall and deadlock
 // reports.
 func (e *Env) Blocked() []BlockedProc {
-	out := make([]BlockedProc, 0, len(e.parked)+len(e.tparked))
+	out := make([]BlockedProc, 0, len(e.parked))
 	for p := range e.parked {
 		b := BlockedProc{Name: p.Name(), Since: p.waitSince}
 		if p.waitOn != nil {
@@ -464,7 +448,10 @@ func (e *Env) Blocked() []BlockedProc {
 		}
 		out = append(out, b)
 	}
-	for t := range e.tparked {
+	for _, t := range e.tasks {
+		if !t.parked {
+			continue
+		}
 		b := BlockedProc{Name: t.Name(), Since: t.waitSince}
 		if t.waitOn != nil {
 			b.Resource = t.waitOn.waitID()
@@ -490,12 +477,12 @@ func (e *Env) nextResNum() int {
 // Event is a one-shot occurrence processes can wait on. After Trigger,
 // waiting is a no-op. The zero value is not usable; use Env.NewEvent.
 type Event struct {
-	env      *Env
-	num      int    // sequence for the default id
-	id       string // label from Named, or cached formatted id
-	done     bool
-	waiters  []*Proc
-	twaiters []*Task
+	env     *Env
+	num     int    // sequence for the default id
+	id      string // label from Named, or cached formatted id
+	done    bool
+	waiters []*Proc
+	tasks   taskList
 }
 
 // NewEvent returns an untriggered event.
@@ -523,14 +510,7 @@ func (ev *Event) dropWaiter(p *Proc) {
 	}
 }
 
-func (ev *Event) dropTaskWaiter(t *Task) {
-	for i, w := range ev.twaiters {
-		if w == t {
-			ev.twaiters = append(ev.twaiters[:i], ev.twaiters[i+1:]...)
-			return
-		}
-	}
-}
+func (ev *Event) dropTaskWaiter(t *Task) { ev.tasks.drop(t) }
 
 // Done reports whether the event has been triggered.
 func (ev *Event) Done() bool { return ev.done }
@@ -546,10 +526,7 @@ func (ev *Event) Trigger() {
 		ev.env.unblock(p)
 	}
 	ev.waiters = nil
-	for _, t := range ev.twaiters {
-		ev.env.unblockTask(t)
-	}
-	ev.twaiters = nil
+	ev.tasks.wakeAll(ev.env)
 }
 
 // TriggerAfter schedules the event to fire d from now.
@@ -572,17 +549,28 @@ func (p *Proc) WaitAll(evs ...*Event) {
 }
 
 // Cond is a broadcast-style condition: Wait blocks until the next Broadcast.
-// Unlike Event it can be signalled repeatedly.
+// Unlike Event it can be signalled repeatedly. A Cond may be embedded by
+// value in the object it guards (shm.Flag, rma.Counter) and bound with Init,
+// so the object and its condition are one allocation; it must not be copied
+// once in use.
 type Cond struct {
-	env      *Env
-	num      int    // sequence for the default id
-	id       string // label from Named, or cached formatted id
-	waiters  []*Proc
-	twaiters []*Task
+	env     *Env
+	num     int    // sequence for the default id
+	id      string // label from Named, or cached formatted id
+	waiters []*Proc
+	tasks   taskList
 }
 
 // NewCond returns a condition bound to the environment.
-func (e *Env) NewCond() *Cond { return &Cond{env: e, num: e.nextResNum()} }
+func (e *Env) NewCond() *Cond {
+	c := new(Cond)
+	c.Init(e)
+	return c
+}
+
+// Init binds a zero Cond to the environment, drawing its report id exactly
+// as NewCond does.
+func (c *Cond) Init(e *Env) { c.env, c.num = e, e.nextResNum() }
 
 // Named sets a human-readable label used in stall reports and returns c.
 func (c *Cond) Named(name string) *Cond { c.id = name; return c }
@@ -606,14 +594,7 @@ func (c *Cond) dropWaiter(p *Proc) {
 	}
 }
 
-func (c *Cond) dropTaskWaiter(t *Task) {
-	for i, w := range c.twaiters {
-		if w == t {
-			c.twaiters = append(c.twaiters[:i], c.twaiters[i+1:]...)
-			return
-		}
-	}
-}
+func (c *Cond) dropTaskWaiter(t *Task) { c.tasks.drop(t) }
 
 // Wait blocks the process until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
@@ -646,12 +627,17 @@ func (c *Cond) Broadcast() {
 		c.env.unblock(p)
 	}
 	c.waiters = c.waiters[:0]
-	// Waking a task only schedules its resume item — no task code runs
-	// inside this loop — so draining in place is safe, as for Procs.
-	for _, t := range c.twaiters {
-		c.env.unblockTask(t)
+	c.tasks.wakeAll(c.env)
+}
+
+// BroadcastAfter schedules a Broadcast d from now (negative counts as zero).
+// The queue item names the condition itself, so a flag store that wakes its
+// spinners after a latency binds no closure.
+func (c *Cond) BroadcastAfter(d Time) {
+	if d < 0 {
+		d = 0
 	}
-	c.twaiters = c.twaiters[:0]
+	c.env.push(c.env.now+d, nil, c)
 }
 
 // WaitUntil blocks the process until pred() holds, re-checking after every
@@ -719,36 +705,39 @@ func (e *Env) Run() error { return e.RunUntil(-1) }
 // Process panics recovered during the run surface as a *CrashError, which
 // takes precedence over deadlock reporting (the crash is the root cause).
 func (e *Env) RunUntil(limit Time) error {
-	for e.queue.Len() > 0 {
-		it := e.queue.peek()
-		if limit >= 0 && it.t > limit {
-			if len(e.failures) > 0 {
-				return &CrashError{Failures: e.Failures()}
-			}
-			if e.live > 0 && !e.anyPotentialProgress() {
-				return e.deadlock()
-			}
-			return nil
+	for {
+		it := e.queue.popDue(limit)
+		if it == nil {
+			break
 		}
-		e.queue.pop()
 		e.now = it.t
 		e.processed++
 		// Recycle before executing so callbacks can reuse the slot; the
 		// fields are copied out first.
-		fn, p, tk := it.fn, it.p, it.tk
+		fn, tgt := it.fn, it.tgt
 		e.recycle(it)
 		if fn != nil {
 			fn()
 			continue
 		}
-		if tk != nil {
-			e.runTask(tk)
-			continue
+		switch x := tgt.(type) {
+		case *Task:
+			e.runTask(x)
+		case *Proc:
+			e.wake(x)
+		case *Cond:
+			x.Broadcast()
 		}
-		e.wake(p)
 	}
 	if len(e.failures) > 0 {
 		return &CrashError{Failures: e.Failures()}
+	}
+	if e.queue.Len() > 0 {
+		// The limit stopped the run with events still queued.
+		if e.live > 0 && !e.anyPotentialProgress() {
+			return e.deadlock()
+		}
+		return nil
 	}
 	if e.live > 0 {
 		return e.deadlock()
@@ -772,16 +761,20 @@ func (e *Env) DeadlockReport() *DeadlockError {
 func (e *Env) Idle() bool { return !e.anyPotentialProgress() }
 
 // anyPotentialProgress reports whether any queued event could still change
-// simulation state: a callback (opaque, assumed potent) or a wake-up of a
-// process that has not finished.
+// simulation state: a callback or broadcast (opaque, assumed potent) or a
+// wake-up of a process or task that has not finished.
 func (e *Env) anyPotentialProgress() bool {
 	potent := false
 	e.queue.forEach(func(it *item) bool {
-		if it.fn != nil || (it.p != nil && !it.p.done) || (it.tk != nil && !it.tk.done) {
+		switch x := it.tgt.(type) {
+		case *Proc:
+			potent = !x.done
+		case *Task:
+			potent = !x.done
+		default:
 			potent = true
-			return false
 		}
-		return true
+		return !potent
 	})
 	return potent
 }

@@ -674,7 +674,7 @@ func TestRunUntilDetectsUnwakeable(t *testing.T) {
 	// Fabricate the race RunUntil must see through: a wake-up queued beyond
 	// the limit for a process that has already finished. With only that in
 	// the queue, nothing can ever wake "stuck".
-	e.pushItem(100, nil, done)
+	e.push(100, nil, done)
 	err := e.RunUntil(5)
 	de, ok := err.(*DeadlockError)
 	if !ok {

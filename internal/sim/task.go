@@ -13,7 +13,7 @@ import "strconv"
 // A Task is written in continuation-passing style. Each step runs to
 // completion inside the event loop and must end in exactly one of three
 // ways: suspend by calling a blocking primitive (SleepThen, YieldThen,
-// Cond.WaitOnT, Event.WaitT, ...) as its final action, or fall off the end,
+// Cond.WaitT, Event.WaitT, ...) as its final action, or fall off the end,
 // which finishes the task. Blocking primitives take the continuation to run
 // on resume; calling one anywhere but the tail of a step is a bug (the rest
 // of the step would run before the wait completes in virtual time).
@@ -40,22 +40,20 @@ type Task struct {
 	// payload recorded as its failure cause.
 	OnInterrupt func(payload any)
 
-	// Wait context while parked, mirroring Proc's; read by stall reports.
+	// Wait context, mirroring Proc's; read by stall reports while the task
+	// is parked. A wake-up leaves it in place rather than clearing it: an
+	// armed predicate wait parks again with the same context.
 	waitOn    taskParkable
 	waitObj   WaitDescriber
 	waitWant  int
 	waitSince Time
+	waitNext  *Task // next waiter of the resource parked on (taskList)
 
-	// Struct-held predicate-wait frame. waitUntilT re-arms through retryFn —
-	// allocated once per task — instead of building a fresh recursive closure
-	// per wait, so the hottest protocol loops (flag spins, counter waits)
-	// park and retry without CPS garbage.
-	waitPred func() bool
-	waitK    func()
-	predCond *Cond
-	predObj  WaitDescriber
-	predWant int
-	retryFn  func()
+	// Armed predicate wait (Cond.WaitFrameT): every wake-up asks the frame
+	// whether its condition holds and parks again on the same Cond (waitOn)
+	// if not, so the hottest protocol loops (flag spins, counter waits)
+	// re-check and re-park without a continuation of their own.
+	wait WaitFrame
 
 	// Unwind stack, armed only inside fault-sensitive operations: blocking
 	// primitives that would restore state via defer on the Proc engine
@@ -77,6 +75,56 @@ type taskParkable interface {
 	dropTaskWaiter(t *Task)
 }
 
+// taskList is the FIFO of tasks parked on one resource, threaded through
+// Task.waitNext: a task parks on at most one thing, so the link lives in
+// the task and a resource nobody waits on costs two nil words.
+type taskList struct{ head, tail *Task }
+
+func (l *taskList) add(t *Task) {
+	if l.tail == nil {
+		l.head = t
+	} else {
+		l.tail.waitNext = t
+	}
+	l.tail = t
+}
+
+// drop unlinks t, leaving the order of the others intact; no-op when t is
+// not on the list.
+func (l *taskList) drop(t *Task) {
+	var prev *Task
+	for w := l.head; w != nil; prev, w = w, w.waitNext {
+		if w != t {
+			continue
+		}
+		if prev == nil {
+			l.head = t.waitNext
+		} else {
+			prev.waitNext = t.waitNext
+		}
+		if l.tail == t {
+			l.tail = prev
+		}
+		t.waitNext = nil
+		return
+	}
+}
+
+// wakeAll empties the list and wakes its tasks in wait order. Waking only
+// schedules a resume item — no task code runs here — and the list is
+// detached first, so a task that parks again from its resume step joins a
+// fresh list and waits for the next wake-up.
+func (l *taskList) wakeAll(e *Env) {
+	t := l.head
+	l.head, l.tail = nil, nil
+	for t != nil {
+		next := t.waitNext
+		t.waitNext = nil
+		e.unblockTask(t)
+		t = next
+	}
+}
+
 // SpawnTask creates a task that will start running fn at the current
 // virtual time (after already-scheduled events at this timestamp). The name
 // is prefix+itoa(num), formatted lazily; pass num < 0 to use prefix alone.
@@ -86,8 +134,31 @@ type taskParkable interface {
 func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
 	t := &Task{env: e, prefix: prefix, num: num, track: -1, start: fn}
 	e.live++
-	e.pushTask(e.now, t)
+	e.register(t)
+	e.push(e.now, nil, t)
 	return t
+}
+
+// register records t for stall and deadlock reports. Parking and waking
+// touch only Task.parked; the reports walk this registry instead. When it
+// fills, finished tasks are swept out before it grows, so a run that spawns
+// short-lived helpers forever holds only the live ones.
+func (e *Env) register(t *Task) {
+	if n := len(e.tasks); n == cap(e.tasks) && n > 0 {
+		live := e.tasks[:0]
+		for _, x := range e.tasks {
+			if !x.done {
+				live = append(live, x)
+			}
+		}
+		clear(e.tasks[len(live):])
+		if len(live) > n/2 {
+			// Mostly live: double, so the next sweep is as far away again.
+			live = append(make([]*Task, 0, 2*n), live...)
+		}
+		e.tasks = live
+	}
+	e.tasks = append(e.tasks, t)
 }
 
 // Env returns the environment the task runs in.
@@ -129,7 +200,7 @@ func (t *Task) SleepThen(d Time, k func()) {
 		d = 0
 	}
 	t.k = k
-	t.env.pushTask(t.env.now+d, t)
+	t.env.push(t.env.now+d, nil, t)
 }
 
 // YieldThen reschedules the task at the current time, letting other
@@ -137,16 +208,15 @@ func (t *Task) SleepThen(d Time, k func()) {
 func (t *Task) YieldThen(k func()) { t.SleepThen(0, k) }
 
 // parkOnT suspends the task indefinitely on a waitable; something else must
-// hold a reference and wake it via an Event or Cond. k runs on wake.
+// hold a reference and wake it via an Event or Cond. k runs on wake (nil for
+// an armed predicate wait, which resumes through its frame).
 func (t *Task) parkOnT(on taskParkable, obj WaitDescriber, want int, k func()) {
-	e := t.env
-	e.tparked[t] = true
 	t.parked = true
 	t.k = k
 	t.waitOn = on
 	t.waitObj = obj
 	t.waitWant = want
-	t.waitSince = e.now
+	t.waitSince = t.env.now
 }
 
 // unblockTask wakes a parked task at the current time.
@@ -158,10 +228,7 @@ func (e *Env) unblockTask(t *Task) {
 		panic("sim: unblock of task that is not parked: " + t.Name())
 	}
 	t.parked = false
-	t.waitOn = nil
-	t.waitObj = nil
-	delete(e.tparked, t)
-	e.pushTask(e.now, t)
+	e.push(e.now, nil, t)
 }
 
 // KillTask schedules an injected crash of t, mirroring Env.Kill: the task
@@ -180,7 +247,7 @@ func (e *Env) KillTask(t *Task, reason string) {
 		if t.waitOn != nil {
 			t.waitOn.dropTaskWaiter(t)
 		}
-		e.unparkForDelivery(t)
+		e.unblockTask(t) // deliver the crash now instead of never
 	}
 	// Otherwise the task is sleeping (or starting) and its queued resume
 	// delivers the crash.
@@ -202,24 +269,14 @@ func (e *Env) InterruptTask(t *Task, payload any) {
 		if t.waitOn != nil {
 			t.waitOn.dropTaskWaiter(t)
 		}
-		e.unparkForDelivery(t)
+		e.unblockTask(t)
 	}
 	// Otherwise the task is sleeping (or running to its next park) and its
 	// next resume delivers the interrupt.
 }
 
-// unparkForDelivery clears a task's park state and schedules it so a
-// pending kill or interrupt is delivered by runTask.
-func (e *Env) unparkForDelivery(t *Task) {
-	t.parked = false
-	t.waitOn = nil
-	t.waitObj = nil
-	delete(e.tparked, t)
-	e.pushTask(e.now, t)
-}
-
 // runTask resumes a task from the event loop: it delivers any pending kill
-// or interrupt, otherwise runs the stored continuation as one step.
+// or interrupt, otherwise runs the task's next step.
 func (e *Env) runTask(t *Task) {
 	if t.done {
 		return // stale resume of a task torn down by a failure
@@ -230,57 +287,49 @@ func (e *Env) runTask(t *Task) {
 		e.failTask(t, Crashed{Reason: t.killed})
 		return
 	}
-	if v := t.intr; v != nil {
+	intr := t.intr
+	if intr != nil {
 		t.intr = nil
 		t.k = nil // the interrupted wait's continuation must not run
 		t.start = nil
-		t.clearPredWait()
-		if h := t.OnInterrupt; h != nil {
-			e.stepTask(t, func() { h(v) })
-		} else {
-			e.failTask(t, v)
+		t.clearWait()
+		if t.OnInterrupt == nil {
+			e.failTask(t, intr)
+			return
 		}
-		return
 	}
-	if fn := t.start; fn != nil {
+	e.stepTask(t, intr)
+}
+
+// stepTask runs one step: the interrupt handler when intr is set, else the
+// spawn function, the re-check of an armed predicate wait, or the stored
+// continuation. A step that neither suspended nor rescheduled has fallen off
+// its end, finishing the task; a panic is recovered and recorded like a Proc
+// failure.
+func (e *Env) stepTask(t *Task, intr any) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.failTask(t, r)
+		}
+		if !t.done && t.k == nil && !t.parked {
+			t.done = true
+			e.live--
+		}
+	}()
+	switch {
+	case intr != nil:
+		t.OnInterrupt(intr)
+	case t.start != nil:
+		fn := t.start
 		t.start = nil
-		e.stepTaskStart(t, fn)
-		return
+		fn(t)
+	case t.wait != nil:
+		t.retryWait()
+	default:
+		k := t.k
+		t.k = nil
+		k()
 	}
-	k := t.k
-	t.k = nil
-	e.stepTask(t, k)
-}
-
-// stepTaskStart runs the spawn function as the task's first step, with the
-// same recovery and fall-off-the-end handling as stepTask.
-func (e *Env) stepTaskStart(t *Task, fn func(*Task)) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.failTask(t, r)
-		}
-		if !t.done && t.k == nil && !t.parked {
-			t.done = true
-			e.live--
-		}
-	}()
-	fn(t)
-}
-
-// stepTask runs one continuation. A step that neither suspended nor
-// rescheduled has fallen off its end, finishing the task; a panic is
-// recovered and recorded like a Proc failure.
-func (e *Env) stepTask(t *Task, k func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.failTask(t, r)
-		}
-		if !t.done && t.k == nil && !t.parked {
-			t.done = true
-			e.live--
-		}
-	}()
-	k()
 }
 
 // failTask records a task death and tears down any park state, dropping the
@@ -294,9 +343,6 @@ func (e *Env) failTask(t *Task, cause any) {
 			t.waitOn.dropTaskWaiter(t)
 		}
 		t.parked = false
-		t.waitOn = nil
-		t.waitObj = nil
-		delete(e.tparked, t)
 	}
 	if t.unwindArmed {
 		// Restore protocol state the dead task was holding (dispatcher
@@ -304,7 +350,7 @@ func (e *Env) failTask(t *Task, cause any) {
 		t.RunUnwinds()
 		t.unwindArmed = false
 	}
-	t.clearPredWait()
+	t.clearWait()
 	t.k = nil
 	t.done = true
 	e.live--
@@ -324,81 +370,54 @@ func (ev *Event) WaitT(t *Task, k func()) {
 		k()
 		return
 	}
-	ev.twaiters = append(ev.twaiters, t)
+	ev.tasks.add(t)
 	t.parkOnT(ev, nil, -1, k)
 }
 
 // WaitT suspends the task until the next Broadcast, then resumes with k.
 func (c *Cond) WaitT(t *Task, k func()) {
-	c.twaiters = append(c.twaiters, t)
+	c.tasks.add(t)
 	t.parkOnT(c, nil, -1, k)
 }
 
-// WaitOnT is Cond.WaitOn for tasks: the WaitDescriber and awaited value are
-// recorded for stall reports and formatted only if a report is built.
-func (c *Cond) WaitOnT(t *Task, obj WaitDescriber, want int, k func()) {
-	c.twaiters = append(c.twaiters, t)
-	t.parkOnT(c, obj, want, k)
+// WaitFrame is a parked predicate wait as one value: Ready reports whether
+// the awaited condition holds, Resume continues the task once it does. A
+// primitive that waits for a value (a flag, a counter) implements both on
+// the frame that already holds its arguments, so arming the wait stores one
+// interface in the Task and binds no predicate or continuation closure.
+type WaitFrame interface {
+	Ready() bool
+	Resume()
 }
 
-// WaitUntilT suspends the task until pred() holds, re-checking after every
-// Broadcast of c, then resumes with k. pred is evaluated immediately first;
-// if it already holds, k runs within the current step (no virtual time
-// passes), matching Cond.WaitUntil for Procs.
-func (c *Cond) WaitUntilT(t *Task, pred func() bool, k func()) {
-	c.waitUntilT(t, nil, -1, pred, k)
+// WaitFrameT parks the task on c until w.Ready() holds, re-checking after
+// every Broadcast, then calls w.Resume() as a step of the task. The caller
+// has found the condition unmet (a met one continues inline, without a
+// frame); obj and want describe the wait to stall reports like Cond.WaitOn.
+// Must be the final action of the current step.
+func (c *Cond) WaitFrameT(t *Task, obj WaitDescriber, want int, w WaitFrame) {
+	t.wait = w
+	c.tasks.add(t)
+	t.parkOnT(c, obj, want, nil)
 }
 
-// WaitUntilOnT is WaitUntilT with stall-report context, the task analogue
-// of looping Cond.WaitOn until a predicate holds.
-func (c *Cond) WaitUntilOnT(t *Task, obj WaitDescriber, want int, pred func() bool, k func()) {
-	c.waitUntilT(t, obj, want, pred, k)
-}
-
-func (c *Cond) waitUntilT(t *Task, obj WaitDescriber, want int, pred func() bool, k func()) {
-	if pred() {
-		k()
-		return
-	}
-	// Hold the predicate-wait frame in the task itself. Re-parking goes
-	// through retryFn, built once for the task's lifetime, rather than a
-	// recursive closure allocated per wait: a million-rank run re-checks
-	// these predicates billions of times.
-	t.waitPred = pred
-	t.waitK = k
-	t.predCond = c
-	t.predObj = obj
-	t.predWant = want
-	if t.retryFn == nil {
-		t.retryFn = t.retryWait
-	}
-	c.twaiters = append(c.twaiters, t)
-	t.parkOnT(c, obj, want, t.retryFn)
-}
-
-// retryWait is the shared resume continuation for waitUntilT parks: it
-// re-evaluates the stored predicate and either releases the stored
-// continuation or parks again on the same Cond.
+// retryWait is the resume step of an armed predicate wait: it releases the
+// frame if its condition now holds, else parks again on the same Cond with
+// the same report context.
 func (t *Task) retryWait() {
-	if t.waitPred() {
-		k := t.waitK
-		t.clearPredWait()
-		k()
+	if w := t.wait; w.Ready() {
+		t.clearWait()
+		w.Resume()
 		return
 	}
-	c := t.predCond
-	c.twaiters = append(c.twaiters, t)
-	t.parkOnT(c, t.predObj, t.predWant, t.retryFn)
+	c := t.waitOn.(*Cond) // only a Cond arms a frame, and a wake-up left it here
+	c.tasks.add(t)
+	t.parkOnT(c, t.waitObj, t.waitWant, nil)
 }
 
-// clearPredWait drops the predicate-wait frame so the closures it holds can
-// be collected; called when the wait completes or the task is torn down.
-func (t *Task) clearPredWait() {
-	t.waitPred = nil
-	t.waitK = nil
-	t.predCond = nil
-	t.predObj = nil
-}
+// clearWait disarms the predicate wait so its frame can be reused or
+// collected; called when the wait completes or the task is torn down.
+func (t *Task) clearWait() { t.wait = nil }
 
 // SetUnwindArmed enables (or disables and clears) the task's unwind stack.
 // Fault-tolerant execution arms it for the duration of a collective so

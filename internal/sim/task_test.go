@@ -75,7 +75,7 @@ func TestTaskWaitUntilT(t *testing.T) {
 	val := 0
 	var seen int
 	e.SpawnTask("w", -1, func(tk *Task) {
-		c.WaitUntilT(tk, func() bool { return val >= 3 }, func() {
+		waitUntilT(c, tk, -1, func() bool { return val >= 3 }, func() {
 			seen = val
 		})
 	})
@@ -98,7 +98,7 @@ func TestTaskWaitUntilTImmediate(t *testing.T) {
 	c := e.NewCond()
 	ran := false
 	e.SpawnTask("w", -1, func(tk *Task) {
-		c.WaitUntilT(tk, func() bool { return true }, func() { ran = true })
+		waitUntilT(c, tk, -1, func() bool { return true }, func() { ran = true })
 		if !ran {
 			t.Error("continuation deferred past the current step")
 		}
@@ -166,8 +166,8 @@ func TestTaskPanicWhileParkedElsewhereIsClean(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want CrashError", err)
 	}
-	if len(c.twaiters) != 0 {
-		t.Errorf("cond still holds %d task waiters", len(c.twaiters))
+	if c.tasks.len() != 0 {
+		t.Errorf("cond still holds %d task waiters", c.tasks.len())
 	}
 }
 
@@ -228,7 +228,7 @@ func TestTaskNamesLazily(t *testing.T) {
 }
 
 func TestKillTaskParkedInWaitUntilOnT(t *testing.T) {
-	// Regression: a task killed while parked mid-WaitUntilOnT must leave the
+	// Regression: a task killed while parked mid-predicate-wait must leave the
 	// Cond's waiter list exactly once — the kill drops the entry, and the
 	// later broadcast must not find a stale one (double-unpark would panic
 	// "unblock of task that is not parked").
@@ -237,11 +237,11 @@ func TestKillTaskParkedInWaitUntilOnT(t *testing.T) {
 	val := 0
 	var tk *Task
 	tk = e.SpawnTask("victim", -1, func(tk *Task) {
-		c.WaitUntilOnT(tk, nil, 3, func() bool { return val >= 3 }, func() {
+		waitUntilT(c, tk, 3, func() bool { return val >= 3 }, func() {
 			t.Error("killed task ran its continuation")
 		})
 	})
-	e.At(1, func() { val = 1; c.Broadcast() }) // unsatisfied: re-parks through retryFn
+	e.At(1, func() { val = 1; c.Broadcast() }) // unsatisfied: retryWait parks again
 	e.At(2, func() { e.KillTask(tk, "chaos") })
 	e.At(3, func() { val = 3; c.Broadcast() }) // must not touch the corpse
 	err := e.Run()
@@ -249,13 +249,13 @@ func TestKillTaskParkedInWaitUntilOnT(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want CrashError", err)
 	}
-	if len(c.twaiters) != 0 {
-		t.Errorf("cond still holds %d task waiters after the kill", len(c.twaiters))
+	if c.tasks.len() != 0 {
+		t.Errorf("cond still holds %d task waiters after the kill", c.tasks.len())
 	}
-	if len(e.tparked) != 0 {
-		t.Errorf("%d tasks still marked parked", len(e.tparked))
+	if n := len(parkedTasks(e)); n != 0 {
+		t.Errorf("%d tasks still marked parked", n)
 	}
-	if tk.waitPred != nil || tk.predCond != nil {
+	if tk.wait != nil {
 		t.Error("predicate-wait frame not cleared on task death")
 	}
 }
@@ -271,18 +271,18 @@ func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 	var tk *Task
 	tk = e.SpawnTask("w", -1, func(tk *Task) {
 		tk.OnInterrupt = func(payload any) {
-			if got := len(c.twaiters); got != 0 {
+			if got := c.tasks.len(); got != 0 {
 				t.Errorf("cond holds %d waiters during interrupt delivery, want 0", got)
 			}
-			c.WaitUntilOnT(tk, nil, 5, func() bool { return val >= 5 }, func() { resumed = true })
+			waitUntilT(c, tk, 5, func() bool { return val >= 5 }, func() { resumed = true })
 		}
-		c.WaitUntilOnT(tk, nil, 5, func() bool { return val >= 5 }, func() {
+		waitUntilT(c, tk, 5, func() bool { return val >= 5 }, func() {
 			t.Error("interrupted wait's continuation ran")
 		})
 	})
 	e.At(1, func() { e.InterruptTask(tk, "poke") })
 	e.At(2, func() {
-		if got := len(c.twaiters); got != 1 {
+		if got := c.tasks.len(); got != 1 {
 			t.Errorf("cond holds %d waiters after re-arm, want exactly 1", got)
 		}
 		val = 5
@@ -294,8 +294,8 @@ func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 	if !resumed {
 		t.Error("re-armed wait never resumed")
 	}
-	if len(c.twaiters) != 0 {
-		t.Errorf("cond still holds %d waiters after completion", len(c.twaiters))
+	if c.tasks.len() != 0 {
+		t.Errorf("cond still holds %d waiters after completion", c.tasks.len())
 	}
 }
 
@@ -307,7 +307,7 @@ func TestKillTaskAfterBroadcastWakeInFlight(t *testing.T) {
 	c := e.NewCond()
 	var tk *Task
 	tk = e.SpawnTask("victim", -1, func(tk *Task) {
-		c.WaitUntilOnT(tk, nil, -1, func() bool { return false }, func() {})
+		waitUntilT(c, tk, -1, func() bool { return false }, func() {})
 	})
 	e.At(1, func() {
 		c.Broadcast() // wake in flight: waiter removed, resume queued
@@ -318,8 +318,8 @@ func TestKillTaskAfterBroadcastWakeInFlight(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want CrashError", err)
 	}
-	if len(c.twaiters) != 0 {
-		t.Errorf("cond holds %d waiters", len(c.twaiters))
+	if c.tasks.len() != 0 {
+		t.Errorf("cond holds %d waiters", c.tasks.len())
 	}
 	if f := ce.Failures[0]; f.Time != 1 {
 		t.Errorf("death recorded at t=%v, want 1", f.Time)
@@ -327,38 +327,46 @@ func TestKillTaskAfterBroadcastWakeInFlight(t *testing.T) {
 }
 
 func TestWaitUntilTReusesRetryFrame(t *testing.T) {
-	// The predicate wait must re-park through the task's single retryFn and
-	// clear the frame when the wait completes, so back-to-back waits reuse
-	// the same continuation object instead of allocating one per park.
+	// A predicate wait holds nothing but its frame in the task: an unmet
+	// wake-up parks again with the same frame and no continuation of its
+	// own, and a completed wait clears the frame before it resumes, so the
+	// resume step can arm the next wait (or recycle the frame) at once.
 	e := NewEnv()
 	c := e.NewCond()
 	val := 0
 	waits := 0
-	e.SpawnTask("w", -1, func(tk *Task) {
-		first := tk.retryFn // nil until the first park
-		c.WaitUntilT(tk, func() bool { return val >= 2 }, func() {
+	var tk *Task
+	tk = e.SpawnTask("w", -1, func(tk *Task) {
+		waitUntilT(c, tk, -1, func() bool { return val >= 2 }, func() {
 			waits++
-			if tk.waitPred != nil || tk.waitK != nil || tk.predCond != nil {
-				t.Error("frame not cleared after a completed wait")
+			if tk.wait != nil {
+				t.Error("frame not cleared before the resume step")
 			}
-			c.WaitUntilT(tk, func() bool { return val >= 4 }, func() { waits++ })
-			if tk.retryFn == nil {
-				t.Error("retryFn dropped between waits")
-			}
+			waitUntilT(c, tk, -1, func() bool { return val >= 4 }, func() { waits++ })
 		})
-		if first != nil {
-			t.Error("retryFn allocated before any park")
-		}
 	})
 	for i := 1; i <= 4; i++ {
 		v := i
 		e.At(Time(i), func() { val = v; c.Broadcast() })
+	}
+	var frames []WaitFrame
+	for _, at := range []Time{0.5, 1.5, 2.5, 3.5} {
+		e.At(at, func() {
+			if !tk.parked || tk.k != nil || tk.waitOn != c || c.tasks.len() != 1 {
+				t.Errorf("t=%v: parked=%v k set=%v on c=%v waiters=%d, want one frame-only park on c",
+					e.Now(), tk.parked, tk.k != nil, tk.waitOn == c, c.tasks.len())
+			}
+			frames = append(frames, tk.wait)
+		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if waits != 2 {
 		t.Errorf("completed %d waits, want 2", waits)
+	}
+	if frames[0] != frames[1] || frames[2] != frames[3] || frames[1] == frames[2] {
+		t.Errorf("frames across the parks = %v; want one per wait, kept across its re-park", frames)
 	}
 }
 
@@ -388,12 +396,51 @@ func TestTaskUnwindStack(t *testing.T) {
 	}
 }
 
+// parkedTasks returns the registered tasks that are parked, in spawn order.
+func parkedTasks(e *Env) []*Task {
+	var out []*Task
+	for _, tk := range e.tasks {
+		if tk.parked {
+			out = append(out, tk)
+		}
+	}
+	return out
+}
+
 // findTask returns the single parked task with the given name.
 func findTask(e *Env, name string) *Task {
-	for tk := range e.tparked {
+	for _, tk := range parkedTasks(e) {
 		if tk.Name() == name {
 			return tk
 		}
 	}
 	return nil
+}
+
+// len counts the tasks parked on the list.
+func (l *taskList) len() int {
+	n := 0
+	for t := l.head; t != nil; t = t.waitNext {
+		n++
+	}
+	return n
+}
+
+// predFrame adapts a predicate and a continuation to WaitFrame, and
+// waitUntilT parks on it the way the flag and counter primitives park on
+// their frames: a condition that already holds continues inline.
+type predFrame struct {
+	pred func() bool
+	k    func()
+}
+
+func (f *predFrame) Ready() bool { return f.pred() }
+func (f *predFrame) Resume()     { f.k() }
+
+func waitUntilT(c *Cond, tk *Task, want int, pred func() bool, k func()) {
+	if pred() {
+		k()
+		return
+	}
+	c.WaitFrameT(tk, nil, want, &predFrame{pred, k})
 }
