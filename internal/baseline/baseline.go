@@ -6,6 +6,11 @@
 // fan-out barrier, deeper protocol stack). Both are rank-order algorithms:
 // unlike SRM they are not SMP-aware — intra-node edges merely happen to use
 // the shared-memory p2p device.
+//
+// No tree is ever built: on each call a rank computes its own parent and
+// children (tree.BinomialRow, O(log P)), as an MPI library's mask loop does.
+// Every algorithm exists once, as a Group method; Coll's operations are those
+// over the all-ranks group.
 package baseline
 
 import (
@@ -15,7 +20,6 @@ import (
 	"srmcoll/internal/machine"
 	"srmcoll/internal/mpi"
 	"srmcoll/internal/sim"
-	"srmcoll/internal/tree"
 )
 
 // Flavor selects the modeled MPI implementation.
@@ -87,149 +91,27 @@ func (c *Coll) combine(p *sim.Proc, rank, n, elem int) {
 	m.Stats.AddReduce(n / max(1, elem))
 }
 
-// Barrier blocks until every rank entered it. Both era implementations use
-// a binomial fan-in followed by a fan-out over ranks (dissemination-style
-// MPI barriers arrived later); the flavors differ only through their
-// point-to-point protocol costs.
-func (c *Coll) Barrier(p *sim.Proc, rank int) {
-	P := c.w.Size()
-	if P == 1 {
-		return
-	}
-	r := c.w.Rank(rank)
-	one := []byte{1}
-	buf := make([]byte, 1)
-	tr := tree.New(tree.Binomial, P, 0)
-	for _, child := range tr.Children[rank] {
-		r.Recv(p, child, tagBarrier, buf)
-	}
-	if parent := tr.Parent[rank]; parent != -1 {
-		r.Send(p, parent, tagBarrier, one)
-		r.Recv(p, parent, tagBarrier, buf)
-	}
-	for _, child := range tr.Children[rank] {
-		r.Send(p, child, tagBarrier, one)
-	}
-}
+// The world-level operations are the Group algorithms (group.go) over the
+// all-ranks group, where group index and rank coincide.
 
-// Bcast broadcasts buf from root along a binomial tree over ranks — the
-// MPICH algorithm the paper names (§2.1), and what the vendor MPI of the
-// era used as well.
+// Barrier is Group.Barrier over all ranks.
+func (c *Coll) Barrier(p *sim.Proc, rank int) { c.world().Barrier(p, rank) }
+
+// Bcast is Group.Bcast over all ranks.
 func (c *Coll) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	P := c.w.Size()
-	if P == 1 {
-		return
-	}
-	tr := tree.New(tree.Binomial, P, root)
-	r := c.w.Rank(rank)
-	if parent := tr.Parent[rank]; parent != -1 {
-		r.Recv(p, parent, tagBcast, buf)
-	}
-	for _, child := range tr.Children[rank] {
-		r.Send(p, child, tagBcast, buf)
-	}
+	c.world().Bcast(p, rank, buf, root)
 }
 
-// Reduce combines send buffers along a binomial tree over ranks, leaving
-// the result in recv at root (ignored elsewhere; may be nil). Each interior
-// rank stages its accumulator and receives children into scratch buffers —
-// the data movement at every tree level that Figure 2 contrasts with the
-// SRM shared-memory reduce. The staging buffers come from the machine's pool
-// and go back once the rank is through with them; a rank unwound out of the
-// operation leaves them to the collector, because a transfer matched before
-// the unwind may still land in them.
+// Reduce is Group.Reduce over all ranks.
 func (c *Coll) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op, root int) {
-	if !dtype.Valid(op, dt) {
-		panic(fmt.Sprintf("baseline: operator %s invalid for %s", op, dt))
-	}
-	P := c.w.Size()
-	n := len(send)
-	if P == 1 {
-		c.localCopy(p, rank, recv, send)
-		return
-	}
-	tr := tree.New(tree.Binomial, P, root)
-	r := c.w.Rank(rank)
-	if len(tr.Children[rank]) == 0 {
-		r.Send(p, tr.Parent[rank], tagReduce, send)
-		return
-	}
-	pool := c.machine().Buffers
-	acc := recv
-	if rank != root {
-		acc = pool.Get(n)
-	}
-	c.localCopy(p, rank, acc, send)
-	scratch := pool.Get(n)
-	// Receive children nearest-first (ascending offset), the order they
-	// complete their subtrees.
-	kids := tr.Children[rank]
-	for i := len(kids) - 1; i >= 0; i-- {
-		r.Recv(p, kids[i], tagReduce, scratch)
-		dtype.Reduce(op, dt, acc, scratch)
-		c.combine(p, rank, n, dt.Size())
-	}
-	pool.Put(scratch)
-	if rank != root {
-		r.Send(p, tr.Parent[rank], tagReduce, acc)
-		pool.Put(acc)
-	}
+	c.world().Reduce(p, rank, send, recv, dt, op, root)
 }
 
-// Allreduce leaves the combined result in every rank's recv. MPICH models
-// the classic reduce-to-0 followed by broadcast; IBM uses recursive
-// doubling up to 32 KB, then reduce+broadcast.
+// Allreduce is Group.Allreduce over all ranks.
 func (c *Coll) Allreduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op) {
-	if c.flavor == IBM && len(send) <= rdAllreduceLimit {
-		c.allreduceRD(p, rank, send, recv, dt, op)
-		return
-	}
-	c.Reduce(p, rank, send, recv, dt, op, 0)
-	c.Bcast(p, rank, recv, 0)
-}
-
-// allreduceRD is recursive doubling over ranks with pairwise Sendrecv,
-// folding non-power-of-two remainders in and out.
-func (c *Coll) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	if !dtype.Valid(op, dt) {
-		panic(fmt.Sprintf("baseline: operator %s invalid for %s", op, dt))
-	}
-	P := c.w.Size()
-	n := len(send)
-	r := c.w.Rank(rank)
-	c.localCopy(p, rank, recv, send)
-	if P == 1 {
-		return
-	}
-	pow := 1
-	for pow*2 <= P {
-		pow *= 2
-	}
-	if rank >= pow {
-		// Fold out: contribute to the partner, then wait for the result.
-		r.Send(p, rank-pow, tagAllreduce, recv)
-		r.Recv(p, rank-pow, tagAllreduce, recv)
-		return
-	}
-	scratch := c.machine().Buffers.Get(n)
-	if rank+pow < P {
-		r.Recv(p, rank+pow, tagAllreduce, scratch)
-		dtype.Reduce(op, dt, recv, scratch)
-		c.combine(p, rank, n, dt.Size())
-	}
-	for dist := 1; dist < pow; dist *= 2 {
-		partner := rank ^ dist
-		r.Sendrecv(p, partner, tagAllreduce, recv, partner, tagAllreduce, scratch)
-		dtype.Reduce(op, dt, recv, scratch)
-		c.combine(p, rank, n, dt.Size())
-	}
-	c.machine().Buffers.Put(scratch)
-	if rank+pow < P {
-		r.Send(p, rank+pow, tagAllreduce, recv)
-	}
+	c.world().Allreduce(p, rank, send, recv, dt, op)
 }
 
 // ReduceScatter combines members' send vectors and scatters block i to the
@@ -280,7 +162,8 @@ func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
 	n := len(send)
 	r := g.c.w.Rank(rank)
 	g.c.localCopy(p, rank, recv, send)
-	scratch := make([]byte, n)
+	pool := g.c.machine().Buffers
+	scratch := pool.Get(n)
 	for dist := 1; dist < P; dist *= 2 {
 		var sreq *mpi.Request
 		if me+dist < P {
@@ -298,6 +181,7 @@ func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
 		}
 	}
 	if !exclusive {
+		pool.Put(scratch)
 		return
 	}
 	var sreq *mpi.Request
@@ -313,10 +197,9 @@ func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
 	if me > 0 {
 		g.c.localCopy(p, rank, recv, scratch)
 	} else {
-		for i := range recv {
-			recv[i] = 0
-		}
+		clear(recv)
 	}
+	pool.Put(scratch)
 }
 
 // Scan is Group.Scan over all ranks.

@@ -20,6 +20,20 @@ const (
 	tagAlltoall
 )
 
+// subtreeSize is the vertex count of the binomial subtree rooted at relative
+// rank v of P: it covers [v, v+size) with size the lowest set bit of v (P at
+// the root), clipped to P.
+func subtreeSize(v, P int) int {
+	size := v & (-v)
+	if v == 0 {
+		size = P
+	}
+	if v+size > P {
+		size = P - v
+	}
+	return size
+}
+
 // Gather collects each member's blk-byte send into recv at root (group
 // order). Blocks travel up a binomial tree over group indices, each vertex
 // forwarding its subtree's concatenation; the tree is built in relative
@@ -36,35 +50,23 @@ func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
 		g.c.localCopy(p, rank, recv, send)
 		return
 	}
-	tr := tree.New(tree.Binomial, P, rootIdx)
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(P, rootIdx, me, row[:0])
 	rel := (me - rootIdx + P) % P
-	// The subtree rooted at relative rank v covers [v, v+size) with
-	// size = lowest set bit of v (or P at the root), clipped to P.
-	subSize := func(v int) int {
-		size := v & (-v)
-		if v == 0 {
-			size = P
-		}
-		if v+size > P {
-			size = P - v
-		}
-		return size
-	}
 	r := g.c.w.Rank(rank)
-	mine := subSize(rel)
+	mine := subtreeSize(rel, P)
 	buf := make([]byte, mine*blk)
 	g.c.localCopy(p, rank, buf[:blk], send)
 	// Children report in relative order; child v+2^k holds [v+2^k, ...).
-	kids := tr.Children[me]
 	for i := len(kids) - 1; i >= 0; i-- {
 		childIdx := kids[i]
 		childRel := (childIdx - rootIdx + P) % P
-		n := subSize(childRel) * blk
+		n := subtreeSize(childRel, P) * blk
 		off := (childRel - rel) * blk
 		r.Recv(p, g.members[childIdx], tagGather, buf[off:off+n])
 	}
 	if me != rootIdx {
-		r.Send(p, g.members[tr.Parent[me]], tagGather, buf)
+		r.Send(p, g.members[parent], tagGather, buf)
 		return
 	}
 	// Unrotate from relative to group order into recv.
@@ -90,20 +92,11 @@ func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
 		g.c.localCopy(p, rank, recv, send)
 		return
 	}
-	tr := tree.New(tree.Binomial, P, rootIdx)
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(P, rootIdx, me, row[:0])
 	rel := (me - rootIdx + P) % P
-	subSize := func(v int) int {
-		size := v & (-v)
-		if v == 0 {
-			size = P
-		}
-		if v+size > P {
-			size = P - v
-		}
-		return size
-	}
 	r := g.c.w.Rank(rank)
-	mine := subSize(rel)
+	mine := subtreeSize(rel, P)
 	var buf []byte
 	if me == rootIdx {
 		// Rotate into relative order once.
@@ -116,11 +109,11 @@ func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
 		g.c.machine().Stats.AddPlainCopy(len(send))
 	} else {
 		buf = make([]byte, mine*blk)
-		r.Recv(p, g.members[tr.Parent[me]], tagScatter, buf)
+		r.Recv(p, g.members[parent], tagScatter, buf)
 	}
-	for _, childIdx := range tr.Children[me] {
+	for _, childIdx := range kids {
 		childRel := (childIdx - rootIdx + P) % P
-		n := subSize(childRel) * blk
+		n := subtreeSize(childRel, P) * blk
 		off := (childRel - rel) * blk
 		r.Send(p, g.members[childIdx], tagScatter, buf[off:off+n])
 	}
@@ -166,14 +159,15 @@ func (c *Coll) Allgather(p *sim.Proc, rank int, send, recv []byte) {
 	c.world().Allgather(p, rank, send, recv)
 }
 
-// world returns (and caches) the all-ranks group.
+// world returns (and caches) the all-ranks group: members[i] == i, so it
+// carries no rank-to-index map.
 func (c *Coll) world() *Group {
 	if c.all == nil {
 		members := make([]int, c.w.Size())
 		for i := range members {
 			members[i] = i
 		}
-		c.all = c.Group(members)
+		c.all = &Group{c: c, members: members}
 	}
 	return c.all
 }

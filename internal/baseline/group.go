@@ -9,13 +9,14 @@ import (
 )
 
 // Group provides the collectives over an arbitrary subset of ranks, the
-// way MPI communicators carve up MPI_COMM_WORLD. Trees are built over
-// group-rank indices; the point-to-point layer is shared, and disjoint
-// groups cannot cross-match because sources differ.
+// way MPI communicators carve up MPI_COMM_WORLD. Trees run over group-rank
+// indices, each member computing its own row (tree.BinomialRow) per call; the
+// point-to-point layer is shared, and disjoint groups cannot cross-match
+// because sources differ.
 type Group struct {
 	c       *Coll
 	members []int
-	pos     map[int]int // global rank -> group index
+	pos     map[int]int // global rank -> group index; nil in the all-ranks group, where they are equal
 }
 
 // Group returns a collective group over the given member ranks.
@@ -39,17 +40,28 @@ func (c *Coll) Group(members []int) *Group {
 // Size returns the number of members.
 func (g *Group) Size() int { return len(g.members) }
 
+// lookup returns the group index of a rank and whether it is a member.
+func (g *Group) lookup(rank int) (int, bool) {
+	if g.pos == nil {
+		return rank, rank >= 0 && rank < len(g.members)
+	}
+	i, ok := g.pos[rank]
+	return i, ok
+}
+
 // index returns the group index of a member rank, panicking for outsiders.
 func (g *Group) index(rank int) int {
-	i, ok := g.pos[rank]
+	i, ok := g.lookup(rank)
 	if !ok {
 		panic(fmt.Sprintf("baseline: rank %d is not a member of the group", rank))
 	}
 	return i
 }
 
-// Barrier blocks until every member entered it (binomial fan-in/fan-out
-// over group indices).
+// Barrier blocks until every member entered it. Both era implementations use
+// a binomial fan-in followed by a fan-out over group indices
+// (dissemination-style MPI barriers arrived later); the flavors differ only
+// through their point-to-point protocol costs.
 func (g *Group) Barrier(p *sim.Proc, rank int) {
 	me := g.index(rank)
 	n := len(g.members)
@@ -59,38 +71,49 @@ func (g *Group) Barrier(p *sim.Proc, rank int) {
 	r := g.c.w.Rank(rank)
 	one := []byte{1}
 	buf := make([]byte, 1)
-	tr := tree.New(tree.Binomial, n, 0)
-	for _, child := range tr.Children[me] {
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(n, 0, me, row[:0])
+	for _, child := range kids {
 		r.Recv(p, g.members[child], tagBarrier, buf)
 	}
-	if parent := tr.Parent[me]; parent != -1 {
+	if parent != -1 {
 		r.Send(p, g.members[parent], tagBarrier, one)
 		r.Recv(p, g.members[parent], tagBarrier, buf)
 	}
-	for _, child := range tr.Children[me] {
+	for _, child := range kids {
 		r.Send(p, g.members[child], tagBarrier, one)
 	}
 }
 
 // Bcast broadcasts buf from the member rank root along a binomial tree
-// over group indices.
+// over group indices — the MPICH algorithm the paper names (§2.1), and what
+// the vendor MPI of the era used as well.
 func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 	me := g.index(rank)
 	n := len(g.members)
 	if n == 1 {
 		return
 	}
-	tr := tree.New(tree.Binomial, n, g.index(root))
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(n, g.index(root), me, row[:0])
 	r := g.c.w.Rank(rank)
-	if parent := tr.Parent[me]; parent != -1 {
+	if parent != -1 {
 		r.Recv(p, g.members[parent], tagBcast, buf)
 	}
-	for _, child := range tr.Children[me] {
+	for _, child := range kids {
 		r.Send(p, g.members[child], tagBcast, buf)
 	}
 }
 
-// Reduce combines members' send buffers into recv at the member rank root.
+// Reduce combines members' send buffers along a binomial tree over group
+// indices, leaving the result in recv at the member rank root (ignored
+// elsewhere; may be nil). Each interior member stages its accumulator and
+// receives children into scratch buffers — the data movement at every tree
+// level that Figure 2 contrasts with the SRM shared-memory reduce. The staging
+// buffers come from the machine's pool and go back once the member is through
+// with them; a member unwound out of the operation leaves them to the
+// collector, because a transfer matched before the unwind may still land in
+// them.
 func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op, root int) {
 	if !dtype.Valid(op, dt) {
@@ -103,10 +126,11 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 		g.c.localCopy(p, rank, recv, send)
 		return
 	}
-	tr := tree.New(tree.Binomial, len(g.members), rootIdx)
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(len(g.members), rootIdx, me, row[:0])
 	r := g.c.w.Rank(rank)
-	if len(tr.Children[me]) == 0 {
-		r.Send(p, g.members[tr.Parent[me]], tagReduce, send)
+	if len(kids) == 0 {
+		r.Send(p, g.members[parent], tagReduce, send)
 		return
 	}
 	pool := g.c.machine().Buffers
@@ -116,7 +140,8 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	}
 	g.c.localCopy(p, rank, acc, send)
 	scratch := pool.Get(n)
-	kids := tr.Children[me]
+	// Receive children nearest-first (ascending offset), the order they
+	// complete their subtrees.
 	for i := len(kids) - 1; i >= 0; i-- {
 		r.Recv(p, g.members[kids[i]], tagReduce, scratch)
 		dtype.Reduce(op, dt, acc, scratch)
@@ -124,13 +149,14 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	}
 	pool.Put(scratch)
 	if me != rootIdx {
-		r.Send(p, g.members[tr.Parent[me]], tagReduce, acc)
+		r.Send(p, g.members[parent], tagReduce, acc)
 		pool.Put(acc)
 	}
 }
 
-// Allreduce combines members' send buffers into every member's recv,
-// choosing the same flavor-specific algorithm as the whole-world version.
+// Allreduce leaves the combined result in every member's recv. MPICH models
+// the classic reduce-to-first-member followed by broadcast; IBM uses recursive
+// doubling up to 32 KB, then reduce+broadcast.
 func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op) {
 	if g.c.flavor == IBM && len(send) <= rdAllreduceLimit {
@@ -141,7 +167,8 @@ func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte,
 	g.Bcast(p, rank, recv, g.members[0])
 }
 
-// allreduceRD is recursive doubling over group indices.
+// allreduceRD is recursive doubling over group indices with pairwise
+// Sendrecv, folding non-power-of-two remainders in and out.
 func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op) {
 	if !dtype.Valid(op, dt) {
@@ -160,6 +187,7 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 		pow *= 2
 	}
 	if me >= pow {
+		// Fold out: contribute to the partner, then wait for the result.
 		r.Send(p, g.members[me-pow], tagAllreduce, recv)
 		r.Recv(p, g.members[me-pow], tagAllreduce, recv)
 		return
@@ -185,7 +213,7 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 // Sub returns a group over a subset of this group's members.
 func (g *Group) Sub(members []int) *Group {
 	for _, r := range members {
-		if _, ok := g.pos[r]; !ok {
+		if _, ok := g.lookup(r); !ok {
 			panic(fmt.Sprintf("baseline: rank %d is not a member of the parent group", r))
 		}
 	}

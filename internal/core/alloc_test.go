@@ -17,6 +17,13 @@ import (
 // to 60 objects) at the commit that made a flag and a counter one object
 // each. With three objects each, and one goroutine body and one CPS body per
 // collective (8be89bc), the counts were 1.5-2.2 times these.
+//
+// Re-recorded when Procs moved onto pooled coroutines: each count rose by
+// about 650 (barrier 1037 -> 1686) because every Env here starts 64 rank
+// Procs cold, and a cold iter.Pull coroutine is ~13 heap objects where a
+// goroutine, its channel and its closure were 3. A reused coroutine costs 0,
+// which is what runs that spawn helpers per request see; the end-to-end
+// allocs_per_rep columns of bench/ are the guard that matters there.
 type allocRegime struct {
 	name       string
 	op         string
@@ -26,16 +33,16 @@ type allocRegime struct {
 }
 
 var allocRegimes = []allocRegime{
-	{"bcast_small", "bcast", 4 << 10, AlgAuto, 1458},
-	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 2215},
-	{"bcast_large", "bcast", 512 << 10, AlgAuto, 2778},
-	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 2388},
-	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 2491},
-	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 4784},
-	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 2748},
-	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 2639},
-	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 4675},
-	{"barrier", "barrier", 0, AlgAuto, 1037},
+	{"bcast_small", "bcast", 4 << 10, AlgAuto, 2103},
+	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 2954},
+	{"bcast_large", "bcast", 512 << 10, AlgAuto, 3486},
+	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 3035},
+	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 3136},
+	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 5451},
+	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 3398},
+	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 3284},
+	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 5403},
+	{"barrier", "barrier", 0, AlgAuto, 1686},
 }
 
 const allocCalls = 4

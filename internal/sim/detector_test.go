@@ -80,7 +80,7 @@ func TestInterruptParkedProcess(t *testing.T) {
 		p.Wait(ev)
 	})
 	e.At(7, func() {
-		for p := range e.parked {
+		for _, p := range parkedProcs(e) {
 			e.Interrupt(p, nil) // nil payload is a no-op
 			e.Interrupt(p, "revoked")
 		}
@@ -121,7 +121,7 @@ func TestInterruptDropsWaiterSoTriggerIsClean(t *testing.T) {
 		order = append(order, "b:ev")
 	})
 	e.At(1, func() {
-		for p := range e.parked {
+		for _, p := range parkedProcs(e) {
 			if p.Name() == "a" {
 				e.Interrupt(p, "intr")
 			}
@@ -358,7 +358,7 @@ func TestResourceDropWaiter(t *testing.T) {
 		r.Release()
 	})
 	e.At(5, func() {
-		for p := range e.parked {
+		for _, p := range parkedProcs(e) {
 			if p.Name() == "a" {
 				e.Interrupt(p, "intr")
 			}

@@ -1,9 +1,10 @@
 // Package sim implements a small deterministic discrete-event simulation
-// (DES) engine. Simulated entities are cooperative processes backed by
-// goroutines: exactly one process runs at a time, handing control back to
-// the scheduler whenever it blocks (Sleep, WaitEvent, ...). Because of this
-// strict alternation, simulation state needs no locking and every run is
-// fully deterministic: events at equal timestamps fire in schedule order.
+// (DES) engine. Simulated entities are cooperative processes running on
+// pooled runtime coroutines (proc_coro.go; Go >= 1.23): exactly one process
+// runs at a time, switching back to the scheduler whenever it blocks (Sleep,
+// WaitEvent, ...). Because of this strict alternation, simulation state needs
+// no locking and every run is fully deterministic: events at equal timestamps
+// fire in schedule order.
 //
 // Time is a float64 in microseconds by convention of this repository.
 package sim
@@ -32,12 +33,10 @@ type Env struct {
 	now       Time
 	queue     *calQueue
 	seq       uint64
-	live      int            // spawned processes and tasks that have not finished
-	parked    map[*Proc]bool // processes blocked with no scheduled wake-up
-	tasks     []*Task        // registry of spawned tasks (Env.register); the parked ones have Task.parked set
-	yield     chan struct{}  // running process -> scheduler handoff
-	cur       *Proc
-	stopped   bool
+	live      int           // spawned processes and tasks that have not finished
+	procs     []*Proc       // registry of spawned processes (register); the parked ones have Proc.parked set
+	tasks     []*Task       // registry of spawned tasks (register); the parked ones have Task.parked set
+	idle      []*coro       // coroutines between process bodies, reused LIFO (proc_coro.go)
 	resSeq    int           // id source for conds/events (stall reports)
 	failures  []ProcFailure // processes that panicked (recovered)
 	free      []*item       // recycled queue items (steady state allocates none)
@@ -57,16 +56,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{
-		queue:  newCalQueue(),
-		parked: make(map[*Proc]bool),
-		// Buffered so the handoff sends never block: the sender continues to
-		// its own receive (or exit) without a cross-goroutine rendezvous,
-		// halving scheduler wake-ups per process switch. Alternation is
-		// still strict — the scheduler does not proceed past wake() until it
-		// has received the process's yield.
-		yield: make(chan struct{}, 1),
-	}
+	return &Env{queue: newCalQueue()}
 }
 
 // Now returns the current virtual time.
@@ -153,11 +143,13 @@ type waitable interface {
 // exceptions (Env.Kill, Env.SetSlowdown) are called out explicitly.
 type Proc struct {
 	env    *Env
-	prefix string // full name, or name prefix when num >= 0
-	num    int    // index appended to prefix; -1 when prefix is the name
-	name   string // cached formatted name (built on first Name call)
-	resume chan struct{}
-	track  int // trace track id, or -1 when the process is untracked
+	prefix string      // full name, or name prefix when num >= 0
+	num    int         // index appended to prefix; -1 when prefix is the name
+	name   string      // cached formatted name (built on first Name call)
+	fn     func(*Proc) // the body, until the first wake-up starts it
+	co     *coro       // the coroutine the body runs on, from first wake-up to finish
+	track  int         // trace track id, or -1 when the process is untracked
+	parked bool        // blocked with no scheduled wake-up
 	done   bool
 	killed string  // non-empty: injected crash reason, raised at next resume
 	intr   any     // pending interrupt payload, panicked at next resume
@@ -219,28 +211,15 @@ func (e *Env) SpawnIndexed(prefix string, num int, fn func(*Proc)) *Proc {
 }
 
 func (e *Env) spawn(prefix string, num int, fn func(*Proc)) *Proc {
-	p := &Proc{env: e, prefix: prefix, num: num, track: -1, resume: make(chan struct{}, 1)}
+	p := &Proc{env: e, prefix: prefix, num: num, fn: fn, track: -1}
 	e.live++
-	go func() {
-		<-p.resume // wait for first scheduling
-		defer func() {
-			if r := recover(); r != nil {
-				f := ProcFailure{Proc: p.Name(), Time: e.now, Cause: r}
-				e.failures = append(e.failures, f)
-				if e.OnFailure != nil {
-					e.OnFailure(p, f)
-				}
-			}
-			p.done = true
-			e.live--
-			e.yield <- struct{}{}
-		}()
-		p.checkKilled()
-		fn(p)
-	}()
+	e.procs = register(e.procs, p)
 	e.push(e.now, nil, p)
 	return p
 }
+
+// Done reports whether the process has finished (or died).
+func (p *Proc) Done() bool { return p.done }
 
 // checkKilled raises a pending injected crash on the process's own stack.
 func (p *Proc) checkKilled() {
@@ -267,7 +246,7 @@ func (e *Env) Kill(p *Proc, reason string) {
 		reason = "killed"
 	}
 	p.killed = reason
-	if e.parked[p] {
+	if p.parked {
 		e.unblock(p) // deliver the crash now instead of never
 	}
 	// Otherwise the process is sleeping (or not yet started) and its
@@ -289,7 +268,7 @@ func (e *Env) Interrupt(p *Proc, payload any) {
 		return
 	}
 	p.intr = payload
-	if e.parked[p] {
+	if p.parked {
 		if p.waitOn != nil {
 			p.waitOn.dropWaiter(p)
 		}
@@ -336,31 +315,6 @@ func (e *Env) Failures() []ProcFailure {
 // Live returns the number of spawned processes that have not finished.
 func (e *Env) Live() int { return e.live }
 
-// wake transfers control to p and blocks until p parks or finishes.
-func (e *Env) wake(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := e.cur
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.cur = prev
-}
-
-// park suspends the calling process until the scheduler resumes it.
-//
-// The yield send never blocks (the channel is buffered and the scheduler is
-// the sole receiver, waiting in wake); between the send and the resume
-// receive the process touches no simulation state, so the scheduler may
-// safely start running before this goroutine reaches the receive.
-func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-	p.checkKilled()
-	p.checkInterrupt()
-}
-
 // checkInterrupt raises a pending interrupt on the process's own stack. An
 // injected crash (checkKilled) takes precedence: a dead process does not
 // observe interrupts.
@@ -393,7 +347,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // hold a reference and wake it via an Event or Cond. obj/want or desc
 // (mutually optional) enrich stall reports; nothing is formatted here.
 func (p *Proc) parkOn(on waitable, obj WaitDescriber, want int, desc func() string) {
-	p.env.parked[p] = true
+	p.parked = true
 	p.waitOn = on
 	p.waitObj = obj
 	p.waitWant = want
@@ -406,7 +360,7 @@ func (p *Proc) parkOn(on waitable, obj WaitDescriber, want int, desc func() stri
 }
 
 func (e *Env) unblock(p *Proc) {
-	if !e.parked[p] {
+	if !p.parked {
 		if p.done || p.killed != "" {
 			// Stale waiter entry: the process crashed or was killed while
 			// on a waiters list. Nothing to wake.
@@ -414,7 +368,7 @@ func (e *Env) unblock(p *Proc) {
 		}
 		panic("sim: unblock of process that is not parked: " + p.Name())
 	}
-	delete(e.parked, p)
+	p.parked = false
 	e.push(e.now, nil, p)
 }
 
@@ -432,8 +386,11 @@ type BlockedProc struct {
 // events, after Run or RunUntil return) and backs stall and deadlock
 // reports.
 func (e *Env) Blocked() []BlockedProc {
-	out := make([]BlockedProc, 0, len(e.parked))
-	for p := range e.parked {
+	var out []BlockedProc
+	for _, p := range e.procs {
+		if !p.parked {
+			continue
+		}
 		b := BlockedProc{Name: p.Name(), Since: p.waitSince}
 		if p.waitOn != nil {
 			b.Resource = p.waitOn.waitID()
@@ -704,7 +661,11 @@ func (e *Env) Run() error { return e.RunUntil(-1) }
 //
 // Process panics recovered during the run surface as a *CrashError, which
 // takes precedence over deadlock reporting (the crash is the root cause).
+//
+// A runtime.Goexit inside a process body (t.Fatal from a rank function) ends
+// the goroutine that called RunUntil; see proc_coro.go.
 func (e *Env) RunUntil(limit Time) error {
+	defer e.stopIdle() // no idle coroutine outlives the run that used it
 	for {
 		it := e.queue.popDue(limit)
 		if it == nil {

@@ -4,7 +4,7 @@ import "strconv"
 
 // Task is the scheduler's second process engine: a resumable state machine
 // driven directly by the event loop. A Proc costs a goroutine stack plus a
-// channel rendezvous per scheduler switch; a Task costs one small struct,
+// coroutine switch there and back per wake-up; a Task costs one small struct,
 // and suspending it is a pointer store. Protocol hot loops (RMA put/ack,
 // SMP flag synchronization, request streams) run as Tasks so simulations
 // scale to tens of thousands of ranks; user compute callbacks and the
@@ -134,31 +134,32 @@ func (l *taskList) wakeAll(e *Env) {
 func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
 	t := &Task{env: e, prefix: prefix, num: num, track: -1, start: fn}
 	e.live++
-	e.register(t)
+	e.tasks = register(e.tasks, t)
 	e.push(e.now, nil, t)
 	return t
 }
 
-// register records t for stall and deadlock reports. Parking and waking
-// touch only Task.parked; the reports walk this registry instead. When it
-// fills, finished tasks are swept out before it grows, so a run that spawns
-// short-lived helpers forever holds only the live ones.
-func (e *Env) register(t *Task) {
-	if n := len(e.tasks); n == cap(e.tasks) && n > 0 {
-		live := e.tasks[:0]
-		for _, x := range e.tasks {
-			if !x.done {
-				live = append(live, x)
+// register appends x to a registry of spawned actors (Env.procs, Env.tasks),
+// which is what stall and deadlock reports walk: parking and waking touch only
+// the actor's own parked flag. When the registry fills, finished actors are
+// swept out before it grows, so a run that spawns short-lived helpers forever
+// holds only the live ones.
+func register[A interface{ Done() bool }](reg []A, x A) []A {
+	if n := len(reg); n == cap(reg) && n > 0 {
+		live := reg[:0]
+		for _, a := range reg {
+			if !a.Done() {
+				live = append(live, a)
 			}
 		}
-		clear(e.tasks[len(live):])
+		clear(reg[len(live):])
 		if len(live) > n/2 {
 			// Mostly live: double, so the next sweep is as far away again.
-			live = append(make([]*Task, 0, 2*n), live...)
+			live = append(make([]A, 0, 2*n), live...)
 		}
-		e.tasks = live
+		reg = live
 	}
-	e.tasks = append(e.tasks, t)
+	return append(reg, x)
 }
 
 // Env returns the environment the task runs in.

@@ -144,6 +144,45 @@ func New(kind Kind, n, root int) Tree {
 	return t
 }
 
+// BinomialRow returns what New(Binomial, n, root) holds for vertex v alone —
+// Parent[v], and Children[v] in the same order (largest offset first) appended
+// to buf — in O(log n) without building the tree: in relative-rank space a
+// vertex's parent clears its lowest set bit, and its children add each power
+// of two below that bit. It is how a rank of a point-to-point collective finds
+// its partners per call (the mask loop of MPICH's and SimGrid's binomial
+// algorithms). A buf of capacity Log2Ceil(n) keeps the call allocation-free;
+// nil works. Panics on the same n and root as New, and on v outside [0, n).
+func BinomialRow(n, root, v int, buf []int) (parent int, children []int) {
+	if n < 1 {
+		panic(fmt.Sprintf("tree: n = %d, want >= 1", n))
+	}
+	if root < 0 || root >= n {
+		panic(fmt.Sprintf("tree: root %d out of range [0,%d)", root, n))
+	}
+	if v < 0 || v >= n {
+		panic(fmt.Sprintf("tree: vertex %d out of range [0,%d)", v, n))
+	}
+	rel := (v - root + n) % n
+	parent = -1
+	mask := highBit(n - 1)
+	if rel != 0 {
+		low := rel & -rel
+		parent = (rel - low + root) % n
+		mask = min(mask, low>>1)
+	}
+	children = buf[:0]
+	for ; mask > 0; mask >>= 1 {
+		if rel+mask < n {
+			children = append(children, (rel+mask+root)%n)
+		}
+	}
+	return parent, children
+}
+
+// MaxBinomialChildren bounds len(children) of any BinomialRow: a stack array
+// of this size is a buf that never grows.
+const MaxBinomialChildren = 63
+
 // bineParents returns the relative-rank parent array of a Bine tree
 // (De Sensi et al.): a vertex's parent clears the lowest set digit of its
 // negabinary expansion, so tree distances alternate direction

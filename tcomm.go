@@ -2,7 +2,7 @@ package srmcoll
 
 // Task-engine execution of SPMD bodies. The goroutine engine behind Run
 // spawns one sim.Proc per rank; at hundreds of thousands of ranks the
-// goroutine stacks and channel handoffs dominate the host cost. The Task
+// goroutine stacks and coroutine switches dominate the host cost. The Task
 // engine instead drives every rank as a resumable state machine on the
 // event loop (see internal/sim Task and DESIGN.md §15): RunT executes a
 // continuation-passing body on every rank, selected by Cluster.SetEngine.
