@@ -30,8 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
@@ -104,7 +105,7 @@ type FailureRecord struct {
 // RepairRecord reports one completed Agree/Shrink rendezvous.
 type RepairRecord struct {
 	Kind        string  // "agree" or "shrink"
-	Comm        string  // communicator key ("world" or the member list)
+	Comm        string  // rendezvous key "<communicator>#<round>": "world" or the member list as fmt prints it, then the communicator's count of earlier rendezvous, e.g. "[0 1 3]#2"
 	StartedAt   float64 // first survivor entered
 	CompletedAt float64 // rendezvous completed (last survivor entered or last straggler declared)
 	Survivors   []int   // members that completed the rendezvous, ascending member order
@@ -115,23 +116,23 @@ type RepairRecord struct {
 // ftRun recover turns it into a *RankFailedError.
 type ftInterrupt struct{ failed []int }
 
-// ftReg is one in-progress fault-sensitive operation: the process running
-// it (the rank itself, or a request helper) and the communicator it runs
-// on. Registered operations are interrupted when a member is declared.
+// ftReg is one in-progress fault-sensitive operation: the process or task
+// running it (the rank itself, or a request helper — each runs one operation
+// at a time, so it identifies the entry) and the communicator it runs on.
+// Registered operations are interrupted when a member is declared.
 type ftReg struct {
-	p      *sim.Proc // Procs engine: the process running the op
-	t      *sim.Task // Tasks engine: the task running the op (p nil)
-	c      *Comm
-	active bool
+	p   *sim.Proc // Procs engine: the process running the op
+	t   *sim.Task // Tasks engine: the task running the op (p nil)
+	rec *commRec
 }
 
-// ftGather is one pending Agree/Shrink rendezvous: per-member entry flags
-// and the completion event survivors park on.
+// ftGather is one Agree/Shrink rendezvous of a communicator: the completion
+// event survivors park on and, once done, the outcome. Who has entered is kept
+// on the communicator's record.
 type ftGather struct {
-	key       string // comm key + "#" + round
+	rec       *commRec
+	round     int
 	kind      string // "agree" or "shrink"
-	members   []int  // global ranks, in member order
-	entered   map[int]uint64
 	ev        *sim.Event
 	done      bool
 	startedAt float64
@@ -139,23 +140,26 @@ type ftGather struct {
 	survivors []int
 }
 
-// ftState is the per-Run fault-tolerance bookkeeping, shared by every Comm
-// of the run. All mutation happens on the single simulator thread.
+// key is the rendezvous key RepairRecord.Comm carries.
+func (g *ftGather) key() string { return g.rec.key() + "#" + strconv.Itoa(g.round) }
+
+// String labels the completion event in stall reports.
+func (g *ftGather) String() string { return g.kind + " " + g.key() }
+
+// ftState is the per-Run fault-tolerance bookkeeping, shared by every Comm of
+// the run; the rendezvous streams are on the communicator records. All
+// mutation happens on the single simulator thread.
 type ftState struct {
-	env   *sim.Env
-	det   *sim.Detector
-	procs []*sim.Proc // rank processes (Procs engine)
-	tasks []*sim.Task // rank tasks (Tasks engine)
-	rs    *runState
-	cfg   FTConfig
+	env *sim.Env
+	det *sim.Detector
+	rs  *runState
+	cfg FTConfig
 
 	markDead func(rank int) // cuts RMA delivery to the rank
 
 	failed     []bool // declared failed, by global rank
 	crashed    []bool // actually dead (declaration may be pending)
-	inflight   []*ftReg
-	gathers    map[string]*ftGather
-	rounds     map[string]map[int]int // comm key -> rank -> FT ops entered
+	inflight   []ftReg
 	failures   []FailureRecord
 	repairs    []RepairRecord
 	unexpected []sim.ProcFailure // failures that are not plan crashes or their fallout
@@ -175,46 +179,37 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState, cfg FTCon
 		markDead: markDead,
 		failed:   make([]bool, n),
 		crashed:  make([]bool, n),
-		gathers:  make(map[string]*ftGather),
-		rounds:   make(map[string]map[int]int),
 	}
 	ft.det = sim.NewDetector(env, cfg.HeartbeatPeriod, cfg.SuspicionTimeout)
-	ft.det.OnDeclare = func(p *sim.Proc, diedAt sim.Time) {
-		ft.declare(ft.rankOf(p), float64(diedAt))
-	}
 	return ft
 }
 
-// rankOf resolves a rank process to its rank, -1 for helpers.
-func (ft *ftState) rankOf(p *sim.Proc) int {
-	for r, rp := range ft.procs {
-		if rp == p {
-			return r
-		}
-	}
-	return -1
-}
-
-// onFailure is the Env.OnFailure hook: classify each process death as an
-// expected plan crash (start detection, take the rank's service helpers
-// down with it) or an unexpected failure (a real bug — surfaced as a
-// *RunError). It runs on the failing goroutine before its final yield, so
-// it may schedule events but must not park.
-func (ft *ftState) onFailure(p *sim.Proc, f sim.ProcFailure) {
+// onFailure is the Env.OnFailure / OnTaskFailure hook: classify each process
+// or task death as an expected plan crash (schedule its declaration, take the
+// rank's service helpers down with it) or an unexpected failure (a real bug —
+// surfaced as a *RunError). It runs on the failing actor before its final
+// yield, so it may schedule events but must not park.
+func (ft *ftState) onFailure(f sim.ProcFailure) {
 	if _, isCrash := f.Cause.(sim.Crashed); isCrash {
-		if r := ft.rankOf(p); r >= 0 {
+		switch r, helper := ft.rs.rankOf(f.Actor); {
+		case helper && ft.crashed[r]:
+			return // a helper killed below: fallout, not a new failure
+		case r >= 0 && !helper:
 			ft.crashed[r] = true
 			// The rank's communication service thread dies with the task:
 			// kill its request helpers so they cannot keep driving the
 			// dead rank's side of a protocol.
-			for _, hp := range ft.rs.helpers[r] {
-				ft.env.Kill(hp, fmt.Sprintf("rank %d crashed", r))
+			st, why := ft.rs.streams[r], fmt.Sprintf("rank %d crashed", r)
+			for _, hp := range st.helpers {
+				ft.env.Kill(hp, why)
 			}
-			ft.det.NotifyDeath(p, f.Time)
+			for _, ht := range st.thelpers {
+				ft.env.KillTask(ht, why)
+			}
+			// The detector's collapsed heartbeat analysis: the declaration
+			// lands at a time that depends only on when the rank died.
+			ft.env.At(ft.det.DeclareTime(f.Time), func() { ft.declare(r, float64(f.Time)) })
 			return
-		}
-		if r, ok := ft.rs.helperRank[p.Name()]; ok && ft.crashed[r] {
-			return // a helper killed above: fallout, not a new failure
 		}
 	}
 	ft.unexpected = append(ft.unexpected, f)
@@ -224,7 +219,7 @@ func (ft *ftState) onFailure(p *sim.Proc, f sim.ProcFailure) {
 // endpoint death, interrupts into blocked collectives, rendezvous
 // re-checks. Deterministic: runs as a scheduled simulator event.
 func (ft *ftState) declare(d int, diedAt float64) {
-	if d < 0 || ft.failed[d] {
+	if ft.failed[d] {
 		return
 	}
 	ft.failed[d] = true
@@ -235,42 +230,44 @@ func (ft *ftState) declare(d int, diedAt float64) {
 		g := tr.NewGroup()
 		tr.Add(g, -1, trace.ClassDetect, fmt.Sprintf("detect:rank%d", d), 0, diedAt, now)
 	}
+	// Count the failure on every communicator that has the rank, and collect
+	// the rendezvous it may have been the straggler of.
+	var pending []*ftGather
+	for _, rec := range ft.rs.comms {
+		if rec.idx.Of(d) < 0 {
+			continue
+		}
+		rec.failed++
+		if rec.pending != nil {
+			pending = append(pending, rec.pending)
+		}
+	}
 	// Interrupt every registered operation whose communicator contains the
 	// failed rank. Registration order is deterministic, so so is this.
 	for _, reg := range ft.inflight {
-		if !reg.active || !reg.c.hasMember(d) {
+		if reg.rec.idx.Of(d) < 0 {
 			continue
 		}
+		fi := ftInterrupt{failed: ft.failedIn(reg.rec.members)}
 		if reg.t != nil {
-			ft.env.InterruptTask(reg.t, ftInterrupt{failed: ft.failedIn(reg.c.memberList())})
-			continue
+			ft.env.InterruptTask(reg.t, fi)
+		} else {
+			ft.env.Interrupt(reg.p, fi)
 		}
-		ft.env.Interrupt(reg.p, ftInterrupt{failed: ft.failedIn(reg.c.memberList())})
 	}
-	// Pending rendezvous may now be complete (the failed rank was the
-	// straggler). Sorted key order keeps the replay bit-identical.
-	keys := make([]string, 0, len(ft.gathers))
-	for k := range ft.gathers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ft.checkGather(ft.gathers[k])
+	// Complete what is now complete, in ascending order of the rendezvous key
+	// strings: the order repair records have always had, and once per declared
+	// failure is rare enough to format the keys for.
+	slices.SortFunc(pending, func(a, b *ftGather) int { return strings.Compare(a.key(), b.key()) })
+	for _, g := range pending {
+		ft.checkGather(g)
 	}
 }
 
-// failedIn returns the declared-failed ranks of a member list (nil =
-// world), in member order.
+// failedIn returns the declared-failed ranks of a member list, in member
+// order.
 func (ft *ftState) failedIn(members []int) []int {
 	var out []int
-	if members == nil {
-		for r, f := range ft.failed {
-			if f {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
 	for _, r := range members {
 		if ft.failed[r] {
 			out = append(out, r)
@@ -280,71 +277,101 @@ func (ft *ftState) failedIn(members []int) []int {
 }
 
 // register adds an in-progress operation to the interrupt set.
-func (ft *ftState) register(p *sim.Proc, c *Comm) *ftReg {
-	reg := &ftReg{p: p, c: c, active: true}
-	ft.inflight = append(ft.inflight, reg)
-	return reg
+func (ft *ftState) register(p *sim.Proc, t *sim.Task, rec *commRec) {
+	ft.inflight = append(ft.inflight, ftReg{p: p, t: t, rec: rec})
 }
 
-// deregister removes a finished operation. The slice stays compact: the
-// common case removes near the end.
-func (ft *ftState) deregister(reg *ftReg) {
-	reg.active = false
+// deregister removes the finished operation of a process or task. The slice
+// stays compact: the common case removes near the end.
+func (ft *ftState) deregister(p *sim.Proc, t *sim.Task) {
 	for i := len(ft.inflight) - 1; i >= 0; i-- {
-		if ft.inflight[i] == reg {
-			ft.inflight = append(ft.inflight[:i], ft.inflight[i+1:]...)
+		if reg := &ft.inflight[i]; reg.p == p && reg.t == t {
+			ft.inflight = slices.Delete(ft.inflight, i, i+1)
 			return
 		}
 	}
+}
+
+// enter joins rank to the communicator's rendezvous in flight, beginning the
+// next one — and creating its event — if none is, and completes it if rank was
+// the last member awaited. The caller parks on the event unless the rendezvous
+// is done.
+func (rec *commRec) enter(ft *ftState, rank int, kind string, flag uint64) *ftGather {
+	i := rec.idx.Of(rank)
+	if i < 0 {
+		panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s, which it is not a member of", rank, kind, rec.key()))
+	}
+	g := rec.pending
+	if g == nil {
+		g = &ftGather{rec: rec, round: rec.round, kind: kind, startedAt: float64(ft.env.Now())}
+		g.ev = ft.env.NewEvent().NamedBy(g)
+		rec.round++
+		rec.pending = g
+		if rec.in == nil {
+			rec.entered, rec.in = make([]uint64, len(rec.members)), make([]bool, len(rec.members))
+		}
+	}
+	if g.kind != kind {
+		panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s but other members are in %s: FT operations must be called in the same order on every member",
+			rank, kind, rec.key(), g.kind))
+	}
+	rec.entered[i], rec.in[i] = flag, true
+	ft.checkGather(g)
+	return g
 }
 
 // checkGather completes a rendezvous once every member has either entered
 // or been declared failed.
 func (ft *ftState) checkGather(g *ftGather) {
-	if g.done {
-		return
-	}
-	for _, r := range g.members {
-		if _, in := g.entered[r]; !in && !ft.failed[r] {
+	rec := g.rec
+	for i, r := range rec.members {
+		if !rec.in[i] && !ft.failed[r] {
 			return
 		}
 	}
 	g.done = true
 	g.result = ^uint64(0)
-	for _, r := range g.members {
-		if ft.failed[r] {
-			continue
+	g.survivors = make([]int, 0, len(rec.members)-rec.failed)
+	for i, r := range rec.members {
+		if !ft.failed[r] {
+			g.survivors = append(g.survivors, r)
+			g.result &= rec.entered[i]
 		}
-		g.survivors = append(g.survivors, r)
-		g.result &= g.entered[r]
 	}
 	ft.repairs = append(ft.repairs, RepairRecord{
-		Kind: g.kind, Comm: g.key, StartedAt: g.startedAt,
+		Kind: g.kind, Comm: g.key(), StartedAt: g.startedAt,
 		CompletedAt: float64(ft.env.Now()),
-		Survivors:   append([]int(nil), g.survivors...),
+		Survivors:   g.survivors,
 	})
-	delete(ft.gathers, g.key)
+	rec.pending = nil
+	clear(rec.in)
 	g.ev.Trigger()
+}
+
+// failedError is the error of an operation on a communicator with members
+// declared failed.
+func (c *Comm) failedError(opName string) *RankFailedError {
+	return &RankFailedError{Op: opName, Rank: c.rank, Failed: c.rs.ft.failedIn(c.rec.members)}
 }
 
 // ftRun executes a fault-sensitive operation on behalf of proc p (the rank
 // itself for blocking calls, a request helper for non-blocking ones). It
-// registers the operation for failure interrupts, re-checks membership
-// after registering (closing the window against a declaration landing
-// between an earlier check and the park), and recovers the interrupt
-// unwind into a *RankFailedError.
+// refuses a communicator with a member already declared, registers the
+// operation for failure interrupts — nothing runs between the check and the
+// registration, so no declaration can fall between them — and recovers the
+// interrupt unwind into a *RankFailedError.
 func (c *Comm) ftRun(opName string, p *sim.Proc, fn func()) (err error) {
 	ft := c.rs.ft
 	if ft == nil {
 		fn()
 		return nil
 	}
-	reg := ft.register(p, c)
-	defer ft.deregister(reg)
-	if fr := ft.failedIn(c.memberList()); len(fr) > 0 {
-		return &RankFailedError{Op: opName, Rank: c.rank, Failed: fr}
+	if c.rec.failed > 0 {
+		return c.failedError(opName)
 	}
+	ft.register(p, nil, c.rec)
 	defer func() {
+		ft.deregister(p, nil)
 		r := recover()
 		if r == nil {
 			return
@@ -363,42 +390,8 @@ func (c *Comm) ftRun(opName string, p *sim.Proc, fn func()) (err error) {
 	return nil
 }
 
-// ftKey names this communicator's rendezvous stream: the member list, or
-// "world".
-func (c *Comm) ftKey() string {
-	if c.members == nil {
-		return "world"
-	}
-	return fmt.Sprint(c.members)
-}
-
-// memberList returns the communicator's global ranks (nil = world).
-func (c *Comm) memberList() []int { return c.members }
-
-// hasMember reports whether global rank r belongs to this communicator.
-func (c *Comm) hasMember(r int) bool {
-	if c.members == nil {
-		return true
-	}
-	for _, m := range c.members {
-		if m == r {
-			return true
-		}
-	}
-	return false
-}
-
 // Members returns the communicator's global ranks in member order.
-func (c *Comm) Members() []int {
-	if c.members == nil {
-		out := make([]int, c.size)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	return append([]int(nil), c.members...)
-}
+func (c *Comm) Members() []int { return slices.Clone(c.rec.members) }
 
 // FailedRanks returns the communicator members declared failed so far, in
 // member order. Empty without fault tolerance.
@@ -406,7 +399,29 @@ func (c *Comm) FailedRanks() []int {
 	if c.rs.ft == nil {
 		return nil
 	}
-	return c.rs.ft.failedIn(c.memberList())
+	return c.rs.ft.failedIn(c.rec.members)
+}
+
+// ftCheck vets a call of the rendezvous kind.
+func (c *Comm) ftCheck(kind string) error {
+	ft := c.rs.ft
+	if ft == nil {
+		return errors.New("srmcoll: " + kind + " requires fault tolerance (Cluster.SetFaultTolerance)")
+	}
+	if ft.failed[c.rank] {
+		// A declared rank that is somehow still running (cannot happen
+		// for real crashes) must not join the survivors' rendezvous.
+		return &RankFailedError{Op: kind, Rank: c.rank, Failed: []int{c.rank}}
+	}
+	return nil
+}
+
+// ftClass is the trace class of the rendezvous kind.
+func ftClass(kind string) trace.Class {
+	if kind == "agree" {
+		return trace.ClassAgree
+	}
+	return trace.ClassShrink
 }
 
 // ftSync runs one rendezvous round on the communicator: every surviving
@@ -414,59 +429,24 @@ func (c *Comm) FailedRanks() []int {
 // are released together once the last survivor arrives. The round is
 // charged a dissemination-style cost of 2*ceil(log2 n) message latencies.
 func (c *Comm) ftSync(kind string, flag uint64) (*ftGather, error) {
-	ft := c.rs.ft
-	if ft == nil {
-		return nil, errors.New("srmcoll: " + kind + " requires fault tolerance (Cluster.SetFaultTolerance)")
-	}
-	if ft.failed[c.rank] {
-		// A declared rank that is somehow still running (cannot happen
-		// for real crashes) must not join the survivors' rendezvous.
-		return nil, &RankFailedError{Op: kind, Rank: c.rank, Failed: []int{c.rank}}
+	if err := c.ftCheck(kind); err != nil {
+		return nil, err
 	}
 	c.quiesce()
-	key := c.ftKey()
-	byRank := ft.rounds[key]
-	if byRank == nil {
-		byRank = make(map[int]int)
-		ft.rounds[key] = byRank
-	}
-	round := byRank[c.rank]
-	byRank[c.rank] = round + 1
-	gkey := key + "#" + strconv.Itoa(round)
-	g := ft.gathers[gkey]
-	if g == nil {
-		g = &ftGather{
-			key: gkey, kind: kind, members: c.Members(),
-			entered:   make(map[int]uint64),
-			ev:        ft.env.NewEvent().Named(kind + " " + gkey),
-			startedAt: float64(ft.env.Now()),
-		}
-		ft.gathers[gkey] = g
-	}
-	if g.kind != kind {
-		panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s but other members are in %s: FT operations must be called in the same order on every member",
-			c.rank, kind, key, g.kind))
-	}
-	g.entered[c.rank] = flag
-	ft.checkGather(g)
-	var cls trace.Class
-	if kind == "agree" {
-		cls = trace.ClassAgree
-	} else {
-		cls = trace.ClassShrink
-	}
-	id := c.tr.Begin(c.p.Track(), cls, kind, 0)
+	g := c.rec.enter(c.rs.ft, c.rank, kind, flag)
+	id := c.tr.Begin(c.p.Track(), ftClass(kind), kind, 0)
 	if !g.done {
 		c.p.Wait(g.ev)
 	}
-	c.p.Sleep(c.ftSyncCost(len(g.members)))
+	c.p.Sleep(c.ftSyncCost())
 	c.tr.End(id)
 	return g, nil
 }
 
 // ftSyncCost models the agreement protocol's latency: dissemination over
 // the members, two passes (propose, commit).
-func (c *Comm) ftSyncCost(n int) float64 {
+func (c *Comm) ftSyncCost() float64 {
+	n := len(c.rec.members)
 	if n <= 1 {
 		return 0
 	}

@@ -9,58 +9,7 @@ package srmcoll
 // duration of the operation), and the error continuation fires with the
 // same *RankFailedError the Proc path returns — at the same virtual time.
 
-import (
-	"errors"
-	"fmt"
-	"strconv"
-
-	"srmcoll/internal/sim"
-	"srmcoll/internal/trace"
-)
-
-// rankOfTask resolves a rank task to its rank, -1 for helpers.
-func (ft *ftState) rankOfTask(t *sim.Task) int {
-	for r, rt := range ft.tasks {
-		if rt == t {
-			return r
-		}
-	}
-	return -1
-}
-
-// onTaskFailure is the Env.OnTaskFailure hook, mirroring onFailure: an
-// expected plan crash starts detection and takes the rank's request-helper
-// tasks down with it; anything else is an unexpected failure.
-func (ft *ftState) onTaskFailure(t *sim.Task, f sim.ProcFailure) {
-	if _, isCrash := f.Cause.(sim.Crashed); isCrash {
-		if r := ft.rankOfTask(t); r >= 0 {
-			ft.crashed[r] = true
-			for _, ht := range ft.rs.thelpers[r] {
-				ft.env.KillTask(ht, fmt.Sprintf("rank %d crashed", r))
-			}
-			ft.notifyDeathRank(r, f.Time)
-			return
-		}
-		if r, ok := ft.rs.helperRank[t.Name()]; ok && ft.crashed[r] {
-			return // a helper killed above: fallout, not a new failure
-		}
-	}
-	ft.unexpected = append(ft.unexpected, f)
-}
-
-// notifyDeathRank schedules the declaration of a rank's death, bypassing
-// the detector's Proc-typed OnDeclare: same collapsed heartbeat analysis,
-// same declaration time.
-func (ft *ftState) notifyDeathRank(r int, diedAt sim.Time) {
-	ft.env.At(ft.det.DeclareTime(diedAt), func() { ft.declare(r, float64(diedAt)) })
-}
-
-// registerT adds a task-engine operation to the interrupt set.
-func (ft *ftState) registerT(t *sim.Task, c *Comm) *ftReg {
-	reg := &ftReg{t: t, c: c, active: true}
-	ft.inflight = append(ft.inflight, reg)
-	return reg
-}
+import "srmcoll/internal/sim"
 
 // ftRunT executes a fault-sensitive operation on behalf of task t (the
 // rank itself for blocking calls, a request helper for non-blocking ones):
@@ -75,22 +24,18 @@ func (tc *TComm) ftRunT(opName string, t *sim.Task, fn func(fin func()), k func(
 		fn(func() { k(nil) })
 		return
 	}
-	// Register before the membership check, exactly like ftRun: a
-	// declaration landing between the check and the operation's first park
-	// must find the registration.
-	reg := ft.registerT(t, c)
-	if fr := ft.failedIn(c.memberList()); len(fr) > 0 {
-		ft.deregister(reg)
-		k(&RankFailedError{Op: opName, Rank: c.rank, Failed: fr})
+	if c.rec.failed > 0 {
+		k(c.failedError(opName))
 		return
 	}
+	ft.register(nil, t, c.rec)
 	prevH := t.OnInterrupt
 	prevArmed := t.UnwindArmed()
 	t.SetUnwindArmed(true)
 	restore := func() {
 		t.OnInterrupt = prevH
 		t.SetUnwindArmed(prevArmed)
-		ft.deregister(reg)
+		ft.deregister(nil, t)
 	}
 	t.OnInterrupt = func(payload any) {
 		fi, ok := payload.(ftInterrupt)
@@ -113,55 +58,20 @@ func (tc *TComm) ftRunT(opName string, t *sim.Task, fn func(fin func()), k func(
 	})
 }
 
-// ftSyncT is ftSync in continuation-passing form: identical rendezvous
-// bookkeeping (it runs synchronously inside the step), with only the
-// survivor park and the protocol-cost sleep suspending the task.
+// ftSyncT is ftSync in continuation-passing form: the same entry into the
+// communicator's rendezvous (it runs synchronously inside the step), with only
+// the survivor park and the protocol-cost sleep suspending the task.
 func (tc *TComm) ftSyncT(kind string, flag uint64, k func(*ftGather, error)) {
 	c := tc.c
-	ft := c.rs.ft
-	if ft == nil {
-		k(nil, errors.New("srmcoll: "+kind+" requires fault tolerance (Cluster.SetFaultTolerance)"))
-		return
-	}
-	if ft.failed[c.rank] {
-		k(nil, &RankFailedError{Op: kind, Rank: c.rank, Failed: []int{c.rank}})
+	if err := c.ftCheck(kind); err != nil {
+		k(nil, err)
 		return
 	}
 	tc.quiesceT(func() {
-		key := c.ftKey()
-		byRank := ft.rounds[key]
-		if byRank == nil {
-			byRank = make(map[int]int)
-			ft.rounds[key] = byRank
-		}
-		round := byRank[c.rank]
-		byRank[c.rank] = round + 1
-		gkey := key + "#" + strconv.Itoa(round)
-		g := ft.gathers[gkey]
-		if g == nil {
-			g = &ftGather{
-				key: gkey, kind: kind, members: c.Members(),
-				entered:   make(map[int]uint64),
-				ev:        ft.env.NewEvent().Named(kind + " " + gkey),
-				startedAt: float64(ft.env.Now()),
-			}
-			ft.gathers[gkey] = g
-		}
-		if g.kind != kind {
-			panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s but other members are in %s: FT operations must be called in the same order on every member",
-				c.rank, kind, key, g.kind))
-		}
-		g.entered[c.rank] = flag
-		ft.checkGather(g)
-		var cls trace.Class
-		if kind == "agree" {
-			cls = trace.ClassAgree
-		} else {
-			cls = trace.ClassShrink
-		}
-		id := c.tr.Begin(tc.t.Track(), cls, kind, 0)
+		g := c.rec.enter(c.rs.ft, c.rank, kind, flag)
+		id := c.tr.Begin(tc.t.Track(), ftClass(kind), kind, 0)
 		fin := func() {
-			tc.t.SleepThen(c.ftSyncCost(len(g.members)), func() {
+			tc.t.SleepThen(c.ftSyncCost(), func() {
 				c.tr.End(id)
 				k(g, nil)
 			})
@@ -199,7 +109,7 @@ func (tc *TComm) Shrink(k func(*TComm, error)) {
 			k(nil, err)
 			return
 		}
-		k(&TComm{c: s}, nil)
+		k(tc.wrap(s), nil)
 		return
 	}
 	tc.ftSyncT("shrink", 0, func(g *ftGather, err error) {

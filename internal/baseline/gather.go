@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"srmcoll/internal/check"
+	"srmcoll/internal/ranks"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
 )
@@ -159,15 +160,15 @@ func (c *Coll) Allgather(p *sim.Proc, rank int, send, recv []byte) {
 	c.world().Allgather(p, rank, send, recv)
 }
 
-// world returns (and caches) the all-ranks group: members[i] == i, so it
-// carries no rank-to-index map.
+// world returns (and caches) the all-ranks group: members[i] == i, so its
+// index stores nothing.
 func (c *Coll) world() *Group {
 	if c.all == nil {
 		members := make([]int, c.w.Size())
 		for i := range members {
 			members[i] = i
 		}
-		c.all = &Group{c: c, members: members}
+		c.all = &Group{c: c, members: members, pos: ranks.All(len(members))}
 	}
 	return c.all
 }

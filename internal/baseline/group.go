@@ -2,8 +2,10 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"srmcoll/internal/dtype"
+	"srmcoll/internal/ranks"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
 )
@@ -16,43 +18,23 @@ import (
 type Group struct {
 	c       *Coll
 	members []int
-	pos     map[int]int // global rank -> group index; nil in the all-ranks group, where they are equal
+	pos     ranks.Index // global rank -> group index
 }
 
-// Group returns a collective group over the given member ranks.
+// Group returns a collective group over the given member ranks. A group
+// carries no operation state, so the caller decides how long to keep it: the
+// library's communicators resolve theirs once and share it among the members.
 func (c *Coll) Group(members []int) *Group {
-	if len(members) == 0 {
-		panic("baseline: empty task group")
-	}
-	g := &Group{c: c, members: append([]int(nil), members...), pos: make(map[int]int, len(members))}
-	for i, r := range members {
-		if r < 0 || r >= c.w.Size() {
-			panic(fmt.Sprintf("baseline: group rank %d out of range", r))
-		}
-		if _, dup := g.pos[r]; dup {
-			panic(fmt.Sprintf("baseline: duplicate rank %d in group", r))
-		}
-		g.pos[r] = i
-	}
-	return g
+	return &Group{c: c, pos: ranks.NewIndex("baseline", members, c.w.Size()), members: slices.Clone(members)}
 }
 
 // Size returns the number of members.
 func (g *Group) Size() int { return len(g.members) }
 
-// lookup returns the group index of a rank and whether it is a member.
-func (g *Group) lookup(rank int) (int, bool) {
-	if g.pos == nil {
-		return rank, rank >= 0 && rank < len(g.members)
-	}
-	i, ok := g.pos[rank]
-	return i, ok
-}
-
 // index returns the group index of a member rank, panicking for outsiders.
 func (g *Group) index(rank int) int {
-	i, ok := g.lookup(rank)
-	if !ok {
+	i := g.pos.Of(rank)
+	if i < 0 {
 		panic(fmt.Sprintf("baseline: rank %d is not a member of the group", rank))
 	}
 	return i
@@ -213,7 +195,7 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 // Sub returns a group over a subset of this group's members.
 func (g *Group) Sub(members []int) *Group {
 	for _, r := range members {
-		if _, ok := g.lookup(r); !ok {
+		if g.pos.Of(r) < 0 {
 			panic(fmt.Sprintf("baseline: rank %d is not a member of the parent group", r))
 		}
 	}

@@ -150,7 +150,7 @@ type SRM struct {
 	m      *machine.Machine
 	dom    *rma.Domain
 	opt    Options
-	groups map[string]*Group
+	groups map[uint64][]*Group // by ranks.Hash of the member list
 	world  *Group
 	free   []*exec // idle executors
 
@@ -206,7 +206,7 @@ func New(m *machine.Machine, dom *rma.Domain, opt Options) *SRM {
 		m:      m,
 		dom:    dom,
 		opt:    opt,
-		groups: make(map[string]*Group),
+		groups: make(map[uint64][]*Group),
 	}
 }
 

@@ -2,10 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"srmcoll/internal/machine"
+	"srmcoll/internal/ranks"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/tree"
 )
@@ -21,11 +22,9 @@ type layout struct {
 	spans   []int   // hierarchy group widths (machine.Config.TierSpans)
 
 	// Where each member sits, as dense arrays so that entering an operation
-	// (Group.acquire, once per rank per call) does no map operation: idx
-	// covers the span of member ranks [lo, lo+len(idx)), at is by group rank.
-	lo  int
-	idx []int32 // global rank - lo -> group rank, -1 for a non-member
-	at  []slot
+	// (Group.acquire, once per rank per call) does no map operation.
+	idx ranks.Index // global rank -> group rank
+	at  []slot      // by group rank
 }
 
 // slot places one member: its node's index into nodes and its own index into
@@ -34,32 +33,14 @@ type slot struct{ nx, l int32 }
 
 // newLayout validates members and builds the node-grouped layout.
 func newLayout(m *machine.Machine, members []int) layout {
-	if len(members) == 0 {
-		panic("core: empty task group")
-	}
-	lo, hi := members[0], members[0]
-	for _, r := range members {
-		if r < 0 || r >= m.P() {
-			panic(fmt.Sprintf("core: group rank %d out of range [0,%d)", r, m.P()))
-		}
-		lo, hi = min(lo, r), max(hi, r)
-	}
 	lay := layout{
-		members: append([]int(nil), members...),
+		idx:     ranks.NewIndex("core", members, m.P()),
+		members: slices.Clone(members),
 		spans:   m.Cfg.TierSpans(),
-		lo:      lo,
-		idx:     make([]int32, hi-lo+1),
 		at:      make([]slot, len(members)),
 	}
-	for i := range lay.idx {
-		lay.idx[i] = -1
-	}
 	byNode := make(map[int][]int)
-	for i, r := range members {
-		if lay.idx[r-lo] >= 0 {
-			panic(fmt.Sprintf("core: duplicate rank %d in group", r))
-		}
-		lay.idx[r-lo] = int32(i)
+	for _, r := range members {
 		byNode[m.NodeOf(r)] = append(byNode[m.NodeOf(r)], r)
 	}
 	for nd := range byNode {
@@ -70,28 +51,14 @@ func newLayout(m *machine.Machine, members []int) layout {
 	for x, nd := range lay.nodes {
 		lay.local[x] = byNode[nd]
 		for l, r := range lay.local[x] {
-			lay.at[lay.idx[r-lo]] = slot{nx: int32(x), l: int32(l)}
+			lay.at[lay.idx.Of(r)] = slot{nx: int32(x), l: int32(l)}
 		}
 	}
 	return lay
 }
 
-// key returns a canonical identity for group registries.
-func (lay *layout) key() string {
-	parts := make([]string, len(lay.members))
-	for i, r := range lay.members {
-		parts[i] = fmt.Sprint(r)
-	}
-	return strings.Join(parts, ",")
-}
-
 // index returns the group rank of a global rank, or -1 for a non-member.
-func (lay *layout) index(rank int) int {
-	if i := rank - lay.lo; uint(i) < uint(len(lay.idx)) {
-		return int(lay.idx[i])
-	}
-	return -1
-}
+func (lay *layout) index(rank int) int { return lay.idx.Of(rank) }
 
 // contains reports whether the global rank participates.
 func (lay *layout) contains(rank int) bool { return lay.index(rank) >= 0 }
@@ -151,15 +118,18 @@ type Group struct {
 }
 
 // Group returns the (shared, cached) group for the given member ranks.
-// Order matters: it defines group ranks and the default masters.
+// Order matters: it defines group ranks and the default masters. A list seen
+// before is found by its hash and an element-wise compare; only a new one is
+// checked and laid out.
 func (s *SRM) Group(members []int) *Group {
-	lay := newLayout(s.m, members)
-	key := lay.key()
-	if g, ok := s.groups[key]; ok {
-		return g
+	h := ranks.Hash(members)
+	for _, g := range s.groups[h] {
+		if slices.Equal(g.lay.members, members) {
+			return g
+		}
 	}
-	g := &Group{s: s, lay: lay, seq: make([]int, len(members))}
-	s.groups[key] = g
+	g := &Group{s: s, lay: newLayout(s.m, members), seq: make([]int, len(members))}
+	s.groups[h] = append(s.groups[h], g)
 	return g
 }
 

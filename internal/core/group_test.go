@@ -8,6 +8,7 @@ import (
 
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
+	"srmcoll/internal/ranks"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
 )
@@ -86,6 +87,18 @@ func TestGroupRegistryShared(t *testing.T) {
 	}
 	if fmt.Sprint(a.Members()) != "[0 2]" {
 		t.Fatalf("members = %v", a.Members())
+	}
+	// A hash only narrows the search: with [0 2]'s group planted in the bucket
+	// [1 3] hashes to, [1 3] still gets a group of its own, there.
+	h := ranks.Hash([]int{1, 3})
+	s.groups[h] = append(s.groups[h], a)
+	d := s.Group([]int{1, 3})
+	if d == a || fmt.Sprint(d.Members()) != "[1 3]" || len(s.groups[h]) != 2 || s.Group([]int{1, 3}) != d {
+		t.Fatalf("[1 3] in a bucket with [0 2] resolved to %v (bucket of %d)", d.Members(), len(s.groups[h]))
+	}
+	// A list seen before is found without being laid out again.
+	if n := testing.AllocsPerRun(100, func() { s.Group([]int{0, 2}) }); n != 0 {
+		t.Fatalf("finding a known group allocates %v objects", n)
 	}
 }
 

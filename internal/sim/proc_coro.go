@@ -74,7 +74,7 @@ func (co *coro) run() {
 	p, e := co.p, co.env
 	defer func() {
 		if r := recover(); r != nil {
-			f := ProcFailure{Proc: p.Name(), Time: e.now, Cause: r}
+			f := ProcFailure{Proc: p.Name(), Actor: p, Time: e.now, Cause: r}
 			e.failures = append(e.failures, f)
 			if e.OnFailure != nil {
 				e.OnFailure(p, f)

@@ -190,6 +190,9 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
+// Num returns the index passed to SpawnIndexed (-1 for a Spawn process).
+func (p *Proc) Num() int { return p.num }
+
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
@@ -292,6 +295,7 @@ func (e *Env) SetSlowdown(p *Proc, factor float64) {
 // panic value (a Crashed for injected crashes).
 type ProcFailure struct {
 	Proc  string
+	Actor any // the *Proc or *Task that failed
 	Time  Time
 	Cause any
 }
@@ -435,8 +439,8 @@ func (e *Env) nextResNum() int {
 // waiting is a no-op. The zero value is not usable; use Env.NewEvent.
 type Event struct {
 	env     *Env
-	num     int    // sequence for the default id
-	id      string // label from Named, or cached formatted id
+	num     int          // sequence for the default id
+	label   fmt.Stringer // from Named or NamedBy; nil: the default id
 	done    bool
 	waiters []*Proc
 	tasks   taskList
@@ -446,14 +450,22 @@ type Event struct {
 func (e *Env) NewEvent() *Event { return &Event{env: e, num: e.nextResNum()} }
 
 // Named sets a human-readable label used in stall reports and returns ev.
-func (ev *Event) Named(name string) *Event { ev.id = name; return ev }
+func (ev *Event) Named(name string) *Event { return ev.NamedBy(fixedLabel(name)) }
+
+// NamedBy is Named for events made on hot paths: the label is formatted only
+// if a report reads it.
+func (ev *Event) NamedBy(label fmt.Stringer) *Event { ev.label = label; return ev }
+
+type fixedLabel string
+
+func (s fixedLabel) String() string { return string(s) }
 
 // ID returns the event's id or label.
 func (ev *Event) ID() string {
-	if ev.id == "" {
-		ev.id = "event#" + strconv.Itoa(ev.num)
+	if ev.label != nil {
+		return ev.label.String()
 	}
-	return ev.id
+	return "event#" + strconv.Itoa(ev.num)
 }
 
 func (ev *Event) waitID() string { return ev.ID() }

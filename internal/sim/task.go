@@ -355,7 +355,7 @@ func (e *Env) failTask(t *Task, cause any) {
 	t.k = nil
 	t.done = true
 	e.live--
-	f := ProcFailure{Proc: t.Name(), Time: e.now, Cause: cause}
+	f := ProcFailure{Proc: t.Name(), Actor: t, Time: e.now, Cause: cause}
 	e.failures = append(e.failures, f)
 	if e.OnTaskFailure != nil {
 		e.OnTaskFailure(t, f)

@@ -30,6 +30,7 @@ package srmcoll
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"srmcoll/internal/check"
@@ -65,52 +66,91 @@ type Request struct {
 // String identifies the request in errors and stall reports.
 func (r *Request) String() string { return fmt.Sprintf("%s#%d", r.name, r.seq) }
 
+// reqLabel is a Request as the label of its completion event: the text a stall
+// report prints for a rank waiting on it, formatted only there.
+type reqLabel Request
+
+func (l *reqLabel) String() string {
+	return fmt.Sprintf("request %s on rank %d", (*Request)(l), l.c.rank)
+}
+
 // reqStream is one rank's request bookkeeping: the completion event of the
-// most recently issued request (the chain helpers serialize on) and the
-// issued-but-not-yet-completed requests in issue order.
+// most recently issued request (the chain helpers serialize on), the
+// issued-but-not-yet-completed requests in issue order, and the helpers that
+// ran them.
 type reqStream struct {
-	seq  int
-	tail *sim.Event
-	live []*Request
+	seq      int
+	tail     *sim.Event
+	live     []*Request
+	prefix   string      // "rank<r>.req", what the rank's helpers are named by
+	helpers  []*sim.Proc // the rank's helper procs (fault tolerance kills them with the rank)
+	thelpers []*sim.Task // Tasks engine: the rank's helper tasks
+}
+
+// helperPrefix returns the name prefix of rank's request helpers.
+func (st *reqStream) helperPrefix(rank int) string {
+	if st.prefix == "" {
+		st.prefix = "rank" + strconv.Itoa(rank) + ".req"
+	}
+	return st.prefix
 }
 
 // runState is the per-Run bookkeeping shared by every Comm of the run:
-// request streams, helper-proc attribution for failure reports, trace
-// track allocation for helpers, and the sub-communicator cache that makes
-// Comm.Sub return one canonical Comm per (parent, member list) so request
-// ordering is well defined per communicator.
+// request streams, which rank each process acts for, trace track allocation
+// for helpers, the record of every communicator, and the handle cache that
+// makes Comm.Sub return one canonical Comm per (parent, member list) so
+// request ordering is well defined per communicator.
 type runState struct {
 	env        *sim.Env
 	streams    []*reqStream
-	helperRank map[string]int      // helper proc/task name -> issuing rank
-	helpers    map[int][]*sim.Proc // issuing rank -> helper procs (FT kills them with the rank)
-	thelpers   map[int][]*sim.Task // Tasks engine: issuing rank -> helper tasks
-	nextTrack  int                 // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
+	procs      []*sim.Proc           // rank processes (Procs engine)
+	tasks      []*sim.Task           // rank tasks (Tasks engine)
+	helperRank map[any]int           // request helper (*sim.Proc or *sim.Task) -> issuing rank
+	nextTrack  int                   // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
+	comms      []*commRec            // every communicator of the run, the world first
+	byHash     map[uint64][]*commRec // those Sub made, by ranks.Hash of their member lists
 	subs       map[subKey]*Comm
-	tsubs      map[subKey]*TComm // Tasks engine sub-communicator cache
-	ft         *ftState          // nil unless the cluster enabled fault tolerance
+	ft         *ftState // nil unless the cluster enabled fault tolerance
 }
 
 type subKey struct {
-	parent  *Comm
-	members string
+	parent *Comm
+	rec    *commRec
 }
 
 func newRunState(env *sim.Env, p int) *runState {
 	rs := &runState{
 		env:        env,
 		streams:    make([]*reqStream, p),
-		helperRank: make(map[string]int),
-		helpers:    make(map[int][]*sim.Proc),
-		thelpers:   make(map[int][]*sim.Task),
+		helperRank: make(map[any]int),
 		nextTrack:  2 * p,
+		byHash:     make(map[uint64][]*commRec),
 		subs:       make(map[subKey]*Comm),
-		tsubs:      make(map[subKey]*TComm),
 	}
 	for i := range rs.streams {
 		rs.streams[i] = &reqStream{}
 	}
 	return rs
+}
+
+// rankOf resolves a process or task (a sim.ProcFailure's Actor) to the rank it
+// acts for, and whether as one of the rank's request helpers: a helper is in
+// the registry, a rank's own is found at its spawn index. Anything else is -1.
+func (rs *runState) rankOf(actor any) (rank int, helper bool) {
+	if r, ok := rs.helperRank[actor]; ok {
+		return r, true
+	}
+	switch a := actor.(type) {
+	case *sim.Proc:
+		if n := a.Num(); n >= 0 && n < len(rs.procs) && rs.procs[n] == a {
+			return n, false
+		}
+	case *sim.Task:
+		if n := a.Num(); n >= 0 && n < len(rs.tasks) && rs.tasks[n] == a {
+			return n, false
+		}
+	}
+	return -1, false
 }
 
 // quiesce orders a blocking collective after every outstanding request of
@@ -163,18 +203,16 @@ func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.
 	}
 	req := &Request{c: c, name: name, op: op, seq: st.seq, bytes: bytes, group: -1, bufs: bufs}
 	st.seq++
-	req.done = c.rs.env.NewEvent().Named(fmt.Sprintf("request %s on rank %d", req, c.rank))
-	if ft := c.rs.ft; ft != nil {
-		if fr := ft.failedIn(c.memberList()); len(fr) > 0 {
-			// The communicator is already known broken: complete the request
-			// immediately with the failure instead of spawning a helper that
-			// would error on registration anyway. The stream tail is left
-			// unchanged — there is nothing to serialize after.
-			req.err = &RankFailedError{Op: name, Rank: c.rank, Failed: fr}
-			req.done.Trigger()
-			st.live = append(st.live, req)
-			return req
-		}
+	req.done = c.rs.env.NewEvent().NamedBy((*reqLabel)(req))
+	if c.rec.failed > 0 {
+		// The communicator is already known broken: complete the request
+		// immediately with the failure instead of spawning a helper that
+		// would error on registration anyway. The stream tail is left
+		// unchanged — there is nothing to serialize after.
+		req.err = c.failedError(name)
+		req.done.Trigger()
+		st.live = append(st.live, req)
+		return req
 	}
 	if c.tr != nil {
 		req.group = c.tr.NewGroup()
@@ -183,7 +221,7 @@ func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.
 		c.tr.End(iid)
 	}
 	prev := st.tail
-	hp := c.rs.env.SpawnIndexed(fmt.Sprintf("rank%d.req", c.rank), req.seq, func(hp *sim.Proc) {
+	hp := c.rs.env.SpawnIndexed(st.helperPrefix(c.rank), req.seq, func(hp *sim.Proc) {
 		if prev != nil {
 			hp.Wait(prev)
 		}
@@ -200,8 +238,8 @@ func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.
 		c.tr.End(oid)
 		req.done.Trigger()
 	})
-	c.rs.helperRank[hp.Name()] = c.rank
-	c.rs.helpers[c.rank] = append(c.rs.helpers[c.rank], hp)
+	c.rs.helperRank[hp] = c.rank
+	st.helpers = append(st.helpers, hp)
 	st.tail = req.done
 	st.live = append(st.live, req)
 	return req
@@ -285,75 +323,75 @@ func (c *Comm) checkDrained() {
 // IBarrier starts a non-blocking barrier.
 func (c *Comm) IBarrier() *Request {
 	return c.issue("IBarrier", 0, nil, func(hp *sim.Proc) {
-		c.coll.Barrier(hp, c.rank)
+		c.rec.coll.Barrier(hp, c.rank)
 	})
 }
 
 // IBcast starts a non-blocking broadcast of buf from root; see Bcast.
 func (c *Comm) IBcast(buf []byte, root int) *Request {
 	return c.issue("IBcast", int64(len(buf)), []check.Buf{check.BufOf("buf", buf)},
-		func(hp *sim.Proc) { c.coll.Bcast(hp, c.rank, buf, root) })
+		func(hp *sim.Proc) { c.rec.coll.Bcast(hp, c.rank, buf, root) })
 }
 
 // IReduce starts a non-blocking reduction into recv at root; see Reduce.
 func (c *Comm) IReduce(send, recv []byte, dt Datatype, op Op, root int) *Request {
 	return c.issue("IReduce", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Reduce(hp, c.rank, send, recv, dt, op, root) })
+		func(hp *sim.Proc) { c.rec.coll.Reduce(hp, c.rank, send, recv, dt, op, root) })
 }
 
 // IAllreduce starts a non-blocking allreduce; see Allreduce.
 func (c *Comm) IAllreduce(send, recv []byte, dt Datatype, op Op) *Request {
 	return c.issue("IAllreduce", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Allreduce(hp, c.rank, send, recv, dt, op) })
+		func(hp *sim.Proc) { c.rec.coll.Allreduce(hp, c.rank, send, recv, dt, op) })
 }
 
 // IGather starts a non-blocking gather into recv at root; see Gather.
 func (c *Comm) IGather(send, recv []byte, root int) *Request {
 	return c.issue("IGather", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Gather(hp, c.rank, send, recv, root) })
+		func(hp *sim.Proc) { c.rec.coll.Gather(hp, c.rank, send, recv, root) })
 }
 
 // IScatter starts a non-blocking scatter from root's send; see Scatter.
 func (c *Comm) IScatter(send, recv []byte, root int) *Request {
 	return c.issue("IScatter", int64(len(recv)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Scatter(hp, c.rank, send, recv, root) })
+		func(hp *sim.Proc) { c.rec.coll.Scatter(hp, c.rank, send, recv, root) })
 }
 
 // IAllgather starts a non-blocking allgather; see Allgather.
 func (c *Comm) IAllgather(send, recv []byte) *Request {
 	return c.issue("IAllgather", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Allgather(hp, c.rank, send, recv) })
+		func(hp *sim.Proc) { c.rec.coll.Allgather(hp, c.rank, send, recv) })
 }
 
 // IAlltoall starts a non-blocking all-to-all exchange; see Alltoall.
 func (c *Comm) IAlltoall(send, recv []byte) *Request {
 	return c.issue("IAlltoall", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Alltoall(hp, c.rank, send, recv) })
+		func(hp *sim.Proc) { c.rec.coll.Alltoall(hp, c.rank, send, recv) })
 }
 
 // IReduceScatter starts a non-blocking reduce-scatter; see ReduceScatter.
 func (c *Comm) IReduceScatter(send, recv []byte, dt Datatype, op Op) *Request {
 	return c.issue("IReduceScatter", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.ReduceScatter(hp, c.rank, send, recv, dt, op) })
+		func(hp *sim.Proc) { c.rec.coll.ReduceScatter(hp, c.rank, send, recv, dt, op) })
 }
 
 // IScan starts a non-blocking inclusive prefix reduction; see Scan.
 func (c *Comm) IScan(send, recv []byte, dt Datatype, op Op) *Request {
 	return c.issue("IScan", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Scan(hp, c.rank, send, recv, dt, op) })
+		func(hp *sim.Proc) { c.rec.coll.Scan(hp, c.rank, send, recv, dt, op) })
 }
 
 // IExscan starts a non-blocking exclusive prefix reduction; see Exscan.
 func (c *Comm) IExscan(send, recv []byte, dt Datatype, op Op) *Request {
 	return c.issue("IExscan", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.coll.Exscan(hp, c.rank, send, recv, dt, op) })
+		func(hp *sim.Proc) { c.rec.coll.Exscan(hp, c.rank, send, recv, dt, op) })
 }

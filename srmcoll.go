@@ -25,6 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 
 	"srmcoll/internal/baseline"
 	"srmcoll/internal/check"
@@ -32,6 +34,7 @@ import (
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/fault"
 	"srmcoll/internal/machine"
+	"srmcoll/internal/ranks"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/scale"
 	"srmcoll/internal/sim"
@@ -437,16 +440,51 @@ type Result struct {
 // collective operations of the selected implementation. Sub carves out a
 // communicator over a subset of ranks.
 type Comm struct {
-	p        *sim.Proc
+	p        *sim.Proc // nil on the Tasks engine
 	rank     int
-	size     int
-	members  []int // global ranks in member order; nil for the world comm
+	rec      *commRec // the communicator this handle is a member's view of
 	m        *machine.Machine
 	dom      *rma.Domain
 	counters map[string]*SharedCounter
-	coll     collectives
 	tr       *trace.Trace // nil unless tracing is on
-	rs       *runState    // per-Run request streams and sub-comm cache
+	rs       *runState    // per-Run request streams and communicator records
+	tc       *TComm       // the handle's continuation-passing form, once a RunT body asked for it
+}
+
+// commRec is what a run knows about one communicator, held once and shared by
+// the handles of all its members: a communicator is its member list, so every
+// rank passing the same list to Sub arrives at the same record (runState.sub)
+// and nothing per communicator is derived per rank — the copy of the list, the
+// implementation's group, the place of each rank in the list, the name.
+type commRec struct {
+	members []int       // global ranks in member order; never written after creation
+	idx     ranks.Index // global rank -> member index
+	coll    collectives // the operations over the members
+	name    string      // see key; the world's is set from the start
+	from    []*commRec  // the parents the list has been checked against
+
+	// The communicator's stream of Agree/Shrink rendezvous (ft.go). Survivors
+	// leave a rendezvous together, so at most one is in flight.
+	failed  int       // members declared failed so far
+	round   int       // rendezvous begun so far
+	pending *ftGather // the one in flight, nil between rounds
+	entered []uint64  // by member index: the flag the member entered pending with
+	in      []bool    // by member index: the member has entered pending
+}
+
+// key names the communicator in repair records, event labels and panics:
+// "world", or the member list as fmt.Sprint prints it, "[0 1 3]". It is
+// formatted when first asked for; no lookup goes through it.
+func (rec *commRec) key() string {
+	if rec.name == "" {
+		b := make([]byte, 0, 4*len(rec.members)+1)
+		for _, r := range rec.members {
+			b = strconv.AppendInt(append(b, ' '), int64(r), 10)
+		}
+		b[0] = '['
+		rec.name = string(append(b, ']'))
+	}
+	return rec.name
 }
 
 // newSRM builds the SRM engine the cluster's variant and tuning table
@@ -490,8 +528,7 @@ type collectives interface {
 // operation sets of collectives and tcollectives.
 type srmColl struct{ *core.Group }
 
-func (a srmColl) Subgroup(members []int) collectives   { return srmColl{a.Sub(members)} }
-func (a srmColl) SubgroupT(members []int) tcollectives { return srmColl{a.Sub(members)} }
+func (a srmColl) Subgroup(members []int) collectives { return srmColl{a.Sub(members)} }
 
 // baselineColl is a baseline operation set — baseline.Coll's world
 // algorithms or a baseline.Group — with the way to its subgroups.
@@ -505,6 +542,55 @@ func (a baselineColl) Subgroup(members []int) collectives {
 	return baselineColl{g, g.Sub}
 }
 
+// sub returns the record of the communicator over members, carved out of
+// parent. The list is hashed and compared against the records in its bucket,
+// so finding a communicator builds nothing; the implementation resolves its
+// group, which is also what checks the list, once per parent it comes from.
+func (rs *runState) sub(parent *commRec, members []int) *commRec {
+	h := ranks.Hash(members)
+	rec := rs.lookup(h, members)
+	if rec != nil && slices.Contains(rec.from, parent) {
+		return rec
+	}
+	coll := parent.coll.Subgroup(members)
+	if rec == nil {
+		rec = &commRec{
+			members: slices.Clone(members),
+			idx:     ranks.NewIndex("srmcoll", members, len(rs.streams)),
+			coll:    coll,
+		}
+		if rs.ft != nil {
+			rec.failed = len(rs.ft.failedIn(members))
+		}
+		rs.comms = append(rs.comms, rec)
+		rs.byHash[h] = append(rs.byHash[h], rec)
+	}
+	rec.from = append(rec.from, parent)
+	return rec
+}
+
+// lookup finds the record of a member list in the bucket of its hash h.
+func (rs *runState) lookup(h uint64, members []int) *commRec {
+	for _, rec := range rs.byHash[h] {
+		if slices.Equal(rec.members, members) {
+			return rec
+		}
+	}
+	return nil
+}
+
+// newWorld makes the record of the world communicator of p ranks. It is not
+// in the table Sub looks lists up in: Sub over every rank is a communicator of
+// its own.
+func (rs *runState) newWorld(p int, coll collectives) *commRec {
+	rec := &commRec{members: make([]int, p), idx: ranks.All(p), coll: coll, name: "world"}
+	for i := range rec.members {
+		rec.members[i] = i
+	}
+	rs.comms = append(rs.comms, rec)
+	return rec
+}
+
 // Sub returns a communicator over the given subset of global ranks — the
 // paper's §5 extension to arbitrary MPI task groups. Member order defines
 // the group; every member must pass the same list and make the same
@@ -513,22 +599,12 @@ func (a baselineColl) Subgroup(members []int) collectives {
 // member list (from the same parent) return the same canonical Comm, so
 // request ordering is per communicator, not per Sub call.
 func (c *Comm) Sub(members []int) *Comm {
-	key := subKey{parent: c, members: fmt.Sprint(members)}
+	key := subKey{parent: c, rec: c.rs.sub(c.rec, members)}
 	if s, ok := c.rs.subs[key]; ok {
 		return s
 	}
-	s := &Comm{
-		p:        c.p,
-		rank:     c.rank,
-		size:     len(members),
-		members:  append([]int(nil), members...),
-		m:        c.m,
-		dom:      c.dom,
-		counters: c.counters,
-		coll:     c.coll.Subgroup(members),
-		tr:       c.tr,
-		rs:       c.rs,
-	}
+	s := &Comm{p: c.p, rank: c.rank, rec: key.rec, m: c.m, dom: c.dom,
+		counters: c.counters, tr: c.tr, rs: c.rs}
 	c.rs.subs[key] = s
 	return s
 }
@@ -538,7 +614,7 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in this communicator (the whole world,
 // or the subgroup for a Comm obtained from Sub).
-func (c *Comm) Size() int { return c.size }
+func (c *Comm) Size() int { return len(c.rec.members) }
 
 // Node returns the SMP node hosting this rank.
 func (c *Comm) Node() int { return c.m.NodeOf(c.rank) }
@@ -564,7 +640,7 @@ func (c *Comm) Compute(us float64) { c.p.Sleep(us) }
 func (c *Comm) Barrier() error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "barrier", 0)
-	err := c.ftRun("barrier", c.p, func() { c.coll.Barrier(c.p, c.rank) })
+	err := c.ftRun("barrier", c.p, func() { c.rec.coll.Barrier(c.p, c.rank) })
 	c.tr.End(id)
 	return err
 }
@@ -573,7 +649,7 @@ func (c *Comm) Barrier() error {
 func (c *Comm) Bcast(buf []byte, root int) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "bcast", int64(len(buf)))
-	err := c.ftRun("bcast", c.p, func() { c.coll.Bcast(c.p, c.rank, buf, root) })
+	err := c.ftRun("bcast", c.p, func() { c.rec.coll.Bcast(c.p, c.rank, buf, root) })
 	c.tr.End(id)
 	return err
 }
@@ -583,7 +659,7 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "reduce", int64(len(send)))
-	err := c.ftRun("reduce", c.p, func() { c.coll.Reduce(c.p, c.rank, send, recv, dt, op, root) })
+	err := c.ftRun("reduce", c.p, func() { c.rec.coll.Reduce(c.p, c.rank, send, recv, dt, op, root) })
 	c.tr.End(id)
 	return err
 }
@@ -592,7 +668,7 @@ func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
 func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "allreduce", int64(len(send)))
-	err := c.ftRun("allreduce", c.p, func() { c.coll.Allreduce(c.p, c.rank, send, recv, dt, op) })
+	err := c.ftRun("allreduce", c.p, func() { c.rec.coll.Allreduce(c.p, c.rank, send, recv, dt, op) })
 	c.tr.End(id)
 	return err
 }
@@ -602,7 +678,7 @@ func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
 func (c *Comm) Gather(send, recv []byte, root int) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "gather", int64(len(send)))
-	err := c.ftRun("gather", c.p, func() { c.coll.Gather(c.p, c.rank, send, recv, root) })
+	err := c.ftRun("gather", c.p, func() { c.rec.coll.Gather(c.p, c.rank, send, recv, root) })
 	c.tr.End(id)
 	return err
 }
@@ -612,7 +688,7 @@ func (c *Comm) Gather(send, recv []byte, root int) error {
 func (c *Comm) Scatter(send, recv []byte, root int) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "scatter", int64(len(recv)))
-	err := c.ftRun("scatter", c.p, func() { c.coll.Scatter(c.p, c.rank, send, recv, root) })
+	err := c.ftRun("scatter", c.p, func() { c.rec.coll.Scatter(c.p, c.rank, send, recv, root) })
 	c.tr.End(id)
 	return err
 }
@@ -622,7 +698,7 @@ func (c *Comm) Scatter(send, recv []byte, root int) error {
 func (c *Comm) Allgather(send, recv []byte) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "allgather", int64(len(send)))
-	err := c.ftRun("allgather", c.p, func() { c.coll.Allgather(c.p, c.rank, send, recv) })
+	err := c.ftRun("allgather", c.p, func() { c.rec.coll.Allgather(c.p, c.rank, send, recv) })
 	c.tr.End(id)
 	return err
 }
@@ -632,7 +708,7 @@ func (c *Comm) Allgather(send, recv []byte) error {
 func (c *Comm) Alltoall(send, recv []byte) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "alltoall", int64(len(send)))
-	err := c.ftRun("alltoall", c.p, func() { c.coll.Alltoall(c.p, c.rank, send, recv) })
+	err := c.ftRun("alltoall", c.p, func() { c.rec.coll.Alltoall(c.p, c.rank, send, recv) })
 	c.tr.End(id)
 	return err
 }
@@ -642,7 +718,7 @@ func (c *Comm) Alltoall(send, recv []byte) error {
 func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "reducescatter", int64(len(send)))
-	err := c.ftRun("reducescatter", c.p, func() { c.coll.ReduceScatter(c.p, c.rank, send, recv, dt, op) })
+	err := c.ftRun("reducescatter", c.p, func() { c.rec.coll.ReduceScatter(c.p, c.rank, send, recv, dt, op) })
 	c.tr.End(id)
 	return err
 }
@@ -652,7 +728,7 @@ func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
 func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "scan", int64(len(send)))
-	err := c.ftRun("scan", c.p, func() { c.coll.Scan(c.p, c.rank, send, recv, dt, op) })
+	err := c.ftRun("scan", c.p, func() { c.rec.coll.Scan(c.p, c.rank, send, recv, dt, op) })
 	c.tr.End(id)
 	return err
 }
@@ -661,7 +737,7 @@ func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
 func (c *Comm) Exscan(send, recv []byte, dt Datatype, op Op) error {
 	c.quiesce()
 	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "exscan", int64(len(send)))
-	err := c.ftRun("exscan", c.p, func() { c.coll.Exscan(c.p, c.rank, send, recv, dt, op) })
+	err := c.ftRun("exscan", c.p, func() { c.rec.coll.Exscan(c.p, c.rank, send, recv, dt, op) })
 	c.tr.End(id)
 	return err
 }
@@ -832,14 +908,15 @@ func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, erro
 	}
 	counters := make(map[string]*SharedCounter)
 	rs := newRunState(env, m.P())
+	world := rs.newWorld(m.P(), coll)
 	res := &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	procs := make([]*sim.Proc, m.P())
+	rs.procs = procs
 	var ft *ftState
 	if cl.ft.Enabled {
 		ft = newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
-		ft.procs = procs
 		rs.ft = ft
-		env.OnFailure = ft.onFailure
+		env.OnFailure = func(p *sim.Proc, f sim.ProcFailure) { ft.onFailure(f) }
 	}
 	// Schedule fault callbacks before spawning the ranks so a window opening
 	// at t=0 is already in force when the first rank runs. The closures index
@@ -850,8 +927,8 @@ func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, erro
 	for r := 0; r < m.P(); r++ {
 		r := r
 		procs[r] = env.SpawnIndexed("rank", r, func(p *sim.Proc) {
-			comm := &Comm{p: p, rank: r, size: m.P(), m: m, dom: dom,
-				counters: counters, coll: coll, tr: env.Trace, rs: rs}
+			comm := &Comm{p: p, rank: r, rec: world, m: m, dom: dom,
+				counters: counters, tr: env.Trace, rs: rs}
 			body(comm)
 			comm.checkDrained()
 			res.PerRank[r] = p.Now()
@@ -878,7 +955,7 @@ func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, erro
 			if ft != nil {
 				first = ft.unexpected[0]
 			}
-			return nil, runErrorFrom(first, procs, rs.helperRank)
+			return nil, rs.runError(first)
 		}
 		// Every failure was an expected injected crash: the run's outcome is
 		// what the survivors did, decided below.
@@ -937,25 +1014,11 @@ func (cl *Cluster) scheduleFaults(env *sim.Env, inj *fault.Injector, procs []*si
 	}
 }
 
-// runErrorFrom converts a recovered process failure into a *RunError. The
-// failed rank is resolved by scanning the (small) proc slice — a cold path,
-// so Run need not build an eager name-to-rank map — falling back to the
-// helper-process registry when a non-blocking request's helper failed.
-func runErrorFrom(f sim.ProcFailure, procs []*sim.Proc, helperRank map[string]int) *RunError {
-	re := &RunError{Op: "run"}
-	found := false
-	for r, p := range procs {
-		if p.Name() == f.Proc {
-			re.Rank = r
-			found = true
-			break
-		}
-	}
-	if !found {
-		if r, ok := helperRank[f.Proc]; ok {
-			re.Rank = r
-		}
-	}
+// runError converts a recovered process failure into a *RunError naming the
+// rank whose process, or whose request helper, it was.
+func (rs *runState) runError(f sim.ProcFailure) *RunError {
+	rank, _ := rs.rankOf(f.Actor)
+	re := &RunError{Rank: max(0, rank), Op: "run"}
 	switch cause := f.Cause.(type) {
 	case *check.SizeError:
 		re.Op = cause.Op

@@ -1,8 +1,14 @@
 package srmcoll
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -473,5 +479,254 @@ func TestFTTraceClasses(t *testing.T) {
 		if !seen[cls] {
 			t.Errorf("trace has no %q span; classes seen: %v", cls, seen)
 		}
+	}
+}
+
+// chaosLoopBodyT is chaosLoopBodyCompute in continuation-passing form, for
+// RunT on either engine.
+func chaosLoopBodyT(rounds, bytes int, compute float64) func(*TComm, func()) {
+	return func(tc *TComm, finish func()) {
+		comm := tc
+		buf, recv := make([]byte, bytes), make([]byte, bytes)
+		sv := make([]float64, bytes/8)
+		for i := range sv {
+			sv[i] = float64(tc.Rank() + 1)
+		}
+		send := Float64Bytes(sv)
+		done := 0
+		var round, repair func()
+		round = func() {
+			if done >= rounds {
+				repair()
+				return
+			}
+			tc.Compute(compute, func() {
+				after := func(err error) {
+					if err == nil {
+						done++
+						round()
+						return
+					}
+					if !errors.Is(err, ErrRankFailed) {
+						panic(fmt.Sprintf("rank %d round %d: unexpected error %v", tc.Rank(), done, err))
+					}
+					repair()
+				}
+				if done%2 == 0 {
+					comm.Bcast(buf, comm.Members()[0], after)
+				} else {
+					comm.Allreduce(send, recv, Float64, Sum, after)
+				}
+			})
+		}
+		repair = func() {
+			comm.Shrink(func(nc *TComm, err error) {
+				if err != nil {
+					panic(err)
+				}
+				nc.Agree(uint64(1)<<done-1, func(agreed uint64, err error) {
+					if err != nil {
+						panic(err)
+					}
+					comm, done = nc, bits.TrailingZeros64(^agreed)
+					if done >= rounds {
+						finish()
+						return
+					}
+					round()
+				})
+			})
+		}
+		round()
+	}
+}
+
+// chaosCorpusPlan derives one seeded chaos schedule: every rank but 0
+// crashes with probability rate somewhere in the run's window, three runs in
+// ten slow one rank down for a quarter of it, and the wire drops 1% of the
+// puts under reliable delivery.
+func chaosCorpusPlan(ranks int, rate float64, seed int64) FaultPlan {
+	const window = 10 * (25 + 20) * 2
+	rng := rand.New(rand.NewSource(seed))
+	plan := FaultPlan{Seed: uint64(seed), Deadline: 1e6, Drop: 0.01, Reliable: true}
+	for r := 1; r < ranks; r++ {
+		pCrash, at := rng.Float64(), rng.Float64()
+		if pCrash < rate {
+			plan.Crashes = append(plan.Crashes, Crash{Rank: r, At: at * window})
+		}
+	}
+	pStall, stallRank, from := rng.Float64(), rng.Intn(ranks), rng.Float64()*window/2
+	if pStall < 0.3 {
+		plan.Stalls = []Stall{{Rank: stallRank, From: from, Until: from + window/4, Factor: 2}}
+	}
+	return plan
+}
+
+// TestChaosCorpusGolden pins, across builds, what the benchmark's digest
+// leaves out: Failures and Repairs (every RepairRecord.Comm string, survivor
+// list and the order of the records) next to the times and counters, for a
+// seeded chaos corpus on both engines. Each golden is the SHA-256 over the
+// ftFingerprints of one (world, crash rate) cell: four seeds on the Procs
+// engine with the stall windows, then the same four on the Tasks engine
+// without them (it has no per-task slowdown). The Tasks runs must also match
+// the Procs engine running the same stall-free plan.
+func TestChaosCorpusGolden(t *testing.T) {
+	// Recorded at e0cfe4b, before communicators became shared records.
+	golden := map[string]string{
+		"8/0.05":  "3be4231425681b1f8efbd6b23f75bc74077bb0e6df6d13d377d2f654211dd49a",
+		"8/0.15":  "5920540e9936ef734aa4628e112508f927006f540af12c3c41df4b1d0a39beba",
+		"8/0.30":  "35fc8e77655746939586f9798d3584c2e7070205a6fbd9ae4352af3228ae8709",
+		"16/0.05": "20718cbfc9aebe291dc4a83d346412c08b2851a1d10f3d49c419eab64056f9d3",
+		"16/0.15": "c0f442351735839fa27b09331f9c262e896cbf2a44d96389dd5e1e30e1d7c500",
+		"16/0.30": "f113dbfffe086d82b6940372615a357b1c8f9f3f2a014245bd7f0afe231bd49a",
+		"32/0.05": "7bc43768389e140a9e35b666cde7bfba634f68dd258b071969c43976111eb6ff",
+		"32/0.15": "aa0193ea05940f2380d9adc707c775af9cd7cd393939008e72847952934d581b",
+		"32/0.30": "dbfbc4ab5d46bee1cf9f9c6f5cfb99b7c219a2751becebfd328ac31aebf4471b",
+		"64/0.05": "294cd8e7dfa9164675eb6241cada445ae468ff81140a4774c59a3d44d51ee593",
+		"64/0.15": "3f995a14073cf9745e41d9a4071efc5959141e0c82cc63634d8cd407e827b6ed",
+		"64/0.30": "e4413ccc5a678e14b78bb137d7087cba8bf8d15dd1712f81225c9fa15ba382f3",
+	}
+	for _, ranks := range []int{8, 16, 32, 64} {
+		for _, rate := range []float64{0.05, 0.15, 0.3} {
+			name := fmt.Sprintf("%d/%.2f", ranks, rate)
+			h := sha256.New()
+			var tasks []string
+			for k := 0; k < 4; k++ {
+				cl := mustCluster(t, ranks/4, 4)
+				cl.SetFaultTolerance(DefaultFTConfig())
+				plan := chaosCorpusPlan(ranks, rate, int64(1000*ranks+100*k)+int64(rate*100))
+				cl.SetFaultPlan(plan)
+				res, err := cl.Run(SRM, chaosLoopBodyCompute(10, 256, 25, nil))
+				if err != nil {
+					t.Fatalf("%s seed %d procs: %v", name, k, err)
+				}
+				io.WriteString(h, ftFingerprint(res))
+
+				plan.Stalls = nil
+				cl.SetFaultPlan(plan)
+				var fp [2]string
+				for i, eng := range []Engine{EngineTasks, EngineProcs} {
+					cl.SetEngine(eng)
+					res, err := cl.RunT(SRM, chaosLoopBodyT(10, 256, 25))
+					if err != nil {
+						t.Fatalf("%s seed %d %s: %v", name, k, eng, err)
+					}
+					fp[i] = ftFingerprint(res)
+				}
+				if fp[0] != fp[1] {
+					t.Errorf("%s seed %d: engines diverge:\n--- tasks\n%s--- procs\n%s", name, k, fp[0], fp[1])
+				}
+				tasks = append(tasks, fp[0])
+			}
+			for _, fp := range tasks {
+				io.WriteString(h, fp)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != golden[name] {
+				t.Errorf("%s: fingerprint digest\n got %s\nwant %s", name, got, golden[name])
+			}
+		}
+	}
+}
+
+// TestDeclarationSweepOrder pins the order in which one declared failure
+// completes several pending rendezvous — ascending order of their key strings,
+// whatever order they were begun in — and with it the format of
+// RepairRecord.Comm. Rank 2 is the straggler of four sub-communicator shrinks
+// begun in the order D, B, A, C after the world shrink every other rank ends
+// in; as strings "[2 10 11]" < "[2 12]" < "[2 1]" < "[2 3 4]" < "world".
+func TestDeclarationSweepOrder(t *testing.T) {
+	subs := map[int]struct {
+		members []int
+		at      float64
+	}{
+		10: {[]int{2, 10, 11}, 30}, 11: {[]int{2, 10, 11}, 30}, // A
+		3: {[]int{2, 3, 4}, 20}, 4: {[]int{2, 3, 4}, 20}, // B
+		1:  {[]int{2, 1}, 40}, // C
+		12: {[]int{2, 12}, 5}, // D
+	}
+	body := func(tc *TComm, done func()) {
+		var spin func()
+		spin = func() { tc.Compute(1, spin) }
+		if tc.Rank() == 2 {
+			spin() // until the crash
+			return
+		}
+		finish := func() {
+			tc.Shrink(func(_ *TComm, err error) {
+				if err != nil {
+					panic(err)
+				}
+				done()
+			})
+		}
+		if s, ok := subs[tc.Rank()]; ok {
+			tc.Compute(s.at, func() {
+				tc.Sub(s.members).Shrink(func(sc *TComm, err error) {
+					if err != nil || sc.Size() != len(s.members)-1 {
+						panic(fmt.Sprintf("sub shrink: %v, %v", sc.Members(), err))
+					}
+					finish()
+				})
+			})
+			return
+		}
+		finish()
+	}
+	want := []string{"[2 10 11]#0", "[2 12]#0", "[2 1]#0", "[2 3 4]#0", "world#0"}
+	for _, eng := range []Engine{EngineProcs, EngineTasks} {
+		cl := ftCluster(t, 4, 4, Crash{Rank: 2, At: 10})
+		cl.SetEngine(eng)
+		res, err := cl.RunT(SRM, body)
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		var got []string
+		for _, rep := range res.Repairs {
+			got = append(got, rep.Comm)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: repairs completed in order %q, want %q", eng, got, want)
+		}
+	}
+}
+
+// TestWaitLabelsInDeadlockReport pins the text a deadlock report prints for a
+// rank parked on a request's completion and on a rendezvous: both labels are
+// formatted only when a report is built, and must read as they always have.
+// A request helper's failure is still charged to the rank that issued it.
+func TestWaitLabelsInDeadlockReport(t *testing.T) {
+	cl := mustCluster(t, 1, 3)
+	cl.SetFaultTolerance(DefaultFTConfig())
+	_, err := cl.Run(SRM, func(c *Comm) {
+		switch c.Rank() {
+		case 1:
+			c.IBcast(make([]byte, 8), 0).Wait() // rank 0 never joins
+		case 2:
+			c.Sub([]int{0, 2}).Agree(1) // nor here
+		}
+	})
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run = %v, want *DeadlockError", err)
+	}
+	waits := map[string]string{}
+	for _, b := range de.Procs {
+		waits[b.Name] = b.Waiting
+	}
+	if waits["rank1"] != "request ibcast#0 on rank 1" || waits["rank2"] != "agree [0 2]#0" {
+		t.Errorf("blocked ranks wait on %q, want the request and rendezvous labels", waits)
+	}
+	if _, ok := waits["rank1.req0"]; !ok {
+		t.Errorf("blocked = %q, want the helper rank1.req0 among them", waits)
+	}
+
+	_, err = mustCluster(t, 1, 3).Run(SRM, func(c *Comm) {
+		if c.Rank() == 2 {
+			c.IReduce(make([]byte, 8), make([]byte, 4), Float64, Sum, 2).Wait()
+		}
+	})
+	var re *RunError
+	if !errors.As(err, &re) || re.Rank != 2 {
+		t.Errorf("Run = %v, want a *RunError for rank 2, whose helper failed", err)
 	}
 }

@@ -80,14 +80,13 @@ type tcollectives interface {
 	ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
 	ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
 	ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
-	SubgroupT(members []int) tcollectives
 }
 
 // Rank returns this task's global rank.
 func (tc *TComm) Rank() int { return tc.c.rank }
 
 // Size returns the number of ranks in this communicator.
-func (tc *TComm) Size() int { return tc.c.size }
+func (tc *TComm) Size() int { return tc.c.Size() }
 
 // Node returns the SMP node hosting this rank.
 func (tc *TComm) Node() int { return tc.c.m.NodeOf(tc.c.rank) }
@@ -120,29 +119,19 @@ func (tc *TComm) Compute(us float64, k func()) {
 }
 
 // Sub returns a communicator over the given subset of global ranks; see
-// Comm.Sub for the membership and call-matching rules.
-func (tc *TComm) Sub(members []int) *TComm {
-	if tc.t == nil {
-		return &TComm{c: tc.c.Sub(members)}
+// Comm.Sub for the membership and call-matching rules. Like Comm.Sub it
+// returns one canonical handle per (parent, member list).
+func (tc *TComm) Sub(members []int) *TComm { return tc.wrap(tc.c.Sub(members)) }
+
+// wrap returns the continuation-passing form of a handle of tc's rank.
+func (tc *TComm) wrap(s *Comm) *TComm {
+	if s.tc == nil {
+		s.tc = &TComm{c: s, t: tc.t}
+		if tc.t != nil {
+			s.tc.tcoll = s.rec.coll.(tcollectives)
+		}
 	}
-	c := tc.c
-	key := subKey{parent: c, members: fmt.Sprint(members)}
-	if s, ok := c.rs.tsubs[key]; ok {
-		return s
-	}
-	sub := &Comm{
-		rank:     c.rank,
-		size:     len(members),
-		members:  append([]int(nil), members...),
-		m:        c.m,
-		dom:      c.dom,
-		counters: c.counters,
-		tr:       c.tr,
-		rs:       c.rs,
-	}
-	s := &TComm{c: sub, t: tc.t, tcoll: tc.tcoll.SubgroupT(members)}
-	c.rs.tsubs[key] = s
-	return s
+	return s.tc
 }
 
 // quiesceT is quiesce for the Task engine: order a blocking collective
@@ -338,20 +327,21 @@ func (cl *Cluster) runTasks(impl Impl, body func(tc *TComm, done func()), fresh 
 	if cl.faults.Reliable {
 		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
 	}
-	tcoll := tcollectives(cl.newSRM(m, dom))
+	tcoll := cl.newSRM(m, dom)
 	if cl.tracing {
 		env.Trace = trace.New(env.Now)
 	}
 	counters := make(map[string]*SharedCounter)
 	rs := newRunState(env, m.P())
+	world := rs.newWorld(m.P(), tcoll)
 	res := &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	tasks := make([]*sim.Task, m.P())
+	rs.tasks = tasks
 	var ft *ftState
 	if cl.ft.Enabled {
 		ft = newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
-		ft.tasks = tasks
 		rs.ft = ft
-		env.OnTaskFailure = ft.onTaskFailure
+		env.OnTaskFailure = func(t *sim.Task, f sim.ProcFailure) { ft.onFailure(f) }
 	}
 	if inj != nil {
 		cl.scheduleFaultsT(env, inj, tasks)
@@ -359,7 +349,7 @@ func (cl *Cluster) runTasks(impl Impl, body func(tc *TComm, done func()), fresh 
 	for r := 0; r < m.P(); r++ {
 		r := r
 		tasks[r] = env.SpawnTask("rank", r, func(t *sim.Task) {
-			comm := &Comm{rank: r, size: m.P(), m: m, dom: dom,
+			comm := &Comm{rank: r, rec: world, m: m, dom: dom,
 				counters: counters, tr: env.Trace, rs: rs}
 			tc := &TComm{c: comm, t: t, tcoll: tcoll}
 			body(tc, func() {
@@ -386,7 +376,7 @@ func (cl *Cluster) runTasks(impl Impl, body func(tc *TComm, done func()), fresh 
 			if ft != nil {
 				first = ft.unexpected[0]
 			}
-			return nil, runErrorFromTasks(first, tasks, rs.helperRank)
+			return nil, rs.runError(first)
 		}
 		runErr = nil
 	}
@@ -430,17 +420,4 @@ func (cl *Cluster) scheduleFaultsT(env *sim.Env, inj *fault.Injector, tasks []*s
 			env.KillTask(tasks[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
 		})
 	}
-}
-
-// runErrorFromTasks is runErrorFrom with rank resolution over the Task
-// slice instead of the Proc slice.
-func runErrorFromTasks(f sim.ProcFailure, tasks []*sim.Task, helperRank map[string]int) *RunError {
-	for r, t := range tasks {
-		if t.Name() == f.Proc {
-			re := runErrorFrom(f, nil, helperRank)
-			re.Rank = r
-			return re
-		}
-	}
-	return runErrorFrom(f, nil, helperRank)
 }

@@ -72,17 +72,15 @@ func (tc *TComm) issueT(op string, bytes int64, bufs []check.Buf, run func(ht *s
 		}
 		req := &Request{c: c, name: name, op: op, seq: st.seq, bytes: bytes, group: -1, bufs: bufs}
 		st.seq++
-		req.done = c.rs.env.NewEvent().Named(fmt.Sprintf("request %s on rank %d", req, c.rank))
-		if ft := c.rs.ft; ft != nil {
-			if fr := ft.failedIn(c.memberList()); len(fr) > 0 {
-				// Already known broken: complete immediately with the failure;
-				// the stream tail is left unchanged (see issue).
-				req.err = &RankFailedError{Op: name, Rank: c.rank, Failed: fr}
-				req.done.Trigger()
-				st.live = append(st.live, req)
-				k(&TRequest{req: req, tc: tc})
-				return
-			}
+		req.done = c.rs.env.NewEvent().NamedBy((*reqLabel)(req))
+		if c.rec.failed > 0 {
+			// Already known broken: complete immediately with the failure;
+			// the stream tail is left unchanged (see issue).
+			req.err = c.failedError(name)
+			req.done.Trigger()
+			st.live = append(st.live, req)
+			k(&TRequest{req: req, tc: tc})
+			return
 		}
 		if c.tr != nil {
 			req.group = c.tr.NewGroup()
@@ -91,7 +89,7 @@ func (tc *TComm) issueT(op string, bytes int64, bufs []check.Buf, run func(ht *s
 			c.tr.End(iid)
 		}
 		prev := st.tail
-		ht := c.rs.env.SpawnTask(fmt.Sprintf("rank%d.req", c.rank), req.seq, func(ht *sim.Task) {
+		ht := c.rs.env.SpawnTask(st.helperPrefix(c.rank), req.seq, func(ht *sim.Task) {
 			start := func() {
 				oid := -1
 				if c.tr != nil {
@@ -116,8 +114,8 @@ func (tc *TComm) issueT(op string, bytes int64, bufs []check.Buf, run func(ht *s
 			}
 			start()
 		})
-		c.rs.helperRank[ht.Name()] = c.rank
-		c.rs.thelpers[c.rank] = append(c.rs.thelpers[c.rank], ht)
+		c.rs.helperRank[ht] = c.rank
+		st.thelpers = append(st.thelpers, ht)
 		st.tail = req.done
 		st.live = append(st.live, req)
 		k(&TRequest{req: req, tc: tc})
