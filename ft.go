@@ -180,7 +180,7 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState, cfg FTCon
 		failed:   make([]bool, n),
 		crashed:  make([]bool, n),
 	}
-	ft.det = sim.NewDetector(env, cfg.HeartbeatPeriod, cfg.SuspicionTimeout)
+	ft.det = sim.NewDetector(cfg.HeartbeatPeriod, cfg.SuspicionTimeout)
 	return ft
 }
 
@@ -199,7 +199,7 @@ func (ft *ftState) onFailure(f sim.ProcFailure) {
 			// The rank's communication service thread dies with the task:
 			// kill its request helpers so they cannot keep driving the
 			// dead rank's side of a protocol.
-			st, why := ft.rs.streams[r], fmt.Sprintf("rank %d crashed", r)
+			st, why := &ft.rs.streams[r], fmt.Sprintf("rank %d crashed", r)
 			for _, hp := range st.helpers {
 				ft.env.Kill(hp, why)
 			}

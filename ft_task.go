@@ -7,55 +7,18 @@ package srmcoll
 // way out; a Task has no stack, so declaration delivers Env.InterruptTask,
 // the task's OnInterrupt handler runs the unwind stack (armed for the
 // duration of the operation), and the error continuation fires with the
-// same *RankFailedError the Proc path returns — at the same virtual time.
+// same *RankFailedError the Proc path returns — at the same virtual time
+// (tcall.run and tcall.interrupted in tcomm.go).
 
-import "srmcoll/internal/sim"
-
-// ftRunT executes a fault-sensitive operation on behalf of task t (the
-// rank itself for blocking calls, a request helper for non-blocking ones):
-// ftRun in continuation-passing form. fn receives the completion
-// continuation it must call when the operation finishes; k receives nil on
-// success or the *RankFailedError when a member declaration interrupts the
-// operation or is already known at entry.
-func (tc *TComm) ftRunT(opName string, t *sim.Task, fn func(fin func()), k func(error)) {
+// quiesceT is quiesce for the Task engine: order a rendezvous after every
+// outstanding request of this rank.
+func (tc *TComm) quiesceT(k func()) {
 	c := tc.c
-	ft := c.rs.ft
-	if ft == nil {
-		fn(func() { k(nil) })
+	if st := &c.rs.streams[c.rank]; st.tail != nil && !st.tail.Done() {
+		st.tail.WaitT(tc.t, k)
 		return
 	}
-	if c.rec.failed > 0 {
-		k(c.failedError(opName))
-		return
-	}
-	ft.register(nil, t, c.rec)
-	prevH := t.OnInterrupt
-	prevArmed := t.UnwindArmed()
-	t.SetUnwindArmed(true)
-	restore := func() {
-		t.OnInterrupt = prevH
-		t.SetUnwindArmed(prevArmed)
-		ft.deregister(nil, t)
-	}
-	t.OnInterrupt = func(payload any) {
-		fi, ok := payload.(ftInterrupt)
-		if !ok {
-			// Not a failure declaration: die with the payload, as a Proc
-			// re-panics from ftRun's recover (the armed unwinds run in
-			// failTask, like the Proc's defers).
-			panic(payload)
-		}
-		t.RunUnwinds()
-		restore()
-		// The unwind may have skipped an interrupt re-enable inside the
-		// protocol; restoring is idempotent when nothing was pending.
-		c.dom.Endpoint(c.rank).SetInterrupts(true)
-		k(&RankFailedError{Op: opName, Rank: c.rank, Failed: fi.failed})
-	}
-	fn(func() {
-		restore()
-		k(nil)
-	})
+	k()
 }
 
 // ftSyncT is ftSync in continuation-passing form: the same entry into the

@@ -52,6 +52,20 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("%s: rank %d: request %s: %s", e.Op, e.Rank, e.Req, e.Reason)
 }
 
+// ReentryError describes a blocking collective started on a continuation-
+// passing handle that is still running another one: the two protocols would
+// interleave on one rank. Raised and recovered like *RequestError.
+type ReentryError struct {
+	Op      string // the collective that was started, e.g. "allreduce"
+	Running string // the one still in progress on the handle
+	Rank    int    // global rank that made the call
+}
+
+func (e *ReentryError) Error() string {
+	return fmt.Sprintf("srmcoll.TComm: rank %d: %s started while %s is still running on the handle; start a blocking collective from the continuation of the last one",
+		e.Rank, e.Op, e.Running)
+}
+
 // Buf is the half-open address range of a user buffer, captured when a
 // non-blocking request is issued so later requests can be checked against
 // the buffers still owned by outstanding ones. A zero Buf (empty slice)

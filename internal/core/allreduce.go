@@ -193,13 +193,13 @@ func newRDState(g *Group, size int, ds dataspec) *rdState {
 	a.resArr = make([]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
 		a.foldSlot[x] = s.slot(size)
-		a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
-		a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+		a.foldArr[x] = s.counter(0, trace.ClassWaitArrive)
+		a.resArr[x] = s.counter(0, trace.ClassWaitArrive)
 		a.rdSlot[x] = make([][]byte, rounds)
 		a.rdArr[x] = make([]*rma.Counter, rounds)
 		for r := 0; r < rounds; r++ {
 			a.rdSlot[x][r] = s.slot(size)
-			a.rdArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+			a.rdArr[x][r] = s.counter(0, trace.ClassWaitArrive)
 		}
 	}
 	return a
@@ -330,8 +330,8 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 	}
 	arrivals := func() [2]*rma.Counter {
 		return [2]*rma.Counter{
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
 		}
 	}
 	kind := s.interKind("allreduce", size)
@@ -339,7 +339,7 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 	for ti, root := range roots {
 		tp := &a.trees[ti]
 		tp.emb = g.lay.embed(kind, s.opt.IntraTree, g.lay.local[root][0])
-		tp.chunkDone = shm.NewFlag(s.m, g.lay.nodes[root])
+		tp.chunkDone = s.flag(g.lay.nodes[root])
 		tp.pslot = make([][2][]byte, nn)
 		tp.arr = make([][2]*rma.Counter, nn)
 		tp.credit = make([]*rma.Counter, nn)
@@ -347,7 +347,7 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 		for x := 0; x < nn; x++ {
 			tp.pslot[x] = [2][]byte{s.slot(a.sp[0].n), s.slot(a.sp[0].n)}
 			tp.arr[x] = arrivals()
-			tp.credit[x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
+			tp.credit[x] = s.counter(2, trace.ClassWaitCredit)
 			tp.bArr[x] = arrivals()
 		}
 	}

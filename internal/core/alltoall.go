@@ -6,6 +6,7 @@ import (
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
+	"srmcoll/internal/trace"
 )
 
 // alltoallState implements a hierarchical all-to-all in the SRM style:
@@ -66,7 +67,7 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 		st.blkArr = make([]*rma.Counter, len(g.lay.members))
 		for i := range g.lay.members {
 			st.registered[i] = s.m.Env.NewEvent()
-			st.blkArr[i] = s.dom.NewCounter(0)
+			st.blkArr[i] = s.counter(0, trace.ClassWaitCntr)
 		}
 		return st
 	}
@@ -77,10 +78,10 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 		for y := range g.lay.nodes {
 			st.out[x][y] = s.slot(len(g.lay.local[x]) * len(g.lay.local[y]) * blk)
 			st.in[x][y] = s.slot(len(g.lay.local[y]) * len(g.lay.local[x]) * blk)
-			st.arr[x][y] = s.dom.NewCounter(0)
+			st.arr[x][y] = s.counter(0, trace.ClassWaitCntr)
 		}
-		st.staged[x] = newFlags(s.m, nd, len(g.lay.local[x]))
-		st.ready[x] = shm.NewFlag(s.m, nd)
+		st.staged[x] = s.flags(nd, len(g.lay.local[x]))
+		st.ready[x] = s.flag(nd)
 	}
 	return st
 }
@@ -159,7 +160,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 				return
 			}
 		}
-		x.set(a.staged[nx][li], 1)
+		x.set(&a.staged[nx][li], 1)
 		f.pc = a2aReady
 		if li == 0 {
 			// Master: wait for local staging, exchange slabs pairwise.

@@ -3,6 +3,7 @@ package core
 import (
 	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
+	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
 )
 
@@ -26,10 +27,10 @@ func newBarrierState(g *Group) *barrierState {
 		rounds: tree.Log2Ceil(nn),
 	}
 	for x, nd := range g.lay.nodes {
-		b.flags[x] = newFlags(g.s.m, nd, len(g.lay.local[x]))
+		b.flags[x] = g.s.flags(nd, len(g.lay.local[x]))
 		b.cnt[x] = make([]*rma.Counter, b.rounds)
 		for r := range b.cnt[x] {
-			b.cnt[x][r] = g.s.dom.NewCounter(0)
+			b.cnt[x][r] = g.s.counter(0, trace.ClassWaitCntr)
 		}
 	}
 	return b
@@ -69,8 +70,8 @@ func (b *barrierState) step(x *exec, f *frame) {
 	switch {
 	case x.l != 0:
 		// Check in, then wait for the master to reset the flag.
-		x.set(fs[x.l], 1)
-		x.waitEQ(fs[x.l], 0)
+		x.set(&fs[x.l], 1)
+		x.waitEQ(&fs[x.l], 0)
 		x.ret()
 	case f.pc == 0:
 		// The master first waits until all other member tasks on the node

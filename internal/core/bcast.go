@@ -68,13 +68,13 @@ func newBcastState(g *Group, root, size int) *bcastState {
 		if !b.large {
 			b.netBuf[x] = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
 			b.freeC[x] = [2]*rma.Counter{
-				s.dom.NewCounter(1).TraceClass(trace.ClassWaitCredit),
-				s.dom.NewCounter(1).TraceClass(trace.ClassWaitCredit),
+				s.counter(1, trace.ClassWaitCredit),
+				s.counter(1, trace.ClassWaitCredit),
 			}
 		}
 		b.arr[x] = [2]*rma.Counter{
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
 		}
 		b.registered[x] = s.m.Env.NewEvent()
 		b.pub[x] = s.newPublisher(nd, g.lay.li(b.emb.masters[x]), len(g.lay.local[x]), chunkBytes)

@@ -32,9 +32,11 @@ package core
 import (
 	"fmt"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
+	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
 )
 
@@ -155,6 +157,13 @@ type SRM struct {
 	free   []*exec // idle executors
 
 	building *opEntry // the entry whose state Group.acquire is constructing
+
+	// Where the engine's records come from (DESIGN.md §9): executors for the
+	// run, behind the free list; flags and counters for the operation under
+	// construction (build).
+	execMem bufpool.Chunks[exec]
+	flagMem bufpool.Chunks[shm.Flag]
+	cntrMem bufpool.Chunks[rma.Counter]
 }
 
 // opEntry is one collective call of a group: the state its members share,
@@ -250,13 +259,52 @@ func chunks(total, chunk int) []span {
 }
 
 // flagSet is one flag per local task, each on its own cache line (§2.2).
-type flagSet []*shm.Flag
+type flagSet []shm.Flag
 
-func newFlags(m *machine.Machine, node, n int) flagSet {
-	slab := shm.NewFlags(m, node, n)
-	fs := make(flagSet, n)
+// build runs the state constructor of a new operation entry. While it runs,
+// slot, flags and counter hand out memory the entry owns; afterwards the flag
+// and counter allocators are cut, so what the state carved shares no chunk
+// with the next operation's and dies with the entry.
+func (s *SRM) build(e *opEntry, mk func() any) {
+	s.building = e
+	e.state = mk()
+	s.building = nil
+	s.flagMem.Cut()
+	s.cntrMem.Cut()
+}
+
+// flags returns n zero flags in node's shared memory, and counter a counter of
+// the given initial value and wait class, for the operation entry under
+// construction. Each is bound as it is handed out, so report ids are drawn in
+// the order the state asks for them.
+func (s *SRM) flags(node, n int) flagSet {
+	s.mustBuild()
+	fs := s.flagMem.Take(n)
 	for i := range fs {
-		fs[i] = &slab[i]
+		fs[i].Init(s.m, node)
 	}
 	return fs
+}
+
+func (s *SRM) flag(node int) *shm.Flag { return &s.flags(node, 1)[0] }
+
+func (s *SRM) counter(initial int, cl trace.Class) *rma.Counter {
+	s.mustBuild()
+	c := s.cntrMem.New()
+	c.Init(s.m.Env, initial)
+	return c.TraceClass(cl)
+}
+
+// mustBuild holds the carvers to state constructors: anything carved between
+// two operations would share a chunk with the next one.
+func (s *SRM) mustBuild() {
+	if s.building == nil {
+		panic("core: protocol state carved outside Group.acquire")
+	}
+}
+
+// ChunkBytes reports how much memory the engine has drawn for executors, flags
+// and counters: garbage once the run is over (srmcoll's settle).
+func (s *SRM) ChunkBytes() int64 {
+	return s.execMem.Bytes() + s.flagMem.Bytes() + s.cntrMem.Bytes()
 }

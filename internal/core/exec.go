@@ -128,7 +128,8 @@ func (s *SRM) exec(p *sim.Proc, t *sim.Task, kont func()) *exec {
 	if n := len(s.free); n > 0 {
 		x, s.free = s.free[n-1], s.free[:n-1]
 	} else {
-		x = &exec{s: s}
+		x = s.execMem.New()
+		x.s = s
 	}
 	x.p, x.kont = p, kont
 	if t != nil {
@@ -218,7 +219,7 @@ func (x *exec) run() {
 				if int(o.i) < len(*o.set) {
 					last = false
 					o.i++
-					x.waitFlagT((*o.set)[o.i-1], o)
+					x.waitFlagT(&(*o.set)[o.i-1], o)
 				} else {
 					x.fired = true
 				}
@@ -310,8 +311,8 @@ func (x *exec) effect(o *op) {
 	case opSet:
 		o.flag.Set(o.v)
 	case opSetAll:
-		for _, fl := range *o.set {
-			fl.Set(o.v)
+		for i := range *o.set {
+			(*o.set)[i].Set(o.v)
 		}
 	case opIncr:
 		o.cntr.Incr(1)
@@ -379,9 +380,9 @@ func (x *exec) waitAll(set *flagSet, v, skip int, eq bool) {
 		x.q = append(x.q, op{kind: opWaitFlags, set: set, v: v, w: skip, eq: eq})
 		return
 	}
-	for i, fl := range *set {
+	for i := range *set {
 		if i != skip {
-			x.waitFlag(fl, v, eq)
+			x.waitFlag(&(*set)[i], v, eq)
 		}
 	}
 }

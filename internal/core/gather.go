@@ -7,6 +7,7 @@ import (
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
+	"srmcoll/internal/trace"
 )
 
 // This file extends the paper's operation set with the remaining common
@@ -105,7 +106,7 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 			st.registered[i] = s.m.Env.NewEvent()
 			st.stepCnt[i] = make([]*rma.Counter, P)
 			for j := range st.stepCnt[i] {
-				st.stepCnt[i][j] = s.dom.NewCounter(0)
+				st.stepCnt[i][j] = s.counter(0, trace.ClassWaitCntr)
 			}
 		}
 		return st
@@ -122,16 +123,16 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 			size = total
 		}
 		st.staged[x] = s.slot(size)
-		st.inFlag[x] = newFlags(s.m, nd, len(g.lay.local[x]))
-		st.ready[x] = shm.NewFlag(s.m, nd)
-		st.arr[x] = s.dom.NewCounter(0)
+		st.inFlag[x] = s.flags(nd, len(g.lay.local[x]))
+		st.ready[x] = s.flag(nd)
+		st.arr[x] = s.counter(0, trace.ClassWaitCntr)
 	}
 	if kind == "allgather" {
 		st.stepArr = make([][]*rma.Counter, len(g.lay.nodes))
 		for x := range st.stepArr {
 			st.stepArr[x] = make([]*rma.Counter, len(g.lay.nodes))
 			for i := range st.stepArr[x] {
-				st.stepArr[x][i] = s.dom.NewCounter(0)
+				st.stepArr[x][i] = s.counter(0, trace.ClassWaitCntr)
 			}
 		}
 	}
@@ -280,7 +281,7 @@ func (st *redistState) step(x *exec, f *frame) {
 		if blk > 0 {
 			x.memcpy(st.staged[nx][l*blk:(l+1)*blk], send)
 		}
-		x.set(st.inFlag[nx][l], 1)
+		x.set(&st.inFlag[nx][l], 1)
 		if !master {
 			x.ret()
 			return
@@ -359,7 +360,7 @@ func (st *redistState) step(x *exec, f *frame) {
 		if off := f.k * blk; blk > 0 {
 			x.memcpy(st.staged[nx][off:off+blk], send)
 		}
-		x.set(st.inFlag[nx][l], 1)
+		x.set(&st.inFlag[nx][l], 1)
 		f.pc = rsAllgatherFan
 		if master {
 			x.waitAllEQ(&st.inFlag[nx], 1, -1)

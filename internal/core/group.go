@@ -133,6 +133,9 @@ func (s *SRM) Group(members []int) *Group {
 	return g
 }
 
+// SRM returns the engine the group belongs to.
+func (g *Group) SRM() *SRM { return g.s }
+
 // Size returns the number of member tasks.
 func (g *Group) Size() int { return len(g.lay.members) }
 
@@ -156,9 +159,7 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 	if seq-g.base == len(g.ops) {
 		e := &opEntry{}
 		g.ops = append(g.ops, e)
-		g.s.building = e
-		e.state = mk()
-		g.s.building = nil
+		g.s.build(e, mk)
 	}
 	at := g.lay.at[i]
 	x.g, x.seq, x.rank = g, seq, rank

@@ -80,10 +80,10 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 		}
 		r.pslot[x] = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
 		r.arr[x] = [2]*rma.Counter{
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
 		}
-		r.credit[x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
+		r.credit[x] = s.counter(2, trace.ClassWaitCredit)
 	}
 	return r
 }

@@ -7,6 +7,7 @@ import (
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
+	"srmcoll/internal/trace"
 )
 
 // reduceScatterState implements MPI_Reduce_scatter_block in the SRM style:
@@ -68,9 +69,9 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 		st.arr[x] = make([]*rma.Counter, nn)
 		for y := 0; y < nn; y++ {
 			st.slot[x][y] = s.slot(size)
-			st.arr[x][y] = s.dom.NewCounter(0)
+			st.arr[x][y] = s.counter(0, trace.ClassWaitCntr)
 		}
-		st.ready[x] = shm.NewFlag(s.m, nd)
+		st.ready[x] = s.flag(nd)
 		st.offs[x] = make([]int, len(g.lay.local[x]))
 		for l, r := range g.lay.local[x] {
 			st.offs[x][l] = pos[r] * blk

@@ -48,8 +48,8 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 	a.dblArr = make([][]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
 		a.foldSlot[x] = s.slot(size)
-		a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
-		a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+		a.foldArr[x] = s.counter(0, trace.ClassWaitArrive)
+		a.resArr[x] = s.counter(0, trace.ClassWaitArrive)
 		a.halfSlot[x] = make([][]byte, rounds)
 		a.halfArr[x] = make([]*rma.Counter, rounds)
 		a.dblArr[x] = make([]*rma.Counter, rounds)
@@ -57,8 +57,8 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 			// The half received at round r is at most ceil(elems/2^(r+1))
 			// elements.
 			a.halfSlot[x][r] = s.slot(((elems >> (r + 1)) + 1) * esize)
-			a.halfArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
-			a.dblArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+			a.halfArr[x][r] = s.counter(0, trace.ClassWaitArrive)
+			a.dblArr[x][r] = s.counter(0, trace.ClassWaitArrive)
 		}
 	}
 	return a

@@ -50,10 +50,10 @@ func newRingState(g *Group, size int, ds dataspec) *ringState {
 	for x := 0; x < nn; x++ {
 		a.slot[x] = [2][]byte{s.slot(maxBlk), s.slot(maxBlk)}
 		a.arr[x] = [2]*rma.Counter{
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
+			s.counter(0, trace.ClassWaitArrive),
 		}
-		a.credit[x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
+		a.credit[x] = s.counter(2, trace.ClassWaitCredit)
 	}
 	return a
 }

@@ -6,6 +6,7 @@ import (
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
+	"srmcoll/internal/trace"
 )
 
 // scanState implements MPI_Scan (inclusive prefix reduction over group
@@ -47,10 +48,10 @@ func newScanState(g *Group, size int, ds dataspec) *scanState {
 		st.arr[i] = make([]*rma.Counter, st.rounds)
 		for r := 0; r < st.rounds; r++ {
 			st.slot[i][r] = s.slot(size)
-			st.arr[i][r] = s.dom.NewCounter(0)
+			st.arr[i][r] = s.counter(0, trace.ClassWaitCntr)
 		}
 		st.shift[i] = s.slot(size)
-		st.sarr[i] = s.dom.NewCounter(0)
+		st.sarr[i] = s.counter(0, trace.ClassWaitCntr)
 	}
 	return st
 }

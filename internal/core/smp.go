@@ -51,8 +51,8 @@ type smpPub struct {
 func (s *SRM) newSmpPub(node, masterLocal, count, bufSize int) *smpPub {
 	pub := &smpPub{
 		masterLocal: masterLocal,
-		ready:       shm.NewFlag(s.m, node),
-		done:        newFlags(s.m, node, count),
+		ready:       s.flag(node),
+		done:        s.flags(node, count),
 	}
 	pub.buf[0] = s.slot(bufSize)
 	pub.buf[1] = s.slot(bufSize)
@@ -93,7 +93,7 @@ func (pub *smpPub) step(x *exec, f *frame) {
 		if len(f.a) > 0 {
 			x.memcpy(f.a, pub.cur[parity][:len(f.a)])
 		}
-		x.set(pub.done[x.l], k+1)
+		x.set(&pub.done[x.l], k+1)
 		x.end()
 		x.ret()
 	}
@@ -120,8 +120,8 @@ func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
 	}
 	for i := 0; i < count; i++ {
 		tp.buf[i] = [2][]byte{s.slot(bufSize), s.slot(bufSize)}
-		tp.full[i] = shm.NewFlag(s.m, node)
-		tp.ack[i] = newFlags(s.m, node, len(tp.tr.Children[i]))
+		tp.full[i] = s.flag(node)
+		tp.ack[i] = s.flags(node, len(tp.tr.Children[i]))
 	}
 	return tp
 }
@@ -173,7 +173,7 @@ func (tp *treePub) step(x *exec, f *frame) {
 		// Tell the parent this child is done with chunk k.
 		for j, c := range tp.tr.Children[parent] {
 			if c == local {
-				x.set(tp.ack[parent][j], k+1)
+				x.set(&tp.ack[parent][j], k+1)
 			}
 		}
 		x.ret()
@@ -197,8 +197,8 @@ type barrierPub struct {
 func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
 	pub := &barrierPub{
 		masterLocal: masterLocal,
-		epoch:       shm.NewFlag(s.m, node),
-		checkin:     newFlags(s.m, node, count),
+		epoch:       s.flag(node),
+		checkin:     s.flags(node, count),
 	}
 	pub.buf[0] = s.slot(bufSize)
 	pub.buf[1] = s.slot(bufSize)
@@ -241,7 +241,7 @@ func (pub *barrierPub) step(x *exec, f *frame) {
 		x.ret()
 	case pubConsume:
 		for gen := 2*k + 1; gen <= 2*k+2; gen++ {
-			x.set(pub.checkin[x.l], gen)
+			x.set(&pub.checkin[x.l], gen)
 			x.waitGE(pub.epoch, gen)
 		}
 		f.pc = pubCopyOut
@@ -251,7 +251,7 @@ func (pub *barrierPub) step(x *exec, f *frame) {
 		}
 		// Check in to the buffer-free barrier (generation 2k+3); the master
 		// collects it in the next publish or in waitConsumed.
-		x.set(pub.checkin[x.l], 2*k+3)
+		x.set(&pub.checkin[x.l], 2*k+3)
 		x.ret()
 	}
 }
@@ -298,8 +298,8 @@ func (s *SRM) newRedNode(node, masterLocal, count int, sp []span) *redNode {
 				rn.slot[i][1] = s.slot(sp[0].n)
 			}
 		}
-		rn.full[i] = shm.NewFlag(s.m, node)
-		rn.free[i] = shm.NewFlag(s.m, node)
+		rn.full[i] = s.flag(node)
+		rn.free[i] = s.flag(node)
 	}
 	return rn
 }

@@ -24,7 +24,9 @@ import (
 // Counter is a LAPI-style completion counter. Waitcntr blocks until the
 // counter reaches a value and then subtracts it, so counters can carry
 // repeated round-trip flow control (§2.4 broadcast buffer management). A
-// counter is one heap object: its condition is embedded by value.
+// counter's condition is embedded by value, so a counter is one piece of
+// memory: a heap object from NewCounter, or part of a chunk its owner carved
+// and bound with Init.
 type Counter struct {
 	env  *sim.Env
 	val  int
@@ -34,9 +36,16 @@ type Counter struct {
 
 // NewCounter creates a counter with the given initial value.
 func NewCounter(env *sim.Env, initial int) *Counter {
-	c := &Counter{env: env, val: initial, wcl: trace.ClassWaitCntr}
-	c.cond.Init(env)
+	c := new(Counter)
+	c.Init(env, initial)
 	return c
+}
+
+// Init binds a zero Counter to the environment with the given initial value,
+// drawing its report id exactly as NewCounter does.
+func (c *Counter) Init(env *sim.Env, initial int) {
+	c.env, c.val, c.wcl = env, initial, trace.ClassWaitCntr
+	c.cond.Init(env)
 }
 
 // TraceClass sets the wait class recorded when a process blocks on the
@@ -97,7 +106,9 @@ type Endpoint struct {
 // Domain is the RMA communication domain: one endpoint per task.
 type Domain struct {
 	m   *machine.Machine
-	eps []*Endpoint
+	eps []Endpoint // by rank, one slab; an Endpoint is held by pointer into it
+
+	idle *delivery // delivery frames between puts (putRemote)
 
 	// Reliable-delivery state (see reliable.go). Off by default: the
 	// paper's protocols assume LAPI delivers every put exactly once.
@@ -111,15 +122,15 @@ type Domain struct {
 // NewDomain attaches every task of the machine to the RMA layer.
 // Interrupts start enabled, as on LAPI.
 func NewDomain(m *machine.Machine) *Domain {
-	d := &Domain{m: m, eps: make([]*Endpoint, m.P())}
+	d := &Domain{m: m, eps: make([]Endpoint, m.P())}
 	for r := range d.eps {
-		d.eps[r] = &Endpoint{dom: d, Rank: r, Node: m.NodeOf(r), interrupts: true}
+		d.eps[r] = Endpoint{dom: d, Rank: r, Node: m.NodeOf(r), interrupts: true}
 	}
 	return d
 }
 
 // Endpoint returns the endpoint of a global rank.
-func (d *Domain) Endpoint(rank int) *Endpoint { return d.eps[rank] }
+func (d *Domain) Endpoint(rank int) *Endpoint { return &d.eps[rank] }
 
 // MarkDead records that a rank's task has been declared failed. From this
 // point deliveries addressed to it are dropped (the link-level machinery —
@@ -128,7 +139,7 @@ func (d *Domain) Endpoint(rank int) *Endpoint { return d.eps[rank] }
 // deliveries are discarded, and reliable retransmit loops targeting it
 // stop rescheduling. Marking a rank dead twice is a no-op.
 func (d *Domain) MarkDead(rank int) {
-	ep := d.eps[rank]
+	ep := &d.eps[rank]
 	if ep.dead {
 		return
 	}
@@ -199,14 +210,16 @@ func (ep *Endpoint) Probe(p *sim.Proc) { ep.drainPending(p) }
 //
 // g/par carry the put lifecycle's trace group and issuing span (-1, -1 for
 // untraced messages): the delivery leg is recorded as a span from arrival
-// to the moment fn runs, named after the mode that delivered it.
-func (ep *Endpoint) deliver(g, par int, fn func()) {
+// to the moment fn runs, named after the mode that delivered it. deliver
+// reports whether it took the message: false means the target is dead and fn
+// will never run.
+func (ep *Endpoint) deliver(g, par int, fn func()) bool {
 	m := ep.dom.m
 	if ep.dead {
 		// The task was declared failed: its adapter still acks at the link
 		// level (reliable.go), but nothing is delivered to the dead task.
 		m.Stats.DeadDrops++
-		return
+		return false
 	}
 	tr := m.Env.Trace
 	switch {
@@ -240,6 +253,7 @@ func (ep *Endpoint) deliver(g, par int, fn func()) {
 		}
 		ep.pending = append(ep.pending, fn)
 	}
+	return true
 }
 
 // Put issues a non-blocking put of src into dst at the target task. It
@@ -312,22 +326,76 @@ func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin
 	if origin != nil {
 		m.Env.At(injectEnd, func() { origin.Incr(1) })
 	}
-	m.Env.At(arrival, func() {
-		target.deliver(g, par, func() {
-			copy(dst, snap)
-			m.Buffers.Put(snap) // contents fully consumed by the copy above
-			if tgt != nil {
-				tgt.Incr(1)
-			}
-			if compl != nil {
-				// Completion is acknowledged back to the origin over the wire.
-				if tr != nil {
-					tr.Add(g, par, trace.ClassPutAck, "put:ack", 0, m.Env.Now(), m.Env.Now()+ackLat)
-				}
-				m.Env.After(ackLat, func() { compl.Incr(1) })
-			}
-		})
-	})
+	fr := ep.dom.delivery()
+	fr.target, fr.g, fr.par = target, g, par
+	fr.dst, fr.snap, fr.tgt, fr.compl, fr.ackLat = dst, snap, tgt, compl, ackLat
+	m.Env.At(arrival, fr.arriveFn)
+}
+
+// delivery is the frame of one remote put from its injection to its landing:
+// what the arrival at the target adapter and the landing in the target's
+// memory need to know, with both continuations bound once per frame. Frames
+// are recycled through the domain's idle list, so the puts of a run allocate
+// as many frames as are ever on the wire or deferred at once. A frame is idle
+// again only once its landing has run (or the dead target refused it): one
+// parked in an endpoint's pending list keeps its payload until then, and one
+// discarded with the pending list of an endpoint marked dead is simply left to
+// the collector.
+type delivery struct {
+	target     *Endpoint
+	g, par     int // trace group and issuing span, -1 untraced
+	dst, snap  []byte
+	tgt, compl *Counter
+	ackLat     sim.Time
+	arriveFn   func()
+	landFn     func()
+	next       *delivery // Domain.idle
+}
+
+// delivery returns an idle frame, or a new one with its continuations bound.
+func (d *Domain) delivery() *delivery {
+	fr := d.idle
+	if fr == nil {
+		fr = new(delivery)
+		fr.arriveFn, fr.landFn = fr.arrive, fr.land
+		return fr
+	}
+	d.idle, fr.next = fr.next, nil
+	return fr
+}
+
+// release empties the frame, so that it pins no buffer or counter of a
+// finished operation, and puts it on the idle list.
+func (fr *delivery) release() {
+	d := fr.target.dom
+	*fr = delivery{arriveFn: fr.arriveFn, landFn: fr.landFn, next: d.idle}
+	d.idle = fr
+}
+
+// arrive runs when the put reaches the target adapter.
+func (fr *delivery) arrive() {
+	if !fr.target.deliver(fr.g, fr.par, fr.landFn) {
+		fr.release()
+	}
+}
+
+// land moves the payload into the target's memory and fires the counters.
+func (fr *delivery) land() {
+	m := fr.target.dom.m
+	g, par, tgt, compl, ackLat := fr.g, fr.par, fr.tgt, fr.compl, fr.ackLat
+	copy(fr.dst, fr.snap)
+	m.Buffers.Put(fr.snap) // contents fully consumed by the copy above
+	fr.release()
+	if tgt != nil {
+		tgt.Incr(1)
+	}
+	if compl != nil {
+		// Completion is acknowledged back to the origin over the wire.
+		if tr := m.Env.Trace; tr != nil {
+			tr.Add(g, par, trace.ClassPutAck, "put:ack", 0, m.Env.Now(), m.Env.Now()+ackLat)
+		}
+		m.Env.After(ackLat, func() { compl.Incr(1) })
+	}
 }
 
 // PutZero sends a zero-byte put that only increments the target counter —

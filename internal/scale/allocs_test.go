@@ -12,12 +12,18 @@ import (
 // machines and pooled continuation frames brought the steady-state figure
 // from ~4.4 allocs/event (closure-per-step CPS, commit 730ec74) down to
 // ~2.9 at a million ranks; single-object flags and counters and one-value
-// wait frames then took this 16,384-rank shape from 1.60 to 0.97. The bound
-// is that figure plus 10 %: it catches any slide back toward allocating
-// closures on the hot park/copy/put paths or toward multi-object
-// synchronization state, and still covers the run under the race detector
-// (1.03) and runtime jitter (sync.Pool drains across GCs).
+// wait frames then took this 16,384-rank shape from 1.60 to 0.97; chunked
+// tasks and queue items, the endpoint slab and the recycled put-delivery frame
+// took it to 0.65, with nothing changed in this package. The bound is that
+// figure plus 10 %: it catches any slide back toward allocating closures on
+// the hot park/copy/put paths or toward an object per rank record, and still
+// covers runtime jitter (sync.Pool drains across GCs). Under the race detector
+// the pools drop items at random (0.72); the guard runs in CI's plain
+// allocation step instead.
 func TestTasksEngineAllocGuard(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	cfg := Config{
 		Machine: machine.ColonySP(2048, 8), // 16,384 ranks
 		Bytes:   64,
@@ -43,7 +49,7 @@ func TestTasksEngineAllocGuard(t *testing.T) {
 	perEvent := float64(allocs) / float64(res.Events)
 	t.Logf("allocs=%d events=%d allocs/event=%.3f", allocs, res.Events, perEvent)
 
-	if limit := 1.07; perEvent > limit {
+	if limit := 0.72; perEvent > limit {
 		t.Errorf("allocs/event = %.3f, want <= %.2f (CPS garbage regression)", perEvent, limit)
 	}
 }

@@ -18,8 +18,10 @@ import (
 // Flag is a synchronization word in shared memory, assumed to occupy its
 // own cache line. Setting it is an ordinary store; waiters observe the new
 // value after the machine's wake latency (slightly higher when the spin
-// loop yields its time slice, see machine.WakeLatency). A flag is one heap
-// object: the condition its waiters park on is embedded by value.
+// loop yields its time slice, see machine.WakeLatency). The condition its
+// waiters park on is embedded by value, so a flag is one piece of memory: an
+// element of a NewFlags slab, or of a chunk its owner carved and bound with
+// Init.
 type Flag struct {
 	m    *machine.Machine
 	node int
@@ -37,10 +39,16 @@ func NewFlag(m *machine.Machine, node int) *Flag {
 func NewFlags(m *machine.Machine, node, n int) []Flag {
 	fs := make([]Flag, n)
 	for i := range fs {
-		fs[i].m, fs[i].node = m, node
-		fs[i].cond.Init(m.Env)
+		fs[i].Init(m, node)
 	}
 	return fs
+}
+
+// Init places a zero Flag in node's shared memory, drawing its report id
+// exactly as NewFlag does.
+func (f *Flag) Init(m *machine.Machine, node int) {
+	f.m, f.node = m, node
+	f.cond.Init(m.Env)
 }
 
 // Load returns the current value without waiting.

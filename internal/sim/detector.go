@@ -11,33 +11,26 @@ package sim
 // The collapsed form is exactly as deterministic as the explicit one and
 // costs a single scheduled event per death.
 
-// Detector turns process deaths into deterministic failure declarations.
-// Period is the heartbeat interval and Timeout the suspicion window; both
-// are virtual microseconds. OnDeclare fires exactly once per notified
-// death, at the declaration time, in event-queue order (deaths declared at
-// equal times fire in notification order).
+// Detector turns the time of a death into the time of its declaration. Period
+// is the heartbeat interval and Timeout the suspicion window; both are virtual
+// microseconds. Whoever learns of a death (srmcoll's fault tolerance, from
+// Env.OnFailure) schedules the declaration at DeclareTime itself.
 type Detector struct {
-	env     *Env
 	Period  Time
 	Timeout Time
-
-	// OnDeclare is invoked at declaration time with the dead process and
-	// the time it died. It runs as an event callback: scheduling further
-	// events and interrupting other processes is allowed, parking is not.
-	OnDeclare func(p *Proc, diedAt Time)
 }
 
-// NewDetector returns a detector on env. Non-positive period or timeout
-// values are clamped to zero (declaration then happens at the death time
-// plus whichever components remain).
-func NewDetector(env *Env, period, timeout Time) *Detector {
+// NewDetector returns a detector. Non-positive period or timeout values are
+// clamped to zero (declaration then happens at the death time plus whichever
+// components remain).
+func NewDetector(period, timeout Time) *Detector {
 	if period < 0 {
 		period = 0
 	}
 	if timeout < 0 {
 		timeout = 0
 	}
-	return &Detector{env: env, Period: period, Timeout: timeout}
+	return &Detector{Period: period, Timeout: timeout}
 }
 
 // DeclareTime returns the virtual time at which a death at diedAt is
@@ -49,15 +42,4 @@ func (d *Detector) DeclareTime(diedAt Time) Time {
 	}
 	beats := float64(int64(diedAt / d.Period)) // completed heartbeats before death
 	return beats*d.Period + d.Period + d.Timeout
-}
-
-// NotifyDeath schedules the declaration of p's death at diedAt. The caller
-// is responsible for notifying each death exactly once (typically from
-// Env.OnFailure).
-func (d *Detector) NotifyDeath(p *Proc, diedAt Time) {
-	d.env.At(d.DeclareTime(diedAt), func() {
-		if d.OnDeclare != nil {
-			d.OnDeclare(p, diedAt)
-		}
-	})
 }

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/trace"
 )
 
@@ -42,6 +43,12 @@ type Env struct {
 	free      []*item       // recycled queue items (steady state allocates none)
 	processed uint64        // queue items executed so far
 
+	// What the environment makes once per rank or per pending occurrence comes
+	// out of chunks it owns and dies with it (DESIGN.md §9): tasks, and the
+	// queue items the free list could not supply.
+	taskMem bufpool.Chunks[Task]
+	itemMem bufpool.Chunks[item]
+
 	// OnFailure, when non-nil, is called immediately after a process
 	// failure is recorded (from the failing goroutine, before control
 	// returns to the scheduler). Fault-tolerance layers use it to classify
@@ -65,6 +72,10 @@ func (e *Env) Now() Time { return e.now }
 // Events returns the number of queue items (callbacks and process wake-ups)
 // executed so far. Perf harnesses use it to derive events/sec.
 func (e *Env) Events() uint64 { return e.processed }
+
+// ChunkBytes reports how much memory the environment has drawn for its tasks
+// and queue items: garbage once the run is over (srmcoll's settle).
+func (e *Env) ChunkBytes() int64 { return e.taskMem.Bytes() + e.itemMem.Bytes() }
 
 // item is one scheduled occurrence: a callback (fn), or — fn nil — what tgt
 // names: a *Proc to wake, a *Task to resume or a *Cond to broadcast. The one
@@ -92,7 +103,7 @@ func (e *Env) push(t Time, fn func(), tgt any) {
 		it = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		it = new(item)
+		it = e.itemMem.New()
 	}
 	it.t, it.seq, it.fn, it.tgt = t, e.seq, fn, tgt
 	e.seq++

@@ -132,7 +132,8 @@ func (l *taskList) wakeAll(e *Env) {
 // A panic inside a task step is recovered, recorded as a ProcFailure (see
 // Env.Failures), and finishes the task, like a Proc panic.
 func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
-	t := &Task{env: e, prefix: prefix, num: num, track: -1, start: fn}
+	t := e.taskMem.New()
+	t.env, t.prefix, t.num, t.track, t.start = e, prefix, num, -1, fn
 	e.live++
 	e.tasks = register(e.tasks, t)
 	e.push(e.now, nil, t)

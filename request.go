@@ -102,7 +102,7 @@ func (st *reqStream) helperPrefix(rank int) string {
 // request ordering is well defined per communicator.
 type runState struct {
 	env        *sim.Env
-	streams    []*reqStream
+	streams    []reqStream           // by rank, one slab
 	procs      []*sim.Proc           // rank processes (Procs engine)
 	tasks      []*sim.Task           // rank tasks (Tasks engine)
 	helperRank map[any]int           // request helper (*sim.Proc or *sim.Task) -> issuing rank
@@ -119,18 +119,14 @@ type subKey struct {
 }
 
 func newRunState(env *sim.Env, p int) *runState {
-	rs := &runState{
+	return &runState{
 		env:        env,
-		streams:    make([]*reqStream, p),
+		streams:    make([]reqStream, p),
 		helperRank: make(map[any]int),
 		nextTrack:  2 * p,
 		byHash:     make(map[uint64][]*commRec),
 		subs:       make(map[subKey]*Comm),
 	}
-	for i := range rs.streams {
-		rs.streams[i] = &reqStream{}
-	}
-	return rs
 }
 
 // rankOf resolves a process or task (a sim.ProcFailure's Actor) to the rank it
@@ -162,7 +158,7 @@ func (c *Comm) quiesce() {
 	if c.rs == nil {
 		return
 	}
-	if st := c.rs.streams[c.rank]; st.tail != nil && !st.tail.Done() {
+	if st := &c.rs.streams[c.rank]; st.tail != nil && !st.tail.Done() {
 		c.p.Wait(st.tail)
 	}
 }
@@ -172,7 +168,7 @@ func (c *Comm) quiesce() {
 // rank's previous request, and returns the handle.
 func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.Proc)) *Request {
 	name := strings.ToLower(op)
-	st := c.rs.streams[c.rank]
+	st := &c.rs.streams[c.rank]
 	for _, nb := range bufs {
 		for _, o := range st.live {
 			for _, ob := range o.bufs {
@@ -247,7 +243,7 @@ func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.
 
 // consume marks the request completed and releases its buffers.
 func (r *Request) consume() {
-	st := r.c.rs.streams[r.c.rank]
+	st := &r.c.rs.streams[r.c.rank]
 	for i, o := range st.live {
 		if o == r {
 			st.live = append(st.live[:i], st.live[i+1:]...)
@@ -310,7 +306,7 @@ func (r *Request) Test() bool {
 // otherwise leave helper processes running past the body and, on other
 // ranks, peers blocked forever.
 func (c *Comm) checkDrained() {
-	st := c.rs.streams[c.rank]
+	st := &c.rs.streams[c.rank]
 	if len(st.live) == 0 {
 		return
 	}

@@ -448,7 +448,7 @@ type Comm struct {
 	counters map[string]*SharedCounter
 	tr       *trace.Trace // nil unless tracing is on
 	rs       *runState    // per-Run request streams and communicator records
-	tc       *TComm       // the handle's continuation-passing form, once a RunT body asked for it
+	tc       *TComm       // the handle's continuation-passing form: beside it in the slab for a world handle, made when first asked for otherwise
 }
 
 // commRec is what a run knows about one communicator, held once and shared by
@@ -835,23 +835,30 @@ func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
 //   - a run stopped by a FaultPlan deadline returns a *StallError with the
 //     same blocked-rank report.
 //
-// A run whose buffers took 16 MiB or more from the allocator ends with a
-// garbage collection; see settle.
+// A run that leaves 16 MiB or more of buffers and rank records behind ends
+// with a garbage collection; see settle.
 func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
-	var fresh int64
-	res, err := cl.run(impl, body, &fresh)
-	settle(fresh)
+	return cl.simulate(impl, EngineProcs, func(sm *simulation) { sm.spawnProcs(body) })
+}
+
+// simulate is Run and RunT: one simulation of the cluster on the given engine,
+// its ranks started by spawn, then settled.
+func (cl *Cluster) simulate(impl Impl, engine Engine, spawn func(*simulation)) (*Result, error) {
+	res, garbage, err := cl.run(impl, engine, spawn)
+	settle(garbage)
 	return res, err
 }
 
-// settleAfter is how much fresh buffer memory a run may leave behind for
-// the collector to find in its own time.
+// settleAfter is how much memory a run may leave behind for the collector to
+// find in its own time.
 const settleAfter = 16 << 20
 
 // settle is the last thing Run and RunT do, once nothing of the simulation
 // is reachable any more: it collects a run that left settleAfter bytes or
-// more of buffers behind. fresh is what the run's pool took from the
-// allocator.
+// more behind. garbage is what the run's buffer pool and its chunk allocators
+// took from the heap (simulation.garbage): payload memory for a run that
+// moves megabytes, tasks, executors, flags and counters for one over tens of
+// thousands of ranks moving 64 bytes each.
 //
 // All of a run's memory dies when the run returns, but the collector only
 // learns that at its next cycle; until then the next run's buffers stack on
@@ -865,41 +872,76 @@ const settleAfter = 16 << 20
 // run the same heap, and the same goal, to start from (405 MB, every time).
 // Runs below the threshold are left alone: a cycle marks the caller's whole
 // live heap, and thousands of small runs should not each pay for that.
-func settle(fresh int64) {
-	if fresh >= settleAfter {
+func settle(garbage int64) {
+	if garbage >= settleAfter {
 		runtime.GC()
 	}
 }
 
-// run is Run without the settling; it leaves in *fresh how many bytes the
-// simulation's buffer pool allocated.
-func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, error) {
+// run is one simulation without the settling: it also returns how many bytes
+// the simulation leaves behind as garbage.
+func (cl *Cluster) run(impl Impl, engine Engine, spawn func(*simulation)) (*Result, int64, error) {
+	sm, err := cl.prepare(impl, engine)
+	if err != nil {
+		return nil, 0, err
+	}
+	spawn(sm)
+	res, err := sm.outcome()
+	return res, sm.garbage(), err
+}
+
+// simulation is one run between prepare and outcome: what Run and RunT set up
+// alike, whichever engine then spawns the ranks.
+type simulation struct {
+	cl    *Cluster
+	m     *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
+	coll  collectives
+	rs    *runState // rs.ft is nil unless fault tolerance is on
+	res   *Result
+	ranks []rankHandle // by rank, one slab
+}
+
+// rankHandle is the world communicator as one rank holds it, in both forms: a
+// Run body gets the Comm, a RunT body the TComm.
+type rankHandle struct {
+	c  Comm
+	tc TComm
+}
+
+// prepare validates the plan against the engine and builds a fresh simulation
+// of the cluster up to the point where the ranks are spawned: machine, fault
+// injector, RMA domain, the implementation's world group, trace, run state,
+// fault tolerance, the scheduled faults and the ranks' handles.
+func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
+	if engine == EngineTasks && impl != SRM {
+		return nil, fmt.Errorf("srmcoll: the Tasks engine supports only the SRM implementation (got %s); use EngineProcs for baselines", impl)
+	}
 	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
 		return nil, err
 	}
+	if engine == EngineTasks && len(cl.faults.Stalls) > 0 {
+		return nil, fmt.Errorf("srmcoll: stall fault windows require EngineProcs (per-task slowdown has no Task-engine equivalent)")
+	}
 	env := sim.NewEnv()
 	m := machine.New(env, cl.cfg)
-	defer func() { *fresh = m.Buffers.Fresh() }()
-	var inj *fault.Injector
+	sm := &simulation{cl: cl, m: m}
 	if cl.faults.Active() {
-		inj = fault.New(cl.faults)
-		m.Faults = inj
+		m.Faults = fault.New(cl.faults)
 	}
 	dom := rma.NewDomain(m)
 	if cl.faults.Reliable {
 		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
 	}
-	var coll collectives
 	switch impl {
 	case SRM:
-		coll = cl.newSRM(m, dom)
+		sm.coll = cl.newSRM(m, dom)
 	case IBMMPI, MPICHMPI:
 		flavor := baseline.IBM
 		if impl == MPICHMPI {
 			flavor = baseline.MPICH
 		}
 		c := baseline.New(m, flavor)
-		coll = baselineColl{c, c.Group}
+		sm.coll = baselineColl{c, c.Group}
 	default:
 		return nil, fmt.Errorf("srmcoll: unknown implementation %d", int(impl))
 	}
@@ -908,40 +950,89 @@ func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, erro
 	}
 	counters := make(map[string]*SharedCounter)
 	rs := newRunState(env, m.P())
-	world := rs.newWorld(m.P(), coll)
-	res := &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
-	procs := make([]*sim.Proc, m.P())
-	rs.procs = procs
-	var ft *ftState
+	world := rs.newWorld(m.P(), sm.coll)
+	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
+	if engine == EngineTasks {
+		rs.tasks = make([]*sim.Task, m.P())
+	} else {
+		rs.procs = make([]*sim.Proc, m.P())
+	}
 	if cl.ft.Enabled {
-		ft = newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
+		ft := newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
 		rs.ft = ft
-		env.OnFailure = func(p *sim.Proc, f sim.ProcFailure) { ft.onFailure(f) }
+		env.OnFailure = func(_ *sim.Proc, f sim.ProcFailure) { ft.onFailure(f) }
+		env.OnTaskFailure = func(_ *sim.Task, f sim.ProcFailure) { ft.onFailure(f) }
 	}
 	// Schedule fault callbacks before spawning the ranks so a window opening
-	// at t=0 is already in force when the first rank runs. The closures index
-	// procs at fire time; the slice is fully populated before the run starts.
-	if inj != nil {
-		cl.scheduleFaults(env, inj, procs)
+	// at t=0 is already in force when the first rank runs.
+	if m.Faults != nil {
+		sm.scheduleFaults()
 	}
-	for r := 0; r < m.P(); r++ {
-		r := r
-		procs[r] = env.SpawnIndexed("rank", r, func(p *sim.Proc) {
-			comm := &Comm{p: p, rank: r, rec: world, m: m, dom: dom,
-				counters: counters, tr: env.Trace, rs: rs}
-			body(comm)
-			comm.checkDrained()
-			res.PerRank[r] = p.Now()
+	sm.ranks = make([]rankHandle, m.P())
+	for r := range sm.ranks {
+		h := &sm.ranks[r]
+		h.c = Comm{rank: r, rec: world, m: m, dom: dom, counters: counters, tr: env.Trace, rs: rs, tc: &h.tc}
+		h.tc.c = &h.c
+	}
+	return sm, nil
+}
+
+// scheduleFaults wires the plan's crashes and stall windows to the ranks'
+// processes or tasks. The callbacks look the rank up when they fire; the
+// registries are filled by then.
+func (sm *simulation) scheduleFaults() {
+	env, inj, rs := sm.m.Env, sm.m.Faults, sm.rs
+	for _, cr := range sm.cl.faults.Crashes {
+		cr := cr
+		env.At(cr.At, func() {
+			inj.CountCrash()
+			why := fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At)
+			if rs.tasks != nil {
+				env.KillTask(rs.tasks[cr.Rank], why)
+			} else {
+				env.Kill(rs.procs[cr.Rank], why)
+			}
 		})
-		if env.Trace != nil {
-			procs[r].SetTrack(r)
-			env.Trace.NameTrack(r, procs[r].Name())
+	}
+	// Stall windows reach only processes: prepare refuses them on the Tasks
+	// engine.
+	for _, st := range sm.cl.faults.Stalls {
+		st := st
+		env.At(st.From, func() {
+			inj.CountStall()
+			env.SetSlowdown(rs.procs[st.Rank], st.Factor)
+		})
+		env.At(st.Until, func() { env.SetSlowdown(rs.procs[st.Rank], 1) })
+	}
+}
+
+// spawnProcs starts body on every rank as a process. The ranks share one
+// start function, which finds its handle by the process's index.
+func (sm *simulation) spawnProcs(body func(*Comm)) {
+	start := func(p *sim.Proc) {
+		c := &sm.ranks[p.Num()].c
+		c.p = p
+		body(c)
+		c.checkDrained()
+		sm.res.PerRank[c.rank] = p.Now()
+	}
+	for r := range sm.rs.procs {
+		p := sm.m.Env.SpawnIndexed("rank", r, start)
+		sm.rs.procs[r] = p
+		if tr := sm.m.Env.Trace; tr != nil {
+			p.SetTrack(r)
+			tr.NameTrack(r, p.Name())
 		}
 	}
+}
 
+// outcome runs the simulation to its end and classifies it: the result, or
+// the structured error Run documents.
+func (sm *simulation) outcome() (*Result, error) {
+	env, inj, ft, res := sm.m.Env, sm.m.Faults, sm.rs.ft, sm.res
 	var runErr error
-	if cl.faults.Deadline > 0 {
-		runErr = env.RunUntil(cl.faults.Deadline)
+	if deadline := sm.cl.faults.Deadline; deadline > 0 {
+		runErr = env.RunUntil(deadline)
 	} else {
 		runErr = env.Run()
 	}
@@ -955,7 +1046,7 @@ func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, erro
 			if ft != nil {
 				first = ft.unexpected[0]
 			}
-			return nil, rs.runError(first)
+			return nil, sm.rs.runError(first)
 		}
 		// Every failure was an expected injected crash: the run's outcome is
 		// what the survivors did, decided below.
@@ -982,7 +1073,7 @@ func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, erro
 			res.Time = t
 		}
 	}
-	res.Stats = *m.Stats
+	res.Stats = *sm.m.Stats
 	res.Events = env.Events()
 	if inj != nil {
 		res.Faults = inj.Summary()
@@ -994,24 +1085,16 @@ func (cl *Cluster) run(impl Impl, body func(*Comm), fresh *int64) (*Result, erro
 	return res, nil
 }
 
-// scheduleFaults wires the plan's crashes and stall windows to the spawned
-// rank processes.
-func (cl *Cluster) scheduleFaults(env *sim.Env, inj *fault.Injector, procs []*sim.Proc) {
-	for _, cr := range cl.faults.Crashes {
-		cr := cr
-		env.At(cr.At, func() {
-			inj.CountCrash()
-			env.Kill(procs[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
-		})
+// garbage is what the simulation leaves behind when it returns, as far as it
+// is counted: the bytes its buffer pool took from the allocator, and the
+// chunks its tasks, queue items, executors, flags and counters were carved
+// from.
+func (sm *simulation) garbage() int64 {
+	n := sm.m.Buffers.Fresh() + sm.m.Env.ChunkBytes()
+	if srm, ok := sm.coll.(srmColl); ok {
+		n += srm.SRM().ChunkBytes()
 	}
-	for _, st := range cl.faults.Stalls {
-		st := st
-		env.At(st.From, func() {
-			inj.CountStall()
-			env.SetSlowdown(procs[st.Rank], st.Factor)
-		})
-		env.At(st.Until, func() { env.SetSlowdown(procs[st.Rank], 1) })
-	}
+	return n
 }
 
 // runError converts a recovered process failure into a *RunError naming the
@@ -1024,6 +1107,9 @@ func (rs *runState) runError(f sim.ProcFailure) *RunError {
 		re.Op = cause.Op
 		re.Cause = cause
 	case *check.RequestError:
+		re.Op = cause.Op
+		re.Cause = cause
+	case *check.ReentryError:
 		re.Op = cause.Op
 		re.Cause = cause
 	case sim.Crashed:

@@ -1,0 +1,157 @@
+package srmcoll
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"srmcoll/internal/core"
+	"srmcoll/internal/machine"
+	"srmcoll/internal/rma"
+	"srmcoll/internal/sim"
+)
+
+// mallocsOf returns the heap objects fn allocates: the least of three runs, so
+// that what the runtime allocates on its own account beside one of them does
+// not count.
+func mallocsOf(fn func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	return best
+}
+
+// TestRunTAllocsPerRank holds a Task-engine run to what it allocates per rank
+// now that its records come out of run-scoped slabs and chunks: the benchmark's
+// rank_ladder body — bcast, allreduce, barrier on 64-byte payloads, eight tasks
+// a node — at 4,096 and at 16,384 ranks. The collector's own pacing is off, so
+// that the primitives' frame pools are emptied only by the settling collection
+// between two runs and the counts repeat (a cycle in the middle of a run drops
+// the idle frames of every pool: up to two objects per rank more at 16,384
+// ranks, before this change as after it).
+//
+// Recorded: 12.5 objects per rank at 4,096 ranks and 12.7 at 16,384 (go1.24).
+// The same test read 41.8 and 43.5 at the commit before (400607f), where every
+// task, executor, endpoint, flag, counter, request stream and handle was a heap
+// object of its own, a blocking TComm collective bound six closures and a
+// remote put two: the second bound below is 0.55 of that.
+func TestRunTAllocsPerRank(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const bytes, recorded, parent = 64, 12.7, 41.8
+	var perRank []float64
+	for _, ranks := range []int{4096, 16384} {
+		cl := mustCluster(t, ranks/8, 8)
+		cl.SetEngine(EngineTasks)
+		send, buf, recv := make([]byte, ranks*bytes), make([]byte, ranks*bytes), make([]byte, ranks*bytes)
+		row := func(b []byte, r int) []byte { return b[r*bytes : (r+1)*bytes : (r+1)*bytes] }
+		fail := func(err error) {
+			if err != nil {
+				panic(err)
+			}
+		}
+		body := func(tc *TComm, done func()) {
+			r := tc.Rank()
+			tc.Bcast(row(buf, r), 0, func(err error) {
+				fail(err)
+				tc.Allreduce(row(send, r), row(recv, r), Float64, Sum, func(err error) {
+					fail(err)
+					tc.Barrier(func(err error) {
+						fail(err)
+						done()
+					})
+				})
+			})
+		}
+		n := mallocsOf(func() {
+			if _, err := cl.RunT(SRM, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		per := float64(n) / float64(ranks)
+		t.Logf("%d ranks: %d objects, %.2f per rank", ranks, n, per)
+		if per > recorded*1.05 || per > 0.55*parent {
+			t.Errorf("%d ranks: %.2f objects per rank, want at most %.2f (5%% over the recorded %.1f) and %.2f (0.55 of the parent's %.1f)",
+				ranks, per, recorded*1.05, recorded, 0.55*parent, parent)
+		}
+		perRank = append(perRank, per)
+	}
+	if d := perRank[1] - perRank[0]; d > 1 || d < -1 {
+		t.Errorf("objects per rank move with the rank count: %.2f at 4,096 ranks, %.2f at 16,384", perRank[0], perRank[1])
+	}
+}
+
+// TestBlockingTCommCallAllocatesNothing: what one more blocking collective
+// costs a rank through the facade is what it costs in internal/core. Both are
+// measured the same way, as the difference between a body of 2k barriers and
+// one of k per extra call per rank, at 512 ranks; the handle's call frame and
+// its once-bound continuation are warm after the first call, so the facade's
+// quiesce check, trace span and fault-tolerance legs add no object to core's.
+func TestBlockingTCommCallAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const nodes, tpn, k = 64, 8, 8
+	const ranks = nodes * tpn
+	perCall := func(run func(calls int)) float64 {
+		short := mallocsOf(func() { run(k) })
+		long := mallocsOf(func() { run(2 * k) })
+		return (float64(long) - float64(short)) / (k * ranks)
+	}
+
+	cl := mustCluster(t, nodes, tpn)
+	cl.SetEngine(EngineTasks)
+	facade := perCall(func(calls int) {
+		_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+			left := calls
+			var next func(error)
+			next = func(err error) {
+				if err != nil {
+					panic(err)
+				}
+				if left--; left < 0 {
+					done()
+					return
+				}
+				tc.Barrier(next)
+			}
+			next(nil)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	direct := perCall(func(calls int) {
+		env := sim.NewEnv()
+		m := machine.New(env, cl.Config())
+		s := core.New(m, rma.NewDomain(m), core.Options{})
+		for r := 0; r < ranks; r++ {
+			r := r
+			env.SpawnTask("rank", r, func(tk *sim.Task) {
+				left := calls
+				var next func()
+				next = func() {
+					if left--; left < 0 {
+						return
+					}
+					s.BarrierT(tk, r, next)
+				}
+				next()
+			})
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("objects per extra barrier per rank: %.3f through TComm, %.3f in core", facade, direct)
+	if d := facade - direct; d > 0.02 || d < -0.02 {
+		t.Errorf("a warm TComm.Barrier costs %.3f objects per rank, core's BarrierT %.3f: the facade allocates per call", facade, direct)
+	}
+}

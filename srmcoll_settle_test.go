@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestRunSettles pins the rule at the end of Run and RunT: a run whose pool
-// took settleAfter bytes or more from the allocator collects them before it
+// TestRunSettles pins the rule at the end of Run and RunT: a run that leaves
+// settleAfter bytes or more behind — buffers its pool took from the allocator,
+// or the chunks its rank records were carved from — collects them before it
 // returns, on either engine, and a small run leaves the collector alone.
 // With the collector's own pacing switched off, every cycle counted here is
 // one settle forced.
@@ -60,6 +61,52 @@ func TestRunSettles(t *testing.T) {
 		}
 		if got := cycles() - before; got != tc.want {
 			t.Errorf("%s: the run forced %d cycles, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	// 16,384 ranks moving 64 bytes each draw next to nothing from the buffer
+	// pool and some 30 MB for tasks, executors, flags and counters: settle
+	// used to weigh the payload alone and leave all of it lying.
+	big := mustCluster(t, 2048, 8)
+	big.SetEngine(EngineTasks)
+	word := make([]byte, 64)
+	before = cycles()
+	if _, err := big.RunT(SRM, func(c *TComm, done func()) {
+		c.Bcast(word, 0, func(error) { done() })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cycles() - before; got != 1 {
+		t.Errorf("tasks/16384 ranks: the run forced %d cycles, want 1", got)
+	}
+}
+
+// TestChaosRunsNeverSettle: the benchmark's fault_storm is 384 runs of 8 to 64
+// ranks, and a collection after each of them cost it 11 % of its wall time
+// (ROADMAP item 4). Counting the rank records as garbage must not start that:
+// the largest and most eventful of those runs — 64 ranks, a crash rate of 0.3,
+// ten rounds and the repairs — leaves less than a sixteenth of the threshold
+// behind, on either engine.
+func TestChaosRunsNeverSettle(t *testing.T) {
+	for k := int64(0); k < 4; k++ {
+		cl := mustCluster(t, 16, 4)
+		cl.SetFaultTolerance(DefaultFTConfig())
+		plan := chaosCorpusPlan(64, 0.3, 64000+100*k+30)
+		cl.SetFaultPlan(plan)
+		_, procs, err := cl.run(SRM, EngineProcs, func(sm *simulation) { sm.spawnProcs(chaosLoopBodyCompute(10, 256, 25, nil)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Stalls = nil // the Tasks engine has no per-task slowdown
+		cl.SetFaultPlan(plan)
+		_, tasks, err := cl.run(SRM, EngineTasks, func(sm *simulation) { sm.spawnTasks(chaosLoopBodyT(10, 256, 25)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: %d KiB of garbage on Procs, %d KiB on Tasks", k, procs>>10, tasks>>10)
+		if limit := int64(settleAfter / 16); procs >= limit || tasks >= limit {
+			t.Errorf("seed %d: a 64-rank chaos run leaves %d (Procs) and %d (Tasks) bytes behind, want less than %d",
+				k, procs, tasks, limit)
 		}
 	}
 }

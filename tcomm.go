@@ -15,12 +15,9 @@ package srmcoll
 // same Result.Time, PerRank, Stats, buffer contents, and trace timings.
 
 import (
-	"errors"
 	"fmt"
 
-	"srmcoll/internal/fault"
-	"srmcoll/internal/machine"
-	"srmcoll/internal/rma"
+	"srmcoll/internal/check"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 )
@@ -61,10 +58,14 @@ func (cl *Cluster) Engine() Engine { return cl.engine }
 // argument; the continuation runs exactly once, after the operation
 // completes (synchronously under EngineProcs, as a later event-loop step
 // under EngineTasks). Identity accessors (Rank, Size, ...) are plain calls.
+//
+// A handle runs one blocking collective at a time: the next one is started
+// from the continuation of the last (or later), never beside it.
 type TComm struct {
 	c     *Comm
 	t     *sim.Task    // nil under EngineProcs
 	tcoll tcollectives // nil under EngineProcs
+	call  tcall        // the blocking collective in flight, if any
 }
 
 // tcollectives is the Task-native operation set mirroring collectives.
@@ -134,33 +135,178 @@ func (tc *TComm) wrap(s *Comm) *TComm {
 	return s.tc
 }
 
-// quiesceT is quiesce for the Task engine: order a blocking collective
-// after every outstanding request of this rank.
-func (tc *TComm) quiesceT(k func()) {
-	c := tc.c
-	if c.rs == nil {
-		k()
-		return
-	}
-	if st := c.rs.streams[c.rank]; st.tail != nil && !st.tail.Done() {
-		st.tail.WaitT(tc.t, k)
-		return
-	}
-	k()
+// tcall is one collective in progress on the Tasks engine, from the call to
+// its continuation: which operation on which buffers, the task it runs on,
+// its trace span, and what fault-tolerant execution changed on the task and
+// has to put back. A blocking collective uses the frame embedded in its
+// handle, bound to it once, so a call allocates nothing; a request, which can
+// overlap the rank's other calls, runs in a frame of its own (trequest.go).
+type tcall struct {
+	collArgs
+	tc   *TComm
+	t    *sim.Task // the rank's task, or the request helper's
+	name string    // "" while the frame is empty
+	span int       // the operation's span, closed before k runs
+	k    func(error)
+
+	// Set while the operation is registered for failure interrupts.
+	registered bool
+	prevH      func(any)
+	prevArmed  bool
+
+	// Continuations, bound when first needed and kept for the frame's life.
+	openFn func()
+	finFn  func()
+	intrFn func(any)
 }
 
-// opT wraps a Task-engine collective entry: request-stream quiesce, the
-// root trace span, and fault-tolerant execution, mirroring the blocking
-// Comm methods step for step.
-func (tc *TComm) opT(name string, bytes int64, run func(t *sim.Task, fin func()), k func(error)) {
-	c := tc.c
-	tc.quiesceT(func() {
-		id := c.tr.Begin(tc.t.Track(), trace.ClassOp, name, bytes)
-		tc.ftRunT(name, tc.t, func(fin func()) { run(tc.t, fin) }, func(err error) {
-			c.tr.End(id)
-			k(err)
-		})
-	})
+// collArgs names a collective and its arguments as the eleven operations
+// share them; each reads the fields its signature has.
+type collArgs struct {
+	kind       collKind
+	send, recv []byte // Bcast's buf is send
+	dt         Datatype
+	op         Op
+	root       int
+}
+
+// bytes is the size a collective's spans carry: the caller's contribution, or
+// for Scatter its share.
+func (a *collArgs) bytes() int64 {
+	if a.kind == collScatter {
+		return int64(len(a.recv))
+	}
+	return int64(len(a.send))
+}
+
+type collKind uint8
+
+const (
+	collBarrier collKind = iota
+	collBcast
+	collReduce
+	collAllreduce
+	collGather
+	collScatter
+	collAllgather
+	collAlltoall
+	collReduceScatter
+	collScan
+	collExscan
+)
+
+// begin starts a blocking collective on the handle's frame: ordered after
+// every outstanding request of the rank (quiesce), under a root trace span,
+// fault-tolerantly, mirroring the blocking Comm methods step for step.
+func (tc *TComm) begin(name string, a collArgs, k func(error)) {
+	f, c := &tc.call, tc.c
+	if f.name != "" {
+		panic(&check.ReentryError{Op: name, Running: f.name, Rank: c.rank})
+	}
+	if f.finFn == nil {
+		f.tc, f.t, f.finFn = tc, tc.t, f.fin
+	}
+	f.collArgs, f.name, f.k = a, name, k
+	if st := &c.rs.streams[c.rank]; st.tail != nil && !st.tail.Done() {
+		if f.openFn == nil {
+			f.openFn = f.open
+		}
+		st.tail.WaitT(tc.t, f.openFn)
+		return
+	}
+	f.open()
+}
+
+// open opens the root span of a blocking collective and runs it.
+func (f *tcall) open() {
+	f.span = f.tc.c.tr.Begin(f.t.Track(), trace.ClassOp, f.name, f.bytes())
+	f.run()
+}
+
+// run executes the frame's operation fault-sensitively on its task: ftRun in
+// continuation-passing form. The continuation receives nil on success, or
+// the *RankFailedError when a member declaration interrupts the operation or
+// is already known at entry.
+func (f *tcall) run() {
+	c, t := f.tc.c, f.t
+	if ft := c.rs.ft; ft != nil {
+		if c.rec.failed > 0 {
+			err := c.failedError(f.name)
+			f.leave()(err)
+			return
+		}
+		ft.register(nil, t, c.rec)
+		f.registered, f.prevH, f.prevArmed = true, t.OnInterrupt, t.UnwindArmed()
+		t.SetUnwindArmed(true)
+		if f.intrFn == nil {
+			f.intrFn = f.interrupted
+		}
+		t.OnInterrupt = f.intrFn
+	}
+	coll, rank, fin := f.tc.tcoll, c.rank, f.finFn
+	switch f.kind {
+	case collBarrier:
+		coll.BarrierT(t, rank, fin)
+	case collBcast:
+		coll.BcastT(t, rank, f.send, f.root, fin)
+	case collReduce:
+		coll.ReduceT(t, rank, f.send, f.recv, f.dt, f.op, f.root, fin)
+	case collAllreduce:
+		coll.AllreduceT(t, rank, f.send, f.recv, f.dt, f.op, fin)
+	case collGather:
+		coll.GatherT(t, rank, f.send, f.recv, f.root, fin)
+	case collScatter:
+		coll.ScatterT(t, rank, f.send, f.recv, f.root, fin)
+	case collAllgather:
+		coll.AllgatherT(t, rank, f.send, f.recv, fin)
+	case collAlltoall:
+		coll.AlltoallT(t, rank, f.send, f.recv, fin)
+	case collReduceScatter:
+		coll.ReduceScatterT(t, rank, f.send, f.recv, f.dt, f.op, fin)
+	case collScan:
+		coll.ScanT(t, rank, f.send, f.recv, f.dt, f.op, fin)
+	case collExscan:
+		coll.ExscanT(t, rank, f.send, f.recv, f.dt, f.op, fin)
+	}
+}
+
+// fin is the continuation the operation itself receives.
+func (f *tcall) fin() { f.leave()(nil) }
+
+// interrupted is the task's OnInterrupt handler while the operation is
+// registered.
+func (f *tcall) interrupted(payload any) {
+	fi, ok := payload.(ftInterrupt)
+	if !ok {
+		// Not a failure declaration: die with the payload, as a Proc
+		// re-panics from ftRun's recover (the armed unwinds run in
+		// failTask, like the Proc's defers).
+		panic(payload)
+	}
+	c := f.tc.c
+	f.t.RunUnwinds()
+	err := &RankFailedError{Op: f.name, Rank: c.rank, Failed: fi.failed}
+	k := f.leave()
+	// The unwind may have skipped an interrupt re-enable inside the
+	// protocol; restoring is idempotent when nothing was pending.
+	c.dom.Endpoint(c.rank).SetInterrupts(true)
+	k(err)
+}
+
+// leave ends the operation on the frame: it puts the task back as run found
+// it, closes the span, and returns the continuation. The frame is empty
+// before the continuation runs, so the continuation may start the handle's
+// next collective.
+func (f *tcall) leave() func(error) {
+	t, tr, span, k := f.t, f.tc.c.tr, f.span, f.k
+	if f.registered {
+		t.OnInterrupt = f.prevH
+		t.SetUnwindArmed(f.prevArmed)
+		f.tc.c.rs.ft.deregister(nil, t)
+	}
+	*f = tcall{tc: f.tc, t: t, openFn: f.openFn, finFn: f.finFn, intrFn: f.intrFn}
+	tr.End(span)
+	return k
 }
 
 // Barrier blocks until every rank has entered it, then runs k.
@@ -169,9 +315,7 @@ func (tc *TComm) Barrier(k func(error)) {
 		k(tc.c.Barrier())
 		return
 	}
-	tc.opT("barrier", 0, func(t *sim.Task, fin func()) {
-		tc.tcoll.BarrierT(t, tc.c.rank, fin)
-	}, k)
+	tc.begin("barrier", collArgs{kind: collBarrier}, k)
 }
 
 // Bcast broadcasts buf from root; see Comm.Bcast.
@@ -180,9 +324,7 @@ func (tc *TComm) Bcast(buf []byte, root int, k func(error)) {
 		k(tc.c.Bcast(buf, root))
 		return
 	}
-	tc.opT("bcast", int64(len(buf)), func(t *sim.Task, fin func()) {
-		tc.tcoll.BcastT(t, tc.c.rank, buf, root, fin)
-	}, k)
+	tc.begin("bcast", collArgs{kind: collBcast, send: buf, root: root}, k)
 }
 
 // Reduce combines send across ranks into recv at root; see Comm.Reduce.
@@ -191,9 +333,7 @@ func (tc *TComm) Reduce(send, recv []byte, dt Datatype, op Op, root int, k func(
 		k(tc.c.Reduce(send, recv, dt, op, root))
 		return
 	}
-	tc.opT("reduce", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ReduceT(t, tc.c.rank, send, recv, dt, op, root, fin)
-	}, k)
+	tc.begin("reduce", collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root}, k)
 }
 
 // Allreduce combines send across ranks into every rank's recv.
@@ -202,9 +342,7 @@ func (tc *TComm) Allreduce(send, recv []byte, dt Datatype, op Op, k func(error))
 		k(tc.c.Allreduce(send, recv, dt, op))
 		return
 	}
-	tc.opT("allreduce", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.AllreduceT(t, tc.c.rank, send, recv, dt, op, fin)
-	}, k)
+	tc.begin("allreduce", collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op}, k)
 }
 
 // Gather collects every rank's send block into recv at root.
@@ -213,9 +351,7 @@ func (tc *TComm) Gather(send, recv []byte, root int, k func(error)) {
 		k(tc.c.Gather(send, recv, root))
 		return
 	}
-	tc.opT("gather", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.GatherT(t, tc.c.rank, send, recv, root, fin)
-	}, k)
+	tc.begin("gather", collArgs{kind: collGather, send: send, recv: recv, root: root}, k)
 }
 
 // Scatter distributes root's send so each rank receives its block in recv.
@@ -224,9 +360,7 @@ func (tc *TComm) Scatter(send, recv []byte, root int, k func(error)) {
 		k(tc.c.Scatter(send, recv, root))
 		return
 	}
-	tc.opT("scatter", int64(len(recv)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ScatterT(t, tc.c.rank, send, recv, root, fin)
-	}, k)
+	tc.begin("scatter", collArgs{kind: collScatter, send: send, recv: recv, root: root}, k)
 }
 
 // Allgather concatenates every rank's send block into every rank's recv.
@@ -235,9 +369,7 @@ func (tc *TComm) Allgather(send, recv []byte, k func(error)) {
 		k(tc.c.Allgather(send, recv))
 		return
 	}
-	tc.opT("allgather", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.AllgatherT(t, tc.c.rank, send, recv, fin)
-	}, k)
+	tc.begin("allgather", collArgs{kind: collAllgather, send: send, recv: recv}, k)
 }
 
 // Alltoall exchanges per-rank blocks; see Comm.Alltoall.
@@ -246,9 +378,7 @@ func (tc *TComm) Alltoall(send, recv []byte, k func(error)) {
 		k(tc.c.Alltoall(send, recv))
 		return
 	}
-	tc.opT("alltoall", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.AlltoallT(t, tc.c.rank, send, recv, fin)
-	}, k)
+	tc.begin("alltoall", collArgs{kind: collAlltoall, send: send, recv: recv}, k)
 }
 
 // ReduceScatter combines send vectors elementwise and scatters the blocks.
@@ -257,9 +387,7 @@ func (tc *TComm) ReduceScatter(send, recv []byte, dt Datatype, op Op, k func(err
 		k(tc.c.ReduceScatter(send, recv, dt, op))
 		return
 	}
-	tc.opT("reducescatter", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ReduceScatterT(t, tc.c.rank, send, recv, dt, op, fin)
-	}, k)
+	tc.begin("reducescatter", collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op}, k)
 }
 
 // Scan leaves the inclusive prefix reduction in recv.
@@ -268,9 +396,7 @@ func (tc *TComm) Scan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 		k(tc.c.Scan(send, recv, dt, op))
 		return
 	}
-	tc.opT("scan", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ScanT(t, tc.c.rank, send, recv, dt, op, fin)
-	}, k)
+	tc.begin("scan", collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op}, k)
 }
 
 // Exscan is the exclusive prefix reduction; rank 0's recv is zeroed.
@@ -279,9 +405,7 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 		k(tc.c.Exscan(send, recv, dt, op))
 		return
 	}
-	tc.opT("exscan", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ExscanT(t, tc.c.rank, send, recv, dt, op, fin)
-	}, k)
+	tc.begin("exscan", collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op}, k)
 }
 
 // RunT executes a continuation-passing body on every rank of a fresh
@@ -294,130 +418,29 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 // asserted bit-identical against. Error reporting matches Run.
 func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, error) {
 	if cl.engine == EngineProcs {
-		return cl.Run(impl, func(c *Comm) {
-			body(&TComm{c: c}, func() {})
-		})
+		return cl.Run(impl, func(c *Comm) { body(c.tc, func() {}) })
 	}
-	var fresh int64
-	res, err := cl.runTasks(impl, body, &fresh)
-	settle(fresh)
-	return res, err
+	return cl.simulate(impl, EngineTasks, func(sm *simulation) { sm.spawnTasks(body) })
 }
 
-// runTasks is RunT on the Tasks engine, before settling (see Cluster.run).
-func (cl *Cluster) runTasks(impl Impl, body func(tc *TComm, done func()), fresh *int64) (*Result, error) {
-	if impl != SRM {
-		return nil, fmt.Errorf("srmcoll: the Tasks engine supports only the SRM implementation (got %s); use EngineProcs for baselines", impl)
-	}
-	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
-		return nil, err
-	}
-	if len(cl.faults.Stalls) > 0 {
-		return nil, fmt.Errorf("srmcoll: stall fault windows require EngineProcs (per-task slowdown has no Task-engine equivalent)")
-	}
-	env := sim.NewEnv()
-	m := machine.New(env, cl.cfg)
-	defer func() { *fresh = m.Buffers.Fresh() }()
-	var inj *fault.Injector
-	if cl.faults.Active() {
-		inj = fault.New(cl.faults)
-		m.Faults = inj
-	}
-	dom := rma.NewDomain(m)
-	if cl.faults.Reliable {
-		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
-	}
-	tcoll := cl.newSRM(m, dom)
-	if cl.tracing {
-		env.Trace = trace.New(env.Now)
-	}
-	counters := make(map[string]*SharedCounter)
-	rs := newRunState(env, m.P())
-	world := rs.newWorld(m.P(), tcoll)
-	res := &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
-	tasks := make([]*sim.Task, m.P())
-	rs.tasks = tasks
-	var ft *ftState
-	if cl.ft.Enabled {
-		ft = newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
-		rs.ft = ft
-		env.OnTaskFailure = func(t *sim.Task, f sim.ProcFailure) { ft.onFailure(f) }
-	}
-	if inj != nil {
-		cl.scheduleFaultsT(env, inj, tasks)
-	}
-	for r := 0; r < m.P(); r++ {
-		r := r
-		tasks[r] = env.SpawnTask("rank", r, func(t *sim.Task) {
-			comm := &Comm{rank: r, rec: world, m: m, dom: dom,
-				counters: counters, tr: env.Trace, rs: rs}
-			tc := &TComm{c: comm, t: t, tcoll: tcoll}
-			body(tc, func() {
-				comm.checkDrained()
-				res.PerRank[r] = float64(env.Now())
-			})
+// spawnTasks starts body on every rank as a task. The ranks share one start
+// function, which finds its handle by the task's index.
+func (sm *simulation) spawnTasks(body func(tc *TComm, done func())) {
+	tcoll := sm.coll.(tcollectives)
+	start := func(t *sim.Task) {
+		h := &sm.ranks[t.Num()]
+		h.tc.t, h.tc.tcoll = t, tcoll
+		body(&h.tc, func() {
+			h.c.checkDrained()
+			sm.res.PerRank[h.c.rank] = float64(sm.m.Env.Now())
 		})
-		if env.Trace != nil {
-			tasks[r].SetTrack(r)
-			env.Trace.NameTrack(r, tasks[r].Name())
+	}
+	for r := range sm.rs.tasks {
+		t := sm.m.Env.SpawnTask("rank", r, start)
+		sm.rs.tasks[r] = t
+		if tr := sm.m.Env.Trace; tr != nil {
+			t.SetTrack(r)
+			tr.NameTrack(r, t.Name())
 		}
-	}
-
-	var runErr error
-	if cl.faults.Deadline > 0 {
-		runErr = env.RunUntil(cl.faults.Deadline)
-	} else {
-		runErr = env.Run()
-	}
-	var ce *sim.CrashError
-	if errors.As(runErr, &ce) {
-		if ft == nil || len(ft.unexpected) > 0 {
-			first := ce.Failures[0]
-			if ft != nil {
-				first = ft.unexpected[0]
-			}
-			return nil, rs.runError(first)
-		}
-		runErr = nil
-	}
-	if runErr == nil && env.Live() > 0 {
-		if env.Idle() {
-			return nil, env.DeadlockReport()
-		}
-		var sum FaultSummary
-		if inj != nil {
-			sum = inj.Summary()
-		}
-		return nil, &StallError{Time: env.Now(), Blocked: env.Blocked(), Faults: sum}
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	for _, ti := range res.PerRank {
-		if ti > res.Time {
-			res.Time = ti
-		}
-	}
-	res.Stats = *m.Stats
-	res.Events = env.Events()
-	if inj != nil {
-		res.Faults = inj.Summary()
-	}
-	if ft != nil {
-		res.Failures = ft.failures
-		res.Repairs = ft.repairs
-	}
-	return res, nil
-}
-
-// scheduleFaultsT wires the plan's crashes to the spawned rank tasks.
-// Stall windows are rejected before RunT gets here.
-func (cl *Cluster) scheduleFaultsT(env *sim.Env, inj *fault.Injector, tasks []*sim.Task) {
-	for _, cr := range cl.faults.Crashes {
-		cr := cr
-		env.At(cr.At, func() {
-			inj.CountCrash()
-			env.KillTask(tasks[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
-		})
 	}
 }

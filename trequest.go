@@ -35,10 +35,10 @@ func (r *TRequest) Err() error { return r.req.Err() }
 // stream chaining, with the helper spawned as a task. The continuation
 // receives the handle once the request is admitted (immediately unless the
 // MaxOutstanding bound blocks the issuing rank).
-func (tc *TComm) issueT(op string, bytes int64, bufs []check.Buf, run func(ht *sim.Task, fin func()), k func(*TRequest)) {
+func (tc *TComm) issueT(op string, a collArgs, bufs []check.Buf, k func(*TRequest)) {
 	c := tc.c
-	name := strings.ToLower(op)
-	st := c.rs.streams[c.rank]
+	name, bytes := strings.ToLower(op), a.bytes()
+	st := &c.rs.streams[c.rank]
 	for _, nb := range bufs {
 		for _, o := range st.live {
 			for _, ob := range o.bufs {
@@ -102,11 +102,15 @@ func (tc *TComm) issueT(op string, bytes int64, bufs []check.Buf, run func(ht *s
 					oid = c.tr.Begin(track, trace.ClassReqOp, name, bytes)
 					c.tr.Link(oid, req.group)
 				}
-				tc.ftRunT(name, ht, func(fin func()) { run(ht, fin) }, func(err error) {
+				// The request's own frame: a rank has many requests in flight,
+				// the handle's frame serves its one blocking collective.
+				fr := &tcall{collArgs: a, tc: tc, t: ht, name: name, span: oid}
+				fr.finFn = fr.fin
+				fr.k = func(err error) {
 					req.err = err
-					c.tr.End(oid)
 					req.done.Trigger()
-				})
+				}
+				fr.run()
 			}
 			if prev != nil {
 				prev.WaitT(ht, start)
@@ -182,9 +186,7 @@ func (tc *TComm) IBarrier(k func(*TRequest)) {
 		k(&TRequest{req: tc.c.IBarrier(), tc: tc})
 		return
 	}
-	tc.issueT("IBarrier", 0, nil, func(ht *sim.Task, fin func()) {
-		tc.tcoll.BarrierT(ht, tc.c.rank, fin)
-	}, k)
+	tc.issueT("IBarrier", collArgs{kind: collBarrier}, nil, k)
 }
 
 // IBcast starts a non-blocking broadcast of buf from root; see Bcast.
@@ -193,8 +195,8 @@ func (tc *TComm) IBcast(buf []byte, root int, k func(*TRequest)) {
 		k(&TRequest{req: tc.c.IBcast(buf, root), tc: tc})
 		return
 	}
-	tc.issueT("IBcast", int64(len(buf)), []check.Buf{check.BufOf("buf", buf)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.BcastT(ht, tc.c.rank, buf, root, fin) }, k)
+	tc.issueT("IBcast", collArgs{kind: collBcast, send: buf, root: root},
+		[]check.Buf{check.BufOf("buf", buf)}, k)
 }
 
 // IReduce starts a non-blocking reduction into recv at root; see Reduce.
@@ -203,9 +205,8 @@ func (tc *TComm) IReduce(send, recv []byte, dt Datatype, op Op, root int, k func
 		k(&TRequest{req: tc.c.IReduce(send, recv, dt, op, root), tc: tc})
 		return
 	}
-	tc.issueT("IReduce", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ReduceT(ht, tc.c.rank, send, recv, dt, op, root, fin) }, k)
+	tc.issueT("IReduce", collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IAllreduce starts a non-blocking allreduce; see Allreduce.
@@ -214,9 +215,8 @@ func (tc *TComm) IAllreduce(send, recv []byte, dt Datatype, op Op, k func(*TRequ
 		k(&TRequest{req: tc.c.IAllreduce(send, recv, dt, op), tc: tc})
 		return
 	}
-	tc.issueT("IAllreduce", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.AllreduceT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+	tc.issueT("IAllreduce", collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IGather starts a non-blocking gather into recv at root; see Gather.
@@ -225,9 +225,8 @@ func (tc *TComm) IGather(send, recv []byte, root int, k func(*TRequest)) {
 		k(&TRequest{req: tc.c.IGather(send, recv, root), tc: tc})
 		return
 	}
-	tc.issueT("IGather", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.GatherT(ht, tc.c.rank, send, recv, root, fin) }, k)
+	tc.issueT("IGather", collArgs{kind: collGather, send: send, recv: recv, root: root},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IScatter starts a non-blocking scatter from root's send; see Scatter.
@@ -236,9 +235,8 @@ func (tc *TComm) IScatter(send, recv []byte, root int, k func(*TRequest)) {
 		k(&TRequest{req: tc.c.IScatter(send, recv, root), tc: tc})
 		return
 	}
-	tc.issueT("IScatter", int64(len(recv)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ScatterT(ht, tc.c.rank, send, recv, root, fin) }, k)
+	tc.issueT("IScatter", collArgs{kind: collScatter, send: send, recv: recv, root: root},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IAllgather starts a non-blocking allgather; see Allgather.
@@ -247,9 +245,8 @@ func (tc *TComm) IAllgather(send, recv []byte, k func(*TRequest)) {
 		k(&TRequest{req: tc.c.IAllgather(send, recv), tc: tc})
 		return
 	}
-	tc.issueT("IAllgather", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.AllgatherT(ht, tc.c.rank, send, recv, fin) }, k)
+	tc.issueT("IAllgather", collArgs{kind: collAllgather, send: send, recv: recv},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IAlltoall starts a non-blocking all-to-all exchange; see Alltoall.
@@ -258,9 +255,8 @@ func (tc *TComm) IAlltoall(send, recv []byte, k func(*TRequest)) {
 		k(&TRequest{req: tc.c.IAlltoall(send, recv), tc: tc})
 		return
 	}
-	tc.issueT("IAlltoall", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.AlltoallT(ht, tc.c.rank, send, recv, fin) }, k)
+	tc.issueT("IAlltoall", collArgs{kind: collAlltoall, send: send, recv: recv},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IReduceScatter starts a non-blocking reduce-scatter; see ReduceScatter.
@@ -269,9 +265,8 @@ func (tc *TComm) IReduceScatter(send, recv []byte, dt Datatype, op Op, k func(*T
 		k(&TRequest{req: tc.c.IReduceScatter(send, recv, dt, op), tc: tc})
 		return
 	}
-	tc.issueT("IReduceScatter", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ReduceScatterT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+	tc.issueT("IReduceScatter", collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IScan starts a non-blocking inclusive prefix reduction; see Scan.
@@ -280,9 +275,8 @@ func (tc *TComm) IScan(send, recv []byte, dt Datatype, op Op, k func(*TRequest))
 		k(&TRequest{req: tc.c.IScan(send, recv, dt, op), tc: tc})
 		return
 	}
-	tc.issueT("IScan", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ScanT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+	tc.issueT("IScan", collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
 
 // IExscan starts a non-blocking exclusive prefix reduction; see Exscan.
@@ -291,7 +285,6 @@ func (tc *TComm) IExscan(send, recv []byte, dt Datatype, op Op, k func(*TRequest
 		k(&TRequest{req: tc.c.IExscan(send, recv, dt, op), tc: tc})
 		return
 	}
-	tc.issueT("IExscan", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ExscanT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+	tc.issueT("IExscan", collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op},
+		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)}, k)
 }
