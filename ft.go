@@ -116,13 +116,12 @@ type RepairRecord struct {
 // ftRun recover turns it into a *RankFailedError.
 type ftInterrupt struct{ failed []int }
 
-// ftReg is one in-progress fault-sensitive operation: the process or task
-// running it (the rank itself, or a request helper — each runs one operation
-// at a time, so it identifies the entry) and the communicator it runs on.
-// Registered operations are interrupted when a member is declared.
+// ftReg is one in-progress fault-sensitive operation: the task running it
+// (the rank's own, or a request helper's — each runs one operation at a time,
+// so it identifies the entry) and the communicator it runs on. Registered
+// operations are interrupted when a member is declared.
 type ftReg struct {
-	p   *sim.Proc // Procs engine: the process running the op
-	t   *sim.Task // Tasks engine: the task running the op (p nil)
+	t   *sim.Task
 	rec *commRec
 }
 
@@ -184,14 +183,14 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState, cfg FTCon
 	return ft
 }
 
-// onFailure is the Env.OnFailure / OnTaskFailure hook: classify each process
-// or task death as an expected plan crash (schedule its declaration, take the
-// rank's service helpers down with it) or an unexpected failure (a real bug —
-// surfaced as a *RunError). It runs on the failing actor before its final
-// yield, so it may schedule events but must not park.
-func (ft *ftState) onFailure(f sim.ProcFailure) {
+// onFailure is the Env.OnFailure hook: classify each task death as an expected
+// plan crash (schedule its declaration, take the rank's service helpers down
+// with it) or an unexpected failure (a real bug — surfaced as a *RunError). It
+// runs before control returns to the scheduler, so it may schedule events but
+// must not park.
+func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
 	if _, isCrash := f.Cause.(sim.Crashed); isCrash {
-		switch r, helper := ft.rs.rankOf(f.Actor); {
+		switch r, helper := ft.rs.rankOf(t); {
 		case helper && ft.crashed[r]:
 			return // a helper killed below: fallout, not a new failure
 		case r >= 0 && !helper:
@@ -200,11 +199,8 @@ func (ft *ftState) onFailure(f sim.ProcFailure) {
 			// kill its request helpers so they cannot keep driving the
 			// dead rank's side of a protocol.
 			st, why := &ft.rs.streams[r], fmt.Sprintf("rank %d crashed", r)
-			for _, hp := range st.helpers {
-				ft.env.Kill(hp, why)
-			}
-			for _, ht := range st.thelpers {
-				ft.env.KillTask(ht, why)
+			for _, h := range st.helpers {
+				ft.env.Kill(h, why)
 			}
 			// The detector's collapsed heartbeat analysis: the declaration
 			// lands at a time that depends only on when the rank died.
@@ -248,12 +244,7 @@ func (ft *ftState) declare(d int, diedAt float64) {
 		if reg.rec.idx.Of(d) < 0 {
 			continue
 		}
-		fi := ftInterrupt{failed: ft.failedIn(reg.rec.members)}
-		if reg.t != nil {
-			ft.env.InterruptTask(reg.t, fi)
-		} else {
-			ft.env.Interrupt(reg.p, fi)
-		}
+		ft.env.Interrupt(reg.t, ftInterrupt{failed: ft.failedIn(reg.rec.members)})
 	}
 	// Complete what is now complete, in ascending order of the rendezvous key
 	// strings: the order repair records have always had, and once per declared
@@ -277,15 +268,15 @@ func (ft *ftState) failedIn(members []int) []int {
 }
 
 // register adds an in-progress operation to the interrupt set.
-func (ft *ftState) register(p *sim.Proc, t *sim.Task, rec *commRec) {
-	ft.inflight = append(ft.inflight, ftReg{p: p, t: t, rec: rec})
+func (ft *ftState) register(t *sim.Task, rec *commRec) {
+	ft.inflight = append(ft.inflight, ftReg{t: t, rec: rec})
 }
 
-// deregister removes the finished operation of a process or task. The slice
-// stays compact: the common case removes near the end.
-func (ft *ftState) deregister(p *sim.Proc, t *sim.Task) {
+// deregister removes the finished operation of a task. The slice stays
+// compact: the common case removes near the end.
+func (ft *ftState) deregister(t *sim.Task) {
 	for i := len(ft.inflight) - 1; i >= 0; i-- {
-		if reg := &ft.inflight[i]; reg.p == p && reg.t == t {
+		if ft.inflight[i].t == t {
 			ft.inflight = slices.Delete(ft.inflight, i, i+1)
 			return
 		}
@@ -369,9 +360,9 @@ func (c *Comm) ftRun(opName string, p *sim.Proc, fn func()) (err error) {
 	if c.rec.failed > 0 {
 		return c.failedError(opName)
 	}
-	ft.register(p, nil, c.rec)
+	ft.register(&p.Task, c.rec)
 	defer func() {
-		ft.deregister(p, nil)
+		ft.deregister(&p.Task)
 		r := recover()
 		if r == nil {
 			return

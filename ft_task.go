@@ -1,14 +1,14 @@
 package srmcoll
 
-// Fault tolerance on the Task engine. The protocol is the one ft.go
-// documents; only the delivery mechanics differ. A Proc blocked inside a
-// collective is unwound by Env.Interrupt raising a panic through its
-// goroutine stack, with deferred restores repairing protocol state on the
-// way out; a Task has no stack, so declaration delivers Env.InterruptTask,
-// the task's OnInterrupt handler runs the unwind stack (armed for the
-// duration of the operation), and the error continuation fires with the
-// same *RankFailedError the Proc path returns — at the same virtual time
-// (tcall.run and tcall.interrupted in tcomm.go).
+// Fault tolerance for continuation-passing bodies. The protocol is the one
+// ft.go documents, and so is the delivery: declaration interrupts the task
+// running the operation (Env.Interrupt). What differs is who catches it. A
+// Run body has a stack: the simulator runs the task's unwind stack and raises
+// the interrupt as a panic at the call the body is blocked in, where ftRun's
+// recover turns it into the error. A RunT body on the Tasks engine has none:
+// the task's OnInterrupt handler (tcall.interrupted in tcomm.go) runs the
+// unwind stack, armed for the duration of the operation, and the error
+// continuation fires with the same *RankFailedError at the same virtual time.
 
 // quiesceT is quiesce for the Task engine: order a rendezvous after every
 // outstanding request of this rank.

@@ -89,7 +89,7 @@ func (s *SRM) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type,
 	s.World().Allreduce(p, rank, send, recv, dt, op)
 }
 
-// AllreduceT is Allreduce for the Task engine.
+// AllreduceT is Allreduce in continuation form.
 func (s *SRM) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
 	s.World().AllreduceT(t, rank, send, recv, dt, op, kont)
 }
@@ -97,15 +97,13 @@ func (s *SRM) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type
 // Allreduce combines the group members' send buffers into every member's
 // recv.
 func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.allreduce(x, rank, send, recv, dataspec{dt, op})
-	x.runProc()
+	g.AllreduceT(&p.Task, rank, send, recv, dt, op, p.Resume())
+	p.Park()
 }
 
-// AllreduceT is Allreduce for the Task engine; kont runs when it completes.
+// AllreduceT is Allreduce in continuation form; kont runs when it completes.
 func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.allreduce(x, rank, send, recv, dataspec{dt, op})
 	x.run()
 }

@@ -90,15 +90,13 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 // blk-byte block per member (group order), and its recv receives member
 // j's block for i at group offset j. len(send) = len(recv) = Size()*blk.
 func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.alltoall(x, rank, send, recv)
-	x.runProc()
+	g.AlltoallT(&p.Task, rank, send, recv, p.Resume())
+	p.Park()
 }
 
-// AlltoallT is Alltoall for the Task engine; kont runs when it completes.
+// AlltoallT is Alltoall in continuation form; kont runs when it completes.
 func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.alltoall(x, rank, send, recv)
 	x.run()
 }

@@ -39,20 +39,18 @@ func newBarrierState(g *Group) *barrierState {
 // Barrier blocks until every rank has entered the barrier.
 func (s *SRM) Barrier(p *sim.Proc, rank int) { s.World().Barrier(p, rank) }
 
-// BarrierT is Barrier for the Task engine.
+// BarrierT is Barrier in continuation form.
 func (s *SRM) BarrierT(t *sim.Task, rank int, kont func()) { s.World().BarrierT(t, rank, kont) }
 
 // Barrier blocks until every group member has entered the barrier.
 func (g *Group) Barrier(p *sim.Proc, rank int) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.barrier(x, rank)
-	x.runProc()
+	g.BarrierT(&p.Task, rank, p.Resume())
+	p.Park()
 }
 
 // BarrierT runs kont once every group member has entered the barrier.
 func (g *Group) BarrierT(t *sim.Task, rank int, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.barrier(x, rank)
 	x.run()
 }

@@ -88,22 +88,20 @@ func (s *SRM) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 	s.World().Bcast(p, rank, buf, root)
 }
 
-// BcastT is Bcast for the Task engine.
+// BcastT is Bcast in continuation form.
 func (s *SRM) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
 	s.World().BcastT(t, rank, buf, root, kont)
 }
 
 // Bcast broadcasts buf from the member rank root to every group member.
 func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.bcast(x, rank, buf, root)
-	x.runProc()
+	g.BcastT(&p.Task, rank, buf, root, p.Resume())
+	p.Park()
 }
 
-// BcastT is Bcast for the Task engine; kont runs when it completes.
+// BcastT is Bcast in continuation form; kont runs when it completes.
 func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.bcast(x, rank, buf, root)
 	x.run()
 }

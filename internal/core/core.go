@@ -25,8 +25,9 @@
 //
 // Every operation moves real bytes; tests verify results against
 // sequential references. Every operation's per-rank control flow is written
-// once and runs on either simulator engine: X(p *sim.Proc, ...) blocks the
-// calling process, XT(t *sim.Task, ..., kont) runs kont when done (exec.go).
+// once, as steps of a sim.Task (exec.go): XT(t *sim.Task, ..., kont) runs kont
+// when done, and X(p *sim.Proc, ...) is XT on the process's own task with the
+// body parked until then.
 package core
 
 import (

@@ -10,19 +10,19 @@ import (
 	"srmcoll/internal/trace"
 )
 
-// One body, two drivers (DESIGN.md §15). Every collective role is written
+// One body, one driver (DESIGN.md §15). Every collective role is written
 // once as a stepper: a step function that looks at its frame (a pc plus loop
 // indices), issues the next few operations through the executor, and
-// returns. On a Proc the executor performs each operation at once with the
-// blocking primitive, so a step runs straight through at the right virtual
-// instants. On a Task it queues the step's operations and performs them one
-// by one with the *T primitives, passing the continuation it bound once; an
-// operation that completes inline is followed immediately by the next, one
-// that suspends returns to the event loop and the continuation picks the
-// queue up again. When the queue is empty the top frame is stepped again.
+// returns. The executor queues the step's operations and performs them one by
+// one on the caller's Task with the *T primitives, passing the continuation
+// it bound once; an operation that completes inline is followed immediately
+// by the next, one that suspends returns to the event loop and the
+// continuation picks the queue up again. When the queue is empty the top
+// frame is stepped again. A Proc calls the same thing: Group.X(p, ...) starts
+// Group.XT on the process's Task and parks the body until it completes.
 //
-// Because a Task step returns before its operations have run, a step must
-// obey two rules that a Proc would not enforce:
+// Because a step returns before its operations have run, a step must obey
+// two rules:
 //
 //   - every effect that has to happen after a blocking operation of the same
 //     step (setting a flag, bumping a counter, combining data, closing a
@@ -72,7 +72,7 @@ const (
 	opEnd     // close the span of frame w
 )
 
-// op is one queued operation of a Task step. Only the fields its kind names
+// op is one queued operation of a step. Only the fields its kind names
 // are set; i is the progress of an operation performed in several visits.
 type op struct {
 	kind          opKind
@@ -88,14 +88,13 @@ type op struct {
 	am            func([]byte)
 }
 
-// exec drives one actor — a rank's Proc or Task, or a pipeline helper beside
-// it — through one collective. Executors are pooled per SRM, so a call costs
-// no heap object once every concurrently running actor has one.
+// exec drives one task — a rank's, or a pipeline helper's beside it — through
+// one collective. Executors are pooled per SRM, so a call costs no heap
+// object once every concurrently running task has one.
 type exec struct {
 	s    *SRM
-	p    *sim.Proc // exactly one of p and t is set
 	t    *sim.Task
-	kont func() // Task: runs after the collective completes
+	kont func() // runs after the collective completes
 
 	// Call context, set by Group.acquire.
 	g           *Group
@@ -110,9 +109,9 @@ type exec struct {
 	stack [maxDepth]frame
 	depth int
 
-	// Task only: the operations of the current step not yet performed
-	// (qbuf holds the usual few), whether a *T primitive is running and
-	// whether it called back inline, and the continuations bound once.
+	// The operations of the current step not yet performed (qbuf holds the
+	// usual few), whether a *T primitive is running and whether it called
+	// back inline, and the continuations bound once.
 	q            []op
 	qh           int
 	qbuf         [4]op
@@ -122,8 +121,9 @@ type exec struct {
 	abortFn      func()
 }
 
-// exec returns an executor bound to the actor; pass a Proc or a Task.
-func (s *SRM) exec(p *sim.Proc, t *sim.Task, kont func()) *exec {
+// exec returns an executor, bound to the task unless t is nil (spawn binds a
+// helper's when the helper starts).
+func (s *SRM) exec(t *sim.Task, kont func()) *exec {
 	var x *exec
 	if n := len(s.free); n > 0 {
 		x, s.free = s.free[n-1], s.free[:n-1]
@@ -131,16 +131,16 @@ func (s *SRM) exec(p *sim.Proc, t *sim.Task, kont func()) *exec {
 		x = s.execMem.New()
 		x.s = s
 	}
-	x.p, x.kont = p, kont
+	x.kont = kont
 	if t != nil {
 		x.bind(t)
 	}
 	return x
 }
 
-// bind attaches the executor to a Task. The Proc drivers defer finish; a
-// Task has no stack to unwind, so when fault-tolerant execution has armed
-// its unwind stack the same action rides there.
+// bind attaches the executor to a Task. A step has no stack to unwind, so
+// when the task's unwind stack is armed (a Proc's always, a plain task's under
+// fault-tolerant execution) finish rides there for an interrupt or kill.
 func (x *exec) bind(t *sim.Task) {
 	x.t = t
 	if x.resumeFn == nil {
@@ -155,9 +155,9 @@ func (x *exec) bind(t *sim.Task) {
 	}
 }
 
-// finish is the single completion and abort action of a collective: the
-// Proc drivers defer it, the Task driver calls it when the root body
-// returns and registers it for an interrupt or kill. It closes spans left
+// finish is the single completion and abort action of a collective: run calls
+// it when the root body returns, and bind registers it for an interrupt or
+// kill. It closes spans left
 // open by an abort, signals a helper's master, re-enables interrupts,
 // retires the operation entry and recycles the executor.
 func (x *exec) finish() {
@@ -177,14 +177,6 @@ func (x *exec) finish() {
 	clear(x.q) // operations an abort left behind
 	*x = exec{s: x.s, q: x.q[:0], resumeFn: x.resumeFn, abortFn: x.abortFn}
 	x.s.free = append(x.s.free, x)
-}
-
-// runProc steps the frame stack to completion on the actor's goroutine.
-func (x *exec) runProc() {
-	for x.depth > 0 {
-		f := &x.stack[x.depth-1]
-		f.b.step(x, f)
-	}
 }
 
 // resume is the continuation every *T primitive receives. Called while the
@@ -286,7 +278,7 @@ func (x *exec) waitFlagT(fl *shm.Flag, o *op) {
 }
 
 // reduce and count are the data and the statistics of opCombine (and
-// count the statistics of opCharge), on either engine.
+// count the statistics of opCharge).
 func (x *exec) reduce(o *op) {
 	if o.own != nil {
 		dtype.ReduceInto(x.ds.op, x.ds.dt, o.dst, o.own, o.src)
@@ -331,8 +323,7 @@ func (x *exec) effect(o *op) {
 
 // ---- what a step may do ----
 //
-// Each blocking operation calls the blocking primitive on a Proc and queues
-// itself on a Task.
+// Each operation queues itself; run performs it in its turn.
 
 // call pushes a sub-body; it acts at once, so it is the last thing a step
 // does (operations issued earlier in the step still run first).
@@ -343,64 +334,31 @@ func (x *exec) call(b stepper, pc, k int, a, c []byte) *frame {
 	return f
 }
 
-// eff issues an operation that never blocks: now on a Proc, in its turn on
-// a Task.
-func (x *exec) eff(o *op) {
-	if x.p != nil {
-		x.effect(o)
-		return
-	}
-	x.q = append(x.q, *o)
+// ret ends the current body.
+func (x *exec) ret() { x.q = append(x.q, op{kind: opRet}) }
+
+func (x *exec) waitGE(fl *shm.Flag, v int) {
+	x.q = append(x.q, op{kind: opWaitFlag, flag: fl, v: v})
 }
 
-// ret ends the current body.
-func (x *exec) ret() { x.eff(&op{kind: opRet}) }
-
-func (x *exec) waitGE(fl *shm.Flag, v int) { x.waitFlag(fl, v, false) }
-func (x *exec) waitEQ(fl *shm.Flag, v int) { x.waitFlag(fl, v, true) }
-
-func (x *exec) waitFlag(fl *shm.Flag, v int, eq bool) {
-	switch {
-	case x.p == nil:
-		x.q = append(x.q, op{kind: opWaitFlag, flag: fl, v: v, eq: eq})
-	case eq:
-		fl.WaitFor(x.p, v)
-	default:
-		fl.WaitGE(x.p, v)
-	}
+func (x *exec) waitEQ(fl *shm.Flag, v int) {
+	x.q = append(x.q, op{kind: opWaitFlag, flag: fl, v: v, eq: true})
 }
 
 // waitAllGE waits, in index order, for every flag but set[skip] (-1: none)
 // to reach v; waitAllEQ for each to equal v.
-func (x *exec) waitAllGE(set *flagSet, v, skip int) { x.waitAll(set, v, skip, false) }
-func (x *exec) waitAllEQ(set *flagSet, v, skip int) { x.waitAll(set, v, skip, true) }
-
-func (x *exec) waitAll(set *flagSet, v, skip int, eq bool) {
-	if x.p == nil {
-		x.q = append(x.q, op{kind: opWaitFlags, set: set, v: v, w: skip, eq: eq})
-		return
-	}
-	for i := range *set {
-		if i != skip {
-			x.waitFlag(&(*set)[i], v, eq)
-		}
-	}
+func (x *exec) waitAllGE(set *flagSet, v, skip int) {
+	x.q = append(x.q, op{kind: opWaitFlags, set: set, v: v, w: skip})
 }
 
-func (x *exec) waitEvent(ev *sim.Event) {
-	if x.p != nil {
-		x.p.Wait(ev)
-		return
-	}
-	x.q = append(x.q, op{kind: opWaitEvent, ev: ev})
+func (x *exec) waitAllEQ(set *flagSet, v, skip int) {
+	x.q = append(x.q, op{kind: opWaitFlags, set: set, v: v, w: skip, eq: true})
 }
+
+func (x *exec) waitEvent(ev *sim.Event) { x.q = append(x.q, op{kind: opWaitEvent, ev: ev}) }
 
 // waitcntr waits for v arrivals at the rank's endpoint and consumes them.
 func (x *exec) waitcntr(c *rma.Counter, v int) {
-	if x.p != nil {
-		x.ep.Waitcntr(x.p, c, v)
-		return
-	}
 	x.q = append(x.q, op{kind: opWaitCntr, cntr: c, v: v})
 }
 
@@ -408,19 +366,11 @@ func (x *exec) waitcntr(c *rma.Counter, v int) {
 // their master's endpoint use it so the master's RMA-call bookkeeping stays
 // consistent.
 func (x *exec) waitValue(c *rma.Counter, v int) {
-	if x.p != nil {
-		c.WaitValue(x.p, v)
-		return
-	}
 	x.q = append(x.q, op{kind: opWaitValue, cntr: c, v: v})
 }
 
 // put sends src into dst at the target and bumps tgt there on arrival.
 func (x *exec) put(to *rma.Endpoint, dst, src []byte, tgt *rma.Counter) {
-	if x.p != nil {
-		x.ep.Put(x.p, to, dst, src, nil, tgt, nil)
-		return
-	}
 	x.q = append(x.q, op{kind: opPut, to: to, dst: dst, src: src, cntr: tgt})
 }
 
@@ -428,52 +378,29 @@ func (x *exec) put(to *rma.Endpoint, dst, src []byte, tgt *rma.Counter) {
 func (x *exec) putZero(to *rma.Endpoint, tgt *rma.Counter) { x.put(to, nil, nil, tgt) }
 
 func (x *exec) am(to *rma.Endpoint, payload []byte, h func([]byte)) {
-	if x.p != nil {
-		x.ep.AM(x.p, to, payload, h)
-		return
-	}
 	x.q = append(x.q, op{kind: opAM, to: to, src: payload, am: h})
 }
 
 func (x *exec) memcpy(dst, src []byte) {
-	if x.p != nil {
-		x.s.m.Memcpy(x.p, x.node, dst, src)
-		return
-	}
 	x.q = append(x.q, op{kind: opCopy, dst: dst, src: src})
 }
 
 // chargeCopy charges and counts n bytes the step already moved with copy().
-func (x *exec) chargeCopy(n int) {
-	o := op{kind: opCharge, v: n}
-	if x.p == nil {
-		x.q = append(x.q, o)
-		return
-	}
-	x.s.m.ChargeCopy(x.p, x.node, n)
-	x.count(&o)
-}
+func (x *exec) chargeCopy(n int) { x.q = append(x.q, op{kind: opCharge, v: n}) }
 
 // combine folds src into dst (dst = own op src when own is non-nil, for a
 // first contribution) and charges and counts one elementwise combine.
 func (x *exec) combine(dst, own, src []byte) {
-	o := op{kind: opCombine, dst: dst, own: own, src: src}
-	if x.p == nil {
-		x.q = append(x.q, o)
-		return
-	}
-	x.reduce(&o)
-	x.p.Sleep(x.s.m.CombineTime(len(dst)))
-	x.count(&o)
+	x.q = append(x.q, op{kind: opCombine, dst: dst, own: own, src: src})
 }
 
-func (x *exec) set(fl *shm.Flag, v int)    { x.eff(&op{kind: opSet, flag: fl, v: v}) }
-func (x *exec) setAll(set *flagSet, v int) { x.eff(&op{kind: opSetAll, set: set, v: v}) }
-func (x *exec) incr(c *rma.Counter)        { x.eff(&op{kind: opIncr, cntr: c}) }
+func (x *exec) set(fl *shm.Flag, v int)    { x.q = append(x.q, op{kind: opSet, flag: fl, v: v}) }
+func (x *exec) setAll(set *flagSet, v int) { x.q = append(x.q, op{kind: opSetAll, set: set, v: v}) }
+func (x *exec) incr(c *rma.Counter)        { x.q = append(x.q, op{kind: opIncr, cntr: c}) }
 
 // interrupts switches the rank's endpoint; finish switches them back on if
 // the collective ends, normally or not, while they are off.
-func (x *exec) interrupts(on bool) { x.eff(&op{kind: opIntr, eq: on}) }
+func (x *exec) interrupts(on bool) { x.q = append(x.q, op{kind: opIntr, eq: on}) }
 
 // quietNet turns interrupts off at a master for a small-message operation
 // (§2.3) until finish. It acts at once: call it before the first operation.
@@ -484,49 +411,29 @@ func (x *exec) quietNet(size int) {
 	}
 }
 
-func (x *exec) track() int {
-	if x.p != nil {
-		return x.p.Track()
-	}
-	return x.t.Track()
-}
-
 // begin opens a trace span owned by the current frame f; end closes it.
 func (x *exec) begin(f *frame, cl trace.Class, name string, n int) {
-	f.span = x.s.m.Env.Trace.Begin(x.track(), cl, name, int64(n))
+	f.span = x.s.m.Env.Trace.Begin(x.t.Track(), cl, name, int64(n))
 }
-func (x *exec) end() { x.eff(&op{kind: opEnd, w: x.depth - 1}) }
+func (x *exec) end() { x.q = append(x.q, op{kind: opEnd, w: x.depth - 1}) }
 
-// spawn starts body b at pc as a pipeline helper beside the caller, on the
-// caller's rank and engine, with the caller's buffers; done fires when the
-// helper finishes, however it ends. It acts at once.
+// spawn starts body b at pc as a pipeline helper beside the caller: a task of
+// its own on the caller's rank, with the caller's buffers; done fires when
+// the helper finishes. It acts at once.
 func (x *exec) spawn(b stepper, pc int, a, c []byte, done *sim.Event) {
 	s := x.s
-	h := s.exec(nil, nil, nil)
+	h := s.exec(nil, nil)
 	h.rank, h.nx, h.l, h.node, h.ep, h.ds, h.done = x.rank, x.nx, x.l, x.node, x.ep, x.ds, done
 	h.call(b, pc, 0, a, c)
-	if x.p != nil {
-		s.m.Env.SpawnIndexed("srm-arb-", x.nx, func(hp *sim.Proc) {
-			h.p = hp
-			defer h.finish()
-			h.ownTrack(hp)
-			h.runProc()
-		})
-		return
-	}
 	s.m.Env.SpawnTask("srm-arb-", x.nx, func(ht *sim.Task) {
 		h.bind(ht)
-		h.ownTrack(ht)
+		// A timeline of its own above the rank tracks, so the helper's spans
+		// do not interleave with its master's.
+		if tr := s.m.Env.Trace; tr != nil {
+			track := s.m.P() + h.rank
+			ht.SetTrack(track)
+			tr.NameTrack(track, "rank"+strconv.Itoa(h.rank)+"-bcast")
+		}
 		h.run()
 	})
-}
-
-// ownTrack gives a helper its own timeline above the rank tracks so its
-// spans do not interleave with its master's.
-func (h *exec) ownTrack(actor interface{ SetTrack(int) }) {
-	if tr := h.s.m.Env.Trace; tr != nil {
-		ht := h.s.m.P() + h.rank
-		actor.SetTrack(ht)
-		tr.NameTrack(ht, "rank"+strconv.Itoa(h.rank)+"-bcast")
-	}
 }

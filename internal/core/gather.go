@@ -159,15 +159,13 @@ func (st *redistState) slabRange(rn run) (stagedOff, groupOff, n int) {
 // everywhere) into recv at root, ordered by group rank. recv must hold
 // Size()*blk bytes at root and is ignored elsewhere.
 func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.gather(x, rank, send, recv, root)
-	x.runProc()
+	g.GatherT(&p.Task, rank, send, recv, root, p.Resume())
+	p.Park()
 }
 
-// GatherT is Gather for the Task engine; kont runs when it completes.
+// GatherT is Gather in continuation form; kont runs when it completes.
 func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.gather(x, rank, send, recv, root)
 	x.run()
 }
@@ -176,15 +174,13 @@ func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont
 // group rank) so each member receives its blk-byte block in recv. send is
 // ignored away from root.
 func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.scatter(x, rank, send, recv, root)
-	x.runProc()
+	g.ScatterT(&p.Task, rank, send, recv, root, p.Resume())
+	p.Park()
 }
 
-// ScatterT is Scatter for the Task engine; kont runs when it completes.
+// ScatterT is Scatter in continuation form; kont runs when it completes.
 func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.scatter(x, rank, send, recv, root)
 	x.run()
 }
@@ -193,15 +189,13 @@ func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kon
 // recv (Size()*blk bytes), ordered by group rank: an intra-node staging
 // phase, a slab ring between the node masters, and a node-local fan-out.
 func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.allgather(x, rank, send, recv)
-	x.runProc()
+	g.AllgatherT(&p.Task, rank, send, recv, p.Resume())
+	p.Park()
 }
 
-// AllgatherT is Allgather for the Task engine; kont runs when it completes.
+// AllgatherT is Allgather in continuation form; kont runs when it completes.
 func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.allgather(x, rank, send, recv)
 	x.run()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,7 @@ import (
 	"srmcoll/internal/ranks"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
+	"srmcoll/internal/trace"
 )
 
 // groupHarness runs body on the given member ranks only.
@@ -387,11 +389,11 @@ func TestOperationOwnsItsBuffers(t *testing.T) {
 		env.At(500, func() {
 			owned = s.World().ops[0].bufs
 			if abort {
-				env.Kill(procs[0], "test")
+				env.Kill(&procs[0].Task, "test")
 			}
 		})
 		if abort {
-			env.At(2000, func() { env.Kill(procs[1], "test") })
+			env.At(2000, func() { env.Kill(&procs[1].Task, "test") })
 		}
 		if err := env.Run(); (err != nil) != abort {
 			t.Fatalf("abort=%v: simulation: %v", abort, err)
@@ -418,6 +420,94 @@ func TestOperationOwnsItsBuffers(t *testing.T) {
 		}
 		if want := map[bool]int{false: len(owned), true: 0}[abort]; back != want {
 			t.Errorf("abort=%v: %d of %d buffers returned to the pool, want %d", abort, back, len(owned), want)
+		}
+	}
+}
+
+// TestKillAndInterruptInsideCollective: three of four ranks are inside a small
+// allreduce — masters with interrupts off and inside Waitcntr, the other
+// spinning on a flag — when each is killed or interrupted. finish used to be
+// deferred on the process's stack; it rides the Task's unwind stack now, with
+// the compensations of whatever wait the rank was in, and must leave the rank's
+// endpoint, node and executor as a completed call would before the body sees
+// the failure.
+func TestKillAndInterruptInsideCollective(t *testing.T) {
+	for _, kill := range []bool{true, false} {
+		env := sim.NewEnv()
+		env.Trace = trace.New(env.Now)
+		cfg := machine.ColonySP(2, 2)
+		cfg.SpinYield = false
+		m := machine.New(env, cfg)
+		dom := rma.NewDomain(m)
+		s := New(m, dom, Options{})
+		var deferred, recovered int
+		victims := make([]*sim.Proc, 3)
+		for r := range victims {
+			r := r
+			victims[r] = env.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+				defer func() { deferred++ }()
+				func() {
+					defer func() {
+						r := recover()
+						if _, crash := r.(sim.Crashed); crash {
+							panic(r)
+						}
+						if r == "revoked" && p.Now() == 50 {
+							recovered++
+						}
+					}()
+					s.Allreduce(p, r, make([]byte, 64), make([]byte, 64), dtype.Int64, dtype.Sum)
+					t.Errorf("rank %d: the allreduce returned without rank 3", r)
+				}()
+				p.Sleep(1) // survived: the process goes on
+			})
+			victims[r].SetTrack(r)
+		}
+		env.Spawn("rank3", func(p *sim.Proc) { p.Sleep(1000) }) // never joins
+		env.At(50, func() {
+			if dom.Endpoint(0).Interrupts() || dom.Endpoint(2).Interrupts() || m.SpinPenalty(0) == 0 {
+				t.Fatal("the scenario no longer has the masters quiet and rank 1 spinning at t=50")
+			}
+			for _, v := range victims {
+				if kill {
+					env.Kill(&v.Task, "injected")
+				} else {
+					env.Interrupt(&v.Task, "revoked")
+				}
+			}
+		})
+		// A put to each master afterwards is delivered by interrupt: the
+		// endpoint has them on again and is not inside an RMA call.
+		env.At(60, func() {
+			if len(s.free) != 3 {
+				t.Errorf("kill=%v: %d executors recycled, want 3", kill, len(s.free))
+			}
+			env.Spawn("probe", func(p *sim.Proc) {
+				before := m.Stats.Interrupts
+				dom.Endpoint(2).PutZero(p, dom.Endpoint(0), dom.NewCounter(0))
+				dom.Endpoint(0).PutZero(p, dom.Endpoint(2), dom.NewCounter(0))
+				p.Sleep(500)
+				if got := m.Stats.Interrupts - before; got != 2 {
+					t.Errorf("kill=%v: %d of 2 puts to the masters delivered by interrupt", kill, got)
+				}
+			})
+		})
+		err := env.Run()
+		if ce, ok := err.(*sim.CrashError); kill && (!ok || len(ce.Failures) != 3) || !kill && (err != nil || recovered != 3) {
+			t.Errorf("kill=%v: Run() = %v with %d interrupts recovered at t=50", kill, err, recovered)
+		}
+		if deferred != 3 || env.Live() != 0 {
+			t.Errorf("kill=%v: body defers ran %d times, %d tasks live", kill, deferred, env.Live())
+		}
+		if m.SpinPenalty(0) != 0 || m.SpinPenalty(1) != 0 {
+			t.Errorf("kill=%v: a node still counts a spinner", kill)
+		}
+		for _, sp := range env.Trace.Spans() {
+			// Only a counter wait's span (wait:arrive, wait:ack, ...) is left
+			// open, for the export to clamp, as it always was.
+			if cl := sp.Class.String(); sp.End < sp.Begin && (cl == "wait:flag" || !strings.HasPrefix(cl, "wait:")) {
+				t.Errorf("kill=%v: span %+v left open", kill, sp)
+			}
 		}
 	}
 }

@@ -95,22 +95,20 @@ func (s *SRM) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op
 	s.World().Reduce(p, rank, send, recv, dt, op, root)
 }
 
-// ReduceT is Reduce for the Task engine.
+// ReduceT is Reduce in continuation form.
 func (s *SRM) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
 	s.World().ReduceT(t, rank, send, recv, dt, op, root, kont)
 }
 
 // Reduce combines the group members' send buffers into recv at root.
 func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.reduce(x, rank, send, recv, dataspec{dt, op}, root)
-	x.runProc()
+	g.ReduceT(&p.Task, rank, send, recv, dt, op, root, p.Resume())
+	p.Park()
 }
 
-// ReduceT is Reduce for the Task engine; kont runs when it completes.
+// ReduceT is Reduce in continuation form; kont runs when it completes.
 func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.reduce(x, rank, send, recv, dataspec{dt, op}, root)
 	x.run()
 }

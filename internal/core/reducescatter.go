@@ -111,16 +111,14 @@ func (st *reduceScatterState) slabFor(x *exec, vec []byte, y int) []byte {
 // rank i receives reduced block i in recv (MPI_Reduce_scatter_block
 // semantics).
 func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	x := g.s.exec(p, nil, nil)
-	defer x.finish()
-	g.reduceScatter(x, rank, send, recv, dataspec{dt, op})
-	x.runProc()
+	g.ReduceScatterT(&p.Task, rank, send, recv, dt, op, p.Resume())
+	p.Park()
 }
 
-// ReduceScatterT is ReduceScatter for the Task engine; kont runs when it
+// ReduceScatterT is ReduceScatter in continuation form; kont runs when it
 // completes.
 func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
-	x := g.s.exec(nil, t, kont)
+	x := g.s.exec(t, kont)
 	g.reduceScatter(x, rank, send, recv, dataspec{dt, op})
 	x.run()
 }

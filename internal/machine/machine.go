@@ -486,29 +486,16 @@ func (m *Machine) CopyTime(n int) sim.Time {
 	return m.Cfg.MemLatency + sim.Time(n)*m.Cfg.MemPerByte
 }
 
-// Memcpy copies src into dst within node id, charging contended copy time
-// to the calling process and recording the copy in Stats.
-// len(dst) must equal len(src).
+// Memcpy is MemcpyT from a process body.
 func (m *Machine) Memcpy(p *sim.Proc, node int, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("machine: Memcpy length mismatch %d != %d", len(dst), len(src)))
-	}
-	nd := m.nodes[node]
-	d := m.CopyTime(len(src)) * m.copyFactor(nd)
-	d += m.DaemonExtra(node, d)
-	id := m.Env.Trace.Begin(p.Track(), trace.ClassShmCopy, "shm:copy", int64(len(src)))
-	nd.activeCopies++
-	p.Sleep(d)
-	nd.activeCopies--
-	m.Env.Trace.End(id)
-	copy(dst, src)
-	m.Stats.AddCopy(len(src))
+	m.MemcpyT(&p.Task, node, dst, src, p.Resume())
+	p.Park()
 }
 
-// copyFrame is a pooled continuation frame for a Task-engine copy: the
-// resume continuation is bound once per frame, so the millions of charged
-// copies in a massive-rank run allocate nothing per call. The frame is live
-// only across the copy sleep; a task sleeps on exactly one thing at a time.
+// copyFrame is a pooled continuation frame for a charged copy: the resume
+// continuation is bound once per frame, so the millions of charged copies in
+// a massive-rank run allocate nothing per call. The frame is live only across
+// the copy sleep; a task sleeps on exactly one thing at a time.
 type copyFrame struct {
 	m        *Machine
 	nd       *Node
@@ -539,18 +526,19 @@ func (fr *copyFrame) done() {
 	k()
 }
 
-// MemcpyT is Memcpy for the Task engine: the copy time is charged through
-// SleepThen and k runs once the bytes have landed. The contention snapshot,
-// daemon charge, trace spans and stats match Memcpy call for call, so both
-// engines produce identical virtual time for identical copy schedules.
+// MemcpyT copies src into dst within node id, charging contended copy time to
+// the task and recording the copy in Stats; k runs once the bytes have landed.
+// len(dst) must equal len(src).
 func (m *Machine) MemcpyT(t *sim.Task, node int, dst, src []byte, k func()) {
 	if len(dst) != len(src) {
-		panic(fmt.Sprintf("machine: MemcpyT length mismatch %d != %d", len(dst), len(src)))
+		panic(fmt.Sprintf("machine: Memcpy length mismatch %d != %d", len(dst), len(src)))
 	}
 	m.chargeCopyT(t, node, dst, src, len(src), true, k)
 }
 
-// ChargeCopyT is ChargeCopy for the Task engine.
+// ChargeCopyT charges copy time for n bytes on a node without moving data,
+// then runs k; used where the data movement itself is performed by a lower
+// layer.
 func (m *Machine) ChargeCopyT(t *sim.Task, node, n int, k func()) {
 	m.chargeCopyT(t, node, nil, nil, n, false, k)
 }
@@ -573,17 +561,10 @@ func (m *Machine) chargeCopyT(t *sim.Task, node int, dst, src []byte, n int, mov
 	t.SleepThen(d, fr.doneFn)
 }
 
-// ChargeCopy charges copy time for n bytes on a node without moving data;
-// used where the data movement itself is performed by a lower layer.
+// ChargeCopy is ChargeCopyT from a process body.
 func (m *Machine) ChargeCopy(p *sim.Proc, node, n int) {
-	nd := m.nodes[node]
-	d := m.CopyTime(n) * m.copyFactor(nd)
-	d += m.DaemonExtra(node, d)
-	id := m.Env.Trace.Begin(p.Track(), trace.ClassShmCopy, "shm:copy", int64(n))
-	nd.activeCopies++
-	p.Sleep(d)
-	nd.activeCopies--
-	m.Env.Trace.End(id)
+	m.ChargeCopyT(&p.Task, node, n, p.Resume())
+	p.Park()
 }
 
 // CombineTime returns the cost of an elementwise reduction over n bytes.

@@ -63,33 +63,15 @@ func (c *Counter) Incr(n int) {
 	c.cond.Broadcast()
 }
 
-// waitGE blocks until the counter is at least v. The wait parks with a
-// WaitDescriber instead of a closure, so the hot Waitcntr path allocates
-// nothing.
-func (c *Counter) waitGE(p *sim.Proc, v int) {
-	if c.val >= v {
-		return
-	}
-	id := c.env.Trace.Begin(p.Track(), c.wcl, c.wcl.String(), 0)
-	for c.val < v {
-		c.cond.WaitOn(p, c, v)
-	}
-	c.env.Trace.End(id)
-}
-
 // DescribeWait implements sim.WaitDescriber for stall reports.
 func (c *Counter) DescribeWait(want int) string {
 	return fmt.Sprintf("rma counter %s: value %d, want >= %d", c.cond.ID(), c.val, want)
 }
 
-// WaitValue blocks until the counter reaches v and subtracts v, like
-// Endpoint.Waitcntr but without touching any endpoint's dispatcher state.
-// Helper processes that share a task's endpoint (e.g. the broadcast side
-// of the fused allreduce pipeline) use it so the main process's RMA-call
-// bookkeeping stays consistent.
+// WaitValue is WaitValueT from a process body.
 func (c *Counter) WaitValue(p *sim.Proc, v int) {
-	c.waitGE(p, v)
-	c.val -= v
+	c.WaitValueT(&p.Task, v, p.Resume())
+	p.Park()
 }
 
 // Endpoint is one task's attachment to the RMA layer.
@@ -174,34 +156,17 @@ func (ep *Endpoint) SetInterrupts(on bool) {
 // Interrupts reports the endpoint's interrupt mode.
 func (ep *Endpoint) Interrupts() bool { return ep.interrupts }
 
-// drainPending services deferred deliveries from inside an RMA call; the
-// calling task's CPU pays the receive overhead for each.
-func (ep *Endpoint) drainPending(p *sim.Proc) {
-	for len(ep.pending) > 0 {
-		fn := ep.pending[0]
-		ep.pending = ep.pending[1:]
-		p.Sleep(ep.dom.m.Cfg.RecvOverhead)
-		fn()
-	}
-}
-
-// Waitcntr blocks until the counter reaches v and subtracts v, LAPI-style.
-// While waiting, the task counts as "inside an RMA call": the dispatcher
-// polls, so arriving messages are delivered without interrupts.
+// Waitcntr is WaitcntrT from a process body.
 func (ep *Endpoint) Waitcntr(p *sim.Proc, c *Counter, v int) {
-	ep.drainPending(p)
-	ep.inCall = true
-	// Restore via defer: a crash or fault-tolerance interrupt can unwind
-	// through the wait, and a stuck inCall=true would make every later
-	// delivery to this (possibly surviving) task look like a poll.
-	defer func() { ep.inCall = false }()
-	c.waitGE(p, v)
-	c.val -= v
+	ep.WaitcntrT(&p.Task, c, v, p.Resume())
+	p.Park()
 }
 
-// Probe gives the dispatcher one progress opportunity without blocking
-// (the equivalent of calling into LAPI without waiting).
-func (ep *Endpoint) Probe(p *sim.Proc) { ep.drainPending(p) }
+// Probe is ProbeT from a process body.
+func (ep *Endpoint) Probe(p *sim.Proc) {
+	ep.ProbeT(&p.Task, p.Resume())
+	p.Park()
+}
 
 // deliver routes an arrived message according to the interrupt/progress
 // rules. fn performs the actual data movement and counter updates. Injected
@@ -256,48 +221,15 @@ func (ep *Endpoint) deliver(g, par int, fn func()) bool {
 	return true
 }
 
-// Put issues a non-blocking put of src into dst at the target task. It
-// returns after the origin CPU overhead; the transfer proceeds
-// asynchronously. Counters may be nil:
-//
-//	origin  - incremented when the origin buffer is reusable (injection done)
-//	target  - incremented at the target when the data has landed
-//	compl   - incremented at the origin when the transaction completed
-//
-// len(dst) must equal len(src); a zero-byte put carries only counter
-// updates, the paper's flow-control acknowledgement.
+// Put is PutT from a process body: it returns after the origin CPU overhead
+// (and, for a loopback put, the shared-memory copy).
 func (ep *Endpoint) Put(p *sim.Proc, target *Endpoint, dst, src []byte, origin, tgt, compl *Counter) {
-	if len(dst) != len(src) {
-		panic("rma: Put length mismatch")
-	}
-	m := ep.dom.m
-	m.Stats.AddPut(len(src))
-	p.Sleep(m.Cfg.SendOverhead)
-
-	if target.Node == ep.Node {
-		// Loopback through shared memory: one copy, no wire.
-		m.Memcpy(p, ep.Node, dst, src)
-		if origin != nil {
-			origin.Incr(1)
-		}
-		if tgt != nil {
-			tgt.Incr(1)
-		}
-		if compl != nil {
-			compl.Incr(1)
-		}
-		return
-	}
-	par := -1
-	if tr := m.Env.Trace; tr != nil {
-		par = tr.Current(p.Track())
-	}
-	ep.putRemote(target, par, dst, src, origin, tgt, compl)
+	ep.PutT(&p.Task, target, dst, src, origin, tgt, compl, p.Resume())
+	p.Park()
 }
 
 // putRemote runs the post-overhead leg of a remote put. Everything from here
-// on is event callbacks — no process or task blocks — so the one transfer
-// path serves both engines.
+// on is event callbacks: no task blocks.
 func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin, tgt, compl *Counter) {
 	m := ep.dom.m
 	// The adapter reads the origin buffer at injection; snapshot the payload
@@ -398,20 +330,17 @@ func (fr *delivery) land() {
 	}
 }
 
-// PutZero sends a zero-byte put that only increments the target counter —
-// the flow-control ack of §2.4.
+// PutZero is PutZeroT from a process body.
 func (ep *Endpoint) PutZero(p *sim.Proc, target *Endpoint, tgt *Counter) {
-	ep.Put(p, target, nil, nil, nil, tgt, nil)
+	ep.PutZeroT(&p.Task, target, tgt, p.Resume())
+	p.Park()
 }
 
-// Task-engine entry points. Each *T method mirrors its Proc counterpart's
-// virtual-time behavior exactly — same sleeps, same counter and dispatcher
-// bookkeeping, in the same order — so a protocol expressed once per engine
-// produces bit-identical simulated time. The transfer itself (wire, reliable
-// retransmit, delivery rules) is engine-free callback machinery shared with
-// the Proc paths.
-
-// WaitValueT is WaitValue for the Task engine.
+// WaitValueT waits until the counter reaches v, subtracts v and runs k, like
+// WaitcntrT but without touching any endpoint's dispatcher state. Helper
+// tasks that share a rank's endpoint (e.g. the broadcast side of the fused
+// allreduce pipeline) use it so the rank's RMA-call bookkeeping stays
+// consistent.
 func (c *Counter) WaitValueT(t *sim.Task, v int, k func()) {
 	if c.val >= v {
 		c.val -= v
@@ -423,13 +352,12 @@ func (c *Counter) WaitValueT(t *sim.Task, v int, k func()) {
 	fr.park()
 }
 
-// drainFrame is a pooled continuation frame for drainPendingT: the resume
+// drainFrame is a pooled continuation frame for drainPending: the resume
 // continuation is bound once per frame, so draining deferred deliveries —
 // the common case for masters running with interrupts off — allocates
-// nothing per delivery. Pooled-frame safety follows the retryFn contract:
-// a task parks or sleeps on one thing at a time and stale waiters are
-// dropped on interrupt, so a frame is referenced only between its arm and
-// its resume.
+// nothing per delivery. A task parks or sleeps on one thing at a time and
+// stale waiters are dropped on interrupt, so a frame is referenced only
+// between its arm and its resume.
 type drainFrame struct {
 	ep     *Endpoint
 	t      *sim.Task
@@ -461,9 +389,9 @@ func (fr *drainFrame) step() {
 	fr.t.SleepThen(ep.dom.m.Cfg.RecvOverhead, fr.stepFn)
 }
 
-// drainPendingT services deferred deliveries from inside an RMA call, one
-// RecvOverhead sleep per delivery like drainPending, then runs k.
-func (ep *Endpoint) drainPendingT(t *sim.Task, k func()) {
+// drainPending services deferred deliveries from inside an RMA call — the
+// calling task's CPU pays the receive overhead for each — then runs k.
+func (ep *Endpoint) drainPending(t *sim.Task, k func()) {
 	if len(ep.pending) == 0 {
 		k()
 		return
@@ -476,8 +404,8 @@ func (ep *Endpoint) drainPendingT(t *sim.Task, k func()) {
 	fr.step()
 }
 
-// cntrFrame is the pooled frame of a Task-engine counter wait (WaitcntrT,
-// and WaitValueT with ep nil). Parked, it is the wait itself
+// cntrFrame is the pooled frame of a counter wait (WaitcntrT, and WaitValueT
+// with ep nil). Parked, it is the wait itself
 // (sim.WaitFrame): the Task holds it as one interface value, so a counter
 // wait — the inner loop of the put/credit protocols — binds no predicate or
 // continuation closure, and a frame the pool could not supply costs one
@@ -489,6 +417,8 @@ type cntrFrame struct {
 	v  int
 	id int // open trace span while parked
 	k  func()
+
+	unwindFn func() // fr.unwind, bound once per frame
 }
 
 var cntrFramePool = sync.Pool{New: func() any { return new(cntrFrame) }}
@@ -496,11 +426,14 @@ var cntrFramePool = sync.Pool{New: func() any { return new(cntrFrame) }}
 // enter puts the endpoint inside the RMA call and waits for the counter.
 func (fr *cntrFrame) enter() {
 	fr.ep.inCall = true
-	// The Proc version restores inCall via defer when a crash or
-	// fault-tolerance interrupt unwinds through the wait; here the same
-	// compensation rides the unwind stack, bound only when armed.
+	// A crash or fault-tolerance interrupt can abandon the wait, and a stuck
+	// inCall=true would make every later delivery to this (possibly
+	// surviving) task look like a poll.
 	if fr.t.UnwindArmed() {
-		fr.t.PushUnwind(fr.unwind)
+		if fr.unwindFn == nil {
+			fr.unwindFn = fr.unwind
+		}
+		fr.t.PushUnwind(fr.unwindFn)
 	}
 	if fr.c.val >= fr.v {
 		fr.finish()
@@ -522,8 +455,8 @@ func (fr *cntrFrame) Resume() {
 	fr.finish()
 }
 
-// finish consumes the counter and leaves the RMA call, same order as the
-// Proc path: subtract, clear inCall, discard the compensation, resume.
+// finish consumes the counter and leaves the RMA call: subtract, clear inCall,
+// discard the compensation, resume.
 func (fr *cntrFrame) finish() {
 	ep, c, t, v, k := fr.ep, fr.c, fr.t, fr.v, fr.k
 	fr.release()
@@ -544,12 +477,14 @@ func (fr *cntrFrame) unwind() {
 }
 
 func (fr *cntrFrame) release() {
-	*fr = cntrFrame{}
+	*fr = cntrFrame{unwindFn: fr.unwindFn}
 	cntrFramePool.Put(fr)
 }
 
-// WaitcntrT is Waitcntr for the Task engine. The endpoint counts as inside
-// an RMA call (dispatcher polling) from the moment the wait arms until k is
+// WaitcntrT waits until the counter reaches v, subtracts v and runs k,
+// LAPI-style. Deferred deliveries are serviced first; then the task counts as
+// "inside an RMA call" — the dispatcher polls, so arriving messages are
+// delivered without interrupts — from the moment the wait arms until k is
 // about to run. With nothing to drain and the counter already there, the
 // call begins and ends in one step and needs no frame.
 func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
@@ -564,11 +499,12 @@ func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
 		fr.enter() // the common case binds no method value
 		return
 	}
-	ep.drainPendingT(t, fr.enter)
+	ep.drainPending(t, fr.enter)
 }
 
-// ProbeT is Probe for the Task engine.
-func (ep *Endpoint) ProbeT(t *sim.Task, k func()) { ep.drainPendingT(t, k) }
+// ProbeT gives the dispatcher one progress opportunity without waiting for
+// anything (the equivalent of calling into LAPI without waiting), then runs k.
+func (ep *Endpoint) ProbeT(t *sim.Task, k func()) { ep.drainPending(t, k) }
 
 // putFrame is the pooled continuation frame for PutT: the post-overhead
 // injection step and the loopback copy completion are bound once per frame,
@@ -630,12 +566,20 @@ func (fr *putFrame) release() {
 	putFramePool.Put(fr)
 }
 
-// PutT is Put for the Task engine: k runs once the origin CPU has paid the
-// send overhead (and, for a loopback put, the shared-memory copy) — the
-// point at which Put would have returned to the calling process.
+// PutT issues a non-blocking put of src into dst at the target task. k runs
+// once the origin CPU has paid the send overhead (and, for a loopback put, the
+// shared-memory copy); the transfer proceeds asynchronously. Counters may be
+// nil:
+//
+//	origin  - incremented when the origin buffer is reusable (injection done)
+//	target  - incremented at the target when the data has landed
+//	compl   - incremented at the origin when the transaction completed
+//
+// len(dst) must equal len(src); a zero-byte put carries only counter
+// updates, the paper's flow-control acknowledgement.
 func (ep *Endpoint) PutT(t *sim.Task, target *Endpoint, dst, src []byte, origin, tgt, compl *Counter, k func()) {
 	if len(dst) != len(src) {
-		panic("rma: PutT length mismatch")
+		panic("rma: Put length mismatch")
 	}
 	m := ep.dom.m
 	m.Stats.AddPut(len(src))
@@ -652,37 +596,23 @@ func (ep *Endpoint) PutT(t *sim.Task, target *Endpoint, dst, src []byte, origin,
 	t.SleepThen(m.Cfg.SendOverhead, fr.sendFn)
 }
 
-// PutZeroT is PutZero for the Task engine.
+// PutZeroT sends a zero-byte put that only increments the target counter —
+// the flow-control ack of §2.4.
 func (ep *Endpoint) PutZeroT(t *sim.Task, target *Endpoint, tgt *Counter, k func()) {
 	ep.PutT(t, target, nil, nil, nil, tgt, nil, k)
 }
 
-// AM sends an active message: handler runs at the target on arrival (after
-// the header-handler cost), following the same delivery rules as Put. The
-// payload is passed to the handler by reference; handlers must copy what
-// they keep.
+// AM is AMT from a process body.
 func (ep *Endpoint) AM(p *sim.Proc, target *Endpoint, payload []byte, handler func([]byte)) {
-	m := ep.dom.m
-	m.Stats.ActiveMsgs++
-	p.Sleep(m.Cfg.SendOverhead)
-
-	if target.Node == ep.Node {
-		p.Sleep(m.Cfg.AMHandlerCost)
-		handler(payload)
-		return
-	}
-	_, arrival := m.NetInjectTo(ep.Node, target.Node, len(payload))
-	m.Env.At(arrival, func() {
-		target.deliver(-1, -1, func() {
-			m.Env.After(m.Cfg.AMHandlerCost, func() { handler(payload) })
-		})
-	})
+	ep.AMT(&p.Task, target, payload, handler, p.Resume())
+	p.Park()
 }
 
-// AMT is AM for the Task engine: k runs once the origin CPU has paid the
-// send overhead (plus, for an intra-node message, the handler cost — the
-// point at which AM would have returned to the calling process). The
-// handler itself runs at the target under the shared delivery rules.
+// AMT sends an active message: handler runs at the target on arrival (after
+// the header-handler cost), following the same delivery rules as Put. The
+// payload is passed to the handler by reference; handlers must copy what
+// they keep. k runs once the origin CPU has paid the send overhead (plus, for
+// an intra-node message, the handler cost).
 func (ep *Endpoint) AMT(t *sim.Task, target *Endpoint, payload []byte, handler func([]byte), k func()) {
 	m := ep.dom.m
 	m.Stats.ActiveMsgs++

@@ -61,46 +61,25 @@ func (f *Flag) Set(v int) {
 	f.cond.BroadcastAfter(f.m.WakeLatency())
 }
 
-// WaitUntil spins until pred(value) holds. While spinning the task is
-// counted as a (possibly non-yielding) spinner on its node, which the RMA
-// layer consults for delivery starvation. Prefer WaitGE / WaitFor on hot
-// paths: they park without allocating the predicate closure.
-func (f *Flag) WaitUntil(p *sim.Proc, pred func(int) bool) {
-	if pred(f.val) {
-		return
-	}
-	id := f.m.Env.Trace.Begin(p.Track(), trace.ClassWaitFlag, "wait:flag", 0)
-	f.m.SpinEnter(f.node)
-	// Exit the spinner set via defer: a crash or fault-tolerance interrupt
-	// unwinding through the wait must not leave a phantom spinner inflating
-	// the node's starvation penalty forever.
-	defer func() { f.m.SpinExit(f.node); f.m.Env.Trace.End(id) }()
-	for !pred(f.val) {
-		f.cond.WaitOn(p, f, -1)
-	}
-}
-
-// WaitGE spins until the flag value is >= v. This covers the monotone
-// counter waits of the SMP collectives (§2.2) without any per-wait closure.
+// WaitGE spins until the flag value is >= v: WaitGET from a process body.
 func (f *Flag) WaitGE(p *sim.Proc, v int) {
-	if f.val >= v {
-		return
-	}
-	id := f.m.Env.Trace.Begin(p.Track(), trace.ClassWaitFlag, "wait:flag", 0)
-	f.m.SpinEnter(f.node)
-	defer func() { f.m.SpinExit(f.node); f.m.Env.Trace.End(id) }()
-	for f.val < v {
-		f.cond.WaitOn(p, f, v)
-	}
+	f.WaitGET(&p.Task, v, p.Resume())
+	p.Park()
 }
 
-// flagWait is the pooled frame of a parked Task-engine flag wait. It is the
-// wait itself (sim.WaitFrame): the Task holds it as one interface value and
-// asks it on every wake-up whether the flag has reached the value, so a park
-// binds no predicate or continuation closure and a frame the pool could not
-// supply costs one allocation. A frame is live from park to resume (a task
-// parks on at most one thing at a time, and the simulator drops stale
-// waiters on interrupt or death, so reuse is safe).
+// WaitFor spins until the flag equals v: WaitForT from a process body.
+func (f *Flag) WaitFor(p *sim.Proc, v int) {
+	f.WaitForT(&p.Task, v, p.Resume())
+	p.Park()
+}
+
+// flagWait is the pooled frame of a parked flag wait. It is the wait itself
+// (sim.WaitFrame): the Task holds it as one interface value and asks it on
+// every wake-up whether the flag has reached the value, so a park binds no
+// predicate or continuation closure and a frame the pool could not supply
+// costs one allocation. A frame is live from park to resume (a task parks on
+// at most one thing at a time, and the simulator drops stale waiters on
+// interrupt or death, so reuse is safe).
 type flagWait struct {
 	f  *Flag
 	t  *sim.Task
@@ -108,6 +87,8 @@ type flagWait struct {
 	eq bool // wait for == v rather than >= v
 	id int  // open trace span
 	k  func()
+
+	unwindFn func() // fr.unwind, bound once per frame
 }
 
 var flagWaitPool = sync.Pool{New: func() any { return new(flagWait) }}
@@ -128,9 +109,10 @@ func (fr *flagWait) Resume() {
 	k()
 }
 
-// unwind is the frame's compensation on a fault-tolerance interrupt: the
-// waiter entry is already dropped by the interrupt delivery, so the frame
-// can be recycled along with exiting the spinner set.
+// unwind is the frame's compensation when a kill or interrupt abandons the
+// wait: a phantom spinner would inflate the node's starvation penalty for
+// good. The waiter entry is already dropped by the delivery, so the frame can
+// be recycled along with exiting the spinner set.
 func (fr *flagWait) unwind() {
 	f, id := fr.f, fr.id
 	fr.release()
@@ -139,31 +121,31 @@ func (fr *flagWait) unwind() {
 }
 
 func (fr *flagWait) release() {
-	*fr = flagWait{}
+	*fr = flagWait{unwindFn: fr.unwindFn}
 	flagWaitPool.Put(fr)
 }
 
 // park arms a pooled wait frame for f and suspends t until the flag reaches
-// v, exactly mirroring the Proc spin (spinner set, trace span, unwind
-// compensation).
+// v. While parked the task is counted as a (possibly non-yielding) spinner on
+// its node, which the RMA layer consults for delivery starvation.
 func (f *Flag) park(t *sim.Task, v int, eq bool, k func()) {
 	fr := flagWaitPool.Get().(*flagWait)
 	fr.f, fr.t, fr.v, fr.eq, fr.k = f, t, v, eq, k
 	fr.id = f.m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0)
 	f.m.SpinEnter(f.node)
-	// The Proc path exits the spinner set (and closes the span) via defer so
-	// a fault-tolerance interrupt cannot leave a phantom spinner; for tasks
-	// the same compensation rides the unwind stack, bound only when armed.
 	if t.UnwindArmed() {
-		t.PushUnwind(fr.unwind)
+		if fr.unwindFn == nil {
+			fr.unwindFn = fr.unwind
+		}
+		t.PushUnwind(fr.unwindFn)
 	}
 	f.cond.WaitFrameT(t, f, v, fr)
 }
 
-// WaitGET is WaitGE for the Task engine: the task spins (entering the
-// node's spinner set exactly like a Proc) until the flag value is >= v,
-// then resumes with k. A flag already at the value runs k within the
-// current step — no virtual time passes, matching the Proc fast path.
+// WaitGET spins until the flag value is >= v, then resumes with k. This
+// covers the monotone counter waits of the SMP collectives (§2.2). A flag
+// already at the value runs k within the current step: no virtual time
+// passes.
 func (f *Flag) WaitGET(t *sim.Task, v int, k func()) {
 	if f.val >= v {
 		k()
@@ -172,26 +154,13 @@ func (f *Flag) WaitGET(t *sim.Task, v int, k func()) {
 	f.park(t, v, false, k)
 }
 
-// WaitForT is WaitFor for the Task engine.
+// WaitForT spins until the flag equals v, then resumes with k.
 func (f *Flag) WaitForT(t *sim.Task, v int, k func()) {
 	if f.val == v {
 		k()
 		return
 	}
 	f.park(t, v, true, k)
-}
-
-// WaitFor spins until the flag equals v.
-func (f *Flag) WaitFor(p *sim.Proc, v int) {
-	if f.val == v {
-		return
-	}
-	id := f.m.Env.Trace.Begin(p.Track(), trace.ClassWaitFlag, "wait:flag", 0)
-	f.m.SpinEnter(f.node)
-	defer func() { f.m.SpinExit(f.node); f.m.Env.Trace.End(id) }()
-	for f.val != v {
-		f.cond.WaitOn(p, f, v)
-	}
 }
 
 // DescribeWait implements sim.WaitDescriber for stall reports.
@@ -227,8 +196,9 @@ func (fs *FlagSet) SetAll(v int) {
 	}
 }
 
-// WaitAll spins until every flag except those listed in skip equals v.
-// The master uses it to wait for all other tasks to check in.
+// WaitAll spins until every flag except those listed in skip equals v, one
+// flag at a time in index order. The master uses it to wait for all other
+// tasks to check in.
 func (fs *FlagSet) WaitAll(p *sim.Proc, v int, skip ...int) {
 	for i := range fs.flags {
 		sk := false
@@ -245,8 +215,8 @@ func (fs *FlagSet) WaitAll(p *sim.Proc, v int, skip ...int) {
 	}
 }
 
-// WaitAllT is WaitAll for the Task engine: the flags are awaited one at a
-// time in index order, exactly as the Proc loop does, then k runs.
+// WaitAllT is WaitAll in continuation form: k runs once every flag has been
+// passed.
 func (fs *FlagSet) WaitAllT(t *sim.Task, v int, k func(), skip ...int) {
 	var step func(i int)
 	step = func(i int) {
@@ -303,22 +273,25 @@ func (s *Segment) Slice(off, n int) []byte {
 	return s.buf[off : off+n]
 }
 
-// CopyIn copies src into the segment at off, charging contended copy time.
+// CopyIn is CopyInT from a process body.
 func (s *Segment) CopyIn(p *sim.Proc, off int, src []byte) {
-	s.m.Memcpy(p, s.node, s.Slice(off, len(src)), src)
+	s.CopyInT(&p.Task, off, src, p.Resume())
+	p.Park()
 }
 
-// CopyOut copies the segment range starting at off into dst.
+// CopyOut is CopyOutT from a process body.
 func (s *Segment) CopyOut(p *sim.Proc, dst []byte, off int) {
-	s.m.Memcpy(p, s.node, dst, s.Slice(off, len(dst)))
+	s.CopyOutT(&p.Task, dst, off, p.Resume())
+	p.Park()
 }
 
-// CopyInT is CopyIn for the Task engine.
+// CopyInT copies src into the segment at off, charging contended copy time,
+// then runs k.
 func (s *Segment) CopyInT(t *sim.Task, off int, src []byte, k func()) {
 	s.m.MemcpyT(t, s.node, s.Slice(off, len(src)), src, k)
 }
 
-// CopyOutT is CopyOut for the Task engine.
+// CopyOutT copies the segment range starting at off into dst, then runs k.
 func (s *Segment) CopyOutT(t *sim.Task, dst []byte, off int, k func()) {
 	s.m.MemcpyT(t, s.node, dst, s.Slice(off, len(dst)), k)
 }

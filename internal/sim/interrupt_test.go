@@ -22,7 +22,7 @@ func TestInterruptParkedProcess(t *testing.T) {
 		p.Wait(ev)
 	})
 	e.At(7, func() {
-		for _, p := range parkedProcs(e) {
+		for _, p := range parkedTasks(e) {
 			e.Interrupt(p, nil) // nil payload is a no-op
 			e.Interrupt(p, "revoked")
 		}
@@ -36,8 +36,8 @@ func TestInterruptParkedProcess(t *testing.T) {
 	if at != 7 {
 		t.Errorf("interrupt delivered at t=%v, want 7", at)
 	}
-	if len(ev.waiters) != 0 {
-		t.Errorf("event still holds %d waiters after interrupt", len(ev.waiters))
+	if ev.waiters.len() != 0 {
+		t.Errorf("event still holds %d waiters after interrupt", ev.waiters.len())
 	}
 }
 
@@ -63,7 +63,7 @@ func TestInterruptDropsWaiterSoTriggerIsClean(t *testing.T) {
 		order = append(order, "b:ev")
 	})
 	e.At(1, func() {
-		for _, p := range parkedProcs(e) {
+		for _, p := range parkedTasks(e) {
 			if p.Name() == "a" {
 				e.Interrupt(p, "intr")
 			}
@@ -83,7 +83,7 @@ func TestInterruptDropsWaiterSoTriggerIsClean(t *testing.T) {
 func TestInterruptSleepingProcessDeliversAtWake(t *testing.T) {
 	e := NewEnv()
 	var at Time
-	e.Spawn("p", func(p *Proc) {
+	victim := e.Spawn("p", func(p *Proc) {
 		defer func() {
 			if recover() != nil {
 				at = p.Now()
@@ -91,17 +91,7 @@ func TestInterruptSleepingProcessDeliversAtWake(t *testing.T) {
 		}()
 		p.Sleep(100)
 	})
-	var victim *Proc
-	e.At(0, func() {
-		// Grab the proc handle: it is the only live proc.
-		e.queue.forEach(func(it *item) bool {
-			if p, ok := it.tgt.(*Proc); ok {
-				victim = p
-			}
-			return true
-		})
-	})
-	e.At(10, func() { e.Interrupt(victim, "late") })
+	e.At(10, func() { e.Interrupt(&victim.Task, "late") })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +117,8 @@ func TestInterruptParkedTask(t *testing.T) {
 	})
 	e.At(7, func() {
 		tk := findTask(e, "t")
-		e.InterruptTask(tk, nil) // nil payload is a no-op
-		e.InterruptTask(tk, "revoked")
+		e.Interrupt(tk, nil) // nil payload is a no-op
+		e.Interrupt(tk, "revoked")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -139,8 +129,8 @@ func TestInterruptParkedTask(t *testing.T) {
 	if at != 7 {
 		t.Errorf("interrupt delivered at t=%v, want 7", at)
 	}
-	if c.tasks.len() != 0 {
-		t.Errorf("cond still holds %d task waiters after interrupt", c.tasks.len())
+	if c.waiters.len() != 0 {
+		t.Errorf("cond still holds %d task waiters after interrupt", c.waiters.len())
 	}
 }
 
@@ -162,7 +152,7 @@ func TestInterruptDropsTaskWaiterSoBroadcastIsClean(t *testing.T) {
 	e.SpawnTask("b", -1, func(tk *Task) {
 		ev.WaitT(tk, func() { order = append(order, "b:ev") })
 	})
-	e.At(1, func() { e.InterruptTask(findTask(e, "a"), "intr") })
+	e.At(1, func() { e.Interrupt(findTask(e, "a"), "intr") })
 	e.At(2, ev.Trigger)
 	e.At(3, other.Trigger)
 	if err := e.Run(); err != nil {
@@ -172,8 +162,8 @@ func TestInterruptDropsTaskWaiterSoBroadcastIsClean(t *testing.T) {
 	if fmt.Sprint(order) != want {
 		t.Errorf("order = %v, want %v", order, want)
 	}
-	if ev.tasks.len() != 0 {
-		t.Errorf("ev still holds %d task waiters", ev.tasks.len())
+	if ev.waiters.len() != 0 {
+		t.Errorf("ev still holds %d task waiters", ev.waiters.len())
 	}
 }
 
@@ -185,7 +175,7 @@ func TestInterruptSleepingTaskDeliversAtWake(t *testing.T) {
 		tk.OnInterrupt = func(payload any) { at = tk.Now() }
 		tk.SleepThen(100, func() { t.Error("sleep continuation ran despite interrupt") })
 	})
-	e.At(10, func() { e.InterruptTask(tk, "late") })
+	e.At(10, func() { e.Interrupt(tk, "late") })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +190,7 @@ func TestInterruptTaskWithoutHandlerDies(t *testing.T) {
 	e.SpawnTask("t", -1, func(tk *Task) {
 		c.WaitT(tk, func() {})
 	})
-	e.At(1, func() { e.InterruptTask(findTask(e, "t"), "unhandled") })
+	e.At(1, func() { e.Interrupt(findTask(e, "t"), "unhandled") })
 	err := e.Run()
 	var ce *CrashError
 	if !errors.As(err, &ce) {
@@ -209,8 +199,8 @@ func TestInterruptTaskWithoutHandlerDies(t *testing.T) {
 	if len(ce.Failures) != 1 || fmt.Sprint(ce.Failures[0].Cause) != "unhandled" {
 		t.Fatalf("failures = %+v, want one with cause \"unhandled\"", ce.Failures)
 	}
-	if c.tasks.len() != 0 {
-		t.Errorf("cond still holds %d task waiters", c.tasks.len())
+	if c.waiters.len() != 0 {
+		t.Errorf("cond still holds %d task waiters", c.waiters.len())
 	}
 }
 
@@ -224,8 +214,8 @@ func TestKillTaskBeatsInterrupt(t *testing.T) {
 	})
 	e.At(1, func() {
 		tk := findTask(e, "t")
-		e.KillTask(tk, "dead")
-		e.InterruptTask(tk, "intr") // no-op on a killed task
+		e.Kill(tk, "dead")
+		e.Interrupt(tk, "intr") // no-op on a killed task
 	})
 	err := e.Run()
 	var ce *CrashError
@@ -251,8 +241,8 @@ func TestKillBeatsInterrupt(t *testing.T) {
 		p.Wait(ev)
 	})
 	e.At(1, func() {
-		e.Kill(victim, "dead")
-		e.Interrupt(victim, "intr") // no-op on a killed process
+		e.Kill(&victim.Task, "dead")
+		e.Interrupt(&victim.Task, "intr") // no-op on a killed process
 	})
 	err := e.Run()
 	var ce *CrashError
@@ -267,60 +257,16 @@ func TestKillBeatsInterrupt(t *testing.T) {
 func TestInterruptFinishedProcessIsNoop(t *testing.T) {
 	e := NewEnv()
 	p := e.Spawn("p", func(p *Proc) {})
-	e.At(5, func() { e.Interrupt(p, "x") })
+	e.At(5, func() { e.Interrupt(&p.Task, "x") })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResourceDropWaiter(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(1)
-	var order []string
-	e.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10)
-		r.Release()
-	})
-	e.Spawn("a", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				order = append(order, "a:interrupted")
-			}
-		}()
-		p.Sleep(1)
-		r.Acquire(p)
-		order = append(order, "a:acquired")
-		r.Release()
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(2)
-		r.Acquire(p)
-		order = append(order, "b:acquired")
-		r.Release()
-	})
-	e.At(5, func() {
-		for _, p := range parkedProcs(e) {
-			if p.Name() == "a" {
-				e.Interrupt(p, "intr")
-			}
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// a was queued first but interrupted out of the queue; the token must
-	// transfer cleanly to b when the holder releases.
-	want := "[a:interrupted b:acquired]"
-	if fmt.Sprint(order) != want {
-		t.Errorf("order = %v, want %v", order, want)
 	}
 }
 
 func TestOnFailureHookSeesCause(t *testing.T) {
 	e := NewEnv()
 	var hooked []string
-	e.OnFailure = func(p *Proc, f ProcFailure) {
+	e.OnFailure = func(_ *Task, f ProcFailure) {
 		hooked = append(hooked, fmt.Sprintf("%s:%v", f.Proc, f.Cause))
 	}
 	e.Spawn("boom", func(p *Proc) { panic("bang") })

@@ -5,11 +5,27 @@ package sim
 import "iter"
 
 // The Proc hand-off. A process body runs on a runtime coroutine (iter.Pull):
-// waking a process is next(), parking is yield(), and either one switches
+// resuming the body is next(), parking it is yield(), and either one switches
 // directly between the two goroutines without passing through the Go
 // scheduler. Alternation is strict by construction — next() returns only when
-// the process has parked or finished — so the (t, seq) order of the event loop
+// the body has parked or finished — so the (t, seq) order of the event loop
 // is the only order there is.
+//
+// The body is the only thing that runs on the coroutine. A blocking call
+// starts the continuation form on the process's Task and parks; the steps that
+// follow — a put's injection after its overhead sleep, every operation of a
+// collective — run on the event loop's goroutine like those of a plain task,
+// and the last of them calls the continuation the body passed (Resume), after
+// which the loop switches back. So a blocking primitive costs one switch each
+// way however many steps it takes, and a step never runs on a stack that a
+// failure would
+// have to unwind: a kill, an unhandled interrupt or the panic of a step first
+// runs the Task's unwind stack on the event loop (failTask), then is raised in
+// the body as a panic out of Park, where the body's defers and recovers, the
+// recover at the bottom of run and a Goexit see it exactly as if the blocking
+// call had panicked. A panic on the coroutine itself (the body's own code, or
+// the first step of a continuation form, which runs inline) reaches run the
+// same way, and run runs what is left of the unwind stack.
 //
 // This file needs Go 1.23 and has no fallback twin: a second hand-off would
 // have to be kept equal to this one. The go.mod line stays at 1.22 because
@@ -39,6 +55,15 @@ type coro struct {
 	stop  func()                  // make a suspended yield return false
 	yield func(struct{}) bool     // switch back to the caller of next
 	p     *Proc                   // the process whose body runs here
+
+	// The body's side of a blocking call: the continuation it passes (bound
+	// once per coroutine, so no call makes a closure), whether it is parked
+	// waiting for it, whether it ran before the body got to park, and a
+	// failure to raise when the body resumes.
+	resumeFn func()
+	waiting  bool
+	fired    bool
+	failure  any
 }
 
 // startCoro binds p to an idle coroutine, creating one when the pool is empty.
@@ -51,6 +76,7 @@ func (e *Env) startCoro(p *Proc) *coro {
 	} else {
 		co = &coro{env: e}
 		co.next, co.stop = iter.Pull(co.loop)
+		co.resumeFn = co.resume
 	}
 	co.p, p.co = p, co
 	return co
@@ -68,48 +94,92 @@ func (co *coro) loop(yield func(struct{}) bool) {
 	}
 }
 
-// run executes one process body. A panic is recovered here, inside the body's
-// frame, so the coroutine survives it and stays reusable.
+// run executes one process body; its return is the process's end. A panic is
+// recovered here, inside the body's frame, so the coroutine survives it and
+// stays reusable. Compensations still on the unwind stack — a panic on the
+// coroutine left them, or a Goexit — run after the body's own defers.
 func (co *coro) run() {
 	p, e := co.p, co.env
 	defer func() {
-		if r := recover(); r != nil {
-			f := ProcFailure{Proc: p.Name(), Actor: p, Time: e.now, Cause: r}
-			e.failures = append(e.failures, f)
-			if e.OnFailure != nil {
-				e.OnFailure(p, f)
-			}
-		}
-		p.done = true
+		r := recover()
 		p.co, co.p = nil, nil
-		e.live--
+		p.RunUnwinds()
+		e.retire(&p.Task)
+		if r != nil {
+			e.recordFailure(&p.Task, r)
+		}
 	}()
 	fn := p.fn
 	p.fn = nil
-	p.checkKilled()
 	fn(p)
 }
 
-// wake transfers control to p and returns when p parks or finishes.
-func (e *Env) wake(p *Proc) {
-	// A wake-up can outlive its process (a crash delivered while another
-	// wake-up was queued). The coroutine p ran on may by now be running
-	// another body, so done is checked before anything touches it.
-	if p.done {
-		return
-	}
-	co := p.co
-	if co == nil { // first wake-up: the body starts now
-		co = e.startCoro(p)
-	}
-	co.next()
+// startBody is the first step of a process's task: the body starts on a
+// coroutine and runs to its first Park, or to its end.
+func startBody(t *Task) { t.env.startCoro(t.proc).enter() }
+
+// Resume returns the continuation that resumes the body: what a blocking call
+// passes to the continuation form it starts, before it Parks. The continuation
+// form may call it at once (nothing to wait for) or as, or from, a later step
+// of the task.
+func (p *Proc) Resume() func() {
+	p.co.fired = false
+	return p.co.resumeFn
 }
 
-// park suspends the calling process until the scheduler wakes it.
-func (p *Proc) park() {
-	p.co.yield(struct{}{})
-	p.checkKilled()
-	p.checkInterrupt()
+// Park suspends the body until the continuation Resume returned has run — not
+// at all if it already has. A failure delivered meanwhile (failTask) is raised
+// here.
+func (p *Proc) Park() {
+	co := p.co
+	if co.fired {
+		co.fired = false
+		return
+	}
+	co.waiting = true
+	co.yield(struct{}{})
+	co.waiting = false
+	if r := co.failure; r != nil {
+		co.failure = nil
+		panic(r)
+	}
+}
+
+// resume is the continuation of every blocking call of the body. Called while
+// the body is still on its way to Park (the continuation form completed
+// inline, on the coroutine itself) it only leaves a note; called from a step
+// on the event loop it has the loop switch to the body.
+func (co *coro) resume() {
+	if !co.waiting {
+		co.fired = true
+		return
+	}
+	co.enter()
+}
+
+// enter switches to the coroutine — not from here, but from the event loop
+// once the running step has returned to it (Env.drain). Calling a continuation
+// is the last thing a step does, so the body runs when it would have anyway.
+// What differs is how deep in calls the switch happens: a coroutine switch
+// leaves the CPU's return-address predictor describing the other stack, so
+// every return between the switch and the loop is mispredicted, and from
+// inside a step there are five of them (DESIGN.md §9 has the numbers).
+func (co *coro) enter() {
+	e := co.env
+	if prev := e.resuming; prev != nil {
+		prev.next() // a second body resumed by the same step: in order
+	}
+	e.resuming = co
+}
+
+// raise resumes the parked body with a panic out of Park, at once: a resume
+// the failing step had already asked for is overtaken.
+func (co *coro) raise(cause any) {
+	if co.env.resuming == co {
+		co.env.resuming = nil
+	}
+	co.failure = cause
+	co.next()
 }
 
 // stopIdle ends the pooled coroutines. Each is suspended between bodies, so

@@ -17,17 +17,6 @@ func noNewGoroutines(t *testing.T, f func()) {
 	}
 }
 
-// parkedProcs returns the registered processes that are parked, in spawn order.
-func parkedProcs(e *Env) []*Proc {
-	var out []*Proc
-	for _, p := range e.procs {
-		if p.parked {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func TestCoroutineReusedWhileStaleWakeIsQueued(t *testing.T) {
 	noNewGoroutines(t, func() {
 		e := NewEnv()
@@ -43,7 +32,7 @@ func TestCoroutineReusedWhileStaleWakeIsQueued(t *testing.T) {
 		})
 		// A wake-up of a that fires at t=5, when a is long finished and the
 		// coroutine it ran on is suspended in the middle of b's Sleep.
-		e.push(5, nil, a)
+		e.push(5, nil, &a.Task)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +80,7 @@ func TestPanickingBodyLeavesCoroutineReusable(t *testing.T) {
 		e := NewEnv()
 		var first, second *coro
 		var hooked, finished int
-		e.OnFailure = func(*Proc, ProcFailure) { hooked++ }
+		e.OnFailure = func(*Task, ProcFailure) { hooked++ }
 		e.Spawn("bad", func(p *Proc) {
 			first = p.co
 			p.Sleep(1)
@@ -122,7 +111,12 @@ func TestPanickingBodyLeavesCoroutineReusable(t *testing.T) {
 }
 
 // A Kill is a crash at the process's next resume, an Interrupt a panic it may
-// recover from — whichever of the three states the process is in.
+// recover from — whichever state the process is in — and either way the
+// coroutine the body ran on serves the next process. (The park points inside
+// the primitives of the layers above, where protocol state has to be restored
+// on the way out, are covered where they can be reached: internal/rma's
+// TestKillAndInterruptAtEveryParkPoint, internal/core's
+// TestKillAndInterruptInsideCollective.)
 func TestKillAndInterruptInEveryState(t *testing.T) {
 	type outcome struct {
 		started   bool
@@ -159,18 +153,35 @@ func TestKillAndInterruptInEveryState(t *testing.T) {
 			c := e.NewCond()
 			return func(p *Proc) { c.Wait(p) }
 		}, 5, 5, 5},
+		{"parked-on-event", func(e *Env) func(*Proc) {
+			ev := e.NewEvent()
+			return func(p *Proc) { p.Wait(ev) }
+		}, 5, 5, 5},
+		// Woken by a broadcast at t=5 whose resume is still queued when the
+		// kill or interrupt is issued at the same instant: no longer parked.
+		{"woken", func(e *Env) func(*Proc) {
+			c := e.NewCond()
+			e.At(5, c.Broadcast)
+			return func(p *Proc) { c.WaitUntil(p, func() bool { return false }) }
+		}, 5, 5, 5},
 	}
 	for _, st := range states {
 		for _, kill := range []bool{true, false} {
 			noNewGoroutines(t, func() {
 				e := NewEnv()
 				var o outcome
-				p := e.Spawn("victim", body(&o, st.wait(e)))
+				var ran, reused *coro
+				wait := st.wait(e)
+				p := e.Spawn("victim", body(&o, func(p *Proc) {
+					ran = p.co
+					wait(p)
+				}))
+				e.At(150, func() { e.Spawn("next", func(p *Proc) { reused = p.co }) })
 				deliver := func() {
 					if kill {
-						e.Kill(p, "injected")
+						e.Kill(&p.Task, "injected")
 					} else {
-						e.Interrupt(p, "revoked")
+						e.Interrupt(&p.Task, "revoked")
 					}
 				}
 				if st.when < 0 {
@@ -181,6 +192,9 @@ func TestKillAndInterruptInEveryState(t *testing.T) {
 				err := e.Run()
 				if !p.Done() || p.parked || e.Live() != 0 || len(e.Blocked()) != 0 {
 					t.Errorf("%s kill=%v: done=%v parked=%v live=%d", st.name, kill, p.Done(), p.parked, e.Live())
+				}
+				if reused == nil || ran != nil && reused != ran {
+					t.Errorf("%s kill=%v: the next process ran on coroutine %p, the victim on %p", st.name, kill, reused, ran)
 				}
 				if !kill {
 					if err != nil || o.recovered != "revoked" || o.at != st.intrAt {
@@ -281,7 +295,7 @@ func TestProcRegistrySweepsFinished(t *testing.T) {
 	if !ok || len(de.Blocked) != 1 || de.Blocked[0] != "stuck" {
 		t.Fatalf("Run() = %v, want a deadlock of stuck alone", de)
 	}
-	if n := len(e.procs); n > 16 {
+	if n := len(e.tasks); n > 16 {
 		t.Errorf("registry holds %d processes after 1000 finished helpers", n)
 	}
 	if !stuck.parked {

@@ -1,10 +1,13 @@
 // Package sim implements a small deterministic discrete-event simulation
-// (DES) engine. Simulated entities are cooperative processes running on
-// pooled runtime coroutines (proc_coro.go; Go >= 1.23): exactly one process
-// runs at a time, switching back to the scheduler whenever it blocks (Sleep,
-// WaitEvent, ...). Because of this strict alternation, simulation state needs
-// no locking and every run is fully deterministic: events at equal timestamps
-// fire in schedule order.
+// (DES) engine. It has one kind of simulated entity, the Task (task.go): a
+// resumable state machine whose steps the event loop runs one at a time, each
+// ending in a continuation-passing primitive (SleepThen, Event.WaitT, ...) or
+// finishing the task. A Proc is a Task whose body is straight-line code on a
+// pooled runtime coroutine (proc_coro.go; Go >= 1.23): every blocking call it
+// makes (Sleep, Wait, ...) starts the continuation form on its Task and parks
+// the coroutine until the continuation resumes it. Exactly one step or body
+// runs at a time, so simulation state needs no locking and every run is fully
+// deterministic: events at equal timestamps fire in schedule order.
 //
 // Time is a float64 in microseconds by convention of this repository.
 package sim
@@ -34,10 +37,10 @@ type Env struct {
 	now       Time
 	queue     *calQueue
 	seq       uint64
-	live      int           // spawned processes and tasks that have not finished
-	procs     []*Proc       // registry of spawned processes (register); the parked ones have Proc.parked set
+	live      int           // spawned tasks (processes included) that have not finished
 	tasks     []*Task       // registry of spawned tasks (register); the parked ones have Task.parked set
 	idle      []*coro       // coroutines between process bodies, reused LIFO (proc_coro.go)
+	resuming  *coro         // the body to switch to once the running step has returned (coro.enter)
 	resSeq    int           // id source for conds/events (stall reports)
 	failures  []ProcFailure // processes that panicked (recovered)
 	free      []*item       // recycled queue items (steady state allocates none)
@@ -49,16 +52,13 @@ type Env struct {
 	taskMem bufpool.Chunks[Task]
 	itemMem bufpool.Chunks[item]
 
-	// OnFailure, when non-nil, is called immediately after a process
-	// failure is recorded (from the failing goroutine, before control
-	// returns to the scheduler). Fault-tolerance layers use it to classify
-	// deaths and schedule detection. The hook must not block or park; it
-	// may schedule callbacks via At/After and inspect simulation state.
-	OnFailure func(p *Proc, f ProcFailure)
-
-	// OnTaskFailure is the Task-engine counterpart of OnFailure, called when
-	// a task step panics, is killed, or takes an unhandled interrupt.
-	OnTaskFailure func(t *Task, f ProcFailure)
+	// OnFailure, when non-nil, is called immediately after a failure is
+	// recorded — a step or body that panicked, a kill, an interrupt nothing
+	// handled — before control returns to the scheduler. Fault-tolerance
+	// layers use it to classify deaths and schedule detection. The hook must
+	// not block or park; it may schedule callbacks via At/After and inspect
+	// simulation state.
+	OnFailure func(t *Task, f ProcFailure)
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -78,7 +78,7 @@ func (e *Env) Events() uint64 { return e.processed }
 func (e *Env) ChunkBytes() int64 { return e.taskMem.Bytes() + e.itemMem.Bytes() }
 
 // item is one scheduled occurrence: a callback (fn), or — fn nil — what tgt
-// names: a *Proc to wake, a *Task to resume or a *Cond to broadcast. The one
+// names: a *Task to resume or a *Cond to broadcast. The one
 // interface field keeps the struct at six words: items are allocated by the
 // hundred thousand, and a seventh word would move them from the 48-byte
 // size class to the 64-byte one (a test holds the size).
@@ -138,74 +138,36 @@ type WaitDescriber interface {
 	DescribeWait(want int) string
 }
 
-// waitable is a synchronization resource a process can park on; waitID is
-// the lazily formatted id or label used in wait-graph reports. dropWaiter
-// removes a process from the resource's waiter list without waking it —
-// Env.Interrupt uses it so an interrupted process does not linger as a
-// stale waiter (which would cause spurious wakes or double entries when
-// the process parks somewhere else).
+// waitable is a synchronization resource a task can park on (an Event or a
+// Cond); waitID is the lazily formatted id or label used in wait-graph
+// reports. dropWaiter removes a task from the resource's waiter list without
+// waking it — Env.Kill, Env.Interrupt and failure teardown use it so the task
+// does not linger as a stale waiter (which would cause spurious wakes or
+// double entries when it parks somewhere else).
 type waitable interface {
 	waitID() string
-	dropWaiter(p *Proc)
+	dropWaiter(t *Task)
 }
 
-// Proc is a simulated process. Methods on Proc must only be called from the
-// process's own goroutine (i.e. inside the function passed to Spawn);
-// exceptions (Env.Kill, Env.SetSlowdown) are called out explicitly.
+// Proc is a simulated process: a Task whose body is straight-line code. The
+// body runs on a pooled coroutine (proc_coro.go), and each of its blocking
+// calls — Sleep and Wait here, Cond.Wait, and every X(p, ...) of the layers
+// above — is the same shim over the continuation form: start XT on the
+// process's own Task, passing Resume(), then Park(). The protocol steps in
+// between run on the event loop like any Task's; only getting back to the
+// body switches coroutines. Blocking methods must only be called from the
+// body, on the process they are given.
+//
+// A process's unwind stack is armed for its whole life: what the blocking
+// primitives used to restore by defer (dispatcher inCall, spinner counts,
+// open spans) their continuation forms push there, and a kill, an interrupt
+// or a panicking step runs it before the failure is raised in the body.
 type Proc struct {
-	env    *Env
-	prefix string      // full name, or name prefix when num >= 0
-	num    int         // index appended to prefix; -1 when prefix is the name
-	name   string      // cached formatted name (built on first Name call)
-	fn     func(*Proc) // the body, until the first wake-up starts it
-	co     *coro       // the coroutine the body runs on, from first wake-up to finish
-	track  int         // trace track id, or -1 when the process is untracked
-	parked bool        // blocked with no scheduled wake-up
-	done   bool
-	killed string  // non-empty: injected crash reason, raised at next resume
-	intr   any     // pending interrupt payload, panicked at next resume
-	slow   float64 // Sleep stretch factor (stall windows); 0 or 1 = none
-
-	// Wait context, set while the process is parked with no scheduled
-	// wake-up (Event/Cond/Resource waits). Used by stall reports; nothing
-	// here is formatted unless a report is actually built.
-	waitOn    waitable
-	waitObj   WaitDescriber
-	waitWant  int
-	waitDesc  func() string // optional richer description, evaluated lazily
-	waitSince Time
+	Task
+	fn func(*Proc) // the body, until the first step starts it
+	co *coro       // the coroutine the body runs on, from start to finish
+	uw [4]func()   // where the unwind stack starts: a collective's executor and the wait it is in need two
 }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// SetTrack assigns the process a trace track; spans recorded on behalf of
-// this process land on that timeline. Processes default to track -1
-// (untracked: their spans are dropped).
-func (p *Proc) SetTrack(track int) { p.track = track }
-
-// Track returns the process's trace track (-1 when untracked).
-func (p *Proc) Track() int { return p.track }
-
-// Name returns the name given at Spawn time. For SpawnIndexed processes the
-// string is formatted on first use and cached: the hot spawn path never
-// allocates a name that no report will read.
-func (p *Proc) Name() string {
-	if p.name == "" {
-		if p.num < 0 {
-			p.name = p.prefix
-		} else {
-			p.name = p.prefix + strconv.Itoa(p.num)
-		}
-	}
-	return p.name
-}
-
-// Num returns the index passed to SpawnIndexed (-1 for a Spawn process).
-func (p *Proc) Num() int { return p.num }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
 
 // Spawn creates a process that will start running fn at the current virtual
 // time (after already-scheduled events at this timestamp).
@@ -225,88 +187,73 @@ func (e *Env) SpawnIndexed(prefix string, num int, fn func(*Proc)) *Proc {
 }
 
 func (e *Env) spawn(prefix string, num int, fn func(*Proc)) *Proc {
-	p := &Proc{env: e, prefix: prefix, num: num, fn: fn, track: -1}
-	e.live++
-	e.procs = register(e.procs, p)
-	e.push(e.now, nil, p)
+	p := &Proc{fn: fn}
+	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, start: startBody, proc: p, unwindArmed: true, unwinds: p.uw[:0]}
+	e.admit(&p.Task)
 	return p
 }
 
-// Done reports whether the process has finished (or died).
-func (p *Proc) Done() bool { return p.done }
-
-// checkKilled raises a pending injected crash on the process's own stack.
-func (p *Proc) checkKilled() {
-	if p.killed != "" {
-		panic(Crashed{Reason: p.killed})
-	}
-}
-
-// Crashed is the panic payload raised in a process killed by Env.Kill.
+// Crashed is the failure cause of a task killed by Env.Kill; a process's body
+// sees it as a panic at the call it was blocked in.
 type Crashed struct{ Reason string }
 
 func (c Crashed) Error() string { return "sim: process crashed: " + c.Reason }
 
-// Kill schedules an injected crash of p: the process panics with a Crashed
+// Kill schedules an injected crash of t: the task dies with a Crashed failure
 // the next time it would run (immediately at the current virtual time if it
-// is blocked). Killing a finished or already-killed process is a no-op.
-// Unlike most process operations, Kill is called from event callbacks, not
-// from p's own goroutine.
-func (e *Env) Kill(p *Proc, reason string) {
-	if p.done || p.killed != "" {
+// is parked). Killing a finished or already-killed task is a no-op. Kill is
+// called from event callbacks, not from t's own steps.
+func (e *Env) Kill(t *Task, reason string) {
+	if t.done || t.killed != "" {
 		return
 	}
 	if reason == "" {
 		reason = "killed"
 	}
-	p.killed = reason
-	if p.parked {
-		e.unblock(p) // deliver the crash now instead of never
-	}
-	// Otherwise the process is sleeping (or not yet started) and its
-	// queued wake-up delivers the crash.
+	t.killed = reason
+	e.unpark(t) // deliver the crash now instead of never
+	// A task that was not parked is sleeping (or not yet started) and its
+	// queued resume delivers the crash.
 }
 
-// Interrupt delivers an asynchronous interrupt to p: the process panics
-// with payload the next time it would run (immediately at the current
-// virtual time if it is parked on an Event or Cond). Unlike Kill the
-// process is expected to survive — a recover along its call stack (e.g.
-// the fault-tolerant collective wrapper) turns the unwind into a
-// structured error. If the process is parked, it is first removed from
-// the waiter list of the resource it parked on, so no stale waiter entry
-// remains. Interrupting a finished, killed, or already-interrupted
-// process is a no-op, as is a nil payload. Like Kill, Interrupt is called
-// from event callbacks, not from p's own goroutine.
-func (e *Env) Interrupt(p *Proc, payload any) {
-	if p.done || p.killed != "" || p.intr != nil || payload == nil {
+// Interrupt delivers an asynchronous interrupt to t: the pending continuation
+// is abandoned, and the next time the task would run (immediately at the
+// current virtual time if it is parked) its OnInterrupt handler runs as a
+// step, or — absent one — the unwind stack runs and the task dies with the
+// payload as the cause. For a process that death is a panic raised in the
+// body at the call it was blocked in, so unlike Kill the process is expected
+// to survive: a recover along its stack (the fault-tolerant collective
+// wrapper) turns the unwind into a structured error. A parked task is first
+// removed from the waiter list of the resource it parked on, so no stale
+// entry remains; one that has not started yet takes the interrupt at its
+// first resume after the start. Interrupting a finished, killed, or
+// already-interrupted task is a no-op, as is a nil payload. Like Kill,
+// Interrupt is called from event callbacks.
+func (e *Env) Interrupt(t *Task, payload any) {
+	if t.done || t.killed != "" || t.intr != nil || payload == nil {
 		return
 	}
-	p.intr = payload
-	if p.parked {
-		if p.waitOn != nil {
-			p.waitOn.dropWaiter(p)
-		}
-		e.unblock(p)
-	}
-	// Otherwise the process is sleeping (or running to its next park) and
-	// its next resume delivers the interrupt.
+	t.intr = payload
+	e.unpark(t)
+	// A task that was not parked is sleeping (or running to its next
+	// suspension) and its next resume delivers the interrupt.
 }
 
-// SetSlowdown stretches p's subsequent Sleep durations by factor, modeling
-// a task that lost its CPU (stall windows in fault plans). Factor 0 or 1
-// clears the stall. Called from event callbacks, not from p's goroutine.
-func (e *Env) SetSlowdown(p *Proc, factor float64) {
+// SetSlowdown stretches t's subsequent sleep durations by factor, modeling a
+// task that lost its CPU (stall windows in fault plans). Factor 0 or 1 clears
+// the stall. Called from event callbacks.
+func (e *Env) SetSlowdown(t *Task, factor float64) {
 	if factor < 0 {
 		factor = 0
 	}
-	p.slow = factor
+	t.slow = factor
 }
 
-// ProcFailure records a process that panicked; Cause is the recovered
-// panic value (a Crashed for injected crashes).
+// ProcFailure records a task that died; Cause is the recovered panic value,
+// a Crashed for injected crashes, or the payload of an unhandled interrupt.
 type ProcFailure struct {
 	Proc  string
-	Actor any // the *Proc or *Task that failed
+	Actor *Task // the task that failed (a process's own)
 	Time  Time
 	Cause any
 }
@@ -330,62 +277,16 @@ func (e *Env) Failures() []ProcFailure {
 // Live returns the number of spawned processes that have not finished.
 func (e *Env) Live() int { return e.live }
 
-// checkInterrupt raises a pending interrupt on the process's own stack. An
-// injected crash (checkKilled) takes precedence: a dead process does not
-// observe interrupts.
-func (p *Proc) checkInterrupt() {
-	if p.intr != nil {
-		v := p.intr
-		p.intr = nil
-		panic(v)
-	}
-}
-
 // Sleep advances the process by d virtual time (negative d counts as zero).
 // An active slowdown (Env.SetSlowdown) stretches d.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	if p.slow > 1 {
-		d *= p.slow
-	}
-	p.env.push(p.env.now+d, nil, p)
-	p.park()
+	p.SleepThen(d, p.Resume())
+	p.Park()
 }
 
 // Yield reschedules the process at the current time, letting other
 // already-scheduled work at this timestamp run first.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// parkOn blocks the process indefinitely on a waitable; something else must
-// hold a reference and wake it via an Event or Cond. obj/want or desc
-// (mutually optional) enrich stall reports; nothing is formatted here.
-func (p *Proc) parkOn(on waitable, obj WaitDescriber, want int, desc func() string) {
-	p.parked = true
-	p.waitOn = on
-	p.waitObj = obj
-	p.waitWant = want
-	p.waitDesc = desc
-	p.waitSince = p.env.now
-	p.park()
-	p.waitOn = nil
-	p.waitObj = nil
-	p.waitDesc = nil
-}
-
-func (e *Env) unblock(p *Proc) {
-	if !p.parked {
-		if p.done || p.killed != "" {
-			// Stale waiter entry: the process crashed or was killed while
-			// on a waiters list. Nothing to wake.
-			return
-		}
-		panic("sim: unblock of process that is not parked: " + p.Name())
-	}
-	p.parked = false
-	e.push(e.now, nil, p)
-}
 
 // BlockedProc is a snapshot of one process blocked with no scheduled
 // wake-up: its name, when it parked, and what it waits on.
@@ -402,24 +303,6 @@ type BlockedProc struct {
 // reports.
 func (e *Env) Blocked() []BlockedProc {
 	var out []BlockedProc
-	for _, p := range e.procs {
-		if !p.parked {
-			continue
-		}
-		b := BlockedProc{Name: p.Name(), Since: p.waitSince}
-		if p.waitOn != nil {
-			b.Resource = p.waitOn.waitID()
-		}
-		switch {
-		case p.waitDesc != nil:
-			b.Waiting = p.waitDesc()
-		case p.waitObj != nil:
-			b.Waiting = p.waitObj.DescribeWait(p.waitWant)
-		default:
-			b.Waiting = b.Resource
-		}
-		out = append(out, b)
-	}
 	for _, t := range e.tasks {
 		if !t.parked {
 			continue
@@ -453,8 +336,7 @@ type Event struct {
 	num     int          // sequence for the default id
 	label   fmt.Stringer // from Named or NamedBy; nil: the default id
 	done    bool
-	waiters []*Proc
-	tasks   taskList
+	waiters taskList
 }
 
 // NewEvent returns an untriggered event.
@@ -481,16 +363,7 @@ func (ev *Event) ID() string {
 
 func (ev *Event) waitID() string { return ev.ID() }
 
-func (ev *Event) dropWaiter(p *Proc) {
-	for i, w := range ev.waiters {
-		if w == p {
-			ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-func (ev *Event) dropTaskWaiter(t *Task) { ev.tasks.drop(t) }
+func (ev *Event) dropWaiter(t *Task) { ev.waiters.drop(t) }
 
 // Done reports whether the event has been triggered.
 func (ev *Event) Done() bool { return ev.done }
@@ -502,11 +375,7 @@ func (ev *Event) Trigger() {
 		return
 	}
 	ev.done = true
-	for _, p := range ev.waiters {
-		ev.env.unblock(p)
-	}
-	ev.waiters = nil
-	ev.tasks.wakeAll(ev.env)
+	ev.waiters.wakeAll(ev.env)
 }
 
 // TriggerAfter schedules the event to fire d from now.
@@ -514,18 +383,8 @@ func (ev *Event) TriggerAfter(d Time) { ev.env.After(d, ev.Trigger) }
 
 // Wait blocks the process until the event has been triggered.
 func (p *Proc) Wait(ev *Event) {
-	if ev.done {
-		return
-	}
-	ev.waiters = append(ev.waiters, p)
-	p.parkOn(ev, nil, -1, nil)
-}
-
-// WaitAll blocks until every event has been triggered.
-func (p *Proc) WaitAll(evs ...*Event) {
-	for _, ev := range evs {
-		p.Wait(ev)
-	}
+	ev.WaitT(&p.Task, p.Resume())
+	p.Park()
 }
 
 // Cond is a broadcast-style condition: Wait blocks until the next Broadcast.
@@ -537,8 +396,7 @@ type Cond struct {
 	env     *Env
 	num     int    // sequence for the default id
 	id      string // label from Named, or cached formatted id
-	waiters []*Proc
-	tasks   taskList
+	waiters taskList
 }
 
 // NewCond returns a condition bound to the environment.
@@ -565,50 +423,22 @@ func (c *Cond) ID() string {
 
 func (c *Cond) waitID() string { return c.ID() }
 
-func (c *Cond) dropWaiter(p *Proc) {
-	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-func (c *Cond) dropTaskWaiter(t *Task) { c.tasks.drop(t) }
+func (c *Cond) dropWaiter(t *Task) { c.waiters.drop(t) }
 
 // Wait blocks the process until the next Broadcast.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.parkOn(c, nil, -1, nil)
-}
+func (c *Cond) Wait(p *Proc) { c.WaitOn(p, nil, -1) }
 
-// WaitReason is Wait with a description of what the process waits for,
-// evaluated lazily if the wait ends up in a stall or deadlock report.
-func (c *Cond) WaitReason(p *Proc, desc func() string) {
-	c.waiters = append(c.waiters, p)
-	p.parkOn(c, nil, -1, desc)
-}
-
-// WaitOn is the allocation-free flavor of WaitReason: instead of a closure
-// it records a WaitDescriber plus the awaited value, formatted only if the
-// wait lands in a stall or deadlock report. Hot synchronization paths (shm
-// flags, RMA counters) use it so a park sets up no heap state at all.
+// WaitOn is Wait with a description of what the process waits for: a
+// WaitDescriber plus the awaited value, formatted only if the wait lands in a
+// stall or deadlock report.
 func (c *Cond) WaitOn(p *Proc, obj WaitDescriber, want int) {
-	c.waiters = append(c.waiters, p)
-	p.parkOn(c, obj, want, nil)
+	c.WaitOnT(&p.Task, obj, want, p.Resume())
+	p.Park()
 }
 
-// Broadcast wakes every currently waiting process and task at the current
-// time. Process waiters wake before task waiters; within each engine the
-// wake order is the wait order. (The two engines never share a condition in
-// practice — protocol objects are waited on from one engine per run.)
-func (c *Cond) Broadcast() {
-	for _, p := range c.waiters {
-		c.env.unblock(p)
-	}
-	c.waiters = c.waiters[:0]
-	c.tasks.wakeAll(c.env)
-}
+// Broadcast wakes every currently waiting task at the current time, in wait
+// order.
+func (c *Cond) Broadcast() { c.waiters.wakeAll(c.env) }
 
 // BroadcastAfter schedules a Broadcast d from now (negative counts as zero).
 // The queue item names the condition itself, so a flag store that wakes its
@@ -689,29 +519,7 @@ func (e *Env) Run() error { return e.RunUntil(-1) }
 // the goroutine that called RunUntil; see proc_coro.go.
 func (e *Env) RunUntil(limit Time) error {
 	defer e.stopIdle() // no idle coroutine outlives the run that used it
-	for {
-		it := e.queue.popDue(limit)
-		if it == nil {
-			break
-		}
-		e.now = it.t
-		e.processed++
-		// Recycle before executing so callbacks can reuse the slot; the
-		// fields are copied out first.
-		fn, tgt := it.fn, it.tgt
-		e.recycle(it)
-		if fn != nil {
-			fn()
-			continue
-		}
-		switch x := tgt.(type) {
-		case *Task:
-			e.runTask(x)
-		case *Proc:
-			e.wake(x)
-		case *Cond:
-			x.Broadcast()
-		}
+	for e.drain(limit) {
 	}
 	if len(e.failures) > 0 {
 		return &CrashError{Failures: e.Failures()}
@@ -727,6 +535,49 @@ func (e *Env) RunUntil(limit Time) error {
 		return e.deadlock()
 	}
 	return nil
+}
+
+// drain executes the queue items due by limit. A task step that panics ends
+// it early: the panic is delivered to the task as a failure and drain reports
+// true, for the caller to carry on. The one recover here serves every step, so
+// a step costs no defer of its own; the panic of a plain callback is not a
+// task's and goes on to the caller of RunUntil.
+func (e *Env) drain(limit Time) (again bool) {
+	var stepping *Task // the task whose step is running
+	defer func() {
+		if stepping == nil {
+			return
+		}
+		if r := recover(); r != nil {
+			e.failTask(stepping, r)
+			again = true
+		}
+	}()
+	for {
+		it := e.queue.popDue(limit)
+		if it == nil {
+			return false
+		}
+		e.now = it.t
+		e.processed++
+		// Recycle before executing so callbacks can reuse the slot; the
+		// fields are copied out first.
+		fn, tgt := it.fn, it.tgt
+		e.recycle(it)
+		if fn != nil {
+			fn()
+		} else if t, ok := tgt.(*Task); ok {
+			stepping = t
+			e.runTask(t)
+			stepping = nil
+		} else {
+			tgt.(*Cond).Broadcast()
+		}
+		if co := e.resuming; co != nil {
+			e.resuming = nil
+			co.next()
+		}
+	}
 }
 
 // DeadlockReport builds a structured report of the currently blocked
@@ -751,8 +602,6 @@ func (e *Env) anyPotentialProgress() bool {
 	potent := false
 	e.queue.forEach(func(it *item) bool {
 		switch x := it.tgt.(type) {
-		case *Proc:
-			potent = !x.done
 		case *Task:
 			potent = !x.done
 		default:

@@ -172,24 +172,6 @@ func TestTriggerAfter(t *testing.T) {
 	}
 }
 
-func TestWaitAll(t *testing.T) {
-	e := NewEnv()
-	a, b := e.NewEvent(), e.NewEvent()
-	var at Time
-	e.Spawn("p", func(p *Proc) {
-		p.WaitAll(a, b)
-		at = p.Now()
-	})
-	e.At(5, a.Trigger)
-	e.At(3, b.Trigger)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 5 {
-		t.Fatalf("WaitAll finished at %v, want 5 (max of triggers)", at)
-	}
-}
-
 func TestCondBroadcastRepeats(t *testing.T) {
 	e := NewEnv()
 	c := e.NewCond()
@@ -306,102 +288,6 @@ func TestYieldLetsSameTimeWorkRun(t *testing.T) {
 	}
 }
 
-func TestResourceSerializes(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(1)
-	var ends []Time
-	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
-			r.Hold(p, 10)
-			ends = append(ends, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(ends) != "[10 20 30]" {
-		t.Fatalf("hold completion times = %v, want serialized [10 20 30]", ends)
-	}
-}
-
-func TestResourceCapacityTwo(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(2)
-	var ends []Time
-	for i := 0; i < 4; i++ {
-		e.Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
-			r.Hold(p, 10)
-			ends = append(ends, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(ends) != "[10 10 20 20]" {
-		t.Fatalf("completion times = %v, want [10 10 20 20]", ends)
-	}
-}
-
-func TestResourceFIFO(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(1)
-	var order []string
-	for _, n := range []string{"a", "b", "c"} {
-		n := n
-		e.Spawn(n, func(p *Proc) {
-			r.Acquire(p)
-			order = append(order, n)
-			p.Sleep(1)
-			r.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(order) != "[a b c]" {
-		t.Fatalf("grant order = %v, want FIFO [a b c]", order)
-	}
-}
-
-func TestResourceUse(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(1)
-	e.Spawn("p", func(p *Proc) {
-		r.Use(p, func() {
-			if r.InUse() != 1 {
-				t.Errorf("InUse inside Use = %d", r.InUse())
-			}
-		})
-		if r.InUse() != 0 {
-			t.Errorf("InUse after Use = %d", r.InUse())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release without Acquire did not panic")
-		}
-	}()
-	r.Release()
-}
-
-func TestResourceBadCapacityPanics(t *testing.T) {
-	e := NewEnv()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewResource(0) did not panic")
-		}
-	}()
-	e.NewResource(0)
-}
-
 // TestDeterminism runs a randomized workload twice and checks the observable
 // schedules match exactly.
 func TestDeterminism(t *testing.T) {
@@ -409,15 +295,20 @@ func TestDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEnv()
 		var log []string
-		r := e.NewResource(2)
 		c := e.NewCond()
+		fired := 0
 		for i := 0; i < 20; i++ {
 			i := i
 			d := Time(rng.Intn(50))
 			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				p.Sleep(d)
-				r.Hold(p, Time(i%3))
-				c.Broadcast()
+				if i%2 == 1 {
+					// Wait for a share of the others to have broadcast.
+					c.WaitUntil(p, func() bool { return fired > i/2 })
+				} else {
+					p.Sleep(d)
+					fired++
+					c.Broadcast()
+				}
 				log = append(log, fmt.Sprintf("%s@%.1f", p.Name(), p.Now()))
 			})
 		}
@@ -458,28 +349,6 @@ func TestPropSleepOrdering(t *testing.T) {
 	}
 }
 
-// Property: a capacity-1 resource held for duration d by n processes always
-// completes the batch in exactly sum(d) time.
-func TestPropResourceThroughput(t *testing.T) {
-	f := func(durs []uint8) bool {
-		e := NewEnv()
-		r := e.NewResource(1)
-		var total Time
-		for i, d := range durs {
-			d := Time(d)
-			total += d
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { r.Hold(p, d) })
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		return e.Now() == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- fault-injection and diagnostics additions ---
 
 func TestSpawnPanicBecomesCrashError(t *testing.T) {
@@ -512,7 +381,7 @@ func TestKillSleepingProcess(t *testing.T) {
 		p.Sleep(100)
 		reached = true
 	})
-	e.At(5, func() { e.Kill(p, "injected") })
+	e.At(5, func() { e.Kill(&p.Task, "injected") })
 	err := e.Run()
 	ce, ok := err.(*CrashError)
 	if !ok {
@@ -535,7 +404,7 @@ func TestKillParkedProcessCrashesImmediately(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
 	p := e.Spawn("waiter", func(p *Proc) { p.Wait(ev) })
-	e.At(7, func() { e.Kill(p, "crash now") })
+	e.At(7, func() { e.Kill(&p.Task, "crash now") })
 	err := e.Run()
 	ce, ok := err.(*CrashError)
 	if !ok {
@@ -544,7 +413,7 @@ func TestKillParkedProcessCrashesImmediately(t *testing.T) {
 	if ce.Failures[0].Time != 7 {
 		t.Fatalf("crash time = %v, want 7 (parked kill delivers immediately)", ce.Failures[0].Time)
 	}
-	// The stale waiters entry on ev must not trip unblock's sanity check.
+	// The kill took the process off ev's waiter list: a trigger wakes nobody.
 	ev.Trigger()
 	if e.Live() != 0 {
 		t.Fatalf("Live() = %d, want 0", e.Live())
@@ -557,7 +426,7 @@ func TestKillFinishedProcessIsNoop(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	e.Kill(p, "too late")
+	e.Kill(&p.Task, "too late")
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run after no-op kill = %v", err)
 	}
@@ -571,7 +440,7 @@ func TestSetSlowdownStretchesSleep(t *testing.T) {
 		p.Sleep(10) // stretched 3x
 		done = p.Now()
 	})
-	e.At(10, func() { e.SetSlowdown(p, 3) })
+	e.At(10, func() { e.SetSlowdown(&p.Task, 3) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -586,8 +455,8 @@ func TestSetSlowdownStretchesSleep(t *testing.T) {
 		p.Sleep(10)
 		done2 = p.Now()
 	})
-	e2.At(0, func() { e2.SetSlowdown(p2, 5) })
-	e2.At(50, func() { e2.SetSlowdown(p2, 1) })
+	e2.At(0, func() { e2.SetSlowdown(&p2.Task, 5) })
+	e2.At(50, func() { e2.SetSlowdown(&p2.Task, 1) })
 	if err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -596,12 +465,19 @@ func TestSetSlowdownStretchesSleep(t *testing.T) {
 	}
 }
 
+// wantCredit describes a wait to stall reports.
+type wantCredit struct{}
+
+func (wantCredit) DescribeWait(want int) string {
+	return fmt.Sprintf("flow-ctl: want %d credits", want)
+}
+
 func TestBlockedSnapshot(t *testing.T) {
 	e := NewEnv()
 	cond := e.NewCond().Named("flow-ctl")
 	e.Spawn("b", func(p *Proc) {
 		p.Sleep(2)
-		cond.WaitReason(p, func() string { return "flow-ctl: want credit" })
+		cond.WaitOn(p, wantCredit{}, 3)
 	})
 	e.Spawn("a", func(p *Proc) { p.Wait(e.NewEvent().Named("never")) })
 	if err := e.RunUntil(10); err != nil {
@@ -618,7 +494,7 @@ func TestBlockedSnapshot(t *testing.T) {
 	if got[0].Name != "a" || got[0].Resource != "never" || got[0].Waiting != "never" {
 		t.Fatalf("entry 0 = %+v", got[0])
 	}
-	if got[1].Name != "b" || got[1].Resource != "flow-ctl" || got[1].Waiting != "flow-ctl: want credit" {
+	if got[1].Name != "b" || got[1].Resource != "flow-ctl" || got[1].Waiting != "flow-ctl: want 3 credits" {
 		t.Fatalf("entry 1 = %+v", got[1])
 	}
 	if got[0].Since != 0 || got[1].Since != 2 {
@@ -674,7 +550,7 @@ func TestRunUntilDetectsUnwakeable(t *testing.T) {
 	// Fabricate the race RunUntil must see through: a wake-up queued beyond
 	// the limit for a process that has already finished. With only that in
 	// the queue, nothing can ever wake "stuck".
-	e.push(100, nil, done)
+	e.push(100, nil, &done.Task)
 	err := e.RunUntil(5)
 	de, ok := err.(*DeadlockError)
 	if !ok {

@@ -2,13 +2,13 @@ package sim
 
 import "strconv"
 
-// Task is the scheduler's second process engine: a resumable state machine
-// driven directly by the event loop. A Proc costs a goroutine stack plus a
-// coroutine switch there and back per wake-up; a Task costs one small struct,
-// and suspending it is a pointer store. Protocol hot loops (RMA put/ack,
-// SMP flag synchronization, request streams) run as Tasks so simulations
-// scale to tens of thousands of ranks; user compute callbacks and the
-// chaos/fault-tolerance paths keep the Proc API.
+// Task is the simulator's one actor: a resumable state machine driven
+// directly by the event loop. It costs one small struct, and suspending it is
+// a pointer store, so simulations scale to tens of thousands of ranks. Every
+// protocol below internal/core is written once, for Tasks; a Proc is a Task
+// with a coroutine beside it for a straight-line body (sim.go), and costs a
+// goroutine stack plus a coroutine switch there and back whenever the body
+// has to be returned to.
 //
 // A Task is written in continuation-passing style. Each step runs to
 // completion inside the event loop and must end in exactly one of three
@@ -18,32 +18,36 @@ import "strconv"
 // on resume; calling one anywhere but the tail of a step is a bug (the rest
 // of the step would run before the wait completes in virtual time).
 //
-// Determinism is shared with Procs: a resumed Task is an ordinary queue
-// item, ordered by (time, sequence number) like every other occurrence.
+// A resumed Task is an ordinary queue item, ordered by (time, sequence
+// number) like every other occurrence.
 type Task struct {
 	env    *Env
 	prefix string      // full name, or name prefix when num >= 0
-	num    int         // index appended to prefix; -1 when prefix is the name
 	name   string      // cached formatted name (built on first Name call)
-	track  int         // trace track id, or -1 when untracked
+	num    int32       // index appended to prefix; -1 when prefix is the name
+	track  int32       // trace track id, or -1 when untracked
 	k      func()      // continuation to run at the next resume
 	start  func(*Task) // first step, held directly so spawning allocates no closure
-	parked bool        // suspended on a waitable with no scheduled wake-up
-	done   bool
-	killed string // non-empty: injected crash reason, raised at next resume
-	intr   any    // pending interrupt payload, delivered at next resume
+	proc   *Proc       // the process this task is the actor of: its body is parked on a coroutine between steps; nil for a plain task
+	slow   float64     // sleep stretch factor (stall windows); 0 or 1 = none
+	killed string      // non-empty: injected crash reason, raised at next resume
+	intr   any         // pending interrupt payload, delivered at next resume
 
-	// OnInterrupt, when non-nil, handles an Env.InterruptTask delivery: the
+	parked      bool // suspended on a waitable with no scheduled wake-up
+	done        bool
+	unwindArmed bool // PushUnwind records (see the unwind stack below)
+
+	// OnInterrupt, when non-nil, handles an Env.Interrupt delivery: the
 	// pending continuation is discarded and the handler runs as a step (it
 	// may re-arm waits or reschedule to survive, the CPS analogue of a
 	// recover along a Proc's stack). A task without a handler dies with the
 	// payload recorded as its failure cause.
 	OnInterrupt func(payload any)
 
-	// Wait context, mirroring Proc's; read by stall reports while the task
-	// is parked. A wake-up leaves it in place rather than clearing it: an
-	// armed predicate wait parks again with the same context.
-	waitOn    taskParkable
+	// Wait context, read by stall reports while the task is parked. A
+	// wake-up leaves it in place rather than clearing it: an armed predicate
+	// wait parks again with the same context.
+	waitOn    waitable
 	waitObj   WaitDescriber
 	waitWant  int
 	waitSince Time
@@ -55,24 +59,14 @@ type Task struct {
 	// re-check and re-park without a continuation of their own.
 	wait WaitFrame
 
-	// Unwind stack, armed only inside fault-sensitive operations: blocking
-	// primitives that would restore state via defer on the Proc engine
-	// (dispatcher inCall, spinner counts, open trace spans) push a
-	// compensation here instead, and an interrupt or failure delivery runs
-	// the stack LIFO. Disarmed (the default), Push/Pop are no-ops so the
-	// fault-free hot paths pay a single bool check.
-	unwinds     []func()
-	unwindArmed bool
-}
-
-// taskParkable is a synchronization resource a Task can park on — the Task
-// counterpart of waitable. dropTaskWaiter removes a task from the waiter
-// list without waking it; Env.InterruptTask and failure teardown use it so
-// an interrupted state machine does not linger as a stale waiter, exactly
-// like a parked Proc.
-type taskParkable interface {
-	waitID() string
-	dropTaskWaiter(t *Task)
+	// Unwind stack: primitives that hold protocol state across a suspension
+	// (dispatcher inCall, spinner counts, open trace spans) push the
+	// compensation that restores it, and an interrupt or failure delivery
+	// runs the stack LIFO — what a defer would do if the primitive had a
+	// stack to unwind. It is armed for a Proc's whole life and, on a plain
+	// task, inside fault-sensitive operations; disarmed (the default),
+	// Push/Pop are no-ops so the fault-free hot paths pay a single bool check.
+	unwinds []func()
 }
 
 // taskList is the FIFO of tasks parked on one resource, threaded through
@@ -130,37 +124,42 @@ func (l *taskList) wakeAll(e *Env) {
 // is prefix+itoa(num), formatted lazily; pass num < 0 to use prefix alone.
 //
 // A panic inside a task step is recovered, recorded as a ProcFailure (see
-// Env.Failures), and finishes the task, like a Proc panic.
+// Env.Failures), and finishes the task.
 func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
 	t := e.taskMem.New()
-	t.env, t.prefix, t.num, t.track, t.start = e, prefix, num, -1, fn
-	e.live++
-	e.tasks = register(e.tasks, t)
-	e.push(e.now, nil, t)
+	t.env, t.prefix, t.num, t.track, t.start = e, prefix, int32(num), -1, fn
+	e.admit(t)
 	return t
 }
 
-// register appends x to a registry of spawned actors (Env.procs, Env.tasks),
-// which is what stall and deadlock reports walk: parking and waking touch only
-// the actor's own parked flag. When the registry fills, finished actors are
-// swept out before it grows, so a run that spawns short-lived helpers forever
-// holds only the live ones.
-func register[A interface{ Done() bool }](reg []A, x A) []A {
+// admit counts a new task live, registers it and schedules its first step.
+func (e *Env) admit(t *Task) {
+	e.live++
+	e.register(t)
+	e.push(e.now, nil, t)
+}
+
+// register appends t to the registry of spawned tasks, which is what stall and
+// deadlock reports walk: parking and waking touch only the task's own parked
+// flag. When the registry fills, finished tasks are swept out before it grows,
+// so a run that spawns short-lived helpers forever holds only the live ones.
+func (e *Env) register(t *Task) {
+	reg := e.tasks
 	if n := len(reg); n == cap(reg) && n > 0 {
 		live := reg[:0]
 		for _, a := range reg {
-			if !a.Done() {
+			if !a.done {
 				live = append(live, a)
 			}
 		}
 		clear(reg[len(live):])
 		if len(live) > n/2 {
 			// Mostly live: double, so the next sweep is as far away again.
-			live = append(make([]A, 0, 2*n), live...)
+			live = append(make([]*Task, 0, 2*n), live...)
 		}
 		reg = live
 	}
-	return append(reg, x)
+	e.tasks = append(reg, t)
 }
 
 // Env returns the environment the task runs in.
@@ -169,24 +168,29 @@ func (t *Task) Env() *Env { return t.env }
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.env.now }
 
-// SetTrack assigns the task a trace track (see Proc.SetTrack).
-func (t *Task) SetTrack(track int) { t.track = track }
+// SetTrack assigns the task a trace track; spans recorded on its behalf land
+// on that timeline. Tasks default to track -1 (untracked: their spans are
+// dropped).
+func (t *Task) SetTrack(track int) { t.track = int32(track) }
 
 // Track returns the task's trace track (-1 when untracked).
-func (t *Task) Track() int { return t.track }
+func (t *Task) Track() int { return int(t.track) }
 
-// Num returns the index passed to SpawnTask (-1 when the prefix alone names
-// the task). Spawn loops use it to share one start function across every
-// task instead of capturing the index in a per-task closure.
-func (t *Task) Num() int { return t.num }
+// Num returns the index passed to SpawnTask or SpawnIndexed (-1 when the
+// prefix alone names the task). Spawn loops use it to share one start
+// function across every task instead of capturing the index in a per-task
+// closure.
+func (t *Task) Num() int { return int(t.num) }
 
-// Name returns the task's name, formatted on first use like Proc.Name.
+// Name returns the task's name. An indexed name is formatted on first use
+// and cached: the hot spawn paths never allocate a name that no report will
+// read.
 func (t *Task) Name() string {
 	if t.name == "" {
 		if t.num < 0 {
 			t.name = t.prefix
 		} else {
-			t.name = t.prefix + strconv.Itoa(t.num)
+			t.name = t.prefix + strconv.Itoa(int(t.num))
 		}
 	}
 	return t.name
@@ -196,10 +200,14 @@ func (t *Task) Name() string {
 func (t *Task) Done() bool { return t.done }
 
 // SleepThen suspends the task for d virtual time (negative counts as zero)
-// and resumes with k. Must be the final action of the current step.
+// and resumes with k. An active slowdown (Env.SetSlowdown) stretches d. Must
+// be the final action of the current step.
 func (t *Task) SleepThen(d Time, k func()) {
 	if d < 0 {
 		d = 0
+	}
+	if t.slow > 1 {
+		d *= t.slow
 	}
 	t.k = k
 	t.env.push(t.env.now+d, nil, t)
@@ -212,7 +220,7 @@ func (t *Task) YieldThen(k func()) { t.SleepThen(0, k) }
 // parkOnT suspends the task indefinitely on a waitable; something else must
 // hold a reference and wake it via an Event or Cond. k runs on wake (nil for
 // an armed predicate wait, which resumes through its frame).
-func (t *Task) parkOnT(on taskParkable, obj WaitDescriber, want int, k func()) {
+func (t *Task) parkOnT(on waitable, obj WaitDescriber, want int, k func()) {
 	t.parked = true
 	t.k = k
 	t.waitOn = on
@@ -233,48 +241,16 @@ func (e *Env) unblockTask(t *Task) {
 	e.push(e.now, nil, t)
 }
 
-// KillTask schedules an injected crash of t, mirroring Env.Kill: the task
-// dies with a Crashed failure the next time it would run (immediately at
-// the current virtual time if it is parked). No-op on finished or
-// already-killed tasks. Called from event callbacks.
-func (e *Env) KillTask(t *Task, reason string) {
-	if t.done || t.killed != "" {
+// unpark takes a parked task off the waiter list of what it parked on and
+// wakes it at the current time; no-op for a task that is not parked.
+func (e *Env) unpark(t *Task) {
+	if !t.parked {
 		return
 	}
-	if reason == "" {
-		reason = "killed"
+	if t.waitOn != nil {
+		t.waitOn.dropWaiter(t)
 	}
-	t.killed = reason
-	if t.parked {
-		if t.waitOn != nil {
-			t.waitOn.dropTaskWaiter(t)
-		}
-		e.unblockTask(t) // deliver the crash now instead of never
-	}
-	// Otherwise the task is sleeping (or starting) and its queued resume
-	// delivers the crash.
-}
-
-// InterruptTask delivers an asynchronous interrupt to t, mirroring
-// Env.Interrupt: the pending continuation is abandoned and the task's
-// OnInterrupt handler (or its death, absent one) happens the next time the
-// task would run — immediately at the current virtual time if it is parked,
-// in which case it is first removed from the waiter list of the resource it
-// parked on so no stale entry remains. No-op on finished, killed, or
-// already-interrupted tasks, and for nil payloads.
-func (e *Env) InterruptTask(t *Task, payload any) {
-	if t.done || t.killed != "" || t.intr != nil || payload == nil {
-		return
-	}
-	t.intr = payload
-	if t.parked {
-		if t.waitOn != nil {
-			t.waitOn.dropTaskWaiter(t)
-		}
-		e.unblockTask(t)
-	}
-	// Otherwise the task is sleeping (or running to its next park) and its
-	// next resume delivers the interrupt.
+	e.unblockTask(t)
 }
 
 // runTask resumes a task from the event loop: it delivers any pending kill
@@ -284,40 +260,33 @@ func (e *Env) runTask(t *Task) {
 		return // stale resume of a task torn down by a failure
 	}
 	if t.killed != "" {
-		t.k = nil
-		t.start = nil
 		e.failTask(t, Crashed{Reason: t.killed})
 		return
 	}
-	intr := t.intr
+	var intr any
+	if t.start == nil { // one that has not started takes it at its first resume after the start
+		intr = t.intr
+	}
 	if intr != nil {
 		t.intr = nil
-		t.k = nil // the interrupted wait's continuation must not run
-		t.start = nil
-		t.clearWait()
 		if t.OnInterrupt == nil {
 			e.failTask(t, intr)
 			return
 		}
+		t.k = nil // the interrupted wait's continuation must not run
+		t.clearWait()
 	}
 	e.stepTask(t, intr)
 }
 
 // stepTask runs one step: the interrupt handler when intr is set, else the
 // spawn function, the re-check of an armed predicate wait, or the stored
-// continuation. A step that neither suspended nor rescheduled has fallen off
-// its end, finishing the task; a panic is recovered and recorded like a Proc
-// failure.
+// continuation. A plain task's step that neither suspended nor rescheduled
+// has fallen off its end, finishing the task; a process finishes when its
+// body returns (proc_coro.go), however its task looks while the body is
+// parked. A step that panics is recovered by the event loop (Env.drain) and
+// the panic delivered as a failure.
 func (e *Env) stepTask(t *Task, intr any) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.failTask(t, r)
-		}
-		if !t.done && t.k == nil && !t.parked {
-			t.done = true
-			e.live--
-		}
-	}()
 	switch {
 	case intr != nil:
 		t.OnInterrupt(intr)
@@ -332,34 +301,58 @@ func (e *Env) stepTask(t *Task, intr any) {
 		t.k = nil
 		k()
 	}
+	if !t.done && t.k == nil && !t.parked && t.proc == nil {
+		e.retire(t)
+	}
 }
 
-// failTask records a task death and tears down any park state, dropping the
-// task from its waiter list so the resource is not left with a dead entry.
+// failTask delivers a failure — a kill, an interrupt nothing handles, the
+// panic of a step — to a task: it tears down whatever the task was suspended
+// in (dropping it from its waiter list so the resource is not left with a
+// dead entry) and runs the unwind stack, restoring the protocol state the
+// task was holding. A plain task is then dead. A process whose body has
+// started is instead resumed with the cause as a panic at the call the body
+// is parked in, so the body's defers and recovers behave as if the blocking
+// call itself had panicked; only a panic that reaches the bottom of the body
+// is the process's death (coro.run).
 func (e *Env) failTask(t *Task, cause any) {
 	if t.done {
 		return
 	}
 	if t.parked {
 		if t.waitOn != nil {
-			t.waitOn.dropTaskWaiter(t)
+			t.waitOn.dropWaiter(t)
 		}
 		t.parked = false
 	}
-	if t.unwindArmed {
-		// Restore protocol state the dead task was holding (dispatcher
-		// inCall, spinner counts), as the panic unwind of a Proc would.
-		t.RunUnwinds()
-		t.unwindArmed = false
-	}
+	t.RunUnwinds()
 	t.clearWait()
 	t.k = nil
+	if p := t.proc; p != nil && p.co != nil {
+		p.co.raise(cause)
+		return
+	}
+	e.retire(t)
+	e.recordFailure(t, cause)
+}
+
+// retire marks a task finished. It keeps its identity for reports, but not
+// what it waited on or would have run next: those point at flags and counters,
+// hence at the machine and its buffers, and the registry or a caller's handle
+// may outlive the run.
+func (e *Env) retire(t *Task) {
 	t.done = true
 	e.live--
+	t.k, t.start, t.OnInterrupt, t.unwinds = nil, nil, nil, nil
+	t.waitOn, t.waitObj, t.wait = nil, nil, nil
+}
+
+// recordFailure records the death of t and tells the failure hook.
+func (e *Env) recordFailure(t *Task, cause any) {
 	f := ProcFailure{Proc: t.Name(), Actor: t, Time: e.now, Cause: cause}
 	e.failures = append(e.failures, f)
-	if e.OnTaskFailure != nil {
-		e.OnTaskFailure(t, f)
+	if e.OnFailure != nil {
+		e.OnFailure(t, f)
 	}
 }
 
@@ -367,19 +360,23 @@ func (e *Env) failTask(t *Task, cause any) {
 // with k. Must be the final action of the current step.
 func (ev *Event) WaitT(t *Task, k func()) {
 	if ev.done {
-		// Triggered already: continue within the same step, zero cost, the
-		// exact analogue of Proc.Wait returning without parking.
+		// Triggered already: continue within the same step, at zero cost.
 		k()
 		return
 	}
-	ev.tasks.add(t)
+	ev.waiters.add(t)
 	t.parkOnT(ev, nil, -1, k)
 }
 
 // WaitT suspends the task until the next Broadcast, then resumes with k.
-func (c *Cond) WaitT(t *Task, k func()) {
-	c.tasks.add(t)
-	t.parkOnT(c, nil, -1, k)
+func (c *Cond) WaitT(t *Task, k func()) { c.WaitOnT(t, nil, -1, k) }
+
+// WaitOnT is WaitT with a description of what the task waits for: a
+// WaitDescriber plus the awaited value, formatted only if the wait lands in a
+// stall or deadlock report.
+func (c *Cond) WaitOnT(t *Task, obj WaitDescriber, want int, k func()) {
+	c.waiters.add(t)
+	t.parkOnT(c, obj, want, k)
 }
 
 // WaitFrame is a parked predicate wait as one value: Ready reports whether
@@ -395,12 +392,11 @@ type WaitFrame interface {
 // WaitFrameT parks the task on c until w.Ready() holds, re-checking after
 // every Broadcast, then calls w.Resume() as a step of the task. The caller
 // has found the condition unmet (a met one continues inline, without a
-// frame); obj and want describe the wait to stall reports like Cond.WaitOn.
+// frame); obj and want describe the wait to stall reports like Cond.WaitOnT.
 // Must be the final action of the current step.
 func (c *Cond) WaitFrameT(t *Task, obj WaitDescriber, want int, w WaitFrame) {
 	t.wait = w
-	c.tasks.add(t)
-	t.parkOnT(c, obj, want, nil)
+	c.WaitOnT(t, obj, want, nil)
 }
 
 // retryWait is the resume step of an armed predicate wait: it releases the
@@ -413,8 +409,7 @@ func (t *Task) retryWait() {
 		return
 	}
 	c := t.waitOn.(*Cond) // only a Cond arms a frame, and a wake-up left it here
-	c.tasks.add(t)
-	t.parkOnT(c, t.waitObj, t.waitWant, nil)
+	c.WaitOnT(t, t.waitObj, t.waitWant, nil)
 }
 
 // clearWait disarms the predicate wait so its frame can be reused or
@@ -422,9 +417,8 @@ func (t *Task) retryWait() {
 func (t *Task) clearWait() { t.wait = nil }
 
 // SetUnwindArmed enables (or disables and clears) the task's unwind stack.
-// Fault-tolerant execution arms it for the duration of a collective so
-// blocking primitives can register the compensations a Proc would run via
-// defer; everything else leaves it disarmed and pays nothing.
+// Fault-tolerant execution arms it on a plain task for the duration of a
+// collective; a Proc's is armed from spawn and stays so.
 func (t *Task) SetUnwindArmed(on bool) {
 	t.unwindArmed = on
 	if !on {
@@ -452,8 +446,8 @@ func (t *Task) PopUnwind() {
 	}
 }
 
-// RunUnwinds runs the recorded compensations LIFO and clears the stack,
-// the CPS analogue of a panic unwinding a Proc's deferred restores.
+// RunUnwinds runs the recorded compensations LIFO and clears the stack, as a
+// panic runs the defers of the frames it unwinds.
 func (t *Task) RunUnwinds() {
 	for i := len(t.unwinds) - 1; i >= 0; i-- {
 		fn := t.unwinds[i]

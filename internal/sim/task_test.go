@@ -130,7 +130,7 @@ func TestTaskDeadlockReported(t *testing.T) {
 func TestTaskPanicBecomesCrashError(t *testing.T) {
 	e := NewEnv()
 	var hooked []string
-	e.OnTaskFailure = func(tk *Task, f ProcFailure) {
+	e.OnFailure = func(tk *Task, f ProcFailure) {
 		hooked = append(hooked, fmt.Sprintf("%s:%v@%v", f.Proc, f.Cause, f.Time))
 	}
 	e.SpawnTask("boom", 3, func(tk *Task) {
@@ -158,7 +158,7 @@ func TestTaskPanicWhileParkedElsewhereIsClean(t *testing.T) {
 		c.WaitT(tk, func() {})
 	})
 	e.At(1, func() {
-		e.KillTask(findTask(e, "dead"), "chaos")
+		e.Kill(findTask(e, "dead"), "chaos")
 	})
 	e.At(2, c.Broadcast)
 	err := e.Run()
@@ -166,8 +166,8 @@ func TestTaskPanicWhileParkedElsewhereIsClean(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want CrashError", err)
 	}
-	if c.tasks.len() != 0 {
-		t.Errorf("cond still holds %d task waiters", c.tasks.len())
+	if c.waiters.len() != 0 {
+		t.Errorf("cond still holds %d task waiters", c.waiters.len())
 	}
 }
 
@@ -180,7 +180,7 @@ func TestKillTaskSleeping(t *testing.T) {
 	tk = e.SpawnTask("victim", -1, func(tk *Task) {
 		tk.SleepThen(100, func() { reachedEnd = true })
 	})
-	e.At(10, func() { e.KillTask(tk, "crash") })
+	e.At(10, func() { e.Kill(tk, "crash") })
 	err := e.Run()
 	var ce *CrashError
 	if !errors.As(err, &ce) {
@@ -242,15 +242,15 @@ func TestKillTaskParkedInWaitUntilOnT(t *testing.T) {
 		})
 	})
 	e.At(1, func() { val = 1; c.Broadcast() }) // unsatisfied: retryWait parks again
-	e.At(2, func() { e.KillTask(tk, "chaos") })
+	e.At(2, func() { e.Kill(tk, "chaos") })
 	e.At(3, func() { val = 3; c.Broadcast() }) // must not touch the corpse
 	err := e.Run()
 	var ce *CrashError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want CrashError", err)
 	}
-	if c.tasks.len() != 0 {
-		t.Errorf("cond still holds %d task waiters after the kill", c.tasks.len())
+	if c.waiters.len() != 0 {
+		t.Errorf("cond still holds %d task waiters after the kill", c.waiters.len())
 	}
 	if n := len(parkedTasks(e)); n != 0 {
 		t.Errorf("%d tasks still marked parked", n)
@@ -271,7 +271,7 @@ func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 	var tk *Task
 	tk = e.SpawnTask("w", -1, func(tk *Task) {
 		tk.OnInterrupt = func(payload any) {
-			if got := c.tasks.len(); got != 0 {
+			if got := c.waiters.len(); got != 0 {
 				t.Errorf("cond holds %d waiters during interrupt delivery, want 0", got)
 			}
 			waitUntilT(c, tk, 5, func() bool { return val >= 5 }, func() { resumed = true })
@@ -280,9 +280,9 @@ func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 			t.Error("interrupted wait's continuation ran")
 		})
 	})
-	e.At(1, func() { e.InterruptTask(tk, "poke") })
+	e.At(1, func() { e.Interrupt(tk, "poke") })
 	e.At(2, func() {
-		if got := c.tasks.len(); got != 1 {
+		if got := c.waiters.len(); got != 1 {
 			t.Errorf("cond holds %d waiters after re-arm, want exactly 1", got)
 		}
 		val = 5
@@ -294,8 +294,8 @@ func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 	if !resumed {
 		t.Error("re-armed wait never resumed")
 	}
-	if c.tasks.len() != 0 {
-		t.Errorf("cond still holds %d waiters after completion", c.tasks.len())
+	if c.waiters.len() != 0 {
+		t.Errorf("cond still holds %d waiters after completion", c.waiters.len())
 	}
 }
 
@@ -311,15 +311,15 @@ func TestKillTaskAfterBroadcastWakeInFlight(t *testing.T) {
 	})
 	e.At(1, func() {
 		c.Broadcast() // wake in flight: waiter removed, resume queued
-		e.KillTask(tk, "chaos")
+		e.Kill(tk, "chaos")
 	})
 	err := e.Run()
 	var ce *CrashError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want CrashError", err)
 	}
-	if c.tasks.len() != 0 {
-		t.Errorf("cond holds %d waiters", c.tasks.len())
+	if c.waiters.len() != 0 {
+		t.Errorf("cond holds %d waiters", c.waiters.len())
 	}
 	if f := ce.Failures[0]; f.Time != 1 {
 		t.Errorf("death recorded at t=%v, want 1", f.Time)
@@ -352,9 +352,9 @@ func TestWaitUntilTReusesRetryFrame(t *testing.T) {
 	var frames []WaitFrame
 	for _, at := range []Time{0.5, 1.5, 2.5, 3.5} {
 		e.At(at, func() {
-			if !tk.parked || tk.k != nil || tk.waitOn != c || c.tasks.len() != 1 {
+			if !tk.parked || tk.k != nil || tk.waitOn != c || c.waiters.len() != 1 {
 				t.Errorf("t=%v: parked=%v k set=%v on c=%v waiters=%d, want one frame-only park on c",
-					e.Now(), tk.parked, tk.k != nil, tk.waitOn == c, c.tasks.len())
+					e.Now(), tk.parked, tk.k != nil, tk.waitOn == c, c.waiters.len())
 			}
 			frames = append(frames, tk.wait)
 		})
@@ -385,7 +385,7 @@ func TestTaskUnwindStack(t *testing.T) {
 		tk.PushUnwind(func() { order = append(order, "inner") })
 		tk.SleepThen(100, func() {})
 	})
-	e.At(1, func() { e.KillTask(tk, "chaos") })
+	e.At(1, func() { e.Kill(tk, "chaos") })
 	err := e.Run()
 	var ce *CrashError
 	if !errors.As(err, &ce) {

@@ -34,8 +34,43 @@ func TestWaitersWakeInWaitOrder(t *testing.T) {
 	if fmt.Sprint(woke) != "[0 1 2 3 4 5]" {
 		t.Errorf("wake order = %v, want the wait order", woke)
 	}
-	if c.tasks.head != nil || c.tasks.tail != nil {
+	if c.waiters.head != nil || c.waiters.tail != nil {
 		t.Error("list not empty after the broadcast")
+	}
+}
+
+func TestProcsAndTasksWakeInWaitOrder(t *testing.T) {
+	// A Cond and an Event waited on alternately by processes and plain tasks:
+	// there is one waiter list, so the wake order is the wait order whatever
+	// form the waiter's body has (processes used to be woken first).
+	e := NewEnv()
+	c, ev := e.NewCond(), e.NewEvent()
+	var woke []string
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			e.SpawnIndexed("p", i, func(p *Proc) {
+				c.Wait(p)
+				woke = append(woke, "c:"+p.Name())
+				p.Wait(ev)
+				woke = append(woke, "e:"+p.Name())
+			})
+			continue
+		}
+		e.SpawnTask("t", i, func(tk *Task) {
+			c.WaitT(tk, func() {
+				woke = append(woke, "c:"+tk.Name())
+				ev.WaitT(tk, func() { woke = append(woke, "e:"+tk.Name()) })
+			})
+		})
+	}
+	e.At(1, c.Broadcast)
+	e.At(2, ev.Trigger)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[c:p0 c:t1 c:p2 c:t3 c:p4 c:t5 e:p0 e:t1 e:p2 e:t3 e:p4 e:t5]"
+	if fmt.Sprint(woke) != want {
+		t.Errorf("wake order = %v\nwant the wait order %v", woke, want)
 	}
 }
 
@@ -62,9 +97,9 @@ func TestWaitersDropKeepsOrder(t *testing.T) {
 				victim.OnInterrupt = func(any) {} // survive the interrupt, then finish
 				e.At(1, func() {
 					if kill {
-						e.KillTask(victim, "chaos")
+						e.Kill(victim, "chaos")
 					} else {
-						e.InterruptTask(victim, "poke")
+						e.Interrupt(victim, "poke")
 					}
 					if victim.waitNext != nil {
 						t.Error("dropped waiter still links into the list")
@@ -112,8 +147,8 @@ func TestWaitersReparkWaitsForNextBroadcast(t *testing.T) {
 	e.At(1, func() {
 		// Same instant, after the broadcast: the three resumes are queued,
 		// the list is empty, and nothing has parked again yet.
-		if c.tasks.len() != 0 {
-			t.Errorf("%d waiters on the list while the wake-ups are in flight", c.tasks.len())
+		if c.waiters.len() != 0 {
+			t.Errorf("%d waiters on the list while the wake-ups are in flight", c.waiters.len())
 		}
 	})
 	e.At(5, c.Broadcast)
@@ -126,7 +161,7 @@ func TestWaitersReparkWaitsForNextBroadcast(t *testing.T) {
 }
 
 func TestBlockedSortedByNameOnBothEngines(t *testing.T) {
-	// The same stuck program on either engine must yield the same report:
+	// The same stuck program in either body form must yield the same report:
 	// blocked entries sorted by name (not by spawn or park order), with the
 	// resource ids the Conds drew at creation.
 	report := func(tasks bool) string {

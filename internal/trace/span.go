@@ -111,6 +111,18 @@ func New(now func() float64) *Trace {
 	}
 }
 
+// Freeze stops the trace's clock at its current reading and lets go of it.
+// The clock is a method of the simulation that was traced (sim.Env.Now), and
+// a finished trace is read long after that simulation should be garbage: it
+// keeps its spans, not its clock's owner.
+func (t *Trace) Freeze() {
+	if t == nil {
+		return
+	}
+	at := t.now()
+	t.now = func() float64 { return at }
+}
+
 // Enabled reports whether the trace records spans (false on nil).
 func (t *Trace) Enabled() bool { return t != nil }
 

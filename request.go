@@ -79,12 +79,11 @@ func (l *reqLabel) String() string {
 // issued-but-not-yet-completed requests in issue order, and the helpers that
 // ran them.
 type reqStream struct {
-	seq      int
-	tail     *sim.Event
-	live     []*Request
-	prefix   string      // "rank<r>.req", what the rank's helpers are named by
-	helpers  []*sim.Proc // the rank's helper procs (fault tolerance kills them with the rank)
-	thelpers []*sim.Task // Tasks engine: the rank's helper tasks
+	seq     int
+	tail    *sim.Event
+	live    []*Request
+	prefix  string      // "rank<r>.req", what the rank's helpers are named by
+	helpers []*sim.Task // the rank's helpers (fault tolerance kills them with the rank)
 }
 
 // helperPrefix returns the name prefix of rank's request helpers.
@@ -96,16 +95,15 @@ func (st *reqStream) helperPrefix(rank int) string {
 }
 
 // runState is the per-Run bookkeeping shared by every Comm of the run:
-// request streams, which rank each process acts for, trace track allocation
+// request streams, which rank each task acts for, trace track allocation
 // for helpers, the record of every communicator, and the handle cache that
 // makes Comm.Sub return one canonical Comm per (parent, member list) so
 // request ordering is well defined per communicator.
 type runState struct {
 	env        *sim.Env
 	streams    []reqStream           // by rank, one slab
-	procs      []*sim.Proc           // rank processes (Procs engine)
-	tasks      []*sim.Task           // rank tasks (Tasks engine)
-	helperRank map[any]int           // request helper (*sim.Proc or *sim.Task) -> issuing rank
+	tasks      []*sim.Task           // by rank: the rank's task (a Run body's process's own)
+	helperRank map[*sim.Task]int     // request helper -> issuing rank
 	nextTrack  int                   // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
 	comms      []*commRec            // every communicator of the run, the world first
 	byHash     map[uint64][]*commRec // those Sub made, by ranks.Hash of their member lists
@@ -122,29 +120,23 @@ func newRunState(env *sim.Env, p int) *runState {
 	return &runState{
 		env:        env,
 		streams:    make([]reqStream, p),
-		helperRank: make(map[any]int),
+		tasks:      make([]*sim.Task, p),
+		helperRank: make(map[*sim.Task]int),
 		nextTrack:  2 * p,
 		byHash:     make(map[uint64][]*commRec),
 		subs:       make(map[subKey]*Comm),
 	}
 }
 
-// rankOf resolves a process or task (a sim.ProcFailure's Actor) to the rank it
-// acts for, and whether as one of the rank's request helpers: a helper is in
-// the registry, a rank's own is found at its spawn index. Anything else is -1.
-func (rs *runState) rankOf(actor any) (rank int, helper bool) {
-	if r, ok := rs.helperRank[actor]; ok {
+// rankOf resolves a task (a sim.ProcFailure's Actor) to the rank it acts for,
+// and whether as one of the rank's request helpers: a helper is in the
+// registry, a rank's own is found at its spawn index. Anything else is -1.
+func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
+	if r, ok := rs.helperRank[t]; ok {
 		return r, true
 	}
-	switch a := actor.(type) {
-	case *sim.Proc:
-		if n := a.Num(); n >= 0 && n < len(rs.procs) && rs.procs[n] == a {
-			return n, false
-		}
-	case *sim.Task:
-		if n := a.Num(); n >= 0 && n < len(rs.tasks) && rs.tasks[n] == a {
-			return n, false
-		}
+	if n := t.Num(); n >= 0 && n < len(rs.tasks) && rs.tasks[n] == t {
+		return n, false
 	}
 	return -1, false
 }
@@ -234,8 +226,8 @@ func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.
 		c.tr.End(oid)
 		req.done.Trigger()
 	})
-	c.rs.helperRank[hp] = c.rank
-	st.helpers = append(st.helpers, hp)
+	c.rs.helperRank[&hp.Task] = c.rank
+	st.helpers = append(st.helpers, &hp.Task)
 	st.tail = req.done
 	st.live = append(st.live, req)
 	return req

@@ -440,7 +440,7 @@ type Result struct {
 // collective operations of the selected implementation. Sub carves out a
 // communicator over a subset of ranks.
 type Comm struct {
-	p        *sim.Proc // nil on the Tasks engine
+	p        *sim.Proc // the rank's process; nil on the Tasks engine, where the body has no stack
 	rank     int
 	rec      *commRec // the communicator this handle is a member's view of
 	m        *machine.Machine
@@ -524,8 +524,8 @@ type collectives interface {
 }
 
 // srmColl is an SRM task group (the world group for the world
-// communicator) on either engine: core.Group's own methods are the
-// operation sets of collectives and tcollectives.
+// communicator): core.Group's own methods are the operation sets of
+// collectives and tcollectives.
 type srmColl struct{ *core.Group }
 
 func (a srmColl) Subgroup(members []int) collectives { return srmColl{a.Sub(members)} }
@@ -919,9 +919,6 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
 		return nil, err
 	}
-	if engine == EngineTasks && len(cl.faults.Stalls) > 0 {
-		return nil, fmt.Errorf("srmcoll: stall fault windows require EngineProcs (per-task slowdown has no Task-engine equivalent)")
-	}
 	env := sim.NewEnv()
 	m := machine.New(env, cl.cfg)
 	sm := &simulation{cl: cl, m: m}
@@ -952,16 +949,10 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	rs := newRunState(env, m.P())
 	world := rs.newWorld(m.P(), sm.coll)
 	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
-	if engine == EngineTasks {
-		rs.tasks = make([]*sim.Task, m.P())
-	} else {
-		rs.procs = make([]*sim.Proc, m.P())
-	}
 	if cl.ft.Enabled {
 		ft := newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
 		rs.ft = ft
-		env.OnFailure = func(_ *sim.Proc, f sim.ProcFailure) { ft.onFailure(f) }
-		env.OnTaskFailure = func(_ *sim.Task, f sim.ProcFailure) { ft.onFailure(f) }
+		env.OnFailure = ft.onFailure
 	}
 	// Schedule fault callbacks before spawning the ranks so a window opening
 	// at t=0 is already in force when the first rank runs.
@@ -978,31 +969,24 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 }
 
 // scheduleFaults wires the plan's crashes and stall windows to the ranks'
-// processes or tasks. The callbacks look the rank up when they fire; the
-// registries are filled by then.
+// tasks. The callbacks look the rank up when they fire; the registry is
+// filled by then.
 func (sm *simulation) scheduleFaults() {
 	env, inj, rs := sm.m.Env, sm.m.Faults, sm.rs
 	for _, cr := range sm.cl.faults.Crashes {
 		cr := cr
 		env.At(cr.At, func() {
 			inj.CountCrash()
-			why := fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At)
-			if rs.tasks != nil {
-				env.KillTask(rs.tasks[cr.Rank], why)
-			} else {
-				env.Kill(rs.procs[cr.Rank], why)
-			}
+			env.Kill(rs.tasks[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
 		})
 	}
-	// Stall windows reach only processes: prepare refuses them on the Tasks
-	// engine.
 	for _, st := range sm.cl.faults.Stalls {
 		st := st
 		env.At(st.From, func() {
 			inj.CountStall()
-			env.SetSlowdown(rs.procs[st.Rank], st.Factor)
+			env.SetSlowdown(rs.tasks[st.Rank], st.Factor)
 		})
-		env.At(st.Until, func() { env.SetSlowdown(rs.procs[st.Rank], 1) })
+		env.At(st.Until, func() { env.SetSlowdown(rs.tasks[st.Rank], 1) })
 	}
 }
 
@@ -1016,9 +1000,9 @@ func (sm *simulation) spawnProcs(body func(*Comm)) {
 		c.checkDrained()
 		sm.res.PerRank[c.rank] = p.Now()
 	}
-	for r := range sm.rs.procs {
+	for r := range sm.rs.tasks {
 		p := sm.m.Env.SpawnIndexed("rank", r, start)
-		sm.rs.procs[r] = p
+		sm.rs.tasks[r] = &p.Task
 		if tr := sm.m.Env.Trace; tr != nil {
 			p.SetTrack(r)
 			tr.NameTrack(r, p.Name())
@@ -1075,6 +1059,7 @@ func (sm *simulation) outcome() (*Result, error) {
 	}
 	res.Stats = *sm.m.Stats
 	res.Events = env.Events()
+	res.Trace.Freeze() // the caller keeps the result; it must not keep the simulation
 	if inj != nil {
 		res.Faults = inj.Summary()
 	}
@@ -1097,8 +1082,8 @@ func (sm *simulation) garbage() int64 {
 	return n
 }
 
-// runError converts a recovered process failure into a *RunError naming the
-// rank whose process, or whose request helper, it was.
+// runError converts a recorded failure into a *RunError naming the rank whose
+// task, or whose request helper, it was.
 func (rs *runState) runError(f sim.ProcFailure) *RunError {
 	rank, _ := rs.rankOf(f.Actor)
 	re := &RunError{Rank: max(0, rank), Op: "run"}

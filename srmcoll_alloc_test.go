@@ -155,3 +155,41 @@ func TestBlockingTCommCallAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm TComm.Barrier costs %.3f objects per rank, core's BarrierT %.3f: the facade allocates per call", facade, direct)
 	}
 }
+
+// TestBlockingCommCallAllocs: a blocking Comm collective is a shim over the
+// continuation form now, on a continuation bound once per coroutine, and must
+// not have started to allocate per call for it. Measured as above — the
+// difference between a Run body of 2k allreduces and one of k, per extra call
+// per rank, 8 bytes at 512 ranks. Recorded at the parent (28d282b), where the
+// body ran the protocol on its own stack: 4.13 objects, the protocol's shared
+// state and the waiter slices of its flags and counters. The shim adds none,
+// and the one intrusive waiter list takes the slices away: 2.26 now.
+func TestBlockingCommCallAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const nodes, tpn, k, recorded = 64, 8, 8, 4.13
+	const ranks = nodes * tpn
+	cl := mustCluster(t, nodes, tpn)
+	send, recv := make([]byte, 8*ranks), make([]byte, 8*ranks)
+	run := func(calls int) uint64 {
+		return mallocsOf(func() {
+			_, err := cl.Run(SRM, func(c *Comm) {
+				r := c.Rank()
+				for i := 0; i < calls; i++ {
+					if err := c.Allreduce(send[8*r:8*r+8], recv[8*r:8*r+8], Int64, Sum); err != nil {
+						panic(err)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	per := (float64(run(2*k)) - float64(run(k))) / (k * ranks)
+	t.Logf("objects per extra allreduce per rank: %.3f (recorded at the parent: %.3f)", per, recorded)
+	if per > recorded {
+		t.Errorf("a warm Comm.Allreduce costs %.3f objects per rank, want at most the parent's %.3f", per, recorded)
+	}
+}

@@ -566,10 +566,11 @@ func chaosCorpusPlan(ranks int, rate float64, seed int64) FaultPlan {
 // leaves out: Failures and Repairs (every RepairRecord.Comm string, survivor
 // list and the order of the records) next to the times and counters, for a
 // seeded chaos corpus on both engines. Each golden is the SHA-256 over the
-// ftFingerprints of one (world, crash rate) cell: four seeds on the Procs
-// engine with the stall windows, then the same four on the Tasks engine
-// without them (it has no per-task slowdown). The Tasks runs must also match
-// the Procs engine running the same stall-free plan.
+// ftFingerprints of one (world, crash rate) cell: four seeds of Run with the
+// stall windows, then the same four of RunT on the Tasks engine without them
+// (recorded when that engine had no per-task slowdown). Beyond the goldens,
+// each plan must read the same on the Tasks engine as from a blocking body:
+// the stalled one against Run, the stall-free one against RunT on EngineProcs.
 func TestChaosCorpusGolden(t *testing.T) {
 	// Recorded at e0cfe4b, before communicators became shared records.
 	golden := map[string]string{
@@ -600,7 +601,15 @@ func TestChaosCorpusGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d procs: %v", name, k, err)
 				}
-				io.WriteString(h, ftFingerprint(res))
+				stalled := ftFingerprint(res)
+				io.WriteString(h, stalled)
+				cl.SetEngine(EngineTasks)
+				if res, err = cl.RunT(SRM, chaosLoopBodyT(10, 256, 25)); err != nil {
+					t.Fatalf("%s seed %d tasks, stalled: %v", name, k, err)
+				}
+				if fp := ftFingerprint(res); fp != stalled {
+					t.Errorf("%s seed %d: the stalled plan diverges:\n--- tasks\n%s--- procs\n%s", name, k, fp, stalled)
+				}
 
 				plan.Stalls = nil
 				cl.SetFaultPlan(plan)

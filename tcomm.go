@@ -1,18 +1,22 @@
 package srmcoll
 
-// Task-engine execution of SPMD bodies. The goroutine engine behind Run
-// spawns one sim.Proc per rank; at hundreds of thousands of ranks the
-// goroutine stacks and coroutine switches dominate the host cost. The Task
-// engine instead drives every rank as a resumable state machine on the
-// event loop (see internal/sim Task and DESIGN.md §15): RunT executes a
-// continuation-passing body on every rank, selected by Cluster.SetEngine.
+// Continuation-passing SPMD bodies. Every rank is a sim.Task, and every
+// protocol below the facade is written once, as steps of that task (DESIGN.md
+// §13, §15); what the engines choose is the form of the body on top. Run gives
+// each rank a process — the task plus a coroutine for a straight-line body —
+// and at hundreds of thousands of ranks the goroutine stacks and the switches
+// back to the bodies dominate the host cost. RunT executes a
+// continuation-passing body, which under EngineTasks is steps of the rank's
+// task too: no stack, no switch.
 //
-// The same body runs on either engine. Under EngineProcs every TComm
+// The same RunT body runs on either engine. Under EngineProcs every TComm
 // method delegates to the blocking Comm call and invokes its continuation
-// synchronously before returning, so RunT(EngineProcs) is the goroutine
-// reference; under EngineTasks the methods dispatch to the Task-native
-// collective ports in internal/core. The two engines are bit-identical:
-// same Result.Time, PerRank, Stats, buffer contents, and trace timings.
+// synchronously before returning, so RunT(EngineProcs) is Run; under
+// EngineTasks the methods start the continuation forms in internal/core
+// directly. The two are bit-identical — same Result.Time, PerRank, Stats,
+// buffer contents, and trace timings — because below the facade they are the
+// same code; what is kept equal by hand is the facade's own pair (Comm and
+// TComm, issue and issueT, ftRun and tcall.run).
 
 import (
 	"fmt"
@@ -26,12 +30,12 @@ import (
 type Engine int
 
 const (
-	// EngineProcs runs each rank as a goroutine process — the reference
-	// engine, and the default.
+	// EngineProcs runs each rank's body on a coroutine, as straight-line
+	// code — the default, and what Run always does.
 	EngineProcs Engine = iota
-	// EngineTasks steps each rank as a resumable state machine on the
-	// event loop: no goroutine or stack per rank, so million-rank runs fit
-	// in ordinary host memory. Requires the CPS body form of RunT.
+	// EngineTasks steps each rank's body on the event loop with the rest of
+	// its task: no goroutine or stack per rank, so million-rank runs fit in
+	// ordinary host memory. Requires the CPS body form of RunT.
 	EngineTasks
 )
 
@@ -47,7 +51,7 @@ func (e Engine) String() string {
 }
 
 // SetEngine selects the execution engine for subsequent RunT calls.
-// Run always uses the goroutine engine regardless of this setting.
+// Run always uses EngineProcs regardless of this setting.
 func (cl *Cluster) SetEngine(e Engine) { cl.engine = e }
 
 // Engine returns the cluster's current execution engine.
@@ -235,7 +239,7 @@ func (f *tcall) run() {
 			f.leave()(err)
 			return
 		}
-		ft.register(nil, t, c.rec)
+		ft.register(t, c.rec)
 		f.registered, f.prevH, f.prevArmed = true, t.OnInterrupt, t.UnwindArmed()
 		t.SetUnwindArmed(true)
 		if f.intrFn == nil {
@@ -302,7 +306,7 @@ func (f *tcall) leave() func(error) {
 	if f.registered {
 		t.OnInterrupt = f.prevH
 		t.SetUnwindArmed(f.prevArmed)
-		f.tc.c.rs.ft.deregister(nil, t)
+		f.tc.c.rs.ft.deregister(t)
 	}
 	*f = tcall{tc: f.tc, t: t, openFn: f.openFn, finFn: f.finFn, intrFn: f.intrFn}
 	tr.End(span)
@@ -414,8 +418,8 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 // finished (the CPS analogue of returning from a Run body).
 //
 // Under EngineProcs this delegates to Run — every TComm method completes
-// synchronously — making it the conformance reference the Task engine is
-// asserted bit-identical against. Error reporting matches Run.
+// synchronously — which is what the facade's continuation forms are asserted
+// bit-identical against. Error reporting matches Run.
 func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, error) {
 	if cl.engine == EngineProcs {
 		return cl.Run(impl, func(c *Comm) { body(c.tc, func() {}) })

@@ -119,7 +119,7 @@ func (tc *TComm) issueT(op string, a collArgs, bufs []check.Buf, k func(*TReques
 			start()
 		})
 		c.rs.helperRank[ht] = c.rank
-		st.thelpers = append(st.thelpers, ht)
+		st.helpers = append(st.helpers, ht)
 		st.tail = req.done
 		st.live = append(st.live, req)
 		k(&TRequest{req: req, tc: tc})
