@@ -93,9 +93,12 @@ func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 // receives children into scratch buffers — the data movement at every tree
 // level that Figure 2 contrasts with the SRM shared-memory reduce. The staging
 // buffers come from the machine's pool and go back once the member is through
-// with them; a member unwound out of the operation leaves them to the
-// collector, because a transfer matched before the unwind may still land in
-// them.
+// with them; a member unwound out of the operation keeps them out of the pool
+// for the rest of the run, because a transfer matched before the unwind may
+// still land in them. They are memory of the pool's blocks all the same: the
+// rewind at the end of the run takes them back with everything else, once
+// nothing can land anywhere (bufpool.HandBack), and the run is counted as
+// having left them out (Pool.Outstanding).
 func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op, root int) {
 	if !dtype.Valid(op, dt) {

@@ -1,9 +1,10 @@
 // Package bufpool provides size-classed byte-buffer pooling for payload
-// memory inside one simulation: transient copies (put payload snapshots,
+// memory inside a simulation: transient copies (put payload snapshots,
 // eager-send copies) and the slot and staging buffers of a collective
-// operation. A pool belongs to a single sim.Env and is therefore
-// single-threaded by construction — the DES runs one process at a time — so
-// there is no locking and recycling order is deterministic.
+// operation. One simulation uses a pool at a time and the DES runs one process
+// at a time, so Get and Put take no lock and recycling order is deterministic.
+// The memory behind a pool outlives the simulation: a run checks a pool out of
+// the process-level reserve and hands it back rewound (reserve.go).
 //
 // Determinism argument: memory from Get is never cleared, so its users write
 // every byte before anything reads it — a snapshot is overwritten with
@@ -11,8 +12,11 @@
 // combine that precedes the flag or counter its reader waits on — and
 // readers only read those bytes (len, not cap). Stale bytes are unreachable,
 // so reusing a buffer cannot change any simulated outcome — only the number
-// of host allocations. The Poison hook turns a violation into a failed
-// payload check.
+// of host allocations. The argument never asks whose stale bytes they are, so
+// it holds across runs as it holds within one: which spare a run is handed,
+// and what an earlier run (of another cluster, on another goroutine) left in
+// it, decides addresses and unread bytes and nothing else. The Poison hook
+// turns a violation into a failed payload check.
 package bufpool
 
 import "math/bits"
@@ -25,34 +29,99 @@ const (
 	// uses (8 MB). Larger requests are allocated directly and dropped on
 	// Put rather than retained.
 	maxClass = 8 << 20
+
+	// blockSize is what a pool takes from the allocator at a time for the
+	// classes below it. A class of blockSize or more gets a buffer of its own.
+	blockSize = 1 << 20
+	// firstBlock is the size of the first block of a pool that holds none;
+	// each later one is twice the one before until blockSize is reached (the
+	// ramp of Chunks, for the same reason: a run over eight ranks that found
+	// the reserve empty must not clear a megabyte for its few kilobytes).
+	firstBlock = 4 << 10
 )
 
 // Pool recycles byte slices in power-of-two size classes. The zero value is
-// not usable; call New.
+// not usable; call New or CheckOut.
 type Pool struct {
-	classes [][][]byte // per-class free lists; index by classIndex
-	gets    uint64
-	hits    uint64
-	fresh   int64 // bytes Get had to take from the allocator
-	poison  bool
+	classes [][][]byte // per-class free lists of this run; index by classIndex
+
+	// Where a free-list miss is served from, and what outlives the run:
+	// blocks for the classes below blockSize, carved front to back whatever
+	// the class, and the buffers of each class from blockSize up.
+	blocks lane
+	cur    []byte // the part of the newest drawn block not yet handed out
+	own    []lane // by classIndex - classIndex(blockSize)
+
+	gets   uint64
+	hits   uint64
+	out    int // buffers handed out and not yet returned
+	poison bool
+
+	age  int // hand-backs since the pool last shed
+	idle int // hand-backs of other pools it has lain in the reserve through
 }
 
-// New returns an empty pool.
+// lane is memory a pool keeps from run to run, in the order every run draws
+// it: a run that needs k pieces uses the first k, so how far the greediest
+// recent run got is how many are worth keeping.
+type lane struct {
+	mem  [][]byte
+	next int // pieces drawn by the current run
+	peak int // the most a run has drawn since the pool last shed
+}
+
+// draw returns the lane's next piece, making one of n bytes once the run has
+// drawn all the lane holds.
+func (l *lane) draw(n int) []byte {
+	if l.next == len(l.mem) {
+		l.mem = append(l.mem, make([]byte, n))
+	}
+	b := l.mem[l.next]
+	l.next++
+	return b
+}
+
+// rewind makes every piece available to the next run.
+func (l *lane) rewind() {
+	l.peak = max(l.peak, l.next)
+	l.next = 0
+}
+
+// shed drops the pieces no run has drawn since the last call.
+func (l *lane) shed() {
+	clear(l.mem[l.peak:])
+	l.mem = l.mem[:l.peak]
+	l.peak = 0
+}
+
+func (l *lane) bytes() (n int64) {
+	for _, b := range l.mem {
+		n += int64(len(b))
+	}
+	return n
+}
+
+// New returns an empty pool that belongs to its caller alone.
 func New() *Pool {
-	return &Pool{classes: make([][][]byte, classIndex(maxClass)+1), poison: poison}
+	return &Pool{
+		classes: make([][][]byte, classIndex(maxClass)+1),
+		own:     make([]lane, classIndex(maxClass)-classIndex(blockSize)+1),
+		poison:  poison,
+	}
 }
 
-// poison is a test hook: pools created while it is set fill every buffer
-// they hand out, and every buffer they take back, with poisonByte. A user of
-// the pool that reads a byte it did not write, or reads a buffer it has
-// returned, then computes on garbage and fails its payload check instead of
-// passing on whatever the memory happened to hold.
+// poison is a test hook: pools created or checked out while it is set fill
+// every buffer they hand out, and every buffer they take back, with
+// poisonByte. A user of the pool that reads a byte it did not write, or reads
+// a buffer it has returned, then computes on garbage and fails its payload
+// check instead of passing on whatever the memory happened to hold.
 var poison bool
 
 const poisonByte = 0xA5
 
-// Poison switches the hook for pools created from now on. Tests only; it is
-// not safe to call while simulations run on other goroutines.
+// Poison switches the hook for pools created or checked out from now on.
+// Tests only; it is not safe to call while simulations run on other
+// goroutines.
 func Poison(on bool) { poison = on }
 
 func (p *Pool) taint(buf []byte) {
@@ -87,18 +156,41 @@ func (p *Pool) Get(n int) []byte {
 	var buf []byte
 	if n > maxClass {
 		buf = make([]byte, n)
-		p.fresh += int64(n)
-	} else if i := classIndex(n); len(p.classes[i]) > 0 {
-		list := p.classes[i]
-		buf = list[len(list)-1][:n]
-		list[len(list)-1] = nil
-		p.classes[i] = list[:len(list)-1]
-		p.hits++
 	} else {
-		buf = make([]byte, n, classSize(i))
-		p.fresh += int64(classSize(i))
+		if i := classIndex(n); len(p.classes[i]) > 0 {
+			list := p.classes[i]
+			buf = list[len(list)-1][:n]
+			list[len(list)-1] = nil
+			p.classes[i] = list[:len(list)-1]
+			p.hits++
+		} else {
+			buf = p.miss(i)[:n]
+		}
+		p.out++
 	}
 	p.taint(buf)
+	return buf
+}
+
+// miss serves a Get of class i that the free list could not: with the next
+// piece of the memory the pool holds that no Get of this run has been given,
+// or with new memory once that is used up. Blocks are carved like chunks — a
+// buffer that does not fit the rest of the current block starts the next one
+// and the rest is left unused until the pool is rewound.
+func (p *Pool) miss(i int) []byte {
+	size := classSize(i)
+	if size >= blockSize {
+		return p.own[i-classIndex(blockSize)].draw(size)
+	}
+	for size > len(p.cur) {
+		grown := firstBlock
+		if k := len(p.blocks.mem); k > 0 {
+			grown = min(2*len(p.blocks.mem[k-1]), blockSize)
+		}
+		p.cur = p.blocks.draw(max(grown, size))
+	}
+	buf := p.cur[:size:size]
+	p.cur = p.cur[size:]
 	return buf
 }
 
@@ -121,11 +213,42 @@ func (p *Pool) Put(buf []byte) {
 	}
 	p.taint(buf[:c])
 	p.classes[i] = append(p.classes[i], buf[:c])
+	p.out--
 }
 
 // Stats reports total Get calls and how many were served from a free list.
 func (p *Pool) Stats() (gets, hits uint64) { return p.gets, p.hits }
 
-// Fresh reports how many bytes the pool has taken from the allocator so far:
-// the memory that becomes garbage when the pool's simulation ends.
-func (p *Pool) Fresh() int64 { return p.fresh }
+// Outstanding reports how many pooled buffers Get has handed out and Put has
+// not taken back. Rewinding a pool forgets them: a buffer nobody returned is
+// not even garbage any more, it only makes the run look as if it had needed
+// more memory, so a leak has to be counted to be seen.
+func (p *Pool) Outstanding() int { return p.out }
+
+// lanes calls fn for the blocks and for every class that keeps buffers of its
+// own.
+func (p *Pool) lanes(fn func(*lane)) {
+	fn(&p.blocks)
+	for i := range p.own {
+		fn(&p.own[i])
+	}
+}
+
+// rewind ends a run's use of the pool: the free lists are emptied and every
+// block and buffer the pool holds is unused again. Buffers still out are
+// forgotten; the memory is kept.
+func (p *Pool) rewind() {
+	for i, list := range p.classes {
+		clear(list) // a free list must not pin a block the pool sheds
+		p.classes[i] = list[:0]
+	}
+	p.cur = nil
+	p.lanes((*lane).rewind)
+	p.gets, p.hits, p.out = 0, 0, 0
+}
+
+// held reports the bytes of payload memory the pool keeps.
+func (p *Pool) held() (n int64) {
+	p.lanes(func(l *lane) { n += l.bytes() })
+	return n
+}

@@ -41,8 +41,11 @@ func TestGetPutRecycles(t *testing.T) {
 	if gets != 2 || hits != 1 {
 		t.Fatalf("Stats = %d gets, %d hits; want 2, 1", gets, hits)
 	}
-	if p.Fresh() != 128 {
-		t.Fatalf("Fresh = %d after one miss of class 128 and one hit, want 128", p.Fresh())
+	if got := p.held(); got != firstBlock {
+		t.Fatalf("the pool holds %d bytes after one miss of class 128 and one hit, want the first block's %d", got, firstBlock)
+	}
+	if p.Outstanding() != 1 {
+		t.Fatalf("Outstanding = %d with one buffer out, want 1", p.Outstanding())
 	}
 }
 
@@ -52,12 +55,13 @@ func TestOversizeAndForeignBuffersNotRetained(t *testing.T) {
 	if len(big) != maxClass+1 {
 		t.Fatalf("oversize Get: len=%d", len(big))
 	}
-	if p.Fresh() != maxClass+1 {
-		t.Fatalf("Fresh = %d after an oversize Get, want %d", p.Fresh(), maxClass+1)
-	}
 	p.Put(big)
 	foreign := make([]byte, 100) // cap 100 is not a class size
 	p.Put(foreign)
+	if p.held() != 0 || p.Outstanding() != 0 {
+		t.Fatalf("the pool holds %d bytes and counts %d buffers out after an oversize Get and two foreign Puts, want 0 and 0",
+			p.held(), p.Outstanding())
+	}
 	for i, list := range p.classes {
 		if len(list) != 0 {
 			t.Fatalf("class %d retained %d buffers", i, len(list))

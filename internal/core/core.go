@@ -303,9 +303,3 @@ func (s *SRM) mustBuild() {
 		panic("core: protocol state carved outside Group.acquire")
 	}
 }
-
-// ChunkBytes reports how much memory the engine has drawn for executors, flags
-// and counters: garbage once the run is over (srmcoll's settle).
-func (s *SRM) ChunkBytes() int64 {
-	return s.execMem.Bytes() + s.flagMem.Bytes() + s.cntrMem.Bytes()
-}

@@ -133,9 +133,6 @@ func (s *SRM) Group(members []int) *Group {
 	return g
 }
 
-// SRM returns the engine the group belongs to.
-func (g *Group) SRM() *SRM { return g.s }
-
 // Size returns the number of member tasks.
 func (g *Group) Size() int { return len(g.lay.members) }
 
@@ -174,8 +171,8 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 // when nothing can still write to them: every member ran the operation to
 // completion (an aborted member may leave puts on the wire) and the wire
 // cannot deliver a put a second time after its receiver has moved on
-// (unreliable delivery under a plan that duplicates). Otherwise they are
-// left to the collector.
+// (unreliable delivery under a plan that duplicates). Otherwise they stay out
+// of the pool until the run is over and its pool is rewound.
 func (g *Group) retire(seq int, aborted bool) {
 	e := g.ops[seq-g.base]
 	e.done++

@@ -370,7 +370,9 @@ type Machine struct {
 	// Buffers recycles payload memory for this machine's single-threaded
 	// simulation: transient copies (put snapshots, eager-send copies) and the
 	// protocol buffers a collective operation owns from its first member's
-	// arrival to its last member's departure.
+	// arrival to its last member's departure. New gives the machine a pool of
+	// its own; srmcoll's runs replace it with one checked out of the
+	// process-level reserve, before anything has drawn from it.
 	Buffers *bufpool.Pool
 
 	// tierPorts[i][g] holds the free-at times of tier i group g's uplink

@@ -73,10 +73,6 @@ func (e *Env) Now() Time { return e.now }
 // executed so far. Perf harnesses use it to derive events/sec.
 func (e *Env) Events() uint64 { return e.processed }
 
-// ChunkBytes reports how much memory the environment has drawn for its tasks
-// and queue items: garbage once the run is over (srmcoll's settle).
-func (e *Env) ChunkBytes() int64 { return e.taskMem.Bytes() + e.itemMem.Bytes() }
-
 // item is one scheduled occurrence: a callback (fn), or — fn nil — what tgt
 // names: a *Task to resume or a *Cond to broadcast. The one
 // interface field keeps the struct at six words: items are allocated by the

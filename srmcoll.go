@@ -25,10 +25,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strconv"
+	"sync"
 
 	"srmcoll/internal/baseline"
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
 	"srmcoll/internal/core"
 	"srmcoll/internal/dtype"
@@ -835,59 +838,100 @@ func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
 //   - a run stopped by a FaultPlan deadline returns a *StallError with the
 //     same blocked-rank report.
 //
-// A run that leaves 16 MiB or more of buffers and rank records behind ends
-// with a garbage collection; see settle.
+// Run and RunT are reentrant: simulations of one Cluster or of several may run
+// at the same time on different goroutines (a Cluster's setters are not to be
+// called meanwhile), each with payload memory of its own, checked out of a
+// process-level reserve for as long as it lasts (internal/bufpool).
+//
+// Once runs have allocated 16 MiB or more between them, the one that crosses
+// the line ends with a garbage collection; see settle.
 func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 	return cl.simulate(impl, EngineProcs, func(sm *simulation) { sm.spawnProcs(body) })
 }
 
 // simulate is Run and RunT: one simulation of the cluster on the given engine,
-// its ranks started by spawn, then settled.
+// its ranks started by spawn, then settled with what it allocated.
 func (cl *Cluster) simulate(impl Impl, engine Engine, spawn func(*simulation)) (*Result, error) {
-	res, garbage, err := cl.run(impl, engine, spawn)
-	settle(garbage)
+	before, _ := heapCounters()
+	res, err := cl.run(impl, engine, spawn)
+	after, cycles := heapCounters()
+	settle(after-before, cycles)
 	return res, err
 }
 
-// settleAfter is how much memory a run may leave behind for the collector to
-// find in its own time.
+// heapCounters reads two of the runtime's own counters, neither of which
+// stops the world: the bytes the process has allocated on the heap and the
+// cycles its collector has completed, both since it started.
+func heapCounters() (allocated, cycles uint64) {
+	s := [...]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
+}
+
+// settleAfter is how much finished runs may have allocated between them before
+// the collector is made to look at what they left.
 const settleAfter = 16 << 20
 
-// settle is the last thing Run and RunT do, once nothing of the simulation
-// is reachable any more: it collects a run that left settleAfter bytes or
-// more behind. garbage is what the run's buffer pool and its chunk allocators
-// took from the heap (simulation.garbage): payload memory for a run that
-// moves megabytes, tasks, executors, flags and counters for one over tens of
-// thousands of ranks moving 64 bytes each.
+// unsettled is what runs have allocated since the collector last completed a
+// cycle, as far as settle has been told.
+var unsettled struct {
+	sync.Mutex
+	bytes  uint64
+	cycles uint64 // the collector's completed cycles when bytes was last added to
+}
+
+// settle is the last thing Run and RunT do, once nothing of the simulation is
+// reachable any more. allocated is what the process took from the heap while
+// the run lasted and cycles the collector's count of completed cycles, read
+// with it. Whatever a run allocates is dead when it returns — rank records,
+// executors, flags and counters, messages, spans the caller may or may not
+// keep — except the payload memory, which goes back to the reserve and which a
+// warm run does not allocate at all. The collector only learns of the dead at
+// its next cycle, and its heap goal is twice whatever was live when a cycle
+// happened to mark, so left to its own pacing the garbage of a process that
+// runs simulations back to back piles up to a goal set by where the last cycle
+// fell (the benchmark's fig_grid read 590-750 MB from one invocation to the
+// next). settle keeps the pile under settleAfter instead: it adds the run's
+// allocation to what earlier runs left, and when the sum reaches settleAfter
+// it collects and starts over. A cycle the collector completed on its own
+// since the last run was weighed has dealt with what those runs left, so the
+// sum restarts there too; this run still counts in full, since a cycle that
+// fell inside it marked its records live.
 //
-// All of a run's memory dies when the run returns, but the collector only
-// learns that at its next cycle; until then the next run's buffers stack on
-// top of this one's. And the heap goal is a multiple of whatever was live
-// when a cycle happened to mark: one that falls inside a run holding 130 MB
-// of staging buffers sets a goal 260 MB above one that falls between two
-// runs. With pooled buffers there are few cycles, so the peak memory of a
-// process running simulations back to back came down to where those few
-// fell (the benchmark's fig_grid: 590-750 MB from one invocation to the
-// next). Collecting at the one point where the garbage is known gives every
-// run the same heap, and the same goal, to start from (405 MB, every time).
-// Runs below the threshold are left alone: a cycle marks the caller's whole
-// live heap, and thousands of small runs should not each pay for that.
-func settle(garbage int64) {
-	if garbage >= settleAfter {
+// The sum is what serves small and large runs under one rule. A cycle marks
+// the caller's whole live heap, which the library knows nothing about, so
+// small runs must not each pay for one (collecting after each of the
+// benchmark's 384 chaos runs cost 11 % of its wall time): at 1-2 MB a run
+// their sum takes ten runs to reach the line, and on a heap as small as theirs
+// the collector's own cycles restart it long before. A run over 65,536 ranks,
+// or a traced one with its hundred thousand spans, crosses the line alone and
+// is collected before the next one starts. Concurrent runs each see the
+// others' allocations in their own delta; that only collects sooner.
+func settle(allocated, cycles uint64) {
+	unsettled.Lock()
+	if cycles != unsettled.cycles {
+		unsettled.bytes, unsettled.cycles = 0, cycles
+	}
+	unsettled.bytes += allocated
+	collect := unsettled.bytes >= settleAfter
+	if collect {
+		unsettled.bytes = 0
+	}
+	unsettled.Unlock()
+	if collect {
 		runtime.GC()
 	}
 }
 
-// run is one simulation without the settling: it also returns how many bytes
-// the simulation leaves behind as garbage.
-func (cl *Cluster) run(impl Impl, engine Engine, spawn func(*simulation)) (*Result, int64, error) {
+// run is one simulation without the settling, apart so that no frame of it is
+// on the stack when settle collects.
+func (cl *Cluster) run(impl Impl, engine Engine, spawn func(*simulation)) (*Result, error) {
 	sm, err := cl.prepare(impl, engine)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	spawn(sm)
-	res, err := sm.outcome()
-	return res, sm.garbage(), err
+	return sm.outcome()
 }
 
 // simulation is one run between prepare and outcome: what Run and RunT set up
@@ -911,7 +955,8 @@ type rankHandle struct {
 // prepare validates the plan against the engine and builds a fresh simulation
 // of the cluster up to the point where the ranks are spawned: machine, fault
 // injector, RMA domain, the implementation's world group, trace, run state,
-// fault tolerance, the scheduled faults and the ranks' handles.
+// fault tolerance, the scheduled faults, the ranks' handles and the payload
+// memory.
 func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	if engine == EngineTasks && impl != SRM {
 		return nil, fmt.Errorf("srmcoll: the Tasks engine supports only the SRM implementation (got %s); use EngineProcs for baselines", impl)
@@ -965,6 +1010,10 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 		h.c = Comm{rank: r, rec: world, m: m, dom: dom, counters: counters, tr: env.Trace, rs: rs, tc: &h.tc}
 		h.tc.c = &h.c
 	}
+	// Payload memory: a pool of the process-level reserve, the run's alone
+	// until outcome hands it back. Nothing above draws from the pool, and a
+	// prepare that failed has taken none.
+	m.Buffers = bufpool.CheckOut()
 	return sm, nil
 }
 
@@ -1010,9 +1059,21 @@ func (sm *simulation) spawnProcs(body func(*Comm)) {
 	}
 }
 
-// outcome runs the simulation to its end and classifies it: the result, or
-// the structured error Run documents.
+// outcome runs the simulation to its end, classifies it, and hands the payload
+// memory back to the reserve. That is safe however the run ended: the Env has
+// retired every actor it is going to, and one left parked by a deadlock, a
+// stall or a crash never executes again, so nothing can write to a buffer the
+// next run is given.
 func (sm *simulation) outcome() (*Result, error) {
+	res, err := sm.finish()
+	bufpool.HandBack(sm.m.Buffers)
+	sm.m.Buffers = nil // a use after hand-back is a crash, not a corrupted payload
+	return res, err
+}
+
+// finish runs the simulation to its end: the result, or the structured error
+// Run documents.
+func (sm *simulation) finish() (*Result, error) {
 	env, inj, ft, res := sm.m.Env, sm.m.Faults, sm.rs.ft, sm.res
 	var runErr error
 	if deadline := sm.cl.faults.Deadline; deadline > 0 {
@@ -1068,18 +1129,6 @@ func (sm *simulation) outcome() (*Result, error) {
 		res.Repairs = ft.repairs
 	}
 	return res, nil
-}
-
-// garbage is what the simulation leaves behind when it returns, as far as it
-// is counted: the bytes its buffer pool took from the allocator, and the
-// chunks its tasks, queue items, executors, flags and counters were carved
-// from.
-func (sm *simulation) garbage() int64 {
-	n := sm.m.Buffers.Fresh() + sm.m.Env.ChunkBytes()
-	if srm, ok := sm.coll.(srmColl); ok {
-		n += srm.SRM().ChunkBytes()
-	}
-	return n
 }
 
 // runError converts a recorded failure into a *RunError naming the rank whose

@@ -4,30 +4,56 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"srmcoll/internal/bufpool"
 )
 
-// TestRunSettles pins the rule at the end of Run and RunT: a run that leaves
-// settleAfter bytes or more behind — buffers its pool took from the allocator,
-// or the chunks its rank records were carved from — collects them before it
-// returns, on either engine, and a small run leaves the collector alone.
-// With the collector's own pacing switched off, every cycle counted here is
-// one settle forced.
-func TestRunSettles(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	cycles := func() uint32 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.NumGC
+// forcedCycles switches the collector's own pacing off until the test ends and
+// completes one cycle, so that the sum settle keeps starts from nothing at its
+// next call; the function it returns counts the cycles completed since, every
+// one of which a settle has forced.
+func forcedCycles(t *testing.T) func() uint64 {
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+	runtime.GC()
+	_, base := heapCounters()
+	return func() uint64 {
+		_, cycles := heapCounters()
+		return cycles - base
 	}
+}
 
-	before := cycles()
-	settle(settleAfter - 1)
-	if got := cycles() - before; got != 0 {
-		t.Errorf("settle below the threshold forced %d cycles, want 0", got)
+// TestRunSettles pins the rule at the end of Run and RunT. settle weighs what
+// the run allocated: one that allocates settleAfter bytes or more — payload
+// memory the reserve could not supply, or the records of sixteen thousand
+// ranks — is collected before it returns, on either engine; the same run
+// again finds its payload memory in the reserve, allocates next to nothing
+// and leaves the collector alone; smaller runs add up until their sum crosses
+// the line; and a cycle the collector completed in between restarts the sum.
+func TestRunSettles(t *testing.T) {
+	forced := forcedCycles(t)
+	weigh := func(allocated uint64) {
+		_, cycles := heapCounters()
+		settle(allocated, cycles)
 	}
-	settle(settleAfter)
-	if got := cycles() - before; got != 1 {
-		t.Errorf("settle at the threshold forced %d cycles, want 1", got)
+	weigh(settleAfter / 2)
+	weigh(settleAfter/2 - 1)
+	if got := forced(); got != 0 {
+		t.Fatalf("runs that allocated one byte less than the threshold between them forced %d cycles, want 0", got)
+	}
+	weigh(1)
+	if got := forced(); got != 1 {
+		t.Fatalf("the run that took the sum to the threshold forced %d cycles, want 1", got)
+	}
+	weigh(settleAfter - 1) // starts over after a forced cycle
+	runtime.GC()           // stands for a cycle of the collector's own
+	weigh(settleAfter - 1) // and after one of those
+	if got := forced(); got != 2 {
+		t.Fatalf("a cycle between two runs did not restart the sum: %d cycles, want the first forced one and this test's own", got)
+	}
+	weigh(1)
+	if got := forced(); got != 3 {
+		t.Fatalf("the sum restarted by a cycle does not include the run weighed after it: %d cycles, want 3", got)
 	}
 
 	// Broadcasting 16 MiB to sixteen ranks draws about 21 MiB of slots and
@@ -38,16 +64,22 @@ func TestRunSettles(t *testing.T) {
 		name   string
 		engine Engine
 		bytes  int
-		want   uint32
+		cold   bool // the reserve is emptied first
+		want   uint64
 	}{
-		{"procs/small", EngineProcs, 4 << 10, 0},
-		{"tasks/small", EngineTasks, 4 << 10, 0},
-		{"procs/large", EngineProcs, 16 << 20, 1},
-		{"tasks/large", EngineTasks, 16 << 20, 1},
+		{"procs/small", EngineProcs, 4 << 10, true, 0},
+		{"tasks/small", EngineTasks, 4 << 10, true, 0},
+		{"procs/large/cold", EngineProcs, 16 << 20, true, 1},
+		{"procs/large/warm", EngineProcs, 16 << 20, false, 0},
+		{"tasks/large/cold", EngineTasks, 16 << 20, true, 1},
+		{"tasks/large/warm", EngineTasks, 16 << 20, false, 0},
 	} {
 		buf := make([]byte, tc.bytes)
 		cl.SetEngine(tc.engine)
-		before := cycles()
+		if tc.cold {
+			bufpool.DrainReserve()
+		}
+		before := forced()
 		_, err := cl.RunT(SRM, func(c *TComm, done func()) {
 			c.Bcast(buf, 0, func(err error) {
 				if err != nil {
@@ -59,53 +91,66 @@ func TestRunSettles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := cycles() - before; got != tc.want {
+		if got := forced() - before; got != tc.want {
 			t.Errorf("%s: the run forced %d cycles, want %d", tc.name, got, tc.want)
 		}
 	}
 
 	// 16,384 ranks moving 64 bytes each draw next to nothing from the buffer
-	// pool and some 30 MB for tasks, executors, flags and counters: settle
-	// used to weigh the payload alone and leave all of it lying.
-	big := mustCluster(t, 2048, 8)
-	big.SetEngine(EngineTasks)
+	// pool and allocate some 30 MB of tasks, executors, flags and counters. A
+	// quarter as many ranks stay below the threshold and cross it together.
 	word := make([]byte, 64)
-	before = cycles()
-	if _, err := big.RunT(SRM, func(c *TComm, done func()) {
-		c.Bcast(word, 0, func(error) { done() })
-	}); err != nil {
-		t.Fatal(err)
+	bcast := func(nodes int) {
+		big := mustCluster(t, nodes, 8)
+		big.SetEngine(EngineTasks)
+		if _, err := big.RunT(SRM, func(c *TComm, done func()) {
+			c.Bcast(word, 0, func(error) { done() })
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := cycles() - before; got != 1 {
+	before := forced()
+	bcast(2048)
+	if got := forced() - before; got != 1 {
 		t.Errorf("tasks/16384 ranks: the run forced %d cycles, want 1", got)
+	}
+	before = forced()
+	runs := 0
+	for forced() == before && runs < 16 {
+		bcast(512)
+		runs++
+	}
+	if runs < 2 || runs == 16 {
+		t.Errorf("tasks/4096 ranks: the first cycle was forced by run %d, want one of the first few and not the first", runs)
 	}
 }
 
 // TestChaosRunsNeverSettle: the benchmark's fault_storm is 384 runs of 8 to 64
 // ranks, and a collection after each of them cost it 11 % of its wall time
-// (ROADMAP item 4). Counting the rank records as garbage must not start that:
-// the largest and most eventful of those runs — 64 ranks, a crash rate of 0.3,
-// ten rounds and the repairs — leaves less than a sixteenth of the threshold
-// behind, on either engine.
+// (ROADMAP item 4). The largest and most eventful of those runs — 64 ranks, a
+// crash rate of 0.3, ten rounds and the repairs — allocates under 2 MB on
+// either engine, so eight of them back to back force nothing even with no
+// cycle of the collector's own to restart the sum.
 func TestChaosRunsNeverSettle(t *testing.T) {
+	forced := forcedCycles(t)
 	for k := int64(0); k < 4; k++ {
 		cl := mustCluster(t, 16, 4)
 		cl.SetFaultTolerance(DefaultFTConfig())
-		plan := chaosCorpusPlan(64, 0.3, 64000+100*k+30)
-		cl.SetFaultPlan(plan)
-		_, procs, err := cl.run(SRM, EngineProcs, func(sm *simulation) { sm.spawnProcs(chaosLoopBodyCompute(10, 256, 25, nil)) })
-		if err != nil {
+		cl.SetFaultPlan(chaosCorpusPlan(64, 0.3, 64000+100*k+30))
+		start, _ := heapCounters()
+		if _, err := cl.Run(SRM, chaosLoopBodyCompute(10, 256, 25, nil)); err != nil {
 			t.Fatal(err)
 		}
-		_, tasks, err := cl.run(SRM, EngineTasks, func(sm *simulation) { sm.spawnTasks(chaosLoopBodyT(10, 256, 25)) })
-		if err != nil {
+		mid, _ := heapCounters()
+		cl.SetEngine(EngineTasks)
+		if _, err := cl.RunT(SRM, chaosLoopBodyT(10, 256, 25)); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("seed %d: %d KiB of garbage on Procs, %d KiB on Tasks", k, procs>>10, tasks>>10)
-		if limit := int64(settleAfter / 16); procs >= limit || tasks >= limit {
-			t.Errorf("seed %d: a 64-rank chaos run leaves %d (Procs) and %d (Tasks) bytes behind, want less than %d",
-				k, procs, tasks, limit)
-		}
+		end, _ := heapCounters()
+		t.Logf("seed %d: %d KiB allocated on Procs, %d KiB on Tasks", k, (mid-start)>>10, (end-mid)>>10)
+	}
+	if got := forced(); got != 0 {
+		t.Errorf("eight 64-rank chaos runs forced %d cycles, want 0", got)
 	}
 }
 
@@ -125,10 +170,8 @@ func TestTracedRunReleasesSimulation(t *testing.T) {
 		send[r], recv[r] = make([]byte, size), make([]byte, size)
 	}
 	heap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
+		bufpool.DrainReserve() // the run's payload memory is kept, but not by the Result
+		return int64(heapAfterCycle().HeapAlloc)
 	}
 	for _, eng := range []Engine{EngineProcs, EngineTasks} {
 		cl.SetEngine(eng)
