@@ -111,9 +111,9 @@ type RepairRecord struct {
 	Survivors   []int   // members that completed the rendezvous, ascending member order
 }
 
-// ftInterrupt is the panic payload delivered to a rank blocked inside a
-// collective when a member of its communicator is declared failed; the
-// ftRun recover turns it into a *RankFailedError.
+// ftInterrupt is the interrupt payload delivered to an actor blocked inside a
+// collective when a member of its communicator is declared failed;
+// frame.declared turns it into a *RankFailedError.
 type ftInterrupt struct{ failed []int }
 
 // ftReg is one in-progress fault-sensitive operation: the task running it
@@ -133,7 +133,6 @@ type ftGather struct {
 	round     int
 	kind      string // "agree" or "shrink"
 	ev        *sim.Event
-	done      bool
 	startedAt float64
 	result    uint64
 	survivors []int
@@ -152,7 +151,6 @@ type ftState struct {
 	env *sim.Env
 	det *sim.Detector
 	rs  *runState
-	cfg FTConfig
 
 	markDead func(rank int) // cuts RMA delivery to the rank
 
@@ -174,12 +172,11 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState, cfg FTCon
 	ft := &ftState{
 		env:      env,
 		rs:       rs,
-		cfg:      cfg,
 		markDead: markDead,
 		failed:   make([]bool, n),
 		crashed:  make([]bool, n),
+		det:      sim.NewDetector(cfg.HeartbeatPeriod, cfg.SuspicionTimeout),
 	}
-	ft.det = sim.NewDetector(cfg.HeartbeatPeriod, cfg.SuspicionTimeout)
 	return ft
 }
 
@@ -198,8 +195,8 @@ func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
 			// The rank's communication service thread dies with the task:
 			// kill its request helpers so they cannot keep driving the
 			// dead rank's side of a protocol.
-			st, why := &ft.rs.streams[r], fmt.Sprintf("rank %d crashed", r)
-			for _, h := range st.helpers {
+			why := fmt.Sprintf("rank %d crashed", r)
+			for _, h := range ft.rs.ranks[r].stream.helpers {
 				ft.env.Kill(h, why)
 			}
 			// The detector's collapsed heartbeat analysis: the declaration
@@ -285,8 +282,8 @@ func (ft *ftState) deregister(t *sim.Task) {
 
 // enter joins rank to the communicator's rendezvous in flight, beginning the
 // next one — and creating its event — if none is, and completes it if rank was
-// the last member awaited. The caller parks on the event unless the rendezvous
-// is done.
+// the last member awaited. The caller waits for the event, which has triggered
+// by then if it was.
 func (rec *commRec) enter(ft *ftState, rank int, kind string, flag uint64) *ftGather {
 	i := rec.idx.Of(rank)
 	if i < 0 {
@@ -320,7 +317,6 @@ func (ft *ftState) checkGather(g *ftGather) {
 			return
 		}
 	}
-	g.done = true
 	g.result = ^uint64(0)
 	g.survivors = make([]int, 0, len(rec.members)-rec.failed)
 	for i, r := range rec.members {
@@ -341,44 +337,8 @@ func (ft *ftState) checkGather(g *ftGather) {
 
 // failedError is the error of an operation on a communicator with members
 // declared failed.
-func (c *Comm) failedError(opName string) *RankFailedError {
-	return &RankFailedError{Op: opName, Rank: c.rank, Failed: c.rs.ft.failedIn(c.rec.members)}
-}
-
-// ftRun executes a fault-sensitive operation on behalf of proc p (the rank
-// itself for blocking calls, a request helper for non-blocking ones). It
-// refuses a communicator with a member already declared, registers the
-// operation for failure interrupts — nothing runs between the check and the
-// registration, so no declaration can fall between them — and recovers the
-// interrupt unwind into a *RankFailedError.
-func (c *Comm) ftRun(opName string, p *sim.Proc, fn func()) (err error) {
-	ft := c.rs.ft
-	if ft == nil {
-		fn()
-		return nil
-	}
-	if c.rec.failed > 0 {
-		return c.failedError(opName)
-	}
-	ft.register(&p.Task, c.rec)
-	defer func() {
-		ft.deregister(&p.Task)
-		r := recover()
-		if r == nil {
-			return
-		}
-		fi, ok := r.(ftInterrupt)
-		if !ok {
-			panic(r)
-		}
-		// The unwind may have skipped an interrupt re-enable inside the
-		// protocol (the barrier manages interrupts inline); restoring is
-		// idempotent when nothing was pending.
-		c.dom.Endpoint(c.rank).SetInterrupts(true)
-		err = &RankFailedError{Op: opName, Rank: c.rank, Failed: fi.failed}
-	}()
-	fn()
-	return nil
+func (h handle) failedError(opName string) *RankFailedError {
+	return &RankFailedError{Op: opName, Rank: h.rank, Failed: h.rs.ft.failedIn(h.rec.members)}
 }
 
 // Members returns the communicator's global ranks in member order.
@@ -393,57 +353,96 @@ func (c *Comm) FailedRanks() []int {
 	return c.rs.ft.failedIn(c.rec.members)
 }
 
-// ftCheck vets a call of the rendezvous kind.
-func (c *Comm) ftCheck(kind string) error {
-	ft := c.rs.ft
-	if ft == nil {
-		return errors.New("srmcoll: " + kind + " requires fault tolerance (Cluster.SetFaultTolerance)")
-	}
-	if ft.failed[c.rank] {
-		// A declared rank that is somehow still running (cannot happen
-		// for real crashes) must not join the survivors' rendezvous.
-		return &RankFailedError{Op: kind, Rank: c.rank, Failed: []int{c.rank}}
-	}
-	return nil
-}
-
-// ftClass is the trace class of the rendezvous kind.
-func ftClass(kind string) trace.Class {
-	if kind == "agree" {
-		return trace.ClassAgree
-	}
-	return trace.ClassShrink
+// syncFrame is a rank's Agree or Shrink from the call to its continuation, and
+// afterwards what it ended with: err, or the rendezvous the survivors left
+// together. It is bound to the rank once, so a rendezvous makes no closure.
+type syncFrame struct {
+	h      handle      // the communicator, as the rank that called holds it
+	class  trace.Class // ClassAgree or ClassShrink, named "agree" and "shrink"
+	flag   uint64
+	g      *ftGather
+	err    error
+	span   int
+	stage  int // suspensions behind it
+	k      func()
+	stepFn func() // step, bound when first needed
 }
 
 // ftSync runs one rendezvous round on the communicator: every surviving
 // member must call it (in the same per-communicator FT-op order), and all
 // are released together once the last survivor arrives. The round is
 // charged a dissemination-style cost of 2*ceil(log2 n) message latencies.
-func (c *Comm) ftSync(kind string, flag uint64) (*ftGather, error) {
-	if err := c.ftCheck(kind); err != nil {
-		return nil, err
+// k runs when the rank is released, or at once if the call is refused; the
+// rank's syncFrame says which.
+func (h handle) ftSync(class trace.Class, flag uint64, k func()) {
+	s := &h.sync
+	*s = syncFrame{h: h, class: class, flag: flag, k: k, stepFn: s.stepFn}
+	switch ft := h.rs.ft; {
+	case ft == nil:
+		s.err = errors.New("srmcoll: " + class.String() + " requires fault tolerance (Cluster.SetFaultTolerance)")
+	case ft.failed[h.rank]:
+		// A declared rank that is somehow still running (cannot happen
+		// for real crashes) must not join the survivors' rendezvous.
+		s.err = &RankFailedError{Op: class.String(), Rank: h.rank, Failed: []int{h.rank}}
 	}
-	c.quiesce()
-	g := c.rec.enter(c.rs.ft, c.rank, kind, flag)
-	id := c.tr.Begin(c.p.Track(), ftClass(kind), kind, 0)
-	if !g.done {
-		c.p.Wait(g.ev)
+	if s.err != nil {
+		k()
+		return
 	}
-	c.p.Sleep(c.ftSyncCost())
-	c.tr.End(id)
-	return g, nil
+	if s.stepFn == nil {
+		s.stepFn = s.step
+	}
+	// Ordered, like a blocking collective, after the rank's requests.
+	if tail := h.outstanding(); tail != nil {
+		h.wait(tail, s.stepFn)
+		return
+	}
+	s.step()
+}
+
+// step is what follows each suspension of a rendezvous: only the survivor park
+// and the protocol-cost sleep suspend the rank once its requests are done.
+func (s *syncFrame) step() {
+	h := s.h
+	switch s.stage++; s.stage {
+	case 1: // no request outstanding: enter, and wait for the other survivors
+		s.g = h.rec.enter(h.rs.ft, h.rank, s.class.String(), s.flag)
+		s.span = h.tr.Begin(h.t.Track(), s.class, s.class.String(), 0)
+		h.wait(s.g.ev, s.stepFn)
+	case 2: // all in or declared failed: the agreement protocol's cost
+		h.sleep(h.ftSyncCost(), s.stepFn)
+	case 3:
+		h.tr.End(s.span)
+		s.k()
+	}
 }
 
 // ftSyncCost models the agreement protocol's latency: dissemination over
 // the members, two passes (propose, commit).
-func (c *Comm) ftSyncCost() float64 {
-	n := len(c.rec.members)
+func (h handle) ftSyncCost() float64 {
+	n := len(h.rec.members)
 	if n <= 1 {
 		return 0
 	}
 	rounds := int(math.Ceil(math.Log2(float64(n))))
-	cfg := c.m.Cfg
+	cfg := h.m.Cfg
 	return 2 * float64(rounds) * float64(cfg.SendOverhead+cfg.NetLatency+cfg.RecvOverhead)
+}
+
+// agreed and shrunk are what the rank's last rendezvous ended with, for Agree
+// and Shrink to return or pass on.
+func (h handle) agreed() (uint64, error) {
+	if h.sync.err != nil {
+		return 0, h.sync.err
+	}
+	return h.sync.g.result, nil
+}
+
+func (h handle) shrunk() (*Comm, error) {
+	if h.sync.err != nil {
+		return nil, h.sync.err
+	}
+	return h.sub(h.sync.g.survivors), nil
 }
 
 // Agree is fault-tolerant agreement on a 64-bit flag word: it returns the
@@ -455,11 +454,8 @@ func (c *Comm) ftSyncCost() float64 {
 // must call it (the call blocks until they do); unlike a collective it
 // does not error on membership failures.
 func (c *Comm) Agree(flags uint64) (uint64, error) {
-	g, err := c.ftSync("agree", flags)
-	if err != nil {
-		return 0, err
-	}
-	return g.result, nil
+	c.ftSync(trace.ClassAgree, flags, func() {})
+	return c.agreed()
 }
 
 // Shrink repairs the communicator after a failure: it synchronizes the
@@ -470,9 +466,6 @@ func (c *Comm) Agree(flags uint64) (uint64, error) {
 // Collectives on the new communicator succeed as long as no *further*
 // failure hits it — another crash means another Shrink.
 func (c *Comm) Shrink() (*Comm, error) {
-	g, err := c.ftSync("shrink", 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.Sub(g.survivors), nil
+	c.ftSync(trace.ClassShrink, 0, func() {})
+	return c.shrunk()
 }

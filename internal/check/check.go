@@ -52,17 +52,18 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("%s: rank %d: request %s: %s", e.Op, e.Rank, e.Req, e.Reason)
 }
 
-// ReentryError describes a blocking collective started on a continuation-
-// passing handle that is still running another one: the two protocols would
-// interleave on one rank. Raised and recovered like *RequestError.
+// ReentryError describes a blocking collective started from a continuation-
+// passing body whose rank is still running another one, on this communicator
+// or any other: the two protocols would interleave on one rank. Raised and
+// recovered like *RequestError.
 type ReentryError struct {
 	Op      string // the collective that was started, e.g. "allreduce"
-	Running string // the one still in progress on the handle
+	Running string // the one still in progress on the rank
 	Rank    int    // global rank that made the call
 }
 
 func (e *ReentryError) Error() string {
-	return fmt.Sprintf("srmcoll.TComm: rank %d: %s started while %s is still running on the handle; start a blocking collective from the continuation of the last one",
+	return fmt.Sprintf("srmcoll.TComm: rank %d: %s started while %s is still running on the rank; start a blocking collective from the continuation of the last one",
 		e.Rank, e.Op, e.Running)
 }
 

@@ -1,19 +1,18 @@
 package srmcoll
 
 // Non-blocking collectives. Each I-variant (IBcast, IAllreduce, ...) issues
-// the operation and returns immediately with a *Request; the caller may run
-// Compute and complete the operation later with Wait or Test. The
-// operation itself executes on a helper sim.Proc — the rank's
-// communication service thread, mirroring the single LAPI service thread
-// per task of the paper's §2.3 — synchronized with the issuing rank
-// through sim events.
+// the operation and returns immediately with a request handle; the caller may
+// run Compute and complete the operation later with Wait or Test. The
+// operation itself executes on a helper actor — the rank's communication
+// service thread, mirroring the single LAPI service thread per task of the
+// paper's §2.3 — synchronized with the issuing rank through sim events.
 //
 // Ordering: each rank owns one request stream. Requests execute and
 // complete in issue order (helper N+1 first waits for helper N), so the
 // SPMD call-matching rules of the blocking API carry over unchanged: ranks
 // must agree on the sequence of collectives per communicator, counting
 // blocking and non-blocking calls alike. A blocking collective first
-// drains the rank's outstanding requests (see Comm.quiesce). Because the
+// drains the rank's outstanding requests (handle.outstanding). Because the
 // per-rank service thread serializes that rank's operations, two requests
 // from one rank never overlap each other — they overlap the caller's
 // Compute and other ranks' work, which is where the §2.3 asynchrony wins.
@@ -27,12 +26,22 @@ package srmcoll
 // *RunError at the Run boundary): Wait on an already-completed request,
 // a request never completed when the Run body returns, and issuing a
 // request whose buffers overlap a buffer owned by an outstanding request.
+//
+// All of it is written once, in continuation form (tcomm.go): the overlap
+// check, the MaxOutstanding admission, the chaining of helpers on the stream
+// tail and the spans in issue; completion, the double-Wait diagnosis and Test's
+// yield in wait, test and consume. The methods of Comm and Request below pass a
+// continuation with nothing to do and return what the record holds; TComm's
+// and TRequest's (trequest.go) pass the caller's. A helper has a stack only
+// when the implementation is blocking only: an SRM helper is a plain task
+// under either form of body.
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
@@ -50,28 +59,31 @@ const MaxOutstanding = 64
 // buffers passed to the operation are owned by it until then: reading or
 // writing them is undefined, and issuing another request over them is a
 // diagnosed error.
-type Request struct {
-	c        *Comm
-	name     string // span name, e.g. "ibcast"
-	op       string // public name, e.g. "IBcast"
-	seq      int    // per-rank issue index
-	bytes    int64
-	done     *sim.Event
-	group    int // trace group linking issue/op/wait spans, -1 untraced
-	bufs     []check.Buf
+type Request struct{ request }
+
+// request is one non-blocking collective from issue to completion, the record
+// Request and TRequest are two sets of methods over, frame included.
+type request struct {
+	h        handle     // the issuing rank's
+	seq      int        // per-rank issue index
+	done     *sim.Event // triggered once the operation has ended and call.err says how
+	prev     *sim.Event // the done of the request the helper runs after, if any
+	group    int        // trace group linking issue/op/wait spans, -1 untraced
 	consumed bool
-	err      error // fault-tolerance outcome, set before done triggers
+	call     frame // the operation; its arguments name the buffers the request owns
 }
 
 // String identifies the request in errors and stall reports.
-func (r *Request) String() string { return fmt.Sprintf("%s#%d", r.name, r.seq) }
+func (r *request) String() string {
+	return collNames[r.call.kind].req + "#" + strconv.Itoa(r.seq)
+}
 
-// reqLabel is a Request as the label of its completion event: the text a stall
+// reqLabel is a request as the label of its completion event: the text a stall
 // report prints for a rank waiting on it, formatted only there.
-type reqLabel Request
+type reqLabel request
 
 func (l *reqLabel) String() string {
-	return fmt.Sprintf("request %s on rank %d", (*Request)(l), l.c.rank)
+	return fmt.Sprintf("request %s on rank %d", (*request)(l), l.h.rank)
 }
 
 // reqStream is one rank's request bookkeeping: the completion event of the
@@ -81,7 +93,8 @@ func (l *reqLabel) String() string {
 type reqStream struct {
 	seq     int
 	tail    *sim.Event
-	live    []*Request
+	live    []*request
+	issued  *TRequest   // the request admitted last, left for a blocking shim to return
 	prefix  string      // "rank<r>.req", what the rank's helpers are named by
 	helpers []*sim.Task // the rank's helpers (fault tolerance kills them with the rank)
 }
@@ -94,33 +107,32 @@ func (st *reqStream) helperPrefix(rank int) string {
 	return st.prefix
 }
 
-// runState is the per-Run bookkeeping shared by every Comm of the run:
-// request streams, which rank each task acts for, trace track allocation
-// for helpers, the record of every communicator, and the handle cache that
-// makes Comm.Sub return one canonical Comm per (parent, member list) so
-// request ordering is well defined per communicator.
+// runState is the per-Run bookkeeping shared by every Comm of the run: the
+// record of every rank, which rank each request helper acts for, trace track
+// allocation for helpers, the record of every communicator, and the handle
+// cache that makes Comm.Sub return one canonical Comm per (parent, member
+// list).
 type runState struct {
 	env        *sim.Env
-	streams    []reqStream           // by rank, one slab
-	tasks      []*sim.Task           // by rank: the rank's task (a Run body's process's own)
+	ranks      []rankRec             // by rank, one slab
 	helperRank map[*sim.Task]int     // request helper -> issuing rank
 	nextTrack  int                   // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
 	comms      []*commRec            // every communicator of the run, the world first
 	byHash     map[uint64][]*commRec // those Sub made, by ranks.Hash of their member lists
 	subs       map[subKey]*Comm
-	ft         *ftState // nil unless the cluster enabled fault tolerance
+	handles    bufpool.Chunks[Comm] // what subs points into
+	ft         *ftState             // nil unless the cluster enabled fault tolerance
 }
 
 type subKey struct {
-	parent *Comm
+	parent handle
 	rec    *commRec
 }
 
 func newRunState(env *sim.Env, p int) *runState {
 	return &runState{
 		env:        env,
-		streams:    make([]reqStream, p),
-		tasks:      make([]*sim.Task, p),
+		ranks:      make([]rankRec, p),
 		helperRank: make(map[*sim.Task]int),
 		nextTrack:  2 * p,
 		byHash:     make(map[uint64][]*commRec),
@@ -135,38 +147,23 @@ func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
 	if r, ok := rs.helperRank[t]; ok {
 		return r, true
 	}
-	if n := t.Num(); n >= 0 && n < len(rs.tasks) && rs.tasks[n] == t {
+	if n := t.Num(); n >= 0 && n < len(rs.ranks) && rs.ranks[n].t == t {
 		return n, false
 	}
 	return -1, false
 }
 
-// quiesce orders a blocking collective after every outstanding request of
-// this rank: the blocking operation's protocol slices must not interleave
-// with a still-running request on the same rank. Costs a nil check and an
-// already-done event test when no requests are in flight, so the blocking
-// paths' timing is untouched.
-func (c *Comm) quiesce() {
-	if c.rs == nil {
-		return
-	}
-	if st := &c.rs.streams[c.rank]; st.tail != nil && !st.tail.Done() {
-		c.p.Wait(st.tail)
-	}
-}
-
 // issue starts a non-blocking operation: it validates buffer ownership,
-// applies the outstanding-request bound, chains a helper process after the
-// rank's previous request, and returns the handle.
-func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.Proc)) *Request {
-	name := strings.ToLower(op)
-	st := &c.rs.streams[c.rank]
-	for _, nb := range bufs {
-		for _, o := range st.live {
-			for _, ob := range o.bufs {
+// applies the outstanding-request bound, chains a helper after the rank's
+// previous request, and passes the handle to k — at once unless the bound
+// blocks the issuing rank.
+func (h handle) issue(a collArgs, k func(*TRequest)) {
+	for _, nb := range a.bufs() {
+		for _, o := range h.stream.live {
+			for _, ob := range o.call.bufs() {
 				if nb.Overlaps(ob) {
 					panic(&check.RequestError{
-						Op: "srmcoll." + op, Rank: c.rank, Req: o.String(),
+						Op: "srmcoll." + collNames[a.kind].public, Rank: h.rank, Req: o.String(),
 						Reason: fmt.Sprintf("%s buffer overlaps the outstanding request's %s buffer; buffers are owned by a request until Wait",
 							nb.Label, ob.Label),
 					})
@@ -174,75 +171,131 @@ func (c *Comm) issue(op string, bytes int64, bufs []check.Buf, run func(hp *sim.
 			}
 		}
 	}
-	for {
-		inflight, oldest := 0, (*Request)(nil)
-		for _, o := range st.live {
-			if !o.done.Done() {
-				if oldest == nil {
-					oldest = o
-				}
-				inflight++
+	h.admit(a, k)
+}
+
+// admit is issue once the buffers are vetted. Backpressure re-checks the live
+// set after every wake: Waits may have consumed requests meanwhile.
+func (h handle) admit(a collArgs, k func(*TRequest)) {
+	st, names := &h.stream, &collNames[a.kind]
+	inflight, oldest := 0, (*request)(nil)
+	for _, o := range st.live {
+		if !o.done.Done() {
+			if oldest == nil {
+				oldest = o
 			}
+			inflight++
 		}
-		if inflight < MaxOutstanding {
-			break
-		}
-		c.p.Wait(oldest.done)
 	}
-	req := &Request{c: c, name: name, op: op, seq: st.seq, bytes: bytes, group: -1, bufs: bufs}
+	if inflight >= MaxOutstanding {
+		h.wait(oldest.done, func() { h.admit(a, k) })
+		return
+	}
+	st.issued = &TRequest{request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, name: names.req, span: -1}}}
+	r := &st.issued.request
 	st.seq++
-	req.done = c.rs.env.NewEvent().NamedBy((*reqLabel)(req))
-	if c.rec.failed > 0 {
+	r.done = h.rs.env.NewEvent().NamedBy((*reqLabel)(r))
+	st.live = append(st.live, r)
+	if h.rec.failed > 0 {
 		// The communicator is already known broken: complete the request
 		// immediately with the failure instead of spawning a helper that
 		// would error on registration anyway. The stream tail is left
 		// unchanged — there is nothing to serialize after.
-		req.err = c.failedError(name)
-		req.done.Trigger()
-		st.live = append(st.live, req)
-		return req
+		r.call.err = h.failedError(names.req)
+		r.done.Trigger()
+		k(st.issued)
+		return
 	}
-	if c.tr != nil {
-		req.group = c.tr.NewGroup()
-		iid := c.tr.Begin(c.p.Track(), trace.ClassReqIssue, "issue:"+name, bytes)
-		c.tr.Link(iid, req.group)
-		c.tr.End(iid)
+	r.group = h.tr.NewGroup()
+	iid := h.tr.Begin(h.t.Track(), trace.ClassReqIssue, names.issue, a.bytes())
+	h.tr.Link(iid, r.group)
+	h.tr.End(iid)
+	r.prev = st.tail
+	var ht *sim.Task
+	if h.rec.coll.taskForm() != nil {
+		ht = h.rs.env.SpawnTask(st.helperPrefix(h.rank), r.seq, r.onTask)
+	} else {
+		ht = &h.rs.env.SpawnIndexed(st.helperPrefix(h.rank), r.seq, r.onProc).Task
 	}
-	prev := st.tail
-	hp := c.rs.env.SpawnIndexed(st.helperPrefix(c.rank), req.seq, func(hp *sim.Proc) {
-		if prev != nil {
-			hp.Wait(prev)
-		}
-		oid := -1
-		if c.tr != nil {
-			track := c.rs.nextTrack
-			c.rs.nextTrack++
-			hp.SetTrack(track)
-			c.tr.NameTrack(track, hp.Name())
-			oid = c.tr.Begin(track, trace.ClassReqOp, name, bytes)
-			c.tr.Link(oid, req.group)
-		}
-		req.err = c.ftRun(name, hp, func() { run(hp) })
-		c.tr.End(oid)
-		req.done.Trigger()
-	})
-	c.rs.helperRank[&hp.Task] = c.rank
-	st.helpers = append(st.helpers, &hp.Task)
-	st.tail = req.done
-	st.live = append(st.live, req)
-	return req
+	h.rs.helperRank[ht] = h.rank
+	st.helpers = append(st.helpers, ht)
+	st.tail = r.done
+	k(st.issued)
 }
 
+// onTask and onProc are the helper's first step, as a task and as a process.
+func (r *request) onTask(t *sim.Task) { r.start(actor{t: t}) }
+func (r *request) onProc(p *sim.Proc) { r.start(actor{t: &p.Task, p: p}) }
+
+// start runs the operation on the helper once the rank's previous request ended.
+func (r *request) start(a actor) {
+	r.call.actor = a
+	if r.prev != nil && !r.prev.Done() {
+		a.wait(r.prev, r.open)
+		return
+	}
+	r.open()
+}
+
+// open opens the operation's span on a track of the helper's own — handed out
+// as helpers start their operations, in completion order — and runs it.
+func (r *request) open() {
+	f, h := &r.call, r.h
+	if tr := h.tr; tr != nil {
+		track := h.rs.nextTrack
+		h.rs.nextTrack++
+		f.t.SetTrack(track)
+		tr.NameTrack(track, f.t.Name())
+		f.span = tr.Begin(track, trace.ClassReqOp, f.name, f.bytes())
+		tr.Link(f.span, r.group)
+	}
+	f.k = r.complete
+	f.run()
+}
+
+// complete is the continuation of the request's operation.
+func (r *request) complete(error) { r.done.Trigger() }
+
 // consume marks the request completed and releases its buffers.
-func (r *Request) consume() {
-	st := &r.c.rs.streams[r.c.rank]
-	for i, o := range st.live {
-		if o == r {
-			st.live = append(st.live[:i], st.live[i+1:]...)
-			break
-		}
+func (r *request) consume() {
+	st := &r.h.stream
+	if i := slices.Index(st.live, r); i >= 0 {
+		st.live = slices.Delete(st.live, i, i+1)
 	}
 	r.consumed = true
+}
+
+// wait completes the request once its operation has ended, and tells k how.
+func (r *request) wait(k func(error)) {
+	h := r.h
+	if r.consumed {
+		panic(&check.RequestError{
+			Op: "srmcoll.Request.Wait", Rank: h.rank, Req: r.String(),
+			Reason: "request already completed (double Wait, or Wait after Test returned true)",
+		})
+	}
+	wid := h.tr.Begin(h.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
+	h.tr.Link(wid, r.group)
+	h.wait(r.done, func() {
+		h.tr.End(wid)
+		r.consume()
+		k(r.call.err)
+	})
+}
+
+// test yields once and tells k whether the operation has ended, consuming the
+// request if so.
+func (r *request) test(k func(bool)) {
+	if r.consumed {
+		k(true)
+		return
+	}
+	r.h.yield(func() {
+		if r.done.Done() {
+			r.consume()
+		}
+		k(r.consumed)
+	})
 }
 
 // Wait blocks the issuing rank until the operation has completed, then
@@ -252,29 +305,14 @@ func (r *Request) consume() {
 // that already completed (a second Wait, or Wait after Test returned true)
 // is a diagnosed error.
 func (r *Request) Wait() error {
-	c := r.c
-	if r.consumed {
-		panic(&check.RequestError{
-			Op: "srmcoll.Request.Wait", Rank: c.rank, Req: r.String(),
-			Reason: "request already completed (double Wait, or Wait after Test returned true)",
-		})
-	}
-	if c.tr != nil {
-		wid := c.tr.Begin(c.p.Track(), trace.ClassReqWait, "wait:"+r.name, r.bytes)
-		c.tr.Link(wid, r.group)
-		c.p.Wait(r.done)
-		c.tr.End(wid)
-	} else {
-		c.p.Wait(r.done)
-	}
-	r.consume()
-	return r.err
+	r.wait(func(error) {})
+	return r.call.err
 }
 
 // Err returns the request's completion error: nil while in flight or on
 // success, the *RankFailedError otherwise. Valid any time; authoritative
 // once the request completed (Wait returned or Test reported true).
-func (r *Request) Err() error { return r.err }
+func (r *request) Err() error { return r.call.err }
 
 // Test polls the request: it yields the rank's time slice once and reports
 // whether the operation has completed, consuming the request if so (a later
@@ -282,104 +320,80 @@ func (r *Request) Err() error { return r.err }
 // must interleave Compute — virtual time only advances when the rank
 // spends it, so a bare spin would poll the same instant forever.
 func (r *Request) Test() bool {
-	if r.consumed {
-		return true
-	}
-	r.c.p.Yield()
-	if !r.done.Done() {
-		return false
-	}
-	r.consume()
-	return true
+	r.test(func(bool) {})
+	return r.consumed
 }
 
 // checkDrained panics (diagnosed at the Run boundary) if the rank's body
 // returned with requests never completed — a dropped request would
-// otherwise leave helper processes running past the body and, on other
-// ranks, peers blocked forever.
-func (c *Comm) checkDrained() {
-	st := &c.rs.streams[c.rank]
+// otherwise leave helpers running past the body and, on other ranks, peers
+// blocked forever.
+func (h handle) checkDrained() {
+	st := &h.stream
 	if len(st.live) == 0 {
 		return
 	}
 	panic(&check.RequestError{
-		Op: "srmcoll.Run", Rank: c.rank, Req: st.live[0].String(),
+		Op: "srmcoll.Run", Rank: h.rank, Req: st.live[0].String(),
 		Reason: fmt.Sprintf("%d request(s) dropped: the Run body returned without Wait", len(st.live)),
 	})
 }
 
-// IBarrier starts a non-blocking barrier.
-func (c *Comm) IBarrier() *Request {
-	return c.issue("IBarrier", 0, nil, func(hp *sim.Proc) {
-		c.rec.coll.Barrier(hp, c.rank)
-	})
+// issued is issue from a body with a stack: admitted by the time it returns.
+func (c *Comm) issued(a collArgs) *Request {
+	c.issue(a, func(*TRequest) {})
+	return (*Request)(c.stream.issued)
 }
+
+// IBarrier starts a non-blocking barrier.
+func (c *Comm) IBarrier() *Request { return c.issued(collArgs{kind: collBarrier}) }
 
 // IBcast starts a non-blocking broadcast of buf from root; see Bcast.
 func (c *Comm) IBcast(buf []byte, root int) *Request {
-	return c.issue("IBcast", int64(len(buf)), []check.Buf{check.BufOf("buf", buf)},
-		func(hp *sim.Proc) { c.rec.coll.Bcast(hp, c.rank, buf, root) })
+	return c.issued(collArgs{kind: collBcast, send: buf, root: root})
 }
 
 // IReduce starts a non-blocking reduction into recv at root; see Reduce.
 func (c *Comm) IReduce(send, recv []byte, dt Datatype, op Op, root int) *Request {
-	return c.issue("IReduce", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Reduce(hp, c.rank, send, recv, dt, op, root) })
+	return c.issued(collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root})
 }
 
 // IAllreduce starts a non-blocking allreduce; see Allreduce.
 func (c *Comm) IAllreduce(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issue("IAllreduce", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Allreduce(hp, c.rank, send, recv, dt, op) })
+	return c.issued(collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op})
 }
 
 // IGather starts a non-blocking gather into recv at root; see Gather.
 func (c *Comm) IGather(send, recv []byte, root int) *Request {
-	return c.issue("IGather", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Gather(hp, c.rank, send, recv, root) })
+	return c.issued(collArgs{kind: collGather, send: send, recv: recv, root: root})
 }
 
 // IScatter starts a non-blocking scatter from root's send; see Scatter.
 func (c *Comm) IScatter(send, recv []byte, root int) *Request {
-	return c.issue("IScatter", int64(len(recv)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Scatter(hp, c.rank, send, recv, root) })
+	return c.issued(collArgs{kind: collScatter, send: send, recv: recv, root: root})
 }
 
 // IAllgather starts a non-blocking allgather; see Allgather.
 func (c *Comm) IAllgather(send, recv []byte) *Request {
-	return c.issue("IAllgather", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Allgather(hp, c.rank, send, recv) })
+	return c.issued(collArgs{kind: collAllgather, send: send, recv: recv})
 }
 
 // IAlltoall starts a non-blocking all-to-all exchange; see Alltoall.
 func (c *Comm) IAlltoall(send, recv []byte) *Request {
-	return c.issue("IAlltoall", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Alltoall(hp, c.rank, send, recv) })
+	return c.issued(collArgs{kind: collAlltoall, send: send, recv: recv})
 }
 
 // IReduceScatter starts a non-blocking reduce-scatter; see ReduceScatter.
 func (c *Comm) IReduceScatter(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issue("IReduceScatter", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.ReduceScatter(hp, c.rank, send, recv, dt, op) })
+	return c.issued(collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op})
 }
 
 // IScan starts a non-blocking inclusive prefix reduction; see Scan.
 func (c *Comm) IScan(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issue("IScan", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Scan(hp, c.rank, send, recv, dt, op) })
+	return c.issued(collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op})
 }
 
 // IExscan starts a non-blocking exclusive prefix reduction; see Exscan.
 func (c *Comm) IExscan(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issue("IExscan", int64(len(send)),
-		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(hp *sim.Proc) { c.rec.coll.Exscan(hp, c.rank, send, recv, dt, op) })
+	return c.issued(collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op})
 }

@@ -442,16 +442,31 @@ type Result struct {
 // Comm is a rank's handle inside a Run body: its identity plus the
 // collective operations of the selected implementation. Sub carves out a
 // communicator over a subset of ranks.
-type Comm struct {
-	p        *sim.Proc // the rank's process; nil on the Tasks engine, where the body has no stack
+type Comm struct{ handle }
+
+// handle is one rank's view of one communicator, the record Comm and TComm are
+// two sets of methods over; the operations are written once, on it (tcomm.go).
+type handle struct {
+	*rankRec
+	rec *commRec // the communicator this handle is a member's view of
+}
+
+// rankRec is what a run knows about one rank, shared by the rank's handles on
+// every communicator: who it is, and what its one actor can be in the middle
+// of — the requests it issued, and one blocking collective or one rendezvous,
+// since an actor is suspended in at most one thing.
+type rankRec struct {
+	actor    // the rank's task, and its process when the body has a stack
 	rank     int
-	rec      *commRec // the communicator this handle is a member's view of
 	m        *machine.Machine
 	dom      *rma.Domain
 	counters map[string]*SharedCounter
 	tr       *trace.Trace // nil unless tracing is on
-	rs       *runState    // per-Run request streams and communicator records
-	tc       *TComm       // the handle's continuation-passing form: beside it in the slab for a world handle, made when first asked for otherwise
+	rs       *runState    // the run's communicator records and handle cache
+	world    Comm         // the rank's handle on the world communicator
+	stream   reqStream    // its non-blocking collectives (request.go)
+	call     frame        // its blocking collective in flight, or what the last ended with (tcomm.go)
+	sync     syncFrame    // its Agree or Shrink likewise (ft.go)
 }
 
 // commRec is what a run knows about one communicator, held once and shared by
@@ -519,19 +534,21 @@ type collectiveOps interface {
 	Exscan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
 }
 
-// collectives is what a communicator holds: the operations over its
-// members, and the way to the same over a subset of them.
+// collectives is what a communicator holds: the operations over its members,
+// the way to the same over a subset of them, and the group whose XT methods are
+// the operations in continuation form — nil when they exist blocking only.
 type collectives interface {
 	collectiveOps
 	Subgroup(members []int) collectives
+	taskForm() *core.Group
 }
 
 // srmColl is an SRM task group (the world group for the world
-// communicator): core.Group's own methods are the operation sets of
-// collectives and tcollectives.
+// communicator): core.Group's own methods are the operations in both forms.
 type srmColl struct{ *core.Group }
 
 func (a srmColl) Subgroup(members []int) collectives { return srmColl{a.Sub(members)} }
+func (a srmColl) taskForm() *core.Group              { return a.Group }
 
 // baselineColl is a baseline operation set — baseline.Coll's world
 // algorithms or a baseline.Group — with the way to its subgroups.
@@ -544,6 +561,8 @@ func (a baselineColl) Subgroup(members []int) collectives {
 	g := a.sub(members)
 	return baselineColl{g, g.Sub}
 }
+
+func (baselineColl) taskForm() *core.Group { return nil }
 
 // sub returns the record of the communicator over members, carved out of
 // parent. The list is hashed and compared against the records in its bucket,
@@ -559,7 +578,7 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 	if rec == nil {
 		rec = &commRec{
 			members: slices.Clone(members),
-			idx:     ranks.NewIndex("srmcoll", members, len(rs.streams)),
+			idx:     ranks.NewIndex("srmcoll", members, len(rs.ranks)),
 			coll:    coll,
 		}
 		if rs.ft != nil {
@@ -601,14 +620,16 @@ func (rs *runState) newWorld(p int, coll collectives) *commRec {
 // member ranks may use the returned Comm. Repeated Sub calls with the same
 // member list (from the same parent) return the same canonical Comm, so
 // request ordering is per communicator, not per Sub call.
-func (c *Comm) Sub(members []int) *Comm {
-	key := subKey{parent: c, rec: c.rs.sub(c.rec, members)}
-	if s, ok := c.rs.subs[key]; ok {
+func (c *Comm) Sub(members []int) *Comm { return c.sub(members) }
+
+func (h handle) sub(members []int) *Comm {
+	key := subKey{parent: h, rec: h.rs.sub(h.rec, members)}
+	if s, ok := h.rs.subs[key]; ok {
 		return s
 	}
-	s := &Comm{p: c.p, rank: c.rank, rec: key.rec, m: c.m, dom: c.dom,
-		counters: c.counters, tr: c.tr, rs: c.rs}
-	c.rs.subs[key] = s
+	s := h.rs.handles.New()
+	s.handle = handle{h.rankRec, key.rec}
+	h.rs.subs[key] = s
 	return s
 }
 
@@ -626,11 +647,11 @@ func (c *Comm) Node() int { return c.m.NodeOf(c.rank) }
 func (c *Comm) LocalRank() int { return c.m.LocalRank(c.rank) }
 
 // Now returns the current virtual time in microseconds.
-func (c *Comm) Now() float64 { return c.p.Now() }
+func (c *Comm) Now() float64 { return c.t.Now() }
 
 // Compute advances this rank's virtual clock by us microseconds, modeling
 // local computation between communication phases.
-func (c *Comm) Compute(us float64) { c.p.Sleep(us) }
+func (c *Comm) Compute(us float64) { c.sleep(us, func() {}) }
 
 // Every blocking collective returns nil without fault tolerance (and when
 // no member has failed); with fault tolerance enabled, a declared member
@@ -639,110 +660,71 @@ func (c *Comm) Compute(us float64) { c.p.Sleep(us) }
 // declaration lands while this rank is blocked inside it. After an error
 // the communicator needs Comm.Shrink before further collectives on it.
 
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "barrier", 0)
-	err := c.ftRun("barrier", c.p, func() { c.rec.coll.Barrier(c.p, c.rank) })
-	c.tr.End(id)
-	return err
+// collective is begin from a body with a stack, where the operation has ended
+// by the time begin returns and the frame holds what it ended with.
+func (c *Comm) collective(a collArgs) error {
+	c.begin(a, func(error) {})
+	return c.call.err
 }
+
+// Barrier blocks until every rank has entered it.
+func (c *Comm) Barrier() error { return c.collective(collArgs{kind: collBarrier}) }
 
 // Bcast broadcasts buf from root; on other ranks buf is overwritten.
 func (c *Comm) Bcast(buf []byte, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "bcast", int64(len(buf)))
-	err := c.ftRun("bcast", c.p, func() { c.rec.coll.Bcast(c.p, c.rank, buf, root) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collBcast, send: buf, root: root})
 }
 
 // Reduce combines send across ranks into recv at root (recv may be nil
 // elsewhere).
 func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "reduce", int64(len(send)))
-	err := c.ftRun("reduce", c.p, func() { c.rec.coll.Reduce(c.p, c.rank, send, recv, dt, op, root) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root})
 }
 
 // Allreduce combines send across ranks into every rank's recv.
 func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "allreduce", int64(len(send)))
-	err := c.ftRun("allreduce", c.p, func() { c.rec.coll.Allreduce(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op})
 }
 
 // Gather collects every rank's send block into recv at root (recv must
 // hold Size()*len(send) bytes there; it is ignored elsewhere).
 func (c *Comm) Gather(send, recv []byte, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "gather", int64(len(send)))
-	err := c.ftRun("gather", c.p, func() { c.rec.coll.Gather(c.p, c.rank, send, recv, root) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collGather, send: send, recv: recv, root: root})
 }
 
 // Scatter distributes root's send (Size()*len(recv) bytes) so each rank
 // receives its block in recv.
 func (c *Comm) Scatter(send, recv []byte, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "scatter", int64(len(recv)))
-	err := c.ftRun("scatter", c.p, func() { c.rec.coll.Scatter(c.p, c.rank, send, recv, root) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collScatter, send: send, recv: recv, root: root})
 }
 
 // Allgather concatenates every rank's send block into every rank's recv
 // (Size()*len(send) bytes), ordered by rank.
 func (c *Comm) Allgather(send, recv []byte) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "allgather", int64(len(send)))
-	err := c.ftRun("allgather", c.p, func() { c.rec.coll.Allgather(c.p, c.rank, send, recv) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collAllgather, send: send, recv: recv})
 }
 
 // Alltoall exchanges per-rank blocks: send and recv hold Size() blocks of
 // equal size; rank j receives this rank's block j at offset Rank().
 func (c *Comm) Alltoall(send, recv []byte) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "alltoall", int64(len(send)))
-	err := c.ftRun("alltoall", c.p, func() { c.rec.coll.Alltoall(c.p, c.rank, send, recv) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collAlltoall, send: send, recv: recv})
 }
 
 // ReduceScatter combines every rank's send vector (Size()*len(recv)
 // bytes) elementwise and delivers reduced block i to rank i in recv.
 func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "reducescatter", int64(len(send)))
-	err := c.ftRun("reducescatter", c.p, func() { c.rec.coll.ReduceScatter(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op})
 }
 
 // Scan leaves in recv the reduction of the send buffers of all ranks with
 // rank <= this one (inclusive prefix reduction).
 func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "scan", int64(len(send)))
-	err := c.ftRun("scan", c.p, func() { c.rec.coll.Scan(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op})
 }
 
 // Exscan is the exclusive prefix reduction; rank 0's recv is zeroed.
 func (c *Comm) Exscan(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "exscan", int64(len(send)))
-	err := c.ftRun("exscan", c.p, func() { c.rec.coll.Exscan(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.collective(collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op})
 }
 
 // The Float64 convenience wrappers have no error return; under fault
@@ -937,19 +919,10 @@ func (cl *Cluster) run(impl Impl, engine Engine, spawn func(*simulation)) (*Resu
 // simulation is one run between prepare and outcome: what Run and RunT set up
 // alike, whichever engine then spawns the ranks.
 type simulation struct {
-	cl    *Cluster
-	m     *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
-	coll  collectives
-	rs    *runState // rs.ft is nil unless fault tolerance is on
-	res   *Result
-	ranks []rankHandle // by rank, one slab
-}
-
-// rankHandle is the world communicator as one rank holds it, in both forms: a
-// Run body gets the Comm, a RunT body the TComm.
-type rankHandle struct {
-	c  Comm
-	tc TComm
+	cl  *Cluster
+	m   *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
+	rs  *runState        // rs.ft is nil unless fault tolerance is on
+	res *Result
 }
 
 // prepare validates the plan against the engine and builds a fresh simulation
@@ -960,6 +933,11 @@ type rankHandle struct {
 func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	if engine == EngineTasks && impl != SRM {
 		return nil, fmt.Errorf("srmcoll: the Tasks engine supports only the SRM implementation (got %s); use EngineProcs for baselines", impl)
+	}
+	if cl.ft.Enabled && impl != SRM {
+		// A message-passing baseline cannot abandon an operation: the messages
+		// of the one a declaration interrupted would match the retry's.
+		return nil, fmt.Errorf("srmcoll: fault tolerance supports only the SRM implementation (got %s)", impl)
 	}
 	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
 		return nil, err
@@ -974,16 +952,17 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	if cl.faults.Reliable {
 		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
 	}
+	var coll collectives
 	switch impl {
 	case SRM:
-		sm.coll = cl.newSRM(m, dom)
+		coll = cl.newSRM(m, dom)
 	case IBMMPI, MPICHMPI:
 		flavor := baseline.IBM
 		if impl == MPICHMPI {
 			flavor = baseline.MPICH
 		}
 		c := baseline.New(m, flavor)
-		sm.coll = baselineColl{c, c.Group}
+		coll = baselineColl{c, c.Group}
 	default:
 		return nil, fmt.Errorf("srmcoll: unknown implementation %d", int(impl))
 	}
@@ -992,7 +971,7 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	}
 	counters := make(map[string]*SharedCounter)
 	rs := newRunState(env, m.P())
-	world := rs.newWorld(m.P(), sm.coll)
+	world := rs.newWorld(m.P(), coll)
 	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	if cl.ft.Enabled {
 		ft := newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
@@ -1004,11 +983,10 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	if m.Faults != nil {
 		sm.scheduleFaults()
 	}
-	sm.ranks = make([]rankHandle, m.P())
-	for r := range sm.ranks {
-		h := &sm.ranks[r]
-		h.c = Comm{rank: r, rec: world, m: m, dom: dom, counters: counters, tr: env.Trace, rs: rs, tc: &h.tc}
-		h.tc.c = &h.c
+	for r := range rs.ranks {
+		rk := &rs.ranks[r]
+		rk.rank, rk.m, rk.dom, rk.counters, rk.tr, rk.rs = r, m, dom, counters, env.Trace, rs
+		rk.world.handle = handle{rk, world}
 	}
 	// Payload memory: a pool of the process-level reserve, the run's alone
 	// until outcome hands it back. Nothing above draws from the pool, and a
@@ -1026,16 +1004,16 @@ func (sm *simulation) scheduleFaults() {
 		cr := cr
 		env.At(cr.At, func() {
 			inj.CountCrash()
-			env.Kill(rs.tasks[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
+			env.Kill(rs.ranks[cr.Rank].t, fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
 		})
 	}
 	for _, st := range sm.cl.faults.Stalls {
 		st := st
 		env.At(st.From, func() {
 			inj.CountStall()
-			env.SetSlowdown(rs.tasks[st.Rank], st.Factor)
+			env.SetSlowdown(rs.ranks[st.Rank].t, st.Factor)
 		})
-		env.At(st.Until, func() { env.SetSlowdown(rs.tasks[st.Rank], 1) })
+		env.At(st.Until, func() { env.SetSlowdown(rs.ranks[st.Rank].t, 1) })
 	}
 }
 
@@ -1043,19 +1021,23 @@ func (sm *simulation) scheduleFaults() {
 // start function, which finds its handle by the process's index.
 func (sm *simulation) spawnProcs(body func(*Comm)) {
 	start := func(p *sim.Proc) {
-		c := &sm.ranks[p.Num()].c
-		c.p = p
+		c := &sm.rs.ranks[p.Num()].world
 		body(c)
 		c.checkDrained()
 		sm.res.PerRank[c.rank] = p.Now()
 	}
-	for r := range sm.rs.tasks {
+	for r := range sm.rs.ranks {
 		p := sm.m.Env.SpawnIndexed("rank", r, start)
-		sm.rs.tasks[r] = &p.Task
-		if tr := sm.m.Env.Trace; tr != nil {
-			p.SetTrack(r)
-			tr.NameTrack(r, p.Name())
-		}
+		sm.rs.ranks[r].actor = actor{t: &p.Task, p: p}
+		sm.nameTrack(&p.Task)
+	}
+}
+
+// nameTrack gives a rank's task the trace track of its rank.
+func (sm *simulation) nameTrack(t *sim.Task) {
+	if tr := sm.m.Env.Trace; tr != nil {
+		t.SetTrack(t.Num())
+		tr.NameTrack(t.Num(), t.Name())
 	}
 }
 

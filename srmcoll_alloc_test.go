@@ -193,3 +193,102 @@ func TestBlockingCommCallAllocs(t *testing.T) {
 		t.Errorf("a warm Comm.Allreduce costs %.3f objects per rank, want at most the parent's %.3f", per, recorded)
 	}
 }
+
+// TestRequestAllocs: what one more non-blocking collective costs a rank, issue
+// to Wait, from a Run body and from a RunT body on the Tasks engine, traced and
+// not. Measured like the blocking calls above — a body that has 2k IAllreduce
+// of 8 bytes outstanding before it waits for them against one that has k, per
+// extra request per rank, 8 nodes of 8 — and held to what the same test read at
+// the commit before the facade was written once (dd63289): there a Run body's
+// request ran on a helper process, which beside k predecessors still alive
+// needs a coroutine of its own, and cost more than a continuation body's; now
+// an SRM helper is a plain task under either. The continuation body's figures
+// include the two closures it makes per request itself.
+//
+// This is tier-1's proxy for the benchmark's train_overlap, whose 12,288
+// requests a repetition make ~343k objects: its 5 % bound on allocs_per_rep is
+// 1.4 objects a request.
+func TestRequestAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const nodes, tpn, k = 8, 8, 8
+	const ranks = nodes * tpn
+	send, recv := make([]byte, 8*2*k*ranks), make([]byte, 8*2*k*ranks)
+	row := func(b []byte, r, i int) []byte { o := 8 * (2*k*r + i); return b[o : o+8 : o+8] }
+	fail := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	blocking := func(cl *Cluster, n int) error {
+		_, err := cl.Run(SRM, func(c *Comm) {
+			reqs := make([]*Request, n)
+			for i := range reqs {
+				reqs[i] = c.IAllreduce(row(send, c.Rank(), i), row(recv, c.Rank(), i), Int64, Sum)
+			}
+			for _, rq := range reqs {
+				fail(rq.Wait())
+			}
+		})
+		return err
+	}
+	continuation := func(cl *Cluster, n int) error {
+		_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+			reqs := make([]*TRequest, 0, n)
+			var issue, wait func()
+			issue = func() {
+				if i := len(reqs); i < n {
+					tc.IAllreduce(row(send, tc.Rank(), i), row(recv, tc.Rank(), i), Int64, Sum, func(rq *TRequest) {
+						reqs = append(reqs, rq)
+						issue()
+					})
+					return
+				}
+				wait()
+			}
+			wait = func() {
+				if len(reqs) == 0 {
+					done()
+					return
+				}
+				rq := reqs[0]
+				reqs = reqs[1:]
+				rq.Wait(func(err error) {
+					fail(err)
+					wait()
+				})
+			}
+			issue()
+		})
+		return err
+	}
+	for _, tc := range []struct {
+		name     string
+		engine   Engine
+		run      func(*Cluster, int) error
+		traced   bool
+		recorded float64
+	}{
+		{"Run", EngineProcs, blocking, false, 24.1},
+		{"Run/traced", EngineProcs, blocking, true, 30.1},
+		{"RunT/tasks", EngineTasks, continuation, false, 19.1},
+		{"RunT/tasks/traced", EngineTasks, continuation, true, 26.1},
+	} {
+		cl := mustCluster(t, nodes, tpn)
+		cl.SetEngine(tc.engine)
+		cl.SetTracing(tc.traced)
+		objects := func(n int) float64 {
+			return float64(mallocsOf(func() {
+				if err := tc.run(cl, n); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		per := (objects(2*k) - objects(k)) / (k * ranks)
+		t.Logf("%s: %.2f objects per extra IAllreduce+Wait per rank (recorded at the parent: %.1f)", tc.name, per, tc.recorded)
+		if per > tc.recorded {
+			t.Errorf("%s: a request costs %.2f objects per rank, want at most the parent's %.1f", tc.name, per, tc.recorded)
+		}
+	}
+}

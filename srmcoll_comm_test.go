@@ -206,7 +206,7 @@ func TestSubHitAllocatesNothing(t *testing.T) {
 			list := []int{1, 3, 5, 7, 9, 11, 13, 15}
 			sub := tc.Sub(list)
 			if n := testing.AllocsPerRun(100, func() {
-				if tc.Sub(list) != sub || tc.c.Sub(list) != sub.c {
+				if tc.Sub(list) != sub || (*Comm)(tc).Sub(list) != (*Comm)(sub) {
 					panic("Sub is not canonical")
 				}
 			}); n != 0 {

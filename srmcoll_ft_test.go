@@ -93,6 +93,33 @@ func chaosLoopBodyCompute(rounds, bytes int, compute float64, sums []float64) fu
 	}
 }
 
+// TestFaultToleranceNeedsSRM: a message-passing baseline cannot abandon an
+// operation a declaration interrupted — its messages matched the retry, so
+// ranks returned nil with a sum that mixed the two, or the retry hung — and
+// fault tolerance over one is refused before any rank runs, from Run and from
+// RunT alike. Without fault tolerance the baselines run as ever.
+func TestFaultToleranceNeedsSRM(t *testing.T) {
+	for _, impl := range []Impl{IBMMPI, MPICHMPI} {
+		cl := ftCluster(t, 2, 4, Crash{Rank: 3, At: 40})
+		ran := false
+		_, errRun := cl.Run(impl, func(*Comm) { ran = true })
+		_, errRunT := cl.RunT(impl, func(_ *TComm, done func()) { ran = true; done() })
+		for form, err := range map[string]error{"Run": errRun, "RunT": errRunT} {
+			if err == nil || !strings.Contains(err.Error(), "fault tolerance") || !strings.Contains(err.Error(), impl.String()) {
+				t.Errorf("%s(%s) with fault tolerance on: error %v, want one naming fault tolerance and the implementation", form, impl, err)
+			}
+		}
+		if ran {
+			t.Errorf("%s: a rank ran before fault tolerance was refused", impl)
+		}
+		cl.SetFaultTolerance(FTConfig{})
+		cl.SetFaultPlan(FaultPlan{})
+		if _, err := cl.Run(impl, func(c *Comm) { c.Barrier() }); err != nil {
+			t.Errorf("%s without fault tolerance: %v", impl, err)
+		}
+	}
+}
+
 // TestCollectiveReturnsRankFailedError: a crash mid-run turns the blocking
 // collective into a structured error on every survivor, and Shrink + a
 // collective on the survivors completes.

@@ -8,34 +8,41 @@ import (
 	"srmcoll/internal/check"
 )
 
-// A TComm handle keeps its one blocking collective in a frame of its own: the
-// rules that follow from there being one.
+// A rank keeps its one blocking collective in a frame of its own: the rules
+// that follow from there being one.
 
-// TestSecondBlockingCollectiveIsRefused: starting a collective on a handle that
-// is still running one is a diagnosed error naming both and the rank, where it
-// used to interleave the two protocols on the rank.
+// TestSecondBlockingCollectiveIsRefused: starting a collective on a rank that is
+// still running one — on the same handle, or on its handle of another
+// communicator — is a diagnosed error naming both and the rank, where it used
+// to interleave the two protocols on the rank.
 func TestSecondBlockingCollectiveIsRefused(t *testing.T) {
-	cl := mustCluster(t, 2, 2)
-	cl.SetEngine(EngineTasks)
-	_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
-		buf, recv := make([]byte, 64), make([]byte, 64)
-		tc.Bcast(buf, 0, func(error) { done() })
-		if tc.Rank() == 3 {
-			// The broadcast cannot have reached rank 3 yet.
-			tc.Allreduce(buf, recv, Float64, Sum, func(error) {})
+	for _, other := range []bool{false, true} {
+		cl := mustCluster(t, 2, 2)
+		cl.SetEngine(EngineTasks)
+		_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+			buf, recv := make([]byte, 64), make([]byte, 64)
+			tc.Bcast(buf, 0, func(error) { done() })
+			if tc.Rank() == 3 {
+				// The broadcast cannot have reached rank 3 yet.
+				second := tc
+				if other {
+					second = tc.Sub([]int{2, 3})
+				}
+				second.Allreduce(buf, recv, Float64, Sum, func(error) {})
+			}
+		})
+		var re *RunError
+		var ce *check.ReentryError
+		if !errors.As(err, &re) || !errors.As(err, &ce) {
+			t.Fatalf("other handle %v: err = %v, want a *RunError carrying a *check.ReentryError", other, err)
 		}
-	})
-	var re *RunError
-	var ce *check.ReentryError
-	if !errors.As(err, &re) || !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want a *RunError carrying a *check.ReentryError", err)
-	}
-	if re.Rank != 3 || re.Op != "allreduce" || ce.Rank != 3 || ce.Op != "allreduce" || ce.Running != "bcast" {
-		t.Errorf("RunError{Rank: %d, Op: %q}, ReentryError%+v; want rank 3, allreduce started while bcast runs", re.Rank, re.Op, *ce)
-	}
-	for _, part := range []string{"rank 3", "allreduce", "bcast"} {
-		if !strings.Contains(err.Error(), part) {
-			t.Errorf("error %q does not mention %q", err, part)
+		if re.Rank != 3 || re.Op != "allreduce" || ce.Rank != 3 || ce.Op != "allreduce" || ce.Running != "bcast" {
+			t.Errorf("other handle %v: RunError{Rank: %d, Op: %q}, ReentryError%+v; want rank 3, allreduce started while bcast runs", other, re.Rank, re.Op, *ce)
+		}
+		for _, part := range []string{"rank 3", "allreduce", "bcast"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("other handle %v: error %q does not mention %q", other, err, part)
+			}
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"srmcoll/internal/check"
 )
 
 // runBothEngines executes the scenario on the Procs reference engine and
@@ -34,6 +36,14 @@ func runBothEngines(t *testing.T, cl *Cluster, impl Impl,
 	}
 	checkT(t, "tasks")
 
+	sameResult(t, rp, rt)
+	return rp, rt
+}
+
+// sameResult asserts that a run on an actor with a stack (rp) and one without
+// (rt) cannot be told apart by their results.
+func sameResult(t *testing.T, rp, rt *Result) {
+	t.Helper()
 	if rp.Time != rt.Time {
 		t.Errorf("Time: procs %v, tasks %v", rp.Time, rt.Time)
 	}
@@ -49,7 +59,6 @@ func runBothEngines(t *testing.T, cl *Cluster, impl Impl,
 	if rp.Events != rt.Events {
 		t.Errorf("Events: procs %d, tasks %d", rp.Events, rt.Events)
 	}
-	return rp, rt
 }
 
 func TestEngineString(t *testing.T) {
@@ -669,6 +678,12 @@ func TestTaskEngineTraced(t *testing.T) {
 		}
 		return body, func(t *testing.T, eng string) {}
 	})
+	sameSpans(t, rp, rt)
+}
+
+// sameSpans asserts that two traced runs recorded one timeline.
+func sameSpans(t *testing.T, rp, rt *Result) {
+	t.Helper()
 	sp, st := rp.Trace.Spans(), rt.Trace.Spans()
 	if len(sp) != len(st) {
 		t.Fatalf("span counts diverge: procs %d, tasks %d", len(sp), len(st))
@@ -855,20 +870,349 @@ func TestTaskEngineRequestCrashFT(t *testing.T) {
 	}
 }
 
-// TestTaskEngineMisuseDiagnosed verifies the request-stream misuse panics
-// surface as *RunError on the Tasks engine like they do on Procs.
+// TestTaskEngineMisuseDiagnosed: the misuse diagnostics of the request stream
+// are one code path, whichever form of body runs into them, so one table holds
+// them — each case a continuation body, run with a stack under it and without,
+// and diagnosed in the same words naming the same rank and operation. (A second
+// blocking collective beside the first takes a body without a stack to start;
+// srmcoll_tcall_test.go has it.)
 func TestTaskEngineMisuseDiagnosed(t *testing.T) {
-	cl := mustCluster(t, 1, 2)
-	cl.SetEngine(EngineTasks)
-	_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
-		buf := make([]byte, 64)
-		tc.IBcast(buf, 0, func(rq *TRequest) {
-			// Dropped request: the body finishes without Wait.
-			done()
+	for _, mc := range []struct {
+		name, op string
+		rank     int
+		cause    any // a pointer to the error type the RunError carries
+		want     []string
+		body     func(tc *TComm, done func())
+	}{
+		{"dropped request", "srmcoll.Run", 0, new(*check.RequestError),
+			[]string{"request ibcast#0", "1 request(s) dropped"},
+			func(tc *TComm, done func()) {
+				tc.IBcast(make([]byte, 64), 0, func(*TRequest) { done() })
+			}},
+		{"double Wait", "srmcoll.Request.Wait", 1, new(*check.RequestError),
+			[]string{"request ibarrier#0", "request already completed"},
+			func(tc *TComm, done func()) {
+				tc.IBarrier(func(rq *TRequest) {
+					rq.Wait(func(error) {
+						if tc.Rank() == 1 {
+							rq.Wait(func(error) {})
+							return
+						}
+						done()
+					})
+				})
+			}},
+		{"Wait after Test", "srmcoll.Request.Wait", 1, new(*check.RequestError),
+			[]string{"request ibarrier#0", "request already completed"},
+			func(tc *TComm, done func()) {
+				tc.IBarrier(func(rq *TRequest) {
+					var poll func(bool)
+					poll = func(ok bool) {
+						switch {
+						case !ok:
+							tc.Compute(5, func() { rq.Test(poll) })
+						case tc.Rank() == 1:
+							rq.Wait(func(error) {})
+						default:
+							done()
+						}
+					}
+					rq.Test(poll)
+				})
+			}},
+		{"overlapping buffers", "srmcoll.IAllreduce", 0, new(*check.RequestError),
+			[]string{"request ibcast#0", "send buffer overlaps the outstanding request's buf buffer"},
+			func(tc *TComm, done func()) {
+				buf := make([]byte, 1024)
+				tc.IBcast(buf, 0, func(*TRequest) {
+					tc.IAllreduce(buf[512:520], make([]byte, 8), Int64, Sum, func(*TRequest) { done() })
+				})
+			}},
+	} {
+		var texts [2]string
+		for e, eng := range []Engine{EngineProcs, EngineTasks} {
+			cl := mustCluster(t, 2, 1)
+			cl.SetEngine(eng)
+			_, err := cl.RunT(SRM, mc.body)
+			var re *RunError
+			if !errors.As(err, &re) || !errors.As(err, mc.cause) {
+				t.Fatalf("%s, %s: %v, want a *RunError carrying a %T", mc.name, eng, err, mc.cause)
+			}
+			if re.Rank != mc.rank || re.Op != mc.op {
+				t.Errorf("%s, %s: RunError{Rank: %d, Op: %q}, want rank %d in %s", mc.name, eng, re.Rank, re.Op, mc.rank, mc.op)
+			}
+			for _, part := range mc.want {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("%s, %s: error %q does not mention %q", mc.name, eng, err, part)
+				}
+			}
+			texts[e] = err.Error()
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: diagnosed differently with a stack and without:\n%s\n%s", mc.name, texts[0], texts[1])
+		}
+	}
+}
+
+// TestTaskEngineMatchesRunBody holds a Run body, whose requests are run by
+// helpers without a stack, to the same program as a continuation body on the
+// Tasks engine: virtual times, counters, events, failure and repair records,
+// what every rank observed, and with tracing on the span timeline.
+func TestTaskEngineMatchesRunBody(t *testing.T) {
+	fail := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	// each runs step for i = 0..n-1, each started from the continuation of the
+	// last, then k.
+	var each func(i, n int, step func(i int, next func()), k func())
+	each = func(i, n int, step func(i int, next func()), k func()) {
+		if i == n {
+			k()
+			return
+		}
+		step(i, func() { each(i+1, n, step, k) })
+	}
+	type program struct {
+		name   string
+		mk     func() *Cluster
+		body   func(log []string) func(*Comm)
+		bodyT  func(log []string) func(*TComm, func())
+		expect func(t *testing.T, res *Result, log []string)
+	}
+	one := func(r int) []byte { return Int64Bytes([]int64{int64(r + 1)}) }
+	programs := []program{{
+		// More requests than may be outstanding, a blocking collective that
+		// has to wait for one, and a Test loop.
+		name: "backpressure, quiesce and Test, traced",
+		mk: func() *Cluster {
+			cl := mustCluster(t, 2, 2)
+			cl.SetTracing(true)
+			return cl
+		},
+		body: func(log []string) func(*Comm) {
+			return func(c *Comm) {
+				r := c.Rank()
+				reqs := make([]*Request, MaxOutstanding+6)
+				for i := range reqs {
+					reqs[i] = c.IBarrier()
+				}
+				c.Compute(float64(5 * r))
+				for _, rq := range reqs {
+					fail(rq.Wait())
+				}
+				recv := make([]byte, 8)
+				rq := c.IAllreduce(one(r), recv, Int64, Sum)
+				fail(c.Barrier())
+				polls := 0
+				for !rq.Test() {
+					polls++
+					c.Compute(3)
+				}
+				log[r] = fmt.Sprint(Int64s(recv)[0], polls, c.Now())
+			}
+		},
+		bodyT: func(log []string) func(*TComm, func()) {
+			return func(tc *TComm, done func()) {
+				r := tc.Rank()
+				reqs := make([]*TRequest, MaxOutstanding+6)
+				each(0, len(reqs), func(i int, next func()) {
+					tc.IBarrier(func(rq *TRequest) { reqs[i] = rq; next() })
+				}, func() {
+					tc.Compute(float64(5*r), func() {
+						each(0, len(reqs), func(i int, next func()) {
+							reqs[i].Wait(func(err error) { fail(err); next() })
+						}, func() {
+							recv := make([]byte, 8)
+							tc.IAllreduce(one(r), recv, Int64, Sum, func(rq *TRequest) {
+								tc.Barrier(func(err error) {
+									fail(err)
+									polls := 0
+									var poll func(bool)
+									poll = func(ok bool) {
+										if !ok {
+											polls++
+											tc.Compute(3, func() { rq.Test(poll) })
+											return
+										}
+										log[r] = fmt.Sprint(Int64s(recv)[0], polls, tc.Now())
+										done()
+									}
+									rq.Test(poll)
+								})
+							})
+						})
+					})
+				})
+			}
+		},
+		expect: func(t *testing.T, res *Result, log []string) {
+			for r, l := range log {
+				if !strings.HasPrefix(l, "10 ") {
+					t.Errorf("rank %d observed %q, want the sum 10 first", r, l)
+				}
+			}
+		},
+	}, {
+		// A member is declared failed while the survivors are in an allreduce;
+		// a request issued on the communicator afterwards is complete, with the
+		// failure, when the issue returns it; the shrunken communicator works.
+		name: "a request on a communicator known broken",
+		mk:   func() *Cluster { return ftCluster(t, 2, 4, Crash{Rank: 3, At: 40}) },
+		body: func(log []string) func(*Comm) {
+			return func(c *Comm) {
+				r := c.Rank()
+				recv := make([]byte, 8)
+				c.Compute(250)
+				err := c.Allreduce(one(r), recv, Int64, Sum)
+				rq := c.IAllreduce(one(r), recv, Int64, Sum)
+				atIssue := rq.Err()
+				atWait := rq.Wait()
+				sc, serr := c.Shrink()
+				fail(serr)
+				fail(sc.Allreduce(one(r), recv, Int64, Sum))
+				log[r] = fmt.Sprint(err, "|", atIssue, "|", atWait, "|", sc.Members(), Int64s(recv)[0], c.Now())
+			}
+		},
+		bodyT: func(log []string) func(*TComm, func()) {
+			return func(tc *TComm, done func()) {
+				r := tc.Rank()
+				recv := make([]byte, 8)
+				tc.Compute(250, func() {
+					tc.Allreduce(one(r), recv, Int64, Sum, func(err error) {
+						tc.IAllreduce(one(r), recv, Int64, Sum, func(rq *TRequest) {
+							atIssue := rq.Err()
+							rq.Wait(func(atWait error) {
+								tc.Shrink(func(sc *TComm, serr error) {
+									fail(serr)
+									sc.Allreduce(one(r), recv, Int64, Sum, func(ferr error) {
+										fail(ferr)
+										log[r] = fmt.Sprint(err, "|", atIssue, "|", atWait, "|", sc.Members(), Int64s(recv)[0], tc.Now())
+										done()
+									})
+								})
+							})
+						})
+					})
+				})
+			}
+		},
+		expect: func(t *testing.T, res *Result, log []string) {
+			if len(res.Failures) != 1 || res.Failures[0].Rank != 3 || len(res.Repairs) != 1 {
+				t.Fatalf("failures %+v, repairs %+v; want rank 3 declared and one shrink", res.Failures, res.Repairs)
+			}
+			for r, l := range log {
+				if parts := strings.Split(l, "|"); r != 3 && (len(parts) != 4 || !strings.Contains(parts[0], "allreduce on rank") ||
+					!strings.Contains(parts[1], "iallreduce on rank") || parts[1] != parts[2] || !strings.HasPrefix(parts[3], "[0 1 2 4 5 6 7] 32 ")) {
+					t.Errorf("rank %d observed %q", r, l)
+				}
+			}
+		},
+	}, {
+		// A rank dies with three requests in flight, its helpers with it. Its
+		// first helper had contributed before: the other node's first request
+		// completes, the one of the rank beside it is interrupted by the
+		// declaration, and the two behind find the communicator broken when
+		// their turn comes.
+		name: "a crash with requests in flight",
+		mk:   func() *Cluster { return ftCluster(t, 2, 2, Crash{Rank: 1, At: 20}) },
+		body: func(log []string) func(*Comm) {
+			return func(c *Comm) {
+				r := c.Rank()
+				recv := make([]byte, 3*8)
+				if r != 1 {
+					c.Compute(60) // rank 1's requests are left waiting for partners
+				}
+				var reqs [3]*Request
+				for i := range reqs {
+					reqs[i] = c.IAllreduce(one(r), recv[8*i:8*i+8], Int64, Sum)
+				}
+				c.Compute(30) // rank 1 does not wake from this one
+				var errs [3]error
+				for i, rq := range reqs {
+					errs[i] = rq.Wait()
+				}
+				sc, serr := c.Shrink()
+				fail(serr)
+				agreed, aerr := sc.Agree(^uint64(1) << uint(r))
+				fail(aerr)
+				fail(sc.Allreduce(one(r), recv[:8], Int64, Sum))
+				log[r] = fmt.Sprint(errs, agreed, Int64s(recv)[0], c.Now())
+			}
+		},
+		bodyT: func(log []string) func(*TComm, func()) {
+			return func(tc *TComm, done func()) {
+				r := tc.Rank()
+				recv := make([]byte, 3*8)
+				rest := func() {
+					var reqs [3]*TRequest
+					var errs [3]error
+					each(0, 3, func(i int, next func()) {
+						tc.IAllreduce(one(r), recv[8*i:8*i+8], Int64, Sum, func(rq *TRequest) { reqs[i] = rq; next() })
+					}, func() {
+						tc.Compute(30, func() {
+							each(0, 3, func(i int, next func()) {
+								reqs[i].Wait(func(err error) { errs[i] = err; next() })
+							}, func() {
+								tc.Shrink(func(sc *TComm, serr error) {
+									fail(serr)
+									sc.Agree(^uint64(1)<<uint(r), func(agreed uint64, aerr error) {
+										fail(aerr)
+										sc.Allreduce(one(r), recv[:8], Int64, Sum, func(ferr error) {
+											fail(ferr)
+											log[r] = fmt.Sprint(errs, agreed, Int64s(recv)[0], tc.Now())
+											done()
+										})
+									})
+								})
+							})
+						})
+					})
+				}
+				if r != 1 {
+					tc.Compute(60, rest)
+					return
+				}
+				rest()
+			}
+		},
+		expect: func(t *testing.T, res *Result, log []string) {
+			if len(res.Failures) != 1 || res.Failures[0].Rank != 1 || res.Failures[0].CrashedAt != 30 || len(res.Repairs) != 2 {
+				t.Fatalf("failures %+v, repairs %+v; want rank 1 dead at its wake-up and two rendezvous", res.Failures, res.Repairs)
+			}
+			for r, l := range log {
+				if r != 1 && (strings.Count(l, "iallreduce on rank") < 2 || !strings.Contains(l, "] 18446744073709551600 8 ")) {
+					t.Errorf("rank %d observed %q, want the last two requests failed, the survivors' flags and their sum", r, l)
+				}
+			}
+		},
+	}}
+	for _, pg := range programs {
+		t.Run(pg.name, func(t *testing.T) {
+			cl := pg.mk()
+			P := cl.Config().P()
+			logP, logT := make([]string, P), make([]string, P)
+			rp, err := cl.Run(SRM, pg.body(logP))
+			if err != nil {
+				t.Fatalf("Run body: %v", err)
+			}
+			cl.SetEngine(EngineTasks)
+			rt, err := cl.RunT(SRM, pg.bodyT(logT))
+			if err != nil {
+				t.Fatalf("continuation body: %v", err)
+			}
+			pg.expect(t, rp, logP)
+			if !reflect.DeepEqual(logP, logT) {
+				t.Errorf("the ranks observed\n%q from a Run body,\n%q from a continuation body", logP, logT)
+			}
+			sameResult(t, rp, rt)
+			if !reflect.DeepEqual(rp.Failures, rt.Failures) || !reflect.DeepEqual(rp.Repairs, rt.Repairs) {
+				t.Errorf("failures and repairs diverge:\n%+v %+v\n%+v %+v", rp.Failures, rp.Repairs, rt.Failures, rt.Repairs)
+			}
+			if cl.Tracing() {
+				sameSpans(t, rp, rt)
+			}
 		})
-	})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("dropped request not diagnosed: %v", err)
 	}
 }
