@@ -77,7 +77,9 @@ func (cl *Cluster) FaultTolerance() FTConfig { return cl.ft }
 // RankFailedError is returned by a collective (or carried by a *Request)
 // when a member of the communicator has been declared failed: the
 // operation cannot complete and the communicator needs repair (Shrink)
-// before further collectives on it can succeed.
+// before further collectives on it can succeed. Failed is read-only: the
+// errors one declaration hands the communicator's ranks share the list
+// (Comm.FailedRanks returns a copy).
 type RankFailedError struct {
 	Op     string // the operation that observed the failure, e.g. "allreduce"
 	Rank   int    // the calling rank that got the error
@@ -113,7 +115,9 @@ type RepairRecord struct {
 
 // ftInterrupt is the interrupt payload delivered to an actor blocked inside a
 // collective when a member of its communicator is declared failed;
-// frame.declared turns it into a *RankFailedError.
+// frame.declared turns it into a *RankFailedError. One is made per declaration
+// per communicator and delivered by pointer to every operation on it
+// (ftState.told).
 type ftInterrupt struct{ failed []int }
 
 // ftReg is one in-progress fault-sensitive operation: the task running it
@@ -241,7 +245,7 @@ func (ft *ftState) declare(d int, diedAt float64) {
 		if reg.rec.idx.Of(d) < 0 {
 			continue
 		}
-		ft.env.Interrupt(reg.t, ftInterrupt{failed: ft.failedIn(reg.rec.members)})
+		ft.env.Interrupt(reg.t, ft.told(reg.rec))
 	}
 	// Complete what is now complete, in ascending order of the rendezvous key
 	// strings: the order repair records have always had, and once per declared
@@ -252,16 +256,24 @@ func (ft *ftState) declare(d int, diedAt float64) {
 	}
 }
 
-// failedIn returns the declared-failed ranks of a member list, in member
-// order.
-func (ft *ftState) failedIn(members []int) []int {
-	var out []int
-	for _, r := range members {
-		if ft.failed[r] {
-			out = append(out, r)
+// told returns what the communicator's ranks are told of its failed members:
+// the list of them so far, in member order. It is made once per declaration
+// that adds to it — rec.failed members are on it, so its length says whether it
+// is current — and shared by everything that declaration reaches: the interrupt
+// of every registered operation, and every error the record's ranks are given
+// until the next one. An interrupt already on its way keeps the list it was sent
+// with. Callers must not write to it.
+func (ft *ftState) told(rec *commRec) *ftInterrupt {
+	if rec.told == nil || len(rec.told.failed) != rec.failed {
+		failed := make([]int, 0, rec.failed)
+		for _, r := range rec.members {
+			if ft.failed[r] {
+				failed = append(failed, r)
+			}
 		}
+		rec.told = &ftInterrupt{failed}
 	}
-	return out
+	return rec.told
 }
 
 // register adds an in-progress operation to the interrupt set.
@@ -338,19 +350,19 @@ func (ft *ftState) checkGather(g *ftGather) {
 // failedError is the error of an operation on a communicator with members
 // declared failed.
 func (h handle) failedError(opName string) *RankFailedError {
-	return &RankFailedError{Op: opName, Rank: h.rank, Failed: h.rs.ft.failedIn(h.rec.members)}
+	return &RankFailedError{Op: opName, Rank: h.rank, Failed: h.rs.ft.told(h.rec).failed}
 }
 
 // Members returns the communicator's global ranks in member order.
 func (c *Comm) Members() []int { return slices.Clone(c.rec.members) }
 
 // FailedRanks returns the communicator members declared failed so far, in
-// member order. Empty without fault tolerance.
+// member order: a copy, the caller's own. Empty without fault tolerance.
 func (c *Comm) FailedRanks() []int {
 	if c.rs.ft == nil {
 		return nil
 	}
-	return c.rs.ft.failedIn(c.rec.members)
+	return slices.Clone(c.rs.ft.told(c.rec).failed)
 }
 
 // syncFrame is a rank's Agree or Shrink from the call to its continuation, and

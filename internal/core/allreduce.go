@@ -336,7 +336,7 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 	a.trees = make([]pipeTree, len(roots))
 	for ti, root := range roots {
 		tp := &a.trees[ti]
-		tp.emb = g.lay.embed(kind, s.opt.IntraTree, g.lay.local[root][0])
+		tp.emb = g.embed(kind, s.opt.IntraTree, g.lay.local[root][0])
 		tp.chunkDone = s.flag(g.lay.nodes[root])
 		tp.pslot = make([][2][]byte, nn)
 		tp.arr = make([][2]*rma.Counter, nn)

@@ -43,7 +43,7 @@ func newBcastState(g *Group, root, size int) *bcastState {
 		g:    g,
 		root: root,
 		size: size,
-		emb:  g.lay.embed(s.interKind("bcast", size), s.opt.IntraTree, root),
+		emb:  g.embed(s.interKind("bcast", size), s.opt.IntraTree, root),
 	}
 	b.large = size > cfg.SRMBcastBufSize
 	switch {

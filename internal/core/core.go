@@ -157,6 +157,10 @@ type SRM struct {
 	world  *Group
 	free   []*exec // idle executors
 
+	// The intra-node trees asked for so far (intraTree). The cache is the
+	// engine's and so the run's: runs of one cluster may overlap in time.
+	trees map[treeKey]tree.Tree
+
 	building *opEntry // the entry whose state Group.acquire is constructing
 
 	// Where the engine's records come from (DESIGN.md §9): executors for the
@@ -217,7 +221,28 @@ func New(m *machine.Machine, dom *rma.Domain, opt Options) *SRM {
 		dom:    dom,
 		opt:    opt,
 		groups: make(map[uint64][]*Group),
+		trees:  make(map[treeKey]tree.Tree),
 	}
+}
+
+// treeKey names a tree over the tasks of one node, which is a function of its
+// kind, the task count and the root alone.
+type treeKey struct {
+	kind    tree.Kind
+	n, root int
+}
+
+// intraTree returns the tree of the given kind over n local tasks rooted at
+// root, built once: every node of every group of every operation of the run
+// with that many tasks and that master shares it, read-only.
+func (s *SRM) intraTree(kind tree.Kind, n, root int) tree.Tree {
+	key := treeKey{kind, n, root}
+	t, ok := s.trees[key]
+	if !ok {
+		t = tree.New(kind, n, root)
+		s.trees[key] = t
+	}
+	return t
 }
 
 // Machine returns the underlying machine.

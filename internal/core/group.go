@@ -77,8 +77,24 @@ type gEmbed struct {
 	masters []int // global master rank per node index
 }
 
-// embed builds the group embedding rooted at the given member rank.
-func (lay *layout) embed(interKind, intraKind tree.Kind, root int) gEmbed {
+// embedKey names one embedding of a group: the embedding is a function of the
+// two tree kinds, the root and the group's layout, and of nothing else.
+type embedKey struct {
+	inter, intra tree.Kind
+	root         int
+}
+
+// embed returns the group embedding rooted at the given member rank. It is
+// built when first asked for and kept: Figure 1's embedding is a property of
+// the task group, every collective on the group with these kinds and this root
+// uses the same one, and nothing writes to a tree once it is built (the
+// intra-node trees are the engine's, shared across groups too).
+func (g *Group) embed(interKind, intraKind tree.Kind, root int) gEmbed {
+	key := embedKey{interKind, intraKind, root}
+	if e, ok := g.embeds[key]; ok {
+		return e
+	}
+	lay := &g.lay
 	if !lay.contains(root) {
 		panic(fmt.Sprintf("core: root %d is not a group member", root))
 	}
@@ -95,9 +111,13 @@ func (lay *layout) embed(interKind, intraKind tree.Kind, root int) gEmbed {
 		if x == rootNI {
 			rootLocal = lay.li(root)
 		}
-		e.intra[x] = tree.New(intraKind, len(lay.local[x]), rootLocal)
+		e.intra[x] = g.s.intraTree(intraKind, len(lay.local[x]), rootLocal)
 		e.masters[x] = lay.local[x][rootLocal]
 	}
+	if g.embeds == nil {
+		g.embeds = make(map[embedKey]gEmbed)
+	}
+	g.embeds[key] = e
 	return e
 }
 
@@ -109,6 +129,8 @@ type Group struct {
 	s   *SRM
 	lay layout
 	seq []int // by group rank: operations the member has entered
+
+	embeds map[embedKey]gEmbed // the embeddings asked for so far (embed)
 
 	// The operations in flight, oldest first: ops[i] has sequence number
 	// base+i. Members enter operations in order and an operation is retired

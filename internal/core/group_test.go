@@ -107,14 +107,60 @@ func TestGroupRegistryShared(t *testing.T) {
 func TestGroupEmbedRootMaster(t *testing.T) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(4, 4))
-	lay := newLayout(m, []int{1, 2, 5, 6, 9, 13})
-	e := lay.embed(0, 0, 6) // root 6 on node 1 (members 5, 6)
+	g := New(m, rma.NewDomain(m), Options{}).Group([]int{1, 2, 5, 6, 9, 13})
+	lay := &g.lay
+	e := g.embed(0, 0, 6) // root 6 on node 1 (members 5, 6)
 	if e.masters[lay.ni(6)] != 6 {
 		t.Fatalf("root node master = %d, want the root itself", e.masters[lay.ni(6)])
 	}
 	// Other nodes take their first member as master.
 	if e.masters[0] != 1 || e.masters[2] != 9 || e.masters[3] != 13 {
 		t.Fatalf("masters = %v", e.masters)
+	}
+}
+
+// TestTopologyBuiltOncePerRun: trees are pure functions of their shape, so a
+// run builds each shape once. Three rounds of allreduce, broadcast from a rank
+// in the middle of a node and reduce on 16 nodes of 8 ask for an intra-node tree
+// 16 times per operation state and more; the run ends with the two shapes there
+// are — eight tasks rooted at local 0, and at local 5 for the broadcast root's
+// node — and the world group with its two embeddings, every node's tree in them
+// the cached one. tree.New and tree.NewHier have no caller in this package but
+// the two caches, so entries are constructor calls.
+func TestTopologyBuiltOncePerRun(t *testing.T) {
+	const nodes, tpn, root, size = 16, 8, 21, 256
+	var eng *SRM
+	harness(t, nodes, tpn, Options{}, func(s *SRM, p *sim.Proc, rank int) {
+		eng = s
+		send, recv, buf := make([]byte, size), make([]byte, size), make([]byte, size)
+		for round := 0; round < 3; round++ {
+			s.Allreduce(p, rank, send, recv, dtype.Float64, dtype.Sum)
+			s.Bcast(p, rank, buf, root)
+			s.Reduce(p, rank, send, recv, dtype.Float64, dtype.Sum, 0)
+		}
+	})
+	if len(eng.trees) != 2 {
+		t.Errorf("%d intra-node trees built, want 2: %v", len(eng.trees), eng.trees)
+	}
+	for _, key := range []treeKey{{0, tpn, 0}, {0, tpn, root % tpn}} {
+		if _, ok := eng.trees[key]; !ok {
+			t.Errorf("no tree for %+v", key)
+		}
+	}
+	g := eng.World()
+	if len(g.embeds) != 2 {
+		t.Errorf("%d embeddings of the world group built, want the broadcast's and the reduce's", len(g.embeds))
+	}
+	shared := &eng.trees[treeKey{0, tpn, 0}].Parent[0]
+	for key, e := range g.embeds {
+		for x, tr := range e.intra {
+			if x != root/tpn && &tr.Parent[0] != shared {
+				t.Errorf("embedding %+v: node %d has a tree of its own", key, x)
+			}
+		}
+	}
+	if again := g.embed(0, 0, root); &again.inter.Parent[0] != &g.embeds[embedKey{0, 0, root}].inter.Parent[0] {
+		t.Error("asking for an embedding a second time built it again")
 	}
 }
 

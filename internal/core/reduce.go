@@ -56,7 +56,7 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 		root: root,
 		size: size,
 		ds:   ds,
-		emb:  g.lay.embed(s.interKind("reduce", size), s.opt.IntraTree, root),
+		emb:  g.embed(s.interKind("reduce", size), s.opt.IntraTree, root),
 	}
 	chunk := cfg.SRMLargeChunk
 	if ds.dt.Size() > 0 {

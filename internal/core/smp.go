@@ -113,7 +113,7 @@ type treePub struct {
 
 func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
 	tp := &treePub{
-		tr:   tree.New(tree.Binomial, count, masterLocal),
+		tr:   s.intraTree(tree.Binomial, count, masterLocal),
 		buf:  make([][2][]byte, count),
 		full: make([]*shm.Flag, count),
 		ack:  make([]flagSet, count),
@@ -283,7 +283,7 @@ type redNode struct {
 
 func (s *SRM) newRedNode(node, masterLocal, count int, sp []span) *redNode {
 	rn := &redNode{
-		tr:   tree.New(s.opt.IntraTree, count, masterLocal),
+		tr:   s.intraTree(s.opt.IntraTree, count, masterLocal),
 		sp:   sp,
 		slot: make([][2][]byte, count),
 		full: make([]*shm.Flag, count),

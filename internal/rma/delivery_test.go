@@ -10,8 +10,9 @@ import (
 	"srmcoll/internal/trace"
 )
 
-// The life of a delivery frame (putRemote): taken at injection, idle again
-// only once its landing has run or a dead target has refused it.
+// The life of a put's frame on the fault-free wire (putRemote): taken at
+// injection, idle again only once its landing has run, a dead target has
+// refused it or MarkDead has discarded it.
 
 // idleFrames counts the domain's idle delivery frames.
 func idleFrames(d *Domain) int {
@@ -98,8 +99,9 @@ func TestFramesAreReused(t *testing.T) {
 // that arrives after the target was marked dead is refused at the adapter: it
 // counts one DeadDrops and its frame is idle at once. One already deferred in
 // the pending list when the target is marked dead is discarded with the list
-// (uncounted, as before frames existed): neither ever lands, and the domain
-// goes on delivering to the living with the frames it has.
+// (no statistic counts it; the domain's ledger does) and its frame is idle at
+// once too: neither ever lands, both snapshots are back in the pool, and the
+// domain goes on delivering to the living with the frames it has.
 func TestDeadTargetNeverLands(t *testing.T) {
 	env, m, d := twoNodes(2) // ranks 0,1 on node 0; 2,3 on node 1
 	src := []byte{1, 2, 3, 4}
@@ -118,8 +120,11 @@ func TestDeadTargetNeverLands(t *testing.T) {
 		if m.Stats.DeadDrops != 1 {
 			t.Errorf("DeadDrops = %d after the late put arrived, want 1", m.Stats.DeadDrops)
 		}
-		if got := idleFrames(d); got != 1 {
-			t.Errorf("%d idle frames: the refused put's frame must be idle, the discarded one's gone", got)
+		if got := idleFrames(d); got != 2 {
+			t.Errorf("%d idle frames, want the refused put's and the discarded one's", got)
+		}
+		if ty := d.Tally(); ty.Discarded != 1 || ty.Snapshots != 0 || m.Buffers.Outstanding() != 0 {
+			t.Errorf("ledger %+v with %d buffers out of the pool, want 1 discarded and no snapshot out", ty, m.Buffers.Outstanding())
 		}
 		d.Endpoint(0).Put(p, d.Endpoint(3), dstAlive, src, nil, cAlive, nil)
 		p.Sleep(300)

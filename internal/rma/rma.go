@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
@@ -81,8 +82,17 @@ type Endpoint struct {
 	Node       int
 	inCall     bool
 	interrupts bool
-	dead       bool     // task declared failed; deliveries are dropped
-	pending    []func() // deferred deliveries awaiting a progress opportunity
+	dead       bool       // task declared failed; deliveries are dropped
+	pending    []deferred // deferred deliveries awaiting a progress opportunity
+	chans      *channel   // reliable delivery: the channels this rank has put on (reliable.go)
+}
+
+// deferred is one delivery parked at an endpoint whose interrupts are off: what
+// lands it, and the put frame that is waiting for that (nil for a message that
+// has none), so that MarkDead can tell the frame when it throws the list away.
+type deferred struct {
+	fn func()
+	fr *delivery
 }
 
 // Domain is the RMA communication domain: one endpoint per task.
@@ -90,15 +100,19 @@ type Domain struct {
 	m   *machine.Machine
 	eps []Endpoint // by rank, one slab; an Endpoint is held by pointer into it
 
-	idle *delivery // delivery frames between puts (putRemote)
+	// The frames of the remote puts (reliable.go): carved here, idle between
+	// two puts, and alive as long as the domain.
+	frameMem bufpool.Chunks[delivery]
+	idle     *delivery
 
 	// Reliable-delivery state (see reliable.go). Off by default: the
 	// paper's protocols assume LAPI delivers every put exactly once.
 	reliable   bool
 	ackTimeout sim.Time
 	backoffCap sim.Time
-	sendSeq    map[chKey]int
-	seen       map[chKey]map[int]bool
+	chanMem    bufpool.Chunks[channel]
+
+	tally Tally // what became of every transmission
 }
 
 // NewDomain attaches every task of the machine to the RMA layer.
@@ -118,14 +132,20 @@ func (d *Domain) Endpoint(rank int) *Endpoint { return &d.eps[rank] }
 // point deliveries addressed to it are dropped (the link-level machinery —
 // injection, acks, retransmit suppression — keeps running in the adapter,
 // so origins of in-flight reliable puts still converge), its deferred
-// deliveries are discarded, and reliable retransmit loops targeting it
-// stop rescheduling. Marking a rank dead twice is a no-op.
+// deliveries are discarded (a put among them is told, so that its frame
+// drains and its snapshot goes back to the pool), and reliable retransmit
+// loops targeting it stop rescheduling. Marking a rank dead twice is a no-op.
 func (d *Domain) MarkDead(rank int) {
 	ep := &d.eps[rank]
 	if ep.dead {
 		return
 	}
 	ep.dead = true
+	for _, p := range ep.pending {
+		if p.fr != nil {
+			p.fr.discard()
+		}
+	}
 	ep.pending = nil
 	ep.inCall = false
 }
@@ -145,9 +165,9 @@ func (ep *Endpoint) SetInterrupts(on bool) {
 	ep.interrupts = on
 	if on && len(ep.pending) > 0 {
 		m := ep.dom.m
-		for _, fn := range ep.pending {
+		for _, p := range ep.pending {
 			m.Stats.Interrupts++
-			m.Env.After(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), fn)
+			m.Env.After(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), p.fn)
 		}
 		ep.pending = nil
 	}
@@ -173,12 +193,12 @@ func (ep *Endpoint) Probe(p *sim.Proc) {
 // interrupt storms (machine.StormPenalty, zero by default) slow deliveries
 // the same way spin-loop starvation does.
 //
-// g/par carry the put lifecycle's trace group and issuing span (-1, -1 for
-// untraced messages): the delivery leg is recorded as a span from arrival
-// to the moment fn runs, named after the mode that delivered it. deliver
-// reports whether it took the message: false means the target is dead and fn
-// will never run.
-func (ep *Endpoint) deliver(g, par int, fn func()) bool {
+// fr is the frame of the put the message carries, nil for a message that is
+// not a put's; its trace group and issuing span name the delivery leg, which
+// is recorded as a span from arrival to the moment fn runs, named after the
+// mode that delivered it. deliver reports whether it took the message: false
+// means the target is dead and fn will never run.
+func (ep *Endpoint) deliver(fr *delivery, fn func()) bool {
 	m := ep.dom.m
 	if ep.dead {
 		// The task was declared failed: its adapter still acks at the link
@@ -187,6 +207,10 @@ func (ep *Endpoint) deliver(g, par int, fn func()) bool {
 		return false
 	}
 	tr := m.Env.Trace
+	g, par := -1, -1
+	if fr != nil {
+		g, par = fr.g, fr.par
+	}
 	switch {
 	case ep.inCall:
 		// Even with the dispatcher polling, the service threads need CPU
@@ -216,7 +240,7 @@ func (ep *Endpoint) deliver(g, par int, fn func()) bool {
 				inner()
 			}
 		}
-		ep.pending = append(ep.pending, fn)
+		ep.pending = append(ep.pending, deferred{fn, fr})
 	}
 	return true
 }
@@ -228,106 +252,35 @@ func (ep *Endpoint) Put(p *sim.Proc, target *Endpoint, dst, src []byte, origin, 
 	p.Park()
 }
 
-// putRemote runs the post-overhead leg of a remote put. Everything from here
-// on is event callbacks: no task blocks.
+// putRemote runs the post-overhead leg of a remote put: it takes a frame
+// for the put and sends its first transmission (reliable.go). Everything from
+// here on is event callbacks: no task blocks.
 func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin, tgt, compl *Counter) {
-	m := ep.dom.m
+	d := ep.dom
+	m := d.m
+	fr := d.frame()
 	// The adapter reads the origin buffer at injection; snapshot the payload
 	// now so callers that reuse the buffer after the origin counter fires
 	// stay correct (the snapshot itself is bookkeeping, not a charged copy).
-	// The snapshot comes from the machine's buffer pool; the delivery path
-	// recycles it after the last read of its contents.
-	var snap []byte
+	// The snapshot comes from the machine's buffer pool; the frame returns it
+	// after the last read of its contents.
 	if len(src) > 0 {
-		snap = m.Buffers.Get(len(src))
-		copy(snap, src)
+		fr.snap = m.Buffers.Get(len(src))
+		copy(fr.snap, src)
+		d.tally.Snapshots++
 	}
-	tr := m.Env.Trace
-	if ep.dom.reliable || m.Faults != nil {
-		ep.dom.wirePut(ep, target, par, dst, snap, origin, tgt, compl)
-		return
+	fr.src, fr.target, fr.n = ep, target, len(src)
+	fr.dst, fr.origin, fr.tgt, fr.compl = dst, origin, tgt, compl
+	fr.g, fr.par = m.Env.Trace.NewGroup(), par
+	if d.reliable {
+		fr.ch = ep.channel(target.Rank)
+		fr.seq = fr.ch.next
+		fr.ch.next++
 	}
-	injectEnd, arrival := m.NetInjectTo(ep.Node, target.Node, len(src))
-	ackLat := m.Cfg.NetLatencyOf(target.Node, ep.Node)
-	g := -1
-	if tr != nil {
-		g = tr.NewGroup()
-		tr.Add(g, par, trace.ClassPutInject, "put:inject", int64(len(src)), m.Env.Now(), injectEnd)
-		tr.Add(g, par, trace.ClassPutWire, "put:wire", int64(len(src)), injectEnd, arrival)
-	}
-	if origin != nil {
-		m.Env.At(injectEnd, func() { origin.Incr(1) })
-	}
-	fr := ep.dom.delivery()
-	fr.target, fr.g, fr.par = target, g, par
-	fr.dst, fr.snap, fr.tgt, fr.compl, fr.ackLat = dst, snap, tgt, compl, ackLat
-	m.Env.At(arrival, fr.arriveFn)
-}
-
-// delivery is the frame of one remote put from its injection to its landing:
-// what the arrival at the target adapter and the landing in the target's
-// memory need to know, with both continuations bound once per frame. Frames
-// are recycled through the domain's idle list, so the puts of a run allocate
-// as many frames as are ever on the wire or deferred at once. A frame is idle
-// again only once its landing has run (or the dead target refused it): one
-// parked in an endpoint's pending list keeps its payload until then, and one
-// discarded with the pending list of an endpoint marked dead is simply left to
-// the collector.
-type delivery struct {
-	target     *Endpoint
-	g, par     int // trace group and issuing span, -1 untraced
-	dst, snap  []byte
-	tgt, compl *Counter
-	ackLat     sim.Time
-	arriveFn   func()
-	landFn     func()
-	next       *delivery // Domain.idle
-}
-
-// delivery returns an idle frame, or a new one with its continuations bound.
-func (d *Domain) delivery() *delivery {
-	fr := d.idle
-	if fr == nil {
-		fr = new(delivery)
-		fr.arriveFn, fr.landFn = fr.arrive, fr.land
-		return fr
-	}
-	d.idle, fr.next = fr.next, nil
-	return fr
-}
-
-// release empties the frame, so that it pins no buffer or counter of a
-// finished operation, and puts it on the idle list.
-func (fr *delivery) release() {
-	d := fr.target.dom
-	*fr = delivery{arriveFn: fr.arriveFn, landFn: fr.landFn, next: d.idle}
-	d.idle = fr
-}
-
-// arrive runs when the put reaches the target adapter.
-func (fr *delivery) arrive() {
-	if !fr.target.deliver(fr.g, fr.par, fr.landFn) {
-		fr.release()
-	}
-}
-
-// land moves the payload into the target's memory and fires the counters.
-func (fr *delivery) land() {
-	m := fr.target.dom.m
-	g, par, tgt, compl, ackLat := fr.g, fr.par, fr.tgt, fr.compl, fr.ackLat
-	copy(fr.dst, fr.snap)
-	m.Buffers.Put(fr.snap) // contents fully consumed by the copy above
-	fr.release()
-	if tgt != nil {
-		tgt.Incr(1)
-	}
-	if compl != nil {
-		// Completion is acknowledged back to the origin over the wire.
-		if tr := m.Env.Trace; tr != nil {
-			tr.Add(g, par, trace.ClassPutAck, "put:ack", 0, m.Env.Now(), m.Env.Now()+ackLat)
-		}
-		m.Env.After(ackLat, func() { compl.Incr(1) })
-	}
+	d.tally.Puts++
+	fr.refs = 1 // the put's own, while it sends: a dropped first transmission may schedule nothing
+	fr.send()
+	fr.unref()
 }
 
 // PutZero is PutZeroT from a process body.
@@ -359,34 +312,48 @@ func (c *Counter) WaitValueT(t *sim.Task, v int, k func()) {
 // stale waiters are dropped on interrupt, so a frame is referenced only
 // between its arm and its resume.
 type drainFrame struct {
-	ep     *Endpoint
-	t      *sim.Task
-	k      func()
-	fn     func() // delivery being serviced during the current sleep
-	stepFn func()
+	ep       *Endpoint
+	t        *sim.Task
+	k        func()
+	cur      deferred // delivery being serviced during the current sleep
+	stepFn   func()
+	unwindFn func()
 }
 
 var drainFramePool = sync.Pool{New: func() any { return new(drainFrame) }}
 
 func (fr *drainFrame) step() {
-	if fr.fn != nil {
-		fn := fr.fn
-		fr.fn = nil
+	if fr.cur.fn != nil {
+		fn := fr.cur.fn
+		fr.cur = deferred{}
 		fn()
 	}
 	ep := fr.ep
 	if len(ep.pending) == 0 {
 		k := fr.k
-		fr.ep = nil
-		fr.t = nil
-		fr.k = nil
-		drainFramePool.Put(fr)
+		fr.t.PopUnwind()
+		fr.release()
 		k()
 		return
 	}
-	fr.fn = ep.pending[0]
+	fr.cur = ep.pending[0]
 	ep.pending = ep.pending[1:]
 	fr.t.SleepThen(ep.dom.m.Cfg.RecvOverhead, fr.stepFn)
+}
+
+// unwind runs when a kill or an interrupt takes the task away in the middle
+// of the drain. The delivery it was servicing is out of the pending list and
+// nobody is left to land it: a put among them is told, as by MarkDead.
+func (fr *drainFrame) unwind() {
+	if fr.cur.fr != nil {
+		fr.cur.fr.discard()
+	}
+	fr.release()
+}
+
+func (fr *drainFrame) release() {
+	*fr = drainFrame{stepFn: fr.stepFn, unwindFn: fr.unwindFn}
+	drainFramePool.Put(fr)
 }
 
 // drainPending services deferred deliveries from inside an RMA call — the
@@ -398,9 +365,13 @@ func (ep *Endpoint) drainPending(t *sim.Task, k func()) {
 	}
 	fr := drainFramePool.Get().(*drainFrame)
 	if fr.stepFn == nil {
-		fr.stepFn = fr.step // bound once per frame, reused across the pool
+		// Bound once per frame, reused across the pool.
+		fr.stepFn, fr.unwindFn = fr.step, fr.unwind
 	}
 	fr.ep, fr.t, fr.k = ep, t, k
+	if t.UnwindArmed() {
+		t.PushUnwind(fr.unwindFn)
+	}
 	fr.step()
 }
 
@@ -626,7 +597,7 @@ func (ep *Endpoint) AMT(t *sim.Task, target *Endpoint, payload []byte, handler f
 		}
 		_, arrival := m.NetInjectTo(ep.Node, target.Node, len(payload))
 		m.Env.At(arrival, func() {
-			target.deliver(-1, -1, func() {
+			target.deliver(nil, func() {
 				m.Env.After(m.Cfg.AMHandlerCost, func() { handler(payload) })
 			})
 		})
@@ -656,7 +627,7 @@ func (ep *Endpoint) Get(p *sim.Proc, target *Endpoint, dst, src []byte, compl *C
 
 	_, reqArrival := m.NetInjectTo(ep.Node, target.Node, 0)
 	m.Env.At(reqArrival, func() {
-		target.deliver(-1, -1, func() {
+		target.deliver(nil, func() {
 			_, replyArrival := m.NetInjectTo(target.Node, ep.Node, len(src))
 			m.Env.At(replyArrival, func() {
 				copy(dst, src)
@@ -730,7 +701,7 @@ func (ep *Endpoint) Rmw(p *sim.Proc, w *Word, op RmwOp, operand, cmp int64) int6
 	done := ep.dom.NewCounter(0)
 	_, reqArrival := m.NetInjectTo(ep.Node, w.Owner.Node, headerWord)
 	m.Env.At(reqArrival, func() {
-		w.Owner.deliver(-1, -1, func() {
+		w.Owner.deliver(nil, func() {
 			apply()
 			_, replyArrival := m.NetInjectTo(w.Owner.Node, ep.Node, headerWord)
 			m.Env.At(replyArrival, func() { done.Incr(1) })

@@ -1,5 +1,7 @@
 package sim
 
+import "srmcoll/internal/bufpool"
+
 // Calendar-queue ready list. The scheduler's former binary heap paid
 // O(log n) pointer-chasing per operation with n equal to every outstanding
 // event in the run — at tens of thousands of ranks the heap is the hot
@@ -36,6 +38,7 @@ type calQueue struct {
 	n        int   // items in the buckets (excluding overflow)
 	nruns    int   // distinct timestamps in the buckets
 	overflow eventHeap
+	runMem   bufpool.Chunks[run] // where a bucket's first runs array comes from
 }
 
 // run is the FIFO of the items due at one timestamp, held by its tail: the
@@ -48,7 +51,12 @@ type run struct {
 
 // bucket holds its runs in ascending time order. Popping advances head past
 // a drained run instead of shifting the array; an emptied bucket resets to
-// runs[:0] with head 0, so len(runs) != 0 means the bucket holds an item.
+// runs[:0] with head 0, so len(runs) != 0 means the bucket holds an item. A
+// bucket's first array is carved from the queue's chunks with room for
+// bucketRoom runs — a small simulation opens a new timestamp with most of its
+// events and would otherwise grow every bucket it touches from nothing — and
+// capped there, so that growing past it moves to an array of the bucket's own
+// and never writes into a neighbour's.
 type bucket struct {
 	runs []run
 	head int
@@ -70,6 +78,8 @@ const (
 	// calMaxBuckets stops the narrowing: 2^20 buckets are 32 MB of headers
 	// and a width of 4 ns. Beyond it a crowded bucket only gets slower.
 	calMaxBuckets = 1 << 20
+	// bucketRoom is the capacity a bucket starts with.
+	bucketRoom = 4
 )
 
 func newCalQueue() *calQueue {
@@ -126,6 +136,9 @@ func (q *calQueue) place(b *bucket, it *item) {
 	}
 	q.nruns++
 	it.next = it
+	if cap(b.runs) == 0 {
+		b.runs = q.runMem.Take(bucketRoom)[:0]
+	}
 	b.open(lo, run{t: t, tail: it})
 }
 

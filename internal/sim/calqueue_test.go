@@ -437,3 +437,45 @@ func TestCalQueueOverflowMigratesOntoARun(t *testing.T) {
 		}
 	}
 }
+
+// TestCalendarFirstUseAllocs: a fresh queue opens its buckets out of carved
+// room. 4,096 distinct timestamps a microsecond apart are four to each of the
+// 1,024 buckets of a new calendar — the shape of a small simulation, which
+// opens a timestamp with most of its events and ends before any bucket is used
+// twice. They cost the chunks the items and the buckets' first arrays are
+// carved from, and no array per bucket: at most one object per 64 pushes,
+// where growing every bucket from nothing (0, 1, 2, 4 runs) took one for every
+// two. A fifth timestamp in a bucket moves it to an array of its own, and the
+// neighbour carved behind it keeps what it holds.
+func TestCalendarFirstUseAllocs(t *testing.T) {
+	const pushes = 4096
+	noop := func() {}
+	per := testing.AllocsPerRun(10, func() {
+		e := NewEnv()
+		for i := 0; i < pushes; i++ {
+			e.At(Time(i), noop)
+		}
+	})
+	t.Logf("%v objects for %d first pushes into a fresh queue", per, pushes)
+	if per > pushes/64 {
+		t.Errorf("%v objects for %d pushes at distinct times, want at most %d", per, pushes, pushes/64)
+	}
+
+	q := newCalQueue()
+	var seq uint64
+	push := func(at Time) {
+		q.push(&item{t: at, seq: seq})
+		seq++
+	}
+	for i := 0; i < bucketRoom; i++ {
+		push(4 + Time(i)/8) // bucket 1, the first to carve its room
+		push(Time(i) / 8)   // bucket 0, carved right behind it
+	}
+	push(4.9) // bucket 1 outgrows its room
+	push(4.8)
+	for _, want := range []Time{0, 0.125, 0.25, 0.375, 4, 4.125, 4.25, 4.375, 4.8, 4.9} {
+		if got := q.pop(); got.t != want {
+			t.Fatalf("popped t=%v, want %v: a bucket grew into its neighbour's runs", got.t, want)
+		}
+	}
+}

@@ -57,7 +57,10 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("tree: unknown kind %q", s)
 }
 
-// Tree is a rooted spanning tree over vertices 0..N-1.
+// Tree is a rooted spanning tree over vertices 0..N-1. A tree is read-only
+// once its constructor has returned: nothing outside this package assigns to
+// Parent or Children, so a Tree value (its slices with it) may be kept and
+// shared by every operation that needs that shape, as internal/core does.
 type Tree struct {
 	N        int
 	Root     int

@@ -483,11 +483,12 @@ type commRec struct {
 
 	// The communicator's stream of Agree/Shrink rendezvous (ft.go). Survivors
 	// leave a rendezvous together, so at most one is in flight.
-	failed  int       // members declared failed so far
-	round   int       // rendezvous begun so far
-	pending *ftGather // the one in flight, nil between rounds
-	entered []uint64  // by member index: the flag the member entered pending with
-	in      []bool    // by member index: the member has entered pending
+	failed  int          // members declared failed so far
+	told    *ftInterrupt // those members, as of the declaration that listed them (ftState.told)
+	round   int          // rendezvous begun so far
+	pending *ftGather    // the one in flight, nil between rounds
+	entered []uint64     // by member index: the flag the member entered pending with
+	in      []bool       // by member index: the member has entered pending
 }
 
 // key names the communicator in repair records, event labels and panics:
@@ -582,7 +583,11 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 			coll:    coll,
 		}
 		if rs.ft != nil {
-			rec.failed = len(rs.ft.failedIn(members))
+			for _, r := range members {
+				if rs.ft.failed[r] {
+					rec.failed++
+				}
+			}
 		}
 		rs.comms = append(rs.comms, rec)
 		rs.byHash[h] = append(rs.byHash[h], rec)

@@ -589,6 +589,22 @@ func chaosCorpusPlan(ranks int, rate float64, seed int64) FaultPlan {
 	return plan
 }
 
+// chaosCorpusSchedule is schedule k (of four) of a (world, crash rate) cell of
+// the corpus TestChaosCorpusGolden pins, and chaosCorpus visits all 48.
+func chaosCorpusSchedule(ranks int, rate float64, k int) FaultPlan {
+	return chaosCorpusPlan(ranks, rate, int64(1000*ranks+100*k)+int64(rate*100))
+}
+
+func chaosCorpus(visit func(name string, ranks int, plan FaultPlan)) {
+	for _, ranks := range []int{8, 16, 32, 64} {
+		for _, rate := range []float64{0.05, 0.15, 0.3} {
+			for k := 0; k < 4; k++ {
+				visit(fmt.Sprintf("chaos %d/%.2f seed %d", ranks, rate, k), ranks, chaosCorpusSchedule(ranks, rate, k))
+			}
+		}
+	}
+}
+
 // TestChaosCorpusGolden pins, across builds, what the benchmark's digest
 // leaves out: Failures and Repairs (every RepairRecord.Comm string, survivor
 // list and the order of the records) next to the times and counters, for a
@@ -622,7 +638,7 @@ func TestChaosCorpusGolden(t *testing.T) {
 			for k := 0; k < 4; k++ {
 				cl := mustCluster(t, ranks/4, 4)
 				cl.SetFaultTolerance(DefaultFTConfig())
-				plan := chaosCorpusPlan(ranks, rate, int64(1000*ranks+100*k)+int64(rate*100))
+				plan := chaosCorpusSchedule(ranks, rate, k)
 				cl.SetFaultPlan(plan)
 				res, err := cl.Run(SRM, chaosLoopBodyCompute(10, 256, 25, nil))
 				if err != nil {

@@ -336,7 +336,7 @@ func (f *frame) fin() { f.end(nil) }
 // declared turns the payload of an interrupt that unwound the operation into
 // the error it ends with; anything but a failure declaration goes on as a panic.
 func (f *frame) declared(payload any) error {
-	fi, ok := payload.(ftInterrupt)
+	fi, ok := payload.(*ftInterrupt)
 	if !ok {
 		panic(payload)
 	}
