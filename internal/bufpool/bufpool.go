@@ -17,6 +17,15 @@
 // and what an earlier run (of another cluster, on another goroutine) left in
 // it, decides addresses and unread bytes and nothing else. The Poison hook
 // turns a violation into a failed payload check.
+//
+// The package also holds the simulation's record memory (chunks.go): Chunks
+// carves tasks, queue items, put frames, executors, flags and counters from
+// uniform slabs that live in the same reserve, one stack per record type. There
+// the argument is the opposite one — a record is read before it is written, so
+// a slab is handed out all zero: its owner returns it only once every value
+// carved from it is dead (a run that ended with a result, an operation every
+// member completed), cleared where it was carved, and an owner that cannot
+// vouch for that leaves its slabs to the collector.
 package bufpool
 
 import "math/bits"
@@ -34,9 +43,9 @@ const (
 	// classes below it. A class of blockSize or more gets a buffer of its own.
 	blockSize = 1 << 20
 	// firstBlock is the size of the first block of a pool that holds none;
-	// each later one is twice the one before until blockSize is reached (the
-	// ramp of Chunks, for the same reason: a run over eight ranks that found
-	// the reserve empty must not clear a megabyte for its few kilobytes).
+	// each later one is twice the one before until blockSize is reached: a run
+	// over eight ranks that found the reserve empty must not clear a megabyte
+	// for its few kilobytes.
 	firstBlock = 4 << 10
 )
 

@@ -10,7 +10,8 @@ import (
 // a pool sheds, every Window/2 hand-backs of its own, the blocks and buffers
 // no run has drawn since it last did, so what a run needed stays for at least
 // Window/2 and at most Window further runs; a spare that lay in the reserve
-// through Window hand-backs of others is dropped whole.
+// through Window hand-backs of others is dropped whole; and the spare slabs of
+// every record type (chunks.go) age by the same count.
 const Window = 128
 
 // The reserve is where payload memory waits between simulations: a short
@@ -63,6 +64,7 @@ func HandBack(p *Pool) {
 		p.age = 0
 		p.lanes((*lane).shed)
 	}
+	eachStack(typedStack.tick)
 	reserve.Lock()
 	defer reserve.Unlock()
 	reserve.unreturned += uint64(unreturned)
@@ -79,11 +81,20 @@ func HandBack(p *Pool) {
 	reserve.spares = kept
 }
 
+// eachStack calls fn for the stack of every record type.
+func eachStack(fn func(typedStack)) {
+	stacks.Range(func(_, s any) bool {
+		fn(s.(typedStack))
+		return true
+	})
+}
+
 // ReserveInfo describes the reserve at one moment, for tests.
 type ReserveInfo struct {
-	Spares     int    // pools waiting for a run
-	Bytes      int64  // payload memory they hold
-	Unreturned uint64 // buffers runs had not Put by their hand-back, since the process started
+	Spares     int      // pools waiting for a run
+	Bytes      int64    // payload memory they hold
+	Unreturned uint64   // buffers runs had not Put by their hand-back, since the process started
+	Slabs      SlabInfo // record slabs of every type together
 }
 
 // Reserve reports what the reserve holds.
@@ -94,23 +105,40 @@ func Reserve() ReserveInfo {
 	for _, s := range reserve.spares {
 		info.Bytes += s.held()
 	}
+	eachStack(func(s typedStack) {
+		i := s.info()
+		info.Slabs.Spare += i.Spare
+		info.Slabs.Made += i.Made
+		info.Slabs.Drawn += i.Drawn
+		info.Slabs.Returned += i.Returned
+	})
 	return info
 }
 
 // DrainReserve empties the reserve, so that the next runs start from new
-// pools. Tests only: for measurements that must not see memory kept from
-// earlier runs.
+// pools and new slabs. Tests only: for measurements that must not see memory
+// kept from earlier runs.
 func DrainReserve() {
 	reserve.Lock()
 	defer reserve.Unlock()
 	clear(reserve.spares)
 	reserve.spares = reserve.spares[:0]
+	eachStack(typedStack.drain)
 }
 
 // CheckReserve verifies what exclusive ownership rests on: no more spares than
-// GOMAXPROCS, every spare rewound, and no block or buffer held by two of them.
-// Tests only.
-func CheckReserve() error {
+// GOMAXPROCS, every spare rewound, and no block or buffer held by two of them;
+// and of every record type no more spare slabs than the cap, each all zero and
+// held once. Tests only.
+func CheckReserve() (err error) {
+	eachStack(func(s typedStack) {
+		if err == nil {
+			err = s.check()
+		}
+	})
+	if err != nil {
+		return err
+	}
 	reserve.Lock()
 	defer reserve.Unlock()
 	if n, limit := len(reserve.spares), runtime.GOMAXPROCS(0); n > limit {

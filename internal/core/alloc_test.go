@@ -170,42 +170,59 @@ func TestEngineAllocGuard(t *testing.T) {
 
 // TestSyncObjectAllocGuard holds the synchronization objects to what they cost
 // since an operation carves them: the flags and counters of a protocol state
-// come out of chunks of up to bufpool.ChunkBytes, so n of them are a chunk per
-// ChunkBytes of them — and the five small ones an allocator begins with — and
-// not an object each; no chunk is shared by two operation entries, so they die
-// with their own; and a Task that parks on a flag and is released by a Set
-// allocates nothing once the frame pool and the item free list are warm.
+// come out of slabs of bufpool.ChunkBytes, so n of them are a slab per
+// ChunkBytes of them and not an object each — and nothing at all when an
+// operation before them has returned its slabs; no slab is shared by two
+// operation entries, so each can give its own back when it is over; and a Task
+// that parks on a flag and is released by a Set allocates nothing once the
+// frame pool and the item free list are warm.
 func TestSyncObjectAllocGuard(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	bufpool.DrainReserve()
+	defer bufpool.DrainReserve()
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(2, 2))
 	s := New(m, rma.NewDomain(m), Options{})
 
-	const n, small = 1000, 5 // chunks of 8, 16, 32, 64 and 128 values come first
+	const n, lists = 1000, 3 // an entry's list of slabs starts with room for one and doubles
 	flagSize, cntrSize := int(reflect.TypeFor[shm.Flag]().Size()), int(reflect.TypeFor[rma.Counter]().Size())
-	chunks := func(size int) int {
+	slabs := func(size int) int {
 		per := bufpool.ChunkBytes / size
-		return (n+per-1)/per + small
+		return (n + per - 1) / per
 	}
 	var lastFlag *shm.Flag
 	var lastCntr *rma.Counter
-	got := testing.AllocsPerRun(1, func() {
-		s.build(&opEntry{}, func() any {
+	var e *opEntry
+	carve := func() {
+		e = &opEntry{}
+		s.build(e, func() any {
 			for i := 0; i < n; i++ {
 				lastFlag = s.flag(0)
 				lastCntr = s.counter(1, trace.ClassWaitCredit)
 			}
 			return nil
 		})
-	})
-	if want := chunks(flagSize) + chunks(cntrSize) + 1; int(got) > want { // and the entry
-		t.Errorf("%d flags of %d bytes and %d counters of %d cost %v objects, want at most %d (a chunk per %d bytes, %d small ones each, and one)",
-			n, flagSize, n, cntrSize, got, want, bufpool.ChunkBytes, small)
+	}
+	got := testing.AllocsPerRun(1, carve)
+	if want := slabs(flagSize) + slabs(cntrSize) + 2*lists + 1; int(got) > want { // and the entry
+		t.Errorf("%d flags of %d bytes and %d counters of %d cost %v objects, want at most %d (a slab per %d bytes, %d lists each, and one)",
+			n, flagSize, n, cntrSize, got, want, bufpool.ChunkBytes, lists)
 	}
 	if lastFlag.Load() != 0 || lastCntr.Value() != 1 {
 		t.Errorf("a carved flag reads %d and a counter made with 1 reads %d", lastFlag.Load(), lastCntr.Value())
+	}
+	got = testing.AllocsPerRun(1, func() {
+		carve()
+		if lastFlag.Load() != 0 || lastCntr.Value() != 1 {
+			t.Errorf("a flag carved from a returned slab reads %d and a counter made with 1 reads %d", lastFlag.Load(), lastCntr.Value())
+		}
+		e.flagMem.Release()
+		e.cntrMem.Release()
+	})
+	if int(got) > 2*lists+1 {
+		t.Errorf("%d flags and %d counters cost %v objects after an entry returned as many, want at most %d: the lists and the entry", n, n, got, 2*lists+1)
 	}
 	func() {
 		defer func() {
@@ -217,24 +234,24 @@ func TestSyncObjectAllocGuard(t *testing.T) {
 	}()
 
 	// Two operations in flight on one group: rank 0 has entered both. A barrier
-	// over 2x2 ranks carves four flags and two counters; the first chunk of an
-	// operation has room for eight of each, and the second operation must leave
-	// that room alone and draw chunks of its own.
+	// over 2x2 ranks carves four flags and two counters; a slab has room for
+	// hundreds, and the second operation must leave that room alone and draw
+	// slabs of its own — an entry returns whole slabs.
 	g := s.World()
-	var drew [2][2]int64
-	for i := range drew {
-		flags, cntrs := s.flagMem.Bytes(), s.cntrMem.Bytes()
+	for i := 0; i < 2; i++ {
 		b := g.acquire(s.exec(nil, nil), 0, func() any { return newBarrierState(g) }).(*barrierState)
 		if len(b.flags) != 2 || len(b.flags[0]) != 2 || len(b.cnt[0]) != 1 {
 			t.Fatalf("a 2x2 barrier state of %d nodes, %d flags and %d counters a node", len(b.flags), len(b.flags[0]), len(b.cnt[0]))
 		}
-		drew[i] = [2]int64{s.flagMem.Bytes() - flags, s.cntrMem.Bytes() - cntrs}
 	}
 	if len(g.ops) != 2 {
 		t.Fatalf("%d operations in flight, want 2", len(g.ops))
 	}
-	if drew[0] != drew[1] || drew[0][0] < 4*int64(flagSize) || drew[0][1] < 2*int64(cntrSize) {
-		t.Errorf("two barrier entries drew %v and %v bytes of flag and counter chunks: each must draw its own", drew[0], drew[1])
+	for i, e := range g.ops {
+		flagSlab, cntrSlab := int64(bufpool.ChunkBytes/flagSize*flagSize), int64(bufpool.ChunkBytes/cntrSize*cntrSize)
+		if f, c := e.flagMem.Bytes(), e.cntrMem.Bytes(); f != flagSlab || c != cntrSlab {
+			t.Errorf("barrier entry %d holds %d bytes of flag slabs and %d of counter slabs, want one of each (%d, %d): each entry must draw its own", i, f, c, flagSlab, cntrSlab)
+		}
 	}
 
 	// Two tasks hand a pair of flags back and forth for ever; every WaitGET

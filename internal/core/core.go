@@ -37,6 +37,7 @@ import (
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
+	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
 )
@@ -163,22 +164,30 @@ type SRM struct {
 
 	building *opEntry // the entry whose state Group.acquire is constructing
 
-	// Where the engine's records come from (DESIGN.md §9): executors for the
-	// run, behind the free list; flags and counters for the operation under
-	// construction (build).
+	// The entries every member has left: in good order, oldest first, their
+	// flags and counters waiting for the last wake-up a Set scheduled (settled);
+	// and those that must keep theirs until the run is over (Group.retire).
+	retired, kept []*opEntry
+
+	// The executors of the run, behind the free list (DESIGN.md §9).
 	execMem bufpool.Chunks[exec]
-	flagMem bufpool.Chunks[shm.Flag]
-	cntrMem bufpool.Chunks[rma.Counter]
 }
 
 // opEntry is one collective call of a group: the state its members share,
-// how many of them have left it, and the protocol buffers it owns.
+// how many of them have left it, and the protocol buffers, flags and counters
+// it owns.
 type opEntry struct {
 	state   any
 	done    int
 	aborted bool     // a member left by interrupt, kill or panic
 	bufs    [][]byte // pooled buffers, returned by Group.retire
 	slab    []byte   // the part of the newest slab not yet handed out
+
+	// The flags and counters the state constructor carved (build), released
+	// once nothing can reach them (Group.retire, SRM.settled).
+	flagMem   bufpool.Chunks[shm.Flag]
+	cntrMem   bufpool.Chunks[rma.Counter]
+	retiredAt sim.Time
 }
 
 // Small slots are carved out of pooled slabs, slots above slabMax get a
@@ -288,15 +297,60 @@ func chunks(total, chunk int) []span {
 type flagSet []shm.Flag
 
 // build runs the state constructor of a new operation entry. While it runs,
-// slot, flags and counter hand out memory the entry owns; afterwards the flag
-// and counter allocators are cut, so what the state carved shares no chunk
-// with the next operation's and dies with the entry.
+// slot, flags and counter hand out memory the entry owns, the flags and
+// counters from slabs of its own: what one operation carved shares no slab with
+// another's, and goes back to the reserve when the operation is over, not the
+// run. The entries that have settled return theirs first, so the constructor
+// carves the slab an operation before it has just left.
 func (s *SRM) build(e *opEntry, mk func() any) {
+	s.settled(false)
 	s.building = e
 	e.state = mk()
 	s.building = nil
-	s.flagMem.Cut()
-	s.cntrMem.Cut()
+}
+
+// settled releases the flags and counters of the retired entries that nothing
+// can reach any more. When its last member leaves, an operation's counters have
+// taken their last arrival (every put is awaited by the member it lands at) and
+// nobody waits on a flag, but a flag may have been set a moment ago, and the
+// queue then holds the wake-up Set schedules one machine.WakeLatency later,
+// which names the flag. Once the clock has passed that, it has fired. all is
+// for the end of the run, when nothing queued will ever fire.
+func (s *SRM) settled(all bool) {
+	k, now, lat := 0, s.m.Env.Now(), s.m.WakeLatency()
+	for ; k < len(s.retired) && (all || s.retired[k].retiredAt+lat < now); k++ { // the sum Set's wake-up was queued at
+		s.retired[k].release()
+		s.retired[k] = nil
+	}
+	s.retired = s.retired[:copy(s.retired, s.retired[k:])]
+}
+
+func (e *opEntry) release() {
+	e.flagMem.Release()
+	e.cntrMem.Release()
+}
+
+// Release hands the engine's records back to the process-level reserve, under
+// the condition of sim.Env.Release and together with it: the executors, and the
+// flags and counters of every operation — also of one that was aborted, or that
+// a member never entered or left: the simulation is over, nothing lands or
+// wakes any more. The engine must not be used again.
+func (s *SRM) Release() {
+	s.settled(true)
+	for _, e := range s.kept {
+		e.release()
+	}
+	for _, gs := range s.groups {
+		for _, g := range gs {
+			for _, e := range g.ops {
+				if e != nil {
+					e.release()
+				}
+			}
+		}
+	}
+	s.kept, s.groups, s.world, s.free = nil, nil, nil, nil
+	s.execMem.Release()
 }
 
 // flags returns n zero flags in node's shared memory, and counter a counter of
@@ -304,8 +358,7 @@ func (s *SRM) build(e *opEntry, mk func() any) {
 // construction. Each is bound as it is handed out, so report ids are drawn in
 // the order the state asks for them.
 func (s *SRM) flags(node, n int) flagSet {
-	s.mustBuild()
-	fs := s.flagMem.Take(n)
+	fs := s.mustBuild().flagMem.Take(n)
 	for i := range fs {
 		fs[i].Init(s.m, node)
 	}
@@ -315,16 +368,16 @@ func (s *SRM) flags(node, n int) flagSet {
 func (s *SRM) flag(node int) *shm.Flag { return &s.flags(node, 1)[0] }
 
 func (s *SRM) counter(initial int, cl trace.Class) *rma.Counter {
-	s.mustBuild()
-	c := s.cntrMem.New()
+	c := s.mustBuild().cntrMem.New()
 	c.Init(s.m.Env, initial)
 	return c.TraceClass(cl)
 }
 
-// mustBuild holds the carvers to state constructors: anything carved between
-// two operations would share a chunk with the next one.
-func (s *SRM) mustBuild() {
+// mustBuild holds the carvers to state constructors, and returns the entry
+// under construction: what it carves, it owns.
+func (s *SRM) mustBuild() *opEntry {
 	if s.building == nil {
 		panic("core: protocol state carved outside Group.acquire")
 	}
+	return s.building
 }

@@ -189,12 +189,14 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 }
 
 // retire counts one member out of the operation; the last one removes the
-// entry and returns its buffers to the machine's pool. Buffers go back only
-// when nothing can still write to them: every member ran the operation to
-// completion (an aborted member may leave puts on the wire) and the wire
-// cannot deliver a put a second time after its receiver has moved on
-// (unreliable delivery under a plan that duplicates). Otherwise they stay out
-// of the pool until the run is over and its pool is rewound.
+// entry, returns its buffers to the machine's pool and leaves its flags and
+// counters to be released (SRM.settled). They go back only when nothing can
+// still write to them: every member ran the operation to completion (an
+// aborted member may leave puts on the wire) and the wire cannot deliver a put
+// a second time after its receiver has moved on (unreliable delivery under a
+// plan that duplicates). Otherwise they stay where they are until the run is
+// over: its pool is rewound then, and SRM.Release, if the run ended well, takes
+// the flags and counters.
 func (g *Group) retire(seq int, aborted bool) {
 	e := g.ops[seq-g.base]
 	e.done++
@@ -213,12 +215,16 @@ func (g *Group) retire(seq int, aborted bool) {
 	clear(g.ops[n:])
 	g.ops, g.base = g.ops[:n], g.base+k
 	s := g.s
+	e.state = nil
 	if e.aborted || s.m.Faults.Duplicates() && !s.dom.Reliable() {
+		s.kept = append(s.kept, e)
 		return
 	}
 	for _, b := range e.bufs {
 		s.m.Buffers.Put(b)
 	}
+	e.bufs, e.retiredAt = nil, s.m.Env.Now()
+	s.retired = append(s.retired, e)
 }
 
 // masterEp returns the endpoint of the first member on participating node

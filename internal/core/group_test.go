@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"srmcoll/internal/bufpool"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -414,10 +415,13 @@ func TestPropGroupBcast(t *testing.T) {
 // an operation every member completed hands its buffers back to the machine's
 // pool when the last member retires; one that a member left by a kill keeps
 // them out of the pool for good, because puts it had under way may still land
-// in them.
+// in them. Its counters are what those puts bump on landing, so they go the
+// same way: a completed operation's slabs are the reserve's again as the run
+// goes on, an aborted one's only when the run is over.
 func TestOperationOwnsItsBuffers(t *testing.T) {
 	const size = 8 << 10 // above slabMax: every slot is a pooled buffer of its own
 	for _, abort := range []bool{false, true} {
+		cntrs := bufpool.Slabs[rma.Counter]().Returned
 		env := sim.NewEnv()
 		m := machine.New(env, machine.ColonySP(2, 1))
 		s := New(m, rma.NewDomain(m), Options{})
@@ -466,6 +470,14 @@ func TestOperationOwnsItsBuffers(t *testing.T) {
 		}
 		if want := map[bool]int{false: len(owned), true: 0}[abort]; back != want {
 			t.Errorf("abort=%v: %d of %d buffers returned to the pool, want %d", abort, back, len(owned), want)
+		}
+		s.settled(true) // what the next operation's build would find, had the clock moved on
+		if got := bufpool.Slabs[rma.Counter]().Returned - cntrs; (got == 0) != abort {
+			t.Errorf("abort=%v: %d counter slabs returned to the reserve with the run going on", abort, got)
+		}
+		s.Release()
+		if got := bufpool.Slabs[rma.Counter]().Returned - cntrs; got == 0 {
+			t.Errorf("abort=%v: no counter slab returned to the reserve by the end of the run", abort)
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 // counter reaches a value and then subtracts it, so counters can carry
 // repeated round-trip flow control (§2.4 broadcast buffer management). A
 // counter's condition is embedded by value, so a counter is one piece of
-// memory: a heap object from NewCounter, or part of a chunk its owner carved
+// memory: a heap object from NewCounter, or part of a slab its owner carved
 // and bound with Init.
 type Counter struct {
 	env  *sim.Env
@@ -101,7 +101,7 @@ type Domain struct {
 	eps []Endpoint // by rank, one slab; an Endpoint is held by pointer into it
 
 	// The frames of the remote puts (reliable.go): carved here, idle between
-	// two puts, and alive as long as the domain.
+	// two puts, and the domain's until Release.
 	frameMem bufpool.Chunks[delivery]
 	idle     *delivery
 
@@ -127,6 +127,17 @@ func NewDomain(m *machine.Machine) *Domain {
 
 // Endpoint returns the endpoint of a global rank.
 func (d *Domain) Endpoint(rank int) *Endpoint { return &d.eps[rank] }
+
+// Release hands the domain's put frames and channel records back to the
+// process-level reserve, under the condition of sim.Env.Release and together
+// with it: the simulation is over, so no callback of a frame will run. The
+// ledger keeps what it read of the frames; the domain must not be put on again.
+func (d *Domain) Release() {
+	d.tally = d.Tally()
+	d.idle, d.eps = nil, nil
+	d.frameMem.Release()
+	d.chanMem.Release()
+}
 
 // MarkDead records that a rank's task has been declared failed. From this
 // point deliveries addressed to it are dropped (the link-level machinery —

@@ -218,6 +218,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	// Every rank has finished and the result points at nothing of the
+	// simulation: its records go back to the reserve for the next run.
+	dom.Release()
+	env.Release()
 	return res, nil
 }
 

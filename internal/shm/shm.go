@@ -20,7 +20,7 @@ import (
 // value after the machine's wake latency (slightly higher when the spin
 // loop yields its time slice, see machine.WakeLatency). The condition its
 // waiters park on is embedded by value, so a flag is one piece of memory: an
-// element of a NewFlags slab, or of a chunk its owner carved and bound with
+// element of a NewFlags slab, or of a slab its owner carved and bound with
 // Init.
 type Flag struct {
 	m    *machine.Machine

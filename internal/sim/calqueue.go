@@ -1,6 +1,11 @@
 package sim
 
-import "srmcoll/internal/bufpool"
+import (
+	"runtime"
+	"sync"
+
+	"srmcoll/internal/bufpool"
+)
 
 // Calendar-queue ready list. The scheduler's former binary heap paid
 // O(log n) pointer-chasing per operation with n equal to every outstanding
@@ -52,7 +57,7 @@ type run struct {
 // bucket holds its runs in ascending time order. Popping advances head past
 // a drained run instead of shifting the array; an emptied bucket resets to
 // runs[:0] with head 0, so len(runs) != 0 means the bucket holds an item. A
-// bucket's first array is carved from the queue's chunks with room for
+// bucket's first array is carved from the queue's slabs with room for
 // bucketRoom runs — a small simulation opens a new timestamp with most of its
 // events and would otherwise grow every bucket it touches from nothing — and
 // capped there, so that growing past it moves to an array of the bucket's own
@@ -82,11 +87,43 @@ const (
 	bucketRoom = 4
 )
 
+// spareQueues holds the calendars of finished environments (Env.Release):
+// each reset, with its calInitBuckets empty buckets.
+var spareQueues struct {
+	sync.Mutex
+	qs []*calQueue
+}
+
+// newCalQueue returns an empty calendar: a recycled one, or a new one.
 func newCalQueue() *calQueue {
-	return &calQueue{
-		buckets: make([]bucket, calInitBuckets),
-		mask:    calInitBuckets - 1,
-		width:   calWidth,
+	spareQueues.Lock()
+	var q *calQueue
+	if n := len(spareQueues.qs) - 1; n >= 0 {
+		q, spareQueues.qs[n], spareQueues.qs = spareQueues.qs[n], nil, spareQueues.qs[:n]
+	}
+	spareQueues.Unlock()
+	if q == nil {
+		q = &calQueue{buckets: make([]bucket, calInitBuckets)}
+	}
+	q.mask, q.width = calInitBuckets-1, calWidth
+	return q
+}
+
+// release ends the queue's use: its runs go back to the reserve and the queue,
+// reset, waits for the next environment — unless it narrowed: a widened bucket
+// array is the collector's. Items still queued are forgotten.
+func (q *calQueue) release() {
+	q.runMem.Release()
+	if len(q.buckets) != calInitBuckets {
+		return
+	}
+	clear(q.buckets) // their arrays were the reserve's, or are garbage
+	clear(q.overflow)
+	*q = calQueue{buckets: q.buckets, overflow: q.overflow[:0]}
+	spareQueues.Lock()
+	defer spareQueues.Unlock()
+	if len(spareQueues.qs) < runtime.GOMAXPROCS(0) {
+		spareQueues.qs = append(spareQueues.qs, q)
 	}
 }
 

@@ -47,8 +47,8 @@ type Env struct {
 	processed uint64        // queue items executed so far
 
 	// What the environment makes once per rank or per pending occurrence comes
-	// out of chunks it owns and dies with it (DESIGN.md §9): tasks, and the
-	// queue items the free list could not supply.
+	// out of slabs it owns until Release (DESIGN.md §9): tasks, and the queue
+	// items the free list could not supply.
 	taskMem bufpool.Chunks[Task]
 	itemMem bufpool.Chunks[item]
 
@@ -64,6 +64,20 @@ type Env struct {
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	return &Env{queue: newCalQueue()}
+}
+
+// Release hands the environment's records — its tasks, queue items and
+// calendar — back to the process-level reserve (internal/bufpool) for the next
+// environment, which is handed the same memory. Only for a simulation that is
+// over and left nothing behind: Live is zero, and the caller drops every *Task
+// it holds and never touches the environment again. One that ended with an
+// actor still parked (a deadlock, a stall, a crash report that names tasks) is
+// not released; its records are the collector's.
+func (e *Env) Release() {
+	e.taskMem.Release()
+	e.itemMem.Release()
+	e.queue.release()
+	e.queue, e.tasks, e.free = nil, nil, nil // a use after release is a crash, not a step of another run's task
 }
 
 // Now returns the current virtual time.

@@ -41,7 +41,6 @@ import (
 	"slices"
 	"strconv"
 
-	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
@@ -120,8 +119,8 @@ type runState struct {
 	comms      []*commRec            // every communicator of the run, the world first
 	byHash     map[uint64][]*commRec // those Sub made, by ranks.Hash of their member lists
 	subs       map[subKey]*Comm
-	handles    bufpool.Chunks[Comm] // what subs points into
-	ft         *ftState             // nil unless the cluster enabled fault tolerance
+	handles    []Comm   // what subs points into: the rest of a block of one handle a rank, theirs to keep
+	ft         *ftState // nil unless the cluster enabled fault tolerance
 }
 
 type subKey struct {

@@ -507,9 +507,9 @@ func (rec *commRec) key() string {
 }
 
 // newSRM builds the SRM engine the cluster's variant and tuning table
-// describe and returns its world group.
-func (cl *Cluster) newSRM(m *machine.Machine, dom *rma.Domain) srmColl {
-	return srmColl{core.New(m, dom, core.Options{
+// describe.
+func (cl *Cluster) newSRM(m *machine.Machine, dom *rma.Domain) *core.SRM {
+	return core.New(m, dom, core.Options{
 		InterTree:      cl.variant.InterTree,
 		TreeSMPBcst:    cl.variant.TreeSMPBcst,
 		BarrierSMPBcst: cl.variant.BarrierSMPBcst,
@@ -517,7 +517,7 @@ func (cl *Cluster) newSRM(m *machine.Machine, dom *rma.Domain) srmColl {
 		TreeFor:        cl.treeFor(),
 		AllreduceAlg:   cl.variant.Allreduce,
 		AlgFor:         cl.algFor(),
-	}).World()}
+	})
 }
 
 // collectiveOps is the operation set shared by SRM and the baselines.
@@ -632,7 +632,11 @@ func (h handle) sub(members []int) *Comm {
 	if s, ok := h.rs.subs[key]; ok {
 		return s
 	}
-	s := h.rs.handles.New()
+	if len(h.rs.handles) == 0 {
+		h.rs.handles = make([]Comm, len(h.rs.ranks))
+	}
+	s := &h.rs.handles[0]
+	h.rs.handles = h.rs.handles[1:]
 	s.handle = handle{h.rankRec, key.rec}
 	h.rs.subs[key] = s
 	return s
@@ -926,7 +930,9 @@ func (cl *Cluster) run(impl Impl, engine Engine, spawn func(*simulation)) (*Resu
 type simulation struct {
 	cl  *Cluster
 	m   *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
-	rs  *runState        // rs.ft is nil unless fault tolerance is on
+	dom *rma.Domain
+	srm *core.SRM // nil under a baseline
+	rs  *runState // rs.ft is nil unless fault tolerance is on
 	res *Result
 }
 
@@ -954,13 +960,15 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 		m.Faults = fault.New(cl.faults)
 	}
 	dom := rma.NewDomain(m)
+	sm.dom = dom
 	if cl.faults.Reliable {
 		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
 	}
 	var coll collectives
 	switch impl {
 	case SRM:
-		coll = cl.newSRM(m, dom)
+		sm.srm = cl.newSRM(m, dom)
+		coll = srmColl{sm.srm.World()}
 	case IBMMPI, MPICHMPI:
 		flavor := baseline.IBM
 		if impl == MPICHMPI {
@@ -1046,15 +1054,32 @@ func (sm *simulation) nameTrack(t *sim.Task) {
 	}
 }
 
-// outcome runs the simulation to its end, classifies it, and hands the payload
-// memory back to the reserve. That is safe however the run ended: the Env has
-// retired every actor it is going to, and one left parked by a deadlock, a
-// stall or a crash never executes again, so nothing can write to a buffer the
-// next run is given.
+// outcome runs the simulation to its end, classifies it, and hands its memory
+// back to the reserve. For the payload that is safe however the run ended: the
+// Env has retired every actor it is going to, and one left parked by a
+// deadlock, a stall or a crash never executes again, so nothing can write to a
+// buffer the next run is given. The records — tasks, queue items, the calendar,
+// put frames, executors, the flags and counters of its operations — go
+// back only from a run that ended with a result, which is one that left no
+// actor alive: an error report may name tasks, and a parked coroutine holds
+// them. The caller's handles are cut off from the simulation first: a Comm,
+// TComm or request kept past the run would otherwise drive a task that by then
+// is another run's.
 func (sm *simulation) outcome() (*Result, error) {
 	res, err := sm.finish()
+	for r := range sm.rs.ranks {
+		rk := &sm.rs.ranks[r]
+		rk.actor, rk.m, rk.dom = actor{}, nil, nil // a use after the run is a crash, not a step of another run's task
+	}
 	bufpool.HandBack(sm.m.Buffers)
 	sm.m.Buffers = nil // a use after hand-back is a crash, not a corrupted payload
+	if err == nil {
+		if sm.srm != nil {
+			sm.srm.Release()
+		}
+		sm.dom.Release()
+		sm.m.Env.Release()
+	}
 	return res, err
 }
 

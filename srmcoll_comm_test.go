@@ -94,7 +94,7 @@ func TestCollidingListsGetTheirOwnRecords(t *testing.T) {
 	env := sim.NewEnv()
 	m := machine.New(env, cl.Config())
 	rs := newRunState(env, m.P())
-	world := rs.newWorld(m.P(), cl.newSRM(m, rma.NewDomain(m)))
+	world := rs.newWorld(m.P(), srmColl{cl.newSRM(m, rma.NewDomain(m)).World()})
 
 	a, b := []int{0, 1}, []int{2, 3}
 	recB := rs.sub(world, b)

@@ -21,9 +21,6 @@ func simulateKeeping(cl *Cluster, engine Engine, spawn func(*simulation)) (*simu
 	return sm, res, err
 }
 
-// domain is the simulation's RMA domain.
-func (sm *simulation) domain() *rma.Domain { return sm.rs.ranks[0].dom }
-
 // conserved holds the RMA domain's ledger of a finished simulation to the run's
 // statistics and the injector's summary. Every transmission is a first one, a
 // retransmission or an injected duplicate; every transmission was dropped,
@@ -31,7 +28,7 @@ func (sm *simulation) domain() *rma.Domain { return sm.rs.ranks[0].dom }
 // dead target's pending list, or never got to the end of its way; and a put
 // frame that is not idle again is waiting for one of the last.
 func conserved(sm *simulation) error {
-	ty, st := sm.domain().Tally(), sm.m.Stats
+	ty, st := sm.dom.Tally(), sm.m.Stats
 	var inj fault.Summary
 	if sm.m.Faults != nil {
 		inj = sm.m.Faults.Summary()
@@ -190,7 +187,7 @@ func TestPutConservation(t *testing.T) {
 			if err := conserved(sm); err != nil {
 				t.Errorf("%s, %s: %v", sc.name, form.name, err)
 			}
-			ty := sm.domain().Tally()
+			ty := sm.dom.Tally()
 			total.Sent += ty.Sent
 			total.Landed += ty.Landed
 			total.Discarded += ty.Discarded

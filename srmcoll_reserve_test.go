@@ -78,7 +78,7 @@ func TestPoolBalancedAtHandBack(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if ty := sm.domain().Tally(); ty.Snapshots != 0 {
+			if ty := sm.dom.Tally(); ty.Snapshots != 0 {
 				t.Errorf("%s: %d put snapshots not returned (%+v)", name, ty.Snapshots, ty)
 			}
 		}
