@@ -8,6 +8,9 @@
 // *RequestError for lifecycle violations (double Wait, dropped requests)
 // and Buf/Overlaps for detecting user buffers shared between outstanding
 // requests.
+//
+// And it names the two misuses of the RMA layer's put windows: *WindowError
+// and *DeathError.
 package check
 
 import (
@@ -65,6 +68,35 @@ type ReentryError struct {
 func (e *ReentryError) Error() string {
 	return fmt.Sprintf("srmcoll.TComm: rank %d: %s started while %s is still running on the rank; start a blocking collective from the continuation of the last one",
 		e.Rank, e.Op, e.Running)
+}
+
+// WindowError describes a put whose target window was written while the put
+// was in flight: between its issue and its landing something stored into the
+// bytes it was to land in — a protocol that reused a slot its consumer had not
+// drained, or wrote a buffer a peer was still putting into. Only the RMA
+// layer's window check (rma.CheckWindows, tests only) raises it.
+type WindowError struct {
+	Origin, Target int     // global ranks
+	Bytes          int     // the put's length
+	First          int     // offset of the first overwritten byte
+	Issued, Landed float64 // virtual times, µs
+}
+
+func (e *WindowError) Error() string {
+	return fmt.Sprintf("rma: put of %d bytes from rank %d to rank %d, issued at t=%.3f: its window at the target was written (byte %d) before it landed at t=%.3f",
+		e.Bytes, e.Origin, e.Target, e.Issued, e.First, e.Landed)
+}
+
+// DeathError describes a rank marked dead on an RMA domain that was not told,
+// before its first put, that ranks could die. Such a domain lands a put's
+// bytes at issue, so the landings a declaration would discard have already
+// happened.
+type DeathError struct {
+	Rank int
+}
+
+func (e *DeathError) Error() string {
+	return fmt.Sprintf("rma: rank %d marked dead on a domain not told ranks can die (Domain.AllowDeaths): its puts have already landed", e.Rank)
 }
 
 // Buf is the half-open address range of a user buffer, captured when a

@@ -127,7 +127,7 @@ type message struct {
 	cts      *sim.Event // net: fires at the sender when CTS arrives
 	dataDone *sim.Event // net: fires at the receiver when data landed
 	req      *recvReq   // net: receive request the payload lands in
-	payload  []byte     // net: sender's buffer, read at delivery time
+	payload  []byte     // net: sender's buffer, read at injection
 	origin   *Rank      // net: sender endpoint (for CTS routing)
 }
 
@@ -244,17 +244,14 @@ func (r *Rank) sendNetRndv(p *sim.Proc, target *Rank, tag int, data []byte) {
 	m.Env.At(arrival, func() { target.arrive(msg) })
 	p.Wait(msg.cts)
 	p.Sleep(m.Cfg.SendOverhead)
-	// The adapter reads the user buffer during injection; snapshot it now so
-	// the buffer is truly reusable once Send returns (MPI semantics) even
-	// though the simulated delivery lands one wire latency later.
-	snap := m.Buffers.Get(len(msg.payload))
-	copy(snap, msg.payload)
+	// The adapter reads the user buffer during injection and DMAs it straight
+	// into the receive buffer, posted before the CTS. The bytes move now, so
+	// the send buffer is truly reusable once Send returns (MPI semantics); the
+	// receiver is parked on dataDone until one wire latency later and cannot
+	// tell them from bytes that arrived then.
+	copy(msg.req.buf[:msg.size], msg.payload)
 	injectEnd, dataArrival := m.NetInjectTo(r.node, target.node, msg.size)
-	m.Env.At(dataArrival, func() {
-		copy(msg.req.buf[:msg.size], snap) // DMA straight into the user buffer
-		m.Buffers.Put(snap)                // the DMA was the snapshot's only read
-		m.Env.After(m.Cfg.RecvOverhead, msg.dataDone.Trigger)
-	})
+	m.Env.At(dataArrival, func() { m.Env.After(m.Cfg.RecvOverhead, msg.dataDone.Trigger) })
 	// The send buffer is reusable once the adapter has read it.
 	if d := injectEnd - m.Env.Now(); d > 0 {
 		p.Sleep(d)
@@ -372,7 +369,13 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte,
 
 // shmPipe is the double-buffered bounce channel of the intra-node
 // rendezvous: the sender copies chunks in, the receiver copies them out,
-// with the two slots providing the pipeline.
+// with the two slots providing the pipeline. Both copies are charged and
+// counted, but the bytes move once: the bounce buffer is read by nobody but
+// the copy-out, so the sender's copy lands each chunk in the receive buffer
+// (dst, set by the receiver before senderGo fires), and the copy-out is a
+// charge. The receiver is parked in Recv until the last chunk is charged —
+// the buffer is the library's until the receive completes — so it cannot
+// tell when its bytes arrived.
 type shmPipe struct {
 	m     *machine.Machine
 	node  int
@@ -380,15 +383,11 @@ type shmPipe struct {
 	total int
 	dst   []byte
 	slots [2]int // fill level; 0 = free
-	bufs  [2][]byte
 	cond  *sim.Cond
 }
 
 func newShmPipe(m *machine.Machine, node, chunk, total int) *shmPipe {
-	pp := &shmPipe{m: m, node: node, chunk: chunk, total: total, cond: m.Env.NewCond()}
-	pp.bufs[0] = m.Buffers.Get(chunk) // released by recvLoop after the last copy-out
-	pp.bufs[1] = m.Buffers.Get(chunk)
-	return pp
+	return &shmPipe{m: m, node: node, chunk: chunk, total: total, cond: m.Env.NewCond()}
 }
 
 func (pp *shmPipe) sendLoop(p *sim.Proc, data []byte) {
@@ -399,7 +398,7 @@ func (pp *shmPipe) sendLoop(p *sim.Proc, data []byte) {
 			n = len(data) - off
 		}
 		pp.cond.WaitUntil(p, func() bool { return pp.slots[slot] == 0 })
-		pp.m.Memcpy(p, pp.node, pp.bufs[slot][:n], data[off:off+n])
+		pp.m.Memcpy(p, pp.node, pp.dst[off:off+n], data[off:off+n])
 		pp.slots[slot] = n
 		pp.cond.Broadcast()
 		off += n
@@ -412,14 +411,13 @@ func (pp *shmPipe) recvLoop(p *sim.Proc) {
 	for off := 0; off < pp.total; {
 		pp.cond.WaitUntil(p, func() bool { return pp.slots[slot] != 0 })
 		n := pp.slots[slot]
-		pp.m.Memcpy(p, pp.node, pp.dst[off:off+n], pp.bufs[slot][:n])
+		pp.m.ChargeCopy(p, pp.node, n) // the copy-out: its bytes are already there
+		pp.m.Stats.AddCopy(n)
 		pp.slots[slot] = 0
 		pp.cond.Broadcast()
 		off += n
 		slot ^= 1
 	}
-	pp.m.Buffers.Put(pp.bufs[0])
-	pp.m.Buffers.Put(pp.bufs[1])
 }
 
 // Request tracks a nonblocking operation. Wait blocks until it completes;

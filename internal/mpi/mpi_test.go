@@ -626,3 +626,63 @@ func TestWaitAllMany(t *testing.T) {
 		}
 	}
 }
+
+// TestRendezvousMovesOnce: both rendezvous paths charge what they always
+// charged and move the bytes once, straight into the receive buffer — the
+// shared-memory pipe through no bounce buffer, the network DMA through no
+// snapshot — so neither draws from the machine's buffer pool. Statistics and
+// completion times are the ones the two-copy pipe and the snapshotting DMA
+// recorded (ec73b04), with the receive posted first and with the message
+// arriving first.
+func TestRendezvousMovesOnce(t *testing.T) {
+	pkt := machine.ColonySP(1, 2).ShmPktSize
+	type stats struct {
+		shmCopies   int
+		shmBytes    int64
+		totalCopies int
+		done        sim.Time
+	}
+	for _, c := range []struct {
+		name       string
+		nodes, tpn int
+		n          int
+		late       bool // the receive is posted after the message arrived
+		want       stats
+	}{
+		{"shm/pkt+1", 1, 2, pkt + 1, false, stats{4, 32770, 4, 73.08800000000001}},
+		{"shm/pkt+1/late", 1, 2, pkt + 1, true, stats{4, 32770, 4, 272.888}},
+		{"shm/2pkt", 1, 2, 2 * pkt, false, stats{4, 65536, 4, 105.85400000000001}},
+		{"shm/2pkt/late", 1, 2, 2 * pkt, true, stats{4, 65536, 4, 305.654}},
+		{"shm/512KiB+7", 1, 2, 512<<10 + 7, false, stats{66, 1048590, 66, 1101.3079999999998}},
+		{"shm/512KiB+7/late", 1, 2, 512<<10 + 7, true, stats{66, 1048590, 66, 1301.1079999999993}},
+		{"net/256KiB+3", 2, 1, 256<<10 + 3, false, stats{0, 0, 0, 807.8619}},
+		{"net/256KiB+3/late", 2, 1, 256<<10 + 3, true, stats{0, 0, 0, 995.0690999999999}},
+	} {
+		env, m, w := world(c.nodes, c.tpn, IBM())
+		src, dst := make([]byte, c.n), make([]byte, c.n)
+		for i := range src {
+			src[i] = byte(i*7 + 1)
+		}
+		var done sim.Time
+		env.Spawn("recv", func(p *sim.Proc) {
+			if c.late {
+				p.Sleep(200)
+			}
+			w.Rank(1).Recv(p, 0, 3, dst)
+			done = p.Now()
+		})
+		env.Spawn("send", func(p *sim.Proc) { w.Rank(0).Send(p, 1, 3, src) })
+		if err := env.Run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(dst, src) {
+			t.Errorf("%s: the payload did not land", c.name)
+		}
+		if got := (stats{m.Stats.ShmCopies, m.Stats.ShmBytes, m.Stats.TotalCopies, done}); got != c.want {
+			t.Errorf("%s: %+v, want %+v", c.name, got, c.want)
+		}
+		if gets, _ := m.Buffers.Stats(); gets != 0 || m.Buffers.Outstanding() != 0 {
+			t.Errorf("%s: %d buffers drawn from the pool, %d out, want none", c.name, gets, m.Buffers.Outstanding())
+		}
+	}
+}

@@ -6,13 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"srmcoll/internal/check"
+	"srmcoll/internal/fault"
+	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 )
 
 // The life of a put's frame on the fault-free wire (putRemote): taken at
 // injection, idle again only once its landing has run, a dead target has
-// refused it or MarkDead has discarded it.
+// refused it or MarkDead has discarded it; and how its bytes move.
 
 // idleFrames counts the domain's idle delivery frames.
 func idleFrames(d *Domain) int {
@@ -104,6 +107,7 @@ func TestFramesAreReused(t *testing.T) {
 // domain goes on delivering to the living with the frames it has.
 func TestDeadTargetNeverLands(t *testing.T) {
 	env, m, d := twoNodes(2) // ranks 0,1 on node 0; 2,3 on node 1
+	d.AllowDeaths()
 	src := []byte{1, 2, 3, 4}
 	dstDeferred, dstLate, dstAlive := make([]byte, 4), make([]byte, 4), make([]byte, 4)
 	cDeferred, cLate, cAlive := d.NewCounter(0), d.NewCounter(0), d.NewCounter(0)
@@ -202,4 +206,128 @@ func TestPutSpansUnchanged(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("put spans:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+}
+
+// TestCleanWirePutMovesOnce: on the clean wire a put's bytes go from src to dst
+// at issue, through no snapshot, so the pool is never drawn on and the ledger
+// counts no snapshot while the put is in flight; an origin that overwrites src
+// as soon as PutT's continuation runs still lands what it put. Under a fault
+// injector, in reliable mode and where ranks can die the put keeps its
+// snapshot, and the same holds.
+func TestCleanWirePutMovesOnce(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		setup     func(*machine.Machine, *Domain)
+		snapshots int
+	}{
+		{"clean", func(*machine.Machine, *Domain) {}, 0},
+		{"injector", func(m *machine.Machine, _ *Domain) { m.Faults = fault.New(fault.Plan{Seed: 1}) }, 1},
+		{"reliable", func(_ *machine.Machine, d *Domain) { d.EnableReliable(0, 0) }, 1},
+		{"mortal", func(_ *machine.Machine, d *Domain) { d.AllowDeaths() }, 1},
+	} {
+		env, m, d := twoNodes(1)
+		c.setup(m, d)
+		src := []byte("the bytes as they were put")
+		want := bytes.Clone(src)
+		dst := make([]byte, len(src))
+		tgt := d.NewCounter(0)
+		var inFlight Tally
+		env.SpawnTask("send", -1, func(tk *sim.Task) {
+			d.Endpoint(0).PutT(tk, d.Endpoint(1), dst, src, nil, tgt, nil, func() {
+				inFlight = d.Tally()
+				copy(src, bytes.Repeat([]byte{'x'}, len(src)))
+			})
+		})
+		env.Spawn("recv", func(p *sim.Proc) { d.Endpoint(1).Waitcntr(p, tgt, 1) })
+		if err := env.Run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Errorf("%s: landed %q, want %q", c.name, dst, want)
+		}
+		gets, _ := m.Buffers.Stats()
+		if inFlight.Unresolved != 1 || inFlight.Snapshots != c.snapshots || int(gets) != c.snapshots {
+			t.Errorf("%s: in flight the ledger read %+v with %d buffers drawn, want %d snapshots", c.name, inFlight, gets, c.snapshots)
+		}
+		if ty := d.Tally(); ty.Landed != 1 || ty.Snapshots != 0 || m.Buffers.Outstanding() != 0 {
+			t.Errorf("%s: after the landing the ledger read %+v with %d buffers out", c.name, ty, m.Buffers.Outstanding())
+		}
+	}
+}
+
+// TestPutWindowCheck: under CheckWindows a clean-wire put fills its window with
+// poison at issue. A target that writes the window while the put is in flight
+// is reported when the put lands, with origin, target, bytes, the first byte
+// written and both times; one that reads it early reads poison; one that waits
+// for its counter reads the payload.
+func TestPutWindowCheck(t *testing.T) {
+	CheckWindows(true)
+	defer CheckWindows(false)
+	src := []byte("sixteen bytes!!!")
+	run := func(target func(p *sim.Proc, ep *Endpoint, dst []byte, tgt *Counter)) (m *machine.Machine, report any) {
+		env, m, d := twoNodes(1)
+		dst := make([]byte, len(src))
+		tgt := d.NewCounter(0)
+		env.Spawn("send", func(p *sim.Proc) { d.Endpoint(0).Put(p, d.Endpoint(1), dst, src, nil, tgt, nil) })
+		env.Spawn("recv", func(p *sim.Proc) { target(p, d.Endpoint(1), dst, tgt) })
+		defer func() { report = recover() }() // the landing runs in a callback of the event loop
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m, nil
+	}
+
+	m, report := run(func(p *sim.Proc, _ *Endpoint, dst []byte, _ *Counter) {
+		p.Sleep(10) // the put is on the wire
+		dst[5] = 0
+	})
+	we, ok := report.(*check.WindowError)
+	if !ok {
+		t.Fatalf("a write into the window in flight reported %v, want a *check.WindowError", report)
+	}
+	if we.Origin != 0 || we.Target != 1 || we.Bytes != len(src) || we.First != 5 || we.Issued != m.Cfg.SendOverhead || we.Landed <= 10 {
+		t.Errorf("reported %+v", *we)
+	}
+	if msg := we.Error(); !strings.Contains(msg, "from rank 0 to rank 1") {
+		t.Errorf("the report does not name origin and target: %s", msg)
+	}
+
+	var early, late []byte
+	_, report = run(func(p *sim.Proc, ep *Endpoint, dst []byte, tgt *Counter) {
+		p.Sleep(10)
+		early = bytes.Clone(dst)
+		ep.Waitcntr(p, tgt, 1)
+		late = bytes.Clone(dst)
+	})
+	if report != nil || !bytes.Equal(early, bytes.Repeat([]byte{windowPoison}, len(src))) || !bytes.Equal(late, src) {
+		t.Errorf("an early read saw %q and a read after the counter %q (report %v), want poison, then the payload", early, late, report)
+	}
+}
+
+// TestMarkDeadNeedsAllowDeaths: a domain decides at its first put whether the
+// bytes can move at issue, which a MarkDead discarding a landing would betray;
+// so a rank can be marked dead only on a domain told beforehand.
+func TestMarkDeadNeedsAllowDeaths(t *testing.T) {
+	env, _, d := twoNodes(1)
+	func() {
+		defer func() {
+			r := recover()
+			if de, ok := r.(*check.DeathError); !ok || de.Rank != 1 {
+				t.Errorf("MarkDead on a domain not told ranks can die panicked with %v, want a *check.DeathError for rank 1", r)
+			}
+		}()
+		d.MarkDead(1)
+	}()
+	env.Spawn("send", func(p *sim.Proc) {
+		d.Endpoint(0).Put(p, d.Endpoint(1), make([]byte, 8), make([]byte, 8), nil, nil, nil)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AllowDeaths after a clean-wire put did not panic")
+		}
+	}()
+	d.AllowDeaths()
 }

@@ -3,6 +3,7 @@ package rma
 import (
 	"slices"
 
+	"srmcoll/internal/check"
 	"srmcoll/internal/fault"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
@@ -45,7 +46,8 @@ import (
 // (the reference is given up on the spot), MarkDead tells the frame of every
 // landing it discards from the pending list, and a timeout that finds the
 // target dead stops retransmitting: in each case the frame drains like any
-// other and the snapshot goes back with it.
+// other and the snapshot goes back with it. A put on the clean wire has no
+// snapshot to return: its bytes moved at issue (wireDirect, rma.go).
 //
 // The schedule — which callback is queued when, the injector's draws, the
 // adapter reservations — is the one the three closure nests this file replaced
@@ -142,11 +144,12 @@ func (d *Domain) Reliable() bool { return d.reliable }
 // delivery is the frame of one remote put (see the top of this file).
 type delivery struct {
 	src, target        *Endpoint
-	dst, snap          []byte // snap is nil for a zero-byte put, and once it is back in the pool
+	dst, snap          []byte // snap is nil for a zero-byte put, on the clean wire, and once it is back in the pool
 	origin, tgt, compl *Counter
-	n                  int // payload bytes of a transmission (len(snap) while the frame has it)
-	g, par             int // trace group and issuing span, -1 untraced
-	refs               int // callbacks scheduled or parked that have yet to run
+	n                  int      // payload bytes of a transmission (len(snap) while the frame has it)
+	g, par             int      // trace group and issuing span, -1 untraced
+	issued             sim.Time // when the put was issued (wireChecked only)
+	refs               int      // callbacks scheduled or parked that have yet to run
 
 	// Reliable delivery only; ch is nil for a put sent without it.
 	ch    *channel
@@ -318,14 +321,17 @@ func (fr *delivery) arrive() {
 	m.Env.At(ackArrival, fr.ackFn) // on the arrival's reference
 }
 
-// land moves the payload into the target's memory and fires the target
-// counter. Without reliable delivery, completion is acknowledged back to the
-// origin over the wire from here.
+// land moves the payload into the target's memory — unless the clean wire
+// moved it at issue — and fires the target counter. Without reliable delivery,
+// completion is acknowledged back to the origin over the wire from here.
 func (fr *delivery) land() {
 	d := fr.src.dom
 	m := d.m
 	d.tally.Unresolved--
 	d.tally.Landed++
+	if d.wire == wireChecked {
+		fr.checkWindow()
+	}
 	copy(fr.dst, fr.snap)
 	if fr.ch != nil {
 		// Exactly-once delivery means this copy is the only read of the
@@ -346,6 +352,17 @@ func (fr *delivery) land() {
 		m.Env.After(ackLat, fr.ackFn)
 	}
 	fr.unref()
+}
+
+// checkWindow holds a checked put's window to the poison putRemote filled it
+// with: nothing may have written it while the put was in flight.
+func (fr *delivery) checkWindow() {
+	for i, b := range fr.dst {
+		if b != windowPoison {
+			panic(&check.WindowError{Origin: fr.src.Rank, Target: fr.target.Rank, Bytes: fr.n, First: i,
+				Issued: float64(fr.issued), Landed: float64(fr.src.dom.m.Env.Now())})
+		}
+	}
 }
 
 // discard stands in for a landing that MarkDead threw away with the pending

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"srmcoll/internal/bufpool"
+	"srmcoll/internal/check"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
@@ -112,7 +113,61 @@ type Domain struct {
 	backoffCap sim.Time
 	chanMem    bufpool.Chunks[channel]
 
+	wire   wireMode // how remote puts move their payload, fixed at the first
+	mortal bool     // AllowDeaths: ranks may be marked dead
+
 	tally Tally // what became of every transmission
+}
+
+// wireMode is how a domain's remote puts move their payload. The choice is made
+// once, at the domain's first put (decide), from what can happen to a delivery.
+type wireMode uint8
+
+const (
+	wireUndecided wireMode = iota
+	// wireDirect copies src to dst at issue, and the landing only fires
+	// counters: every transmission lands exactly once. The target cannot tell,
+	// since it waits for the target counter before it reads the window.
+	wireDirect
+	// wireSnapshot copies src to a pooled snapshot at issue and the snapshot to
+	// dst at each landing: a transmission may be dropped, duplicated,
+	// retransmitted or discarded, so the bytes move only when one lands.
+	wireSnapshot
+	// wireChecked is wireSnapshot on a clean wire under CheckWindows: dst is
+	// poisoned at issue and must be poisoned still at the landing.
+	wireChecked
+)
+
+// checkWindows is the test switch of CheckWindows, read by a domain at its
+// first put.
+var checkWindows bool
+
+// CheckWindows switches the put-window check for domains that have not put yet.
+// Under it a clean-wire put keeps its snapshot, fills its target window with
+// windowPoison at issue and, when it lands, panics with a *check.WindowError if
+// anything wrote the window in between; a target that reads the window early
+// reads poison and fails its payload check. That is what makes wireDirect
+// safe: no protocol may touch a window while a put into it is in flight.
+// Tests only; it is not safe to call while simulations run on other
+// goroutines.
+func CheckWindows(on bool) { checkWindows = on }
+
+// windowPoison is what a checked put fills its window with; it differs from the
+// buffer pool's poison so that the two checks cannot be mistaken for each other.
+const windowPoison = 0x5A
+
+// decide fixes the domain's wire mode. The snapshot stays wherever a delivery
+// can be lost, repeated or thrown away: under a fault injector, in reliable
+// mode, and where MarkDead may discard pending landings.
+func (d *Domain) decide() {
+	switch {
+	case d.m.Faults != nil || d.reliable || d.mortal:
+		d.wire = wireSnapshot
+	case checkWindows:
+		d.wire = wireChecked
+	default:
+		d.wire = wireDirect
+	}
 }
 
 // NewDomain attaches every task of the machine to the RMA layer.
@@ -146,7 +201,11 @@ func (d *Domain) Release() {
 // deliveries are discarded (a put among them is told, so that its frame
 // drains and its snapshot goes back to the pool), and reliable retransmit
 // loops targeting it stop rescheduling. Marking a rank dead twice is a no-op.
+// A domain that AllowDeaths was not called on panics with a *check.DeathError.
 func (d *Domain) MarkDead(rank int) {
+	if !d.mortal {
+		panic(&check.DeathError{Rank: rank})
+	}
 	ep := &d.eps[rank]
 	if ep.dead {
 		return
@@ -159,6 +218,16 @@ func (d *Domain) MarkDead(rank int) {
 	}
 	ep.pending = nil
 	ep.inCall = false
+}
+
+// AllowDeaths tells the domain that ranks may be marked dead during the run, so
+// that its puts keep their snapshots: a landing MarkDead discards must not have
+// moved any bytes. It must come before the domain's first put.
+func (d *Domain) AllowDeaths() {
+	if d.wire == wireDirect {
+		panic("rma: AllowDeaths after the domain's first put")
+	}
+	d.mortal = true
 }
 
 // Dead reports whether the rank has been marked failed.
@@ -270,15 +339,30 @@ func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin
 	d := ep.dom
 	m := d.m
 	fr := d.frame()
-	// The adapter reads the origin buffer at injection; snapshot the payload
-	// now so callers that reuse the buffer after the origin counter fires
-	// stay correct (the snapshot itself is bookkeeping, not a charged copy).
-	// The snapshot comes from the machine's buffer pool; the frame returns it
-	// after the last read of its contents.
+	if d.wire == wireUndecided {
+		d.decide()
+	}
+	// The adapter reads the origin buffer at injection, so the bytes are taken
+	// now: callers may reuse the buffer once the origin counter fires. On the
+	// clean wire they go straight to dst, since the one landing will find them
+	// there and the target reads nothing before its counter fires. Elsewhere
+	// they go to a snapshot from the machine's buffer pool, which each landing
+	// copies out and the frame returns after the last one (neither copy is
+	// charged: the DMA is what the wire's timing already accounts for).
 	if len(src) > 0 {
-		fr.snap = m.Buffers.Get(len(src))
-		copy(fr.snap, src)
-		d.tally.Snapshots++
+		if d.wire == wireDirect {
+			copy(dst, src)
+		} else {
+			fr.snap = m.Buffers.Get(len(src))
+			copy(fr.snap, src)
+			d.tally.Snapshots++
+			if d.wire == wireChecked {
+				fr.issued = m.Env.Now()
+				for i := range dst {
+					dst[i] = windowPoison
+				}
+			}
+		}
 	}
 	fr.src, fr.target, fr.n = ep, target, len(src)
 	fr.dst, fr.origin, fr.tgt, fr.compl = dst, origin, tgt, compl

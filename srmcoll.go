@@ -987,6 +987,7 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	world := rs.newWorld(m.P(), coll)
 	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	if cl.ft.Enabled {
+		dom.AllowDeaths()
 		ft := newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
 		rs.ft = ft
 		env.OnFailure = ft.onFailure

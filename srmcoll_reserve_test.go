@@ -207,12 +207,14 @@ func TestConcurrentRunsShareReserve(t *testing.T) {
 // TestReserveRetentionIsBounded drives the reserve's two promises through
 // Run: what a run needed is there when the run comes round again, and what no
 // recent run needed is given up. The large run is a baseline reduce of
-// 512 KiB over 128 ranks, whose 64 interior ranks hold two staging buffers
-// each: 64 MiB at once, the shape of the benchmark grid's largest cell.
+// 512 KiB over 128 ranks, whose 64 interior ranks each hold a scratch buffer
+// and, but for the root, an accumulator: 127 staging buffers, 63.5 MiB at
+// once, the shape of the benchmark grid's largest cell.
 func TestReserveRetentionIsBounded(t *testing.T) {
 	bufpool.DrainReserve()
 	defer bufpool.DrainReserve()
 	const ranks, size = 128, 512 << 10
+	const staging = (ranks/2 + ranks/2 - 1) * size
 	send, out := make([]byte, size), make([]byte, size)
 	large, small := mustCluster(t, ranks/8, 8), mustCluster(t, 2, 4)
 	runLarge := func() {
@@ -237,8 +239,8 @@ func TestReserveRetentionIsBounded(t *testing.T) {
 	start := heapAfterCycle()
 	runLarge()
 	held := bufpool.Reserve().Bytes
-	if held < 64<<20 {
-		t.Fatalf("the reserve holds %d bytes after a run that held 64 MiB of staging buffers at once", held)
+	if held < staging {
+		t.Fatalf("the reserve holds %d bytes after a run that held %d bytes of staging buffers at once", held, staging)
 	}
 	// The grid's rhythm: the large cell comes round after a few small ones
 	// and must not draw its blocks again.

@@ -56,9 +56,9 @@ func TestRunSettles(t *testing.T) {
 		t.Fatalf("the sum restarted by a cycle does not include the run weighed after it: %d cycles, want 3", got)
 	}
 
-	// Broadcasting 16 MiB to sixteen ranks draws about 21 MiB of slots and
-	// snapshots. The ranks run one at a time and all receive the same bytes,
-	// so they can share the one buffer.
+	// Reducing 8 MiB over sixteen ranks draws about 27 MiB of slots and
+	// staging buffers from the pool. The ranks can share the send buffer, and
+	// only the root has a receive buffer.
 	cl := mustCluster(t, 4, 4)
 	for _, tc := range []struct {
 		name   string
@@ -69,19 +69,23 @@ func TestRunSettles(t *testing.T) {
 	}{
 		{"procs/small", EngineProcs, 4 << 10, true, 0},
 		{"tasks/small", EngineTasks, 4 << 10, true, 0},
-		{"procs/large/cold", EngineProcs, 16 << 20, true, 1},
-		{"procs/large/warm", EngineProcs, 16 << 20, false, 0},
-		{"tasks/large/cold", EngineTasks, 16 << 20, true, 1},
-		{"tasks/large/warm", EngineTasks, 16 << 20, false, 0},
+		{"procs/large/cold", EngineProcs, 8 << 20, true, 1},
+		{"procs/large/warm", EngineProcs, 8 << 20, false, 0},
+		{"tasks/large/cold", EngineTasks, 8 << 20, true, 1},
+		{"tasks/large/warm", EngineTasks, 8 << 20, false, 0},
 	} {
-		buf := make([]byte, tc.bytes)
+		send, recv := make([]byte, tc.bytes), make([]byte, tc.bytes)
 		cl.SetEngine(tc.engine)
 		if tc.cold {
 			bufpool.DrainReserve()
 		}
 		before := forced()
 		_, err := cl.RunT(SRM, func(c *TComm, done func()) {
-			c.Bcast(buf, 0, func(err error) {
+			var out []byte
+			if c.Rank() == 0 {
+				out = recv
+			}
+			c.Reduce(send, out, Float64, Sum, 0, func(err error) {
 				if err != nil {
 					t.Error(err)
 				}
