@@ -89,7 +89,7 @@ type ChaosPoint struct {
 }
 
 // ChaosReport is the full campaign result, JSON-serializable for
-// srmbench -chaosjson.
+// srmbench chaos -json.
 type ChaosReport struct {
 	Config ChaosConfig
 	Runs   []ChaosRun

@@ -83,7 +83,7 @@ func TestChaosReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosTableShape pins the table layout the srmbench -fig chaos path
+// TestChaosTableShape pins the table layout srmbench chaos
 // prints: one row per grid point, completion in the "ok" column.
 func TestChaosTableShape(t *testing.T) {
 	cfg := QuickChaosConfig()

@@ -6,8 +6,8 @@ import (
 	"srmcoll"
 )
 
-// This file is the overlap ablation (A11) behind `srmbench -ablation
-// overlap` and the CI artifact behind `srmbench -overlapjson`: it
+// This file is the overlap ablation (A11) behind `srmbench ablation
+// overlap` and the CI artifact behind `srmbench overlap -json`: it
 // quantifies how much of a pipelined allreduce the non-blocking interface
 // hides behind an equally long compute phase. Three measurements per
 // message size, all on the largest grid configuration:
@@ -31,7 +31,7 @@ type OverlapEntry struct {
 	HiddenPct    float64 `json:"hidden_pct"`
 }
 
-// OverlapPerf is the full -overlapjson payload.
+// OverlapPerf is the full payload of srmbench overlap -json.
 type OverlapPerf struct {
 	Procs        int            `json:"procs"`
 	TasksPerNode int            `json:"tasks_per_node"`

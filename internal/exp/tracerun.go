@@ -2,7 +2,7 @@ package exp
 
 // Trace basket: a small fixed set of traced collectives that exercises the
 // span taxonomy end to end (SMP phases, chunk slots, put lifecycles, credit
-// waits). cmd/srmbench surfaces it as -trace; CI validates and archives the
+// waits). cmd/srmbench surfaces it as its trace subcommand; CI validates and archives the
 // JSON. Points run through the same worker pool as the figure sweeps and
 // write slot-addressed outputs, so the merged document is byte-identical at
 // any -j.

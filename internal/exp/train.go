@@ -7,8 +7,8 @@ import (
 	"srmcoll"
 )
 
-// This file is the ML-training allreduce workload behind `srmbench -fig
-// train` and `-trainjson`: data-parallel training steps where backprop
+// This file is the ML-training allreduce workload behind `srmbench
+// train` and its `-json` report: data-parallel training steps where backprop
 // produces gradient buckets back-to-front and each bucket's allreduce is
 // issued non-blocking as soon as the bucket is ready, overlapping the
 // wire time of earlier buckets with the compute of later ones. The
@@ -71,7 +71,7 @@ type TrainEntry struct {
 	HiddenPct   float64 `json:"hidden_pct"` // 100 * hidden / request lifetime
 }
 
-// TrainReport is the full -trainjson payload.
+// TrainReport is the full payload of srmbench train -json.
 type TrainReport struct {
 	Buckets int          `json:"buckets"`
 	Steps   int          `json:"steps"`
@@ -267,7 +267,7 @@ func FigTrain(tc TrainConfig, rep *TrainReport) []*Table {
 }
 
 // TrainHeadline summarizes the sweep's best overlap per rank count —
-// the acceptance line `srmbench -fig train` prints under the tables.
+// the acceptance line `srmbench train` prints under the tables.
 func TrainHeadline(rep *TrainReport) string {
 	var ranks []int
 	seen := map[int]bool{}

@@ -559,7 +559,7 @@ func (e Embedding) Rounds() int {
 }
 
 // Render returns a one-vertex-per-line indented view of the tree, labeling
-// each vertex with label(v). Used by cmd/srmtree and examples.
+// each vertex with label(v). Used by srmbench's tree subcommand.
 func Render(t Tree, label func(int) string) string {
 	var b strings.Builder
 	var walk func(v, depth int)

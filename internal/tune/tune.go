@@ -2,7 +2,7 @@
 // topology shape (machine.Config.TopoKey) and collective operation, an
 // ordered list of size-threshold rules selecting the inter-node tree kind.
 // The committed default table (default.json) is generated by the tuner in
-// internal/exp (srmbench -tunejson) over HierColonySP topologies and shipped
+// internal/exp (srmbench tune -json) over HierColonySP topologies and shipped
 // via go:embed; srmcoll.Cluster dispatches through it by default, falling
 // back to the paper's binomial tree for topologies the table does not name,
 // so flat-topology runs are bit-identical with or without the table.

@@ -294,7 +294,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 func (cl *Cluster) SetVariant(v Variant) { cl.variant = v }
 
 // TuneTable is an autotuned (op, size, topology) -> tree decision table;
-// see internal/tune for the format and srmbench -tunejson to generate one.
+// see internal/tune for the format and srmbench tune -json to generate one.
 type TuneTable = tune.Table
 
 // DefaultTuning returns the decision table committed with the library,
