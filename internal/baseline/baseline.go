@@ -9,8 +9,8 @@
 //
 // No tree is ever built: on each call a rank computes its own parent and
 // children (tree.BinomialRow, O(log P)), as an MPI library's mask loop does.
-// Every algorithm exists once, as a Group method; Coll's operations are those
-// over the all-ranks group.
+// Every algorithm exists once, as a Group method; New returns the group of all
+// ranks.
 package baseline
 
 import (
@@ -19,6 +19,7 @@ import (
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/mpi"
+	"srmcoll/internal/ranks"
 	"srmcoll/internal/sim"
 )
 
@@ -52,66 +53,37 @@ const (
 	tagScan
 )
 
-// Coll provides MPI-style collectives over the point-to-point layer.
-type Coll struct {
-	w      *mpi.World
-	flavor Flavor
-	all    *Group // cached all-ranks group for the extension collectives
-}
-
-// New builds the collectives of the given flavor on a machine.
-func New(m *machine.Machine, f Flavor) *Coll {
+// New builds the collectives of the given flavor on a machine and returns them
+// over all ranks, where group index and rank coincide: the world group, which
+// Sub carves the others out of.
+func New(m *machine.Machine, f Flavor) *Group {
 	proto := mpi.IBM()
 	if f == MPICH {
 		proto = mpi.MPICH()
 	}
-	return &Coll{w: mpi.NewWorld(m, proto), flavor: f}
+	w := mpi.NewWorld(m, proto)
+	members := make([]int, w.Size())
+	for i := range members {
+		members[i] = i
+	}
+	return &Group{w: w, flavor: f, members: members, pos: ranks.All(len(members))}
 }
 
-// World exposes the underlying point-to-point layer.
-func (c *Coll) World() *mpi.World { return c.w }
-
-// Flavor returns the modeled implementation.
-func (c *Coll) Flavor() Flavor { return c.flavor }
-
-func (c *Coll) machine() *machine.Machine { return c.w.Machine() }
+func (g *Group) machine() *machine.Machine { return g.w.Machine() }
 
 // localCopy charges and records a protocol-internal buffer copy.
-func (c *Coll) localCopy(p *sim.Proc, rank int, dst, src []byte) {
-	m := c.machine()
+func (g *Group) localCopy(p *sim.Proc, rank int, dst, src []byte) {
+	m := g.machine()
 	m.ChargeCopy(p, m.NodeOf(rank), len(src))
 	copy(dst, src)
 	m.Stats.AddPlainCopy(len(src))
 }
 
 // combine charges one elementwise reduction.
-func (c *Coll) combine(p *sim.Proc, rank, n, elem int) {
-	m := c.machine()
+func (g *Group) combine(p *sim.Proc, n, elem int) {
+	m := g.machine()
 	p.Sleep(m.CombineTime(n))
 	m.Stats.AddReduce(n / max(1, elem))
-}
-
-// The world-level operations are the Group algorithms (group.go) over the
-// all-ranks group, where group index and rank coincide.
-
-// Barrier is Group.Barrier over all ranks.
-func (c *Coll) Barrier(p *sim.Proc, rank int) { c.world().Barrier(p, rank) }
-
-// Bcast is Group.Bcast over all ranks.
-func (c *Coll) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	c.world().Bcast(p, rank, buf, root)
-}
-
-// Reduce is Group.Reduce over all ranks.
-func (c *Coll) Reduce(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op, root int) {
-	c.world().Reduce(p, rank, send, recv, dt, op, root)
-}
-
-// Allreduce is Group.Allreduce over all ranks.
-func (c *Coll) Allreduce(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	c.world().Allreduce(p, rank, send, recv, dt, op)
 }
 
 // ReduceScatter combines members' send vectors and scatters block i to the
@@ -126,17 +98,11 @@ func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte,
 	root := g.members[0]
 	var full []byte
 	if rank == root {
-		full = g.c.machine().Buffers.Get(len(send))
+		full = g.machine().Buffers.Get(len(send))
 	}
 	g.Reduce(p, rank, send, full, dt, op, root)
 	g.Scatter(p, rank, full, recv, root)
-	g.c.machine().Buffers.Put(full)
-}
-
-// ReduceScatter is Group.ReduceScatter over all ranks.
-func (c *Coll) ReduceScatter(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	c.world().ReduceScatter(p, rank, send, recv, dt, op)
+	g.machine().Buffers.Put(full)
 }
 
 // Scan is the inclusive prefix reduction over group ranks, using the
@@ -160,9 +126,9 @@ func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
 	me := g.index(rank)
 	P := len(g.members)
 	n := len(send)
-	r := g.c.w.Rank(rank)
-	g.c.localCopy(p, rank, recv, send)
-	pool := g.c.machine().Buffers
+	r := g.w.Rank(rank)
+	g.localCopy(p, rank, recv, send)
+	pool := g.machine().Buffers
 	scratch := pool.Get(n)
 	for dist := 1; dist < P; dist *= 2 {
 		var sreq *mpi.Request
@@ -177,7 +143,7 @@ func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
 		}
 		if me-dist >= 0 {
 			dtype.Reduce(op, dt, recv, scratch)
-			g.c.combine(p, rank, n, dt.Size())
+			g.combine(p, n, dt.Size())
 		}
 	}
 	if !exclusive {
@@ -195,19 +161,9 @@ func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
 		sreq.Wait(p) // recv is about to be overwritten
 	}
 	if me > 0 {
-		g.c.localCopy(p, rank, recv, scratch)
+		g.localCopy(p, rank, recv, scratch)
 	} else {
 		clear(recv)
 	}
 	pool.Put(scratch)
-}
-
-// Scan is Group.Scan over all ranks.
-func (c *Coll) Scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	c.world().Scan(p, rank, send, recv, dt, op)
-}
-
-// Exscan is Group.Exscan over all ranks.
-func (c *Coll) Exscan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	c.world().Exscan(p, rank, send, recv, dt, op)
 }

@@ -11,8 +11,10 @@ import (
 	"srmcoll/internal/sim"
 )
 
+// harness runs body on every rank of a nodes x tpn machine, with the flavor's
+// group of all ranks, and returns the machine and each rank's exit time.
 func harness(t testing.TB, nodes, tpn int, f Flavor,
-	body func(c *Coll, p *sim.Proc, rank int)) (*machine.Machine, []sim.Time) {
+	body func(c *Group, p *sim.Proc, rank int)) (*machine.Machine, []sim.Time) {
 	t.Helper()
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(nodes, tpn))
@@ -52,7 +54,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		nodes, tpn := 2, 4
 		P := nodes * tpn
 		enter := make([]sim.Time, P)
-		_, exit := harness(t, nodes, tpn, f, func(c *Coll, p *sim.Proc, rank int) {
+		_, exit := harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
 			p.Sleep(sim.Time(rank) * 5)
 			enter[rank] = p.Now()
 			c.Barrier(p, rank)
@@ -73,7 +75,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestBarrierSingleRank(t *testing.T) {
 	for _, f := range flavors() {
-		harness(t, 1, 1, f, func(c *Coll, p *sim.Proc, rank int) { c.Barrier(p, rank) })
+		harness(t, 1, 1, f, func(c *Group, p *sim.Proc, rank int) { c.Barrier(p, rank) })
 	}
 }
 
@@ -86,7 +88,7 @@ func checkBcast(t *testing.T, f Flavor, nodes, tpn, size, root int) {
 		bufs[r] = make([]byte, size)
 	}
 	copy(bufs[root], want)
-	harness(t, nodes, tpn, f, func(c *Coll, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
 		c.Bcast(p, rank, bufs[rank], root)
 	})
 	for r := range bufs {
@@ -130,7 +132,7 @@ func checkReduce(t *testing.T, f Flavor, nodes, tpn, elems, root int) {
 		sends[r] = dtype.Float64Bytes(vecs[r])
 	}
 	recv := make([]byte, elems*8)
-	harness(t, nodes, tpn, f, func(c *Coll, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
 		var rb []byte
 		if rank == root {
 			rb = recv
@@ -171,7 +173,7 @@ func checkAllreduce(t *testing.T, f Flavor, nodes, tpn, elems int) {
 		sends[r] = dtype.Float64Bytes(vecs[r])
 		recvs[r] = make([]byte, elems*8)
 	}
-	harness(t, nodes, tpn, f, func(c *Coll, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
 		c.Allreduce(p, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum)
 	})
 	want := sumRef(vecs)
@@ -207,7 +209,7 @@ func TestReduceFig2MessageCounts(t *testing.T) {
 		sends[r] = dtype.Float64Bytes(make([]float64, elems))
 	}
 	recv := make([]byte, elems*8)
-	m, _ := harness(t, 1, 8, MPICH, func(c *Coll, p *sim.Proc, rank int) {
+	m, _ := harness(t, 1, 8, MPICH, func(c *Group, p *sim.Proc, rank int) {
 		var rb []byte
 		if rank == 0 {
 			rb = recv
@@ -223,7 +225,7 @@ func TestReduceFig2MessageCounts(t *testing.T) {
 }
 
 func TestBcastUsesShmDeviceInsideNode(t *testing.T) {
-	m, _ := harness(t, 1, 4, IBM, func(c *Coll, p *sim.Proc, rank int) {
+	m, _ := harness(t, 1, 4, IBM, func(c *Group, p *sim.Proc, rank int) {
 		c.Bcast(p, rank, make([]byte, 256), 0)
 	})
 	if m.Stats.MPIShmSends != 3 || m.Stats.Puts != 0 {
@@ -232,7 +234,7 @@ func TestBcastUsesShmDeviceInsideNode(t *testing.T) {
 }
 
 func TestBcastCrossNodeCountsNetworkSends(t *testing.T) {
-	m, _ := harness(t, 4, 1, IBM, func(c *Coll, p *sim.Proc, rank int) {
+	m, _ := harness(t, 4, 1, IBM, func(c *Group, p *sim.Proc, rank int) {
 		c.Bcast(p, rank, make([]byte, 256), 0)
 	})
 	if m.Stats.MPISends != 3 || m.Stats.MPIShmSends != 0 {
@@ -244,8 +246,8 @@ func TestWorldAccessors(t *testing.T) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(1, 2))
 	c := New(m, MPICH)
-	if c.World().Size() != 2 || c.Flavor() != MPICH {
-		t.Fatal("accessors wrong")
+	if c.w.Size() != 2 || len(c.members) != 2 || c.flavor != MPICH {
+		t.Fatal("world group wrong")
 	}
 }
 
@@ -272,7 +274,7 @@ func TestPropFlavorsAgree(t *testing.T) {
 				sends[r] = dtype.Float64Bytes(vecs[r])
 			}
 			recv := make([]byte, elems*8)
-			harness(t, nodes, tpn, fl, func(c *Coll, p *sim.Proc, rank int) {
+			harness(t, nodes, tpn, fl, func(c *Group, p *sim.Proc, rank int) {
 				var rb []byte
 				if rank == root {
 					rb = recv

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"srmcoll/internal/check"
-	"srmcoll/internal/ranks"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
 )
@@ -48,16 +47,16 @@ func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
 		check.Size("baseline.Gather", rank, "recv", len(recv), blk*P)
 	}
 	if P == 1 {
-		g.c.localCopy(p, rank, recv, send)
+		g.localCopy(p, rank, recv, send)
 		return
 	}
 	var row [tree.MaxBinomialChildren]int
 	parent, kids := tree.BinomialRow(P, rootIdx, me, row[:0])
 	rel := (me - rootIdx + P) % P
-	r := g.c.w.Rank(rank)
+	r := g.w.Rank(rank)
 	mine := subtreeSize(rel, P)
 	buf := make([]byte, mine*blk)
-	g.c.localCopy(p, rank, buf[:blk], send)
+	g.localCopy(p, rank, buf[:blk], send)
 	// Children report in relative order; child v+2^k holds [v+2^k, ...).
 	for i := len(kids) - 1; i >= 0; i-- {
 		childIdx := kids[i]
@@ -75,8 +74,8 @@ func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
 		grp := (v + rootIdx) % P
 		copy(recv[grp*blk:(grp+1)*blk], buf[v*blk:(v+1)*blk])
 	}
-	g.c.machine().ChargeCopy(p, g.c.machine().NodeOf(rank), len(recv))
-	g.c.machine().Stats.AddPlainCopy(len(recv))
+	g.machine().ChargeCopy(p, g.machine().NodeOf(rank), len(recv))
+	g.machine().Stats.AddPlainCopy(len(recv))
 }
 
 // Scatter distributes root's send (group order) so each member receives
@@ -90,13 +89,13 @@ func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
 		check.Size("baseline.Scatter", rank, "send", len(send), blk*P)
 	}
 	if P == 1 {
-		g.c.localCopy(p, rank, recv, send)
+		g.localCopy(p, rank, recv, send)
 		return
 	}
 	var row [tree.MaxBinomialChildren]int
 	parent, kids := tree.BinomialRow(P, rootIdx, me, row[:0])
 	rel := (me - rootIdx + P) % P
-	r := g.c.w.Rank(rank)
+	r := g.w.Rank(rank)
 	mine := subtreeSize(rel, P)
 	var buf []byte
 	if me == rootIdx {
@@ -106,8 +105,8 @@ func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
 			grp := (v + rootIdx) % P
 			copy(buf[v*blk:(v+1)*blk], send[grp*blk:(grp+1)*blk])
 		}
-		g.c.machine().ChargeCopy(p, g.c.machine().NodeOf(rank), len(send))
-		g.c.machine().Stats.AddPlainCopy(len(send))
+		g.machine().ChargeCopy(p, g.machine().NodeOf(rank), len(send))
+		g.machine().Stats.AddPlainCopy(len(send))
 	} else {
 		buf = make([]byte, mine*blk)
 		r.Recv(p, g.members[parent], tagScatter, buf)
@@ -118,7 +117,7 @@ func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
 		off := (childRel - rel) * blk
 		r.Send(p, g.members[childIdx], tagScatter, buf[off:off+n])
 	}
-	g.c.localCopy(p, rank, recv, buf[:blk])
+	g.localCopy(p, rank, recv, buf[:blk])
 }
 
 // Allgather concatenates every member's block into every member's recv via
@@ -128,8 +127,8 @@ func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
 	P := len(g.members)
 	blk := len(send)
 	check.Size("baseline.Allgather", rank, "recv", len(recv), blk*P)
-	r := g.c.w.Rank(rank)
-	g.c.localCopy(p, rank, recv[me*blk:(me+1)*blk], send)
+	r := g.w.Rank(rank)
+	g.localCopy(p, rank, recv[me*blk:(me+1)*blk], send)
 	if P == 1 {
 		return
 	}
@@ -141,36 +140,6 @@ func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
 		r.Sendrecv(p, right, tagAllgather, recv[outIdx*blk:(outIdx+1)*blk],
 			left, tagAllgather, recv[inIdx*blk:(inIdx+1)*blk])
 	}
-}
-
-// World-level wrappers over the implicit all-ranks group.
-
-// Gather is Group.Gather over all ranks.
-func (c *Coll) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	c.world().Gather(p, rank, send, recv, root)
-}
-
-// Scatter is Group.Scatter over all ranks.
-func (c *Coll) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	c.world().Scatter(p, rank, send, recv, root)
-}
-
-// Allgather is Group.Allgather over all ranks.
-func (c *Coll) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	c.world().Allgather(p, rank, send, recv)
-}
-
-// world returns (and caches) the all-ranks group: members[i] == i, so its
-// index stores nothing.
-func (c *Coll) world() *Group {
-	if c.all == nil {
-		members := make([]int, c.w.Size())
-		for i := range members {
-			members[i] = i
-		}
-		c.all = &Group{c: c, members: members, pos: ranks.All(len(members))}
-	}
-	return c.all
 }
 
 // Alltoall exchanges blocks between all members with the classic pairwise
@@ -185,17 +154,12 @@ func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
 			len(send), P))
 	}
 	blk := len(send) / P
-	r := g.c.w.Rank(rank)
-	g.c.localCopy(p, rank, recv[me*blk:(me+1)*blk], send[me*blk:(me+1)*blk])
+	r := g.w.Rank(rank)
+	g.localCopy(p, rank, recv[me*blk:(me+1)*blk], send[me*blk:(me+1)*blk])
 	for step := 1; step < P; step++ {
 		to := (me + step) % P
 		from := (me - step + P) % P
 		r.Sendrecv(p, g.members[to], tagAlltoall, send[to*blk:(to+1)*blk],
 			g.members[from], tagAlltoall, recv[from*blk:(from+1)*blk])
 	}
-}
-
-// Alltoall is Group.Alltoall over all ranks.
-func (c *Coll) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	c.world().Alltoall(p, rank, send, recv)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"srmcoll/internal/dtype"
+	"srmcoll/internal/mpi"
 	"srmcoll/internal/ranks"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
@@ -16,20 +17,11 @@ import (
 // point-to-point layer is shared, and disjoint groups cannot cross-match
 // because sources differ.
 type Group struct {
-	c       *Coll
+	w       *mpi.World
+	flavor  Flavor
 	members []int
 	pos     ranks.Index // global rank -> group index
 }
-
-// Group returns a collective group over the given member ranks. A group
-// carries no operation state, so the caller decides how long to keep it: the
-// library's communicators resolve theirs once and share it among the members.
-func (c *Coll) Group(members []int) *Group {
-	return &Group{c: c, pos: ranks.NewIndex("baseline", members, c.w.Size()), members: slices.Clone(members)}
-}
-
-// Size returns the number of members.
-func (g *Group) Size() int { return len(g.members) }
 
 // index returns the group index of a member rank, panicking for outsiders.
 func (g *Group) index(rank int) int {
@@ -50,7 +42,7 @@ func (g *Group) Barrier(p *sim.Proc, rank int) {
 	if n == 1 {
 		return
 	}
-	r := g.c.w.Rank(rank)
+	r := g.w.Rank(rank)
 	one := []byte{1}
 	buf := make([]byte, 1)
 	var row [tree.MaxBinomialChildren]int
@@ -78,7 +70,7 @@ func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 	}
 	var row [tree.MaxBinomialChildren]int
 	parent, kids := tree.BinomialRow(n, g.index(root), me, row[:0])
-	r := g.c.w.Rank(rank)
+	r := g.w.Rank(rank)
 	if parent != -1 {
 		r.Recv(p, g.members[parent], tagBcast, buf)
 	}
@@ -108,29 +100,29 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	rootIdx := g.index(root)
 	n := len(send)
 	if len(g.members) == 1 {
-		g.c.localCopy(p, rank, recv, send)
+		g.localCopy(p, rank, recv, send)
 		return
 	}
 	var row [tree.MaxBinomialChildren]int
 	parent, kids := tree.BinomialRow(len(g.members), rootIdx, me, row[:0])
-	r := g.c.w.Rank(rank)
+	r := g.w.Rank(rank)
 	if len(kids) == 0 {
 		r.Send(p, g.members[parent], tagReduce, send)
 		return
 	}
-	pool := g.c.machine().Buffers
+	pool := g.machine().Buffers
 	acc := recv
 	if me != rootIdx {
 		acc = pool.Get(n)
 	}
-	g.c.localCopy(p, rank, acc, send)
+	g.localCopy(p, rank, acc, send)
 	scratch := pool.Get(n)
 	// Receive children nearest-first (ascending offset), the order they
 	// complete their subtrees.
 	for i := len(kids) - 1; i >= 0; i-- {
 		r.Recv(p, g.members[kids[i]], tagReduce, scratch)
 		dtype.Reduce(op, dt, acc, scratch)
-		g.c.combine(p, rank, n, dt.Size())
+		g.combine(p, n, dt.Size())
 	}
 	pool.Put(scratch)
 	if me != rootIdx {
@@ -144,7 +136,7 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 // doubling up to 32 KB, then reduce+broadcast.
 func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op) {
-	if g.c.flavor == IBM && len(send) <= rdAllreduceLimit {
+	if g.flavor == IBM && len(send) <= rdAllreduceLimit {
 		g.allreduceRD(p, rank, send, recv, dt, op)
 		return
 	}
@@ -162,8 +154,8 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 	me := g.index(rank)
 	P := len(g.members)
 	n := len(send)
-	r := g.c.w.Rank(rank)
-	g.c.localCopy(p, rank, recv, send)
+	r := g.w.Rank(rank)
+	g.localCopy(p, rank, recv, send)
 	if P == 1 {
 		return
 	}
@@ -177,30 +169,33 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 		r.Recv(p, g.members[me-pow], tagAllreduce, recv)
 		return
 	}
-	scratch := g.c.machine().Buffers.Get(n)
+	scratch := g.machine().Buffers.Get(n)
 	if me+pow < P {
 		r.Recv(p, g.members[me+pow], tagAllreduce, scratch)
 		dtype.Reduce(op, dt, recv, scratch)
-		g.c.combine(p, rank, n, dt.Size())
+		g.combine(p, n, dt.Size())
 	}
 	for dist := 1; dist < pow; dist *= 2 {
 		partner := g.members[me^dist]
 		r.Sendrecv(p, partner, tagAllreduce, recv, partner, tagAllreduce, scratch)
 		dtype.Reduce(op, dt, recv, scratch)
-		g.c.combine(p, rank, n, dt.Size())
+		g.combine(p, n, dt.Size())
 	}
-	g.c.machine().Buffers.Put(scratch)
+	g.machine().Buffers.Put(scratch)
 	if me+pow < P {
 		r.Send(p, g.members[me+pow], tagAllreduce, recv)
 	}
 }
 
-// Sub returns a group over a subset of this group's members.
+// Sub returns a group over a subset of this group's members. A group carries
+// no operation state, so the caller decides how long to keep it: the library's
+// communicators resolve theirs once and share it among the members.
 func (g *Group) Sub(members []int) *Group {
 	for _, r := range members {
 		if g.pos.Of(r) < 0 {
 			panic(fmt.Sprintf("baseline: rank %d is not a member of the parent group", r))
 		}
 	}
-	return g.c.Group(members)
+	return &Group{w: g.w, flavor: g.flavor, members: slices.Clone(members),
+		pos: ranks.NewIndex("baseline", members, g.w.Size())}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"srmcoll/internal/bufpool"
@@ -210,20 +211,25 @@ func TestSyncObjectAllocGuard(t *testing.T) {
 		t.Errorf("%d flags of %d bytes and %d counters of %d cost %v objects, want at most %d (a slab per %d bytes, %d lists each, and one)",
 			n, flagSize, n, cntrSize, got, want, bufpool.ChunkBytes, lists)
 	}
-	if lastFlag.Load() != 0 || lastCntr.Value() != 1 {
-		t.Errorf("a carved flag reads %d and a counter made with 1 reads %d", lastFlag.Load(), lastCntr.Value())
+	if f, c := lastFlag.DescribeWait(-1), lastCntr.DescribeWait(0); !strings.HasSuffix(f, "value 0") || !strings.Contains(c, "value 1,") {
+		t.Errorf("a carved flag reads %q and a counter made with 1 reads %q", f, c)
+	}
+	release := func() {
+		e.flagMem.Release()
+		e.cntrMem.Release()
 	}
 	got = testing.AllocsPerRun(1, func() {
 		carve()
-		if lastFlag.Load() != 0 || lastCntr.Value() != 1 {
-			t.Errorf("a flag carved from a returned slab reads %d and a counter made with 1 reads %d", lastFlag.Load(), lastCntr.Value())
-		}
-		e.flagMem.Release()
-		e.cntrMem.Release()
+		release()
 	})
 	if int(got) > 2*lists+1 {
 		t.Errorf("%d flags and %d counters cost %v objects after an entry returned as many, want at most %d: the lists and the entry", n, n, got, 2*lists+1)
 	}
+	carve()
+	if f, c := lastFlag.DescribeWait(-1), lastCntr.DescribeWait(0); !strings.HasSuffix(f, "value 0") || !strings.Contains(c, "value 1,") {
+		t.Errorf("a flag carved from a returned slab reads %q and a counter made with 1 reads %q", f, c)
+	}
+	release()
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -86,7 +86,8 @@ func pipeChunks(g *Group, size int, ds dataspec) []span {
 // result in every rank's recv. send and recv must not overlap and must
 // have equal length.
 func (s *SRM) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	s.World().Allreduce(p, rank, send, recv, dt, op)
+	s.World().AllreduceT(&p.Task, rank, send, recv, dt, op, p.Resume())
+	p.Park()
 }
 
 // AllreduceT is Allreduce in continuation form.
@@ -94,14 +95,8 @@ func (s *SRM) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type
 	s.World().AllreduceT(t, rank, send, recv, dt, op, kont)
 }
 
-// Allreduce combines the group members' send buffers into every member's
-// recv.
-func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.AllreduceT(&p.Task, rank, send, recv, dt, op, p.Resume())
-	p.Park()
-}
-
-// AllreduceT is Allreduce in continuation form; kont runs when it completes.
+// AllreduceT combines the group members' send buffers into every member's
+// recv; kont runs when it completes.
 func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
 	x := g.s.exec(t, kont)
 	g.allreduce(x, rank, send, recv, dataspec{dt, op})
@@ -336,7 +331,7 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 	a.trees = make([]pipeTree, len(roots))
 	for ti, root := range roots {
 		tp := &a.trees[ti]
-		tp.emb = g.embed(kind, s.opt.IntraTree, g.lay.local[root][0])
+		tp.emb = g.embed(kind, g.lay.local[root][0])
 		tp.chunkDone = s.flag(g.lay.nodes[root])
 		tp.pslot = make([][2][]byte, nn)
 		tp.arr = make([][2]*rma.Counter, nn)

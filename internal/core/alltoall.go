@@ -86,15 +86,10 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 	return st
 }
 
-// Alltoall exchanges blocks between all members: member i's send holds one
+// AlltoallT exchanges blocks between all members: member i's send holds one
 // blk-byte block per member (group order), and its recv receives member
 // j's block for i at group offset j. len(send) = len(recv) = Size()*blk.
-func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	g.AlltoallT(&p.Task, rank, send, recv, p.Resume())
-	p.Park()
-}
-
-// AlltoallT is Alltoall in continuation form; kont runs when it completes.
+// kont runs when it completes.
 func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	x := g.s.exec(t, kont)
 	g.alltoall(x, rank, send, recv)

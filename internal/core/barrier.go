@@ -37,16 +37,13 @@ func newBarrierState(g *Group) *barrierState {
 }
 
 // Barrier blocks until every rank has entered the barrier.
-func (s *SRM) Barrier(p *sim.Proc, rank int) { s.World().Barrier(p, rank) }
+func (s *SRM) Barrier(p *sim.Proc, rank int) {
+	s.World().BarrierT(&p.Task, rank, p.Resume())
+	p.Park()
+}
 
 // BarrierT is Barrier in continuation form.
 func (s *SRM) BarrierT(t *sim.Task, rank int, kont func()) { s.World().BarrierT(t, rank, kont) }
-
-// Barrier blocks until every group member has entered the barrier.
-func (g *Group) Barrier(p *sim.Proc, rank int) {
-	g.BarrierT(&p.Task, rank, p.Resume())
-	p.Park()
-}
 
 // BarrierT runs kont once every group member has entered the barrier.
 func (g *Group) BarrierT(t *sim.Task, rank int, kont func()) {

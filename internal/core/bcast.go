@@ -43,7 +43,7 @@ func newBcastState(g *Group, root, size int) *bcastState {
 		g:    g,
 		root: root,
 		size: size,
-		emb:  g.embed(s.interKind("bcast", size), s.opt.IntraTree, root),
+		emb:  g.embed(s.interKind("bcast", size), root),
 	}
 	b.large = size > cfg.SRMBcastBufSize
 	switch {
@@ -85,7 +85,8 @@ func newBcastState(g *Group, root, size int) *bcastState {
 // Bcast broadcasts buf (len(buf) equal on all ranks) from root. On the
 // root, buf is the source; elsewhere it is overwritten with the data.
 func (s *SRM) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	s.World().Bcast(p, rank, buf, root)
+	s.World().BcastT(&p.Task, rank, buf, root, p.Resume())
+	p.Park()
 }
 
 // BcastT is Bcast in continuation form.
@@ -93,13 +94,8 @@ func (s *SRM) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
 	s.World().BcastT(t, rank, buf, root, kont)
 }
 
-// Bcast broadcasts buf from the member rank root to every group member.
-func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	g.BcastT(&p.Task, rank, buf, root, p.Resume())
-	p.Park()
-}
-
-// BcastT is Bcast in continuation form; kont runs when it completes.
+// BcastT broadcasts buf from the member rank root to every group member;
+// kont runs when it completes.
 func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
 	x := g.s.exec(t, kont)
 	g.bcast(x, rank, buf, root)

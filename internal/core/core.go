@@ -25,9 +25,10 @@
 //
 // Every operation moves real bytes; tests verify results against
 // sequential references. Every operation's per-rank control flow is written
-// once, as steps of a sim.Task (exec.go): XT(t *sim.Task, ..., kont) runs kont
-// when done, and X(p *sim.Proc, ...) is XT on the process's own task with the
-// body parked until then.
+// once, as steps of a sim.Task (exec.go): Group.XT(t *sim.Task, ..., kont) runs
+// kont when done. A process runs one by starting it on its own task with
+// p.Resume() as kont and parking; SRM's four world operations keep that
+// blocking form, X(p *sim.Proc, ...).
 package core
 
 import (
@@ -50,7 +51,6 @@ const smallMsgInterruptLimit = 4096
 // configuration. The ablation benches flip individual fields.
 type Options struct {
 	InterTree   tree.Kind // tree between node masters (default Binomial, §2.1)
-	IntraTree   tree.Kind // tree for the SMP reduce (default Binomial)
 	TreeSMPBcst bool      // use a tree-based SMP broadcast instead of the
 	// flat two-buffer algorithm (the variant §2.2 found inferior)
 	BarrierSMPBcst bool // arbitrate shared buffers with SMP barriers, the
@@ -234,28 +234,22 @@ func New(m *machine.Machine, dom *rma.Domain, opt Options) *SRM {
 	}
 }
 
-// treeKey names a tree over the tasks of one node, which is a function of its
-// kind, the task count and the root alone.
-type treeKey struct {
-	kind    tree.Kind
-	n, root int
-}
+// treeKey names a tree over the tasks of one node, which is a function of the
+// task count and the root alone.
+type treeKey struct{ n, root int }
 
-// intraTree returns the tree of the given kind over n local tasks rooted at
-// root, built once: every node of every group of every operation of the run
-// with that many tasks and that master shares it, read-only.
-func (s *SRM) intraTree(kind tree.Kind, n, root int) tree.Tree {
-	key := treeKey{kind, n, root}
+// intraTree returns the binomial tree over n local tasks rooted at root, built
+// once: every node of every group of every operation of the run with that many
+// tasks and that master shares it, read-only.
+func (s *SRM) intraTree(n, root int) tree.Tree {
+	key := treeKey{n, root}
 	t, ok := s.trees[key]
 	if !ok {
-		t = tree.New(kind, n, root)
+		t = tree.New(tree.Binomial, n, root)
 		s.trees[key] = t
 	}
 	return t
 }
-
-// Machine returns the underlying machine.
-func (s *SRM) Machine() *machine.Machine { return s.m }
 
 // World returns the group of all ranks.
 func (s *SRM) World() *Group {

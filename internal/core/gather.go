@@ -155,45 +155,29 @@ func (st *redistState) slabRange(rn run) (stagedOff, groupOff, n int) {
 	return rn.lofff * st.blk, rn.first * st.blk, rn.count * st.blk
 }
 
-// Gather collects each member's send block (blk = len(send) bytes, equal
+// GatherT collects each member's send block (blk = len(send) bytes, equal
 // everywhere) into recv at root, ordered by group rank. recv must hold
-// Size()*blk bytes at root and is ignored elsewhere.
-func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	g.GatherT(&p.Task, rank, send, recv, root, p.Resume())
-	p.Park()
-}
-
-// GatherT is Gather in continuation form; kont runs when it completes.
+// Size()*blk bytes at root and is ignored elsewhere. kont runs when it
+// completes.
 func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
 	x := g.s.exec(t, kont)
 	g.gather(x, rank, send, recv, root)
 	x.run()
 }
 
-// Scatter distributes root's send buffer (Size()*blk bytes, ordered by
+// ScatterT distributes root's send buffer (Size()*blk bytes, ordered by
 // group rank) so each member receives its blk-byte block in recv. send is
-// ignored away from root.
-func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	g.ScatterT(&p.Task, rank, send, recv, root, p.Resume())
-	p.Park()
-}
-
-// ScatterT is Scatter in continuation form; kont runs when it completes.
+// ignored away from root. kont runs when it completes.
 func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
 	x := g.s.exec(t, kont)
 	g.scatter(x, rank, send, recv, root)
 	x.run()
 }
 
-// Allgather concatenates every member's send block into every member's
+// AllgatherT concatenates every member's send block into every member's
 // recv (Size()*blk bytes), ordered by group rank: an intra-node staging
 // phase, a slab ring between the node masters, and a node-local fan-out.
-func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	g.AllgatherT(&p.Task, rank, send, recv, p.Resume())
-	p.Park()
-}
-
-// AllgatherT is Allgather in continuation form; kont runs when it completes.
+// kont runs when it completes.
 func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	x := g.s.exec(t, kont)
 	g.allgather(x, rank, send, recv)

@@ -69,8 +69,8 @@ func (lay *layout) ni(rank int) int { return int(lay.at[lay.index(rank)].nx) }
 func (lay *layout) li(rank int) int { return int(lay.at[lay.index(rank)].l) }
 
 // gEmbed is a communication tree embedded into the participating subset of
-// the cluster: an inter-node tree over participating node indices plus an
-// intra-node tree over each node's members (generalizing Figure 1).
+// the cluster: an inter-node tree over participating node indices plus a
+// binomial intra-node tree over each node's members (generalizing Figure 1).
 type gEmbed struct {
 	inter   tree.Tree // over indices into lay.nodes
 	intra   []tree.Tree
@@ -78,10 +78,10 @@ type gEmbed struct {
 }
 
 // embedKey names one embedding of a group: the embedding is a function of the
-// two tree kinds, the root and the group's layout, and of nothing else.
+// inter-node tree kind, the root and the group's layout, and of nothing else.
 type embedKey struct {
-	inter, intra tree.Kind
-	root         int
+	inter tree.Kind
+	root  int
 }
 
 // embed returns the group embedding rooted at the given member rank. It is
@@ -89,8 +89,8 @@ type embedKey struct {
 // the task group, every collective on the group with these kinds and this root
 // uses the same one, and nothing writes to a tree once it is built (the
 // intra-node trees are the engine's, shared across groups too).
-func (g *Group) embed(interKind, intraKind tree.Kind, root int) gEmbed {
-	key := embedKey{interKind, intraKind, root}
+func (g *Group) embed(interKind tree.Kind, root int) gEmbed {
+	key := embedKey{interKind, root}
 	if e, ok := g.embeds[key]; ok {
 		return e
 	}
@@ -111,7 +111,7 @@ func (g *Group) embed(interKind, intraKind tree.Kind, root int) gEmbed {
 		if x == rootNI {
 			rootLocal = lay.li(root)
 		}
-		e.intra[x] = g.s.intraTree(intraKind, len(lay.local[x]), rootLocal)
+		e.intra[x] = g.s.intraTree(len(lay.local[x]), rootLocal)
 		e.masters[x] = lay.local[x][rootLocal]
 	}
 	if g.embeds == nil {
@@ -157,12 +157,6 @@ func (s *SRM) Group(members []int) *Group {
 
 // Size returns the number of member tasks.
 func (g *Group) Size() int { return len(g.lay.members) }
-
-// Members returns the member ranks in group order.
-func (g *Group) Members() []int { return append([]int(nil), g.lay.members...) }
-
-// Contains reports whether the global rank is a member.
-func (g *Group) Contains(rank int) bool { return g.lay.contains(rank) }
 
 // acquire enters rank into the group's next operation: it returns the
 // operation's shared state (built by mk for the first member to arrive) and

@@ -56,7 +56,7 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 		root: root,
 		size: size,
 		ds:   ds,
-		emb:  g.embed(s.interKind("reduce", size), s.opt.IntraTree, root),
+		emb:  g.embed(s.interKind("reduce", size), root),
 	}
 	chunk := cfg.SRMLargeChunk
 	if ds.dt.Size() > 0 {
@@ -92,7 +92,8 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 // leaving the result in recv at root (recv is ignored elsewhere and may be
 // nil there). send and recv must not overlap.
 func (s *SRM) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int) {
-	s.World().Reduce(p, rank, send, recv, dt, op, root)
+	s.World().ReduceT(&p.Task, rank, send, recv, dt, op, root, p.Resume())
+	p.Park()
 }
 
 // ReduceT is Reduce in continuation form.
@@ -100,13 +101,8 @@ func (s *SRM) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, o
 	s.World().ReduceT(t, rank, send, recv, dt, op, root, kont)
 }
 
-// Reduce combines the group members' send buffers into recv at root.
-func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int) {
-	g.ReduceT(&p.Task, rank, send, recv, dt, op, root, p.Resume())
-	p.Park()
-}
-
-// ReduceT is Reduce in continuation form; kont runs when it completes.
+// ReduceT combines the group members' send buffers into recv at root; kont
+// runs when it completes.
 func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
 	x := g.s.exec(t, kont)
 	g.reduce(x, rank, send, recv, dataspec{dt, op}, root)

@@ -106,17 +106,10 @@ func (st *reduceScatterState) slabFor(x *exec, vec []byte, y int) []byte {
 	return slab
 }
 
-// ReduceScatter combines the members' send vectors (Size()*blk bytes,
+// ReduceScatterT combines the members' send vectors (Size()*blk bytes,
 // group order) elementwise and scatters the result: the member with group
 // rank i receives reduced block i in recv (MPI_Reduce_scatter_block
-// semantics).
-func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.ReduceScatterT(&p.Task, rank, send, recv, dt, op, p.Resume())
-	p.Park()
-}
-
-// ReduceScatterT is ReduceScatter in continuation form; kont runs when it
-// completes.
+// semantics). kont runs when it completes.
 func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
 	x := g.s.exec(t, kont)
 	g.reduceScatter(x, rank, send, recv, dataspec{dt, op})

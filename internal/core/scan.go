@@ -56,28 +56,18 @@ func newScanState(g *Group, size int, ds dataspec) *scanState {
 	return st
 }
 
-// Scan leaves in each member's recv the reduction of the send buffers of
-// all members with group rank <= its own (inclusive prefix).
-func (g *Group) Scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.ScanT(&p.Task, rank, send, recv, dt, op, p.Resume())
-	p.Park()
-}
-
-// ScanT is Scan in continuation form; kont runs when it completes.
+// ScanT leaves in each member's recv the reduction of the send buffers of
+// all members with group rank <= its own (inclusive prefix); kont runs when
+// it completes.
 func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
 	x := g.s.exec(t, kont)
 	g.scan(x, rank, send, recv, dataspec{dt, op}, false)
 	x.run()
 }
 
-// Exscan is the exclusive prefix: member i receives the reduction over
-// group ranks < i; the first member's recv is left zeroed.
-func (g *Group) Exscan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.ExscanT(&p.Task, rank, send, recv, dt, op, p.Resume())
-	p.Park()
-}
-
-// ExscanT is Exscan in continuation form; kont runs when it completes.
+// ExscanT is the exclusive prefix: member i receives the reduction over
+// group ranks < i; the first member's recv is left zeroed. kont runs when it
+// completes.
 func (g *Group) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
 	x := g.s.exec(t, kont)
 	g.scan(x, rank, send, recv, dataspec{dt, op}, true)

@@ -19,6 +19,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -198,9 +199,6 @@ func New(plan Plan) *Injector {
 	return &Injector{plan: plan, rng: splitmix{state: plan.Seed ^ 0x9e3779b97f4a7c15}}
 }
 
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Duplicates reports whether the plan can deliver a put twice on some
 // channel. Without reliable delivery the second copy lands whenever the wire
 // gets to it, possibly after its receiver has moved on, so memory a put
@@ -320,6 +318,43 @@ func (s Summary) String() string {
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, " ") + "}"
 }
+
+// StallError reports a run that a plan's Deadline stopped with tasks still
+// running: the watchdog report for runs that would otherwise hang (or
+// retransmit) forever.
+type StallError struct {
+	Time    sim.Time          // virtual time the deadline stopped the run
+	Blocked []sim.BlockedProc // parked processes and what they wait on
+	Faults  Summary           // faults injected up to the stall
+}
+
+// Stalled builds the report of env, stopped at its deadline, with the faults
+// in (nil for none) delivered so far.
+func Stalled(env *sim.Env, in *Injector) *StallError {
+	e := &StallError{Time: env.Now(), Blocked: env.Blocked()}
+	if in != nil {
+		e.Faults = in.Summary()
+	}
+	return e
+}
+
+func (e *StallError) Error() string {
+	s := fmt.Sprintf("srmcoll: run stalled at deadline t=%.3f: %d blocked", e.Time, len(e.Blocked))
+	if e.Faults != (Summary{}) {
+		s += fmt.Sprintf(", faults %s", e.Faults)
+	}
+	for _, b := range e.Blocked {
+		s += fmt.Sprintf("\n  %s: waiting on %s (blocked since t=%.3f)", b.Name, b.Waiting, b.Since)
+	}
+	return s
+}
+
+// ErrDeadline is the sentinel matched by errors.Is for every *StallError:
+// the run was cut off by the plan's deadline, not by a protocol error of its
+// own.
+var ErrDeadline = errors.New("fault-plan deadline exceeded")
+
+func (e *StallError) Unwrap() error { return ErrDeadline }
 
 // splitmix is a splitmix64 PRNG: tiny, fast, and stable across Go versions
 // (unlike math/rand's unspecified stream), which keeps recorded runs

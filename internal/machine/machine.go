@@ -410,9 +410,6 @@ func New(env *sim.Env, cfg Config) *Machine {
 	return m
 }
 
-// Node returns the state of node id.
-func (m *Machine) Node(id int) *Node { return m.nodes[id] }
-
 // P returns the total task count.
 func (m *Machine) P() int { return m.Cfg.P() }
 
@@ -425,9 +422,6 @@ func (m *Machine) LocalRank(rank int) int { return rank % m.Cfg.TasksPerNode }
 
 // RankOf returns the global rank of the local task on a node.
 func (m *Machine) RankOf(node, local int) int { return node*m.Cfg.TasksPerNode + local }
-
-// SameNode reports whether two ranks share an SMP node.
-func (m *Machine) SameNode(a, b int) bool { return m.NodeOf(a) == m.NodeOf(b) }
 
 // daemonsActive reports whether daemon noise applies: the model is on and
 // the node's CPUs are fully subscribed by tasks.
@@ -454,22 +448,6 @@ func (m *Machine) DaemonExtra(node int, d sim.Time) sim.Time {
 	// Activations k with start <= k*period < start+d.
 	crossings := math.Ceil((start+d)/period) - math.Ceil(start/period)
 	return sim.Time(crossings) * m.Cfg.DaemonSlice
-}
-
-// DaemonHit returns the residual daemon occupancy at this instant on the
-// node — the delay a point event (a flag wake, a delivery) suffers when it
-// lands inside a daemon activation window.
-func (m *Machine) DaemonHit(node int) sim.Time {
-	if !m.daemonsActive() {
-		return 0
-	}
-	period := m.Cfg.DaemonPeriod
-	offset := m.Env.Now() - m.daemonPhase(node)
-	into := offset - math.Floor(offset/period)*period
-	if into < m.Cfg.DaemonSlice {
-		return m.Cfg.DaemonSlice - into
-	}
-	return 0
 }
 
 // copyFactor is the contention multiplier for a copy starting now on node n.

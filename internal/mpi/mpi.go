@@ -95,9 +95,6 @@ func NewWorld(m *machine.Machine, proto Protocol) *World {
 // Machine returns the underlying machine.
 func (w *World) Machine() *machine.Machine { return w.m }
 
-// Protocol returns the world's protocol policy.
-func (w *World) Protocol() Protocol { return w.proto }
-
 // Rank returns endpoint r.
 func (w *World) Rank(r int) *Rank { return w.ranks[r] }
 
@@ -150,9 +147,6 @@ type Rank struct {
 	posted     []*recvReq
 	unexpected []*message
 }
-
-// RankID returns the global rank number.
-func (r *Rank) RankID() int { return r.rank }
 
 // callOverhead charges the per-call software cost.
 func (r *Rank) callOverhead(p *sim.Proc) {
@@ -420,22 +414,11 @@ func (pp *shmPipe) recvLoop(p *sim.Proc) {
 	}
 }
 
-// Request tracks a nonblocking operation. Wait blocks until it completes;
-// Test polls without blocking.
-type Request struct {
-	done   *sim.Event
-	status Status
-}
+// Request tracks a nonblocking send. Wait blocks until it completes.
+type Request struct{ done *sim.Event }
 
-// Wait blocks until the operation completes and returns its status
-// (meaningful for receives).
-func (rq *Request) Wait(p *sim.Proc) Status {
-	p.Wait(rq.done)
-	return rq.status
-}
-
-// Test reports whether the operation has completed.
-func (rq *Request) Test() bool { return rq.done.Done() }
+// Wait blocks until the operation completes.
+func (rq *Request) Wait(p *sim.Proc) { p.Wait(rq.done) }
 
 // Isend starts a nonblocking send. The data buffer must not be modified
 // until the request completes (completion means the buffer is reusable,
@@ -450,22 +433,4 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte) *Request {
 	// helper (the communication subsystem).
 	r.callOverhead(p)
 	return rq
-}
-
-// Irecv starts a nonblocking receive into buf.
-func (r *Rank) Irecv(p *sim.Proc, src, tag int, buf []byte) *Request {
-	rq := &Request{done: r.w.m.Env.NewEvent()}
-	r.w.m.Env.SpawnIndexed("mpi-irecv-", r.rank, func(sp *sim.Proc) {
-		rq.status = r.Recv(sp, src, tag, buf)
-		rq.done.Trigger()
-	})
-	r.callOverhead(p)
-	return rq
-}
-
-// WaitAll blocks until every request completes.
-func WaitAll(p *sim.Proc, reqs ...*Request) {
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
 }

@@ -452,11 +452,11 @@ func TestPropRingToken(t *testing.T) {
 
 func TestWorldAccessors(t *testing.T) {
 	_, m, w := world(2, 3, MPICH())
-	if w.Size() != 6 || w.Machine() != m || w.Protocol().Name != "mpich" {
+	if w.Size() != 6 || w.Machine() != m || w.proto.Name != "mpich" {
 		t.Fatal("accessors wrong")
 	}
-	if w.Rank(4).RankID() != 4 {
-		t.Fatal("RankID wrong")
+	if w.Rank(4).rank != 4 {
+		t.Fatal("rank 4 has the wrong number")
 	}
 }
 
@@ -565,8 +565,7 @@ func TestIsendIrecvOverlap(t *testing.T) {
 		rq.Wait(p)
 	})
 	env.Spawn("r1", func(p *sim.Proc) {
-		rq := w.Rank(1).Irecv(p, 0, 4, dst)
-		st := rq.Wait(p)
+		st := w.Rank(1).Recv(p, 0, 4, dst)
 		if st.Source != 0 || st.Bytes != n {
 			t.Errorf("status = %+v", st)
 		}
@@ -581,19 +580,22 @@ func TestIsendIrecvOverlap(t *testing.T) {
 
 func TestRequestTest(t *testing.T) {
 	env, _, w := world(2, 1, IBM())
-	env.Spawn("r1", func(p *sim.Proc) {
-		rq := w.Rank(1).Irecv(p, 0, 9, make([]byte, 4))
-		if rq.Test() {
-			t.Error("request complete before any send")
+	n := 64 << 10 // rendezvous: the send completes only once it is matched
+	env.Spawn("r0", func(p *sim.Proc) {
+		rq := w.Rank(0).Isend(p, 1, 9, make([]byte, n))
+		if rq.done.Done() {
+			t.Error("request complete before any receive")
 		}
-		st := rq.Wait(p)
-		if !rq.Test() || st.Tag != 9 {
-			t.Error("request state wrong after Wait")
+		rq.Wait(p)
+		if !rq.done.Done() {
+			t.Error("request incomplete after Wait")
 		}
 	})
-	env.Spawn("r0", func(p *sim.Proc) {
+	env.Spawn("r1", func(p *sim.Proc) {
 		p.Sleep(100)
-		w.Rank(0).Send(p, 1, 9, []byte{1, 2, 3, 4})
+		if st := w.Rank(1).Recv(p, 0, 9, make([]byte, n)); st.Tag != 9 {
+			t.Errorf("status = %+v", st)
+		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -605,16 +607,18 @@ func TestWaitAllMany(t *testing.T) {
 	const k = 5
 	bufs := make([][]byte, k)
 	env.Spawn("recv", func(p *sim.Proc) {
-		reqs := make([]*Request, k)
 		for i := 0; i < k; i++ {
 			bufs[i] = make([]byte, 1)
-			reqs[i] = w.Rank(1).Irecv(p, 0, i, bufs[i])
+			w.Rank(1).Recv(p, 0, i, bufs[i])
 		}
-		WaitAll(p, reqs...)
 	})
 	env.Spawn("send", func(p *sim.Proc) {
+		reqs := make([]*Request, k)
 		for i := k - 1; i >= 0; i-- { // reverse order: matching must sort it out
-			w.Rank(0).Send(p, 1, i, []byte{byte(i + 1)})
+			reqs[i] = w.Rank(0).Isend(p, 1, i, []byte{byte(i + 1)})
+		}
+		for _, rq := range reqs {
+			rq.Wait(p)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -622,7 +626,7 @@ func TestWaitAllMany(t *testing.T) {
 	}
 	for i := 0; i < k; i++ {
 		if bufs[i][0] != byte(i+1) {
-			t.Fatalf("irecv %d got %d", i, bufs[i][0])
+			t.Fatalf("recv %d got %d", i, bufs[i][0])
 		}
 	}
 }

@@ -46,9 +46,9 @@ func TestDeferredPutsEachLandTheirOwn(t *testing.T) {
 		if got := len(d.Endpoint(1).pending); got != 2 {
 			t.Errorf("%d deliveries pending, want 2", got)
 		}
-		if tgtA.Value() != 0 || tgtB.Value() != 0 || idleFrames(d) != 0 {
+		if tgtA.val != 0 || tgtB.val != 0 || idleFrames(d) != 0 {
 			t.Errorf("before the release: counters %d %d, %d idle frames; want 0 0 0",
-				tgtA.Value(), tgtB.Value(), idleFrames(d))
+				tgtA.val, tgtB.val, idleFrames(d))
 		}
 		d.Endpoint(1).SetInterrupts(true)
 		p.Sleep(300)
@@ -59,8 +59,8 @@ func TestDeferredPutsEachLandTheirOwn(t *testing.T) {
 	if !bytes.Equal(dstA, srcA) || !bytes.Equal(dstB, srcB) {
 		t.Errorf("payloads landed as %q and %q", dstA, dstB)
 	}
-	if tgtA.Value() != 1 || tgtB.Value() != 1 {
-		t.Errorf("counters %d and %d, want 1 and 1", tgtA.Value(), tgtB.Value())
+	if tgtA.val != 1 || tgtB.val != 1 {
+		t.Errorf("counters %d and %d, want 1 and 1", tgtA.val, tgtB.val)
 	}
 	if m.Stats.Deferrals != 2 || m.Stats.Interrupts != 2 {
 		t.Errorf("deferrals=%d interrupts=%d, want 2 and 2", m.Stats.Deferrals, m.Stats.Interrupts)
@@ -136,12 +136,12 @@ func TestDeadTargetNeverLands(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if cDeferred.Value() != 0 || cLate.Value() != 0 || !bytes.Equal(dstDeferred, make([]byte, 4)) || !bytes.Equal(dstLate, make([]byte, 4)) {
+	if cDeferred.val != 0 || cLate.val != 0 || !bytes.Equal(dstDeferred, make([]byte, 4)) || !bytes.Equal(dstLate, make([]byte, 4)) {
 		t.Errorf("a put landed at the dead rank: counters %d %d, memory %v %v",
-			cDeferred.Value(), cLate.Value(), dstDeferred, dstLate)
+			cDeferred.val, cLate.val, dstDeferred, dstLate)
 	}
-	if cAlive.Value() != 1 || !bytes.Equal(dstAlive, src) {
-		t.Errorf("the put to the living rank: counter %d, memory %v", cAlive.Value(), dstAlive)
+	if cAlive.val != 1 || !bytes.Equal(dstAlive, src) {
+		t.Errorf("the put to the living rank: counter %d, memory %v", cAlive.val, dstAlive)
 	}
 	if m.Stats.DeadDrops != 1 {
 		t.Errorf("DeadDrops = %d at the end, want 1", m.Stats.DeadDrops)
@@ -174,8 +174,8 @@ func TestPutSpansUnchanged(t *testing.T) {
 		to := d.Endpoint(1)
 		to.Waitcntr(p, tgt, 1)
 		p.Sleep(200)
-		if tgt.Value() != 1 {
-			t.Errorf("the second put has not landed by interrupt: counter %d", tgt.Value())
+		if tgt.val != 1 {
+			t.Errorf("the second put has not landed by interrupt: counter %d", tgt.val)
 		}
 		p.Sleep(200)
 		to.Waitcntr(p, tgt, 2)

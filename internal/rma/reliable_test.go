@@ -63,9 +63,10 @@ func TestReliablePutSuppressesDuplicates(t *testing.T) {
 		ep := d.Endpoint(1)
 		ep.Waitcntr(p, tgt, 1)
 		p.Sleep(500) // stay alive long enough for the duplicate to arrive
-		ep.Probe(p)
-		if tgt.Value() != 0 {
-			t.Errorf("duplicate reached the target counter: value %d, want 0", tgt.Value())
+		ep.drainPending(&p.Task, p.Resume())
+		p.Park()
+		if tgt.val != 0 {
+			t.Errorf("duplicate reached the target counter: value %d, want 0", tgt.val)
 		}
 	})
 	env.Spawn("send", func(p *sim.Proc) {
@@ -120,9 +121,10 @@ func TestEnableReliableIdempotent(t *testing.T) {
 		ep.Waitcntr(p, tgt, 1)
 		d.EnableReliable(0, 0) // re-enable with the duplicate still in flight
 		p.Sleep(500)
-		ep.Probe(p)
-		if tgt.Value() != 0 {
-			t.Errorf("duplicate delivered after re-enable: counter %d, want 0", tgt.Value())
+		ep.drainPending(&p.Task, p.Resume())
+		p.Park()
+		if tgt.val != 0 {
+			t.Errorf("duplicate delivered after re-enable: counter %d, want 0", tgt.val)
 		}
 	})
 	env.Spawn("send", func(p *sim.Proc) {

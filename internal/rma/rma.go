@@ -55,9 +55,6 @@ func (c *Counter) Init(env *sim.Env, initial int) {
 // protocol setup can chain it after NewCounter.
 func (c *Counter) TraceClass(cl trace.Class) *Counter { c.wcl = cl; return c }
 
-// Value returns the current count.
-func (c *Counter) Value() int { return c.val }
-
 // Incr adds n and wakes waiters. The RMA layer calls it on delivery;
 // protocols may also use it directly for locally produced events.
 func (c *Counter) Incr(n int) {
@@ -68,12 +65,6 @@ func (c *Counter) Incr(n int) {
 // DescribeWait implements sim.WaitDescriber for stall reports.
 func (c *Counter) DescribeWait(want int) string {
 	return fmt.Sprintf("rma counter %s: value %d, want >= %d", c.cond.ID(), c.val, want)
-}
-
-// WaitValue is WaitValueT from a process body.
-func (c *Counter) WaitValue(p *sim.Proc, v int) {
-	c.WaitValueT(&p.Task, v, p.Resume())
-	p.Park()
 }
 
 // Endpoint is one task's attachment to the RMA layer.
@@ -230,12 +221,6 @@ func (d *Domain) AllowDeaths() {
 	d.mortal = true
 }
 
-// Dead reports whether the rank has been marked failed.
-func (d *Domain) Dead(rank int) bool { return d.eps[rank].dead }
-
-// Machine returns the underlying machine model.
-func (d *Domain) Machine() *machine.Machine { return d.m }
-
 // NewCounter creates a counter in the domain's environment.
 func (d *Domain) NewCounter(initial int) *Counter { return NewCounter(d.m.Env, initial) }
 
@@ -253,18 +238,9 @@ func (ep *Endpoint) SetInterrupts(on bool) {
 	}
 }
 
-// Interrupts reports the endpoint's interrupt mode.
-func (ep *Endpoint) Interrupts() bool { return ep.interrupts }
-
 // Waitcntr is WaitcntrT from a process body.
 func (ep *Endpoint) Waitcntr(p *sim.Proc, c *Counter, v int) {
 	ep.WaitcntrT(&p.Task, c, v, p.Resume())
-	p.Park()
-}
-
-// Probe is ProbeT from a process body.
-func (ep *Endpoint) Probe(p *sim.Proc) {
-	ep.ProbeT(&p.Task, p.Resume())
 	p.Park()
 }
 
@@ -568,10 +544,6 @@ func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
 	ep.drainPending(t, fr.enter)
 }
 
-// ProbeT gives the dispatcher one progress opportunity without waiting for
-// anything (the equivalent of calling into LAPI without waiting), then runs k.
-func (ep *Endpoint) ProbeT(t *sim.Task, k func()) { ep.drainPending(t, k) }
-
 // putFrame is the pooled continuation frame for PutT: the post-overhead
 // injection step and the loopback copy completion are bound once per frame,
 // so the put fan-outs of a massive-rank run allocate nothing per call.
@@ -668,12 +640,6 @@ func (ep *Endpoint) PutZeroT(t *sim.Task, target *Endpoint, tgt *Counter, k func
 	ep.PutT(t, target, nil, nil, nil, tgt, nil, k)
 }
 
-// AM is AMT from a process body.
-func (ep *Endpoint) AM(p *sim.Proc, target *Endpoint, payload []byte, handler func([]byte)) {
-	ep.AMT(&p.Task, target, payload, handler, p.Resume())
-	p.Park()
-}
-
 // AMT sends an active message: handler runs at the target on arrival (after
 // the header-handler cost), following the same delivery rules as Put. The
 // payload is passed to the handler by reference; handlers must copy what
@@ -760,9 +726,6 @@ type Word struct {
 
 // NewWord allocates an RMW word at the endpoint, initialized to v.
 func (ep *Endpoint) NewWord(v int64) *Word { return &Word{Owner: ep, val: v} }
-
-// Value returns the current contents (for the owner's local inspection).
-func (w *Word) Value() int64 { return w.val }
 
 // Rmw performs an atomic read-modify-write on the remote word (§2.3 lists
 // atomic read-modify-write among LAPI's RMA capabilities). The previous

@@ -23,8 +23,8 @@ func TestCounterWaitcntrSubtracts(t *testing.T) {
 	c := d.NewCounter(0)
 	env.Spawn("w", func(p *sim.Proc) {
 		d.Endpoint(0).Waitcntr(p, c, 2)
-		if c.Value() != 1 {
-			t.Errorf("counter after Waitcntr(2) = %d, want 1", c.Value())
+		if c.val != 1 {
+			t.Errorf("counter after Waitcntr(2) = %d, want 1", c.val)
 		}
 	})
 	env.Spawn("s", func(p *sim.Proc) {
@@ -191,8 +191,8 @@ func TestSetInterruptsReleasesPending(t *testing.T) {
 		p.Sleep(200)
 		d.Endpoint(1).SetInterrupts(true) // operation complete; re-enable (§2.3)
 		p.Sleep(200)
-		if tgt.Value() != 1 {
-			t.Errorf("counter = %d after re-enabling interrupts", tgt.Value())
+		if tgt.val != 1 {
+			t.Errorf("counter = %d after re-enabling interrupts", tgt.val)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -212,9 +212,10 @@ func TestProbeDrainsDeferred(t *testing.T) {
 	})
 	env.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(300)
-		d.Endpoint(1).Probe(p)
-		if tgt.Value() != 1 {
-			t.Errorf("counter after Probe = %d, want 1", tgt.Value())
+		d.Endpoint(1).drainPending(&p.Task, p.Resume())
+		p.Park()
+		if tgt.val != 1 {
+			t.Errorf("counter after draining the deferred delivery = %d, want 1", tgt.val)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -232,8 +233,8 @@ func TestLoopbackPutSameNode(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst, src) || tgt.Value() != 1 {
-		t.Fatalf("loopback failed: dst=%q cntr=%d", dst, tgt.Value())
+	if !bytes.Equal(dst, src) || tgt.val != 1 {
+		t.Fatalf("loopback failed: dst=%q cntr=%d", dst, tgt.val)
 	}
 	if m.Stats.ShmCopies != 1 {
 		t.Fatalf("loopback should use one shm copy, got %d", m.Stats.ShmCopies)
@@ -272,9 +273,10 @@ func TestAMRunsHandlerWithPayload(t *testing.T) {
 	env, m, d := twoNodes(1)
 	var got []byte
 	env.Spawn("send", func(p *sim.Proc) {
-		d.Endpoint(0).AM(p, d.Endpoint(1), []byte("hdr"), func(b []byte) {
+		d.Endpoint(0).AMT(&p.Task, d.Endpoint(1), []byte("hdr"), func(b []byte) {
 			got = append([]byte(nil), b...)
-		})
+		}, p.Resume())
+		p.Park()
 	})
 	env.Spawn("recv", func(p *sim.Proc) {
 		c := d.NewCounter(0)
@@ -295,7 +297,8 @@ func TestAMLoopback(t *testing.T) {
 	env, _, d := twoNodes(2)
 	ran := false
 	env.Spawn("send", func(p *sim.Proc) {
-		d.Endpoint(0).AM(p, d.Endpoint(1), nil, func([]byte) { ran = true })
+		d.Endpoint(0).AMT(&p.Task, d.Endpoint(1), nil, func([]byte) { ran = true }, p.Resume())
+		p.Park()
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -397,7 +400,7 @@ func TestStarvationPenaltyAppliedOnInterruptPath(t *testing.T) {
 			d.Endpoint(0).PutZero(p, d.Endpoint(2), tgt)
 		})
 		env.Spawn("watch", func(p *sim.Proc) {
-			for tgt.Value() == 0 {
+			for tgt.val == 0 {
 				p.Sleep(0.5)
 			}
 			at = p.Now()
@@ -437,7 +440,7 @@ func TestPropManyPutsAllLand(t *testing.T) {
 				return false
 			}
 		}
-		return tgt.Value() == 0
+		return tgt.val == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -459,7 +462,7 @@ func TestPropWaitcntrConservation(t *testing.T) {
 		ok := true
 		env.Spawn("w", func(p *sim.Proc) {
 			d.Endpoint(0).Waitcntr(p, c, total)
-			ok = c.Value() == 0
+			ok = c.val == 0
 		})
 		env.Spawn("i", func(p *sim.Proc) {
 			for _, v := range incs {
@@ -478,15 +481,15 @@ func TestPropWaitcntrConservation(t *testing.T) {
 
 func TestDomainEndpoints(t *testing.T) {
 	_, m, d := twoNodes(3)
-	if d.Machine() != m {
-		t.Fatal("Machine() mismatch")
+	if d.m != m {
+		t.Fatal("machine mismatch")
 	}
 	for r := 0; r < 6; r++ {
 		ep := d.Endpoint(r)
 		if ep.Rank != r || ep.Node != r/3 {
 			t.Fatalf("endpoint %d: rank=%d node=%d", r, ep.Rank, ep.Node)
 		}
-		if !ep.Interrupts() {
+		if !ep.interrupts {
 			t.Fatalf("endpoint %d: interrupts should start enabled", r)
 		}
 	}
@@ -524,8 +527,8 @@ func TestRmwFetchAndAdd(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if prev != 10 || w.Value() != 15 {
-		t.Fatalf("fetch-and-add: prev=%d val=%d", prev, w.Value())
+	if prev != 10 || w.val != 15 {
+		t.Fatalf("fetch-and-add: prev=%d val=%d", prev, w.val)
 	}
 }
 
@@ -537,11 +540,11 @@ func TestRmwSwapAndCAS(t *testing.T) {
 		if prev := ep.Rmw(p, w, Swap, 7, 0); prev != 1 {
 			t.Errorf("swap prev = %d", prev)
 		}
-		if prev := ep.Rmw(p, w, CompareAndSwap, 9, 7); prev != 7 || w.Value() != 9 {
-			t.Errorf("cas hit: prev=%d val=%d", prev, w.Value())
+		if prev := ep.Rmw(p, w, CompareAndSwap, 9, 7); prev != 7 || w.val != 9 {
+			t.Errorf("cas hit: prev=%d val=%d", prev, w.val)
 		}
-		if prev := ep.Rmw(p, w, CompareAndSwap, 0, 7); prev != 9 || w.Value() != 9 {
-			t.Errorf("cas miss: prev=%d val=%d", prev, w.Value())
+		if prev := ep.Rmw(p, w, CompareAndSwap, 0, 7); prev != 9 || w.val != 9 {
+			t.Errorf("cas miss: prev=%d val=%d", prev, w.val)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -558,8 +561,8 @@ func TestRmwLoopbackLocal(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Value() != 3 {
-		t.Fatalf("loopback rmw value = %d", w.Value())
+	if w.val != 3 {
+		t.Fatalf("loopback rmw value = %d", w.val)
 	}
 	if m.Stats.Puts != 0 && m.Stats.Gets != 0 {
 		t.Fatal("loopback rmw should not touch the network")
@@ -589,7 +592,7 @@ func TestPropRmwAtomicity(t *testing.T) {
 		if env.Run() != nil {
 			return false
 		}
-		if w.Value() != int64(n-1) {
+		if w.val != int64(n-1) {
 			return false
 		}
 		seen := make(map[int64]bool)

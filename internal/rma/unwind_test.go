@@ -108,7 +108,7 @@ func TestKillAndInterruptAtEveryParkPoint(t *testing.T) {
 			},
 			hitAt: 5, at: 10,
 			check: func(t *testing.T, w *world) {
-				if w.landed.Value() != 0 {
+				if w.landed.val != 0 {
 					t.Error("the abandoned put landed")
 				}
 			},
@@ -155,8 +155,7 @@ func TestKillAndInterruptAtEveryParkPoint(t *testing.T) {
 				}
 			})
 			// The coroutine the victim ran on serves the next process.
-			var next *sim.Proc
-			w.env.At(pt.at+50, func() { next = w.env.Spawn("next", func(p *sim.Proc) { p.Sleep(1) }) })
+			w.env.At(pt.at+50, func() { w.env.Spawn("next", func(p *sim.Proc) { p.Sleep(1) }) })
 			err := w.env.Run()
 			if kill {
 				ce, ok := err.(*sim.CrashError)
@@ -166,9 +165,9 @@ func TestKillAndInterruptAtEveryParkPoint(t *testing.T) {
 			} else if err != nil || recovered != "revoked" || at != pt.at || after != pt.at+1 {
 				t.Errorf("%s: err=%v, recovered %v at t=%v and went on to t=%v, want \"revoked\" at %v", name, err, recovered, at, after, pt.at)
 			}
-			if deferred != 1 || !victim.Done() || !next.Done() || w.env.Live() != 0 || len(w.env.Blocked()) != 0 {
-				t.Errorf("%s: body defers ran %d times, victim done=%v, next done=%v, live=%d, blocked=%v",
-					name, deferred, victim.Done(), next.Done(), w.env.Live(), w.env.Blocked())
+			if deferred != 1 || w.env.Live() != 0 || len(w.env.Blocked()) != 0 {
+				t.Errorf("%s: body defers ran %d times, live=%d (the victim and the next process done at 0), blocked=%v",
+					name, deferred, w.env.Live(), w.env.Blocked())
 			}
 			if n := runtime.NumGoroutine(); n > goroutines {
 				t.Errorf("%s: %d goroutines before, %d after", name, goroutines, n)

@@ -79,7 +79,8 @@ type Config struct {
 	Verify bool
 
 	// Deadline, when positive, bounds virtual time; a run that has not
-	// completed by then fails instead of deadlocking silently.
+	// completed by then fails with a *fault.StallError instead of
+	// deadlocking silently.
 	Deadline sim.Time
 }
 
@@ -203,7 +204,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if env.Live() > 0 {
-		return nil, fmt.Errorf("scale: %d ranks still running at virtual deadline %v", env.Live(), cfg.Deadline)
+		return nil, fault.Stalled(env, m.Faults)
 	}
 
 	res := &Result{

@@ -51,9 +51,6 @@ func (f *Flag) Init(m *machine.Machine, node int) {
 	f.cond.Init(m.Env)
 }
 
-// Load returns the current value without waiting.
-func (f *Flag) Load() int { return f.val }
-
 // Set stores v. The store itself is free for the setter; spinning waiters
 // observe it after the wake latency.
 func (f *Flag) Set(v int) {
@@ -183,18 +180,8 @@ func NewFlagSet(m *machine.Machine, node, n int) *FlagSet {
 	return &FlagSet{flags: NewFlags(m, node, n)}
 }
 
-// Len returns the number of flags.
-func (fs *FlagSet) Len() int { return len(fs.flags) }
-
 // Flag returns the i-th flag.
 func (fs *FlagSet) Flag(i int) *Flag { return &fs.flags[i] }
-
-// SetAll stores v into every flag.
-func (fs *FlagSet) SetAll(v int) {
-	for i := range fs.flags {
-		fs.flags[i].Set(v)
-	}
-}
 
 // WaitAll spins until every flag except those listed in skip equals v, one
 // flag at a time in index order. The master uses it to wait for all other
@@ -253,12 +240,6 @@ type Segment struct {
 func NewSegment(m *machine.Machine, node, size int) *Segment {
 	return &Segment{m: m, node: node, buf: make([]byte, size)}
 }
-
-// Node returns the hosting node.
-func (s *Segment) Node() int { return s.node }
-
-// Len returns the segment size.
-func (s *Segment) Len() int { return len(s.buf) }
 
 // Bytes exposes the backing storage. Remote memory access (put) targets
 // shared segments through this view; intra-node users should prefer

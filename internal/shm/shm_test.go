@@ -19,8 +19,8 @@ func testMachine(tpn int) (*sim.Env, *machine.Machine) {
 func TestFlagStartsZero(t *testing.T) {
 	_, m := testMachine(2)
 	f := NewFlag(m, 0)
-	if f.Load() != 0 {
-		t.Fatalf("initial flag = %d", f.Load())
+	if f.val != 0 {
+		t.Fatalf("initial flag = %d", f.val)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestFlagMultipleTransitions(t *testing.T) {
 	// Woken by the first store and still short of its value: it parks again.
 	env.Spawn("threshold", func(p *sim.Proc) {
 		f.WaitGE(p, 2)
-		if f.Load() < 2 || p.Now() < 6 {
-			t.Errorf("WaitGE(2) returned at t=%v with the flag at %d", p.Now(), f.Load())
+		if f.val < 2 || p.Now() < 6 {
+			t.Errorf("WaitGE(2) returned at t=%v with the flag at %d", p.Now(), f.val)
 		}
 	})
 	env.Spawn("setter", func(p *sim.Proc) {
@@ -123,7 +123,6 @@ func TestFlagSetWaitsAll(t *testing.T) {
 	env.Spawn("master", func(p *sim.Proc) {
 		fs.WaitAll(p, 1, 0) // skip own slot 0
 		done = p.Now()
-		fs.SetAll(0)
 	})
 	for i := 1; i < 4; i++ {
 		i := i
@@ -144,13 +143,15 @@ func TestFlagSetWaitsAll(t *testing.T) {
 func TestFlagSetLenAndAccess(t *testing.T) {
 	_, m := testMachine(3)
 	fs := NewFlagSet(m, 0, 3)
-	if fs.Len() != 3 {
-		t.Fatalf("Len() = %d", fs.Len())
+	if len(fs.flags) != 3 {
+		t.Fatalf("%d flags", len(fs.flags))
 	}
-	fs.SetAll(7)
 	for i := 0; i < 3; i++ {
-		if fs.Flag(i).Load() != 7 {
-			t.Fatalf("flag %d = %d after SetAll(7)", i, fs.Flag(i).Load())
+		fs.Flag(i).Set(7 + i)
+	}
+	for i := range fs.flags {
+		if fs.flags[i].val != 7+i {
+			t.Fatalf("flag %d = %d after Flag(%d).Set(%d)", i, fs.flags[i].val, i, 7+i)
 		}
 	}
 }
@@ -158,8 +159,8 @@ func TestFlagSetLenAndAccess(t *testing.T) {
 func TestSegmentCopyInOut(t *testing.T) {
 	env, m := testMachine(2)
 	s := NewSegment(m, 0, 64)
-	if s.Len() != 64 || s.Node() != 0 {
-		t.Fatalf("segment meta wrong: len=%d node=%d", s.Len(), s.Node())
+	if len(s.buf) != 64 || s.node != 0 {
+		t.Fatalf("segment meta wrong: len=%d node=%d", len(s.buf), s.node)
 	}
 	src := []byte("shared-memory payload")
 	dst := make([]byte, len(src))

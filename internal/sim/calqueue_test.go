@@ -123,7 +123,7 @@ func TestCalQueueTaskEngineLoadProperty(t *testing.T) {
 			case 0:
 				push(now + Time(5000+rng.Intn(50000)))
 			case 1, 2:
-				push(now) // YieldThen
+				push(now) // SleepThen(0, …)
 			default:
 				push(now + Time(rng.Float64()*25))
 			}

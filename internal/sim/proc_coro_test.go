@@ -42,8 +42,8 @@ func TestCoroutineReusedWhileStaleWakeIsQueued(t *testing.T) {
 		if woke != 11 {
 			t.Errorf("b woke at t=%v, want 11 (the stale wake-up of a must not resume it)", woke)
 		}
-		if !a.Done() || a.co != nil || len(e.idle) != 0 {
-			t.Errorf("after Run: a done=%v co=%p, %d idle coroutines", a.Done(), a.co, len(e.idle))
+		if !a.done || a.co != nil || len(e.idle) != 0 {
+			t.Errorf("after Run: a done=%v co=%p, %d idle coroutines", a.done, a.co, len(e.idle))
 		}
 	})
 }
@@ -63,7 +63,7 @@ func TestCoroutinePoolServesHelpersInTurn(t *testing.T) {
 					done.Trigger()
 				})
 				p.Wait(done)
-				p.Yield() // the helper returns (and idles its coroutine) after Trigger
+				p.Sleep(0) // the helper returns (and idles its coroutine) after Trigger
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -190,8 +190,8 @@ func TestKillAndInterruptInEveryState(t *testing.T) {
 					e.At(st.when, deliver)
 				}
 				err := e.Run()
-				if !p.Done() || p.parked || e.Live() != 0 || len(e.Blocked()) != 0 {
-					t.Errorf("%s kill=%v: done=%v parked=%v live=%d", st.name, kill, p.Done(), p.parked, e.Live())
+				if !p.done || p.parked || e.Live() != 0 || len(e.Blocked()) != 0 {
+					t.Errorf("%s kill=%v: done=%v parked=%v live=%d", st.name, kill, p.done, p.parked, e.Live())
 				}
 				if reused == nil || ran != nil && reused != ran {
 					t.Errorf("%s kill=%v: the next process ran on coroutine %p, the victim on %p", st.name, kill, reused, ran)
@@ -245,7 +245,7 @@ func TestEarlyStopReleasesIdleCoroutines(t *testing.T) {
 		if n := runtime.NumGoroutine(); n != base || len(e.idle) != 0 {
 			t.Errorf("RunUntil(10) returned holding %d goroutines and %d idle coroutines", n-base, len(e.idle))
 		}
-		if err := e.Run(); err != nil || late == nil || !late.Done() {
+		if err := e.Run(); err != nil || late == nil || !late.done {
 			t.Errorf("resumed Run() = %v, late = %v", err, late)
 		}
 	})
@@ -273,8 +273,8 @@ func TestCoroutineGoexitEndsTheDrivingGoroutine(t *testing.T) {
 		if returned {
 			t.Error("Run returned; want the Goexit re-raised on its goroutine")
 		}
-		if !deferred || !quitter.Done() || e.Live() != 0 || len(e.Failures()) != 0 {
-			t.Errorf("deferred=%v done=%v live=%d failures=%v", deferred, quitter.Done(), e.Live(), e.Failures())
+		if !deferred || !quitter.done || e.Live() != 0 || len(e.Failures()) != 0 {
+			t.Errorf("deferred=%v done=%v live=%d failures=%v", deferred, quitter.done, e.Live(), e.Failures())
 		}
 		if len(e.idle) != 0 {
 			t.Errorf("%d idle coroutines survived the unwinding RunUntil", len(e.idle))
@@ -284,7 +284,7 @@ func TestCoroutineGoexitEndsTheDrivingGoroutine(t *testing.T) {
 
 func TestProcRegistrySweepsFinished(t *testing.T) {
 	e := NewEnv()
-	stuck := e.Spawn("stuck", func(p *Proc) { p.Wait(e.NewEvent().Named("never")) })
+	stuck := e.Spawn("stuck", func(p *Proc) { p.Wait(e.NewEvent().NamedBy(fixedLabel("never"))) })
 	e.Spawn("main", func(p *Proc) {
 		for i := 0; i < 1000; i++ {
 			e.SpawnIndexed("h", i, func(h *Proc) {})

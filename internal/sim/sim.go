@@ -294,10 +294,6 @@ func (p *Proc) Sleep(d Time) {
 	p.Park()
 }
 
-// Yield reschedules the process at the current time, letting other
-// already-scheduled work at this timestamp run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // BlockedProc is a snapshot of one process blocked with no scheduled
 // wake-up: its name, when it parked, and what it waits on.
 type BlockedProc struct {
@@ -344,7 +340,7 @@ func (e *Env) nextResNum() int {
 type Event struct {
 	env     *Env
 	num     int          // sequence for the default id
-	label   fmt.Stringer // from Named or NamedBy; nil: the default id
+	label   fmt.Stringer // from NamedBy; nil: the default id
 	done    bool
 	waiters taskList
 }
@@ -352,16 +348,9 @@ type Event struct {
 // NewEvent returns an untriggered event.
 func (e *Env) NewEvent() *Event { return &Event{env: e, num: e.nextResNum()} }
 
-// Named sets a human-readable label used in stall reports and returns ev.
-func (ev *Event) Named(name string) *Event { return ev.NamedBy(fixedLabel(name)) }
-
-// NamedBy is Named for events made on hot paths: the label is formatted only
-// if a report reads it.
+// NamedBy sets the label stall reports name the event by and returns ev: the
+// label is formatted only if a report reads it.
 func (ev *Event) NamedBy(label fmt.Stringer) *Event { ev.label = label; return ev }
-
-type fixedLabel string
-
-func (s fixedLabel) String() string { return string(s) }
 
 // ID returns the event's id or label.
 func (ev *Event) ID() string {
@@ -388,9 +377,6 @@ func (ev *Event) Trigger() {
 	ev.waiters.wakeAll(ev.env)
 }
 
-// TriggerAfter schedules the event to fire d from now.
-func (ev *Event) TriggerAfter(d Time) { ev.env.After(d, ev.Trigger) }
-
 // Wait blocks the process until the event has been triggered.
 func (p *Proc) Wait(ev *Event) {
 	ev.WaitT(&p.Task, p.Resume())
@@ -405,7 +391,7 @@ func (p *Proc) Wait(ev *Event) {
 type Cond struct {
 	env     *Env
 	num     int    // sequence for the default id
-	id      string // label from Named, or cached formatted id
+	id      string // the formatted id, cached
 	waiters taskList
 }
 
@@ -419,9 +405,6 @@ func (e *Env) NewCond() *Cond {
 // Init binds a zero Cond to the environment, drawing its report id exactly
 // as NewCond does.
 func (c *Cond) Init(e *Env) { c.env, c.num = e, e.nextResNum() }
-
-// Named sets a human-readable label used in stall reports and returns c.
-func (c *Cond) Named(name string) *Cond { c.id = name; return c }
 
 // ID returns the condition's id or label.
 func (c *Cond) ID() string {

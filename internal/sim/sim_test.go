@@ -160,7 +160,7 @@ func TestTriggerAfter(t *testing.T) {
 	ev := e.NewEvent()
 	var at Time
 	e.Spawn("p", func(p *Proc) {
-		ev.TriggerAfter(12)
+		e.After(12, ev.Trigger)
 		p.Wait(ev)
 		at = p.Now()
 	})
@@ -276,7 +276,7 @@ func TestYieldLetsSameTimeWorkRun(t *testing.T) {
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Spawn("b", func(p *Proc) { order = append(order, "b") })
@@ -472,14 +472,22 @@ func (wantCredit) DescribeWait(want int) string {
 	return fmt.Sprintf("flow-ctl: want %d credits", want)
 }
 
+// fixedLabel labels an event in stall reports (Event.NamedBy).
+type fixedLabel string
+
+func (s fixedLabel) String() string { return string(s) }
+
+// named labels a condition in stall reports.
+func named(c *Cond, id string) *Cond { c.id = id; return c }
+
 func TestBlockedSnapshot(t *testing.T) {
 	e := NewEnv()
-	cond := e.NewCond().Named("flow-ctl")
+	cond := named(e.NewCond(), "flow-ctl")
 	e.Spawn("b", func(p *Proc) {
 		p.Sleep(2)
 		cond.WaitOn(p, wantCredit{}, 3)
 	})
-	e.Spawn("a", func(p *Proc) { p.Wait(e.NewEvent().Named("never")) })
+	e.Spawn("a", func(p *Proc) { p.Wait(e.NewEvent().NamedBy(fixedLabel("never"))) })
 	if err := e.RunUntil(10); err != nil {
 		// Both waits are hopeless, so the early stop may legitimately
 		// report the deadlock; what matters here is the snapshot below.
@@ -504,7 +512,7 @@ func TestBlockedSnapshot(t *testing.T) {
 
 func TestDeadlockErrorCarriesWaitContext(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent().Named("missing-ack")
+	ev := e.NewEvent().NamedBy(fixedLabel("missing-ack"))
 	e.Spawn("w1", func(p *Proc) { p.Wait(ev) })
 	e.Spawn("w2", func(p *Proc) { p.Wait(ev) })
 	err := e.Run()
@@ -541,7 +549,7 @@ func TestRunUntilNilWhenCallbacksRemain(t *testing.T) {
 
 func TestRunUntilDetectsUnwakeable(t *testing.T) {
 	e := NewEnv()
-	e.Spawn("stuck", func(p *Proc) { p.Wait(e.NewEvent().Named("orphan")) })
+	e.Spawn("stuck", func(p *Proc) { p.Wait(e.NewEvent().NamedBy(fixedLabel("orphan"))) })
 	done := e.Spawn("quick", func(p *Proc) {})
 	e.At(2, func() {}) // keep the queue non-empty past the first early stop
 	if err := e.RunUntil(1); err != nil {

@@ -12,9 +12,9 @@ import "strconv"
 //
 // A Task is written in continuation-passing style. Each step runs to
 // completion inside the event loop and must end in exactly one of three
-// ways: suspend by calling a blocking primitive (SleepThen, YieldThen,
-// Cond.WaitT, Event.WaitT, ...) as its final action, or fall off the end,
-// which finishes the task. Blocking primitives take the continuation to run
+// ways: suspend by calling a blocking primitive (SleepThen, Cond.WaitT,
+// Event.WaitT, ...) as its final action, or fall off the end, which
+// finishes the task. Blocking primitives take the continuation to run
 // on resume; calling one anywhere but the tail of a step is a bug (the rest
 // of the step would run before the wait completes in virtual time).
 //
@@ -162,9 +162,6 @@ func (e *Env) register(t *Task) {
 	e.tasks = append(reg, t)
 }
 
-// Env returns the environment the task runs in.
-func (t *Task) Env() *Env { return t.env }
-
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.env.now }
 
@@ -196,9 +193,6 @@ func (t *Task) Name() string {
 	return t.name
 }
 
-// Done reports whether the task has finished (or died).
-func (t *Task) Done() bool { return t.done }
-
 // SleepThen suspends the task for d virtual time (negative counts as zero)
 // and resumes with k. An active slowdown (Env.SetSlowdown) stretches d. Must
 // be the final action of the current step.
@@ -212,10 +206,6 @@ func (t *Task) SleepThen(d Time, k func()) {
 	t.k = k
 	t.env.push(t.env.now+d, nil, t)
 }
-
-// YieldThen reschedules the task at the current time, letting other
-// already-scheduled work at this timestamp run first, then resumes with k.
-func (t *Task) YieldThen(k func()) { t.SleepThen(0, k) }
 
 // parkOnT suspends the task indefinitely on a waitable; something else must
 // hold a reference and wake it via an Event or Cond. k runs on wake (nil for

@@ -110,7 +110,7 @@ func TestTaskWaitUntilTImmediate(t *testing.T) {
 
 func TestTaskDeadlockReported(t *testing.T) {
 	e := NewEnv()
-	c := e.NewCond().Named("stuck-flag")
+	c := named(e.NewCond(), "stuck-flag")
 	e.SpawnTask("rank", 12, func(tk *Task) {
 		c.WaitT(tk, func() {})
 	})
@@ -222,7 +222,7 @@ func TestTaskNamesLazily(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !tk.Done() {
+	if !tk.done {
 		t.Error("task not done after Run")
 	}
 }
@@ -233,7 +233,7 @@ func TestKillTaskParkedInWaitUntilOnT(t *testing.T) {
 	// later broadcast must not find a stale one (double-unpark would panic
 	// "unblock of task that is not parked").
 	e := NewEnv()
-	c := e.NewCond().Named("pred-flag")
+	c := named(e.NewCond(), "pred-flag")
 	val := 0
 	var tk *Task
 	tk = e.SpawnTask("victim", -1, func(tk *Task) {
@@ -265,7 +265,7 @@ func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 	// and hands control to OnInterrupt; the handler may re-arm a fresh wait on
 	// the same Cond without leaving a duplicate entry behind.
 	e := NewEnv()
-	c := e.NewCond().Named("pred-flag")
+	c := named(e.NewCond(), "pred-flag")
 	val := 0
 	resumed := false
 	var tk *Task

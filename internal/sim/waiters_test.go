@@ -166,7 +166,7 @@ func TestBlockedSortedByNameOnBothEngines(t *testing.T) {
 	// resource ids the Conds drew at creation.
 	report := func(tasks bool) string {
 		e := NewEnv()
-		flags := []*Cond{e.NewCond(), e.NewCond().Named("release")}
+		flags := []*Cond{e.NewCond(), named(e.NewCond(), "release")}
 		for _, n := range []int{7, 10, 2, 31} {
 			on := flags[n%2]
 			if tasks {

@@ -8,11 +8,7 @@ package trace
 // the caller sat blocked in Wait (exposed) and the part that ran behind
 // the caller's own compute (hidden).
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // ReqOverlap is the overlap report for one non-blocking request.
 type ReqOverlap struct {
@@ -79,36 +75,4 @@ func (t *Trace) OverlapReport() []ReqOverlap {
 		return out[a].Group < out[b].Group
 	})
 	return out
-}
-
-// OverlapText renders the per-request overlap report as a deterministic
-// table with a totals line giving the fraction of communication hidden.
-func OverlapText(label string, reqs []ReqOverlap) string {
-	var b strings.Builder
-	if label != "" {
-		fmt.Fprintf(&b, "== %s ==\n", label)
-	}
-	if len(reqs) == 0 {
-		b.WriteString("(no requests)\n")
-		return b.String()
-	}
-	var lifetime, hidden float64
-	for _, r := range reqs {
-		fmt.Fprintf(&b, "rank%-3d %-14s", r.Track, r.Name)
-		if r.Bytes > 0 {
-			fmt.Fprintf(&b, " %8dB", r.Bytes)
-		} else {
-			fmt.Fprintf(&b, " %9s", "")
-		}
-		fmt.Fprintf(&b, "  issued %10.3f  done %10.3f  exposed %10.3f  hidden %10.3f\n",
-			r.Issued, r.End, r.Exposed, r.Hidden)
-		lifetime += r.End - r.Issued
-		hidden += r.Hidden
-	}
-	pct := 0.0
-	if lifetime > 0 {
-		pct = 100 * hidden / lifetime
-	}
-	fmt.Fprintf(&b, "hidden %.3fus of %.3fus request time (%.1f%%)\n", hidden, lifetime, pct)
-	return b.String()
 }

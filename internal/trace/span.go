@@ -30,7 +30,6 @@ const (
 	ClassPutDeliver              // put lifecycle: delivery at the target (poll/interrupt/deferred)
 	ClassPutAck                  // put lifecycle: completion ack flight back to the origin
 	ClassWaitArrive              // blocked on a data-arrival counter (wire latency exposure)
-	ClassWaitAck                 // blocked on a completion/ack counter (ack wait)
 	ClassWaitCredit              // blocked on a buffer-free credit counter (pipeline stall)
 	ClassWaitCntr                // blocked on an unclassified RMA counter
 	ClassWaitFlag                // blocked on a shared-memory flag
@@ -48,7 +47,7 @@ const (
 var classNames = [numClasses]string{
 	"op", "shm:copy", "smp", "chunk:slot",
 	"put:inject", "put:wire", "put:deliver", "put:ack",
-	"wait:arrive", "wait:ack", "wait:credit", "wait:cntr", "wait:flag",
+	"wait:arrive", "wait:credit", "wait:cntr", "wait:flag",
 	"cpu", "skew",
 	"req:issue", "req:op", "req:wait",
 	"detect", "agree", "shrink",

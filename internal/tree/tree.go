@@ -393,17 +393,6 @@ func (t Tree) Height() int {
 	return h
 }
 
-// Leaves returns the vertices with no children.
-func (t Tree) Leaves() []int {
-	var ls []int
-	for v := 0; v < t.N; v++ {
-		if len(t.Children[v]) == 0 {
-			ls = append(ls, v)
-		}
-	}
-	return ls
-}
-
 // Validate checks the structural invariants: a single root with Parent -1,
 // consistent Parent/Children, and every vertex reachable from the root.
 func (t Tree) Validate() error {
@@ -471,19 +460,6 @@ func Log2Ceil(n int) int {
 	return h
 }
 
-// Log2Floor returns floor(log2(n)) for n >= 1; the binomial tree depth.
-// As with Log2Ceil, n <= 0 clamps to 0.
-func Log2Floor(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := 0
-	for 1<<(h+1) <= n {
-		h++
-	}
-	return h
-}
-
 // Embedding is a communication tree embedded into an SMP cluster: an
 // inter-node tree over the per-node master tasks and an intra-node tree on
 // each node (Figure 1).
@@ -525,24 +501,6 @@ func Embed(nodes, tasksPerNode int, interKind, intraKind Kind, root int) Embeddi
 		e.Intra[nd] = New(intraKind, tasksPerNode, local)
 	}
 	return e
-}
-
-// MasterOf returns the master rank of the node hosting the given rank.
-func (e Embedding) MasterOf(rank int) int { return e.Masters[rank/e.TasksPerNode] }
-
-// IsMaster reports whether the rank is its node's master.
-func (e Embedding) IsMaster(rank int) bool { return e.MasterOf(rank) == rank }
-
-// Height returns the embedded tree's total depth: inter-node depth plus
-// the maximum intra-node depth.
-func (e Embedding) Height() int {
-	h := 0
-	for _, t := range e.Intra {
-		if th := t.Height(); th > h {
-			h = th
-		}
-	}
-	return e.Inter.Height() + h
 }
 
 // Rounds returns the one-port completion round of the embedding: the

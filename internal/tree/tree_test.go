@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -26,7 +27,7 @@ func TestBinomialSmall(t *testing.T) {
 func TestBinomialHeightIsLog2Floor(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 64, 100, 128, 255, 256} {
 		tr := New(Binomial, n, 0)
-		if got, want := tr.Height(), Log2Floor(n); got != want {
+		if got, want := tr.Height(), bits.Len(uint(n))-1; got != want {
 			t.Errorf("binomial height(%d) = %d, want %d", n, got, want)
 		}
 	}
@@ -45,15 +46,6 @@ func TestBinomialRoundsIsLog2Ceil(t *testing.T) {
 func TestFlatRounds(t *testing.T) {
 	if got := New(Flat, 5, 0).Rounds(); got != 4 {
 		t.Errorf("flat one-port rounds(5) = %d, want 4", got)
-	}
-}
-
-func TestLog2Floor(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 1, 4: 2, 7: 2, 8: 3, 9: 3, 255: 7, 256: 8}
-	for n, want := range cases {
-		if got := Log2Floor(n); got != want {
-			t.Errorf("Log2Floor(%d) = %d, want %d", n, got, want)
-		}
 	}
 }
 
@@ -134,8 +126,14 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestLeaves(t *testing.T) {
 	tr := New(Binomial, 8, 0)
 	// Odd relative ranks are leaves in a power-of-two binomial tree.
-	if fmt.Sprint(tr.Leaves()) != "[1 3 5 7]" {
-		t.Errorf("leaves = %v", tr.Leaves())
+	var leaves []int
+	for v, kids := range tr.Children {
+		if len(kids) == 0 {
+			leaves = append(leaves, v)
+		}
+	}
+	if fmt.Sprint(leaves) != "[1 3 5 7]" {
+		t.Errorf("leaves = %v", leaves)
 	}
 }
 
@@ -171,14 +169,10 @@ func TestParseKindRoundTrip(t *testing.T) {
 }
 
 func TestLog2DegenerateClamps(t *testing.T) {
-	// PR 8 sweep: before the guard, n <= 0 looped forever (Log2Ceil) or
-	// returned a bogus height; both must clamp to 0.
+	// Before the guard, n <= 0 looped forever; it must clamp to 0.
 	for _, n := range []int{0, -1, -64} {
 		if got := Log2Ceil(n); got != 0 {
 			t.Errorf("Log2Ceil(%d) = %d, want 0", n, got)
-		}
-		if got := Log2Floor(n); got != 0 {
-			t.Errorf("Log2Floor(%d) = %d, want 0", n, got)
 		}
 	}
 }
@@ -357,7 +351,7 @@ func TestEmbedFigure1(t *testing.T) {
 
 func TestEmbedNonMasterRoot(t *testing.T) {
 	e := Embed(4, 4, Binomial, Binomial, 6) // root on node 1, local rank 2
-	if e.MasterOf(6) != 6 || !e.IsMaster(6) {
+	if e.Masters[6/e.TasksPerNode] != 6 {
 		t.Error("root must be the master of its node")
 	}
 	if e.Masters[0] != 0 || e.Masters[2] != 8 {
@@ -369,8 +363,8 @@ func TestEmbedNonMasterRoot(t *testing.T) {
 	if e.Intra[1].Root != 2 {
 		t.Errorf("intra root on root node = %d, want local 2", e.Intra[1].Root)
 	}
-	if !e.IsMaster(0) || e.IsMaster(1) {
-		t.Error("IsMaster wrong for node 0")
+	if m := e.Masters[1/e.TasksPerNode]; m != 0 {
+		t.Errorf("master of rank 1 = %d, want 0", m)
 	}
 }
 

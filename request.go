@@ -211,7 +211,7 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 	h.tr.End(iid)
 	r.prev = st.tail
 	var ht *sim.Task
-	if h.rec.coll.taskForm() != nil {
+	if h.rec.coll.srm != nil {
 		ht = h.rs.env.SpawnTask(st.helperPrefix(h.rank), r.seq, r.onTask)
 	} else {
 		ht = &h.rs.env.SpawnIndexed(st.helperPrefix(h.rank), r.seq, r.onProc).Task

@@ -216,32 +216,17 @@ func (e *RunError) Error() string {
 
 func (e *RunError) Unwrap() error { return e.Cause }
 
-// StallError is returned by Run when a FaultPlan deadline expires with
-// ranks still running: the watchdog report for runs that would otherwise
-// hang (or retransmit) forever.
-type StallError struct {
-	Time    float64       // virtual time the deadline stopped the run
-	Blocked []BlockedProc // parked processes and what they wait on
-	Faults  FaultSummary  // faults injected up to the stall
-}
-
-func (e *StallError) Error() string {
-	s := fmt.Sprintf("srmcoll: run stalled at deadline t=%.3f: %d blocked", e.Time, len(e.Blocked))
-	if e.Faults != (FaultSummary{}) {
-		s += fmt.Sprintf(", faults %s", e.Faults)
-	}
-	for _, b := range e.Blocked {
-		s += fmt.Sprintf("\n  %s: waiting on %s (blocked since t=%.3f)", b.Name, b.Waiting, b.Since)
-	}
-	return s
-}
+// StallError is returned by Run, RunT and ScaleAllreduce when a FaultPlan
+// deadline expires with ranks still running: the watchdog report for runs
+// that would otherwise hang (or retransmit) forever. Its fields are Time,
+// Blocked (parked processes and what they wait on) and Faults (faults
+// injected up to the stall).
+type StallError = fault.StallError
 
 // ErrDeadline is the sentinel matched by errors.Is for every *StallError:
 // the run was cut off by the fault plan's deadline, not by a protocol
 // error of its own.
-var ErrDeadline = errors.New("fault-plan deadline exceeded")
-
-func (e *StallError) Unwrap() error { return ErrDeadline }
+var ErrDeadline = fault.ErrDeadline
 
 // Trace is the deterministic span timeline of one traced run: virtual-time
 // spans per rank (collective roots, SMP phases, waits, copies) plus async
@@ -520,50 +505,22 @@ func (cl *Cluster) newSRM(m *machine.Machine, dom *rma.Domain) *core.SRM {
 	})
 }
 
-// collectiveOps is the operation set shared by SRM and the baselines.
-type collectiveOps interface {
-	Barrier(p *sim.Proc, rank int)
-	Bcast(p *sim.Proc, rank int, buf []byte, root int)
-	Reduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op, root int)
-	Allreduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
-	Gather(p *sim.Proc, rank int, send, recv []byte, root int)
-	Scatter(p *sim.Proc, rank int, send, recv []byte, root int)
-	Allgather(p *sim.Proc, rank int, send, recv []byte)
-	Alltoall(p *sim.Proc, rank int, send, recv []byte)
-	ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
-	Scan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
-	Exscan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
+// collectives is what a communicator holds: the implementation's group over
+// its members, exactly one of the two. SRM's operations are its XT methods, in
+// continuation form (collArgs.start); a baseline's are blocking only
+// (collArgs.invoke).
+type collectives struct {
+	srm  *core.Group
+	base *baseline.Group
 }
 
-// collectives is what a communicator holds: the operations over its members,
-// the way to the same over a subset of them, and the group whose XT methods are
-// the operations in continuation form — nil when they exist blocking only.
-type collectives interface {
-	collectiveOps
-	Subgroup(members []int) collectives
-	taskForm() *core.Group
+// sub returns the same implementation's group over a subset of the members.
+func (c collectives) sub(members []int) collectives {
+	if c.srm != nil {
+		return collectives{srm: c.srm.Sub(members)}
+	}
+	return collectives{base: c.base.Sub(members)}
 }
-
-// srmColl is an SRM task group (the world group for the world
-// communicator): core.Group's own methods are the operations in both forms.
-type srmColl struct{ *core.Group }
-
-func (a srmColl) Subgroup(members []int) collectives { return srmColl{a.Sub(members)} }
-func (a srmColl) taskForm() *core.Group              { return a.Group }
-
-// baselineColl is a baseline operation set — baseline.Coll's world
-// algorithms or a baseline.Group — with the way to its subgroups.
-type baselineColl struct {
-	collectiveOps
-	sub func(members []int) *baseline.Group
-}
-
-func (a baselineColl) Subgroup(members []int) collectives {
-	g := a.sub(members)
-	return baselineColl{g, g.Sub}
-}
-
-func (baselineColl) taskForm() *core.Group { return nil }
 
 // sub returns the record of the communicator over members, carved out of
 // parent. The list is hashed and compared against the records in its bucket,
@@ -575,7 +532,7 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 	if rec != nil && slices.Contains(rec.from, parent) {
 		return rec
 	}
-	coll := parent.coll.Subgroup(members)
+	coll := parent.coll.sub(members)
 	if rec == nil {
 		rec = &commRec{
 			members: slices.Clone(members),
@@ -968,14 +925,13 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	switch impl {
 	case SRM:
 		sm.srm = cl.newSRM(m, dom)
-		coll = srmColl{sm.srm.World()}
+		coll.srm = sm.srm.World()
 	case IBMMPI, MPICHMPI:
 		flavor := baseline.IBM
 		if impl == MPICHMPI {
 			flavor = baseline.MPICH
 		}
-		c := baseline.New(m, flavor)
-		coll = baselineColl{c, c.Group}
+		coll.base = baseline.New(m, flavor)
 	default:
 		return nil, fmt.Errorf("srmcoll: unknown implementation %d", int(impl))
 	}
@@ -1117,11 +1073,7 @@ func (sm *simulation) finish() (*Result, error) {
 			// repair), not a deadline artifact.
 			return nil, env.DeadlockReport()
 		}
-		var sum FaultSummary
-		if inj != nil {
-			sum = inj.Summary()
-		}
-		return nil, &StallError{Time: env.Now(), Blocked: env.Blocked(), Faults: sum}
+		return nil, fault.Stalled(env, inj)
 	}
 	if runErr != nil {
 		return nil, runErr

@@ -1,6 +1,7 @@
 package srmcoll
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -49,5 +50,27 @@ func TestScaleAllreduceRejectsCrashPlan(t *testing.T) {
 	_, err := cl.ScaleAllreduce(ScaleOptions{Bytes: 64})
 	if err == nil || !strings.Contains(err.Error(), "chaos runner") {
 		t.Fatalf("err = %v, want crash-plan rejection", err)
+	}
+}
+
+// A deadline stops ScaleAllreduce the way it stops Run: with a *StallError
+// that names the blocked ranks, the same on either engine.
+func TestScaleAllreduceDeadlineIsStallError(t *testing.T) {
+	cl := mustCluster(t, 4, 4)
+	cl.SetFaultPlan(FaultPlan{Seed: 3, Drop: 0.5, Reliable: true, Deadline: 5})
+	var reports []string
+	for _, engine := range []ScaleEngine{ScaleTasks, ScaleProcs} {
+		_, err := cl.ScaleAllreduce(ScaleOptions{Bytes: 64, Engine: engine})
+		var se *StallError
+		if !errors.As(err, &se) || !errors.Is(err, ErrDeadline) {
+			t.Fatalf("%v: err = %v, want a *StallError matching ErrDeadline", engine, err)
+		}
+		if se.Time > 5 || len(se.Blocked) == 0 {
+			t.Errorf("%v: stalled at t=%v with %d blocked, want t <= 5 and blocked ranks", engine, se.Time, len(se.Blocked))
+		}
+		reports = append(reports, se.Error())
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("the engines stall differently:\n%s\n%s", reports[0], reports[1])
 	}
 }

@@ -19,8 +19,9 @@ package srmcoll
 //
 //   - Suspending: actor.wait, sleep and yield hand the continuation to the
 //     task's primitive, or block on the stack and then call it.
-//   - Dispatching: collArgs.invoke calls the blocking X(p, …), collArgs.start
-//     starts XT(t, …, k).
+//   - Dispatching: collArgs.start starts SRM's XT(t, …, k); an actor with a
+//     stack passes p.Resume() as k and parks (frame.block). A baseline has
+//     the blocking form only, which collArgs.invoke calls.
 //   - Catching a failure declaration around the dispatch: by recover out of
 //     Park, or by the task's OnInterrupt handler (ft_task.go).
 
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"strings"
 
+	"srmcoll/internal/baseline"
 	"srmcoll/internal/check"
 	"srmcoll/internal/core"
 	"srmcoll/internal/sim"
@@ -210,9 +212,9 @@ var collNames = func() (names [collExscan + 1]struct{ op, public, req, issue, wa
 	return names
 }()
 
-// invoke runs the operation from a process and returns when it has completed:
-// the form every implementation has.
-func (a *collArgs) invoke(coll collectiveOps, p *sim.Proc, rank int) {
+// invoke runs a baseline's operation from a process and returns when it has
+// completed.
+func (a *collArgs) invoke(coll *baseline.Group, p *sim.Proc, rank int) {
 	switch a.kind {
 	case collBarrier:
 		coll.Barrier(p, rank)
@@ -239,8 +241,7 @@ func (a *collArgs) invoke(coll collectiveOps, p *sim.Proc, rank int) {
 	}
 }
 
-// start starts the operation on a task; k runs when it has completed: the form
-// SRM has, of which the blocking one is a shim.
+// start starts SRM's operation on a task; k runs when it has completed.
 func (a *collArgs) start(coll *core.Group, t *sim.Task, rank int, k func()) {
 	switch a.kind {
 	case collBarrier:
@@ -327,7 +328,7 @@ func (f *frame) run() {
 	if f.registered {
 		f.arm()
 	}
-	f.start(h.rec.coll.taskForm(), f.t, h.rank, f.finFn)
+	f.start(h.rec.coll.srm, f.t, h.rank, f.finFn)
 }
 
 // fin is the continuation the operation itself receives.
