@@ -407,7 +407,6 @@ func ranks(o *opts, args []string) error {
 	} else {
 		// bcast and barrier are the Task-native collectives through the
 		// public CPS API: one state machine per rank, no goroutine stacks.
-		cl.SetEngine(srmcoll.EngineTasks)
 		res, err := cl.RunT(srmcoll.SRM, func(tc *srmcoll.TComm, done func()) {
 			fin := func(error) { done() } // only fault tolerance hands a collective an error
 			if bufs == nil {

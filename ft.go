@@ -38,8 +38,7 @@ import (
 	"srmcoll/internal/trace"
 )
 
-// FTConfig enables and tunes the fault-tolerance subsystem. Times are
-// simulated microseconds.
+// FTConfig enables the fault-tolerance subsystem.
 type FTConfig struct {
 	// Enabled turns fault tolerance on: collectives return structured
 	// errors instead of hanging when a member rank crashes, and Agree /
@@ -47,28 +46,23 @@ type FTConfig struct {
 	// the crash itself and every timing stays bit-identical to a cluster
 	// that never heard of fault tolerance.
 	Enabled bool
-
-	// HeartbeatPeriod is the interval between heartbeats (default 50).
-	// A crash is noticed at the first beat after it happens.
-	HeartbeatPeriod float64
-
-	// SuspicionTimeout is how long after a missed beat the rank is
-	// declared failed (default 100). Declaration time for a crash at time
-	// t is floor(t/period)*period + period + timeout: the beat at or
-	// before the death went out, the next one is missed.
-	SuspicionTimeout float64
 }
 
-// DefaultFTConfig returns an enabled config with the default detector
-// timing (heartbeat every 50 us, declared failed 100 us after a missed
-// beat).
-func DefaultFTConfig() FTConfig {
-	return FTConfig{Enabled: true, HeartbeatPeriod: 50, SuspicionTimeout: 100}
-}
+// The failure detector's timing, in simulated microseconds. A crash is noticed
+// at the first heartbeat after it happens and declared a suspicion timeout
+// later: a crash at time t is declared at
+// floor(t/period)*period + period + timeout, since the beat at or before the
+// death went out and the next one is missed.
+const (
+	heartbeatPeriod  = 50
+	suspicionTimeout = 100
+)
+
+// DefaultFTConfig returns an enabled config.
+func DefaultFTConfig() FTConfig { return FTConfig{Enabled: true} }
 
 // SetFaultTolerance installs the fault-tolerance configuration for
-// subsequent runs. Zero HeartbeatPeriod / SuspicionTimeout fall back to
-// the defaults (50 / 100).
+// subsequent runs.
 func (cl *Cluster) SetFaultTolerance(cfg FTConfig) { cl.ft = cfg }
 
 // FaultTolerance returns the cluster's current fault-tolerance config.
@@ -166,22 +160,15 @@ type ftState struct {
 	unexpected []sim.ProcFailure // failures that are not plan crashes or their fallout
 }
 
-func newFTState(env *sim.Env, markDead func(int), n int, rs *runState, cfg FTConfig) *ftState {
-	if cfg.HeartbeatPeriod <= 0 {
-		cfg.HeartbeatPeriod = 50
-	}
-	if cfg.SuspicionTimeout <= 0 {
-		cfg.SuspicionTimeout = 100
-	}
-	ft := &ftState{
+func newFTState(env *sim.Env, markDead func(int), n int, rs *runState) *ftState {
+	return &ftState{
 		env:      env,
 		rs:       rs,
 		markDead: markDead,
 		failed:   make([]bool, n),
 		crashed:  make([]bool, n),
-		det:      sim.NewDetector(cfg.HeartbeatPeriod, cfg.SuspicionTimeout),
+		det:      sim.NewDetector(heartbeatPeriod, suspicionTimeout),
 	}
-	return ft
 }
 
 // onFailure is the Env.OnFailure hook: classify each task death as an expected

@@ -18,8 +18,10 @@ import (
 // it bound once; an operation that completes inline is followed immediately
 // by the next, one that suspends returns to the event loop and the
 // continuation picks the queue up again. When the queue is empty the top
-// frame is stepped again. A Proc calls the same thing: Group.X(p, ...) starts
-// Group.XT on the process's Task and parks the body until it completes.
+// frame is stepped again. A Proc calls the same thing: the facade's
+// frame.block (package srmcoll) and the four SRM.Barrier/Bcast/Reduce/Allreduce
+// shims that bench/ calls start Group.XT on the process's Task and park the
+// body until it completes.
 //
 // Because a step returns before its operations have run, a step must obey
 // two rules:

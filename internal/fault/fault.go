@@ -21,6 +21,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -29,8 +30,8 @@ import (
 
 // Plan describes the faults to inject into one run. The zero value injects
 // nothing and leaves every protocol on its default (unreliable,
-// exactly-the-paper) path. Probabilities are in [0, 1]; times are simulated
-// microseconds.
+// exactly-the-paper) path. Probabilities are in [0, 1]; times are finite,
+// non-negative simulated microseconds (Validate holds a plan to both).
 type Plan struct {
 	// Seed drives every probabilistic decision. Two runs with the same
 	// seed, plan, cluster and body are bit-identical.
@@ -129,23 +130,37 @@ func (p Plan) Active() bool {
 		len(p.Crashes) > 0 || p.Reliable || p.Deadline > 0
 }
 
-// Validate reports a plan error, if any. p is the total task count of the
-// cluster the plan will run against.
-func (p Plan) Validate(tasks int) error {
-	probs := []struct {
-		name string
-		v    float64
-	}{
-		{"Drop", p.Drop}, {"Dup", p.Dup}, {"Delay", p.Delay}, {"AckDrop", p.AckDrop},
-	}
-	for _, pr := range probs {
-		if pr.v < 0 || pr.v > 1 {
-			return fmt.Errorf("fault: %s = %g, want [0, 1]", pr.name, pr.v)
+// Validate reports a plan error, if any, against a cluster of tasks tasks on
+// nodes nodes: a probability outside [0, 1], a time that is negative or not
+// finite, a window that ends before it starts, a stall factor below 1, or a
+// rank or node the cluster does not have.
+func (p Plan) Validate(tasks, nodes int) error {
+	for _, f := range [...]field{{"Drop", p.Drop, false}, {"Dup", p.Dup, false}, {"Delay", p.Delay, false},
+		{"AckDrop", p.AckDrop, false}, {"DelayMax", p.DelayMax, true}, {"Deadline", p.Deadline, true},
+		{"AckTimeout", p.AckTimeout, true}, {"BackoffCap", p.BackoffCap, true}} {
+		if why := f.fault(); why != "" {
+			return fmt.Errorf("fault: %s = %g, %s", f.name, f.v, why)
 		}
 	}
 	for i, c := range p.Channels {
 		if c.Src < -1 || c.Src >= tasks || c.Dst < -1 || c.Dst >= tasks {
 			return fmt.Errorf("fault: Channels[%d] ranks (%d, %d) out of range [-1, %d)", i, c.Src, c.Dst, tasks)
+		}
+		for _, f := range [...]field{{"Drop", c.Drop, false}, {"Dup", c.Dup, false}, {"Delay", c.Delay, false}, {"DelayMax", c.DelayMax, true}} {
+			if why := f.fault(); why != "" {
+				return fmt.Errorf("fault: Channels[%d].%s = %g, %s", i, f.name, f.v, why)
+			}
+		}
+	}
+	for i, s := range p.Storms {
+		if s.Node < 0 || s.Node >= nodes {
+			return fmt.Errorf("fault: Storms[%d].Node = %d, want [0, %d)", i, s.Node, nodes)
+		}
+		if why := windowFault(s.From, s.Until); why != "" {
+			return fmt.Errorf("fault: Storms[%d] window [%g, %g) %s", i, s.From, s.Until, why)
+		}
+		if why := timeFault(s.Extra); why != "" {
+			return fmt.Errorf("fault: Storms[%d].Extra = %g, %s", i, s.Extra, why)
 		}
 	}
 	crashed := make(map[int]int, len(p.Crashes))
@@ -153,8 +168,8 @@ func (p Plan) Validate(tasks int) error {
 		if c.Rank < 0 || c.Rank >= tasks {
 			return fmt.Errorf("fault: Crashes[%d].Rank = %d, want [0, %d)", i, c.Rank, tasks)
 		}
-		if c.At < 0 {
-			return fmt.Errorf("fault: Crashes[%d].At = %g, want >= 0", i, c.At)
+		if why := timeFault(c.At); why != "" {
+			return fmt.Errorf("fault: Crashes[%d].At = %g, %s", i, c.At, why)
 		}
 		if j, dup := crashed[c.Rank]; dup {
 			return fmt.Errorf("fault: Crashes[%d] and Crashes[%d] both kill rank %d; a task crashes at most once", j, i, c.Rank)
@@ -165,17 +180,54 @@ func (p Plan) Validate(tasks int) error {
 		if s.Rank < 0 || s.Rank >= tasks {
 			return fmt.Errorf("fault: Stalls[%d].Rank = %d, want [0, %d)", i, s.Rank, tasks)
 		}
-		if s.From < 0 || s.Until < 0 {
-			return fmt.Errorf("fault: Stalls[%d] window [%g, %g) has a negative bound", i, s.From, s.Until)
+		if why := windowFault(s.From, s.Until); why != "" {
+			return fmt.Errorf("fault: Stalls[%d] window [%g, %g) %s", i, s.From, s.Until, why)
 		}
-		if s.Until < s.From {
-			return fmt.Errorf("fault: Stalls[%d] window [%g, %g) ends before it starts", i, s.From, s.Until)
-		}
-		if s.Factor < 1 {
+		if !(s.Factor >= 1) {
 			return fmt.Errorf("fault: Stalls[%d].Factor = %g, want >= 1", i, s.Factor)
 		}
 	}
 	return nil
+}
+
+// field is a number of a plan that Validate checks: a probability, or a time.
+type field struct {
+	name string
+	v    float64
+	time bool
+}
+
+// fault says what is wrong with the field's value — a probability outside
+// [0, 1], NaN included, or a time that is negative, NaN or infinite — and is
+// "" when nothing is.
+func (f field) fault() string {
+	switch {
+	case !f.time && !(f.v >= 0 && f.v <= 1):
+		return "want [0, 1]"
+	case f.time && math.IsInf(f.v, 1):
+		return "want finite"
+	case f.time && !(f.v >= 0):
+		return "want >= 0"
+	}
+	return ""
+}
+
+// timeFault is field.fault for a time.
+func timeFault(v sim.Time) string { return field{v: v, time: true}.fault() }
+
+// windowFault says what is wrong with a window [from, until) — a bound that
+// is not a finite time >= 0, or an end before its start — and is "" when
+// nothing is.
+func windowFault(from, until sim.Time) string {
+	switch {
+	case from < 0 || until < 0:
+		return "has a negative bound"
+	case timeFault(from) != "" || timeFault(until) != "":
+		return "has a bound that is not a finite time"
+	case until < from:
+		return "ends before it starts"
+	}
+	return ""
 }
 
 // Verdict is the injector's decision for one wire transmission.

@@ -106,6 +106,7 @@ func TestStormDelayWindows(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		plan Plan
@@ -125,9 +126,26 @@ func TestValidate(t *testing.T) {
 		{"inverted stall window", Plan{Stalls: []Stall{{Rank: 0, From: 10, Until: 5, Factor: 2}}}, false},
 		{"valid stall window", Plan{Stalls: []Stall{{Rank: 0, From: 5, Until: 10, Factor: 2}}}, true},
 		{"channel rank", Plan{Channels: []ChannelFault{{Src: -2, Dst: 0}}}, false},
+		{"NaN drop", Plan{Drop: nan}, false},
+		{"channel drop>1", Plan{Channels: []ChannelFault{{Src: 0, Dst: 1, Drop: 7}}}, false},
+		{"negative channel dup", Plan{Channels: []ChannelFault{{Src: -1, Dst: -1, Dup: -1}}}, false},
+		{"NaN channel delay max", Plan{Channels: []ChannelFault{{Src: 0, Dst: -1, Delay: 0.5, DelayMax: nan}}}, false},
+		{"valid channel", Plan{Channels: []ChannelFault{{Src: 0, Dst: -1, Drop: 1, Delay: 0.5, DelayMax: 9}}}, true},
+		{"storm node", Plan{Storms: []Storm{{Node: 99, From: 0, Until: 10, Extra: 5}}}, false},
+		{"negative storm extra", Plan{Storms: []Storm{{Node: 1, From: 0, Until: 10, Extra: -50}}}, false},
+		{"inverted storm window", Plan{Storms: []Storm{{Node: 1, From: 10, Until: 5, Extra: 5}}}, false},
+		{"endless storm", Plan{Storms: []Storm{{Node: 1, From: 0, Until: inf, Extra: 5}}}, false},
+		{"valid storm", Plan{Storms: []Storm{{Node: 1, From: 0, Until: 10, Extra: 5}}}, true},
+		{"NaN crash time", Plan{Crashes: []Crash{{Rank: 1, At: nan}}}, false},
+		{"NaN stall factor", Plan{Stalls: []Stall{{Rank: 0, From: 5, Until: 10, Factor: nan}}}, false},
+		{"NaN stall from", Plan{Stalls: []Stall{{Rank: 0, From: nan, Until: 10, Factor: 2}}}, false},
+		{"negative delay max", Plan{Delay: 0.5, DelayMax: -3}, false},
+		{"negative deadline", Plan{Deadline: -1}, false},
+		{"negative ack timeout", Plan{Reliable: true, AckTimeout: -1}, false},
+		{"infinite backoff cap", Plan{Reliable: true, BackoffCap: inf}, false},
 	}
 	for _, c := range cases {
-		err := c.plan.Validate(8)
+		err := c.plan.Validate(8, 2)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
 		}
@@ -147,9 +165,13 @@ func TestValidateErrorsNameTheFault(t *testing.T) {
 			"Stalls[0] window [-1, 5) has a negative bound"},
 		{"inverted stall window", Plan{Stalls: []Stall{{Rank: 0, From: 10, Until: 5, Factor: 2}}},
 			"Stalls[0] window [10, 5) ends before it starts"},
+		{"storm node", Plan{Storms: []Storm{{Node: 99, From: 0, Until: 10}}}, "Storms[0].Node = 99, want [0, 2)"},
+		{"channel drop", Plan{Channels: []ChannelFault{{Src: 0, Dst: 1, Drop: 7}}}, "Channels[0].Drop = 7, want [0, 1]"},
+		{"NaN stall factor", Plan{Stalls: []Stall{{Rank: 0, Factor: math.NaN()}}}, "Stalls[0].Factor = NaN, want >= 1"},
+		{"infinite backoff cap", Plan{BackoffCap: math.Inf(1)}, "BackoffCap = +Inf, want finite"},
 	}
 	for _, c := range cases {
-		err := c.plan.Validate(8)
+		err := c.plan.Validate(8, 2)
 		if err == nil {
 			t.Errorf("%s: Validate accepted a bad plan", c.name)
 			continue
@@ -170,7 +192,7 @@ func TestMultiFaultPlanCounters(t *testing.T) {
 		Stalls:  []Stall{{Rank: 1, From: 0, Until: 50, Factor: 2}},
 		Crashes: []Crash{{Rank: 2, At: 25}},
 	}
-	if err := plan.Validate(4); err != nil {
+	if err := plan.Validate(4, 2); err != nil {
 		t.Fatal(err)
 	}
 	drive := func() Summary {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestTasksEngineAllocGuard is the CPS-garbage regression guard: it pins the
-// host allocations per simulator event for a Tasks-engine run. The state
+// host allocations per simulator event of a run. The state
 // machines and pooled continuation frames brought the steady-state figure
 // from ~4.4 allocs/event (closure-per-step CPS, commit 730ec74) down to
 // ~2.9 at a million ranks; single-object flags and counters and one-value
@@ -28,7 +28,6 @@ func TestTasksEngineAllocGuard(t *testing.T) {
 		Machine: machine.ColonySP(2048, 8), // 16,384 ranks
 		Bytes:   64,
 		Reps:    2,
-		Engine:  Tasks,
 	}
 	// Warm-up run: populates the frame pools and the scheduler free lists so
 	// the measured run sees steady-state behavior.

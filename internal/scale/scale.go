@@ -1,15 +1,12 @@
 // Package scale is the massive-rank allreduce core: an SMP-aware binomial
 // tree (shared-memory combine inside each node, RMA put/counter flow control
-// between node masters, §2 of the paper) expressed twice over the simulator's
-// two execution engines.
-//
-// The Procs engine runs one goroutine per rank — the reference semantics the
-// rest of the repository uses. The Tasks engine runs the identical protocol
-// as resumable state machines stepped directly by the event loop: a parked
-// rank is a small struct, not a stack, which is what makes 64k+ ranks cheap.
-// Both bodies issue the same primitive schedule call for call, so simulated
-// time, per-rank finish times, and the whole statistics block are
-// bit-identical between engines — the equivalence tests assert exactly that.
+// between node masters, §2 of the paper) whose ranks are resumable state
+// machines stepped directly by the event loop. A parked rank is a small
+// struct, not a stack, which is what makes 64k+ ranks cheap. The package's
+// tests hold the state machine to a straight-line transcription of the same
+// protocol on coroutine-backed ranks: the two issue the same primitive
+// schedule call for call, so simulated time, per-rank finish times, and the
+// whole statistics block are bit-identical.
 //
 // The per-repetition protocol, for payload n on each rank:
 //
@@ -42,24 +39,11 @@ import (
 	"srmcoll/internal/trace"
 )
 
-// Engine selects how ranks execute.
+// Deprecated: Engine selects nothing; every rank is a state machine.
 type Engine int
 
-const (
-	// Tasks steps each rank as a resumable state machine on the event
-	// loop — the scale engine, and the default.
-	Tasks Engine = iota
-	// Procs runs each rank as a goroutine process — the conformance
-	// reference shared with the rest of the repository.
-	Procs
-)
-
-func (e Engine) String() string {
-	if e == Procs {
-		return "procs"
-	}
-	return "tasks"
-}
+// Deprecated: Tasks selects nothing; see Engine.
+const Tasks Engine = 0
 
 // Config describes one scale-allreduce run. Payloads are int64 vectors
 // combined with sum, so results are exact and independent of combine order.
@@ -67,21 +51,20 @@ type Config struct {
 	Machine machine.Config
 	Bytes   int // payload bytes per rank; rounded up to a multiple of 8
 	Reps    int // back-to-back repetitions (pipelined by the credit protocol)
-	Engine  Engine
+
+	// Deprecated: Engine selects nothing; see the Engine type.
+	Engine Engine
 
 	// Faults optionally injects wire-level faults (channel drops/dups/delays,
-	// interrupt storms; set Reliable for the ack/retransmit protocol).
-	// Crash and stall scenarios need the chaos runner in package srmcoll.
+	// interrupt storms; set Reliable for the ack/retransmit protocol), and
+	// its Deadline bounds virtual time: a run that has not completed by then
+	// fails with a *fault.StallError instead of deadlocking silently. Crash
+	// and stall scenarios need the chaos runner in package srmcoll.
 	Faults *fault.Plan
 
 	// Verify checks every rank's result vector against the exact expected
 	// sum after the run. It costs host time proportional to P·Bytes.
 	Verify bool
-
-	// Deadline, when positive, bounds virtual time; a run that has not
-	// completed by then fails with a *fault.StallError instead of
-	// deadlocking silently.
-	Deadline sim.Time
 }
 
 // Result is the outcome of a run.
@@ -127,7 +110,7 @@ type nodeState struct {
 	bArr     *rma.Counter // broadcast arrival counter (non-root)
 }
 
-// run carries everything shared by the per-rank bodies of both engines.
+// run carries everything the rank bodies share.
 type run struct {
 	cfg     Config
 	n       int // payload bytes, multiple of 8
@@ -138,11 +121,15 @@ type run struct {
 	recv    [][]byte
 	perRank []sim.Time
 	proto   int64
-	sms     []rankSM // Tasks engine: per-rank state-machine frames, one slab
+	sms     []rankSM // per-rank state-machine frames, one slab
 }
 
 // Run executes one scale allreduce and returns its result.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return runWith(cfg, (*run).spawnTasks) }
+
+// runWith is Run with the step that starts the ranks: set-up, the deadline and
+// verification are the same whatever runs them.
+func runWith(cfg Config, spawn func(*run)) (*Result, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
@@ -154,13 +141,15 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Reps = 1
 	}
 	P := cfg.Machine.P()
+	var deadline sim.Time
 	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(P); err != nil {
+		if err := cfg.Faults.Validate(P, cfg.Machine.Nodes); err != nil {
 			return nil, err
 		}
 		if len(cfg.Faults.Crashes) > 0 || len(cfg.Faults.Stalls) > 0 {
 			return nil, fmt.Errorf("scale: crash/stall faults need the chaos runner (srmcoll.Cluster); the scale core takes channel faults and storms only")
 		}
+		deadline = cfg.Faults.Deadline
 	}
 
 	env := sim.NewEnv()
@@ -175,28 +164,11 @@ func Run(cfg Config) (*Result, error) {
 
 	r := &run{cfg: cfg, n: cfg.Bytes, m: m, dom: dom, perRank: make([]sim.Time, P)}
 	r.build()
-
-	switch cfg.Engine {
-	case Procs:
-		for rank := 0; rank < P; rank++ {
-			rank := rank
-			env.SpawnIndexed("rank", rank, func(p *sim.Proc) { r.rankProc(p, rank) })
-		}
-	default:
-		// One slab for every rank's continuation frame: a million ranks is
-		// one allocation, and each frame's state machine reuses its single
-		// stored continuation across all repetitions. The start function is
-		// shared too — the task's own index recovers the rank.
-		r.sms = make([]rankSM, P)
-		body := func(t *sim.Task) { r.rankTask(t, t.Num()) }
-		for rank := 0; rank < P; rank++ {
-			env.SpawnTask("rank", rank, body)
-		}
-	}
+	spawn(r)
 
 	var err error
-	if cfg.Deadline > 0 {
-		err = env.RunUntil(cfg.Deadline)
+	if deadline > 0 {
+		err = env.RunUntil(deadline)
 	} else {
 		err = env.Run()
 	}
@@ -226,10 +198,23 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// spawnTasks starts every rank as a plain task. One slab holds every rank's
+// continuation frame: a million ranks is one allocation, and each frame's
+// state machine reuses its single stored continuation across all repetitions.
+// The start function is shared too — the task's own index recovers the rank.
+func (r *run) spawnTasks() {
+	P := r.m.P()
+	r.sms = make([]rankSM, P)
+	body := func(t *sim.Task) { r.rankTask(t, t.Num()) }
+	for rank := 0; rank < P; rank++ {
+		r.m.Env.SpawnTask("rank", rank, body)
+	}
+}
+
 // build allocates the topology, shared-memory regions, per-edge counters,
-// and the deterministic input vectors. It is engine-independent, so resource
-// creation order — and with it every condition-variable id — is identical
-// across engines.
+// and the deterministic input vectors. It runs before any rank is started, so
+// resource creation order — and with it every condition-variable id — does
+// not depend on how the ranks run.
 func (r *run) build() {
 	m, n := r.m, r.n
 	nn := m.Cfg.Nodes

@@ -8,13 +8,12 @@ import (
 )
 
 // TestTasksEngineCISmoke16k is the always-on large-rank gate: 16,384 verified
-// ranks on the state-machine engine in well under a second of host time.
+// ranks as state machines in well under a second of host time.
 func TestTasksEngineCISmoke16k(t *testing.T) {
 	res, err := Run(Config{
 		Machine: machine.ColonySP(2048, 8),
 		Bytes:   64,
 		Reps:    1,
-		Engine:  Tasks,
 		Verify:  true,
 	})
 	if err != nil {
@@ -29,7 +28,7 @@ func TestTasksEngineCISmoke16k(t *testing.T) {
 }
 
 // TestTasksEngineMillionRanks runs the full 1,048,576-rank verified
-// allreduce — the scale target of the Tasks engine. A parked rank is a
+// allreduce — the scale target of the state-machine ranks. A parked rank is a
 // state-machine frame in one slab, not a goroutine stack, which is what
 // keeps both wall time and memory CI-able at this scale. Skipped under
 // -short; the CI scale job runs it explicitly.
@@ -41,7 +40,6 @@ func TestTasksEngineMillionRanks(t *testing.T) {
 		Machine: machine.ColonySP(131072, 8),
 		Bytes:   8,
 		Reps:    1,
-		Engine:  Tasks,
 		Verify:  true,
 	})
 	if err != nil {

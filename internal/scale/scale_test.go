@@ -8,94 +8,13 @@ import (
 	"srmcoll/internal/machine"
 )
 
-// runBoth executes the same configuration under both engines and asserts the
-// acceptance criterion of the two-engine design: simulated time, every
-// per-rank finish time, and the whole machine statistics block bit-identical.
-func runBoth(t *testing.T, cfg Config) (*Result, *Result) {
-	t.Helper()
-	cfg.Engine = Procs
-	pr, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("procs engine: %v", err)
-	}
-	cfg.Engine = Tasks
-	tr, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("tasks engine: %v", err)
-	}
-	if pr.Time != tr.Time {
-		t.Errorf("completion time: procs %v, tasks %v", pr.Time, tr.Time)
-	}
-	for rank := range pr.PerRank {
-		if pr.PerRank[rank] != tr.PerRank[rank] {
-			t.Errorf("rank %d finish: procs %v, tasks %v", rank, pr.PerRank[rank], tr.PerRank[rank])
-			break
-		}
-	}
-	if pr.Stats != tr.Stats {
-		t.Errorf("stats diverge:\n procs %+v\n tasks %+v", pr.Stats, tr.Stats)
-	}
-	return pr, tr
-}
-
-func TestEngineEquivalence(t *testing.T) {
-	cases := []struct {
-		name        string
-		nodes, tpn  int
-		bytes, reps int
-	}{
-		{"4x8", 4, 8, 256, 2},
-		{"32x8", 32, 8, 512, 1},
-		{"64x16_pipelined", 64, 16, 128, 3},
-		{"flat_no_smp", 16, 1, 64, 2},
-		{"single_node_smp_only", 1, 8, 1024, 2},
-		{"non_power_of_two", 13, 3, 200, 2},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			runBoth(t, Config{
-				Machine: machine.ColonySP(tc.nodes, tc.tpn),
-				Bytes:   tc.bytes,
-				Reps:    tc.reps,
-				Verify:  true,
-			})
-		})
-	}
-}
-
-func TestEngineEquivalenceUnderFaults(t *testing.T) {
-	// Channel drops and duplicates under the reliable ack/retransmit
-	// protocol, plus an interrupt storm: the wire machinery is shared
-	// callback code, so the engines must still agree bit for bit.
-	plan := &fault.Plan{
-		Seed:     7,
-		Drop:     0.08,
-		Dup:      0.05,
-		AckDrop:  0.05,
-		Reliable: true,
-		Storms:   []fault.Storm{{Node: 1, From: 20, Until: 600, Extra: 9}},
-	}
-	pr, _ := runBoth(t, Config{
-		Machine: machine.ColonySP(8, 4),
-		Bytes:   256,
-		Reps:    2,
-		Faults:  plan,
-		Verify:  true,
-	})
-	if pr.Stats.Drops == 0 || pr.Stats.Retries == 0 {
-		t.Errorf("fault plan took no effect: %+v", pr.Stats)
-	}
-}
-
 func TestTasksEngineMidScale(t *testing.T) {
-	// 4,096 ranks on the state-machine engine with verified data — the
+	// 4,096 ranks with verified data — the
 	// shape the CI large-rank smoke job runs as a binary.
 	res, err := Run(Config{
 		Machine: machine.ColonySP(512, 8),
 		Bytes:   64,
 		Reps:    1,
-		Engine:  Tasks,
 		Verify:  true,
 	})
 	if err != nil {

@@ -6,18 +6,18 @@ import (
 	"srmcoll/internal/sim"
 )
 
-// rankSM is one rank's allreduce protocol as an explicit state machine: the
-// continuation frame of rankProc, held in a struct instead of a goroutine
-// stack or a chain of per-repetition closures. All machines live in one slab
+// rankSM is one rank's allreduce protocol as an explicit state machine: its
+// continuation frame, held in a struct instead of a goroutine stack or a chain
+// of per-repetition closures. All machines live in one slab
 // (run.sms) allocated before spawning, and each machine hands the simulator
 // the same stored continuation — sm.step, bound once — for every suspension,
 // so the steady state allocates nothing per repetition: the loop indices (k,
 // i, ci) advance in place and sm.state says where to resume.
 //
 // The schedule of sleeps, waits, copies, and puts is the same call for call
-// as rankProc's — which is what keeps the two engines' virtual time
-// bit-identical (asserted by the equivalence tests). Any change here must be
-// mirrored in proc.go and vice versa.
+// as that of the straight-line oracle in the package's tests (rankProc), which
+// is what keeps their virtual time bit-identical; the equivalence tests fail
+// when the two differ.
 type rankSM struct {
 	r     *run
 	t     *sim.Task
@@ -139,7 +139,7 @@ func (sm *rankSM) workerRep() {
 }
 
 // masterRep is a master's repetition head: load the accumulator, then walk
-// the four phases rankProc documents.
+// the four phases the package documents.
 func (sm *rankSM) masterRep() {
 	if sm.k > sm.reps {
 		sm.finish()
@@ -195,14 +195,14 @@ func (sm *rankSM) down() {
 }
 
 // combine charges the combine time for one slot; the fold itself runs when
-// the sleep resumes into next (same order as rankProc's combine).
+// the sleep resumes into next.
 func (sm *rankSM) combine(src []byte, next uint8) {
 	sm.combineSrc = src
 	sm.state = next
 	sm.t.SleepThen(sm.r.m.CombineTime(len(src)), sm.step)
 }
 
-// fold performs the deferred combine: same stats, same fold as rankProc.
+// fold performs the deferred combine.
 func (sm *rankSM) fold() {
 	src := sm.combineSrc
 	sm.combineSrc = nil
@@ -212,8 +212,8 @@ func (sm *rankSM) fold() {
 
 func (sm *rankSM) finish() { sm.r.perRank[sm.rank] = sm.t.Now() }
 
-// rankTask is the state-machine-engine rank body: it initializes this rank's
-// frame in the preallocated slab and runs to the first suspension.
+// rankTask is the rank body: it initializes this rank's frame in the
+// preallocated slab and runs to the first suspension.
 func (r *run) rankTask(t *sim.Task, rank int) {
 	sm := &r.sms[rank]
 	sm.r = r
@@ -233,7 +233,8 @@ func (r *run) rankTask(t *sim.Task, rank int) {
 		return
 	}
 	// Masters drive the inter-node protocol with interrupts off (§2.3's
-	// small-message regime), exactly as rankProc does.
+	// small-message regime): arriving puts are polled while the master waits
+	// on a counter, and deferred ones drain at its next RMA call.
 	sm.ep.SetInterrupts(false)
 	if sm.ns.parent >= 0 {
 		sm.ps = r.nodes[sm.ns.parent]

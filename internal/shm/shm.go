@@ -243,7 +243,7 @@ func NewSegment(m *machine.Machine, node, size int) *Segment {
 
 // Bytes exposes the backing storage. Remote memory access (put) targets
 // shared segments through this view; intra-node users should prefer
-// CopyIn/CopyOut so copy time is charged.
+// CopyInT/CopyOutT so copy time is charged.
 func (s *Segment) Bytes() []byte { return s.buf }
 
 // Slice returns the sub-range [off, off+n) of the segment.
@@ -252,18 +252,6 @@ func (s *Segment) Slice(off, n int) []byte {
 		panic(fmt.Sprintf("shm: slice [%d,%d) out of segment of %d bytes", off, off+n, len(s.buf)))
 	}
 	return s.buf[off : off+n]
-}
-
-// CopyIn is CopyInT from a process body.
-func (s *Segment) CopyIn(p *sim.Proc, off int, src []byte) {
-	s.CopyInT(&p.Task, off, src, p.Resume())
-	p.Park()
-}
-
-// CopyOut is CopyOutT from a process body.
-func (s *Segment) CopyOut(p *sim.Proc, dst []byte, off int) {
-	s.CopyOutT(&p.Task, dst, off, p.Resume())
-	p.Park()
 }
 
 // CopyInT copies src into the segment at off, charging contended copy time,

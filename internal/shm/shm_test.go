@@ -165,8 +165,10 @@ func TestSegmentCopyInOut(t *testing.T) {
 	src := []byte("shared-memory payload")
 	dst := make([]byte, len(src))
 	env.Spawn("t", func(p *sim.Proc) {
-		s.CopyIn(p, 5, src)
-		s.CopyOut(p, dst, 5)
+		s.CopyInT(&p.Task, 5, src, p.Resume())
+		p.Park()
+		s.CopyOutT(&p.Task, dst, 5, p.Resume())
+		p.Park()
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -197,7 +199,7 @@ func TestSegmentSliceBounds(t *testing.T) {
 	}
 }
 
-// Property: CopyIn then CopyOut at any valid offset restores the data.
+// Property: CopyInT then CopyOutT at any valid offset restores the data.
 func TestPropSegmentRoundTrip(t *testing.T) {
 	f := func(data []byte, off uint8) bool {
 		if len(data) == 0 {
@@ -209,8 +211,10 @@ func TestPropSegmentRoundTrip(t *testing.T) {
 		out := make([]byte, len(data))
 		ok := true
 		env.Spawn("t", func(p *sim.Proc) {
-			s.CopyIn(p, int(off), data)
-			s.CopyOut(p, out, int(off))
+			s.CopyInT(&p.Task, int(off), data, p.Resume())
+			p.Park()
+			s.CopyOutT(&p.Task, out, int(off), p.Resume())
+			p.Park()
 			ok = bytes.Equal(out, data)
 		})
 		return env.Run() == nil && ok

@@ -260,7 +260,6 @@ type Cluster struct {
 	ft      FTConfig
 	tracing bool
 	tuned   *TuneTable
-	engine  Engine // RunT execution engine (EngineProcs default)
 }
 
 // NewCluster validates the configuration and returns a cluster handle.
@@ -360,25 +359,21 @@ func (cl *Cluster) Tracing() bool { return cl.tracing }
 // Config returns the cluster configuration.
 func (cl *Cluster) Config() Config { return cl.cfg }
 
-// ScaleEngine selects the execution engine for ScaleAllreduce.
+// Deprecated: ScaleEngine selects nothing; every rank of ScaleAllreduce is a
+// state machine on the event loop.
 type ScaleEngine = scale.Engine
 
-const (
-	// ScaleTasks steps each rank as a resumable state machine on the event
-	// loop — the massive-rank engine, and the default.
-	ScaleTasks = scale.Tasks
-	// ScaleProcs runs each rank as a goroutine process, the conformance
-	// reference; it is bit-identical to ScaleTasks but costs a goroutine
-	// and stack per rank.
-	ScaleProcs = scale.Procs
-)
+// Deprecated: ScaleTasks selects nothing; see ScaleEngine.
+const ScaleTasks = scale.Tasks
 
 // ScaleOptions configures one ScaleAllreduce run.
 type ScaleOptions struct {
-	Bytes  int         // payload bytes per rank (int64 sum; rounded up to 8)
-	Reps   int         // back-to-back repetitions, pipelined by the protocol
-	Engine ScaleEngine // ScaleTasks (default) or ScaleProcs
-	Verify bool        // check every rank's result against the exact sum
+	Bytes  int  // payload bytes per rank (int64 sum; rounded up to 8)
+	Reps   int  // back-to-back repetitions, pipelined by the protocol
+	Verify bool // check every rank's result against the exact sum
+
+	// Deprecated: Engine selects nothing; see ScaleEngine.
+	Engine ScaleEngine
 }
 
 // ScaleResult reports a ScaleAllreduce run: virtual time, per-rank finish
@@ -387,26 +382,20 @@ type ScaleResult = scale.Result
 
 // ScaleAllreduce runs the massive-rank allreduce core — an SMP-aware
 // binomial tree with credit-based pipelining (see internal/scale) — on this
-// cluster's machine configuration. Unlike Run it does not spawn goroutine
-// ranks by default: the Tasks engine drives every rank as a state machine
-// on the event loop, so 64k+ ranks complete in seconds of wall clock. The
-// cluster's fault plan applies as far as the scale core supports it
-// (channel faults, storms, reliable delivery); crash and stall scenarios
-// need the full chaos runner in Run and are rejected here.
+// cluster's machine configuration. Unlike Run it spawns no goroutine: every
+// rank is a state machine on the event loop, so 64k+ ranks complete in
+// seconds of wall clock. The cluster's fault plan applies as far as the scale
+// core supports it (channel faults, storms, reliable delivery, the deadline);
+// crash and stall scenarios need the full chaos runner in Run and are
+// rejected here. Like Run, it validates the plan first, active or not.
 func (cl *Cluster) ScaleAllreduce(opt ScaleOptions) (*ScaleResult, error) {
-	var plan *fault.Plan
-	if cl.faults.Active() || cl.faults.Reliable {
-		p := cl.faults
-		plan = &p
-	}
+	plan := cl.faults
 	return scale.Run(scale.Config{
-		Machine:  cl.cfg,
-		Bytes:    opt.Bytes,
-		Reps:     opt.Reps,
-		Engine:   opt.Engine,
-		Faults:   plan,
-		Verify:   opt.Verify,
-		Deadline: cl.faults.Deadline,
+		Machine: cl.cfg,
+		Bytes:   opt.Bytes,
+		Reps:    opt.Reps,
+		Faults:  &plan,
+		Verify:  opt.Verify,
 	})
 }
 
@@ -794,14 +783,14 @@ func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
 // Once runs have allocated 16 MiB or more between them, the one that crosses
 // the line ends with a garbage collection; see settle.
 func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
-	return cl.simulate(impl, EngineProcs, func(sm *simulation) { sm.spawnProcs(body) })
+	return cl.simulate(impl, func(sm *simulation) { sm.spawnProcs(body) })
 }
 
-// simulate is Run and RunT: one simulation of the cluster on the given engine,
-// its ranks started by spawn, then settled with what it allocated.
-func (cl *Cluster) simulate(impl Impl, engine Engine, spawn func(*simulation)) (*Result, error) {
+// simulate is Run and RunT: one simulation of the cluster, its ranks started
+// by spawn, then settled with what it allocated.
+func (cl *Cluster) simulate(impl Impl, spawn func(*simulation)) (*Result, error) {
 	before, _ := heapCounters()
-	res, err := cl.run(impl, engine, spawn)
+	res, err := cl.run(impl, spawn)
 	after, cycles := heapCounters()
 	settle(after-before, cycles)
 	return res, err
@@ -873,8 +862,8 @@ func settle(allocated, cycles uint64) {
 
 // run is one simulation without the settling, apart so that no frame of it is
 // on the stack when settle collects.
-func (cl *Cluster) run(impl Impl, engine Engine, spawn func(*simulation)) (*Result, error) {
-	sm, err := cl.prepare(impl, engine)
+func (cl *Cluster) run(impl Impl, spawn func(*simulation)) (*Result, error) {
+	sm, err := cl.prepare(impl)
 	if err != nil {
 		return nil, err
 	}
@@ -883,7 +872,7 @@ func (cl *Cluster) run(impl Impl, engine Engine, spawn func(*simulation)) (*Resu
 }
 
 // simulation is one run between prepare and outcome: what Run and RunT set up
-// alike, whichever engine then spawns the ranks.
+// alike, whichever form of body then spawns the ranks.
 type simulation struct {
 	cl  *Cluster
 	m   *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
@@ -893,21 +882,17 @@ type simulation struct {
 	res *Result
 }
 
-// prepare validates the plan against the engine and builds a fresh simulation
-// of the cluster up to the point where the ranks are spawned: machine, fault
-// injector, RMA domain, the implementation's world group, trace, run state,
-// fault tolerance, the scheduled faults, the ranks' handles and the payload
-// memory.
-func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
-	if engine == EngineTasks && impl != SRM {
-		return nil, fmt.Errorf("srmcoll: the Tasks engine supports only the SRM implementation (got %s); use EngineProcs for baselines", impl)
-	}
+// prepare validates the plan and builds a fresh simulation of the cluster up to
+// the point where the ranks are spawned: machine, fault injector, RMA domain,
+// the implementation's world group, trace, run state, fault tolerance, the
+// scheduled faults, the ranks' handles and the payload memory.
+func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 	if cl.ft.Enabled && impl != SRM {
 		// A message-passing baseline cannot abandon an operation: the messages
 		// of the one a declaration interrupted would match the retry's.
 		return nil, fmt.Errorf("srmcoll: fault tolerance supports only the SRM implementation (got %s)", impl)
 	}
-	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
+	if err := cl.faults.Validate(cl.cfg.P(), cl.cfg.Nodes); err != nil {
 		return nil, err
 	}
 	env := sim.NewEnv()
@@ -944,7 +929,7 @@ func (cl *Cluster) prepare(impl Impl, engine Engine) (*simulation, error) {
 	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	if cl.ft.Enabled {
 		dom.AllowDeaths()
-		ft := newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
+		ft := newFTState(env, dom.MarkDead, m.P(), rs)
 		rs.ft = ft
 		env.OnFailure = ft.onFailure
 	}

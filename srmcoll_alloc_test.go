@@ -26,7 +26,7 @@ func mallocsOf(fn func()) uint64 {
 	return best
 }
 
-// TestRunTAllocsPerRank holds a Task-engine run to what it allocates per rank
+// TestRunTAllocsPerRank holds a RunT run to what it allocates per rank
 // now that its records come out of run-scoped slabs and chunks: the benchmark's
 // rank_ladder body — bcast, allreduce, barrier on 64-byte payloads, eight tasks
 // a node — at 4,096 and at 16,384 ranks. The collector's own pacing is off, so
@@ -51,7 +51,6 @@ func TestRunTAllocsPerRank(t *testing.T) {
 	var perRank []float64
 	for _, ranks := range []int{4096, 16384} {
 		cl := mustCluster(t, ranks/8, 8)
-		cl.SetEngine(EngineTasks)
 		send, buf, recv := make([]byte, ranks*bytes), make([]byte, ranks*bytes), make([]byte, ranks*bytes)
 		row := func(b []byte, r int) []byte { return b[r*bytes : (r+1)*bytes : (r+1)*bytes] }
 		fail := func(err error) {
@@ -109,7 +108,6 @@ func TestBlockingTCommCallAllocatesNothing(t *testing.T) {
 	}
 
 	cl := mustCluster(t, nodes, tpn)
-	cl.SetEngine(EngineTasks)
 	facade := perCall(func(calls int) {
 		_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
 			left := calls
@@ -197,7 +195,7 @@ func TestBlockingCommCallAllocs(t *testing.T) {
 }
 
 // TestRequestAllocs: what one more non-blocking collective costs a rank, issue
-// to Wait, from a Run body and from a RunT body on the Tasks engine, traced and
+// to Wait, from a Run body and from a RunT body, traced and
 // not. Measured like the blocking calls above — a body that has 2k IAllreduce
 // of 8 bytes outstanding before it waits for them against one that has k, per
 // extra request per rank, 8 nodes of 8 — and held to what the same test read at
@@ -267,18 +265,16 @@ func TestRequestAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		engine   Engine
 		run      func(*Cluster, int) error
 		traced   bool
 		recorded float64
 	}{
-		{"Run", EngineProcs, blocking, false, 24.1},
-		{"Run/traced", EngineProcs, blocking, true, 30.1},
-		{"RunT/tasks", EngineTasks, continuation, false, 19.1},
-		{"RunT/tasks/traced", EngineTasks, continuation, true, 26.1},
+		{"Run", blocking, false, 24.1},
+		{"Run/traced", blocking, true, 30.1},
+		{"RunT/tasks", continuation, false, 19.1},
+		{"RunT/tasks/traced", continuation, true, 26.1},
 	} {
 		cl := mustCluster(t, nodes, tpn)
-		cl.SetEngine(tc.engine)
 		cl.SetTracing(tc.traced)
 		objects := func(n int) float64 {
 			return float64(mallocsOf(func() {

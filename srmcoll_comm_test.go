@@ -118,15 +118,14 @@ func TestCollidingListsGetTheirOwnRecords(t *testing.T) {
 
 // TestNestedSubAfterShrink carves a communicator out of a repaired one: every
 // other survivor, then the first two of those. The sums say the groups are
-// what the lists say, on both engines alike.
+// what the lists say, from both forms of body alike.
 func TestNestedSubAfterShrink(t *testing.T) {
 	const P, dead = 8, 3
 	var fps [2]string
-	for e, eng := range []Engine{EngineProcs, EngineTasks} {
+	for e, form := range bodyForms {
 		cl := ftCluster(t, 2, 4, Crash{Rank: dead, At: 40})
-		cl.SetEngine(eng)
 		sums := make([][2]int64, P)
-		res, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+		res, err := form.run(cl, SRM, func(tc *TComm, done func()) {
 			r := tc.Rank()
 			send, recv := Int64Bytes([]int64{int64(r) + 1}), make([]byte, 8)
 			// sumOn runs an allreduce on s and stores the result at sums[r][i].
@@ -176,13 +175,13 @@ func TestNestedSubAfterShrink(t *testing.T) {
 			loop()
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", eng, err)
+			t.Fatalf("%s: %v", form.name, err)
 		}
 		// Survivors 0 1 2 4 5 6 7: every other is 0 2 5 7, the first two 0 2.
 		want := map[int][2]int64{0: {1 + 3 + 6 + 8, 1 + 3}, 2: {1 + 3 + 6 + 8, 1 + 3}, 5: {1 + 3 + 6 + 8}, 7: {1 + 3 + 6 + 8}}
 		for r := range sums {
 			if sums[r] != want[r] {
-				t.Errorf("%s rank %d: sums %v, want %v", eng, r, sums[r], want[r])
+				t.Errorf("%s rank %d: sums %v, want %v", form.name, r, sums[r], want[r])
 			}
 		}
 		fps[e] = ftFingerprint(res)
@@ -193,12 +192,10 @@ func TestNestedSubAfterShrink(t *testing.T) {
 }
 
 // TestSubHitAllocatesNothing: asking again for a communicator the rank already
-// holds builds no key, no list and no handle, on either engine.
+// holds builds no key, no list and no handle, from either form of body.
 func TestSubHitAllocatesNothing(t *testing.T) {
-	for _, eng := range []Engine{EngineProcs, EngineTasks} {
-		cl := mustCluster(t, 4, 4)
-		cl.SetEngine(eng)
-		_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+	for _, form := range bodyForms {
+		_, err := form.run(mustCluster(t, 4, 4), SRM, func(tc *TComm, done func()) {
 			defer done()
 			if tc.Rank() != 5 {
 				return
@@ -210,11 +207,11 @@ func TestSubHitAllocatesNothing(t *testing.T) {
 					panic("Sub is not canonical")
 				}
 			}); n != 0 {
-				t.Errorf("%s: a repeated Sub allocates %v objects, want 0", eng, n)
+				t.Errorf("%s: a repeated Sub allocates %v objects, want 0", form.name, n)
 			}
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", eng, err)
+			t.Fatalf("%s: %v", form.name, err)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // simulateKeeping is Cluster.run for the tests that read what a simulation
 // leaves behind, which Run drops on return: it hands the simulation back with
 // the outcome.
-func simulateKeeping(cl *Cluster, engine Engine, spawn func(*simulation)) (*simulation, *Result, error) {
-	sm, err := cl.prepare(SRM, engine)
+func simulateKeeping(cl *Cluster, spawn func(*simulation)) (*simulation, *Result, error) {
+	sm, err := cl.prepare(SRM)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -134,7 +134,7 @@ func trainBodyT(tc *TComm, done func()) {
 // stall), the benchmark's four lossy training cells at 2x4 — request streams
 // over the four allreduce families — and a wire that drops and duplicates
 // without reliable delivery, whose runs end in deadlock with puts lost. Each
-// from a blocking body and from a continuation body on the Tasks engine.
+// from a blocking body and from a continuation body.
 func TestPutConservation(t *testing.T) {
 	type scenario struct {
 		name   string
@@ -173,14 +173,13 @@ func TestPutConservation(t *testing.T) {
 	var total rma.Tally
 	for _, sc := range scenarios {
 		for _, form := range []struct {
-			name   string
-			engine Engine
-			spawn  func(*simulation)
+			name  string
+			spawn func(*simulation)
 		}{
-			{"blocking body", EngineProcs, func(sm *simulation) { sm.spawnProcs(sc.body) }},
-			{"continuation body", EngineTasks, func(sm *simulation) { sm.spawnTasks(sc.bodyT) }},
+			{"blocking body", func(sm *simulation) { sm.spawnProcs(sc.body) }},
+			{"continuation body", func(sm *simulation) { sm.spawnTasks(sc.bodyT) }},
 		} {
-			sm, _, err := simulateKeeping(sc.cl, form.engine, form.spawn)
+			sm, _, err := simulateKeeping(sc.cl, form.spawn)
 			if sm == nil || err != nil && !sc.mayErr {
 				t.Fatalf("%s, %s: %v", sc.name, form.name, err)
 			}

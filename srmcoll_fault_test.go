@@ -3,6 +3,7 @@ package srmcoll
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -324,18 +325,35 @@ func TestWrongBufferSizeIsRunError(t *testing.T) {
 	}
 }
 
+// TestFaultPlanValidationRejected: a malformed plan is refused before anything
+// runs, by each entry point. Among the rows are a NaN rate, a plan that is not
+// Active at all, and a storm that would have sped deliveries up.
 func TestFaultPlanValidationRejected(t *testing.T) {
 	for _, plan := range []FaultPlan{
 		{Drop: 1.5},
 		{Dup: -0.1},
+		{Drop: math.NaN()},
+		{Delay: 0.5, DelayMax: -3},
 		{Crashes: []Crash{{Rank: 99, At: 1}}},
 		{Stalls: []Stall{{Rank: 0, Factor: 0.5}}},
 		{Channels: []ChannelFault{{Src: -2, Dst: 0}}},
+		{Channels: []ChannelFault{{Src: 0, Dst: 1, Drop: 7}}},
+		{Storms: []Storm{{Node: 99, From: 0, Until: 10, Extra: 5}}},
+		{Storms: []Storm{{Node: 1, From: 0, Until: 1e6, Extra: -50}}},
 	} {
 		cl := mustCluster(t, 2, 2)
 		cl.SetFaultPlan(plan)
-		if _, err := cl.Run(SRM, func(*Comm) {}); err == nil {
-			t.Errorf("plan %+v accepted", plan)
+		ran := false
+		_, errRun := cl.Run(SRM, func(*Comm) { ran = true })
+		_, errRunT := cl.RunT(SRM, func(_ *TComm, done func()) { ran = true; done() })
+		_, errScale := cl.ScaleAllreduce(ScaleOptions{Bytes: 64})
+		for entry, err := range map[string]error{"Run": errRun, "RunT": errRunT, "ScaleAllreduce": errScale} {
+			if err == nil {
+				t.Errorf("%s accepted plan %+v", entry, plan)
+			}
+		}
+		if ran {
+			t.Errorf("a rank ran under plan %+v", plan)
 		}
 	}
 }

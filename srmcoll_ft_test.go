@@ -96,17 +96,21 @@ func chaosLoopBodyCompute(rounds, bytes int, compute float64, sums []float64) fu
 // TestFaultToleranceNeedsSRM: a message-passing baseline cannot abandon an
 // operation a declaration interrupted — its messages matched the retry, so
 // ranks returned nil with a sum that mixed the two, or the retry hung — and
-// fault tolerance over one is refused before any rank runs, from Run and from
-// RunT alike. Without fault tolerance the baselines run as ever.
+// fault tolerance over one is refused before any rank runs. (RunT refuses a
+// baseline whatever the cluster's settings.) Without fault tolerance the
+// baselines run as ever.
 func TestFaultToleranceNeedsSRM(t *testing.T) {
 	for _, impl := range []Impl{IBMMPI, MPICHMPI} {
 		cl := ftCluster(t, 2, 4, Crash{Rank: 3, At: 40})
 		ran := false
 		_, errRun := cl.Run(impl, func(*Comm) { ran = true })
 		_, errRunT := cl.RunT(impl, func(_ *TComm, done func()) { ran = true; done() })
-		for form, err := range map[string]error{"Run": errRun, "RunT": errRunT} {
-			if err == nil || !strings.Contains(err.Error(), "fault tolerance") || !strings.Contains(err.Error(), impl.String()) {
-				t.Errorf("%s(%s) with fault tolerance on: error %v, want one naming fault tolerance and the implementation", form, impl, err)
+		for form, want := range map[string]struct {
+			err  error
+			what string
+		}{"Run": {errRun, "fault tolerance"}, "RunT": {errRunT, "RunT"}} {
+			if err := want.err; err == nil || !strings.Contains(err.Error(), want.what) || !strings.Contains(err.Error(), impl.String()) {
+				t.Errorf("%s(%s) with fault tolerance on: error %v, want one naming %s and the implementation", form, impl, err, want.what)
 			}
 		}
 		if ran {
@@ -612,8 +616,9 @@ func chaosCorpus(visit func(name string, ranks int, plan FaultPlan)) {
 // ftFingerprints of one (world, crash rate) cell: four seeds of Run with the
 // stall windows, then the same four of RunT on the Tasks engine without them
 // (recorded when that engine had no per-task slowdown). Beyond the goldens,
-// each plan must read the same on the Tasks engine as from a blocking body:
-// the stalled one against Run, the stall-free one against RunT on EngineProcs.
+// each plan must read the same from RunT as from a blocking body: the stalled
+// one against Run, the stall-free one against the same body run blocking
+// (runTBlocking).
 func TestChaosCorpusGolden(t *testing.T) {
 	// Recorded at e0cfe4b, before communicators became shared records.
 	golden := map[string]string{
@@ -646,7 +651,6 @@ func TestChaosCorpusGolden(t *testing.T) {
 				}
 				stalled := ftFingerprint(res)
 				io.WriteString(h, stalled)
-				cl.SetEngine(EngineTasks)
 				if res, err = cl.RunT(SRM, chaosLoopBodyT(10, 256, 25)); err != nil {
 					t.Fatalf("%s seed %d tasks, stalled: %v", name, k, err)
 				}
@@ -657,18 +661,17 @@ func TestChaosCorpusGolden(t *testing.T) {
 				plan.Stalls = nil
 				cl.SetFaultPlan(plan)
 				var fp [2]string
-				for i, eng := range []Engine{EngineTasks, EngineProcs} {
-					cl.SetEngine(eng)
-					res, err := cl.RunT(SRM, chaosLoopBodyT(10, 256, 25))
+				for i, form := range bodyForms {
+					res, err := form.run(cl, SRM, chaosLoopBodyT(10, 256, 25))
 					if err != nil {
-						t.Fatalf("%s seed %d %s: %v", name, k, eng, err)
+						t.Fatalf("%s seed %d %s: %v", name, k, form.name, err)
 					}
 					fp[i] = ftFingerprint(res)
 				}
 				if fp[0] != fp[1] {
-					t.Errorf("%s seed %d: engines diverge:\n--- tasks\n%s--- procs\n%s", name, k, fp[0], fp[1])
+					t.Errorf("%s seed %d: the forms of body diverge:\n--- procs\n%s--- tasks\n%s", name, k, fp[0], fp[1])
 				}
-				tasks = append(tasks, fp[0])
+				tasks = append(tasks, fp[1])
 			}
 			for _, fp := range tasks {
 				io.WriteString(h, fp)
@@ -725,19 +728,17 @@ func TestDeclarationSweepOrder(t *testing.T) {
 		finish()
 	}
 	want := []string{"[2 10 11]#0", "[2 12]#0", "[2 1]#0", "[2 3 4]#0", "world#0"}
-	for _, eng := range []Engine{EngineProcs, EngineTasks} {
-		cl := ftCluster(t, 4, 4, Crash{Rank: 2, At: 10})
-		cl.SetEngine(eng)
-		res, err := cl.RunT(SRM, body)
+	for _, form := range bodyForms {
+		res, err := form.run(ftCluster(t, 4, 4, Crash{Rank: 2, At: 10}), SRM, body)
 		if err != nil {
-			t.Fatalf("%s: %v", eng, err)
+			t.Fatalf("%s: %v", form.name, err)
 		}
 		var got []string
 		for _, rep := range res.Repairs {
 			got = append(got, rep.Comm)
 		}
 		if !slices.Equal(got, want) {
-			t.Errorf("%s: repairs completed in order %q, want %q", eng, got, want)
+			t.Errorf("%s: repairs completed in order %q, want %q", form.name, got, want)
 		}
 	}
 }

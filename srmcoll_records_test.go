@@ -104,17 +104,16 @@ func TestRecordsBalancedAtHandBack(t *testing.T) {
 		{"stall", stalled, mismatch, func(err error) bool { var e *StallError; return errors.As(err, &e) }},
 		{"crash", mustCluster(t, 2, 4), crash, func(err error) bool { var e *RunError; return errors.As(err, &e) }},
 	} {
-		for _, engine := range []Engine{EngineProcs, EngineTasks} {
-			end.cl.SetEngine(engine)
+		for _, form := range bodyForms {
 			tasks := bufpool.Slabs[sim.Task]()
 			var err error
-			drawn, returned := slabsOf(func() { _, err = end.cl.RunT(SRM, end.body) })
+			drawn, returned := slabsOf(func() { _, err = form.run(end.cl, SRM, end.body) })
 			if !end.is(err) {
-				t.Fatalf("%s, %s: the run ended with %v", end.name, engine, err)
+				t.Fatalf("%s, %s: the run ended with %v", end.name, form.name, err)
 			}
 			if got := bufpool.Slabs[sim.Task](); got.Returned != tasks.Returned || drawn <= returned {
 				t.Errorf("%s, %s: %d slabs drawn, %d returned, %d of them of tasks: want the run's own kept from the reserve",
-					end.name, engine, drawn, returned, got.Returned-tasks.Returned)
+					end.name, form.name, drawn, returned, got.Returned-tasks.Returned)
 			}
 		}
 	}
@@ -191,8 +190,8 @@ func TestLongRunRecordMemoryIsBounded(t *testing.T) {
 		run   func() (*Result, error)
 		limit uint64
 	}{
-		{"continuation body", func() (*Result, error) { cl.SetEngine(EngineTasks); return cl.RunT(SRM, blocking) }, 6},
-		{"blocking body", func() (*Result, error) { cl.SetEngine(EngineProcs); return cl.RunT(SRM, blocking) }, 6},
+		{"continuation body", func() (*Result, error) { return cl.RunT(SRM, blocking) }, 6},
+		{"blocking body", func() (*Result, error) { return runTBlocking(cl, SRM, blocking) }, 6},
 		{"request stream", func() (*Result, error) { return cl.Run(SRM, stream) }, 2 * (window + 2)},
 	} {
 		bufpool.DrainReserve()
@@ -225,8 +224,6 @@ func TestRecordReserveIsBounded(t *testing.T) {
 	bufpool.DrainReserve()
 	defer bufpool.DrainReserve()
 	large, small := mustCluster(t, 4096, 16), mustCluster(t, 2, 2)
-	large.SetEngine(EngineTasks)
-	small.SetEngine(EngineTasks)
 	barrier := func(tc *TComm, done func()) { tc.Barrier(func(error) { done() }) }
 	tasks := bufpool.Slabs[sim.Task]()
 	if _, err := large.RunT(SRM, barrier); err != nil {
@@ -319,7 +316,6 @@ func TestStaleHandleCrashes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cl.SetEngine(EngineTasks)
 	release := inFlight()
 	crashes("Comm.Compute", func() { world.Compute(1) })
 	crashes("Comm.Barrier", func() { world.Barrier() })

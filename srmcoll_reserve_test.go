@@ -66,10 +66,10 @@ func TestPoolBalancedAtHandBack(t *testing.T) {
 		cl.SetFaultPlan(plan)
 		for form, run := range []func() (*simulation, *Result, error){
 			func() (*simulation, *Result, error) {
-				return simulateKeeping(cl, EngineProcs, func(sm *simulation) { sm.spawnProcs(chaosLoopBodyCompute(10, 256, 25, nil)) })
+				return simulateKeeping(cl, func(sm *simulation) { sm.spawnProcs(chaosLoopBodyCompute(10, 256, 25, nil)) })
 			},
 			func() (*simulation, *Result, error) {
-				return simulateKeeping(cl, EngineTasks, func(sm *simulation) { sm.spawnTasks(chaosLoopBodyT(10, 256, 25)) })
+				return simulateKeeping(cl, func(sm *simulation) { sm.spawnTasks(chaosLoopBodyT(10, 256, 25)) })
 			},
 		} {
 			var sm *simulation
@@ -87,11 +87,12 @@ func TestPoolBalancedAtHandBack(t *testing.T) {
 }
 
 // reserveCase is one run of TestConcurrentRunsShareReserve: an allreduce of
-// size bytes per rank.
+// size bytes per rank, from a RunT body on RunT's tasks or, blocking, on a Run
+// body's coroutine.
 type reserveCase struct {
 	nodes, tpn int
 	impl       Impl
-	engine     Engine
+	blocking   bool
 	size       int
 }
 
@@ -99,7 +100,11 @@ type reserveCase struct {
 // at least ranks*size bytes that the caller owns.
 func (rc reserveCase) run(cl *Cluster, send, recv []byte) (*Result, error) {
 	ranks := rc.nodes * rc.tpn
-	res, err := cl.RunT(rc.impl, func(tc *TComm, done func()) {
+	run := (*Cluster).RunT
+	if rc.blocking {
+		run = runTBlocking
+	}
+	res, err := run(cl, rc.impl, func(tc *TComm, done func()) {
 		r := tc.Rank()
 		tc.Allreduce(send[:rc.size], recv[r*rc.size:(r+1)*rc.size], Float64, Sum, func(err error) {
 			if err != nil {
@@ -127,33 +132,29 @@ func (rc reserveCase) run(cl *Cluster, send, recv []byte) (*Result, error) {
 // lists, and the payload check catches them without it.
 func TestConcurrentRunsShareReserve(t *testing.T) {
 	cases := []reserveCase{
-		{2, 4, SRM, EngineProcs, 8},
-		{2, 4, SRM, EngineTasks, 4 << 10},
-		{2, 4, IBMMPI, EngineProcs, 64 << 10},
-		{2, 4, MPICHMPI, EngineProcs, 512 << 10},
-		{3, 4, MPICHMPI, EngineProcs, 4 << 10},
-		{3, 4, SRM, EngineTasks, 512 << 10},
-		{3, 4, IBMMPI, EngineProcs, 512 << 10},
-		{4, 16, SRM, EngineProcs, 64 << 10},
-		{4, 16, IBMMPI, EngineProcs, 4 << 10},
-		{4, 16, SRM, EngineTasks, 64 << 10},
-		{16, 16, SRM, EngineProcs, 4 << 10},
-		{16, 16, MPICHMPI, EngineProcs, 8},
-		{16, 16, SRM, EngineTasks, 4 << 10},
+		{2, 4, SRM, true, 8},
+		{2, 4, SRM, false, 4 << 10},
+		{2, 4, IBMMPI, true, 64 << 10},
+		{2, 4, MPICHMPI, true, 512 << 10},
+		{3, 4, MPICHMPI, true, 4 << 10},
+		{3, 4, SRM, false, 512 << 10},
+		{3, 4, IBMMPI, true, 512 << 10},
+		{4, 16, SRM, true, 64 << 10},
+		{4, 16, IBMMPI, true, 4 << 10},
+		{4, 16, SRM, false, 64 << 10},
+		{16, 16, SRM, true, 4 << 10},
+		{16, 16, MPICHMPI, true, 8},
+		{16, 16, SRM, false, 4 << 10},
 	}
-	// One Cluster per shape and engine, shared by every goroutine that runs
-	// a case on it; nothing sets anything on it once the runs have begun.
-	type clusterKey struct {
-		nodes, tpn int
-		engine     Engine
-	}
+	// One Cluster per shape, shared by every goroutine that runs a case on
+	// it; nothing sets anything on it once the runs have begun.
+	type clusterKey struct{ nodes, tpn int }
 	clusters := make(map[clusterKey]*Cluster)
 	scratch := 0
 	for _, rc := range cases {
-		key := clusterKey{rc.nodes, rc.tpn, rc.engine}
+		key := clusterKey{rc.nodes, rc.tpn}
 		if clusters[key] == nil {
 			clusters[key] = mustCluster(t, rc.nodes, rc.tpn)
-			clusters[key].SetEngine(rc.engine)
 		}
 		scratch = max(scratch, rc.nodes*rc.tpn*rc.size)
 	}
@@ -165,7 +166,7 @@ func TestConcurrentRunsShareReserve(t *testing.T) {
 	serial := make([]*Result, len(cases))
 	recv := make([]byte, scratch)
 	for i, rc := range cases {
-		res, err := rc.run(clusters[clusterKey{rc.nodes, rc.tpn, rc.engine}], send, recv)
+		res, err := rc.run(clusters[clusterKey{rc.nodes, rc.tpn}], send, recv)
 		if err != nil {
 			t.Fatalf("serial %+v: %v", rc, err)
 		}
@@ -182,7 +183,7 @@ func TestConcurrentRunsShareReserve(t *testing.T) {
 			for k := 0; k < runs; k++ {
 				i := (5*w + 3*k) % len(cases)
 				rc, want := cases[i], serial[i]
-				got, err := rc.run(clusters[clusterKey{rc.nodes, rc.tpn, rc.engine}], send, recv)
+				got, err := rc.run(clusters[clusterKey{rc.nodes, rc.tpn}], send, recv)
 				if err != nil {
 					t.Errorf("worker %d run %d %+v: %v", w, k, rc, err)
 					return

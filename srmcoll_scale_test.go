@@ -2,33 +2,31 @@ package srmcoll
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// The public ScaleAllreduce surface: engine parity, fault-plan plumbing,
-// and the crash-plan rejection. The exhaustive cross-engine equivalence
-// matrix lives in internal/scale.
+// The public ScaleAllreduce surface: the deprecated engine setting,
+// fault-plan plumbing, and the crash-plan rejection. The task body's
+// equivalence with its straight-line oracle lives in internal/scale.
 
+// TestScaleAllreduceEnginesAgree: ScaleOptions.Engine selects nothing. The
+// value ScaleProcs had (1) runs exactly what ScaleTasks, the zero value, runs.
 func TestScaleAllreduceEnginesAgree(t *testing.T) {
 	cl := mustCluster(t, 8, 4)
-	opt := ScaleOptions{Bytes: 256, Reps: 2, Verify: true}
-
-	opt.Engine = ScaleProcs
-	pr, err := cl.ScaleAllreduce(opt)
-	if err != nil {
-		t.Fatal(err)
+	var res []*ScaleResult
+	for _, engine := range []ScaleEngine{ScaleTasks, 1} {
+		r, err := cl.ScaleAllreduce(ScaleOptions{Bytes: 256, Reps: 2, Verify: true, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = append(res, r)
 	}
-	opt.Engine = ScaleTasks
-	tr, err := cl.ScaleAllreduce(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Time != tr.Time {
-		t.Errorf("procs end at %v, tasks at %v", pr.Time, tr.Time)
-	}
-	if pr.Stats != tr.Stats {
-		t.Errorf("stats diverge:\n procs %+v\n tasks %+v", pr.Stats, tr.Stats)
+	for _, r := range res[1:] {
+		if !reflect.DeepEqual(r, res[0]) {
+			t.Errorf("the engine setting changed the run:\n%+v\n%+v", res[0], r)
+		}
 	}
 }
 
@@ -54,23 +52,17 @@ func TestScaleAllreduceRejectsCrashPlan(t *testing.T) {
 }
 
 // A deadline stops ScaleAllreduce the way it stops Run: with a *StallError
-// that names the blocked ranks, the same on either engine.
+// that names the blocked ranks. internal/scale holds the report to the one its
+// oracle gives.
 func TestScaleAllreduceDeadlineIsStallError(t *testing.T) {
 	cl := mustCluster(t, 4, 4)
 	cl.SetFaultPlan(FaultPlan{Seed: 3, Drop: 0.5, Reliable: true, Deadline: 5})
-	var reports []string
-	for _, engine := range []ScaleEngine{ScaleTasks, ScaleProcs} {
-		_, err := cl.ScaleAllreduce(ScaleOptions{Bytes: 64, Engine: engine})
-		var se *StallError
-		if !errors.As(err, &se) || !errors.Is(err, ErrDeadline) {
-			t.Fatalf("%v: err = %v, want a *StallError matching ErrDeadline", engine, err)
-		}
-		if se.Time > 5 || len(se.Blocked) == 0 {
-			t.Errorf("%v: stalled at t=%v with %d blocked, want t <= 5 and blocked ranks", engine, se.Time, len(se.Blocked))
-		}
-		reports = append(reports, se.Error())
+	_, err := cl.ScaleAllreduce(ScaleOptions{Bytes: 64})
+	var se *StallError
+	if !errors.As(err, &se) || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want a *StallError matching ErrDeadline", err)
 	}
-	if reports[0] != reports[1] {
-		t.Errorf("the engines stall differently:\n%s\n%s", reports[0], reports[1])
+	if se.Time > 5 || len(se.Blocked) == 0 {
+		t.Errorf("stalled at t=%v with %d blocked, want t <= 5 and blocked ranks", se.Time, len(se.Blocked))
 	}
 }

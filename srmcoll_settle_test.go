@@ -61,26 +61,25 @@ func TestRunSettles(t *testing.T) {
 	// only the root has a receive buffer.
 	cl := mustCluster(t, 4, 4)
 	for _, tc := range []struct {
-		name   string
-		engine Engine
-		bytes  int
-		cold   bool // the reserve is emptied first
-		want   uint64
+		name  string
+		run   func(*Cluster, Impl, func(*TComm, func())) (*Result, error)
+		bytes int
+		cold  bool // the reserve is emptied first
+		want  uint64
 	}{
-		{"procs/small", EngineProcs, 4 << 10, true, 0},
-		{"tasks/small", EngineTasks, 4 << 10, true, 0},
-		{"procs/large/cold", EngineProcs, 8 << 20, true, 1},
-		{"procs/large/warm", EngineProcs, 8 << 20, false, 0},
-		{"tasks/large/cold", EngineTasks, 8 << 20, true, 1},
-		{"tasks/large/warm", EngineTasks, 8 << 20, false, 0},
+		{"procs/small", runTBlocking, 4 << 10, true, 0},
+		{"tasks/small", (*Cluster).RunT, 4 << 10, true, 0},
+		{"procs/large/cold", runTBlocking, 8 << 20, true, 1},
+		{"procs/large/warm", runTBlocking, 8 << 20, false, 0},
+		{"tasks/large/cold", (*Cluster).RunT, 8 << 20, true, 1},
+		{"tasks/large/warm", (*Cluster).RunT, 8 << 20, false, 0},
 	} {
 		send, recv := make([]byte, tc.bytes), make([]byte, tc.bytes)
-		cl.SetEngine(tc.engine)
 		if tc.cold {
 			bufpool.DrainReserve()
 		}
 		before := forced()
-		_, err := cl.RunT(SRM, func(c *TComm, done func()) {
+		_, err := tc.run(cl, SRM, func(c *TComm, done func()) {
 			var out []byte
 			if c.Rank() == 0 {
 				out = recv
@@ -106,7 +105,6 @@ func TestRunSettles(t *testing.T) {
 	word := make([]byte, 64)
 	bcast := func(nodes int) {
 		big := mustCluster(t, nodes, 8)
-		big.SetEngine(EngineTasks)
 		if _, err := big.RunT(SRM, func(c *TComm, done func()) {
 			c.Bcast(word, 0, func(error) { done() })
 		}); err != nil {
@@ -146,7 +144,6 @@ func TestChaosRunsNeverSettle(t *testing.T) {
 			t.Fatal(err)
 		}
 		mid, _ := heapCounters()
-		cl.SetEngine(EngineTasks)
 		if _, err := cl.RunT(SRM, chaosLoopBodyT(10, 256, 25)); err != nil {
 			t.Fatal(err)
 		}
@@ -177,22 +174,21 @@ func TestTracedRunReleasesSimulation(t *testing.T) {
 		bufpool.DrainReserve() // the run's payload memory is kept, but not by the Result
 		return int64(heapAfterCycle().HeapAlloc)
 	}
-	for _, eng := range []Engine{EngineProcs, EngineTasks} {
-		cl.SetEngine(eng)
+	for _, form := range bodyForms {
 		before := heap()
-		res, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+		res, err := form.run(cl, SRM, func(tc *TComm, done func()) {
 			r := tc.Rank()
 			tc.Allreduce(send[r], recv[r], Float64, Sum, func(error) {
 				tc.Allreduce(send[r], recv[r], Float64, Sum, func(error) { done() })
 			})
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", eng, err)
+			t.Fatalf("%s: %v", form.name, err)
 		}
 		held := heap() - before
-		t.Logf("%s: %d KiB held by a Result of %d spans", eng, held>>10, len(res.Trace.Spans()))
+		t.Logf("%s: %d KiB held by a Result of %d spans", form.name, held>>10, len(res.Trace.Spans()))
 		if held > 1<<20 {
-			t.Errorf("%s: the Result keeps %d KiB alive, want at most 1 MiB: the simulation is still reachable", eng, held>>10)
+			t.Errorf("%s: the Result keeps %d KiB alive, want at most 1 MiB: the simulation is still reachable", form.name, held>>10)
 		}
 		runtime.KeepAlive(res)
 	}

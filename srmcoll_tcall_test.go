@@ -18,7 +18,6 @@ import (
 func TestSecondBlockingCollectiveIsRefused(t *testing.T) {
 	for _, other := range []bool{false, true} {
 		cl := mustCluster(t, 2, 2)
-		cl.SetEngine(EngineTasks)
 		_, err := cl.RunT(SRM, func(tc *TComm, done func()) {
 			buf, recv := make([]byte, 64), make([]byte, 64)
 			tc.Bcast(buf, 0, func(error) { done() })
@@ -55,7 +54,6 @@ func TestSecondBlockingCollectiveIsRefused(t *testing.T) {
 func TestContinuationMayStartTheNextCollective(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {2, 2}} {
 		cl := mustCluster(t, shape[0], shape[1])
-		cl.SetEngine(EngineTasks)
 		p := cl.Config().P()
 		sums := make([]float64, p)
 		chain := func(c *TComm, r int, done func()) {

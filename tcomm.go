@@ -12,10 +12,9 @@ package srmcoll
 // two sets of methods over one record (handle), Request and TRequest likewise.
 //
 // Three things have two forms, all about having a stack or not. An actor gets
-// one only where something must block on it: a Run body, a RunT body under
-// EngineProcs (the reference side of the equivalence matrix), and the request
+// one only where something must block on it: a Run body, and the request
 // helper of an implementation that is blocking only (the MPI baselines). The
-// rank of an EngineTasks run and every SRM request helper are plain tasks.
+// rank of a RunT run and every SRM request helper are plain tasks.
 //
 //   - Suspending: actor.wait, sleep and yield hand the continuation to the
 //     task's primitive, or block on the stack and then call it.
@@ -36,42 +35,19 @@ import (
 	"srmcoll/internal/trace"
 )
 
-// Engine selects how Run/RunT execute rank bodies.
+// Deprecated: Engine selects nothing; RunT's ranks are always plain tasks.
 type Engine int
 
-const (
-	// EngineProcs runs each rank's body on a coroutine, as straight-line
-	// code — the default, and what Run always does.
-	EngineProcs Engine = iota
-	// EngineTasks steps each rank's body on the event loop with the rest of
-	// its task: no goroutine or stack per rank, so million-rank runs fit in
-	// ordinary host memory. Requires the CPS body form of RunT.
-	EngineTasks
-)
+// Deprecated: EngineTasks selects nothing; see Engine.
+const EngineTasks Engine = 0
 
-// String returns the engine name used in reports.
-func (e Engine) String() string {
-	switch e {
-	case EngineProcs:
-		return "procs"
-	case EngineTasks:
-		return "tasks"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// SetEngine selects the execution engine for subsequent RunT calls.
-// Run always uses EngineProcs regardless of this setting.
-func (cl *Cluster) SetEngine(e Engine) { cl.engine = e }
-
-// Engine returns the cluster's current execution engine.
-func (cl *Cluster) Engine() Engine { return cl.engine }
+// Deprecated: SetEngine does nothing; see Engine.
+func (cl *Cluster) SetEngine(Engine) {}
 
 // TComm is the continuation-passing counterpart of Comm, handed to RunT
 // bodies. Every operation takes its success continuation as the final
 // argument; the continuation runs exactly once, after the operation
-// completes (synchronously under EngineProcs, as a later event-loop step
-// under EngineTasks). Identity accessors (Rank, Size, ...) are plain calls.
+// completes. Identity accessors (Rank, Size, ...) are plain calls.
 //
 // A rank runs one blocking collective at a time, on whichever of its handles:
 // the next is started from the continuation of the last (or later), not beside it.
@@ -420,18 +396,17 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 }
 
 // RunT executes a continuation-passing body on every rank of a fresh
-// simulation, on the engine selected by SetEngine. The body must call done
-// exactly once, after its last operation completed; done marks the rank
-// finished (the CPS analogue of returning from a Run body).
-//
-// Under EngineProcs the body runs on a coroutine-backed actor like a Run
-// body's — a TComm method returns when its continuation has — which is what
-// the stackless form is asserted bit-identical against. Errors are Run's.
+// simulation, each rank a plain task stepped by the event loop: no goroutine
+// or stack per rank, so million-rank runs fit in ordinary host memory. The body
+// must call done exactly once, after its last operation completed; done marks
+// the rank finished (the CPS analogue of returning from a Run body). Errors
+// are Run's. RunT runs SRM only: a baseline's collectives block, so its bodies
+// need Run.
 func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, error) {
-	if cl.engine == EngineProcs {
-		return cl.Run(impl, func(c *Comm) { body((*TComm)(c), func() {}) })
+	if impl != SRM {
+		return nil, fmt.Errorf("srmcoll: RunT supports only the SRM implementation (got %s); a baseline needs Run", impl)
 	}
-	return cl.simulate(impl, EngineTasks, func(sm *simulation) { sm.spawnTasks(body) })
+	return cl.simulate(impl, func(sm *simulation) { sm.spawnTasks(body) })
 }
 
 // spawnTasks starts body on every rank as a task. The ranks share one start

@@ -11,34 +11,46 @@ import (
 	"srmcoll/internal/check"
 )
 
-// runBothEngines executes the scenario on the Procs reference engine and
-// on the Tasks engine, asserting the results the issue requires to be
-// bit-identical: Result.Time, PerRank, Stats, Events, and whatever buffer
-// checks the scenario's verifier performs per engine.
+// runTBlocking runs a RunT body on a Run body's coroutine, as the reference
+// side of the equivalence matrix: every TComm method blocks there and returns
+// once its continuation has run, and done has nothing left to do.
+func runTBlocking(cl *Cluster, impl Impl, body func(tc *TComm, done func())) (*Result, error) {
+	return cl.Run(impl, func(c *Comm) { body((*TComm)(c), func() {}) })
+}
+
+// runBothEngines executes the scenario on a blocking actor (runTBlocking) and
+// as RunT's plain tasks, asserting the results bit-identical: Result.Time,
+// PerRank, Stats, Events, and whatever buffer checks the scenario's verifier
+// performs per run.
 func runBothEngines(t *testing.T, cl *Cluster, impl Impl,
 	mk func(P int) (func(tc *TComm, done func()), func(t *testing.T, eng string))) (*Result, *Result) {
 	t.Helper()
 	P := cl.Config().P()
 
-	cl.SetEngine(EngineProcs)
 	bodyP, checkP := mk(P)
-	rp, err := cl.RunT(impl, bodyP)
+	rp, err := runTBlocking(cl, impl, bodyP)
 	if err != nil {
-		t.Fatalf("procs engine: %v", err)
+		t.Fatalf("procs: %v", err)
 	}
 	checkP(t, "procs")
 
-	cl.SetEngine(EngineTasks)
 	bodyT, checkT := mk(P)
 	rt, err := cl.RunT(impl, bodyT)
 	if err != nil {
-		t.Fatalf("tasks engine: %v", err)
+		t.Fatalf("tasks: %v", err)
 	}
 	checkT(t, "tasks")
 
 	sameResult(t, rp, rt)
 	return rp, rt
 }
+
+// bodyForms are the two ways the tests run a RunT body: blocking on a Run
+// body's coroutine, and as RunT's plain tasks.
+var bodyForms = []struct {
+	name string
+	run  func(*Cluster, Impl, func(*TComm, func())) (*Result, error)
+}{{"procs", runTBlocking}, {"tasks", (*Cluster).RunT}}
 
 // sameResult asserts that a run on an actor with a stack (rp) and one without
 // (rt) cannot be told apart by their results.
@@ -61,28 +73,10 @@ func sameResult(t *testing.T, rp, rt *Result) {
 	}
 }
 
-func TestEngineString(t *testing.T) {
-	if EngineProcs.String() != "procs" || EngineTasks.String() != "tasks" {
-		t.Fatal("engine names wrong")
-	}
-	if Engine(9).String() != "Engine(9)" {
-		t.Fatal("unknown engine should still print")
-	}
-	cl := mustCluster(t, 1, 2)
-	if cl.Engine() != EngineProcs {
-		t.Fatal("default engine should be procs")
-	}
-	cl.SetEngine(EngineTasks)
-	if cl.Engine() != EngineTasks {
-		t.Fatal("SetEngine did not stick")
-	}
-}
-
 func TestTaskEngineRejects(t *testing.T) {
 	cl := mustCluster(t, 2, 2)
-	cl.SetEngine(EngineTasks)
 	if _, err := cl.RunT(IBMMPI, func(tc *TComm, done func()) { done() }); err == nil {
-		t.Fatal("tasks engine accepted a baseline impl")
+		t.Fatal("RunT accepted a baseline impl")
 	}
 }
 
@@ -789,21 +783,20 @@ func TestTaskEngineCrashFT(t *testing.T) {
 		return body, check
 	}
 
-	run := func(t *testing.T, eng Engine, engName string) *Result {
+	var res [2]*Result
+	for i, form := range bodyForms {
 		cl := mustCluster(t, 2, 4)
 		cl.SetFaultTolerance(DefaultFTConfig())
 		cl.SetFaultPlan(FaultPlan{Crashes: []Crash{{Rank: 2, At: 40}}})
-		cl.SetEngine(eng)
 		body, check := mk(cl.Config().P())
-		res, err := cl.RunT(SRM, body)
+		r, err := form.run(cl, SRM, body)
 		if err != nil {
-			t.Fatalf("%s engine: %v", engName, err)
+			t.Fatalf("%s: %v", form.name, err)
 		}
-		check(t, engName, res)
-		return res
+		check(t, form.name, r)
+		res[i] = r
 	}
-	rp := run(t, EngineProcs, "procs")
-	rt := run(t, EngineTasks, "tasks")
+	rp, rt := res[0], res[1]
 	if !reflect.DeepEqual(rp.Failures, rt.Failures) {
 		t.Errorf("Failures diverge: procs %+v, tasks %+v", rp.Failures, rt.Failures)
 	}
@@ -814,18 +807,17 @@ func TestTaskEngineCrashFT(t *testing.T) {
 
 // TestTaskEngineRequestCrashFT crashes a rank while a non-blocking request
 // is in flight: the request's helper observes the declaration and Wait
-// returns the *RankFailedError on both engines.
+// returns the *RankFailedError from both forms of body.
 func TestTaskEngineRequestCrashFT(t *testing.T) {
-	for _, eng := range []Engine{EngineProcs, EngineTasks} {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
+	for _, form := range bodyForms {
+		form := form
+		t.Run(form.name, func(t *testing.T) {
 			cl := mustCluster(t, 2, 2)
 			cl.SetFaultTolerance(DefaultFTConfig())
 			cl.SetFaultPlan(FaultPlan{Crashes: []Crash{{Rank: 1, At: 20}}})
-			cl.SetEngine(eng)
 			P := cl.Config().P()
 			errs := make([]error, P)
-			res, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+			res, err := form.run(cl, SRM, func(tc *TComm, done func()) {
 				r := tc.Rank()
 				recv := make([]byte, 8)
 				var loop func(i int)
@@ -930,20 +922,18 @@ func TestTaskEngineMisuseDiagnosed(t *testing.T) {
 			}},
 	} {
 		var texts [2]string
-		for e, eng := range []Engine{EngineProcs, EngineTasks} {
-			cl := mustCluster(t, 2, 1)
-			cl.SetEngine(eng)
-			_, err := cl.RunT(SRM, mc.body)
+		for e, form := range bodyForms {
+			_, err := form.run(mustCluster(t, 2, 1), SRM, mc.body)
 			var re *RunError
 			if !errors.As(err, &re) || !errors.As(err, mc.cause) {
-				t.Fatalf("%s, %s: %v, want a *RunError carrying a %T", mc.name, eng, err, mc.cause)
+				t.Fatalf("%s, %s: %v, want a *RunError carrying a %T", mc.name, form.name, err, mc.cause)
 			}
 			if re.Rank != mc.rank || re.Op != mc.op {
-				t.Errorf("%s, %s: RunError{Rank: %d, Op: %q}, want rank %d in %s", mc.name, eng, re.Rank, re.Op, mc.rank, mc.op)
+				t.Errorf("%s, %s: RunError{Rank: %d, Op: %q}, want rank %d in %s", mc.name, form.name, re.Rank, re.Op, mc.rank, mc.op)
 			}
 			for _, part := range mc.want {
 				if !strings.Contains(err.Error(), part) {
-					t.Errorf("%s, %s: error %q does not mention %q", mc.name, eng, err, part)
+					t.Errorf("%s, %s: error %q does not mention %q", mc.name, form.name, err, part)
 				}
 			}
 			texts[e] = err.Error()
@@ -955,8 +945,8 @@ func TestTaskEngineMisuseDiagnosed(t *testing.T) {
 }
 
 // TestTaskEngineMatchesRunBody holds a Run body, whose requests are run by
-// helpers without a stack, to the same program as a continuation body on the
-// Tasks engine: virtual times, counters, events, failure and repair records,
+// helpers without a stack, to the same program as a continuation body on
+// RunT's plain tasks: virtual times, counters, events, failure and repair records,
 // what every rank observed, and with tracing on the span timeline.
 func TestTaskEngineMatchesRunBody(t *testing.T) {
 	fail := func(err error) {
@@ -1197,7 +1187,6 @@ func TestTaskEngineMatchesRunBody(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run body: %v", err)
 			}
-			cl.SetEngine(EngineTasks)
 			rt, err := cl.RunT(SRM, pg.bodyT(logT))
 			if err != nil {
 				t.Fatalf("continuation body: %v", err)
