@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -15,10 +17,11 @@ import (
 	"srmcoll/internal/trace"
 )
 
-// allocRegime is one of the ten protocol regimes bench/layers.go times at
-// 4x16, with the host allocations four back-to-back calls cost on either
-// engine (go1.24, warm pools; the largest of three runs, which differ by up
-// to 30 objects).
+// allocRegime is a protocol regime at 4x16: one of the ten bench/layers.go
+// times, with the back-to-back calls it makes per sample, or a staged Alltoall
+// or ReduceScatter, which no bench regime runs (calls 0). Each row records the
+// host allocations four back-to-back calls cost on either engine (go1.24,
+// warm pools; the largest of three runs, which differ by up to 30 objects).
 //
 // History of the Proc counts (barrier): 1037 when a flag and a counter became
 // one object each (with three objects each, and one goroutine body and one CPS
@@ -45,28 +48,44 @@ type allocRegime struct {
 	op         string
 	size       int
 	alg        Alg
+	calls      int
 	procAllocs uint64
 	taskAllocs uint64
 }
 
 var allocRegimes = []allocRegime{
-	{"bcast_small", "bcast", 4 << 10, AlgAuto, 1483, 616},
-	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 1619, 782},
-	{"bcast_large", "bcast", 512 << 10, AlgAuto, 1536, 668},
-	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 1494, 657},
-	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 1563, 724},
-	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 1632, 794},
-	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 1605, 749},
-	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 1644, 788},
-	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 1630, 804},
-	{"barrier", "barrier", 0, AlgAuto, 1321, 484},
+	{"bcast_small", "bcast", 4 << 10, AlgAuto, 16, 1483, 616},
+	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 8, 1619, 782},
+	{"bcast_large", "bcast", 512 << 10, AlgAuto, 1, 1536, 668},
+	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 4, 1494, 657},
+	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 8, 1563, 724},
+	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 4, 1632, 794},
+	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 1, 1605, 749},
+	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 1, 1644, 788},
+	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 1, 1630, 804},
+	{"barrier", "barrier", 0, AlgAuto, 32, 1321, 484},
+	{"alltoall_staged", "alltoall", 4 << 10, AlgAuto, 0, 1497, 666},
+	{"reducescatter", "reducescatter", 64 << 10, AlgAuto, 0, 1568, 728},
 }
 
-const allocCalls = 4
+const (
+	allocCalls                 = 4
+	regimeRanks, regimeMaxSize = 64, 512 << 10
+)
 
-// run performs allocCalls collectives of the regime on every rank of a 4x16
+// regimeBuffers returns a send and a receive buffer per rank, large enough for
+// every regime.
+func regimeBuffers() (send, recv [][]byte) {
+	send, recv = make([][]byte, regimeRanks), make([][]byte, regimeRanks)
+	for r := range send {
+		send[r], recv[r] = make([]byte, regimeMaxSize), make([]byte, regimeMaxSize)
+	}
+	return send, recv
+}
+
+// run performs calls collectives of the regime on every rank of a 4x16
 // machine and returns the host allocations and simulator events it took.
-func (rg allocRegime) run(t *testing.T, tasks bool, send, recv [][]byte) (allocs, events uint64) {
+func (rg allocRegime) run(t *testing.T, tasks bool, calls int, send, recv [][]byte) (allocs, events uint64) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(4, 16))
 	s := New(m, rma.NewDomain(m), Options{AllreduceAlg: rg.alg})
@@ -79,9 +98,10 @@ func (rg allocRegime) run(t *testing.T, tasks bool, send, recv [][]byte) (allocs
 		if r == 0 {
 			rootRecv = rcv
 		}
+		blk := rcv[:rg.size/m.P()] // a ReduceScatter's share
 		if tasks {
 			env.SpawnTask("rank", r, func(tk *sim.Task) {
-				left := allocCalls
+				left := calls
 				var next func()
 				next = func() {
 					if left--; left < 0 {
@@ -96,6 +116,10 @@ func (rg allocRegime) run(t *testing.T, tasks bool, send, recv [][]byte) (allocs
 						s.AllreduceT(tk, r, snd, rcv, dtype.Float64, dtype.Sum, next)
 					case "barrier":
 						s.BarrierT(tk, r, next)
+					case "alltoall":
+						s.World().AlltoallT(tk, r, snd, rcv, next)
+					case "reducescatter":
+						s.World().ReduceScatterT(tk, r, snd, blk, dtype.Float64, dtype.Sum, next)
 					}
 				}
 				next()
@@ -103,7 +127,7 @@ func (rg allocRegime) run(t *testing.T, tasks bool, send, recv [][]byte) (allocs
 			continue
 		}
 		env.SpawnIndexed("rank", r, func(p *sim.Proc) {
-			for k := 0; k < allocCalls; k++ {
+			for k := 0; k < calls; k++ {
 				switch rg.op {
 				case "bcast":
 					s.Bcast(p, r, rcv, 0)
@@ -113,6 +137,12 @@ func (rg allocRegime) run(t *testing.T, tasks bool, send, recv [][]byte) (allocs
 					s.Allreduce(p, r, snd, rcv, dtype.Float64, dtype.Sum)
 				case "barrier":
 					s.Barrier(p, r)
+				case "alltoall":
+					block(p, func(t *sim.Task, k func()) { s.World().AlltoallT(t, r, snd, rcv, k) })
+				case "reducescatter":
+					block(p, func(t *sim.Task, k func()) {
+						s.World().ReduceScatterT(t, r, snd, blk, dtype.Float64, dtype.Sum, k)
+					})
 				}
 			}
 		})
@@ -135,19 +165,15 @@ func TestEngineAllocGuard(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const ranks, maxSize = 64, 512 << 10
-	send, recv := make([][]byte, ranks), make([][]byte, ranks)
-	for r := range send {
-		send[r], recv[r] = make([]byte, maxSize), make([]byte, maxSize)
-	}
+	send, recv := regimeBuffers()
 	for _, rg := range allocRegimes {
 		// Each measured run directly follows a warm-up of the same engine:
 		// the primitives' continuation frames live in sync.Pools, which
 		// survive the one collection run starts with but not two.
-		rg.run(t, false, send, recv)
-		pa, pe := rg.run(t, false, send, recv)
-		rg.run(t, true, send, recv)
-		ta, te := rg.run(t, true, send, recv)
+		rg.run(t, false, allocCalls, send, recv)
+		pa, pe := rg.run(t, false, allocCalls, send, recv)
+		rg.run(t, true, allocCalls, send, recv)
+		ta, te := rg.run(t, true, allocCalls, send, recv)
 		if pe != te {
 			t.Errorf("%s: %d events on Procs, %d on Tasks", rg.name, pe, te)
 		}
@@ -166,6 +192,57 @@ func TestEngineAllocGuard(t *testing.T) {
 					rg.name, e.got, e.engine, limit, e.recorded)
 			}
 		}
+	}
+}
+
+// TestSchedulesMatchBenchGolden runs the ten regimes of bench/layers.go as it
+// does, calls and all, from both forms of body, and holds their event counts to
+// the core.<regime>.events bench/golden.json records: a change to any
+// collective's schedule fails here, in tier-1 and under the race detector, not
+// only in a traced full-length benchmark run.
+func TestSchedulesMatchBenchGolden(t *testing.T) {
+	raw, err := os.ReadFile("../../bench/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Layers map[string]float64 `json:"layers"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]uint64)
+	for key, v := range golden.Layers {
+		if name, ok := strings.CutPrefix(key, "core."); ok {
+			if name, ok := strings.CutSuffix(name, ".events"); ok {
+				want[name] = uint64(v)
+			}
+		}
+	}
+	send, recv := regimeBuffers()
+	for _, rg := range allocRegimes {
+		if rg.calls == 0 {
+			continue
+		}
+		events, ok := want[rg.name]
+		delete(want, rg.name)
+		if !ok {
+			t.Errorf("%s: bench/golden.json has no core.%[1]s.events", rg.name)
+			continue
+		}
+		for _, form := range []struct {
+			name  string
+			tasks bool
+		}{{"proc", false}, {"task", true}} {
+			t.Run(rg.name+"/"+form.name, func(t *testing.T) {
+				if _, got := rg.run(t, form.tasks, rg.calls, send, recv); got != events {
+					t.Errorf("%d events, bench/golden.json has %d", got, events)
+				}
+			})
+		}
+	}
+	for name := range want {
+		t.Errorf("bench/golden.json pins core.%s.events, which no regime here runs", name)
 	}
 }
 

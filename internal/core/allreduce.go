@@ -5,7 +5,6 @@ import (
 
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/rma"
-	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
@@ -68,18 +67,6 @@ func (ns *nodeStages) step(x *exec, f *frame) {
 	default:
 		x.ret()
 	}
-}
-
-// pipeChunks cuts a vector into the chunks of the Figure-5 pipeline:
-// "pipelining over the entire message range" (§2.4) keeps at least four
-// chunks in flight until the full large chunk size pays off.
-func pipeChunks(g *Group, size int, ds dataspec) []span {
-	cfg := g.s.m.Cfg
-	chunk := min(cfg.SRMLargeChunk, max((size+3)/4, cfg.SRMSmallChunk))
-	if ds.dt.Size() > 0 {
-		chunk -= chunk % ds.dt.Size()
-	}
-	return chunks(size, max(chunk, 1))
 }
 
 // Allreduce combines send buffers across all ranks and leaves the full
@@ -160,34 +147,20 @@ func (g *Group) allreduce(x *exec, rank int, send, recv []byte, ds dataspec) {
 // nodes (beyond the largest power of two) folded in and out, then an SMP
 // broadcast of the result.
 type rdState struct {
-	nodeStages
-	g        *Group
-	pow      int
-	foldSlot [][]byte
-	foldArr  []*rma.Counter
-	rdSlot   [][][]byte // [node][round]
-	rdArr    [][]*rma.Counter
-	resArr   []*rma.Counter // result landed back at an extra node
+	fold
+	rdSlot [][][]byte // [node][round]
+	rdArr  [][]*rma.Counter
 }
 
 func newRDState(g *Group, size int, ds dataspec) *rdState {
 	s := g.s
-	a := &rdState{g: g, nodeStages: newNodeStages(g, size, ds, chunks(size, max(size, 1)))}
+	a := &rdState{fold: newFold(g, size, ds)}
 	nn := len(g.lay.nodes)
-	a.pow = 1
-	for a.pow*2 <= nn {
-		a.pow *= 2
-	}
 	rounds := tree.Log2Ceil(a.pow)
-	a.foldSlot = make([][]byte, nn)
-	a.foldArr = make([]*rma.Counter, nn)
 	a.rdSlot = make([][][]byte, nn)
 	a.rdArr = make([][]*rma.Counter, nn)
-	a.resArr = make([]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
-		a.foldSlot[x] = s.slot(size)
-		a.foldArr[x] = s.counter(0, trace.ClassWaitArrive)
-		a.resArr[x] = s.counter(0, trace.ClassWaitArrive)
+		a.carve(s, x)
 		a.rdSlot[x] = make([][]byte, rounds)
 		a.rdArr[x] = make([]*rma.Counter, rounds)
 		for r := 0; r < rounds; r++ {
@@ -198,90 +171,32 @@ func newRDState(g *Group, size int, ds dataspec) *rdState {
 	return a
 }
 
-const (
-	rdReduce = iota
-	rdFold
-	rdRounds // f.i counts exchange rounds
-	rdUnfold
-	rdPublish
-	rdDone
-)
-
-// step is the master's role; f.j records that recv holds a partial (until
-// then the node's contribution is send itself).
+// step is the master's role; f.i counts exchange rounds.
 func (a *rdState) step(x *exec, f *frame) {
-	g, nx, send, recv := a.g, x.nx, f.a, f.c
-	nn := len(g.lay.nodes)
-	cur := func() []byte {
-		if f.j != 0 {
-			return recv
-		}
-		return send
-	}
-	combine := func(src []byte) {
-		if a.size > 0 {
-			own := send
-			if f.j != 0 {
-				own = nil
-			}
-			x.combine(recv, own, src)
-		}
-		f.j = 1
-	}
+	nx := x.nx
 	switch f.pc {
-	case rdReduce:
-		f.pc = rdFold
-		if x.reduceLocal(a.rn[nx], 0, recv, send) {
+	case fdReduce:
+		f.pc = fdFold
+		if x.reduceLocal(a.rn[nx], 0, f.c, f.a) {
 			f.j = 1
 		}
-	case rdFold:
-		if nx >= a.pow {
-			// Fold out: hand the node partial to the peer, then receive the
-			// final result straight into recv.
-			peer := nx - a.pow
-			x.put(g.masterEp(peer), a.foldSlot[peer], cur(), a.foldArr[peer])
-			x.waitcntr(a.resArr[nx], 1)
-			f.pc = rdPublish
-			return
-		}
-		if nx+a.pow < nn {
-			x.waitcntr(a.foldArr[nx], 1)
-			combine(a.foldSlot[nx])
-		}
-		f.pc = rdRounds
-	case rdRounds:
+	case fdExchange:
 		if r := f.i; r < len(a.rdArr[nx]) {
 			partner := nx ^ (1 << r)
-			x.put(g.masterEp(partner), a.rdSlot[partner][r], cur(), a.rdArr[partner][r])
+			x.put(x.g.masterEp(partner), a.rdSlot[partner][r], a.partial(f), a.rdArr[partner][r])
 			x.waitcntr(a.rdArr[nx][r], 1)
-			combine(a.rdSlot[nx][r])
+			a.absorb(x, f, a.rdSlot[nx][r])
 			f.i++
 			return
 		}
-		f.pc = rdUnfold
-		if nx+a.pow < nn {
-			x.waitEvent(a.resReady[nx+a.pow])
-		}
-	case rdUnfold:
-		if extra := nx + a.pow; extra < nn {
-			// Return the full result to the folded-out node's recv buffer.
-			x.put(g.masterEp(extra), a.resBuf[extra], cur(), a.resArr[extra])
-		}
-		if f.j == 0 && a.size > 0 {
-			x.memcpy(recv, send) // single node, single task
-		}
-		f.pc = rdPublish
-	case rdPublish:
-		f.pc = rdDone
-		x.publish(a.pub[nx], 0, recv, false)
-	case rdDone:
-		a.pub[nx].waitConsumed(x, 0)
-		x.ret()
+		f.pc = fdUnfold
+	default:
+		a.foldStep(x, f)
 	}
 }
 
-// pipeState is the shared state of one pipelined tree allreduce: reduce up
-// a tree of node masters fused with the broadcast back down it, as the
+// pipeState is the shared state of one pipelined tree allreduce: the tree
+// reduce fused with the tree broadcast back down the same tree, as the
 // four-stage chunk pipeline of Figure 5 (SMP reduce / inter-node reduce /
 // inter-node broadcast / SMP broadcast all overlapping). A master's main
 // actor runs the reduce stages; a helper beside it runs the broadcast
@@ -299,145 +214,41 @@ func (a *rdState) step(x *exec, f *frame) {
 // side.
 type pipeState struct {
 	nodeStages
-	g          *Group
-	trees      []pipeTree
-	helperDone []*sim.Event
-}
-
-type pipeTree struct {
-	emb       gEmbed
-	pslot     [][2][]byte       // indexed by child node, allocated at its parent
-	arr       [][2]*rma.Counter // per-parity chunk arrivals from child node, at the parent
-	credit    []*rma.Counter    // free slots for child node's puts, at the child
-	bArr      [][2]*rma.Counter // per-parity result chunks landed, at the child
-	chunkDone *shm.Flag         // at the root master: chunks fully reduced
+	up   treeReduce
+	down treeBcast // on the helper
 }
 
 func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
-	s := g.s
-	a := &pipeState{g: g, nodeStages: newNodeStages(g, size, ds, pipeChunks(g, size, ds))}
+	s, cfg := g.s, g.s.m.Cfg
+	// "Pipelining over the entire message range" (§2.4) keeps at least four
+	// chunks in flight until the full large chunk size pays off.
+	sp := alignedChunks(size, min(cfg.SRMLargeChunk, max((size+3)/4, cfg.SRMSmallChunk)), ds)
+	a := &pipeState{nodeStages: newNodeStages(g, size, ds, sp)}
 	nn := len(g.lay.nodes)
-	a.helperDone = make([]*sim.Event, nn)
-	for x := range a.helperDone {
-		a.helperDone[x] = s.m.Env.NewEvent()
-	}
-	arrivals := func() [2]*rma.Counter {
-		return [2]*rma.Counter{
-			s.counter(0, trace.ClassWaitArrive),
-			s.counter(0, trace.ClassWaitArrive),
-		}
+	helperDone := make([]*sim.Event, nn)
+	for x := range helperDone {
+		helperDone[x] = s.m.Env.NewEvent()
 	}
 	kind := s.interKind("allreduce", size)
-	a.trees = make([]pipeTree, len(roots))
+	trees := make([]pipeTree, len(roots))
 	for ti, root := range roots {
-		tp := &a.trees[ti]
+		tp := &trees[ti]
 		tp.emb = g.embed(kind, g.lay.local[root][0])
 		tp.chunkDone = s.flag(g.lay.nodes[root])
-		tp.pslot = make([][2][]byte, nn)
-		tp.arr = make([][2]*rma.Counter, nn)
-		tp.credit = make([]*rma.Counter, nn)
-		tp.bArr = make([][2]*rma.Counter, nn)
+		tp.window, tp.bArr = newWindow(nn), make([][2]*rma.Counter, nn)
 		for x := 0; x < nn; x++ {
-			tp.pslot[x] = [2][]byte{s.slot(a.sp[0].n), s.slot(a.sp[0].n)}
-			tp.arr[x] = arrivals()
-			tp.credit[x] = s.counter(2, trace.ClassWaitCredit)
-			tp.bArr[x] = arrivals()
+			tp.carve(s, x, a.sp[0].n)
+			tp.bArr[x] = s.arrivals()
 		}
 	}
+	a.up = treeReduce{sp: a.sp, rn: a.rn, trees: trees, done: helperDone}
+	a.down = treeBcast{sp: a.sp, pub: a.pub, trees: trees, dst: a.resBuf, ready: a.resReady, helper: true}
 	return a
 }
 
-const (
-	ppStart  = iota
-	ppReduce // reduce side: top of the chunk loop
-	ppUp     // f.i counts child nodes; f.j records a local partial
-	ppBcast  // broadcast side (helper): top of the chunk loop
-	ppDown
-	ppDownPut
-)
-
-// step walks chunks in global order; chunk k belongs to tree k%nt and is
-// the (k/nt)-th chunk of that tree.
+// step is a master's first step: it starts the broadcast helper beside it,
+// then becomes the reduce side.
 func (a *pipeState) step(x *exec, f *frame) {
-	g, nx, send, recv, k := a.g, x.nx, f.a, f.c, f.k
-	if k == len(a.sp) {
-		if f.pc == ppReduce {
-			x.waitEvent(a.helperDone[nx])
-		} else {
-			a.pub[nx].waitConsumed(x, k-1)
-		}
-		x.ret()
-		return
-	}
-	nt := len(a.trees)
-	tp, idx := &a.trees[k%nt], k/nt
-	par := idx % 2
-	kids := tp.emb.inter.Children[nx]
-	atRoot := nx == tp.emb.inter.Root
-	c := a.sp[k]
-	tchunk, own := recv[c.off:c.off+c.n], send[c.off:c.off+c.n]
-
-	switch f.pc {
-	case ppStart:
-		x.spawn(a, ppBcast, send, recv, a.helperDone[nx])
-		f.pc = ppReduce
-	case ppReduce:
-		f.pc, f.i, f.j = ppUp, 0, 0
-		if x.reduceLocal(a.rn[nx], k, tchunk, own) {
-			f.j = 1
-		}
-	case ppUp:
-		have := f.j != 0 || f.i > 0
-		if f.i < len(kids) {
-			child := kids[f.i]
-			f.i++
-			x.waitcntr(tp.arr[child][par], 1)
-			if c.n > 0 {
-				if have {
-					own = nil
-				}
-				x.combine(tchunk, own, tp.pslot[child][par][:c.n])
-			}
-			// The child's next send in this tree is chunk k+nt; returning
-			// this credit enables the one after that.
-			if k+2*nt < len(a.sp) {
-				x.putZero(g.masterEp(child), tp.credit[child])
-			}
-			return
-		}
-		if !atRoot {
-			src := tchunk
-			if !have {
-				src = own
-			}
-			x.waitcntr(tp.credit[nx], 1)
-			x.put(g.masterEp(tp.emb.inter.Parent[nx]), tp.pslot[nx][par][:c.n], src, tp.arr[nx][par])
-		} else {
-			if !have && c.n > 0 {
-				x.memcpy(tchunk, own)
-			}
-			x.set(tp.chunkDone, idx+1)
-		}
-		f.pc, f.k = ppReduce, k+1
-
-	case ppBcast:
-		if atRoot {
-			x.waitGE(tp.chunkDone, idx+1)
-		} else {
-			x.waitValue(tp.bArr[nx][par], 1)
-		}
-		f.pc, f.i = ppDown, 0
-	case ppDown:
-		if f.i < len(kids) {
-			x.waitEvent(a.resReady[kids[f.i]])
-			f.pc = ppDownPut
-			return
-		}
-		f.pc, f.k = ppBcast, k+1
-		x.publish(a.pub[nx], k, tchunk, false)
-	case ppDownPut:
-		child := kids[f.i]
-		x.put(g.masterEp(child), a.resBuf[child][c.off:c.off+c.n], tchunk, tp.bArr[child][par])
-		f.pc, f.i = ppDown, f.i+1
-	}
+	x.spawn(&a.down, f.c, a.up.done[x.nx])
+	f.b = &a.up
 }

@@ -36,7 +36,6 @@ type alltoallState struct {
 	staged []flagSet        // per node: member finished staging
 	ready  []*shm.Flag      // per node: all inbound slabs landed
 	arr    [][]*rma.Counter // [dst node][src node] slab arrivals
-	pos    map[int]int      // member rank -> group rank
 
 	// Direct path: per-member receive buffers and block-arrival counters.
 	recvBuf    [][]byte
@@ -55,10 +54,6 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 		staged: make([]flagSet, nn),
 		ready:  make([]*shm.Flag, nn),
 		arr:    make([][]*rma.Counter, nn),
-		pos:    make(map[int]int, len(g.lay.members)),
-	}
-	for i, r := range g.lay.members {
-		st.pos[r] = i
 	}
 	st.direct = blk > alltoallDirectMin
 	if st.direct {
@@ -130,7 +125,7 @@ func (g *Group) alltoall(x *exec, rank int, send, recv []byte) {
 func (a *alltoallState) step(x *exec, f *frame) {
 	g, s, nx, li, blk := a.g, a.g.s, x.nx, x.l, a.blk
 	send, recv := f.a, f.c
-	nn, P, gi := len(g.lay.nodes), len(g.lay.members), a.pos[x.rank]
+	nn, P, gi := len(g.lay.nodes), len(g.lay.members), g.lay.index(x.rank)
 	mine := len(g.lay.local[nx])
 
 	switch f.pc {
@@ -145,7 +140,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 				// Gather this member's blocks for the node's members into
 				// its row of the slab (one contiguous copy per destination).
 				for lj, dst := range dsts {
-					off := a.pos[dst] * blk
+					off := g.lay.index(dst) * blk
 					copy(row[lj*blk:(lj+1)*blk], send[off:off+blk])
 				}
 				x.chargeCopy(len(row))
@@ -190,7 +185,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 			}
 			slab := a.in[nx][f.i]
 			for lj, src := range srcs {
-				off := a.pos[src] * blk
+				off := g.lay.index(src) * blk
 				copy(recv[off:off+blk], slab[(lj*mine+li)*blk:(lj*mine+li+1)*blk])
 			}
 			x.chargeCopy(len(srcs) * blk)

@@ -13,11 +13,14 @@ import (
 // node index, so the same machinery serves whole-world broadcasts and
 // arbitrary task groups (the §5 extension).
 type bcastState struct {
+	// The large-message path: the tree broadcast into the user buffers, which
+	// the masters register with an address AM to their parent (Fig. 4
+	// right). Its chunks and SMP side (Fig. 3) serve the small path too.
+	treeBcast
 	g     *Group
 	root  int
 	size  int
 	emb   gEmbed
-	sp    []span
 	large bool
 
 	// Small-message path: two shared receive buffers per non-root node
@@ -27,13 +30,6 @@ type bcastState struct {
 	netBuf [][2][]byte
 	arr    [][2]*rma.Counter // per node, per buffer parity ("two LAPI counters")
 	freeC  [][2]*rma.Counter
-
-	// Large-message path: user-buffer address exchange (Fig. 4 right).
-	userBuf    [][]byte     // per node, registered by the node's master
-	registered []*sim.Event // per node, fires at the parent after the address AM
-
-	// SMP side (Fig. 3).
-	pub []publisher
 }
 
 func newBcastState(g *Group, root, size int) *bcastState {
@@ -60,9 +56,7 @@ func newBcastState(g *Group, root, size int) *bcastState {
 	b.netBuf = make([][2][]byte, nn)
 	b.arr = make([][2]*rma.Counter, nn)
 	b.freeC = make([][2]*rma.Counter, nn)
-	b.userBuf = make([][]byte, nn)
-	b.registered = make([]*sim.Event, nn)
-	b.pub = make([]publisher, nn)
+	b.pub, b.dst, b.ready = make([]publisher, nn), make([][]byte, nn), make([]*sim.Event, nn)
 	chunkBytes := b.sp[0].n
 	for x, nd := range g.lay.nodes {
 		if !b.large {
@@ -72,13 +66,11 @@ func newBcastState(g *Group, root, size int) *bcastState {
 				s.counter(1, trace.ClassWaitCredit),
 			}
 		}
-		b.arr[x] = [2]*rma.Counter{
-			s.counter(0, trace.ClassWaitArrive),
-			s.counter(0, trace.ClassWaitArrive),
-		}
-		b.registered[x] = s.m.Env.NewEvent()
+		b.arr[x] = s.arrivals()
+		b.ready[x] = s.m.Env.NewEvent()
 		b.pub[x] = s.newPublisher(nd, g.lay.li(b.emb.masters[x]), len(g.lay.local[x]), chunkBytes)
 	}
+	b.trees = []pipeTree{{emb: b.emb, bArr: b.arr}}
 	return b
 }
 
@@ -107,10 +99,6 @@ const (
 	bcSmall          // master, Fig. 4 left: top of the chunk loop
 	bcSmallKids
 	bcSmallDone
-	bcLarge // master, Fig. 4 right: entry
-	bcLargeChunk
-	bcLargeKids
-	bcLargePut
 )
 
 func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
@@ -119,14 +107,25 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 		panic(fmt.Sprintf("core: Bcast mismatch at rank %d: root %d/%d size %d/%d",
 			rank, root, b.root, len(buf), b.size))
 	}
-	pc := bcConsume
-	if rank == b.emb.masters[x.nx] {
-		x.quietNet(b.size)
-		if pc = bcSmall; b.large {
-			pc = bcLarge
-		}
+	nx := x.nx
+	if rank != b.emb.masters[nx] {
+		x.call(b, bcConsume, 0, buf, nil)
+		return
 	}
-	x.call(b, pc, 0, buf, nil)
+	x.quietNet(b.size)
+	if !b.large {
+		x.call(b, bcSmall, 0, buf, nil)
+		return
+	}
+	// Large message: register buf and, below the root, send its address to
+	// the inter-node parent; then broadcast into the registered buffers.
+	b.dst[nx] = buf
+	if nx != b.emb.inter.Root {
+		reg := b.ready[nx]
+		parent := g.s.dom.Endpoint(b.emb.masters[b.emb.inter.Parent[nx]])
+		x.am(parent, make([]byte, 8), func([]byte) { reg.Trigger() })
+	}
+	x.call(&b.treeBcast, tbChunk, 0, buf, nil)
 }
 
 func (b *bcastState) step(x *exec, f *frame) {
@@ -138,7 +137,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 	if k == len(b.sp) {
 		// Every chunk is out; masters that staged chunks through the node's
 		// buffers wait until the last one has been consumed.
-		if f.pc == bcLargeChunk || f.pc == bcSmall && atRoot {
+		if f.pc == bcSmall && atRoot {
 			pub.waitConsumed(x, k-1)
 		}
 		x.ret()
@@ -200,33 +199,5 @@ func (b *bcastState) step(x *exec, f *frame) {
 			x.end()
 		}
 		f.pc, f.k = bcSmall, k+1
-
-	// Large-message protocol: an address exchange, then puts straight into
-	// user buffers, with the SMP broadcast pipelined behind the arrivals.
-	case bcLarge:
-		b.userBuf[nx] = buf
-		if !atRoot {
-			// Stage 1: send the user-buffer address to the inter-node parent.
-			reg := b.registered[nx]
-			x.am(masterEp(b.emb.inter.Parent[nx]), make([]byte, 8), func([]byte) { reg.Trigger() })
-		}
-		f.pc = bcLargeChunk
-	case bcLargeChunk:
-		if !atRoot {
-			x.waitcntr(b.arr[nx][parity], 1) // chunk landed in buf[c.off:]
-		}
-		f.pc, f.i = bcLargeKids, 0
-	case bcLargeKids:
-		if f.i < len(kids) {
-			x.waitEvent(b.registered[kids[f.i]])
-			f.pc = bcLargePut
-			return
-		}
-		f.pc, f.k = bcLargeChunk, k+1
-		x.publish(pub, k, mine, false)
-	case bcLargePut:
-		child := kids[f.i]
-		x.put(masterEp(child), b.userBuf[child][c.off:c.off+c.n], mine, b.arr[child][parity])
-		f.pc, f.i = bcLargeKids, f.i+1
 	}
 }

@@ -287,6 +287,15 @@ func chunks(total, chunk int) []span {
 	return out
 }
 
+// alignedChunks splits size bytes of ds elements into pipeline chunks of at
+// most chunk bytes, each a whole number of elements.
+func alignedChunks(size, chunk int, ds dataspec) []span {
+	if ds.dt.Size() > 0 {
+		chunk -= chunk % ds.dt.Size()
+	}
+	return chunks(size, max(chunk, 1))
+}
+
 // flagSet is one flag per local task, each on its own cache line (§2.2).
 type flagSet []shm.Flag
 

@@ -419,14 +419,14 @@ func (x *exec) begin(f *frame, cl trace.Class, name string, n int) {
 }
 func (x *exec) end() { x.q = append(x.q, op{kind: opEnd, w: x.depth - 1}) }
 
-// spawn starts body b at pc as a pipeline helper beside the caller: a task of
-// its own on the caller's rank, with the caller's buffers; done fires when
+// spawn starts body b at pc 0, with a as its buffer, as a pipeline helper
+// beside the caller: a task of its own on the caller's rank; done fires when
 // the helper finishes. It acts at once.
-func (x *exec) spawn(b stepper, pc int, a, c []byte, done *sim.Event) {
+func (x *exec) spawn(b stepper, a []byte, done *sim.Event) {
 	s := x.s
 	h := s.exec(nil, nil)
 	h.rank, h.nx, h.l, h.node, h.ep, h.ds, h.done = x.rank, x.nx, x.l, x.node, x.ep, x.ds, done
-	h.call(b, pc, 0, a, c)
+	h.call(b, 0, 0, a, nil)
 	s.m.Env.SpawnTask("srm-arb-", x.nx, func(ht *sim.Task) {
 		h.bind(ht)
 		// A timeline of its own above the rank tracks, so the helper's spans

@@ -139,16 +139,6 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 	return st
 }
 
-// groupRank returns a member's group rank (its block index).
-func (g *Group) groupRank(rank int) int {
-	for i, r := range g.lay.members {
-		if r == rank {
-			return i
-		}
-	}
-	panic("core: rank not in group")
-}
-
 // slabRange returns the staging range of a run within its node buffer
 // (member-list order) and its range in the gathered vector.
 func (st *redistState) slabRange(rn run) (stagedOff, groupOff, n int) {
@@ -233,7 +223,7 @@ func (g *Group) allgather(x *exec, rank int, send, recv []byte) {
 	if r.direct {
 		pc = rsDirect
 	}
-	x.call(r, pc, g.groupRank(rank), send, recv)
+	x.call(r, pc, g.lay.index(rank), send, recv)
 }
 
 func (st *redistState) step(x *exec, f *frame) {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"srmcoll/internal/dtype"
-	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
-	"srmcoll/internal/trace"
 )
 
 // dataspec bundles the element type and operator of a reduction.
@@ -26,65 +24,34 @@ func (ds dataspec) validate(n int) error {
 }
 
 // reduceState is the shared state of one reduce operation (§2.4): a
-// binomial tree within each node and between the masters, with double
-// buffers and chunk pipelining overlapping data movement across the
-// intra- and inter-node domains. Node-indexed slices use the layout's
+// binomial tree within each node and the tree reduce between the masters,
+// with double buffers and chunk pipelining overlapping data movement across
+// the intra- and inter-node domains. Node-indexed slices use the layout's
 // participating node index.
 type reduceState struct {
-	g    *Group
-	root int
-	size int
-	ds   dataspec
-	emb  gEmbed
-	sp   []span
-
-	rn      []*redNode // per-node SMP reduce machinery
-	partial [][]byte   // per node: master's partial-result buffer (the root's recv on its node)
-
-	// Inter-node: the parent holds two chunk slots per child; the child
-	// holds a credit counter (initially 2) replenished by zero-byte puts.
-	pslot  [][2][]byte       // indexed by child node, allocated at its parent
-	arr    [][2]*rma.Counter // per-parity chunk arrivals from child node, at the parent
-	credit []*rma.Counter    // free slots for child node's puts, at the child
+	treeReduce // over one tree, with no broadcast helper
+	root       int
+	size       int
+	ds         dataspec
+	partial    [][]byte // per node: master's partial-result buffer (the root's recv on its node)
 }
 
 func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 	s := g.s
-	cfg := s.m.Cfg
-	r := &reduceState{
-		g:    g,
-		root: root,
-		size: size,
-		ds:   ds,
-		emb:  g.embed(s.interKind("reduce", size), root),
-	}
-	chunk := cfg.SRMLargeChunk
-	if ds.dt.Size() > 0 {
-		chunk -= chunk % ds.dt.Size() // keep chunks element-aligned
-	}
-	if size <= chunk {
-		chunk = max(size, 1)
-	}
-	r.sp = chunks(size, chunk)
+	r := &reduceState{root: root, size: size, ds: ds}
+	r.sp = alignedChunks(size, s.m.Cfg.SRMLargeChunk, ds)
 	nn := len(g.lay.nodes)
 	r.rn = make([]*redNode, nn)
 	r.partial = make([][]byte, nn)
-	r.pslot = make([][2][]byte, nn)
-	r.arr = make([][2]*rma.Counter, nn)
-	r.credit = make([]*rma.Counter, nn)
-	chunkBytes := r.sp[0].n
+	tp := pipeTree{emb: g.embed(s.interKind("reduce", size), root), window: newWindow(nn)}
 	for x, nd := range g.lay.nodes {
-		r.rn[x] = s.newRedNode(nd, g.lay.li(r.emb.masters[x]), len(g.lay.local[x]), r.sp)
-		if x != r.emb.inter.Root {
+		r.rn[x] = s.newRedNode(nd, g.lay.li(tp.emb.masters[x]), len(g.lay.local[x]), r.sp)
+		if x != tp.emb.inter.Root {
 			r.partial[x] = s.slot(size)
 		}
-		r.pslot[x] = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
-		r.arr[x] = [2]*rma.Counter{
-			s.counter(0, trace.ClassWaitArrive),
-			s.counter(0, trace.ClassWaitArrive),
-		}
-		r.credit[x] = s.counter(2, trace.ClassWaitCredit)
+		tp.carve(s, x, r.sp[0].n)
 	}
+	r.trees = []pipeTree{tp}
 	return r
 }
 
@@ -124,66 +91,10 @@ func (g *Group) reduce(x *exec, rank int, send, recv []byte, ds dataspec, root i
 		}
 		r.partial[x.nx] = recv
 	}
-	if rank != r.emb.masters[x.nx] {
+	if rank != r.trees[0].emb.masters[x.nx] {
 		x.reduceWorker(r.rn[x.nx], send)
 		return
 	}
 	x.quietNet(r.size)
-	x.call(r, 0, 0, send, nil)
-}
-
-// step runs the node master: combine local children, combine arriving
-// child-node partials, and either forward the chunk to the parent master or
-// finish it into the root's receive buffer — all pipelined over chunks.
-// pc 0 is the top of the chunk loop, pc 1 the rest of chunk f.k with f.i
-// counting child nodes; f.j records that the chunk has a local partial.
-func (r *reduceState) step(x *exec, f *frame) {
-	g, nx, k := r.g, x.nx, f.k
-	if k == len(r.sp) {
-		x.ret()
-		return
-	}
-	c := r.sp[k]
-	tchunk := r.partial[nx][c.off : c.off+c.n]
-	own := f.a[c.off : c.off+c.n]
-	if f.pc == 0 {
-		f.pc, f.i, f.j = 1, 0, 0
-		if x.reduceLocal(r.rn[nx], k, tchunk, own) {
-			f.j = 1
-		}
-		return
-	}
-	have := f.j != 0 || f.i > 0
-	if interKids := r.emb.inter.Children[nx]; f.i < len(interKids) {
-		child := interKids[f.i]
-		f.i++
-		x.waitcntr(r.arr[child][k%2], 1)
-		if c.n > 0 {
-			if have {
-				own = nil
-			}
-			x.combine(tchunk, own, r.pslot[child][k%2][:c.n])
-		}
-		// Replenish the child's slot credit — only needed while a chunk
-		// k+2 remains to reuse this slot parity.
-		if k+2 < len(r.sp) {
-			x.putZero(g.s.dom.Endpoint(r.emb.masters[child]), r.credit[child])
-		}
-		return
-	}
-	switch {
-	case nx != r.emb.inter.Root:
-		// Forward the chunk partial to the parent's slot for this node.
-		src := tchunk
-		if !have {
-			src = own // single-task leaf node: send straight from the user buffer
-		}
-		x.waitcntr(r.credit[nx], 1)
-		parent := g.s.dom.Endpoint(r.emb.masters[r.emb.inter.Parent[nx]])
-		x.put(parent, r.pslot[nx][k%2][:c.n], src, r.arr[nx][k%2])
-	case !have && c.n > 0:
-		// Reduce over a single task: the result is a plain copy.
-		x.memcpy(tchunk, own)
-	}
-	f.pc, f.k = 0, k+1
+	x.call(&r.treeReduce, trChunk, 0, send, r.partial[x.nx])
 }

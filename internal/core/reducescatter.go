@@ -28,12 +28,10 @@ type reduceScatterState struct {
 	slot    [][][]byte
 	arr     [][]*rma.Counter // [dst node][src node]
 	ready   []*shm.Flag
-	offs    [][]int // per node: input-vector byte offset of each member's block
 }
 
 func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 	s := g.s
-	cfg := s.m.Cfg
 	nn := len(g.lay.nodes)
 	total := blk * len(g.lay.members)
 	st := &reduceScatterState{
@@ -46,20 +44,8 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 		slot:    make([][][]byte, nn),
 		arr:     make([][]*rma.Counter, nn),
 		ready:   make([]*shm.Flag, nn),
-		offs:    make([][]int, nn),
 	}
-	chunk := cfg.SRMLargeChunk
-	if ds.dt.Size() > 0 {
-		chunk -= chunk % ds.dt.Size()
-	}
-	if total <= chunk {
-		chunk = max(total, 1)
-	}
-	st.sp = chunks(total, chunk)
-	pos := make(map[int]int, len(g.lay.members))
-	for i, r := range g.lay.members {
-		pos[r] = i
-	}
+	st.sp = alignedChunks(total, s.m.Cfg.SRMLargeChunk, ds)
 	for x, nd := range g.lay.nodes {
 		st.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), st.sp)
 		st.partial[x] = s.slot(total)
@@ -72,10 +58,6 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 			st.arr[x][y] = s.counter(0, trace.ClassWaitCntr)
 		}
 		st.ready[x] = s.flag(nd)
-		st.offs[x] = make([]int, len(g.lay.local[x]))
-		for l, r := range g.lay.local[x] {
-			st.offs[x][l] = pos[r] * blk
-		}
 	}
 	return st
 }
@@ -84,23 +66,21 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 // y's local-member order. Contiguous ranges (the whole-world case) are
 // returned as a slice; otherwise a compacted copy is built and charged.
 func (st *reduceScatterState) slabFor(x *exec, vec []byte, y int) []byte {
-	offs := st.offs[y]
-	if len(offs) == 0 || st.blk == 0 {
+	lay, members, blk := &st.g.lay, st.g.lay.local[y], st.blk
+	if len(members) == 0 || blk == 0 {
 		return nil
 	}
-	contiguous := true
-	for l := 1; l < len(offs); l++ {
-		if offs[l] != offs[l-1]+st.blk {
-			contiguous = false
-			break
-		}
+	first, contiguous := lay.index(members[0]), true
+	for l, r := range members {
+		contiguous = contiguous && lay.index(r) == first+l
 	}
 	if contiguous {
-		return vec[offs[0] : offs[0]+len(offs)*st.blk]
+		return vec[first*blk : (first+len(members))*blk]
 	}
-	slab := make([]byte, len(offs)*st.blk)
-	for l, off := range offs {
-		copy(slab[l*st.blk:(l+1)*st.blk], vec[off:off+st.blk])
+	slab := make([]byte, len(members)*blk)
+	for l, r := range members {
+		off := lay.index(r) * blk
+		copy(slab[l*blk:(l+1)*blk], vec[off:off+blk])
 	}
 	x.chargeCopy(len(slab))
 	return slab
@@ -160,9 +140,7 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 			c := st.sp[k]
 			tchunk, own := st.partial[nx][c.off:c.off+c.n], send[c.off:c.off+c.n]
 			f.k++
-			if !x.reduceLocal(st.rn[nx], k, tchunk, own) && c.n > 0 {
-				x.memcpy(tchunk, own) // single member node
-			}
+			x.reduceInto(st.rn[nx], k, tchunk, own)
 			return
 		}
 		// Phase 2: ship each peer node its members' blocks, combine the

@@ -1,27 +1,19 @@
 package core
 
-import (
-	"srmcoll/internal/rma"
-	"srmcoll/internal/trace"
-)
-
 // ringState is the shared state of one ring allreduce (AlgRing): an SMP
 // reduce of the whole vector on each node, a reduce-scatter pass followed
 // by an allgather pass around the ring of node masters, then an SMP
 // broadcast of the result. The vector is cut into one element-aligned
 // block per node; every master sends 2(nn-1) blocks to its right
 // neighbour, so the per-master traffic is bandwidth-optimal regardless of
-// node count. Receives are staged in double-buffered slots with a
-// two-deep credit window back to the left neighbour, the same flow
-// control the Figure-5 pipeline uses between parent and child.
+// node count. Receives are staged in the credit window the Figure-5
+// pipeline uses between child and parent, each master sending to its right
+// neighbour; a block rides slot parity st%2 at ring step st.
 type ringState struct {
 	nodeStages // with a single whole-vector chunk
-	g          *Group
-
-	blk    []span            // one element-aligned vector block per node
-	slot   [][2][]byte       // per node: staging for the left neighbour's sends
-	arr    [][2]*rma.Counter // per node, per step parity: block arrived
-	credit []*rma.Counter    // per node: budget for sending to the right neighbour
+	window
+	g   *Group
+	blk []span // one element-aligned vector block per node
 }
 
 func newRingState(g *Group, size int, ds dataspec) *ringState {
@@ -44,16 +36,9 @@ func newRingState(g *Group, size int, ds dataspec) *ringState {
 			maxBlk = n * esize
 		}
 	}
-	a.slot = make([][2][]byte, nn)
-	a.arr = make([][2]*rma.Counter, nn)
-	a.credit = make([]*rma.Counter, nn)
+	a.window = newWindow(nn)
 	for x := 0; x < nn; x++ {
-		a.slot[x] = [2][]byte{s.slot(maxBlk), s.slot(maxBlk)}
-		a.arr[x] = [2]*rma.Counter{
-			s.counter(0, trace.ClassWaitArrive),
-			s.counter(0, trace.ClassWaitArrive),
-		}
-		a.credit[x] = s.counter(2, trace.ClassWaitCredit)
+		a.carve(s, x, maxBlk)
 	}
 	return a
 }
@@ -83,9 +68,7 @@ func (a *ringState) step(x *exec, f *frame) {
 	switch {
 	case f.pc == 0:
 		f.pc = 1
-		if !x.reduceLocal(a.rn[nx], 0, recv, send) && a.size > 0 {
-			x.memcpy(recv, send) // single task on the node
-		}
+		x.reduceInto(a.rn[nx], 0, recv, send)
 	case f.pc == 1 && f.i < steps:
 		st := f.i
 		f.i++

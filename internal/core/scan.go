@@ -86,7 +86,7 @@ func (g *Group) scan(x *exec, rank int, send, recv []byte, ds dataspec, exclusiv
 		panic(fmt.Sprintf("core: scan mismatch at rank %d", rank))
 	}
 	x.ds = ds
-	f := x.call(sc, 0, g.groupRank(rank), send, recv)
+	f := x.call(sc, 0, g.lay.index(rank), send, recv)
 	if exclusive {
 		f.j = 1
 	}

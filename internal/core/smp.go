@@ -324,6 +324,14 @@ func (x *exec) reduceLocal(rn *redNode, k int, target, own []byte) bool {
 	return true
 }
 
+// reduceInto is reduceLocal for a master that needs the node partial in
+// target: with no local children it copies own there.
+func (x *exec) reduceInto(rn *redNode, k int, target, own []byte) {
+	if !x.reduceLocal(rn, k, target, own) && len(target) > 0 {
+		x.memcpy(target, own)
+	}
+}
+
 func (rn *redNode) step(x *exec, f *frame) {
 	local := x.l
 	if f.pc == redMaster {

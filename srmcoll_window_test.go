@@ -36,15 +36,16 @@ func TestWindowCheckIsSilent(t *testing.T) {
 }
 
 // windowTreeKinds is the engine-equivalence matrix over the six inter-node tree
-// kinds and the four allreduce families: the pipelined broadcast, the reduce
-// and both allreduce regimes, from both forms of body, on three nodes.
+// kinds and the four allreduce families: the pipelined broadcast, both reduce
+// regimes and both allreduce regimes, from both forms of body, on three and
+// four nodes.
 func windowTreeKinds(t *testing.T) {
 	scenarios := engCollectiveScenarios()
 	kinds := []tree.Kind{tree.Binomial, tree.Binary, tree.Fibonacci, tree.Flat, tree.Multilevel, tree.Bine}
 	for _, shape := range [][2]int{{3, 2}, {4, 1}} {
 		for _, kind := range kinds {
 			for _, alg := range []AllreduceAlg{AllreduceAuto, AllreduceRing, AllreduceRHD, AllreduceDualRoot} {
-				for _, name := range []string{"bcast-pipelined", "reduce", "allreduce-small", "allreduce-large"} {
+				for _, name := range []string{"bcast-pipelined", "reduce", "reduce-pipelined", "allreduce-small", "allreduce-large"} {
 					t.Run(fmt.Sprintf("%dx%d/%v/%v/%s", shape[0], shape[1], kind, alg, name), func(t *testing.T) {
 						cl := mustCluster(t, shape[0], shape[1])
 						cl.SetVariant(Variant{InterTree: kind, Allreduce: alg})

@@ -429,6 +429,7 @@ func engCollectiveScenarios() map[string]func(P int) (func(tc *TComm, done func(
 		"bcast-2buf-16k":   mkBcast(16<<10, 2),
 		"bcast-2buf-64k":   mkBcast(64<<10, 1),
 		"reduce":           mkReduce(3000, 3),
+		"reduce-pipelined": mkReduce(25000, 1), // four SRMLargeChunk chunks; rank 1 is second on its node unless nodes hold one task
 		"allreduce-small":  mkAllreduce(128),
 		"allreduce-large":  mkAllreduce(8192), // 64 KiB: pipelined-tree path with arbiter helpers
 		"gather-staged":    mkGatherFamily(256, false),
