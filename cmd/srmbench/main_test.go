@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -87,33 +86,5 @@ func TestRanksBarrier(t *testing.T) {
 	code, stdout, stderr := runArgs("ranks", "-op", "barrier", "1024")
 	if code != 0 || !strings.HasPrefix(stdout, "ranks 1024 (128 nodes x 8 tasks) barrier: sim ") {
 		t.Errorf("ranks -op barrier 1024: exit %d, stderr %q, stdout %q", code, stderr, stdout)
-	}
-}
-
-// commandLine finds a srmbench invocation: "go run ./cmd/srmbench" up to a
-// comment, pipe or redirection, or a `srmbench ...` code span.
-var commandLine = regexp.MustCompile("go run \\./cmd/srmbench([^#|;&>`\\n]*)|`srmbench ([^`]+)`")
-
-// Every srmbench command line in the docs, the verify notes and CI parses:
-// they cannot drift from the CLI. Nothing is run.
-func TestDocsParse(t *testing.T) {
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md",
-		".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
-		text, err := os.ReadFile(filepath.Join("..", "..", doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := commandLine.FindAllStringSubmatch(string(text), -1)
-		if len(found) == 0 {
-			t.Errorf("%s: no srmbench command lines found", doc)
-		}
-		for _, m := range found {
-			args := strings.Fields(m[1] + m[2])
-			var errs bytes.Buffer
-			if _, code := parse(args, io.Discard, &errs); code != 0 {
-				problem, _, _ := strings.Cut(errs.String(), "\n")
-				t.Errorf("%s: srmbench %s: exit %d: %s", doc, strings.Join(args, " "), code, problem)
-			}
-		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"srmcoll/internal/tune"
 )
 
-// This file is the (op, size, topology) autotuner of ROADMAP item 2: it
+// This file is the (op, size, topology) autotuner: it
 // measures each candidate inter-node tree across the tuning grid with the
 // parallel sweep runner, picks the winner per cell, and compresses the
 // winners into the size-threshold decision table that srmcoll.Cluster
@@ -250,7 +250,7 @@ func RunTune(tc TuneConfig) (*tune.Table, error) {
 // FigCrossover produces the per-topology crossover tables: for each
 // tree-shaped operation, time versus message size with one column per
 // candidate tree, on the given topology shape. These are the
-// paper-figure-style plots ROADMAP item 2 asks for; the winning column's
+// paper-figure-style plots of the hierarchy; the winning column's
 // crossover points are exactly the thresholds RunTune persists.
 func FigCrossover(tc TuneConfig, topoSpec string) ([]*Table, error) {
 	cfg, err := srmcoll.ParseTopo(topoSpec)

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Per-layer benchmarks of the event core (ROADMAP item 1): the numbers the
+// Per-layer benchmarks of the event core: the numbers the
 // next change to this package is sized by, without editing bench/. Each
 // reports ns/event (or ns/wake) beside the framework's ns/op, whose "op" is
 // a whole round.

@@ -128,8 +128,8 @@ func TestRunSettles(t *testing.T) {
 }
 
 // TestChaosRunsNeverSettle: the benchmark's fault_storm is 384 runs of 8 to 64
-// ranks, and a collection after each of them cost it 11 % of its wall time
-// (ROADMAP item 4). The largest and most eventful of those runs — 64 ranks, a
+// ranks, and a collection after each of them cost it 11 % of its wall time.
+// The largest and most eventful of those runs — 64 ranks, a
 // crash rate of 0.3, ten rounds and the repairs — allocates under 2 MB on
 // either engine, so eight of them back to back force nothing even with no
 // cycle of the collector's own to restart the sum.
