@@ -71,12 +71,18 @@ func New(m *machine.Machine, f Flavor) *Group {
 
 func (g *Group) machine() *machine.Machine { return g.w.Machine() }
 
-// localCopy charges and records a protocol-internal buffer copy.
+// localCopy charges, records and makes a protocol-internal buffer copy.
 func (g *Group) localCopy(p *sim.Proc, rank int, dst, src []byte) {
-	m := g.machine()
-	m.ChargeCopy(p, m.NodeOf(rank), len(src))
+	g.chargeCopy(p, rank, len(src))
 	copy(dst, src)
-	m.Stats.AddPlainCopy(len(src))
+}
+
+// chargeCopy charges and records a protocol-internal copy of n bytes whose
+// bytes something else lands.
+func (g *Group) chargeCopy(p *sim.Proc, rank, n int) {
+	m := g.machine()
+	m.ChargeCopy(p, m.NodeOf(rank), n)
+	m.Stats.AddPlainCopy(n)
 }
 
 // combine charges one elementwise reduction.
@@ -128,6 +134,8 @@ func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
 	n := len(send)
 	r := g.w.Rank(rank)
 	g.localCopy(p, rank, recv, send)
+	// Each step receives into scratch, not by folding into recv: the bytes
+	// may land while this rank's own Isend of recv is still reading it.
 	pool := g.machine().Buffers
 	scratch := pool.Get(n)
 	for dist := 1; dist < P; dist *= 2 {

@@ -82,15 +82,18 @@ func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 // Reduce combines members' send buffers along a binomial tree over group
 // indices, leaving the result in recv at the member rank root (ignored
 // elsewhere; may be nil). Each interior member stages its accumulator and
-// receives children into scratch buffers — the data movement at every tree
-// level that Figure 2 contrasts with the SRM shared-memory reduce. The staging
-// buffers come from the machine's pool and go back once the member is through
-// with them; a member unwound out of the operation keeps them out of the pool
-// for the rest of the run, because a transfer matched before the unwind may
-// still land in them. They are memory of the pool's blocks all the same: the
-// rewind at the end of the run takes them back with everything else, once
+// receives every child into it — the data movement at every tree level that
+// Figure 2 contrasts with the SRM shared-memory reduce. Both are charged as
+// the copies they are, but the bytes move once: each child is folded into the
+// accumulator where its message lands (mpi.Rank.RecvReduce), and the staging
+// copy's bytes land with the first child's fold, acc = send op child. A non-root
+// accumulator comes from the machine's pool and goes back once the member is
+// through with it; a member unwound out of the operation keeps it out of the
+// pool for the rest of the run, because a transfer matched before the unwind
+// may still land in it. It is memory of the pool's blocks all the same: the
+// rewind at the end of the run takes it back with everything else, once
 // nothing can land anywhere (bufpool.HandBack), and the run is counted as
-// having left them out (Pool.Outstanding).
+// having left it out (Pool.Outstanding).
 func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	dt dtype.Type, op dtype.Op, root int) {
 	if !dtype.Valid(op, dt) {
@@ -115,16 +118,15 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
 	if me != rootIdx {
 		acc = pool.Get(n)
 	}
-	g.localCopy(p, rank, acc, send)
-	scratch := pool.Get(n)
+	g.chargeCopy(p, rank, n) // staging send into acc: the first fold lands it
+	own := send
 	// Receive children nearest-first (ascending offset), the order they
 	// complete their subtrees.
 	for i := len(kids) - 1; i >= 0; i-- {
-		r.Recv(p, g.members[kids[i]], tagReduce, scratch)
-		dtype.Reduce(op, dt, acc, scratch)
+		r.RecvReduce(p, g.members[kids[i]], tagReduce, acc, mpi.Fold{Op: op, Type: dt, Own: own})
+		own = nil
 		g.combine(p, n, dt.Size())
 	}
-	pool.Put(scratch)
 	if me != rootIdx {
 		r.Send(p, g.members[parent], tagReduce, acc)
 		pool.Put(acc)
@@ -169,12 +171,13 @@ func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
 		r.Recv(p, g.members[me-pow], tagAllreduce, recv)
 		return
 	}
-	scratch := g.machine().Buffers.Get(n)
 	if me+pow < P {
-		r.Recv(p, g.members[me+pow], tagAllreduce, scratch)
-		dtype.Reduce(op, dt, recv, scratch)
+		r.RecvReduce(p, g.members[me+pow], tagAllreduce, recv, mpi.Fold{Op: op, Type: dt})
 		g.combine(p, n, dt.Size())
 	}
+	// The exchange cannot fold: the partner's bytes may land while this
+	// rank's own send of recv is still reading it.
+	scratch := g.machine().Buffers.Get(n)
 	for dist := 1; dist < pow; dist *= 2 {
 		partner := g.members[me^dist]
 		r.Sendrecv(p, partner, tagAllreduce, recv, partner, tagAllreduce, scratch)

@@ -106,6 +106,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: per-byte costs must be positive")
 	case c.MemBusConcurrency < 1:
 		return fmt.Errorf("machine: MemBusConcurrency = %d, want >= 1", c.MemBusConcurrency)
+	case c.ShmPktSize < 1:
+		return fmt.Errorf("machine: ShmPktSize = %d, want >= 1", c.ShmPktSize)
 	case c.SRMBcastBufSize < c.SRMSmallChunk || c.SRMSmallChunk < 1:
 		return fmt.Errorf("machine: SRM buffer sizes inconsistent")
 	case c.SRMLargeChunk < 1 || c.SRMAllreduceRD < 1:

@@ -42,6 +42,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero mem bw", func(c *Config) { c.MemPerByte = 0 }},
 		{"zero net bw", func(c *Config) { c.NetPerByte = 0 }},
 		{"zero bus conc", func(c *Config) { c.MemBusConcurrency = 0 }},
+		{"zero shm packet", func(c *Config) { c.ShmPktSize = 0 }},
 		{"chunk > buffer", func(c *Config) { c.SRMSmallChunk = c.SRMBcastBufSize * 2 }},
 		{"zero large chunk", func(c *Config) { c.SRMLargeChunk = 0 }},
 		{"zero rd limit", func(c *Config) { c.SRMAllreduceRD = 0 }},

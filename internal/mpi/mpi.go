@@ -14,6 +14,7 @@ package mpi
 import (
 	"fmt"
 
+	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
 )
@@ -116,28 +117,64 @@ type message struct {
 	src  int
 	tag  int
 	size int
-	data []byte // owned payload for eager kinds
+	data []byte   // owned payload for eager kinds
+	req  *recvReq // the receive that matched it, set before consume
 
 	// Rendezvous state.
 	senderGo *sim.Event // shm: wakes the sender to start the pipe
 	pipe     *shmPipe   // shm: shared double-buffered channel
 	cts      *sim.Event // net: fires at the sender when CTS arrives
 	dataDone *sim.Event // net: fires at the receiver when data landed
-	req      *recvReq   // net: receive request the payload lands in
 	payload  []byte     // net: sender's buffer, read at injection
 	origin   *Rank      // net: sender endpoint (for CTS routing)
+}
+
+// Fold makes a receive combine the message into its buffer instead of
+// overwriting it, elementwise under Op over elements of Type: buf = Own op
+// payload when Own is set — a first contribution, so buf's old bytes are never
+// read — and buf = buf op payload otherwise. Own must be as long as buf, and
+// the message must fill buf.
+type Fold struct {
+	Op   dtype.Op
+	Type dtype.Type
+	Own  []byte
 }
 
 // recvReq is a posted receive.
 type recvReq struct {
 	src, tag int
 	buf      []byte
+	fold     Fold
+	folds    bool // combine under fold where a plain receive copies
 	done     *sim.Event
 	msg      *message // attached when matched
 }
 
 func (rq *recvReq) matches(src, tag int) bool {
 	return (rq.src == Any || rq.src == src) && (rq.tag == Any || rq.tag == tag)
+}
+
+// land puts the message's bytes [off, off+len(src)) into the receive buffer:
+// a copy, or under a fold their combine with the buffer or with Own.
+func (rq *recvReq) land(off int, src []byte) {
+	dst := rq.buf[off : off+len(src)]
+	switch f := &rq.fold; {
+	case !rq.folds:
+		copy(dst, src)
+	case f.Own != nil:
+		dtype.ReduceInto(f.Op, f.Type, dst, f.Own[off:off+len(src)], src)
+	default:
+		dtype.Reduce(f.Op, f.Type, dst, src)
+	}
+}
+
+// whole rounds a landing boundary down to a whole element of the fold; a copy
+// lands at any byte.
+func (rq *recvReq) whole(off int) int {
+	if !rq.folds {
+		return off
+	}
+	return off - off%rq.fold.Type.Size()
 }
 
 // Rank is one task's endpoint.
@@ -239,11 +276,11 @@ func (r *Rank) sendNetRndv(p *sim.Proc, target *Rank, tag int, data []byte) {
 	p.Wait(msg.cts)
 	p.Sleep(m.Cfg.SendOverhead)
 	// The adapter reads the user buffer during injection and DMAs it straight
-	// into the receive buffer, posted before the CTS. The bytes move now, so
+	// into the receive buffer, posted before the CTS. The bytes land now, so
 	// the send buffer is truly reusable once Send returns (MPI semantics); the
 	// receiver is parked on dataDone until one wire latency later and cannot
 	// tell them from bytes that arrived then.
-	copy(msg.req.buf[:msg.size], msg.payload)
+	msg.req.land(0, msg.payload)
 	injectEnd, dataArrival := m.NetInjectTo(r.node, target.node, msg.size)
 	m.Env.At(dataArrival, func() { m.Env.After(m.Cfg.RecvOverhead, msg.dataDone.Trigger) })
 	// The send buffer is reusable once the adapter has read it.
@@ -298,46 +335,66 @@ func (r *Rank) findUnexpected(src, tag int) *message {
 // has been received into buf, and returns its status. The matched message
 // must fit in buf.
 func (r *Rank) Recv(p *sim.Proc, src, tag int, buf []byte) Status {
+	return r.recv(p, &recvReq{src: src, tag: tag, buf: buf})
+}
+
+// RecvReduce is Recv with the message folded into buf (see Fold): wherever
+// Recv's bytes land, RecvReduce's combine, so it charges, counts and takes the
+// time Recv does, and needs no buffer of its own. Folds into one buffer run in
+// receive order, because no message's bytes move before its receive has
+// matched it and started consuming it.
+func (r *Rank) RecvReduce(p *sim.Proc, src, tag int, buf []byte, f Fold) Status {
+	if f.Own != nil && len(f.Own) != len(buf) {
+		panic(fmt.Sprintf("mpi: fold operand of %d bytes for a %d-byte receive buffer", len(f.Own), len(buf)))
+	}
+	return r.recv(p, &recvReq{src: src, tag: tag, buf: buf, fold: f, folds: true})
+}
+
+func (r *Rank) recv(p *sim.Proc, rq *recvReq) Status {
 	m := r.w.m
 	r.callOverhead(p)
 	p.Sleep(m.Cfg.TagMatchBase + m.Cfg.TagMatchScan*sim.Time(len(r.unexpected)))
-	msg := r.findUnexpected(src, tag)
+	msg := r.findUnexpected(rq.src, rq.tag)
 	if msg == nil {
-		rq := &recvReq{src: src, tag: tag, buf: buf, done: m.Env.NewEvent()}
+		rq.done = m.Env.NewEvent()
 		r.posted = append(r.posted, rq)
 		p.Wait(rq.done)
 		msg = rq.msg
-		msg.req = rq
-	} else {
-		msg.req = &recvReq{src: src, tag: tag, buf: buf}
 	}
-	return r.consume(p, msg, buf)
+	msg.req = rq
+	return r.consume(p, msg)
 }
 
 // consume finishes a matched message in the receiving process's context.
-func (r *Rank) consume(p *sim.Proc, msg *message, buf []byte) Status {
+func (r *Rank) consume(p *sim.Proc, msg *message) Status {
 	m := r.w.m
-	if msg.size > len(buf) {
+	rq := msg.req
+	if msg.size > len(rq.buf) {
 		panic(fmt.Sprintf("mpi: message of %d bytes truncated by %d-byte receive buffer",
-			msg.size, len(buf)))
+			msg.size, len(rq.buf)))
+	}
+	if rq.folds && msg.size != len(rq.buf) {
+		panic(fmt.Sprintf("mpi: folded message of %d bytes does not fill its %d-byte receive buffer",
+			msg.size, len(rq.buf)))
 	}
 	switch msg.kind {
 	case eagerShm:
-		m.Memcpy(p, r.node, buf[:msg.size], msg.data)
+		m.ChargeCopy(p, r.node, msg.size)
+		rq.land(0, msg.data)
+		m.Stats.AddCopy(msg.size)
 		m.Buffers.Put(msg.data) // bounce buffer fully copied out
 		msg.data = nil
 	case eagerNet:
 		m.ChargeCopy(p, r.node, msg.size)
-		copy(buf[:msg.size], msg.data)
+		rq.land(0, msg.data)
 		m.Buffers.Put(msg.data) // staging copy fully copied out
 		msg.data = nil
 		m.Stats.AddPlainCopy(msg.size)
 	case rndvShm:
-		msg.pipe.dst = buf
+		msg.pipe.req = rq
 		msg.senderGo.Trigger()
 		msg.pipe.recvLoop(p)
 	case rndvNet:
-		msg.req.buf = buf
 		p.Sleep(m.Cfg.SendOverhead) // CTS
 		_, arrival := m.NetInjectTo(r.node, msg.origin.node, headerBytes)
 		m.Env.At(arrival, msg.cts.Trigger)
@@ -365,8 +422,8 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte,
 // rendezvous: the sender copies chunks in, the receiver copies them out,
 // with the two slots providing the pipeline. Both copies are charged and
 // counted, but the bytes move once: the bounce buffer is read by nobody but
-// the copy-out, so the sender's copy lands each chunk in the receive buffer
-// (dst, set by the receiver before senderGo fires), and the copy-out is a
+// the copy-out, so the sender's copy lands each chunk in the receive request
+// (req, set by the receiver before senderGo fires), and the copy-out is a
 // charge. The receiver is parked in Recv until the last chunk is charged —
 // the buffer is the library's until the receive completes — so it cannot
 // tell when its bytes arrived.
@@ -375,7 +432,7 @@ type shmPipe struct {
 	node  int
 	chunk int
 	total int
-	dst   []byte
+	req   *recvReq
 	slots [2]int // fill level; 0 = free
 	cond  *sim.Cond
 }
@@ -386,13 +443,21 @@ func newShmPipe(m *machine.Machine, node, chunk, total int) *shmPipe {
 
 func (pp *shmPipe) sendLoop(p *sim.Proc, data []byte) {
 	slot := 0
+	landed := 0
 	for off := 0; off < len(data); {
 		n := pp.chunk
 		if len(data)-off < n {
 			n = len(data) - off
 		}
 		pp.cond.WaitUntil(p, func() bool { return pp.slots[slot] == 0 })
-		pp.m.Memcpy(p, pp.node, pp.dst[off:off+n], data[off:off+n])
+		pp.m.ChargeCopy(p, pp.node, n)
+		// A fold lands whole elements only: one the chunk boundary splits
+		// lands with the next chunk, read from data, which cannot change
+		// while its Send runs.
+		end := pp.req.whole(off + n)
+		pp.req.land(landed, data[landed:end])
+		landed = end
+		pp.m.Stats.AddCopy(n)
 		pp.slots[slot] = n
 		pp.cond.Broadcast()
 		off += n

@@ -2,10 +2,13 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
 )
@@ -687,6 +690,111 @@ func TestRendezvousMovesOnce(t *testing.T) {
 		}
 		if gets, _ := m.Buffers.Stats(); gets != 0 || m.Buffers.Outstanding() != 0 {
 			t.Errorf("%s: %d buffers drawn from the pool, %d out, want none", c.name, gets, m.Buffers.Outstanding())
+		}
+	}
+}
+
+// foldOperand is n bytes of elements of t, seeded: finite floats near 1 (a
+// product of two stays finite), arbitrary bytes for the integer types.
+func foldOperand(t dtype.Type, n, seed int) []byte {
+	b := make([]byte, n)
+	for i := 0; i < n/t.Size(); i++ {
+		x := 1 + float64((i*7+seed*13)%61)/64
+		switch t {
+		case dtype.Float64:
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		case dtype.Float32:
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(x)))
+		default:
+			for j := 0; j < t.Size(); j++ {
+				b[i*t.Size()+j] = byte(i*31 + j*7 + seed*59)
+			}
+		}
+	}
+	return b
+}
+
+// TestReduceFoldsOnReceive: RecvReduce combines each kind of message where
+// Recv would have landed it — posted first or arriving first, at the default
+// packet size and at one whose chunk boundaries split a float64 and an int32
+// — into exactly what a copy followed by dtype.Reduce gives, with Own as the
+// first operand or the buffer itself. Its shared-memory copies, bytes, total
+// copies and completion time are those of a plain Recv of the same message,
+// and it draws no buffer from the pool that the Recv does not.
+func TestReduceFoldsOnReceive(t *testing.T) {
+	type result struct {
+		shmCopies   int
+		shmBytes    int64
+		totalCopies int
+		done        sim.Time
+		gets        uint64
+	}
+	run := func(nodes, tpn, pkt int, late bool, src []byte, recv func(p *sim.Proc, r *Rank)) result {
+		env := sim.NewEnv()
+		cfg := machine.ColonySP(nodes, tpn)
+		cfg.ShmPktSize = pkt
+		m := machine.New(env, cfg)
+		w := NewWorld(m, IBM())
+		var done sim.Time
+		env.Spawn("recv", func(p *sim.Proc) {
+			if late {
+				p.Sleep(200)
+			}
+			recv(p, w.Rank(1))
+			done = p.Now()
+		})
+		env.Spawn("send", func(p *sim.Proc) { w.Rank(0).Send(p, 1, 3, src) })
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if out := m.Buffers.Outstanding(); out != 0 {
+			t.Errorf("%d pool buffers still out", out)
+		}
+		gets, _ := m.Buffers.Stats()
+		return result{m.Stats.ShmCopies, m.Stats.ShmBytes, m.Stats.TotalCopies, done, gets}
+	}
+	for _, k := range []struct {
+		name       string
+		nodes, tpn int
+		n          int
+	}{
+		{"eager-shm", 1, 2, 512},
+		{"rndv-shm", 1, 2, 64<<10 + 8},
+		{"eager-net", 2, 1, 2048},
+		{"rndv-net", 2, 1, 64<<10 + 8},
+	} {
+		for _, pkt := range []int{machine.ColonySP(1, 2).ShmPktSize, 1002} {
+			for _, late := range []bool{false, true} {
+				for _, f := range []struct {
+					op dtype.Op
+					dt dtype.Type
+				}{{dtype.Sum, dtype.Float64}, {dtype.Prod, dtype.Float32}, {dtype.Band, dtype.Int32}, {dtype.Max, dtype.Uint8}} {
+					src := foldOperand(f.dt, k.n, 1)
+					plain := run(k.nodes, k.tpn, pkt, late, src, func(p *sim.Proc, r *Rank) {
+						r.Recv(p, 0, 3, make([]byte, k.n))
+					})
+					for _, first := range []bool{false, true} {
+						name := fmt.Sprintf("%s/pkt%d/late=%v/%s-%s/own=%v", k.name, pkt, late, f.dt, f.op, first)
+						buf := foldOperand(f.dt, k.n, 2)
+						want := bytes.Clone(buf)
+						var own []byte
+						if first {
+							own = foldOperand(f.dt, k.n, 3)
+							copy(want, own)
+						}
+						dtype.Reduce(f.op, f.dt, want, src)
+						got := run(k.nodes, k.tpn, pkt, late, src, func(p *sim.Proc, r *Rank) {
+							r.RecvReduce(p, 0, 3, buf, Fold{Op: f.op, Type: f.dt, Own: own})
+						})
+						if !bytes.Equal(buf, want) {
+							t.Errorf("%s: the fold differs from a copy followed by dtype.Reduce", name)
+						}
+						if got != plain {
+							t.Errorf("%s: %+v, want the plain receive's %+v", name, got, plain)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -208,14 +208,14 @@ func TestConcurrentRunsShareReserve(t *testing.T) {
 // TestReserveRetentionIsBounded drives the reserve's two promises through
 // Run: what a run needed is there when the run comes round again, and what no
 // recent run needed is given up. The large run is a baseline reduce of
-// 512 KiB over 128 ranks, whose 64 interior ranks each hold a scratch buffer
-// and, but for the root, an accumulator: 127 staging buffers, 63.5 MiB at
-// once, the shape of the benchmark grid's largest cell.
+// 512 KiB over 128 ranks, whose 64 interior ranks fold their children into an
+// accumulator as they arrive, a pooled one but for the root's: 63 staging
+// buffers, 31.5 MiB at once, the shape of the benchmark grid's largest cell.
 func TestReserveRetentionIsBounded(t *testing.T) {
 	bufpool.DrainReserve()
 	defer bufpool.DrainReserve()
 	const ranks, size = 128, 512 << 10
-	const staging = (ranks/2 + ranks/2 - 1) * size
+	const staging = (ranks/2 - 1) * size
 	send, out := make([]byte, size), make([]byte, size)
 	large, small := mustCluster(t, ranks/8, 8), mustCluster(t, 2, 4)
 	runLarge := func() {

@@ -19,8 +19,25 @@ func mustCluster(t testing.TB, nodes, tpn int) *Cluster {
 func impls() []Impl { return []Impl{SRM, IBMMPI, MPICHMPI} }
 
 func TestNewClusterRejectsInvalid(t *testing.T) {
-	if _, err := NewCluster(Config{}); err == nil {
-		t.Fatal("invalid config accepted")
+	// A zero bounce-buffer packet would make the shared-memory rendezvous
+	// pipe advance no bytes per chunk: a baseline Bcast above the packet
+	// size would never return.
+	noPkt := ColonySP(1, 2)
+	noPkt.ShmPktSize = 0
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"zero config", Config{}, "Nodes"},
+		{"zero shm packet", noPkt, "ShmPktSize"},
+	} {
+		_, err := NewCluster(c.cfg)
+		if err == nil {
+			t.Errorf("%s: invalid config accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
+		}
 	}
 }
 
