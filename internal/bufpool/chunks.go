@@ -18,8 +18,9 @@ import (
 // (or makes it when the stack is empty), carves values off its front, and
 // remembers it. The owner of the Chunks — an Env, an RMA domain, an engine, one
 // operation entry — decides when every value carved is dead and calls Release:
-// exactly the carved prefix of each slab is cleared and the slabs go back on the
-// stack, newest last, so that the next draw finds the one still in cache. An
+// exactly the carved prefix of each slab is cleared (or rewound, below) and the
+// slabs go back on the stack, newest last, so that the next draw finds the one
+// still in cache. An
 // owner that cannot tell waits (an aborted operation may have puts on the wire
 // until its run is over) or never calls Release (a run that ended in a
 // deadlock, a stall or a crash leaves actors parked on its records), and then
@@ -29,6 +30,14 @@ import (
 // the payload reserve: every Window/2 pool hand-backs it sheds the slabs no
 // draw has reached since it last did, so what a large run left is gone within
 // Window runs that did not need it.
+//
+// Rewinding. A frame binds method values to itself (fr.step, bound as a
+// func()), and a binding is a heap object. A record type whose pointer has a
+// Rewind method is rewound instead of cleared: Rewind zeroes every field but
+// the func fields bound to the value's own methods. A slab only ever goes back
+// to its own type's stack, so whoever draws it next finds each kept binding
+// pointing at a value of that type at the same address — its own — and binds
+// nothing: a frame's methods are bound once for the life of its memory.
 
 // ChunkBytes is the size of a slab, whatever it is carved into: the same
 // 16 KiB as the slabs protocol slots are carved from (internal/core), large
@@ -40,15 +49,18 @@ const ChunkBytes = 16 << 10
 // 65,536 ranks returns many times that and keeps a slice of it: a spare slab is
 // live memory with pointer slots, which every cycle of the collector marks and
 // which counts toward the heap goal, so what is kept is what the runs that come
-// by the thousand need, not what the largest drew.
-const slabCap = 4 << 20
+// by the thousand need, not what the largest drew. Six types reach the cap in
+// a 65,536-rank run (tasks, flags, counters, executors, copy and spin-wait
+// frames): at 4 MiB each, rank_ladder's peak RSS read 7 % over what four types
+// at 4 MiB gave; at 2.5 MiB it is level.
+const slabCap = 5 << 19
 
-// Chunks hands out zeroed values of T carved from slabs of ChunkBytes. Nothing
-// is taken back one by one: the owner calls Release once every value is dead,
-// or never (see the life of a slab above). Like Pool it is single-threaded by
-// construction; only drawing and returning a slab takes the stack's lock. The
-// zero value is ready to use, and a Chunks must not be copied once it has
-// handed out a value.
+// Chunks hands out zero (or rewound) values of T carved from slabs of
+// ChunkBytes. Nothing is taken back one by one: the owner calls Release once
+// every value is dead, or never (see the life of a slab above). Like Pool it is
+// single-threaded by construction; only drawing and returning a slab takes the
+// stack's lock. The zero value is ready to use, and a Chunks must not be copied
+// once it has handed out a value.
 type Chunks[T any] struct {
 	cur   []T       // the part of the newest slab not yet handed out
 	slabs [][]T     // the slabs drawn, each cut to what was carved from it — but for the newest, cut when it is left
@@ -57,13 +69,14 @@ type Chunks[T any] struct {
 	bytes int64
 }
 
-// New returns a pointer to a zero T.
+// New returns a pointer to a zero (or rewound) T.
 func (c *Chunks[T]) New() *T { return &c.Take(1)[0] }
 
-// Take returns n zero Ts that are adjacent in memory. A run that does not fit
-// the rest of the current slab starts a new one (the rest is abandoned, as
-// with a slab of slots); one of a full slab or more is an allocation of its
-// own, the collector's from the start, and leaves the current slab as it is.
+// Take returns n zero (or rewound) Ts that are adjacent in memory. A run that
+// does not fit the rest of the current slab starts a new one (the rest is
+// abandoned, as with a slab of slots); one of a full slab or more is an
+// allocation of its own, zero and the collector's from the start, and leaves
+// the current slab as it is.
 func (c *Chunks[T]) Take(n int) []T {
 	if n > len(c.cur) {
 		if c.stack == nil {
@@ -106,10 +119,65 @@ func (c *Chunks[T]) Release() {
 // oversize runs it has made since it was last released.
 func (c *Chunks[T]) Bytes() int64 { return c.bytes }
 
-// stack is the reserve's spare slabs of one record type: all zero, each of per
-// values, handed out last in first out.
+// Frames is a run's free list of records over a Chunks, threaded through the
+// values (T embeds Link[T]) so that it allocates nothing of its own.
+type Frames[T any, P linked[T]] struct {
+	mem  Chunks[T]
+	idle *T
+	made int
+}
+
+// Link is what a record type embeds to be kept on a Frames list.
+type Link[T any] struct{ next *T }
+
+func (l *Link[T]) link() **T { return &l.next }
+
+type linked[T any] interface {
+	*T
+	rewinder
+	link() **T
+}
+
+// Get returns an idle value, or carves one.
+func (f *Frames[T, P]) Get() *T {
+	x := f.idle
+	if x == nil {
+		f.made++
+		return f.mem.New()
+	}
+	next := P(x).link()
+	f.idle, *next = *next, nil
+	return x
+}
+
+// Put rewinds x, which nothing points at any more, and makes it idle.
+func (f *Frames[T, P]) Put(x *T) {
+	P(x).Rewind()
+	*P(x).link() = f.idle
+	f.idle = x
+}
+
+// Release is Chunks.Release for every value, idle or not.
+func (f *Frames[T, P]) Release() {
+	f.mem.Release()
+	*f = Frames[T, P]{}
+}
+
+// Count reports the values carved since the last Release, and how many are idle.
+func (f *Frames[T, P]) Count() (made, idle int) {
+	for x := f.idle; x != nil; x = *P(x).link() {
+		idle++
+	}
+	return f.made, idle
+}
+
+type rewinder interface{ Rewind() }
+
+// stack is the reserve's spare slabs of one record type: all zero (or rewound),
+// each of per values, handed out last in first out.
 type stack[T any] struct {
-	size, per int // bytes of a T, and how many make a slab
+	size, per int  // bytes of a T, and how many make a slab
+	rewinds   bool // *T is a rewinder
 
 	mu    sync.Mutex
 	slabs [][]T
@@ -143,7 +211,8 @@ func stackOf[T any]() *stack[T] {
 	s, ok := stacks.Load(t)
 	if !ok {
 		size := max(1, int(t.Size()))
-		s, _ = stacks.LoadOrStore(t, &stack[T]{size: size, per: max(1, ChunkBytes/size)})
+		_, rewinds := any((*T)(nil)).(rewinder)
+		s, _ = stacks.LoadOrStore(t, &stack[T]{size: size, per: max(1, ChunkBytes/size), rewinds: rewinds})
 	}
 	return s.(*stack[T])
 }
@@ -151,7 +220,7 @@ func stackOf[T any]() *stack[T] {
 // Slabs reports the counts of T's stack.
 func Slabs[T any]() SlabInfo { return stackOf[T]().info() }
 
-// draw returns a zero slab: the one returned last, or a new one.
+// draw returns a zero (or rewound) slab: the one returned last, or a new one.
 func (s *stack[T]) draw() []T {
 	s.mu.Lock()
 	s.Drawn++
@@ -171,7 +240,7 @@ func (s *stack[T]) draw() []T {
 
 // put takes slabs back, each cut to what was carved from it: as many as the cap
 // has room for — the newest, which are the likeliest to be in cache still — are
-// cleared there and whole again, the rest are dropped as they are.
+// cleared (or rewound) there and whole again, the rest are dropped as they are.
 func (s *stack[T]) put(slabs [][]T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -180,7 +249,13 @@ func (s *stack[T]) put(slabs [][]T) {
 		slabs = slabs[len(slabs)-room:]
 	}
 	for _, slab := range slabs {
-		clear(slab)
+		if s.rewinds {
+			for i := range slab {
+				any(&slab[i]).(rewinder).Rewind()
+			}
+		} else {
+			clear(slab)
+		}
 		s.slabs = append(s.slabs, slab[:cap(slab)])
 	}
 }
@@ -213,7 +288,8 @@ func (s *stack[T]) info() SlabInfo {
 }
 
 // check verifies what handing a slab out unseen rests on: no more of them than
-// the cap, each whole, all zero and held once.
+// the cap, each whole, all zero — but for the func fields of a type that
+// rewinds — and held once.
 func (s *stack[T]) check() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -231,7 +307,13 @@ func (s *stack[T]) check() error {
 		}
 		held[&slab[0]] = k
 		for i := range slab {
-			if !reflect.ValueOf(&slab[i]).Elem().IsZero() {
+			v := reflect.ValueOf(&slab[i]).Elem()
+			for j := 0; s.rewinds && j < v.NumField(); j++ {
+				if f := v.Field(j); f.Kind() != reflect.Func && !f.IsZero() {
+					return fmt.Errorf("bufpool: value %d of spare slab %d of %v is not rewound, in field %s: %+v", i, k, name, v.Type().Field(j).Name, slab[i])
+				}
+			}
+			if !s.rewinds && !v.IsZero() {
 				return fmt.Errorf("bufpool: value %d of spare slab %d of %v is not zero: %+v", i, k, name, slab[i])
 			}
 		}

@@ -3,6 +3,7 @@ package bufpool
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -150,23 +151,61 @@ func slabOf(c *Chunks[rec], p *rec) int {
 	return -1
 }
 
+// record is what recycle needs of a record type: to dirty a value it was
+// handed, and to tell whether a value handed out is fresh.
+type record[T any] interface {
+	*T
+	dirty(pc int)
+	fresh() bool
+}
+
+func (r *rec) dirty(pc int) { *r = rec{a: int64(pc) + 1, b: -1, p: r} }
+func (r *rec) fresh() bool  { return *r == rec{} }
+
+// bound is a record type that rewinds: the method value bound to a value
+// survives the reserve, and a fresh value is zero but for a binding that
+// reaches that same value.
+type bound struct {
+	a      int64
+	p      *bound
+	selfFn func() *bound // r.self, bound once for the life of the memory
+	Link[bound]
+}
+
+func (r *bound) self() *bound { return r }
+func (r *bound) Rewind()      { *r = bound{selfFn: r.selfFn} }
+
+func (r *bound) dirty(pc int) {
+	if r.selfFn == nil {
+		r.selfFn = r.self
+	}
+	r.a, r.p = int64(pc)+1, r
+}
+
+func (r *bound) fresh() bool {
+	return r.a == 0 && r.p == nil && r.next == nil && (r.selfFn == nil || r.selfFn() == r)
+}
+
 // recycle drives two allocators that share the reserve through the program in
 // ops — one byte an operation: who, what, how many — and holds them to the
-// contract: every value handed out is zero, no two values alive at once
+// contract: every value handed out is fresh, no two values alive at once
 // overlap, Bytes adds up, and what is back in the reserve at the end is zero
-// and held once. Every value handed out is dirtied, so that a slab returned
-// with a carved value not cleared shows at its next owner or in the check.
-func recycle(t testing.TB, ops []byte) {
+// (but for bindings) and held once. Every value handed out is dirtied, so that
+// a slab returned with a carved value not cleared or rewound shows at its next
+// owner or in the check.
+func recycle[T any, P record[T]](t testing.TB, ops []byte) {
 	type owner struct {
-		c     Chunks[rec]
-		live  []*rec
+		c     Chunks[T]
+		live  []*T
 		room  int   // values left in its current slab
 		bytes int64 // what Bytes should say
 	}
 	var owners [2]owner
-	before := Slabs[rec]()
-	alive := make(map[*rec]int)
-	sizes := []int{1, 2, 7, 64, recPer / 2, recPer - 1, recPer, recPer + 1, 2*recPer + 3}
+	before := Slabs[T]()
+	alive := make(map[*T]int)
+	size := int(reflect.TypeFor[T]().Size())
+	per := ChunkBytes / size
+	sizes := []int{1, 2, 7, 64, per / 2, per - 1, per, per + 1, 2*per + 3}
 	for pc, op := range ops {
 		k := int(op & 1)
 		o := &owners[k]
@@ -179,10 +218,10 @@ func recycle(t testing.TB, ops []byte) {
 		} else {
 			n := sizes[int(op>>4)%len(sizes)]
 			switch {
-			case n >= recPer:
-				o.bytes += int64(n * 24)
+			case n >= per:
+				o.bytes += int64(n * size)
 			case n > o.room:
-				o.bytes, o.room = o.bytes+slabBytes, recPer-n
+				o.bytes, o.room = o.bytes+int64(per*size), per-n
 			default:
 				o.room -= n
 			}
@@ -192,14 +231,14 @@ func recycle(t testing.TB, ops []byte) {
 			}
 			for i := range got {
 				p := &got[i]
-				if !reflect.ValueOf(p).Elem().IsZero() {
-					t.Fatalf("op %d: Take(%d)[%d] of allocator %d hands out %+v, want the zero value", pc, n, i, k, *p)
+				if !P(p).fresh() {
+					t.Fatalf("op %d: Take(%d)[%d] of allocator %d hands out %+v, want a fresh value", pc, n, i, k, *p)
 				}
 				if prev, dup := alive[p]; dup {
 					t.Fatalf("op %d: Take(%d)[%d] of allocator %d is a live value of allocator %d", pc, n, i, k, prev)
 				}
 				alive[p] = k
-				*p = rec{a: int64(pc) + 1, b: -1, p: p}
+				P(p).dirty(pc)
 				o.live = append(o.live, p)
 			}
 		}
@@ -213,7 +252,7 @@ func recycle(t testing.TB, ops []byte) {
 	if err := CheckReserve(); err != nil {
 		t.Fatal(err)
 	}
-	if s := Slabs[rec](); s.Drawn-before.Drawn != s.Returned-before.Returned {
+	if s := Slabs[T](); s.Drawn-before.Drawn != s.Returned-before.Returned {
 		t.Fatalf("%d slabs drawn and %d returned with every allocator released", s.Drawn-before.Drawn, s.Returned-before.Returned)
 	}
 }
@@ -227,12 +266,90 @@ func TestChunksRecycle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 40+rng.Intn(400))
 		rng.Read(ops)
-		recycle(t, ops)
+		recycle[rec](t, ops)
+		recycle[bound](t, ops)
 	}
 }
 
 func FuzzChunksRecycle(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x0e, 0x51, 0x0f, 0x70, 0x61, 0x0e, 0x00})
 	f.Add([]byte{0x50, 0x50, 0x51, 0x0e, 0x51, 0x80, 0x0f, 0x0e})
-	f.Fuzz(func(t *testing.T, ops []byte) { recycle(t, ops) })
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		recycle[rec](t, ops)
+		recycle[bound](t, ops)
+	})
+}
+
+// TestChunksRewindKeepsBindings: values of a record type that rewinds come back
+// from the reserve zero but for their bindings, each binding reaching the value
+// it was bound to, so that binding again costs nothing; and a Frames list
+// rewinds what is Put on it and hands it out again first.
+func TestChunksRewindKeepsBindings(t *testing.T) {
+	DrainReserve()
+	defer DrainReserve()
+	var c Chunks[bound]
+	first := c.Take(10)
+	for i := range first {
+		first[i].dirty(i)
+	}
+	c.Release()
+	if err := CheckReserve(); err != nil {
+		t.Fatal(err)
+	}
+	again := c.Take(10)
+	if &again[0] != &first[0] {
+		t.Fatal("the Take after a Release did not draw the slab it returned")
+	}
+	for i := range again {
+		if p := &again[i]; p.selfFn == nil || !p.fresh() {
+			t.Fatalf("value %d drawn again is %+v, want zero but for a binding that reaches it", i, *p)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := range again {
+			again[i].dirty(i)
+		}
+	}); allocs != 0 {
+		t.Errorf("binding values drawn again costs %v objects, want none", allocs)
+	}
+	c.Release()
+
+	var f Frames[bound, *bound]
+	x, y := f.Get(), f.Get()
+	x.dirty(1)
+	f.Put(x)
+	if made, idle := f.Count(); made != 2 || idle != 1 || x.a != 0 || x.p != nil || x.selfFn() != x {
+		t.Fatalf("after a Put: %d made, %d idle, the value %+v; want 2, 1 and a rewound value", made, idle, *x)
+	}
+	if z := f.Get(); z != x || z.next != nil || y == x {
+		t.Fatal("Get did not hand out the value Put last, unlinked")
+	}
+	f.Release()
+	if err := CheckReserve(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// leaky is a record type whose Rewind keeps a pointer field.
+type leaky struct {
+	p  *leaky
+	fn func()
+}
+
+func (l *leaky) Rewind() { *l = leaky{p: l.p, fn: l.fn} }
+
+// TestRewindLeavingAPointerFailsCheck: the reserve check holds a spare of a
+// type that rewinds to zero in every field but its func fields, and names the
+// type and the field when it is not.
+func TestRewindLeavingAPointerFailsCheck(t *testing.T) {
+	DrainReserve()
+	defer DrainReserve()
+	var c Chunks[leaky]
+	l := c.New()
+	l.p, l.fn = l, func() {}
+	c.Release()
+	err := CheckReserve()
+	if err == nil || !strings.Contains(err.Error(), "bufpool.leaky") || !strings.Contains(err.Error(), "field p") {
+		t.Fatalf("CheckReserve() = %v, want an error naming bufpool.leaky and its field p", err)
+	}
 }

@@ -84,11 +84,14 @@ func regimeBuffers() (send, recv [][]byte) {
 }
 
 // run performs calls collectives of the regime on every rank of a 4x16
-// machine and returns the host allocations and simulator events it took.
+// machine and returns the host allocations and simulator events it took. The
+// run's records go back to the reserve afterwards, as srmcoll's runs hand
+// theirs back, so that the next run is warm.
 func (rg allocRegime) run(t *testing.T, tasks bool, calls int, send, recv [][]byte) (allocs, events uint64) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(4, 16))
-	s := New(m, rma.NewDomain(m), Options{AllreduceAlg: rg.alg})
+	dom := rma.NewDomain(m)
+	s := New(m, dom, Options{AllreduceAlg: rg.alg})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -151,7 +154,11 @@ func (rg allocRegime) run(t *testing.T, tasks bool, calls int, send, recv [][]by
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, env.Events()
+	events = env.Events()
+	s.Release()
+	dom.Release()
+	m.Release()
+	return after.Mallocs - before.Mallocs, events
 }
 
 // TestEngineAllocGuard holds the step executor to its two allocation
@@ -163,13 +170,12 @@ func (rg allocRegime) run(t *testing.T, tasks bool, calls int, send, recv [][]by
 // recorded ones.
 func TestEngineAllocGuard(t *testing.T) {
 	if raceDetector {
-		t.Skip("allocation counts are not meaningful under the race detector")
+		t.Skip("the race detector slows the allocation guards; CI runs them without it")
 	}
 	send, recv := regimeBuffers()
 	for _, rg := range allocRegimes {
-		// Each measured run directly follows a warm-up of the same engine:
-		// the primitives' continuation frames live in sync.Pools, which
-		// survive the one collection run starts with but not two.
+		// Each measured run directly follows a warm-up of the same engine,
+		// which leaves the reserve the records a run of the regime needs.
 		rg.run(t, false, allocCalls, send, recv)
 		pa, pe := rg.run(t, false, allocCalls, send, recv)
 		rg.run(t, true, allocCalls, send, recv)
@@ -256,7 +262,7 @@ func TestSchedulesMatchBenchGolden(t *testing.T) {
 // frame pool and the item free list are warm.
 func TestSyncObjectAllocGuard(t *testing.T) {
 	if raceDetector {
-		t.Skip("allocation counts are not meaningful under the race detector")
+		t.Skip("the race detector slows the allocation guards; CI runs them without it")
 	}
 	bufpool.DrainReserve()
 	defer bufpool.DrainReserve()

@@ -156,7 +156,6 @@ type SRM struct {
 	opt    Options
 	groups map[uint64][]*Group // by ranks.Hash of the member list
 	world  *Group
-	free   []*exec // idle executors
 
 	// The intra-node trees asked for so far (intraTree). The cache is the
 	// engine's and so the run's: runs of one cluster may overlap in time.
@@ -169,8 +168,8 @@ type SRM struct {
 	// and those that must keep theirs until the run is over (Group.retire).
 	retired, kept []*opEntry
 
-	// The executors of the run, behind the free list (DESIGN.md §9).
-	execMem bufpool.Chunks[exec]
+	// The executors of the run (DESIGN.md §9).
+	execs bufpool.Frames[exec, *exec]
 }
 
 // opEntry is one collective call of a group: the state its members share,
@@ -352,8 +351,8 @@ func (s *SRM) Release() {
 			}
 		}
 	}
-	s.kept, s.groups, s.world, s.free = nil, nil, nil, nil
-	s.execMem.Release()
+	s.kept, s.groups, s.world = nil, nil, nil
+	s.execs.Release()
 }
 
 // flags returns n zero flags in node's shared memory, and counter a counter of

@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
@@ -91,8 +92,8 @@ type op struct {
 }
 
 // exec drives one task — a rank's, or a pipeline helper's beside it — through
-// one collective. Executors are pooled per SRM, so a call costs no heap
-// object once every concurrently running task has one.
+// one collective. Executors are the SRM's, on a free list, so a call costs no
+// heap object once every concurrently running task has one.
 type exec struct {
 	s    *SRM
 	t    *sim.Task
@@ -119,21 +120,26 @@ type exec struct {
 	qbuf         [4]op
 	armed, fired bool
 	unwinds      bool // finish is on the task's unwind stack
-	resumeFn     func()
-	abortFn      func()
+
+	// x.resume and x.finish, bound once for the life of the executor's memory.
+	resumeFn, abortFn func()
+	bufpool.Link[exec]
 }
+
+// Rewind empties the executor but for its bindings (bufpool.Chunks).
+func (x *exec) Rewind() { *x = exec{resumeFn: x.resumeFn, abortFn: x.abortFn} }
 
 // exec returns an executor, bound to the task unless t is nil (spawn binds a
 // helper's when the helper starts).
 func (s *SRM) exec(t *sim.Task, kont func()) *exec {
-	var x *exec
-	if n := len(s.free); n > 0 {
-		x, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		x = s.execMem.New()
-		x.s = s
+	x := s.execs.Get()
+	if x.q == nil {
+		x.q = x.qbuf[:0]
 	}
-	x.kont = kont
+	if x.resumeFn == nil {
+		x.resumeFn = x.resume
+	}
+	x.s, x.kont = s, kont
 	if t != nil {
 		x.bind(t)
 	}
@@ -145,9 +151,6 @@ func (s *SRM) exec(t *sim.Task, kont func()) *exec {
 // fault-tolerant execution) finish rides there for an interrupt or kill.
 func (x *exec) bind(t *sim.Task) {
 	x.t = t
-	if x.resumeFn == nil {
-		x.q, x.resumeFn = x.qbuf[:0], x.resume
-	}
 	if t.UnwindArmed() {
 		if x.abortFn == nil {
 			x.abortFn = x.finish
@@ -176,9 +179,10 @@ func (x *exec) finish() {
 	if x.g != nil {
 		x.g.retire(x.seq, aborted)
 	}
+	s, q := x.s, x.q[:0]
 	clear(x.q) // operations an abort left behind
-	*x = exec{s: x.s, q: x.q[:0], resumeFn: x.resumeFn, abortFn: x.abortFn}
-	x.s.free = append(x.s.free, x)
+	s.execs.Put(x)
+	x.q = q // idle, it keeps the storage its queue grew for the run
 }
 
 // resume is the continuation every *T primitive receives. Called while the
@@ -222,7 +226,7 @@ func (x *exec) run() {
 			case opWaitCntr:
 				x.ep.WaitcntrT(t, o.cntr, o.v, k)
 			case opWaitValue:
-				o.cntr.WaitValueT(t, o.v, k)
+				x.ep.WaitValueT(t, o.cntr, o.v, k)
 			case opPut:
 				x.ep.PutT(t, o.to, o.dst, o.src, nil, o.cntr, nil, k)
 			case opAM:

@@ -39,20 +39,25 @@ func newLayout(m *machine.Machine, members []int) layout {
 		spans:   m.Cfg.TierSpans(),
 		at:      make([]slot, len(members)),
 	}
-	byNode := make(map[int][]int)
+	// A counting pass sizes each node's member list, one backing array holds
+	// them all, and count then maps a node to its index into nodes.
+	count := make([]int, m.Cfg.Nodes)
 	for _, r := range members {
-		byNode[m.NodeOf(r)] = append(byNode[m.NodeOf(r)], r)
-	}
-	for nd := range byNode {
-		lay.nodes = append(lay.nodes, nd)
+		if count[m.NodeOf(r)]++; count[m.NodeOf(r)] == 1 {
+			lay.nodes = append(lay.nodes, m.NodeOf(r))
+		}
 	}
 	sort.Ints(lay.nodes)
+	flat := make([]int, len(members))
 	lay.local = make([][]int, len(lay.nodes))
 	for x, nd := range lay.nodes {
-		lay.local[x] = byNode[nd]
-		for l, r := range lay.local[x] {
-			lay.at[lay.idx.Of(r)] = slot{nx: int32(x), l: int32(l)}
-		}
+		lay.local[x], flat = flat[:0:count[nd]], flat[count[nd]:]
+		count[nd] = x
+	}
+	for _, r := range members {
+		x := count[m.NodeOf(r)]
+		lay.at[lay.idx.Of(r)] = slot{nx: int32(x), l: int32(len(lay.local[x]))}
+		lay.local[x] = append(lay.local[x], r)
 	}
 	return lay
 }

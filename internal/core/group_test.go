@@ -540,8 +540,8 @@ func TestKillAndInterruptInsideCollective(t *testing.T) {
 		// A put to each master afterwards is delivered by interrupt: the
 		// endpoint has them on again and is not inside an RMA call.
 		env.At(60, func() {
-			if len(s.free) != 3 {
-				t.Errorf("kill=%v: %d executors recycled, want 3", kill, len(s.free))
+			if _, idle := s.execs.Count(); idle != 3 {
+				t.Errorf("kill=%v: %d executors recycled, want 3", kill, idle)
 			}
 			env.Spawn("probe", func(p *sim.Proc) {
 				before := m.Stats.Interrupts

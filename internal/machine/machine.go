@@ -11,9 +11,9 @@ package machine
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 
 	"srmcoll/internal/bufpool"
 	"srmcoll/internal/fault"
@@ -97,6 +97,9 @@ type Config struct {
 
 // Validate reports a configuration error, if any.
 func (c Config) Validate() error {
+	if err := badTime("", reflect.ValueOf(c)); err != nil {
+		return err
+	}
 	switch {
 	case c.Nodes < 1:
 		return fmt.Errorf("machine: Nodes = %d, want >= 1", c.Nodes)
@@ -121,15 +124,30 @@ func (c Config) Validate() error {
 			c.LeafNodes, c.Nodes)
 	}
 	for i, t := range c.Tiers {
+		if err := badTime(fmt.Sprintf("Tiers[%d].", i), reflect.ValueOf(t)); err != nil {
+			return err
+		}
 		switch {
 		case t.GroupSize < 1:
 			return fmt.Errorf("machine: Tiers[%d].GroupSize = %d, want >= 1", i, t.GroupSize)
 		case t.PerByte <= 0:
 			return fmt.Errorf("machine: Tiers[%d].PerByte must be positive", i)
-		case t.Latency < 0 || t.PktOverhead < 0:
-			return fmt.Errorf("machine: Tiers[%d] times must be non-negative", i)
 		case t.Concurrency < 0:
 			return fmt.Errorf("machine: Tiers[%d].Concurrency = %d, want >= 0", i, t.Concurrency)
+		}
+	}
+	return nil
+}
+
+// badTime names the first time parameter of v, a Config or a Tier, that is NaN,
+// infinite or negative: every float64 field of either is a sim.Time, and a run
+// would take such a value without complaint and return a wrong Result.
+func badTime(prefix string, v reflect.Value) error {
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 {
+			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				return fmt.Errorf("machine: %s%s = %v, want a finite time >= 0", prefix, v.Type().Field(i).Name, x)
+			}
 		}
 	}
 	return nil
@@ -362,7 +380,7 @@ type Machine struct {
 	Env   *sim.Env
 	Cfg   Config
 	Stats *trace.Stats
-	nodes []*Node
+	nodes []Node
 
 	// Faults is the run's fault injector, nil by default. When set, the
 	// RMA layer consults it for wire-put faults and the machine for
@@ -381,6 +399,18 @@ type Machine struct {
 	// ports; allocated only for tiers with a finite Concurrency.
 	tierPorts [][][]sim.Time
 	tierSpans []int // cached Cfg.TierSpans()
+
+	// The frames of charged copies and spin waits: the machine's until Release.
+	copies bufpool.Frames[copyFrame, *copyFrame]
+	spins  bufpool.Frames[spinWait, *spinWait]
+}
+
+// Release hands the machine's frames back to the reserve and releases its
+// environment, under the condition of sim.Env.Release.
+func (m *Machine) Release() {
+	m.copies.Release()
+	m.spins.Release()
+	m.Env.Release()
 }
 
 // New creates a machine. It panics on an invalid configuration, since every
@@ -390,9 +420,9 @@ func New(env *sim.Env, cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{Env: env, Cfg: cfg, Stats: &trace.Stats{}, Buffers: bufpool.New()}
-	m.nodes = make([]*Node, cfg.Nodes)
+	m.nodes = make([]Node, cfg.Nodes)
 	for i := range m.nodes {
-		m.nodes[i] = &Node{ID: i}
+		m.nodes[i].ID = i
 	}
 	if cfg.Hierarchical() {
 		m.tierSpans = cfg.TierSpans()
@@ -474,10 +504,8 @@ func (m *Machine) Memcpy(p *sim.Proc, node int, dst, src []byte) {
 	p.Park()
 }
 
-// copyFrame is a pooled continuation frame for a charged copy: the resume
-// continuation is bound once per frame, so the millions of charged copies in
-// a massive-rank run allocate nothing per call. The frame is live only across
-// the copy sleep; a task sleeps on exactly one thing at a time.
+// copyFrame is the frame of a charged copy, live across the copy sleep only:
+// a task sleeps on exactly one thing at a time.
 type copyFrame struct {
 	m        *Machine
 	nd       *Node
@@ -486,19 +514,16 @@ type copyFrame struct {
 	n        int
 	move     bool // Memcpy semantics: land the bytes and count the copy
 	k        func()
-	doneFn   func()
+	doneFn   func() // fr.done, bound once for the life of the frame's memory
+	bufpool.Link[copyFrame]
 }
 
-var copyFramePool = sync.Pool{New: func() any { return new(copyFrame) }}
+// Rewind empties the frame but for its binding (bufpool.Chunks).
+func (fr *copyFrame) Rewind() { *fr = copyFrame{doneFn: fr.doneFn} }
 
 func (fr *copyFrame) done() {
 	m, nd, id, dst, src, n, move, k := fr.m, fr.nd, fr.id, fr.dst, fr.src, fr.n, fr.move, fr.k
-	fr.m = nil
-	fr.nd = nil
-	fr.dst = nil
-	fr.src = nil
-	fr.k = nil
-	copyFramePool.Put(fr)
+	m.copies.Put(fr)
 	nd.activeCopies--
 	m.Env.Trace.End(id)
 	if move {
@@ -525,19 +550,19 @@ func (m *Machine) ChargeCopyT(t *sim.Task, node, n int, k func()) {
 	m.chargeCopyT(t, node, nil, nil, n, false, k)
 }
 
-// chargeCopyT charges contended copy time for n bytes through a pooled
-// frame; with move set it also lands the bytes and records the copy once
-// the sleep elapses (Memcpy semantics — ChargeCopy leaves the data motion
-// to a lower layer and records nothing).
+// chargeCopyT charges contended copy time for n bytes through a copy frame;
+// with move set it also lands the bytes and records the copy once the sleep
+// elapses (Memcpy semantics — ChargeCopy leaves the data motion to a lower
+// layer and records nothing).
 func (m *Machine) chargeCopyT(t *sim.Task, node int, dst, src []byte, n int, move bool, k func()) {
-	nd := m.nodes[node]
+	nd := &m.nodes[node]
 	d := m.CopyTime(n) * m.copyFactor(nd)
 	d += m.DaemonExtra(node, d)
 	id := m.Env.Trace.Begin(t.Track(), trace.ClassShmCopy, "shm:copy", int64(n))
 	nd.activeCopies++
-	fr := copyFramePool.Get().(*copyFrame)
+	fr := m.copies.Get()
 	if fr.doneFn == nil {
-		fr.doneFn = fr.done // bound once per frame, reused across the pool
+		fr.doneFn = fr.done
 	}
 	fr.m, fr.nd, fr.id, fr.dst, fr.src, fr.n, fr.move, fr.k = m, nd, id, dst, src, n, move, k
 	t.SleepThen(d, fr.doneFn)
@@ -560,7 +585,7 @@ func (m *Machine) CombineTime(n int) sim.Time {
 // remote adapter (arrival). The caller is not blocked: injection proceeds
 // asynchronously (DMA), only the port timeline is advanced.
 func (m *Machine) NetInject(node, n int) (injectEnd, arrival sim.Time) {
-	nd := m.nodes[node]
+	nd := &m.nodes[node]
 	start := m.Env.Now()
 	if nd.nicFreeAt > start {
 		start = nd.nicFreeAt
@@ -617,6 +642,66 @@ func (m *Machine) SpinExit(node int) {
 	if !m.Cfg.SpinYield {
 		m.nodes[node].noYieldSpin--
 	}
+}
+
+// spinWait is the frame of a task spinning on a word (SpinT), and the wait
+// itself (sim.WaitFrame), live from park to resume: a task parks on at most one
+// thing at a time, and the simulator drops stale waiters on interrupt or death.
+type spinWait struct {
+	m        *Machine
+	node     int
+	word     *int
+	t        *sim.Task
+	v        int
+	eq       bool // wait for == v rather than >= v
+	id       int  // open trace span
+	k        func()
+	unwindFn func() // fr.unwind, bound once for the life of the frame's memory
+	bufpool.Link[spinWait]
+}
+
+// Rewind empties the frame but for its binding (bufpool.Chunks).
+func (fr *spinWait) Rewind() { *fr = spinWait{unwindFn: fr.unwindFn} }
+
+func (fr *spinWait) Ready() bool {
+	if fr.eq {
+		return *fr.word == fr.v
+	}
+	return *fr.word >= fr.v
+}
+
+func (fr *spinWait) Resume() {
+	t, k := fr.t, fr.k
+	fr.unwind()
+	t.PopUnwind()
+	k()
+}
+
+// unwind leaves the spin: it is also the frame's compensation when a kill or
+// interrupt abandons the wait, since a phantom spinner would inflate the node's
+// starvation penalty for good. The waiter entry is already dropped by then.
+func (fr *spinWait) unwind() {
+	m, node, id := fr.m, fr.node, fr.id
+	m.spins.Put(fr)
+	m.SpinExit(node)
+	m.Env.Trace.End(id)
+}
+
+// SpinT spins t on c until *word is at least v (equal to it, with eq), then
+// runs k: the wait of a shm flag, which obj and v describe in stall reports.
+// Meanwhile t counts as a spinner on node (SpinEnter).
+func (m *Machine) SpinT(t *sim.Task, node int, c *sim.Cond, obj sim.WaitDescriber, word *int, v int, eq bool, k func()) {
+	fr := m.spins.Get()
+	fr.m, fr.node, fr.word, fr.t, fr.v, fr.eq, fr.k = m, node, word, t, v, eq, k
+	fr.id = m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0)
+	m.SpinEnter(node)
+	if t.UnwindArmed() {
+		if fr.unwindFn == nil {
+			fr.unwindFn = fr.unwind
+		}
+		t.PushUnwind(fr.unwindFn)
+	}
+	c.WaitFrameT(t, obj, v, fr)
 }
 
 // SpinPenalty returns the extra delivery latency on a node caused by

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +54,59 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		tc.mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate() = nil, want error", tc.name)
+		}
+	}
+}
+
+// TestValidateRejectsBadTimes: a time parameter of a Config or a Tier that is
+// NaN, infinite or negative is an error naming the field. Such a value used to
+// pass, and the run returned a wrong Result without any error: a NaN
+// MemLatency or FlagLatency gave Time 0, an infinite NetLatency +Inf.
+func TestValidateRejectsBadTimes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		bad   float64
+	}{
+		{"MemLatency", nan},
+		{"MemPerByte", nan},
+		{"FlagLatency", nan},
+		{"ReducePerByte", -1},
+		{"YieldWake", inf},
+		{"NetLatency", inf},
+		{"NetLatency", -5},
+		{"NetPerByte", inf},
+		{"NetPktOverhead", -1},
+		{"SendOverhead", nan},
+		{"RecvOverhead", -0.5},
+		{"InterruptCost", inf},
+		{"StarvePenalty", -1},
+		{"AMHandlerCost", nan},
+		{"DaemonPeriod", -inf},
+		{"DaemonSlice", nan},
+		{"MPIOverhead", -1},
+		{"TagMatchBase", inf},
+		{"TagMatchScan", nan},
+		{"Tiers[0].Latency", nan},
+		{"Tiers[0].PerByte", nan},
+		{"Tiers[0].PktOverhead", inf},
+	}
+	for _, tc := range cases {
+		cfg := HierColonySP(12, 4, 3, 2)
+		if tier, ok := strings.CutPrefix(tc.field, "Tiers[0]."); ok {
+			reflect.ValueOf(&cfg.Tiers[0]).Elem().FieldByName(tier).SetFloat(tc.bad)
+		} else {
+			reflect.ValueOf(&cfg).Elem().FieldByName(tc.field).SetFloat(tc.bad)
+		}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field+" =") {
+			t.Errorf("%s = %v: Validate() = %v, want an error naming the field", tc.field, tc.bad, err)
+		}
+	}
+	for name, cfg := range map[string]Config{
+		"ColonySP": ColonySP(4, 16), "ViaCluster": ViaCluster(4, 4), "HierColonySP": HierColonySP(12, 4, 3, 2),
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

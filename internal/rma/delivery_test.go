@@ -19,11 +19,8 @@ import (
 
 // idleFrames counts the domain's idle delivery frames.
 func idleFrames(d *Domain) int {
-	n := 0
-	for fr := d.idle; fr != nil; fr = fr.next {
-		n++
-	}
-	return n
+	_, idle := d.deliveries.Count()
+	return idle
 }
 
 // TestDeferredPutsEachLandTheirOwn defers two puts at an interrupts-off

@@ -3,6 +3,7 @@ package rma
 import (
 	"slices"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
 	"srmcoll/internal/fault"
 	"srmcoll/internal/sim"
@@ -30,8 +31,9 @@ import (
 // under reliable delivery, once per copy the wire delivers without it), compl
 // when the origin receives the acknowledgement (the first one).
 //
-// Life of a frame. putRemote takes one from the domain's idle list (or carves
-// one, binding its continuations then), fills it and calls send. Every
+// Life of a frame. putRemote takes one from the domain's free list (or carves
+// one, binding its continuations unless its memory still has them), fills it
+// and calls send. Every
 // callback send and its successors schedule — the origin counter's firing, a
 // transmission's arrival, its landing (scheduled, or parked in the pending list
 // of a target with interrupts off), the acknowledgement's arrival, the ack
@@ -157,23 +159,15 @@ type delivery struct {
 	try   int  // retransmissions so far
 	acked bool // the origin has the acknowledgement
 
-	// Continuations, bound once per frame.
+	// Continuations, bound once for the life of the frame's memory.
 	arriveFn, landFn, originFn, ackFn, timeoutFn func()
 
-	next *delivery // Domain.idle
+	bufpool.Link[delivery]
 }
 
-// frame returns an idle frame, or a new one.
-func (d *Domain) frame() *delivery {
-	fr := d.idle
-	if fr == nil {
-		fr = d.frameMem.New()
-		fr.arriveFn, fr.landFn, fr.originFn, fr.ackFn, fr.timeoutFn = fr.arrive, fr.land, fr.originFired, fr.ack, fr.timeout
-		d.tally.Frames++
-		return fr
-	}
-	d.idle, fr.next = fr.next, nil
-	return fr
+// Rewind empties the frame but for its bindings (bufpool.Chunks).
+func (fr *delivery) Rewind() {
+	*fr = delivery{arriveFn: fr.arriveFn, landFn: fr.landFn, originFn: fr.originFn, ackFn: fr.ackFn, timeoutFn: fr.timeoutFn}
 }
 
 // unref gives up one reference. The last one makes the frame idle: it pins no
@@ -185,9 +179,7 @@ func (fr *delivery) unref() {
 	}
 	d := fr.src.dom
 	fr.returnSnap()
-	fr.dst, fr.origin, fr.tgt, fr.compl, fr.ch = nil, nil, nil, nil, nil
-	fr.try, fr.acked = 0, false
-	fr.next, d.idle = d.idle, fr
+	d.deliveries.Put(fr)
 }
 
 // returnSnap recycles the payload snapshot: nothing reads it from here on.
@@ -416,15 +408,15 @@ type Tally struct {
 	Discarded  int // landings that will never run
 	Unresolved int // on the wire, or at the target and waiting to land (scheduled, or parked in a pending list)
 	Snapshots  int // payload snapshots taken from the pool and not yet returned
-	Frames     int // put frames carved so far
-	Idle       int // of those, on the idle list (filled in by Domain.Tally)
+	Frames     int // put frames carved so far (filled in by Domain.Tally)
+	Idle       int // of those, on the idle list (likewise)
 }
 
 // Tally reads the ledger, for tests.
 func (d *Domain) Tally() Tally {
 	t := d.tally
-	for fr := d.idle; fr != nil; fr = fr.next {
-		t.Idle++
+	if made, idle := d.deliveries.Count(); made > 0 { // else released: t has what Release read
+		t.Frames, t.Idle = made, idle
 	}
 	return t
 }

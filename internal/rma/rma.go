@@ -14,7 +14,6 @@ package rma
 
 import (
 	"fmt"
-	"sync"
 
 	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
@@ -92,10 +91,12 @@ type Domain struct {
 	m   *machine.Machine
 	eps []Endpoint // by rank, one slab; an Endpoint is held by pointer into it
 
-	// The frames of the remote puts (reliable.go): carved here, idle between
-	// two puts, and the domain's until Release.
-	frameMem bufpool.Chunks[delivery]
-	idle     *delivery
+	// The frames of the remote puts (reliable.go), of PutT, of counter waits
+	// and of deferred-delivery drains: the domain's until Release.
+	deliveries bufpool.Frames[delivery, *delivery]
+	puts       bufpool.Frames[putFrame, *putFrame]
+	waits      bufpool.Frames[cntrFrame, *cntrFrame]
+	drains     bufpool.Frames[drainFrame, *drainFrame]
 
 	// Reliable-delivery state (see reliable.go). Off by default: the
 	// paper's protocols assume LAPI delivers every put exactly once.
@@ -174,14 +175,17 @@ func NewDomain(m *machine.Machine) *Domain {
 // Endpoint returns the endpoint of a global rank.
 func (d *Domain) Endpoint(rank int) *Endpoint { return &d.eps[rank] }
 
-// Release hands the domain's put frames and channel records back to the
+// Release hands the domain's frames and channel records back to the
 // process-level reserve, under the condition of sim.Env.Release and together
 // with it: the simulation is over, so no callback of a frame will run. The
 // ledger keeps what it read of the frames; the domain must not be put on again.
 func (d *Domain) Release() {
 	d.tally = d.Tally()
-	d.idle, d.eps = nil, nil
-	d.frameMem.Release()
+	d.eps = nil
+	d.deliveries.Release()
+	d.puts.Release()
+	d.waits.Release()
+	d.drains.Release()
 	d.chanMem.Release()
 }
 
@@ -207,7 +211,7 @@ func (d *Domain) MarkDead(rank int) {
 			p.fr.discard()
 		}
 	}
-	ep.pending = nil
+	ep.drop(len(ep.pending))
 	ep.inCall = false
 }
 
@@ -234,8 +238,16 @@ func (ep *Endpoint) SetInterrupts(on bool) {
 			m.Stats.Interrupts++
 			m.Env.After(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), p.fn)
 		}
-		ep.pending = nil
+		ep.drop(len(ep.pending))
 	}
+}
+
+// drop takes the first n deferred deliveries off the pending list, which keeps
+// its storage for the next.
+func (ep *Endpoint) drop(n int) {
+	k := copy(ep.pending, ep.pending[n:])
+	clear(ep.pending[k:])
+	ep.pending = ep.pending[:k]
 }
 
 // Waitcntr is WaitcntrT from a process body.
@@ -314,7 +326,10 @@ func (ep *Endpoint) Put(p *sim.Proc, target *Endpoint, dst, src []byte, origin, 
 func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin, tgt, compl *Counter) {
 	d := ep.dom
 	m := d.m
-	fr := d.frame()
+	fr := d.deliveries.Get()
+	if fr.arriveFn == nil {
+		fr.arriveFn, fr.landFn, fr.originFn, fr.ackFn, fr.timeoutFn = fr.arrive, fr.land, fr.originFired, fr.ack, fr.timeout
+	}
 	if d.wire == wireUndecided {
 		d.decide()
 	}
@@ -361,27 +376,27 @@ func (ep *Endpoint) PutZero(p *sim.Proc, target *Endpoint, tgt *Counter) {
 }
 
 // WaitValueT waits until the counter reaches v, subtracts v and runs k, like
-// WaitcntrT but without touching any endpoint's dispatcher state. Helper
+// WaitcntrT but without touching the endpoint's dispatcher state. Helper
 // tasks that share a rank's endpoint (e.g. the broadcast side of the fused
 // allreduce pipeline) use it so the rank's RMA-call bookkeeping stays
 // consistent.
-func (c *Counter) WaitValueT(t *sim.Task, v int, k func()) {
+func (ep *Endpoint) WaitValueT(t *sim.Task, c *Counter, v int, k func()) {
 	if c.val >= v {
 		c.val -= v
 		k()
 		return
 	}
-	fr := cntrFramePool.Get().(*cntrFrame)
-	fr.c, fr.t, fr.v, fr.k = c, t, v, k
+	fr := ep.dom.waits.Get()
+	fr.d, fr.c, fr.t, fr.v, fr.k = ep.dom, c, t, v, k
 	fr.park()
 }
 
-// drainFrame is a pooled continuation frame for drainPending: the resume
-// continuation is bound once per frame, so draining deferred deliveries —
-// the common case for masters running with interrupts off — allocates
-// nothing per delivery. A task parks or sleeps on one thing at a time and
-// stale waiters are dropped on interrupt, so a frame is referenced only
-// between its arm and its resume.
+// drainFrame is the frame of drainPending: its continuations are bound once
+// for the life of its memory, so draining deferred deliveries — the common
+// case for masters running with interrupts off — allocates nothing per
+// delivery. A task parks or sleeps on one thing at a time and stale waiters
+// are dropped on interrupt, so a frame is referenced only between its arm and
+// its resume.
 type drainFrame struct {
 	ep       *Endpoint
 	t        *sim.Task
@@ -389,9 +404,11 @@ type drainFrame struct {
 	cur      deferred // delivery being serviced during the current sleep
 	stepFn   func()
 	unwindFn func()
+	bufpool.Link[drainFrame]
 }
 
-var drainFramePool = sync.Pool{New: func() any { return new(drainFrame) }}
+// Rewind empties the frame but for its bindings (bufpool.Chunks).
+func (fr *drainFrame) Rewind() { *fr = drainFrame{stepFn: fr.stepFn, unwindFn: fr.unwindFn} }
 
 func (fr *drainFrame) step() {
 	if fr.cur.fn != nil {
@@ -403,12 +420,12 @@ func (fr *drainFrame) step() {
 	if len(ep.pending) == 0 {
 		k := fr.k
 		fr.t.PopUnwind()
-		fr.release()
+		ep.dom.drains.Put(fr)
 		k()
 		return
 	}
 	fr.cur = ep.pending[0]
-	ep.pending = ep.pending[1:]
+	ep.drop(1)
 	fr.t.SleepThen(ep.dom.m.Cfg.RecvOverhead, fr.stepFn)
 }
 
@@ -419,12 +436,7 @@ func (fr *drainFrame) unwind() {
 	if fr.cur.fr != nil {
 		fr.cur.fr.discard()
 	}
-	fr.release()
-}
-
-func (fr *drainFrame) release() {
-	*fr = drainFrame{stepFn: fr.stepFn, unwindFn: fr.unwindFn}
-	drainFramePool.Put(fr)
+	fr.ep.dom.drains.Put(fr)
 }
 
 // drainPending services deferred deliveries from inside an RMA call — the
@@ -434,9 +446,8 @@ func (ep *Endpoint) drainPending(t *sim.Task, k func()) {
 		k()
 		return
 	}
-	fr := drainFramePool.Get().(*drainFrame)
+	fr := ep.dom.drains.Get()
 	if fr.stepFn == nil {
-		// Bound once per frame, reused across the pool.
 		fr.stepFn, fr.unwindFn = fr.step, fr.unwind
 	}
 	fr.ep, fr.t, fr.k = ep, t, k
@@ -446,13 +457,12 @@ func (ep *Endpoint) drainPending(t *sim.Task, k func()) {
 	fr.step()
 }
 
-// cntrFrame is the pooled frame of a counter wait (WaitcntrT, and WaitValueT
-// with ep nil). Parked, it is the wait itself
-// (sim.WaitFrame): the Task holds it as one interface value, so a counter
-// wait — the inner loop of the put/credit protocols — binds no predicate or
-// continuation closure, and a frame the pool could not supply costs one
-// allocation.
+// cntrFrame is the frame of a counter wait (WaitcntrT, and WaitValueT with ep
+// nil). Parked, it is the wait itself (sim.WaitFrame): the Task holds it as one
+// interface value, so a counter wait — the inner loop of the put/credit
+// protocols — binds no predicate or continuation closure.
 type cntrFrame struct {
+	d  *Domain
 	ep *Endpoint // inside an RMA call for the wait's duration; nil for WaitValueT
 	c  *Counter
 	t  *sim.Task
@@ -460,10 +470,13 @@ type cntrFrame struct {
 	id int // open trace span while parked
 	k  func()
 
-	unwindFn func() // fr.unwind, bound once per frame
+	// fr.enter and fr.unwind, bound once for the life of the frame's memory.
+	enterFn, unwindFn func()
+	bufpool.Link[cntrFrame]
 }
 
-var cntrFramePool = sync.Pool{New: func() any { return new(cntrFrame) }}
+// Rewind empties the frame but for its bindings (bufpool.Chunks).
+func (fr *cntrFrame) Rewind() { *fr = cntrFrame{enterFn: fr.enterFn, unwindFn: fr.unwindFn} }
 
 // enter puts the endpoint inside the RMA call and waits for the counter.
 func (fr *cntrFrame) enter() {
@@ -501,7 +514,7 @@ func (fr *cntrFrame) Resume() {
 // discard the compensation, resume.
 func (fr *cntrFrame) finish() {
 	ep, c, t, v, k := fr.ep, fr.c, fr.t, fr.v, fr.k
-	fr.release()
+	fr.d.waits.Put(fr)
 	c.val -= v
 	if ep != nil {
 		ep.inCall = false
@@ -514,13 +527,8 @@ func (fr *cntrFrame) finish() {
 // wait; the waiter entry is already dropped, so the frame recycles here.
 func (fr *cntrFrame) unwind() {
 	ep := fr.ep
-	fr.release()
+	fr.d.waits.Put(fr)
 	ep.inCall = false
-}
-
-func (fr *cntrFrame) release() {
-	*fr = cntrFrame{unwindFn: fr.unwindFn}
-	cntrFramePool.Put(fr)
 }
 
 // WaitcntrT waits until the counter reaches v, subtracts v and runs k,
@@ -535,17 +543,20 @@ func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
 		k()
 		return
 	}
-	fr := cntrFramePool.Get().(*cntrFrame)
-	fr.ep, fr.c, fr.t, fr.v, fr.k = ep, c, t, v, k
+	fr := ep.dom.waits.Get()
+	fr.d, fr.ep, fr.c, fr.t, fr.v, fr.k = ep.dom, ep, c, t, v, k
 	if len(ep.pending) == 0 {
-		fr.enter() // the common case binds no method value
+		fr.enter()
 		return
 	}
-	ep.drainPending(t, fr.enter)
+	if fr.enterFn == nil {
+		fr.enterFn = fr.enter
+	}
+	ep.drainPending(t, fr.enterFn)
 }
 
-// putFrame is the pooled continuation frame for PutT: the post-overhead
-// injection step and the loopback copy completion are bound once per frame,
+// putFrame is the continuation frame of PutT: the post-overhead injection step
+// and the loopback copy completion are bound once for the life of its memory,
 // so the put fan-outs of a massive-rank run allocate nothing per call.
 type putFrame struct {
 	ep, target         *Endpoint
@@ -555,9 +566,11 @@ type putFrame struct {
 	k                  func()
 	sendFn             func()
 	copyFn             func()
+	bufpool.Link[putFrame]
 }
 
-var putFramePool = sync.Pool{New: func() any { return new(putFrame) }}
+// Rewind empties the frame but for its bindings (bufpool.Chunks).
+func (fr *putFrame) Rewind() { *fr = putFrame{sendFn: fr.sendFn, copyFn: fr.copyFn} }
 
 func (fr *putFrame) send() {
 	ep, target, t := fr.ep, fr.target, fr.t
@@ -571,14 +584,14 @@ func (fr *putFrame) send() {
 		par = tr.Current(t.Track())
 	}
 	dst, src, origin, tgt, compl, k := fr.dst, fr.src, fr.origin, fr.tgt, fr.compl, fr.k
-	fr.release()
+	ep.dom.puts.Put(fr)
 	ep.putRemote(target, par, dst, src, origin, tgt, compl)
 	k()
 }
 
 func (fr *putFrame) copyDone() {
 	origin, tgt, compl, k := fr.origin, fr.tgt, fr.compl, fr.k
-	fr.release()
+	fr.ep.dom.puts.Put(fr)
 	if origin != nil {
 		origin.Incr(1)
 	}
@@ -589,19 +602,6 @@ func (fr *putFrame) copyDone() {
 		compl.Incr(1)
 	}
 	k()
-}
-
-func (fr *putFrame) release() {
-	fr.ep = nil
-	fr.target = nil
-	fr.t = nil
-	fr.dst = nil
-	fr.src = nil
-	fr.origin = nil
-	fr.tgt = nil
-	fr.compl = nil
-	fr.k = nil
-	putFramePool.Put(fr)
 }
 
 // PutT issues a non-blocking put of src into dst at the target task. k runs
@@ -621,11 +621,9 @@ func (ep *Endpoint) PutT(t *sim.Task, target *Endpoint, dst, src []byte, origin,
 	}
 	m := ep.dom.m
 	m.Stats.AddPut(len(src))
-	fr := putFramePool.Get().(*putFrame)
+	fr := ep.dom.puts.Get()
 	if fr.sendFn == nil {
-		// Bound once per frame, reused across the pool for its lifetime.
-		fr.sendFn = fr.send
-		fr.copyFn = fr.copyDone
+		fr.sendFn, fr.copyFn = fr.send, fr.copyDone
 	}
 	fr.ep, fr.target, fr.t = ep, target, t
 	fr.dst, fr.src = dst, src

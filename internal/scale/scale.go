@@ -28,6 +28,7 @@
 package scale
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"srmcoll/internal/dtype"
@@ -194,7 +195,7 @@ func runWith(cfg Config, spawn func(*run)) (*Result, error) {
 	// Every rank has finished and the result points at nothing of the
 	// simulation: its records go back to the reserve for the next run.
 	dom.Release()
-	env.Release()
+	m.Release()
 	return res, nil
 }
 
@@ -214,57 +215,82 @@ func (r *run) spawnTasks() {
 // build allocates the topology, shared-memory regions, per-edge counters,
 // and the deterministic input vectors. It runs before any rank is started, so
 // resource creation order — and with it every condition-variable id — does
-// not depend on how the ranks run.
+// not depend on how the ranks run. What there is one of per rank, node or tree
+// edge is cut from one block per kind: the rows of payload memory (send and
+// receive buffers; a node's accumulator, broadcast buffer and the reduce slot
+// of each child — every node but the root is one node's child), the node
+// states, the child lists and the counters.
 func (r *run) build() {
 	m, n := r.m, r.n
 	nn := m.Cfg.Nodes
 	tpn := m.Cfg.TasksPerNode
 	P := m.P()
 
+	mem := make([]byte, (2*P+3*nn)*n)
+	row := func() []byte {
+		b := mem[:n:n]
+		mem = mem[n:]
+		return b
+	}
 	r.send = make([][]byte, P)
 	r.recv = make([][]byte, P)
 	vals := make([]int64, n/8)
 	for rank := 0; rank < P; rank++ {
-		r.send[rank] = make([]byte, n)
-		r.recv[rank] = make([]byte, n)
+		r.send[rank], r.recv[rank] = row(), row()
 		for j := range vals {
 			vals[j] = inputVal(rank, j)
 		}
 		dtype.PutInt64s(r.send[rank], vals)
 	}
 
+	states := make([]nodeState, nn)
+	kids := make([]int, 0, nn) // every node's children, node by node
 	r.nodes = make([]*nodeState, nn)
-	for id := 0; id < nn; id++ {
-		ns := &nodeState{id: id, master: m.RankOf(id, 0), parent: -1}
+	for id := range states {
+		ns := &states[id]
+		ns.id, ns.master, ns.parent = id, m.RankOf(id, 0), -1
+		first := len(kids)
 		for mask := 1; mask < nn; mask <<= 1 {
 			if id&mask != 0 {
 				ns.parent = id &^ mask
 				break
 			}
 			if id|mask < nn {
-				ns.children = append(ns.children, id|mask)
+				kids = append(kids, id|mask)
 			}
 		}
+		ns.children = kids[first:len(kids):len(kids)]
 		ns.contrib = shm.NewSegment(m, id, tpn*n)
 		ns.contribF = shm.NewFlagSet(m, id, tpn)
 		ns.resultSeg = shm.NewSegment(m, id, n)
 		ns.resultF = shm.NewFlag(m, id)
-		ns.acc = make([]byte, n)
+		ns.acc = row()
 		r.proto += int64(tpn*n + 2*n)
 		r.nodes[id] = ns
 	}
+	slots, edges := make([][]byte, len(kids)), make([]*rma.Counter, 2*len(kids))
+	cntrs := make([]rma.Counter, 4*len(kids))
+	counter := func(initial int) *rma.Counter {
+		c := &cntrs[0]
+		cntrs = cntrs[1:]
+		c.Init(m.Env, initial)
+		return c
+	}
 	for _, ns := range r.nodes {
+		k := len(ns.children)
+		ns.rSlots, slots = slots[:k:k], slots[k:]
+		ns.rArr, ns.dCredit, edges = edges[:k:k], edges[k:2*k:2*k], edges[2*k:]
 		for ci, ch := range ns.children {
 			r.nodes[ch].childPos = ci
-			ns.rSlots = append(ns.rSlots, make([]byte, n))
-			ns.rArr = append(ns.rArr, r.dom.NewCounter(0))
-			ns.dCredit = append(ns.dCredit, r.dom.NewCounter(1))
+			ns.rSlots[ci] = row()
+			ns.rArr[ci] = counter(0)
+			ns.dCredit[ci] = counter(1)
 			r.proto += int64(n)
 		}
 		if ns.parent >= 0 {
-			ns.upCredit = r.dom.NewCounter(1)
-			ns.bBuf = make([]byte, n)
-			ns.bArr = r.dom.NewCounter(0)
+			ns.upCredit = counter(1)
+			ns.bBuf = row()
+			ns.bArr = counter(0)
 			r.proto += int64(n)
 		}
 	}
@@ -280,9 +306,8 @@ func (r *run) verify() error {
 	P := int64(len(r.recv))
 	base := 31 * P * (P - 1) / 2
 	for rank, buf := range r.recv {
-		got := dtype.Int64s(buf)
-		for j, v := range got {
-			want := base + P*int64(j)
+		for j := 0; j < len(buf)/8; j++ {
+			v, want := int64(binary.LittleEndian.Uint64(buf[8*j:])), base+P*int64(j)
 			if v != want {
 				return fmt.Errorf("scale: rank %d element %d = %d, want %d", rank, j, v, want)
 			}

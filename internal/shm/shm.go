@@ -8,11 +8,9 @@ package shm
 
 import (
 	"fmt"
-	"sync"
 
 	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
-	"srmcoll/internal/trace"
 )
 
 // Flag is a synchronization word in shared memory, assumed to occupy its
@@ -70,85 +68,16 @@ func (f *Flag) WaitFor(p *sim.Proc, v int) {
 	p.Park()
 }
 
-// flagWait is the pooled frame of a parked flag wait. It is the wait itself
-// (sim.WaitFrame): the Task holds it as one interface value and asks it on
-// every wake-up whether the flag has reached the value, so a park binds no
-// predicate or continuation closure and a frame the pool could not supply
-// costs one allocation. A frame is live from park to resume (a task parks on
-// at most one thing at a time, and the simulator drops stale waiters on
-// interrupt or death, so reuse is safe).
-type flagWait struct {
-	f  *Flag
-	t  *sim.Task
-	v  int
-	eq bool // wait for == v rather than >= v
-	id int  // open trace span
-	k  func()
-
-	unwindFn func() // fr.unwind, bound once per frame
-}
-
-var flagWaitPool = sync.Pool{New: func() any { return new(flagWait) }}
-
-func (fr *flagWait) Ready() bool {
-	if fr.eq {
-		return fr.f.val == fr.v
-	}
-	return fr.f.val >= fr.v
-}
-
-func (fr *flagWait) Resume() {
-	f, t, id, k := fr.f, fr.t, fr.id, fr.k
-	fr.release()
-	t.PopUnwind()
-	f.m.SpinExit(f.node)
-	f.m.Env.Trace.End(id)
-	k()
-}
-
-// unwind is the frame's compensation when a kill or interrupt abandons the
-// wait: a phantom spinner would inflate the node's starvation penalty for
-// good. The waiter entry is already dropped by the delivery, so the frame can
-// be recycled along with exiting the spinner set.
-func (fr *flagWait) unwind() {
-	f, id := fr.f, fr.id
-	fr.release()
-	f.m.SpinExit(f.node)
-	f.m.Env.Trace.End(id)
-}
-
-func (fr *flagWait) release() {
-	*fr = flagWait{unwindFn: fr.unwindFn}
-	flagWaitPool.Put(fr)
-}
-
-// park arms a pooled wait frame for f and suspends t until the flag reaches
-// v. While parked the task is counted as a (possibly non-yielding) spinner on
-// its node, which the RMA layer consults for delivery starvation.
-func (f *Flag) park(t *sim.Task, v int, eq bool, k func()) {
-	fr := flagWaitPool.Get().(*flagWait)
-	fr.f, fr.t, fr.v, fr.eq, fr.k = f, t, v, eq, k
-	fr.id = f.m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0)
-	f.m.SpinEnter(f.node)
-	if t.UnwindArmed() {
-		if fr.unwindFn == nil {
-			fr.unwindFn = fr.unwind
-		}
-		t.PushUnwind(fr.unwindFn)
-	}
-	f.cond.WaitFrameT(t, f, v, fr)
-}
-
-// WaitGET spins until the flag value is >= v, then resumes with k. This
-// covers the monotone counter waits of the SMP collectives (§2.2). A flag
-// already at the value runs k within the current step: no virtual time
-// passes.
+// WaitGET spins until the flag value is >= v (machine.SpinT), then resumes
+// with k. This covers the monotone counter waits of the SMP collectives
+// (§2.2). A flag already at the value runs k within the current step: no
+// virtual time passes.
 func (f *Flag) WaitGET(t *sim.Task, v int, k func()) {
 	if f.val >= v {
 		k()
 		return
 	}
-	f.park(t, v, false, k)
+	f.m.SpinT(t, f.node, &f.cond, f, &f.val, v, false, k)
 }
 
 // WaitForT spins until the flag equals v, then resumes with k.
@@ -157,7 +86,7 @@ func (f *Flag) WaitForT(t *sim.Task, v int, k func()) {
 		k()
 		return
 	}
-	f.park(t, v, true, k)
+	f.m.SpinT(t, f.node, &f.cond, f, &f.val, v, true, k)
 }
 
 // DescribeWait implements sim.WaitDescriber for stall reports.

@@ -1020,7 +1020,7 @@ func (sm *simulation) outcome() (*Result, error) {
 			sm.srm.Release()
 		}
 		sm.dom.Release()
-		sm.m.Env.Release()
+		sm.m.Release()
 	}
 	return res, err
 }

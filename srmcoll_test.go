@@ -2,6 +2,7 @@ package srmcoll
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,6 +25,9 @@ func TestNewClusterRejectsInvalid(t *testing.T) {
 	// size would never return.
 	noPkt := ColonySP(1, 2)
 	noPkt.ShmPktSize = 0
+	// A NaN latency would make every delivery time NaN: Run returned Time 0.
+	nanLat := ColonySP(2, 2)
+	nanLat.MemLatency = math.NaN()
 	for _, c := range []struct {
 		name  string
 		cfg   Config
@@ -31,6 +35,7 @@ func TestNewClusterRejectsInvalid(t *testing.T) {
 	}{
 		{"zero config", Config{}, "Nodes"},
 		{"zero shm packet", noPkt, "ShmPktSize"},
+		{"NaN memory latency", nanLat, "MemLatency"},
 	} {
 		_, err := NewCluster(c.cfg)
 		if err == nil {
