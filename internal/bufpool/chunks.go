@@ -20,16 +20,15 @@ import (
 // operation entry — decides when every value carved is dead and calls Release:
 // exactly the carved prefix of each slab is cleared (or rewound, below) and the
 // slabs go back on the stack, newest last, so that the next draw finds the one
-// still in cache. An
-// owner that cannot tell waits (an aborted operation may have puts on the wire
-// until its run is over) or never calls Release (a run that ended in a
-// deadlock, a stall or a crash leaves actors parked on its records), and then
-// its slabs are the collector's like any other memory: the rule Pool applies
-// to a buffer nobody Put. A stack keeps at
-// most slabCap bytes and drops what is returned beyond that; and it ages with
-// the payload reserve: every Window/2 pool hand-backs it sheds the slabs no
-// draw has reached since it last did, so what a large run left is gone within
-// Window runs that did not need it.
+// still in cache. An owner that cannot tell waits (an aborted operation may
+// have puts on the wire until its run is over) or never calls Release (a run
+// that ended in a deadlock, a stall or a crash leaves actors parked on its
+// records), and then its slabs are the collector's like any other memory: the
+// rule Pool applies to a buffer nobody Put. A stack keeps at most slabCap bytes
+// and drops what is returned beyond that; and it ages with the payload
+// reserve: every Window/2 pool hand-backs it sheds the slabs no draw has
+// reached since it last did, so what a large run left is gone within Window
+// runs that did not need it.
 //
 // Rewinding. A frame binds method values to itself (fr.step, bound as a
 // func()), and a binding is a heap object. A record type whose pointer has a
