@@ -42,13 +42,14 @@ type command struct {
 
 // The flag groups; a subcommand is given the groups it names and no others.
 const (
-	sweeps    = 1 << iota // -quick, -j: it runs a sweep on the worker pool
-	tables                // -csv, -plot: it prints tables
-	report                // -json: it can write its report as JSON
-	opFlag                // -op
-	topoFlag              // -topo
-	treeFlags             // -nodes, -tpn, -root, -kind
-	viaFlag               // -via
+	sweeps      = 1 << iota // -quick, -j: it runs a sweep on the worker pool
+	tables                  // -csv, -plot: it prints tables
+	report                  // -json: it can write its report as JSON
+	opFlag                  // -op
+	topoFlag                // -topo
+	treeFlags               // -nodes, -tpn, -root, -kind
+	viaFlag                 // -via
+	recordFlags             // -workload, -seeds, -seconds, -reps, -smoke, -check, -o
 )
 
 var commands = []command{
@@ -62,6 +63,7 @@ var commands = []command{
 	{"trace", "FILE", "trace a basket of collectives to Chrome trace-event JSON", sweeps, nil, trace},
 	{"tree", "", "a tree embedded in an SMP cluster, and one 4 KB broadcast over it", treeFlags, checkTree, treeRun},
 	{"lat", "", "substrate microbenchmarks", viaFlag, nil, lat},
+	{"record", "DIR...", "run bench/run.sh in each checkout and append a row per (commit, workload, seed) to the trajectory; -check compares instead", recordFlags, checkRecord, record},
 }
 
 // opts holds the flag values and where output goes.
@@ -71,6 +73,12 @@ type opts struct {
 	json, op, topo, cpuprof, memprof string
 	kind                             tree.Kind
 	w                                io.Writer
+
+	// record
+	workload, seeds, out string
+	seconds              float64
+	reps                 int
+	smoke, check         bool
 }
 
 // register gives fs the flags of the groups in set, and the profile flags
@@ -108,6 +116,15 @@ func (o *opts) register(fs *flag.FlagSet, set int) {
 	}
 	if set&viaFlag != 0 {
 		fs.BoolVar(&o.via, "via", false, "use the VIA-class commodity preset instead of ColonySP")
+	}
+	if set&recordFlags != 0 {
+		fs.StringVar(&o.workload, "workload", "all", "benchmark workloads, comma-separated: "+strings.Join(workloads, ", ")+" or all")
+		fs.StringVar(&o.seeds, "seeds", "1", "benchmark seeds, comma-separated")
+		fs.Float64Var(&o.seconds, "seconds", 20, "the benchmark's --seconds")
+		fs.IntVar(&o.reps, "reps", 1, "untraced runs of each workload per checkout; one traced run follows")
+		fs.BoolVar(&o.smoke, "smoke", false, "the benchmark's test scale (--smoke)")
+		fs.BoolVar(&o.check, "check", false, "compare the gated columns with the trajectory's last row and write nothing")
+		fs.StringVar(&o.out, "o", "BENCH_trajectory.json", "the trajectory file")
 	}
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&o.memprof, "memprofile", "", "write a pprof heap profile at exit to this file")

@@ -37,6 +37,10 @@ func TestBadArguments(t *testing.T) {
 		{[]string{"trace"}, "missing FILE"},
 		{[]string{"ranks", "64", "128"}, `unexpected argument "128"`},
 		{[]string{"lat", "-quick"}, "flag provided but not defined: -quick"},
+		{[]string{"record"}, "missing DIR..."},
+		{[]string{"record", "-reps", "0", "."}, "-reps must be >= 1, got 0"},
+		{[]string{"record", "-workload", "fig_grid,bogus", "."}, `unknown workload "bogus"`},
+		{[]string{"record", "-seeds", "1,x", "."}, `bad seed "x"`},
 	} {
 		if job, code := parse(tc.args, io.Discard, io.Discard); job != nil || code != 2 {
 			t.Errorf("parse %q: job %v, code %d; want no job, code 2", tc.args, job != nil, code)
@@ -86,5 +90,28 @@ func TestRanksBarrier(t *testing.T) {
 	code, stdout, stderr := runArgs("ranks", "-op", "barrier", "1024")
 	if code != 0 || !strings.HasPrefix(stdout, "ranks 1024 (128 nodes x 8 tasks) barrier: sim ") {
 		t.Errorf("ranks -op barrier 1024: exit %d, stderr %q, stdout %q", code, stderr, stdout)
+	}
+}
+
+// A trajectory row's spread is over its repetitions, and -check holds a run's
+// gated columns to the last measured row of its workload, seed and scale.
+func TestTrajectoryRows(t *testing.T) {
+	sp := spreadOf([]float64{4, 1, 3, 2})
+	if *sp.Min != 1 || sp.Median != 2.5 || *sp.IQR != 1.5 {
+		t.Errorf("spread of 1..4: min %v median %v iqr %v", *sp.Min, sp.Median, *sp.IQR)
+	}
+	row := func(commit string, smoke bool, events float64) trajRow {
+		return trajRow{Commit: commit, Workload: "rank_ladder", Seed: 1, Source: "measured", Smoke: smoke,
+			Deterministic: map[string]float64{"sim_us": 509.36539307887176, "sim.events": events}}
+	}
+	rows := []trajRow{row("a", true, 7040), row("b", false, 1), row("c", true, 7041)}
+	if d := compare(rows, row("d", true, 7041)); len(d) != 0 {
+		t.Errorf("same columns as the last smoke row: %q", d)
+	}
+	if d := compare(rows, row("d", true, 7040)); len(d) != 1 || !strings.Contains(d[0], "sim.events: 7040, committed 7041") {
+		t.Errorf("one event off: %q", d)
+	}
+	if d := compare(rows[1:2], row("d", true, 7040)); len(d) != 1 || !strings.Contains(d[0], "no committed row") {
+		t.Errorf("no smoke row: %q", d)
 	}
 }

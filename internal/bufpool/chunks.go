@@ -49,9 +49,10 @@ const ChunkBytes = 16 << 10
 // live memory with pointer slots, which every cycle of the collector marks and
 // which counts toward the heap goal, so what is kept is what the runs that come
 // by the thousand need, not what the largest drew. Six types reach the cap in
-// a 65,536-rank run (tasks, flags, counters, executors, copy and spin-wait
-// frames): at 4 MiB each, rank_ladder's peak RSS read 7 % over what four types
-// at 4 MiB gave; at 2.5 MiB it is level.
+// a 65,536-rank RunT (tasks, queue items, flags, counters, executors and
+// spin-wait frames), and a ScaleAllreduce of that size adds copy frames: at
+// 4 MiB each, rank_ladder's peak RSS read 7 % over what four types at 4 MiB
+// gave; at 2.5 MiB it is level.
 const slabCap = 5 << 19
 
 // Chunks hands out zero (or rewound) values of T carved from slabs of

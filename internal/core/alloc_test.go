@@ -18,10 +18,13 @@ import (
 )
 
 // allocRegime is a protocol regime at 4x16: one of the ten bench/layers.go
-// times, with the back-to-back calls it makes per sample, or a staged Alltoall
-// or ReduceScatter, which no bench regime runs (calls 0). Each row records the
-// host allocations four back-to-back calls cost on either engine (go1.24,
-// warm pools; the largest of three runs, which differ by up to 30 objects).
+// times, with the back-to-back calls it makes per sample, or one no bench
+// regime runs (calls 0): a staged Alltoall or ReduceScatter, and a tree reduce
+// whose child nodes get a credit back in every tree (three chunks of a Reduce,
+// four a tree of the dual-root pipeline; at the bench's sizes only the one-tree
+// pipeline returns one). Each row records the host allocations four
+// back-to-back calls cost on either engine (go1.24, warm pools; the largest of
+// three runs, which differ by up to 30 objects).
 //
 // History of the Proc counts (barrier): 1037 when a flag and a counter became
 // one object each (with three objects each, and one goroutine body and one CPS
@@ -66,6 +69,8 @@ var allocRegimes = []allocRegime{
 	{"barrier", "barrier", 0, AlgAuto, 32, 1321, 484},
 	{"alltoall_staged", "alltoall", 4 << 10, AlgAuto, 0, 1497, 666},
 	{"reducescatter", "reducescatter", 64 << 10, AlgAuto, 0, 1568, 728},
+	{"reduce_pipe_3", "reduce", 192 << 10, AlgAuto, 0, 1287, 512},
+	{"allreduce_dualroot_8", "allreduce", 512 << 10, AlgDualRoot, 0, 1376, 601},
 }
 
 const (
@@ -88,10 +93,15 @@ func regimeBuffers() (send, recv [][]byte) {
 // run's records go back to the reserve afterwards, as srmcoll's runs hand
 // theirs back, so that the next run is warm.
 func (rg allocRegime) run(t *testing.T, tasks bool, calls int, send, recv [][]byte) (allocs, events uint64) {
+	return rg.runWith(t, Options{AllreduceAlg: rg.alg}, tasks, calls, send, recv)
+}
+
+// runWith is run with the engine's options given.
+func (rg allocRegime) runWith(t *testing.T, opt Options, tasks bool, calls int, send, recv [][]byte) (allocs, events uint64) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(4, 16))
 	dom := rma.NewDomain(m)
-	s := New(m, dom, Options{AllreduceAlg: rg.alg})
+	s := New(m, dom, opt)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -183,7 +183,7 @@ func (a *rdState) step(x *exec, f *frame) {
 	case fdExchange:
 		if r := f.i; r < len(a.rdArr[nx]) {
 			partner := nx ^ (1 << r)
-			x.put(x.g.masterEp(partner), a.rdSlot[partner][r], a.partial(f), a.rdArr[partner][r])
+			x.put(x.g.master(partner), a.rdSlot[partner][r], a.partial(f), a.rdArr[partner][r])
 			x.waitcntr(a.rdArr[nx][r], 1)
 			a.absorb(x, f, a.rdSlot[nx][r])
 			f.i++

@@ -125,7 +125,7 @@ func (g *Group) alltoall(x *exec, rank int, send, recv []byte) {
 func (a *alltoallState) step(x *exec, f *frame) {
 	g, s, nx, li, blk := a.g, a.g.s, x.nx, x.l, a.blk
 	send, recv := f.a, f.c
-	nn, P, gi := len(g.lay.nodes), len(g.lay.members), g.lay.index(x.rank)
+	nn, P, gi := len(g.lay.nodes), len(g.lay.members), g.lay.index(int(x.rank))
 	mine := len(g.lay.local[nx])
 
 	switch f.pc {
@@ -158,7 +158,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 	case a2aPut:
 		if d := f.i; d < nn {
 			y := (nx + d) % nn
-			x.put(g.masterEp(y), a.in[y][nx], a.out[nx][y], a.arr[y][nx])
+			x.put(g.master(y), a.in[y][nx], a.out[nx][y], a.arr[y][nx])
 			f.i++
 			return
 		}
@@ -216,11 +216,11 @@ func (a *alltoallState) step(x *exec, f *frame) {
 		gj := (gi + f.i) % P
 		target := g.lay.members[gj]
 		dst, src := a.recvBuf[gj][gi*blk:(gi+1)*blk], send[gj*blk:(gj+1)*blk]
-		if s.m.NodeOf(target) == x.node {
+		if s.m.NodeOf(target) == int(x.node) {
 			x.memcpy(dst, src)
 			x.incr(a.blkArr[gj])
 		} else {
-			x.put(s.dom.Endpoint(target), dst, src, a.blkArr[gj])
+			x.put(target, dst, src, a.blkArr[gj])
 		}
 		f.pc, f.i = a2aDirectWait, f.i+1
 	}

@@ -80,7 +80,7 @@ func (b *barrierState) step(x *exec, f *frame) {
 		f.pc = 1
 	case nn > 1 && f.k < b.rounds:
 		peer := (x.nx + 1<<f.k) % nn
-		x.putZero(g.masterEp(peer), b.cnt[peer][f.k])
+		x.putZero(g.master(peer), b.cnt[peer][f.k])
 		x.waitcntr(b.cnt[x.nx][f.k], 1)
 		f.k++
 	default:

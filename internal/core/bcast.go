@@ -17,7 +17,6 @@ type bcastState struct {
 	// the masters register with an address AM to their parent (Fig. 4
 	// right). Its chunks and SMP side (Fig. 3) serve the small path too.
 	treeBcast
-	g     *Group
 	root  int
 	size  int
 	emb   gEmbed
@@ -36,7 +35,6 @@ func newBcastState(g *Group, root, size int) *bcastState {
 	s := g.s
 	cfg := s.m.Cfg
 	b := &bcastState{
-		g:    g,
 		root: root,
 		size: size,
 		emb:  g.embed(s.interKind("bcast", size), root),
@@ -99,6 +97,7 @@ const (
 	bcSmall          // master, Fig. 4 left: top of the chunk loop
 	bcSmallKids
 	bcSmallDone
+	bcSmallFree
 )
 
 func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
@@ -122,18 +121,16 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 	b.dst[nx] = buf
 	if nx != b.emb.inter.Root {
 		reg := b.ready[nx]
-		parent := g.s.dom.Endpoint(b.emb.masters[b.emb.inter.Parent[nx]])
-		x.am(parent, make([]byte, 8), func([]byte) { reg.Trigger() })
+		x.am(b.emb.masters[b.emb.inter.Parent[nx]], make([]byte, 8), func([]byte) { reg.Trigger() })
 	}
 	x.call(&b.treeBcast, tbChunk, 0, buf, nil)
 }
 
 func (b *bcastState) step(x *exec, f *frame) {
-	g, nx, buf, k := b.g, x.nx, f.a, f.k
+	nx, buf, k := x.nx, f.a, f.k
 	pub := b.pub[nx]
 	kids := b.emb.inter.Children[nx]
 	atRoot := nx == b.emb.inter.Root
-	masterEp := func(y int) *rma.Endpoint { return g.s.dom.Endpoint(b.emb.masters[y]) }
 	if k == len(b.sp) {
 		// Every chunk is out; masters that staged chunks through the node's
 		// buffers wait until the last one has been consumed.
@@ -176,7 +173,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 			child := kids[f.i]
 			f.i++
 			x.waitcntr(b.freeC[child][parity], 1)
-			x.put(masterEp(child), b.netBuf[child][parity][:c.n], src, b.arr[child][parity])
+			x.put(b.emb.masters[child], b.netBuf[child][parity][:c.n], src, b.arr[child][parity])
 			return
 		}
 		// SMP broadcast of the chunk. From the root's private buffer this
@@ -190,14 +187,18 @@ func (b *bcastState) step(x *exec, f *frame) {
 			if c.n > 0 {
 				x.memcpy(mine, b.netBuf[nx][parity][:c.n])
 			}
-			// Free the buffer to the parent once the node is done with it
-			// (only while a chunk k+2 remains to reuse this parity).
-			if k+2 < len(b.sp) {
-				pub.waitConsumed(x, k)
-				x.putZero(masterEp(b.emb.inter.Parent[nx]), b.freeC[nx][parity])
-			}
-			x.end()
+			f.pc = bcSmallFree
+			return
 		}
+		f.pc, f.k = bcSmall, k+1
+	case bcSmallFree:
+		// Free the buffer to the parent once the node is done with it (only
+		// while a chunk k+2 remains to reuse this parity).
+		if k+2 < len(b.sp) {
+			pub.waitConsumed(x, k)
+			x.putZero(b.emb.masters[b.emb.inter.Parent[nx]], b.freeC[nx][parity])
+		}
+		x.end()
 		f.pc, f.k = bcSmall, k+1
 	}
 }

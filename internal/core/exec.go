@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strconv"
 
 	"srmcoll/internal/bufpool"
@@ -34,7 +35,11 @@ import (
 //     buffer, a publisher's current slice) is read at the top of a later
 //     step, never in the step that issues the wait.
 //
-// call and spawn act at once and so come last (call) or first (spawn).
+// call and spawn act at once and so come last (call) or first (spawn). end
+// and ret are not queued: they set a bit that runs once the queue has drained,
+// so they too come last, and an operation or call after them panics. A step
+// queues at most len(exec.q) operations; one that needs more is split across
+// two pcs, which runs the same operations in the same order.
 
 type stepper interface {
 	step(x *exec, f *frame)
@@ -43,11 +48,10 @@ type stepper interface {
 // frame is the resumable state of one running body: where it is (pc), its
 // loop indices and integer arguments, and its buffer arguments.
 type frame struct {
-	b       stepper
-	pc      int
-	i, j, k int
-	a, c    []byte
-	span    int // open trace span, closed by end or on abort; -1 when none
+	b        stepper
+	pc, span int32 // span: open trace span, closed by end or on abort; -1 when none
+	i, j, k  int
+	a, c     []byte
 }
 
 // maxDepth bounds the sub-body stack: a collective body and the SMP stage
@@ -57,73 +61,91 @@ const maxDepth = 2
 type opKind uint8
 
 const (
-	opRet       opKind = iota // pop the current frame
-	opWaitFlag                // flag >= v, or == v with eq
-	opWaitFlags               // every flag of set but index w, as opWaitFlag
+	opWaitFlag  opKind = iota // flag >= v, or == v with eq
+	opWaitFlags               // every flag of rare.set but index w, as opWaitFlag
 	opWaitEvent
 	opWaitCntr  // Endpoint.Waitcntr: wait for v arrivals and consume them
 	opWaitValue // Counter.WaitValue: the same without entering an RMA call
-	opPut
-	opAM
-	opCopy    // charged shared-memory copy src -> dst
-	opCharge  // copy time for v bytes the step moved with copy(), then counted
-	opCombine // dst = own op src (dst op= src when own is nil), charged, counted
-	opSet     // flag = v
-	opSetAll  // every flag of set = v
-	opIncr    // cntr += 1
-	opIntr    // the rank's endpoint interrupts on (eq) or off
-	opEnd     // close the span of frame w
+	opPut       // to rank w
+	opAM        // to rank w, handled by rare.am
+	opCopy      // charged shared-memory copy src -> dst
+	opCharge    // copy time for v bytes the step moved with copy(), then counted
+	opCombine   // dst = rare.own op src with eq, else dst op= src; charged, counted
+	opSet       // flag = v
+	opSetAll    // every flag of rare.set = v
+	opIncr      // cntr += 1
+	opIntr      // the rank's endpoint interrupts on (eq) or off
 )
 
 // op is one queued operation of a step. Only the fields its kind names
 // are set; i is the progress of an operation performed in several visits.
 type op struct {
-	kind          opKind
-	eq            bool
-	i             int32
-	v, w          int
-	dst, src, own []byte
-	flag          *shm.Flag
-	set           *flagSet
-	ev            *sim.Event
-	cntr          *rma.Counter
-	to            *rma.Endpoint
-	am            func([]byte)
+	kind     opKind
+	eq       bool
+	i        int32
+	v, w     int32
+	dst, src []byte
+	flag     *shm.Flag
+	ev       *sim.Event
+	cntr     *rma.Counter
 }
+
+// rare holds the operands that only a few kinds of operation have: the flag
+// set of a waitAll or setAll, the own buffer of a first combine, the handler
+// of an AM. One queued operation of a step may use it.
+type rare struct {
+	set *flagSet
+	own []byte
+	am  func([]byte)
+}
+
+// The bits of exec.bits: the two tail operations, which run in this order
+// once the queue has drained, and the rare slot taken.
+const (
+	bitEnd  = 1 << iota // close the span of the top frame
+	bitRet              // pop the top frame
+	bitRare             // a queued operation uses exec.rare
+)
 
 // exec drives one task — a rank's, or a pipeline helper's beside it — through
 // one collective. Executors are the SRM's, on a free list, so a call costs no
 // heap object once every concurrently running task has one.
+//
+// An exec is ten cache lines, so each one in a slab starts on a line, and
+// what resume and run read on every visit is on its first: the task, the
+// engine, the continuation, the queue's state and the stack depth, with the
+// head of the queue right after them.
 type exec struct {
-	s    *SRM
-	t    *sim.Task
-	kont func() // runs after the collective completes
+	t            *sim.Task
+	s            *SRM
+	resumeFn     func() // x.resume, bound once for the life of the executor's memory
+	ep           *rma.Endpoint
+	armed, fired bool  // a *T primitive is running; it called back inline
+	qh, qn       uint8 // the queue's head and length
+	bits         uint8 // bitEnd, bitRet, bitRare
+	depth        uint8
+	unwinds      bool  // finish is on the task's unwind stack
+	quiet        bool  // interrupts are off at ep until finish
+	node, rank   int32 // machine node id and global rank, set by Group.acquire
 
-	// Call context, set by Group.acquire.
-	g           *Group
-	seq         int
-	rank, nx, l int // global rank, node index and local index in the group
-	node        int // machine node id
-	ep          *rma.Endpoint
-	ds          dataspec
+	// The operations of the current step not yet performed.
+	q    [3]op
+	rare rare
 
-	quiet *rma.Endpoint // interrupts are off here until finish
-	done  *sim.Event    // helper: triggered at finish
 	stack [maxDepth]frame
-	depth int
+	kont  func() // runs after the collective completes
 
-	// The operations of the current step not yet performed (qbuf holds the
-	// usual few), whether a *T primitive is running and whether it called
-	// back inline, and the continuations bound once.
-	q            []op
-	qh           int
-	qbuf         [4]op
-	armed, fired bool
-	unwinds      bool // finish is on the task's unwind stack
+	// Call context, set by Group.acquire: the group, the operation's sequence
+	// number, the node index and local index in the group, and the data.
+	g     *Group
+	seq   int
+	nx, l int
+	ds    dataspec
 
-	// x.resume and x.finish, bound once for the life of the executor's memory.
-	resumeFn, abortFn func()
+	done    *sim.Event // helper: triggered at finish
+	abortFn func()     // x.finish, bound once like resumeFn
 	bufpool.Link[exec]
+	_ [16]byte // to 640 bytes (TestExecIsTenCacheLines)
 }
 
 // Rewind empties the executor but for its bindings (bufpool.Chunks).
@@ -133,9 +155,6 @@ func (x *exec) Rewind() { *x = exec{resumeFn: x.resumeFn, abortFn: x.abortFn} }
 // helper's when the helper starts).
 func (s *SRM) exec(t *sim.Task, kont func()) *exec {
 	x := s.execs.Get()
-	if x.q == nil {
-		x.q = x.qbuf[:0]
-	}
 	if x.resumeFn == nil {
 		x.resumeFn = x.resume
 	}
@@ -168,21 +187,18 @@ func (x *exec) bind(t *sim.Task) {
 func (x *exec) finish() {
 	aborted := x.depth > 0
 	for ; x.depth > 0; x.depth-- {
-		x.s.m.Env.Trace.End(x.stack[x.depth-1].span)
+		x.s.m.Env.Trace.End(int(x.stack[x.depth-1].span))
 	}
 	if x.done != nil {
 		x.done.Trigger()
 	}
-	if x.quiet != nil {
-		x.quiet.SetInterrupts(true)
+	if x.quiet {
+		x.ep.SetInterrupts(true)
 	}
 	if x.g != nil {
 		x.g.retire(x.seq, aborted)
 	}
-	s, q := x.s, x.q[:0]
-	clear(x.q) // operations an abort left behind
-	s.execs.Put(x)
-	x.q = q // idle, it keeps the storage its queue grew for the run
+	x.s.execs.Put(x)
 }
 
 // resume is the continuation every *T primitive receives. Called while the
@@ -196,13 +212,13 @@ func (x *exec) resume() {
 	x.run()
 }
 
-// run performs queued operations until one suspends, stepping the top
-// frame whenever the queue drains, and completes the collective when the
-// root body has returned.
+// run performs queued operations until one suspends, then the tail bits when
+// the queue drains, stepping the top frame after that, and completes the
+// collective when the root body has returned.
 func (x *exec) run() {
 	t, m, k := x.t, x.s.m, x.resumeFn
 	for {
-		for x.qh < len(x.q) {
+		for x.qh < x.qn {
 			o := &x.q[x.qh]
 			last := true // this visit is the operation's last
 			x.armed = true
@@ -211,35 +227,35 @@ func (x *exec) run() {
 				x.waitFlagT(o.flag, o)
 			case opWaitFlags:
 				// One flag per visit, until every one has been passed.
-				if int(o.i) == o.w {
+				if o.i == o.w {
 					o.i++
 				}
-				if int(o.i) < len(*o.set) {
+				if set := *x.rare.set; int(o.i) < len(set) {
 					last = false
 					o.i++
-					x.waitFlagT(&(*o.set)[o.i-1], o)
+					x.waitFlagT(&set[o.i-1], o)
 				} else {
 					x.fired = true
 				}
 			case opWaitEvent:
 				o.ev.WaitT(t, k)
 			case opWaitCntr:
-				x.ep.WaitcntrT(t, o.cntr, o.v, k)
+				x.ep.WaitcntrT(t, o.cntr, int(o.v), k)
 			case opWaitValue:
-				x.ep.WaitValueT(t, o.cntr, o.v, k)
+				x.ep.WaitValueT(t, o.cntr, int(o.v), k)
 			case opPut:
-				x.ep.PutT(t, o.to, o.dst, o.src, nil, o.cntr, nil, k)
+				x.ep.PutT(t, x.s.dom.Endpoint(int(o.w)), o.dst, o.src, nil, o.cntr, nil, k)
 			case opAM:
-				x.ep.AMT(t, o.to, o.src, o.am, k)
+				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, x.rare.am, k)
 			case opCopy:
-				m.MemcpyT(t, x.node, o.dst, o.src, k)
+				m.MemcpyT(t, int(x.node), o.dst, o.src, k)
 			case opCharge, opCombine:
 				// Two visits: pay the time, then count the bytes.
 				if o.i++; o.i == 2 {
 					x.count(o)
 					x.fired = true
 				} else if last = false; o.kind == opCharge {
-					m.ChargeCopyT(t, x.node, o.v, k)
+					m.ChargeCopyT(t, int(x.node), int(o.v), k)
 				} else {
 					x.reduce(o)
 					t.SleepThen(m.CombineTime(len(o.dst)), k)
@@ -257,8 +273,18 @@ func (x *exec) run() {
 			}
 			x.fired = false
 		}
-		clear(x.q) // drop buffer references; the executor outlives the call
-		x.q, x.qh = x.q[:0], 0
+		x.qh, x.qn = 0, 0
+		if b := x.bits; b != 0 {
+			x.bits = 0
+			if b&bitEnd != 0 {
+				f := &x.stack[x.depth-1]
+				m.Env.Trace.End(int(f.span))
+				f.span = -1
+			}
+			if b&bitRet != 0 {
+				x.depth--
+			}
+		}
 		if x.depth == 0 {
 			if x.unwinds {
 				t.PopUnwind()
@@ -277,17 +303,17 @@ func (x *exec) run() {
 
 func (x *exec) waitFlagT(fl *shm.Flag, o *op) {
 	if o.eq {
-		fl.WaitForT(x.t, o.v, x.resumeFn)
+		fl.WaitForT(x.t, int(o.v), x.resumeFn)
 	} else {
-		fl.WaitGET(x.t, o.v, x.resumeFn)
+		fl.WaitGET(x.t, int(o.v), x.resumeFn)
 	}
 }
 
 // reduce and count are the data and the statistics of opCombine (and
 // count the statistics of opCharge).
 func (x *exec) reduce(o *op) {
-	if o.own != nil {
-		dtype.ReduceInto(x.ds.op, x.ds.dt, o.dst, o.own, o.src)
+	if o.eq {
+		dtype.ReduceInto(x.ds.op, x.ds.dt, o.dst, x.rare.own, o.src)
 	} else {
 		dtype.Reduce(x.ds.op, x.ds.dt, o.dst, o.src)
 	}
@@ -295,7 +321,7 @@ func (x *exec) reduce(o *op) {
 
 func (x *exec) count(o *op) {
 	if o.kind == opCharge {
-		x.s.m.Stats.AddCopy(o.v)
+		x.s.m.Stats.AddCopy(int(o.v))
 	} else {
 		x.s.m.Stats.AddReduce(len(o.dst) / max(1, x.ds.dt.Size()))
 	}
@@ -304,26 +330,18 @@ func (x *exec) count(o *op) {
 // effect performs an operation that never blocks.
 func (x *exec) effect(o *op) {
 	switch o.kind {
-	case opRet:
-		x.depth--
 	case opSet:
-		o.flag.Set(o.v)
+		o.flag.Set(int(o.v))
 	case opSetAll:
-		for i := range *o.set {
-			(*o.set)[i].Set(o.v)
+		set := *x.rare.set
+		for i := range set {
+			set[i].Set(int(o.v))
 		}
 	case opIncr:
 		o.cntr.Incr(1)
 	case opIntr:
 		x.ep.SetInterrupts(o.eq)
-		x.quiet = nil
-		if !o.eq {
-			x.quiet = x.ep
-		}
-	case opEnd:
-		f := &x.stack[o.w]
-		x.s.m.Env.Trace.End(f.span)
-		f.span = -1
+		x.quiet = !o.eq
 	}
 }
 
@@ -331,97 +349,140 @@ func (x *exec) effect(o *op) {
 //
 // Each operation queues itself; run performs it in its turn.
 
+// push queues o. A step that queues one more than the queue holds, or one
+// after end or ret, is a bug in the step.
+func (x *exec) push(o op) {
+	if x.bits&(bitEnd|bitRet) != 0 {
+		panic("core: an operation queued after end or ret")
+	}
+	if int(x.qn) == len(x.q) {
+		panic("core: a step queued more than " + strconv.Itoa(len(x.q)) + " operations; split it across two pcs")
+	}
+	x.q[x.qn] = o
+	x.qn++
+}
+
+// useRare takes the rare slot for an operation of the step.
+func (x *exec) useRare() *rare {
+	if x.bits&bitRare != 0 {
+		panic("core: two operations of one step need the rare slot")
+	}
+	x.bits |= bitRare
+	return &x.rare
+}
+
 // call pushes a sub-body; it acts at once, so it is the last thing a step
 // does (operations issued earlier in the step still run first).
 func (x *exec) call(b stepper, pc, k int, a, c []byte) *frame {
+	if x.bits&(bitEnd|bitRet) != 0 {
+		panic("core: a call after end or ret")
+	}
 	f := &x.stack[x.depth]
 	x.depth++
-	*f = frame{b: b, pc: pc, k: k, a: a, c: c, span: -1}
+	*f = frame{b: b, pc: int32(pc), k: k, a: a, c: c, span: -1}
 	return f
 }
 
-// ret ends the current body.
-func (x *exec) ret() { x.q = append(x.q, op{kind: opRet}) }
+// ret ends the current body once the step's operations have run.
+func (x *exec) ret() { x.bits |= bitRet }
 
 func (x *exec) waitGE(fl *shm.Flag, v int) {
-	x.q = append(x.q, op{kind: opWaitFlag, flag: fl, v: v})
+	x.push(op{kind: opWaitFlag, flag: fl, v: int32(v)})
 }
 
 func (x *exec) waitEQ(fl *shm.Flag, v int) {
-	x.q = append(x.q, op{kind: opWaitFlag, flag: fl, v: v, eq: true})
+	x.push(op{kind: opWaitFlag, flag: fl, v: int32(v), eq: true})
 }
 
 // waitAllGE waits, in index order, for every flag but set[skip] (-1: none)
 // to reach v; waitAllEQ for each to equal v.
 func (x *exec) waitAllGE(set *flagSet, v, skip int) {
-	x.q = append(x.q, op{kind: opWaitFlags, set: set, v: v, w: skip})
+	x.push(op{kind: opWaitFlags, v: int32(v), w: int32(skip)})
+	x.useRare().set = set
 }
 
 func (x *exec) waitAllEQ(set *flagSet, v, skip int) {
-	x.q = append(x.q, op{kind: opWaitFlags, set: set, v: v, w: skip, eq: true})
+	x.push(op{kind: opWaitFlags, v: int32(v), w: int32(skip), eq: true})
+	x.useRare().set = set
 }
 
-func (x *exec) waitEvent(ev *sim.Event) { x.q = append(x.q, op{kind: opWaitEvent, ev: ev}) }
+func (x *exec) waitEvent(ev *sim.Event) { x.push(op{kind: opWaitEvent, ev: ev}) }
 
 // waitcntr waits for v arrivals at the rank's endpoint and consumes them.
 func (x *exec) waitcntr(c *rma.Counter, v int) {
-	x.q = append(x.q, op{kind: opWaitCntr, cntr: c, v: v})
+	x.push(op{kind: opWaitCntr, cntr: c, v: int32(v)})
 }
 
 // waitValue is waitcntr without entering an RMA call; helpers that share
 // their master's endpoint use it so the master's RMA-call bookkeeping stays
 // consistent.
 func (x *exec) waitValue(c *rma.Counter, v int) {
-	x.q = append(x.q, op{kind: opWaitValue, cntr: c, v: v})
+	x.push(op{kind: opWaitValue, cntr: c, v: int32(v)})
 }
 
-// put sends src into dst at the target and bumps tgt there on arrival.
-func (x *exec) put(to *rma.Endpoint, dst, src []byte, tgt *rma.Counter) {
-	x.q = append(x.q, op{kind: opPut, to: to, dst: dst, src: src, cntr: tgt})
+// put sends src into dst at the endpoint of rank to and bumps tgt there on
+// arrival.
+func (x *exec) put(to int, dst, src []byte, tgt *rma.Counter) {
+	x.push(op{kind: opPut, w: int32(to), dst: dst, src: src, cntr: tgt})
 }
 
 // putZero is the zero-byte flow-control put of §2.4.
-func (x *exec) putZero(to *rma.Endpoint, tgt *rma.Counter) { x.put(to, nil, nil, tgt) }
+func (x *exec) putZero(to int, tgt *rma.Counter) { x.put(to, nil, nil, tgt) }
 
-func (x *exec) am(to *rma.Endpoint, payload []byte, h func([]byte)) {
-	x.q = append(x.q, op{kind: opAM, to: to, src: payload, am: h})
+func (x *exec) am(to int, payload []byte, h func([]byte)) {
+	x.push(op{kind: opAM, w: int32(to), src: payload})
+	x.useRare().am = h
 }
 
 func (x *exec) memcpy(dst, src []byte) {
-	x.q = append(x.q, op{kind: opCopy, dst: dst, src: src})
+	x.push(op{kind: opCopy, dst: dst, src: src})
 }
 
 // chargeCopy charges and counts n bytes the step already moved with copy().
-func (x *exec) chargeCopy(n int) { x.q = append(x.q, op{kind: opCharge, v: n}) }
+func (x *exec) chargeCopy(n int) {
+	if n > math.MaxInt32 {
+		panic("core: a copy of " + strconv.Itoa(n) + " bytes in one operation")
+	}
+	x.push(op{kind: opCharge, v: int32(n)})
+}
 
 // combine folds src into dst (dst = own op src when own is non-nil, for a
 // first contribution) and charges and counts one elementwise combine.
 func (x *exec) combine(dst, own, src []byte) {
-	x.q = append(x.q, op{kind: opCombine, dst: dst, own: own, src: src})
+	x.push(op{kind: opCombine, dst: dst, src: src, eq: own != nil})
+	if own != nil {
+		x.useRare().own = own
+	}
 }
 
-func (x *exec) set(fl *shm.Flag, v int)    { x.q = append(x.q, op{kind: opSet, flag: fl, v: v}) }
-func (x *exec) setAll(set *flagSet, v int) { x.q = append(x.q, op{kind: opSetAll, set: set, v: v}) }
-func (x *exec) incr(c *rma.Counter)        { x.q = append(x.q, op{kind: opIncr, cntr: c}) }
+func (x *exec) set(fl *shm.Flag, v int) { x.push(op{kind: opSet, flag: fl, v: int32(v)}) }
+
+func (x *exec) setAll(set *flagSet, v int) {
+	x.push(op{kind: opSetAll, v: int32(v)})
+	x.useRare().set = set
+}
+
+func (x *exec) incr(c *rma.Counter) { x.push(op{kind: opIncr, cntr: c}) }
 
 // interrupts switches the rank's endpoint; finish switches them back on if
 // the collective ends, normally or not, while they are off.
-func (x *exec) interrupts(on bool) { x.q = append(x.q, op{kind: opIntr, eq: on}) }
+func (x *exec) interrupts(on bool) { x.push(op{kind: opIntr, eq: on}) }
 
 // quietNet turns interrupts off at a master for a small-message operation
 // (§2.3) until finish. It acts at once: call it before the first operation.
 func (x *exec) quietNet(size int) {
 	if !x.s.opt.KeepInterrupts && size <= smallMsgInterruptLimit {
 		x.ep.SetInterrupts(false)
-		x.quiet = x.ep
+		x.quiet = true
 	}
 }
 
-// begin opens a trace span owned by the current frame f; end closes it.
+// begin opens a trace span owned by the current frame f; end closes it once
+// the step's operations have run.
 func (x *exec) begin(f *frame, cl trace.Class, name string, n int) {
-	f.span = x.s.m.Env.Trace.Begin(x.t.Track(), cl, name, int64(n))
+	f.span = int32(x.s.m.Env.Trace.Begin(x.t.Track(), cl, name, int64(n)))
 }
-func (x *exec) end() { x.q = append(x.q, op{kind: opEnd, w: x.depth - 1}) }
+func (x *exec) end() { x.bits |= bitEnd }
 
 // spawn starts body b at pc 0, with a as its buffer, as a pipeline helper
 // beside the caller: a task of its own on the caller's rank; done fires when
@@ -436,9 +497,9 @@ func (x *exec) spawn(b stepper, a []byte, done *sim.Event) {
 		// A timeline of its own above the rank tracks, so the helper's spans
 		// do not interleave with its master's.
 		if tr := s.m.Env.Trace; tr != nil {
-			track := s.m.P() + h.rank
+			track := s.m.P() + int(h.rank)
 			ht.SetTrack(track)
-			tr.NameTrack(track, "rank"+strconv.Itoa(h.rank)+"-bcast")
+			tr.NameTrack(track, "rank"+strconv.Itoa(int(h.rank))+"-bcast")
 		}
 		h.run()
 	})

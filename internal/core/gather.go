@@ -178,13 +178,16 @@ func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()
 // entry are that operation's later stages. f.a is send, f.c recv.
 const (
 	rsGather = iota
+	rsGatherWait
 	rsGatherSlabs
 	rsScatter
 	rsScatterSlabs
 	rsScatterOut
 	rsAllgather
+	rsAllgatherStaged
 	rsAllgatherRing
 	rsAllgatherFan
+	rsAllgatherCopy
 	rsDirect
 	rsDirectRing
 )
@@ -227,12 +230,11 @@ func (g *Group) allgather(x *exec, rank int, send, recv []byte) {
 }
 
 func (st *redistState) step(x *exec, f *frame) {
-	g, s, rank, nx, l, blk := st.g, st.g.s, x.rank, x.nx, x.l, st.blk
+	g, s, rank, nx, l, blk := st.g, st.g.s, int(x.rank), x.nx, x.l, st.blk
 	send, recv := f.a, f.c
 	nn := len(g.lay.nodes)
 	master := rank == st.masters[nx]
 	rootNI := g.lay.ni(st.root)
-	masterEp := func(y int) *rma.Endpoint { return s.dom.Endpoint(st.masters[y]) }
 	// runsOn counts the slabs node y's members form; each travels as one put.
 	runsOn := func(y int) (n int) {
 		for _, rn := range st.runs {
@@ -254,6 +256,8 @@ func (st *redistState) step(x *exec, f *frame) {
 			x.ret()
 			return
 		}
+		f.pc = rsGatherWait
+	case rsGatherWait:
 		x.waitAllEQ(&st.inFlag[nx], 1, -1)
 		x.waitEvent(st.rootSet)
 		f.pc = rsGatherSlabs
@@ -271,7 +275,7 @@ func (st *redistState) step(x *exec, f *frame) {
 			case nx == rootNI:
 				x.memcpy(st.rootBuf[po:po+n], st.staged[nx][so:so+n])
 			default:
-				x.put(masterEp(rootNI), st.rootBuf[po:po+n], st.staged[nx][so:so+n], st.arr[rootNI])
+				x.put(st.masters[rootNI], st.rootBuf[po:po+n], st.staged[nx][so:so+n], st.arr[rootNI])
 			}
 			return
 		}
@@ -308,7 +312,7 @@ func (st *redistState) step(x *exec, f *frame) {
 			case rn.node == nx:
 				x.memcpy(st.staged[nx][so:so+n], send[po:po+n])
 			default:
-				x.put(masterEp(rn.node), st.staged[rn.node][so:so+n], send[po:po+n], st.arr[rn.node])
+				x.put(st.masters[rn.node], st.staged[rn.node][so:so+n], send[po:po+n], st.arr[rn.node])
 			}
 			return
 		}
@@ -331,46 +335,58 @@ func (st *redistState) step(x *exec, f *frame) {
 		x.set(&st.inFlag[nx][l], 1)
 		f.pc = rsAllgatherFan
 		if master {
-			x.waitAllEQ(&st.inFlag[nx], 1, -1)
-			x.set(st.ready[nx], 1) // step 0: the node's own slabs are staged
-			f.pc, f.i = rsAllgatherRing, 1
+			f.pc = rsAllgatherStaged
 		}
+	case rsAllgatherStaged:
+		x.waitAllEQ(&st.inFlag[nx], 1, -1)
+		x.set(st.ready[nx], 1) // step 0: the node's own slabs are staged
+		f.pc, f.i = rsAllgatherRing, 1
 	case rsAllgatherRing:
 		// Ring over node slabs: at step s, forward the slab that
 		// originated at node (x-s+1 mod nn); after nn-1 steps the node
 		// holds every slab at its final offset. The ready counter ticks
-		// per step so members fan slabs out while the ring still runs.
+		// per step so members fan slabs out while the ring still runs. f.j
+		// walks the runs, one put a step.
 		step, right := f.i, (nx+1)%nn
 		if step >= nn {
 			f.pc, f.i = rsAllgatherFan, 0
 			return
 		}
-		for _, rn := range st.runs {
+		for f.j < len(st.runs) {
+			rn := st.runs[f.j]
+			f.j++
 			if rn.node == (nx-step+1+nn)%nn {
 				_, po, n := st.slabRange(rn)
-				x.put(masterEp(right), st.staged[right][po:po+n], st.staged[nx][po:po+n], st.stepArr[right][step])
+				x.put(st.masters[right], st.staged[right][po:po+n], st.staged[nx][po:po+n], st.stepArr[right][step])
+				return
 			}
 		}
 		// Wait for this step's slabs from the left neighbor; the per-step
 		// counter ties the wait to this step's data.
 		x.waitcntr(st.stepArr[nx][step], runsOn((nx-step+nn)%nn))
 		x.set(st.ready[nx], step+1)
-		f.i++
+		f.i, f.j = step+1, 0
 	case rsAllgatherFan:
 		// Fan out, pipelined with the ring: at step s the slabs that
-		// originated at node (x-s mod nn) become copyable.
-		step := f.i
-		if step == nn {
+		// originated at node (x-s mod nn) become copyable, and rsAllgatherCopy
+		// copies them out, one a step (f.j walks the runs).
+		if f.i == nn {
 			x.ret()
 			return
 		}
-		x.waitGE(st.ready[nx], step+1)
-		for _, rn := range st.runs {
+		x.waitGE(st.ready[nx], f.i+1)
+		f.pc, f.j = rsAllgatherCopy, 0
+	case rsAllgatherCopy:
+		step := f.i
+		for f.j < len(st.runs) {
+			rn := st.runs[f.j]
+			f.j++
 			if _, po, n := st.slabRange(rn); rn.node == (nx-step+nn)%nn && n > 0 {
 				x.memcpy(recv[po:po+n], st.staged[nx][po:po+n])
+				return
 			}
 		}
-		f.i++
+		f.pc, f.i = rsAllgatherFan, step+1
 
 	// The large-block allgather: a ring over group members with each block
 	// put straight into the right neighbor's receive buffer (a
@@ -398,11 +414,11 @@ func (st *redistState) step(x *exec, f *frame) {
 		out := (gi - step + 1 + P) % P
 		src := recv[out*blk : (out+1)*blk]
 		dst := st.recvBuf[gr][out*blk : (out+1)*blk]
-		if s.m.NodeOf(right) == x.node {
+		if s.m.NodeOf(right) == int(x.node) {
 			x.memcpy(dst, src)
 			x.incr(st.stepCnt[gr][step])
 		} else {
-			x.put(s.dom.Endpoint(right), dst, src, st.stepCnt[gr][step])
+			x.put(right, dst, src, st.stepCnt[gr][step])
 		}
 		// The step counter identifies the inbound block.
 		x.waitcntr(st.stepCnt[gi][step], 1)

@@ -7,7 +7,6 @@ import (
 
 	"srmcoll/internal/machine"
 	"srmcoll/internal/ranks"
-	"srmcoll/internal/rma"
 	"srmcoll/internal/tree"
 )
 
@@ -180,9 +179,9 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 		g.s.build(e, mk)
 	}
 	at := g.lay.at[i]
-	x.g, x.seq, x.rank = g, seq, rank
+	x.g, x.seq, x.rank = g, seq, int32(rank)
 	x.nx, x.l = int(at.nx), int(at.l)
-	x.node = g.lay.nodes[x.nx]
+	x.node = int32(g.lay.nodes[x.nx])
 	x.ep = g.s.dom.Endpoint(rank)
 	return g.ops[seq-g.base].state
 }
@@ -226,11 +225,9 @@ func (g *Group) retire(seq int, aborted bool) {
 	s.retired = append(s.retired, e)
 }
 
-// masterEp returns the endpoint of the first member on participating node
-// index x, the master of every operation that is not rooted.
-func (g *Group) masterEp(x int) *rma.Endpoint {
-	return g.s.dom.Endpoint(g.lay.local[x][0])
-}
+// master returns the first member on participating node index x, the master
+// of every operation that is not rooted.
+func (g *Group) master(x int) int { return g.lay.local[x][0] }
 
 // Sub returns the group over a subset of this group's members (groups are
 // global by member list, so nesting just resolves through the registry).

@@ -152,7 +152,7 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 			f.pc, f.i = rscFold, 1
 			return
 		}
-		x.put(g.masterEp(y), st.slot[y][nx], st.slabFor(x, st.partial[nx], y), st.arr[y][nx])
+		x.put(g.master(y), st.slot[y][nx], st.slabFor(x, st.partial[nx], y), st.arr[y][nx])
 		f.i++
 	case rscFold:
 		if f.i == nn {

@@ -101,7 +101,7 @@ func (a *rhdState) step(x *exec, f *frame) {
 			sLo, sHi, kLo, kHi = lo, mid, mid, hi
 		}
 		sb := recv[sLo*esize : sHi*esize]
-		x.put(g.masterEp(partner), a.halfSlot[partner][r][:len(sb)], sb, a.halfArr[partner][r])
+		x.put(g.master(partner), a.halfSlot[partner][r][:len(sb)], sb, a.halfArr[partner][r])
 		x.waitcntr(a.halfArr[nx][r], 1)
 		if n := (kHi - kLo) * esize; n > 0 {
 			x.combine(recv[kLo*esize:kHi*esize], nil, a.halfSlot[nx][r][:n])
@@ -118,7 +118,7 @@ func (a *rhdState) step(x *exec, f *frame) {
 		f.pc = rhdGatherPut
 	case rhdGatherPut:
 		lo, hi := a.segment(nx, r+1, elems)
-		x.put(g.masterEp(partner), a.resBuf[partner][lo*esize:hi*esize], recv[lo*esize:hi*esize], a.dblArr[partner][r])
+		x.put(g.master(partner), a.resBuf[partner][lo*esize:hi*esize], recv[lo*esize:hi*esize], a.dblArr[partner][r])
 		x.waitcntr(a.dblArr[nx][r], 1)
 		f.pc, f.i = rhdGather, r-1
 	default:

@@ -58,9 +58,9 @@ func (a *ringState) stepBlocks(x, st int) (sendIdx, recvIdx int) {
 
 // step is the master's role: reduce the node contributions into recv, run
 // the 2(nn-1)-step ring exchange (f.i counts steps), distribute the result.
-// Each ring step sends one block right, waits for the matching block from
-// the left, combines (reduce-scatter half) or copies it in (allgather half),
-// and recredits the left neighbour.
+// Each ring step sends one block right and waits for the matching block from
+// the left (pc 1), then combines (reduce-scatter half) or copies it in
+// (allgather half) and recredits the left neighbour (pc 3).
 func (a *ringState) step(x *exec, f *frame) {
 	g, nx, send, recv := a.g, x.nx, f.a, f.c
 	nn := len(g.lay.nodes)
@@ -70,14 +70,18 @@ func (a *ringState) step(x *exec, f *frame) {
 		f.pc = 1
 		x.reduceInto(a.rn[nx], 0, recv, send)
 	case f.pc == 1 && f.i < steps:
-		st := f.i
-		f.i++
-		right, left := (nx+1)%nn, (nx+nn-1)%nn
-		sendIdx, recvIdx := a.stepBlocks(nx, st)
-		sb, rb := a.blk[sendIdx], a.blk[recvIdx]
+		st, right := f.i, (nx+1)%nn
+		sendIdx, _ := a.stepBlocks(nx, st)
+		sb := a.blk[sendIdx]
 		x.waitcntr(a.credit[nx], 1)
-		x.put(g.masterEp(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n], a.arr[right][st%2])
+		x.put(g.master(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n], a.arr[right][st%2])
 		x.waitcntr(a.arr[nx][st%2], 1)
+		f.pc = 3
+	case f.pc == 3:
+		st, left := f.i, (nx+nn-1)%nn
+		f.pc, f.i = 1, st+1
+		_, recvIdx := a.stepBlocks(nx, st)
+		rb := a.blk[recvIdx]
 		src, dst := a.slot[nx][st%2][:rb.n], recv[rb.off:rb.off+rb.n]
 		switch {
 		case rb.n == 0:
@@ -87,7 +91,7 @@ func (a *ringState) step(x *exec, f *frame) {
 			x.memcpy(dst, src)
 		}
 		if st+2 < steps {
-			x.putZero(g.masterEp(left), a.credit[left])
+			x.putZero(g.master(left), a.credit[left])
 		}
 	case f.pc == 1:
 		f.pc = 2

@@ -96,7 +96,6 @@ func (g *Group) scan(x *exec, rank int, send, recv []byte, ds dataspec, exclusiv
 func (st *scanState) step(x *exec, f *frame) {
 	g, gi, send, recv := st.g, f.k, f.a, f.c
 	P := len(g.lay.members)
-	ep := func(i int) *rma.Endpoint { return g.s.dom.Endpoint(g.lay.members[i]) }
 	switch {
 	case f.pc == 0:
 		// Running inclusive partial lives in recv.
@@ -107,7 +106,7 @@ func (st *scanState) step(x *exec, f *frame) {
 	case f.pc == 1 && f.i < st.rounds:
 		r, dist := f.i, 1<<f.i
 		if gi+dist < P {
-			x.put(ep(gi+dist), st.slot[gi+dist][r], recv, st.arr[gi+dist][r])
+			x.put(g.lay.members[gi+dist], st.slot[gi+dist][r], recv, st.arr[gi+dist][r])
 		}
 		if gi-dist >= 0 {
 			x.waitcntr(st.arr[gi][r], 1)
@@ -124,7 +123,7 @@ func (st *scanState) step(x *exec, f *frame) {
 		}
 		// Exscan: shift the inclusive results right by one member.
 		if gi+1 < P {
-			x.put(ep(gi+1), st.shift[gi+1], recv, st.sarr[gi+1])
+			x.put(g.lay.members[gi+1], st.shift[gi+1], recv, st.sarr[gi+1])
 		}
 		if gi > 0 {
 			x.waitcntr(st.sarr[gi], 1)

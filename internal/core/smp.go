@@ -22,6 +22,8 @@ const (
 	pubExpose
 	pubConsume
 	pubCopyOut
+	pubAck   // treePub: a consumer's flags after its copies
+	pubEpoch // barrierPub: a consumer's second barrier
 )
 
 // publish and consume call the node's publisher for chunk k.
@@ -166,11 +168,17 @@ func (tp *treePub) step(x *exec, f *frame) {
 				x.memcpy(tp.buf[local][parity][:len(dst)], src)
 				x.memcpy(dst, tp.buf[local][parity][:len(dst)])
 			}
-			x.set(tp.full[local], k+1)
 		} else if len(dst) > 0 {
 			x.memcpy(dst, src)
 		}
-		// Tell the parent this child is done with chunk k.
+		f.pc = pubAck
+	case pubAck:
+		// Tell the children the chunk is in this task's buffer, and the
+		// parent that this child is done with it.
+		parent := tp.tr.Parent[local]
+		if len(tp.tr.Children[local]) > 0 {
+			x.set(tp.full[local], k+1)
+		}
 		for j, c := range tp.tr.Children[parent] {
 			if c == local {
 				x.set(&tp.ack[parent][j], k+1)
@@ -240,10 +248,12 @@ func (pub *barrierPub) step(x *exec, f *frame) {
 		pub.barrier(x, 2*k+2)
 		x.ret()
 	case pubConsume:
-		for gen := 2*k + 1; gen <= 2*k+2; gen++ {
-			x.set(&pub.checkin[x.l], gen)
-			x.waitGE(pub.epoch, gen)
-		}
+		x.set(&pub.checkin[x.l], 2*k+1)
+		x.waitGE(pub.epoch, 2*k+1)
+		f.pc = pubEpoch
+	case pubEpoch:
+		x.set(&pub.checkin[x.l], 2*k+2)
+		x.waitGE(pub.epoch, 2*k+2)
 		f.pc = pubCopyOut
 	case pubCopyOut:
 		if len(f.a) > 0 {

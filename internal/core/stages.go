@@ -112,7 +112,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 		// The child's next send in this tree is chunk k+nt; returning this
 		// credit enables the one after that.
 		if k+2*nt < len(u.sp) {
-			x.putZero(x.s.dom.Endpoint(tp.emb.masters[child]), tp.credit[child])
+			x.putZero(tp.emb.masters[child], tp.credit[child])
 		}
 		return
 	}
@@ -123,8 +123,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 			src = own // single-task leaf node: send straight from the user buffer
 		}
 		x.waitcntr(tp.credit[nx], 1)
-		parent := x.s.dom.Endpoint(tp.emb.masters[tp.emb.inter.Parent[nx]])
-		x.put(parent, tp.slot[nx][idx%2][:c.n], src, tp.arr[nx][idx%2])
+		x.put(tp.emb.masters[tp.emb.inter.Parent[nx]], tp.slot[nx][idx%2][:c.n], src, tp.arr[nx][idx%2])
 	} else {
 		if !have && c.n > 0 {
 			x.memcpy(tchunk, own) // reduce over a single task: the result is a plain copy
@@ -194,7 +193,7 @@ func (d *treeBcast) step(x *exec, f *frame) {
 		x.publish(d.pub[nx], k, mine, false)
 	case tbPut:
 		child := kids[f.i]
-		x.put(x.s.dom.Endpoint(tp.emb.masters[child]), d.dst[child][c.off:c.off+c.n], mine, tp.bArr[child][idx%2])
+		x.put(tp.emb.masters[child], d.dst[child][c.off:c.off+c.n], mine, tp.bArr[child][idx%2])
 		f.pc, f.i = tbKids, f.i+1
 	}
 }
@@ -275,7 +274,7 @@ func (fd *fold) foldStep(x *exec, f *frame) {
 		if peer := nx - fd.pow; peer >= 0 {
 			// Fold out: hand the node partial to the peer, then receive the
 			// finished vector straight into recv.
-			x.put(g.masterEp(peer), fd.foldSlot[peer], fd.partial(f), fd.foldArr[peer])
+			x.put(g.master(peer), fd.foldSlot[peer], fd.partial(f), fd.foldArr[peer])
 			x.waitcntr(fd.resArr[nx], 1)
 			f.pc = fdDone
 			x.publish(fd.pub[nx], 0, recv, false)
@@ -294,7 +293,7 @@ func (fd *fold) foldStep(x *exec, f *frame) {
 	case fdReturn:
 		if hasExtra {
 			// Return the full result to the folded-out node's recv buffer.
-			x.put(g.masterEp(extra), fd.resBuf[extra], fd.partial(f), fd.resArr[extra])
+			x.put(g.master(extra), fd.resBuf[extra], fd.partial(f), fd.resArr[extra])
 		}
 		if f.j == 0 && fd.size > 0 {
 			x.memcpy(recv, send) // single node, single task
