@@ -102,7 +102,10 @@ func (o *opts) seedList() ([]int, error) {
 func record(o *opts, dirs []string) error {
 	seeds, _ := o.seedList()
 	rows, err := readTrajectory(o.out)
-	if err != nil && !(errors.Is(err, os.ErrNotExist) && !o.check) {
+	if errors.Is(err, os.ErrNotExist) && !o.check {
+		err = nil // the first row starts the file
+	}
+	if err != nil {
 		return err
 	}
 	type key struct {
@@ -215,7 +218,7 @@ func (o *opts) row(w string, seed int, env json.RawMessage, runs []map[string]fl
 	var e struct {
 		Commit string `json:"commit"`
 	}
-	json.Unmarshal(env, &e)
+	_ = json.Unmarshal(env, &e) // env was decoded from the run's output, so it is JSON
 	row := trajRow{
 		Commit: e.Commit, Workload: w, Seed: seed, Source: "measured", Smoke: o.smoke, Env: env,
 		Command: "bash " + strings.Join(o.benchArgs(w, seed, false), " "), Reps: len(runs),

@@ -38,8 +38,7 @@ func TestExecQueueFitsInline(t *testing.T) {
 	send, recv := regimeBuffers()
 	check := func(name string, rg allocRegime, opt Options) {
 		for _, tasks := range []bool{false, true} {
-			calls := max(rg.calls, 1)
-			_, events := rg.runWith(t, opt, tasks, calls, send, recv)
+			_, events := rg.runWith(t, opt, tasks, 1, send, recv)
 			if events == 0 {
 				t.Errorf("%s (tasks %v): no events", name, tasks)
 			}
