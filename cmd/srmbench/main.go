@@ -49,7 +49,7 @@ const (
 	topoFlag                // -topo
 	treeFlags               // -nodes, -tpn, -root, -kind
 	viaFlag                 // -via
-	recordFlags             // -workload, -seeds, -seconds, -reps, -smoke, -check, -o
+	recordFlags             // -workload, -seeds, -seconds, -reps, -smoke, -check
 )
 
 var commands = []command{
@@ -75,10 +75,10 @@ type opts struct {
 	w                                io.Writer
 
 	// record
-	workload, seeds, out string
-	seconds              float64
-	reps                 int
-	smoke, check         bool
+	workload, seeds string
+	seconds         float64
+	reps            int
+	smoke, check    bool
 }
 
 // register gives fs the flags of the groups in set, and the profile flags
@@ -121,10 +121,9 @@ func (o *opts) register(fs *flag.FlagSet, set int) {
 		fs.StringVar(&o.workload, "workload", "all", "benchmark workloads, comma-separated: "+strings.Join(workloads, ", ")+" or all")
 		fs.StringVar(&o.seeds, "seeds", "1", "benchmark seeds, comma-separated")
 		fs.Float64Var(&o.seconds, "seconds", 20, "the benchmark's --seconds")
-		fs.IntVar(&o.reps, "reps", 1, "untraced runs of each workload per checkout; one traced run follows")
+		fs.IntVar(&o.reps, "reps", 1, "untraced runs of each workload per checkout (1 with -check); one traced run follows")
 		fs.BoolVar(&o.smoke, "smoke", false, "the benchmark's test scale (--smoke)")
 		fs.BoolVar(&o.check, "check", false, "compare the gated columns with the trajectory's last row and write nothing")
-		fs.StringVar(&o.out, "o", "BENCH_trajectory.json", "the trajectory file")
 	}
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&o.memprof, "memprofile", "", "write a pprof heap profile at exit to this file")

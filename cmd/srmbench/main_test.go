@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,6 +40,7 @@ func TestBadArguments(t *testing.T) {
 		{[]string{"lat", "-quick"}, "flag provided but not defined: -quick"},
 		{[]string{"record"}, "missing DIR..."},
 		{[]string{"record", "-reps", "0", "."}, "-reps must be >= 1, got 0"},
+		{[]string{"record", "-check", "-reps", "3", "."}, "-check takes one untraced run, got -reps 3"},
 		{[]string{"record", "-workload", "fig_grid,bogus", "."}, `unknown workload "bogus"`},
 		{[]string{"record", "-seeds", "1,x", "."}, `bad seed "x"`},
 	} {
@@ -100,9 +102,21 @@ func TestTrajectoryRows(t *testing.T) {
 	if *sp.Min != 1 || sp.Median != 2.5 || *sp.IQR != 1.5 {
 		t.Errorf("spread of 1..4: min %v median %v iqr %v", *sp.Min, sp.Median, *sp.IQR)
 	}
+	// A row holds each column once: sim_us in its metrics, recovery_us in its
+	// fidelity, and only the gated columns no other field holds apart.
+	traced := map[string]float64{"sim_us": 509.36539307887176, "recovery_us": -1, "sim.events": 7041, "failed_share": 0, "host.gc_cpu_share": 0.1}
+	r := (&opts{seconds: 1}).row("rank_ladder", 1, []byte(`{"commit":"d"}`), []map[string]float64{traced}, traced)
+	if want := map[string]float64{"sim.events": 7041, "failed_share": 0}; !maps.Equal(r.Deterministic, want) || r.Commit != "d" {
+		t.Errorf("row's deterministic columns %v, commit %q; want %v, d", r.Deterministic, r.Commit, want)
+	}
+	if r.Metrics["sim_us"].Median != 509.36539307887176 || r.Fidelity["recovery_us"] != -1 {
+		t.Errorf("row's sim_us %v, recovery_us %v", r.Metrics["sim_us"], r.Fidelity["recovery_us"])
+	}
 	row := func(commit string, smoke bool, events float64) trajRow {
 		return trajRow{Commit: commit, Workload: "rank_ladder", Seed: 1, Source: "measured", Smoke: smoke,
-			Deterministic: map[string]float64{"sim_us": 509.36539307887176, "sim.events": events}}
+			Metrics:       map[string]spread{"sim_us": {Median: 509.36539307887176}, "wall_s": {Median: 0.5}},
+			Fidelity:      map[string]float64{"recovery_us": -1, "paper_band_gap_pts": -1},
+			Deterministic: map[string]float64{"sim.events": events}}
 	}
 	rows := []trajRow{row("a", true, 7040), row("b", false, 1), row("c", true, 7041)}
 	if d := compare(rows, row("d", true, 7041)); len(d) != 0 {
@@ -113,5 +127,15 @@ func TestTrajectoryRows(t *testing.T) {
 	}
 	if d := compare(rows[1:2], row("d", true, 7040)); len(d) != 1 || !strings.Contains(d[0], "no committed row") {
 		t.Errorf("no smoke row: %q", d)
+	}
+	// The gated columns a row holds in its metrics and fidelity count too; the
+	// noisy and ungated ones do not.
+	moved := row("d", true, 7041)
+	moved.Metrics["sim_us"] = spread{Median: 509.3654}
+	moved.Metrics["wall_s"] = spread{Median: 0.6}
+	moved.Fidelity["recovery_us"] = 1
+	moved.Fidelity["paper_band_gap_pts"] = 0
+	if d := compare(rows, moved); len(d) != 2 || !strings.Contains(d[0], "recovery_us: 1, committed -1") || !strings.Contains(d[1], "sim_us: 509.3654, committed 509.36539307887176") {
+		t.Errorf("sim_us and recovery_us moved: %q", d)
 	}
 }

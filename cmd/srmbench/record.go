@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"slices"
@@ -19,6 +20,9 @@ import (
 // columns of one traced run. record appends rows and never rewrites one; a
 // row taken from a CHANGES.md entry instead of a run says so ("transcribed")
 // and holds the medians the entry quotes.
+
+// trajectoryFile is the trajectory, in the directory srmbench runs in.
+const trajectoryFile = "BENCH_trajectory.json"
 
 var (
 	endToEnd  = []string{"wall_s", "cpu_s", "peak_rss_mb", "allocs_per_rep", "setup_s", "sim_us"}
@@ -56,7 +60,7 @@ type trajRow struct {
 	Reps          int                `json:"reps,omitempty"`
 	Metrics       map[string]spread  `json:"metrics"`
 	Fidelity      map[string]float64 `json:"fidelity,omitempty"`
-	Deterministic map[string]float64 `json:"deterministic,omitempty"`
+	Deterministic map[string]float64 `json:"deterministic,omitempty"` // the gated columns no other field holds
 	Note          string             `json:"note,omitempty"`
 }
 
@@ -71,6 +75,11 @@ func checkRecord(o *opts, _ []string) error {
 	}
 	if o.reps < 1 {
 		return fmt.Errorf("-reps must be >= 1, got %d", o.reps)
+	}
+	if o.check && o.reps != 1 {
+		// The gated columns have no noise: one untraced run, the one that
+		// reports sim_us, is all a comparison needs.
+		return fmt.Errorf("-check takes one untraced run, got -reps %d", o.reps)
 	}
 	return nil
 }
@@ -101,7 +110,7 @@ func (o *opts) seedList() ([]int, error) {
 // the trajectory holds for the same workload, seed and scale instead.
 func record(o *opts, dirs []string) error {
 	seeds, _ := o.seedList()
-	rows, err := readTrajectory(o.out)
+	rows, err := readTrajectory(trajectoryFile)
 	if errors.Is(err, os.ErrNotExist) && !o.check {
 		err = nil // the first row starts the file
 	}
@@ -148,12 +157,12 @@ func record(o *opts, dirs []string) error {
 	}
 	if o.check {
 		if len(failed) > 0 {
-			return fmt.Errorf("the gated columns differ from %s:\n  %s", o.out, strings.Join(failed, "\n  "))
+			return fmt.Errorf("the gated columns differ from %s:\n  %s", trajectoryFile, strings.Join(failed, "\n  "))
 		}
-		fmt.Fprintf(o.w, "the gated columns match %s\n", o.out)
+		fmt.Fprintf(o.w, "the gated columns match %s\n", trajectoryFile)
 		return nil
 	}
-	return writeTrajectory(o.out, rows)
+	return writeTrajectory(trajectoryFile, rows)
 }
 
 // bench runs one workload of bench/run.sh in dir and returns the metrics of
@@ -236,13 +245,30 @@ func (o *opts) row(w string, seed int, env json.RawMessage, runs []map[string]fl
 	for _, name := range fidelity {
 		row.Fidelity[name] = traced[name]
 	}
-	row.Deterministic["sim_us"] = runs[0]["sim_us"]
 	for name, v := range traced {
-		if gated(name) {
+		if gated(name) && !slices.Contains(endToEnd, name) && !slices.Contains(fidelity, name) {
 			row.Deterministic[name] = v
 		}
 	}
 	return row
+}
+
+// gatedColumns returns the gated columns of a row: the median of sim_us, the
+// gated fidelity columns, and the event counts and failed share.
+func gatedColumns(r trajRow) map[string]float64 {
+	cols := make(map[string]float64)
+	maps.Copy(cols, r.Deterministic)
+	for name, s := range r.Metrics {
+		if gated(name) {
+			cols[name] = s.Median
+		}
+	}
+	for name, v := range r.Fidelity {
+		if gated(name) {
+			cols[name] = v
+		}
+	}
+	return cols
 }
 
 // spreadOf returns the min, the median and the interquartile range of vs,
@@ -272,13 +298,14 @@ func compare(rows []trajRow, row trajRow) []string {
 			continue
 		}
 		var diffs []string
-		for name, want := range r.Deterministic {
-			if got, ok := row.Deterministic[name]; !ok || got != want {
+		committed, cols := gatedColumns(r), gatedColumns(row)
+		for name, want := range committed {
+			if got, ok := cols[name]; !ok || got != want {
 				diffs = append(diffs, fmt.Sprintf("%s %s: %v, committed %v (%.7s)", at, name, got, want, r.Commit))
 			}
 		}
-		for name, got := range row.Deterministic {
-			if _, ok := r.Deterministic[name]; !ok {
+		for name, got := range cols {
+			if _, ok := committed[name]; !ok {
 				diffs = append(diffs, fmt.Sprintf("%s %s: %v, not in the committed row (%.7s)", at, name, got, r.Commit))
 			}
 		}
