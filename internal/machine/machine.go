@@ -452,9 +452,6 @@ func (m *Machine) NodeOf(rank int) int { return rank / m.Cfg.TasksPerNode }
 // LocalRank returns the rank's index within its node.
 func (m *Machine) LocalRank(rank int) int { return rank % m.Cfg.TasksPerNode }
 
-// RankOf returns the global rank of the local task on a node.
-func (m *Machine) RankOf(node, local int) int { return node*m.Cfg.TasksPerNode + local }
-
 // daemonsActive reports whether daemon noise applies: the model is on and
 // the node's CPUs are fully subscribed by tasks.
 func (m *Machine) daemonsActive() bool {

@@ -128,18 +128,15 @@ func TestTopologyMapping(t *testing.T) {
 	if got := m.LocalRank(35); got != 3 {
 		t.Errorf("LocalRank(35) = %d", got)
 	}
-	if got := m.RankOf(2, 5); got != 37 {
-		t.Errorf("RankOf(2,5) = %d", got)
-	}
 }
 
-// Property: RankOf and (NodeOf, LocalRank) are inverses for every rank.
+// Property: (NodeOf, LocalRank) places every rank at node·tpn + local.
 func TestPropTopologyRoundTrip(t *testing.T) {
 	f := func(nodes, tpn, r uint8) bool {
 		n, p := int(nodes%16)+1, int(tpn%16)+1
 		m := New(sim.NewEnv(), ColonySP(n, p))
 		rank := int(r) % (n * p)
-		return m.RankOf(m.NodeOf(rank), m.LocalRank(rank)) == rank
+		return m.NodeOf(rank)*p+m.LocalRank(rank) == rank
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package scale
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -56,5 +57,28 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if res.Events == 0 {
 		t.Error("no events processed")
+	}
+}
+
+// TestRunRejectsOverflowingSizes: a payload whose buffers overflow int, or a
+// repetition count beyond the executor's int32 operands, is an error that
+// names the field, not a makeslice panic or a wrapped flag value.
+func TestRunRejectsOverflowingSizes(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		bytes, reps int
+		field       string
+	}{
+		{"bytes_maxint", math.MaxInt, 1, "Bytes"},
+		{"bytes_maxint_minus_7", math.MaxInt - 7, 1, "Bytes"},
+		{"bytes_block_overflow", math.MaxInt / 16, 1, "Bytes"},
+		{"reps_past_int32", 8, math.MaxInt32 + 1, "Reps"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(Config{Machine: machine.ColonySP(2, 2), Bytes: c.bytes, Reps: c.reps})
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("err = %v, want one naming %s", err, c.field)
+			}
+		})
 	}
 }

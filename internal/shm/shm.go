@@ -1,9 +1,8 @@
-// Package shm models the intra-node shared-memory domain of an SMP node:
-// byte segments that all tasks of a node can address, and synchronization
-// flags (one per cache line, as in the paper §2.2) with the spin-with-yield
-// policy of §2.4. Data movement is real — segments are byte slices and
-// copies actually move bytes — while time is charged through the machine
-// cost model, including memory-bus contention.
+// Package shm models the synchronization of an SMP node's shared-memory
+// domain: flags (one per cache line, as in the paper §2.2) with the
+// spin-with-yield policy of §2.4. The shared buffers themselves are byte
+// slices the protocols carve (internal/core), and copies into and out of them
+// are charged through the machine cost model, including memory-bus contention.
 package shm
 
 import (
@@ -156,40 +155,4 @@ func (fs *FlagSet) WaitAllT(t *sim.Task, v int, k func(), skip ...int) {
 		fs.flags[i].WaitForT(t, v, func() { step(i + 1) })
 	}
 	step(0)
-}
-
-// Segment is a byte buffer in a node's shared memory.
-type Segment struct {
-	m    *machine.Machine
-	node int
-	buf  []byte
-}
-
-// NewSegment allocates a size-byte segment on the node.
-func NewSegment(m *machine.Machine, node, size int) *Segment {
-	return &Segment{m: m, node: node, buf: make([]byte, size)}
-}
-
-// Bytes exposes the backing storage. Remote memory access (put) targets
-// shared segments through this view; intra-node users should prefer
-// CopyInT/CopyOutT so copy time is charged.
-func (s *Segment) Bytes() []byte { return s.buf }
-
-// Slice returns the sub-range [off, off+n) of the segment.
-func (s *Segment) Slice(off, n int) []byte {
-	if off < 0 || n < 0 || off+n > len(s.buf) {
-		panic(fmt.Sprintf("shm: slice [%d,%d) out of segment of %d bytes", off, off+n, len(s.buf)))
-	}
-	return s.buf[off : off+n]
-}
-
-// CopyInT copies src into the segment at off, charging contended copy time,
-// then runs k.
-func (s *Segment) CopyInT(t *sim.Task, off int, src []byte, k func()) {
-	s.m.MemcpyT(t, s.node, s.Slice(off, len(src)), src, k)
-}
-
-// CopyOutT copies the segment range starting at off into dst, then runs k.
-func (s *Segment) CopyOutT(t *sim.Task, dst []byte, off int, k func()) {
-	s.m.MemcpyT(t, s.node, dst, s.Slice(off, len(dst)), k)
 }

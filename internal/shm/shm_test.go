@@ -1,7 +1,6 @@
 package shm
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -153,74 +152,6 @@ func TestFlagSetLenAndAccess(t *testing.T) {
 		if fs.flags[i].val != 7+i {
 			t.Fatalf("flag %d = %d after Flag(%d).Set(%d)", i, fs.flags[i].val, i, 7+i)
 		}
-	}
-}
-
-func TestSegmentCopyInOut(t *testing.T) {
-	env, m := testMachine(2)
-	s := NewSegment(m, 0, 64)
-	if len(s.buf) != 64 || s.node != 0 {
-		t.Fatalf("segment meta wrong: len=%d node=%d", len(s.buf), s.node)
-	}
-	src := []byte("shared-memory payload")
-	dst := make([]byte, len(src))
-	env.Spawn("t", func(p *sim.Proc) {
-		s.CopyInT(&p.Task, 5, src, p.Resume())
-		p.Park()
-		s.CopyOutT(&p.Task, dst, 5, p.Resume())
-		p.Park()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, src) {
-		t.Fatalf("round trip = %q, want %q", dst, src)
-	}
-	if m.Stats.ShmCopies != 2 {
-		t.Fatalf("copies = %d, want 2", m.Stats.ShmCopies)
-	}
-}
-
-func TestSegmentSliceBounds(t *testing.T) {
-	_, m := testMachine(2)
-	s := NewSegment(m, 0, 16)
-	for _, c := range []struct{ off, n int }{{-1, 4}, {0, 17}, {10, 7}, {0, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Slice(%d,%d) did not panic", c.off, c.n)
-				}
-			}()
-			s.Slice(c.off, c.n)
-		}()
-	}
-	if got := len(s.Slice(4, 8)); got != 8 {
-		t.Fatalf("valid slice len = %d", got)
-	}
-}
-
-// Property: CopyInT then CopyOutT at any valid offset restores the data.
-func TestPropSegmentRoundTrip(t *testing.T) {
-	f := func(data []byte, off uint8) bool {
-		if len(data) == 0 {
-			return true
-		}
-		env, m := testMachine(2)
-		_ = m
-		s := NewSegment(m, 0, len(data)+int(off))
-		out := make([]byte, len(data))
-		ok := true
-		env.Spawn("t", func(p *sim.Proc) {
-			s.CopyInT(&p.Task, int(off), data, p.Resume())
-			p.Park()
-			s.CopyOutT(&p.Task, out, int(off), p.Resume())
-			p.Park()
-			ok = bytes.Equal(out, data)
-		})
-		return env.Run() == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -360,7 +360,7 @@ func (cl *Cluster) Tracing() bool { return cl.tracing }
 func (cl *Cluster) Config() Config { return cl.cfg }
 
 // Deprecated: ScaleEngine selects nothing; every rank of ScaleAllreduce is a
-// state machine on the event loop.
+// plain task on the event loop.
 type ScaleEngine = scale.Engine
 
 // Deprecated: ScaleTasks selects nothing; see ScaleEngine.
@@ -380,11 +380,13 @@ type ScaleOptions struct {
 // times, machine counters, and the protocol memory footprint.
 type ScaleResult = scale.Result
 
-// ScaleAllreduce runs the massive-rank allreduce core — an SMP-aware
-// binomial tree with credit-based pipelining (see internal/scale) — on this
-// cluster's machine configuration. Unlike Run it spawns no goroutine: every
-// rank is a state machine on the event loop, so 64k+ ranks complete in
-// seconds of wall clock. The cluster's fault plan applies as far as the scale
+// ScaleAllreduce runs the massive-rank allreduce — an SMP-aware binomial
+// tree with credit-based pipelining, a stepper of the collective engine's one
+// executor (internal/core), set up by internal/scale — on this cluster's
+// machine configuration. Unlike Run it spawns no goroutine: every rank is a
+// plain task on the event loop, so 64k+ ranks complete in seconds of wall
+// clock. A payload size whose buffers overflow int, or more than
+// math.MaxInt32 repetitions, is an error. The cluster's fault plan applies as far as the scale
 // core supports it (channel faults, storms, reliable delivery, the deadline);
 // crash and stall scenarios need the full chaos runner in Run and are
 // rejected here. Like Run, it validates the plan first, active or not.

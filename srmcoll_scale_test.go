@@ -2,14 +2,17 @@ package srmcoll
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 // The public ScaleAllreduce surface: the deprecated engine setting,
-// fault-plan plumbing, and the crash-plan rejection. The task body's
-// equivalence with its straight-line oracle lives in internal/scale.
+// fault-plan plumbing, and the rejection of crash plans and of sizes that
+// overflow. The protocol's equivalence with its straight-line oracle lives in
+// internal/core, beside the stepper; internal/scale pins the results of the
+// state machine the stepper replaced.
 
 // TestScaleAllreduceEnginesAgree: ScaleOptions.Engine selects nothing. The
 // value ScaleProcs had (1) runs exactly what ScaleTasks, the zero value, runs.
@@ -52,8 +55,8 @@ func TestScaleAllreduceRejectsCrashPlan(t *testing.T) {
 }
 
 // A deadline stops ScaleAllreduce the way it stops Run: with a *StallError
-// that names the blocked ranks. internal/scale holds the report to the one its
-// oracle gives.
+// that names the blocked ranks. internal/core holds the report to the one its
+// oracle gives, and internal/scale pins it.
 func TestScaleAllreduceDeadlineIsStallError(t *testing.T) {
 	cl := mustCluster(t, 4, 4)
 	cl.SetFaultPlan(FaultPlan{Seed: 3, Drop: 0.5, Reliable: true, Deadline: 5})
@@ -64,5 +67,24 @@ func TestScaleAllreduceDeadlineIsStallError(t *testing.T) {
 	}
 	if se.Time > 5 || len(se.Blocked) == 0 {
 		t.Errorf("stalled at t=%v with %d blocked, want t <= 5 and blocked ranks", se.Time, len(se.Blocked))
+	}
+}
+
+// TestScaleAllreduceRejectsOverflowingSizes: a payload size whose buffers
+// overflow int, or a repetition count past int32, is an error naming the
+// field, not a panic.
+func TestScaleAllreduceRejectsOverflowingSizes(t *testing.T) {
+	cl := mustCluster(t, 2, 2)
+	for _, c := range []struct {
+		opt   ScaleOptions
+		field string
+	}{
+		{ScaleOptions{Bytes: math.MaxInt}, "Bytes"},
+		{ScaleOptions{Bytes: math.MaxInt - 7}, "Bytes"},
+		{ScaleOptions{Bytes: 8, Reps: math.MaxInt32 + 1}, "Reps"},
+	} {
+		if _, err := cl.ScaleAllreduce(c.opt); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", c.opt, err, c.field)
+		}
 	}
 }
