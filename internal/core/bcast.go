@@ -120,8 +120,7 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 	// the inter-node parent; then broadcast into the registered buffers.
 	b.dst[nx] = buf
 	if nx != b.emb.inter.Root {
-		reg := b.ready[nx]
-		x.am(b.emb.masters[b.emb.inter.Parent[nx]], make([]byte, 8), func([]byte) { reg.Trigger() })
+		x.am(b.emb.masters[b.emb.inter.Parent[nx]], make([]byte, 8), b.ready[nx])
 	}
 	x.call(&b.treeBcast, tbChunk, 0, buf, nil)
 }

@@ -168,8 +168,10 @@ type SRM struct {
 	// and those that must keep theirs until the run is over (Group.retire).
 	retired, kept []*opEntry
 
-	// The executors of the run (DESIGN.md §9).
+	// The executors of the run (DESIGN.md §9), and the frames of the SMP
+	// stages their bodies call.
 	execs bufpool.Frames[exec, *exec]
+	subs  bufpool.Frames[subFrame, *subFrame]
 }
 
 // opEntry is one collective call of a group: the state its members share,
@@ -353,6 +355,7 @@ func (s *SRM) Release() {
 	}
 	s.kept, s.groups, s.world = nil, nil, nil
 	s.execs.Release()
+	s.subs.Release()
 }
 
 // flags returns n zero flags in node's shared memory, and counter a counter of

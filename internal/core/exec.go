@@ -58,23 +58,35 @@ type frame struct {
 // it calls (publish, consume, reduce worker).
 const maxDepth = 2
 
+// subFrame is the frame of an SMP stage while a body has called it. It is not
+// part of the executor: a rank waits in a stage for part of a collective at
+// most, and in none of the massive-rank allreduce, whose every rank holds an
+// executor for the whole call.
+type subFrame struct {
+	frame
+	bufpool.Link[subFrame]
+}
+
+// Rewind empties the frame (bufpool.Chunks).
+func (f *subFrame) Rewind() { *f = subFrame{} }
+
 type opKind uint8
 
 const (
 	opWaitFlag  opKind = iota // flag >= v, or == v with eq
 	opWaitFlags               // every flag of rare.set but index w, as opWaitFlag
-	opWaitEvent
-	opWaitCntr  // Endpoint.Waitcntr: wait for v arrivals and consume them
-	opWaitValue // Counter.WaitValue: the same without entering an RMA call
-	opPut       // to rank w
-	opAM        // to rank w, handled by rare.am
-	opCopy      // charged shared-memory copy src -> dst
-	opCharge    // copy time for v bytes the step moved with copy(), then counted
-	opCombine   // dst = rare.own op src with eq, else dst op= src; charged, counted
-	opSet       // flag = v
-	opSetAll    // every flag of rare.set = v
-	opIncr      // cntr += 1
-	opIntr      // the rank's endpoint interrupts on (eq) or off
+	opWaitEvent               // rare.ev
+	opWaitCntr                // Endpoint.Waitcntr: wait for v arrivals and consume them
+	opWaitValue               // Counter.WaitValue: the same without entering an RMA call
+	opPut                     // to rank w
+	opAM                      // to rank w; its arrival triggers rare.ev
+	opCopy                    // charged shared-memory copy src -> dst
+	opCharge                  // copy time for v bytes the step moved with copy(), then counted
+	opCombine                 // dst = rare.own op src with eq, else dst op= src; charged, counted
+	opSet                     // flag = v
+	opSetAll                  // every flag of rare.set = v
+	opIncr                    // cntr += 1
+	opIntr                    // the rank's endpoint interrupts on (eq) or off
 )
 
 // op is one queued operation of a step. Only the fields its kind names
@@ -86,17 +98,17 @@ type op struct {
 	v, w     int32
 	dst, src []byte
 	flag     *shm.Flag
-	ev       *sim.Event
 	cntr     *rma.Counter
 }
 
 // rare holds the operands that only a few kinds of operation have: the flag
-// set of a waitAll or setAll, the own buffer of a first combine, the handler
-// of an AM. One queued operation of a step may use it.
+// set of a waitAll or setAll, the own buffer of a first combine, the event
+// of an event wait or the one an AM's arrival triggers. One queued operation
+// of a step may use it.
 type rare struct {
 	set *flagSet
 	own []byte
-	am  func([]byte)
+	ev  *sim.Event
 }
 
 // The bits of exec.bits: the two tail operations, which run in this order
@@ -111,7 +123,7 @@ const (
 // one collective. Executors are the SRM's, on a free list, so a call costs no
 // heap object once every concurrently running task has one.
 //
-// An exec is ten cache lines, so each one in a slab starts on a line, and
+// An exec is eight cache lines, so each one in a slab starts on a line, and
 // what resume and run read on every visit is on its first: the task, the
 // engine, the continuation, the queue's state and the stack depth, with the
 // head of the queue right after them.
@@ -126,17 +138,19 @@ type exec struct {
 	depth        uint8
 	unwinds      bool  // finish is on the task's unwind stack
 	quiet        bool  // interrupts are off at ep until finish
-	node, rank   int32 // machine node id and global rank, set by Group.acquire
+	node, rank   int32 // machine node id and global rank, set by Group.acquire or ScaleAllreduce
 
 	// The operations of the current step not yet performed.
 	q    [3]op
 	rare rare
 
-	stack [maxDepth]frame
-	kont  func() // runs after the collective completes
+	root frame     // the collective's body
+	sub  *subFrame // the SMP stage it has called, from SRM.subs; nil when none
+	kont func()    // runs after the collective completes
 
 	// Call context, set by Group.acquire: the group, the operation's sequence
 	// number, the node index and local index in the group, and the data.
+	// ScaleAllreduce, which has no group, sets the indexes and the data.
 	g     *Group
 	seq   int
 	nx, l int
@@ -145,7 +159,6 @@ type exec struct {
 	done    *sim.Event // helper: triggered at finish
 	abortFn func()     // x.finish, bound once like resumeFn
 	bufpool.Link[exec]
-	_ [16]byte // to 640 bytes (TestExecIsTenCacheLines)
 }
 
 // Rewind empties the executor but for its bindings (bufpool.Chunks).
@@ -186,8 +199,9 @@ func (x *exec) bind(t *sim.Task) {
 // retires the operation entry and recycles the executor.
 func (x *exec) finish() {
 	aborted := x.depth > 0
-	for ; x.depth > 0; x.depth-- {
-		x.s.m.Env.Trace.End(int(x.stack[x.depth-1].span))
+	for x.depth > 0 {
+		x.s.m.Env.Trace.End(int(x.top().span))
+		x.pop()
 	}
 	if x.done != nil {
 		x.done.Trigger()
@@ -238,7 +252,7 @@ func (x *exec) run() {
 					x.fired = true
 				}
 			case opWaitEvent:
-				o.ev.WaitT(t, k)
+				x.rare.ev.WaitT(t, k)
 			case opWaitCntr:
 				x.ep.WaitcntrT(t, o.cntr, int(o.v), k)
 			case opWaitValue:
@@ -246,7 +260,8 @@ func (x *exec) run() {
 			case opPut:
 				x.ep.PutT(t, x.s.dom.Endpoint(int(o.w)), o.dst, o.src, nil, o.cntr, nil, k)
 			case opAM:
-				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, x.rare.am, k)
+				ev := x.rare.ev
+				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, func([]byte) { ev.Trigger() }, k)
 			case opCopy:
 				m.MemcpyT(t, int(x.node), o.dst, o.src, k)
 			case opCharge, opCombine:
@@ -277,12 +292,12 @@ func (x *exec) run() {
 		if b := x.bits; b != 0 {
 			x.bits = 0
 			if b&bitEnd != 0 {
-				f := &x.stack[x.depth-1]
+				f := x.top()
 				m.Env.Trace.End(int(f.span))
 				f.span = -1
 			}
 			if b&bitRet != 0 {
-				x.depth--
+				x.pop()
 			}
 		}
 		if x.depth == 0 {
@@ -296,8 +311,24 @@ func (x *exec) run() {
 			}
 			return
 		}
-		f := &x.stack[x.depth-1]
+		f := x.top()
 		f.b.step(x, f)
+	}
+}
+
+// top returns the frame of the body that runs now.
+func (x *exec) top() *frame {
+	if x.depth == maxDepth {
+		return &x.sub.frame
+	}
+	return &x.root
+}
+
+// pop ends the body that runs now, handing its frame back if it was a stage's.
+func (x *exec) pop() {
+	if x.depth--; x.depth == maxDepth-1 {
+		x.s.subs.Put(x.sub)
+		x.sub = nil
 	}
 }
 
@@ -377,7 +408,14 @@ func (x *exec) call(b stepper, pc, k int, a, c []byte) *frame {
 	if x.bits&(bitEnd|bitRet) != 0 {
 		panic("core: a call after end or ret")
 	}
-	f := &x.stack[x.depth]
+	f := &x.root
+	switch x.depth {
+	case maxDepth:
+		panic("core: a call nested deeper than " + strconv.Itoa(maxDepth) + " bodies")
+	case maxDepth - 1:
+		x.sub = x.s.subs.Get()
+		f = &x.sub.frame
+	}
 	x.depth++
 	*f = frame{b: b, pc: int32(pc), k: k, a: a, c: c, span: -1}
 	return f
@@ -406,7 +444,10 @@ func (x *exec) waitAllEQ(set *flagSet, v, skip int) {
 	x.useRare().set = set
 }
 
-func (x *exec) waitEvent(ev *sim.Event) { x.push(op{kind: opWaitEvent, ev: ev}) }
+func (x *exec) waitEvent(ev *sim.Event) {
+	x.push(op{kind: opWaitEvent})
+	x.useRare().ev = ev
+}
 
 // waitcntr waits for v arrivals at the rank's endpoint and consumes them.
 func (x *exec) waitcntr(c *rma.Counter, v int) {
@@ -429,9 +470,10 @@ func (x *exec) put(to int, dst, src []byte, tgt *rma.Counter) {
 // putZero is the zero-byte flow-control put of §2.4.
 func (x *exec) putZero(to int, tgt *rma.Counter) { x.put(to, nil, nil, tgt) }
 
-func (x *exec) am(to int, payload []byte, h func([]byte)) {
+// am sends payload to rank to as an active message whose arrival triggers ev.
+func (x *exec) am(to int, payload []byte, ev *sim.Event) {
 	x.push(op{kind: opAM, w: int32(to), src: payload})
-	x.useRare().am = h
+	x.useRare().ev = ev
 }
 
 func (x *exec) memcpy(dst, src []byte) {

@@ -179,6 +179,7 @@ func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()
 const (
 	rsGather = iota
 	rsGatherWait
+	rsGatherRoot
 	rsGatherSlabs
 	rsScatter
 	rsScatterSlabs
@@ -259,6 +260,8 @@ func (st *redistState) step(x *exec, f *frame) {
 		f.pc = rsGatherWait
 	case rsGatherWait:
 		x.waitAllEQ(&st.inFlag[nx], 1, -1)
+		f.pc = rsGatherRoot
+	case rsGatherRoot:
 		x.waitEvent(st.rootSet)
 		f.pc = rsGatherSlabs
 	case rsGatherSlabs:

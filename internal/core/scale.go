@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
@@ -8,22 +10,31 @@ import (
 	"srmcoll/internal/trace"
 )
 
-// scaleState is the shared state of the massive-rank allreduce package scale
-// runs (SimGrid's allreduce-smp-binomial): an int64 sum over every rank, reps
-// repetitions in one call. In each, the others copy their vector into their
-// slot of the node's contribution buffer and set their flag, and the master
-// folds the slots into its accumulator; masters fold their child nodes'
-// partials, returning each child's one-deep credit after the fold, and put
-// their own into their slot at the parent under the credit it returned, so
-// repetition r+1 pipelines behind r; the result comes down the same tree under
-// one-deep credits; each master publishes it on its node and sets the result
-// flag, and the others copy it out. The tree is binomial over node ids rooted
-// at 0: node x's children are x|m for each power of two m below x's lowest set
-// bit, in ascending m (the mask loop), and its parent clears that bit.
+// scaleState is the shared state of the massive-rank allreduce that package
+// scale runs: an int64 sum over every rank, reps repetitions back to back in
+// one call, SMP-aware binomial between the node masters (SimGrid's
+// allreduce-smp-binomial). Per repetition, for payload n on each rank:
+//
+//  1. intra-node contribute: every other task copies its vector into its slot
+//     of the node's contribution buffer and sets its flag; the master folds
+//     the slots into its accumulator in local-rank order.
+//  2. inter-node reduce: each master folds its child nodes' partials, which
+//     land in a slot per child at the master, returning each child's one-deep
+//     credit after the fold, then puts its own partial into its slot at the
+//     parent under the credit the parent returned — so repetition r+1
+//     pipelines behind r without overwriting live data.
+//  3. inter-node broadcast: the result flows down the same tree into a
+//     buffer at each node, again under one-deep credits.
+//  4. intra-node result: the master publishes the result in the node's
+//     result buffer and sets the result flag; the others copy it out.
+//
+// The tree is binomial over node ids rooted at node 0: node x's children are
+// x|m for each power of two m below x's lowest set bit, visited in ascending
+// m (the mask loop), and its parent clears that bit.
 type scaleState struct {
-	n, reps int
-	nodes   []scaleNode
-	fin     []sim.Time // by rank: when it finished
+	n, reps, tpn int
+	nodes        []scaleNode
+	fin          []sim.Time // by rank: when it finished
 }
 
 // scaleNode is one node's protocol state. The link to its parent is kept with
@@ -54,13 +65,16 @@ func (st *scaleState) child(x, m int) int {
 // parent returns node x's parent (x > 0).
 func (st *scaleState) parent(x int) int { return x &^ (x & -x) }
 
-func newScaleState(g *Group, n, reps int, fin []sim.Time) *scaleState {
-	s := g.s
-	st := &scaleState{n: n, reps: reps, nodes: make([]scaleNode, len(g.lay.nodes)), fin: fin}
-	for x, node := range g.lay.nodes {
+// master returns the rank of node x's master, its first task.
+func (st *scaleState) master(x int) int { return x * st.tpn }
+
+func newScaleState(s *SRM, n, reps int, fin []sim.Time) *scaleState {
+	tpn := s.m.Cfg.TasksPerNode
+	st := &scaleState{n: n, reps: reps, tpn: tpn, nodes: make([]scaleNode, s.m.Cfg.Nodes), fin: fin}
+	for x := range st.nodes {
 		nd := &st.nodes[x]
-		nd.contrib, nd.result, nd.acc = s.slot(len(g.lay.local[x])*n), s.slot(n), s.slot(n)
-		nd.contribF, nd.resultF = s.flags(node, len(g.lay.local[x])), s.flag(node)
+		nd.contrib, nd.result, nd.acc = s.slot(tpn*n), s.slot(n), s.slot(n)
+		nd.contribF, nd.resultF = s.flags(x, tpn), s.flag(x)
 	}
 	// Every flag first, then the counters node by node, each master's
 	// children before its own link: stall reports name them by that order.
@@ -82,33 +96,42 @@ func newScaleState(g *Group, n, reps int, fin []sim.Time) *scaleState {
 }
 
 // ScaleAllreduce starts every rank of the machine as a task of its own, named
-// "rank", that runs reps back-to-back allreduces (int64 sum) of send[rank]
-// into recv[rank], the protocol of scaleState, and sets fin[rank] to the time
-// it finished.
+// "rank", that runs reps back-to-back allreduces (int64 sum) of its vector in
+// send into its vector in recv, the protocol of scaleState, and sets fin[rank]
+// to the time it finished. Rank r's vectors are the r-th of len(fin) equal
+// parts of send and recv. The operation is the engine's only one: it places
+// ranks by arithmetic, with no group, whose member list and indexes would be
+// bytes per rank, and its flags and counters go back to the reserve with the
+// engine (SRM.Release).
 //
 // A master turns interrupts off for good (§2.3's small-message regime):
 // arriving puts are polled while it waits on a counter and deferred ones drain
 // at its next RMA call. Unlike quietNet it leaves them off when it finishes:
 // after the last repetition it still holds undrained broadcast credits, and
 // turning interrupts on would deliver them.
-func (s *SRM) ScaleAllreduce(reps int, send, recv [][]byte, fin []sim.Time) {
-	ds, n := dataspec{dtype.Int64, dtype.Sum}, len(send[0])
-	if err := ds.validate(n); err != nil {
-		panic(err)
+func (s *SRM) ScaleAllreduce(reps int, send, recv []byte, fin []sim.Time) {
+	P := s.m.P()
+	ds, n := dataspec{dtype.Int64, dtype.Sum}, len(send)/P
+	if err := ds.validate(n); err != nil || len(send) != P*n || len(recv) != P*n || len(fin) != P {
+		panic(fmt.Sprintf("core: ScaleAllreduce of %d ranks over %d and %d bytes, %d finish times", P, len(send), len(recv), len(fin)))
 	}
-	g := s.World()
+	e := &opEntry{}
+	s.build(e, func() any { return newScaleState(s, n, reps, fin) })
+	s.kept = append(s.kept, e)
+	st := e.state.(*scaleState)
 	body := func(t *sim.Task) {
 		rank := t.Num()
 		x := s.exec(t, nil)
-		st := g.acquire(x, rank, func() any { return newScaleState(g, n, reps, fin) }).(*scaleState)
-		x.ds = ds
+		x.rank, x.ep, x.ds = int32(rank), s.dom.Endpoint(rank), ds
+		x.nx, x.l = rank/st.tpn, rank%st.tpn
+		x.node = int32(x.nx)
 		if x.l == 0 {
 			x.ep.SetInterrupts(false)
 		}
-		x.call(st, scRep, 1, send[rank], recv[rank])
+		x.call(st, scRep, 1, send[rank*n:(rank+1)*n:(rank+1)*n], recv[rank*n:(rank+1)*n:(rank+1)*n])
 		x.run()
 	}
-	for rank := range send {
+	for rank := range P {
 		s.m.Env.SpawnTask("rank", rank, body)
 	}
 }
@@ -157,7 +180,7 @@ func (st *scaleState) step(x *exec, f *frame) {
 			cn := &st.nodes[c]
 			x.waitcntr(cn.arr, 1)
 			x.combine(nd.acc, nil, cn.slot)
-			x.putZero(x.g.master(c), cn.upCredit)
+			x.putZero(st.master(c), cn.upCredit)
 			f.i <<= 1
 			return
 		}
@@ -170,19 +193,19 @@ func (st *scaleState) step(x *exec, f *frame) {
 			return
 		}
 		x.waitcntr(nd.upCredit, 1)
-		x.put(x.g.master(st.parent(nx)), nd.slot, nd.acc, nd.arr)
+		x.put(st.master(st.parent(nx)), nd.slot, nd.acc, nd.arr)
 		x.waitcntr(nd.bArr, 1)
 		f.pc = scPublish
 	case scPublish:
 		x.memcpy(nd.result, nd.bBuf)
-		x.putZero(x.g.master(st.parent(nx)), nd.dCredit)
+		x.putZero(st.master(st.parent(nx)), nd.dCredit)
 		x.set(nd.resultF, k)
 		f.pc, f.i = scDown, 1
 	case scDown:
 		if c := st.child(nx, f.i); c >= 0 {
 			cn := &st.nodes[c]
 			x.waitcntr(cn.dCredit, 1)
-			x.put(x.g.master(c), cn.bBuf, nd.result, cn.bArr)
+			x.put(st.master(c), cn.bBuf, nd.result, cn.bArr)
 			f.i <<= 1
 			return
 		}

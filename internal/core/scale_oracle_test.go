@@ -118,23 +118,22 @@ func runScale(c scaleCase, oracle bool) (*scaleOutcome, error) {
 	}
 	s := New(m, dom, Options{})
 	P, n := m.P(), c.bytes
-	send, recv := make([][]byte, P), make([][]byte, P)
+	send, recv := make([]byte, P*n), make([]byte, P*n)
 	vals := make([]int64, n/8)
-	for rank := range send {
+	for rank := 0; rank < P; rank++ {
 		for j := range vals {
 			vals[j] = int64(rank)*31 + int64(j)
 		}
-		send[rank], recv[rank] = make([]byte, n), make([]byte, n)
-		dtype.PutInt64s(send[rank], vals)
+		dtype.PutInt64s(send[rank*n:(rank+1)*n], vals)
 	}
 	out := &scaleOutcome{perRank: make([]sim.Time, P)}
 	if oracle {
 		var st *scaleState
-		s.build(&opEntry{}, func() any { st = newScaleState(s.World(), n, c.reps, nil); return st })
+		s.build(&opEntry{}, func() any { st = newScaleState(s, n, c.reps, nil); return st })
 		tr := tree.New(tree.Binomial, c.nodes, 0)
 		for rank := 0; rank < P; rank++ {
 			env.SpawnIndexed("rank", rank, func(p *sim.Proc) {
-				st.rankProc(p, s, tr, rank, send[rank], recv[rank])
+				st.rankProc(p, s, tr, rank, send[rank*n:(rank+1)*n], recv[rank*n:(rank+1)*n])
 				out.perRank[rank] = p.Now()
 			})
 		}
@@ -154,11 +153,9 @@ func runScale(c scaleCase, oracle bool) (*scaleOutcome, error) {
 		return nil, fault.Stalled(env, m.Faults)
 	}
 	base := int64(31 * P * (P - 1) / 2)
-	for rank, buf := range recv {
-		for j := 0; j < n/8; j++ {
-			if v, want := int64(binary.LittleEndian.Uint64(buf[8*j:])), base+int64(P*j); v != want {
-				return nil, fmt.Errorf("rank %d element %d = %d, want %d", rank, j, v, want)
-			}
+	for i := 0; i < len(recv); i += 8 {
+		if v, want := int64(binary.LittleEndian.Uint64(recv[i:])), base+int64(P*(i%n/8)); v != want {
+			return nil, fmt.Errorf("rank %d element %d = %d, want %d", i/n, i%n/8, v, want)
 		}
 	}
 	out.time, out.stats = env.Now(), *m.Stats
