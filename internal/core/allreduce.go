@@ -6,8 +6,6 @@ import (
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
-	"srmcoll/internal/trace"
-	"srmcoll/internal/tree"
 )
 
 // nodeStages is the SMP machinery every allreduce family wraps around its
@@ -21,25 +19,25 @@ type nodeStages struct {
 	ds   dataspec
 	sp   []span // pipeline chunks of the vector
 
-	rn       []*redNode   // per-node SMP reduce machinery
-	resBuf   [][]byte     // per node: master's receive buffer (the result lands here)
-	resReady []*sim.Event // per node: resBuf registered
-	pub      []publisher  // per-node SMP distribution of the result
+	rn       []redNode   // per-node SMP reduce machinery
+	resBuf   [][]byte    // per node: master's receive buffer (the result lands here)
+	resReady []sim.Event // per node: resBuf registered
+	pub      []publisher // per-node SMP distribution of the result
 }
 
 func newNodeStages(g *Group, size int, ds dataspec, sp []span) nodeStages {
-	nn := len(g.lay.nodes)
+	s, nn := g.s, len(g.lay.nodes)
 	ns := nodeStages{
 		size: size, ds: ds, sp: sp,
-		rn:       make([]*redNode, nn),
+		rn:       redNodes(g),
 		resBuf:   make([][]byte, nn),
-		resReady: make([]*sim.Event, nn),
-		pub:      make([]publisher, nn),
+		resReady: make([]sim.Event, nn),
+		pub:      s.publishers(g),
 	}
 	for x, nd := range g.lay.nodes {
-		ns.rn[x] = g.s.newRedNode(nd, 0, len(g.lay.local[x]), sp)
-		ns.resReady[x] = g.s.m.Env.NewEvent()
-		ns.pub[x] = g.s.newPublisher(nd, 0, len(g.lay.local[x]), sp[0].n)
+		ns.rn[x].init(s, nd, 0, sp)
+		ns.resReady[x].Init(s.m.Env)
+		ns.pub[x].init(s, nd, 0, len(g.lay.local[x]), sp[0].n)
 	}
 	return ns
 }
@@ -59,7 +57,7 @@ func (ns *nodeStages) step(x *exec, f *frame) {
 	switch {
 	case f.pc == nsReduce:
 		f.pc = nsConsume
-		x.reduceWorker(ns.rn[x.nx], f.a)
+		x.reduceWorker(&ns.rn[x.nx], f.a)
 	case f.k < len(ns.sp):
 		c := ns.sp[f.k]
 		f.k++
@@ -99,21 +97,9 @@ func (g *Group) allreduce(x *exec, rank int, send, recv []byte, ds dataspec) {
 	}
 	// The resolver is a pure function of the size, so every rank of the
 	// group dispatches the same call to the same algorithm family.
-	size, nn := len(send), len(g.lay.nodes)
+	size := len(send)
 	alg := g.s.allreduceAlg(size)
-	st := g.acquire(x, rank, func() any {
-		switch {
-		case alg == AlgRing:
-			return newRingState(g, size, ds)
-		case alg == AlgRHD:
-			return newRHDState(g, size, ds)
-		case alg == AlgDualRoot:
-			return newPipeState(g, size, ds, 0, min(1, nn-1))
-		case size <= g.s.m.Cfg.SRMAllreduceRD:
-			return newRDState(g, size, ds)
-		}
-		return newPipeState(g, size, ds, 0)
-	})
+	st := g.acquire(x, rank, func() any { return newAllreduceState(g, alg, size, ds) })
 	a, ok := st.(interface {
 		stepper
 		stages() *nodeStages
@@ -141,34 +127,32 @@ func (g *Group) allreduce(x *exec, rank int, send, recv []byte, ds dataspec) {
 	x.call(a, 0, 0, send, recv)
 }
 
+// newAllreduceState builds the state of an allreduce of the family alg.
+func newAllreduceState(g *Group, alg Alg, size int, ds dataspec) any {
+	switch {
+	case alg == AlgRing:
+		return newRingState(g, size, ds)
+	case alg == AlgRHD:
+		return newRHDState(g, size, ds)
+	case alg == AlgDualRoot:
+		return newPipeState(g, size, ds, 0, min(1, len(g.lay.nodes)-1))
+	case size <= g.s.m.Cfg.SRMAllreduceRD:
+		return newRDState(g, size, ds)
+	}
+	return newPipeState(g, size, ds, 0)
+}
+
 // rdState is the shared state of one allreduce of up to SRMAllreduceRD
 // bytes (§2.2, §2.4): SMP reduce on each node, then an integrated pairwise
 // exchange based on recursive doubling between the node masters, with extra
 // nodes (beyond the largest power of two) folded in and out, then an SMP
 // broadcast of the result.
-type rdState struct {
-	fold
-	rdSlot [][][]byte // [node][round]
-	rdArr  [][]*rma.Counter
-}
+// Round r's slot and arrival counter are the fold's exchange slot and counter
+// of round r.
+type rdState struct{ fold }
 
 func newRDState(g *Group, size int, ds dataspec) *rdState {
-	s := g.s
-	a := &rdState{fold: newFold(g, size, ds)}
-	nn := len(g.lay.nodes)
-	rounds := tree.Log2Ceil(a.pow)
-	a.rdSlot = make([][][]byte, nn)
-	a.rdArr = make([][]*rma.Counter, nn)
-	for x := 0; x < nn; x++ {
-		a.carve(s, x)
-		a.rdSlot[x] = make([][]byte, rounds)
-		a.rdArr[x] = make([]*rma.Counter, rounds)
-		for r := 0; r < rounds; r++ {
-			a.rdSlot[x][r] = s.slot(size)
-			a.rdArr[x][r] = s.counter(0, trace.ClassWaitArrive)
-		}
-	}
-	return a
+	return &rdState{newFold(g, size, ds, 1, func(int) int { return size })}
 }
 
 // step is the master's role; f.i counts exchange rounds.
@@ -177,15 +161,15 @@ func (a *rdState) step(x *exec, f *frame) {
 	switch f.pc {
 	case fdReduce:
 		f.pc = fdFold
-		if x.reduceLocal(a.rn[nx], 0, f.c, f.a) {
+		if x.reduceLocal(&a.rn[nx], 0, f.c, f.a) {
 			f.j = 1
 		}
 	case fdExchange:
-		if r := f.i; r < len(a.rdArr[nx]) {
+		if r := f.i; r < a.rounds {
 			partner := nx ^ (1 << r)
-			x.put(x.g.master(partner), a.rdSlot[partner][r], a.partial(f), a.rdArr[partner][r])
-			x.waitcntr(a.rdArr[nx][r], 1)
-			a.absorb(x, f, a.rdSlot[nx][r])
+			x.put(x.g.master(partner), *a.slot.at(partner, 1+r), a.partial(f), &a.cn[partner][cnRound+r])
+			x.waitcntr(&a.cn[nx][cnRound+r], 1)
+			a.absorb(x, f, *a.slot.at(nx, 1+r))
 			f.i++
 			return
 		}
@@ -225,9 +209,9 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 	sp := alignedChunks(size, min(cfg.SRMLargeChunk, max((size+3)/4, cfg.SRMSmallChunk)), ds)
 	a := &pipeState{nodeStages: newNodeStages(g, size, ds, sp)}
 	nn := len(g.lay.nodes)
-	helperDone := make([]*sim.Event, nn)
+	helperDone := make([]sim.Event, nn)
 	for x := range helperDone {
-		helperDone[x] = s.m.Env.NewEvent()
+		helperDone[x].Init(s.m.Env)
 	}
 	kind := s.interKind("allreduce", size)
 	trees := make([]pipeTree, len(roots))
@@ -235,7 +219,7 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 		tp := &trees[ti]
 		tp.emb = g.embed(kind, g.lay.local[root][0])
 		tp.chunkDone = s.flag(g.lay.nodes[root])
-		tp.window, tp.bArr = newWindow(nn), make([][2]*rma.Counter, nn)
+		tp.window, tp.bArr = newWindow(nn), make([][]rma.Counter, nn)
 		for x := 0; x < nn; x++ {
 			tp.carve(s, x, a.sp[0].n)
 			tp.bArr[x] = s.arrivals()
@@ -249,6 +233,6 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 // step is a master's first step: it starts the broadcast helper beside it,
 // then becomes the reduce side.
 func (a *pipeState) step(x *exec, f *frame) {
-	x.spawn(&a.down, f.c, a.up.done[x.nx])
+	x.spawn(&a.down, f.c, &a.up.done[x.nx])
 	f.b = &a.up
 }

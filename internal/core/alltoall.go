@@ -30,50 +30,38 @@ type alltoallState struct {
 	// laid out [src local][dst local]. in[y][x] aliases the same buffers
 	// conceptually; the put writes out[x][y] into in-place buffers owned
 	// by node y.
-	out [][][]byte // allocated at node x, indexed [x][y]
-	in  [][][]byte // allocated at node y, indexed [y][x]
+	out grid[[]byte] // allocated at node x, indexed [x][y]
+	in  grid[[]byte] // allocated at node y, indexed [y][x]
 
-	staged []flagSet        // per node: member finished staging
-	ready  []*shm.Flag      // per node: all inbound slabs landed
-	arr    [][]*rma.Counter // [dst node][src node] slab arrivals
+	staged []flagSet       // per node: member finished staging
+	ready  []*shm.Flag     // per node: all inbound slabs landed
+	arr    [][]rma.Counter // [dst node][src node] slab arrivals
 
 	// Direct path: per-member receive buffers and block-arrival counters.
 	recvBuf    [][]byte
-	registered []*sim.Event
+	registered []sim.Event
 	blkArr     []*rma.Counter
 }
 
 func newAlltoallState(g *Group, blk int) *alltoallState {
 	s := g.s
-	nn := len(g.lay.nodes)
-	st := &alltoallState{
-		g:      g,
-		blk:    blk,
-		out:    make([][][]byte, nn),
-		in:     make([][][]byte, nn),
-		staged: make([]flagSet, nn),
-		ready:  make([]*shm.Flag, nn),
-		arr:    make([][]*rma.Counter, nn),
-	}
-	st.direct = blk > alltoallDirectMin
+	nn, P := len(g.lay.nodes), len(g.lay.members)
+	st := &alltoallState{g: g, blk: blk, direct: blk > alltoallDirectMin}
 	if st.direct {
-		st.recvBuf = make([][]byte, len(g.lay.members))
-		st.registered = make([]*sim.Event, len(g.lay.members))
-		st.blkArr = make([]*rma.Counter, len(g.lay.members))
-		for i := range g.lay.members {
-			st.registered[i] = s.m.Env.NewEvent()
+		st.recvBuf, st.registered, st.blkArr = make([][]byte, P), make([]sim.Event, P), make([]*rma.Counter, P)
+		for i := range P {
+			st.registered[i].Init(s.m.Env)
 			st.blkArr[i] = s.counter(0, trace.ClassWaitCntr)
 		}
 		return st
 	}
+	st.out, st.in, st.arr = newGrid[[]byte](nn, nn), newGrid[[]byte](nn, nn), make([][]rma.Counter, nn)
+	st.staged, st.ready = make([]flagSet, nn), make([]*shm.Flag, nn)
 	for x, nd := range g.lay.nodes {
-		st.out[x] = make([][]byte, nn)
-		st.in[x] = make([][]byte, nn)
-		st.arr[x] = make([]*rma.Counter, nn)
+		st.arr[x] = s.counters(nn, 0, trace.ClassWaitCntr)
 		for y := range g.lay.nodes {
-			st.out[x][y] = s.slot(len(g.lay.local[x]) * len(g.lay.local[y]) * blk)
-			st.in[x][y] = s.slot(len(g.lay.local[y]) * len(g.lay.local[x]) * blk)
-			st.arr[x][y] = s.counter(0, trace.ClassWaitCntr)
+			*st.out.at(x, y) = s.slot(len(g.lay.local[x]) * len(g.lay.local[y]) * blk)
+			*st.in.at(x, y) = s.slot(len(g.lay.local[y]) * len(g.lay.local[x]) * blk)
 		}
 		st.staged[x] = s.flags(nd, len(g.lay.local[x]))
 		st.ready[x] = s.flag(nd)
@@ -135,7 +123,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 	case a2aStage:
 		for ; f.i < nn; f.i++ {
 			dsts := g.lay.local[f.i]
-			row := a.out[nx][f.i][li*len(dsts)*blk : (li+1)*len(dsts)*blk]
+			row := (*a.out.at(nx, f.i))[li*len(dsts)*blk : (li+1)*len(dsts)*blk]
 			if blk > 0 && len(dsts) > 0 {
 				// Gather this member's blocks for the node's members into
 				// its row of the slab (one contiguous copy per destination).
@@ -158,16 +146,16 @@ func (a *alltoallState) step(x *exec, f *frame) {
 	case a2aPut:
 		if d := f.i; d < nn {
 			y := (nx + d) % nn
-			x.put(g.master(y), a.in[y][nx], a.out[nx][y], a.arr[y][nx])
+			x.put(g.master(y), *a.in.at(y, nx), *a.out.at(nx, y), &a.arr[y][nx])
 			f.i++
 			return
 		}
 		// The node's own slab transfers through shared memory.
-		a.in[nx][nx] = a.out[nx][nx]
+		*a.in.at(nx, nx) = *a.out.at(nx, nx)
 		f.pc, f.i = a2aWait, 1
 	case a2aWait:
 		if d := f.i; d < nn {
-			x.waitcntr(a.arr[nx][(nx+d)%nn], 1)
+			x.waitcntr(&a.arr[nx][(nx+d)%nn], 1)
 			f.i++
 			return
 		}
@@ -183,7 +171,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 			if blk == 0 || len(srcs) == 0 {
 				continue
 			}
-			slab := a.in[nx][f.i]
+			slab := *a.in.at(nx, f.i)
 			for lj, src := range srcs {
 				off := g.lay.index(src) * blk
 				copy(recv[off:off+blk], slab[(lj*mine+li)*blk:(lj*mine+li+1)*blk])
@@ -210,7 +198,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 			x.ret()
 			return
 		}
-		x.waitEvent(a.registered[(gi+f.i)%P])
+		x.waitEvent(&a.registered[(gi+f.i)%P])
 		f.pc = a2aDirectPut
 	case a2aDirectPut:
 		gj := (gi + f.i) % P

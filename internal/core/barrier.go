@@ -13,25 +13,17 @@ import (
 // pairwise zero-byte puts between the node masters.
 type barrierState struct {
 	g      *Group
-	flags  []flagSet        // per participating node
-	cnt    [][]*rma.Counter // [node index][round]
+	flags  []flagSet       // per participating node
+	cnt    [][]rma.Counter // [node index][round]
 	rounds int
 }
 
 func newBarrierState(g *Group) *barrierState {
-	nn := len(g.lay.nodes)
-	b := &barrierState{
-		g:      g,
-		flags:  make([]flagSet, nn),
-		cnt:    make([][]*rma.Counter, nn),
-		rounds: tree.Log2Ceil(nn),
-	}
+	s, nn := g.s, len(g.lay.nodes)
+	b := &barrierState{g: g, flags: make([]flagSet, nn), cnt: make([][]rma.Counter, nn), rounds: tree.Log2Ceil(nn)}
 	for x, nd := range g.lay.nodes {
-		b.flags[x] = g.s.flags(nd, len(g.lay.local[x]))
-		b.cnt[x] = make([]*rma.Counter, b.rounds)
-		for r := range b.cnt[x] {
-			b.cnt[x][r] = g.s.counter(0, trace.ClassWaitCntr)
-		}
+		b.flags[x] = s.flags(nd, len(g.lay.local[x]))
+		b.cnt[x] = s.counters(b.rounds, 0, trace.ClassWaitCntr)
 	}
 	return b
 }
@@ -80,8 +72,8 @@ func (b *barrierState) step(x *exec, f *frame) {
 		f.pc = 1
 	case nn > 1 && f.k < b.rounds:
 		peer := (x.nx + 1<<f.k) % nn
-		x.putZero(g.master(peer), b.cnt[peer][f.k])
-		x.waitcntr(b.cnt[x.nx][f.k], 1)
+		x.putZero(g.master(peer), &b.cnt[peer][f.k])
+		x.waitcntr(&b.cnt[x.nx][f.k], 1)
 		f.k++
 	default:
 		if nn > 1 {

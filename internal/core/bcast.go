@@ -27,8 +27,8 @@ type bcastState struct {
 	// counters held at the parent ("the parent alternates between the two
 	// buffers and sends the data after verifying that the buffer is free").
 	netBuf [][2][]byte
-	arr    [][2]*rma.Counter // per node, per buffer parity ("two LAPI counters")
-	freeC  [][2]*rma.Counter
+	arr    [][]rma.Counter // per node, per buffer parity ("two LAPI counters")
+	freeC  [][]rma.Counter
 }
 
 func newBcastState(g *Group, root, size int) *bcastState {
@@ -51,22 +51,17 @@ func newBcastState(g *Group, root, size int) *bcastState {
 		b.sp = chunks(size, cfg.SRMBcastBufSize)
 	}
 	nn := len(g.lay.nodes)
-	b.netBuf = make([][2][]byte, nn)
-	b.arr = make([][2]*rma.Counter, nn)
-	b.freeC = make([][2]*rma.Counter, nn)
-	b.pub, b.dst, b.ready = make([]publisher, nn), make([][]byte, nn), make([]*sim.Event, nn)
+	b.netBuf, b.arr, b.freeC = make([][2][]byte, nn), make([][]rma.Counter, nn), make([][]rma.Counter, nn)
+	b.pub, b.dst, b.ready = s.publishers(g), make([][]byte, nn), make([]sim.Event, nn)
 	chunkBytes := b.sp[0].n
 	for x, nd := range g.lay.nodes {
 		if !b.large {
 			b.netBuf[x] = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
-			b.freeC[x] = [2]*rma.Counter{
-				s.counter(1, trace.ClassWaitCredit),
-				s.counter(1, trace.ClassWaitCredit),
-			}
+			b.freeC[x] = s.counters(2, 1, trace.ClassWaitCredit)
 		}
 		b.arr[x] = s.arrivals()
-		b.ready[x] = s.m.Env.NewEvent()
-		b.pub[x] = s.newPublisher(nd, g.lay.li(b.emb.masters[x]), len(g.lay.local[x]), chunkBytes)
+		b.ready[x].Init(s.m.Env)
+		b.pub[x].init(s, nd, g.lay.li(b.emb.masters[x]), len(g.lay.local[x]), chunkBytes)
 	}
 	b.trees = []pipeTree{{emb: b.emb, bArr: b.arr}}
 	return b
@@ -120,7 +115,7 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 	// the inter-node parent; then broadcast into the registered buffers.
 	b.dst[nx] = buf
 	if nx != b.emb.inter.Root {
-		x.am(b.emb.masters[b.emb.inter.Parent[nx]], make([]byte, 8), b.ready[nx])
+		x.am(b.emb.masters[b.emb.inter.Parent[nx]], make([]byte, 8), &b.ready[nx])
 	}
 	x.call(&b.treeBcast, tbChunk, 0, buf, nil)
 }
@@ -152,7 +147,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 	// shared buffers of each node.
 	case bcSmall:
 		if !atRoot {
-			x.waitcntr(b.arr[nx][parity], 1) // the chunk lands in the shared buffer
+			x.waitcntr(&b.arr[nx][parity], 1) // the chunk lands in the shared buffer
 		}
 		f.pc, f.i = bcSmallKids, 0
 	case bcSmallKids:
@@ -171,8 +166,8 @@ func (b *bcastState) step(x *exec, f *frame) {
 		if f.i < len(kids) {
 			child := kids[f.i]
 			f.i++
-			x.waitcntr(b.freeC[child][parity], 1)
-			x.put(b.emb.masters[child], b.netBuf[child][parity][:c.n], src, b.arr[child][parity])
+			x.waitcntr(&b.freeC[child][parity], 1)
+			x.put(b.emb.masters[child], b.netBuf[child][parity][:c.n], src, &b.arr[child][parity])
 			return
 		}
 		// SMP broadcast of the chunk. From the root's private buffer this
@@ -195,7 +190,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 		// while a chunk k+2 remains to reuse this parity).
 		if k+2 < len(b.sp) {
 			pub.waitConsumed(x, k)
-			x.putZero(b.emb.masters[b.emb.inter.Parent[nx]], b.freeC[nx][parity])
+			x.putZero(b.emb.masters[b.emb.inter.Parent[nx]], &b.freeC[nx][parity])
 		}
 		x.end()
 		f.pc, f.k = bcSmall, k+1

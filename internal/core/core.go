@@ -358,10 +358,13 @@ func (s *SRM) Release() {
 	s.subs.Release()
 }
 
-// flags returns n zero flags in node's shared memory, and counter a counter of
-// the given initial value and wait class, for the operation entry under
-// construction. Each is bound as it is handed out, so report ids are drawn in
-// the order the state asks for them.
+// flags returns n zero flags in node's shared memory, and counters n counters
+// of the given initial value and wait class, for the operation entry under
+// construction, in one piece each. Each is bound as it is handed out, so
+// report ids are drawn in the order the state asks for them. A table of
+// counters is a row of them a node (or member), each carved in its turn: the
+// order keeps the ids, and rows from slabs keep a table over thousands of
+// nodes out of one large heap object, which costs peak memory.
 func (s *SRM) flags(node, n int) flagSet {
 	fs := s.mustBuild().flagMem.Take(n)
 	for i := range fs {
@@ -372,10 +375,36 @@ func (s *SRM) flags(node, n int) flagSet {
 
 func (s *SRM) flag(node int) *shm.Flag { return &s.flags(node, 1)[0] }
 
+func (s *SRM) counters(n, initial int, cl trace.Class) []rma.Counter {
+	cs := s.mustBuild().cntrMem.Take(n)
+	for i := range cs {
+		cs[i].Init(s.m.Env, initial)
+		cs[i].TraceClass(cl)
+	}
+	return cs
+}
+
 func (s *SRM) counter(initial int, cl trace.Class) *rma.Counter {
-	c := s.mustBuild().cntrMem.New()
-	c.Init(s.m.Env, initial)
-	return c.TraceClass(cl)
+	return &s.counters(1, initial, cl)[0]
+}
+
+// grid is a table of slots of an operation state with w entries a row (a
+// node, a member), laid out in one slice; at addresses row x, column r.
+type grid[T any] struct {
+	v []T
+	w int
+}
+
+func newGrid[T any](rows, w int) grid[T] { return grid[T]{make([]T, rows*w), w} }
+
+func (g grid[T]) at(x, r int) *T { return &g.v[x*g.w+r] }
+
+// cut hands out the next n entries of a table made for a whole operation:
+// one node's part of it.
+func cut[T any](table *[]T, n int) []T {
+	part := (*table)[:n:n]
+	*table = (*table)[n:]
+	return part
 }
 
 // mustBuild holds the carvers to state constructors, and returns the entry

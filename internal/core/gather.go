@@ -62,55 +62,41 @@ type redistState struct {
 
 	masters []int
 	runs    []run
-	staged  [][]byte         // per node: slab staging in shared memory
-	inFlag  []flagSet        // per node: member block staged (gather/allgather)
-	ready   []*shm.Flag      // per node: staging complete, members may copy out
-	arr     []*rma.Counter   // per node master: slabs arrived (gather/scatter)
-	stepArr [][]*rma.Counter // allgather: per node, per ring step
-	rootBuf []byte           // gather: root's recv; set at entry
-	rootSet *sim.Event
+	staged  [][]byte        // per node: slab staging in shared memory
+	inFlag  []flagSet       // per node: member block staged (gather/allgather)
+	ready   []*shm.Flag     // per node: staging complete, members may copy out
+	arr     []*rma.Counter  // per node master: slabs arrived (gather/scatter)
+	stepArr [][]rma.Counter // allgather: per node, per ring step
+	rootBuf []byte          // gather: root's recv; set at entry
+	rootSet sim.Event
 
 	// Direct allgather ring (large blocks).
 	direct     bool
 	recvBuf    [][]byte
-	registered []*sim.Event
-	stepCnt    [][]*rma.Counter // [member][step]
+	registered []sim.Event
+	stepCnt    [][]rma.Counter // [member][step]
 }
 
 func newRedistState(g *Group, kind string, root, blk int) *redistState {
-	s := g.s
-	st := &redistState{
-		g:       g,
-		kind:    kind,
-		root:    root,
-		blk:     blk,
-		runs:    runsOf(&g.lay),
-		masters: make([]int, len(g.lay.nodes)),
-		staged:  make([][]byte, len(g.lay.nodes)),
-		inFlag:  make([]flagSet, len(g.lay.nodes)),
-		ready:   make([]*shm.Flag, len(g.lay.nodes)),
-		arr:     make([]*rma.Counter, len(g.lay.nodes)),
-		rootSet: s.m.Env.NewEvent(),
-	}
+	s, nn := g.s, len(g.lay.nodes)
 	rootNI := -1
 	if kind != "allgather" {
-		rootNI = g.lay.ni(root)
+		rootNI = g.lay.rootNI(root)
 	}
+	st := &redistState{g: g, kind: kind, root: root, blk: blk, runs: runsOf(&g.lay), masters: make([]int, nn)}
+	st.rootSet.Init(s.m.Env)
 	if kind == "allgather" && blk > allgatherDirectMin {
 		st.direct = true
 		P := len(g.lay.members)
-		st.recvBuf = make([][]byte, P)
-		st.registered = make([]*sim.Event, P)
-		st.stepCnt = make([][]*rma.Counter, P)
+		st.recvBuf, st.registered, st.stepCnt = make([][]byte, P), make([]sim.Event, P), make([][]rma.Counter, P)
 		for i := 0; i < P; i++ {
-			st.registered[i] = s.m.Env.NewEvent()
-			st.stepCnt[i] = make([]*rma.Counter, P)
-			for j := range st.stepCnt[i] {
-				st.stepCnt[i][j] = s.counter(0, trace.ClassWaitCntr)
-			}
+			st.registered[i].Init(s.m.Env)
+			st.stepCnt[i] = s.counters(P, 0, trace.ClassWaitCntr)
 		}
 		return st
 	}
+	st.staged, st.inFlag, st.ready = make([][]byte, nn), make([]flagSet, nn), make([]*shm.Flag, nn)
+	st.arr = make([]*rma.Counter, nn)
 	total := blk * len(g.lay.members)
 	for x, nd := range g.lay.nodes {
 		if x == rootNI {
@@ -128,12 +114,9 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 		st.arr[x] = s.counter(0, trace.ClassWaitCntr)
 	}
 	if kind == "allgather" {
-		st.stepArr = make([][]*rma.Counter, len(g.lay.nodes))
+		st.stepArr = make([][]rma.Counter, nn)
 		for x := range st.stepArr {
-			st.stepArr[x] = make([]*rma.Counter, len(g.lay.nodes))
-			for i := range st.stepArr[x] {
-				st.stepArr[x][i] = s.counter(0, trace.ClassWaitCntr)
-			}
+			st.stepArr[x] = s.counters(nn, 0, trace.ClassWaitCntr)
 		}
 	}
 	return st
@@ -262,7 +245,7 @@ func (st *redistState) step(x *exec, f *frame) {
 		x.waitAllEQ(&st.inFlag[nx], 1, -1)
 		f.pc = rsGatherRoot
 	case rsGatherRoot:
-		x.waitEvent(st.rootSet)
+		x.waitEvent(&st.rootSet)
 		f.pc = rsGatherSlabs
 	case rsGatherSlabs:
 		// The master forwards each contiguous slab straight to its final
@@ -360,13 +343,13 @@ func (st *redistState) step(x *exec, f *frame) {
 			f.j++
 			if rn.node == (nx-step+1+nn)%nn {
 				_, po, n := st.slabRange(rn)
-				x.put(st.masters[right], st.staged[right][po:po+n], st.staged[nx][po:po+n], st.stepArr[right][step])
+				x.put(st.masters[right], st.staged[right][po:po+n], st.staged[nx][po:po+n], &st.stepArr[right][step])
 				return
 			}
 		}
 		// Wait for this step's slabs from the left neighbor; the per-step
 		// counter ties the wait to this step's data.
-		x.waitcntr(st.stepArr[nx][step], runsOn((nx-step+nn)%nn))
+		x.waitcntr(&st.stepArr[nx][step], runsOn((nx-step+nn)%nn))
 		x.set(st.ready[nx], step+1)
 		f.i, f.j = step+1, 0
 	case rsAllgatherFan:
@@ -404,7 +387,7 @@ func (st *redistState) step(x *exec, f *frame) {
 			x.ret()
 			return
 		}
-		x.waitEvent(st.registered[(gi+1)%P])
+		x.waitEvent(&st.registered[(gi+1)%P])
 		f.pc, f.i = rsDirectRing, 1
 	case rsDirectRing:
 		gi, P, step := f.k, len(g.lay.members), f.i
@@ -419,12 +402,12 @@ func (st *redistState) step(x *exec, f *frame) {
 		dst := st.recvBuf[gr][out*blk : (out+1)*blk]
 		if s.m.NodeOf(right) == int(x.node) {
 			x.memcpy(dst, src)
-			x.incr(st.stepCnt[gr][step])
+			x.incr(&st.stepCnt[gr][step])
 		} else {
-			x.put(right, dst, src, st.stepCnt[gr][step])
+			x.put(right, dst, src, &st.stepCnt[gr][step])
 		}
 		// The step counter identifies the inbound block.
-		x.waitcntr(st.stepCnt[gi][step], 1)
+		x.waitcntr(&st.stepCnt[gi][step], 1)
 		f.i++
 	}
 }

@@ -67,6 +67,15 @@ func (lay *layout) index(rank int) int { return lay.idx.Of(rank) }
 // contains reports whether the global rank participates.
 func (lay *layout) contains(rank int) bool { return lay.index(rank) >= 0 }
 
+// rootNI returns the node index of the member root of an operation, and
+// panics with the error a rooted operation reports for a non-member.
+func (lay *layout) rootNI(root int) int {
+	if !lay.contains(root) {
+		panic(fmt.Sprintf("core: root %d is not a group member", root))
+	}
+	return lay.ni(root)
+}
+
 // ni and li return a member's node index (into nodes) and its index within
 // that node's member list (local[ni]).
 func (lay *layout) ni(rank int) int { return int(lay.at[lay.index(rank)].nx) }
@@ -99,10 +108,7 @@ func (g *Group) embed(interKind tree.Kind, root int) gEmbed {
 		return e
 	}
 	lay := &g.lay
-	if !lay.contains(root) {
-		panic(fmt.Sprintf("core: root %d is not a group member", root))
-	}
-	rootNI := lay.ni(root)
+	rootNI := lay.rootNI(root)
 	// The inter-node tree is hierarchy-aware: node ids plus the machine's
 	// tier spans let multilevel trees group participants by switch.
 	e := gEmbed{

@@ -41,11 +41,11 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 	r := &reduceState{root: root, size: size, ds: ds}
 	r.sp = alignedChunks(size, s.m.Cfg.SRMLargeChunk, ds)
 	nn := len(g.lay.nodes)
-	r.rn = make([]*redNode, nn)
+	r.rn = redNodes(g)
 	r.partial = make([][]byte, nn)
 	tp := pipeTree{emb: g.embed(s.interKind("reduce", size), root), window: newWindow(nn)}
 	for x, nd := range g.lay.nodes {
-		r.rn[x] = s.newRedNode(nd, g.lay.li(tp.emb.masters[x]), len(g.lay.local[x]), r.sp)
+		r.rn[x].init(s, nd, g.lay.li(tp.emb.masters[x]), r.sp)
 		if x != tp.emb.inter.Root {
 			r.partial[x] = s.slot(size)
 		}
@@ -92,7 +92,7 @@ func (g *Group) reduce(x *exec, rank int, send, recv []byte, ds dataspec, root i
 		r.partial[x.nx] = recv
 	}
 	if rank != r.trees[0].emb.masters[x.nx] {
-		x.reduceWorker(r.rn[x.nx], send)
+		x.reduceWorker(&r.rn[x.nx], send)
 		return
 	}
 	x.quietNet(r.size)

@@ -22,11 +22,11 @@ type reduceScatterState struct {
 	ds  dataspec
 	sp  []span
 
-	rn      []*redNode
-	partial [][]byte // per node: master's full-vector local reduction
-	acc     [][]byte // per node: accumulated own-range result
-	slot    [][][]byte
-	arr     [][]*rma.Counter // [dst node][src node]
+	rn      []redNode
+	partial [][]byte        // per node: master's full-vector local reduction
+	acc     [][]byte        // per node: accumulated own-range result
+	slot    grid[[]byte]    // [dst node][src node]
+	arr     [][]rma.Counter // [dst node][src node]
 	ready   []*shm.Flag
 }
 
@@ -38,24 +38,22 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 		g:       g,
 		blk:     blk,
 		ds:      ds,
-		rn:      make([]*redNode, nn),
+		rn:      redNodes(g),
 		partial: make([][]byte, nn),
 		acc:     make([][]byte, nn),
-		slot:    make([][][]byte, nn),
-		arr:     make([][]*rma.Counter, nn),
+		slot:    newGrid[[]byte](nn, nn),
+		arr:     make([][]rma.Counter, nn),
 		ready:   make([]*shm.Flag, nn),
 	}
 	st.sp = alignedChunks(total, s.m.Cfg.SRMLargeChunk, ds)
 	for x, nd := range g.lay.nodes {
-		st.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), st.sp)
+		st.rn[x].init(s, nd, 0, st.sp)
 		st.partial[x] = s.slot(total)
 		size := blk * len(g.lay.local[x])
 		st.acc[x] = s.slot(size)
-		st.slot[x] = make([][]byte, nn)
-		st.arr[x] = make([]*rma.Counter, nn)
+		st.arr[x] = s.counters(nn, 0, trace.ClassWaitCntr)
 		for y := 0; y < nn; y++ {
-			st.slot[x][y] = s.slot(size)
-			st.arr[x][y] = s.counter(0, trace.ClassWaitCntr)
+			*st.slot.at(x, y) = s.slot(size)
 		}
 		st.ready[x] = s.flag(nd)
 	}
@@ -134,13 +132,13 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 	// Phase 1: full-vector SMP reduce into the master's partial buffer.
 	case rscWorker:
 		f.pc = rscOut
-		x.reduceWorker(st.rn[nx], send)
+		x.reduceWorker(&st.rn[nx], send)
 	case rscReduce:
 		if k := f.k; k < len(st.sp) {
 			c := st.sp[k]
 			tchunk, own := st.partial[nx][c.off:c.off+c.n], send[c.off:c.off+c.n]
 			f.k++
-			x.reduceInto(st.rn[nx], k, tchunk, own)
+			x.reduceInto(&st.rn[nx], k, tchunk, own)
 			return
 		}
 		// Phase 2: ship each peer node its members' blocks, combine the
@@ -152,7 +150,7 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 			f.pc, f.i = rscFold, 1
 			return
 		}
-		x.put(g.master(y), st.slot[y][nx], st.slabFor(x, st.partial[nx], y), st.arr[y][nx])
+		x.put(g.master(y), *st.slot.at(y, nx), st.slabFor(x, st.partial[nx], y), &st.arr[y][nx])
 		f.i++
 	case rscFold:
 		if f.i == nn {
@@ -160,9 +158,9 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 			f.pc = rscOut
 			return
 		}
-		x.waitcntr(st.arr[nx][y], 1)
+		x.waitcntr(&st.arr[nx][y], 1)
 		if len(st.acc[nx]) > 0 {
-			x.combine(st.acc[nx], nil, st.slot[nx][y])
+			x.combine(st.acc[nx], nil, *st.slot.at(nx, y))
 		}
 		f.i++
 	// Phase 3: every member copies its block out of shared memory.

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"srmcoll/internal/rma"
-	"srmcoll/internal/trace"
-	"srmcoll/internal/tree"
-)
-
 // rhdState is the shared state of one recursive halving/doubling allreduce
 // (AlgRHD, Rabenseifner's algorithm): an SMP reduce on each node, a
 // reduce-scatter by recursive vector halving across the largest power of
@@ -13,39 +7,16 @@ import (
 // broadcast. Node counts that are not a power of two do NOT fall back to
 // another algorithm: the fold RD uses brings the extra masters in before the
 // halving rounds and returns the finished vector to them after the doubling
-// rounds.
-type rhdState struct {
-	fold
-
-	halfSlot [][][]byte       // [node][round]: staging for the incoming half
-	halfArr  [][]*rma.Counter // [node][round]: half arrived
-	dblArr   [][]*rma.Counter // [node][round]: allgather segment landed in recv
-}
+// rounds. Round r's slot, staging for the incoming half, is the fold's
+// exchange slot of round r; its counters are the fold's two of round r, the
+// half arrived and the allgather segment landed in recv.
+type rhdState struct{ fold }
 
 func newRHDState(g *Group, size int, ds dataspec) *rhdState {
-	s := g.s
-	a := &rhdState{fold: newFold(g, size, ds)}
-	nn := len(g.lay.nodes)
-	rounds := tree.Log2Ceil(a.pow)
 	esize := ds.dt.Size()
 	elems := size / esize
-	a.halfSlot = make([][][]byte, nn)
-	a.halfArr = make([][]*rma.Counter, nn)
-	a.dblArr = make([][]*rma.Counter, nn)
-	for x := 0; x < nn; x++ {
-		a.carve(s, x)
-		a.halfSlot[x] = make([][]byte, rounds)
-		a.halfArr[x] = make([]*rma.Counter, rounds)
-		a.dblArr[x] = make([]*rma.Counter, rounds)
-		for r := 0; r < rounds; r++ {
-			// The half received at round r is at most ceil(elems/2^(r+1))
-			// elements.
-			a.halfSlot[x][r] = s.slot(((elems >> (r + 1)) + 1) * esize)
-			a.halfArr[x][r] = s.counter(0, trace.ClassWaitArrive)
-			a.dblArr[x][r] = s.counter(0, trace.ClassWaitArrive)
-		}
-	}
-	return a
+	// The half received at round r is at most ceil(elems/2^(r+1)) elements.
+	return &rhdState{newFold(g, size, ds, 2, func(r int) int { return ((elems >> (r + 1)) + 1) * esize })}
 }
 
 // segment returns the element range [lo, hi) master x is responsible for
@@ -78,13 +49,13 @@ func (a *rhdState) step(x *exec, f *frame) {
 	g, nx, send, recv, r := x.g, x.nx, f.a, f.c, f.i
 	esize := a.ds.dt.Size()
 	elems := a.size / esize
-	rounds := len(a.halfArr[nx])
+	rounds := a.rounds
 	d := a.pow >> (r + 1)
 	partner := nx ^ d
 	switch f.pc {
 	case fdReduce:
 		// The halving rounds work in recv from the start.
-		x.reduceInto(a.rn[nx], 0, recv, send)
+		x.reduceInto(&a.rn[nx], 0, recv, send)
 		f.pc, f.j = fdFold, 1
 	case rhdScatter:
 		// Reduce-scatter by recursive halving: each round trades the half
@@ -101,10 +72,10 @@ func (a *rhdState) step(x *exec, f *frame) {
 			sLo, sHi, kLo, kHi = lo, mid, mid, hi
 		}
 		sb := recv[sLo*esize : sHi*esize]
-		x.put(g.master(partner), a.halfSlot[partner][r][:len(sb)], sb, a.halfArr[partner][r])
-		x.waitcntr(a.halfArr[nx][r], 1)
+		x.put(g.master(partner), (*a.slot.at(partner, 1+r))[:len(sb)], sb, &a.cn[partner][cnRound+2*r])
+		x.waitcntr(&a.cn[nx][cnRound+2*r], 1)
 		if n := (kHi - kLo) * esize; n > 0 {
-			x.combine(recv[kLo*esize:kHi*esize], nil, a.halfSlot[nx][r][:n])
+			x.combine(recv[kLo*esize:kHi*esize], nil, (*a.slot.at(nx, 1+r))[:n])
 		}
 		f.i++
 	case rhdGather:
@@ -114,12 +85,12 @@ func (a *rhdState) step(x *exec, f *frame) {
 			f.pc = fdUnfold
 			return
 		}
-		x.waitEvent(a.resReady[partner])
+		x.waitEvent(&a.resReady[partner])
 		f.pc = rhdGatherPut
 	case rhdGatherPut:
 		lo, hi := a.segment(nx, r+1, elems)
-		x.put(g.master(partner), a.resBuf[partner][lo*esize:hi*esize], recv[lo*esize:hi*esize], a.dblArr[partner][r])
-		x.waitcntr(a.dblArr[nx][r], 1)
+		x.put(g.master(partner), a.resBuf[partner][lo*esize:hi*esize], recv[lo*esize:hi*esize], &a.cn[partner][cnRound+2*r+1])
+		x.waitcntr(&a.cn[nx][cnRound+2*r+1], 1)
 		f.pc, f.i = rhdGather, r-1
 	default:
 		a.foldStep(x, f)

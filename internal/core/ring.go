@@ -68,14 +68,14 @@ func (a *ringState) step(x *exec, f *frame) {
 	switch {
 	case f.pc == 0:
 		f.pc = 1
-		x.reduceInto(a.rn[nx], 0, recv, send)
+		x.reduceInto(&a.rn[nx], 0, recv, send)
 	case f.pc == 1 && f.i < steps:
 		st, right := f.i, (nx+1)%nn
 		sendIdx, _ := a.stepBlocks(nx, st)
 		sb := a.blk[sendIdx]
 		x.waitcntr(a.credit[nx], 1)
-		x.put(g.master(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n], a.arr[right][st%2])
-		x.waitcntr(a.arr[nx][st%2], 1)
+		x.put(g.master(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n], &a.arr[right][st%2])
+		x.waitcntr(&a.arr[nx][st%2], 1)
 		f.pc = 3
 	case f.pc == 3:
 		st, left := f.i, (nx+nn-1)%nn

@@ -23,35 +23,22 @@ type scanState struct {
 	ds   dataspec
 
 	rounds int
-	slot   [][][]byte       // [member][round]
-	arr    [][]*rma.Counter // [member][round]
-	shift  [][]byte         // Exscan: the shifted-result landing zone
-	sarr   []*rma.Counter
+	slot   grid[[]byte]    // [member][round]; the Exscan's shifted-result landing zone at column rounds
+	arr    [][]rma.Counter // [member][round]; the shifted result arrived at column rounds
 }
 
 func newScanState(g *Group, size int, ds dataspec) *scanState {
 	s := g.s
 	P := len(g.lay.members)
-	st := &scanState{
-		g:     g,
-		size:  size,
-		ds:    ds,
-		slot:  make([][][]byte, P),
-		arr:   make([][]*rma.Counter, P),
-		shift: make([][]byte, P),
-		sarr:  make([]*rma.Counter, P),
-	}
+	st := &scanState{g: g, size: size, ds: ds}
 	for st.rounds = 0; 1<<st.rounds < P; st.rounds++ {
 	}
-	for i := 0; i < P; i++ {
-		st.slot[i] = make([][]byte, st.rounds)
-		st.arr[i] = make([]*rma.Counter, st.rounds)
-		for r := 0; r < st.rounds; r++ {
-			st.slot[i][r] = s.slot(size)
-			st.arr[i][r] = s.counter(0, trace.ClassWaitCntr)
+	st.slot, st.arr = newGrid[[]byte](P, st.rounds+1), make([][]rma.Counter, P)
+	for i := range P {
+		st.arr[i] = s.counters(st.rounds+1, 0, trace.ClassWaitCntr)
+		for r := range st.rounds + 1 {
+			*st.slot.at(i, r) = s.slot(size)
 		}
-		st.shift[i] = s.slot(size)
-		st.sarr[i] = s.counter(0, trace.ClassWaitCntr)
 	}
 	return st
 }
@@ -106,12 +93,12 @@ func (st *scanState) step(x *exec, f *frame) {
 	case f.pc == 1 && f.i < st.rounds:
 		r, dist := f.i, 1<<f.i
 		if gi+dist < P {
-			x.put(g.lay.members[gi+dist], st.slot[gi+dist][r], recv, st.arr[gi+dist][r])
+			x.put(g.lay.members[gi+dist], *st.slot.at(gi+dist, r), recv, &st.arr[gi+dist][r])
 		}
 		if gi-dist >= 0 {
-			x.waitcntr(st.arr[gi][r], 1)
+			x.waitcntr(&st.arr[gi][r], 1)
 			if st.size > 0 {
-				x.combine(recv, nil, st.slot[gi][r]) // commutative fold
+				x.combine(recv, nil, *st.slot.at(gi, r)) // commutative fold
 			}
 		}
 		f.i++
@@ -123,12 +110,12 @@ func (st *scanState) step(x *exec, f *frame) {
 		}
 		// Exscan: shift the inclusive results right by one member.
 		if gi+1 < P {
-			x.put(g.lay.members[gi+1], st.shift[gi+1], recv, st.sarr[gi+1])
+			x.put(g.lay.members[gi+1], *st.slot.at(gi+1, st.rounds), recv, &st.arr[gi+1][st.rounds])
 		}
 		if gi > 0 {
-			x.waitcntr(st.sarr[gi], 1)
+			x.waitcntr(&st.arr[gi][st.rounds], 1)
 			if st.size > 0 {
-				x.memcpy(recv, st.shift[gi])
+				x.memcpy(recv, *st.slot.at(gi, st.rounds))
 			}
 			x.ret()
 		}

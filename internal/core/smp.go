@@ -11,10 +11,13 @@ import (
 // Masters call the body at pubPublish (f.k chunk, f.a source, f.i != 0 when
 // the source already is shared memory and is exposed as is), the others at
 // pubConsume (f.k chunk, f.a destination). waitConsumed issues the master's
-// wait until the whole node has consumed chunk k.
+// wait until the whole node has consumed chunk k. init builds the publisher
+// of node for count local tasks, masterLocal the master, over buffers of
+// bufSize bytes.
 type publisher interface {
 	stepper
 	waitConsumed(x *exec, k int)
+	init(s *SRM, node, masterLocal, count, bufSize int)
 }
 
 const (
@@ -50,15 +53,11 @@ type smpPub struct {
 	done        flagSet   // per task: chunks consumed
 }
 
-func (s *SRM) newSmpPub(node, masterLocal, count, bufSize int) *smpPub {
-	pub := &smpPub{
-		masterLocal: masterLocal,
-		ready:       s.flag(node),
-		done:        s.flags(node, count),
-	}
-	pub.buf[0] = s.slot(bufSize)
-	pub.buf[1] = s.slot(bufSize)
-	return pub
+func (pub *smpPub) init(s *SRM, node, masterLocal, count, bufSize int) {
+	pub.masterLocal = masterLocal
+	pub.ready = s.flag(node)
+	pub.done = s.flags(node, count)
+	pub.buf = [2][]byte{s.slot(bufSize), s.slot(bufSize)}
 }
 
 func (pub *smpPub) waitConsumed(x *exec, k int) { x.waitAllGE(&pub.done, k+1, pub.masterLocal) }
@@ -113,19 +112,14 @@ type treePub struct {
 	ack  []flagSet   // per task, per child: chunks pulled by that child
 }
 
-func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
-	tp := &treePub{
-		tr:   s.intraTree(count, masterLocal),
-		buf:  make([][2][]byte, count),
-		full: make([]*shm.Flag, count),
-		ack:  make([]flagSet, count),
-	}
+// init fills the tables publishers cut for the node.
+func (tp *treePub) init(s *SRM, node, masterLocal, count, bufSize int) {
+	tp.tr = s.intraTree(count, masterLocal)
 	for i := 0; i < count; i++ {
 		tp.buf[i] = [2][]byte{s.slot(bufSize), s.slot(bufSize)}
 		tp.full[i] = s.flag(node)
 		tp.ack[i] = s.flags(node, len(tp.tr.Children[i]))
 	}
-	return tp
 }
 
 // waitConsumed: the master's direct children acking chunk k implies their
@@ -202,15 +196,11 @@ type barrierPub struct {
 	checkin     flagSet   // per-task arrival flags
 }
 
-func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
-	pub := &barrierPub{
-		masterLocal: masterLocal,
-		epoch:       s.flag(node),
-		checkin:     s.flags(node, count),
-	}
-	pub.buf[0] = s.slot(bufSize)
-	pub.buf[1] = s.slot(bufSize)
-	return pub
+func (pub *barrierPub) init(s *SRM, node, masterLocal, count, bufSize int) {
+	pub.masterLocal = masterLocal
+	pub.epoch = s.flag(node)
+	pub.checkin = s.flags(node, count)
+	pub.buf = [2][]byte{s.slot(bufSize), s.slot(bufSize)}
 }
 
 // barrier runs one flat SMP barrier among the node's tasks, master side;
@@ -266,17 +256,35 @@ func (pub *barrierPub) step(x *exec, f *frame) {
 	}
 }
 
-// newPublisher picks the SMP broadcast variant per Options. count is the
-// number of participating tasks on the node; masterLocal indexes them.
-func (s *SRM) newPublisher(node, masterLocal, count, bufSize int) publisher {
+// publishers returns the SMP broadcast of every node of g, of the variant
+// Options picks, each pointing into one array of that variant (the tree
+// variant's tables cut from one table each); init builds each.
+func (s *SRM) publishers(g *Group) []publisher {
+	nn := len(g.lay.nodes)
 	switch {
 	case s.opt.TreeSMPBcst:
-		return s.newTreePub(node, masterLocal, count, bufSize)
+		tp, P := make([]treePub, nn), len(g.lay.members)
+		buf, full, ack := make([][2][]byte, P), make([]*shm.Flag, P), make([]flagSet, P)
+		for x := range tp {
+			n := len(g.lay.local[x])
+			tp[x].buf, tp[x].full, tp[x].ack = cut(&buf, n), cut(&full, n), cut(&ack, n)
+		}
+		return pointInto(tp)
 	case s.opt.BarrierSMPBcst:
-		return s.newBarrierPub(node, masterLocal, count, bufSize)
-	default:
-		return s.newSmpPub(node, masterLocal, count, bufSize)
+		return pointInto(make([]barrierPub, nn))
 	}
+	return pointInto(make([]smpPub, nn))
+}
+
+func pointInto[T any, P interface {
+	*T
+	publisher
+}](a []T) []publisher {
+	pub := make([]publisher, len(a))
+	for x := range a {
+		pub[x] = P(&a[x])
+	}
+	return pub
 }
 
 // redNode is the per-node SMP reduce machinery of Figure 2: one shared slot
@@ -284,22 +292,29 @@ func (s *SRM) newPublisher(node, masterLocal, count, bufSize int) publisher {
 // full/free flags. Leaves copy their contribution in; interior tasks
 // combine child slots with their own user buffer in place.
 type redNode struct {
-	tr   tree.Tree // intra-node reduce tree, rooted at the master
-	sp   []span    // the pipeline chunks of the vector being reduced
-	slot [][2][]byte
-	full []*shm.Flag
-	free []*shm.Flag
+	tr   tree.Tree   // intra-node reduce tree, rooted at the master
+	sp   []span      // the pipeline chunks of the vector being reduced
+	slot [][2][]byte // per local task
+	fl   flagSet     // per local task i: full at 2i, free at 2i+1
 }
 
-func (s *SRM) newRedNode(node, masterLocal, count int, sp []span) *redNode {
-	rn := &redNode{
-		tr:   s.intraTree(count, masterLocal),
-		sp:   sp,
-		slot: make([][2][]byte, count),
-		full: make([]*shm.Flag, count),
-		free: make([]*shm.Flag, count),
+func (rn *redNode) full(i int) *shm.Flag { return &rn.fl[2*i] }
+func (rn *redNode) free(i int) *shm.Flag { return &rn.fl[2*i+1] }
+
+// redNodes returns the SMP reduce machinery of every node of g, their slot
+// tables cut from one table; init builds each.
+func redNodes(g *Group) []redNode {
+	rn, slots := make([]redNode, len(g.lay.nodes)), make([][2][]byte, len(g.lay.members))
+	for x := range rn {
+		rn[x].slot = cut(&slots, len(g.lay.local[x]))
 	}
-	for i := 0; i < count; i++ {
+	return rn
+}
+
+func (rn *redNode) init(s *SRM, node, masterLocal int, sp []span) {
+	rn.tr, rn.sp = s.intraTree(len(rn.slot), masterLocal), sp
+	rn.fl = s.flags(node, 2*len(rn.slot))
+	for i := range rn.slot {
 		// The master combines into its caller's buffer and has no slot; the
 		// second buffer of a slot serves odd chunks only.
 		if i != masterLocal {
@@ -308,10 +323,7 @@ func (s *SRM) newRedNode(node, masterLocal, count int, sp []span) *redNode {
 				rn.slot[i][1] = s.slot(sp[0].n)
 			}
 		}
-		rn.full[i] = s.flag(node)
-		rn.free[i] = s.flag(node)
 	}
-	return rn
 }
 
 const (
@@ -363,7 +375,7 @@ func (rn *redNode) step(x *exec, f *frame) {
 		// children's slots with their own data into theirs. Either way,
 		// first wait for the parent to have consumed this parity's
 		// previous chunk.
-		x.waitGE(rn.free[local], k-1)
+		x.waitGE(rn.free(local), k-1)
 		f.pc = redWorkerKids
 		if len(kids) == 0 && len(target) > 0 {
 			x.memcpy(target, own) // the Figure 2 leaf copy
@@ -372,19 +384,19 @@ func (rn *redNode) step(x *exec, f *frame) {
 		// Fold child f.i's slot in, charging combine time, and mark the
 		// slot free afterwards.
 		c := kids[f.i]
-		x.waitGE(rn.full[c], k+1)
+		x.waitGE(rn.full(c), k+1)
 		if len(target) > 0 {
 			if f.i > 0 {
 				own = nil
 			}
 			x.combine(target, own, rn.slot[c][k%2][:len(target)])
 		}
-		x.set(rn.free[c], k+1)
+		x.set(rn.free(c), k+1)
 		f.i++
 	case f.pc == redMaster:
 		x.ret()
 	default:
-		x.set(rn.full[local], k+1)
+		x.set(rn.full(local), k+1)
 		f.pc, f.i, f.k = redWorker, 0, k+1
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
+	"srmcoll/internal/tree"
 )
 
 // The inter-node stages that more than one collective runs, each written once:
@@ -23,17 +24,17 @@ import (
 // masters: the receiving end of a link holds two slots for it, used by
 // parity, with an arrival counter each; the sending end holds a credit
 // counter, initially 2, which the receiver replenishes with a zero-byte put
-// once it has drained a slot. The slices are indexed by the layout's
+// once it has drained a slot. The tables are indexed by the layout's
 // participating node index of one end of the link: the sending child in a
 // tree, the receiving master in the ring.
 type window struct {
-	slot   [][2][]byte       // at the receiving end
-	arr    [][2]*rma.Counter // per parity: arrivals at the receiving end
-	credit []*rma.Counter    // at the sending end: free slots at the receiver
+	slot   [][2][]byte     // at the receiving end
+	arr    [][]rma.Counter // per parity: arrivals at the receiving end
+	credit []*rma.Counter  // at the sending end: free slots at the receiver
 }
 
 func newWindow(nn int) window {
-	return window{slot: make([][2][]byte, nn), arr: make([][2]*rma.Counter, nn), credit: make([]*rma.Counter, nn)}
+	return window{slot: make([][2][]byte, nn), arr: make([][]rma.Counter, nn), credit: make([]*rma.Counter, nn)}
 }
 
 // carve gives the link of node x its two n-byte slots and its counters.
@@ -44,9 +45,7 @@ func (w *window) carve(s *SRM, x, n int) {
 }
 
 // arrivals returns a pair of arrival counters, one per slot parity.
-func (s *SRM) arrivals() [2]*rma.Counter {
-	return [2]*rma.Counter{s.counter(0, trace.ClassWaitArrive), s.counter(0, trace.ClassWaitArrive)}
-}
+func (s *SRM) arrivals() []rma.Counter { return s.counters(2, 0, trace.ClassWaitArrive) }
 
 // pipeTree is one inter-node tree of a chunk pipeline. Chunk k of a pipeline
 // over nt trees rides tree k%nt in slot parity (k/nt)%2.
@@ -55,8 +54,8 @@ type pipeTree struct {
 	window // reduce side: each child node sends to its parent
 
 	// Broadcast side.
-	bArr      [][2]*rma.Counter // per-parity chunks landed, at the child
-	chunkDone *shm.Flag         // at the root master: chunks fully reduced; nil when no reduce precedes
+	bArr      [][]rma.Counter // per-parity chunks landed, at the child
+	chunkDone *shm.Flag       // at the root master: chunks fully reduced; nil when no reduce precedes
 }
 
 // treeReduce is the chunk-pipelined tree reduce: each node master combines
@@ -68,9 +67,9 @@ type pipeTree struct {
 // the chunk has a local partial.
 type treeReduce struct {
 	sp    []span
-	rn    []*redNode // per-node SMP reduce machinery
+	rn    []redNode // per-node SMP reduce machinery
 	trees []pipeTree
-	done  []*sim.Event // per node: the pipeline's broadcast helper finished; nil for Reduce
+	done  []sim.Event // per node: the pipeline's broadcast helper finished; nil for Reduce
 }
 
 const (
@@ -82,7 +81,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 	nx, k := x.nx, f.k
 	if k == len(u.sp) {
 		if u.done != nil {
-			x.waitEvent(u.done[nx])
+			x.waitEvent(&u.done[nx])
 		}
 		x.ret()
 		return
@@ -93,7 +92,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 	tchunk, own := f.c[c.off:c.off+c.n], f.a[c.off:c.off+c.n]
 	if f.pc == trChunk {
 		f.pc, f.i, f.j = trKids, 0, 0
-		if x.reduceLocal(u.rn[nx], k, tchunk, own) {
+		if x.reduceLocal(&u.rn[nx], k, tchunk, own) {
 			f.j = 1
 		}
 		return
@@ -102,7 +101,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 	if kids := tp.emb.inter.Children[nx]; f.i < len(kids) {
 		child := kids[f.i]
 		f.i++
-		x.waitcntr(tp.arr[child][idx%2], 1)
+		x.waitcntr(&tp.arr[child][idx%2], 1)
 		if c.n > 0 {
 			if have {
 				own = nil
@@ -123,7 +122,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 			src = own // single-task leaf node: send straight from the user buffer
 		}
 		x.waitcntr(tp.credit[nx], 1)
-		x.put(tp.emb.masters[tp.emb.inter.Parent[nx]], tp.slot[nx][idx%2][:c.n], src, tp.arr[nx][idx%2])
+		x.put(tp.emb.masters[tp.emb.inter.Parent[nx]], tp.slot[nx][idx%2][:c.n], src, &tp.arr[nx][idx%2])
 	} else {
 		if !have && c.n > 0 {
 			x.memcpy(tchunk, own) // reduce over a single task: the result is a plain copy
@@ -144,8 +143,8 @@ type treeBcast struct {
 	sp    []span
 	pub   []publisher
 	trees []pipeTree
-	dst   [][]byte     // per node: the master's registered receive buffer
-	ready []*sim.Event // per node: dst registered
+	dst   [][]byte    // per node: the master's registered receive buffer
+	ready []sim.Event // per node: dst registered
 
 	// helper is set when the body runs on a helper beside the master that
 	// shares its endpoint: it waits for a chunk with waitValue, not waitcntr.
@@ -178,14 +177,14 @@ func (d *treeBcast) step(x *exec, f *frame) {
 				x.waitGE(tp.chunkDone, idx+1)
 			}
 		case d.helper:
-			x.waitValue(tp.bArr[nx][idx%2], 1)
+			x.waitValue(&tp.bArr[nx][idx%2], 1)
 		default:
-			x.waitcntr(tp.bArr[nx][idx%2], 1) // chunk landed in f.a[c.off:]
+			x.waitcntr(&tp.bArr[nx][idx%2], 1) // chunk landed in f.a[c.off:]
 		}
 		f.pc, f.i = tbKids, 0
 	case tbKids:
 		if f.i < len(kids) {
-			x.waitEvent(d.ready[kids[f.i]])
+			x.waitEvent(&d.ready[kids[f.i]])
 			f.pc = tbPut
 			return
 		}
@@ -193,7 +192,7 @@ func (d *treeBcast) step(x *exec, f *frame) {
 		x.publish(d.pub[nx], k, mine, false)
 	case tbPut:
 		child := kids[f.i]
-		x.put(tp.emb.masters[child], d.dst[child][c.off:c.off+c.n], mine, tp.bArr[child][idx%2])
+		x.put(tp.emb.masters[child], d.dst[child][c.off:c.off+c.n], mine, &tp.bArr[child][idx%2])
 		f.pc, f.i = tbKids, f.i+1
 	}
 }
@@ -205,13 +204,22 @@ func (d *treeBcast) step(x *exec, f *frame) {
 // the pcs the families share; a family's own step runs fdReduce, which sets
 // f.j once recv holds the node partial (until then it is send), and its
 // exchange from fdExchange on, which ends by setting fdUnfold.
+//
+// The fold carves the family's exchange slots and arrival counters with its
+// own, a row a node: slot column 0 is the fold slot, column 1+r the slot of
+// exchange round r; the counter columns are below, then per counters a round.
 type fold struct {
-	nodeStages                // with a single whole-vector chunk
-	pow        int            // largest power of two <= participating nodes
-	foldSlot   [][]byte       // extras fold their node partial in here
-	foldArr    []*rma.Counter // fold-in arrived
-	resArr     []*rma.Counter // finished vector landed back at an extra
+	nodeStages                  // with a single whole-vector chunk
+	pow, rounds int             // largest power of two <= participating nodes, its log2
+	slot        grid[[]byte]    // extras fold their node partial in at column 0
+	cn          [][]rma.Counter // arrivals
 }
+
+const (
+	cnFold  = iota // fold-in arrived
+	cnRes          // finished vector landed back at an extra
+	cnRound        // the first counter of the family's exchange rounds
+)
 
 const (
 	fdReduce = iota
@@ -222,27 +230,25 @@ const (
 	fdExchange
 )
 
-func newFold(g *Group, size int, ds dataspec) fold {
-	nn := len(g.lay.nodes)
-	fd := fold{
-		nodeStages: newNodeStages(g, size, ds, chunks(size, max(size, 1))),
-		pow:        1,
-		foldSlot:   make([][]byte, nn),
-		foldArr:    make([]*rma.Counter, nn),
-		resArr:     make([]*rma.Counter, nn),
-	}
+// newFold builds a family's state around the fold: the node stages, then per
+// node the fold slot, a slot of slotSize(r) bytes a round and per counters a
+// round.
+func newFold(g *Group, size int, ds dataspec, per int, slotSize func(r int) int) fold {
+	s, nn := g.s, len(g.lay.nodes)
+	fd := fold{nodeStages: newNodeStages(g, size, ds, chunks(size, max(size, 1))), pow: 1}
 	for fd.pow*2 <= nn {
 		fd.pow *= 2
 	}
+	fd.rounds = tree.Log2Ceil(fd.pow)
+	fd.slot, fd.cn = newGrid[[]byte](nn, 1+fd.rounds), make([][]rma.Counter, nn)
+	for x := range nn {
+		fd.cn[x] = s.counters(cnRound+per*fd.rounds, 0, trace.ClassWaitArrive)
+		*fd.slot.at(x, 0) = s.slot(size)
+		for r := range fd.rounds {
+			*fd.slot.at(x, 1+r) = s.slot(slotSize(r))
+		}
+	}
 	return fd
-}
-
-// carve gives node x its fold slot and counters; a family calls it first in
-// its per-node loop.
-func (fd *fold) carve(s *SRM, x int) {
-	fd.foldSlot[x] = s.slot(fd.size)
-	fd.foldArr[x] = s.counter(0, trace.ClassWaitArrive)
-	fd.resArr[x] = s.counter(0, trace.ClassWaitArrive)
 }
 
 // partial returns the buffer that holds the node partial.
@@ -274,26 +280,26 @@ func (fd *fold) foldStep(x *exec, f *frame) {
 		if peer := nx - fd.pow; peer >= 0 {
 			// Fold out: hand the node partial to the peer, then receive the
 			// finished vector straight into recv.
-			x.put(g.master(peer), fd.foldSlot[peer], fd.partial(f), fd.foldArr[peer])
-			x.waitcntr(fd.resArr[nx], 1)
+			x.put(g.master(peer), *fd.slot.at(peer, 0), fd.partial(f), &fd.cn[peer][cnFold])
+			x.waitcntr(&fd.cn[nx][cnRes], 1)
 			f.pc = fdDone
 			x.publish(fd.pub[nx], 0, recv, false)
 			return
 		}
 		if hasExtra {
-			x.waitcntr(fd.foldArr[nx], 1)
-			fd.absorb(x, f, fd.foldSlot[nx])
+			x.waitcntr(&fd.cn[nx][cnFold], 1)
+			fd.absorb(x, f, *fd.slot.at(nx, 0))
 		}
 		f.pc = fdExchange
 	case fdUnfold:
 		if hasExtra {
-			x.waitEvent(fd.resReady[extra])
+			x.waitEvent(&fd.resReady[extra])
 		}
 		f.pc = fdReturn
 	case fdReturn:
 		if hasExtra {
 			// Return the full result to the folded-out node's recv buffer.
-			x.put(g.master(extra), fd.resBuf[extra], fd.partial(f), fd.resArr[extra])
+			x.put(g.master(extra), fd.resBuf[extra], fd.partial(f), &fd.cn[extra][cnRes])
 		}
 		if f.j == 0 && fd.size > 0 {
 			x.memcpy(recv, send) // single node, single task

@@ -43,7 +43,7 @@ type calQueue struct {
 	n        int   // items in the buckets (excluding overflow)
 	nruns    int   // distinct timestamps in the buckets
 	overflow eventHeap
-	runMem   bufpool.Chunks[run] // where a bucket's first runs array comes from
+	runMem   bufpool.Chunks[run] // where the buckets' runs arrays come from
 }
 
 // run is the FIFO of the items due at one timestamp, held by its tail: the
@@ -57,11 +57,12 @@ type run struct {
 // bucket holds its runs in ascending time order. Popping advances head past
 // a drained run instead of shifting the array; an emptied bucket resets to
 // runs[:0] with head 0, so len(runs) != 0 means the bucket holds an item. A
-// bucket's first array is carved from the queue's slabs with room for
+// bucket's arrays are carved from the queue's slabs: the first with room for
 // bucketRoom runs — a small simulation opens a new timestamp with most of its
 // events and would otherwise grow every bucket it touches from nothing — and
-// capped there, so that growing past it moves to an array of the bucket's own
-// and never writes into a neighbour's.
+// each after it twice the last. A carved array is capped at its room, so that
+// a bucket never writes into a neighbour's; the one it outgrew stays in the
+// slab, cleared, until the queue is released.
 type bucket struct {
 	runs []run
 	head int
@@ -173,23 +174,27 @@ func (q *calQueue) place(b *bucket, it *item) {
 	}
 	q.nruns++
 	it.next = it
-	if cap(b.runs) == 0 {
-		b.runs = q.runMem.Take(bucketRoom)[:0]
-	}
-	b.open(lo, run{t: t, tail: it})
+	q.open(b, lo, run{t: t, tail: it})
 }
 
-// open inserts r at index i, reclaiming the drained prefix before the array
-// would grow.
-func (b *bucket) open(i int, r run) {
-	if len(b.runs) == cap(b.runs) && b.head > 0 {
-		n := copy(b.runs, b.runs[b.head:])
+// open inserts r at index i of b, reclaiming the drained prefix before the
+// array would grow.
+func (q *calQueue) open(b *bucket, i int, r run) {
+	switch n := len(b.runs); {
+	case n < cap(b.runs):
+	case b.head > 0:
+		n = copy(b.runs, b.runs[b.head:])
 		clear(b.runs[n:])
 		b.runs = b.runs[:n]
 		i -= b.head
 		b.head = 0
+	default:
+		grown := q.runMem.Take(max(2*n, bucketRoom))[:n]
+		copy(grown, b.runs)
+		clear(b.runs)
+		b.runs = grown
 	}
-	b.runs = append(b.runs, run{})
+	b.runs = b.runs[:len(b.runs)+1]
 	copy(b.runs[i+1:], b.runs[i:])
 	b.runs[i] = r
 }

@@ -478,4 +478,25 @@ func TestCalendarFirstUseAllocs(t *testing.T) {
 			t.Fatalf("popped t=%v, want %v: a bucket grew into its neighbour's runs", got.t, want)
 		}
 	}
+
+	// Growth: one bucket opens 512 timestamps, doubling its array from
+	// bucketRoom seven times, each time out of the queue's slabs; a queue that
+	// was released before hands them back, so it costs nothing.
+	items := make([]item, 512)
+	grow := testing.AllocsPerRun(10, func() {
+		q := newCalQueue()
+		for i := range items {
+			items[i] = item{t: Time(len(items)-1-i) / 128, seq: uint64(i)}
+			q.push(&items[i])
+		}
+		for i := range items {
+			if got := q.pop(); got.t != Time(i)/128 {
+				t.Fatalf("popped t=%v, want %v", got.t, Time(i)/128)
+			}
+		}
+		q.release()
+	})
+	if grow != 0 {
+		t.Errorf("%v objects to grow a bucket to %d runs, want 0", grow, len(items))
+	}
 }

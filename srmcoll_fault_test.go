@@ -3,6 +3,7 @@ package srmcoll
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -321,6 +322,61 @@ func TestWrongBufferSizeIsRunError(t *testing.T) {
 		}
 		if !strings.Contains(re.Error(), "recv buffer is 10 bytes, want 256") {
 			t.Fatalf("%v: message = %q", tc.impl, re.Error())
+		}
+	}
+}
+
+// TestRootOutsideGroupIsRunError: a rooted collective whose root is no member
+// of the communicator fails the run with a *RunError that names the root, on
+// every implementation and entry point, blocking or not. SRM's Gather and
+// Scatter used to fail with an index out of range instead.
+func TestRootOutsideGroupIsRunError(t *testing.T) {
+	const blk = 8
+	send, recv, all := make([]byte, blk), make([]byte, blk), make([]byte, 8*blk)
+	ops := []struct {
+		name   string
+		call   func(c *Comm, root int) error
+		issue  func(c *Comm, root int) *Request
+		issueT func(tc *TComm, root int, k func(*TRequest))
+	}{
+		{"bcast", func(c *Comm, root int) error { return c.Bcast(recv, root) },
+			func(c *Comm, root int) *Request { return c.IBcast(recv, root) },
+			func(tc *TComm, root int, k func(*TRequest)) { tc.IBcast(recv, root, k) }},
+		{"reduce", func(c *Comm, root int) error { return c.Reduce(send, recv, Float64, Sum, root) },
+			func(c *Comm, root int) *Request { return c.IReduce(send, recv, Float64, Sum, root) },
+			func(tc *TComm, root int, k func(*TRequest)) { tc.IReduce(send, recv, Float64, Sum, root, k) }},
+		{"gather", func(c *Comm, root int) error { return c.Gather(send, all, root) },
+			func(c *Comm, root int) *Request { return c.IGather(send, all, root) },
+			func(tc *TComm, root int, k func(*TRequest)) { tc.IGather(send, all, root, k) }},
+		{"scatter", func(c *Comm, root int) error { return c.Scatter(all, recv, root) },
+			func(c *Comm, root int) *Request { return c.IScatter(all, recv, root) },
+			func(tc *TComm, root int, k func(*TRequest)) { tc.IScatter(all, recv, root, k) }},
+	}
+	for _, op := range ops {
+		for _, root := range []int{-1, 8, 1 << 40} {
+			runs := map[string]func(cl *Cluster) (*Result, error){
+				"RunT nonblocking": func(cl *Cluster) (*Result, error) {
+					return cl.RunT(SRM, func(tc *TComm, done func()) {
+						op.issueT(tc, root, func(r *TRequest) { r.Wait(func(error) { done() }) })
+					})
+				},
+				"Run nonblocking": func(cl *Cluster) (*Result, error) {
+					return cl.Run(SRM, func(c *Comm) { op.issue(c, root).Wait() })
+				},
+			}
+			for _, impl := range impls() {
+				runs["Run "+impl.String()] = func(cl *Cluster) (*Result, error) {
+					return cl.Run(impl, func(c *Comm) { op.call(c, root) })
+				}
+			}
+			for form, run := range runs {
+				_, err := run(mustCluster(t, 2, 4))
+				var re *RunError
+				if msg := fmt.Sprint(err); !errors.As(err, &re) || strings.Contains(msg, "runtime error") ||
+					!strings.Contains(msg, fmt.Sprintf("%d is not a", root)) || !strings.Contains(msg, "member") {
+					t.Errorf("%s, root %d, %s: err = %v, want a *RunError naming the root as no member", op.name, root, form, err)
+				}
+			}
 		}
 	}
 }
