@@ -50,6 +50,7 @@ const (
 	treeFlags               // -nodes, -tpn, -root, -kind
 	viaFlag                 // -via
 	recordFlags             // -workload, -seeds, -seconds, -reps, -smoke, -check
+	divergeFlag             // -record
 )
 
 var commands = []command{
@@ -63,6 +64,7 @@ var commands = []command{
 	{"trace", "FILE", "trace a basket of collectives to Chrome trace-event JSON", sweeps, nil, trace},
 	{"tree", "", "a tree embedded in an SMP cluster, and one 4 KB broadcast over it", treeFlags, checkTree, treeRun},
 	{"lat", "", "substrate microbenchmarks", viaFlag, nil, lat},
+	{"diverge", "N [FILE]", "ranks's run; -record FILE writes its event stream, and given FILE it replays the run against it and names the first event that differs", opFlag | divergeFlag, checkDiverge, diverge},
 	{"record", "DIR...", "run bench/run.sh in each checkout and append a row per (commit, workload, seed) to the trajectory; -check compares instead", recordFlags, checkRecord, record},
 }
 
@@ -71,6 +73,7 @@ type opts struct {
 	quick, csv, plot, via            bool
 	jobs, nodes, tpn, root           int
 	json, op, topo, cpuprof, memprof string
+	stream                           string // diverge's -record
 	kind                             tree.Kind
 	w                                io.Writer
 
@@ -124,6 +127,9 @@ func (o *opts) register(fs *flag.FlagSet, set int) {
 		fs.IntVar(&o.reps, "reps", 1, "untraced runs of each workload per checkout (1 with -check); one traced run follows")
 		fs.BoolVar(&o.smoke, "smoke", false, "the benchmark's test scale (--smoke)")
 		fs.BoolVar(&o.check, "check", false, "compare the gated columns with the trajectory's last row and write nothing")
+	}
+	if set&divergeFlag != 0 {
+		fs.StringVar(&o.stream, "record", "", "write the run's event stream to this file instead of comparing")
 	}
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&o.memprof, "memprofile", "", "write a pprof heap profile at exit to this file")
@@ -388,21 +394,33 @@ func checkRanks(o *opts, args []string) error {
 	return nil
 }
 
-// ranks runs one verified collective at N ranks on the state-machine engine,
-// 8 tasks per node when N allows and flat otherwise.
+// ranks runs one verified collective at N ranks on the state-machine engine.
 func ranks(o *opts, args []string) error {
 	n, _ := strconv.Atoi(args[0]) // checkRanks has parsed it
+	start := time.Now()
+	head, note, events, err := runRanks(o.op, n)
+	if err != nil {
+		return err
+	}
+	wall := time.Since(start)
+	fmt.Fprintf(o.w, "%s, wall %s, %.0f events/sec%s\n", head, wall, float64(events)/wall.Seconds(), note)
+	return nil
+}
+
+// runRanks runs op at n ranks, 8 tasks per node when n allows and flat
+// otherwise, and returns the head and the note of its report line and its
+// event count.
+func runRanks(op string, n int) (head, note string, events uint64, err error) {
 	nodes, tpn := n, 1
 	if n%8 == 0 {
 		nodes, tpn = n/8, 8
 	}
 	cl, err := srmcoll.NewCluster(srmcoll.ColonySP(nodes, tpn))
 	if err != nil {
-		return err
+		return "", "", 0, err
 	}
 	var bufs [][]byte
-	note := ""
-	if o.op == "bcast" {
+	if op == "bcast" {
 		bufs, note = make([][]byte, n), ", verified" // checked below
 		for i := range bufs {
 			bufs[i] = make([]byte, 64)
@@ -412,12 +430,10 @@ func ranks(o *opts, args []string) error {
 		}
 	}
 	var sim float64
-	var events uint64
-	start := time.Now()
-	if o.op == "allreduce" {
+	if op == "allreduce" {
 		res, err := cl.ScaleAllreduce(srmcoll.ScaleOptions{Bytes: 64, Reps: 1, Verify: true})
 		if err != nil {
-			return err
+			return "", "", 0, err
 		}
 		sim, events, note = res.Time, res.Events, fmt.Sprintf(", %.0f proto bytes/rank, verified", res.ProtoBytesPerRank())
 	} else {
@@ -432,19 +448,17 @@ func ranks(o *opts, args []string) error {
 			tc.Bcast(bufs[tc.Rank()], 0, fin)
 		})
 		if err != nil {
-			return err
+			return "", "", 0, err
 		}
 		sim, events = res.Time, res.Events
 	}
-	wall := time.Since(start)
 	for r, buf := range bufs {
 		if !bytes.Equal(buf, bufs[0]) {
-			return fmt.Errorf("bcast rank %d received %v, want %v", r, buf, bufs[0])
+			return "", "", 0, fmt.Errorf("bcast rank %d received %v, want %v", r, buf, bufs[0])
 		}
 	}
-	fmt.Fprintf(o.w, "ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events, wall %s, %.0f events/sec%s\n",
-		n, nodes, tpn, o.op, sim, events, wall, float64(events)/wall.Seconds(), note)
-	return nil
+	head = fmt.Sprintf("ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events", n, nodes, tpn, op, sim, events)
+	return head, note, events, nil
 }
 
 // tune prints the per-tree crossover curves on one hierarchical shape, or

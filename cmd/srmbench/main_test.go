@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,8 @@ func TestBadArguments(t *testing.T) {
 		{[]string{"ranks", "64", "128"}, `unexpected argument "128"`},
 		{[]string{"lat", "-quick"}, "flag provided but not defined: -quick"},
 		{[]string{"record"}, "missing DIR..."},
+		{[]string{"diverge", "64"}, "want one of -record FILE and a FILE"},
+		{[]string{"diverge", "-record", "f", "64", "g"}, "want one of -record FILE and a FILE"},
 		{[]string{"record", "-reps", "0", "."}, "-reps must be >= 1, got 0"},
 		{[]string{"record", "-check", "-reps", "3", "."}, "-check takes one untraced run, got -reps 3"},
 		{[]string{"record", "-workload", "fig_grid,bogus", "."}, `unknown workload "bogus"`},
@@ -92,6 +95,37 @@ func TestRanksBarrier(t *testing.T) {
 	code, stdout, stderr := runArgs("ranks", "-op", "barrier", "1024")
 	if code != 0 || !strings.HasPrefix(stdout, "ranks 1024 (128 nodes x 8 tasks) barrier: sim ") {
 		t.Errorf("ranks -op barrier 1024: exit %d, stderr %q, stdout %q", code, stderr, stdout)
+	}
+}
+
+// diverge finds no difference between two runs of one build, and names the
+// first event of a record whose two events were planted in swapped order.
+func TestDivergeNamesASwap(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "stream")
+	if code, stdout, stderr := runArgs("diverge", "-op", "barrier", "-record", f, "64"); code != 0 || !strings.HasPrefix(stdout, "recorded ") {
+		t.Fatalf("record: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	if code, stdout, stderr := runArgs("diverge", "-op", "barrier", "64", f); code != 0 || !strings.HasPrefix(stdout, "no divergence: ") {
+		t.Fatalf("same build: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	b, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 100
+	recs := b[bytes.IndexByte(b, '\n')+1:]
+	x, y := recs[at*stepBytes:(at+1)*stepBytes], recs[(at+1)*stepBytes:(at+2)*stepBytes]
+	tmp := slices.Clone(x)
+	copy(x, y)
+	copy(y, tmp)
+	if err := os.WriteFile(f, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, _ := runArgs("diverge", "-op", "barrier", "64", f)
+	want, _ := readStep(bytes.NewReader(y))
+	if code != 1 || !strings.HasPrefix(stdout, "first difference at event 100\n") ||
+		!strings.Contains(stdout, "this run: "+stepString(want, true)+", cond#") {
+		t.Errorf("planted swap: exit %d, stdout\n%s", code, stdout)
 	}
 }
 

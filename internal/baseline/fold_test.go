@@ -75,6 +75,10 @@ func runFoldPin(t *testing.T, c foldPin) (sim.Time, uint64, int, string, int) {
 			}
 		}
 	}
+	name := fmt.Sprintf("%s/%v/%dx%d/%d", c.op, c.flavor, c.nodes, c.tpn, c.size)
+	if got := sim.Pin(m.Env.Digest(), *m.Stats, outs); got != digestPins[name] {
+		t.Errorf("%s: pin = %s, pinned %s", name, got, digestPins[name])
+	}
 	return end, m.Env.Events(), int(gets), hex.EncodeToString(h.Sum(nil))[:16], interior
 }
 
@@ -98,6 +102,57 @@ func TestReduceFamilyPinned(t *testing.T) {
 				name, gets, want, c.gets, interior)
 		}
 	}
+}
+
+var digestPins = map[string]string{
+	"reduce/ibm-mpi/2x4/8":             "fe313bc734db124a/c2ca28917675f78e",
+	"reduce/ibm-mpi/2x4/4096":          "e83c4ebdc57fb942/c33c31052adb3254",
+	"reduce/ibm-mpi/2x4/65544":         "079bacda86815302/75f82fd38d9224c7",
+	"reduce/ibm-mpi/2x4/524288":        "3c425c40228d8586/7723152b8994d8c0",
+	"reduce/ibm-mpi/3x2/8":             "d45fa738ac63da10/16e22f5853d9e5b9",
+	"reduce/ibm-mpi/3x2/4096":          "773a9aede84abc7e/7063c1b312062797",
+	"reduce/ibm-mpi/3x2/65544":         "6d230d68cc979889/a095a0b9bbf23f0e",
+	"reduce/ibm-mpi/3x2/524288":        "4d49aa8b8c711cea/915a351fbcb10c85",
+	"reduce/mpich/2x4/8":               "8519b0bd79daccd7/c2ca28917675f78e",
+	"reduce/mpich/2x4/4096":            "57cf423457258ff8/c33c31052adb3254",
+	"reduce/mpich/2x4/65544":           "a2701eda4769b8f1/75f82fd38d9224c7",
+	"reduce/mpich/2x4/524288":          "f5c2e3976926fb7b/7723152b8994d8c0",
+	"reduce/mpich/3x2/8":               "cd69a6db3a607339/16e22f5853d9e5b9",
+	"reduce/mpich/3x2/4096":            "793ab6293b81b999/7063c1b312062797",
+	"reduce/mpich/3x2/65544":           "72d21a29d39d2342/a095a0b9bbf23f0e",
+	"reduce/mpich/3x2/524288":          "36b6be4351fdeb47/915a351fbcb10c85",
+	"allreduce/ibm-mpi/2x4/8":          "15c4333923367d24/6f9e899d2aae07b5",
+	"allreduce/ibm-mpi/2x4/4096":       "36f594169ea7ef3e/b65e7742f517c3aa",
+	"allreduce/ibm-mpi/2x4/65544":      "e995151d65448e17/d5c3385dabef2285",
+	"allreduce/ibm-mpi/2x4/524288":     "fb65342bd7835d5f/0efd060f74aeb059",
+	"allreduce/ibm-mpi/3x2/8":          "d52f25dcf3535b5d/48b6adaed027f112",
+	"allreduce/ibm-mpi/3x2/4096":       "fc9b91ef52fc5b30/7f2674e0efaab64d",
+	"allreduce/ibm-mpi/3x2/65544":      "782186229e18d24b/75b5647fb72af5bc",
+	"allreduce/ibm-mpi/3x2/524288":     "f6b0b4783b0f1a3f/30b14ab886ce9d39",
+	"allreduce/mpich/2x4/8":            "08f5ec2700ccc0ea/eae1a8a238fe5fba",
+	"allreduce/mpich/2x4/4096":         "f46de6b08c131b79/bc3e1e3f7735abc7",
+	"allreduce/mpich/2x4/65544":        "e5908e8d64937cf2/d5c3385dabef2285",
+	"allreduce/mpich/2x4/524288":       "b810642f69432493/0efd060f74aeb059",
+	"allreduce/mpich/3x2/8":            "9c5ed13720dd5d65/53f3f7dcc9c23bf8",
+	"allreduce/mpich/3x2/4096":         "7c33547a9d91f602/d1966eae1701908d",
+	"allreduce/mpich/3x2/65544":        "fda125f64419317c/75b5647fb72af5bc",
+	"allreduce/mpich/3x2/524288":       "1b13fd9fc332070b/30b14ab886ce9d39",
+	"reducescatter/ibm-mpi/2x4/8":      "86001b3c5519b0e7/471fc069092b9a1e",
+	"reducescatter/ibm-mpi/2x4/4096":   "fb21ae481e342802/3ae5d890e5156f5d",
+	"reducescatter/ibm-mpi/2x4/65544":  "34584919572c9a77/71b3e8884a2ca287",
+	"reducescatter/ibm-mpi/2x4/524288": "6d374dac529a9390/54a045958aa328f9",
+	"reducescatter/ibm-mpi/3x2/8":      "53e1f5848e26ddbd/8a3f6ae1efff4706",
+	"reducescatter/ibm-mpi/3x2/4096":   "2bc7d76d6050ef0e/9b4918d631423a72",
+	"reducescatter/ibm-mpi/3x2/65544":  "101411d94417609b/fa308ccb6349ca44",
+	"reducescatter/ibm-mpi/3x2/524288": "4bbba972fa8171a9/6d746d06c30a2137",
+	"reducescatter/mpich/2x4/8":        "4fca6a055684e210/471fc069092b9a1e",
+	"reducescatter/mpich/2x4/4096":     "32fd2ce3afd77d9f/a2b26e7debbf16d2",
+	"reducescatter/mpich/2x4/65544":    "2270f1352aa222d5/71b3e8884a2ca287",
+	"reducescatter/mpich/2x4/524288":   "660de4000716e041/54a045958aa328f9",
+	"reducescatter/mpich/3x2/8":        "dd91febd607fb868/8a3f6ae1efff4706",
+	"reducescatter/mpich/3x2/4096":     "093b7bfb4199774f/dd367991792d631e",
+	"reducescatter/mpich/3x2/65544":    "7d33651289437c61/fa308ccb6349ca44",
+	"reducescatter/mpich/3x2/524288":   "d9635bbacd451f7a/6d746d06c30a2137",
 }
 
 var foldPins = []foldPin{

@@ -378,12 +378,13 @@ type StallError struct {
 	Time    sim.Time          // virtual time the deadline stopped the run
 	Blocked []sim.BlockedProc // parked processes and what they wait on
 	Faults  Summary           // faults injected up to the stall
+	Digest  uint64            // the event digest up to the stall (sim.Env.Digest)
 }
 
 // Stalled builds the report of env, stopped at its deadline, with the faults
 // in (nil for none) delivered so far.
 func Stalled(env *sim.Env, in *Injector) *StallError {
-	e := &StallError{Time: env.Now(), Blocked: env.Blocked()}
+	e := &StallError{Time: env.Now(), Blocked: env.Blocked(), Digest: env.Digest()}
 	if in != nil {
 		e.Faults = in.Summary()
 	}

@@ -11,6 +11,7 @@ import (
 	"srmcoll/internal/fault"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
+	"srmcoll/internal/sim"
 )
 
 // The parent pin: what Run returned for these shapes when the protocol was
@@ -45,6 +46,18 @@ var shapePins = []struct {
 	{"non_power_of_two", pin{13, 3, 200, 2, nil, 0x40736e6666666666, 768, "{copies=182 copyBytes=36400 deferrals=14 putBytes=9600 puts=96 reduceElems=1900 reduceOps=76 shmBytes=36400 shmCopies=182}", "f21ea5f292c1a0db", 17800}},
 }
 
+var digestPins = map[string]string{
+	"4x8/256/2":   "c1819bfeb26f8fb6/e1d66162d5b84662",
+	"32x8/512/1":  "2d1249446b1d6c4f/5158cbee35e53a45",
+	"64x16/128/3": "61677fc0487ce40a/22fd2bc9b1bf9406",
+	"16x1/64/2":   "5851fd90a701e33b/75c286a7e26240d9",
+	"1x8/1024/2":  "32306da38ae74e71/c92d167fc8bd41d9",
+	"13x3/200/2":  "17604fd3e7d5c70f/c1adfb6aa004d38b",
+	"8x4/256/2":   "ddc05d95f0fc1e00/21aa6c0c6e726232",
+	"8192x8/64/1": "757ea477b95a34f7/fdd444474accf317",
+	"deadline":    "e45a1cf50a1eba16/6868d465a8c87d72",
+}
+
 // check runs the pinned configuration, verified, and compares.
 func (p pin) check(t *testing.T) *Result {
 	t.Helper()
@@ -66,6 +79,10 @@ func (p pin) check(t *testing.T) *Result {
 	}
 	if res.ProtoBytes != p.proto {
 		t.Errorf("ProtoBytes = %d, pinned %d", res.ProtoBytes, p.proto)
+	}
+	key := fmt.Sprintf("%dx%d/%d/%d", p.nodes, p.tpn, p.bytes, p.reps)
+	if got := sim.Pin(res.Digest, res.Stats, res.ProtoBytes); got != digestPins[key] {
+		t.Errorf("%s: pin = %s, pinned %s", key, got, digestPins[key])
 	}
 	return res
 }
@@ -102,6 +119,9 @@ func TestEngineEquivalenceDeadline(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%x", sha256.Sum256([]byte(err.Error())))[:16], "6342ee4acba4c0ec"; got != want {
 		t.Errorf("stall report hash = %s, pinned %s; the report:\n%v", got, want, err)
+	}
+	if got, want := sim.Pin(se.Digest, err.Error()), digestPins["deadline"]; got != want {
+		t.Errorf("stall pin = %s, pinned %s", got, want)
 	}
 }
 

@@ -61,6 +61,7 @@ type Result struct {
 	PerRank    []sim.Time  // per-rank finish times
 	Stats      trace.Stats // machine counters (copies, puts, reduces, ...)
 	Events     uint64      // simulator events processed
+	Digest     uint64      // the fold of those events (sim.Env.Digest)
 	ProtoBytes int64       // protocol buffer bytes across all nodes
 }
 
@@ -143,6 +144,7 @@ func Run(cfg Config) (*Result, error) {
 		PerRank: perRank,
 		Stats:   *m.Stats,
 		Events:  env.Events(),
+		Digest:  env.Digest(),
 		// Per node tpn contributions, the result and the accumulator; per
 		// tree edge the slot at the parent and the buffer at the child.
 		ProtoBytes: int64(n) * int64(nodes*(cfg.Machine.TasksPerNode+2)+2*(nodes-1)),

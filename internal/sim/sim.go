@@ -45,6 +45,7 @@ type Env struct {
 	failures  []ProcFailure // processes that panicked (recovered)
 	free      []*item       // recycled queue items (steady state allocates none)
 	processed uint64        // queue items executed so far
+	digest    uint64        // the fold of those items (digest.go)
 
 	// What the environment makes once per rank or per pending occurrence comes
 	// out of slabs it owns until Release (DESIGN.md §9): tasks, and the queue
@@ -563,16 +564,27 @@ func (e *Env) drain(limit Time) (again bool) {
 		e.processed++
 		// Recycle before executing so callbacks can reuse the slot; the
 		// fields are copied out first.
-		fn, tgt := it.fn, it.tgt
+		fn, tgt, s := it.fn, it.tgt, Step{T: it.t, Seq: it.seq}
 		e.recycle(it)
-		if fn != nil {
-			fn()
-		} else if t, ok := tgt.(*Task); ok {
-			stepping = t
-			e.runTask(t)
+		task, cond := (*Task)(nil), (*Cond)(nil)
+		switch x := tgt.(type) {
+		case *Task:
+			task, s.Kind, s.ID = x, StepTask, x.num
+		case *Cond:
+			cond, s.Kind, s.ID = x, StepCond, int32(x.num)
+		}
+		e.fold(s)
+		if observe != nil {
+			observe(e, s, tgt)
+		}
+		if task != nil {
+			stepping = task
+			e.runTask(task)
 			stepping = nil
+		} else if cond != nil {
+			cond.Broadcast()
 		} else {
-			tgt.(*Cond).Broadcast()
+			fn()
 		}
 		if co := e.resuming; co != nil {
 			e.resuming = nil

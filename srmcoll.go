@@ -408,6 +408,7 @@ type Result struct {
 	Stats   trace.Stats  // data-movement and protocol counters
 	Faults  FaultSummary // faults actually injected (zero without a plan)
 	Events  uint64       // simulator queue items executed during the run
+	Digest  uint64       // the fold of those items: one schedule, one digest (sim.Env.Digest)
 	Trace   *Trace       // span timeline (nil unless Cluster.SetTracing(true))
 
 	// Fault-tolerance outcome (empty unless Cluster.SetFaultTolerance).
@@ -1071,7 +1072,7 @@ func (sm *simulation) finish() (*Result, error) {
 		}
 	}
 	res.Stats = *sm.m.Stats
-	res.Events = env.Events()
+	res.Events, res.Digest = env.Events(), env.Digest()
 	res.Trace.Freeze() // the caller keeps the result; it must not keep the simulation
 	if inj != nil {
 		res.Faults = inj.Summary()

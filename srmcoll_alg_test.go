@@ -234,6 +234,7 @@ func TestRingFaultReplayGolden(t *testing.T) {
 		goldenStats = "{ackTimeouts=14 copies=72 copyBytes=135240 deferrals=10 drops=14 interrupts=10 putBytes=54096 puts=120 reduceElems=7889 reduceOps=48 retries=14 shmBytes=135240 shmCopies=72}"
 		goldenFault = "{putDrops=14}"
 		goldenHash  = 2352974608
+		goldenPin   = "3cfba311e0662ba6/27de7f6913211a6f"
 	)
 	goldenPerRank := []string{
 		"943.38480000000038",
@@ -300,6 +301,9 @@ func TestRingFaultReplayGolden(t *testing.T) {
 	}
 	if sum != goldenHash {
 		t.Errorf("payload hash = %d, golden %d", sum, goldenHash)
+	}
+	if got := pinOf(res, out); got != goldenPin {
+		t.Errorf("pin = %s, golden %s", got, goldenPin)
 	}
 
 	// Replay determinism: a second run under the same plan must be

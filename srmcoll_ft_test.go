@@ -325,7 +325,7 @@ func ftFingerprint(res *Result) string {
 // TestRecoveryReplaysBitIdentically: the whole crash → detect → shrink →
 // rerun timeline is a deterministic function of the plan.
 func TestRecoveryReplaysBitIdentically(t *testing.T) {
-	run := func() string {
+	run := func() *Result {
 		cl := ftCluster(t, 2, 4, Crash{Rank: 5, At: 120}, Crash{Rank: 2, At: 400})
 		cl.SetFaultPlan(FaultPlan{
 			Seed: 77, Drop: 0.02, Reliable: true,
@@ -336,14 +336,17 @@ func TestRecoveryReplaysBitIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return ftFingerprint(res)
+		return res
 	}
 	a, b := run(), run()
-	if a != b {
-		t.Fatalf("recovery timeline not deterministic:\n--- first\n%s--- second\n%s", a, b)
+	if pa, pb := pinOf(a), pinOf(b); pa != pb {
+		t.Fatalf("recovery timeline not deterministic: pins %s and %s", pa, pb)
 	}
-	if !strings.Contains(a, "failure rank=5") || !strings.Contains(a, "failure rank=2") {
-		t.Fatalf("fingerprint missing failures:\n%s", a)
+	if ftFingerprint(a) != ftFingerprint(b) {
+		t.Fatalf("recovery timeline not deterministic:\n--- first\n%s--- second\n%s", ftFingerprint(a), ftFingerprint(b))
+	}
+	if len(a.Failures) != 2 || a.Failures[0].Rank != 5 || a.Failures[1].Rank != 2 {
+		t.Fatalf("Failures = %+v, want ranks 5 and 2", a.Failures)
 	}
 }
 
@@ -385,6 +388,9 @@ func TestSeededRecoveryTimelineGolden(t *testing.T) {
 	if ftFingerprint(res) != ftFingerprint(res2) {
 		t.Fatalf("golden timeline diverged between identical runs:\n%s\nvs\n%s",
 			ftFingerprint(res), ftFingerprint(res2))
+	}
+	if got, want := pinOf(res), "34b95c38327baf2d/b4a6b9a9fc3910f7"; got != want {
+		t.Errorf("pin = %s, golden %s", got, want)
 	}
 }
 
@@ -635,11 +641,27 @@ func TestChaosCorpusGolden(t *testing.T) {
 		"64/0.15": "3f995a14073cf9745e41d9a4071efc5959141e0c82cc63634d8cd407e827b6ed",
 		"64/0.30": "e4413ccc5a678e14b78bb137d7087cba8bf8d15dd1712f81225c9fa15ba382f3",
 	}
+	pins := map[string]string{
+		"8/0.05":  "98e37472c8c751fb/60859e4b8769b8d1",
+		"8/0.15":  "818850dd18de18e8/98f02efa9564ef13",
+		"8/0.30":  "98e37472c8c751fb/8e102a09befd511d",
+		"16/0.05": "49770268dc0118da/0e4946f1796863a0",
+		"16/0.15": "8c417e6424e3b8ab/6726a15353dc75f9",
+		"16/0.30": "44e9cb04c904393b/7ff5beaaf7dcc13a",
+		"32/0.05": "275e10ea6183718a/716ac9af63d53db0",
+		"32/0.15": "467bcf0d03530499/56cad975a6859df3",
+		"32/0.30": "69fb4aad542897e0/6f590294b42edb32",
+		"64/0.05": "b10cb3d76a9e69d5/c50c7ea412f634e8",
+		"64/0.15": "4c02b7475a0fdb5e/b14363dddd449ea3",
+		"64/0.30": "d75213f170723114/2b485e6d67a04077",
+	}
 	for _, ranks := range []int{8, 16, 32, 64} {
 		for _, rate := range []float64{0.05, 0.15, 0.3} {
 			name := fmt.Sprintf("%d/%.2f", ranks, rate)
 			h := sha256.New()
 			var tasks []string
+			var pin string
+			var taskPins []*Result
 			for k := 0; k < 4; k++ {
 				cl := mustCluster(t, ranks/4, 4)
 				cl.SetFaultTolerance(DefaultFTConfig())
@@ -651,6 +673,7 @@ func TestChaosCorpusGolden(t *testing.T) {
 				}
 				stalled := ftFingerprint(res)
 				io.WriteString(h, stalled)
+				pin = pinOf(res, pin)
 				if res, err = cl.RunT(SRM, chaosLoopBodyT(10, 256, 25)); err != nil {
 					t.Fatalf("%s seed %d tasks, stalled: %v", name, k, err)
 				}
@@ -667,6 +690,9 @@ func TestChaosCorpusGolden(t *testing.T) {
 						t.Fatalf("%s seed %d %s: %v", name, k, form.name, err)
 					}
 					fp[i] = ftFingerprint(res)
+					if i == 1 {
+						taskPins = append(taskPins, res)
+					}
 				}
 				if fp[0] != fp[1] {
 					t.Errorf("%s seed %d: the forms of body diverge:\n--- procs\n%s--- tasks\n%s", name, k, fp[0], fp[1])
@@ -675,6 +701,12 @@ func TestChaosCorpusGolden(t *testing.T) {
 			}
 			for _, fp := range tasks {
 				io.WriteString(h, fp)
+			}
+			for _, res := range taskPins {
+				pin = pinOf(res, pin)
+			}
+			if pin != pins[name] {
+				t.Errorf("%s: pin\n got %s\nwant %s", name, pin, pins[name])
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != golden[name] {
 				t.Errorf("%s: fingerprint digest\n got %s\nwant %s", name, got, golden[name])

@@ -3,7 +3,16 @@ package srmcoll
 import (
 	"fmt"
 	"testing"
+
+	"srmcoll/internal/sim"
 )
+
+// pinOf is a run's determinism pin (sim.Pin): its event digest, then a hash of
+// what the event stream cannot see — the counters, the faults injected, the
+// failure and repair records, and the payload bytes given.
+func pinOf(res *Result, payload ...any) string {
+	return sim.Pin(res.Digest, append([]any{res.Stats, res.Faults, res.Failures, res.Repairs}, payload...)...)
+}
 
 // TestFaultReplayMatchesGolden pins the fault-injected reliable-delivery run
 // to the exact trace the simulator produced before the hot-path work (item
@@ -21,6 +30,7 @@ func TestFaultReplayMatchesGolden(t *testing.T) {
 		goldenStats = "{ackTimeouts=3 copies=24 copyBytes=28672 deferrals=2 dupsSuppressed=3 interrupts=1 putBytes=15872 puts=22 reduceElems=2432 reduceOps=19 retries=3 shmBytes=28672 shmCopies=24}"
 		goldenFault = "{ackDrops=3 putDelays=1 stalls=1 stormHits=5}"
 		goldenHash  = 736263262
+		goldenPin   = "083cbcfc8065d507/bcd4832157dd4858"
 	)
 	goldenPerRank := []string{
 		"217.31072471564033",
@@ -75,5 +85,8 @@ func TestFaultReplayMatchesGolden(t *testing.T) {
 	}
 	if res.Events == 0 {
 		t.Error("Events = 0; the run executed no queue items?")
+	}
+	if got := pinOf(res, out); got != goldenPin {
+		t.Errorf("pin = %s, golden %s", got, goldenPin)
 	}
 }

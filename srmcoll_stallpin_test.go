@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"srmcoll/internal/sim"
 )
 
 // stallPins holds, per operation and shape, a hash of the stall report a
@@ -60,6 +62,31 @@ var stallPins = []struct {
 	{"bcast_pipe_barrierpub", Variant{BarrierSMPBcst: true}, 16 << 10, stallBcast, [2]string{"f3c9c63b24dbf159", "a485968992f1bba1"}},
 }
 
+// stallDigestPins holds the same runs' pins (sim.Pin over the stall's digest
+// and its report).
+var stallDigestPins = map[string][2]string{
+	"bcast_small":           {"1030d5a961a049c3/b3031787fef315bb", "e6de5db4aefaee6c/28e4b57c50ba86b5"},
+	"bcast_pipe":            {"d8c04f747ccec3e8/4865c5f6cad60bdb", "3d87f6f626a1ccce/552ce4de69c34a56"},
+	"bcast_large":           {"e75f133c76979616/bb75b22bcf6986b4", "bc27e32a140702b2/dbfb67e448a752c5"},
+	"reduce_pipe":           {"cd43171c4ea1387d/d0d672dd16b83c66", "13d75eb1271d1ee5/cf71a153d81d4f28"},
+	"allreduce_rd":          {"fc3d45c63ed8116a/4c1bcca16ba4ffda", "d74242b79b887eff/44ca7fe12279a610"},
+	"allreduce_pipe":        {"fdd69b6b5b9f7ff8/b351100c14a33cad", "be043775c0105578/90575630274f0cf3"},
+	"allreduce_ring":        {"79f1b19de48cde52/52e4c37052c507df", "2a68fbc8773276f0/1f15c27200ead723"},
+	"allreduce_rhd":         {"79f1b19de48cde52/9bfb04a75e01e36b", "51051c17a9f15815/524d17943ecc481a"},
+	"allreduce_dualroot":    {"d9fec8d34d16bba6/07852d27406fd4e7", "0d9ad244091afeee/706f0a1137d337f5"},
+	"barrier":               {"a6451f9f53cc996d/9f4a007ddfda4104", "97353f1219007d7a/73ab664ab20c18fc"},
+	"gather":                {"5433029184b81a9c/74a820a8bda604d4", "27fdba9a1b595ea8/df7075f52e053460"},
+	"scatter":               {"d6e41f55d85789e2/fd2948629717f51e", "21dc3a1cb8d41ab2/80aac10725b4c1c8"},
+	"alltoall":              {"35ef125390466705/5f85f47ddb1679b7", "74abc99786c27045/f01e2453f80fb82a"},
+	"scan":                  {"fe3934b8f43c4374/c81026c6d4bd54f6", "5b13995fdbd832ee/c8904c34206ff238"},
+	"reducescatter":         {"a2e0c6f8426d951f/9735e2de82330d2f", "2e26ba0c33a4c62f/040f58f924efbbba"},
+	"allgather":             {"77755795702e832c/043d6dc507bb501c", "208e4bed995350d1/aab956d96ac91170"},
+	"allgather_direct":      {"89a7de84d91ccf3c/27246bd0e62b9c65", "674decf22e0a9d19/20a43bf1705ce7a6"},
+	"alltoall_direct":       {"eb71be1f5713082b/87ff538e78647cb7", "0c667fc117a299ca/d14bbee4f33c36e1"},
+	"bcast_pipe_treepub":    {"0ae7142bb37c2ba2/b028b0a1be07b52c", "5de09afda8a75a51/552ce4de69c34a56"},
+	"bcast_pipe_barrierpub": {"66c53f9afebcd7ab/cde7fe8d2288dbca", "7436f92e4410fb0b/d0257a4ba490b90a"},
+}
+
 func stallBcast(tc *TComm, n int, k func(error)) { tc.Bcast(make([]byte, n), 0, k) }
 
 func stallReduce(tc *TComm, n int, k func(error)) {
@@ -94,6 +121,9 @@ func TestStallReportPins(t *testing.T) {
 				got := fmt.Sprintf("%x", sha256.Sum256([]byte(err.Error())))[:16]
 				if got != p.hash[si] {
 					t.Errorf("stall report hash = %s, pinned %s; the report:\n%v", got, p.hash[si], err)
+				}
+				if got, want := sim.Pin(se.Digest, err.Error()), stallDigestPins[p.name][si]; got != want {
+					t.Errorf("stall pin = %s, pinned %s", got, want)
 				}
 			})
 		}

@@ -71,6 +71,9 @@ func sameResult(t *testing.T, rp, rt *Result) {
 	if rp.Events != rt.Events {
 		t.Errorf("Events: procs %d, tasks %d", rp.Events, rt.Events)
 	}
+	if rp.Digest != rt.Digest {
+		t.Errorf("Digest: procs %016x, tasks %016x", rp.Digest, rt.Digest)
+	}
 }
 
 func TestTaskEngineRejects(t *testing.T) {
