@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -17,11 +15,9 @@ type foldPin struct {
 	op         string // reduce, allreduce or reducescatter
 	flavor     Flavor
 	nodes, tpn int
-	size       int // bytes each member ends with (reduce: the root)
-	time       sim.Time
-	events     uint64
+	size       int    // bytes each member ends with (reduce: the root)
 	gets       int    // pool Gets with scratch buffers
-	digest     string // of the per-rank times, the Stats and every output
+	pin        string // sim.Pin of the run: its digest, the Stats and every output
 }
 
 // foldData is member r's float64 send vector of n bytes. The values are not
@@ -34,14 +30,13 @@ func foldData(r, n int) []byte {
 	return dtype.Float64Bytes(v)
 }
 
-// runFoldPin runs one row and returns what it pins: the end time, the event
-// count, the pool's Gets and the digest, plus how many members combined
-// children in a tree reduce.
-func runFoldPin(t *testing.T, c foldPin) (sim.Time, uint64, int, string, int) {
+// runFoldPin runs one row and returns what it pins, the pool's Gets, and how
+// many members combined children in a tree reduce.
+func runFoldPin(t *testing.T, c foldPin) (string, int, int) {
 	t.Helper()
 	P := c.nodes * c.tpn
 	outs := make([][]byte, P)
-	m, done := harness(t, c.nodes, c.tpn, c.flavor, func(g *Group, p *sim.Proc, rank int) {
+	m, _ := harness(t, c.nodes, c.tpn, c.flavor, func(g *Group, p *sim.Proc, rank int) {
 		switch c.op {
 		case "reduce":
 			if rank == 0 {
@@ -56,15 +51,6 @@ func runFoldPin(t *testing.T, c foldPin) (sim.Time, uint64, int, string, int) {
 			g.ReduceScatter(p, rank, foldData(rank, P*c.size), outs[rank], dtype.Float64, dtype.Sum)
 		}
 	})
-	var end sim.Time
-	for _, d := range done {
-		end = max(end, d)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%v|%+v|", done, m.Stats)
-	for _, o := range outs {
-		h.Write(o)
-	}
 	gets, _ := m.Buffers.Stats()
 	interior := 0
 	if !(c.op == "allreduce" && c.flavor == IBM && c.size <= rdAllreduceLimit) {
@@ -75,27 +61,22 @@ func runFoldPin(t *testing.T, c foldPin) (sim.Time, uint64, int, string, int) {
 			}
 		}
 	}
-	name := fmt.Sprintf("%s/%v/%dx%d/%d", c.op, c.flavor, c.nodes, c.tpn, c.size)
-	if got := sim.Pin(m.Env.Digest(), *m.Stats, outs); got != digestPins[name] {
-		t.Errorf("%s: pin = %s, pinned %s", name, got, digestPins[name])
-	}
-	return end, m.Env.Events(), int(gets), hex.EncodeToString(h.Sum(nil))[:16], interior
+	return sim.Pin(m.Env.Digest(), *m.Stats, outs), int(gets), interior
 }
 
 // TestReduceFamilyPinned holds the baselines' tree reduce, and the allreduce
-// and reduce-scatter built on it, to the times, per-rank times, statistics,
-// event counts and output bytes they had when every child was received into a
-// scratch buffer and the accumulator was staged by a copy. Folding on receive
+// and reduce-scatter built on it, to the schedules, statistics and output
+// bytes they had when every child was received into a scratch buffer and the
+// accumulator was staged by a copy. Folding on receive
 // moves no charge and no event, and every interior member of a tree reduce
 // draws one pool buffer fewer: its scratch buffer. IBM's recursive-doubling
 // allreduce (up to 32 KiB) keeps its scratch for the exchange.
 func TestReduceFamilyPinned(t *testing.T) {
 	for _, c := range foldPins {
 		name := fmt.Sprintf("%s/%v/%dx%d/%d", c.op, c.flavor, c.nodes, c.tpn, c.size)
-		end, events, gets, digest, interior := runFoldPin(t, c)
-		if end != c.time || events != c.events || digest != c.digest {
-			t.Errorf("%s: time %v, %d events, digest %s; want %v, %d, %s",
-				name, end, events, digest, c.time, c.events, c.digest)
+		pin, gets, interior := runFoldPin(t, c)
+		if pin != c.pin {
+			t.Errorf("%s: pin %s, want %s", name, pin, c.pin)
 		}
 		if want := c.gets - interior; gets != want {
 			t.Errorf("%s: %d pool Gets, want %d (%d with scratch, %d interior members)",
@@ -104,104 +85,53 @@ func TestReduceFamilyPinned(t *testing.T) {
 	}
 }
 
-var digestPins = map[string]string{
-	"reduce/ibm-mpi/2x4/8":             "fe313bc734db124a/c2ca28917675f78e",
-	"reduce/ibm-mpi/2x4/4096":          "e83c4ebdc57fb942/c33c31052adb3254",
-	"reduce/ibm-mpi/2x4/65544":         "079bacda86815302/75f82fd38d9224c7",
-	"reduce/ibm-mpi/2x4/524288":        "3c425c40228d8586/7723152b8994d8c0",
-	"reduce/ibm-mpi/3x2/8":             "d45fa738ac63da10/16e22f5853d9e5b9",
-	"reduce/ibm-mpi/3x2/4096":          "773a9aede84abc7e/7063c1b312062797",
-	"reduce/ibm-mpi/3x2/65544":         "6d230d68cc979889/a095a0b9bbf23f0e",
-	"reduce/ibm-mpi/3x2/524288":        "4d49aa8b8c711cea/915a351fbcb10c85",
-	"reduce/mpich/2x4/8":               "8519b0bd79daccd7/c2ca28917675f78e",
-	"reduce/mpich/2x4/4096":            "57cf423457258ff8/c33c31052adb3254",
-	"reduce/mpich/2x4/65544":           "a2701eda4769b8f1/75f82fd38d9224c7",
-	"reduce/mpich/2x4/524288":          "f5c2e3976926fb7b/7723152b8994d8c0",
-	"reduce/mpich/3x2/8":               "cd69a6db3a607339/16e22f5853d9e5b9",
-	"reduce/mpich/3x2/4096":            "793ab6293b81b999/7063c1b312062797",
-	"reduce/mpich/3x2/65544":           "72d21a29d39d2342/a095a0b9bbf23f0e",
-	"reduce/mpich/3x2/524288":          "36b6be4351fdeb47/915a351fbcb10c85",
-	"allreduce/ibm-mpi/2x4/8":          "15c4333923367d24/6f9e899d2aae07b5",
-	"allreduce/ibm-mpi/2x4/4096":       "36f594169ea7ef3e/b65e7742f517c3aa",
-	"allreduce/ibm-mpi/2x4/65544":      "e995151d65448e17/d5c3385dabef2285",
-	"allreduce/ibm-mpi/2x4/524288":     "fb65342bd7835d5f/0efd060f74aeb059",
-	"allreduce/ibm-mpi/3x2/8":          "d52f25dcf3535b5d/48b6adaed027f112",
-	"allreduce/ibm-mpi/3x2/4096":       "fc9b91ef52fc5b30/7f2674e0efaab64d",
-	"allreduce/ibm-mpi/3x2/65544":      "782186229e18d24b/75b5647fb72af5bc",
-	"allreduce/ibm-mpi/3x2/524288":     "f6b0b4783b0f1a3f/30b14ab886ce9d39",
-	"allreduce/mpich/2x4/8":            "08f5ec2700ccc0ea/eae1a8a238fe5fba",
-	"allreduce/mpich/2x4/4096":         "f46de6b08c131b79/bc3e1e3f7735abc7",
-	"allreduce/mpich/2x4/65544":        "e5908e8d64937cf2/d5c3385dabef2285",
-	"allreduce/mpich/2x4/524288":       "b810642f69432493/0efd060f74aeb059",
-	"allreduce/mpich/3x2/8":            "9c5ed13720dd5d65/53f3f7dcc9c23bf8",
-	"allreduce/mpich/3x2/4096":         "7c33547a9d91f602/d1966eae1701908d",
-	"allreduce/mpich/3x2/65544":        "fda125f64419317c/75b5647fb72af5bc",
-	"allreduce/mpich/3x2/524288":       "1b13fd9fc332070b/30b14ab886ce9d39",
-	"reducescatter/ibm-mpi/2x4/8":      "86001b3c5519b0e7/471fc069092b9a1e",
-	"reducescatter/ibm-mpi/2x4/4096":   "fb21ae481e342802/3ae5d890e5156f5d",
-	"reducescatter/ibm-mpi/2x4/65544":  "34584919572c9a77/71b3e8884a2ca287",
-	"reducescatter/ibm-mpi/2x4/524288": "6d374dac529a9390/54a045958aa328f9",
-	"reducescatter/ibm-mpi/3x2/8":      "53e1f5848e26ddbd/8a3f6ae1efff4706",
-	"reducescatter/ibm-mpi/3x2/4096":   "2bc7d76d6050ef0e/9b4918d631423a72",
-	"reducescatter/ibm-mpi/3x2/65544":  "101411d94417609b/fa308ccb6349ca44",
-	"reducescatter/ibm-mpi/3x2/524288": "4bbba972fa8171a9/6d746d06c30a2137",
-	"reducescatter/mpich/2x4/8":        "4fca6a055684e210/471fc069092b9a1e",
-	"reducescatter/mpich/2x4/4096":     "32fd2ce3afd77d9f/a2b26e7debbf16d2",
-	"reducescatter/mpich/2x4/65544":    "2270f1352aa222d5/71b3e8884a2ca287",
-	"reducescatter/mpich/2x4/524288":   "660de4000716e041/54a045958aa328f9",
-	"reducescatter/mpich/3x2/8":        "dd91febd607fb868/8a3f6ae1efff4706",
-	"reducescatter/mpich/3x2/4096":     "093b7bfb4199774f/dd367991792d631e",
-	"reducescatter/mpich/3x2/65544":    "7d33651289437c61/fa308ccb6349ca44",
-	"reducescatter/mpich/3x2/524288":   "d9635bbacd451f7a/6d746d06c30a2137",
-}
-
 var foldPins = []foldPin{
-	{"reduce", IBM, 2, 4, 8, 38.6244, 76, 14, "0d39953daa994965"},
-	{"reduce", IBM, 2, 4, 4096, 131.57199999999997, 76, 14, "67e2185a25a17299"},
-	{"reduce", IBM, 2, 4, 65544, 1226.6564000000003, 156, 7, "3ea632508dfb90fe"},
-	{"reduce", IBM, 2, 4, 524288, 8909.281199999996, 642, 7, "c91afeda4ba5001a"},
-	{"reduce", IBM, 3, 2, 8, 38.0084, 55, 10, "d9e1acfdf2c7b2f4"},
-	{"reduce", IBM, 3, 2, 4096, 122.63, 55, 10, "26f9c6f1652e694f"},
-	{"reduce", IBM, 3, 2, 65544, 1278.9708000000003, 103, 5, "ad30fd1f2f6ba61d"},
-	{"reduce", IBM, 3, 2, 524288, 9363.665199999998, 346, 5, "e4cee27afe6b688c"},
-	{"reduce", MPICH, 2, 4, 8, 48.2436, 83, 14, "cf12a16a3234bd4c"},
-	{"reduce", MPICH, 2, 4, 4096, 151.1524, 83, 14, "59390307f4090030"},
-	{"reduce", MPICH, 2, 4, 65544, 1341.2768000000003, 163, 7, "29810937bd19d6ce"},
-	{"reduce", MPICH, 2, 4, 524288, 9757.891999999993, 649, 7, "0b8482ea4a754f09"},
-	{"reduce", MPICH, 3, 2, 8, 47.621199999999995, 60, 10, "fa91f71645ef041f"},
-	{"reduce", MPICH, 3, 2, 4096, 138.93359999999998, 60, 10, "dc553dd978a5de37"},
-	{"reduce", MPICH, 3, 2, 65544, 1341.0060000000003, 108, 5, "184625d566202e6e"},
-	{"reduce", MPICH, 3, 2, 524288, 9792.6956, 351, 5, "228ae0615ea98b4f"},
-	{"allreduce", IBM, 2, 4, 8, 41.18840000000001, 264, 32, "9f7afa21bba4757f"},
-	{"allreduce", IBM, 2, 4, 4096, 178.02759999999998, 264, 32, "dc2361873f12c56b"},
-	{"allreduce", IBM, 2, 4, 65544, 1809.8815999999986, 297, 7, "a28569dffcddc754"},
-	{"allreduce", IBM, 2, 4, 524288, 12679.439999999977, 1269, 7, "5e6b01f46c7c9f49"},
-	{"allreduce", IBM, 3, 2, 8, 64.7384, 134, 16, "4f32e6f2a9a4d482"},
-	{"allreduce", IBM, 3, 2, 4096, 201.37760000000003, 133, 16, "223bb70b2956ea34"},
-	{"allreduce", IBM, 3, 2, 65544, 1915.4531999999986, 196, 5, "ebbbd9acdf4c9527"},
-	{"allreduce", IBM, 3, 2, 524288, 13589.150799999992, 682, 5, "399374b5d0695cdd"},
-	{"allreduce", MPICH, 2, 4, 8, 95.52479999999998, 147, 21, "9cf3d76efde2f442"},
-	{"allreduce", MPICH, 2, 4, 4096, 269.156, 147, 21, "ea2447f64b58e59b"},
-	{"allreduce", MPICH, 2, 4, 65544, 2091.407599999999, 311, 7, "5e33f5fbf69496e1"},
-	{"allreduce", MPICH, 2, 4, 524288, 14795.941999999974, 1283, 7, "9221678ca47d3d2b"},
-	{"allreduce", MPICH, 3, 2, 8, 96.58639999999995, 107, 15, "86add68f0ea26278"},
-	{"allreduce", MPICH, 3, 2, 4096, 250.44520000000003, 107, 15, "76556e3eaafb0d16"},
-	{"allreduce", MPICH, 3, 2, 65544, 2144.3939999999993, 206, 5, "84c1303df90f7662"},
-	{"allreduce", MPICH, 3, 2, 524288, 15286.072399999994, 692, 5, "f7af8ab5add972e9"},
-	{"reducescatter", IBM, 2, 4, 8, 78.69919999999999, 142, 22, "f728a634ab41d7c3"},
-	{"reducescatter", IBM, 2, 4, 4096, 910.3264000000005, 174, 14, "15443f3aa0f08841"},
-	{"reducescatter", IBM, 2, 4, 65544, 11377.887999999995, 834, 8, "fd1a322651bbc07f"},
-	{"reducescatter", IBM, 2, 4, 524288, 89208.57280000043, 5502, 8, "32112bec61a1572a"},
-	{"reducescatter", IBM, 3, 2, 8, 79.1656, 104, 16, "8d44c718d271e7cf"},
-	{"reducescatter", IBM, 3, 2, 4096, 769.6468000000003, 137, 9, "bd3b2816322e71ba"},
-	{"reducescatter", IBM, 3, 2, 65544, 8989.8964, 383, 6, "ae2ab9112c49e365"},
-	{"reducescatter", IBM, 3, 2, 524288, 70172.19720000005, 2129, 6, "77cede79cafd1660"},
-	{"reducescatter", MPICH, 2, 4, 8, 98.09759999999999, 156, 22, "8983a61b5fa6ee5b"},
-	{"reducescatter", MPICH, 2, 4, 4096, 1045.8860000000006, 182, 15, "76f6ddf3f187864b"},
-	{"reducescatter", MPICH, 2, 4, 65544, 12603.247599999992, 848, 8, "6527a773f65f9a74"},
-	{"reducescatter", MPICH, 2, 4, 524288, 98874.82200000006, 5516, 8, "d4c8bafb610c2ab0"},
-	{"reducescatter", MPICH, 3, 2, 8, 98.47439999999997, 114, 16, "e6c21812183033d0"},
-	{"reducescatter", MPICH, 3, 2, 4096, 798.6584000000001, 135, 11, "5108fb6328418f1f"},
-	{"reducescatter", MPICH, 3, 2, 65544, 9585.883600000001, 393, 6, "b6670b13cfb4941e"},
-	{"reducescatter", MPICH, 3, 2, 524288, 74805.13160000008, 2139, 6, "e4bd0aa1345e5398"},
+	{"reduce", IBM, 2, 4, 8, 14, "fe313bc734db124a/c2ca28917675f78e"},
+	{"reduce", IBM, 2, 4, 4096, 14, "e83c4ebdc57fb942/c33c31052adb3254"},
+	{"reduce", IBM, 2, 4, 65544, 7, "079bacda86815302/75f82fd38d9224c7"},
+	{"reduce", IBM, 2, 4, 524288, 7, "3c425c40228d8586/7723152b8994d8c0"},
+	{"reduce", IBM, 3, 2, 8, 10, "d45fa738ac63da10/16e22f5853d9e5b9"},
+	{"reduce", IBM, 3, 2, 4096, 10, "773a9aede84abc7e/7063c1b312062797"},
+	{"reduce", IBM, 3, 2, 65544, 5, "6d230d68cc979889/a095a0b9bbf23f0e"},
+	{"reduce", IBM, 3, 2, 524288, 5, "4d49aa8b8c711cea/915a351fbcb10c85"},
+	{"reduce", MPICH, 2, 4, 8, 14, "8519b0bd79daccd7/c2ca28917675f78e"},
+	{"reduce", MPICH, 2, 4, 4096, 14, "57cf423457258ff8/c33c31052adb3254"},
+	{"reduce", MPICH, 2, 4, 65544, 7, "a2701eda4769b8f1/75f82fd38d9224c7"},
+	{"reduce", MPICH, 2, 4, 524288, 7, "f5c2e3976926fb7b/7723152b8994d8c0"},
+	{"reduce", MPICH, 3, 2, 8, 10, "cd69a6db3a607339/16e22f5853d9e5b9"},
+	{"reduce", MPICH, 3, 2, 4096, 10, "793ab6293b81b999/7063c1b312062797"},
+	{"reduce", MPICH, 3, 2, 65544, 5, "72d21a29d39d2342/a095a0b9bbf23f0e"},
+	{"reduce", MPICH, 3, 2, 524288, 5, "36b6be4351fdeb47/915a351fbcb10c85"},
+	{"allreduce", IBM, 2, 4, 8, 32, "15c4333923367d24/6f9e899d2aae07b5"},
+	{"allreduce", IBM, 2, 4, 4096, 32, "36f594169ea7ef3e/b65e7742f517c3aa"},
+	{"allreduce", IBM, 2, 4, 65544, 7, "e995151d65448e17/d5c3385dabef2285"},
+	{"allreduce", IBM, 2, 4, 524288, 7, "fb65342bd7835d5f/0efd060f74aeb059"},
+	{"allreduce", IBM, 3, 2, 8, 16, "d52f25dcf3535b5d/48b6adaed027f112"},
+	{"allreduce", IBM, 3, 2, 4096, 16, "fc9b91ef52fc5b30/7f2674e0efaab64d"},
+	{"allreduce", IBM, 3, 2, 65544, 5, "782186229e18d24b/75b5647fb72af5bc"},
+	{"allreduce", IBM, 3, 2, 524288, 5, "f6b0b4783b0f1a3f/30b14ab886ce9d39"},
+	{"allreduce", MPICH, 2, 4, 8, 21, "08f5ec2700ccc0ea/eae1a8a238fe5fba"},
+	{"allreduce", MPICH, 2, 4, 4096, 21, "f46de6b08c131b79/bc3e1e3f7735abc7"},
+	{"allreduce", MPICH, 2, 4, 65544, 7, "e5908e8d64937cf2/d5c3385dabef2285"},
+	{"allreduce", MPICH, 2, 4, 524288, 7, "b810642f69432493/0efd060f74aeb059"},
+	{"allreduce", MPICH, 3, 2, 8, 15, "9c5ed13720dd5d65/53f3f7dcc9c23bf8"},
+	{"allreduce", MPICH, 3, 2, 4096, 15, "7c33547a9d91f602/d1966eae1701908d"},
+	{"allreduce", MPICH, 3, 2, 65544, 5, "fda125f64419317c/75b5647fb72af5bc"},
+	{"allreduce", MPICH, 3, 2, 524288, 5, "1b13fd9fc332070b/30b14ab886ce9d39"},
+	{"reducescatter", IBM, 2, 4, 8, 22, "86001b3c5519b0e7/471fc069092b9a1e"},
+	{"reducescatter", IBM, 2, 4, 4096, 14, "fb21ae481e342802/3ae5d890e5156f5d"},
+	{"reducescatter", IBM, 2, 4, 65544, 8, "34584919572c9a77/71b3e8884a2ca287"},
+	{"reducescatter", IBM, 2, 4, 524288, 8, "6d374dac529a9390/54a045958aa328f9"},
+	{"reducescatter", IBM, 3, 2, 8, 16, "53e1f5848e26ddbd/8a3f6ae1efff4706"},
+	{"reducescatter", IBM, 3, 2, 4096, 9, "2bc7d76d6050ef0e/9b4918d631423a72"},
+	{"reducescatter", IBM, 3, 2, 65544, 6, "101411d94417609b/fa308ccb6349ca44"},
+	{"reducescatter", IBM, 3, 2, 524288, 6, "4bbba972fa8171a9/6d746d06c30a2137"},
+	{"reducescatter", MPICH, 2, 4, 8, 22, "4fca6a055684e210/471fc069092b9a1e"},
+	{"reducescatter", MPICH, 2, 4, 4096, 15, "32fd2ce3afd77d9f/a2b26e7debbf16d2"},
+	{"reducescatter", MPICH, 2, 4, 65544, 8, "2270f1352aa222d5/71b3e8884a2ca287"},
+	{"reducescatter", MPICH, 2, 4, 524288, 8, "660de4000716e041/54a045958aa328f9"},
+	{"reducescatter", MPICH, 3, 2, 8, 16, "dd91febd607fb868/8a3f6ae1efff4706"},
+	{"reducescatter", MPICH, 3, 2, 4096, 11, "093b7bfb4199774f/dd367991792d631e"},
+	{"reducescatter", MPICH, 3, 2, 65544, 6, "7d33651289437c61/fa308ccb6349ca44"},
+	{"reducescatter", MPICH, 3, 2, 524288, 6, "d9635bbacd451f7a/6d746d06c30a2137"},
 }

@@ -222,32 +222,12 @@ func ringFaultProbeBody(out [][]byte) func(c *Comm) {
 }
 
 // TestRingFaultReplayGolden pins the ring allreduce under a seeded
-// drop-heavy reliable-delivery plan to the exact replay the simulator
-// produced when the algorithm landed: virtual time, per-rank completion,
-// counters, injected-fault tallies, and delivered payload bytes. The
-// golden values were captured by running this exact body and plan and
-// printing each quantity with %.17g; to regenerate after an INTENTIONAL
-// protocol/timing change, do the same and paste the new values here.
+// drop-heavy reliable-delivery plan to the replay the simulator produced when
+// the algorithm landed: its schedule, counters, injected faults and delivered
+// payload bytes, which the drops must not corrupt. A second run under the same
+// plan must be bit-identical.
 func TestRingFaultReplayGolden(t *testing.T) {
-	const (
-		goldenTime  = "943.38480000000038"
-		goldenStats = "{ackTimeouts=14 copies=72 copyBytes=135240 deferrals=10 drops=14 interrupts=10 putBytes=54096 puts=120 reduceElems=7889 reduceOps=48 retries=14 shmBytes=135240 shmCopies=72}"
-		goldenFault = "{putDrops=14}"
-		goldenHash  = 2352974608
-		goldenPin   = "3cfba311e0662ba6/27de7f6913211a6f"
-	)
-	goldenPerRank := []string{
-		"943.38480000000038",
-		"942.78480000000036",
-		"904.40320000000065",
-		"903.80320000000063",
-		"916.76560000000063",
-		"916.16560000000061",
-		"931.03840000000037",
-		"930.43840000000034",
-	}
-
-	run := func() (*Result, [][]byte) {
+	run := func() string {
 		cl := mustCluster(t, 4, 2)
 		cl.SetVariant(Variant{Allreduce: AllreduceRing})
 		cl.SetFaultPlan(FaultPlan{
@@ -259,57 +239,22 @@ func TestRingFaultReplayGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, out
-	}
-	res, out := run()
-
-	// Correctness first: the drops must not corrupt the reduction.
-	g := make([]int, 8)
-	for r := range g {
-		g[r] = r
-	}
-	want := refFold(confStep{elems: 7, dt: Float64, rop: Sum}, 2, g, 7)
-	for r := range out {
-		if !reflect.DeepEqual(out[r], want) {
-			t.Errorf("rank %d payload diverges from reference", r)
+		g := make([]int, 8)
+		for r := range g {
+			g[r] = r
 		}
-	}
-
-	if got := fmt.Sprintf("%.17g", res.Time); got != goldenTime {
-		t.Errorf("Time = %s, golden %s", got, goldenTime)
-	}
-	if len(res.PerRank) != len(goldenPerRank) {
-		t.Fatalf("PerRank has %d entries, golden %d", len(res.PerRank), len(goldenPerRank))
-	}
-	for r, wantS := range goldenPerRank {
-		if got := fmt.Sprintf("%.17g", res.PerRank[r]); got != wantS {
-			t.Errorf("PerRank[%d] = %s, golden %s", r, got, wantS)
+		want := refFold(confStep{elems: 7, dt: Float64, rop: Sum}, 2, g, 7)
+		for r := range out {
+			if !reflect.DeepEqual(out[r], want) {
+				t.Errorf("rank %d payload diverges from reference", r)
+			}
 		}
+		return pinOf(res, out)
 	}
-	if got := res.Stats.String(); got != goldenStats {
-		t.Errorf("Stats = %s\n     golden %s", got, goldenStats)
-	}
-	if got := fmt.Sprintf("%+v", res.Faults); got != goldenFault {
-		t.Errorf("Faults = %s, golden %s", got, goldenFault)
-	}
-	sum := 0
-	for _, b := range out {
-		for _, x := range b {
-			sum = sum*31 + int(x)
-			sum &= 0xffffffff
-		}
-	}
-	if sum != goldenHash {
-		t.Errorf("payload hash = %d, golden %d", sum, goldenHash)
-	}
-	if got := pinOf(res, out); got != goldenPin {
-		t.Errorf("pin = %s, golden %s", got, goldenPin)
-	}
-
-	// Replay determinism: a second run under the same plan must be
-	// bit-identical, faults included.
-	res2, _ := run()
-	if res2.Time != res.Time || res2.Stats != res.Stats || res2.Faults != res.Faults {
-		t.Errorf("replay diverges: time %.17g vs %.17g", res2.Time, res.Time)
+	const golden = "3cfba311e0662ba6/27de7f6913211a6f"
+	if got := run(); got != golden {
+		t.Errorf("pin = %s, golden %s", got, golden)
+	} else if got := run(); got != golden {
+		t.Errorf("replay diverges: pin %s", got)
 	}
 }

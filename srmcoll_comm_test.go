@@ -184,10 +184,10 @@ func TestNestedSubAfterShrink(t *testing.T) {
 				t.Errorf("%s rank %d: sums %v, want %v", form.name, r, sums[r], want[r])
 			}
 		}
-		fps[e] = ftFingerprint(res)
+		fps[e] = pinOf(res)
 	}
 	if fps[0] != fps[1] {
-		t.Errorf("engines diverge:\n--- procs\n%s--- tasks\n%s", fps[0], fps[1])
+		t.Errorf("engines diverge: procs %s, tasks %s", fps[0], fps[1])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,23 +115,8 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 		return res, out
 	}
 	r1, out1 := run()
-	r2, out2 := run()
-	if r1.Time != r2.Time {
-		t.Fatalf("Time differs: %v vs %v", r1.Time, r2.Time)
-	}
-	if !reflect.DeepEqual(r1.PerRank, r2.PerRank) {
-		t.Fatalf("PerRank differs:\n%v\n%v", r1.PerRank, r2.PerRank)
-	}
-	if r1.Stats != r2.Stats {
-		t.Fatalf("Stats differ:\n%+v\n%+v", r1.Stats, r2.Stats)
-	}
-	if r1.Faults != r2.Faults {
-		t.Fatalf("Faults differ: %v vs %v", r1.Faults, r2.Faults)
-	}
-	for r := range out1 {
-		if !bytes.Equal(out1[r], out2[r]) {
-			t.Fatalf("rank %d payload differs between identical runs", r)
-		}
+	if a, b := pinOf(r1, out1), pinOf(run()); a != b {
+		t.Fatalf("identical runs differ: pins %s and %s", a, b)
 	}
 	// A different seed must change the injected-fault trace.
 	plan.Seed = 99
@@ -143,7 +127,7 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Faults == r1.Faults && r3.Time == r1.Time {
+	if pinOf(r3) == pinOf(r1) {
 		t.Fatal("changing the seed changed nothing")
 	}
 }
@@ -162,16 +146,8 @@ func TestZeroFaultPlanBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Time != r2.Time || !reflect.DeepEqual(r1.PerRank, r2.PerRank) || r1.Stats != r2.Stats {
-		t.Fatalf("zero-value plan changed the run:\n%+v\n%+v", r1, r2)
-	}
-	if r2.Faults != (FaultSummary{}) {
-		t.Fatalf("Faults = %v, want zero", r2.Faults)
-	}
-	for r := range out1 {
-		if !bytes.Equal(out1[r], out2[r]) {
-			t.Fatalf("rank %d payload differs under zero-value plan", r)
-		}
+	if a, b := pinOf(r1, out1), pinOf(r2, out2); a != b || r2.Faults != (FaultSummary{}) {
+		t.Fatalf("zero-value plan changed the run: pins %s and %s, faults %v", a, b, r2.Faults)
 	}
 }
 
@@ -519,15 +495,8 @@ func TestNonblockingFaultRunsAreDeterministic(t *testing.T) {
 		}
 		return res, out
 	}
-	r1, o1 := run()
-	r2, o2 := run()
-	if r1.Time != r2.Time || r1.Stats != r2.Stats || r1.Events != r2.Events || r1.Faults != r2.Faults {
-		t.Error("identical faulty non-blocking runs differ")
-	}
-	for r := range o1 {
-		if !bytes.Equal(o1[r], o2[r]) {
-			t.Errorf("rank %d: bytes differ between identical faulty runs", r)
-		}
+	if a, b := pinOf(run()), pinOf(run()); a != b {
+		t.Errorf("identical faulty non-blocking runs differ: pins %s and %s", a, b)
 	}
 }
 

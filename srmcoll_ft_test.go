@@ -1,11 +1,8 @@
 package srmcoll
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -304,24 +301,6 @@ func TestNonBlockingRequestCarriesFailure(t *testing.T) {
 	}
 }
 
-// ftFingerprint summarizes everything observable about a recovery run.
-func ftFingerprint(res *Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "time=%.17g\n", res.Time)
-	for r, t := range res.PerRank {
-		fmt.Fprintf(&b, "rank%d=%.17g\n", r, t)
-	}
-	fmt.Fprintf(&b, "stats=%s\nfaults=%s\n", res.Stats.String(), res.Faults.String())
-	for _, f := range res.Failures {
-		fmt.Fprintf(&b, "failure rank=%d crashed=%.17g declared=%.17g\n", f.Rank, f.CrashedAt, f.DeclaredAt)
-	}
-	for _, rep := range res.Repairs {
-		fmt.Fprintf(&b, "repair %s %s [%.17g, %.17g] survivors=%v\n",
-			rep.Kind, rep.Comm, rep.StartedAt, rep.CompletedAt, rep.Survivors)
-	}
-	return b.String()
-}
-
 // TestRecoveryReplaysBitIdentically: the whole crash → detect → shrink →
 // rerun timeline is a deterministic function of the plan.
 func TestRecoveryReplaysBitIdentically(t *testing.T) {
@@ -341,9 +320,6 @@ func TestRecoveryReplaysBitIdentically(t *testing.T) {
 	a, b := run(), run()
 	if pa, pb := pinOf(a), pinOf(b); pa != pb {
 		t.Fatalf("recovery timeline not deterministic: pins %s and %s", pa, pb)
-	}
-	if ftFingerprint(a) != ftFingerprint(b) {
-		t.Fatalf("recovery timeline not deterministic:\n--- first\n%s--- second\n%s", ftFingerprint(a), ftFingerprint(b))
 	}
 	if len(a.Failures) != 2 || a.Failures[0].Rank != 5 || a.Failures[1].Rank != 2 {
 		t.Fatalf("Failures = %+v, want ranks 5 and 2", a.Failures)
@@ -378,16 +354,6 @@ func TestSeededRecoveryTimelineGolden(t *testing.T) {
 	}
 	if first.StartedAt < f.DeclaredAt {
 		t.Fatalf("repair started at %g, before declaration at %g", first.StartedAt, f.DeclaredAt)
-	}
-	// Golden run fingerprint: replay must keep producing these exact values.
-	cl2 := ftCluster(t, 2, 2, Crash{Rank: 1, At: 40})
-	res2, err := cl2.Run(SRM, chaosLoopBody(4, 64, nil))
-	if err != nil {
-		t.Fatalf("replay Run: %v", err)
-	}
-	if ftFingerprint(res) != ftFingerprint(res2) {
-		t.Fatalf("golden timeline diverged between identical runs:\n%s\nvs\n%s",
-			ftFingerprint(res), ftFingerprint(res2))
 	}
 	if got, want := pinOf(res), "34b95c38327baf2d/b4a6b9a9fc3910f7"; got != want {
 		t.Errorf("pin = %s, golden %s", got, want)
@@ -615,33 +581,20 @@ func chaosCorpus(visit func(name string, ranks int, plan FaultPlan)) {
 	}
 }
 
-// TestChaosCorpusGolden pins, across builds, what the benchmark's digest
-// leaves out: Failures and Repairs (every RepairRecord.Comm string, survivor
-// list and the order of the records) next to the times and counters, for a
-// seeded chaos corpus on both engines. Each golden is the SHA-256 over the
-// ftFingerprints of one (world, crash rate) cell: four seeds of Run with the
-// stall windows, then the same four of RunT on the Tasks engine without them
-// (recorded when that engine had no per-task slowdown). Beyond the goldens,
-// each plan must read the same from RunT as from a blocking body: the stalled
-// one against Run, the stall-free one against the same body run blocking
-// (runTBlocking).
+// TestChaosCorpusGolden pins, across builds, a seeded chaos corpus from both
+// forms of body. Each (world, crash rate) cell chains the pins of its runs,
+// each hashing the one before: four seeds of Run with the stall windows, then
+// the same four of RunT without them (recorded when that engine had no
+// per-task slowdown). Beyond the schedule and counters, a pin holds Failures
+// and Repairs: every RepairRecord.Comm string, survivor list and the order of
+// the records. Each plan must also read the same from RunT as from a blocking
+// body: the stalled one against Run, the stall-free one against the same body
+// run blocking (runTBlocking).
 func TestChaosCorpusGolden(t *testing.T) {
-	// Recorded at e0cfe4b, before communicators became shared records.
+	// Recorded beside the digests of the formatted results they replaced,
+	// which were recorded at e0cfe4b, before communicators became shared
+	// records.
 	golden := map[string]string{
-		"8/0.05":  "3be4231425681b1f8efbd6b23f75bc74077bb0e6df6d13d377d2f654211dd49a",
-		"8/0.15":  "5920540e9936ef734aa4628e112508f927006f540af12c3c41df4b1d0a39beba",
-		"8/0.30":  "35fc8e77655746939586f9798d3584c2e7070205a6fbd9ae4352af3228ae8709",
-		"16/0.05": "20718cbfc9aebe291dc4a83d346412c08b2851a1d10f3d49c419eab64056f9d3",
-		"16/0.15": "c0f442351735839fa27b09331f9c262e896cbf2a44d96389dd5e1e30e1d7c500",
-		"16/0.30": "f113dbfffe086d82b6940372615a357b1c8f9f3f2a014245bd7f0afe231bd49a",
-		"32/0.05": "7bc43768389e140a9e35b666cde7bfba634f68dd258b071969c43976111eb6ff",
-		"32/0.15": "aa0193ea05940f2380d9adc707c775af9cd7cd393939008e72847952934d581b",
-		"32/0.30": "dbfbc4ab5d46bee1cf9f9c6f5cfb99b7c219a2751becebfd328ac31aebf4471b",
-		"64/0.05": "294cd8e7dfa9164675eb6241cada445ae468ff81140a4774c59a3d44d51ee593",
-		"64/0.15": "3f995a14073cf9745e41d9a4071efc5959141e0c82cc63634d8cd407e827b6ed",
-		"64/0.30": "e4413ccc5a678e14b78bb137d7087cba8bf8d15dd1712f81225c9fa15ba382f3",
-	}
-	pins := map[string]string{
 		"8/0.05":  "98e37472c8c751fb/60859e4b8769b8d1",
 		"8/0.15":  "818850dd18de18e8/98f02efa9564ef13",
 		"8/0.30":  "98e37472c8c751fb/8e102a09befd511d",
@@ -658,10 +611,7 @@ func TestChaosCorpusGolden(t *testing.T) {
 	for _, ranks := range []int{8, 16, 32, 64} {
 		for _, rate := range []float64{0.05, 0.15, 0.3} {
 			name := fmt.Sprintf("%d/%.2f", ranks, rate)
-			h := sha256.New()
-			var tasks []string
-			var pin string
-			var taskPins []*Result
+			pin, tasks := "", []*Result(nil)
 			for k := 0; k < 4; k++ {
 				cl := mustCluster(t, ranks/4, 4)
 				cl.SetFaultTolerance(DefaultFTConfig())
@@ -671,45 +621,33 @@ func TestChaosCorpusGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d procs: %v", name, k, err)
 				}
-				stalled := ftFingerprint(res)
-				io.WriteString(h, stalled)
+				stalled := pinOf(res)
 				pin = pinOf(res, pin)
 				if res, err = cl.RunT(SRM, chaosLoopBodyT(10, 256, 25)); err != nil {
 					t.Fatalf("%s seed %d tasks, stalled: %v", name, k, err)
 				}
-				if fp := ftFingerprint(res); fp != stalled {
-					t.Errorf("%s seed %d: the stalled plan diverges:\n--- tasks\n%s--- procs\n%s", name, k, fp, stalled)
+				if got := pinOf(res); got != stalled {
+					t.Errorf("%s seed %d: the stalled plan diverges: tasks %s, procs %s", name, k, got, stalled)
 				}
 
 				plan.Stalls = nil
 				cl.SetFaultPlan(plan)
-				var fp [2]string
+				var fp [2]*Result
 				for i, form := range bodyForms {
-					res, err := form.run(cl, SRM, chaosLoopBodyT(10, 256, 25))
-					if err != nil {
+					if fp[i], err = form.run(cl, SRM, chaosLoopBodyT(10, 256, 25)); err != nil {
 						t.Fatalf("%s seed %d %s: %v", name, k, form.name, err)
 					}
-					fp[i] = ftFingerprint(res)
-					if i == 1 {
-						taskPins = append(taskPins, res)
-					}
 				}
-				if fp[0] != fp[1] {
-					t.Errorf("%s seed %d: the forms of body diverge:\n--- procs\n%s--- tasks\n%s", name, k, fp[0], fp[1])
+				if a, b := pinOf(fp[0]), pinOf(fp[1]); a != b {
+					t.Errorf("%s seed %d: the forms of body diverge: procs %s, tasks %s", name, k, a, b)
 				}
 				tasks = append(tasks, fp[1])
 			}
-			for _, fp := range tasks {
-				io.WriteString(h, fp)
-			}
-			for _, res := range taskPins {
+			for _, res := range tasks {
 				pin = pinOf(res, pin)
 			}
-			if pin != pins[name] {
-				t.Errorf("%s: pin\n got %s\nwant %s", name, pin, pins[name])
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != golden[name] {
-				t.Errorf("%s: fingerprint digest\n got %s\nwant %s", name, got, golden[name])
+			if pin != golden[name] {
+				t.Errorf("%s: pin %s, golden %s", name, pin, golden[name])
 			}
 		}
 	}

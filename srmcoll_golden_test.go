@@ -1,7 +1,6 @@
 package srmcoll
 
 import (
-	"fmt"
 	"testing"
 
 	"srmcoll/internal/sim"
@@ -9,40 +8,23 @@ import (
 
 // pinOf is a run's determinism pin (sim.Pin): its event digest, then a hash of
 // what the event stream cannot see — the counters, the faults injected, the
-// failure and repair records, and the payload bytes given.
+// failure and repair records, and the payload bytes given. Time, PerRank and
+// Events are functions of the stream, so the digest stands for them.
+//
+// To regenerate a pin after an INTENTIONAL protocol or timing change, run the
+// test and paste the pin it reports; srmbench diverge names the first event
+// that moved.
 func pinOf(res *Result, payload ...any) string {
 	return sim.Pin(res.Digest, append([]any{res.Stats, res.Faults, res.Failures, res.Repairs}, payload...)...)
 }
 
 // TestFaultReplayMatchesGolden pins the fault-injected reliable-delivery run
-// to the exact trace the simulator produced before the hot-path work (item
-// free list, buffer pools, buffered handoff channels). Any change to virtual
-// time, per-rank completion, counters, injected faults, or delivered payload
-// bytes is a determinism regression, not noise.
-//
-// The golden values were captured at commit da9adc6 by running this exact
-// body and plan (the same ones TestFaultRunsAreDeterministic uses) and
-// printing each quantity with %.17g. To regenerate after an INTENTIONAL
-// protocol/timing change, do the same and paste the new values here.
+// (the body and plan TestFaultRunsAreDeterministic uses) to the schedule, the
+// counters, the injected faults and the delivered payload bytes the simulator
+// produced before the hot-path work (item free list, buffer pools, buffered
+// handoff channels), at da9adc6. A change is a determinism regression, not
+// noise.
 func TestFaultReplayMatchesGolden(t *testing.T) {
-	const (
-		goldenTime  = "230.65039999999991"
-		goldenStats = "{ackTimeouts=3 copies=24 copyBytes=28672 deferrals=2 dupsSuppressed=3 interrupts=1 putBytes=15872 puts=22 reduceElems=2432 reduceOps=19 retries=3 shmBytes=28672 shmCopies=24}"
-		goldenFault = "{ackDrops=3 putDelays=1 stalls=1 stormHits=5}"
-		goldenHash  = 736263262
-		goldenPin   = "083cbcfc8065d507/bcd4832157dd4858"
-	)
-	goldenPerRank := []string{
-		"217.31072471564033",
-		"217.91072471564033",
-		"230.05039999999991",
-		"230.65039999999991",
-		"217.35039999999989",
-		"217.95039999999989",
-		"202.49119999999988",
-		"203.09119999999987",
-	}
-
 	cl := mustCluster(t, 4, 2)
 	cl.SetFaultPlan(FaultPlan{
 		Seed: 1234, Drop: 0.08, Dup: 0.04, Delay: 0.1, DelayMax: 15,
@@ -55,38 +37,7 @@ func TestFaultReplayMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if got := fmt.Sprintf("%.17g", res.Time); got != goldenTime {
-		t.Errorf("Time = %s, golden %s", got, goldenTime)
-	}
-	if len(res.PerRank) != len(goldenPerRank) {
-		t.Fatalf("PerRank has %d entries, golden %d", len(res.PerRank), len(goldenPerRank))
-	}
-	for r, want := range goldenPerRank {
-		if got := fmt.Sprintf("%.17g", res.PerRank[r]); got != want {
-			t.Errorf("PerRank[%d] = %s, golden %s", r, got, want)
-		}
-	}
-	if got := res.Stats.String(); got != goldenStats {
-		t.Errorf("Stats = %s\n     golden %s", got, goldenStats)
-	}
-	if got := fmt.Sprintf("%+v", res.Faults); got != goldenFault {
-		t.Errorf("Faults = %s, golden %s", got, goldenFault)
-	}
-	sum := 0
-	for _, b := range out {
-		for _, x := range b {
-			sum = sum*31 + int(x)
-			sum &= 0xffffffff
-		}
-	}
-	if sum != goldenHash {
-		t.Errorf("payload hash = %d, golden %d", sum, goldenHash)
-	}
-	if res.Events == 0 {
-		t.Error("Events = 0; the run executed no queue items?")
-	}
-	if got := pinOf(res, out); got != goldenPin {
-		t.Errorf("pin = %s, golden %s", got, goldenPin)
+	if got, want := pinOf(res, out), "083cbcfc8065d507/bcd4832157dd4858"; got != want {
+		t.Errorf("pin = %s, golden %s", got, want)
 	}
 }

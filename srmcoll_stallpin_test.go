@@ -1,7 +1,6 @@
 package srmcoll
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,82 +8,59 @@ import (
 	"srmcoll/internal/sim"
 )
 
-// stallPins holds, per operation and shape, a hash of the stall report a
-// deadline cuts a lossy RunT of that operation short with. The report names
-// every flag, counter and event a rank is blocked on by its report id, and a
-// state constructor draws those ids in the order it creates them: a change to
-// that order, or to what the state creates, moves the hash. The first ten rows
-// are the regimes of bench/layers.go at their sizes and algorithms; the rest
-// are the collectives no regime runs and the two other SMP broadcasts.
-// Recorded at 5970103, before the states became flat arrays.
+// stallPins holds, per operation and shape, the pin (sim.Pin) of the stall a
+// deadline cuts a lossy RunT of that operation short with: the digest of the
+// events up to the deadline and the report. The report names every flag,
+// counter and event a rank is blocked on by its report id, and a state
+// constructor draws those ids in the order it creates them: a change to that
+// order, or to what the state creates, moves the pin. The first ten rows are
+// the regimes of bench/layers.go at their sizes and algorithms; the rest are
+// the collectives no regime runs and the two other SMP broadcasts. Recorded
+// beside the report hashes they replaced, which were recorded at 5970103,
+// before the states became flat arrays.
 var stallPins = []struct {
 	name string
 	v    Variant
 	size int // a rank's bytes (a member's block for the rooted and all-to-all rows)
 	op   func(tc *TComm, size int, k func(error))
-	hash [2]string // at 2x4 and 3x2
+	pin  [2]string // at 2x4 and 3x2
 }{
-	{"bcast_small", Variant{}, 4 << 10, stallBcast, [2]string{"c61544334a0bef65", "f65ed67ee2ccc781"}},
-	{"bcast_pipe", Variant{}, 16 << 10, stallBcast, [2]string{"ab58b97e689da74d", "9b54751e18865365"}},
-	{"bcast_large", Variant{}, 512 << 10, stallBcast, [2]string{"97191050328c85ab", "fac3b5df6abdab5d"}},
-	{"reduce_pipe", Variant{}, 64 << 10, stallReduce, [2]string{"d082ede49a664ccc", "ef412160ace46e87"}},
-	{"allreduce_rd", Variant{}, 8 << 10, stallAllreduce, [2]string{"bd4b5a71d50274bb", "736639ad04f01851"}},
-	{"allreduce_pipe", Variant{}, 64 << 10, stallAllreduce, [2]string{"aa5621bba95d24b6", "b432dd0916402f6e"}},
-	{"allreduce_ring", Variant{Allreduce: AllreduceRing}, 256 << 10, stallAllreduce, [2]string{"2c667be6d573fee5", "5370b31f0c889999"}},
-	{"allreduce_rhd", Variant{Allreduce: AllreduceRHD}, 256 << 10, stallAllreduce, [2]string{"5b73a8d5886d601a", "6acb71d2b56153e9"}},
-	{"allreduce_dualroot", Variant{Allreduce: AllreduceDualRoot}, 256 << 10, stallAllreduce, [2]string{"c304966d6460433b", "68ea404b8fbd31dd"}},
-	{"barrier", Variant{}, 0, func(tc *TComm, _ int, k func(error)) { tc.Barrier(k) }, [2]string{"fcfe7edb5aca77a9", "1e43a0944374921a"}},
+	{"bcast_small", Variant{}, 4 << 10, stallBcast, [2]string{"1030d5a961a049c3/b3031787fef315bb", "e6de5db4aefaee6c/28e4b57c50ba86b5"}},
+	{"bcast_pipe", Variant{}, 16 << 10, stallBcast, [2]string{"d8c04f747ccec3e8/4865c5f6cad60bdb", "3d87f6f626a1ccce/552ce4de69c34a56"}},
+	{"bcast_large", Variant{}, 512 << 10, stallBcast, [2]string{"e75f133c76979616/bb75b22bcf6986b4", "bc27e32a140702b2/dbfb67e448a752c5"}},
+	{"reduce_pipe", Variant{}, 64 << 10, stallReduce, [2]string{"cd43171c4ea1387d/d0d672dd16b83c66", "13d75eb1271d1ee5/cf71a153d81d4f28"}},
+	{"allreduce_rd", Variant{}, 8 << 10, stallAllreduce, [2]string{"fc3d45c63ed8116a/4c1bcca16ba4ffda", "d74242b79b887eff/44ca7fe12279a610"}},
+	{"allreduce_pipe", Variant{}, 64 << 10, stallAllreduce, [2]string{"fdd69b6b5b9f7ff8/b351100c14a33cad", "be043775c0105578/90575630274f0cf3"}},
+	{"allreduce_ring", Variant{Allreduce: AllreduceRing}, 256 << 10, stallAllreduce, [2]string{"79f1b19de48cde52/52e4c37052c507df", "2a68fbc8773276f0/1f15c27200ead723"}},
+	{"allreduce_rhd", Variant{Allreduce: AllreduceRHD}, 256 << 10, stallAllreduce, [2]string{"79f1b19de48cde52/9bfb04a75e01e36b", "51051c17a9f15815/524d17943ecc481a"}},
+	{"allreduce_dualroot", Variant{Allreduce: AllreduceDualRoot}, 256 << 10, stallAllreduce, [2]string{"d9fec8d34d16bba6/07852d27406fd4e7", "0d9ad244091afeee/706f0a1137d337f5"}},
+	{"barrier", Variant{}, 0, func(tc *TComm, _ int, k func(error)) { tc.Barrier(k) }, [2]string{"a6451f9f53cc996d/9f4a007ddfda4104", "97353f1219007d7a/73ab664ab20c18fc"}},
 	{"gather", Variant{}, 512, func(tc *TComm, n int, k func(error)) {
 		tc.Gather(make([]byte, n), make([]byte, n*tc.Size()), 0, k)
-	}, [2]string{"a523e72d938c3090", "68dcf3195e88b1d7"}},
+	}, [2]string{"5433029184b81a9c/74a820a8bda604d4", "27fdba9a1b595ea8/df7075f52e053460"}},
 	{"scatter", Variant{}, 512, func(tc *TComm, n int, k func(error)) {
 		tc.Scatter(make([]byte, n*tc.Size()), make([]byte, n), 0, k)
-	}, [2]string{"d251de2f36096b61", "b416bb72309df229"}},
+	}, [2]string{"d6e41f55d85789e2/fd2948629717f51e", "21dc3a1cb8d41ab2/80aac10725b4c1c8"}},
 	{"alltoall", Variant{}, 256, func(tc *TComm, n int, k func(error)) {
 		tc.Alltoall(make([]byte, n*tc.Size()), make([]byte, n*tc.Size()), k)
-	}, [2]string{"b733b2b1b8a59a22", "0ea2d1e99c7fc20c"}},
+	}, [2]string{"35ef125390466705/5f85f47ddb1679b7", "74abc99786c27045/f01e2453f80fb82a"}},
 	{"scan", Variant{}, 1 << 10, func(tc *TComm, n int, k func(error)) {
 		tc.Scan(make([]byte, n), make([]byte, n), Float64, Sum, k)
-	}, [2]string{"1d2c1d68f5889dea", "a6c918c0e7a57e61"}},
+	}, [2]string{"fe3934b8f43c4374/c81026c6d4bd54f6", "5b13995fdbd832ee/c8904c34206ff238"}},
 	{"reducescatter", Variant{}, 256, func(tc *TComm, n int, k func(error)) {
 		tc.ReduceScatter(make([]byte, n*tc.Size()), make([]byte, n), Float64, Sum, k)
-	}, [2]string{"2bd854d3304bdd33", "87a3f4e77e808a0d"}},
+	}, [2]string{"a2e0c6f8426d951f/9735e2de82330d2f", "2e26ba0c33a4c62f/040f58f924efbbba"}},
 	{"allgather", Variant{}, 512, func(tc *TComm, n int, k func(error)) {
 		tc.Allgather(make([]byte, n), make([]byte, n*tc.Size()), k)
-	}, [2]string{"de6fc655cf1e9bc6", "9bdb95704069b04d"}},
+	}, [2]string{"77755795702e832c/043d6dc507bb501c", "208e4bed995350d1/aab956d96ac91170"}},
 	{"allgather_direct", Variant{}, 32 << 10, func(tc *TComm, n int, k func(error)) {
 		tc.Allgather(make([]byte, n), make([]byte, n*tc.Size()), k)
-	}, [2]string{"a0cd74e4d24e6b8a", "d878623ed562ad14"}},
+	}, [2]string{"89a7de84d91ccf3c/27246bd0e62b9c65", "674decf22e0a9d19/20a43bf1705ce7a6"}},
 	{"alltoall_direct", Variant{}, 4 << 10, func(tc *TComm, n int, k func(error)) {
 		tc.Alltoall(make([]byte, n*tc.Size()), make([]byte, n*tc.Size()), k)
-	}, [2]string{"e5e2272752147b5c", "e65ec213ad8e46f9"}},
-	{"bcast_pipe_treepub", Variant{TreeSMPBcst: true}, 16 << 10, stallBcast, [2]string{"e27d1141ea9328b5", "9b54751e18865365"}},
-	{"bcast_pipe_barrierpub", Variant{BarrierSMPBcst: true}, 16 << 10, stallBcast, [2]string{"f3c9c63b24dbf159", "a485968992f1bba1"}},
-}
-
-// stallDigestPins holds the same runs' pins (sim.Pin over the stall's digest
-// and its report).
-var stallDigestPins = map[string][2]string{
-	"bcast_small":           {"1030d5a961a049c3/b3031787fef315bb", "e6de5db4aefaee6c/28e4b57c50ba86b5"},
-	"bcast_pipe":            {"d8c04f747ccec3e8/4865c5f6cad60bdb", "3d87f6f626a1ccce/552ce4de69c34a56"},
-	"bcast_large":           {"e75f133c76979616/bb75b22bcf6986b4", "bc27e32a140702b2/dbfb67e448a752c5"},
-	"reduce_pipe":           {"cd43171c4ea1387d/d0d672dd16b83c66", "13d75eb1271d1ee5/cf71a153d81d4f28"},
-	"allreduce_rd":          {"fc3d45c63ed8116a/4c1bcca16ba4ffda", "d74242b79b887eff/44ca7fe12279a610"},
-	"allreduce_pipe":        {"fdd69b6b5b9f7ff8/b351100c14a33cad", "be043775c0105578/90575630274f0cf3"},
-	"allreduce_ring":        {"79f1b19de48cde52/52e4c37052c507df", "2a68fbc8773276f0/1f15c27200ead723"},
-	"allreduce_rhd":         {"79f1b19de48cde52/9bfb04a75e01e36b", "51051c17a9f15815/524d17943ecc481a"},
-	"allreduce_dualroot":    {"d9fec8d34d16bba6/07852d27406fd4e7", "0d9ad244091afeee/706f0a1137d337f5"},
-	"barrier":               {"a6451f9f53cc996d/9f4a007ddfda4104", "97353f1219007d7a/73ab664ab20c18fc"},
-	"gather":                {"5433029184b81a9c/74a820a8bda604d4", "27fdba9a1b595ea8/df7075f52e053460"},
-	"scatter":               {"d6e41f55d85789e2/fd2948629717f51e", "21dc3a1cb8d41ab2/80aac10725b4c1c8"},
-	"alltoall":              {"35ef125390466705/5f85f47ddb1679b7", "74abc99786c27045/f01e2453f80fb82a"},
-	"scan":                  {"fe3934b8f43c4374/c81026c6d4bd54f6", "5b13995fdbd832ee/c8904c34206ff238"},
-	"reducescatter":         {"a2e0c6f8426d951f/9735e2de82330d2f", "2e26ba0c33a4c62f/040f58f924efbbba"},
-	"allgather":             {"77755795702e832c/043d6dc507bb501c", "208e4bed995350d1/aab956d96ac91170"},
-	"allgather_direct":      {"89a7de84d91ccf3c/27246bd0e62b9c65", "674decf22e0a9d19/20a43bf1705ce7a6"},
-	"alltoall_direct":       {"eb71be1f5713082b/87ff538e78647cb7", "0c667fc117a299ca/d14bbee4f33c36e1"},
-	"bcast_pipe_treepub":    {"0ae7142bb37c2ba2/b028b0a1be07b52c", "5de09afda8a75a51/552ce4de69c34a56"},
-	"bcast_pipe_barrierpub": {"66c53f9afebcd7ab/cde7fe8d2288dbca", "7436f92e4410fb0b/d0257a4ba490b90a"},
+	}, [2]string{"eb71be1f5713082b/87ff538e78647cb7", "0c667fc117a299ca/d14bbee4f33c36e1"}},
+	{"bcast_pipe_treepub", Variant{TreeSMPBcst: true}, 16 << 10, stallBcast, [2]string{"0ae7142bb37c2ba2/b028b0a1be07b52c", "5de09afda8a75a51/552ce4de69c34a56"}},
+	{"bcast_pipe_barrierpub", Variant{BarrierSMPBcst: true}, 16 << 10, stallBcast, [2]string{"66c53f9afebcd7ab/cde7fe8d2288dbca", "7436f92e4410fb0b/d0257a4ba490b90a"}},
 }
 
 func stallBcast(tc *TComm, n int, k func(error)) { tc.Bcast(make([]byte, n), 0, k) }
@@ -101,7 +77,7 @@ func stallAllreduce(tc *TComm, n int, k func(error)) {
 // of a 2x4 and a 3x2 cluster whose wire drops every put, which reliable
 // delivery sends again and again until the deadline stops the run (later for
 // larger messages, so that the run gets past its first copies), and compares
-// the report's hash.
+// the pins.
 func TestStallReportPins(t *testing.T) {
 	for _, p := range stallPins {
 		for si, shape := range [2][2]int{{2, 4}, {3, 2}} {
@@ -118,12 +94,8 @@ func TestStallReportPins(t *testing.T) {
 				if !errors.As(err, &se) {
 					t.Fatalf("err = %v, want a *StallError", err)
 				}
-				got := fmt.Sprintf("%x", sha256.Sum256([]byte(err.Error())))[:16]
-				if got != p.hash[si] {
-					t.Errorf("stall report hash = %s, pinned %s; the report:\n%v", got, p.hash[si], err)
-				}
-				if got, want := sim.Pin(se.Digest, err.Error()), stallDigestPins[p.name][si]; got != want {
-					t.Errorf("stall pin = %s, pinned %s", got, want)
+				if got := sim.Pin(se.Digest, err.Error()); got != p.pin[si] {
+					t.Errorf("stall pin = %s, pinned %s; the report:\n%v", got, p.pin[si], err)
 				}
 			})
 		}

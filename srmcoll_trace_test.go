@@ -63,20 +63,8 @@ func TestTracingDoesNotPerturbRun(t *testing.T) {
 		}
 		return res
 	}
-	off, on := run(false), run(true)
-	if off.Time != on.Time {
-		t.Errorf("Time differs: off %.17g, on %.17g", off.Time, on.Time)
-	}
-	for r := range off.PerRank {
-		if off.PerRank[r] != on.PerRank[r] {
-			t.Errorf("PerRank[%d] differs: off %.17g, on %.17g", r, off.PerRank[r], on.PerRank[r])
-		}
-	}
-	if off.Stats != on.Stats {
-		t.Errorf("Stats differ:\noff %v\non  %v", off.Stats, on.Stats)
-	}
-	if off.Events != on.Events {
-		t.Errorf("Events differ: off %d, on %d", off.Events, on.Events)
+	if off, on := pinOf(run(false)), pinOf(run(true)); off != on {
+		t.Errorf("tracing moved the run: pin off %s, on %s", off, on)
 	}
 }
 
