@@ -1,121 +1,98 @@
+//go:build go1.23
+
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"srmcoll/internal/sim"
 )
 
-// A stream file is a header line naming the run, then one record an executed
-// event, as the digest folds it (sim.Step): the time's bits, the sequence
-// number, the kind and the id, little-endian.
-const stepBytes = 8 + 8 + 1 + 4
-
 var stepKinds = [...]string{sim.StepCall: "call", sim.StepTask: "task", sim.StepCond: "cond"}
 
 func checkDiverge(o *opts, args []string) error {
-	if err := checkRanks(o, args); err != nil {
-		return err
-	}
 	if (o.stream == "") == (len(args) == 1) {
 		return errors.New("want one of -record FILE and a FILE to compare with")
 	}
-	return nil
+	return checkRanks(o, args)
 }
 
-// diverge runs ranks's collective with every executed event going to the
-// -record file, or compared with the FILE operand's; at the first difference
-// it prints both sides and what this run's tasks were blocked on.
+// diverge runs ranks's collective with every executed event, as the digest
+// folds it, written to the -record file or compared with the FILE operand's.
+// A stream file is a header line naming the run, then one little-endian
+// sim.Step an event. At the first difference diverge prints both sides and
+// what this run's tasks are blocked on.
 func diverge(o *opts, args []string) error {
-	n, _ := strconv.Atoi(args[0]) // checkRanks has parsed it
-	head := fmt.Sprintf("srmbench diverge -op %s %d\n", o.op, n)
-	if o.stream != "" {
-		f, err := os.Create(o.stream)
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		w.WriteString(head)
-		var rec [stepBytes]byte
-		sim.Observe(func(_ *sim.Env, s sim.Step, _ any) {
-			binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(s.T))
-			binary.LittleEndian.PutUint64(rec[8:], s.Seq)
-			rec[16] = s.Kind
-			binary.LittleEndian.PutUint32(rec[17:], uint32(s.ID))
-			w.Write(rec[:])
-		})
-		_, _, events, err := runRanks(o.op, n)
-		sim.Observe(nil)
-		if err := errors.Join(err, w.Flush(), f.Close()); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.w, "recorded %d events to %s\n", events, o.stream)
-		return nil
+	head := []byte(fmt.Sprintf("srmbench diverge -op %s %s\n", o.op, args[0]))
+	run := func(observe func(*sim.Env, sim.Step, any)) error {
+		sim.Observe(observe)
+		defer sim.Observe(nil)
+		return ranks(&opts{op: o.op, w: io.Discard}, args[:1])
 	}
-	f, err := os.Open(args[1])
+	if o.stream != "" {
+		out := head
+		err := run(func(_ *sim.Env, s sim.Step, _ any) { out, _ = binary.Append(out, binary.LittleEndian, s) })
+		if err == nil {
+			err = os.WriteFile(o.stream, out, 0o644)
+		}
+		if err == nil {
+			fmt.Fprintf(o.w, "recorded %d events to %s\n", (len(out)-len(head))/binary.Size(sim.Step{}), o.stream)
+		}
+		return err
+	}
+	rec, err := os.ReadFile(args[1])
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	if got, _ := r.ReadString('\n'); got != head {
-		return fmt.Errorf("%s records %q, not %q", args[1], strings.TrimSpace(got), strings.TrimSpace(head))
+	rec, ok := bytes.CutPrefix(rec, head)
+	if !ok {
+		return fmt.Errorf("%s does not record %q", args[1], bytes.TrimSpace(head))
 	}
-	var i int
-	var report strings.Builder
-	sim.Observe(func(e *sim.Env, s sim.Step, target any) {
-		want, ok := readStep(r)
-		if report.Len() > 0 || ok && want == s {
+	next := func() (s sim.Step, ok bool) {
+		n, err := binary.Decode(rec, binary.LittleEndian, &s)
+		rec = rec[max(n, 0):]
+		return s, err == nil && s.Kind <= sim.StepCond
+	}
+	i, diff := 0, new(strings.Builder) // events matched; the first difference
+	err = run(func(e *sim.Env, s sim.Step, target any) {
+		want, ok := next()
+		if diff.Len() > 0 || ok && want == s {
 			i++
 			return
 		}
-		name := "a callback"
+		who := "a callback"
 		switch x := target.(type) {
 		case *sim.Task:
-			name = x.Name()
+			who = x.Name()
 		case *sim.Cond:
-			name = x.ID()
+			who = x.ID()
 		}
-		fmt.Fprintf(&report, "first difference at event %d\n  record: %s\n  this run: %s, %s\n", i, stepString(want, ok), stepString(s, true), name)
 		blocked := e.Blocked()
-		fmt.Fprintf(&report, "  %d tasks blocked; on or as %s:\n", len(blocked), name)
+		fmt.Fprintf(diff, "first difference at event %d\n  record: %s\n  this run: %s, %s\n  %d tasks blocked; on or as %s:\n",
+			i, stepString(want, ok), stepString(s, true), who, len(blocked), who)
 		for _, b := range blocked {
-			if b.Name == name || b.Resource == name {
-				fmt.Fprintf(&report, "    %s: waiting on %s (blocked since t=%.3f)\n", b.Name, b.Waiting, b.Since)
+			if b.Name == who || b.Resource == who {
+				fmt.Fprintf(diff, "    %s: waiting on %s (blocked since t=%.3f)\n", b.Name, b.Waiting, b.Since)
 			}
 		}
 	})
-	_, _, events, err := runRanks(o.op, n)
-	sim.Observe(nil)
-	if want, ok := readStep(r); report.Len() == 0 && ok {
-		fmt.Fprintf(&report, "first difference at event %d\n  record: %s\n  this run: ended\n", i, stepString(want, true))
+	if want, ok := next(); ok && diff.Len() == 0 {
+		fmt.Fprintf(diff, "first difference at event %d\n  record: %s\n  this run: ended\n", i, stepString(want, true))
 	}
-	if report.Len() == 0 {
+	if diff.Len() == 0 {
 		if err == nil {
-			fmt.Fprintf(o.w, "no divergence: %d events match %s\n", events, args[1])
+			fmt.Fprintf(o.w, "no divergence: %d events match %s\n", i, args[1])
 		}
 		return err
 	}
-	fmt.Fprint(o.w, report.String())
+	fmt.Fprint(o.w, diff)
 	return errors.Join(err, errors.New("the runs diverge"))
-}
-
-// readStep reads the next record of a stream file; false at its end.
-func readStep(r io.Reader) (sim.Step, bool) {
-	var b [stepBytes]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil || int(b[16]) >= len(stepKinds) {
-		return sim.Step{}, false
-	}
-	return sim.Step{T: math.Float64frombits(binary.LittleEndian.Uint64(b[0:])), Seq: binary.LittleEndian.Uint64(b[8:]),
-		Kind: b[16], ID: int32(binary.LittleEndian.Uint32(b[17:]))}, true
 }
 
 func stepString(s sim.Step, ok bool) string {

@@ -394,33 +394,21 @@ func checkRanks(o *opts, args []string) error {
 	return nil
 }
 
-// ranks runs one verified collective at N ranks on the state-machine engine.
+// ranks runs one verified collective at N ranks on the state-machine engine,
+// 8 tasks per node when N allows and flat otherwise.
 func ranks(o *opts, args []string) error {
 	n, _ := strconv.Atoi(args[0]) // checkRanks has parsed it
-	start := time.Now()
-	head, note, events, err := runRanks(o.op, n)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	fmt.Fprintf(o.w, "%s, wall %s, %.0f events/sec%s\n", head, wall, float64(events)/wall.Seconds(), note)
-	return nil
-}
-
-// runRanks runs op at n ranks, 8 tasks per node when n allows and flat
-// otherwise, and returns the head and the note of its report line and its
-// event count.
-func runRanks(op string, n int) (head, note string, events uint64, err error) {
 	nodes, tpn := n, 1
 	if n%8 == 0 {
 		nodes, tpn = n/8, 8
 	}
 	cl, err := srmcoll.NewCluster(srmcoll.ColonySP(nodes, tpn))
 	if err != nil {
-		return "", "", 0, err
+		return err
 	}
 	var bufs [][]byte
-	if op == "bcast" {
+	note := ""
+	if o.op == "bcast" {
 		bufs, note = make([][]byte, n), ", verified" // checked below
 		for i := range bufs {
 			bufs[i] = make([]byte, 64)
@@ -430,10 +418,12 @@ func runRanks(op string, n int) (head, note string, events uint64, err error) {
 		}
 	}
 	var sim float64
-	if op == "allreduce" {
+	var events uint64
+	start := time.Now()
+	if o.op == "allreduce" {
 		res, err := cl.ScaleAllreduce(srmcoll.ScaleOptions{Bytes: 64, Reps: 1, Verify: true})
 		if err != nil {
-			return "", "", 0, err
+			return err
 		}
 		sim, events, note = res.Time, res.Events, fmt.Sprintf(", %.0f proto bytes/rank, verified", res.ProtoBytesPerRank())
 	} else {
@@ -448,17 +438,19 @@ func runRanks(op string, n int) (head, note string, events uint64, err error) {
 			tc.Bcast(bufs[tc.Rank()], 0, fin)
 		})
 		if err != nil {
-			return "", "", 0, err
+			return err
 		}
 		sim, events = res.Time, res.Events
 	}
+	wall := time.Since(start)
 	for r, buf := range bufs {
 		if !bytes.Equal(buf, bufs[0]) {
-			return "", "", 0, fmt.Errorf("bcast rank %d received %v, want %v", r, buf, bufs[0])
+			return fmt.Errorf("bcast rank %d received %v, want %v", r, buf, bufs[0])
 		}
 	}
-	head = fmt.Sprintf("ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events", n, nodes, tpn, op, sim, events)
-	return head, note, events, nil
+	fmt.Fprintf(o.w, "ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events, wall %s, %.0f events/sec%s\n",
+		n, nodes, tpn, o.op, sim, events, wall, float64(events)/wall.Seconds(), note)
+	return nil
 }
 
 // tune prints the per-tree crossover curves on one hierarchical shape, or

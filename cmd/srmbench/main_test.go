@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"maps"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"srmcoll/internal/sim"
 )
 
 func runArgs(args ...string) (code int, stdout, stderr string) {
@@ -112,9 +115,9 @@ func TestDivergeNamesASwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const at = 100
+	size := binary.Size(sim.Step{})
 	recs := b[bytes.IndexByte(b, '\n')+1:]
-	x, y := recs[at*stepBytes:(at+1)*stepBytes], recs[(at+1)*stepBytes:(at+2)*stepBytes]
+	x, y := recs[100*size:101*size], recs[101*size:102*size]
 	tmp := slices.Clone(x)
 	copy(x, y)
 	copy(y, tmp)
@@ -122,7 +125,8 @@ func TestDivergeNamesASwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, stdout, _ := runArgs("diverge", "-op", "barrier", "64", f)
-	want, _ := readStep(bytes.NewReader(y))
+	var want sim.Step
+	binary.Read(bytes.NewReader(y), binary.LittleEndian, &want)
 	if code != 1 || !strings.HasPrefix(stdout, "first difference at event 100\n") ||
 		!strings.Contains(stdout, "this run: "+stepString(want, true)+", cond#") {
 		t.Errorf("planted swap: exit %d, stdout\n%s", code, stdout)

@@ -105,6 +105,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: Nodes = %d, want >= 1", c.Nodes)
 	case c.TasksPerNode < 1:
 		return fmt.Errorf("machine: TasksPerNode = %d, want >= 1", c.TasksPerNode)
+	case c.TasksPerNode > math.MaxInt32/c.Nodes: // ranks are int32
+		return fmt.Errorf("machine: Nodes × TasksPerNode = %d × %d, want at most %d ranks", c.Nodes, c.TasksPerNode, math.MaxInt32)
 	case c.MemPerByte <= 0 || c.NetPerByte <= 0:
 		return fmt.Errorf("machine: per-byte costs must be positive")
 	case c.MemBusConcurrency < 1:

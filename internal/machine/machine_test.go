@@ -48,6 +48,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"chunk > buffer", func(c *Config) { c.SRMSmallChunk = c.SRMBcastBufSize * 2 }},
 		{"zero large chunk", func(c *Config) { c.SRMLargeChunk = 0 }},
 		{"zero rd limit", func(c *Config) { c.SRMAllreduceRD = 0 }},
+		{"rank count overflows", func(c *Config) { c.Nodes = math.MaxInt / 2 }},
+		{"rank count overflows per node", func(c *Config) { c.Nodes, c.TasksPerNode = 4, math.MaxInt/2 }},
+		{"rank count beyond int32", func(c *Config) { c.Nodes, c.TasksPerNode = 1<<16, 1<<15 }},
 	}
 	for _, tc := range cases {
 		cfg := ColonySP(2, 4)
@@ -526,7 +529,8 @@ func TestParseTopoRoundTrip(t *testing.T) {
 
 func TestParseTopoRejects(t *testing.T) {
 	for _, spec := range []string{"", "bogus", "8", "8x", "x8", "8x2x3", " 8x2",
-		"8x2/", "8x2/0", "8x2/-1", "8x2/a", "8x2/3/x", "0x4", "4x0"} {
+		"8x2/", "8x2/0", "8x2/-1", "8x2/a", "8x2/3/x", "0x4", "4x0",
+		"4611686018427387904x4", "4x4611686018427387904", "65536x32768"} {
 		if _, err := ParseTopo(spec); err == nil {
 			t.Errorf("ParseTopo(%q) = nil error, want rejection", spec)
 		}

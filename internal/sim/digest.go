@@ -6,13 +6,6 @@ import (
 	"math"
 )
 
-// The event digest: before it runs, every queue item the loop executes is
-// folded into a 64-bit rolling hash of its time, its sequence number, what it
-// targets and the target's creation number. Two runs with one digest executed
-// one schedule; a moved time, a reordered tie or a swap of two resource
-// creations moves it. It is always on and costs three multiply-xor steps an
-// item.
-
 // The kinds of queue item, as Step.Kind gives them.
 const (
 	StepCall uint8 = iota // a callback (At, After)
@@ -20,7 +13,9 @@ const (
 	StepCond              // a condition's broadcast (Cond.BroadcastAfter)
 )
 
-// Step is one executed queue item as the digest folds it.
+// Step is one executed queue item as the event digest folds it. Two runs with
+// one digest (Env.Digest) executed one schedule: a moved time, a reordered tie
+// or a swap of two resource creations moves it.
 type Step struct {
 	T    Time
 	Seq  uint64
@@ -32,15 +27,14 @@ type Step struct {
 var observe func(e *Env, s Step, target any)
 
 // Observe sets the function every environment calls with each queue item it is
-// about to execute, and the *Task or *Cond the item targets (nil for a
-// callback); nil turns it off. It is read without a lock: set it only while no
-// simulation runs.
+// about to execute and the *Task or *Cond the item targets (nil for a
+// callback); nil turns it off. Set it only while no simulation runs.
 func Observe(fn func(e *Env, s Step, target any)) { observe = fn }
 
-// Digest returns the fold of every queue item executed so far.
+// Digest returns the fold of every queue item executed so far: three
+// multiply-xor steps an item, always on.
 func (e *Env) Digest() uint64 { return e.digest }
 
-// fold adds one executed item to the digest.
 func (e *Env) fold(s Step) {
 	e.digest = mix(mix(mix(e.digest, math.Float64bits(s.T)), s.Seq), uint64(s.Kind)<<32|uint64(uint32(s.ID)))
 }
@@ -51,24 +45,21 @@ func mix(h, x uint64) uint64 {
 }
 
 // Pin is the one format of a determinism pin: a run's digest, then a hash of
-// what the event stream cannot see — payload bytes, counters, fault tallies,
-// failure and repair records, report text. A []byte or [][]byte part is hashed
-// as its bytes, any other as its %+v.
+// what the event stream cannot see (payload bytes, counters, fault tallies,
+// failure and repair records, report text). A [][]byte part is hashed as its
+// bytes, any other as its %+v.
 func Pin(digest uint64, unseen ...any) string {
-	h := fnv.New64a()
+	h, nul := fnv.New64a(), []byte{0}
 	for _, u := range unseen {
-		switch u := u.(type) {
-		case []byte:
-			h.Write(u)
-		case [][]byte:
-			for _, b := range u {
+		if bs, ok := u.([][]byte); ok {
+			for _, b := range bs {
 				h.Write(b)
-				h.Write([]byte{0})
+				h.Write(nul)
 			}
-		default:
+		} else {
 			fmt.Fprintf(h, "%+v", u)
 		}
-		h.Write([]byte{0})
+		h.Write(nul)
 	}
 	return fmt.Sprintf("%016x/%016x", digest, h.Sum64())
 }

@@ -566,25 +566,23 @@ func (e *Env) drain(limit Time) (again bool) {
 		// fields are copied out first.
 		fn, tgt, s := it.fn, it.tgt, Step{T: it.t, Seq: it.seq}
 		e.recycle(it)
-		task, cond := (*Task)(nil), (*Cond)(nil)
-		switch x := tgt.(type) {
-		case *Task:
-			task, s.Kind, s.ID = x, StepTask, x.num
-		case *Cond:
-			cond, s.Kind, s.ID = x, StepCond, int32(x.num)
+		t, isTask := tgt.(*Task)
+		if isTask {
+			s.Kind, s.ID = StepTask, t.num
+		} else if fn == nil {
+			s.Kind, s.ID = StepCond, int32(tgt.(*Cond).num)
 		}
-		e.fold(s)
-		if observe != nil {
+		if e.fold(s); observe != nil {
 			observe(e, s, tgt)
 		}
-		if task != nil {
-			stepping = task
-			e.runTask(task)
-			stepping = nil
-		} else if cond != nil {
-			cond.Broadcast()
-		} else {
+		if fn != nil {
 			fn()
+		} else if isTask {
+			stepping = t
+			e.runTask(t)
+			stepping = nil
+		} else {
+			tgt.(*Cond).Broadcast()
 		}
 		if co := e.resuming; co != nil {
 			e.resuming = nil

@@ -36,6 +36,9 @@ func TestNewClusterRejectsInvalid(t *testing.T) {
 		{"zero config", Config{}, "Nodes"},
 		{"zero shm packet", noPkt, "ShmPktSize"},
 		{"NaN memory latency", nanLat, "MemLatency"},
+		{"rank count overflows", ColonySP(math.MaxInt/2, 4), "Nodes × TasksPerNode"},
+		{"rank count overflows per node", ColonySP(4, math.MaxInt/2), "Nodes × TasksPerNode"},
+		{"rank count beyond int32", ColonySP(1<<16, 1<<15), "Nodes × TasksPerNode"},
 	} {
 		_, err := NewCluster(c.cfg)
 		if err == nil {
