@@ -1,10 +1,6 @@
-//go:build go1.23
-
 package main
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -25,44 +21,48 @@ func checkDiverge(o *opts, args []string) error {
 
 // diverge runs ranks's collective with every executed event, as the digest
 // folds it, written to the -record file or compared with the FILE operand's.
-// A stream file is a header line naming the run, then one little-endian
-// sim.Step an event. At the first difference diverge prints both sides and
-// what this run's tasks are blocked on.
+// A stream file is a header line naming the run, then a line an event: its
+// time, sequence number, kind and id. At the first difference diverge prints
+// both sides and what this run's tasks are blocked on.
 func diverge(o *opts, args []string) error {
-	head := []byte(fmt.Sprintf("srmbench diverge -op %s %s\n", o.op, args[0]))
+	head := fmt.Sprintf("srmbench diverge -op %s %s\n", o.op, args[0])
 	run := func(observe func(*sim.Env, sim.Step, any)) error {
 		sim.Observe(observe)
 		defer sim.Observe(nil)
 		return ranks(&opts{op: o.op, w: io.Discard}, args[:1])
 	}
+	i := 0 // events written or matched
 	if o.stream != "" {
-		out := head
-		err := run(func(_ *sim.Env, s sim.Step, _ any) { out, _ = binary.Append(out, binary.LittleEndian, s) })
+		var out strings.Builder
+		out.WriteString(head)
+		err := run(func(_ *sim.Env, s sim.Step, _ any) { out.WriteString(stepLine(s)); i++ })
 		if err == nil {
-			err = os.WriteFile(o.stream, out, 0o644)
+			err = os.WriteFile(o.stream, []byte(out.String()), 0o644)
 		}
 		if err == nil {
-			fmt.Fprintf(o.w, "recorded %d events to %s\n", (len(out)-len(head))/binary.Size(sim.Step{}), o.stream)
+			fmt.Fprintf(o.w, "recorded %d events to %s\n", i, o.stream)
 		}
 		return err
 	}
-	rec, err := os.ReadFile(args[1])
+	b, err := os.ReadFile(args[1])
 	if err != nil {
 		return err
 	}
-	rec, ok := bytes.CutPrefix(rec, head)
+	rest, ok := strings.CutPrefix(string(b), head)
 	if !ok {
-		return fmt.Errorf("%s does not record %q", args[1], bytes.TrimSpace(head))
+		return fmt.Errorf("%s does not record %q", args[1], strings.TrimSpace(head))
 	}
-	next := func() (s sim.Step, ok bool) {
-		n, err := binary.Decode(rec, binary.LittleEndian, &s)
-		rec = rec[max(n, 0):]
-		return s, err == nil && s.Kind <= sim.StepCond
+	rec := strings.SplitAfter(rest, "\n")
+	rec = rec[:len(rec)-1] // what follows the last newline
+	want := func() string {
+		if i < len(rec) {
+			return rec[i]
+		}
+		return "ended\n"
 	}
-	i, diff := 0, new(strings.Builder) // events matched; the first difference
+	var diff strings.Builder
 	err = run(func(e *sim.Env, s sim.Step, target any) {
-		want, ok := next()
-		if diff.Len() > 0 || ok && want == s {
+		if diff.Len() > 0 || want() == stepLine(s) {
 			i++
 			return
 		}
@@ -74,16 +74,16 @@ func diverge(o *opts, args []string) error {
 			who = x.ID()
 		}
 		blocked := e.Blocked()
-		fmt.Fprintf(diff, "first difference at event %d\n  record: %s\n  this run: %s, %s\n  %d tasks blocked; on or as %s:\n",
-			i, stepString(want, ok), stepString(s, true), who, len(blocked), who)
+		fmt.Fprintf(&diff, "first difference at event %d\n  record:   %s  this run: %s, %s\n  %d tasks blocked; on or as %s:\n",
+			i, want(), strings.TrimSpace(stepLine(s)), who, len(blocked), who)
 		for _, b := range blocked {
 			if b.Name == who || b.Resource == who {
-				fmt.Fprintf(diff, "    %s: waiting on %s (blocked since t=%.3f)\n", b.Name, b.Waiting, b.Since)
+				fmt.Fprintf(&diff, "    %s: waiting on %s (blocked since t=%.3f)\n", b.Name, b.Waiting, b.Since)
 			}
 		}
 	})
-	if want, ok := next(); ok && diff.Len() == 0 {
-		fmt.Fprintf(diff, "first difference at event %d\n  record: %s\n  this run: ended\n", i, stepString(want, true))
+	if diff.Len() == 0 && i < len(rec) {
+		fmt.Fprintf(&diff, "first difference at event %d\n  record:   %s  this run: ended\n", i, want())
 	}
 	if diff.Len() == 0 {
 		if err == nil {
@@ -91,13 +91,10 @@ func diverge(o *opts, args []string) error {
 		}
 		return err
 	}
-	fmt.Fprint(o.w, diff)
+	fmt.Fprint(o.w, diff.String())
 	return errors.Join(err, errors.New("the runs diverge"))
 }
 
-func stepString(s sim.Step, ok bool) string {
-	if !ok {
-		return "ended"
-	}
-	return fmt.Sprintf("t=%.17g seq=%d %s %d", s.T, s.Seq, stepKinds[s.Kind], s.ID)
+func stepLine(s sim.Step) string {
+	return fmt.Sprintf("t=%.17g seq=%d %s %d\n", s.T, s.Seq, stepKinds[s.Kind], s.ID)
 }

@@ -2,16 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
-
-	"srmcoll/internal/sim"
 )
 
 func runArgs(args ...string) (code int, stdout, stderr string) {
@@ -115,20 +111,14 @@ func TestDivergeNamesASwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := binary.Size(sim.Step{})
-	recs := b[bytes.IndexByte(b, '\n')+1:]
-	x, y := recs[100*size:101*size], recs[101*size:102*size]
-	tmp := slices.Clone(x)
-	copy(x, y)
-	copy(y, tmp)
-	if err := os.WriteFile(f, b, 0o644); err != nil {
+	lines := strings.SplitAfter(string(b), "\n") // the header, then an event a line
+	lines[101], lines[102] = lines[102], lines[101]
+	if err := os.WriteFile(f, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, stdout, _ := runArgs("diverge", "-op", "barrier", "64", f)
-	var want sim.Step
-	binary.Read(bytes.NewReader(y), binary.LittleEndian, &want)
 	if code != 1 || !strings.HasPrefix(stdout, "first difference at event 100\n") ||
-		!strings.Contains(stdout, "this run: "+stepString(want, true)+", cond#") {
+		!strings.Contains(stdout, "this run: "+strings.TrimSpace(lines[102])+", cond#") {
 		t.Errorf("planted swap: exit %d, stdout\n%s", code, stdout)
 	}
 }
