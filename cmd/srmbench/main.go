@@ -64,7 +64,7 @@ var commands = []command{
 	{"trace", "FILE", "trace a basket of collectives to Chrome trace-event JSON", sweeps, nil, trace},
 	{"tree", "", "a tree embedded in an SMP cluster, and one 4 KB broadcast over it", treeFlags, checkTree, treeRun},
 	{"lat", "", "substrate microbenchmarks", viaFlag, nil, lat},
-	{"diverge", "N [FILE]", "ranks's run; -record FILE writes its event stream, and given FILE it replays the run against it and names the first event that differs", opFlag | divergeFlag, checkDiverge, diverge},
+	{"diverge", "N [FILE]", "a ranks run's event stream: -record FILE writes it; given FILE, the run is replayed against it and the first event that differs named", opFlag | divergeFlag, checkDiverge, diverge},
 	{"record", "DIR...", "run bench/run.sh in each checkout and append a row per (commit, workload, seed) to the trajectory; -check compares instead", recordFlags, checkRecord, record},
 }
 

@@ -572,7 +572,8 @@ func (e *Env) drain(limit Time) (again bool) {
 		} else if fn == nil {
 			s.Kind, s.ID = StepCond, int32(tgt.(*Cond).num)
 		}
-		if e.fold(s); observe != nil {
+		e.fold(s)
+		if observe != nil {
 			observe(e, s, tgt)
 		}
 		if fn != nil {

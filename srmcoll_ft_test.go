@@ -591,9 +591,8 @@ func chaosCorpus(visit func(name string, ranks int, plan FaultPlan)) {
 // body: the stalled one against Run, the stall-free one against the same body
 // run blocking (runTBlocking).
 func TestChaosCorpusGolden(t *testing.T) {
-	// Recorded beside the digests of the formatted results they replaced,
-	// which were recorded at e0cfe4b, before communicators became shared
-	// records.
+	// They hold the behaviour recorded at e0cfe4b, before communicators became
+	// shared records.
 	golden := map[string]string{
 		"8/0.05":  "98e37472c8c751fb/60859e4b8769b8d1",
 		"8/0.15":  "818850dd18de18e8/98f02efa9564ef13",

@@ -15,9 +15,8 @@ import (
 // constructor draws those ids in the order it creates them: a change to that
 // order, or to what the state creates, moves the pin. The first ten rows are
 // the regimes of bench/layers.go at their sizes and algorithms; the rest are
-// the collectives no regime runs and the two other SMP broadcasts. Recorded
-// beside the report hashes they replaced, which were recorded at 5970103,
-// before the states became flat arrays.
+// the collectives no regime runs and the two other SMP broadcasts. They hold
+// the behaviour recorded at 5970103, before the states became flat arrays.
 var stallPins = []struct {
 	name string
 	v    Variant
