@@ -120,10 +120,10 @@ func New() *Pool {
 }
 
 // poison is a test hook: pools created or checked out while it is set fill
-// every buffer they hand out, and every buffer they take back, with
-// poisonByte. A user of the pool that reads a byte it did not write, or reads
-// a buffer it has returned, then computes on garbage and fails its payload
-// check instead of passing on whatever the memory happened to hold.
+// every buffer they hand out, to its capacity, and every buffer they take back,
+// with poisonByte. A user of the pool that reads a byte it did not write, or
+// reads a buffer it has returned, then computes on garbage and fails its
+// payload check instead of passing on whatever the memory happened to hold.
 var poison bool
 
 const poisonByte = 0xA5
@@ -134,9 +134,10 @@ const poisonByte = 0xA5
 func Poison(on bool) { poison = on }
 
 func (p *Pool) taint(buf []byte) {
-	if p.poison {
-		for i := range buf {
-			buf[i] = poisonByte
+	if p.poison && len(buf) > 0 {
+		buf[0] = poisonByte
+		for k := 1; k < len(buf); k *= 2 {
+			copy(buf[k:], buf[:k])
 		}
 	}
 }
@@ -177,7 +178,7 @@ func (p *Pool) Get(n int) []byte {
 		}
 		p.out++
 	}
-	p.taint(buf)
+	p.taint(buf[:cap(buf)])
 	return buf
 }
 

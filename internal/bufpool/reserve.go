@@ -23,8 +23,7 @@ const Window = 128
 // high-water mark.
 var reserve struct {
 	sync.Mutex
-	spares     []*Pool
-	unreturned uint64 // buffers still out of their pool at its hand-back, ever
+	spares []*Pool
 }
 
 // CheckOut returns a pool for the exclusive use of one simulation: the spare
@@ -43,14 +42,8 @@ func CheckOut() *Pool {
 	}
 	p.idle = 0
 	// The hook is read here and not only in New: a spare made before the
-	// switch holds a run's bytes and must not come back clean.
-	if p.poison = poison; p.poison {
-		p.lanes(func(l *lane) {
-			for _, b := range l.mem {
-				p.taint(b)
-			}
-		})
-	}
+	// switch holds a run's bytes, and what it hands out must not be them.
+	p.poison = poison
 	return p
 }
 
@@ -58,7 +51,6 @@ func CheckOut() *Pool {
 // again: the pool is rewound and becomes a spare. Nothing of the simulation
 // may execute afterwards, since memory it still points to is handed out anew.
 func HandBack(p *Pool) {
-	unreturned := p.out
 	p.rewind()
 	if p.age++; p.age >= Window/2 {
 		p.age = 0
@@ -67,7 +59,6 @@ func HandBack(p *Pool) {
 	eachStack(typedStack.tick)
 	reserve.Lock()
 	defer reserve.Unlock()
-	reserve.unreturned += uint64(unreturned)
 	kept := reserve.spares[:0]
 	for _, s := range reserve.spares {
 		if s.idle++; s.idle < Window {
@@ -91,17 +82,16 @@ func eachStack(fn func(typedStack)) {
 
 // ReserveInfo describes the reserve at one moment, for tests.
 type ReserveInfo struct {
-	Spares     int      // pools waiting for a run
-	Bytes      int64    // payload memory they hold
-	Unreturned uint64   // buffers runs had not Put by their hand-back, since the process started
-	Slabs      SlabInfo // record slabs of every type together
+	Spares int      // pools waiting for a run
+	Bytes  int64    // payload memory they hold
+	Slabs  SlabInfo // record slabs of every type together
 }
 
 // Reserve reports what the reserve holds.
 func Reserve() ReserveInfo {
 	reserve.Lock()
 	defer reserve.Unlock()
-	info := ReserveInfo{Spares: len(reserve.spares), Unreturned: reserve.unreturned}
+	info := ReserveInfo{Spares: len(reserve.spares)}
 	for _, s := range reserve.spares {
 		info.Bytes += s.held()
 	}

@@ -9,8 +9,8 @@
 // and Buf/Overlaps for detecting user buffers shared between outstanding
 // requests.
 //
-// And it names the two misuses of the RMA layer's put windows: *WindowError
-// and *DeathError.
+// And it names the two misuses of the RMA layer's put windows, *WindowError
+// and *DeathError, and a run whose books do not balance, *LedgerError.
 package check
 
 import (
@@ -98,6 +98,16 @@ type DeathError struct {
 func (e *DeathError) Error() string {
 	return fmt.Sprintf("rma: rank %d marked dead on a domain not told ranks can die (Domain.AllowDeaths): its puts have already landed", e.Rank)
 }
+
+// LedgerError describes a run whose books do not balance: a clause of the put
+// path's conservation law (rma.Domain.Conserved), or the pool's — a run that
+// ended cleanly has given back every buffer it drew — that its counts break.
+type LedgerError struct {
+	Clause string // "transmissions", "fates", "frames", "snapshots" or "pool"
+	Counts string // both sides of the clause
+}
+
+func (e *LedgerError) Error() string { return "ledger: " + e.Clause + ": " + e.Counts }
 
 // Buf is the half-open address range of a user buffer, captured when a
 // non-blocking request is issued so later requests can be checked against

@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"fmt"
 	"slices"
 
 	"srmcoll/internal/bufpool"
@@ -205,6 +206,7 @@ func (fr *delivery) send() {
 	}
 	if fr.try == 0 && fr.origin != nil {
 		fr.refs++
+		d.tally.Callbacks++
 		m.Env.At(injectEnd, fr.originFn)
 	}
 	var v fault.Verdict
@@ -263,12 +265,14 @@ func (fr *delivery) send() {
 		timeout = floor
 	}
 	fr.refs++
+	d.tally.Callbacks++
 	m.Env.After(timeout, fr.timeoutFn)
 }
 
 // originFired runs when the first transmission's injection completes: the
 // origin buffer is reusable.
 func (fr *delivery) originFired() {
+	fr.src.dom.tally.Callbacks--
 	fr.origin.Incr(1)
 	fr.unref()
 }
@@ -310,6 +314,7 @@ func (fr *delivery) arrive() {
 	if tr != nil {
 		tr.Add(fr.g, fr.par, trace.ClassPutAck, "put:ack", 0, m.Env.Now(), ackArrival)
 	}
+	d.tally.Callbacks++
 	m.Env.At(ackArrival, fr.ackFn) // on the arrival's reference
 }
 
@@ -341,6 +346,7 @@ func (fr *delivery) land() {
 			tr.Add(fr.g, fr.par, trace.ClassPutAck, "put:ack", 0, m.Env.Now(), m.Env.Now()+ackLat)
 		}
 		fr.refs++
+		d.tally.Callbacks++
 		m.Env.After(ackLat, fr.ackFn)
 	}
 	fr.unref()
@@ -369,6 +375,7 @@ func (fr *delivery) discard() {
 // ack runs when an acknowledgement reaches the origin. Under reliable delivery
 // only the first one of a put counts; without it each landing sends its own.
 func (fr *delivery) ack() {
+	fr.src.dom.tally.Callbacks--
 	if fr.ch == nil || !fr.acked {
 		fr.acked = true
 		if fr.compl != nil {
@@ -384,6 +391,7 @@ func (fr *delivery) ack() {
 // reschedule forever (nobody is left to make the ack path win against injected
 // ack drops at probability 1).
 func (fr *delivery) timeout() {
+	fr.src.dom.tally.Callbacks--
 	if !fr.acked && !fr.target.dead {
 		m := fr.src.dom.m
 		m.Stats.AckTimeouts++
@@ -395,11 +403,11 @@ func (fr *delivery) timeout() {
 }
 
 // Tally is the domain's ledger of the put path, kept beside the run's
-// statistics so that tests can hold the two to each other: every transmission
-// put on the wire ends in exactly one of the fates the statistics count
-// (dropped, suppressed as a duplicate, refused by a dead target), or landed, or
-// was discarded — its landing thrown away with the pending list of a target
-// marked dead, or with the drain of a target killed or interrupted while
+// statistics so that Conserved can hold the two to each other: every
+// transmission put on the wire ends in exactly one of the fates the statistics
+// count (dropped, suppressed as a duplicate, refused by a dead target), or
+// landed, or was discarded — its landing thrown away with the pending list of a
+// target marked dead, or with the drain of a target killed or interrupted while
 // servicing it — or is still under way.
 type Tally struct {
 	Puts       int // remote puts: first transmissions
@@ -407,16 +415,47 @@ type Tally struct {
 	Landed     int // transmissions that reached the target's memory
 	Discarded  int // landings that will never run
 	Unresolved int // on the wire, or at the target and waiting to land (scheduled, or parked in a pending list)
+	Callbacks  int // origin counter firings, acknowledgements and ack timeouts scheduled and yet to run
 	Snapshots  int // payload snapshots taken from the pool and not yet returned
 	Frames     int // put frames carved so far (filled in by Domain.Tally)
 	Idle       int // of those, on the idle list (likewise)
 }
 
-// Tally reads the ledger, for tests.
+// Tally reads the ledger.
 func (d *Domain) Tally() Tally {
 	t := d.tally
 	if made, idle := d.deliveries.Count(); made > 0 { // else released: t has what Release read
 		t.Frames, t.Idle = made, idle
 	}
 	return t
+}
+
+// Conserved holds the ledger to the run's statistics and the injector's summary
+// between any two events, and returns a *check.LedgerError naming the first
+// clause that does not balance: every transmission is a first one, a
+// retransmission or an injected duplicate, and has one fate; a put frame is busy
+// while, and only while, a transmission or a callback of its own is owed; and a
+// snapshot out of the pool belongs to a busy frame.
+func (d *Domain) Conserved() error {
+	ty, st := d.Tally(), d.m.Stats
+	var inj fault.Summary
+	if d.m.Faults != nil {
+		inj = d.m.Faults.Summary()
+	}
+	busy, owed := ty.Frames-ty.Idle, ty.Unresolved+ty.Callbacks
+	fates := ty.Landed + st.Drops + st.DupsSuppressed + st.DeadDrops + ty.Discarded + ty.Unresolved
+	switch want := ty.Puts + st.Retries + inj.PutDups; {
+	case ty.Sent != want:
+		return &check.LedgerError{Clause: "transmissions", Counts: fmt.Sprintf("%d sent, want %d first ones + %d retries + %d injected duplicates = %d",
+			ty.Sent, ty.Puts, st.Retries, inj.PutDups, want)}
+	case ty.Sent != fates:
+		return &check.LedgerError{Clause: "fates", Counts: fmt.Sprintf("%d sent, but %d landed + %d dropped + %d suppressed + %d refused dead + %d discarded + %d unresolved = %d",
+			ty.Sent, ty.Landed, st.Drops, st.DupsSuppressed, st.DeadDrops, ty.Discarded, ty.Unresolved, fates)}
+	case busy > owed || busy == 0 && owed > 0:
+		return &check.LedgerError{Clause: "frames", Counts: fmt.Sprintf("%d of %d put frames busy, with %d transmissions unresolved and %d callbacks scheduled",
+			busy, ty.Frames, ty.Unresolved, ty.Callbacks)}
+	case ty.Snapshots > busy:
+		return &check.LedgerError{Clause: "snapshots", Counts: fmt.Sprintf("%d payload snapshots out of the pool, %d put frames busy", ty.Snapshots, busy)}
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"srmcoll/internal/fault"
 	"srmcoll/internal/machine"
-	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
 )
 
@@ -84,17 +83,6 @@ func TestEngineEquivalenceDeadline(t *testing.T) {
 	if got, want := sim.Pin(se.Digest, err.Error()), "e45a1cf50a1eba16/6868d465a8c87d72"; got != want {
 		t.Errorf("stall pin = %s, pinned %s; the report:\n%v", got, want, err)
 	}
-}
-
-// TestEngineEquivalenceUnderWindowCheck reruns the pins with the RMA layer's
-// put-window check on, which names a reduce slot or broadcast buffer written
-// while a put to it was in flight.
-func TestEngineEquivalenceUnderWindowCheck(t *testing.T) {
-	rma.CheckWindows(true)
-	defer rma.CheckWindows(false)
-	t.Run("shapes", TestEngineEquivalence)
-	t.Run("faults", TestEngineEquivalenceUnderFaults)
-	t.Run("deadline", TestEngineEquivalenceDeadline)
 }
 
 // TestScaleSchedulesMatchBenchGolden pins bench's r64k rung, 8192 nodes of 8

@@ -154,6 +154,11 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	// The put path's books balance. The pool's do not apply: the run's one
+	// operation never retires, and its buffers stay out until the hand-back.
+	if err := dom.Conserved(); err != nil {
+		return nil, err
+	}
 	// Every rank has finished and the result points at nothing of the
 	// simulation: its tasks, queue items and frames go back to the reserve
 	// for the next run. The engine's records — an executor per rank, the

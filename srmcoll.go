@@ -999,19 +999,32 @@ func (sm *simulation) nameTrack(t *sim.Task) {
 	}
 }
 
-// outcome runs the simulation to its end, classifies it, and hands its memory
-// back to the reserve. For the payload that is safe however the run ended: the
-// Env has retired every actor it is going to, and one left parked by a
-// deadlock, a stall or a crash never executes again, so nothing can write to a
-// buffer the next run is given. The records — tasks, queue items, the calendar,
+// outcome runs the simulation to its end, classifies it, holds it to its books,
+// and hands its memory back to the reserve. For the payload that is safe
+// however the run ended: the Env has retired every actor it is going to, and
+// one left parked by a deadlock, a stall or a crash never executes again, so
+// nothing can write to a buffer the next run is given. The records — tasks, queue items, the calendar,
 // put frames, executors, the flags and counters of its operations — go
 // back only from a run that ended with a result, which is one that left no
 // actor alive: an error report may name tasks, and a parked coroutine holds
 // them. The caller's handles are cut off from the simulation first: a Comm,
 // TComm or request kept past the run would otherwise drive a task that by then
 // is another run's.
+//
+// The books are the put path's ledger (rma.Domain.Conserved), after every run,
+// and the pool, every buffer back, after a run that ended with a result and no
+// failures on a wire that cannot repeat a delivery unreliably: the runs whose
+// operations give their buffers back as they retire (core.Group). A book that
+// does not balance fails the run with a *check.LedgerError.
 func (sm *simulation) outcome() (*Result, error) {
 	res, err := sm.finish()
+	lerr := sm.dom.Conserved()
+	if n := sm.m.Buffers.Outstanding(); lerr == nil && n > 0 && res != nil && len(res.Failures) == 0 && !(sm.m.Faults.Duplicates() && !sm.dom.Reliable()) {
+		lerr = &check.LedgerError{Clause: "pool", Counts: fmt.Sprintf("%d buffers not given back by the end of the run", n)}
+	}
+	if lerr != nil {
+		res, err = nil, errors.Join(err, lerr)
+	}
 	for r := range sm.rs.ranks {
 		rk := &sm.rs.ranks[r]
 		rk.actor, rk.m, rk.dom = actor{}, nil, nil // a use after the run is a crash, not a step of another run's task

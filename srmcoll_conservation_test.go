@@ -1,10 +1,11 @@
 package srmcoll
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
-	"srmcoll/internal/fault"
+	"srmcoll/internal/check"
 	"srmcoll/internal/rma"
 )
 
@@ -19,32 +20,6 @@ func simulateKeeping(cl *Cluster, spawn func(*simulation)) (*simulation, *Result
 	spawn(sm)
 	res, err := sm.outcome()
 	return sm, res, err
-}
-
-// conserved holds the RMA domain's ledger of a finished simulation to the run's
-// statistics and the injector's summary. Every transmission is a first one, a
-// retransmission or an injected duplicate; every transmission was dropped,
-// suppressed as a duplicate, refused by a dead target, landed, discarded with a
-// dead target's pending list, or never got to the end of its way; and a put
-// frame that is not idle again is waiting for one of the last.
-func conserved(sm *simulation) error {
-	ty, st := sm.dom.Tally(), sm.m.Stats
-	var inj fault.Summary
-	if sm.m.Faults != nil {
-		inj = sm.m.Faults.Summary()
-	}
-	if want := ty.Puts + st.Retries + inj.PutDups; ty.Sent != want {
-		return fmt.Errorf("%d transmissions, want %d first ones + %d retries + %d injected duplicates = %d",
-			ty.Sent, ty.Puts, st.Retries, inj.PutDups, want)
-	}
-	if fates := ty.Landed + st.Drops + st.DupsSuppressed + st.DeadDrops + ty.Discarded + ty.Unresolved; ty.Sent != fates {
-		return fmt.Errorf("%d transmissions, but %d landed + %d dropped + %d suppressed + %d refused dead + %d discarded + %d unresolved = %d",
-			ty.Sent, ty.Landed, st.Drops, st.DupsSuppressed, st.DeadDrops, ty.Discarded, ty.Unresolved, fates)
-	}
-	if busy := ty.Frames - ty.Idle; busy > ty.Unresolved {
-		return fmt.Errorf("%d of %d put frames not idle with %d transmissions unresolved", busy, ty.Frames, ty.Unresolved)
-	}
-	return nil
 }
 
 // faultProbeBodyT is faultProbeBody's sequence of collectives in continuation
@@ -127,21 +102,24 @@ func trainBodyT(tc *TComm, done func()) {
 	issue(0, 0)
 }
 
-// TestPutConservation is the put path's conservation law (conserved) over the
-// runs that lose, repeat, retransmit, refuse and discard puts: the 48 crash,
-// stall and drop schedules of the chaos corpus under fault tolerance, the
-// seeded fault replay's plan (drops, duplicates, delays, lost acks, a storm, a
-// stall), the benchmark's four lossy training cells at 2x4 — request streams
-// over the four allreduce families — and a wire that drops and duplicates
-// without reliable delivery, whose runs end in deadlock with puts lost. Each
-// from a blocking body and from a continuation body.
+// TestPutConservation runs the put path's conservation law, which every run
+// holds itself to (rma.Domain.Conserved), over the runs that lose, repeat,
+// retransmit, refuse and discard puts: the 48 crash, stall and drop schedules
+// of the chaos corpus under fault tolerance, the seeded fault replay's plan
+// (drops, duplicates, delays, lost acks, a storm, a stall), the benchmark's four
+// lossy training cells at 2x4 — request streams over the four allreduce
+// families — a wire that drops and duplicates without reliable delivery, whose
+// runs end in deadlock with puts lost, and a reliable wire that drops every
+// put, cut off at its deadline with its frames waiting for their ack timeouts.
+// Each from a blocking body and from a continuation body. What it checks
+// itself is that the corpus makes every fate occur.
 func TestPutConservation(t *testing.T) {
 	type scenario struct {
 		name   string
 		cl     *Cluster
 		body   func(*Comm)
 		bodyT  func(*TComm, func())
-		mayErr bool // the run may end in a structured error; the ledger must balance all the same
+		mayErr bool // the run may end in a structured error, but not in a *check.LedgerError
 	}
 	var scenarios []scenario
 	chaosCorpus(func(name string, ranks int, plan FaultPlan) {
@@ -169,6 +147,9 @@ func TestPutConservation(t *testing.T) {
 		cl.SetFaultPlan(FaultPlan{Seed: seed, Drop: 0.1, Dup: 0.3, Delay: 0.2, DelayMax: 10, Deadline: 1e5})
 		scenarios = append(scenarios, scenario{fmt.Sprintf("unreliable drop+dup seed %d", seed), cl, faultProbeBody(make([][]byte, 8)), faultProbeBodyT, true})
 	}
+	cut := mustCluster(t, 2, 1)
+	cut.SetFaultPlan(FaultPlan{Seed: 1, Drop: 1, Reliable: true, Deadline: 20000})
+	scenarios = append(scenarios, scenario{"deadline cut", cut, faultProbeBody(make([][]byte, 2)), faultProbeBodyT, true})
 
 	var total rma.Tally
 	for _, sc := range scenarios {
@@ -180,11 +161,9 @@ func TestPutConservation(t *testing.T) {
 			{"continuation body", func(sm *simulation) { sm.spawnTasks(sc.bodyT) }},
 		} {
 			sm, _, err := simulateKeeping(sc.cl, form.spawn)
-			if sm == nil || err != nil && !sc.mayErr {
+			var le *check.LedgerError
+			if sm == nil || err != nil && (!sc.mayErr || errors.As(err, &le)) {
 				t.Fatalf("%s, %s: %v", sc.name, form.name, err)
-			}
-			if err := conserved(sm); err != nil {
-				t.Errorf("%s, %s: %v", sc.name, form.name, err)
 			}
 			ty := sm.dom.Tally()
 			total.Sent += ty.Sent
@@ -197,5 +176,27 @@ func TestPutConservation(t *testing.T) {
 	t.Logf("%d transmissions: %d landed, %d discarded, %d unresolved", total.Sent, total.Landed, total.Discarded, total.Unresolved)
 	if total.Discarded == 0 || total.Unresolved == 0 {
 		t.Errorf("the scenarios discard %d deferred landings and leave %d transmissions unresolved: want both to occur", total.Discarded, total.Unresolved)
+	}
+}
+
+// TestLedgerErrorNamesTheClause: a run whose books do not balance fails with a
+// *check.LedgerError naming the clause — a dead drop the statistics count that
+// no transmission of the ledger went to, a pooled buffer nobody gave back.
+func TestLedgerErrorNamesTheClause(t *testing.T) {
+	for clause, plant := range map[string]func(*simulation){
+		"fates": func(sm *simulation) { sm.m.Stats.DeadDrops++ },
+		"pool":  func(sm *simulation) { sm.m.Buffers.Get(64) },
+	} {
+		sm, err := mustCluster(t, 2, 2).prepare(SRM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm.spawnTasks(faultProbeBodyT)
+		plant(sm)
+		res, err := sm.outcome()
+		var le *check.LedgerError
+		if res != nil || !errors.As(err, &le) || le.Clause != clause {
+			t.Errorf("planted a %s imbalance: the run ended with %v", clause, err)
+		}
 	}
 }

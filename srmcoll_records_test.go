@@ -20,15 +20,17 @@ func slabsOf(fn func()) (drawn, returned uint64) {
 	return after.Drawn - before.Drawn, after.Returned - before.Returned
 }
 
-// TestRecordsBalancedAtHandBack is TestPoolBalancedAtHandBack for the records.
-// A run that ends with a result has returned every slab it drew — its tasks,
+// TestRecordsBalancedAtHandBack: a run that ends with a result has returned
+// every slab it drew — its tasks,
 // queue items, calendar runs, put frames, channels and executors, and the
 // flags and counters of every operation: of the completed ones as the run went,
 // of the aborted and the never-finished ones at its end — over the conformance
 // corpus, the engine-equivalence matrix on a clean and on a lossy wire, and the
 // chaos corpus from both forms of body. A run that ends in a deadlock, a stall
 // or a crash nobody planned returns none of what it holds at its end: the
-// report names tasks, actors are parked on the records.
+// report names tasks, actors are parked on the records. Payload buffers each
+// run balances itself (simulation.outcome); the slab counters are the process's,
+// which no run can read as its own.
 func TestRecordsBalancedAtHandBack(t *testing.T) {
 	for seed := int64(0); seed < 48; seed++ {
 		sc := genScenario(rand.New(rand.NewSource(seed)))

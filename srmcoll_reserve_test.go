@@ -2,7 +2,6 @@ package srmcoll
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,73 +15,6 @@ func heapAfterCycle() (ms runtime.MemStats) {
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	return ms
-}
-
-// unreturned runs fn and reports how many pooled buffers the simulations
-// inside it had not given back to their pool when they handed it in.
-func unreturned(fn func()) uint64 {
-	before := bufpool.Reserve().Unreturned
-	fn()
-	return bufpool.Reserve().Unreturned - before
-}
-
-// TestPoolBalancedAtHandBack: rewinding a pool forgets a buffer nobody
-// returned, so a dropped Put no longer shows even as garbage — it only makes
-// the run look greedier, and the reserve larger. Every Get of a run that ends
-// normally is matched by a Put before the pool is handed back: for the
-// conformance corpus (SRM and both MPI baselines, blocking and request forms,
-// sub-communicators), for the engine-equivalence matrix from both forms of
-// body, and for the same matrix on a wire that drops, duplicates and delays
-// under reliable delivery. A crashed run may keep what its aborted operations
-// held (their slots can still be written to, DESIGN §9); that is reported, not
-// required to be zero. A put's snapshot is the wire's and always comes back.
-func TestPoolBalancedAtHandBack(t *testing.T) {
-	for seed := int64(0); seed < 48; seed++ {
-		sc := genScenario(rand.New(rand.NewSource(seed)))
-		if n := unreturned(func() { runConformance(t, sc) }); n != 0 {
-			t.Errorf("conformance seed %d (%s): %d buffers not returned", seed, sc, n)
-		}
-	}
-	lossy := FaultPlan{Seed: 11, Drop: 0.3, Dup: 0.25, Delay: 0.5, DelayMax: 4,
-		Reliable: true, AckTimeout: 50, Deadline: 5e6}
-	for name, mk := range engCollectiveScenarios() {
-		for _, plan := range []FaultPlan{{}, lossy} {
-			cl := mustCluster(t, 3, 4)
-			cl.SetFaultPlan(plan)
-			if n := unreturned(func() { runBothEngines(t, cl, SRM, mk) }); n != 0 {
-				t.Errorf("%s (drop %.1f, reliable %v): %d buffers not returned by the two runs", name, plan.Drop, plan.Reliable, n)
-			}
-		}
-	}
-	// The chaos corpus: what is still out of the pool when a crashed run hands
-	// it back is what its aborted operations held, never a put's snapshot —
-	// not of a put a dead target refused, nor of one whose deferred landing
-	// went with the target, nor of one that stopped retransmitting to it.
-	var kept [2]uint64
-	chaosCorpus(func(name string, ranks int, plan FaultPlan) {
-		cl := mustCluster(t, ranks/4, 4)
-		cl.SetFaultTolerance(DefaultFTConfig())
-		cl.SetFaultPlan(plan)
-		for form, run := range []func() (*simulation, *Result, error){
-			func() (*simulation, *Result, error) {
-				return simulateKeeping(cl, func(sm *simulation) { sm.spawnProcs(chaosLoopBodyCompute(10, 256, 25, nil)) })
-			},
-			func() (*simulation, *Result, error) {
-				return simulateKeeping(cl, func(sm *simulation) { sm.spawnTasks(chaosLoopBodyT(10, 256, 25)) })
-			},
-		} {
-			var sm *simulation
-			var err error
-			kept[form] += unreturned(func() { sm, _, err = run() })
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if ty := sm.dom.Tally(); ty.Snapshots != 0 {
-				t.Errorf("%s: %d put snapshots not returned (%+v)", name, ty.Snapshots, ty)
-			}
-		}
-	})
-	t.Logf("chaos corpus: %d buffers kept by aborted operations from blocking bodies, %d from continuation bodies", kept[0], kept[1])
 }
 
 // reserveCase is one run of TestConcurrentRunsShareReserve: an allreduce of
