@@ -240,3 +240,15 @@ func TestScaleOracleDeadline(t *testing.T) {
 		t.Errorf("the bodies stall differently:\n--- oracle\n%s\n--- stepper\n%s", reports[0], reports[1])
 	}
 }
+
+// TestScaleOracleUnderWindowCheck runs the tests above as one set under the
+// RMA layer's put-window check, which every test of the package runs under
+// (TestMain): a clean-wire put poisons its target window at issue and reports a
+// *check.WindowError if anything wrote the window before it landed, so a reduce
+// slot or broadcast buffer reused ahead of its credit is named, on either body.
+// The lossy rows keep their snapshots and run as they do without the check.
+func TestScaleOracleUnderWindowCheck(t *testing.T) {
+	t.Run("shapes", TestScaleOracle)
+	t.Run("faults", TestScaleOracleUnderFaults)
+	t.Run("deadline", TestScaleOracleDeadline)
+}

@@ -85,6 +85,16 @@ func TestEngineEquivalenceDeadline(t *testing.T) {
 	}
 }
 
+// TestEngineEquivalenceUnderWindowCheck runs the pins as one set under the RMA
+// layer's put-window check, which every test of the package runs under
+// (TestMain) and which names a reduce slot or broadcast buffer written while a
+// put to it was in flight.
+func TestEngineEquivalenceUnderWindowCheck(t *testing.T) {
+	t.Run("shapes", TestEngineEquivalence)
+	t.Run("faults", TestEngineEquivalenceUnderFaults)
+	t.Run("deadline", TestEngineEquivalenceDeadline)
+}
+
 // TestScaleSchedulesMatchBenchGolden pins bench's r64k rung, 8192 nodes of 8
 // with 64-byte payloads, whose per-rank protocol bytes bench/golden.json holds
 // as 95.998046875.

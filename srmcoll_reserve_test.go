@@ -1,12 +1,14 @@
 package srmcoll
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"srmcoll/internal/bufpool"
+	"srmcoll/internal/check"
 )
 
 // heapAfterCycle collects and reads the heap's statistics: HeapAlloc is then
@@ -15,6 +17,49 @@ func heapAfterCycle() (ms runtime.MemStats) {
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	return ms
+}
+
+// TestPoolBalancedAtHandBack: rewinding a pool forgets a buffer nobody
+// returned, so a dropped Put would not show even as garbage — it would only
+// make the run look greedier, and the reserve larger. Every run that ends with
+// a result and no failures, on a wire that cannot repeat a delivery
+// unreliably, is held to its pool's balance when it hands the pool back
+// (simulation.outcome): a buffer drawn and not given back fails it with a
+// *check.LedgerError. A crashed run may keep what its aborted operations held
+// (their slots can still be written to, DESIGN §9), and the chaos corpus's
+// crash, stall and drop schedules must end without a ledger error for it —
+// and with no put's snapshot out: not of a put a dead target refused, nor of
+// one whose deferred landing went with the target, nor of one that stopped
+// retransmitting to it.
+func TestPoolBalancedAtHandBack(t *testing.T) {
+	sm, err := mustCluster(t, 2, 2).prepare(SRM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.spawnTasks(faultProbeBodyT)
+	sm.m.Buffers.Get(64)
+	res, err := sm.outcome()
+	var le *check.LedgerError
+	if res != nil || !errors.As(err, &le) || le.Clause != "pool" {
+		t.Errorf("a clean run that kept a buffer ended with %v, want a pool *check.LedgerError", err)
+	}
+	chaosCorpus(func(name string, ranks int, plan FaultPlan) {
+		cl := mustCluster(t, ranks/4, 4)
+		cl.SetFaultTolerance(DefaultFTConfig())
+		cl.SetFaultPlan(plan)
+		for _, spawn := range []func(*simulation){
+			func(sm *simulation) { sm.spawnProcs(chaosLoopBodyCompute(10, 256, 25, nil)) },
+			func(sm *simulation) { sm.spawnTasks(chaosLoopBodyT(10, 256, 25)) },
+		} {
+			sm, _, err := simulateKeeping(cl, spawn)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ty := sm.dom.Tally(); ty.Snapshots != 0 {
+				t.Errorf("%s: %d put snapshots not returned (%+v)", name, ty.Snapshots, ty)
+			}
+		}
+	})
 }
 
 // reserveCase is one run of TestConcurrentRunsShareReserve: an allreduce of
