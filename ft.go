@@ -354,17 +354,17 @@ func (c *Comm) FailedRanks() []int {
 
 // syncFrame is a rank's Agree or Shrink from the call to its continuation, and
 // afterwards what it ended with: err, or the rendezvous the survivors left
-// together. It is bound to the rank once, so a rendezvous makes no closure.
+// together. It is the rank's, and each suspension resumes it, so a rendezvous
+// makes no closure.
 type syncFrame struct {
-	h      handle      // the communicator, as the rank that called holds it
-	class  trace.Class // ClassAgree or ClassShrink, named "agree" and "shrink"
-	flag   uint64
-	g      *ftGather
-	err    error
-	span   int
-	stage  int // suspensions behind it
-	k      func()
-	stepFn func() // step, bound when first needed
+	h     handle      // the communicator, as the rank that called holds it
+	class trace.Class // ClassAgree or ClassShrink, named "agree" and "shrink"
+	flag  uint64
+	g     *ftGather
+	err   error
+	span  int
+	stage int // suspensions behind it
+	k     func()
 }
 
 // ftSync runs one rendezvous round on the communicator: every surviving
@@ -375,7 +375,7 @@ type syncFrame struct {
 // rank's syncFrame says which.
 func (h handle) ftSync(class trace.Class, flag uint64, k func()) {
 	s := &h.sync
-	*s = syncFrame{h: h, class: class, flag: flag, k: k, stepFn: s.stepFn}
+	*s = syncFrame{h: h, class: class, flag: flag, k: k}
 	switch ft := h.rs.ft; {
 	case ft == nil:
 		s.err = errors.New("srmcoll: " + class.String() + " requires fault tolerance (Cluster.SetFaultTolerance)")
@@ -388,28 +388,25 @@ func (h handle) ftSync(class trace.Class, flag uint64, k func()) {
 		k()
 		return
 	}
-	if s.stepFn == nil {
-		s.stepFn = s.step
-	}
 	// Ordered, like a blocking collective, after the rank's requests.
 	if tail := h.outstanding(); tail != nil {
-		h.wait(tail, s.stepFn)
+		h.wait(tail, s)
 		return
 	}
-	s.step()
+	s.Resume()
 }
 
-// step is what follows each suspension of a rendezvous: only the survivor park
-// and the protocol-cost sleep suspend the rank once its requests are done.
-func (s *syncFrame) step() {
+// Resume is what follows each suspension of a rendezvous: only the survivor
+// park and the protocol-cost sleep suspend the rank once its requests are done.
+func (s *syncFrame) Resume() {
 	h := s.h
 	switch s.stage++; s.stage {
 	case 1: // no request outstanding: enter, and wait for the other survivors
 		s.g = h.rec.enter(h.rs.ft, h.rank, s.class.String(), s.flag)
 		s.span = h.tr.Begin(h.t.Track(), s.class, s.class.String(), 0)
-		h.wait(s.g.ev, s.stepFn)
+		h.wait(s.g.ev, s)
 	case 2: // all in or declared failed: the agreement protocol's cost
-		h.sleep(h.ftSyncCost(), s.stepFn)
+		h.sleep(h.ftSyncCost(), s)
 	case 3:
 		h.tr.End(s.span)
 		s.k()

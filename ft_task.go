@@ -7,7 +7,7 @@ package srmcoll
 // task's unwind stack and raises the interrupt as a panic out of Park, where
 // block recovers it. An actor without one has nothing to raise it in: arm
 // installs the task's OnInterrupt handler and arms its unwind stack for the
-// duration of the operation, and interrupted runs it. Both end in
+// duration of the operation, and Interrupted runs it. Both end in
 // frame.declared, so the continuation gets the same *RankFailedError at the
 // same virtual time. TComm's two rendezvous methods follow.
 
@@ -36,16 +36,13 @@ func (f *frame) block() (err error) {
 // arm has a task without a stack catch by handler, its unwind stack armed,
 // until end puts it back as it is between operations.
 func (f *frame) arm() {
-	if f.intrFn == nil {
-		f.intrFn = f.interrupted
-	}
-	f.t.OnInterrupt = f.intrFn
+	f.t.OnInterrupt = f
 	f.t.SetUnwindArmed(true)
 }
 
-// interrupted is the task's OnInterrupt handler while the operation is
+// Interrupted is the task's OnInterrupt handler while the operation is
 // registered. The compensations run first, as before a panic out of Park.
-func (f *frame) interrupted(payload any) {
+func (f *frame) Interrupted(payload any) {
 	f.t.RunUnwinds()
 	f.end(f.declared(payload))
 }

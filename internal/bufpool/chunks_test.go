@@ -162,37 +162,41 @@ type record[T any] interface {
 func (r *rec) dirty(pc int) { *r = rec{a: int64(pc) + 1, b: -1, p: r} }
 func (r *rec) fresh() bool  { return *r == rec{} }
 
-// bound is a record type that rewinds: the method value bound to a value
-// survives the reserve, and a fresh value is zero but for a binding that
-// reaches that same value.
+// bound is a record type that waits: it holds a continuation that is the
+// record itself, or the record under a second name (boundAgain), as a frame
+// passes itself to the primitive it waits in. Nothing of it survives the
+// reserve: a fresh value is all zero.
 type bound struct {
-	a      int64
-	p      *bound
-	selfFn func() *bound // r.self, bound once for the life of the memory
+	a int64
+	p *bound
+	k resumer
 	Link[bound]
 }
 
-func (r *bound) self() *bound { return r }
-func (r *bound) Rewind()      { *r = bound{selfFn: r.selfFn} }
+// resumer is sim.K, which this package cannot import.
+type resumer interface{ Resume() }
+
+type boundAgain bound
+
+func (r *bound) Resume()      { r.a++ }
+func (r *boundAgain) Resume() { r.a-- }
 
 func (r *bound) dirty(pc int) {
-	if r.selfFn == nil {
-		r.selfFn = r.self
+	r.a, r.p, r.k = int64(pc)+1, r, r
+	if pc%2 == 1 {
+		r.k = (*boundAgain)(r)
 	}
-	r.a, r.p = int64(pc)+1, r
 }
 
-func (r *bound) fresh() bool {
-	return r.a == 0 && r.p == nil && r.next == nil && (r.selfFn == nil || r.selfFn() == r)
-}
+func (r *bound) fresh() bool { return *r == bound{} }
 
 // recycle drives two allocators that share the reserve through the program in
 // ops — one byte an operation: who, what, how many — and holds them to the
 // contract: every value handed out is fresh, no two values alive at once
-// overlap, Bytes adds up, and what is back in the reserve at the end is zero
-// (but for bindings) and held once. Every value handed out is dirtied, so that
-// a slab returned with a carved value not cleared or rewound shows at its next
-// owner or in the check.
+// overlap, Bytes adds up, and what is back in the reserve at the end is all
+// zero, continuations included, and held once. Every value handed out is
+// dirtied, so that a slab returned with a carved value not cleared shows at its
+// next owner or in the check.
 func recycle[T any, P record[T]](t testing.TB, ops []byte) {
 	type owner struct {
 		c     Chunks[T]
@@ -280,10 +284,10 @@ func FuzzChunksRecycle(f *testing.F) {
 	})
 }
 
-// TestChunksRewindKeepsBindings: values of a record type that rewinds come back
-// from the reserve zero but for their bindings, each binding reaching the value
-// it was bound to, so that binding again costs nothing; and a Frames list
-// rewinds what is Put on it and hands it out again first.
+// TestChunksRewindKeepsBindings: values of a record type that holds
+// continuations come back from the reserve all zero, nothing kept across
+// owners, and making one its own continuation again costs nothing; and a
+// Frames list clears what is Put on it and hands it out again first.
 func TestChunksRewindKeepsBindings(t *testing.T) {
 	DrainReserve()
 	defer DrainReserve()
@@ -301,16 +305,17 @@ func TestChunksRewindKeepsBindings(t *testing.T) {
 		t.Fatal("the Take after a Release did not draw the slab it returned")
 	}
 	for i := range again {
-		if p := &again[i]; p.selfFn == nil || !p.fresh() {
-			t.Fatalf("value %d drawn again is %+v, want zero but for a binding that reaches it", i, *p)
+		if p := &again[i]; !p.fresh() {
+			t.Fatalf("value %d drawn again is %+v, want all zero", i, *p)
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		for i := range again {
 			again[i].dirty(i)
+			again[i].k.Resume()
 		}
 	}); allocs != 0 {
-		t.Errorf("binding values drawn again costs %v objects, want none", allocs)
+		t.Errorf("passing values drawn again as continuations costs %v objects, want none", allocs)
 	}
 	c.Release()
 
@@ -318,8 +323,8 @@ func TestChunksRewindKeepsBindings(t *testing.T) {
 	x, y := f.Get(), f.Get()
 	x.dirty(1)
 	f.Put(x)
-	if made, idle := f.Count(); made != 2 || idle != 1 || x.a != 0 || x.p != nil || x.selfFn() != x {
-		t.Fatalf("after a Put: %d made, %d idle, the value %+v; want 2, 1 and a rewound value", made, idle, *x)
+	if made, idle := f.Count(); made != 2 || idle != 1 || !x.fresh() {
+		t.Fatalf("after a Put: %d made, %d idle, the value %+v; want 2, 1 and a cleared value", made, idle, *x)
 	}
 	if z := f.Get(); z != x || z.next != nil || y == x {
 		t.Fatal("Get did not hand out the value Put last, unlinked")
@@ -330,26 +335,34 @@ func TestChunksRewindKeepsBindings(t *testing.T) {
 	}
 }
 
-// leaky is a record type whose Rewind keeps a pointer field.
+// leaky is a record type written after its release, as a frame that kept a
+// field across owners would leave it.
 type leaky struct {
+	n  int
 	p  *leaky
 	fn func()
 }
 
-func (l *leaky) Rewind() { *l = leaky{p: l.p, fn: l.fn} }
-
-// TestRewindLeavingAPointerFailsCheck: the reserve check holds a spare of a
-// type that rewinds to zero in every field but its func fields, and names the
-// type and the field when it is not.
+// TestRewindLeavingAPointerFailsCheck: the reserve check holds every spare
+// value to all zero, and names the type and the first field that is not, a
+// func field as much as a pointer.
 func TestRewindLeavingAPointerFailsCheck(t *testing.T) {
-	DrainReserve()
-	defer DrainReserve()
-	var c Chunks[leaky]
-	l := c.New()
-	l.p, l.fn = l, func() {}
-	c.Release()
-	err := CheckReserve()
-	if err == nil || !strings.Contains(err.Error(), "bufpool.leaky") || !strings.Contains(err.Error(), "field p") {
-		t.Fatalf("CheckReserve() = %v, want an error naming bufpool.leaky and its field p", err)
+	for _, tc := range []struct {
+		field string
+		write func(l *leaky)
+	}{
+		{"fn", func(l *leaky) { l.fn = func() {} }},
+		{"p", func(l *leaky) { l.p = l }},
+	} {
+		DrainReserve()
+		var c Chunks[leaky]
+		l := c.New()
+		c.Release()
+		tc.write(l)
+		err := CheckReserve()
+		if err == nil || !strings.Contains(err.Error(), "bufpool.leaky") || !strings.Contains(err.Error(), "field "+tc.field) {
+			t.Errorf("CheckReserve() = %v, want an error naming bufpool.leaky and its field %s", err, tc.field)
+		}
 	}
+	DrainReserve()
 }

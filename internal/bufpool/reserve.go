@@ -118,8 +118,8 @@ func DrainReserve() {
 
 // CheckReserve verifies what exclusive ownership rests on: no more spares than
 // GOMAXPROCS, every spare rewound, and no block or buffer held by two of them;
-// and of every record type no more spare slabs than the cap, each all zero (but
-// for the func fields of a type that rewinds) and held once. Tests only.
+// and of every record type no more spare slabs than the cap, each all zero and
+// held once. Tests only.
 func CheckReserve() (err error) {
 	eachStack(func(s typedStack) {
 		if err == nil {

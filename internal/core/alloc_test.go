@@ -48,7 +48,9 @@ import (
 // nearly flat across them — the cold run, not the protocol. They fell by 60-430
 // on either engine when an operation state became arrays of the operation, with
 // no object per node, and a calendar bucket grew out of slabs (recorded
-// 1287-1644 and 484-804 before).
+// 1287-1644 and 484-804 before). The Proc counts fell by 64-119 when a
+// coroutine became its own continuation instead of binding a method value
+// (recorded 1080-1293 before).
 type allocRegime struct {
 	name       string
 	op         string
@@ -60,20 +62,20 @@ type allocRegime struct {
 }
 
 var allocRegimes = []allocRegime{
-	{"bcast_small", "bcast", 4 << 10, AlgAuto, 16, 1192, 385},
-	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 8, 1159, 385},
-	{"bcast_large", "bcast", 512 << 10, AlgAuto, 1, 1239, 463},
-	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 4, 1226, 422},
-	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 8, 1179, 405},
-	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 4, 1281, 453},
-	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 1, 1222, 447},
-	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 1, 1219, 444},
-	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 1, 1293, 489},
-	{"barrier", "barrier", 0, AlgAuto, 32, 1080, 305},
-	{"alltoall_staged", "alltoall", 4 << 10, AlgAuto, 0, 1134, 359},
-	{"reducescatter", "reducescatter", 64 << 10, AlgAuto, 0, 1186, 411},
-	{"reduce_pipe_3", "reduce", 192 << 10, AlgAuto, 0, 1226, 451},
-	{"allreduce_dualroot_8", "allreduce", 512 << 10, AlgDualRoot, 0, 1263, 490},
+	{"bcast_small", "bcast", 4 << 10, AlgAuto, 16, 1130, 385},
+	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 8, 1098, 385},
+	{"bcast_large", "bcast", 512 << 10, AlgAuto, 1, 1176, 463},
+	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 4, 1163, 422},
+	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 8, 1117, 405},
+	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 4, 1162, 453},
+	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 1, 1158, 447},
+	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 1, 1187, 444},
+	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 1, 1200, 489},
+	{"barrier", "barrier", 0, AlgAuto, 32, 1016, 305},
+	{"alltoall_staged", "alltoall", 4 << 10, AlgAuto, 0, 1070, 359},
+	{"reducescatter", "reducescatter", 64 << 10, AlgAuto, 0, 1121, 411},
+	{"reduce_pipe_3", "reduce", 192 << 10, AlgAuto, 0, 1162, 451},
+	{"allreduce_dualroot_8", "allreduce", 512 << 10, AlgDualRoot, 0, 1199, 490},
 }
 
 const (
@@ -133,9 +135,9 @@ func (rg allocRegime) runWith(t *testing.T, opt Options, tasks bool, calls int, 
 					case "barrier":
 						s.BarrierT(tk, r, next)
 					case "alltoall":
-						s.World().AlltoallT(tk, r, snd, rcv, next)
+						s.World().AlltoallT(tk, r, snd, rcv, sim.Func(next))
 					case "reducescatter":
-						s.World().ReduceScatterT(tk, r, snd, blk, dtype.Float64, dtype.Sum, next)
+						s.World().ReduceScatterT(tk, r, snd, blk, dtype.Float64, dtype.Sum, sim.Func(next))
 					}
 				}
 				next()
@@ -154,9 +156,9 @@ func (rg allocRegime) runWith(t *testing.T, opt Options, tasks bool, calls int, 
 				case "barrier":
 					s.Barrier(p, r)
 				case "alltoall":
-					block(p, func(t *sim.Task, k func()) { s.World().AlltoallT(t, r, snd, rcv, k) })
+					block(p, func(t *sim.Task, k sim.K) { s.World().AlltoallT(t, r, snd, rcv, k) })
 				case "reducescatter":
-					block(p, func(t *sim.Task, k func()) {
+					block(p, func(t *sim.Task, k sim.K) {
 						s.World().ReduceScatterT(t, r, snd, blk, dtype.Float64, dtype.Sum, k)
 					})
 				}

@@ -77,12 +77,12 @@ func (s *SRM) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type,
 
 // AllreduceT is Allreduce in continuation form.
 func (s *SRM) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
-	s.World().AllreduceT(t, rank, send, recv, dt, op, kont)
+	s.World().AllreduceT(t, rank, send, recv, dt, op, sim.Func(kont))
 }
 
 // AllreduceT combines the group members' send buffers into every member's
 // recv; kont runs when it completes.
-func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.allreduce(x, rank, send, recv, dataspec{dt, op})
 	x.run()

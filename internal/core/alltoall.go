@@ -73,7 +73,7 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 // blk-byte block per member (group order), and its recv receives member
 // j's block for i at group offset j. len(send) = len(recv) = Size()*blk.
 // kont runs when it completes.
-func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont func()) {
+func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.alltoall(x, rank, send, recv)
 	x.run()

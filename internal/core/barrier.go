@@ -35,10 +35,12 @@ func (s *SRM) Barrier(p *sim.Proc, rank int) {
 }
 
 // BarrierT is Barrier in continuation form.
-func (s *SRM) BarrierT(t *sim.Task, rank int, kont func()) { s.World().BarrierT(t, rank, kont) }
+func (s *SRM) BarrierT(t *sim.Task, rank int, kont func()) {
+	s.World().BarrierT(t, rank, sim.Func(kont))
+}
 
 // BarrierT runs kont once every group member has entered the barrier.
-func (g *Group) BarrierT(t *sim.Task, rank int, kont func()) {
+func (g *Group) BarrierT(t *sim.Task, rank int, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.barrier(x, rank)
 	x.run()

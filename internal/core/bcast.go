@@ -76,12 +76,12 @@ func (s *SRM) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 
 // BcastT is Bcast in continuation form.
 func (s *SRM) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
-	s.World().BcastT(t, rank, buf, root, kont)
+	s.World().BcastT(t, rank, buf, root, sim.Func(kont))
 }
 
 // BcastT broadcasts buf from the member rank root to every group member;
 // kont runs when it completes.
-func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
+func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.bcast(x, rank, buf, root)
 	x.run()

@@ -38,7 +38,7 @@ func harness(t testing.TB, nodes, tpn int, opt Options,
 // block runs a group operation from a process the way the facade does: its
 // task form started on the process's own task with p.Resume() as kont, and
 // the process parked until that has run.
-func block(p *sim.Proc, start func(t *sim.Task, kont func())) {
+func block(p *sim.Proc, start func(t *sim.Task, kont sim.K)) {
 	start(&p.Task, p.Resume())
 	p.Park()
 }

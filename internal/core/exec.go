@@ -16,9 +16,9 @@ import (
 // once as a stepper: a step function that looks at its frame (a pc plus loop
 // indices), issues the next few operations through the executor, and
 // returns. The executor queues the step's operations and performs them one by
-// one on the caller's Task with the *T primitives, passing the continuation
-// it bound once; an operation that completes inline is followed immediately
-// by the next, one that suspends returns to the event loop and the
+// one on the caller's Task with the *T primitives, passing itself as their
+// continuation (sim.K); an operation that completes inline is followed
+// immediately by the next, one that suspends returns to the event loop and the
 // continuation picks the queue up again. When the queue is empty the top
 // frame is stepped again. A Proc calls the same thing: the facade's
 // frame.block (package srmcoll) and the four SRM.Barrier/Bcast/Reduce/Allreduce
@@ -66,9 +66,6 @@ type subFrame struct {
 	frame
 	bufpool.Link[subFrame]
 }
-
-// Rewind empties the frame (bufpool.Chunks).
-func (f *subFrame) Rewind() { *f = subFrame{} }
 
 type opKind uint8
 
@@ -130,7 +127,6 @@ const (
 type exec struct {
 	t            *sim.Task
 	s            *SRM
-	resumeFn     func() // x.resume, bound once for the life of the executor's memory
 	ep           *rma.Endpoint
 	armed, fired bool  // a *T primitive is running; it called back inline
 	qh, qn       uint8 // the queue's head and length
@@ -146,7 +142,7 @@ type exec struct {
 
 	root frame     // the collective's body
 	sub  *subFrame // the SMP stage it has called, from SRM.subs; nil when none
-	kont func()    // runs after the collective completes
+	kont sim.K     // runs after the collective completes
 
 	// Call context, set by Group.acquire: the group, the operation's sequence
 	// number, the node index and local index in the group, and the data.
@@ -156,21 +152,20 @@ type exec struct {
 	nx, l int
 	ds    dataspec
 
-	done    *sim.Event // helper: triggered at finish
-	abortFn func()     // x.finish, bound once like resumeFn
+	done *sim.Event // helper: triggered at finish
+	_    [8]byte    // to eight whole cache lines
 	bufpool.Link[exec]
 }
 
-// Rewind empties the executor but for its bindings (bufpool.Chunks).
-func (x *exec) Rewind() { *x = exec{resumeFn: x.resumeFn, abortFn: x.abortFn} }
+// execAbort is the executor as the compensation on its task's unwind stack.
+type execAbort exec
+
+func (a *execAbort) Resume() { (*exec)(a).finish() }
 
 // exec returns an executor, bound to the task unless t is nil (spawn binds a
 // helper's when the helper starts).
-func (s *SRM) exec(t *sim.Task, kont func()) *exec {
+func (s *SRM) exec(t *sim.Task, kont sim.K) *exec {
 	x := s.execs.Get()
-	if x.resumeFn == nil {
-		x.resumeFn = x.resume
-	}
 	x.s, x.kont = s, kont
 	if t != nil {
 		x.bind(t)
@@ -184,10 +179,7 @@ func (s *SRM) exec(t *sim.Task, kont func()) *exec {
 func (x *exec) bind(t *sim.Task) {
 	x.t = t
 	if t.UnwindArmed() {
-		if x.abortFn == nil {
-			x.abortFn = x.finish
-		}
-		t.PushUnwind(x.abortFn)
+		t.PushUnwind((*execAbort)(x))
 		x.unwinds = true
 	}
 }
@@ -215,10 +207,10 @@ func (x *exec) finish() {
 	x.s.execs.Put(x)
 }
 
-// resume is the continuation every *T primitive receives. Called while the
+// Resume is the continuation every *T primitive receives. Called while the
 // primitive is still running it only records that the operation completed
 // inline; called later from the event loop it re-enters run.
-func (x *exec) resume() {
+func (x *exec) Resume() {
 	if x.armed {
 		x.fired = true
 		return
@@ -230,7 +222,7 @@ func (x *exec) resume() {
 // the queue drains, stepping the top frame after that, and completes the
 // collective when the root body has returned.
 func (x *exec) run() {
-	t, m, k := x.t, x.s.m, x.resumeFn
+	t, m := x.t, x.s.m
 	for {
 		for x.qh < x.qn {
 			o := &x.q[x.qh]
@@ -252,28 +244,28 @@ func (x *exec) run() {
 					x.fired = true
 				}
 			case opWaitEvent:
-				x.rare.ev.WaitT(t, k)
+				x.rare.ev.WaitK(t, x)
 			case opWaitCntr:
-				x.ep.WaitcntrT(t, o.cntr, int(o.v), k)
+				x.ep.WaitcntrK(t, o.cntr, int(o.v), x)
 			case opWaitValue:
-				x.ep.WaitValueT(t, o.cntr, int(o.v), k)
+				x.ep.WaitValueT(t, o.cntr, int(o.v), x)
 			case opPut:
-				x.ep.PutT(t, x.s.dom.Endpoint(int(o.w)), o.dst, o.src, nil, o.cntr, nil, k)
+				x.ep.PutK(t, x.s.dom.Endpoint(int(o.w)), o.dst, o.src, nil, o.cntr, nil, x)
 			case opAM:
 				ev := x.rare.ev
-				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, func([]byte) { ev.Trigger() }, k)
+				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, func([]byte) { ev.Trigger() }, x)
 			case opCopy:
-				m.MemcpyT(t, int(x.node), o.dst, o.src, k)
+				m.MemcpyT(t, int(x.node), o.dst, o.src, x)
 			case opCharge, opCombine:
 				// Two visits: pay the time, then count the bytes.
 				if o.i++; o.i == 2 {
 					x.count(o)
 					x.fired = true
 				} else if last = false; o.kind == opCharge {
-					m.ChargeCopyT(t, int(x.node), int(o.v), k)
+					m.ChargeCopyK(t, int(x.node), int(o.v), x)
 				} else {
 					x.reduce(o)
-					t.SleepThen(m.CombineTime(len(o.dst)), k)
+					t.SleepK(m.CombineTime(len(o.dst)), x)
 				}
 			default:
 				x.effect(o)
@@ -307,7 +299,7 @@ func (x *exec) run() {
 			kont := x.kont
 			x.finish()
 			if kont != nil {
-				kont()
+				kont.Resume()
 			}
 			return
 		}
@@ -334,9 +326,9 @@ func (x *exec) pop() {
 
 func (x *exec) waitFlagT(fl *shm.Flag, o *op) {
 	if o.eq {
-		fl.WaitForT(x.t, int(o.v), x.resumeFn)
+		fl.WaitForK(x.t, int(o.v), x)
 	} else {
-		fl.WaitGET(x.t, int(o.v), x.resumeFn)
+		fl.WaitGEK(x.t, int(o.v), x)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestExecIsTenCacheLines(t *testing.T) {
 	if per := bufpool.ChunkBytes / size; per < 32 {
 		t.Errorf("%d executors to a slab, want >= 32", per)
 	}
-	for _, name := range []string{"t", "s", "resumeFn", "ep", "armed", "fired", "qh", "qn", "bits", "depth", "node"} {
+	for _, name := range []string{"t", "s", "ep", "armed", "fired", "qh", "qn", "bits", "depth", "node"} {
 		if f, _ := reflect.TypeOf(exec{}).FieldByName(name); f.Offset+f.Type.Size() > 64 {
 			t.Errorf("exec.%s is past the first cache line, at %d", name, f.Offset)
 		}

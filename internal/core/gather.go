@@ -132,7 +132,7 @@ func (st *redistState) slabRange(rn run) (stagedOff, groupOff, n int) {
 // everywhere) into recv at root, ordered by group rank. recv must hold
 // Size()*blk bytes at root and is ignored elsewhere. kont runs when it
 // completes.
-func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.gather(x, rank, send, recv, root)
 	x.run()
@@ -141,7 +141,7 @@ func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont
 // ScatterT distributes root's send buffer (Size()*blk bytes, ordered by
 // group rank) so each member receives its blk-byte block in recv. send is
 // ignored away from root. kont runs when it completes.
-func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.scatter(x, rank, send, recv, root)
 	x.run()
@@ -151,7 +151,7 @@ func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kon
 // recv (Size()*blk bytes), ordered by group rank: an intra-node staging
 // phase, a slab ring between the node masters, and a node-local fan-out.
 // kont runs when it completes.
-func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()) {
+func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.allgather(x, rank, send, recv)
 	x.run()

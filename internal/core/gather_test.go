@@ -66,7 +66,7 @@ func checkGather(t *testing.T, nodes, tpn int, members []int, blk, root int) {
 		if rank == root {
 			rb = recv
 		}
-		block(p, func(t *sim.Task, k func()) { g.GatherT(t, rank, blockOf(rank, blk), rb, root, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.GatherT(t, rank, blockOf(rank, blk), rb, root, k) })
 	})
 	if want := wantConcat(members, blk); !bytes.Equal(recv, want) {
 		t.Fatalf("gather members=%v blk=%d root=%d wrong (got %v..., want %v...)",
@@ -103,7 +103,7 @@ func checkScatter(t *testing.T, nodes, tpn int, members []int, blk, root int) {
 		if rank == root {
 			sb = send
 		}
-		block(p, func(t *sim.Task, k func()) { g.ScatterT(t, rank, sb, recvs[rank], root, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.ScatterT(t, rank, sb, recvs[rank], root, k) })
 	})
 	for _, r := range members {
 		if !bytes.Equal(recvs[r], blockOf(r, blk)) {
@@ -139,7 +139,7 @@ func checkAllgather(t *testing.T, nodes, tpn int, members []int, blk int) {
 		recvs[r] = make([]byte, blk*len(members))
 	}
 	groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-		block(p, func(t *sim.Task, k func()) { g.AllgatherT(t, rank, blockOf(rank, blk), recvs[rank], k) })
+		block(p, func(t *sim.Task, k sim.K) { g.AllgatherT(t, rank, blockOf(rank, blk), recvs[rank], k) })
 	})
 	for _, r := range members {
 		if !bytes.Equal(recvs[r], want) {
@@ -174,7 +174,7 @@ func TestGatherPlacesByGroupOrderNotRankOrder(t *testing.T) {
 		if rank == 6 {
 			rb = recv
 		}
-		block(p, func(t *sim.Task, k func()) { g.GatherT(t, rank, blockOf(rank, blk), rb, 6, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.GatherT(t, rank, blockOf(rank, blk), rb, 6, k) })
 	})
 	if !bytes.Equal(recv[:blk], blockOf(6, blk)) ||
 		!bytes.Equal(recv[blk:2*blk], blockOf(1, blk)) ||
@@ -197,7 +197,7 @@ func TestGatherNetworkEfficiency(t *testing.T) {
 		if rank == 0 {
 			rb = recv
 		}
-		block(p, func(t *sim.Task, k func()) { g.GatherT(t, rank, blockOf(rank, blk), rb, 0, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.GatherT(t, rank, blockOf(rank, blk), rb, 0, k) })
 	})
 	if m.Stats.Puts != nodes-1 {
 		t.Errorf("puts = %d, want %d (one slab per non-root node)", m.Stats.Puts, nodes-1)
@@ -219,7 +219,7 @@ func TestScatterUsesOnePutPerNode(t *testing.T) {
 		if rank == 0 {
 			sb = send
 		}
-		block(p, func(t *sim.Task, k func()) { g.ScatterT(t, rank, sb, make([]byte, blk), 0, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.ScatterT(t, rank, sb, make([]byte, blk), 0, k) })
 	})
 	if m.Stats.Puts != nodes-1 {
 		t.Errorf("puts = %d, want %d", m.Stats.Puts, nodes-1)
@@ -249,12 +249,12 @@ func TestPropGatherScatterRoundTrip(t *testing.T) {
 			if rank == root {
 				rb = gathered
 			}
-			block(p, func(t *sim.Task, k func()) { g.GatherT(t, rank, blockOf(rank, blk), rb, root, k) })
+			block(p, func(t *sim.Task, k sim.K) { g.GatherT(t, rank, blockOf(rank, blk), rb, root, k) })
 			var sb []byte
 			if rank == root {
 				sb = gathered
 			}
-			block(p, func(t *sim.Task, k func()) { g.ScatterT(t, rank, sb, got[rank], root, k) })
+			block(p, func(t *sim.Task, k sim.K) { g.ScatterT(t, rank, sb, got[rank], root, k) })
 		})
 		for _, r := range members {
 			if !bytes.Equal(got[r], blockOf(r, blk)) {
@@ -285,7 +285,7 @@ func TestPropAllgatherMatchesGather(t *testing.T) {
 			recvs[r] = make([]byte, len(want))
 		}
 		groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-			block(p, func(t *sim.Task, k func()) { g.AllgatherT(t, rank, blockOf(rank, blk), recvs[rank], k) })
+			block(p, func(t *sim.Task, k sim.K) { g.AllgatherT(t, rank, blockOf(rank, blk), recvs[rank], k) })
 		})
 		for _, r := range members {
 			if !bytes.Equal(recvs[r], want) {
@@ -311,7 +311,7 @@ func TestGatherMismatchPanics(t *testing.T) {
 				t.Error("short gather recv did not panic")
 			}
 		}()
-		block(p, func(t *sim.Task, k func()) { g.GatherT(t, 0, make([]byte, 8), make([]byte, 8), 0, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.GatherT(t, 0, make([]byte, 8), make([]byte, 8), 0, k) })
 	})
 	_ = env.Run()
 }
@@ -338,7 +338,7 @@ func checkAlltoall(t *testing.T, nodes, tpn int, members []int, blk int) {
 		}
 	}
 	groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-		block(p, func(t *sim.Task, k func()) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
+		block(p, func(t *sim.Task, k sim.K) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
 	})
 	for gj, r := range members {
 		for gi := range members {
@@ -382,7 +382,7 @@ func TestAlltoallSlabCount(t *testing.T) {
 		recvs[r] = make([]byte, len(members)*blk)
 	}
 	m := groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-		block(p, func(t *sim.Task, k func()) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
+		block(p, func(t *sim.Task, k sim.K) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
 	})
 	if m.Stats.Puts != nodes*(nodes-1) {
 		t.Errorf("puts = %d, want %d", m.Stats.Puts, nodes*(nodes-1))
@@ -411,7 +411,7 @@ func TestPropAlltoall(t *testing.T) {
 			}
 		}
 		groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-			block(p, func(t *sim.Task, k func()) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
+			block(p, func(t *sim.Task, k sim.K) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
 		})
 		for gj, r := range members {
 			for gi := range members {
@@ -442,7 +442,7 @@ func TestAlltoallDirectPathZeroStaging(t *testing.T) {
 		}
 	}
 	m := groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-		block(p, func(t *sim.Task, k func()) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
+		block(p, func(t *sim.Task, k sim.K) { g.AlltoallT(t, rank, sends[rank], recvs[rank], k) })
 	})
 	for gj, r := range members {
 		for gi := range members {
@@ -474,7 +474,7 @@ func checkReduceScatter(t *testing.T, nodes, tpn int, members []int, elemsPerBlo
 		recvs[r] = make([]byte, blk)
 	}
 	groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-		block(p, func(t *sim.Task, k func()) {
+		block(p, func(t *sim.Task, k sim.K) {
 			g.ReduceScatterT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k)
 		})
 	})
@@ -512,7 +512,7 @@ func TestReduceScatterPanics(t *testing.T) {
 				t.Error("bad ReduceScatter sizes did not panic")
 			}
 		}()
-		block(p, func(t *sim.Task, k func()) {
+		block(p, func(t *sim.Task, k sim.K) {
 			g.ReduceScatterT(t, 0, make([]byte, 8), make([]byte, 8), dtype.Float64, dtype.Sum, k)
 		})
 	})
@@ -536,9 +536,9 @@ func checkScan(t *testing.T, nodes, tpn int, members []int, elems int, exclusive
 	}
 	groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
 		if exclusive {
-			block(p, func(t *sim.Task, k func()) { g.ExscanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
+			block(p, func(t *sim.Task, k sim.K) { g.ExscanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
 		} else {
-			block(p, func(t *sim.Task, k func()) { g.ScanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
+			block(p, func(t *sim.Task, k sim.K) { g.ScanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
 		}
 	})
 	for gi, r := range members {
@@ -594,9 +594,9 @@ func TestPropScan(t *testing.T) {
 		}
 		groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
 			if excl {
-				block(p, func(t *sim.Task, k func()) { g.ExscanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
+				block(p, func(t *sim.Task, k sim.K) { g.ExscanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
 			} else {
-				block(p, func(t *sim.Task, k func()) { g.ScanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
+				block(p, func(t *sim.Task, k sim.K) { g.ScanT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k) })
 			}
 		})
 		for gi, r := range members {

@@ -172,7 +172,7 @@ func TestGroupBarrier(t *testing.T) {
 	groupHarness(t, 3, 4, members, func(g *Group, p *sim.Proc, rank int) {
 		p.Sleep(sim.Time(rank) * 3)
 		enter[rank] = p.Now()
-		block(p, func(t *sim.Task, k func()) { g.BarrierT(t, rank, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.BarrierT(t, rank, k) })
 		exit[rank] = p.Now()
 	})
 	var last sim.Time
@@ -197,7 +197,7 @@ func checkGroupBcast(t *testing.T, nodes, tpn int, members []int, size, root int
 	}
 	copy(bufs[root], want)
 	groupHarness(t, nodes, tpn, members, func(g *Group, p *sim.Proc, rank int) {
-		block(p, func(t *sim.Task, k func()) { g.BcastT(t, rank, bufs[rank], root, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.BcastT(t, rank, bufs[rank], root, k) })
 	})
 	for _, r := range members {
 		if !bytes.Equal(bufs[r], want) {
@@ -244,7 +244,7 @@ func TestGroupReduceSum(t *testing.T) {
 			if rank == root {
 				rb = recv
 			}
-			block(p, func(t *sim.Task, k func()) { g.ReduceT(t, rank, sends[rank], rb, dtype.Float64, dtype.Sum, root, k) })
+			block(p, func(t *sim.Task, k sim.K) { g.ReduceT(t, rank, sends[rank], rb, dtype.Float64, dtype.Sum, root, k) })
 		})
 		got := dtype.Float64s(recv)
 		for i := range got {
@@ -271,7 +271,7 @@ func TestGroupAllreduce(t *testing.T) {
 			want += float64(r + 1)
 		}
 		groupHarness(t, 3, 4, members, func(g *Group, p *sim.Proc, rank int) {
-			block(p, func(t *sim.Task, k func()) {
+			block(p, func(t *sim.Task, k sim.K) {
 				g.AllreduceT(t, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum, k)
 			})
 		})
@@ -312,12 +312,12 @@ func TestConcurrentDisjointGroups(t *testing.T) {
 				if r == 0 {
 					copy(bufs[0], wantE)
 				}
-				block(p, func(t *sim.Task, k func()) { evens.BcastT(t, r, bufs[r], 0, k) })
+				block(p, func(t *sim.Task, k sim.K) { evens.BcastT(t, r, bufs[r], 0, k) })
 			} else {
-				block(p, func(t *sim.Task, k func()) {
+				block(p, func(t *sim.Task, k sim.K) {
 					odds.AllreduceT(t, r, dtype.Float64Bytes([]float64{float64(r)}), recvs[r], dtype.Float64, dtype.Sum, k)
 				})
-				block(p, func(t *sim.Task, k func()) { odds.BarrierT(t, r, k) })
+				block(p, func(t *sim.Task, k sim.K) { odds.BarrierT(t, r, k) })
 			}
 		})
 	}
@@ -366,7 +366,7 @@ func TestGroupNonMemberPanics(t *testing.T) {
 				t.Error("non-member collective call did not panic")
 			}
 		}()
-		block(p, func(t *sim.Task, k func()) { g.BarrierT(t, 3, k) })
+		block(p, func(t *sim.Task, k sim.K) { g.BarrierT(t, 3, k) })
 	})
 	_ = env.Run()
 }
@@ -396,7 +396,7 @@ func TestPropGroupBcast(t *testing.T) {
 		for _, r := range members {
 			r := r
 			env.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				block(p, func(t *sim.Task, k func()) { g.BcastT(t, r, bufs[r], root, k) })
+				block(p, func(t *sim.Task, k sim.K) { g.BcastT(t, r, bufs[r], root, k) })
 			})
 		}
 		if env.Run() != nil {

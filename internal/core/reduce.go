@@ -65,12 +65,12 @@ func (s *SRM) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op
 
 // ReduceT is Reduce in continuation form.
 func (s *SRM) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
-	s.World().ReduceT(t, rank, send, recv, dt, op, root, kont)
+	s.World().ReduceT(t, rank, send, recv, dt, op, root, sim.Func(kont))
 }
 
 // ReduceT combines the group members' send buffers into recv at root; kont
 // runs when it completes.
-func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
+func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.reduce(x, rank, send, recv, dataspec{dt, op}, root)
 	x.run()

@@ -88,7 +88,7 @@ func (st *reduceScatterState) slabFor(x *exec, vec []byte, y int) []byte {
 // group order) elementwise and scatters the result: the member with group
 // rank i receives reduced block i in recv (MPI_Reduce_scatter_block
 // semantics). kont runs when it completes.
-func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.reduceScatter(x, rank, send, recv, dataspec{dt, op})
 	x.run()

@@ -46,7 +46,7 @@ func newScanState(g *Group, size int, ds dataspec) *scanState {
 // ScanT leaves in each member's recv the reduction of the send buffers of
 // all members with group rank <= its own (inclusive prefix); kont runs when
 // it completes.
-func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.scan(x, rank, send, recv, dataspec{dt, op}, false)
 	x.run()
@@ -55,7 +55,7 @@ func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, o
 // ExscanT is the exclusive prefix: member i receives the reduction over
 // group ranks < i; the first member's recv is left zeroed. kont runs when it
 // completes.
-func (g *Group) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+func (g *Group) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont sim.K) {
 	x := g.s.exec(t, kont)
 	g.scan(x, rank, send, recv, dataspec{dt, op}, true)
 	x.run()

@@ -62,7 +62,8 @@ type Config struct {
 	// When every CPU is occupied by tasks (TasksPerNode >= CPUsPerNode)
 	// the daemon steals a slice from whatever task is running; leaving one
 	// CPU free (the 15-of-16 configuration) absorbs them. DaemonSlice = 0
-	// disables the model (the default).
+	// disables the model (the default); a positive one needs CPUsPerNode >= 1
+	// and a DaemonPeriod longer than the slice.
 	CPUsPerNode  int
 	DaemonPeriod sim.Time // interval between daemon activations per node
 	DaemonSlice  sim.Time // CPU time stolen per activation
@@ -124,6 +125,10 @@ func (c Config) Validate() error {
 	case c.LeafNodes > 0 && c.LeafNodes < c.Nodes && len(c.Tiers) == 0:
 		return fmt.Errorf("machine: LeafNodes = %d < Nodes = %d needs at least one Tier",
 			c.LeafNodes, c.Nodes)
+	case c.DaemonSlice > 0 && c.CPUsPerNode < 1:
+		return fmt.Errorf("machine: CPUsPerNode = %d with DaemonSlice = %v, want >= 1", c.CPUsPerNode, c.DaemonSlice)
+	case c.DaemonSlice > 0 && c.DaemonPeriod <= c.DaemonSlice:
+		return fmt.Errorf("machine: DaemonPeriod = %v, want more than DaemonSlice = %v", c.DaemonPeriod, c.DaemonSlice)
 	}
 	for i, t := range c.Tiers {
 		if err := badTime(fmt.Sprintf("Tiers[%d].", i), reflect.ValueOf(t)); err != nil {
@@ -457,8 +462,7 @@ func (m *Machine) LocalRank(rank int) int { return rank % m.Cfg.TasksPerNode }
 // daemonsActive reports whether daemon noise applies: the model is on and
 // the node's CPUs are fully subscribed by tasks.
 func (m *Machine) daemonsActive() bool {
-	return m.Cfg.DaemonSlice > 0 && m.Cfg.CPUsPerNode > 0 &&
-		m.Cfg.TasksPerNode >= m.Cfg.CPUsPerNode
+	return m.Cfg.DaemonSlice > 0 && m.Cfg.TasksPerNode >= m.Cfg.CPUsPerNode
 }
 
 // daemonPhase staggers the daemon activations across nodes; the half-period
@@ -504,7 +508,7 @@ func (m *Machine) Memcpy(p *sim.Proc, node int, dst, src []byte) {
 }
 
 // copyFrame is the frame of a charged copy, live across the copy sleep only:
-// a task sleeps on exactly one thing at a time.
+// a task sleeps on exactly one thing at a time. The sleep resumes the frame.
 type copyFrame struct {
 	m        *Machine
 	nd       *Node
@@ -512,15 +516,11 @@ type copyFrame struct {
 	dst, src []byte
 	n        int
 	move     bool // Memcpy semantics: land the bytes and count the copy
-	k        func()
-	doneFn   func() // fr.done, bound once for the life of the frame's memory
+	k        sim.K
 	bufpool.Link[copyFrame]
 }
 
-// Rewind empties the frame but for its binding (bufpool.Chunks).
-func (fr *copyFrame) Rewind() { *fr = copyFrame{doneFn: fr.doneFn} }
-
-func (fr *copyFrame) done() {
+func (fr *copyFrame) Resume() {
 	m, nd, id, dst, src, n, move, k := fr.m, fr.nd, fr.id, fr.dst, fr.src, fr.n, fr.move, fr.k
 	m.copies.Put(fr)
 	nd.activeCopies--
@@ -529,23 +529,28 @@ func (fr *copyFrame) done() {
 		copy(dst, src)
 		m.Stats.AddCopy(n)
 	}
-	k()
+	k.Resume()
 }
 
 // MemcpyT copies src into dst within node id, charging contended copy time to
 // the task and recording the copy in Stats; k runs once the bytes have landed.
 // len(dst) must equal len(src).
-func (m *Machine) MemcpyT(t *sim.Task, node int, dst, src []byte, k func()) {
+func (m *Machine) MemcpyT(t *sim.Task, node int, dst, src []byte, k sim.K) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("machine: Memcpy length mismatch %d != %d", len(dst), len(src)))
 	}
 	m.chargeCopyT(t, node, dst, src, len(src), true, k)
 }
 
-// ChargeCopyT charges copy time for n bytes on a node without moving data,
+// ChargeCopyT is ChargeCopyK with a closure for k.
+func (m *Machine) ChargeCopyT(t *sim.Task, node, n int, k func()) {
+	m.ChargeCopyK(t, node, n, sim.Func(k))
+}
+
+// ChargeCopyK charges copy time for n bytes on a node without moving data,
 // then runs k; used where the data movement itself is performed by a lower
 // layer.
-func (m *Machine) ChargeCopyT(t *sim.Task, node, n int, k func()) {
+func (m *Machine) ChargeCopyK(t *sim.Task, node, n int, k sim.K) {
 	m.chargeCopyT(t, node, nil, nil, n, false, k)
 }
 
@@ -553,23 +558,20 @@ func (m *Machine) ChargeCopyT(t *sim.Task, node, n int, k func()) {
 // with move set it also lands the bytes and records the copy once the sleep
 // elapses (Memcpy semantics — ChargeCopy leaves the data motion to a lower
 // layer and records nothing).
-func (m *Machine) chargeCopyT(t *sim.Task, node int, dst, src []byte, n int, move bool, k func()) {
+func (m *Machine) chargeCopyT(t *sim.Task, node int, dst, src []byte, n int, move bool, k sim.K) {
 	nd := &m.nodes[node]
 	d := m.CopyTime(n) * m.copyFactor(nd)
 	d += m.DaemonExtra(node, d)
 	id := m.Env.Trace.Begin(t.Track(), trace.ClassShmCopy, "shm:copy", int64(n))
 	nd.activeCopies++
 	fr := m.copies.Get()
-	if fr.doneFn == nil {
-		fr.doneFn = fr.done
-	}
 	fr.m, fr.nd, fr.id, fr.dst, fr.src, fr.n, fr.move, fr.k = m, nd, id, dst, src, n, move, k
-	t.SleepThen(d, fr.doneFn)
+	t.SleepK(d, fr)
 }
 
 // ChargeCopy is ChargeCopyT from a process body.
 func (m *Machine) ChargeCopy(p *sim.Proc, node, n int) {
-	m.ChargeCopyT(&p.Task, node, n, p.Resume())
+	m.ChargeCopyK(&p.Task, node, n, p.Resume())
 	p.Park()
 }
 
@@ -646,21 +648,22 @@ func (m *Machine) SpinExit(node int) {
 // spinWait is the frame of a task spinning on a word (SpinT), and the wait
 // itself (sim.WaitFrame), live from park to resume: a task parks on at most one
 // thing at a time, and the simulator drops stale waiters on interrupt or death.
+// As a spinUnwind it is the wait's compensation on the unwind stack.
 type spinWait struct {
-	m        *Machine
-	node     int
-	word     *int
-	t        *sim.Task
-	v        int
-	eq       bool // wait for == v rather than >= v
-	id       int  // open trace span
-	k        func()
-	unwindFn func() // fr.unwind, bound once for the life of the frame's memory
+	m    *Machine
+	node int
+	word *int
+	t    *sim.Task
+	v    int
+	eq   bool // wait for == v rather than >= v
+	id   int  // open trace span
+	k    sim.K
 	bufpool.Link[spinWait]
 }
 
-// Rewind empties the frame but for its binding (bufpool.Chunks).
-func (fr *spinWait) Rewind() { *fr = spinWait{unwindFn: fr.unwindFn} }
+type spinUnwind spinWait
+
+func (u *spinUnwind) Resume() { (*spinWait)(u).unwind() }
 
 func (fr *spinWait) Ready() bool {
 	if fr.eq {
@@ -673,7 +676,7 @@ func (fr *spinWait) Resume() {
 	t, k := fr.t, fr.k
 	fr.unwind()
 	t.PopUnwind()
-	k()
+	k.Resume()
 }
 
 // unwind leaves the spin: it is also the frame's compensation when a kill or
@@ -689,17 +692,12 @@ func (fr *spinWait) unwind() {
 // SpinT spins t on c until *word is at least v (equal to it, with eq), then
 // runs k: the wait of a shm flag, which obj and v describe in stall reports.
 // Meanwhile t counts as a spinner on node (SpinEnter).
-func (m *Machine) SpinT(t *sim.Task, node int, c *sim.Cond, obj sim.WaitDescriber, word *int, v int, eq bool, k func()) {
+func (m *Machine) SpinT(t *sim.Task, node int, c *sim.Cond, obj sim.WaitDescriber, word *int, v int, eq bool, k sim.K) {
 	fr := m.spins.Get()
 	fr.m, fr.node, fr.word, fr.t, fr.v, fr.eq, fr.k = m, node, word, t, v, eq, k
 	fr.id = m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0)
 	m.SpinEnter(node)
-	if t.UnwindArmed() {
-		if fr.unwindFn == nil {
-			fr.unwindFn = fr.unwind
-		}
-		t.PushUnwind(fr.unwindFn)
-	}
+	t.PushUnwind((*spinUnwind)(fr))
 	c.WaitFrameT(t, obj, v, fr)
 }
 

@@ -51,6 +51,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"rank count overflows", func(c *Config) { c.Nodes = math.MaxInt / 2 }},
 		{"rank count overflows per node", func(c *Config) { c.Nodes, c.TasksPerNode = 4, math.MaxInt/2 }},
 		{"rank count beyond int32", func(c *Config) { c.Nodes, c.TasksPerNode = 1<<16, 1<<15 }},
+		{"daemon period zero", func(c *Config) { c.CPUsPerNode, c.DaemonPeriod, c.DaemonSlice = 2, 0, 1 }},
+		{"daemon slice beyond its period", func(c *Config) { c.DaemonPeriod, c.DaemonSlice = 1, 5 }},
+		{"daemon slice the whole period", func(c *Config) { c.DaemonPeriod, c.DaemonSlice = 5, 5 }},
+		{"daemons on no CPUs", func(c *Config) { c.CPUsPerNode, c.DaemonSlice = 0, 1 }},
+		{"daemons on negative CPUs", func(c *Config) { c.CPUsPerNode, c.DaemonSlice = -1, 1 }},
 	}
 	for _, tc := range cases {
 		cfg := ColonySP(2, 4)

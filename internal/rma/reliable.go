@@ -33,24 +33,23 @@ import (
 // when the origin receives the acknowledgement (the first one).
 //
 // Life of a frame. putRemote takes one from the domain's free list (or carves
-// one, binding its continuations unless its memory still has them), fills it
-// and calls send. Every
-// callback send and its successors schedule — the origin counter's firing, a
-// transmission's arrival, its landing (scheduled, or parked in the pending list
-// of a target with interrupts off), the acknowledgement's arrival, the ack
-// timeout — holds one reference, given up as the callback's last act, and
-// nothing else points at the frame; with the last reference gone the frame
-// returns the payload snapshot if it still has it, forgets the buffers and
-// counters of its put and is idle again. Under reliable delivery that is
-// usually the timeout of the last transmission, firing long after the ack and
-// finding nothing to do, so a run holds as many frames as it has puts younger
-// than an ack timeout, and the snapshot goes back earlier, at the landing, the
-// only read the channel's window lets through. A dead target refuses arrivals
-// (the reference is given up on the spot), MarkDead tells the frame of every
-// landing it discards from the pending list, and a timeout that finds the
-// target dead stops retransmitting: in each case the frame drains like any
-// other and the snapshot goes back with it. A put on the clean wire has no
-// snapshot to return: its bytes moved at issue (wireDirect, rma.go).
+// one), fills it and calls send. Every callback send and its successors
+// schedule — the origin counter's firing, a transmission's arrival, its landing
+// (scheduled, or parked in the pending list of a target with interrupts off),
+// the acknowledgement's arrival, the ack timeout — holds one reference, given
+// up as the callback's last act, and nothing else points at the frame; with the
+// last reference gone the frame returns the payload snapshot if it still has
+// it, forgets the buffers and counters of its put and is idle again. Under
+// reliable delivery that is usually the timeout of the last transmission,
+// firing long after the ack and finding nothing to do, so a run holds as many
+// frames as it has puts younger than an ack timeout, and the snapshot goes back
+// earlier, at the landing, the only read the channel's window lets through. A
+// dead target refuses arrivals (the reference is given up on the spot),
+// MarkDead tells the frame of every landing it discards from the pending list,
+// and a timeout that finds the target dead stops retransmitting: in each case
+// the frame drains like any other and the snapshot goes back with it. A put on
+// the clean wire has no snapshot to return: its bytes moved at issue
+// (wireDirect, rma.go).
 //
 // The schedule — which callback is queued when, the injector's draws, the
 // adapter reservations — is the one the three closure nests this file replaced
@@ -160,16 +159,23 @@ type delivery struct {
 	try   int  // retransmissions so far
 	acked bool // the origin has the acknowledgement
 
-	// Continuations, bound once for the life of the frame's memory.
-	arriveFn, landFn, originFn, ackFn, timeoutFn func()
-
 	bufpool.Link[delivery]
 }
 
-// Rewind empties the frame but for its bindings (bufpool.Chunks).
-func (fr *delivery) Rewind() {
-	*fr = delivery{arriveFn: fr.arriveFn, landFn: fr.landFn, originFn: fr.originFn, ackFn: fr.ackFn, timeoutFn: fr.timeoutFn}
-}
+// The frame's five callbacks, each the frame under a name of its own.
+type (
+	deliveryArrive  delivery
+	deliveryLand    delivery
+	deliveryOrigin  delivery
+	deliveryAck     delivery
+	deliveryTimeout delivery
+)
+
+func (fr *deliveryArrive) Resume()  { (*delivery)(fr).arrive() }
+func (fr *deliveryLand) Resume()    { (*delivery)(fr).land() }
+func (fr *deliveryOrigin) Resume()  { (*delivery)(fr).originFired() }
+func (fr *deliveryAck) Resume()     { (*delivery)(fr).ack() }
+func (fr *deliveryTimeout) Resume() { (*delivery)(fr).timeout() }
 
 // unref gives up one reference. The last one makes the frame idle: it pins no
 // buffer or counter of a finished operation, and the snapshot no transmission
@@ -207,7 +213,7 @@ func (fr *delivery) send() {
 	if fr.try == 0 && fr.origin != nil {
 		fr.refs++
 		d.tally.Callbacks++
-		m.Env.At(injectEnd, fr.originFn)
+		m.Env.AtK(injectEnd, (*deliveryOrigin)(fr))
 	}
 	var v fault.Verdict
 	if m.Faults != nil {
@@ -226,7 +232,7 @@ func (fr *delivery) send() {
 		}
 		fr.refs++
 		d.tally.Unresolved++
-		m.Env.At(arrival+v.Delay, fr.arriveFn)
+		m.Env.AtK(arrival+v.Delay, (*deliveryArrive)(fr))
 		if v.Dup {
 			// The duplicate takes one extra wire latency. Without reliable
 			// delivery it lands in full: no dedup, so counters double-fire.
@@ -237,7 +243,7 @@ func (fr *delivery) send() {
 			fr.refs++
 			d.tally.Sent++
 			d.tally.Unresolved++
-			m.Env.At(arrival+v.Delay+wireLat, fr.arriveFn)
+			m.Env.AtK(arrival+v.Delay+wireLat, (*deliveryArrive)(fr))
 		}
 	}
 	if fr.ch == nil {
@@ -266,7 +272,7 @@ func (fr *delivery) send() {
 	}
 	fr.refs++
 	d.tally.Callbacks++
-	m.Env.After(timeout, fr.timeoutFn)
+	m.Env.AfterK(timeout, (*deliveryTimeout)(fr))
 }
 
 // originFired runs when the first transmission's injection completes: the
@@ -287,7 +293,7 @@ func (fr *delivery) arrive() {
 	m := d.m
 	if fr.ch == nil {
 		// The landing takes over the arrival's reference.
-		if !fr.target.deliver(fr, fr.landFn) {
+		if !fr.target.deliver(fr, (*deliveryLand)(fr)) {
 			d.tally.Unresolved--
 			fr.unref()
 		}
@@ -296,7 +302,7 @@ func (fr *delivery) arrive() {
 	if !fr.ch.admit(fr.seq) {
 		m.Stats.DupsSuppressed++
 		d.tally.Unresolved--
-	} else if fr.target.deliver(fr, fr.landFn) {
+	} else if fr.target.deliver(fr, (*deliveryLand)(fr)) {
 		fr.refs++
 	} else {
 		d.tally.Unresolved--
@@ -315,7 +321,7 @@ func (fr *delivery) arrive() {
 		tr.Add(fr.g, fr.par, trace.ClassPutAck, "put:ack", 0, m.Env.Now(), ackArrival)
 	}
 	d.tally.Callbacks++
-	m.Env.At(ackArrival, fr.ackFn) // on the arrival's reference
+	m.Env.AtK(ackArrival, (*deliveryAck)(fr)) // on the arrival's reference
 }
 
 // land moves the payload into the target's memory — unless the clean wire
@@ -347,7 +353,7 @@ func (fr *delivery) land() {
 		}
 		fr.refs++
 		d.tally.Callbacks++
-		m.Env.After(ackLat, fr.ackFn)
+		m.Env.AfterK(ackLat, (*deliveryAck)(fr))
 	}
 	fr.unref()
 }

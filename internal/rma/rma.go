@@ -82,7 +82,7 @@ type Endpoint struct {
 // lands it, and the put frame that is waiting for that (nil for a message that
 // has none), so that MarkDead can tell the frame when it throws the list away.
 type deferred struct {
-	fn func()
+	fn sim.K
 	fr *delivery
 }
 
@@ -236,7 +236,7 @@ func (ep *Endpoint) SetInterrupts(on bool) {
 		m := ep.dom.m
 		for _, p := range ep.pending {
 			m.Stats.Interrupts++
-			m.Env.After(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), p.fn)
+			m.Env.AfterK(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), p.fn)
 		}
 		ep.drop(len(ep.pending))
 	}
@@ -252,7 +252,7 @@ func (ep *Endpoint) drop(n int) {
 
 // Waitcntr is WaitcntrT from a process body.
 func (ep *Endpoint) Waitcntr(p *sim.Proc, c *Counter, v int) {
-	ep.WaitcntrT(&p.Task, c, v, p.Resume())
+	ep.WaitcntrK(&p.Task, c, v, p.Resume())
 	p.Park()
 }
 
@@ -266,7 +266,7 @@ func (ep *Endpoint) Waitcntr(p *sim.Proc, c *Counter, v int) {
 // is recorded as a span from arrival to the moment fn runs, named after the
 // mode that delivered it. deliver reports whether it took the message: false
 // means the target is dead and fn will never run.
-func (ep *Endpoint) deliver(fr *delivery, fn func()) bool {
+func (ep *Endpoint) deliver(fr *delivery, fn sim.K) bool {
 	m := ep.dom.m
 	if ep.dead {
 		// The task was declared failed: its adapter still acks at the link
@@ -288,14 +288,14 @@ func (ep *Endpoint) deliver(fr *delivery, fn func()) bool {
 		if tr != nil && g >= 0 {
 			tr.Add(g, par, trace.ClassPutDeliver, "put:deliver:poll", 0, m.Env.Now(), m.Env.Now()+d)
 		}
-		m.Env.After(d, fn)
+		m.Env.AfterK(d, fn)
 	case ep.interrupts:
 		m.Stats.Interrupts++
 		d := m.Cfg.InterruptCost + m.SpinPenalty(ep.Node) + m.StormPenalty(ep.Node)
 		if tr != nil && g >= 0 {
 			tr.Add(g, par, trace.ClassPutDeliver, "put:deliver:interrupt", 0, m.Env.Now(), m.Env.Now()+d)
 		}
-		m.Env.After(d, fn)
+		m.Env.AfterK(d, fn)
 	default:
 		m.Stats.Deferrals++
 		if tr != nil && g >= 0 {
@@ -303,10 +303,10 @@ func (ep *Endpoint) deliver(fr *delivery, fn func()) bool {
 			// call drains it; record arrival now and close at actual delivery.
 			at := m.Env.Now()
 			inner := fn
-			fn = func() {
+			fn = sim.Func(func() {
 				tr.Add(g, par, trace.ClassPutDeliver, "put:deliver:deferred", 0, at, m.Env.Now())
-				inner()
-			}
+				inner.Resume()
+			})
 		}
 		ep.pending = append(ep.pending, deferred{fn, fr})
 	}
@@ -316,7 +316,7 @@ func (ep *Endpoint) deliver(fr *delivery, fn func()) bool {
 // Put is PutT from a process body: it returns after the origin CPU overhead
 // (and, for a loopback put, the shared-memory copy).
 func (ep *Endpoint) Put(p *sim.Proc, target *Endpoint, dst, src []byte, origin, tgt, compl *Counter) {
-	ep.PutT(&p.Task, target, dst, src, origin, tgt, compl, p.Resume())
+	ep.PutK(&p.Task, target, dst, src, origin, tgt, compl, p.Resume())
 	p.Park()
 }
 
@@ -327,9 +327,6 @@ func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin
 	d := ep.dom
 	m := d.m
 	fr := d.deliveries.Get()
-	if fr.arriveFn == nil {
-		fr.arriveFn, fr.landFn, fr.originFn, fr.ackFn, fr.timeoutFn = fr.arrive, fr.land, fr.originFired, fr.ack, fr.timeout
-	}
 	if d.wire == wireUndecided {
 		d.decide()
 	}
@@ -371,7 +368,7 @@ func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin
 
 // PutZero is PutZeroT from a process body.
 func (ep *Endpoint) PutZero(p *sim.Proc, target *Endpoint, tgt *Counter) {
-	ep.PutZeroT(&p.Task, target, tgt, p.Resume())
+	ep.PutK(&p.Task, target, nil, nil, nil, tgt, nil, p.Resume())
 	p.Park()
 }
 
@@ -380,10 +377,10 @@ func (ep *Endpoint) PutZero(p *sim.Proc, target *Endpoint, tgt *Counter) {
 // tasks that share a rank's endpoint (e.g. the broadcast side of the fused
 // allreduce pipeline) use it so the rank's RMA-call bookkeeping stays
 // consistent.
-func (ep *Endpoint) WaitValueT(t *sim.Task, c *Counter, v int, k func()) {
+func (ep *Endpoint) WaitValueT(t *sim.Task, c *Counter, v int, k sim.K) {
 	if c.val >= v {
 		c.val -= v
-		k()
+		k.Resume()
 		return
 	}
 	fr := ep.dom.waits.Get()
@@ -391,42 +388,42 @@ func (ep *Endpoint) WaitValueT(t *sim.Task, c *Counter, v int, k func()) {
 	fr.park()
 }
 
-// drainFrame is the frame of drainPending: its continuations are bound once
-// for the life of its memory, so draining deferred deliveries — the common
-// case for masters running with interrupts off — allocates nothing per
-// delivery. A task parks or sleeps on one thing at a time and stale waiters
-// are dropped on interrupt, so a frame is referenced only between its arm and
-// its resume.
+// drainFrame is the frame of drainPending: each sleep resumes the frame, and
+// as a drainUnwind it is the drain's compensation, so draining deferred
+// deliveries — the common case for masters running with interrupts off —
+// allocates nothing per delivery. A task parks or sleeps on one thing at a
+// time and stale waiters are dropped on interrupt, so a frame is referenced
+// only between its arm and its resume.
 type drainFrame struct {
-	ep       *Endpoint
-	t        *sim.Task
-	k        func()
-	cur      deferred // delivery being serviced during the current sleep
-	stepFn   func()
-	unwindFn func()
+	ep  *Endpoint
+	t   *sim.Task
+	k   sim.K
+	cur deferred // delivery being serviced during the current sleep
 	bufpool.Link[drainFrame]
 }
 
-// Rewind empties the frame but for its bindings (bufpool.Chunks).
-func (fr *drainFrame) Rewind() { *fr = drainFrame{stepFn: fr.stepFn, unwindFn: fr.unwindFn} }
+type drainUnwind drainFrame
 
-func (fr *drainFrame) step() {
+func (u *drainUnwind) Resume() { (*drainFrame)(u).unwind() }
+
+// Resume lands the delivery the last sleep paid for, then services the next.
+func (fr *drainFrame) Resume() {
 	if fr.cur.fn != nil {
 		fn := fr.cur.fn
 		fr.cur = deferred{}
-		fn()
+		fn.Resume()
 	}
 	ep := fr.ep
 	if len(ep.pending) == 0 {
 		k := fr.k
 		fr.t.PopUnwind()
 		ep.dom.drains.Put(fr)
-		k()
+		k.Resume()
 		return
 	}
 	fr.cur = ep.pending[0]
 	ep.drop(1)
-	fr.t.SleepThen(ep.dom.m.Cfg.RecvOverhead, fr.stepFn)
+	fr.t.SleepK(ep.dom.m.Cfg.RecvOverhead, fr)
 }
 
 // unwind runs when a kill or an interrupt takes the task away in the middle
@@ -441,26 +438,22 @@ func (fr *drainFrame) unwind() {
 
 // drainPending services deferred deliveries from inside an RMA call — the
 // calling task's CPU pays the receive overhead for each — then runs k.
-func (ep *Endpoint) drainPending(t *sim.Task, k func()) {
+func (ep *Endpoint) drainPending(t *sim.Task, k sim.K) {
 	if len(ep.pending) == 0 {
-		k()
+		k.Resume()
 		return
 	}
 	fr := ep.dom.drains.Get()
-	if fr.stepFn == nil {
-		fr.stepFn, fr.unwindFn = fr.step, fr.unwind
-	}
 	fr.ep, fr.t, fr.k = ep, t, k
-	if t.UnwindArmed() {
-		t.PushUnwind(fr.unwindFn)
-	}
-	fr.step()
+	t.PushUnwind((*drainUnwind)(fr))
+	fr.Resume()
 }
 
-// cntrFrame is the frame of a counter wait (WaitcntrT, and WaitValueT with ep
+// cntrFrame is the frame of a counter wait (WaitcntrK, and WaitValueT with ep
 // nil). Parked, it is the wait itself (sim.WaitFrame): the Task holds it as one
 // interface value, so a counter wait — the inner loop of the put/credit
-// protocols — binds no predicate or continuation closure.
+// protocols — binds no predicate or continuation closure. As a cntrEnter it
+// is what follows the drain, as a cntrUnwind the wait's compensation.
 type cntrFrame struct {
 	d  *Domain
 	ep *Endpoint // inside an RMA call for the wait's duration; nil for WaitValueT
@@ -468,15 +461,17 @@ type cntrFrame struct {
 	t  *sim.Task
 	v  int
 	id int // open trace span while parked
-	k  func()
-
-	// fr.enter and fr.unwind, bound once for the life of the frame's memory.
-	enterFn, unwindFn func()
+	k  sim.K
 	bufpool.Link[cntrFrame]
 }
 
-// Rewind empties the frame but for its bindings (bufpool.Chunks).
-func (fr *cntrFrame) Rewind() { *fr = cntrFrame{enterFn: fr.enterFn, unwindFn: fr.unwindFn} }
+type (
+	cntrEnter  cntrFrame
+	cntrUnwind cntrFrame
+)
+
+func (e *cntrEnter) Resume()  { (*cntrFrame)(e).enter() }
+func (u *cntrUnwind) Resume() { (*cntrFrame)(u).unwind() }
 
 // enter puts the endpoint inside the RMA call and waits for the counter.
 func (fr *cntrFrame) enter() {
@@ -484,12 +479,7 @@ func (fr *cntrFrame) enter() {
 	// A crash or fault-tolerance interrupt can abandon the wait, and a stuck
 	// inCall=true would make every later delivery to this (possibly
 	// surviving) task look like a poll.
-	if fr.t.UnwindArmed() {
-		if fr.unwindFn == nil {
-			fr.unwindFn = fr.unwind
-		}
-		fr.t.PushUnwind(fr.unwindFn)
-	}
+	fr.t.PushUnwind((*cntrUnwind)(fr))
 	if fr.c.val >= fr.v {
 		fr.finish()
 		return
@@ -520,7 +510,7 @@ func (fr *cntrFrame) finish() {
 		ep.inCall = false
 		t.PopUnwind()
 	}
-	k()
+	k.Resume()
 }
 
 // unwind restores inCall when a fault-tolerance interrupt abandons the
@@ -531,16 +521,21 @@ func (fr *cntrFrame) unwind() {
 	ep.inCall = false
 }
 
-// WaitcntrT waits until the counter reaches v, subtracts v and runs k,
+// WaitcntrT is WaitcntrK with a closure for k.
+func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
+	ep.WaitcntrK(t, c, v, sim.Func(k))
+}
+
+// WaitcntrK waits until the counter reaches v, subtracts v and runs k,
 // LAPI-style. Deferred deliveries are serviced first; then the task counts as
 // "inside an RMA call" — the dispatcher polls, so arriving messages are
 // delivered without interrupts — from the moment the wait arms until k is
 // about to run. With nothing to drain and the counter already there, the
 // call begins and ends in one step and needs no frame.
-func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
+func (ep *Endpoint) WaitcntrK(t *sim.Task, c *Counter, v int, k sim.K) {
 	if len(ep.pending) == 0 && c.val >= v {
 		c.val -= v
-		k()
+		k.Resume()
 		return
 	}
 	fr := ep.dom.waits.Get()
@@ -549,34 +544,30 @@ func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
 		fr.enter()
 		return
 	}
-	if fr.enterFn == nil {
-		fr.enterFn = fr.enter
-	}
-	ep.drainPending(t, fr.enterFn)
+	ep.drainPending(t, (*cntrEnter)(fr))
 }
 
-// putFrame is the continuation frame of PutT: the post-overhead injection step
-// and the loopback copy completion are bound once for the life of its memory,
-// so the put fan-outs of a massive-rank run allocate nothing per call.
+// putFrame is the continuation frame of PutK: the overhead sleep resumes the
+// frame, which injects, and a loopback copy resumes it as a putCopied, so the
+// put fan-outs of a massive-rank run allocate nothing per call.
 type putFrame struct {
 	ep, target         *Endpoint
 	t                  *sim.Task
 	dst, src           []byte
 	origin, tgt, compl *Counter
-	k                  func()
-	sendFn             func()
-	copyFn             func()
+	k                  sim.K
 	bufpool.Link[putFrame]
 }
 
-// Rewind empties the frame but for its bindings (bufpool.Chunks).
-func (fr *putFrame) Rewind() { *fr = putFrame{sendFn: fr.sendFn, copyFn: fr.copyFn} }
+type putCopied putFrame
 
-func (fr *putFrame) send() {
+func (c *putCopied) Resume() { (*putFrame)(c).copyDone() }
+
+func (fr *putFrame) Resume() {
 	ep, target, t := fr.ep, fr.target, fr.t
 	m := ep.dom.m
 	if target.Node == ep.Node {
-		m.MemcpyT(t, ep.Node, fr.dst, fr.src, fr.copyFn)
+		m.MemcpyT(t, ep.Node, fr.dst, fr.src, (*putCopied)(fr))
 		return
 	}
 	par := -1
@@ -586,7 +577,7 @@ func (fr *putFrame) send() {
 	dst, src, origin, tgt, compl, k := fr.dst, fr.src, fr.origin, fr.tgt, fr.compl, fr.k
 	ep.dom.puts.Put(fr)
 	ep.putRemote(target, par, dst, src, origin, tgt, compl)
-	k()
+	k.Resume()
 }
 
 func (fr *putFrame) copyDone() {
@@ -601,10 +592,15 @@ func (fr *putFrame) copyDone() {
 	if compl != nil {
 		compl.Incr(1)
 	}
-	k()
+	k.Resume()
 }
 
-// PutT issues a non-blocking put of src into dst at the target task. k runs
+// PutT is PutK with a closure for k.
+func (ep *Endpoint) PutT(t *sim.Task, target *Endpoint, dst, src []byte, origin, tgt, compl *Counter, k func()) {
+	ep.PutK(t, target, dst, src, origin, tgt, compl, sim.Func(k))
+}
+
+// PutK issues a non-blocking put of src into dst at the target task. k runs
 // once the origin CPU has paid the send overhead (and, for a loopback put, the
 // shared-memory copy); the transfer proceeds asynchronously. Counters may be
 // nil:
@@ -615,27 +611,24 @@ func (fr *putFrame) copyDone() {
 //
 // len(dst) must equal len(src); a zero-byte put carries only counter
 // updates, the paper's flow-control acknowledgement.
-func (ep *Endpoint) PutT(t *sim.Task, target *Endpoint, dst, src []byte, origin, tgt, compl *Counter, k func()) {
+func (ep *Endpoint) PutK(t *sim.Task, target *Endpoint, dst, src []byte, origin, tgt, compl *Counter, k sim.K) {
 	if len(dst) != len(src) {
 		panic("rma: Put length mismatch")
 	}
 	m := ep.dom.m
 	m.Stats.AddPut(len(src))
 	fr := ep.dom.puts.Get()
-	if fr.sendFn == nil {
-		fr.sendFn, fr.copyFn = fr.send, fr.copyDone
-	}
 	fr.ep, fr.target, fr.t = ep, target, t
 	fr.dst, fr.src = dst, src
 	fr.origin, fr.tgt, fr.compl = origin, tgt, compl
 	fr.k = k
-	t.SleepThen(m.Cfg.SendOverhead, fr.sendFn)
+	t.SleepK(m.Cfg.SendOverhead, fr)
 }
 
 // PutZeroT sends a zero-byte put that only increments the target counter —
 // the flow-control ack of §2.4.
 func (ep *Endpoint) PutZeroT(t *sim.Task, target *Endpoint, tgt *Counter, k func()) {
-	ep.PutT(t, target, nil, nil, nil, tgt, nil, k)
+	ep.PutK(t, target, nil, nil, nil, tgt, nil, sim.Func(k))
 }
 
 // AMT sends an active message: handler runs at the target on arrival (after
@@ -643,24 +636,24 @@ func (ep *Endpoint) PutZeroT(t *sim.Task, target *Endpoint, tgt *Counter, k func
 // payload is passed to the handler by reference; handlers must copy what
 // they keep. k runs once the origin CPU has paid the send overhead (plus, for
 // an intra-node message, the handler cost).
-func (ep *Endpoint) AMT(t *sim.Task, target *Endpoint, payload []byte, handler func([]byte), k func()) {
+func (ep *Endpoint) AMT(t *sim.Task, target *Endpoint, payload []byte, handler func([]byte), k sim.K) {
 	m := ep.dom.m
 	m.Stats.ActiveMsgs++
 	t.SleepThen(m.Cfg.SendOverhead, func() {
 		if target.Node == ep.Node {
 			t.SleepThen(m.Cfg.AMHandlerCost, func() {
 				handler(payload)
-				k()
+				k.Resume()
 			})
 			return
 		}
 		_, arrival := m.NetInjectTo(ep.Node, target.Node, len(payload))
 		m.Env.At(arrival, func() {
-			target.deliver(nil, func() {
+			target.deliver(nil, sim.Func(func() {
 				m.Env.After(m.Cfg.AMHandlerCost, func() { handler(payload) })
-			})
+			}))
 		})
-		k()
+		k.Resume()
 	})
 }
 
@@ -686,7 +679,7 @@ func (ep *Endpoint) Get(p *sim.Proc, target *Endpoint, dst, src []byte, compl *C
 
 	_, reqArrival := m.NetInjectTo(ep.Node, target.Node, 0)
 	m.Env.At(reqArrival, func() {
-		target.deliver(nil, func() {
+		target.deliver(nil, sim.Func(func() {
 			_, replyArrival := m.NetInjectTo(target.Node, ep.Node, len(src))
 			m.Env.At(replyArrival, func() {
 				copy(dst, src)
@@ -694,7 +687,7 @@ func (ep *Endpoint) Get(p *sim.Proc, target *Endpoint, dst, src []byte, compl *C
 					compl.Incr(1)
 				}
 			})
-		})
+		}))
 	})
 }
 
@@ -757,11 +750,11 @@ func (ep *Endpoint) Rmw(p *sim.Proc, w *Word, op RmwOp, operand, cmp int64) int6
 	done := ep.dom.NewCounter(0)
 	_, reqArrival := m.NetInjectTo(ep.Node, w.Owner.Node, headerWord)
 	m.Env.At(reqArrival, func() {
-		w.Owner.deliver(nil, func() {
+		w.Owner.deliver(nil, sim.Func(func() {
 			apply()
 			_, replyArrival := m.NetInjectTo(w.Owner.Node, ep.Node, headerWord)
 			m.Env.At(replyArrival, func() { done.Incr(1) })
-		})
+		}))
 	})
 	ep.Waitcntr(p, done, 1)
 	return prev

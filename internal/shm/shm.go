@@ -57,32 +57,38 @@ func (f *Flag) Set(v int) {
 
 // WaitGE spins until the flag value is >= v: WaitGET from a process body.
 func (f *Flag) WaitGE(p *sim.Proc, v int) {
-	f.WaitGET(&p.Task, v, p.Resume())
+	f.WaitGEK(&p.Task, v, p.Resume())
 	p.Park()
 }
 
 // WaitFor spins until the flag equals v: WaitForT from a process body.
 func (f *Flag) WaitFor(p *sim.Proc, v int) {
-	f.WaitForT(&p.Task, v, p.Resume())
+	f.WaitForK(&p.Task, v, p.Resume())
 	p.Park()
 }
 
-// WaitGET spins until the flag value is >= v (machine.SpinT), then resumes
+// WaitGET is WaitGEK with a closure for k.
+func (f *Flag) WaitGET(t *sim.Task, v int, k func()) { f.WaitGEK(t, v, sim.Func(k)) }
+
+// WaitGEK spins until the flag value is >= v (machine.SpinT), then resumes
 // with k. This covers the monotone counter waits of the SMP collectives
 // (§2.2). A flag already at the value runs k within the current step: no
 // virtual time passes.
-func (f *Flag) WaitGET(t *sim.Task, v int, k func()) {
+func (f *Flag) WaitGEK(t *sim.Task, v int, k sim.K) {
 	if f.val >= v {
-		k()
+		k.Resume()
 		return
 	}
 	f.m.SpinT(t, f.node, &f.cond, f, &f.val, v, false, k)
 }
 
-// WaitForT spins until the flag equals v, then resumes with k.
-func (f *Flag) WaitForT(t *sim.Task, v int, k func()) {
+// WaitForT is WaitForK with a closure for k.
+func (f *Flag) WaitForT(t *sim.Task, v int, k func()) { f.WaitForK(t, v, sim.Func(k)) }
+
+// WaitForK spins until the flag equals v, then resumes with k.
+func (f *Flag) WaitForK(t *sim.Task, v int, k sim.K) {
 	if f.val == v {
-		k()
+		k.Resume()
 		return
 	}
 	f.m.SpinT(t, f.node, &f.cond, f, &f.val, v, true, k)
@@ -152,7 +158,7 @@ func (fs *FlagSet) WaitAllT(t *sim.Task, v int, k func(), skip ...int) {
 			}
 			i++
 		}
-		fs.flags[i].WaitForT(t, v, func() { step(i + 1) })
+		fs.flags[i].WaitForK(t, v, sim.Func(func() { step(i + 1) }))
 	}
 	step(0)
 }

@@ -56,14 +56,13 @@ type coro struct {
 	yield func(struct{}) bool     // switch back to the caller of next
 	p     *Proc                   // the process whose body runs here
 
-	// The body's side of a blocking call: the continuation it passes (bound
-	// once per coroutine, so no call makes a closure), whether it is parked
-	// waiting for it, whether it ran before the body got to park, and a
-	// failure to raise when the body resumes.
-	resumeFn func()
-	waiting  bool
-	fired    bool
-	failure  any
+	// The body's side of a blocking call — the continuation it passes is the
+	// coroutine itself (Resume): whether it is parked waiting for it, whether
+	// it ran before the body got to park, and a failure to raise when the body
+	// resumes.
+	waiting bool
+	fired   bool
+	failure any
 }
 
 // startCoro binds p to an idle coroutine, creating one when the pool is empty.
@@ -76,7 +75,6 @@ func (e *Env) startCoro(p *Proc) *coro {
 	} else {
 		co = &coro{env: e}
 		co.next, co.stop = iter.Pull(co.loop)
-		co.resumeFn = co.resume
 	}
 	co.p, p.co = p, co
 	return co
@@ -122,9 +120,9 @@ func startBody(t *Task) { t.env.startCoro(t.proc).enter() }
 // passes to the continuation form it starts, before it Parks. The continuation
 // form may call it at once (nothing to wait for) or as, or from, a later step
 // of the task.
-func (p *Proc) Resume() func() {
+func (p *Proc) Resume() K {
 	p.co.fired = false
-	return p.co.resumeFn
+	return p.co
 }
 
 // Park suspends the body until the continuation Resume returned has run — not
@@ -145,11 +143,11 @@ func (p *Proc) Park() {
 	}
 }
 
-// resume is the continuation of every blocking call of the body. Called while
+// Resume is the continuation of every blocking call of the body. Called while
 // the body is still on its way to Park (the continuation form completed
 // inline, on the coroutine itself) it only leaves a note; called from a step
 // on the event loop it has the loop switch to the body.
-func (co *coro) resume() {
+func (co *coro) Resume() {
 	if !co.waiting {
 		co.fired = true
 		return

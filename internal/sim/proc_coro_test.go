@@ -32,7 +32,7 @@ func TestCoroutineReusedWhileStaleWakeIsQueued(t *testing.T) {
 		})
 		// A wake-up of a that fires at t=5, when a is long finished and the
 		// coroutine it ran on is suspended in the middle of b's Sleep.
-		e.push(5, nil, &a.Task)
+		e.push(5, (*taskResume)(&a.Task))
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

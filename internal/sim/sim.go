@@ -88,18 +88,38 @@ func (e *Env) Now() Time { return e.now }
 // executed so far. Perf harnesses use it to derive events/sec.
 func (e *Env) Events() uint64 { return e.processed }
 
-// item is one scheduled occurrence: a callback (fn), or — fn nil — what tgt
-// names: a *Task to resume or a *Cond to broadcast. The one
-// interface field keeps the struct at six words: items are allocated by the
-// hundred thousand, and a seventh word would move them from the 48-byte
-// size class to the 64-byte one (a test holds the size).
+// K is a continuation: what a task runs when it resumes, and what a callback
+// runs when its time comes. A record that waits passes itself (its pointer
+// has the Resume method), and one with a second continuation passes a named
+// pointer type of itself: neither conversion allocates, where a method value
+// bound to the record is a heap object whenever its memory is fresh.
+type K interface{ Resume() }
+
+// Func is a K that calls a closure.
+type Func func()
+
+func (f Func) Resume() { f() }
+
+// item is one scheduled occurrence: a callback, a task's resume (taskResume)
+// or a condition's broadcast (condBroadcast), told apart by type. Items are
+// allocated by the hundred thousand, and a seventh word would move them from
+// the 48-byte size class to the 64-byte one (a test holds the size).
 type item struct {
 	t    Time
 	seq  uint64
 	next *item // the following item of the same timestamp; the last one's is the first (calendar run)
-	fn   func()
-	tgt  any
+	k    K
 }
+
+// taskResume and condBroadcast are a Task and a Cond as the queue items that
+// resume and broadcast them.
+type (
+	taskResume    Task
+	condBroadcast Cond
+)
+
+func (r *taskResume) Resume()    { r.env.runTask((*Task)(r)) }
+func (b *condBroadcast) Resume() { (*Cond)(b).Broadcast() }
 
 // eventHeap is a (t, seq)-ordered binary min-heap of items, manipulated
 // through the heapPush/heapPop primitives in calqueue.go. The calendar
@@ -108,7 +128,7 @@ type item struct {
 type eventHeap []*item
 
 // push schedules one occurrence, reusing a recycled item if available.
-func (e *Env) push(t Time, fn func(), tgt any) {
+func (e *Env) push(t Time, k K) {
 	var it *item
 	if n := len(e.free); n > 0 {
 		it = e.free[n-1]
@@ -116,30 +136,33 @@ func (e *Env) push(t Time, fn func(), tgt any) {
 	} else {
 		it = e.itemMem.New()
 	}
-	it.t, it.seq, it.fn, it.tgt = t, e.seq, fn, tgt
+	it.t, it.seq, it.k = t, e.seq, k
 	e.seq++
 	e.queue.push(it)
 }
 
 // recycle returns an executed item to the free list.
 func (e *Env) recycle(it *item) {
-	it.fn = nil
-	it.tgt = nil
+	it.k = nil
 	e.free = append(e.free, it)
 }
 
-func (e *Env) schedule(t Time, f func()) {
+// At schedules fn to run at absolute time t (clamped to now).
+func (e *Env) At(t Time, fn func()) { e.AtK(t, Func(fn)) }
+
+// AtK schedules k to resume at absolute time t (clamped to now).
+func (e *Env) AtK(t Time, k K) {
 	if t < e.now {
 		t = e.now
 	}
-	e.push(t, f, nil)
+	e.push(t, k)
 }
 
-// At schedules fn to run at absolute time t (clamped to now).
-func (e *Env) At(t Time, fn func()) { e.schedule(t, fn) }
-
 // After schedules fn to run d from now.
-func (e *Env) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
+func (e *Env) After(d Time, fn func()) { e.AtK(e.now+d, Func(fn)) }
+
+// AfterK schedules k to resume d from now.
+func (e *Env) AfterK(d Time, k K) { e.AtK(e.now+d, k) }
 
 // WaitDescriber describes what a parked process is waiting for; the
 // description is only rendered if the wait lands in a stall or deadlock
@@ -177,7 +200,7 @@ type Proc struct {
 	Task
 	fn func(*Proc) // the body, until the first step starts it
 	co *coro       // the coroutine the body runs on, from start to finish
-	uw [4]func()   // where the unwind stack starts: a collective's executor and the wait it is in need two
+	uw [2]K        // where the unwind stack starts: a collective's executor and the wait it is in need two
 }
 
 // Spawn creates a process that will start running fn at the current virtual
@@ -215,13 +238,13 @@ func (c Crashed) Error() string { return "sim: process crashed: " + c.Reason }
 // is parked). Killing a finished or already-killed task is a no-op. Kill is
 // called from event callbacks, not from t's own steps.
 func (e *Env) Kill(t *Task, reason string) {
-	if t.done || t.killed != "" {
+	if t.done || t.killed() {
 		return
 	}
 	if reason == "" {
 		reason = "killed"
 	}
-	t.killed = reason
+	t.pending = kill{reason}
 	e.unpark(t) // deliver the crash now instead of never
 	// A task that was not parked is sleeping (or not yet started) and its
 	// queued resume delivers the crash.
@@ -241,10 +264,10 @@ func (e *Env) Kill(t *Task, reason string) {
 // already-interrupted task is a no-op, as is a nil payload. Like Kill,
 // Interrupt is called from event callbacks.
 func (e *Env) Interrupt(t *Task, payload any) {
-	if t.done || t.killed != "" || t.intr != nil || payload == nil {
+	if t.done || t.pending != nil || payload == nil {
 		return
 	}
-	t.intr = payload
+	t.pending = payload
 	e.unpark(t)
 	// A task that was not parked is sleeping (or running to its next
 	// suspension) and its next resume delivers the interrupt.
@@ -291,7 +314,7 @@ func (e *Env) Live() int { return e.live }
 // Sleep advances the process by d virtual time (negative d counts as zero).
 // An active slowdown (Env.SetSlowdown) stretches d.
 func (p *Proc) Sleep(d Time) {
-	p.SleepThen(d, p.Resume())
+	p.SleepK(d, p.Resume())
 	p.Park()
 }
 
@@ -388,7 +411,7 @@ func (ev *Event) Trigger() {
 
 // Wait blocks the process until the event has been triggered.
 func (p *Proc) Wait(ev *Event) {
-	ev.WaitT(&p.Task, p.Resume())
+	ev.WaitK(&p.Task, p.Resume())
 	p.Park()
 }
 
@@ -449,7 +472,7 @@ func (c *Cond) BroadcastAfter(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	c.env.push(c.env.now+d, nil, c)
+	c.env.push(c.env.now+d, (*condBroadcast)(c))
 }
 
 // WaitUntil blocks the process until pred() holds, re-checking after every
@@ -564,26 +587,27 @@ func (e *Env) drain(limit Time) (again bool) {
 		e.processed++
 		// Recycle before executing so callbacks can reuse the slot; the
 		// fields are copied out first.
-		fn, tgt, s := it.fn, it.tgt, Step{T: it.t, Seq: it.seq}
+		k, s := it.k, Step{T: it.t, Seq: it.seq}
 		e.recycle(it)
-		t, isTask := tgt.(*Task)
-		if isTask {
-			s.Kind, s.ID = StepTask, t.num
-		} else if fn == nil {
-			s.Kind, s.ID = StepCond, int32(tgt.(*Cond).num)
+		var t *Task
+		var tgt any
+		switch x := k.(type) {
+		case *taskResume:
+			t = (*Task)(x)
+			s.Kind, s.ID, tgt = StepTask, t.num, t
+		case *condBroadcast:
+			s.Kind, s.ID, tgt = StepCond, int32(x.num), (*Cond)(x)
 		}
 		e.fold(s)
 		if observe != nil {
 			observe(e, s, tgt)
 		}
-		if fn != nil {
-			fn()
-		} else if isTask {
+		if t != nil {
 			stepping = t
 			e.runTask(t)
 			stepping = nil
 		} else {
-			tgt.(*Cond).Broadcast()
+			k.Resume()
 		}
 		if co := e.resuming; co != nil {
 			e.resuming = nil
@@ -613,8 +637,8 @@ func (e *Env) Idle() bool { return !e.anyPotentialProgress() }
 func (e *Env) anyPotentialProgress() bool {
 	potent := false
 	e.queue.forEach(func(it *item) bool {
-		switch x := it.tgt.(type) {
-		case *Task:
+		switch x := it.k.(type) {
+		case *taskResume:
 			potent = !x.done
 		default:
 			potent = true

@@ -558,7 +558,7 @@ func TestRunUntilDetectsUnwakeable(t *testing.T) {
 	// Fabricate the race RunUntil must see through: a wake-up queued beyond
 	// the limit for a process that has already finished. With only that in
 	// the queue, nothing can ever wake "stuck".
-	e.push(100, nil, &done.Task)
+	e.push(100, (*taskResume)(&done.Task))
 	err := e.RunUntil(5)
 	de, ok := err.(*DeadlockError)
 	if !ok {

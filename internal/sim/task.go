@@ -21,17 +21,16 @@ import "strconv"
 // A resumed Task is an ordinary queue item, ordered by (time, sequence
 // number) like every other occurrence.
 type Task struct {
-	env    *Env
-	prefix string      // full name, or name prefix when num >= 0
-	name   string      // cached formatted name (built on first Name call)
-	num    int32       // index appended to prefix; -1 when prefix is the name
-	track  int32       // trace track id, or -1 when untracked
-	k      func()      // continuation to run at the next resume
-	start  func(*Task) // first step, held directly so spawning allocates no closure
-	proc   *Proc       // the process this task is the actor of: its body is parked on a coroutine between steps; nil for a plain task
-	slow   float64     // sleep stretch factor (stall windows); 0 or 1 = none
-	killed string      // non-empty: injected crash reason, raised at next resume
-	intr   any         // pending interrupt payload, delivered at next resume
+	env     *Env
+	prefix  string      // full name, or name prefix when num >= 0
+	name    string      // cached formatted name (built on first Name call)
+	num     int32       // index appended to prefix; -1 when prefix is the name
+	track   int32       // trace track id, or -1 when untracked
+	k       K           // continuation to run at the next resume
+	start   func(*Task) // first step, held directly so spawning allocates no closure
+	proc    *Proc       // the process this task is the actor of: its body is parked on a coroutine between steps; nil for a plain task
+	slow    float64     // sleep stretch factor (stall windows); 0 or 1 = none
+	pending any         // an injected crash (kill) or an interrupt payload, delivered at next resume
 
 	parked      bool // suspended on a waitable with no scheduled wake-up
 	done        bool
@@ -42,7 +41,7 @@ type Task struct {
 	// may re-arm waits or reschedule to survive, the CPS analogue of a
 	// recover along a Proc's stack). A task without a handler dies with the
 	// payload recorded as its failure cause.
-	OnInterrupt func(payload any)
+	OnInterrupt Interrupter
 
 	// Wait context, read by stall reports while the task is parked. A
 	// wake-up leaves it in place rather than clearing it: an armed predicate
@@ -66,8 +65,16 @@ type Task struct {
 	// stack to unwind. It is armed for a Proc's whole life and, on a plain
 	// task, inside fault-sensitive operations; disarmed (the default),
 	// Push/Pop are no-ops so the fault-free hot paths pay a single bool check.
-	unwinds []func()
+	unwinds []K
 }
+
+// Interrupter handles an interrupt delivery (Task.OnInterrupt).
+type Interrupter interface{ Interrupted(payload any) }
+
+// kill is a pending injected crash, as Task.pending holds it.
+type kill struct{ reason string }
+
+func (t *Task) killed() bool { _, ok := t.pending.(kill); return ok }
 
 // taskList is the FIFO of tasks parked on one resource, threaded through
 // Task.waitNext: a task parks on at most one thing, so the link lives in
@@ -136,7 +143,7 @@ func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
 func (e *Env) admit(t *Task) {
 	e.live++
 	e.register(t)
-	e.push(e.now, nil, t)
+	e.push(e.now, (*taskResume)(t))
 }
 
 // register appends t to the registry of spawned tasks, which is what stall and
@@ -193,10 +200,13 @@ func (t *Task) Name() string {
 	return t.name
 }
 
-// SleepThen suspends the task for d virtual time (negative counts as zero)
-// and resumes with k. An active slowdown (Env.SetSlowdown) stretches d. Must
-// be the final action of the current step.
-func (t *Task) SleepThen(d Time, k func()) {
+// SleepThen is SleepK with a closure for k.
+func (t *Task) SleepThen(d Time, k func()) { t.SleepK(d, Func(k)) }
+
+// SleepK suspends the task for d virtual time (negative counts as zero) and
+// resumes with k. An active slowdown (Env.SetSlowdown) stretches d. Must be the
+// final action of the current step.
+func (t *Task) SleepK(d Time, k K) {
 	if d < 0 {
 		d = 0
 	}
@@ -204,13 +214,13 @@ func (t *Task) SleepThen(d Time, k func()) {
 		d *= t.slow
 	}
 	t.k = k
-	t.env.push(t.env.now+d, nil, t)
+	t.env.push(t.env.now+d, (*taskResume)(t))
 }
 
 // parkOnT suspends the task indefinitely on a waitable; something else must
 // hold a reference and wake it via an Event or Cond. k runs on wake (nil for
 // an armed predicate wait, which resumes through its frame).
-func (t *Task) parkOnT(on waitable, obj WaitDescriber, want int, k func()) {
+func (t *Task) parkOnT(on waitable, obj WaitDescriber, want int, k K) {
 	t.parked = true
 	t.k = k
 	t.waitOn = on
@@ -222,13 +232,13 @@ func (t *Task) parkOnT(on waitable, obj WaitDescriber, want int, k func()) {
 // unblockTask wakes a parked task at the current time.
 func (e *Env) unblockTask(t *Task) {
 	if !t.parked {
-		if t.done || t.killed != "" {
+		if t.done || t.killed() {
 			return // stale waiter entry: the task died while on a waiters list
 		}
 		panic("sim: unblock of task that is not parked: " + t.Name())
 	}
 	t.parked = false
-	e.push(e.now, nil, t)
+	e.push(e.now, (*taskResume)(t))
 }
 
 // unpark takes a parked task off the waiter list of what it parked on and
@@ -249,16 +259,16 @@ func (e *Env) runTask(t *Task) {
 	if t.done {
 		return // stale resume of a task torn down by a failure
 	}
-	if t.killed != "" {
-		e.failTask(t, Crashed{Reason: t.killed})
+	if c, ok := t.pending.(kill); ok {
+		e.failTask(t, Crashed{Reason: c.reason})
 		return
 	}
 	var intr any
 	if t.start == nil { // one that has not started takes it at its first resume after the start
-		intr = t.intr
+		intr = t.pending
 	}
 	if intr != nil {
-		t.intr = nil
+		t.pending = nil
 		if t.OnInterrupt == nil {
 			e.failTask(t, intr)
 			return
@@ -279,7 +289,7 @@ func (e *Env) runTask(t *Task) {
 func (e *Env) stepTask(t *Task, intr any) {
 	switch {
 	case intr != nil:
-		t.OnInterrupt(intr)
+		t.OnInterrupt.Interrupted(intr)
 	case t.start != nil:
 		fn := t.start
 		t.start = nil
@@ -289,7 +299,7 @@ func (e *Env) stepTask(t *Task, intr any) {
 	default:
 		k := t.k
 		t.k = nil
-		k()
+		k.Resume()
 	}
 	if !t.done && t.k == nil && !t.parked && t.proc == nil {
 		e.retire(t)
@@ -346,12 +356,12 @@ func (e *Env) recordFailure(t *Task, cause any) {
 	}
 }
 
-// WaitT suspends the task until the event has been triggered, then resumes
+// WaitK suspends the task until the event has been triggered, then resumes
 // with k. Must be the final action of the current step.
-func (ev *Event) WaitT(t *Task, k func()) {
+func (ev *Event) WaitK(t *Task, k K) {
 	if ev.done {
 		// Triggered already: continue within the same step, at zero cost.
-		k()
+		k.Resume()
 		return
 	}
 	ev.waiters.add(t)
@@ -359,12 +369,12 @@ func (ev *Event) WaitT(t *Task, k func()) {
 }
 
 // WaitT suspends the task until the next Broadcast, then resumes with k.
-func (c *Cond) WaitT(t *Task, k func()) { c.WaitOnT(t, nil, -1, k) }
+func (c *Cond) WaitT(t *Task, k func()) { c.WaitOnT(t, nil, -1, Func(k)) }
 
 // WaitOnT is WaitT with a description of what the task waits for: a
 // WaitDescriber plus the awaited value, formatted only if the wait lands in a
 // stall or deadlock report.
-func (c *Cond) WaitOnT(t *Task, obj WaitDescriber, want int, k func()) {
+func (c *Cond) WaitOnT(t *Task, obj WaitDescriber, want int, k K) {
 	c.waiters.add(t)
 	t.parkOnT(c, obj, want, k)
 }
@@ -376,7 +386,7 @@ func (c *Cond) WaitOnT(t *Task, obj WaitDescriber, want int, k func()) {
 // interface in the Task and binds no predicate or continuation closure.
 type WaitFrame interface {
 	Ready() bool
-	Resume()
+	K
 }
 
 // WaitFrameT parks the task on c until w.Ready() holds, re-checking after
@@ -419,11 +429,11 @@ func (t *Task) SetUnwindArmed(on bool) {
 // UnwindArmed reports whether PushUnwind currently records compensations.
 func (t *Task) UnwindArmed() bool { return t.unwindArmed }
 
-// PushUnwind records fn to run if the task is interrupted or killed before
+// PushUnwind records k to resume if the task is interrupted or killed before
 // the matching PopUnwind. No-op while the stack is disarmed.
-func (t *Task) PushUnwind(fn func()) {
+func (t *Task) PushUnwind(k K) {
 	if t.unwindArmed {
-		t.unwinds = append(t.unwinds, fn)
+		t.unwinds = append(t.unwinds, k)
 	}
 }
 
@@ -440,9 +450,9 @@ func (t *Task) PopUnwind() {
 // panic runs the defers of the frames it unwinds.
 func (t *Task) RunUnwinds() {
 	for i := len(t.unwinds) - 1; i >= 0; i-- {
-		fn := t.unwinds[i]
+		k := t.unwinds[i]
 		t.unwinds[i] = nil
 		t.unwinds = t.unwinds[:i]
-		fn()
+		k.Resume()
 	}
 }

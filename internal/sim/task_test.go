@@ -44,9 +44,9 @@ func TestTaskMatchesProcTiming(t *testing.T) {
 				tk.SleepThen(3, func() { ev.Trigger() })
 			})
 			e.SpawnTask("b", -1, func(tk *Task) {
-				ev.WaitT(tk, func() {
+				ev.WaitK(tk, Func(func() {
 					tk.SleepThen(4, func() { end = tk.Now() })
-				})
+				}))
 			})
 		} else {
 			e.Spawn("a", func(p *Proc) {
@@ -270,12 +270,12 @@ func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 	resumed := false
 	var tk *Task
 	tk = e.SpawnTask("w", -1, func(tk *Task) {
-		tk.OnInterrupt = func(payload any) {
+		tk.OnInterrupt = onInterrupt(func(payload any) {
 			if got := c.waiters.len(); got != 0 {
 				t.Errorf("cond holds %d waiters during interrupt delivery, want 0", got)
 			}
 			waitUntilT(c, tk, 5, func() bool { return val >= 5 }, func() { resumed = true })
-		}
+		})
 		waitUntilT(c, tk, 5, func() bool { return val >= 5 }, func() {
 			t.Error("interrupted wait's continuation ran")
 		})
@@ -377,12 +377,12 @@ func TestTaskUnwindStack(t *testing.T) {
 	var order []string
 	var tk *Task
 	tk = e.SpawnTask("u", -1, func(tk *Task) {
-		tk.PushUnwind(func() { order = append(order, "dropped") }) // disarmed: no-op
+		tk.PushUnwind(Func(func() { order = append(order, "dropped") })) // disarmed: no-op
 		tk.SetUnwindArmed(true)
-		tk.PushUnwind(func() { order = append(order, "outer") })
-		tk.PushUnwind(func() { order = append(order, "popped") })
+		tk.PushUnwind(Func(func() { order = append(order, "outer") }))
+		tk.PushUnwind(Func(func() { order = append(order, "popped") }))
 		tk.PopUnwind()
-		tk.PushUnwind(func() { order = append(order, "inner") })
+		tk.PushUnwind(Func(func() { order = append(order, "inner") }))
 		tk.SleepThen(100, func() {})
 	})
 	e.At(1, func() { e.Kill(tk, "chaos") })

@@ -59,7 +59,7 @@ func TestProcsAndTasksWakeInWaitOrder(t *testing.T) {
 		e.SpawnTask("t", i, func(tk *Task) {
 			c.WaitT(tk, func() {
 				woke = append(woke, "c:"+tk.Name())
-				ev.WaitT(tk, func() { woke = append(woke, "e:"+tk.Name()) })
+				ev.WaitK(tk, Func(func() { woke = append(woke, "e:"+tk.Name()) }))
 			})
 		})
 	}
@@ -94,7 +94,7 @@ func TestWaitersDropKeepsOrder(t *testing.T) {
 				var woke []int
 				tasks := parkFleet(e, cond, 5, &woke)
 				victim := tasks[c.victim]
-				victim.OnInterrupt = func(any) {} // survive the interrupt, then finish
+				victim.OnInterrupt = onInterrupt(func(any) {}) // survive the interrupt, then finish
 				e.At(1, func() {
 					if kill {
 						e.Kill(victim, "chaos")

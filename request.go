@@ -187,7 +187,7 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		}
 	}
 	if inflight >= MaxOutstanding {
-		h.wait(oldest.done, func() { h.admit(a, k) })
+		h.wait(oldest.done, sim.Func(func() { h.admit(a, k) }))
 		return
 	}
 	st.issued = &TRequest{request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, name: names.req, span: -1}}}
@@ -230,11 +230,16 @@ func (r *request) onProc(p *sim.Proc) { r.start(actor{t: &p.Task, p: p}) }
 func (r *request) start(a actor) {
 	r.call.actor = a
 	if r.prev != nil && !r.prev.Done() {
-		a.wait(r.prev, r.open)
+		a.wait(r.prev, (*reqOpen)(r))
 		return
 	}
 	r.open()
 }
+
+// reqOpen is the request as the continuation of the wait for its predecessor.
+type reqOpen request
+
+func (o *reqOpen) Resume() { (*request)(o).open() }
 
 // open opens the operation's span on a track of the helper's own — handed out
 // as helpers start their operations, in completion order — and runs it.
@@ -248,12 +253,12 @@ func (r *request) open() {
 		f.span = tr.Begin(track, trace.ClassReqOp, f.name, f.bytes())
 		tr.Link(f.span, r.group)
 	}
-	f.k = r.complete
+	f.k = r
 	f.run()
 }
 
-// complete is the continuation of the request's operation.
-func (r *request) complete(error) { r.done.Trigger() }
+// ended is the continuation of the request's operation.
+func (r *request) ended(error) { r.done.Trigger() }
 
 // consume marks the request completed and releases its buffers.
 func (r *request) consume() {
@@ -275,11 +280,11 @@ func (r *request) wait(k func(error)) {
 	}
 	wid := h.tr.Begin(h.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
 	h.tr.Link(wid, r.group)
-	h.wait(r.done, func() {
+	h.wait(r.done, sim.Func(func() {
 		h.tr.End(wid)
 		r.consume()
 		k(r.call.err)
-	})
+	}))
 }
 
 // test yields once and tells k whether the operation has ended, consuming the
@@ -289,12 +294,12 @@ func (r *request) test(k func(bool)) {
 		k(true)
 		return
 	}
-	r.h.yield(func() {
+	r.h.yield(sim.Func(func() {
 		if r.done.Done() {
 			r.consume()
 		}
 		k(r.consumed)
-	})
+	}))
 }
 
 // Wait blocks the issuing rank until the operation has completed, then

@@ -609,7 +609,7 @@ func (c *Comm) Now() float64 { return c.t.Now() }
 
 // Compute advances this rank's virtual clock by us microseconds, modeling
 // local computation between communication phases.
-func (c *Comm) Compute(us float64) { c.sleep(us, func() {}) }
+func (c *Comm) Compute(us float64) { c.sleep(us, sim.Func(func() {})) }
 
 // Every blocking collective returns nil without fault tolerance (and when
 // no member has failed); with fault tolerance enabled, a declared member

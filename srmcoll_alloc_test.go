@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/core"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
@@ -34,8 +35,9 @@ func mallocsOf(fn func()) uint64 {
 // nothing: what a run recycles waits in the reserve, which no collection
 // empties.
 //
-// Recorded: 5.3 objects per rank at 4,096 ranks and 6.0 at 16,384 (go1.24),
-// since an operation state's records are arrays of the operation, not objects
+// Recorded: 4.3 objects per rank at both 4,096 and 16,384 ranks (go1.24),
+// since a record is its own continuation and binds no method value; 5.3 and
+// 6.0 before, since an operation state's records are arrays of the operation, not objects
 // per node, and a calendar bucket grows out of slabs; 7.1 and 7.6 before, since
 // frames keep their bound methods through the reserve and a layout's node
 // lists share one array; 10.2 and 10.5 before that, 12.5 and 12.7 until the
@@ -50,35 +52,10 @@ func TestRunTAllocsPerRank(t *testing.T) {
 		t.Skip("the race detector slows the allocation guards; CI runs them without it")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const bytes, recorded, parent = 64, 6.0, 41.8
+	const recorded, parent = 4.3, 41.8
 	var perRank []float64
 	for _, ranks := range []int{4096, 16384} {
-		cl := mustCluster(t, ranks/8, 8)
-		send, buf, recv := make([]byte, ranks*bytes), make([]byte, ranks*bytes), make([]byte, ranks*bytes)
-		row := func(b []byte, r int) []byte { return b[r*bytes : (r+1)*bytes : (r+1)*bytes] }
-		fail := func(err error) {
-			if err != nil {
-				panic(err)
-			}
-		}
-		body := func(tc *TComm, done func()) {
-			r := tc.Rank()
-			tc.Bcast(row(buf, r), 0, func(err error) {
-				fail(err)
-				tc.Allreduce(row(send, r), row(recv, r), Float64, Sum, func(err error) {
-					fail(err)
-					tc.Barrier(func(err error) {
-						fail(err)
-						done()
-					})
-				})
-			})
-		}
-		run := func() {
-			if _, err := cl.RunT(SRM, body); err != nil {
-				t.Fatal(err)
-			}
-		}
+		run := ladderRun(t, ranks)
 		n := mallocsOf(run)
 		per := float64(n) / float64(ranks)
 		t.Logf("%d ranks: %d objects, %.2f per rank", ranks, n, per)
@@ -101,11 +78,70 @@ func TestRunTAllocsPerRank(t *testing.T) {
 	}
 }
 
+// ladderRun returns a RunT run of the benchmark's rank_ladder body — bcast,
+// allreduce, barrier on 64-byte payloads, eight tasks a node — over ranks.
+func ladderRun(t *testing.T, ranks int) func() {
+	const bytes = 64
+	cl := mustCluster(t, ranks/8, 8)
+	send, buf, recv := make([]byte, ranks*bytes), make([]byte, ranks*bytes), make([]byte, ranks*bytes)
+	row := func(b []byte, r int) []byte { return b[r*bytes : (r+1)*bytes : (r+1)*bytes] }
+	fail := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	body := func(tc *TComm, done func()) {
+		r := tc.Rank()
+		tc.Bcast(row(buf, r), 0, func(err error) {
+			fail(err)
+			tc.Allreduce(row(send, r), row(recv, r), Float64, Sum, func(err error) {
+				fail(err)
+				tc.Barrier(func(err error) {
+					fail(err)
+					done()
+				})
+			})
+		})
+	}
+	return func() {
+		if _, err := cl.RunT(SRM, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunTColdAllocsLikeWarm: a RunT run right after the reserve was drained
+// makes the objects a warm run makes, plus the slabs the warm one found in the
+// reserve, and little else: a record whose memory is fresh binds nothing, since
+// it is its own continuation. The parent of that change made 2.22 more objects
+// per rank cold than warm at 4,096 ranks and 1.45 at 16,384, one bound method
+// value per fresh executor, facade frame and copy frame.
+func TestRunTColdAllocsLikeWarm(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector slows the allocation guards; CI runs them without it")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer bufpool.DrainReserve()
+	for _, ranks := range []int{4096, 16384} {
+		run := ladderRun(t, ranks)
+		cold := mallocsOf(func() {
+			bufpool.DrainReserve()
+			run()
+		})
+		warm := mallocsOf(run)
+		extra := (float64(cold) - float64(warm)) / float64(ranks)
+		t.Logf("%d ranks: %d objects cold, %d warm: %.2f more per rank", ranks, cold, warm, extra)
+		if extra > 0.3 {
+			t.Errorf("%d ranks: a cold run makes %.2f objects per rank more than a warm one, want at most 0.3", ranks, extra)
+		}
+	}
+}
+
 // TestBlockingTCommCallAllocatesNothing: what one more blocking collective
 // costs a rank through the facade is what it costs in internal/core. Both are
 // measured the same way, as the difference between a body of 2k barriers and
-// one of k per extra call per rank, at 512 ranks; the handle's call frame and
-// its once-bound continuation are warm after the first call, so the facade's
+// one of k per extra call per rank, at 512 ranks; the handle's call frame,
+// which is its own continuation, is warm after the first call, so the facade's
 // quiesce check, trace span and fault-tolerance legs add no object to core's.
 func TestBlockingTCommCallAllocatesNothing(t *testing.T) {
 	if raceDetector {
@@ -169,7 +205,7 @@ func TestBlockingTCommCallAllocatesNothing(t *testing.T) {
 }
 
 // TestBlockingCommCallAllocs: a blocking Comm collective is a shim over the
-// continuation form now, on a continuation bound once per coroutine, and must
+// continuation form now, the coroutine itself its continuation, and must
 // not have started to allocate per call for it. Measured as above — the
 // difference between a Run body of 2k allreduces and one of k, per extra call
 // per rank, 8 bytes at 512 ranks. Recorded at the parent (28d282b), where the
@@ -312,10 +348,12 @@ func TestRequestAllocs(t *testing.T) {
 // rows of shared arrays, so what is counted is the library's (and the copy of
 // the member list Comm.Members returns by contract, five a rank).
 //
-// Recorded: 1,646 objects a run (go1.24), since an operation state's records
-// are arrays of the operation, not objects per node; 2,575 before, since frames
+// Recorded: 1,518 objects a run (go1.24), since a record is its own
+// continuation and binds no method value; 1,646 before, since an operation
+// state's records are arrays of the operation, not objects per node; 2,575
+// before that, since frames
 // keep their bound methods through the reserve and the deferred-delivery queue
-// its storage; 3,682 before that.
+// its storage; 3,682 before those.
 // The same test read 7,778 at the commit before 699586d: a reliable put was a
 // nest of seven closures and a map entry, a bucket of the calendar grew its
 // first array from nothing, and every operation state built its node trees and
@@ -325,7 +363,7 @@ func TestStormRunAllocs(t *testing.T) {
 		t.Skip("the race detector slows the allocation guards; CI runs them without it")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const recorded, parent = 1646, 7778
+	const recorded, parent = 1518, 7778
 	run := stormSurvivorRun(t)
 	var res *Result
 	n := mallocsOf(func() { res = run() })

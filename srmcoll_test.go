@@ -28,6 +28,15 @@ func TestNewClusterRejectsInvalid(t *testing.T) {
 	// A NaN latency would make every delivery time NaN: Run returned Time 0.
 	nanLat := ColonySP(2, 2)
 	nanLat.MemLatency = math.NaN()
+	// A daemon model that divides by a zero period ran a Bcast, an Allreduce
+	// and a Barrier to Time 0; a slice longer than its period more than
+	// doubled the time; no CPUs switched the model off without a word.
+	noPeriod := ColonySP(2, 2)
+	noPeriod.CPUsPerNode, noPeriod.DaemonPeriod, noPeriod.DaemonSlice = 2, 0, 1
+	longSlice := ColonySP(2, 2)
+	longSlice.CPUsPerNode, longSlice.DaemonPeriod, longSlice.DaemonSlice = 2, 1, 5
+	noCPUs := ColonySP(2, 2)
+	noCPUs.CPUsPerNode, noCPUs.DaemonSlice = 0, 1
 	for _, c := range []struct {
 		name  string
 		cfg   Config
@@ -39,6 +48,9 @@ func TestNewClusterRejectsInvalid(t *testing.T) {
 		{"rank count overflows", ColonySP(math.MaxInt/2, 4), "Nodes × TasksPerNode"},
 		{"rank count overflows per node", ColonySP(4, math.MaxInt/2), "Nodes × TasksPerNode"},
 		{"rank count beyond int32", ColonySP(1<<16, 1<<15), "Nodes × TasksPerNode"},
+		{"daemon period zero", noPeriod, "DaemonPeriod"},
+		{"daemon slice beyond its period", longSlice, "DaemonPeriod"},
+		{"daemons on no CPUs", noCPUs, "CPUsPerNode"},
 	} {
 		_, err := NewCluster(c.cfg)
 		if err == nil {

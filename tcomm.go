@@ -61,27 +61,27 @@ type actor struct {
 }
 
 // wait runs k once ev has triggered.
-func (a actor) wait(ev *sim.Event, k func()) {
+func (a actor) wait(ev *sim.Event, k sim.K) {
 	if a.p == nil {
-		ev.WaitT(a.t, k)
+		ev.WaitK(a.t, k)
 		return
 	}
 	a.p.Wait(ev)
-	k()
+	k.Resume()
 }
 
 // sleep runs k after d of the actor's virtual time.
-func (a actor) sleep(d float64, k func()) {
+func (a actor) sleep(d float64, k sim.K) {
 	if a.p == nil {
-		a.t.SleepThen(d, k)
+		a.t.SleepK(d, k)
 		return
 	}
 	a.p.Sleep(d)
-	k()
+	k.Resume()
 }
 
 // yield runs k after whatever else is due at this instant.
-func (a actor) yield(k func()) { a.sleep(0, k) }
+func (a actor) yield(k sim.K) { a.sleep(0, k) }
 
 // Rank returns this task's global rank.
 func (tc *TComm) Rank() int { return tc.rank }
@@ -105,7 +105,7 @@ func (tc *TComm) FailedRanks() []int { return (*Comm)(tc).FailedRanks() }
 func (tc *TComm) Now() float64 { return tc.t.Now() }
 
 // Compute advances this rank's virtual clock by us microseconds, then runs k.
-func (tc *TComm) Compute(us float64, k func()) { tc.sleep(us, k) }
+func (tc *TComm) Compute(us float64, k func()) { tc.sleep(us, sim.Func(k)) }
 
 // Sub returns a communicator over the given subset of global ranks; see
 // Comm.Sub for the membership and call-matching rules. Like Comm.Sub it
@@ -113,23 +113,33 @@ func (tc *TComm) Compute(us float64, k func()) { tc.sleep(us, k) }
 func (tc *TComm) Sub(members []int) *TComm { return (*TComm)(tc.sub(members)) }
 
 // frame is one collective in progress, from the call to its continuation. A
-// blocking collective uses the rank's frame, bound to it once, so a call
-// allocates nothing; a request, which can overlap the rank's other calls, runs
-// in the frame of its own record (request.go).
+// blocking collective uses the rank's frame, so a call allocates nothing; a
+// request, which can overlap the rank's other calls, runs in the frame of its
+// own record (request.go). The operation resumes the frame when it completes,
+// and a wait for the rank's requests resumes it as a frameOpen.
 type frame struct {
 	collArgs
 	actor        // the rank's, or the request helper's
 	h     handle // the communicator, as the rank that called holds it
 	name  string // the operation as spans and errors name it; "" while the frame is empty
 	span  int    // the operation's span, closed before k runs
-	k     func(error)
+	k     ender
 	err   error // what the last operation ended with, left for a blocking shim to return
 
 	registered bool // for failure interrupts (ftState.register), from run to end
-	// Continuations, bound when first needed and kept for the frame's life.
-	openFn, finFn func()
-	intrFn        func(any)
 }
+
+// ender is what an operation ends in: the caller's continuation (endFunc), or
+// a request's completion.
+type ender interface{ ended(err error) }
+
+type endFunc func(error)
+
+func (k endFunc) ended(err error) { k(err) }
+
+type frameOpen frame
+
+func (o *frameOpen) Resume() { (*frame)(o).open() }
 
 // collArgs names a collective and its arguments as the eleven operations
 // share them; each reads the fields its signature has.
@@ -218,7 +228,7 @@ func (a *collArgs) invoke(coll *baseline.Group, p *sim.Proc, rank int) {
 }
 
 // start starts SRM's operation on a task; k runs when it has completed.
-func (a *collArgs) start(coll *core.Group, t *sim.Task, rank int, k func()) {
+func (a *collArgs) start(coll *core.Group, t *sim.Task, rank int, k sim.K) {
 	switch a.kind {
 	case collBarrier:
 		coll.BarrierT(t, rank, k)
@@ -263,12 +273,9 @@ func (h handle) begin(a collArgs, k func(error)) {
 	if f.name != "" {
 		panic(&check.ReentryError{Op: name, Running: f.name, Rank: h.rank})
 	}
-	f.collArgs, f.actor, f.h, f.name, f.k = a, h.actor, h, name, k
+	f.collArgs, f.actor, f.h, f.name, f.k = a, h.actor, h, name, endFunc(k)
 	if tail := h.outstanding(); tail != nil {
-		if f.openFn == nil {
-			f.openFn = f.open
-		}
-		h.wait(tail, f.openFn)
+		h.wait(tail, (*frameOpen)(f))
 		return
 	}
 	f.open()
@@ -298,17 +305,14 @@ func (f *frame) run() {
 		f.end(f.block())
 		return
 	}
-	if f.finFn == nil {
-		f.finFn = f.fin
-	}
 	if f.registered {
 		f.arm()
 	}
-	f.start(h.rec.coll.srm, f.t, h.rank, f.finFn)
+	f.start(h.rec.coll.srm, f.t, h.rank, f)
 }
 
-// fin is the continuation the operation itself receives.
-func (f *frame) fin() { f.end(nil) }
+// Resume is the continuation the operation itself receives.
+func (f *frame) Resume() { f.end(nil) }
 
 // declared turns the payload of an interrupt that unwound the operation into
 // the error it ends with; anything but a failure declaration goes on as a panic.
@@ -339,7 +343,7 @@ func (f *frame) end(err error) {
 	}
 	f.name, f.k, f.err = "", nil, err
 	f.h.tr.End(f.span)
-	k(err)
+	k.ended(err)
 }
 
 // Barrier blocks until every rank has entered it, then runs k.
