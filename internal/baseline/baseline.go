@@ -69,6 +69,11 @@ func New(m *machine.Machine, f Flavor) *Group {
 	return &Group{w: w, flavor: f, members: members, pos: ranks.All(len(members))}
 }
 
+// Release hands the point-to-point layer's records back to the reserve (see
+// mpi.World.Release): only once the simulation ended with no rank parked in
+// it, and every group carved from this one is dropped with it.
+func (g *Group) Release() { g.w.Release() }
+
 func (g *Group) machine() *machine.Machine { return g.w.Machine() }
 
 // localCopy charges, records and makes a protocol-internal buffer copy.

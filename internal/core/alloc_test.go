@@ -50,7 +50,8 @@ import (
 // no object per node, and a calendar bucket grew out of slabs (recorded
 // 1287-1644 and 484-804 before). The Proc counts fell by 64-119 when a
 // coroutine became its own continuation instead of binding a method value
-// (recorded 1080-1293 before).
+// (recorded 1080-1293 before), and by 31-63 when a Proc came from a slab of
+// its Env's (recorded 1016-1200 before).
 type allocRegime struct {
 	name       string
 	op         string
@@ -62,20 +63,20 @@ type allocRegime struct {
 }
 
 var allocRegimes = []allocRegime{
-	{"bcast_small", "bcast", 4 << 10, AlgAuto, 16, 1130, 385},
-	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 8, 1098, 385},
-	{"bcast_large", "bcast", 512 << 10, AlgAuto, 1, 1176, 463},
-	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 4, 1163, 422},
-	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 8, 1117, 405},
-	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 4, 1162, 453},
-	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 1, 1158, 447},
-	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 1, 1187, 444},
-	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 1, 1200, 489},
-	{"barrier", "barrier", 0, AlgAuto, 32, 1016, 305},
-	{"alltoall_staged", "alltoall", 4 << 10, AlgAuto, 0, 1070, 359},
-	{"reducescatter", "reducescatter", 64 << 10, AlgAuto, 0, 1121, 411},
-	{"reduce_pipe_3", "reduce", 192 << 10, AlgAuto, 0, 1162, 451},
-	{"allreduce_dualroot_8", "allreduce", 512 << 10, AlgDualRoot, 0, 1199, 490},
+	{"bcast_small", "bcast", 4 << 10, AlgAuto, 16, 1066, 385},
+	{"bcast_pipe", "bcast", 16 << 10, AlgAuto, 8, 1036, 385},
+	{"bcast_large", "bcast", 512 << 10, AlgAuto, 1, 1143, 463},
+	{"reduce_pipe", "reduce", 64 << 10, AlgAuto, 4, 1101, 422},
+	{"allreduce_rd", "allreduce", 8 << 10, AlgAuto, 8, 1052, 405},
+	{"allreduce_pipe", "allreduce", 64 << 10, AlgAuto, 4, 1100, 453},
+	{"allreduce_ring", "allreduce", 256 << 10, AlgRing, 1, 1126, 447},
+	{"allreduce_rhd", "allreduce", 256 << 10, AlgRHD, 1, 1095, 444},
+	{"allreduce_dualroot", "allreduce", 256 << 10, AlgDualRoot, 1, 1165, 489},
+	{"barrier", "barrier", 0, AlgAuto, 32, 983, 305},
+	{"alltoall_staged", "alltoall", 4 << 10, AlgAuto, 0, 1007, 359},
+	{"reducescatter", "reducescatter", 64 << 10, AlgAuto, 0, 1058, 411},
+	{"reduce_pipe_3", "reduce", 192 << 10, AlgAuto, 0, 1099, 451},
+	{"allreduce_dualroot_8", "allreduce", 512 << 10, AlgDualRoot, 0, 1136, 490},
 }
 
 const (

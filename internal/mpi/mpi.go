@@ -14,6 +14,7 @@ package mpi
 import (
 	"fmt"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
@@ -78,26 +79,45 @@ type Status struct {
 }
 
 // World is a communication world: one endpoint per rank over a machine.
+//
+// The records a transmission needs — the message with its events, its
+// rendezvous pipe and the receive it lands in, and the helper of a Sendrecv or
+// Isend — come from free lists of the world's, so a send and its receive
+// allocate nothing once the lists have warmed up. Release hands the lists'
+// memory back to the reserve; a world that is dropped without it leaves them
+// to the collector.
 type World struct {
 	m     *machine.Machine
 	proto Protocol
-	ranks []*Rank
+	ranks []Rank
+	msgs  bufpool.Frames[message, *message]
+	reqs  bufpool.Frames[Request, *Request]
 }
 
 // NewWorld builds the world with the given protocol policy.
 func NewWorld(m *machine.Machine, proto Protocol) *World {
-	w := &World{m: m, proto: proto, ranks: make([]*Rank, m.P())}
+	w := &World{m: m, proto: proto, ranks: make([]Rank, m.P())}
 	for r := range w.ranks {
-		w.ranks[r] = &Rank{w: w, rank: r, node: m.NodeOf(r)}
+		w.ranks[r] = Rank{w: w, rank: r, node: m.NodeOf(r)}
 	}
 	return w
+}
+
+// Release hands the world's records back to the process-level reserve. Only
+// for a world whose simulation is over and ended with no process parked in
+// it: every message, receive and request is dead, and the caller drops the
+// world.
+func (w *World) Release() {
+	w.msgs.Release()
+	w.reqs.Release()
+	w.ranks = nil // a use after release is a crash, not a message of another run
 }
 
 // Machine returns the underlying machine.
 func (w *World) Machine() *machine.Machine { return w.m }
 
 // Rank returns endpoint r.
-func (w *World) Rank(r int) *Rank { return w.ranks[r] }
+func (w *World) Rank(r int) *Rank { return &w.ranks[r] }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
@@ -111,22 +131,117 @@ const (
 	rndvNet
 )
 
-// message is an arrived (or announced) transmission at a receiver.
+// message is one transmission, from the send that draws it to the last touch
+// of whichever side is done with it last (holds), when it goes back on the
+// world's list. It resumes as itself — its arrival at the receiver — and as
+// the named types below for its other scheduled steps, so scheduling one binds
+// nothing.
+//
+// A receive that finds no message waiting posts a record of the same type,
+// whose done the matching message's arrival triggers after setting matched.
 type message struct {
-	kind msgKind
-	src  int
-	tag  int
-	size int
-	data []byte   // owned payload for eager kinds
-	req  *recvReq // the receive that matched it, set before consume
+	bufpool.Link[message]
+	kind  msgKind
+	src   int
+	tag   int
+	size  int
+	dst   *Rank    // the receiver
+	data  []byte   // owned payload for eager kinds
+	rq    recvReq  // the receive that matched it, set before consume
+	holds int      // the sides that still touch it: the receiver, and the sender of a rendezvous
+	next  *message // the queue it waits in (posted or unexpected)
+
+	// A posted receive.
+	done    sim.Event
+	matched *message
 
 	// Rendezvous state.
-	senderGo *sim.Event // shm: wakes the sender to start the pipe
-	pipe     *shmPipe   // shm: shared double-buffered channel
-	cts      *sim.Event // net: fires at the sender when CTS arrives
-	dataDone *sim.Event // net: fires at the receiver when data landed
-	payload  []byte     // net: sender's buffer, read at injection
-	origin   *Rank      // net: sender endpoint (for CTS routing)
+	senderGo sim.Event // shm: wakes the sender to start the pipe
+	pipe     shmPipe   // shm: shared double-buffered channel
+	cts      sim.Event // net: fires at the sender when CTS arrives
+	dataDone sim.Event // net: fires at the receiver when data landed
+}
+
+// newMessage draws a record for a transmission of size bytes from r to target.
+func (r *Rank) newMessage(kind msgKind, target *Rank, tag, size int) *message {
+	msg := r.w.msgs.Get()
+	msg.kind, msg.src, msg.tag, msg.size, msg.dst, msg.holds = kind, r.rank, tag, size, target, 1
+	if kind == rndvShm || kind == rndvNet {
+		msg.holds = 2
+	}
+	return msg
+}
+
+// leave is a side's last touch of the message; the last side's puts it back.
+func (msg *message) leave() {
+	if msg.holds--; msg.holds == 0 {
+		msg.dst.w.msgs.Put(msg)
+	}
+}
+
+// Resume is the message's arrival at its receiver.
+func (msg *message) Resume() { msg.dst.arrive(msg) }
+
+// The message as its other scheduled steps: tag matching at the receiver once
+// its cost has passed, and the net rendezvous' CTS reaching the sender, the
+// data reaching the receiver's adapter, and the receive's completion one
+// receive overhead later.
+type (
+	msgMatch  message
+	msgCTS    message
+	msgLanded message
+	msgDone   message
+)
+
+func (x *msgMatch) Resume() { (*message)(x).dst.match((*message)(x)) }
+func (x *msgCTS) Resume()   { x.cts.Trigger() }
+func (x *msgLanded) Resume() {
+	x.dst.w.m.Env.AfterK(x.dst.w.m.Cfg.RecvOverhead, (*msgDone)(x))
+}
+func (x *msgDone) Resume() { x.dataDone.Trigger() }
+
+// msgQueue is a FIFO of records threaded through message.next.
+type msgQueue struct {
+	head, tail *message
+	n          int
+}
+
+func (q *msgQueue) push(msg *message) {
+	if q.tail == nil {
+		q.head = msg
+	} else {
+		q.tail.next = msg
+	}
+	q.tail = msg
+	q.n++
+}
+
+// take unlinks and returns the first record ok accepts, or nil.
+func (q *msgQueue) take(ok func(x *message) bool) *message {
+	var prev *message
+	for x := q.head; x != nil; prev, x = x, x.next {
+		if !ok(x) {
+			continue
+		}
+		if prev == nil {
+			q.head = x.next
+		} else {
+			prev.next = x.next
+		}
+		if q.tail == x {
+			q.tail = prev
+		}
+		x.next = nil
+		q.n--
+		return x
+	}
+	return nil
+}
+
+// matches reports whether a receive pattern (either part may be Any) accepts
+// a message from src with tag.
+func matches(psrc, ptag, src, tag int) bool {
+	return (psrc == Any || psrc == src) && (ptag == Any || ptag == tag)
 }
 
 // Fold makes a receive combine the message into its buffer instead of
@@ -140,18 +255,12 @@ type Fold struct {
 	Own  []byte
 }
 
-// recvReq is a posted receive.
+// recvReq is a receive: its pattern and where its bytes land.
 type recvReq struct {
 	src, tag int
 	buf      []byte
 	fold     Fold
 	folds    bool // combine under fold where a plain receive copies
-	done     *sim.Event
-	msg      *message // attached when matched
-}
-
-func (rq *recvReq) matches(src, tag int) bool {
-	return (rq.src == Any || rq.src == src) && (rq.tag == Any || rq.tag == tag)
 }
 
 // land puts the message's bytes [off, off+len(src)) into the receive buffer:
@@ -181,8 +290,8 @@ func (rq *recvReq) whole(off int) int {
 type Rank struct {
 	w          *World
 	rank, node int
-	posted     []*recvReq
-	unexpected []*message
+	posted     msgQueue // receives waiting for a message
+	unexpected msgQueue // messages that arrived before their receive
 }
 
 // callOverhead charges the per-call software cost.
@@ -203,7 +312,7 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, data []byte) {
 	if r.w.proto.ExtraPerByte > 0 {
 		p.Sleep(sim.Time(len(data)) * r.w.proto.ExtraPerByte)
 	}
-	target := r.w.ranks[dst]
+	target := &r.w.ranks[dst]
 	if target.node == r.node {
 		if len(data) <= m.Cfg.ShmPktSize {
 			m.Stats.AddSend(len(data), true, true)
@@ -227,23 +336,21 @@ func (r *Rank) sendShmEager(p *sim.Proc, target *Rank, tag int, data []byte) {
 	m := r.w.m
 	owned := m.Buffers.Get(len(data)) // released by consume after copy-out
 	m.Memcpy(p, r.node, owned, data)  // copy into the shared bounce buffer
-	msg := &message{kind: eagerShm, src: r.rank, tag: tag, size: len(data), data: owned}
-	m.Env.After(m.Cfg.FlagLatency, func() { target.arrive(msg) })
+	msg := r.newMessage(eagerShm, target, tag, len(data))
+	msg.data = owned
+	m.Env.AfterK(m.Cfg.FlagLatency, msg)
 }
 
 func (r *Rank) sendShmRndv(p *sim.Proc, target *Rank, tag int, data []byte) {
 	m := r.w.m
-	msg := &message{
-		kind:     rndvShm,
-		src:      r.rank,
-		tag:      tag,
-		size:     len(data),
-		senderGo: m.Env.NewEvent(),
-		pipe:     newShmPipe(m, r.node, m.Cfg.ShmPktSize, len(data)),
-	}
-	m.Env.After(m.Cfg.FlagLatency, func() { target.arrive(msg) })
-	p.Wait(msg.senderGo)
-	msg.pipe.sendLoop(p, data)
+	msg := r.newMessage(rndvShm, target, tag, len(data))
+	msg.senderGo.Init(m.Env)
+	msg.pipe = shmPipe{node: r.node}
+	msg.pipe.cond.Init(m.Env)
+	m.Env.AfterK(m.Cfg.FlagLatency, msg)
+	p.Wait(&msg.senderGo)
+	msg.sendLoop(p, data)
+	msg.leave()
 }
 
 func (r *Rank) sendNetEager(p *sim.Proc, target *Rank, tag int, data []byte) {
@@ -254,88 +361,71 @@ func (r *Rank) sendNetEager(p *sim.Proc, target *Rank, tag int, data []byte) {
 	m.Stats.AddPlainCopy(len(data))
 	p.Sleep(m.Cfg.SendOverhead)
 	_, arrival := m.NetInjectTo(r.node, target.node, len(data)+headerBytes)
-	msg := &message{kind: eagerNet, src: r.rank, tag: tag, size: len(data), data: owned}
-	m.Env.At(arrival, func() { target.arrive(msg) })
+	msg := r.newMessage(eagerNet, target, tag, len(data))
+	msg.data = owned
+	m.Env.AtK(arrival, msg)
 }
 
 func (r *Rank) sendNetRndv(p *sim.Proc, target *Rank, tag int, data []byte) {
 	m := r.w.m
-	msg := &message{
-		kind:     rndvNet,
-		src:      r.rank,
-		tag:      tag,
-		size:     len(data),
-		cts:      m.Env.NewEvent(),
-		dataDone: m.Env.NewEvent(),
-		payload:  data,
-		origin:   r,
-	}
+	msg := r.newMessage(rndvNet, target, tag, len(data))
+	msg.cts.Init(m.Env)
+	msg.dataDone.Init(m.Env)
 	p.Sleep(m.Cfg.SendOverhead) // RTS
 	_, arrival := m.NetInjectTo(r.node, target.node, headerBytes)
-	m.Env.At(arrival, func() { target.arrive(msg) })
-	p.Wait(msg.cts)
+	m.Env.AtK(arrival, msg)
+	p.Wait(&msg.cts)
 	p.Sleep(m.Cfg.SendOverhead)
 	// The adapter reads the user buffer during injection and DMAs it straight
 	// into the receive buffer, posted before the CTS. The bytes land now, so
 	// the send buffer is truly reusable once Send returns (MPI semantics); the
 	// receiver is parked on dataDone until one wire latency later and cannot
 	// tell them from bytes that arrived then.
-	msg.req.land(0, msg.payload)
+	msg.rq.land(0, data)
 	injectEnd, dataArrival := m.NetInjectTo(r.node, target.node, msg.size)
-	m.Env.At(dataArrival, func() { m.Env.After(m.Cfg.RecvOverhead, msg.dataDone.Trigger) })
+	m.Env.AtK(dataArrival, (*msgLanded)(msg))
 	// The send buffer is reusable once the adapter has read it.
 	if d := injectEnd - m.Env.Now(); d > 0 {
 		p.Sleep(d)
 	}
+	msg.leave()
 }
 
 // arrive routes an arriving message or announcement through tag matching.
 // It runs in scheduler context; the matching cost is modeled as a delay.
 func (r *Rank) arrive(msg *message) {
 	m := r.w.m
-	delay := m.Cfg.TagMatchBase + m.Cfg.TagMatchScan*sim.Time(len(r.posted))
+	delay := m.Cfg.TagMatchBase + m.Cfg.TagMatchScan*sim.Time(r.posted.n)
 	if msg.kind == eagerNet {
 		delay += m.Cfg.RecvOverhead
 	}
-	m.Env.After(delay, func() {
-		for i, rq := range r.posted {
-			if rq.matches(msg.src, msg.tag) {
-				r.posted = append(r.posted[:i], r.posted[i+1:]...)
-				rq.msg = msg
-				rq.done.Trigger()
-				return
-			}
-		}
-		if msg.kind == eagerNet {
-			// Early arrival: the payload is parked in an early-arrival
-			// buffer, costing an extra copy (§2.3 buffer management).
-			m.Stats.Unexpected++
-			m.Stats.AddPlainCopy(msg.size)
-		} else {
-			m.Stats.Unexpected++
-		}
-		r.unexpected = append(r.unexpected, msg)
-	})
+	m.Env.AfterK(delay, (*msgMatch)(msg))
 }
 
-// findUnexpected removes and returns the first queued message matching
-// (src, tag), or nil.
-func (r *Rank) findUnexpected(src, tag int) *message {
-	for i, msg := range r.unexpected {
-		rq := recvReq{src: src, tag: tag}
-		if rq.matches(msg.src, msg.tag) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			return msg
-		}
+// match hands an arrived message to the first posted receive it matches, or
+// queues it as unexpected.
+func (r *Rank) match(msg *message) {
+	accepts := func(post *message) bool { return matches(post.rq.src, post.rq.tag, msg.src, msg.tag) }
+	if post := r.posted.take(accepts); post != nil {
+		post.matched = msg
+		post.done.Trigger()
+		return
 	}
-	return nil
+	m := r.w.m
+	m.Stats.Unexpected++
+	if msg.kind == eagerNet {
+		// Early arrival: the payload is parked in an early-arrival
+		// buffer, costing an extra copy (§2.3 buffer management).
+		m.Stats.AddPlainCopy(msg.size)
+	}
+	r.unexpected.push(msg)
 }
 
 // Recv blocks until a message matching (src, tag) — either may be Any —
 // has been received into buf, and returns its status. The matched message
 // must fit in buf.
 func (r *Rank) Recv(p *sim.Proc, src, tag int, buf []byte) Status {
-	return r.recv(p, &recvReq{src: src, tag: tag, buf: buf})
+	return r.recv(p, recvReq{src: src, tag: tag, buf: buf})
 }
 
 // RecvReduce is Recv with the message folded into buf (see Fold): wherever
@@ -347,28 +437,31 @@ func (r *Rank) RecvReduce(p *sim.Proc, src, tag int, buf []byte, f Fold) Status 
 	if f.Own != nil && len(f.Own) != len(buf) {
 		panic(fmt.Sprintf("mpi: fold operand of %d bytes for a %d-byte receive buffer", len(f.Own), len(buf)))
 	}
-	return r.recv(p, &recvReq{src: src, tag: tag, buf: buf, fold: f, folds: true})
+	return r.recv(p, recvReq{src: src, tag: tag, buf: buf, fold: f, folds: true})
 }
 
-func (r *Rank) recv(p *sim.Proc, rq *recvReq) Status {
+func (r *Rank) recv(p *sim.Proc, rq recvReq) Status {
 	m := r.w.m
 	r.callOverhead(p)
-	p.Sleep(m.Cfg.TagMatchBase + m.Cfg.TagMatchScan*sim.Time(len(r.unexpected)))
-	msg := r.findUnexpected(rq.src, rq.tag)
+	p.Sleep(m.Cfg.TagMatchBase + m.Cfg.TagMatchScan*sim.Time(r.unexpected.n))
+	msg := r.unexpected.take(func(x *message) bool { return matches(rq.src, rq.tag, x.src, x.tag) })
 	if msg == nil {
-		rq.done = m.Env.NewEvent()
-		r.posted = append(r.posted, rq)
-		p.Wait(rq.done)
-		msg = rq.msg
+		post := r.w.msgs.Get()
+		post.rq = rq
+		post.done.Init(m.Env)
+		r.posted.push(post)
+		p.Wait(&post.done)
+		msg = post.matched
+		r.w.msgs.Put(post)
 	}
-	msg.req = rq
+	msg.rq = rq
 	return r.consume(p, msg)
 }
 
 // consume finishes a matched message in the receiving process's context.
 func (r *Rank) consume(p *sim.Proc, msg *message) Status {
 	m := r.w.m
-	rq := msg.req
+	rq := &msg.rq
 	if msg.size > len(rq.buf) {
 		panic(fmt.Sprintf("mpi: message of %d bytes truncated by %d-byte receive buffer",
 			msg.size, len(rq.buf)))
@@ -377,30 +470,29 @@ func (r *Rank) consume(p *sim.Proc, msg *message) Status {
 		panic(fmt.Sprintf("mpi: folded message of %d bytes does not fill its %d-byte receive buffer",
 			msg.size, len(rq.buf)))
 	}
+	st := Status{Source: msg.src, Tag: msg.tag, Bytes: msg.size}
 	switch msg.kind {
 	case eagerShm:
 		m.ChargeCopy(p, r.node, msg.size)
 		rq.land(0, msg.data)
 		m.Stats.AddCopy(msg.size)
 		m.Buffers.Put(msg.data) // bounce buffer fully copied out
-		msg.data = nil
 	case eagerNet:
 		m.ChargeCopy(p, r.node, msg.size)
 		rq.land(0, msg.data)
 		m.Buffers.Put(msg.data) // staging copy fully copied out
-		msg.data = nil
 		m.Stats.AddPlainCopy(msg.size)
 	case rndvShm:
-		msg.pipe.req = rq
 		msg.senderGo.Trigger()
-		msg.pipe.recvLoop(p)
+		msg.recvLoop(p)
 	case rndvNet:
 		p.Sleep(m.Cfg.SendOverhead) // CTS
-		_, arrival := m.NetInjectTo(r.node, msg.origin.node, headerBytes)
-		m.Env.At(arrival, msg.cts.Trigger)
-		p.Wait(msg.dataDone)
+		_, arrival := m.NetInjectTo(r.node, r.w.ranks[msg.src].node, headerBytes)
+		m.Env.AtK(arrival, (*msgCTS)(msg))
+		p.Wait(&msg.dataDone)
 	}
-	return Status{Source: msg.src, Tag: msg.tag, Bytes: msg.size}
+	msg.leave()
+	return st
 }
 
 // Sendrecv performs a simultaneous send and receive, as needed by pairwise
@@ -408,13 +500,10 @@ func (r *Rank) consume(p *sim.Proc, msg *message) Status {
 // deadlocks.
 func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte,
 	src, rtag int, rbuf []byte) Status {
-	done := r.w.m.Env.NewEvent()
-	r.w.m.Env.SpawnIndexed("mpi-sendrecv-", r.rank, func(sp *sim.Proc) {
-		r.Send(sp, dst, stag, sdata)
-		done.Trigger()
-	})
+	rq := r.isend("mpi-sendrecv-", dst, stag, sdata)
 	st := r.Recv(p, src, rtag, rbuf)
-	p.Wait(done)
+	p.Wait(&rq.done)
+	r.w.reqs.Put(rq)
 	return st
 }
 
@@ -423,41 +512,31 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte,
 // with the two slots providing the pipeline. Both copies are charged and
 // counted, but the bytes move once: the bounce buffer is read by nobody but
 // the copy-out, so the sender's copy lands each chunk in the receive request
-// (req, set by the receiver before senderGo fires), and the copy-out is a
-// charge. The receiver is parked in Recv until the last chunk is charged —
-// the buffer is the library's until the receive completes — so it cannot
-// tell when its bytes arrived.
+// (the message's rq, set by the receiver before senderGo fires), and the
+// copy-out is a charge. The receiver is parked in Recv until the last chunk is
+// charged — the buffer is the library's until the receive completes — so it
+// cannot tell when its bytes arrived.
 type shmPipe struct {
-	m     *machine.Machine
 	node  int
-	chunk int
-	total int
-	req   *recvReq
 	slots [2]int // fill level; 0 = free
-	cond  *sim.Cond
+	cond  sim.Cond
 }
 
-func newShmPipe(m *machine.Machine, node, chunk, total int) *shmPipe {
-	return &shmPipe{m: m, node: node, chunk: chunk, total: total, cond: m.Env.NewCond()}
-}
-
-func (pp *shmPipe) sendLoop(p *sim.Proc, data []byte) {
+func (msg *message) sendLoop(p *sim.Proc, data []byte) {
+	m, pp := msg.dst.w.m, &msg.pipe
 	slot := 0
 	landed := 0
 	for off := 0; off < len(data); {
-		n := pp.chunk
-		if len(data)-off < n {
-			n = len(data) - off
-		}
+		n := min(m.Cfg.ShmPktSize, len(data)-off)
 		pp.cond.WaitUntil(p, func() bool { return pp.slots[slot] == 0 })
-		pp.m.ChargeCopy(p, pp.node, n)
+		m.ChargeCopy(p, pp.node, n)
 		// A fold lands whole elements only: one the chunk boundary splits
 		// lands with the next chunk, read from data, which cannot change
 		// while its Send runs.
-		end := pp.req.whole(off + n)
-		pp.req.land(landed, data[landed:end])
+		end := msg.rq.whole(off + n)
+		msg.rq.land(landed, data[landed:end])
 		landed = end
-		pp.m.Stats.AddCopy(n)
+		m.Stats.AddCopy(n)
 		pp.slots[slot] = n
 		pp.cond.Broadcast()
 		off += n
@@ -465,13 +544,14 @@ func (pp *shmPipe) sendLoop(p *sim.Proc, data []byte) {
 	}
 }
 
-func (pp *shmPipe) recvLoop(p *sim.Proc) {
+func (msg *message) recvLoop(p *sim.Proc) {
+	m, pp := msg.dst.w.m, &msg.pipe
 	slot := 0
-	for off := 0; off < pp.total; {
+	for off := 0; off < msg.size; {
 		pp.cond.WaitUntil(p, func() bool { return pp.slots[slot] != 0 })
 		n := pp.slots[slot]
-		pp.m.ChargeCopy(p, pp.node, n) // the copy-out: its bytes are already there
-		pp.m.Stats.AddCopy(n)
+		m.ChargeCopy(p, pp.node, n) // the copy-out: its bytes are already there
+		m.Stats.AddCopy(n)
 		pp.slots[slot] = 0
 		pp.cond.Broadcast()
 		off += n
@@ -479,23 +559,46 @@ func (pp *shmPipe) recvLoop(p *sim.Proc) {
 	}
 }
 
-// Request tracks a nonblocking send. Wait blocks until it completes.
-type Request struct{ done *sim.Event }
+// Request tracks a nonblocking send, whose helper process runs the request
+// itself as its body (reqBody): the send, and the event it triggers once Send
+// has returned. Wait blocks until it completes. An Isend's record stays valid
+// until the world is released; a Sendrecv's goes back on the world's list when
+// the exchange returns.
+type Request struct {
+	bufpool.Link[Request]
+	r        *Rank
+	dst, tag int
+	data     []byte
+	done     sim.Event
+}
+
+// reqBody is a request as the body of its helper.
+type reqBody Request
+
+func (b *reqBody) Run(p *sim.Proc) {
+	b.r.Send(p, b.dst, b.tag, b.data)
+	b.done.Trigger()
+}
 
 // Wait blocks until the operation completes.
-func (rq *Request) Wait(p *sim.Proc) { p.Wait(rq.done) }
+func (rq *Request) Wait(p *sim.Proc) { p.Wait(&rq.done) }
 
 // Isend starts a nonblocking send. The data buffer must not be modified
 // until the request completes (completion means the buffer is reusable,
 // exactly as for the blocking Send).
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	rq := &Request{done: r.w.m.Env.NewEvent()}
-	r.w.m.Env.SpawnIndexed("mpi-isend-", r.rank, func(sp *sim.Proc) {
-		r.Send(sp, dst, tag, data)
-		rq.done.Trigger()
-	})
+	rq := r.isend("mpi-isend-", dst, tag, data)
 	// The caller pays the call overhead; the transfer proceeds in the
 	// helper (the communication subsystem).
 	r.callOverhead(p)
+	return rq
+}
+
+// isend draws a request and spawns its helper, named prefix+rank.
+func (r *Rank) isend(prefix string, dst, tag int, data []byte) *Request {
+	rq := r.w.reqs.Get()
+	rq.r, rq.dst, rq.tag, rq.data = r, dst, tag, data
+	rq.done.Init(r.w.m.Env)
+	r.w.m.Env.SpawnBody(prefix, r.rank, (*reqBody)(rq))
 	return rq
 }

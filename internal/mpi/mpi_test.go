@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/sim"
@@ -795,6 +796,63 @@ func TestReduceFoldsOnReceive(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestMessagesReturnToTheList: every record a clean run draws — the messages of
+// all four paths, the receives posted before their message arrived and the
+// helpers of Sendrecv — is back on its world's list when the run ends, however
+// the two sides of a rendezvous finish, and the world hands its memory back
+// clean.
+func TestMessagesReturnToTheList(t *testing.T) {
+	for _, late := range []bool{false, true} { // the receives are posted after the messages arrived
+		env, m, w := world(2, 2, IBM()) // ranks 0 and 1 share a node, 2 and 3 the other
+		sizes := []int{1 << 10, 64 << 10}
+		bufs := make([][]byte, 2*len(sizes))
+		for i := range bufs {
+			bufs[i] = make([]byte, 64<<10)
+		}
+		for _, to := range []int{1, 2} {
+			env.Spawn("recv", func(p *sim.Proc) {
+				if late {
+					p.Sleep(500)
+				}
+				for i, n := range sizes {
+					w.Rank(to).Recv(p, 0, i, bufs[to-1+2*i][:n])
+				}
+			})
+		}
+		env.Spawn("send", func(p *sim.Proc) {
+			for i, n := range sizes {
+				w.Rank(0).Send(p, 1, i, bufs[0][:n])
+				w.Rank(0).Send(p, 2, i, bufs[0][:n])
+			}
+		})
+		for _, r := range []int{1, 3} {
+			env.Spawn("exchange", func(p *sim.Proc) {
+				for _, n := range sizes {
+					w.Rank(r).Sendrecv(p, 4-r, 9, make([]byte, n), 4-r, 9, make([]byte, n))
+				}
+			})
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		made, idle := w.msgs.Count()
+		if made == 0 || idle != made {
+			t.Errorf("late=%v: %d message records made, %d back on the list", late, made, idle)
+		}
+		if made, idle := w.reqs.Count(); made == 0 || idle != made {
+			t.Errorf("late=%v: %d helper records made, %d back on the list", late, made, idle)
+		}
+		if m.Stats.Unexpected == 0 == late {
+			t.Errorf("late=%v: %d unexpected arrivals", late, m.Stats.Unexpected)
+		}
+		w.Release()
+		m.Release()
+		if err := bufpool.CheckReserve(); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -107,9 +107,9 @@ func (co *coro) run() {
 			e.recordFailure(&p.Task, r)
 		}
 	}()
-	fn := p.fn
-	p.fn = nil
-	fn(p)
+	b := p.body
+	p.body = nil
+	b.Run(p)
 }
 
 // startBody is the first step of a process's task: the body starts on a

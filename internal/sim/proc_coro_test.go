@@ -2,7 +2,10 @@ package sim
 
 import (
 	"runtime"
+	"sync"
 	"testing"
+
+	"srmcoll/internal/bufpool"
 )
 
 // noNewGoroutines runs f and reports goroutines it left behind. A stopped
@@ -301,4 +304,54 @@ func TestProcRegistrySweepsFinished(t *testing.T) {
 	if !stuck.parked {
 		t.Error("stuck lost its parked flag")
 	}
+}
+
+// TestSpawnCarvesProcs: a process comes from a slab of its Env's, as a task
+// does, so spawning one makes no object of its own, and Release hands the slabs
+// back for the next environment, whose processes are the same memory, all
+// zero. Environments on two goroutines at once draw and return the slabs of one
+// reserve: under the race detector a slab handed to both is a reported race.
+func TestSpawnCarvesProcs(t *testing.T) {
+	body := func(p *Proc) { p.Sleep(1) }
+	const n = 1024
+	per := testing.AllocsPerRun(5, func() {
+		e := NewEnv()
+		for i := 0; i < n; i++ {
+			e.SpawnIndexed("p", i, body)
+		}
+	}) / n
+	if per > 0.25 {
+		t.Errorf("spawning a process costs %.3f objects, want the Env's slabs to carry it", per)
+	}
+
+	run := func(k int) *Proc {
+		e := NewEnv()
+		first := e.SpawnIndexed("p", 0, body)
+		for i := 1; i < k; i++ {
+			e.SpawnIndexed("p", i, body)
+		}
+		if err := e.Run(); err != nil {
+			t.Error(err)
+		}
+		e.Release()
+		return first
+	}
+	if a, b := run(8), run(8); a != b {
+		t.Error("the next environment's first process is not the memory the last one released")
+	}
+	if err := bufpool.CheckReserve(); err != nil {
+		t.Error(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				run(100)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -48,9 +48,10 @@ type Env struct {
 	digest    uint64        // the fold of those items (digest.go)
 
 	// What the environment makes once per rank or per pending occurrence comes
-	// out of slabs it owns until Release (DESIGN.md §9): tasks, and the queue
-	// items the free list could not supply.
+	// out of slabs it owns until Release (DESIGN.md §9): tasks, processes, and
+	// the queue items the free list could not supply.
 	taskMem bufpool.Chunks[Task]
+	procMem bufpool.Chunks[Proc]
 	itemMem bufpool.Chunks[item]
 
 	// OnFailure, when non-nil, is called immediately after a failure is
@@ -67,8 +68,8 @@ func NewEnv() *Env {
 	return &Env{queue: newCalQueue()}
 }
 
-// Release hands the environment's records — its tasks, queue items and
-// calendar — back to the process-level reserve (internal/bufpool) for the next
+// Release hands the environment's records — its tasks, processes, queue items
+// and calendar — back to the process-level reserve (internal/bufpool) for the next
 // environment, which is handed the same memory. Only for a simulation that is
 // over and left nothing behind: Live is zero, and the caller drops every *Task
 // it holds and never touches the environment again. One that ended with an
@@ -76,6 +77,7 @@ func NewEnv() *Env {
 // not released; its records are the collector's.
 func (e *Env) Release() {
 	e.taskMem.Release()
+	e.procMem.Release()
 	e.itemMem.Release()
 	e.queue.release()
 	e.queue, e.tasks, e.free = nil, nil, nil // a use after release is a crash, not a step of another run's task
@@ -198,10 +200,20 @@ type waitable interface {
 // or a panicking step runs it before the failure is raised in the body.
 type Proc struct {
 	Task
-	fn func(*Proc) // the body, until the first step starts it
-	co *coro       // the coroutine the body runs on, from start to finish
-	uw [2]K        // where the unwind stack starts: a collective's executor and the wait it is in need two
+	body Body  // what the process runs, until the first step starts it
+	co   *coro // the coroutine the body runs on, from start to finish
+	uw   [2]K  // where the unwind stack starts: a collective's executor and the wait it is in need two
 }
+
+// Body is what a process runs. A record that runs as a process passes itself
+// (its pointer has the Run method), where a closure over the record would be a
+// heap object of its own.
+type Body interface{ Run(p *Proc) }
+
+// bodyFunc is a Body that calls a closure.
+type bodyFunc func(*Proc)
+
+func (f bodyFunc) Run(p *Proc) { f(p) }
 
 // Spawn creates a process that will start running fn at the current virtual
 // time (after already-scheduled events at this timestamp).
@@ -210,18 +222,22 @@ type Proc struct {
 // recorded as a ProcFailure (see Env.Failures), and the process counts as
 // finished. Run surfaces recorded failures as a *CrashError.
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, -1, fn)
+	return e.SpawnBody(name, -1, bodyFunc(fn))
 }
 
 // SpawnIndexed is Spawn with the name prefix+itoa(num), formatted lazily:
 // per-operation helper processes (rank bodies, isend/irecv helpers) are
 // spawned on hot paths where the name is read only by failure reports.
 func (e *Env) SpawnIndexed(prefix string, num int, fn func(*Proc)) *Proc {
-	return e.spawn(prefix, num, fn)
+	return e.SpawnBody(prefix, num, bodyFunc(fn))
 }
 
-func (e *Env) spawn(prefix string, num int, fn func(*Proc)) *Proc {
-	p := &Proc{fn: fn}
+// SpawnBody is SpawnIndexed with the body as a value (num < 0: prefix alone
+// names the process). The process is carved from a slab of the environment's,
+// as a task is.
+func (e *Env) SpawnBody(prefix string, num int, b Body) *Proc {
+	p := e.procMem.New()
+	p.body = b
 	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, start: startBody, proc: p, unwindArmed: true, unwinds: p.uw[:0]}
 	e.admit(&p.Task)
 	return p

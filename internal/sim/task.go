@@ -139,6 +139,23 @@ func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
 	return t
 }
 
+// SpawnTaskK is SpawnTask with the first step as a continuation: k resumes
+// where fn would be called, so a record that starts a task passes itself
+// instead of a closure or a method value bound to it. The record learns its
+// task from the result, before the first step runs.
+func (e *Env) SpawnTaskK(prefix string, num int, k K) *Task {
+	t := e.SpawnTask(prefix, num, startK)
+	t.k = k
+	return t
+}
+
+// startK is the first step of a task SpawnTaskK made.
+func startK(t *Task) {
+	k := t.k
+	t.k = nil
+	k.Resume()
+}
+
 // admit counts a new task live, registers it and schedules its first step.
 func (e *Env) admit(t *Task) {
 	e.live++

@@ -65,11 +65,15 @@ type Request struct{ request }
 type request struct {
 	h        handle     // the issuing rank's
 	seq      int        // per-rank issue index
-	done     *sim.Event // triggered once the operation has ended and call.err says how
+	done     sim.Event  // triggered once the operation has ended and call.err says how
 	prev     *sim.Event // the done of the request the helper runs after, if any
 	group    int        // trace group linking issue/op/wait spans, -1 untraced
 	consumed bool
 	call     frame // the operation; its arguments name the buffers the request owns
+
+	// A wait in progress: its span, and what it tells once the request is done.
+	waitSpan int
+	waitK    func(error)
 }
 
 // String identifies the request in errors and stall reports.
@@ -187,13 +191,14 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		}
 	}
 	if inflight >= MaxOutstanding {
-		h.wait(oldest.done, sim.Func(func() { h.admit(a, k) }))
+		h.readmit(oldest, a, k)
 		return
 	}
 	st.issued = &TRequest{request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, name: names.req, span: -1}}}
 	r := &st.issued.request
 	st.seq++
-	r.done = h.rs.env.NewEvent().NamedBy((*reqLabel)(r))
+	r.done.Init(h.rs.env)
+	r.done.NamedBy((*reqLabel)(r))
 	st.live = append(st.live, r)
 	if h.rec.failed > 0 {
 		// The communicator is already known broken: complete the request
@@ -210,27 +215,38 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 	h.tr.Link(iid, r.group)
 	h.tr.End(iid)
 	r.prev = st.tail
-	var ht *sim.Task
 	if h.rec.coll.srm != nil {
-		ht = h.rs.env.SpawnTask(st.helperPrefix(h.rank), r.seq, r.onTask)
+		r.call.actor = actor{t: h.rs.env.SpawnTaskK(st.helperPrefix(h.rank), r.seq, (*reqStart)(r))}
 	} else {
-		ht = &h.rs.env.SpawnIndexed(st.helperPrefix(h.rank), r.seq, r.onProc).Task
+		p := h.rs.env.SpawnBody(st.helperPrefix(h.rank), r.seq, (*reqBody)(r))
+		r.call.actor = actor{t: &p.Task, p: p}
 	}
-	h.rs.helperRank[ht] = h.rank
-	st.helpers = append(st.helpers, ht)
-	st.tail = r.done
+	h.rs.helperRank[r.call.t] = h.rank
+	st.helpers = append(st.helpers, r.call.t)
+	st.tail = &r.done
 	k(st.issued)
 }
 
-// onTask and onProc are the helper's first step, as a task and as a process.
-func (r *request) onTask(t *sim.Task) { r.start(actor{t: t}) }
-func (r *request) onProc(p *sim.Proc) { r.start(actor{t: &p.Task, p: p}) }
+// readmit admits a once oldest has completed. Its closure is made here, so
+// that only a request the bound holds back pays for it.
+func (h handle) readmit(oldest *request, a collArgs, k func(*TRequest)) {
+	h.wait(&oldest.done, sim.Func(func() { h.admit(a, k) }))
+}
+
+// reqStart and reqBody are the request as its helper's first step, as a task
+// and as a process; the helper is the request's actor from its spawn.
+type (
+	reqStart request
+	reqBody  request
+)
+
+func (s *reqStart) Resume()      { (*request)(s).start() }
+func (b *reqBody) Run(*sim.Proc) { (*request)(b).start() }
 
 // start runs the operation on the helper once the rank's previous request ended.
-func (r *request) start(a actor) {
-	r.call.actor = a
+func (r *request) start() {
 	if r.prev != nil && !r.prev.Done() {
-		a.wait(r.prev, (*reqOpen)(r))
+		r.call.wait(r.prev, (*reqOpen)(r))
 		return
 	}
 	r.open()
@@ -278,13 +294,22 @@ func (r *request) wait(k func(error)) {
 			Reason: "request already completed (double Wait, or Wait after Test returned true)",
 		})
 	}
-	wid := h.tr.Begin(h.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
-	h.tr.Link(wid, r.group)
-	h.wait(r.done, sim.Func(func() {
-		h.tr.End(wid)
-		r.consume()
-		k(r.call.err)
-	}))
+	r.waitSpan = h.tr.Begin(h.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
+	h.tr.Link(r.waitSpan, r.group)
+	r.waitK = k
+	h.wait(&r.done, (*reqWaited)(r))
+}
+
+// reqWaited is the request as the continuation of a wait for it.
+type reqWaited request
+
+func (w *reqWaited) Resume() {
+	r := (*request)(w)
+	k := r.waitK
+	r.waitK = nil
+	r.h.tr.End(r.waitSpan)
+	r.consume()
+	k(r.call.err)
 }
 
 // test yields once and tells k whether the operation has ended, consuming the

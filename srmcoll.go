@@ -877,12 +877,13 @@ func (cl *Cluster) run(impl Impl, spawn func(*simulation)) (*Result, error) {
 // simulation is one run between prepare and outcome: what Run and RunT set up
 // alike, whichever form of body then spawns the ranks.
 type simulation struct {
-	cl  *Cluster
-	m   *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
-	dom *rma.Domain
-	srm *core.SRM // nil under a baseline
-	rs  *runState // rs.ft is nil unless fault tolerance is on
-	res *Result
+	cl   *Cluster
+	m    *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
+	dom  *rma.Domain
+	srm  *core.SRM       // nil under a baseline
+	base *baseline.Group // nil under SRM
+	rs   *runState       // rs.ft is nil unless fault tolerance is on
+	res  *Result
 }
 
 // prepare validates the plan and builds a fresh simulation of the cluster up to
@@ -919,7 +920,8 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 		if impl == MPICHMPI {
 			flavor = baseline.MPICH
 		}
-		coll.base = baseline.New(m, flavor)
+		sm.base = baseline.New(m, flavor)
+		coll.base = sm.base
 	default:
 		return nil, fmt.Errorf("srmcoll: unknown implementation %d", int(impl))
 	}
@@ -1003,11 +1005,11 @@ func (sm *simulation) nameTrack(t *sim.Task) {
 // and hands its memory back to the reserve. For the payload that is safe
 // however the run ended: the Env has retired every actor it is going to, and
 // one left parked by a deadlock, a stall or a crash never executes again, so
-// nothing can write to a buffer the next run is given. The records — tasks, queue items, the calendar,
-// put frames, executors, the flags and counters of its operations — go
-// back only from a run that ended with a result, which is one that left no
-// actor alive: an error report may name tasks, and a parked coroutine holds
-// them. The caller's handles are cut off from the simulation first: a Comm,
+// nothing can write to a buffer the next run is given. The records — tasks,
+// processes, queue items, the calendar, put frames, executors, the flags and
+// counters of its operations, a baseline's messages — go back only from a run
+// that ended with a result, which is one that left no actor alive: an error
+// report may name tasks, and a parked coroutine holds them. The caller's handles are cut off from the simulation first: a Comm,
 // TComm or request kept past the run would otherwise drive a task that by then
 // is another run's.
 //
@@ -1034,6 +1036,8 @@ func (sm *simulation) outcome() (*Result, error) {
 	if err == nil {
 		if sm.srm != nil {
 			sm.srm.Release()
+		} else {
+			sm.base.Release()
 		}
 		sm.dom.Release()
 		sm.m.Release()
