@@ -172,16 +172,12 @@ func (o *opts) bench(dir, w string, seed int, traced bool) (map[string]float64, 
 	args := o.benchArgs(w, seed, traced)
 	cmd := exec.Command("bash", args...)
 	cmd.Dir, cmd.Stderr = dir, os.Stderr
-	if traced {
-		// The benchmark's host.gc_cpu_share reads the runtime's CPU classes,
-		// which move only when a collection completes: a traced run in which
-		// none does reports 0/0 (none started) or x/0 (one started), which it
-		// cannot encode. A smoke run is that small, and so is a full fig_grid
-		// repetition since it allocates less than the library's settle line.
-		// GOGC=1 makes cycles complete in every repetition; what a row keeps
-		// of the traced run is virtual time and event counts, which the
-		// collector does not move.
-		cmd.Env = append(os.Environ(), "GOGC=1")
+	if traced && o.smoke {
+		// A traced smoke run can end before the collector has run a cycle,
+		// and the benchmark then reports host.gc_cpu_share as 0/0, which it
+		// cannot encode. The gated columns are virtual time and event counts,
+		// which the collector does not move.
+		cmd.Env = append(os.Environ(), "GOGC=5")
 	}
 	out, err := cmd.Output()
 	if err != nil {

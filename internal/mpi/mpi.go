@@ -81,9 +81,10 @@ type Status struct {
 // World is a communication world: one endpoint per rank over a machine.
 //
 // The records a transmission needs — the message with its events, its
-// rendezvous pipe and the receive it lands in, and the helper of a Sendrecv or
-// Isend — come from free lists of the world's, so a send and its receive
-// allocate nothing once the lists have warmed up. Release hands the lists'
+// rendezvous pipe and the receive it lands in, and the request a Sendrecv's
+// helper runs — come from free lists of the world's, so a send and its receive
+// allocate nothing once the lists have warmed up; the helpers' processes are
+// reused by the environment (sim.Env.SpawnHelper). Release hands the lists'
 // memory back to the reserve; a world that is dropped without it leaves them
 // to the collector.
 type World struct {
@@ -500,7 +501,8 @@ func (r *Rank) consume(p *sim.Proc, msg *message) Status {
 // deadlocks.
 func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte,
 	src, rtag int, rbuf []byte) Status {
-	rq := r.isend("mpi-sendrecv-", dst, stag, sdata)
+	rq := r.w.reqs.Get()
+	r.isend(rq, "mpi-sendrecv-", dst, stag, sdata)
 	st := r.Recv(p, src, rtag, rbuf)
 	p.Wait(&rq.done)
 	r.w.reqs.Put(rq)
@@ -561,9 +563,9 @@ func (msg *message) recvLoop(p *sim.Proc) {
 
 // Request tracks a nonblocking send, whose helper process runs the request
 // itself as its body (reqBody): the send, and the event it triggers once Send
-// has returned. Wait blocks until it completes. An Isend's record stays valid
-// until the world is released; a Sendrecv's goes back on the world's list when
-// the exchange returns.
+// has returned. Wait blocks until it completes. An Isend's record is the
+// caller's, valid after Wait and the collector's once dropped; a Sendrecv's
+// comes from the world's list and goes back when the exchange returns.
 type Request struct {
 	bufpool.Link[Request]
 	r        *Rank
@@ -587,18 +589,18 @@ func (rq *Request) Wait(p *sim.Proc) { p.Wait(&rq.done) }
 // until the request completes (completion means the buffer is reusable,
 // exactly as for the blocking Send).
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	rq := r.isend("mpi-isend-", dst, tag, data)
+	rq := new(Request)
+	r.isend(rq, "mpi-isend-", dst, tag, data)
 	// The caller pays the call overhead; the transfer proceeds in the
 	// helper (the communication subsystem).
 	r.callOverhead(p)
 	return rq
 }
 
-// isend draws a request and spawns its helper, named prefix+rank.
-func (r *Rank) isend(prefix string, dst, tag int, data []byte) *Request {
-	rq := r.w.reqs.Get()
+// isend starts rq and spawns its helper, named prefix+rank; the helper's
+// process is reused once it has finished (sim.Env.SpawnHelper).
+func (r *Rank) isend(rq *Request, prefix string, dst, tag int, data []byte) {
 	rq.r, rq.dst, rq.tag, rq.data = r, dst, tag, data
 	rq.done.Init(r.w.m.Env)
-	r.w.m.Env.SpawnBody(prefix, r.rank, (*reqBody)(rq))
-	return rq
+	r.w.m.Env.SpawnHelper(prefix, r.rank, (*reqBody)(rq))
 }

@@ -801,10 +801,10 @@ func TestReduceFoldsOnReceive(t *testing.T) {
 }
 
 // TestMessagesReturnToTheList: every record a clean run draws — the messages of
-// all four paths, the receives posted before their message arrived and the
-// helpers of Sendrecv — is back on its world's list when the run ends, however
-// the two sides of a rendezvous finish, and the world hands its memory back
-// clean.
+// all four paths, Isend's among them, the receives posted before their message
+// arrived and the requests of Sendrecv — is back on its world's list when the
+// run ends, however the two sides of a rendezvous finish, and the world hands
+// its memory back clean.
 func TestMessagesReturnToTheList(t *testing.T) {
 	for _, late := range []bool{false, true} { // the receives are posted after the messages arrived
 		env, m, w := world(2, 2, IBM()) // ranks 0 and 1 share a node, 2 and 3 the other
@@ -821,6 +821,7 @@ func TestMessagesReturnToTheList(t *testing.T) {
 				for i, n := range sizes {
 					w.Rank(to).Recv(p, 0, i, bufs[to-1+2*i][:n])
 				}
+				w.Rank(to).Recv(p, 0, 7, make([]byte, 64<<10))
 			})
 		}
 		env.Spawn("send", func(p *sim.Proc) {
@@ -828,6 +829,10 @@ func TestMessagesReturnToTheList(t *testing.T) {
 				w.Rank(0).Send(p, 1, i, bufs[0][:n])
 				w.Rank(0).Send(p, 2, i, bufs[0][:n])
 			}
+			near := w.Rank(0).Isend(p, 1, 7, bufs[0][:64<<10])
+			far := w.Rank(0).Isend(p, 2, 7, bufs[0][:1<<10])
+			near.Wait(p)
+			far.Wait(p)
 		})
 		for _, r := range []int{1, 3} {
 			env.Spawn("exchange", func(p *sim.Proc) {
@@ -844,7 +849,7 @@ func TestMessagesReturnToTheList(t *testing.T) {
 			t.Errorf("late=%v: %d message records made, %d back on the list", late, made, idle)
 		}
 		if made, idle := w.reqs.Count(); made == 0 || idle != made {
-			t.Errorf("late=%v: %d helper records made, %d back on the list", late, made, idle)
+			t.Errorf("late=%v: %d request records made, %d back on the list", late, made, idle)
 		}
 		if m.Stats.Unexpected == 0 == late {
 			t.Errorf("late=%v: %d unexpected arrivals", late, m.Stats.Unexpected)
@@ -855,4 +860,36 @@ func TestMessagesReturnToTheList(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestSendrecvHoldsBoundedProcs: a body that exchanges with Sendrecv for as
+// long as it runs — the recursive doubling of a baseline Allreduce called in a
+// loop — spawns a helper process per exchange, and a finished helper's record
+// carves a later one (sim.Env.SpawnHelper), so the run draws a few slabs of
+// processes however many exchanges it makes.
+func TestSendrecvHoldsBoundedProcs(t *testing.T) {
+	const exchanges = 2000
+	env, m, w := world(2, 1, IBM())
+	before := bufpool.Slabs[sim.Proc]().Drawn
+	for r := 0; r < 2; r++ {
+		env.SpawnIndexed("rank", r, func(p *sim.Proc) {
+			send, recv := make([]byte, 256), make([]byte, 256)
+			for i := 0; i < exchanges; i++ {
+				w.Rank(r).Sendrecv(p, 1-r, 3, send, 1-r, 3, recv)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	drawn := bufpool.Slabs[sim.Proc]().Drawn - before
+	t.Logf("%d exchanges on two ranks drew %d slabs of processes", exchanges, drawn)
+	if drawn > 2 {
+		t.Errorf("%d exchanges drew %d slabs of processes, want at most 2: finished helpers are not reused", exchanges, drawn)
+	}
+	if made, idle := w.reqs.Count(); idle != made {
+		t.Errorf("%d request records made, %d back on the list", made, idle)
+	}
+	w.Release()
+	m.Release()
 }

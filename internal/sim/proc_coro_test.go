@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"srmcoll/internal/bufpool"
 )
@@ -354,4 +356,56 @@ func TestSpawnCarvesProcs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSpawnHelperRecyclesProcs: a helper's process is carved again for a later
+// helper once it has finished and the registry has swept it out, so a body
+// that spawns helpers one after another for as long as it runs holds a bounded
+// number of process records, where SpawnBody keeps every one until Release. A
+// helper that failed keeps its record: its failure still names it after
+// thousands of helpers have come and gone.
+func TestSpawnHelperRecyclesProcs(t *testing.T) {
+	const helpers = 4096
+	hold := func(spawn func(e *Env, b Body)) int64 {
+		e := NewEnv()
+		e.Spawn("driver", func(p *Proc) {
+			for i := 0; i < helpers; i++ {
+				var done Event
+				done.Init(e)
+				spawn(e, bodyFunc(func(h *Proc) {
+					h.Sleep(1)
+					done.Trigger()
+				}))
+				p.Wait(&done)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Release()
+		return e.procMem.Bytes()
+	}
+	kept := hold(func(e *Env, b Body) { e.SpawnBody("h", 0, b) })
+	reused := hold(func(e *Env, b Body) { e.SpawnHelper("h", 0, b) })
+	t.Logf("%d helpers: %d B of processes with SpawnHelper, %d B with SpawnBody", helpers, reused, kept)
+	if reused > 2*bufpool.ChunkBytes || kept < helpers*int64(unsafe.Sizeof(Proc{})) {
+		t.Errorf("%d helpers held %d B of processes with SpawnHelper and %d B with SpawnBody; want at most two slabs and all of them", helpers, reused, kept)
+	}
+
+	e := NewEnv()
+	e.Spawn("driver", func(p *Proc) {
+		e.SpawnHelper("doomed", 7, bodyFunc(func(*Proc) { panic("boom") }))
+		for i := 0; i < helpers; i++ {
+			e.SpawnHelper("h", i, bodyFunc(func(h *Proc) { h.Sleep(1) }))
+			p.Sleep(2)
+		}
+	})
+	err := e.Run()
+	var ce *CrashError
+	if !errors.As(err, &ce) || len(ce.Failures) != 1 {
+		t.Fatalf("want the one helper's failure, got %v", err)
+	}
+	if f := ce.Failures[0]; f.Actor.Name() != "doomed7" || !f.Actor.done {
+		t.Errorf("the failed helper's record was reused: its failure names %q", f.Actor.Name())
+	}
 }

@@ -50,9 +50,10 @@ type Env struct {
 	// What the environment makes once per rank or per pending occurrence comes
 	// out of slabs it owns until Release (DESIGN.md §9): tasks, processes, and
 	// the queue items the free list could not supply.
-	taskMem bufpool.Chunks[Task]
-	procMem bufpool.Chunks[Proc]
-	itemMem bufpool.Chunks[item]
+	taskMem  bufpool.Chunks[Task]
+	procMem  bufpool.Chunks[Proc]
+	itemMem  bufpool.Chunks[item]
+	procIdle []*Proc // helpers the registry swept out finished, for the next SpawnHelper
 
 	// OnFailure, when non-nil, is called immediately after a failure is
 	// recorded — a step or body that panicked, a kill, an interrupt nothing
@@ -80,7 +81,7 @@ func (e *Env) Release() {
 	e.procMem.Release()
 	e.itemMem.Release()
 	e.queue.release()
-	e.queue, e.tasks, e.free = nil, nil, nil // a use after release is a crash, not a step of another run's task
+	e.queue, e.tasks, e.free, e.procIdle = nil, nil, nil, nil // a use after release is a crash, not a step of another run's task
 }
 
 // Now returns the current virtual time.
@@ -234,11 +235,32 @@ func (e *Env) SpawnIndexed(prefix string, num int, fn func(*Proc)) *Proc {
 
 // SpawnBody is SpawnIndexed with the body as a value (num < 0: prefix alone
 // names the process). The process is carved from a slab of the environment's,
-// as a task is.
+// as a task is, and its record lasts as long as the environment.
 func (e *Env) SpawnBody(prefix string, num int, b Body) *Proc {
-	p := e.procMem.New()
+	return e.spawnProc(prefix, num, b, false)
+}
+
+// SpawnHelper is SpawnBody for a per-operation helper that nobody keeps a
+// handle to. Once its body has returned and the registry has swept it out
+// (register), its record carves the next helper, so a run that spawns helpers
+// without end holds the records of about as many as the registry does. A
+// helper that failed is never reused: its failure names it.
+func (e *Env) SpawnHelper(prefix string, num int, b Body) {
+	e.spawnProc(prefix, num, b, true)
+}
+
+func (e *Env) spawnProc(prefix string, num int, b Body, recycle bool) *Proc {
+	var p *Proc
+	if n := len(e.procIdle); n > 0 {
+		p = e.procIdle[n-1]
+		e.procIdle[n-1] = nil
+		e.procIdle = e.procIdle[:n-1]
+		*p = Proc{}
+	} else {
+		p = e.procMem.New()
+	}
 	p.body = b
-	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, start: startBody, proc: p, unwindArmed: true, unwinds: p.uw[:0]}
+	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, start: startBody, proc: p, unwindArmed: true, recycle: recycle, unwinds: p.uw[:0]}
 	e.admit(&p.Task)
 	return p
 }

@@ -35,6 +35,7 @@ type Task struct {
 	parked      bool // suspended on a waitable with no scheduled wake-up
 	done        bool
 	unwindArmed bool // PushUnwind records (see the unwind stack below)
+	recycle     bool // a helper's process, reused once it finished cleanly and left the registry (SpawnHelper)
 
 	// OnInterrupt, when non-nil, handles an Env.Interrupt delivery: the
 	// pending continuation is discarded and the handler runs as a step (it
@@ -166,14 +167,18 @@ func (e *Env) admit(t *Task) {
 // register appends t to the registry of spawned tasks, which is what stall and
 // deadlock reports walk: parking and waking touch only the task's own parked
 // flag. When the registry fills, finished tasks are swept out before it grows,
-// so a run that spawns short-lived helpers forever holds only the live ones.
+// so a run that spawns short-lived helpers forever holds only the live ones;
+// a swept helper's process is free for the next SpawnHelper.
 func (e *Env) register(t *Task) {
 	reg := e.tasks
 	if n := len(reg); n == cap(reg) && n > 0 {
 		live := reg[:0]
 		for _, a := range reg {
-			if !a.done {
+			switch {
+			case !a.done:
 				live = append(live, a)
+			case a.recycle:
+				e.procIdle = append(e.procIdle, a.proc)
 			}
 		}
 		clear(reg[len(live):])
@@ -366,6 +371,7 @@ func (e *Env) retire(t *Task) {
 
 // recordFailure records the death of t and tells the failure hook.
 func (e *Env) recordFailure(t *Task, cause any) {
+	t.recycle = false // the failure names it for good
 	f := ProcFailure{Proc: t.Name(), Actor: t, Time: e.now, Cause: cause}
 	e.failures = append(e.failures, f)
 	if e.OnFailure != nil {

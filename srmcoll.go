@@ -783,7 +783,7 @@ func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
 // called meanwhile), each with payload memory of its own, checked out of a
 // process-level reserve for as long as it lasts (internal/bufpool).
 //
-// Once runs have allocated 16 MiB or more between them, the one that crosses
+// Once runs have allocated 8 MiB or more between them, the one that crosses
 // the line ends with a garbage collection; see settle.
 func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 	return cl.simulate(impl, func(sm *simulation) { sm.spawnProcs(body) })
@@ -809,8 +809,14 @@ func heapCounters() (allocated, cycles uint64) {
 }
 
 // settleAfter is how much finished runs may have allocated between them before
-// the collector is made to look at what they left.
-const settleAfter = 16 << 20
+// the collector is made to look at what they left. It was 16 MiB while the
+// baselines allocated their messages; since those come from the world's lists,
+// the benchmark's fig_grid repetition (45 runs) allocates 12.3 MiB, and under
+// a 16 MiB line it would complete no cycle at all, so a caller that reads the
+// runtime's CPU classes around it, as the benchmark's traced run does, would
+// read nothing: the runtime totals CPU by class only when a cycle completes.
+// At 8 MiB it ends one run with a cycle, where it used to end two.
+const settleAfter = 8 << 20
 
 // unsettled is what runs have allocated since the collector last completed a
 // cycle, as far as settle has been told.
@@ -841,8 +847,8 @@ var unsettled struct {
 // The sum is what serves small and large runs under one rule. A cycle marks
 // the caller's whole live heap, which the library knows nothing about, so
 // small runs must not each pay for one (collecting after each of the
-// benchmark's 384 chaos runs cost 11 % of its wall time): at 1-2 MB a run
-// their sum takes ten runs to reach the line, and on a heap as small as theirs
+// benchmark's 384 chaos runs cost 11 % of its wall time): at under 1 MB a run
+// their sum takes a dozen runs to reach the line, and on a heap as small as theirs
 // the collector's own cycles restart it long before. A run over 65,536 ranks,
 // or a traced one with its hundred thousand spans, crosses the line alone and
 // is collected before the next one starts. Concurrent runs each see the
