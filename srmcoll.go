@@ -809,13 +809,11 @@ func heapCounters() (allocated, cycles uint64) {
 }
 
 // settleAfter is how much finished runs may have allocated between them before
-// the collector is made to look at what they left. It was 16 MiB while the
-// baselines allocated their messages; since those come from the world's lists,
-// the benchmark's fig_grid repetition (45 runs) allocates 12.3 MiB, and under
-// a 16 MiB line it would complete no cycle at all, so a caller that reads the
-// runtime's CPU classes around it, as the benchmark's traced run does, would
-// read nothing: the runtime totals CPU by class only when a cycle completes.
-// At 8 MiB it ends one run with a cycle, where it used to end two.
+// the collector is made to look at what they left. The runtime totals CPU by
+// class only when a cycle completes, so a caller that reads those totals
+// around a batch of runs, as the benchmark's traced run does, reads nothing
+// unless the batch completes one: at 8 MiB the benchmark's fig_grid
+// repetition (45 runs, 12.3 MiB) ends one of its runs with a cycle.
 const settleAfter = 8 << 20
 
 // unsettled is what runs have allocated since the collector last completed a
