@@ -185,10 +185,13 @@ func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
 			ft.crashed[r] = true
 			// The rank's communication service thread dies with the task:
 			// kill its request helpers so they cannot keep driving the
-			// dead rank's side of a protocol.
+			// dead rank's side of a protocol. A helper still running is
+			// that of a request not done, and those are live.
 			why := fmt.Sprintf("rank %d crashed", r)
-			for _, h := range ft.rs.ranks[r].stream.helpers {
-				ft.env.Kill(h, why)
+			for _, q := range ft.rs.ranks[r].stream.live {
+				if !q.done.Done() {
+					ft.env.Kill(q.call.t, why)
+				}
 			}
 			// The detector's collapsed heartbeat analysis: the declaration
 			// lands at a time that depends only on when the rank died.

@@ -54,6 +54,7 @@ type Env struct {
 	procMem  bufpool.Chunks[Proc]
 	itemMem  bufpool.Chunks[item]
 	procIdle []*Proc // helpers the registry swept out finished, for the next SpawnHelper
+	taskIdle []*Task // likewise for the next SpawnTaskK
 
 	// OnFailure, when non-nil, is called immediately after a failure is
 	// recorded — a step or body that panicked, a kill, an interrupt nothing
@@ -81,7 +82,7 @@ func (e *Env) Release() {
 	e.procMem.Release()
 	e.itemMem.Release()
 	e.queue.release()
-	e.queue, e.tasks, e.free, e.procIdle = nil, nil, nil, nil // a use after release is a crash, not a step of another run's task
+	e.queue, e.tasks, e.free, e.procIdle, e.taskIdle = nil, nil, nil, nil, nil // a use after release is a crash, not a step of another run's task
 }
 
 // Now returns the current virtual time.

@@ -35,7 +35,7 @@ type Task struct {
 	parked      bool // suspended on a waitable with no scheduled wake-up
 	done        bool
 	unwindArmed bool // PushUnwind records (see the unwind stack below)
-	recycle     bool // a helper's process, reused once it finished cleanly and left the registry (SpawnHelper)
+	recycle     bool // a helper's record (its process's, if it has one), reused once it finished cleanly and left the registry (SpawnHelper, SpawnTaskK)
 
 	// OnInterrupt, when non-nil, handles an Env.Interrupt delivery: the
 	// pending continuation is discarded and the handler runs as a step (it
@@ -140,13 +140,26 @@ func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
 	return t
 }
 
-// SpawnTaskK is SpawnTask with the first step as a continuation: k resumes
-// where fn would be called, so a record that starts a task passes itself
-// instead of a closure or a method value bound to it. The record learns its
-// task from the result, before the first step runs.
+// SpawnTaskK spawns a per-operation helper task whose first step is a
+// continuation: k resumes where SpawnTask's fn would be called, so a record
+// that starts a helper passes itself instead of a closure or a method value
+// bound to it, and learns its task from the result before the first step runs.
+// Nobody may keep the task once it has finished: as SpawnHelper's processes
+// are, its record carves the next helper once the registry has swept it out
+// (register), and a caller still holding the old *Task holds that one. A
+// helper that failed is never reused: its failure names it.
 func (e *Env) SpawnTaskK(prefix string, num int, k K) *Task {
-	t := e.SpawnTask(prefix, num, startK)
-	t.k = k
+	var t *Task
+	if n := len(e.taskIdle); n > 0 {
+		t = e.taskIdle[n-1]
+		e.taskIdle[n-1] = nil
+		e.taskIdle = e.taskIdle[:n-1]
+		*t = Task{}
+	} else {
+		t = e.taskMem.New()
+	}
+	t.env, t.prefix, t.num, t.track, t.start, t.k, t.recycle = e, prefix, int32(num), -1, startK, k, true
+	e.admit(t)
 	return t
 }
 
@@ -168,7 +181,8 @@ func (e *Env) admit(t *Task) {
 // deadlock reports walk: parking and waking touch only the task's own parked
 // flag. When the registry fills, finished tasks are swept out before it grows,
 // so a run that spawns short-lived helpers forever holds only the live ones;
-// a swept helper's process is free for the next SpawnHelper.
+// a swept helper's process is free for the next SpawnHelper, and a swept
+// helper task's record for the next SpawnTaskK.
 func (e *Env) register(t *Task) {
 	reg := e.tasks
 	if n := len(reg); n == cap(reg) && n > 0 {
@@ -177,8 +191,10 @@ func (e *Env) register(t *Task) {
 			switch {
 			case !a.done:
 				live = append(live, a)
-			case a.recycle:
+			case a.recycle && a.proc != nil:
 				e.procIdle = append(e.procIdle, a.proc)
+			case a.recycle:
+				e.taskIdle = append(e.taskIdle, a)
 			}
 		}
 		clear(reg[len(live):])
@@ -207,6 +223,10 @@ func (t *Task) Track() int { return int(t.track) }
 // function across every task instead of capturing the index in a per-task
 // closure.
 func (t *Task) Num() int { return int(t.num) }
+
+// Prefix returns the prefix passed to SpawnTask or SpawnIndexed: the whole
+// name when Num is negative.
+func (t *Task) Prefix() string { return t.prefix }
 
 // Name returns the task's name. An indexed name is formatted on first use
 // and cached: the hot spawn paths never allocate a name that no report will

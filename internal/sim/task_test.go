@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
+
+	"srmcoll/internal/bufpool"
 )
 
 // Engine behavior of the Task state machines: stepping, suspension,
@@ -443,4 +446,80 @@ func waitUntilT(c *Cond, tk *Task, want int, pred func() bool, k func()) {
 		return
 	}
 	c.WaitFrameT(tk, nil, want, &predFrame{pred, k})
+}
+
+// sleepHelper is a helper task's whole life as one record: sleep 1, then
+// trigger done.
+type sleepHelper struct {
+	t     *Task
+	done  *Event
+	slept bool
+}
+
+func (h *sleepHelper) Resume() {
+	if !h.slept {
+		h.slept = true
+		h.t.SleepK(1, h)
+		return
+	}
+	h.done.Trigger()
+}
+
+// TestSpawnTaskKRecyclesTasks: the finished tasks of SpawnTaskK carve later
+// helpers once the registry has swept them out, so a body that spawns helper
+// tasks one after another holds a bounded number of task records, where
+// SpawnTask keeps every one until Release. A helper task that failed keeps its
+// record and its name for the failure that names it, after thousands of
+// helpers have come and gone.
+func TestSpawnTaskKRecyclesTasks(t *testing.T) {
+	const helpers = 4096
+	hold := func(spawn func(e *Env, prefix string, num int, k K) *Task) int64 {
+		e := NewEnv()
+		e.Spawn("driver", func(p *Proc) {
+			for i := 0; i < helpers; i++ {
+				var done Event
+				done.Init(e)
+				h := &sleepHelper{done: &done}
+				h.t = spawn(e, "h", i, h)
+				p.Wait(&done)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Release()
+		return e.taskMem.Bytes()
+	}
+	kept := hold(func(e *Env, prefix string, num int, k K) *Task {
+		return e.SpawnTask(prefix, num, func(*Task) { k.Resume() })
+	})
+	reused := hold((*Env).SpawnTaskK)
+	t.Logf("%d helpers: %d B of tasks with SpawnTaskK, %d B with SpawnTask", helpers, reused, kept)
+	if reused > 2*bufpool.ChunkBytes || kept < helpers*int64(unsafe.Sizeof(Task{})) {
+		t.Errorf("%d helpers held %d B of tasks with SpawnTaskK and %d B with SpawnTask; want at most two slabs and all of them", helpers, reused, kept)
+	}
+
+	e := NewEnv()
+	var doomed *Task
+	e.Spawn("driver", func(p *Proc) {
+		doomed = e.SpawnTaskK("doomed", 7, Func(func() { panic("boom") }))
+		for i := 0; i < helpers; i++ {
+			var done Event
+			done.Init(e)
+			h := &sleepHelper{done: &done}
+			h.t = e.SpawnTaskK("h", i, h)
+			p.Sleep(2)
+		}
+	})
+	err := e.Run()
+	var ce *CrashError
+	if !errors.As(err, &ce) || len(ce.Failures) != 1 {
+		t.Fatalf("want the one helper's failure, got %v", err)
+	}
+	if f := ce.Failures[0]; f.Actor != doomed || f.Actor.Name() != "doomed7" || !f.Actor.done || f.Actor.Num() != 7 {
+		t.Errorf("the failed helper's record was reused: its failure names %q", f.Actor.Name())
+	}
+	if len(e.taskIdle) == 0 {
+		t.Error("no finished helper task was swept out for reuse")
+	}
 }

@@ -9,7 +9,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // chromeEvent is one entry of the traceEvents array. Field order is the
@@ -50,15 +49,13 @@ func ChromeJSON(traces ...*Trace) ([]byte, error) {
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": label},
 		})
-		trackIDs := make([]int, 0, len(t.tracks))
 		for id := range t.tracks {
-			trackIDs = append(trackIDs, id)
-		}
-		sort.Ints(trackIDs)
-		for _, id := range trackIDs {
+			if !t.tracks[id].named {
+				continue
+			}
 			evs = append(evs, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: id,
-				Args: map[string]any{"name": t.tracks[id]},
+				Args: map[string]any{"name": t.TrackName(id)},
 			})
 		}
 		for _, s := range t.spans {

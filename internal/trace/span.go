@@ -12,7 +12,9 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -95,19 +97,42 @@ type Trace struct {
 
 	now    func() float64
 	spans  []Span
-	stacks map[int][]int  // per track: stack of open scoped span ids
-	tracks map[int]string // track id -> display name
+	tracks []track // by track id; a run's tracks are numbered densely from 0
 	groups int
+}
+
+// track is one timeline's state. Its open scoped spans are the Parent chain
+// from top: Begin nests a span under the track's innermost open one and End
+// pops a suffix, so the chain is the stack. Its name is formatted only when a
+// report asks for it (TrackName).
+type track struct {
+	top    int    // innermost open scoped span, -1 if none
+	prefix string // the name, or its prefix when num >= 0
+	num    int32  // appended to prefix; -1: prefix alone
+	named  bool
 }
 
 // New returns an empty trace stamping spans with the given clock
 // (typically sim.Env.Now).
 func New(now func() float64) *Trace {
-	return &Trace{
-		now:    now,
-		stacks: make(map[int][]int),
-		tracks: make(map[int]string),
+	return &Trace{now: now}
+}
+
+// Reserve makes room for n spans in all, so a run that records about as many
+// as one before it grows its span list once instead of by doubling.
+func (t *Trace) Reserve(n int) {
+	if t == nil || n <= cap(t.spans) {
+		return
 	}
+	t.spans = slices.Grow(t.spans, n-len(t.spans))
+}
+
+// track returns the state of track id (>= 0), adding the tracks up to it.
+func (t *Trace) track(id int) *track {
+	for len(t.tracks) <= id {
+		t.tracks = append(t.tracks, track{top: -1, num: -1})
+	}
+	return &t.tracks[id]
 }
 
 // Freeze stops the trace's clock at its current reading and lets go of it.
@@ -134,12 +159,18 @@ func (t *Trace) Spans() []Span {
 	return t.spans
 }
 
-// NameTrack registers a display name for a track.
-func (t *Trace) NameTrack(track int, name string) {
-	if t == nil {
+// NameTrack registers a display name for a track (>= 0).
+func (t *Trace) NameTrack(track int, name string) { t.NameTrackNum(track, name, -1) }
+
+// NameTrackNum names a track prefix+itoa(num), formatted only when a report
+// asks (num < 0: prefix alone), so a run that names a track per request
+// helper makes no string for it.
+func (t *Trace) NameTrackNum(track int, prefix string, num int) {
+	if t == nil || track < 0 {
 		return
 	}
-	t.tracks[track] = name
+	tk := t.track(track)
+	tk.prefix, tk.num, tk.named = prefix, int32(num), true
 }
 
 // TrackName returns the display name of a track ("track<N>" if unnamed).
@@ -147,10 +178,14 @@ func (t *Trace) TrackName(track int) string {
 	if t == nil {
 		return ""
 	}
-	if n, ok := t.tracks[track]; ok {
-		return n
+	if track < 0 || track >= len(t.tracks) || !t.tracks[track].named {
+		return "track" + strconv.Itoa(track)
 	}
-	return fmt.Sprintf("track%d", track)
+	tk := &t.tracks[track]
+	if tk.num < 0 {
+		return tk.prefix
+	}
+	return tk.prefix + strconv.Itoa(int(tk.num))
 }
 
 // NewGroup allocates an async transaction group id.
@@ -164,13 +199,10 @@ func (t *Trace) NewGroup() int {
 
 // Current returns the innermost open scoped span on a track, -1 if none.
 func (t *Trace) Current(track int) int {
-	if t == nil {
+	if t == nil || track < 0 || track >= len(t.tracks) {
 		return -1
 	}
-	if st := t.stacks[track]; len(st) > 0 {
-		return st[len(st)-1]
-	}
-	return -1
+	return t.tracks[track].top
 }
 
 // Begin opens a scoped span on a track at the current virtual time,
@@ -180,33 +212,37 @@ func (t *Trace) Begin(track int, cl Class, name string, bytes int64) int {
 	if t == nil || track < 0 {
 		return -1
 	}
+	tk := t.track(track)
 	id := len(t.spans)
 	t.spans = append(t.spans, Span{
-		ID: id, Parent: t.Current(track), Track: track, Group: -1,
+		ID: id, Parent: tk.top, Track: track, Group: -1,
 		Class: cl, Name: name, Begin: t.now(), End: -1, Bytes: bytes,
 	})
-	t.stacks[track] = append(t.stacks[track], id)
+	tk.top = id
 	return id
 }
 
 // End closes a scoped span at the current virtual time. End tolerates
-// id == -1 (span was dropped or tracing is off) and out-of-order ends
-// (it pops the track stack down to the span).
+// id == -1 (span was dropped or tracing is off) and out-of-order ends: it
+// pops the track's open spans down to the span, and all of them if the span
+// is not open.
 func (t *Trace) End(id int) {
 	if t == nil || id < 0 {
 		return
 	}
 	sp := &t.spans[id]
 	sp.End = t.now()
-	st := t.stacks[sp.Track]
-	for len(st) > 0 {
-		top := st[len(st)-1]
-		st = st[:len(st)-1]
-		if top == id {
-			break
+	if sp.Track < 0 || sp.Track >= len(t.tracks) {
+		return
+	}
+	tk := &t.tracks[sp.Track]
+	for open := tk.top; open >= 0; open = t.spans[open].Parent {
+		if open == id {
+			tk.top = sp.Parent
+			return
 		}
 	}
-	t.stacks[sp.Track] = st
+	tk.top = -1
 }
 
 // Link tags a scoped span with an async group id, tying it to the other

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -221,5 +222,116 @@ func TestClassStringsDistinct(t *testing.T) {
 			t.Fatalf("duplicate class name %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// stackModel is the open-span bookkeeping Trace kept before its tracks became
+// one dense slice: a stack of open span ids per track, in a map.
+type stackModel map[int][]int
+
+func (m stackModel) current(track int) int {
+	if st := m[track]; len(st) > 0 {
+		return st[len(st)-1]
+	}
+	return -1
+}
+
+func (m stackModel) begin(track, id int) { m[track] = append(m[track], id) }
+
+// end pops the track's stack down to id, or empties it if id is not on it.
+func (m stackModel) end(track, id int) {
+	st := m[track]
+	for len(st) > 0 {
+		top := st[len(st)-1]
+		st = st[:len(st)-1]
+		if top == id {
+			break
+		}
+	}
+	m[track] = st
+}
+
+// TestTrackStateMatchesStackModel: the innermost open span of each track, read
+// from the Parent chain, is what a stack per track gives on seeded random
+// sequences of Begin and End over several tracks — out-of-order Ends, Ends of
+// spans already popped or of async spans, End(-1), tracks never begun and Adds
+// in between — and every recorded Parent is the model's top at Begin.
+func TestTrackStateMatchesStackModel(t *testing.T) {
+	const tracks = 5 // Current asks about one more, never begun
+	for seed := uint64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		now, set := fakeClock()
+		tr, model := New(now), stackModel{}
+		parents := map[int]int{}
+		var ids []int // every span id recorded, scoped or async
+		for step := 0; step < 400; step++ {
+			set(float64(step))
+			switch op := rng.IntN(10); {
+			case op < 4:
+				track := rng.IntN(tracks - 1) // the last track is never begun
+				id := tr.Begin(track, ClassOp, "op", 0)
+				parents[id] = model.current(track)
+				model.begin(track, id)
+				ids = append(ids, id)
+			case op < 8 && len(ids) > 0:
+				id := ids[rng.IntN(len(ids))] // open, popped, ended or async
+				if rng.IntN(4) == 0 && model.current(tr.Spans()[id].Track) >= 0 {
+					id = model.current(tr.Spans()[id].Track) // the common in-order End
+				}
+				if tk := tr.Spans()[id].Track; tk >= 0 {
+					model.end(tk, id)
+				}
+				tr.End(id)
+			case op == 8:
+				tr.End(-1)
+			default:
+				parent := -1
+				if len(ids) > 0 {
+					parent = ids[rng.IntN(len(ids))]
+				}
+				ids = append(ids, tr.Add(tr.NewGroup(), parent, ClassPutWire, "put:wire", 8, float64(step), float64(step)+1))
+			}
+			for track := -1; track <= tracks; track++ {
+				if got, want := tr.Current(track), model.current(track); got != want {
+					t.Fatalf("seed %d step %d: Current(%d) = %d, the stack model's top is %d", seed, step, track, got, want)
+				}
+			}
+		}
+		for id, want := range parents {
+			if got := tr.Spans()[id].Parent; got != want {
+				t.Fatalf("seed %d: span %d has Parent %d, the stack model's top at its Begin was %d", seed, id, got, want)
+			}
+		}
+	}
+}
+
+// TestTrackNamesFormatOnDemand: a track named by prefix and number reads as
+// the two formatted together, in TrackName, the timeline and the Chrome export,
+// and only named tracks get a thread_name entry there.
+func TestTrackNamesFormatOnDemand(t *testing.T) {
+	now, _ := fakeClock()
+	tr := New(now)
+	tr.NameTrackNum(3, "rank1.req", 0)
+	tr.NameTrackNum(0, "rank", 0)
+	tr.NameTrack(1, "plain")
+	for track, want := range map[int]string{0: "rank0", 1: "plain", 2: "track2", 3: "rank1.req0", 9: "track9"} {
+		if got := tr.TrackName(track); got != want {
+			t.Errorf("TrackName(%d) = %q, want %q", track, got, want)
+		}
+	}
+	tr.End(tr.Begin(3, ClassReqOp, "iallreduce", 8))
+	tr.End(tr.Begin(2, ClassOp, "bcast", 8))
+	if got := tr.TimelineText(); !strings.Contains(got, "rank1.req0") || !strings.Contains(got, "track2") {
+		t.Errorf("timeline does not name the tracks:\n%s", got)
+	}
+	js, err := tr.ChromeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(js, []byte(`"thread_name"`)); n != 3 {
+		t.Errorf("%d thread_name entries, want one per named track (3):\n%s", n, js)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.NameTrackNum(3, "rank1.req", 1) }); n != 0 {
+		t.Errorf("naming a track made %.0f objects, want 0", n)
 	}
 }

@@ -5,11 +5,7 @@
 // the paper, such as the copy counts of Figure 2.
 package trace
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strconv"
 
 // Stats counts data-movement and protocol events for one simulation.
 // The zero value is ready to use.
@@ -138,36 +134,41 @@ func (s *Stats) Reset() {
 	*s = Stats{}
 }
 
-// String renders the non-zero counters in a stable order.
+// String renders the non-zero counters as key=value pairs in the ascending
+// order of their keys, "{}" when there are none. The fields are listed in that
+// order here, and no key is a prefix of another, so the order is that of the
+// pairs as sorted strings.
 func (s Stats) String() string {
-	type kv struct {
+	fields := [...]struct {
 		k string
 		v int64
-	}
-	fields := []kv{
-		{"shmCopies", int64(s.ShmCopies)}, {"shmBytes", s.ShmBytes},
-		{"reduceOps", int64(s.ReduceOps)}, {"reduceElems", s.ReduceElement},
-		{"puts", int64(s.Puts)}, {"putBytes", s.PutBytes},
-		{"gets", int64(s.Gets)}, {"getBytes", s.GetBytes},
-		{"activeMsgs", int64(s.ActiveMsgs)}, {"interrupts", int64(s.Interrupts)},
-		{"deferrals", int64(s.Deferrals)}, {"starves", int64(s.Starves)},
-		{"drops", int64(s.Drops)}, {"retries", int64(s.Retries)},
-		{"dupsSuppressed", int64(s.DupsSuppressed)}, {"ackTimeouts", int64(s.AckTimeouts)},
-		{"deadDrops", int64(s.DeadDrops)},
-		{"mpiSends", int64(s.MPISends)}, {"mpiBytes", s.MPIBytes},
-		{"eager", int64(s.EagerSends)}, {"rndv", int64(s.RndvSends)},
-		{"unexpected", int64(s.Unexpected)}, {"mpiShmSends", int64(s.MPIShmSends)},
+	}{
+		{"ackTimeouts", int64(s.AckTimeouts)}, {"activeMsgs", int64(s.ActiveMsgs)},
 		{"copies", int64(s.TotalCopies)}, {"copyBytes", s.TotalBytes},
+		{"deadDrops", int64(s.DeadDrops)}, {"deferrals", int64(s.Deferrals)},
+		{"drops", int64(s.Drops)}, {"dupsSuppressed", int64(s.DupsSuppressed)},
+		{"eager", int64(s.EagerSends)},
+		{"getBytes", s.GetBytes}, {"gets", int64(s.Gets)},
+		{"interrupts", int64(s.Interrupts)},
+		{"mpiBytes", s.MPIBytes}, {"mpiSends", int64(s.MPISends)}, {"mpiShmSends", int64(s.MPIShmSends)},
+		{"putBytes", s.PutBytes}, {"puts", int64(s.Puts)},
+		{"reduceElems", s.ReduceElement}, {"reduceOps", int64(s.ReduceOps)},
+		{"retries", int64(s.Retries)}, {"rndv", int64(s.RndvSends)},
+		{"shmBytes", s.ShmBytes}, {"shmCopies", int64(s.ShmCopies)},
+		{"starves", int64(s.Starves)}, {"unexpected", int64(s.Unexpected)},
 	}
-	var parts []string
+	b := make([]byte, 0, 512)
+	b = append(b, '{')
 	for _, f := range fields {
-		if f.v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", f.k, f.v))
+		if f.v == 0 {
+			continue
 		}
+		if len(b) > 1 {
+			b = append(b, ' ')
+		}
+		b = append(b, f.k...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, f.v, 10)
 	}
-	if len(parts) == 0 {
-		return "{}"
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, " ") + "}"
+	return string(append(b, '}'))
 }

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -145,5 +148,71 @@ func TestStringShowsNonZero(t *testing.T) {
 	}
 	if strings.Contains(got, "gets=") {
 		t.Fatalf("String() shows zero counter: %q", got)
+	}
+}
+
+// sortedPairsString is how Stats.String used to render: every non-zero
+// counter formatted as key=value, the pairs sorted as strings and joined.
+func sortedPairsString(s Stats) string {
+	fields := []struct {
+		k string
+		v int64
+	}{
+		{"shmCopies", int64(s.ShmCopies)}, {"shmBytes", s.ShmBytes},
+		{"reduceOps", int64(s.ReduceOps)}, {"reduceElems", s.ReduceElement},
+		{"puts", int64(s.Puts)}, {"putBytes", s.PutBytes},
+		{"gets", int64(s.Gets)}, {"getBytes", s.GetBytes},
+		{"activeMsgs", int64(s.ActiveMsgs)}, {"interrupts", int64(s.Interrupts)},
+		{"deferrals", int64(s.Deferrals)}, {"starves", int64(s.Starves)},
+		{"drops", int64(s.Drops)}, {"retries", int64(s.Retries)},
+		{"dupsSuppressed", int64(s.DupsSuppressed)}, {"ackTimeouts", int64(s.AckTimeouts)},
+		{"deadDrops", int64(s.DeadDrops)},
+		{"mpiSends", int64(s.MPISends)}, {"mpiBytes", s.MPIBytes},
+		{"eager", int64(s.EagerSends)}, {"rndv", int64(s.RndvSends)},
+		{"unexpected", int64(s.Unexpected)}, {"mpiShmSends", int64(s.MPIShmSends)},
+		{"copies", int64(s.TotalCopies)}, {"copyBytes", s.TotalBytes},
+	}
+	var parts []string
+	for _, f := range fields {
+		if f.v != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", f.k, f.v))
+		}
+	}
+	sort.Strings(parts)
+	return "{" + strings.Join(parts, " ") + "}"
+}
+
+// TestStringMatchesSortedPairs holds String, which writes its pairs in a fixed
+// order into one buffer, to the sorted rendering it replaced: on every field
+// set, on random counters (zeros, negatives and wide values among them), and
+// to one allocation, the string itself.
+func TestStringMatchesSortedPairs(t *testing.T) {
+	full := fillDistinct()
+	if got, want := full.String(), sortedPairsString(full); got != want {
+		t.Fatalf("every field set:\n got %s\nwant %s", got, want)
+	}
+	if n := strings.Count(full.String(), "="); n != reflect.TypeOf(full).NumField() {
+		t.Fatalf("String shows %d of %d fields", n, reflect.TypeOf(full).NumField())
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 2000; i++ {
+		var s Stats
+		v := reflect.ValueOf(&s).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			switch rng.IntN(4) {
+			case 0:
+				v.Field(f).SetInt(rng.Int64N(1000))
+			case 1:
+				v.Field(f).SetInt(-rng.Int64N(1 << 40))
+			case 2:
+				v.Field(f).SetInt(rng.Int64())
+			}
+		}
+		if got, want := s.String(), sortedPairsString(s); got != want {
+			t.Fatalf("%+v:\n got %s\nwant %s", s, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = full.String() }); n != 1 {
+		t.Errorf("String makes %.0f objects, want 1", n)
 	}
 }

@@ -90,16 +90,15 @@ func (l *reqLabel) String() string {
 }
 
 // reqStream is one rank's request bookkeeping: the completion event of the
-// most recently issued request (the chain helpers serialize on), the
-// issued-but-not-yet-completed requests in issue order, and the helpers that
-// ran them.
+// most recently issued request (the chain helpers serialize on) and the
+// issued-but-not-yet-completed requests in issue order. A helper still running
+// is one of these requests': fault tolerance kills those with the rank.
 type reqStream struct {
-	seq     int
-	tail    *sim.Event
-	live    []*request
-	issued  *TRequest   // the request admitted last, left for a blocking shim to return
-	prefix  string      // "rank<r>.req", what the rank's helpers are named by
-	helpers []*sim.Task // the rank's helpers (fault tolerance kills them with the rank)
+	seq    int
+	tail   *sim.Event
+	live   []*request
+	issued *TRequest // the request admitted last, left for a blocking shim to return
+	prefix string    // "rank<r>.req", what the rank's helpers are named by
 }
 
 // helperPrefix returns the name prefix of rank's request helpers.
@@ -112,13 +111,14 @@ func (st *reqStream) helperPrefix(rank int) string {
 
 // runState is the per-Run bookkeeping shared by every Comm of the run: the
 // record of every rank, which rank each request helper acts for, trace track
-// allocation for helpers, the record of every communicator, and the handle
-// cache that makes Comm.Sub return one canonical Comm per (parent, member
-// list).
+// allocation for helpers, the records requests are carved from, the record of
+// every communicator, and the handle cache that makes Comm.Sub return one
+// canonical Comm per (parent, member list).
 type runState struct {
 	env        *sim.Env
 	ranks      []rankRec             // by rank, one slab
-	helperRank map[*sim.Task]int     // request helper -> issuing rank
+	helperRank map[*sim.Task]int     // running or failed request helper -> issuing rank
+	reqs       []TRequest            // the rest of the chunk the next request is carved from
 	nextTrack  int                   // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
 	comms      []*commRec            // every communicator of the run, the world first
 	byHash     map[uint64][]*commRec // those Sub made, by ranks.Hash of their member lists
@@ -145,7 +145,8 @@ func newRunState(env *sim.Env, p int) *runState {
 
 // rankOf resolves a task (a sim.ProcFailure's Actor) to the rank it acts for,
 // and whether as one of the rank's request helpers: a helper is in the
-// registry, a rank's own is found at its spawn index. Anything else is -1.
+// registry from its spawn until it ends cleanly — so for good if it fails —
+// and a rank's own is found at its spawn index. Anything else is -1.
 func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
 	if r, ok := rs.helperRank[t]; ok {
 		return r, true
@@ -194,8 +195,9 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		h.readmit(oldest, a, k)
 		return
 	}
-	st.issued = &TRequest{request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, name: names.req, span: -1}}}
+	st.issued = h.rs.newRequest()
 	r := &st.issued.request
+	*r = request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, name: names.req, span: -1}}
 	st.seq++
 	r.done.Init(h.rs.env)
 	r.done.NamedBy((*reqLabel)(r))
@@ -222,9 +224,23 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		r.call.actor = actor{t: &p.Task, p: p}
 	}
 	h.rs.helperRank[r.call.t] = h.rank
-	st.helpers = append(st.helpers, r.call.t)
 	st.tail = &r.done
 	k(st.issued)
+}
+
+// reqChunk is how many requests one allocation carves.
+const reqChunk = 16
+
+// newRequest carves a request record from a chunk of the run's own. Not from
+// the reserve the run's other records come from: a caller may read
+// Request.Err after Run returned, when the reserve is the next run's.
+func (rs *runState) newRequest() *TRequest {
+	if len(rs.reqs) == 0 {
+		rs.reqs = make([]TRequest, reqChunk)
+	}
+	r := &rs.reqs[0]
+	rs.reqs = rs.reqs[1:]
+	return r
 }
 
 // readmit admits a once oldest has completed. Its closure is made here, so
@@ -243,7 +259,9 @@ type (
 func (s *reqStart) Resume()      { (*request)(s).start() }
 func (b *reqBody) Run(*sim.Proc) { (*request)(b).start() }
 
-// start runs the operation on the helper once the rank's previous request ended.
+// start runs the operation on the helper once the rank's previous request
+// ended. Its open lets go of that request, so a stream keeps no chain of every
+// request it issued.
 func (r *request) start() {
 	if r.prev != nil && !r.prev.Done() {
 		r.call.wait(r.prev, (*reqOpen)(r))
@@ -258,14 +276,16 @@ type reqOpen request
 func (o *reqOpen) Resume() { (*request)(o).open() }
 
 // open opens the operation's span on a track of the helper's own — handed out
-// as helpers start their operations, in completion order — and runs it.
+// as helpers start their operations, in completion order, and named like the
+// helper — and runs it.
 func (r *request) open() {
 	f, h := &r.call, r.h
+	r.prev = nil
 	if tr := h.tr; tr != nil {
 		track := h.rs.nextTrack
 		h.rs.nextTrack++
 		f.t.SetTrack(track)
-		tr.NameTrack(track, f.t.Name())
+		tr.NameTrackNum(track, f.t.Prefix(), f.t.Num())
 		f.span = tr.Begin(track, trace.ClassReqOp, f.name, f.bytes())
 		tr.Link(f.span, r.group)
 	}
@@ -273,8 +293,13 @@ func (r *request) open() {
 	f.run()
 }
 
-// ended is the continuation of the request's operation.
-func (r *request) ended(error) { r.done.Trigger() }
+// ended is the continuation of the request's operation, the last step of its
+// helper, which leaves the registry of helpers as it ends cleanly: its task
+// record may be the next helper's.
+func (r *request) ended(error) {
+	delete(r.h.rs.helperRank, r.call.t)
+	r.done.Trigger()
+}
 
 // consume marks the request completed and releases its buffers.
 func (r *request) consume() {

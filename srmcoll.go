@@ -29,6 +29,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"srmcoll/internal/baseline"
 	"srmcoll/internal/bufpool"
@@ -260,6 +261,11 @@ type Cluster struct {
 	ft      FTConfig
 	tracing bool
 	tuned   *TuneTable
+
+	// spans is how many spans the last traced run recorded: the next one's
+	// trace starts with room for as many. Runs of one cluster may be
+	// concurrent, hence atomic.
+	spans atomic.Int64
 }
 
 // NewCluster validates the configuration and returns a cluster handle.
@@ -931,6 +937,7 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 	}
 	if cl.tracing {
 		env.Trace = trace.New(env.Now)
+		env.Trace.Reserve(int(cl.spans.Load()))
 	}
 	counters := make(map[string]*SharedCounter)
 	rs := newRunState(env, m.P())
@@ -997,11 +1004,12 @@ func (sm *simulation) spawnProcs(body func(*Comm)) {
 	}
 }
 
-// nameTrack gives a rank's task the trace track of its rank.
+// nameTrack gives a rank's task the trace track of its rank, named like the
+// task.
 func (sm *simulation) nameTrack(t *sim.Task) {
 	if tr := sm.m.Env.Trace; tr != nil {
 		t.SetTrack(t.Num())
-		tr.NameTrack(t.Num(), t.Name())
+		tr.NameTrackNum(t.Num(), t.Prefix(), t.Num())
 	}
 }
 
@@ -1058,6 +1066,9 @@ func (sm *simulation) finish() (*Result, error) {
 		runErr = env.RunUntil(deadline)
 	} else {
 		runErr = env.Run()
+	}
+	if env.Trace != nil {
+		sm.cl.spans.Store(int64(len(env.Trace.Spans())))
 	}
 	var ce *sim.CrashError
 	if errors.As(runErr, &ce) {

@@ -255,6 +255,47 @@ func TestShrinkRerunAllreduce(t *testing.T) {
 	}
 }
 
+// TestCrashKillsInFlightRequestHelpers: a rank that dies with requests in
+// flight takes their helpers with it, so its side of those collectives stops
+// where the crash found it and the survivors' matching requests fail with the
+// declaration. Rank 1 dies with one request done but not waited for, which has
+// no helper left to kill, and two whose partners have not issued theirs yet.
+// Its second request's helper had contributed to its node's reduction before
+// the crash, so the other node's second request completes and only rank 0's,
+// beside it, fails; the third fails everywhere. Were the helpers left running,
+// every request would complete.
+func TestCrashKillsInFlightRequestHelpers(t *testing.T) {
+	cl := ftCluster(t, 2, 2, Crash{Rank: 1, At: 40})
+	errs := make([][3]error, 4)
+	_, err := cl.Run(SRM, func(c *Comm) {
+		r := c.Rank()
+		send, recv := make([]byte, 3*8), make([]byte, 3*8)
+		var reqs [3]*Request
+		reqs[0] = c.IAllreduce(send[:8], recv[:8], Int64, Sum)
+		c.Compute(20) // the first request completes meanwhile
+		if r != 1 {
+			c.Compute(100) // rank 1 has died by the time the others issue
+		}
+		reqs[1] = c.IAllreduce(send[8:16], recv[8:16], Int64, Sum)
+		reqs[2] = c.IAllreduce(send[16:], recv[16:], Int64, Sum)
+		c.Compute(30) // rank 1 does not wake from this one
+		for i, rq := range reqs {
+			errs[r][i] = rq.Wait()
+		}
+		if _, serr := c.Shrink(); serr != nil {
+			t.Errorf("rank %d: Shrink: %v", r, serr)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, r := range []int{0, 2, 3} {
+		if e := errs[r]; e[0] != nil || errors.Is(e[1], ErrRankFailed) != (r == 0) || !errors.Is(e[2], ErrRankFailed) {
+			t.Errorf("rank %d: requests ended %v; want the first done, the second failed by the crash on rank 0 only, the third failed", r, e)
+		}
+	}
+}
+
 // TestNonBlockingRequestCarriesFailure: a crash mid-flight surfaces through
 // Request.Wait as a *RankFailedError, and a request issued on a comm with
 // an already-declared member completes immediately with the error.

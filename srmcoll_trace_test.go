@@ -2,6 +2,7 @@ package srmcoll
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"srmcoll/internal/trace"
@@ -246,4 +247,67 @@ func TestTraceOverlapExposedSplit(t *testing.T) {
 		t.Errorf("exposed %.9f + hidden %.9f does not cover the lifetime %.9f",
 			last.Exposed, last.Hidden, last.End-last.Issued)
 	}
+}
+
+// TestConcurrentRunsShareTracedCluster: a traced Cluster starts each run's
+// span list with room for as many spans as its last traced run recorded, a
+// hint its runs share however many of them are under way. Two goroutines run
+// request streams of two lengths on one cluster, so the hint is by turns too
+// small and too large, and every run's timeline, Chrome export and span count
+// must be those of the same body run alone on a cluster of its own.
+func TestConcurrentRunsShareTracedCluster(t *testing.T) {
+	const nodes, tpn = 2, 4
+	body := func(calls int) func(*Comm) {
+		return func(c *Comm) {
+			send, recv := make([]byte, 64), make([]byte, 64)
+			for i := 0; i < calls; i++ {
+				c.Compute(3)
+				if err := c.IAllreduce(send, recv, Int64, Sum).Wait(); err != nil {
+					panic(err)
+				}
+			}
+			c.Barrier()
+		}
+	}
+	type view struct {
+		spans    int
+		timeline string
+		chrome   []byte
+	}
+	viewOf := func(res *Result) view {
+		js, err := res.Trace.ChromeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view{len(res.Trace.Spans()), res.Trace.TimelineText(), js}
+	}
+	lengths := []int{2, 9}
+	alone := make([]view, len(lengths))
+	for i, n := range lengths {
+		alone[i] = viewOf(tracedRun(t, nodes, tpn, body(n)))
+	}
+	if alone[0].spans == alone[1].spans {
+		t.Fatalf("both bodies record %d spans: the hint is never wrong", alone[0].spans)
+	}
+	cl := mustCluster(t, nodes, tpn)
+	cl.SetTracing(true)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 6; k++ {
+				i := (w + k) % len(lengths)
+				res, err := cl.Run(SRM, body(lengths[i]))
+				if err != nil {
+					t.Errorf("worker %d run %d: %v", w, k, err)
+					return
+				}
+				if got, want := viewOf(res), alone[i]; got.spans != want.spans || got.timeline != want.timeline || !bytes.Equal(got.chrome, want.chrome) {
+					t.Errorf("worker %d run %d (%d calls): %d spans, trace differs from the same body run alone (%d spans)", w, k, lengths[i], got.spans, want.spans)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
