@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,29 +100,104 @@ func TestRanksBarrier(t *testing.T) {
 	}
 }
 
+// recordStream records a 64-rank barrier's event stream to a fresh file and
+// returns its path, the header's length and the event count.
+func recordStream(t *testing.T) (f string, head, n int) {
+	t.Helper()
+	f = filepath.Join(t.TempDir(), "stream")
+	code, stdout, stderr := runArgs("diverge", "-op", "barrier", "-record", f, "64")
+	if _, err := fmt.Sscanf(stdout, "recorded %d events", &n); code != 0 || err != nil {
+		t.Fatalf("record: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	b, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head = bytes.IndexByte(b, '\n') + 1
+	if len(b) != head+n*stepSize {
+		t.Fatalf("record of %d events is %d bytes after a %d-byte header; want %d a step", n, len(b)-head, head, stepSize)
+	}
+	return f, head, n
+}
+
 // diverge finds no difference between two runs of one build, and names the
 // first event of a record whose two events were planted in swapped order.
 func TestDivergeNamesASwap(t *testing.T) {
-	f := filepath.Join(t.TempDir(), "stream")
-	if code, stdout, stderr := runArgs("diverge", "-op", "barrier", "-record", f, "64"); code != 0 || !strings.HasPrefix(stdout, "recorded ") {
-		t.Fatalf("record: exit %d, stdout %q, stderr %q", code, stdout, stderr)
-	}
-	if code, stdout, stderr := runArgs("diverge", "-op", "barrier", "64", f); code != 0 || !strings.HasPrefix(stdout, "no divergence: ") {
+	f, head, n := recordStream(t)
+	if code, stdout, stderr := runArgs("diverge", "-op", "barrier", "64", f); code != 0 || stdout != fmt.Sprintf("no divergence: %d events match %s\n", n, f) {
 		t.Fatalf("same build: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 	b, err := os.ReadFile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(b), "\n") // the header, then an event a line
-	lines[101], lines[102] = lines[102], lines[101]
-	if err := os.WriteFile(f, []byte(strings.Join(lines, "")), 0o644); err != nil {
+	ev := func(i int) []byte { return b[head+i*stepSize : head+(i+1)*stepSize] }
+	var tmp [stepSize]byte
+	copy(tmp[:], ev(100))
+	copy(ev(100), ev(101))
+	copy(ev(101), tmp[:])
+	if err := os.WriteFile(f, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, stdout, _ := runArgs("diverge", "-op", "barrier", "64", f)
-	if code != 1 || !strings.HasPrefix(stdout, "first difference at event 100\n") ||
-		!strings.Contains(stdout, "this run: "+strings.TrimSpace(lines[102])+", cond#") {
+	if code != 1 || !strings.HasPrefix(stdout, "first difference at event 100\n  record:   "+stepLine(stepOf(ev(100)), true)+"\n") ||
+		!strings.Contains(stdout, "this run: "+stepLine(stepOf(ev(101)), true)+", cond#") {
 		t.Errorf("planted swap: exit %d, stdout\n%s", code, stdout)
+	}
+}
+
+// A record one event short or one event long differs where it ends, and one
+// cut partway through an event is an error, not an end.
+func TestDivergeRecordEnds(t *testing.T) {
+	f, _, n := recordStream(t)
+	b, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := b[len(b)-stepSize:]
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+		want string
+	}{
+		{"short", b[:len(b)-stepSize], fmt.Sprintf("first difference at event %d\n  record:   ended\n  this run: %s, ", n-1, stepLine(stepOf(last), true))},
+		{"long", append(slices.Clip(b), last...), fmt.Sprintf("first difference at event %d\n  record:   %s\n  this run: ended\n", n, stepLine(stepOf(last), true))},
+		{"cut", b[:len(b)-stepSize/2], ""},
+	} {
+		if err := os.WriteFile(f, tc.rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runArgs("diverge", "-op", "barrier", "64", f)
+		if tc.want == "" {
+			if want := fmt.Sprintf("is cut partway through event %d", n-1); code != 1 || stdout != "" || !strings.Contains(stderr, want) {
+				t.Errorf("%s record: exit %d, stdout %q, stderr %q; want exit 1 and %q", tc.name, code, stdout, stderr, want)
+			}
+		} else if code != 1 || !strings.HasPrefix(stdout, tc.want) {
+			t.Errorf("%s record: exit %d, stdout\n%s\nwant a report starting\n%s", tc.name, code, stdout, tc.want)
+		}
+	}
+}
+
+// Recording a run's stream and replaying it allocates what the run does: no
+// copy of the stream is held on either side.
+func TestDivergeHoldsNoStream(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "stream")
+	alloc := func(args ...string) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if code, stdout, stderr := runArgs(args...); code != 0 {
+			t.Fatalf("srmbench %q: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	alloc("ranks", "16384") // warm the reserve
+	plain := alloc("ranks", "16384")
+	for _, args := range [][]string{{"diverge", "-record", f, "16384"}, {"diverge", "16384", f}} {
+		a := alloc(args...)
+		if a > plain+1<<20 {
+			t.Errorf("srmbench %q allocated %d B, a plain run %d B: want at most 1 MiB more", args, a, plain)
+		}
 	}
 }
 

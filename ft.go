@@ -58,6 +58,12 @@ const (
 	suspicionTimeout = 100
 )
 
+// declareTime is when a rank that died at died is declared failed: the detector
+// in closed form, one event a death instead of a heartbeat a period.
+func declareTime(died sim.Time) sim.Time {
+	return float64(int64(died/heartbeatPeriod))*heartbeatPeriod + heartbeatPeriod + suspicionTimeout
+}
+
 // DefaultFTConfig returns an enabled config.
 func DefaultFTConfig() FTConfig { return FTConfig{Enabled: true} }
 
@@ -147,7 +153,6 @@ func (g *ftGather) String() string { return g.kind + " " + g.key() }
 // mutation happens on the single simulator thread.
 type ftState struct {
 	env *sim.Env
-	det *sim.Detector
 	rs  *runState
 
 	markDead func(rank int) // cuts RMA delivery to the rank
@@ -167,7 +172,6 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState) *ftState 
 		markDead: markDead,
 		failed:   make([]bool, n),
 		crashed:  make([]bool, n),
-		det:      sim.NewDetector(heartbeatPeriod, suspicionTimeout),
 	}
 }
 
@@ -188,14 +192,12 @@ func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
 			// dead rank's side of a protocol. A helper still running is
 			// that of a request not done, and those are live.
 			why := fmt.Sprintf("rank %d crashed", r)
-			for _, q := range ft.rs.ranks[r].stream.live {
+			for q := ft.rs.ranks[r].stream.oldest; q != nil; q = q.newer {
 				if !q.done.Done() {
 					ft.env.Kill(q.call.t, why)
 				}
 			}
-			// The detector's collapsed heartbeat analysis: the declaration
-			// lands at a time that depends only on when the rank died.
-			ft.env.At(ft.det.DeclareTime(f.Time), func() { ft.declare(r, float64(f.Time)) })
+			ft.env.At(declareTime(f.Time), func() { ft.declare(r, float64(f.Time)) })
 			return
 		}
 	}

@@ -16,8 +16,10 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"srmcoll"
+	"srmcoll/internal/fault"
 )
 
 // ChaosConfig describes one campaign grid.
@@ -100,18 +102,18 @@ type ChaosReport struct {
 // decision are fixed, so schedules are stable against config changes that
 // do not touch the drawn quantities.
 func chaosPlan(cfg ChaosConfig, ranks int, rate float64, seed uint64) srmcoll.FaultPlan {
-	rng := splitmix{state: seed ^ 0x9e3779b97f4a7c15}
+	rng := fault.Splitmix{State: seed ^ 0x9e3779b97f4a7c15}
 	window := float64(cfg.Rounds) * (cfg.Compute + 20) * 2
 	plan := srmcoll.FaultPlan{Seed: seed, Deadline: cfg.Deadline}
 	// Rank 0 is never crashed: it anchors the survivor group (and keeps
 	// the broadcast root alive in the first rounds).
 	for r := 1; r < ranks; r++ {
-		pCrash, at := rng.float(), rng.float()
+		pCrash, at := rng.Float(), rng.Float()
 		if pCrash < rate {
 			plan.Crashes = append(plan.Crashes, srmcoll.Crash{Rank: r, At: at * window})
 		}
 	}
-	pStall, stallRank, stallFrom := rng.float(), rng.float(), rng.float()
+	pStall, stallRank, stallFrom := rng.Float(), rng.Float(), rng.Float()
 	if cfg.StallP > 0 && pStall < cfg.StallP {
 		from := stallFrom * window / 2
 		plan.Stalls = []srmcoll.Stall{{
@@ -159,20 +161,12 @@ func chaosBody(cfg ChaosConfig) func(*srmcoll.Comm) {
 			if serr != nil {
 				panic(serr)
 			}
-			var mask uint64
-			for i := 0; i < done && i < 64; i++ {
-				mask |= 1 << i
-			}
-			agreed, aerr := nc.Agree(mask)
+			agreed, aerr := nc.Agree(1<<done - 1) // the rounds below done
 			if aerr != nil {
 				panic(aerr)
 			}
 			comm = nc
-			done = 0
-			for agreed&1 == 1 {
-				done++
-				agreed >>= 1
-			}
+			done = bits.TrailingZeros64(^agreed) // the rounds every survivor completed
 			if done >= cfg.Rounds {
 				return
 			}
@@ -251,7 +245,7 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 	runs := make([]ChaosRun, len(grid)*cfg.Seeds)
 	forEach(len(runs), func(i int) {
 		pt := grid[i/cfg.Seeds]
-		seed := splitmix{state: cfg.BaseSeed ^ uint64(i)*0x9e3779b97f4a7c15}.nextSeed()
+		seed := nextSeed(cfg.BaseSeed ^ uint64(i)*0x9e3779b97f4a7c15)
 		runs[i] = chaosRun(cfg, pt.ranks, pt.rate, seed)
 	})
 	rep := &ChaosReport{Config: cfg, Runs: runs}
@@ -312,21 +306,6 @@ func (r *ChaosReport) Hangs() int {
 	return n
 }
 
-// splitmix is the same PRNG as internal/fault's, duplicated here (three
-// lines) to keep exp free of internal/fault imports.
-type splitmix struct{ state uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *splitmix) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
-
-// nextSeed returns a derived seed (value receiver: derivation only).
-func (r splitmix) nextSeed() uint64 { return r.next() }
+// nextSeed derives a run's seed from state: the first draw of a generator
+// started there.
+func nextSeed(state uint64) uint64 { return (&fault.Splitmix{State: state}).Next() }

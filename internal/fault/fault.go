@@ -242,13 +242,13 @@ type Verdict struct {
 // run is always backed by the same PRNG draws.
 type Injector struct {
 	plan Plan
-	rng  splitmix
+	rng  Splitmix
 	sum  Summary
 }
 
 // New builds an injector for the plan.
 func New(plan Plan) *Injector {
-	return &Injector{plan: plan, rng: splitmix{state: plan.Seed ^ 0x9e3779b97f4a7c15}}
+	return &Injector{plan: plan, rng: Splitmix{State: plan.Seed ^ 0x9e3779b97f4a7c15}}
 }
 
 // Duplicates reports whether the plan can deliver a put twice on some
@@ -283,7 +283,7 @@ func (in *Injector) rates(src, dst int) (drop, dup, delay float64, delayMax sim.
 // aligned regardless of outcomes.
 func (in *Injector) Put(src, dst int) Verdict {
 	drop, dup, delay, delayMax := in.rates(src, dst)
-	rDrop, rDup, rDelay, rAmt := in.rng.float(), in.rng.float(), in.rng.float(), in.rng.float()
+	rDrop, rDup, rDelay, rAmt := in.rng.Float(), in.rng.Float(), in.rng.Float(), in.rng.Float()
 	var v Verdict
 	if rDrop < drop {
 		v.Drop = true
@@ -303,7 +303,7 @@ func (in *Injector) Put(src, dst int) Verdict {
 
 // AckDrop decides whether a reliable-mode ack src -> dst is lost.
 func (in *Injector) AckDrop(src, dst int) bool {
-	r := in.rng.float()
+	r := in.rng.Float()
 	if r < in.plan.AckDrop {
 		in.sum.AckDrops++
 		return true
@@ -409,20 +409,22 @@ var ErrDeadline = errors.New("fault-plan deadline exceeded")
 
 func (e *StallError) Unwrap() error { return ErrDeadline }
 
-// splitmix is a splitmix64 PRNG: tiny, fast, and stable across Go versions
+// Splitmix is a splitmix64 PRNG: tiny, fast, and stable across Go versions
 // (unlike math/rand's unspecified stream), which keeps recorded runs
-// replayable forever.
-type splitmix struct{ state uint64 }
+// replayable forever. The chaos campaign (internal/exp) draws its plans from
+// it too.
+type Splitmix struct{ State uint64 }
 
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// Next returns the next 64 random bits.
+func (r *Splitmix) Next() uint64 {
+	r.State += 0x9e3779b97f4a7c15
+	z := r.State
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// float returns a uniform float64 in [0, 1).
-func (r *splitmix) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
+// Float returns a uniform float64 in [0, 1).
+func (r *Splitmix) Float() float64 {
+	return float64(r.Next()>>11) / (1 << 53)
 }

@@ -220,8 +220,23 @@ func TestKillAndInterruptInEveryState(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once two reads, a yield
+// apart, agree: a goroutine of an earlier test may still be exiting.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched()
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
 func TestDeadlockedProcKeepsItsGoroutineIdleCoroutinesDoNot(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEnv()
 	for i := 0; i < 8; i++ {
 		e.SpawnIndexed("quick", i, func(p *Proc) { p.Sleep(1) })
@@ -230,7 +245,7 @@ func TestDeadlockedProcKeepsItsGoroutineIdleCoroutinesDoNot(t *testing.T) {
 	if _, ok := e.Run().(*DeadlockError); !ok {
 		t.Fatal("want a deadlock")
 	}
-	if after := runtime.NumGoroutine(); after != before+1 {
+	if after := settledGoroutines(); after != before+1 {
 		t.Errorf("%d goroutines before, %d after a run that left one process parked: want one more", before, after)
 	}
 }

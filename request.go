@@ -38,7 +38,6 @@ package srmcoll
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"srmcoll/internal/check"
@@ -69,6 +68,8 @@ type request struct {
 	prev     *sim.Event // the done of the request the helper runs after, if any
 	group    int        // trace group linking issue/op/wait spans, -1 untraced
 	consumed bool
+	newer    *request // the rank's next outstanding request, in issue order
+	older    *request
 	call     frame // the operation; its arguments name the buffers the request owns
 
 	// A wait in progress: its span, and what it tells once the request is done.
@@ -91,12 +92,14 @@ func (l *reqLabel) String() string {
 
 // reqStream is one rank's request bookkeeping: the completion event of the
 // most recently issued request (the chain helpers serialize on) and the
-// issued-but-not-yet-completed requests in issue order. A helper still running
-// is one of these requests': fault tolerance kills those with the rank.
+// issued-but-not-yet-completed requests, linked through their records from the
+// oldest to the newest. A helper still running is one of these requests':
+// fault tolerance kills those with the rank.
 type reqStream struct {
 	seq    int
 	tail   *sim.Event
-	live   []*request
+	oldest *request
+	newest *request
 	issued *TRequest // the request admitted last, left for a blocking shim to return
 	prefix string    // "rank<r>.req", what the rank's helpers are named by
 }
@@ -163,7 +166,7 @@ func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
 // blocks the issuing rank.
 func (h handle) issue(a collArgs, k func(*TRequest)) {
 	for _, nb := range a.bufs() {
-		for _, o := range h.stream.live {
+		for o := h.stream.oldest; o != nil; o = o.newer {
 			for _, ob := range o.call.bufs() {
 				if nb.Overlaps(ob) {
 					panic(&check.RequestError{
@@ -183,7 +186,7 @@ func (h handle) issue(a collArgs, k func(*TRequest)) {
 func (h handle) admit(a collArgs, k func(*TRequest)) {
 	st, names := &h.stream, &collNames[a.kind]
 	inflight, oldest := 0, (*request)(nil)
-	for _, o := range st.live {
+	for o := st.oldest; o != nil; o = o.newer {
 		if !o.done.Done() {
 			if oldest == nil {
 				oldest = o
@@ -201,7 +204,12 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 	st.seq++
 	r.done.Init(h.rs.env)
 	r.done.NamedBy((*reqLabel)(r))
-	st.live = append(st.live, r)
+	if r.older = st.newest; r.older != nil {
+		r.older.newer = r
+	} else {
+		st.oldest = r
+	}
+	st.newest = r
 	if h.rec.failed > 0 {
 		// The communicator is already known broken: complete the request
 		// immediately with the failure instead of spawning a helper that
@@ -301,13 +309,21 @@ func (r *request) ended(error) {
 	r.done.Trigger()
 }
 
-// consume marks the request completed and releases its buffers.
+// consume marks the request completed and releases its buffers: it leaves the
+// rank's outstanding requests, once.
 func (r *request) consume() {
-	st := &r.h.stream
-	if i := slices.Index(st.live, r); i >= 0 {
-		st.live = slices.Delete(st.live, i, i+1)
+	if r.consumed {
+		return
 	}
-	r.consumed = true
+	toNewer, toOlder := &r.h.stream.oldest, &r.h.stream.newest
+	if r.older != nil {
+		toNewer = &r.older.newer
+	}
+	if r.newer != nil {
+		toOlder = &r.newer.older
+	}
+	*toNewer, *toOlder = r.newer, r.older
+	r.older, r.newer, r.consumed = nil, nil, true
 }
 
 // wait completes the request once its operation has ended, and tells k how.
@@ -383,13 +399,17 @@ func (r *Request) Test() bool {
 // otherwise leave helpers running past the body and, on other ranks, peers
 // blocked forever.
 func (h handle) checkDrained() {
-	st := &h.stream
-	if len(st.live) == 0 {
+	oldest := h.stream.oldest
+	if oldest == nil {
 		return
 	}
+	n := 0
+	for o := oldest; o != nil; o = o.newer {
+		n++
+	}
 	panic(&check.RequestError{
-		Op: "srmcoll.Run", Rank: h.rank, Req: st.live[0].String(),
-		Reason: fmt.Sprintf("%d request(s) dropped: the Run body returned without Wait", len(st.live)),
+		Op: "srmcoll.Run", Rank: h.rank, Req: oldest.String(),
+		Reason: fmt.Sprintf("%d request(s) dropped: the Run body returned without Wait", n),
 	})
 }
 

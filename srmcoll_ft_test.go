@@ -171,6 +171,23 @@ func TestCollectiveReturnsRankFailedError(t *testing.T) {
 	}
 }
 
+// A death is declared at the first heartbeat it misses plus the suspicion
+// timeout.
+func TestDeclareTime(t *testing.T) {
+	for _, c := range []struct{ died, want float64 }{
+		{0, 150},    // last beat at 0, missed beat at 50, +timeout
+		{1, 150},    // mid-period death waits for the same missed beat
+		{49.9, 150}, // just before the beat still counts the beat as missed
+		{50, 200},   // death exactly on a beat: that beat went out, 100 is missed
+		{125, 250},  // beat at 100 sent, 150 missed
+		{1000, 1150},
+	} {
+		if got := declareTime(c.died); got != c.want {
+			t.Errorf("declareTime(%v) = %v, want %v", c.died, got, c.want)
+		}
+	}
+}
+
 // TestDetectionTiming pins the analytic declaration formula: a crash at
 // time d is declared at floor(d/period)*period + period + timeout.
 func TestDetectionTiming(t *testing.T) {
