@@ -97,19 +97,22 @@ func diverge(o *opts, args []string) error {
 			i++
 			return
 		}
-		who := "a callback"
+		// Only the tasks on or as the event's actor are described: a task of
+		// its name (a helper's is its node's, shared) or one parked on its
+		// cond. The rest are counted.
+		who, keep := "a callback", func(*sim.Task) bool { return false }
 		switch x := target.(type) {
 		case *sim.Task:
 			who = x.Name()
+			keep = func(t *sim.Task) bool { return t.HasName(who) }
 		case *sim.Cond:
 			who = x.ID()
+			keep = func(t *sim.Task) bool { return t.WaitsOn(x) }
 		}
-		blocked := e.Blocked()
-		fmt.Fprintf(&diff, ", %s\n  %d tasks blocked; on or as %s:\n", who, len(blocked), who)
+		blocked, parked := e.BlockedWhere(keep)
+		fmt.Fprintf(&diff, ", %s\n  %d tasks blocked; on or as %s:\n", who, parked, who)
 		for _, b := range blocked {
-			if b.Name == who || b.Resource == who {
-				fmt.Fprintf(&diff, "    %s: waiting on %s (blocked since t=%.3f)\n", b.Name, b.Waiting, b.Since)
-			}
+			fmt.Fprintf(&diff, "    %s: waiting on %s (blocked since t=%.3f)\n", b.Name, b.Waiting, b.Since)
 		}
 	})
 	if diff.Len() == 0 && bad == nil && differs(sim.Step{}, false) {

@@ -192,9 +192,11 @@ func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
 			// dead rank's side of a protocol. A helper still running is
 			// that of a request not done, and those are live.
 			why := fmt.Sprintf("rank %d crashed", r)
-			for q := ft.rs.ranks[r].stream.oldest; q != nil; q = q.newer {
-				if !q.done.Done() {
-					ft.env.Kill(q.call.t, why)
+			if st := ft.rs.ranks[r].stream; st != nil {
+				for q := st.oldest; q != nil; q = q.newer {
+					if !q.done.Done() {
+						ft.env.Kill(q.call.t, why)
+					}
 				}
 			}
 			ft.env.At(declareTime(f.Time), func() { ft.declare(r, float64(f.Time)) })
@@ -379,7 +381,10 @@ type syncFrame struct {
 // k runs when the rank is released, or at once if the call is refused; the
 // rank's syncFrame says which.
 func (h handle) ftSync(class trace.Class, flag uint64, k func()) {
-	s := &h.sync
+	if h.sync == nil {
+		h.sync = h.rs.syncs.New()
+	}
+	s := h.sync
 	*s = syncFrame{h: h, class: class, flag: flag, k: k}
 	switch ft := h.rs.ft; {
 	case ft == nil:
@@ -408,12 +413,12 @@ func (s *syncFrame) Resume() {
 	switch s.stage++; s.stage {
 	case 1: // no request outstanding: enter, and wait for the other survivors
 		s.g = h.rec.enter(h.rs.ft, h.rank, s.class.String(), s.flag)
-		s.span = h.tr.Begin(h.t.Track(), s.class, s.class.String(), 0)
+		s.span = h.rs.tr.Begin(h.t.Track(), s.class, s.class.String(), 0)
 		h.wait(s.g.ev, s)
 	case 2: // all in or declared failed: the agreement protocol's cost
 		h.sleep(h.ftSyncCost(), s)
 	case 3:
-		h.tr.End(s.span)
+		h.rs.tr.End(s.span)
 		s.k()
 	}
 }
@@ -426,7 +431,7 @@ func (h handle) ftSyncCost() float64 {
 		return 0
 	}
 	rounds := int(math.Ceil(math.Log2(float64(n))))
-	cfg := h.m.Cfg
+	cfg := h.rs.m.Cfg
 	return 2 * float64(rounds) * float64(cfg.SendOverhead+cfg.NetLatency+cfg.RecvOverhead)
 }
 

@@ -158,6 +158,20 @@ func (f *Frames[T, P]) Release() {
 	*f = Frames[T, P]{}
 }
 
+// Each calls fn with every value carved since the last Release, idle ones too:
+// those are zero but for their link.
+func (f *Frames[T, P]) Each(fn func(*T)) {
+	c := &f.mem
+	for k, s := range c.slabs {
+		if k == len(c.slabs)-1 {
+			s = s[:len(s)-len(c.cur)]
+		}
+		for i := range s {
+			fn(&s[i])
+		}
+	}
+}
+
 // Count reports the values carved since the last Release, and how many are idle.
 func (f *Frames[T, P]) Count() (made, idle int) {
 	for x := f.idle; x != nil; x = *P(x).link() {

@@ -168,10 +168,11 @@ type SRM struct {
 	// and those that must keep theirs until the run is over (Group.retire).
 	retired, kept []*opEntry
 
-	// The executors of the run (DESIGN.md §9), and the frames of the SMP
-	// stages their bodies call.
-	execs bufpool.Frames[exec, *exec]
-	subs  bufpool.Frames[subFrame, *subFrame]
+	// The executors of the run (DESIGN.md §9), the queues of those with
+	// operations pending, and the frames of the SMP stages their bodies call.
+	execs  bufpool.Frames[exec, *exec]
+	queues bufpool.Frames[opQueue, *opQueue]
+	subs   bufpool.Frames[subFrame, *subFrame]
 }
 
 // opEntry is one collective call of a group: the state its members share,
@@ -355,6 +356,7 @@ func (s *SRM) Release() {
 	}
 	s.kept, s.groups, s.world = nil, nil, nil
 	s.execs.Release()
+	s.queues.Release()
 	s.subs.Release()
 }
 

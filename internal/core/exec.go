@@ -38,7 +38,7 @@ import (
 // call and spawn act at once and so come last (call) or first (spawn). end
 // and ret are not queued: they set a bit that runs once the queue has drained,
 // so they too come last, and an operation or call after them panics. A step
-// queues at most len(exec.q) operations; one that needs more is split across
+// queues at most len(opQueue.q) operations; one that needs more is split across
 // two pcs, which runs the same operations in the same order.
 
 type stepper interface {
@@ -108,22 +108,33 @@ type rare struct {
 	ev  *sim.Event
 }
 
+// opQueue is the operations of one step not yet performed, and their rare
+// slot. An executor holds one only while it has operations to perform: the
+// first push of a step takes it from SRM.queues, and run hands it back when
+// the task suspends on the last operation — which reads nothing of it once
+// started — or the collective ends. Most ranks of a large collective are
+// parked on their last operation at any instant, and hold none.
+type opQueue struct {
+	q    [3]op
+	rare rare
+	bufpool.Link[opQueue]
+}
+
 // The bits of exec.bits: the two tail operations, which run in this order
 // once the queue has drained, and the rare slot taken.
 const (
 	bitEnd  = 1 << iota // close the span of the top frame
 	bitRet              // pop the top frame
-	bitRare             // a queued operation uses exec.rare
+	bitRare             // a queued operation uses the queue's rare slot
 )
 
 // exec drives one task — a rank's, or a pipeline helper's beside it — through
 // one collective. Executors are the SRM's, on a free list, so a call costs no
 // heap object once every concurrently running task has one.
 //
-// An exec is eight cache lines, so each one in a slab starts on a line, and
+// An exec is four cache lines, so each one in a slab starts on a line, and
 // what resume and run read on every visit is on its first: the task, the
-// engine, the continuation, the queue's state and the stack depth, with the
-// head of the queue right after them.
+// engine, the queue and its state and the stack depth.
 type exec struct {
 	t            *sim.Task
 	s            *SRM
@@ -132,13 +143,10 @@ type exec struct {
 	qh, qn       uint8 // the queue's head and length
 	bits         uint8 // bitEnd, bitRet, bitRare
 	depth        uint8
-	unwinds      bool  // finish is on the task's unwind stack
-	quiet        bool  // interrupts are off at ep until finish
-	node, rank   int32 // machine node id and global rank, set by Group.acquire or ScaleAllreduce
-
-	// The operations of the current step not yet performed.
-	q    [3]op
-	rare rare
+	unwinds      bool     // finish is on the task's unwind stack
+	quiet        bool     // interrupts are off at ep until finish
+	node, rank   int32    // machine node id and global rank, set by Group.acquire or ScaleAllreduce
+	oq           *opQueue // the current step's operations; nil when none is pending
 
 	root frame     // the collective's body
 	sub  *subFrame // the SMP stage it has called, from SRM.subs; nil when none
@@ -153,7 +161,7 @@ type exec struct {
 	ds    dataspec
 
 	done *sim.Event // helper: triggered at finish
-	_    [8]byte    // to eight whole cache lines
+	_    [24]byte   // to four whole cache lines
 	bufpool.Link[exec]
 }
 
@@ -204,7 +212,16 @@ func (x *exec) finish() {
 	if x.g != nil {
 		x.g.retire(x.seq, aborted)
 	}
+	x.dropQueue()
 	x.s.execs.Put(x)
+}
+
+// dropQueue hands the queue back, if the executor holds one.
+func (x *exec) dropQueue() {
+	if x.oq != nil {
+		x.s.queues.Put(x.oq)
+		x.oq = nil
+	}
 }
 
 // Resume is the continuation every *T primitive receives. Called while the
@@ -225,7 +242,7 @@ func (x *exec) run() {
 	t, m := x.t, x.s.m
 	for {
 		for x.qh < x.qn {
-			o := &x.q[x.qh]
+			o := &x.oq.q[x.qh]
 			last := true // this visit is the operation's last
 			x.armed = true
 			switch o.kind {
@@ -236,7 +253,7 @@ func (x *exec) run() {
 				if o.i == o.w {
 					o.i++
 				}
-				if set := *x.rare.set; int(o.i) < len(set) {
+				if set := *x.oq.rare.set; int(o.i) < len(set) {
 					last = false
 					o.i++
 					x.waitFlagT(&set[o.i-1], o)
@@ -244,7 +261,7 @@ func (x *exec) run() {
 					x.fired = true
 				}
 			case opWaitEvent:
-				x.rare.ev.WaitK(t, x)
+				x.oq.rare.ev.WaitK(t, x)
 			case opWaitCntr:
 				x.ep.WaitcntrK(t, o.cntr, int(o.v), x)
 			case opWaitValue:
@@ -252,7 +269,7 @@ func (x *exec) run() {
 			case opPut:
 				x.ep.PutK(t, x.s.dom.Endpoint(int(o.w)), o.dst, o.src, nil, o.cntr, nil, x)
 			case opAM:
-				ev := x.rare.ev
+				ev := x.oq.rare.ev
 				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, func([]byte) { ev.Trigger() }, x)
 			case opCopy:
 				m.MemcpyT(t, int(x.node), o.dst, o.src, x)
@@ -276,6 +293,11 @@ func (x *exec) run() {
 				x.qh++
 			}
 			if !x.fired {
+				if x.qh == x.qn {
+					// Parked on the step's last operation, which reads
+					// nothing of the queue again.
+					x.dropQueue()
+				}
 				return
 			}
 			x.fired = false
@@ -336,7 +358,7 @@ func (x *exec) waitFlagT(fl *shm.Flag, o *op) {
 // count the statistics of opCharge).
 func (x *exec) reduce(o *op) {
 	if o.eq {
-		dtype.ReduceInto(x.ds.op, x.ds.dt, o.dst, x.rare.own, o.src)
+		dtype.ReduceInto(x.ds.op, x.ds.dt, o.dst, x.oq.rare.own, o.src)
 	} else {
 		dtype.Reduce(x.ds.op, x.ds.dt, o.dst, o.src)
 	}
@@ -356,7 +378,7 @@ func (x *exec) effect(o *op) {
 	case opSet:
 		o.flag.Set(int(o.v))
 	case opSetAll:
-		set := *x.rare.set
+		set := *x.oq.rare.set
 		for i := range set {
 			set[i].Set(int(o.v))
 		}
@@ -372,26 +394,30 @@ func (x *exec) effect(o *op) {
 //
 // Each operation queues itself; run performs it in its turn.
 
-// push queues o. A step that queues one more than the queue holds, or one
-// after end or ret, is a bug in the step.
+// push queues o, taking a queue for the step's first operation. A step that
+// queues one more than the queue holds, or one after end or ret, is a bug in
+// the step.
 func (x *exec) push(o op) {
 	if x.bits&(bitEnd|bitRet) != 0 {
 		panic("core: an operation queued after end or ret")
 	}
-	if int(x.qn) == len(x.q) {
-		panic("core: a step queued more than " + strconv.Itoa(len(x.q)) + " operations; split it across two pcs")
+	if x.oq == nil {
+		x.oq = x.s.queues.Get()
 	}
-	x.q[x.qn] = o
+	if int(x.qn) == len(x.oq.q) {
+		panic("core: a step queued more than " + strconv.Itoa(len(x.oq.q)) + " operations; split it across two pcs")
+	}
+	x.oq.q[x.qn] = o
 	x.qn++
 }
 
-// useRare takes the rare slot for an operation of the step.
+// useRare takes the rare slot for the operation the step queued last.
 func (x *exec) useRare() *rare {
 	if x.bits&bitRare != 0 {
 		panic("core: two operations of one step need the rare slot")
 	}
 	x.bits |= bitRare
-	return &x.rare
+	return &x.oq.rare
 }
 
 // call pushes a sub-body; it acts at once, so it is the last thing a step

@@ -5,29 +5,35 @@ import (
 	"testing"
 
 	"srmcoll/internal/bufpool"
+	"srmcoll/internal/dtype"
+	"srmcoll/internal/machine"
+	"srmcoll/internal/rma"
+	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
 )
 
 func TestExecIsTenCacheLines(t *testing.T) {
-	// 512 bytes, eight cache lines: 32 executors to a slab where four
-	// 144-byte ops inline made 968 bytes and 16, and three 88-byte ops and
-	// two frames made 640 and 25. The massive-rank allreduce holds one per
-	// rank for its whole call, at 16,384 ranks 8 MiB of fault_storm's peak.
-	// A whole number of cache lines, so that what resume and run read on
-	// every visit is on one line of each executor in a slab. An op of 80
-	// bytes is what three of them inline leave room for; an SMP stage's
-	// frame is not inline (subFrame).
+	// 256 bytes, four cache lines: 64 executors to a slab where four
+	// 144-byte ops inline made 968 bytes and 16, three 88-byte ops and two
+	// frames made 640 and 25, and three 80-byte ops inline made 512 and 32.
+	// The massive-rank allreduce holds one per rank for its whole call, and
+	// most of those ranks are parked on the last operation of a step: the
+	// queue is an opQueue of the SRM's, held only while operations are
+	// pending. A whole number of cache lines, so that what resume and run
+	// read on every visit is on one line of each executor in a slab. An op
+	// of 80 bytes is what three of them in a queue leave room for; an SMP
+	// stage's frame is not inline (subFrame).
 	if got := reflect.TypeOf(op{}).Size(); got > 80 {
-		t.Errorf("op is %d bytes; put a rare operand in exec.rare", got)
+		t.Errorf("op is %d bytes; put a rare operand in opQueue.rare", got)
 	}
 	size := reflect.TypeOf(exec{}).Size()
-	if size > 512 || size%64 != 0 {
-		t.Errorf("exec is %d bytes; want a multiple of 64 no larger than 512", size)
+	if size > 256 || size%64 != 0 {
+		t.Errorf("exec is %d bytes; want a multiple of 64 no larger than 256", size)
 	}
-	if per := bufpool.ChunkBytes / size; per < 32 {
-		t.Errorf("%d executors to a slab, want >= 32", per)
+	if per := bufpool.ChunkBytes / size; per < 64 {
+		t.Errorf("%d executors to a slab, want >= 64", per)
 	}
-	for _, name := range []string{"t", "s", "ep", "armed", "fired", "qh", "qn", "bits", "depth", "node"} {
+	for _, name := range []string{"t", "s", "ep", "armed", "fired", "qh", "qn", "bits", "depth", "node", "oq"} {
 		if f, _ := reflect.TypeOf(exec{}).FieldByName(name); f.Offset+f.Type.Size() > 64 {
 			t.Errorf("exec.%s is past the first cache line, at %d", name, f.Offset)
 		}
@@ -36,7 +42,7 @@ func TestExecIsTenCacheLines(t *testing.T) {
 
 // TestExecQueueFitsInline runs every step the bench regimes, the SMP broadcast
 // variants and the allreduce families take over each kind of inter-node tree,
-// from both forms of body. A step that queues more operations than exec.q
+// from both forms of body. A step that queues more operations than opQueue.q
 // holds panics, and the run fails: the queue never grows onto the heap.
 func TestExecQueueFitsInline(t *testing.T) {
 	send, recv := regimeBuffers()
@@ -59,4 +65,71 @@ func TestExecQueueFitsInline(t *testing.T) {
 			check(rg.name+"/"+k.String(), rg, Options{AllreduceAlg: rg.alg, InterTree: k})
 		}
 	}
+}
+
+// TestParkedExecutorHoldsNoQueue runs rank_ladder's RunT body — a broadcast
+// from a root that enters late, an allreduce and a barrier, every rank a task
+// — over 4,096 ranks, and looks at every executor between events. No executor
+// runs then, so a queue may be out only to one parked with operations of its
+// step still to perform, or inside one it performs in several visits (qh
+// stays on those): one parked on its step's last operation, as most ranks of
+// a large collective are, holds none. Every queue is back once the run is
+// over.
+func TestParkedExecutorHoldsNoQueue(t *testing.T) {
+	env := sim.NewEnv()
+	m := machine.New(env, machine.ColonySP(512, 8))
+	s := New(m, rma.NewDomain(m), Options{})
+	const n, root = 64, 1234
+	P := m.P()
+	send, bufs, recv := make([]byte, P*n), make([]byte, P*n), make([]byte, P*n)
+	for r := range P {
+		env.SpawnTask("rank", r, func(tk *sim.Task) {
+			coll := func() {
+				s.BcastT(tk, r, bufs[r*n:(r+1)*n], root, func() {
+					s.AllreduceT(tk, r, send[r*n:(r+1)*n], recv[r*n:(r+1)*n], dtype.Float64, dtype.Sum, func() {
+						s.BarrierT(tk, r, func() {})
+					})
+				})
+			}
+			if r == root {
+				tk.SleepThen(3, coll)
+			} else {
+				coll()
+			}
+		})
+	}
+	events, samples, maxOut, maxLive := 0, 0, 0, 0
+	sim.Observe(func(e *sim.Env, _ sim.Step, _ any) {
+		if events++; e != env || events%256 != 0 {
+			return
+		}
+		samples++
+		live, mid := 0, 0
+		s.execs.Each(func(x *exec) {
+			if x.s == nil {
+				return // idle
+			}
+			live++
+			if x.qh < x.qn {
+				mid++
+			}
+		})
+		made, idle := s.queues.Count()
+		if out := made - idle; out > mid {
+			t.Fatalf("event %d: %d queues out, but only %d of %d executors are parked mid-queue", events, out, mid, live)
+		} else {
+			maxOut, maxLive = max(maxOut, out), max(maxLive, live)
+		}
+	})
+	defer sim.Observe(nil)
+	if err := env.Run(); err != nil || env.Live() != 0 {
+		t.Fatalf("Run() = %v with %d tasks live", err, env.Live())
+	}
+	if made, idle := s.queues.Count(); made != idle {
+		t.Errorf("%d of %d queues not back after the run", made-idle, made)
+	}
+	if samples < 100 {
+		t.Errorf("%d samples of %d events, want at least 100", samples, events)
+	}
+	t.Logf("%d events, %d samples: at most %d queues out, at most %d executors live", events, samples, maxOut, maxLive)
 }

@@ -29,9 +29,8 @@ import (
 // memory: a heap object from NewCounter, or part of a slab its owner carved
 // and bound with Init.
 type Counter struct {
-	env  *sim.Env
 	val  int
-	cond sim.Cond
+	cond sim.Cond    // bound to the counter's environment
 	wcl  trace.Class // span class recorded while a process blocks here
 }
 
@@ -45,7 +44,7 @@ func NewCounter(env *sim.Env, initial int) *Counter {
 // Init binds a zero Counter to the environment with the given initial value,
 // drawing its report id exactly as NewCounter does.
 func (c *Counter) Init(env *sim.Env, initial int) {
-	c.env, c.val, c.wcl = env, initial, trace.ClassWaitCntr
+	c.val, c.wcl = initial, trace.ClassWaitCntr
 	c.cond.Init(env)
 }
 
@@ -489,14 +488,14 @@ func (fr *cntrFrame) enter() {
 
 func (fr *cntrFrame) park() {
 	c := fr.c
-	fr.id = c.env.Trace.Begin(fr.t.Track(), c.wcl, c.wcl.String(), 0)
+	fr.id = c.cond.Env().Trace.Begin(fr.t.Track(), c.wcl, c.wcl.String(), 0)
 	c.cond.WaitFrameT(fr.t, c, fr.v, fr)
 }
 
 func (fr *cntrFrame) Ready() bool { return fr.c.val >= fr.v }
 
 func (fr *cntrFrame) Resume() {
-	fr.c.env.Trace.End(fr.id)
+	fr.c.cond.Env().Trace.End(fr.id)
 	fr.finish()
 }
 

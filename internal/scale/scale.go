@@ -165,6 +165,10 @@ func Run(cfg Config) (*Result, error) {
 	// flags and counters of every node — are left to the collector: the
 	// reserve would keep each kind up to its cap through the runs that follow,
 	// mostly smaller ones (3 MB more peak RSS in fault_storm's chaos runs).
+	// The caller that runs simulations back to back settles them
+	// (srmcoll.Cluster.ScaleAllreduce): left to the collector's pacing, the
+	// next run's first cycle would find them live and set its heap goal at
+	// twice them.
 	dom.Release()
 	m.Release()
 	return res, nil

@@ -47,6 +47,8 @@ type Env struct {
 	processed uint64        // queue items executed so far
 	digest    uint64        // the fold of those items (digest.go)
 
+	condLabel map[int]string // a test's labels for conditions, by number, in place of their ids
+
 	// What the environment makes once per rank or per pending occurrence comes
 	// out of slabs it owns until Release (DESIGN.md §9): tasks, processes, and
 	// the queue items the free list could not supply.
@@ -371,9 +373,20 @@ type BlockedProc struct {
 // events, after Run or RunUntil return) and backs stall and deadlock
 // reports.
 func (e *Env) Blocked() []BlockedProc {
-	var out []BlockedProc
+	out, _ := e.BlockedWhere(nil)
+	return out
+}
+
+// BlockedWhere is Blocked for the parked tasks keep accepts (nil: all), and
+// the number parked in all. Only the accepted are named and described, so a
+// report on a few of a million parked tasks costs what the few do; keep
+// must not format what it is given (Task.HasName, Task.WaitsOn).
+func (e *Env) BlockedWhere(keep func(*Task) bool) (out []BlockedProc, parked int) {
 	for _, t := range e.tasks {
 		if !t.parked {
+			continue
+		}
+		if parked++; keep != nil && !keep(t) {
 			continue
 		}
 		b := BlockedProc{Name: t.Name(), Since: t.waitSince}
@@ -388,7 +401,7 @@ func (e *Env) Blocked() []BlockedProc {
 		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return out, parked
 }
 
 // nextResNum assigns a deterministic sequence number to a synchronization
@@ -461,8 +474,7 @@ func (p *Proc) Wait(ev *Event) {
 // once in use.
 type Cond struct {
 	env     *Env
-	num     int    // sequence for the default id
-	id      string // the formatted id, cached
+	num     int // sequence for the id
 	waiters taskList
 }
 
@@ -477,12 +489,16 @@ func (e *Env) NewCond() *Cond {
 // as NewCond does.
 func (c *Cond) Init(e *Env) { c.env, c.num = e, e.nextResNum() }
 
-// ID returns the condition's id or label.
+// Env returns the environment the condition is bound to.
+func (c *Cond) Env() *Env { return c.env }
+
+// ID returns the condition's id, "cond#N", formatted on each call: a report
+// asks for a few, and a flag or counter does not carry one.
 func (c *Cond) ID() string {
-	if c.id == "" {
-		c.id = "cond#" + strconv.Itoa(c.num)
+	if l, ok := c.env.condLabel[c.num]; ok {
+		return l
 	}
-	return c.id
+	return "cond#" + strconv.Itoa(c.num)
 }
 
 func (c *Cond) waitID() string { return c.ID() }

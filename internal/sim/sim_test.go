@@ -478,7 +478,13 @@ type fixedLabel string
 func (s fixedLabel) String() string { return string(s) }
 
 // named labels a condition in stall reports.
-func named(c *Cond, id string) *Cond { c.id = id; return c }
+func named(c *Cond, id string) *Cond {
+	if c.env.condLabel == nil {
+		c.env.condLabel = map[int]string{}
+	}
+	c.env.condLabel[c.num] = id
+	return c
+}
 
 func TestBlockedSnapshot(t *testing.T) {
 	e := NewEnv()

@@ -228,6 +228,23 @@ func (t *Task) Num() int { return int(t.num) }
 // name when Num is negative.
 func (t *Task) Prefix() string { return t.prefix }
 
+// HasName reports whether the task's name is name, without formatting an
+// indexed name that is not formatted yet.
+func (t *Task) HasName(name string) bool {
+	if t.name != "" || t.num < 0 {
+		return t.Name() == name
+	}
+	p := t.prefix
+	if len(name) <= len(p) || name[:len(p)] != p {
+		return false
+	}
+	var b [12]byte
+	return string(strconv.AppendInt(b[:0], int64(t.num), 10)) == name[len(p):]
+}
+
+// WaitsOn reports whether the task is parked on c.
+func (t *Task) WaitsOn(c *Cond) bool { return t.parked && t.waitOn == c }
+
 // Name returns the task's name. An indexed name is formatted on first use
 // and cached: the hot spawn paths never allocate a name that no report will
 // read.

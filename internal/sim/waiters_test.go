@@ -222,3 +222,50 @@ func TestTaskRegistrySweepsFinishedTasks(t *testing.T) {
 		t.Errorf("Blocked() = %+v, want the stuck task alone", b)
 	}
 }
+
+// BlockedWhere reports the parked tasks its filter keeps, as Blocked would,
+// and counts them all; it names no task the filter turns down, so a report on
+// a few of a large run formats no name of the rest. HasName and WaitsOn, the
+// filters diverge uses, match what Name and the resource would say.
+func TestBlockedWhere(t *testing.T) {
+	e := NewEnv()
+	a, b := e.NewCond(), e.NewCond()
+	var tasks []*Task
+	for i := range 15 {
+		c, prefix := b, "y"
+		if i < 3 {
+			c, prefix = a, "x"
+		}
+		tasks = append(tasks, e.SpawnTask(prefix, i, func(tk *Task) { c.WaitT(tk, func() {}) }))
+	}
+	e.SpawnTask("sleeper", -1, func(tk *Task) { tk.SleepThen(100, func() {}) })
+	if err := e.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		keep  func(*Task) bool
+		names string
+	}{
+		{func(tk *Task) bool { return tk.WaitsOn(a) }, "[x0 x1 x2]"},
+		{func(tk *Task) bool { return tk.HasName("y11") }, "[y11]"},
+		{func(tk *Task) bool { return tk.HasName("y") || tk.HasName("y011") || tk.HasName("x11") }, "[]"},
+	} {
+		kept, parked := e.BlockedWhere(tc.keep)
+		var names []string
+		for _, k := range kept {
+			names = append(names, k.Name)
+		}
+		if fmt.Sprint(names) != tc.names || parked != len(tasks) {
+			t.Errorf("kept %v of %d parked, want %s of %d", names, parked, tc.names, len(tasks))
+		}
+	}
+	for _, tk := range tasks[3:] {
+		if tk.name != "" && tk.num != 11 {
+			t.Errorf("%s: name formatted by a walk that did not keep it", tk.Name())
+		}
+	}
+	all, _ := e.BlockedWhere(nil)
+	if fmt.Sprint(e.Blocked()) != fmt.Sprint(all) || len(all) != len(tasks) {
+		t.Errorf("Blocked() = %v, BlockedWhere(nil) = %v", e.Blocked(), all)
+	}
+}

@@ -40,7 +40,10 @@ import (
 	"fmt"
 	"strconv"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
+	"srmcoll/internal/machine"
+	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 )
@@ -113,12 +116,17 @@ func (st *reqStream) helperPrefix(rank int) string {
 }
 
 // runState is the per-Run bookkeeping shared by every Comm of the run: the
+// machine, RMA domain, trace and shared counters every rank works with, the
 // record of every rank, which rank each request helper acts for, trace track
 // allocation for helpers, the records requests are carved from, the record of
 // every communicator, and the handle cache that makes Comm.Sub return one
 // canonical Comm per (parent, member list).
 type runState struct {
 	env        *sim.Env
+	m          *machine.Machine
+	dom        *rma.Domain
+	tr         *trace.Trace // nil unless tracing is on
+	counters   map[string]*SharedCounter
 	ranks      []rankRec             // by rank, one slab
 	helperRank map[*sim.Task]int     // running or failed request helper -> issuing rank
 	reqs       []TRequest            // the rest of the chunk the next request is carved from
@@ -128,6 +136,11 @@ type runState struct {
 	subs       map[subKey]*Comm
 	handles    []Comm   // what subs points into: the rest of a block of one handle a rank, theirs to keep
 	ft         *ftState // nil unless the cluster enabled fault tolerance
+
+	// The ranks' request streams and rendezvous frames, each carved at the
+	// rank's first request or first Agree or Shrink (rankRec).
+	streams bufpool.Chunks[reqStream]
+	syncs   bufpool.Chunks[syncFrame]
 }
 
 type subKey struct {
@@ -165,6 +178,9 @@ func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
 // previous request, and passes the handle to k — at once unless the bound
 // blocks the issuing rank.
 func (h handle) issue(a collArgs, k func(*TRequest)) {
+	if h.stream == nil {
+		h.stream = h.rs.streams.New()
+	}
 	for _, nb := range a.bufs() {
 		for o := h.stream.oldest; o != nil; o = o.newer {
 			for _, ob := range o.call.bufs() {
@@ -184,7 +200,7 @@ func (h handle) issue(a collArgs, k func(*TRequest)) {
 // admit is issue once the buffers are vetted. Backpressure re-checks the live
 // set after every wake: Waits may have consumed requests meanwhile.
 func (h handle) admit(a collArgs, k func(*TRequest)) {
-	st, names := &h.stream, &collNames[a.kind]
+	st, names := h.stream, &collNames[a.kind]
 	inflight, oldest := 0, (*request)(nil)
 	for o := st.oldest; o != nil; o = o.newer {
 		if !o.done.Done() {
@@ -220,10 +236,10 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		k(st.issued)
 		return
 	}
-	r.group = h.tr.NewGroup()
-	iid := h.tr.Begin(h.t.Track(), trace.ClassReqIssue, names.issue, a.bytes())
-	h.tr.Link(iid, r.group)
-	h.tr.End(iid)
+	r.group = h.rs.tr.NewGroup()
+	iid := h.rs.tr.Begin(h.t.Track(), trace.ClassReqIssue, names.issue, a.bytes())
+	h.rs.tr.Link(iid, r.group)
+	h.rs.tr.End(iid)
 	r.prev = st.tail
 	if h.rec.coll.srm != nil {
 		r.call.actor = actor{t: h.rs.env.SpawnTaskK(st.helperPrefix(h.rank), r.seq, (*reqStart)(r))}
@@ -289,7 +305,7 @@ func (o *reqOpen) Resume() { (*request)(o).open() }
 func (r *request) open() {
 	f, h := &r.call, r.h
 	r.prev = nil
-	if tr := h.tr; tr != nil {
+	if tr := h.rs.tr; tr != nil {
 		track := h.rs.nextTrack
 		h.rs.nextTrack++
 		f.t.SetTrack(track)
@@ -335,8 +351,8 @@ func (r *request) wait(k func(error)) {
 			Reason: "request already completed (double Wait, or Wait after Test returned true)",
 		})
 	}
-	r.waitSpan = h.tr.Begin(h.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
-	h.tr.Link(r.waitSpan, r.group)
+	r.waitSpan = h.rs.tr.Begin(h.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
+	h.rs.tr.Link(r.waitSpan, r.group)
 	r.waitK = k
 	h.wait(&r.done, (*reqWaited)(r))
 }
@@ -348,7 +364,7 @@ func (w *reqWaited) Resume() {
 	r := (*request)(w)
 	k := r.waitK
 	r.waitK = nil
-	r.h.tr.End(r.waitSpan)
+	r.h.rs.tr.End(r.waitSpan)
 	r.consume()
 	k(r.call.err)
 }
@@ -399,10 +415,10 @@ func (r *Request) Test() bool {
 // otherwise leave helpers running past the body and, on other ranks, peers
 // blocked forever.
 func (h handle) checkDrained() {
-	oldest := h.stream.oldest
-	if oldest == nil {
+	if h.stream == nil || h.stream.oldest == nil {
 		return
 	}
+	oldest := h.stream.oldest
 	n := 0
 	for o := oldest; o != nil; o = o.newer {
 		n++

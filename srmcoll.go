@@ -396,14 +396,19 @@ type ScaleResult = scale.Result
 // core supports it (channel faults, storms, reliable delivery, the deadline);
 // crash and stall scenarios need the full chaos runner in Run and are
 // rejected here. Like Run, it validates the plan first, active or not.
+//
+// Once runs have allocated 8 MiB or more between them, the one that crosses
+// the line ends with a garbage collection; see settle.
 func (cl *Cluster) ScaleAllreduce(opt ScaleOptions) (*ScaleResult, error) {
 	plan := cl.faults
-	return scale.Run(scale.Config{
-		Machine: cl.cfg,
-		Bytes:   opt.Bytes,
-		Reps:    opt.Reps,
-		Faults:  &plan,
-		Verify:  opt.Verify,
+	return settled(func() (*ScaleResult, error) {
+		return scale.Run(scale.Config{
+			Machine: cl.cfg,
+			Bytes:   opt.Bytes,
+			Reps:    opt.Reps,
+			Faults:  &plan,
+			Verify:  opt.Verify,
+		})
 	})
 }
 
@@ -437,19 +442,17 @@ type handle struct {
 // rankRec is what a run knows about one rank, shared by the rank's handles on
 // every communicator: who it is, and what its one actor can be in the middle
 // of — the requests it issued, and one blocking collective or one rendezvous,
-// since an actor is suspended in at most one thing.
+// since an actor is suspended in at most one thing. The records of the
+// requests and the rendezvous are carved at the rank's first (runState):
+// most runs make neither, and a rank's record is with it for the whole run.
 type rankRec struct {
-	actor    // the rank's task, and its process when the body has a stack
-	rank     int
-	m        *machine.Machine
-	dom      *rma.Domain
-	counters map[string]*SharedCounter
-	tr       *trace.Trace // nil unless tracing is on
-	rs       *runState    // the run's communicator records and handle cache
-	world    Comm         // the rank's handle on the world communicator
-	stream   reqStream    // its non-blocking collectives (request.go)
-	call     frame        // its blocking collective in flight, or what the last ended with (tcomm.go)
-	sync     syncFrame    // its Agree or Shrink likewise (ft.go)
+	actor  // the rank's task, and its process when the body has a stack
+	rank   int
+	rs     *runState  // the run: its machine, communicator records and handle cache
+	world  Comm       // the rank's handle on the world communicator
+	stream *reqStream // its non-blocking collectives (request.go); nil before the first
+	call   frame      // its blocking collective in flight, or what the last ended with (tcomm.go)
+	sync   *syncFrame // its Agree or Shrink likewise (ft.go); nil before the first
 }
 
 // commRec is what a run knows about one communicator, held once and shared by
@@ -605,10 +608,10 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return len(c.rec.members) }
 
 // Node returns the SMP node hosting this rank.
-func (c *Comm) Node() int { return c.m.NodeOf(c.rank) }
+func (c *Comm) Node() int { return c.rs.m.NodeOf(c.rank) }
 
 // LocalRank returns this rank's index within its node.
-func (c *Comm) LocalRank() int { return c.m.LocalRank(c.rank) }
+func (c *Comm) LocalRank() int { return c.rs.m.LocalRank(c.rank) }
 
 // Now returns the current virtual time in microseconds.
 func (c *Comm) Now() float64 { return c.t.Now() }
@@ -746,11 +749,11 @@ type SharedCounter struct {
 // All ranks using the same id share one counter; the creating call's host
 // and init win.
 func (c *Comm) SharedCounter(id string, host int, init int64) *SharedCounter {
-	reg := c.counters
+	reg := c.rs.counters
 	if w, ok := reg[id]; ok {
 		return w
 	}
-	sc := &SharedCounter{word: c.dom.Endpoint(host).NewWord(init), dom: c.dom}
+	sc := &SharedCounter{word: c.rs.dom.Endpoint(host).NewWord(init), dom: c.rs.dom}
 	reg[id] = sc
 	return sc
 }
@@ -798,8 +801,14 @@ func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 // simulate is Run and RunT: one simulation of the cluster, its ranks started
 // by spawn, then settled with what it allocated.
 func (cl *Cluster) simulate(impl Impl, spawn func(*simulation)) (*Result, error) {
+	return settled(func() (*Result, error) { return cl.run(impl, spawn) })
+}
+
+// settled runs one simulation, which leaves no frame of it on the stack when
+// it returns, and settles what it allocated.
+func settled[R any](run func() (R, error)) (R, error) {
 	before, _ := heapCounters()
-	res, err := cl.run(impl, spawn)
+	res, err := run()
 	after, cycles := heapCounters()
 	settle(after-before, cycles)
 	return res, err
@@ -830,10 +839,10 @@ var unsettled struct {
 	cycles uint64 // the collector's completed cycles when bytes was last added to
 }
 
-// settle is the last thing Run and RunT do, once nothing of the simulation is
-// reachable any more. allocated is what the process took from the heap while
-// the run lasted and cycles the collector's count of completed cycles, read
-// with it. Whatever a run allocates is dead when it returns — rank records,
+// settle is the last thing Run, RunT and ScaleAllreduce do, once nothing of
+// the simulation is reachable any more. allocated is what the process took
+// from the heap while the run lasted and cycles the collector's count of
+// completed cycles, read with it. Whatever a run allocates is dead when it returns — rank records,
 // executors, flags and counters, messages, spans the caller may or may not
 // keep — except the payload memory, which goes back to the reserve and which a
 // warm run does not allocate at all. The collector only learns of the dead at
@@ -939,8 +948,8 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 		env.Trace = trace.New(env.Now)
 		env.Trace.Reserve(int(cl.spans.Load()))
 	}
-	counters := make(map[string]*SharedCounter)
 	rs := newRunState(env, m.P())
+	rs.m, rs.dom, rs.tr, rs.counters = m, dom, env.Trace, make(map[string]*SharedCounter)
 	world := rs.newWorld(m.P(), coll)
 	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	if cl.ft.Enabled {
@@ -956,7 +965,7 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 	}
 	for r := range rs.ranks {
 		rk := &rs.ranks[r]
-		rk.rank, rk.m, rk.dom, rk.counters, rk.tr, rk.rs = r, m, dom, counters, env.Trace, rs
+		rk.rank, rk.rs = r, rs
 		rk.world.handle = handle{rk, world}
 	}
 	// Payload memory: a pool of the process-level reserve, the run's alone
@@ -1039,10 +1048,12 @@ func (sm *simulation) outcome() (*Result, error) {
 	if lerr != nil {
 		res, err = nil, errors.Join(err, lerr)
 	}
+	// A use after the run is a crash, not a step of another run's task.
 	for r := range sm.rs.ranks {
 		rk := &sm.rs.ranks[r]
-		rk.actor, rk.m, rk.dom = actor{}, nil, nil // a use after the run is a crash, not a step of another run's task
+		rk.actor, rk.stream, rk.sync = actor{}, nil, nil
 	}
+	sm.rs.m, sm.rs.dom = nil, nil
 	bufpool.HandBack(sm.m.Buffers)
 	sm.m.Buffers = nil // a use after hand-back is a crash, not a corrupted payload
 	if err == nil {
@@ -1051,6 +1062,8 @@ func (sm *simulation) outcome() (*Result, error) {
 		} else {
 			sm.base.Release()
 		}
+		sm.rs.streams.Release()
+		sm.rs.syncs.Release()
 		sm.dom.Release()
 		sm.m.Release()
 	}

@@ -127,6 +127,32 @@ func TestRunSettles(t *testing.T) {
 	}
 }
 
+// TestScaleAllreduceSettles: ScaleAllreduce weighs what its run allocated as
+// Run and RunT do. Its executors, flags and counters are the collector's once
+// it returns, and at 16,384 ranks they and the tasks the reserve could not
+// supply cross settleAfter alone: the call is collected before it returns. A
+// 64-rank call allocates a few hundred KiB and leaves the collector alone.
+func TestScaleAllreduceSettles(t *testing.T) {
+	forced := forcedCycles(t)
+	for _, tc := range []struct {
+		nodes int
+		want  uint64
+	}{{8, 0}, {2048, 1}} {
+		cl := mustCluster(t, tc.nodes, 8)
+		before := forced()
+		start, _ := heapCounters()
+		if _, err := cl.ScaleAllreduce(ScaleOptions{Bytes: 64, Reps: 1, Verify: true}); err != nil {
+			t.Fatal(err)
+		}
+		end, _ := heapCounters()
+		got := forced() - before
+		t.Logf("%d ranks: %d KiB allocated, %d cycles forced", tc.nodes*8, (end-start)>>10, got)
+		if got != tc.want {
+			t.Errorf("%d ranks: the call forced %d cycles, want %d", tc.nodes*8, got, tc.want)
+		}
+	}
+}
+
 // TestChaosRunsNeverSettle: the benchmark's fault_storm is 384 runs of 8 to 64
 // ranks, and a collection after each of them cost it 11 % of its wall time.
 // The largest and most eventful of those runs — 64 ranks, a

@@ -90,10 +90,10 @@ func (tc *TComm) Rank() int { return tc.rank }
 func (tc *TComm) Size() int { return len(tc.rec.members) }
 
 // Node returns the SMP node hosting this rank.
-func (tc *TComm) Node() int { return tc.m.NodeOf(tc.rank) }
+func (tc *TComm) Node() int { return tc.rs.m.NodeOf(tc.rank) }
 
 // LocalRank returns this rank's index within its node.
-func (tc *TComm) LocalRank() int { return tc.m.LocalRank(tc.rank) }
+func (tc *TComm) LocalRank() int { return tc.rs.m.LocalRank(tc.rank) }
 
 // Members returns the communicator's global ranks in member order.
 func (tc *TComm) Members() []int { return (*Comm)(tc).Members() }
@@ -259,8 +259,8 @@ func (a *collArgs) start(coll *core.Group, t *sim.Task, rank int, k sim.K) {
 // is still to come, which a blocking operation waits for first: its protocol
 // slices must not interleave with a request still running on the same rank.
 func (h handle) outstanding() *sim.Event {
-	if tail := h.stream.tail; tail != nil && !tail.Done() {
-		return tail
+	if h.stream != nil && h.stream.tail != nil && !h.stream.tail.Done() {
+		return h.stream.tail
 	}
 	return nil
 }
@@ -283,7 +283,7 @@ func (h handle) begin(a collArgs, k func(error)) {
 
 // open opens the root span of a blocking collective and runs it.
 func (f *frame) open() {
-	f.span = f.h.tr.Begin(f.t.Track(), trace.ClassOp, f.name, f.bytes())
+	f.span = f.h.rs.tr.Begin(f.t.Track(), trace.ClassOp, f.name, f.bytes())
 	f.run()
 }
 
@@ -324,7 +324,7 @@ func (f *frame) declared(payload any) error {
 	// The unwind may have skipped an interrupt re-enable inside the protocol
 	// (the barrier manages interrupts inline); restoring is idempotent when
 	// nothing was pending.
-	f.h.dom.Endpoint(f.h.rank).SetInterrupts(true)
+	f.h.rs.dom.Endpoint(f.h.rank).SetInterrupts(true)
 	return &RankFailedError{Op: f.name, Rank: f.h.rank, Failed: fi.failed}
 }
 
@@ -342,7 +342,7 @@ func (f *frame) end(err error) {
 		f.registered = false
 	}
 	f.name, f.k, f.err = "", nil, err
-	f.h.tr.End(f.span)
+	f.h.rs.tr.End(f.span)
 	k.ended(err)
 }
 
