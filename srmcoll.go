@@ -842,10 +842,10 @@ var unsettled struct {
 // settle is the last thing Run, RunT and ScaleAllreduce do, once nothing of
 // the simulation is reachable any more. allocated is what the process took
 // from the heap while the run lasted and cycles the collector's count of
-// completed cycles, read with it. Whatever a run allocates is dead when it returns — rank records,
-// executors, flags and counters, messages, spans the caller may or may not
-// keep — except the payload memory, which goes back to the reserve and which a
-// warm run does not allocate at all. The collector only learns of the dead at
+// completed cycles, read with it. Whatever a run allocates is dead when it
+// returns — rank records, executors, flags and counters, messages, spans the
+// caller may or may not keep — except the payload memory, which goes back to
+// the reserve and which a warm run does not allocate at all. The collector only learns of the dead at
 // its next cycle, and its heap goal is twice whatever was live when a cycle
 // happened to mark, so left to its own pacing the garbage of a process that
 // runs simulations back to back piles up to a goal set by where the last cycle
