@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -419,6 +420,7 @@ func ranks(o *opts, args []string) error {
 	}
 	var sim float64
 	var events uint64
+	allocs := heapAllocs()
 	start := time.Now()
 	if o.op == "allreduce" {
 		res, err := cl.ScaleAllreduce(srmcoll.ScaleOptions{Bytes: 64, Reps: 1, Verify: true})
@@ -443,14 +445,24 @@ func ranks(o *opts, args []string) error {
 		sim, events = res.Time, res.Events
 	}
 	wall := time.Since(start)
+	perRank := float64(heapAllocs()-allocs) / float64(n)
 	for r, buf := range bufs {
 		if !bytes.Equal(buf, bufs[0]) {
 			return fmt.Errorf("bcast rank %d received %v, want %v", r, buf, bufs[0])
 		}
 	}
-	fmt.Fprintf(o.w, "ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events, wall %s, %.0f events/sec%s\n",
-		n, nodes, tpn, o.op, sim, events, wall, float64(events)/wall.Seconds(), note)
+	fmt.Fprintf(o.w, "ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events, wall %s, %.0f events/sec, %.0f heap bytes/rank allocated%s\n",
+		n, nodes, tpn, o.op, sim, events, wall, float64(events)/wall.Seconds(), perRank, note)
 	return nil
+}
+
+// heapAllocs returns the bytes the process has allocated on the heap so far
+// (runtime/metrics' /gc/heap/allocs:bytes): what a run allocated is the
+// difference of two readings around it, a cold run's slabs included.
+func heapAllocs() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // tune prints the per-tree crossover curves on one hierarchical shape, or

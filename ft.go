@@ -400,7 +400,7 @@ func (h handle) ftSync(class trace.Class, flag uint64, k func()) {
 	}
 	// Ordered, like a blocking collective, after the rank's requests.
 	if tail := h.outstanding(); tail != nil {
-		h.wait(tail, s)
+		h.call.wait(tail, s)
 		return
 	}
 	s.Resume()
@@ -413,10 +413,10 @@ func (s *syncFrame) Resume() {
 	switch s.stage++; s.stage {
 	case 1: // no request outstanding: enter, and wait for the other survivors
 		s.g = h.rec.enter(h.rs.ft, h.rank, s.class.String(), s.flag)
-		s.span = h.rs.tr.Begin(h.t.Track(), s.class, s.class.String(), 0)
-		h.wait(s.g.ev, s)
+		s.span = h.rs.tr.Begin(h.call.t.Track(), s.class, s.class.String(), 0)
+		h.call.wait(s.g.ev, s)
 	case 2: // all in or declared failed: the agreement protocol's cost
-		h.sleep(h.ftSyncCost(), s)
+		h.call.sleep(h.ftSyncCost(), s)
 	case 3:
 		h.rs.tr.End(s.span)
 		s.k()

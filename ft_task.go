@@ -6,7 +6,7 @@ package srmcoll
 // it. An actor with a stack is blocked in the operation: the simulator runs the
 // task's unwind stack and raises the interrupt as a panic out of Park, where
 // block recovers it. An actor without one has nothing to raise it in: arm
-// installs the task's OnInterrupt handler and arms its unwind stack for the
+// installs the task's interrupt handler and arms its unwind stack for the
 // duration of the operation, and Interrupted runs it. Both end in
 // frame.declared, so the continuation gets the same *RankFailedError at the
 // same virtual time. TComm's two rendezvous methods follow.
@@ -25,10 +25,10 @@ func (f *frame) block() (err error) {
 		}()
 	}
 	if coll := f.h.rec.coll; coll.srm != nil {
-		f.start(coll.srm, f.t, f.h.rank, f.p.Resume())
-		f.p.Park()
+		f.start(coll.srm, f.t, f.h.rank, f.p().Resume())
+		f.p().Park()
 	} else {
-		f.invoke(coll.base, f.p, f.h.rank)
+		f.invoke(coll.base, f.p(), f.h.rank)
 	}
 	return nil
 }
@@ -36,11 +36,11 @@ func (f *frame) block() (err error) {
 // arm has a task without a stack catch by handler, its unwind stack armed,
 // until end puts it back as it is between operations.
 func (f *frame) arm() {
-	f.t.OnInterrupt = f
+	f.t.SetOnInterrupt(f)
 	f.t.SetUnwindArmed(true)
 }
 
-// Interrupted is the task's OnInterrupt handler while the operation is
+// Interrupted is the task's interrupt handler while the operation is
 // registered. The compensations run first, as before a panic out of Park.
 func (f *frame) Interrupted(payload any) {
 	f.t.RunUnwinds()

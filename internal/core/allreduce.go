@@ -58,10 +58,10 @@ func (ns *nodeStages) step(x *exec, f *frame) {
 	case f.pc == nsReduce:
 		f.pc = nsConsume
 		x.reduceWorker(&ns.rn[x.nx], f.a)
-	case f.k < len(ns.sp):
+	case int(f.k) < len(ns.sp):
 		c := ns.sp[f.k]
 		f.k++
-		x.consume(ns.pub[x.nx], f.k-1, f.c[c.off:c.off+c.n])
+		x.consume(ns.pub[x.nx], int(f.k)-1, f.c[c.off:c.off+c.n])
 	default:
 		x.ret()
 	}
@@ -108,7 +108,7 @@ func (g *Group) allreduce(x *exec, rank int, send, recv []byte, ds dataspec) {
 		panic(fmt.Sprintf("core: Allreduce mismatch at rank %d", rank))
 	}
 	ns := a.stages()
-	x.ds = ds
+	x.setSpec(ds)
 	if x.l != 0 {
 		x.call(ns, nsReduce, 0, send, recv)
 		return
@@ -157,7 +157,7 @@ func newRDState(g *Group, size int, ds dataspec) *rdState {
 
 // step is the master's role; f.i counts exchange rounds.
 func (a *rdState) step(x *exec, f *frame) {
-	nx := x.nx
+	nx := int(x.nx)
 	switch f.pc {
 	case fdReduce:
 		f.pc = fdFold
@@ -165,7 +165,7 @@ func (a *rdState) step(x *exec, f *frame) {
 			f.j = 1
 		}
 	case fdExchange:
-		if r := f.i; r < a.rounds {
+		if r := int(f.i); r < a.rounds {
 			partner := nx ^ (1 << r)
 			x.put(x.g.master(partner), *a.slot.at(partner, 1+r), a.partial(f), &a.cn[partner][cnRound+r])
 			x.waitcntr(&a.cn[nx][cnRound+r], 1)

@@ -111,7 +111,7 @@ func (g *Group) alltoall(x *exec, rank int, send, recv []byte) {
 }
 
 func (a *alltoallState) step(x *exec, f *frame) {
-	g, s, nx, li, blk := a.g, a.g.s, x.nx, x.l, a.blk
+	g, s, nx, li, blk := a.g, a.g.s, int(x.nx), int(x.l), a.blk
 	send, recv := f.a, f.c
 	nn, P, gi := len(g.lay.nodes), len(g.lay.members), g.lay.index(int(x.rank))
 	mine := len(g.lay.local[nx])
@@ -121,9 +121,9 @@ func (a *alltoallState) step(x *exec, f *frame) {
 	// destination node's slab is laid out [src local][dst local], so runs
 	// to the same node are coalesced into contiguous ranges per source.
 	case a2aStage:
-		for ; f.i < nn; f.i++ {
+		for ; int(f.i) < nn; f.i++ {
 			dsts := g.lay.local[f.i]
-			row := (*a.out.at(nx, f.i))[li*len(dsts)*blk : (li+1)*len(dsts)*blk]
+			row := (*a.out.at(nx, int(f.i)))[li*len(dsts)*blk : (li+1)*len(dsts)*blk]
 			if blk > 0 && len(dsts) > 0 {
 				// Gather this member's blocks for the node's members into
 				// its row of the slab (one contiguous copy per destination).
@@ -144,7 +144,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 			f.pc, f.i = a2aPut, 1
 		}
 	case a2aPut:
-		if d := f.i; d < nn {
+		if d := int(f.i); d < nn {
 			y := (nx + d) % nn
 			x.put(g.master(y), *a.in.at(y, nx), *a.out.at(nx, y), &a.arr[y][nx])
 			f.i++
@@ -154,7 +154,7 @@ func (a *alltoallState) step(x *exec, f *frame) {
 		*a.in.at(nx, nx) = *a.out.at(nx, nx)
 		f.pc, f.i = a2aWait, 1
 	case a2aWait:
-		if d := f.i; d < nn {
+		if d := int(f.i); d < nn {
 			x.waitcntr(&a.arr[nx][(nx+d)%nn], 1)
 			f.i++
 			return
@@ -166,12 +166,12 @@ func (a *alltoallState) step(x *exec, f *frame) {
 		f.pc, f.i = a2aPick, 0
 	// Phase 3: pick this member's column out of every inbound slab.
 	case a2aPick:
-		for ; f.i < nn; f.i++ {
+		for ; int(f.i) < nn; f.i++ {
 			srcs := g.lay.local[f.i]
 			if blk == 0 || len(srcs) == 0 {
 				continue
 			}
-			slab := *a.in.at(nx, f.i)
+			slab := *a.in.at(nx, int(f.i))
 			for lj, src := range srcs {
 				off := g.lay.index(src) * blk
 				copy(recv[off:off+blk], slab[(lj*mine+li)*blk:(lj*mine+li+1)*blk])
@@ -193,15 +193,15 @@ func (a *alltoallState) step(x *exec, f *frame) {
 		x.memcpy(recv[gi*blk:(gi+1)*blk], send[gi*blk:(gi+1)*blk])
 		f.pc, f.i = a2aDirectWait, 1
 	case a2aDirectWait:
-		if f.i == P {
+		if int(f.i) == P {
 			x.waitcntr(a.blkArr[gi], P-1)
 			x.ret()
 			return
 		}
-		x.waitEvent(&a.registered[(gi+f.i)%P])
+		x.waitEvent(&a.registered[(gi+int(f.i))%P])
 		f.pc = a2aDirectPut
 	case a2aDirectPut:
-		gj := (gi + f.i) % P
+		gj := (gi + int(f.i)) % P
 		target := g.lay.members[gj]
 		dst, src := a.recvBuf[gj][gi*blk:(gi+1)*blk], send[gj*blk:(gj+1)*blk]
 		if s.m.NodeOf(target) == int(x.node) {

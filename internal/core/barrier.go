@@ -72,8 +72,8 @@ func (b *barrierState) step(x *exec, f *frame) {
 			x.interrupts(false)
 		}
 		f.pc = 1
-	case nn > 1 && f.k < b.rounds:
-		peer := (x.nx + 1<<f.k) % nn
+	case nn > 1 && int(f.k) < b.rounds:
+		peer := (int(x.nx) + 1<<int(f.k)) % nn
 		x.putZero(g.master(peer), &b.cnt[peer][f.k])
 		x.waitcntr(&b.cnt[x.nx][f.k], 1)
 		f.k++

@@ -101,7 +101,7 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 		panic(fmt.Sprintf("core: Bcast mismatch at rank %d: root %d/%d size %d/%d",
 			rank, root, b.root, len(buf), b.size))
 	}
-	nx := x.nx
+	nx := int(x.nx)
 	if rank != b.emb.masters[nx] {
 		x.call(b, bcConsume, 0, buf, nil)
 		return
@@ -121,7 +121,7 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 }
 
 func (b *bcastState) step(x *exec, f *frame) {
-	nx, buf, k := x.nx, f.a, f.k
+	nx, buf, k := int(x.nx), f.a, int(f.k)
 	pub := b.pub[nx]
 	kids := b.emb.inter.Children[nx]
 	atRoot := nx == b.emb.inter.Root
@@ -163,7 +163,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 		// Send down the inter-node tree first (§2.4: "the received data is
 		// sent down the tree, and then SMP broadcast is performed"), each
 		// child once its buffer of this parity is free.
-		if f.i < len(kids) {
+		if int(f.i) < len(kids) {
 			child := kids[f.i]
 			f.i++
 			x.waitcntr(&b.freeC[child][parity], 1)
@@ -184,7 +184,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 			f.pc = bcSmallFree
 			return
 		}
-		f.pc, f.k = bcSmall, k+1
+		f.pc, f.k = bcSmall, int32(k+1)
 	case bcSmallFree:
 		// Free the buffer to the parent once the node is done with it (only
 		// while a chunk k+2 remains to reuse this parity).
@@ -193,6 +193,6 @@ func (b *bcastState) step(x *exec, f *frame) {
 			x.putZero(b.emb.masters[b.emb.inter.Parent[nx]], &b.freeC[nx][parity])
 		}
 		x.end()
-		f.pc, f.k = bcSmall, k+1
+		f.pc, f.k = bcSmall, int32(k+1)
 	}
 }

@@ -50,7 +50,7 @@ type stepper interface {
 type frame struct {
 	b        stepper
 	pc, span int32 // span: open trace span, closed by end or on abort; -1 when none
-	i, j, k  int
+	i, j, k  int32
 	a, c     []byte
 }
 
@@ -132,7 +132,7 @@ const (
 // one collective. Executors are the SRM's, on a free list, so a call costs no
 // heap object once every concurrently running task has one.
 //
-// An exec is four cache lines, so each one in a slab starts on a line, and
+// An exec is three cache lines, so each one in a slab starts on a line, and
 // what resume and run read on every visit is on its first: the task, the
 // engine, the queue and its state and the stack depth.
 type exec struct {
@@ -150,20 +150,30 @@ type exec struct {
 
 	root frame     // the collective's body
 	sub  *subFrame // the SMP stage it has called, from SRM.subs; nil when none
-	kont sim.K     // runs after the collective completes
+	kont sim.K     // runs after the collective completes; a pipeline helper's triggers its master's event (spawn)
 
 	// Call context, set by Group.acquire: the group, the operation's sequence
-	// number, the node index and local index in the group, and the data.
-	// ScaleAllreduce, which has no group, sets the indexes and the data.
-	g     *Group
-	seq   int
-	nx, l int
-	ds    dataspec
-
-	done *sim.Event // helper: triggered at finish
-	_    [24]byte   // to four whole cache lines
+	// number, the node index and local index in the group, and the data of a
+	// combine (setSpec). ScaleAllreduce, which has no group, sets the indexes
+	// and the data.
+	g       *Group
+	seq     int32
+	nx, l   int32
+	dt, dop uint8 // the dataspec, validated before it is set
 	bufpool.Link[exec]
 }
+
+// setSpec records the data of the collective's combines, which the caller has
+// validated: its type and operator are a byte each.
+func (x *exec) setSpec(ds dataspec) { x.dt, x.dop = uint8(ds.dt), uint8(ds.op) }
+
+// spec returns the data of the collective's combines.
+func (x *exec) spec() dataspec { return dataspec{dtype.Type(x.dt), dtype.Op(x.dop)} }
+
+// trigger is an event as the continuation that triggers it.
+type trigger sim.Event
+
+func (e *trigger) Resume() { (*sim.Event)(e).Trigger() }
 
 // execAbort is the executor as the compensation on its task's unwind stack.
 type execAbort exec
@@ -203,14 +213,11 @@ func (x *exec) finish() {
 		x.s.m.Env.Trace.End(int(x.top().span))
 		x.pop()
 	}
-	if x.done != nil {
-		x.done.Trigger()
-	}
 	if x.quiet {
 		x.ep.SetInterrupts(true)
 	}
 	if x.g != nil {
-		x.g.retire(x.seq, aborted)
+		x.g.retire(int(x.seq), aborted)
 	}
 	x.dropQueue()
 	x.s.execs.Put(x)
@@ -348,19 +355,20 @@ func (x *exec) pop() {
 
 func (x *exec) waitFlagT(fl *shm.Flag, o *op) {
 	if o.eq {
-		fl.WaitForK(x.t, int(o.v), x)
+		fl.WaitForK(x.s.m, x.t, int(o.v), x)
 	} else {
-		fl.WaitGEK(x.t, int(o.v), x)
+		fl.WaitGEK(x.s.m, x.t, int(o.v), x)
 	}
 }
 
 // reduce and count are the data and the statistics of opCombine (and
 // count the statistics of opCharge).
 func (x *exec) reduce(o *op) {
+	ds := x.spec()
 	if o.eq {
-		dtype.ReduceInto(x.ds.op, x.ds.dt, o.dst, x.oq.rare.own, o.src)
+		dtype.ReduceInto(ds.op, ds.dt, o.dst, x.oq.rare.own, o.src)
 	} else {
-		dtype.Reduce(x.ds.op, x.ds.dt, o.dst, o.src)
+		dtype.Reduce(ds.op, ds.dt, o.dst, o.src)
 	}
 }
 
@@ -368,7 +376,7 @@ func (x *exec) count(o *op) {
 	if o.kind == opCharge {
 		x.s.m.Stats.AddCopy(int(o.v))
 	} else {
-		x.s.m.Stats.AddReduce(len(o.dst) / max(1, x.ds.dt.Size()))
+		x.s.m.Stats.AddReduce(len(o.dst) / max(1, x.spec().dt.Size()))
 	}
 }
 
@@ -376,11 +384,11 @@ func (x *exec) count(o *op) {
 func (x *exec) effect(o *op) {
 	switch o.kind {
 	case opSet:
-		o.flag.Set(int(o.v))
+		o.flag.Store(x.s.m, int(o.v))
 	case opSetAll:
 		set := *x.oq.rare.set
 		for i := range set {
-			set[i].Set(int(o.v))
+			set[i].Store(x.s.m, int(o.v))
 		}
 	case opIncr:
 		o.cntr.Incr(1)
@@ -435,7 +443,7 @@ func (x *exec) call(b stepper, pc, k int, a, c []byte) *frame {
 		f = &x.sub.frame
 	}
 	x.depth++
-	*f = frame{b: b, pc: int32(pc), k: k, a: a, c: c, span: -1}
+	*f = frame{b: b, pc: int32(pc), k: int32(k), a: a, c: c, span: -1}
 	return f
 }
 
@@ -546,13 +554,13 @@ func (x *exec) end() { x.bits |= bitEnd }
 
 // spawn starts body b at pc 0, with a as its buffer, as a pipeline helper
 // beside the caller: a task of its own on the caller's rank; done fires when
-// the helper finishes. It acts at once.
+// the helper finishes, as the helper's continuation. It acts at once.
 func (x *exec) spawn(b stepper, a []byte, done *sim.Event) {
 	s := x.s
-	h := s.exec(nil, nil)
-	h.rank, h.nx, h.l, h.node, h.ep, h.ds, h.done = x.rank, x.nx, x.l, x.node, x.ep, x.ds, done
+	h := s.exec(nil, (*trigger)(done))
+	h.rank, h.nx, h.l, h.node, h.ep, h.dt, h.dop = x.rank, x.nx, x.l, x.node, x.ep, x.dt, x.dop
 	h.call(b, 0, 0, a, nil)
-	s.m.Env.SpawnTask("srm-arb-", x.nx, func(ht *sim.Task) {
+	s.m.Env.SpawnTask("srm-arb-", int(x.nx), func(ht *sim.Task) {
 		h.bind(ht)
 		// A timeline of its own above the rank tracks, so the helper's spans
 		// do not interleave with its master's.

@@ -214,7 +214,7 @@ func (g *Group) allgather(x *exec, rank int, send, recv []byte) {
 }
 
 func (st *redistState) step(x *exec, f *frame) {
-	g, s, rank, nx, l, blk := st.g, st.g.s, int(x.rank), x.nx, x.l, st.blk
+	g, s, rank, nx, l, blk := st.g, st.g.s, int(x.rank), int(x.nx), int(x.l), st.blk
 	send, recv := f.a, f.c
 	nn := len(g.lay.nodes)
 	master := rank == st.masters[nx]
@@ -251,7 +251,7 @@ func (st *redistState) step(x *exec, f *frame) {
 		// The master forwards each contiguous slab straight to its final
 		// offset in the root's receive buffer — one put per run; the root's
 		// own node copies its slabs and waits for every remote one to land.
-		for f.i < len(st.runs) {
+		for int(f.i) < len(st.runs) {
 			rn := st.runs[f.i]
 			so, po, n := st.slabRange(rn)
 			f.i++
@@ -288,7 +288,7 @@ func (st *redistState) step(x *exec, f *frame) {
 	case rsScatterSlabs:
 		// The root master slabs the send buffer out: remote runs by put
 		// into the target node's staging, local runs by memcpy.
-		for f.i < len(st.runs) {
+		for int(f.i) < len(st.runs) {
 			rn := st.runs[f.i]
 			so, po, n := st.slabRange(rn)
 			f.i++
@@ -315,7 +315,7 @@ func (st *redistState) step(x *exec, f *frame) {
 	case rsAllgather:
 		// Members stage their block at its group offset in the node's copy
 		// of the full vector.
-		if off := f.k * blk; blk > 0 {
+		if off := int(f.k) * blk; blk > 0 {
 			x.memcpy(st.staged[nx][off:off+blk], send)
 		}
 		x.set(&st.inFlag[nx][l], 1)
@@ -333,12 +333,12 @@ func (st *redistState) step(x *exec, f *frame) {
 		// holds every slab at its final offset. The ready counter ticks
 		// per step so members fan slabs out while the ring still runs. f.j
 		// walks the runs, one put a step.
-		step, right := f.i, (nx+1)%nn
+		step, right := int(f.i), (nx+1)%nn
 		if step >= nn {
 			f.pc, f.i = rsAllgatherFan, 0
 			return
 		}
-		for f.j < len(st.runs) {
+		for int(f.j) < len(st.runs) {
 			rn := st.runs[f.j]
 			f.j++
 			if rn.node == (nx-step+1+nn)%nn {
@@ -351,20 +351,20 @@ func (st *redistState) step(x *exec, f *frame) {
 		// counter ties the wait to this step's data.
 		x.waitcntr(&st.stepArr[nx][step], runsOn((nx-step+nn)%nn))
 		x.set(st.ready[nx], step+1)
-		f.i, f.j = step+1, 0
+		f.i, f.j = int32(step+1), 0
 	case rsAllgatherFan:
 		// Fan out, pipelined with the ring: at step s the slabs that
 		// originated at node (x-s mod nn) become copyable, and rsAllgatherCopy
 		// copies them out, one a step (f.j walks the runs).
-		if f.i == nn {
+		if int(f.i) == nn {
 			x.ret()
 			return
 		}
-		x.waitGE(st.ready[nx], f.i+1)
+		x.waitGE(st.ready[nx], int(f.i)+1)
 		f.pc, f.j = rsAllgatherCopy, 0
 	case rsAllgatherCopy:
-		step := f.i
-		for f.j < len(st.runs) {
+		step := int(f.i)
+		for int(f.j) < len(st.runs) {
 			rn := st.runs[f.j]
 			f.j++
 			if _, po, n := st.slabRange(rn); rn.node == (nx-step+nn)%nn && n > 0 {
@@ -372,14 +372,14 @@ func (st *redistState) step(x *exec, f *frame) {
 				return
 			}
 		}
-		f.pc, f.i = rsAllgatherFan, step+1
+		f.pc, f.i = rsAllgatherFan, int32(step+1)
 
 	// The large-block allgather: a ring over group members with each block
 	// put straight into the right neighbor's receive buffer (a
 	// shared-memory copy when the neighbor is local). Bandwidth matches the
 	// classic ring; the staging copies disappear. f.k is the group rank.
 	case rsDirect:
-		gi, P := f.k, len(g.lay.members)
+		gi, P := int(f.k), len(g.lay.members)
 		st.recvBuf[gi] = recv
 		st.registered[gi].Trigger()
 		x.memcpy(recv[gi*blk:(gi+1)*blk], send)
@@ -390,7 +390,7 @@ func (st *redistState) step(x *exec, f *frame) {
 		x.waitEvent(&st.registered[(gi+1)%P])
 		f.pc, f.i = rsDirectRing, 1
 	case rsDirectRing:
-		gi, P, step := f.k, len(g.lay.members), f.i
+		gi, P, step := int(f.k), len(g.lay.members), int(f.i)
 		if step == P {
 			x.ret()
 			return

@@ -185,8 +185,8 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 		g.s.build(e, mk)
 	}
 	at := g.lay.at[i]
-	x.g, x.seq, x.rank = g, seq, int32(rank)
-	x.nx, x.l = int(at.nx), int(at.l)
+	x.g, x.seq, x.rank = g, int32(seq), int32(rank)
+	x.nx, x.l = at.nx, at.l
 	x.node = int32(g.lay.nodes[x.nx])
 	x.ep = g.s.dom.Endpoint(rank)
 	return g.ops[seq-g.base].state

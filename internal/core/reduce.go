@@ -84,7 +84,7 @@ func (g *Group) reduce(x *exec, rank int, send, recv []byte, ds dataspec, root i
 	if r.root != root || r.size != len(send) || r.ds != ds {
 		panic(fmt.Sprintf("core: Reduce mismatch at rank %d", rank))
 	}
-	x.ds = ds
+	x.setSpec(ds)
 	if rank == root {
 		if len(recv) != len(send) {
 			panic(fmt.Sprintf("core: Reduce root recv %d bytes, want %d", len(recv), len(send)))

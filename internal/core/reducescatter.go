@@ -116,7 +116,7 @@ func (g *Group) reduceScatter(x *exec, rank int, send, recv []byte, ds dataspec)
 	if r.blk != len(recv) || r.ds != ds {
 		panic(fmt.Sprintf("core: ReduceScatter mismatch at rank %d", rank))
 	}
-	x.ds = ds
+	x.setSpec(ds)
 	pc := rscWorker
 	if x.l == 0 {
 		pc = rscReduce
@@ -125,16 +125,16 @@ func (g *Group) reduceScatter(x *exec, rank int, send, recv []byte, ds dataspec)
 }
 
 func (st *reduceScatterState) step(x *exec, f *frame) {
-	g, nx, send, recv := st.g, x.nx, f.a, f.c
+	g, nx, send, recv := st.g, int(x.nx), f.a, f.c
 	nn := len(g.lay.nodes)
-	y := (nx + f.i) % nn
+	y := (nx + int(f.i)) % nn
 	switch f.pc {
 	// Phase 1: full-vector SMP reduce into the master's partial buffer.
 	case rscWorker:
 		f.pc = rscOut
 		x.reduceWorker(&st.rn[nx], send)
 	case rscReduce:
-		if k := f.k; k < len(st.sp) {
+		if k := int(f.k); k < len(st.sp) {
 			c := st.sp[k]
 			tchunk, own := st.partial[nx][c.off:c.off+c.n], send[c.off:c.off+c.n]
 			f.k++
@@ -146,14 +146,14 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 		copy(st.acc[nx], st.slabFor(x, st.partial[nx], nx))
 		f.pc, f.i = rscPut, 1
 	case rscPut:
-		if f.i == nn {
+		if int(f.i) == nn {
 			f.pc, f.i = rscFold, 1
 			return
 		}
 		x.put(g.master(y), *st.slot.at(y, nx), st.slabFor(x, st.partial[nx], y), &st.arr[y][nx])
 		f.i++
 	case rscFold:
-		if f.i == nn {
+		if int(f.i) == nn {
 			x.set(st.ready[nx], 1)
 			f.pc = rscOut
 			return
@@ -167,7 +167,7 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 	case rscOut:
 		x.waitEQ(st.ready[nx], 1)
 		if st.blk > 0 {
-			x.memcpy(recv, st.acc[nx][x.l*st.blk:(x.l+1)*st.blk])
+			x.memcpy(recv, st.acc[nx][int(x.l)*st.blk:(int(x.l)+1)*st.blk])
 		}
 		x.ret()
 	}

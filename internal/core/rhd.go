@@ -46,7 +46,7 @@ const (
 // doubling allgather and the fold-out leave the full result in recv, which
 // is then distributed on the node.
 func (a *rhdState) step(x *exec, f *frame) {
-	g, nx, send, recv, r := x.g, x.nx, f.a, f.c, f.i
+	g, nx, send, recv, r := x.g, int(x.nx), f.a, f.c, int(f.i)
 	esize := a.ds.dt.Size()
 	elems := a.size / esize
 	rounds := a.rounds
@@ -62,7 +62,7 @@ func (a *rhdState) step(x *exec, f *frame) {
 		// of the current segment the partner keeps, then combines the
 		// received half into the kept one.
 		if r == rounds {
-			f.pc, f.i = rhdGather, rounds-1
+			f.pc, f.i = rhdGather, int32(rounds-1)
 			return
 		}
 		lo, hi := a.segment(nx, r, elems)
@@ -91,7 +91,7 @@ func (a *rhdState) step(x *exec, f *frame) {
 		lo, hi := a.segment(nx, r+1, elems)
 		x.put(g.master(partner), a.resBuf[partner][lo*esize:hi*esize], recv[lo*esize:hi*esize], &a.cn[partner][cnRound+2*r+1])
 		x.waitcntr(&a.cn[nx][cnRound+2*r+1], 1)
-		f.pc, f.i = rhdGather, r-1
+		f.pc, f.i = rhdGather, int32(r-1)
 	default:
 		a.foldStep(x, f)
 	}

@@ -62,15 +62,15 @@ func (a *ringState) stepBlocks(x, st int) (sendIdx, recvIdx int) {
 // the left (pc 1), then combines (reduce-scatter half) or copies it in
 // (allgather half) and recredits the left neighbour (pc 3).
 func (a *ringState) step(x *exec, f *frame) {
-	g, nx, send, recv := a.g, x.nx, f.a, f.c
+	g, nx, send, recv := a.g, int(x.nx), f.a, f.c
 	nn := len(g.lay.nodes)
 	steps := 2 * (nn - 1)
 	switch {
 	case f.pc == 0:
 		f.pc = 1
 		x.reduceInto(&a.rn[nx], 0, recv, send)
-	case f.pc == 1 && f.i < steps:
-		st, right := f.i, (nx+1)%nn
+	case f.pc == 1 && int(f.i) < steps:
+		st, right := int(f.i), (nx+1)%nn
 		sendIdx, _ := a.stepBlocks(nx, st)
 		sb := a.blk[sendIdx]
 		x.waitcntr(a.credit[nx], 1)
@@ -78,8 +78,8 @@ func (a *ringState) step(x *exec, f *frame) {
 		x.waitcntr(&a.arr[nx][st%2], 1)
 		f.pc = 3
 	case f.pc == 3:
-		st, left := f.i, (nx+nn-1)%nn
-		f.pc, f.i = 1, st+1
+		st, left := int(f.i), (nx+nn-1)%nn
+		f.pc, f.i = 1, int32(st+1)
 		_, recvIdx := a.stepBlocks(nx, st)
 		rb := a.blk[recvIdx]
 		src, dst := a.slot[nx][st%2][:rb.n], recv[rb.off:rb.off+rb.n]

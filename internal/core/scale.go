@@ -122,9 +122,10 @@ func (s *SRM) ScaleAllreduce(reps int, send, recv []byte, fin []sim.Time) {
 	body := func(t *sim.Task) {
 		rank := t.Num()
 		x := s.exec(t, nil)
-		x.rank, x.ep, x.ds = int32(rank), s.dom.Endpoint(rank), ds
-		x.nx, x.l = rank/st.tpn, rank%st.tpn
-		x.node = int32(x.nx)
+		x.rank, x.ep = int32(rank), s.dom.Endpoint(rank)
+		x.setSpec(ds)
+		x.nx, x.l = int32(rank/st.tpn), int32(rank%st.tpn)
+		x.node = x.nx
 		if x.l == 0 {
 			x.ep.SetInterrupts(false)
 		}
@@ -149,7 +150,7 @@ const (
 )
 
 func (st *scaleState) step(x *exec, f *frame) {
-	nx, k, n := x.nx, f.k, st.n
+	nx, k, n := int(x.nx), int(f.k), st.n
 	nd := &st.nodes[nx]
 	switch f.pc {
 	case scRep:
@@ -159,7 +160,7 @@ func (st *scaleState) step(x *exec, f *frame) {
 			return
 		}
 		if x.l != 0 {
-			x.memcpy(nd.contrib[x.l*n:(x.l+1)*n], f.a)
+			x.memcpy(nd.contrib[int(x.l)*n:(int(x.l)+1)*n], f.a)
 			x.set(&nd.contribF[x.l], k)
 			x.waitGE(nd.resultF, k)
 			f.pc = scOut
@@ -168,15 +169,15 @@ func (st *scaleState) step(x *exec, f *frame) {
 		x.memcpy(nd.acc, f.a)
 		f.pc, f.i = scIntra, 1
 	case scIntra:
-		if f.i < len(nd.contribF) {
+		if int(f.i) < len(nd.contribF) {
 			x.waitGE(&nd.contribF[f.i], k)
-			x.combine(nd.acc, nil, nd.contrib[f.i*n:(f.i+1)*n])
+			x.combine(nd.acc, nil, nd.contrib[int(f.i)*n:(int(f.i)+1)*n])
 			f.i++
 			return
 		}
 		f.pc, f.i = scKids, 1
 	case scKids:
-		if c := st.child(nx, f.i); c >= 0 {
+		if c := st.child(nx, int(f.i)); c >= 0 {
 			cn := &st.nodes[c]
 			x.waitcntr(cn.arr, 1)
 			x.combine(nd.acc, nil, cn.slot)
@@ -202,7 +203,7 @@ func (st *scaleState) step(x *exec, f *frame) {
 		x.set(nd.resultF, k)
 		f.pc, f.i = scDown, 1
 	case scDown:
-		if c := st.child(nx, f.i); c >= 0 {
+		if c := st.child(nx, int(f.i)); c >= 0 {
 			cn := &st.nodes[c]
 			x.waitcntr(cn.dCredit, 1)
 			x.put(st.master(c), cn.bBuf, nd.result, cn.bArr)
@@ -212,6 +213,6 @@ func (st *scaleState) step(x *exec, f *frame) {
 		f.pc = scOut
 	case scOut:
 		x.memcpy(f.c, nd.result)
-		f.pc, f.k = scRep, k+1
+		f.pc, f.k = scRep, int32(k+1)
 	}
 }

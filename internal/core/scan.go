@@ -72,7 +72,7 @@ func (g *Group) scan(x *exec, rank int, send, recv []byte, ds dataspec, exclusiv
 	if sc.size != len(send) || sc.ds != ds {
 		panic(fmt.Sprintf("core: scan mismatch at rank %d", rank))
 	}
-	x.ds = ds
+	x.setSpec(ds)
 	f := x.call(sc, 0, g.lay.index(rank), send, recv)
 	if exclusive {
 		f.j = 1
@@ -81,7 +81,7 @@ func (g *Group) scan(x *exec, rank int, send, recv []byte, ds dataspec, exclusiv
 
 // step: f.k is the group rank, f.i counts rounds, f.j != 0 means Exscan.
 func (st *scanState) step(x *exec, f *frame) {
-	g, gi, send, recv := st.g, f.k, f.a, f.c
+	g, gi, send, recv := st.g, int(f.k), f.a, f.c
 	P := len(g.lay.members)
 	switch {
 	case f.pc == 0:
@@ -90,8 +90,8 @@ func (st *scanState) step(x *exec, f *frame) {
 			x.memcpy(recv, send)
 		}
 		f.pc = 1
-	case f.pc == 1 && f.i < st.rounds:
-		r, dist := f.i, 1<<f.i
+	case f.pc == 1 && int(f.i) < st.rounds:
+		r, dist := int(f.i), 1<<int(f.i)
 		if gi+dist < P {
 			x.put(g.lay.members[gi+dist], *st.slot.at(gi+dist, r), recv, &st.arr[gi+dist][r])
 		}

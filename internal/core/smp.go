@@ -63,7 +63,7 @@ func (pub *smpPub) init(s *SRM, node, masterLocal, count, bufSize int) {
 func (pub *smpPub) waitConsumed(x *exec, k int) { x.waitAllGE(&pub.done, k+1, pub.masterLocal) }
 
 func (pub *smpPub) step(x *exec, f *frame) {
-	k, parity := f.k, f.k%2
+	k, parity := int(f.k), int(f.k)%2
 	switch f.pc {
 	case pubPublish:
 		if len(pub.done) == 1 {
@@ -127,7 +127,7 @@ func (tp *treePub) init(s *SRM, node, masterLocal, count, bufSize int) {
 func (tp *treePub) waitConsumed(x *exec, k int) { x.waitAllGE(&tp.ack[tp.tr.Root], k+1, -1) }
 
 func (tp *treePub) step(x *exec, f *frame) {
-	k, parity, local, dst := f.k, f.k%2, x.l, f.a
+	k, parity, local, dst := int(f.k), int(f.k)%2, int(x.l), f.a
 	switch f.pc {
 	case pubPublish:
 		root := tp.tr.Root
@@ -218,7 +218,7 @@ func (pub *barrierPub) waitConsumed(x *exec, k int) {
 }
 
 func (pub *barrierPub) step(x *exec, f *frame) {
-	k, parity := f.k, f.k%2
+	k, parity := int(f.k), int(f.k)%2
 	switch f.pc {
 	case pubPublish:
 		if len(pub.checkin) == 1 {
@@ -355,11 +355,11 @@ func (x *exec) reduceInto(rn *redNode, k int, target, own []byte) {
 }
 
 func (rn *redNode) step(x *exec, f *frame) {
-	local := x.l
+	local := int(x.l)
 	if f.pc == redMaster {
 		local = rn.tr.Root
 	}
-	kids, k := rn.tr.Children[local], f.k
+	kids, k := rn.tr.Children[local], int(f.k)
 	target, own := f.a, f.c
 	if f.pc != redMaster {
 		if k == len(rn.sp) {
@@ -380,7 +380,7 @@ func (rn *redNode) step(x *exec, f *frame) {
 		if len(kids) == 0 && len(target) > 0 {
 			x.memcpy(target, own) // the Figure 2 leaf copy
 		}
-	case f.i < len(kids):
+	case int(f.i) < len(kids):
 		// Fold child f.i's slot in, charging combine time, and mark the
 		// slot free afterwards.
 		c := kids[f.i]
@@ -397,6 +397,6 @@ func (rn *redNode) step(x *exec, f *frame) {
 		x.ret()
 	default:
 		x.set(rn.full(local), k+1)
-		f.pc, f.i, f.k = redWorker, 0, k+1
+		f.pc, f.i, f.k = redWorker, 0, int32(k+1)
 	}
 }

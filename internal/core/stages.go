@@ -78,7 +78,7 @@ const (
 )
 
 func (u *treeReduce) step(x *exec, f *frame) {
-	nx, k := x.nx, f.k
+	nx, k := int(x.nx), int(f.k)
 	if k == len(u.sp) {
 		if u.done != nil {
 			x.waitEvent(&u.done[nx])
@@ -98,7 +98,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 		return
 	}
 	have := f.j != 0 || f.i > 0
-	if kids := tp.emb.inter.Children[nx]; f.i < len(kids) {
+	if kids := tp.emb.inter.Children[nx]; int(f.i) < len(kids) {
 		child := kids[f.i]
 		f.i++
 		x.waitcntr(&tp.arr[child][idx%2], 1)
@@ -131,7 +131,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 			x.set(tp.chunkDone, idx+1)
 		}
 	}
-	f.pc, f.k = trChunk, k+1
+	f.pc, f.k = trChunk, int32(k+1)
 }
 
 // treeBcast is the broadcast down a tree of node masters that puts each chunk
@@ -158,7 +158,7 @@ const (
 )
 
 func (d *treeBcast) step(x *exec, f *frame) {
-	nx, k := x.nx, f.k
+	nx, k := int(x.nx), int(f.k)
 	if k == len(d.sp) {
 		d.pub[nx].waitConsumed(x, k-1)
 		x.ret()
@@ -183,12 +183,12 @@ func (d *treeBcast) step(x *exec, f *frame) {
 		}
 		f.pc, f.i = tbKids, 0
 	case tbKids:
-		if f.i < len(kids) {
+		if int(f.i) < len(kids) {
 			x.waitEvent(&d.ready[kids[f.i]])
 			f.pc = tbPut
 			return
 		}
-		f.pc, f.k = tbChunk, k+1
+		f.pc, f.k = tbChunk, int32(k+1)
 		x.publish(d.pub[nx], k, mine, false)
 	case tbPut:
 		child := kids[f.i]
@@ -272,7 +272,7 @@ func (fd *fold) absorb(x *exec, f *frame, src []byte) {
 }
 
 func (fd *fold) foldStep(x *exec, f *frame) {
-	g, nx, send, recv := x.g, x.nx, f.a, f.c
+	g, nx, send, recv := x.g, int(x.nx), f.a, f.c
 	extra := nx + fd.pow
 	hasExtra := extra < len(g.lay.nodes)
 	switch f.pc {

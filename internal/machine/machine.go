@@ -427,6 +427,7 @@ func New(env *sim.Env, cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{Env: env, Cfg: cfg, Stats: &trace.Stats{}, Buffers: bufpool.New()}
+	env.Host = m
 	m.nodes = make([]Node, cfg.Nodes)
 	for i := range m.nodes {
 		m.nodes[i].ID = i
@@ -652,7 +653,7 @@ func (m *Machine) SpinExit(node int) {
 type spinWait struct {
 	m    *Machine
 	node int
-	word *int
+	word *int32
 	t    *sim.Task
 	v    int
 	eq   bool // wait for == v rather than >= v
@@ -667,9 +668,9 @@ func (u *spinUnwind) Resume() { (*spinWait)(u).unwind() }
 
 func (fr *spinWait) Ready() bool {
 	if fr.eq {
-		return *fr.word == fr.v
+		return int(*fr.word) == fr.v
 	}
-	return *fr.word >= fr.v
+	return int(*fr.word) >= fr.v
 }
 
 func (fr *spinWait) Resume() {
@@ -692,7 +693,7 @@ func (fr *spinWait) unwind() {
 // SpinT spins t on c until *word is at least v (equal to it, with eq), then
 // runs k: the wait of a shm flag, which obj and v describe in stall reports.
 // Meanwhile t counts as a spinner on node (SpinEnter).
-func (m *Machine) SpinT(t *sim.Task, node int, c *sim.Cond, obj sim.WaitDescriber, word *int, v int, eq bool, k sim.K) {
+func (m *Machine) SpinT(t *sim.Task, node int, c *sim.Cond, obj sim.WaitDescriber, word *int32, v int, eq bool, k sim.K) {
 	fr := m.spins.Get()
 	fr.m, fr.node, fr.word, fr.t, fr.v, fr.eq, fr.k = m, node, word, t, v, eq, k
 	fr.id = m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0)

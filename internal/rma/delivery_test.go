@@ -40,7 +40,7 @@ func TestDeferredPutsEachLandTheirOwn(t *testing.T) {
 	})
 	env.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(300) // both have arrived and are deferred
-		if got := len(d.Endpoint(1).pending); got != 2 {
+		if got := pendingCount(d.Endpoint(1)); got != 2 {
 			t.Errorf("%d deliveries pending, want 2", got)
 		}
 		if tgtA.val != 0 || tgtB.val != 0 || idleFrames(d) != 0 {
@@ -112,8 +112,8 @@ func TestDeadTargetNeverLands(t *testing.T) {
 	env.Spawn("send", func(p *sim.Proc) {
 		d.Endpoint(0).Put(p, d.Endpoint(2), dstDeferred, src, nil, cDeferred, nil)
 		p.Sleep(300) // arrived and deferred
-		if len(d.Endpoint(2).pending) != 1 {
-			t.Errorf("%d deliveries pending at rank 2, want 1", len(d.Endpoint(2).pending))
+		if pendingCount(d.Endpoint(2)) != 1 {
+			t.Errorf("%d deliveries pending at rank 2, want 1", pendingCount(d.Endpoint(2)))
 		}
 		d.Endpoint(0).Put(p, d.Endpoint(2), dstLate, src, nil, cLate, nil)
 		d.MarkDead(2) // the second put is on the wire, the first in the pending list
@@ -327,4 +327,13 @@ func TestMarkDeadNeedsAllowDeaths(t *testing.T) {
 		}
 	}()
 	d.AllowDeaths()
+}
+
+// pendingCount returns the length of the endpoint's pending list.
+func pendingCount(ep *Endpoint) int {
+	n := 0
+	for p := ep.pending; p != nil; p = p.next {
+		n++
+	}
+	return n
 }

@@ -14,6 +14,7 @@ package rma
 
 import (
 	"fmt"
+	"strconv"
 
 	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
@@ -27,11 +28,11 @@ import (
 // repeated round-trip flow control (§2.4 broadcast buffer management). A
 // counter's condition is embedded by value, so a counter is one piece of
 // memory: a heap object from NewCounter, or part of a slab its owner carved
-// and bound with Init.
+// and bound with Init, of 40 bytes.
 type Counter struct {
-	val  int
-	cond sim.Cond    // bound to the counter's environment
+	val  int32
 	wcl  trace.Class // span class recorded while a process blocks here
+	cond sim.Cond    // bound to the counter's environment
 }
 
 // NewCounter creates a counter with the given initial value.
@@ -44,8 +45,18 @@ func NewCounter(env *sim.Env, initial int) *Counter {
 // Init binds a zero Counter to the environment with the given initial value,
 // drawing its report id exactly as NewCounter does.
 func (c *Counter) Init(env *sim.Env, initial int) {
-	c.val, c.wcl = initial, trace.ClassWaitCntr
+	c.val, c.wcl = 0, trace.ClassWaitCntr
+	c.add(initial)
 	c.cond.Init(env)
+}
+
+// add adds n to the value, panicking when the sum does not fit in its int32.
+func (c *Counter) add(n int) {
+	v := int(c.val) + n
+	if int(int32(v)) != v {
+		panic("rma: counter value " + strconv.Itoa(v) + " does not fit in int32")
+	}
+	c.val = int32(v)
 }
 
 // TraceClass sets the wait class recorded when a process blocks on the
@@ -56,7 +67,7 @@ func (c *Counter) TraceClass(cl trace.Class) *Counter { c.wcl = cl; return c }
 // Incr adds n and wakes waiters. The RMA layer calls it on delivery;
 // protocols may also use it directly for locally produced events.
 func (c *Counter) Incr(n int) {
-	c.val += n
+	c.add(n)
 	c.cond.Broadcast()
 }
 
@@ -72,9 +83,13 @@ type Endpoint struct {
 	Node       int
 	inCall     bool
 	interrupts bool
-	dead       bool       // task declared failed; deliveries are dropped
-	pending    []deferred // deferred deliveries awaiting a progress opportunity
-	chans      *channel   // reliable delivery: the channels this rank has put on (reliable.go)
+	dead       bool // task declared failed; deliveries are dropped
+
+	// The deferred deliveries awaiting a progress opportunity, first to last,
+	// in records of the domain's (Domain.defers).
+	pending, last *pendingNode
+
+	chans *channel // reliable delivery: the channels this rank has put on (reliable.go)
 }
 
 // deferred is one delivery parked at an endpoint whose interrupts are off: what
@@ -85,17 +100,26 @@ type deferred struct {
 	fr *delivery
 }
 
+// pendingNode holds a deferred delivery on its endpoint's pending list.
+type pendingNode struct {
+	deferred
+	next *pendingNode
+	bufpool.Link[pendingNode]
+}
+
 // Domain is the RMA communication domain: one endpoint per task.
 type Domain struct {
 	m   *machine.Machine
 	eps []Endpoint // by rank, one slab; an Endpoint is held by pointer into it
 
-	// The frames of the remote puts (reliable.go), of PutT, of counter waits
-	// and of deferred-delivery drains: the domain's until Release.
+	// The frames of the remote puts (reliable.go), of PutT, of counter waits,
+	// of deferred-delivery drains and of the deferred deliveries themselves:
+	// the domain's until Release.
 	deliveries bufpool.Frames[delivery, *delivery]
 	puts       bufpool.Frames[putFrame, *putFrame]
 	waits      bufpool.Frames[cntrFrame, *cntrFrame]
 	drains     bufpool.Frames[drainFrame, *drainFrame]
+	defers     bufpool.Frames[pendingNode, *pendingNode]
 
 	// Reliable-delivery state (see reliable.go). Off by default: the
 	// paper's protocols assume LAPI delivers every put exactly once.
@@ -185,6 +209,7 @@ func (d *Domain) Release() {
 	d.puts.Release()
 	d.waits.Release()
 	d.drains.Release()
+	d.defers.Release()
 	d.chanMem.Release()
 }
 
@@ -205,12 +230,11 @@ func (d *Domain) MarkDead(rank int) {
 		return
 	}
 	ep.dead = true
-	for _, p := range ep.pending {
-		if p.fr != nil {
+	for ep.pending != nil {
+		if p := ep.pop(); p.fr != nil {
 			p.fr.discard()
 		}
 	}
-	ep.drop(len(ep.pending))
 	ep.inCall = false
 }
 
@@ -231,22 +255,37 @@ func (d *Domain) NewCounter(initial int) *Counter { return NewCounter(d.m.Env, i
 // releases any deferred deliveries (each paying the interrupt cost).
 func (ep *Endpoint) SetInterrupts(on bool) {
 	ep.interrupts = on
-	if on && len(ep.pending) > 0 {
+	if on && ep.pending != nil {
 		m := ep.dom.m
-		for _, p := range ep.pending {
+		for ep.pending != nil {
 			m.Stats.Interrupts++
-			m.Env.AfterK(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), p.fn)
+			m.Env.AfterK(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), ep.pop().fn)
 		}
-		ep.drop(len(ep.pending))
 	}
 }
 
-// drop takes the first n deferred deliveries off the pending list, which keeps
-// its storage for the next.
-func (ep *Endpoint) drop(n int) {
-	k := copy(ep.pending, ep.pending[n:])
-	clear(ep.pending[k:])
-	ep.pending = ep.pending[:k]
+// push appends a delivery to the pending list.
+func (ep *Endpoint) push(p deferred) {
+	n := ep.dom.defers.Get()
+	n.deferred = p
+	if ep.last == nil {
+		ep.pending = n
+	} else {
+		ep.last.next = n
+	}
+	ep.last = n
+}
+
+// pop takes the first deferred delivery off the pending list; its record goes
+// back to the domain.
+func (ep *Endpoint) pop() deferred {
+	n := ep.pending
+	p := n.deferred
+	if ep.pending = n.next; ep.pending == nil {
+		ep.last = nil
+	}
+	ep.dom.defers.Put(n)
+	return p
 }
 
 // Waitcntr is WaitcntrT from a process body.
@@ -307,7 +346,7 @@ func (ep *Endpoint) deliver(fr *delivery, fn sim.K) bool {
 				inner.Resume()
 			})
 		}
-		ep.pending = append(ep.pending, deferred{fn, fr})
+		ep.push(deferred{fn, fr})
 	}
 	return true
 }
@@ -377,8 +416,8 @@ func (ep *Endpoint) PutZero(p *sim.Proc, target *Endpoint, tgt *Counter) {
 // allreduce pipeline) use it so the rank's RMA-call bookkeeping stays
 // consistent.
 func (ep *Endpoint) WaitValueT(t *sim.Task, c *Counter, v int, k sim.K) {
-	if c.val >= v {
-		c.val -= v
+	if int(c.val) >= v {
+		c.add(-v)
 		k.Resume()
 		return
 	}
@@ -413,15 +452,14 @@ func (fr *drainFrame) Resume() {
 		fn.Resume()
 	}
 	ep := fr.ep
-	if len(ep.pending) == 0 {
+	if ep.pending == nil {
 		k := fr.k
 		fr.t.PopUnwind()
 		ep.dom.drains.Put(fr)
 		k.Resume()
 		return
 	}
-	fr.cur = ep.pending[0]
-	ep.drop(1)
+	fr.cur = ep.pop()
 	fr.t.SleepK(ep.dom.m.Cfg.RecvOverhead, fr)
 }
 
@@ -438,7 +476,7 @@ func (fr *drainFrame) unwind() {
 // drainPending services deferred deliveries from inside an RMA call — the
 // calling task's CPU pays the receive overhead for each — then runs k.
 func (ep *Endpoint) drainPending(t *sim.Task, k sim.K) {
-	if len(ep.pending) == 0 {
+	if ep.pending == nil {
 		k.Resume()
 		return
 	}
@@ -479,7 +517,7 @@ func (fr *cntrFrame) enter() {
 	// inCall=true would make every later delivery to this (possibly
 	// surviving) task look like a poll.
 	fr.t.PushUnwind((*cntrUnwind)(fr))
-	if fr.c.val >= fr.v {
+	if int(fr.c.val) >= fr.v {
 		fr.finish()
 		return
 	}
@@ -492,7 +530,7 @@ func (fr *cntrFrame) park() {
 	c.cond.WaitFrameT(fr.t, c, fr.v, fr)
 }
 
-func (fr *cntrFrame) Ready() bool { return fr.c.val >= fr.v }
+func (fr *cntrFrame) Ready() bool { return int(fr.c.val) >= fr.v }
 
 func (fr *cntrFrame) Resume() {
 	fr.c.cond.Env().Trace.End(fr.id)
@@ -504,7 +542,7 @@ func (fr *cntrFrame) Resume() {
 func (fr *cntrFrame) finish() {
 	ep, c, t, v, k := fr.ep, fr.c, fr.t, fr.v, fr.k
 	fr.d.waits.Put(fr)
-	c.val -= v
+	c.add(-v)
 	if ep != nil {
 		ep.inCall = false
 		t.PopUnwind()
@@ -532,14 +570,14 @@ func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
 // about to run. With nothing to drain and the counter already there, the
 // call begins and ends in one step and needs no frame.
 func (ep *Endpoint) WaitcntrK(t *sim.Task, c *Counter, v int, k sim.K) {
-	if len(ep.pending) == 0 && c.val >= v {
-		c.val -= v
+	if ep.pending == nil && int(c.val) >= v {
+		c.add(-v)
 		k.Resume()
 		return
 	}
 	fr := ep.dom.waits.Get()
 	fr.d, fr.ep, fr.c, fr.t, fr.v, fr.k = ep.dom, ep, c, t, v, k
-	if len(ep.pending) == 0 {
+	if ep.pending == nil {
 		fr.enter()
 		return
 	}

@@ -50,6 +50,19 @@ func TestCounterInitialValue(t *testing.T) {
 	}
 }
 
+// A counter holds an int32: a value past it is refused where it is reached,
+// not wrapped.
+func TestCounterOverflowPanics(t *testing.T) {
+	_, _, d := twoNodes(1)
+	c := d.NewCounter(math.MaxInt32)
+	defer func() {
+		if recover() == nil {
+			t.Error("Incr past MaxInt32 did not panic")
+		}
+	}()
+	c.Incr(1)
+}
+
 func TestPutDeliversDataWhileTargetWaits(t *testing.T) {
 	env, m, d := twoNodes(1)
 	src := []byte("remote payload!!")

@@ -68,8 +68,8 @@ func TestKillAndInterruptAtEveryParkPoint(t *testing.T) {
 			},
 			hitAt: 105, at: 110,
 			check: func(t *testing.T, w *world) {
-				if ep := w.d.Endpoint(0); ep.inCall || len(ep.pending) != 1 {
-					t.Errorf("inCall=%v with %d deliveries pending, want false and the second one", ep.inCall, len(ep.pending))
+				if ep := w.d.Endpoint(0); ep.inCall || pendingCount(ep) != 1 {
+					t.Errorf("inCall=%v with %d deliveries pending, want false and the second one", ep.inCall, pendingCount(ep))
 				}
 			},
 		},

@@ -149,16 +149,17 @@ func TestFlagSetLenAndAccess(t *testing.T) {
 		fs.Flag(i).Set(7 + i)
 	}
 	for i := range fs.flags {
-		if fs.flags[i].val != 7+i {
+		if int(fs.flags[i].val) != 7+i {
 			t.Fatalf("flag %d = %d after Flag(%d).Set(%d)", i, fs.flags[i].val, i, 7+i)
 		}
 	}
 }
 
-// Property: a flag set to any value is eventually observed by any number of
-// waiters, all at the same wake time.
+// Property: a flag set to any value it holds (an int32) is eventually observed
+// by any number of waiters, all at the same wake time.
 func TestPropFlagBroadcast(t *testing.T) {
-	f := func(nWaiters uint8, v int) bool {
+	f := func(nWaiters uint8, v32 int32) bool {
+		v := int(v32)
 		if v == 0 {
 			v = 1
 		}
@@ -186,4 +187,16 @@ func TestPropFlagBroadcast(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A value past int32 is refused where it is stored, not wrapped.
+func TestFlagValueOverflowPanics(t *testing.T) {
+	_, m := testMachine(2)
+	f := NewFlag(m, 0)
+	defer func() {
+		if recover() == nil {
+			t.Error("Set(1<<31) did not panic")
+		}
+	}()
+	f.Set(1 << 31)
 }

@@ -65,6 +65,32 @@ func TestTaskStays73ToAChunk(t *testing.T) {
 	}
 }
 
+func TestTaskIsTwoCacheLines(t *testing.T) {
+	// 128 bytes: what a resume, a park and a wake-up touch on the first line,
+	// the wait's report context, the armed frame and the name on the second.
+	// The fields most tasks never touch (a stall's stretch, a pending kill or
+	// interrupt, the interrupt handler, the unwind stack, the process, the
+	// cached name) are a TaskSide, carved the first time one is needed: at
+	// 224 bytes they were 96 of every parked rank's.
+	typ := reflect.TypeOf(Task{})
+	if got := typ.Size(); got > 128 {
+		t.Fatalf("Task is %d bytes; a parked rank costs that much more: put what few tasks use in TaskSide", got)
+	}
+	for _, name := range []string{"env", "k", "done", "parked", "waitNext", "waitOn"} {
+		if f, ok := typ.FieldByName(name); !ok || f.Offset+f.Type.Size() > 64 {
+			t.Errorf("Task.%s is past the first cache line (found %v, at %d)", name, ok, f.Offset)
+		}
+	}
+}
+
+// cachedName is the name Task.Name cached, "" when none.
+func cachedName(t *Task) string {
+	if t.side == nil {
+		return ""
+	}
+	return t.side.name
+}
+
 func TestHeapPopClearsSlot(t *testing.T) {
 	// heapPop must nil the vacated tail slot so executed items are
 	// collectable (or reusable) instead of pinned by the backing array.
@@ -87,13 +113,13 @@ func TestSpawnIndexedNamesLazily(t *testing.T) {
 	e := NewEnv()
 	var p *Proc
 	p = e.SpawnIndexed("rank", 7, func(p *Proc) { p.Sleep(1) })
-	if p.name != "" {
-		t.Fatalf("name %q formatted eagerly", p.name)
+	if p.own.name != "" {
+		t.Fatalf("name %q formatted eagerly", p.own.name)
 	}
 	if got := p.Name(); got != "rank7" {
 		t.Fatalf("Name() = %q, want rank7", got)
 	}
-	if p.name != "rank7" {
+	if p.own.name != "rank7" {
 		t.Fatal("Name() did not cache")
 	}
 	if err := e.RunUntil(10); err != nil {

@@ -109,10 +109,10 @@ func TestInterruptParkedTask(t *testing.T) {
 	var got any
 	var at Time
 	e.SpawnTask("t", -1, func(tk *Task) {
-		tk.OnInterrupt = onInterrupt(func(payload any) {
+		tk.SetOnInterrupt(onInterrupt(func(payload any) {
 			got = payload
 			at = tk.Now()
-		})
+		}))
 		c.WaitT(tk, func() { t.Error("wait continuation ran despite interrupt") })
 	})
 	e.At(7, func() {
@@ -143,10 +143,10 @@ func TestInterruptDropsTaskWaiterSoBroadcastIsClean(t *testing.T) {
 	other := e.NewEvent()
 	var order []string
 	e.SpawnTask("a", -1, func(tk *Task) {
-		tk.OnInterrupt = onInterrupt(func(payload any) {
+		tk.SetOnInterrupt(onInterrupt(func(payload any) {
 			order = append(order, "a:interrupted")
 			other.WaitK(tk, Func(func() { order = append(order, "a:other") }))
-		})
+		}))
 		ev.WaitK(tk, Func(func() { order = append(order, "a:ev") }))
 	})
 	e.SpawnTask("b", -1, func(tk *Task) {
@@ -172,7 +172,7 @@ func TestInterruptSleepingTaskDeliversAtWake(t *testing.T) {
 	var at Time
 	var tk *Task
 	tk = e.SpawnTask("t", -1, func(tk *Task) {
-		tk.OnInterrupt = onInterrupt(func(payload any) { at = tk.Now() })
+		tk.SetOnInterrupt(onInterrupt(func(payload any) { at = tk.Now() }))
 		tk.SleepThen(100, func() { t.Error("sleep continuation ran despite interrupt") })
 	})
 	e.At(10, func() { e.Interrupt(tk, "late") })
@@ -209,7 +209,7 @@ func TestKillTaskBeatsInterrupt(t *testing.T) {
 	c := e.NewCond()
 	sawInterrupt := false
 	e.SpawnTask("t", -1, func(tk *Task) {
-		tk.OnInterrupt = onInterrupt(func(payload any) { sawInterrupt = true })
+		tk.SetOnInterrupt(onInterrupt(func(payload any) { sawInterrupt = true }))
 		c.WaitT(tk, func() {})
 	})
 	e.At(1, func() {

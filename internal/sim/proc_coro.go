@@ -114,7 +114,7 @@ func (co *coro) run() {
 
 // startBody is the first step of a process's task: the body starts on a
 // coroutine and runs to its first Park, or to its end.
-func startBody(t *Task) { t.env.startCoro(t.proc).enter() }
+func startBody(t *Task) { t.env.startCoro(t.Proc()).enter() }
 
 // Resume returns the continuation that resumes the body: what a blocking call
 // passes to the continuation form it starts, before it Parks. The continuation

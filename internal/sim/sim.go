@@ -34,6 +34,11 @@ type Env struct {
 	// no allocation or branch cost beyond the nil checks.
 	Trace *trace.Trace
 
+	// Host is what the simulation runs on: internal/machine sets its machine
+	// here (the last one made on the environment), for records too small to
+	// hold it — a shm flag set or waited on by a caller that does not pass it.
+	Host any
+
 	now       Time
 	queue     *calQueue
 	seq       uint64
@@ -50,9 +55,11 @@ type Env struct {
 	condLabel map[int]string // a test's labels for conditions, by number, in place of their ids
 
 	// What the environment makes once per rank or per pending occurrence comes
-	// out of slabs it owns until Release (DESIGN.md §9): tasks, processes, and
-	// the queue items the free list could not supply.
+	// out of slabs it owns until Release (DESIGN.md §9): tasks, the side
+	// records of the few that need one, processes, and the queue items the
+	// free list could not supply.
 	taskMem  bufpool.Chunks[Task]
+	sideMem  bufpool.Chunks[TaskSide]
 	procMem  bufpool.Chunks[Proc]
 	itemMem  bufpool.Chunks[item]
 	procIdle []*Proc // helpers the registry swept out finished, for the next SpawnHelper
@@ -81,6 +88,7 @@ func NewEnv() *Env {
 // not released; its records are the collector's.
 func (e *Env) Release() {
 	e.taskMem.Release()
+	e.sideMem.Release()
 	e.procMem.Release()
 	e.itemMem.Release()
 	e.queue.release()
@@ -204,9 +212,10 @@ type waitable interface {
 // or a panicking step runs it before the failure is raised in the body.
 type Proc struct {
 	Task
-	body Body  // what the process runs, until the first step starts it
-	co   *coro // the coroutine the body runs on, from start to finish
-	uw   [2]K  // where the unwind stack starts: a collective's executor and the wait it is in need two
+	own  TaskSide // the task's side record: a process arms its unwind stack from the start
+	body Body     // what the process runs, until the first step starts it
+	co   *coro    // the coroutine the body runs on, from start to finish
+	uw   [2]K     // where the unwind stack starts: a collective's executor and the wait it is in need two
 }
 
 // Body is what a process runs. A record that runs as a process passes itself
@@ -263,7 +272,8 @@ func (e *Env) spawnProc(prefix string, num int, b Body, recycle bool) *Proc {
 		p = e.procMem.New()
 	}
 	p.body = b
-	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, start: startBody, proc: p, unwindArmed: true, recycle: recycle, unwinds: p.uw[:0]}
+	p.own = TaskSide{proc: p, unwindArmed: true, unwinds: p.uw[:0]}
+	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, k: startFunc(startBody), recycle: recycle, side: &p.own}
 	e.admit(&p.Task)
 	return p
 }
@@ -285,7 +295,7 @@ func (e *Env) Kill(t *Task, reason string) {
 	if reason == "" {
 		reason = "killed"
 	}
-	t.pending = kill{reason}
+	t.cold().pending = kill{reason}
 	e.unpark(t) // deliver the crash now instead of never
 	// A task that was not parked is sleeping (or not yet started) and its
 	// queued resume delivers the crash.
@@ -293,22 +303,22 @@ func (e *Env) Kill(t *Task, reason string) {
 
 // Interrupt delivers an asynchronous interrupt to t: the pending continuation
 // is abandoned, and the next time the task would run (immediately at the
-// current virtual time if it is parked) its OnInterrupt handler runs as a
-// step, or — absent one — the unwind stack runs and the task dies with the
-// payload as the cause. For a process that death is a panic raised in the
-// body at the call it was blocked in, so unlike Kill the process is expected
-// to survive: a recover along its stack (the fault-tolerant collective
-// wrapper) turns the unwind into a structured error. A parked task is first
-// removed from the waiter list of the resource it parked on, so no stale
-// entry remains; one that has not started yet takes the interrupt at its
-// first resume after the start. Interrupting a finished, killed, or
+// current virtual time if it is parked) its interrupt handler
+// (SetOnInterrupt) runs as a step, or — absent one — the unwind stack runs and
+// the task dies with the payload as the cause. For a process that death is a
+// panic raised in the body at the call it was blocked in, so unlike Kill the
+// process is expected to survive: a recover along its stack (the
+// fault-tolerant collective wrapper) turns the unwind into a structured error.
+// A parked task is first removed from the waiter list of the resource it
+// parked on, so no stale entry remains; one that has not started yet takes the
+// interrupt at its first resume after the start. Interrupting a finished, killed, or
 // already-interrupted task is a no-op, as is a nil payload. Like Kill,
 // Interrupt is called from event callbacks.
 func (e *Env) Interrupt(t *Task, payload any) {
-	if t.done || t.pending != nil || payload == nil {
+	if t.done || t.pending() != nil || payload == nil {
 		return
 	}
-	t.pending = payload
+	t.cold().pending = payload
 	e.unpark(t)
 	// A task that was not parked is sleeping (or running to its next
 	// suspension) and its next resume delivers the interrupt.
@@ -321,7 +331,10 @@ func (e *Env) SetSlowdown(t *Task, factor float64) {
 	if factor < 0 {
 		factor = 0
 	}
-	t.slow = factor
+	if factor <= 1 && t.side == nil {
+		return // no stretch to clear
+	}
+	t.cold().slow = factor
 }
 
 // ProcFailure records a task that died; Cause is the recovered panic value,
@@ -394,7 +407,7 @@ func (e *Env) BlockedWhere(keep func(*Task) bool) (out []BlockedProc, parked int
 			b.Resource = t.waitOn.waitID()
 		}
 		if t.waitObj != nil {
-			b.Waiting = t.waitObj.DescribeWait(t.waitWant)
+			b.Waiting = t.waitObj.DescribeWait(int(t.waitWant))
 		} else {
 			b.Waiting = b.Resource
 		}

@@ -21,37 +21,25 @@ import "strconv"
 // A resumed Task is an ordinary queue item, ordered by (time, sequence
 // number) like every other occurrence.
 type Task struct {
-	env     *Env
-	prefix  string      // full name, or name prefix when num >= 0
-	name    string      // cached formatted name (built on first Name call)
-	num     int32       // index appended to prefix; -1 when prefix is the name
-	track   int32       // trace track id, or -1 when untracked
-	k       K           // continuation to run at the next resume
-	start   func(*Task) // first step, held directly so spawning allocates no closure
-	proc    *Proc       // the process this task is the actor of: its body is parked on a coroutine between steps; nil for a plain task
-	slow    float64     // sleep stretch factor (stall windows); 0 or 1 = none
-	pending any         // an injected crash (kill) or an interrupt payload, delivered at next resume
-
-	parked      bool // suspended on a waitable with no scheduled wake-up
-	done        bool
-	unwindArmed bool // PushUnwind records (see the unwind stack below)
-	recycle     bool // a helper's record (its process's, if it has one), reused once it finished cleanly and left the registry (SpawnHelper, SpawnTaskK)
-
-	// OnInterrupt, when non-nil, handles an Env.Interrupt delivery: the
-	// pending continuation is discarded and the handler runs as a step (it
-	// may re-arm waits or reschedule to survive, the CPS analogue of a
-	// recover along a Proc's stack). A task without a handler dies with the
-	// payload recorded as its failure cause.
-	OnInterrupt Interrupter
+	// The wake path, on the first cache line: what a resume, a park and a
+	// wake-up read and write.
+	env      *Env
+	k        K        // continuation to run at the next resume; before the first, the start (startFunc, or SpawnTaskK's K)
+	waitOn   waitable // what the task is parked on, if anything
+	waitNext *Task    // next waiter of the resource parked on (taskList)
+	parked   bool     // suspended on a waitable with no scheduled wake-up
+	done     bool
+	started  bool  // the first step has run
+	recycle  bool  // a helper's record (its process's, if it has one), reused once it finished cleanly and left the registry (SpawnHelper, SpawnTaskK)
+	num      int32 // index appended to prefix; -1 when prefix is the name
+	track    int32 // trace track id, or -1 when untracked
 
 	// Wait context, read by stall reports while the task is parked. A
 	// wake-up leaves it in place rather than clearing it: an armed predicate
 	// wait parks again with the same context.
-	waitOn    waitable
+	waitWant  int32
 	waitObj   WaitDescriber
-	waitWant  int
 	waitSince Time
-	waitNext  *Task // next waiter of the resource parked on (taskList)
 
 	// Armed predicate wait (Cond.WaitFrameT): every wake-up asks the frame
 	// whether its condition holds and parks again on the same Cond (waitOn)
@@ -59,23 +47,84 @@ type Task struct {
 	// re-check and re-park without a continuation of their own.
 	wait WaitFrame
 
+	prefix string    // full name, or name prefix when num >= 0
+	side   *TaskSide // what most tasks never need; nil until the first of it is (cold)
+}
+
+// TaskSide is the part of a Task that most tasks never touch: a stall window's
+// stretch, a pending kill or interrupt, an interrupt handler, an armed unwind
+// stack, the process the task is the actor of, and the name once formatted. A
+// task carves it from its environment's slabs the first time it needs one of
+// them (Task.cold), and it goes back with them when the run is released; a
+// process holds its own (Proc.own). A 65,536-rank collective run without
+// faults carves none.
+type TaskSide struct {
+	name    string  // cached formatted name (Name)
+	slow    float64 // sleep stretch factor (stall windows); 0 or 1 = none
+	pending any     // an injected crash (kill) or an interrupt payload, delivered at next resume
+
+	// onInterrupt, when non-nil, handles an Env.Interrupt delivery: the
+	// pending continuation is discarded and the handler runs as a step (it
+	// may re-arm waits or reschedule to survive, the CPS analogue of a
+	// recover along a Proc's stack). A task without a handler dies with the
+	// payload recorded as its failure cause.
+	onInterrupt Interrupter
+
 	// Unwind stack: primitives that hold protocol state across a suspension
 	// (dispatcher inCall, spinner counts, open trace spans) push the
 	// compensation that restores it, and an interrupt or failure delivery
 	// runs the stack LIFO — what a defer would do if the primitive had a
 	// stack to unwind. It is armed for a Proc's whole life and, on a plain
 	// task, inside fault-sensitive operations; disarmed (the default),
-	// Push/Pop are no-ops so the fault-free hot paths pay a single bool check.
-	unwinds []K
+	// Push/Pop are no-ops so the fault-free hot paths pay a nil check.
+	unwinds     []K
+	unwindArmed bool
+
+	proc *Proc // the process this task is the actor of: its body is parked on a coroutine between steps; nil for a plain task
 }
 
-// Interrupter handles an interrupt delivery (Task.OnInterrupt).
+// cold returns the task's side record, carving it on first use.
+func (t *Task) cold() *TaskSide {
+	if t.side == nil {
+		t.side = t.env.sideMem.New()
+	}
+	return t.side
+}
+
+// Proc returns the process the task is the actor of, nil for a plain task.
+func (t *Task) Proc() *Proc {
+	if s := t.side; s != nil {
+		return s.proc
+	}
+	return nil
+}
+
+// pending returns the task's undelivered kill or interrupt, nil when none.
+func (t *Task) pending() any {
+	if s := t.side; s != nil {
+		return s.pending
+	}
+	return nil
+}
+
+// SetOnInterrupt installs h as the task's interrupt handler (nil removes it):
+// an Env.Interrupt delivery discards the pending continuation and runs h as a
+// step, which may re-arm waits or reschedule to survive. A task without a
+// handler dies with the payload recorded as its failure cause.
+func (t *Task) SetOnInterrupt(h Interrupter) {
+	if h == nil && t.side == nil {
+		return
+	}
+	t.cold().onInterrupt = h
+}
+
+// Interrupter handles an interrupt delivery (Task.SetOnInterrupt).
 type Interrupter interface{ Interrupted(payload any) }
 
-// kill is a pending injected crash, as Task.pending holds it.
+// kill is a pending injected crash, as TaskSide.pending holds it.
 type kill struct{ reason string }
 
-func (t *Task) killed() bool { _, ok := t.pending.(kill); return ok }
+func (t *Task) killed() bool { _, ok := t.pending().(kill); return ok }
 
 // taskList is the FIFO of tasks parked on one resource, threaded through
 // Task.waitNext: a task parks on at most one thing, so the link lives in
@@ -135,10 +184,16 @@ func (l *taskList) wakeAll(e *Env) {
 // Env.Failures), and finishes the task.
 func (e *Env) SpawnTask(prefix string, num int, fn func(*Task)) *Task {
 	t := e.taskMem.New()
-	t.env, t.prefix, t.num, t.track, t.start = e, prefix, int32(num), -1, fn
+	t.env, t.prefix, t.num, t.track, t.k = e, prefix, int32(num), -1, startFunc(fn)
 	e.admit(t)
 	return t
 }
+
+// startFunc is a task's first step as SpawnTask takes it, held in Task.k until
+// the step runs: the step is given its task, which no K is.
+type startFunc func(*Task)
+
+func (startFunc) Resume() { panic("sim: a task's start function resumed without its task") }
 
 // SpawnTaskK spawns a per-operation helper task whose first step is a
 // continuation: k resumes where SpawnTask's fn would be called, so a record
@@ -154,20 +209,18 @@ func (e *Env) SpawnTaskK(prefix string, num int, k K) *Task {
 		t = e.taskIdle[n-1]
 		e.taskIdle[n-1] = nil
 		e.taskIdle = e.taskIdle[:n-1]
+		side := t.side
 		*t = Task{}
+		if side != nil { // the last helper's side record, kept for the next that needs one
+			*side = TaskSide{unwinds: side.unwinds[:0]}
+			t.side = side
+		}
 	} else {
 		t = e.taskMem.New()
 	}
-	t.env, t.prefix, t.num, t.track, t.start, t.k, t.recycle = e, prefix, int32(num), -1, startK, k, true
+	t.env, t.prefix, t.num, t.track, t.k, t.recycle = e, prefix, int32(num), -1, k, true
 	e.admit(t)
 	return t
-}
-
-// startK is the first step of a task SpawnTaskK made.
-func startK(t *Task) {
-	k := t.k
-	t.k = nil
-	k.Resume()
 }
 
 // admit counts a new task live, registers it and schedules its first step.
@@ -191,8 +244,8 @@ func (e *Env) register(t *Task) {
 			switch {
 			case !a.done:
 				live = append(live, a)
-			case a.recycle && a.proc != nil:
-				e.procIdle = append(e.procIdle, a.proc)
+			case a.recycle && a.Proc() != nil:
+				e.procIdle = append(e.procIdle, a.Proc())
 			case a.recycle:
 				e.taskIdle = append(e.taskIdle, a)
 			}
@@ -231,7 +284,7 @@ func (t *Task) Prefix() string { return t.prefix }
 // HasName reports whether the task's name is name, without formatting an
 // indexed name that is not formatted yet.
 func (t *Task) HasName(name string) bool {
-	if t.name != "" || t.num < 0 {
+	if t.num < 0 || t.side != nil && t.side.name != "" {
 		return t.Name() == name
 	}
 	p := t.prefix
@@ -245,18 +298,22 @@ func (t *Task) HasName(name string) bool {
 // WaitsOn reports whether the task is parked on c.
 func (t *Task) WaitsOn(c *Cond) bool { return t.parked && t.waitOn == c }
 
-// Name returns the task's name. An indexed name is formatted on first use
-// and cached: the hot spawn paths never allocate a name that no report will
-// read.
+// Name returns the task's name. An indexed name is formatted when asked for,
+// so the hot spawn paths never allocate a name that no report will read, and
+// cached in the side record of a task that has one (a process's, a faulted
+// task's): a report on a million parked plain tasks carves no side record.
 func (t *Task) Name() string {
-	if t.name == "" {
-		if t.num < 0 {
-			t.name = t.prefix
-		} else {
-			t.name = t.prefix + strconv.Itoa(int(t.num))
-		}
+	if t.num < 0 {
+		return t.prefix
 	}
-	return t.name
+	s := t.side
+	if s == nil {
+		return t.prefix + strconv.Itoa(int(t.num))
+	}
+	if s.name == "" {
+		s.name = t.prefix + strconv.Itoa(int(t.num))
+	}
+	return s.name
 }
 
 // SleepThen is SleepK with a closure for k.
@@ -269,8 +326,8 @@ func (t *Task) SleepK(d Time, k K) {
 	if d < 0 {
 		d = 0
 	}
-	if t.slow > 1 {
-		d *= t.slow
+	if s := t.side; s != nil && s.slow > 1 {
+		d *= s.slow
 	}
 	t.k = k
 	t.env.push(t.env.now+d, (*taskResume)(t))
@@ -280,11 +337,14 @@ func (t *Task) SleepK(d Time, k K) {
 // hold a reference and wake it via an Event or Cond. k runs on wake (nil for
 // an armed predicate wait, which resumes through its frame).
 func (t *Task) parkOnT(on waitable, obj WaitDescriber, want int, k K) {
+	if int(int32(want)) != want {
+		panic("sim: a wait for " + strconv.Itoa(want) + ", past the report's int32")
+	}
 	t.parked = true
 	t.k = k
 	t.waitOn = on
 	t.waitObj = obj
-	t.waitWant = want
+	t.waitWant = int32(want)
 	t.waitSince = t.env.now
 }
 
@@ -318,22 +378,22 @@ func (e *Env) runTask(t *Task) {
 	if t.done {
 		return // stale resume of a task torn down by a failure
 	}
-	if c, ok := t.pending.(kill); ok {
-		e.failTask(t, Crashed{Reason: c.reason})
-		return
-	}
 	var intr any
-	if t.start == nil { // one that has not started takes it at its first resume after the start
-		intr = t.pending
-	}
-	if intr != nil {
-		t.pending = nil
-		if t.OnInterrupt == nil {
-			e.failTask(t, intr)
+	if s := t.side; s != nil && s.pending != nil {
+		if c, ok := s.pending.(kill); ok {
+			e.failTask(t, Crashed{Reason: c.reason})
 			return
 		}
-		t.k = nil // the interrupted wait's continuation must not run
-		t.clearWait()
+		if t.started { // one that has not started takes it at its first resume after the start
+			intr = s.pending
+			s.pending = nil
+			if s.onInterrupt == nil {
+				e.failTask(t, intr)
+				return
+			}
+			t.k = nil // the interrupted wait's continuation must not run
+			t.clearWait()
+		}
 	}
 	e.stepTask(t, intr)
 }
@@ -348,19 +408,22 @@ func (e *Env) runTask(t *Task) {
 func (e *Env) stepTask(t *Task, intr any) {
 	switch {
 	case intr != nil:
-		t.OnInterrupt.Interrupted(intr)
-	case t.start != nil:
-		fn := t.start
-		t.start = nil
-		fn(t)
+		t.side.onInterrupt.Interrupted(intr)
 	case t.wait != nil:
 		t.retryWait()
 	default:
 		k := t.k
 		t.k = nil
+		if !t.started {
+			t.started = true
+			if fn, ok := k.(startFunc); ok {
+				fn(t)
+				break
+			}
+		}
 		k.Resume()
 	}
-	if !t.done && t.k == nil && !t.parked && t.proc == nil {
+	if !t.done && t.k == nil && !t.parked && t.Proc() == nil {
 		e.retire(t)
 	}
 }
@@ -387,7 +450,7 @@ func (e *Env) failTask(t *Task, cause any) {
 	t.RunUnwinds()
 	t.clearWait()
 	t.k = nil
-	if p := t.proc; p != nil && p.co != nil {
+	if p := t.Proc(); p != nil && p.co != nil {
 		p.co.raise(cause)
 		return
 	}
@@ -402,8 +465,12 @@ func (e *Env) failTask(t *Task, cause any) {
 func (e *Env) retire(t *Task) {
 	t.done = true
 	e.live--
-	t.k, t.start, t.OnInterrupt, t.unwinds = nil, nil, nil, nil
-	t.waitOn, t.waitObj, t.wait = nil, nil, nil
+	t.k, t.waitOn, t.waitObj, t.wait = nil, nil, nil, nil
+	if s := t.side; s != nil {
+		s.onInterrupt = nil
+		clear(s.unwinds)
+		s.unwinds = s.unwinds[:0]
+	}
 }
 
 // recordFailure records the death of t and tells the failure hook.
@@ -469,7 +536,7 @@ func (t *Task) retryWait() {
 		return
 	}
 	c := t.waitOn.(*Cond) // only a Cond arms a frame, and a wake-up left it here
-	c.WaitOnT(t, t.waitObj, t.waitWant, nil)
+	c.WaitOnT(t, t.waitObj, int(t.waitWant), nil)
 }
 
 // clearWait disarms the predicate wait so its frame can be reused or
@@ -480,39 +547,49 @@ func (t *Task) clearWait() { t.wait = nil }
 // Fault-tolerant execution arms it on a plain task for the duration of a
 // collective; a Proc's is armed from spawn and stays so.
 func (t *Task) SetUnwindArmed(on bool) {
-	t.unwindArmed = on
+	if !on && t.side == nil {
+		return
+	}
+	s := t.cold()
+	s.unwindArmed = on
 	if !on {
-		t.unwinds = t.unwinds[:0]
+		s.unwinds = s.unwinds[:0]
 	}
 }
 
 // UnwindArmed reports whether PushUnwind currently records compensations.
-func (t *Task) UnwindArmed() bool { return t.unwindArmed }
+func (t *Task) UnwindArmed() bool { return t.side != nil && t.side.unwindArmed }
 
 // PushUnwind records k to resume if the task is interrupted or killed before
 // the matching PopUnwind. No-op while the stack is disarmed.
 func (t *Task) PushUnwind(k K) {
-	if t.unwindArmed {
-		t.unwinds = append(t.unwinds, k)
+	if s := t.side; s != nil && s.unwindArmed {
+		s.unwinds = append(s.unwinds, k)
 	}
 }
 
 // PopUnwind discards the most recent compensation without running it — the
 // protected region completed normally. No-op while disarmed or empty.
 func (t *Task) PopUnwind() {
-	if n := len(t.unwinds); t.unwindArmed && n > 0 {
-		t.unwinds[n-1] = nil
-		t.unwinds = t.unwinds[:n-1]
+	if s := t.side; s != nil && s.unwindArmed {
+		if n := len(s.unwinds); n > 0 {
+			s.unwinds[n-1] = nil
+			s.unwinds = s.unwinds[:n-1]
+		}
 	}
 }
 
 // RunUnwinds runs the recorded compensations LIFO and clears the stack, as a
 // panic runs the defers of the frames it unwinds.
 func (t *Task) RunUnwinds() {
-	for i := len(t.unwinds) - 1; i >= 0; i-- {
-		k := t.unwinds[i]
-		t.unwinds[i] = nil
-		t.unwinds = t.unwinds[:i]
+	s := t.side
+	if s == nil {
+		return
+	}
+	for i := len(s.unwinds) - 1; i >= 0; i-- {
+		k := s.unwinds[i]
+		s.unwinds[i] = nil
+		s.unwinds = s.unwinds[:i]
 		k.Resume()
 	}
 }

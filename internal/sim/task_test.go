@@ -216,8 +216,8 @@ func TestTaskEventsCounted(t *testing.T) {
 func TestTaskNamesLazily(t *testing.T) {
 	e := NewEnv()
 	tk := e.SpawnTask("rank", 7, func(tk *Task) {})
-	if tk.name != "" {
-		t.Fatalf("name %q formatted eagerly", tk.name)
+	if cachedName(tk) != "" {
+		t.Fatalf("name %q formatted eagerly", cachedName(tk))
 	}
 	if got := tk.Name(); got != "rank7" {
 		t.Fatalf("Name() = %q, want rank7", got)
@@ -265,20 +265,20 @@ func TestKillTaskParkedInWaitUntilOnT(t *testing.T) {
 
 func TestInterruptTaskParkedInWaitUntilOnT(t *testing.T) {
 	// An interrupt delivered mid-predicate-wait removes the waiter entry once
-	// and hands control to OnInterrupt; the handler may re-arm a fresh wait on
-	// the same Cond without leaving a duplicate entry behind.
+	// and hands control to the interrupt handler, which may re-arm a fresh wait
+	// on the same Cond without leaving a duplicate entry behind.
 	e := NewEnv()
 	c := named(e.NewCond(), "pred-flag")
 	val := 0
 	resumed := false
 	var tk *Task
 	tk = e.SpawnTask("w", -1, func(tk *Task) {
-		tk.OnInterrupt = onInterrupt(func(payload any) {
+		tk.SetOnInterrupt(onInterrupt(func(payload any) {
 			if got := c.waiters.len(); got != 0 {
 				t.Errorf("cond holds %d waiters during interrupt delivery, want 0", got)
 			}
 			waitUntilT(c, tk, 5, func() bool { return val >= 5 }, func() { resumed = true })
-		})
+		}))
 		waitUntilT(c, tk, 5, func() bool { return val >= 5 }, func() {
 			t.Error("interrupted wait's continuation ran")
 		})

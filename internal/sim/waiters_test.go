@@ -94,7 +94,7 @@ func TestWaitersDropKeepsOrder(t *testing.T) {
 				var woke []int
 				tasks := parkFleet(e, cond, 5, &woke)
 				victim := tasks[c.victim]
-				victim.OnInterrupt = onInterrupt(func(any) {}) // survive the interrupt, then finish
+				victim.SetOnInterrupt(onInterrupt(func(any) {})) // survive the interrupt, then finish
 				e.At(1, func() {
 					if kill {
 						e.Kill(victim, "chaos")
@@ -260,7 +260,7 @@ func TestBlockedWhere(t *testing.T) {
 		}
 	}
 	for _, tk := range tasks[3:] {
-		if tk.name != "" && tk.num != 11 {
+		if cachedName(tk) != "" && tk.num != 11 {
 			t.Errorf("%s: name formatted by a walk that did not keep it", tk.Name())
 		}
 	}

@@ -167,7 +167,7 @@ func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
 	if r, ok := rs.helperRank[t]; ok {
 		return r, true
 	}
-	if n := t.Num(); n >= 0 && n < len(rs.ranks) && rs.ranks[n].t == t {
+	if n := t.Num(); n >= 0 && n < len(rs.ranks) && rs.ranks[n].call.t == t {
 		return n, false
 	}
 	return -1, false
@@ -216,7 +216,7 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 	}
 	st.issued = h.rs.newRequest()
 	r := &st.issued.request
-	*r = request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, name: names.req, span: -1}}
+	*r = request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, span: -1}}
 	st.seq++
 	r.done.Init(h.rs.env)
 	r.done.NamedBy((*reqLabel)(r))
@@ -237,7 +237,7 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		return
 	}
 	r.group = h.rs.tr.NewGroup()
-	iid := h.rs.tr.Begin(h.t.Track(), trace.ClassReqIssue, names.issue, a.bytes())
+	iid := h.rs.tr.Begin(h.call.t.Track(), trace.ClassReqIssue, names.issue, a.bytes())
 	h.rs.tr.Link(iid, r.group)
 	h.rs.tr.End(iid)
 	r.prev = st.tail
@@ -245,7 +245,7 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		r.call.actor = actor{t: h.rs.env.SpawnTaskK(st.helperPrefix(h.rank), r.seq, (*reqStart)(r))}
 	} else {
 		p := h.rs.env.SpawnBody(st.helperPrefix(h.rank), r.seq, (*reqBody)(r))
-		r.call.actor = actor{t: &p.Task, p: p}
+		r.call.actor = actor{t: &p.Task}
 	}
 	h.rs.helperRank[r.call.t] = h.rank
 	st.tail = &r.done
@@ -270,7 +270,7 @@ func (rs *runState) newRequest() *TRequest {
 // readmit admits a once oldest has completed. Its closure is made here, so
 // that only a request the bound holds back pays for it.
 func (h handle) readmit(oldest *request, a collArgs, k func(*TRequest)) {
-	h.wait(&oldest.done, sim.Func(func() { h.admit(a, k) }))
+	h.call.wait(&oldest.done, sim.Func(func() { h.admit(a, k) }))
 }
 
 // reqStart and reqBody are the request as its helper's first step, as a task
@@ -310,8 +310,8 @@ func (r *request) open() {
 		h.rs.nextTrack++
 		f.t.SetTrack(track)
 		tr.NameTrackNum(track, f.t.Prefix(), f.t.Num())
-		f.span = tr.Begin(track, trace.ClassReqOp, f.name, f.bytes())
-		tr.Link(f.span, r.group)
+		f.span = int32(tr.Begin(track, trace.ClassReqOp, f.name(), f.bytes()))
+		tr.Link(int(f.span), r.group)
 	}
 	f.k = r
 	f.run()
@@ -351,10 +351,10 @@ func (r *request) wait(k func(error)) {
 			Reason: "request already completed (double Wait, or Wait after Test returned true)",
 		})
 	}
-	r.waitSpan = h.rs.tr.Begin(h.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
+	r.waitSpan = h.rs.tr.Begin(h.call.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
 	h.rs.tr.Link(r.waitSpan, r.group)
 	r.waitK = k
-	h.wait(&r.done, (*reqWaited)(r))
+	h.call.wait(&r.done, (*reqWaited)(r))
 }
 
 // reqWaited is the request as the continuation of a wait for it.
@@ -376,7 +376,7 @@ func (r *request) test(k func(bool)) {
 		k(true)
 		return
 	}
-	r.h.yield(sim.Func(func() {
+	r.h.call.yield(sim.Func(func() {
 		if r.done.Done() {
 			r.consume()
 		}

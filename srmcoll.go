@@ -446,12 +446,11 @@ type handle struct {
 // requests and the rendezvous are carved at the rank's first (runState):
 // most runs make neither, and a rank's record is with it for the whole run.
 type rankRec struct {
-	actor  // the rank's task, and its process when the body has a stack
 	rank   int
 	rs     *runState  // the run: its machine, communicator records and handle cache
 	world  Comm       // the rank's handle on the world communicator
 	stream *reqStream // its non-blocking collectives (request.go); nil before the first
-	call   frame      // its blocking collective in flight, or what the last ended with (tcomm.go)
+	call   frame      // the rank's actor (its task, and its process when the body has a stack), and its blocking collective in flight or what the last ended with (tcomm.go)
 	sync   *syncFrame // its Agree or Shrink likewise (ft.go); nil before the first
 }
 
@@ -614,11 +613,11 @@ func (c *Comm) Node() int { return c.rs.m.NodeOf(c.rank) }
 func (c *Comm) LocalRank() int { return c.rs.m.LocalRank(c.rank) }
 
 // Now returns the current virtual time in microseconds.
-func (c *Comm) Now() float64 { return c.t.Now() }
+func (c *Comm) Now() float64 { return c.call.t.Now() }
 
 // Compute advances this rank's virtual clock by us microseconds, modeling
 // local computation between communication phases.
-func (c *Comm) Compute(us float64) { c.sleep(us, sim.Func(func() {})) }
+func (c *Comm) Compute(us float64) { c.call.sleep(us, sim.Func(func() {})) }
 
 // Every blocking collective returns nil without fault tolerance (and when
 // no member has failed); with fault tolerance enabled, a declared member
@@ -760,18 +759,18 @@ func (c *Comm) SharedCounter(id string, host int, init int64) *SharedCounter {
 
 // FetchAdd atomically adds delta and returns the previous value.
 func (sc *SharedCounter) FetchAdd(c *Comm, delta int64) int64 {
-	return sc.dom.Endpoint(c.rank).Rmw(c.p, sc.word, rma.FetchAndAdd, delta, 0)
+	return sc.dom.Endpoint(c.rank).Rmw(c.call.p(), sc.word, rma.FetchAndAdd, delta, 0)
 }
 
 // Swap atomically stores v and returns the previous value.
 func (sc *SharedCounter) Swap(c *Comm, v int64) int64 {
-	return sc.dom.Endpoint(c.rank).Rmw(c.p, sc.word, rma.Swap, v, 0)
+	return sc.dom.Endpoint(c.rank).Rmw(c.call.p(), sc.word, rma.Swap, v, 0)
 }
 
 // CompareAndSwap stores v if the counter equals expect, returning the
 // previous value (equal to expect exactly when the swap happened).
 func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
-	return sc.dom.Endpoint(c.rank).Rmw(c.p, sc.word, rma.CompareAndSwap, v, expect)
+	return sc.dom.Endpoint(c.rank).Rmw(c.call.p(), sc.word, rma.CompareAndSwap, v, expect)
 }
 
 // Run executes body on every rank of a fresh simulation of the cluster
@@ -984,16 +983,16 @@ func (sm *simulation) scheduleFaults() {
 		cr := cr
 		env.At(cr.At, func() {
 			inj.CountCrash()
-			env.Kill(rs.ranks[cr.Rank].t, fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
+			env.Kill(rs.ranks[cr.Rank].call.t, fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
 		})
 	}
 	for _, st := range sm.cl.faults.Stalls {
 		st := st
 		env.At(st.From, func() {
 			inj.CountStall()
-			env.SetSlowdown(rs.ranks[st.Rank].t, st.Factor)
+			env.SetSlowdown(rs.ranks[st.Rank].call.t, st.Factor)
 		})
-		env.At(st.Until, func() { env.SetSlowdown(rs.ranks[st.Rank].t, 1) })
+		env.At(st.Until, func() { env.SetSlowdown(rs.ranks[st.Rank].call.t, 1) })
 	}
 }
 
@@ -1008,7 +1007,7 @@ func (sm *simulation) spawnProcs(body func(*Comm)) {
 	}
 	for r := range sm.rs.ranks {
 		p := sm.m.Env.SpawnIndexed("rank", r, start)
-		sm.rs.ranks[r].actor = actor{t: &p.Task, p: p}
+		sm.rs.ranks[r].call.actor = actor{t: &p.Task}
 		sm.nameTrack(&p.Task)
 	}
 }
@@ -1051,7 +1050,7 @@ func (sm *simulation) outcome() (*Result, error) {
 	// A use after the run is a crash, not a step of another run's task.
 	for r := range sm.rs.ranks {
 		rk := &sm.rs.ranks[r]
-		rk.actor, rk.stream, rk.sync = actor{}, nil, nil
+		rk.call.actor, rk.stream, rk.sync = actor{}, nil, nil
 	}
 	sm.rs.m, sm.rs.dom = nil, nil
 	bufpool.HandBack(sm.m.Buffers)

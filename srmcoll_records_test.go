@@ -3,6 +3,7 @@ package srmcoll
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"srmcoll/internal/bufpool"
@@ -354,4 +355,83 @@ func TestStaleHandleCrashes(t *testing.T) {
 	crashes("TComm.IBarrier", func() { tworld.IBarrier(func(*TRequest) {}) })
 	crashes("TRequest.Wait", func() { treq.Wait(func(error) {}) })
 	release()
+}
+
+// TestRecordSizes holds what a run carves per rank and per protocol edge to the
+// sizes that make a rank cost fewer bytes: a shm flag (one per local task, §2.2)
+// and an RMA counter (one per tree edge, §2.3-2.4) of 40 bytes, with an int32
+// value and node and no machine of their own, and a rank record of 192, whose
+// blocking call frame holds the rank's actor and takes its name from its kind.
+// Before, they were 56, 48 and 240.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"shm.Flag", reflect.TypeFor[shm.Flag]().Size(), 40},
+		{"rma.Counter", reflect.TypeFor[rma.Counter]().Size(), 40},
+		{"rankRec", reflect.TypeFor[rankRec]().Size(), 192},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
+		}
+	}
+}
+
+// TestPlainTasksCarveNoSideRecord: a task carves its side record (sim.TaskSide)
+// only when it needs what that holds — a pending kill or interrupt, an
+// interrupt handler, an armed unwind stack, a stall's stretch. A 4,096-rank
+// RunT of the benchmark's rank_ladder body needs none of that and draws no slab
+// of them; a fault-tolerant one with a crash, a stall window and the failure
+// interrupts of the survivors does, and hands them back clean.
+func TestPlainTasksCarveNoSideRecord(t *testing.T) {
+	sides := func() uint64 { return bufpool.Slabs[sim.TaskSide]().Drawn }
+	before := sides()
+	ladderRun(t, 4096)()
+	if n := sides() - before; n != 0 {
+		t.Errorf("a fault-free 4,096-rank RunT drew %d slabs of side records, want none", n)
+	}
+
+	const nodes, tpn, bytes = 4, 4, 64
+	cl := mustCluster(t, nodes, tpn)
+	cl.SetFaultTolerance(DefaultFTConfig())
+	cl.SetFaultPlan(FaultPlan{
+		Crashes: []Crash{{Rank: 3, At: 40}},
+		Stalls:  []Stall{{Rank: 5, From: 0, Until: 500, Factor: 4}},
+	})
+	before = sides()
+	res, err := cl.RunT(SRM, func(tc *TComm, done func()) {
+		send, recv := make([]byte, bytes), make([]byte, bytes)
+		var try func(c *TComm)
+		try = func(c *TComm) {
+			c.Allreduce(send, recv, Float64, Sum, func(err error) {
+				switch {
+				case err == nil:
+					done()
+				case errors.Is(err, ErrRankFailed):
+					c.Shrink(func(nc *TComm, err error) {
+						if err != nil {
+							panic(err)
+						}
+						try(nc)
+					})
+				default:
+					panic(err)
+				}
+			})
+		}
+		tc.Compute(250, func() { try(tc) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 1 {
+		t.Fatalf("failures %v, want rank 3's", res.Failures)
+	}
+	if sides() == before {
+		t.Error("a fault-tolerant RunT with a crash, a stall and interrupts drew no slab of side records")
+	}
+	if err := bufpool.CheckReserve(); err != nil {
+		t.Error(err)
+	}
 }

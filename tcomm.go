@@ -22,7 +22,7 @@ package srmcoll
 //     stack passes p.Resume() as k and parks (frame.block). A baseline has
 //     the blocking form only, which collArgs.invoke calls.
 //   - Catching a failure declaration around the dispatch: by recover out of
-//     Park, or by the task's OnInterrupt handler (ft_task.go).
+//     Park, or by the task's interrupt handler (ft_task.go).
 
 import (
 	"fmt"
@@ -53,30 +53,32 @@ func (cl *Cluster) SetEngine(Engine) {}
 // the next is started from the continuation of the last (or later), not beside it.
 type TComm struct{ handle }
 
-// actor is who an operation runs on: a task, and the process whose task it is
-// when there is a stack to block on.
-type actor struct {
-	t *sim.Task
-	p *sim.Proc // nil: no stack
-}
+// actor is who an operation runs on: a task, which is a process's when there is
+// a stack to block on (p).
+type actor struct{ t *sim.Task }
+
+// p returns the process whose task the actor is, nil when it has no stack.
+func (a actor) p() *sim.Proc { return a.t.Proc() }
 
 // wait runs k once ev has triggered.
 func (a actor) wait(ev *sim.Event, k sim.K) {
-	if a.p == nil {
+	p := a.p()
+	if p == nil {
 		ev.WaitK(a.t, k)
 		return
 	}
-	a.p.Wait(ev)
+	p.Wait(ev)
 	k.Resume()
 }
 
 // sleep runs k after d of the actor's virtual time.
 func (a actor) sleep(d float64, k sim.K) {
-	if a.p == nil {
+	p := a.p()
+	if p == nil {
 		a.t.SleepK(d, k)
 		return
 	}
-	a.p.Sleep(d)
+	p.Sleep(d)
 	k.Resume()
 }
 
@@ -102,10 +104,10 @@ func (tc *TComm) Members() []int { return (*Comm)(tc).Members() }
 func (tc *TComm) FailedRanks() []int { return (*Comm)(tc).FailedRanks() }
 
 // Now returns the current virtual time in microseconds.
-func (tc *TComm) Now() float64 { return tc.t.Now() }
+func (tc *TComm) Now() float64 { return tc.call.t.Now() }
 
 // Compute advances this rank's virtual clock by us microseconds, then runs k.
-func (tc *TComm) Compute(us float64, k func()) { tc.sleep(us, sim.Func(k)) }
+func (tc *TComm) Compute(us float64, k func()) { tc.call.sleep(us, sim.Func(k)) }
 
 // Sub returns a communicator over the given subset of global ranks; see
 // Comm.Sub for the membership and call-matching rules. Like Comm.Sub it
@@ -117,16 +119,27 @@ func (tc *TComm) Sub(members []int) *TComm { return (*TComm)(tc.sub(members)) }
 // request, which can overlap the rank's other calls, runs in the frame of its
 // own record (request.go). The operation resumes the frame when it completes,
 // and a wait for the rank's requests resumes it as a frameOpen.
+//
+// A rank's own frame (rankRec.call) holds the rank's actor for the whole run,
+// in flight or not, and is the rank record's only copy of it; what an
+// operation is called comes from its kind (name).
 type frame struct {
 	collArgs
-	actor        // the rank's, or the request helper's
-	h     handle // the communicator, as the rank that called holds it
-	name  string // the operation as spans and errors name it; "" while the frame is empty
-	span  int    // the operation's span, closed before k runs
-	k     ender
-	err   error // what the last operation ended with, left for a blocking shim to return
+	actor             // the rank's, or the request helper's
+	h          handle // the communicator, as the rank that called holds it
+	span       int32  // the operation's span, closed before k runs
+	registered bool   // for failure interrupts (ftState.register), from run to end
+	k          ender  // nil while the frame is empty
+	err        error  // what the last operation ended with, left for a blocking shim to return
+}
 
-	registered bool // for failure interrupts (ftState.register), from run to end
+// name is the operation as spans and errors name it: the collective's name in
+// a rank's own frame, its request's in a request's.
+func (f *frame) name() string {
+	if f == &f.h.call {
+		return collNames[f.kind].op
+	}
+	return collNames[f.kind].req
 }
 
 // ender is what an operation ends in: the caller's continuation (endFunc), or
@@ -269,13 +282,13 @@ func (h handle) outstanding() *sim.Event {
 // outstanding request of the rank, under a root trace span, fault-sensitively.
 // k receives nil, or the *RankFailedError of a member declared failed by then.
 func (h handle) begin(a collArgs, k func(error)) {
-	f, name := &h.call, collNames[a.kind].op
-	if f.name != "" {
-		panic(&check.ReentryError{Op: name, Running: f.name, Rank: h.rank})
+	f := &h.call
+	if f.k != nil {
+		panic(&check.ReentryError{Op: collNames[a.kind].op, Running: f.name(), Rank: h.rank})
 	}
-	f.collArgs, f.actor, f.h, f.name, f.k = a, h.actor, h, name, endFunc(k)
+	f.collArgs, f.h, f.k = a, h, endFunc(k)
 	if tail := h.outstanding(); tail != nil {
-		h.wait(tail, (*frameOpen)(f))
+		h.call.wait(tail, (*frameOpen)(f))
 		return
 	}
 	f.open()
@@ -283,7 +296,7 @@ func (h handle) begin(a collArgs, k func(error)) {
 
 // open opens the root span of a blocking collective and runs it.
 func (f *frame) open() {
-	f.span = f.h.rs.tr.Begin(f.t.Track(), trace.ClassOp, f.name, f.bytes())
+	f.span = int32(f.h.rs.tr.Begin(f.t.Track(), trace.ClassOp, f.name(), f.bytes()))
 	f.run()
 }
 
@@ -295,13 +308,13 @@ func (f *frame) run() {
 	h := f.h
 	if ft := h.rs.ft; ft != nil {
 		if h.rec.failed > 0 {
-			f.end(h.failedError(f.name))
+			f.end(h.failedError(f.name()))
 			return
 		}
 		ft.register(f.t, h.rec)
 		f.registered = true
 	}
-	if f.p != nil {
+	if f.p() != nil {
 		f.end(f.block())
 		return
 	}
@@ -325,7 +338,7 @@ func (f *frame) declared(payload any) error {
 	// (the barrier manages interrupts inline); restoring is idempotent when
 	// nothing was pending.
 	f.h.rs.dom.Endpoint(f.h.rank).SetInterrupts(true)
-	return &RankFailedError{Op: f.name, Rank: f.h.rank, Failed: fi.failed}
+	return &RankFailedError{Op: f.name(), Rank: f.h.rank, Failed: fi.failed}
 }
 
 // end ends the operation with err: it puts the task back as run found it,
@@ -334,15 +347,15 @@ func (f *frame) declared(payload any) error {
 func (f *frame) end(err error) {
 	k := f.k
 	if f.registered {
-		if f.p == nil { // arm's doing: operations are never nested on one task
-			f.t.OnInterrupt = nil
+		if f.p() == nil { // arm's doing: operations are never nested on one task
+			f.t.SetOnInterrupt(nil)
 			f.t.SetUnwindArmed(false)
 		}
 		f.h.rs.ft.deregister(f.t)
 		f.registered = false
 	}
-	f.name, f.k, f.err = "", nil, err
-	f.h.rs.tr.End(f.span)
+	f.k, f.err = nil, err
+	f.h.rs.tr.End(int(f.span))
 	k.ended(err)
 }
 
@@ -425,7 +438,7 @@ func (sm *simulation) spawnTasks(body func(tc *TComm, done func())) {
 	}
 	for r := range sm.rs.ranks {
 		t := sm.m.Env.SpawnTask("rank", r, start)
-		sm.rs.ranks[r].t = t
+		sm.rs.ranks[r].call.t = t
 		sm.nameTrack(t)
 	}
 }
