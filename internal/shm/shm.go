@@ -49,10 +49,11 @@ func (f *Flag) Init(m *machine.Machine, node int) {
 	f.cond.Init(m.Env)
 }
 
-// narrow returns v as a flag's int32, panicking when it does not fit.
+// narrow returns v, a flag's value or node, as the flag's int32, panicking
+// when it does not fit.
 func narrow(v int) int32 {
 	if int(int32(v)) != v {
-		panic("shm: flag value " + strconv.Itoa(v) + " does not fit in int32")
+		panic("shm: " + strconv.Itoa(v) + " does not fit a flag's int32")
 	}
 	return int32(v)
 }
