@@ -127,6 +127,14 @@ type Link[T any] struct{ next *T }
 
 func (l *Link[T]) link() **T { return &l.next }
 
+// Next and SetNext let the holder of a value it got from a Frames thread a
+// list of its own through the link, which the Frames uses only while the value
+// is idle: Get hands it out nil, and Put takes it back.
+func (l *Link[T]) Next() *T { return l.next }
+
+// SetNext sets the link of a value in use (Next).
+func (l *Link[T]) SetNext(x *T) { l.next = x }
+
 type linked[T any] interface {
 	*T
 	link() **T

@@ -204,14 +204,18 @@ func (x *exec) bind(t *sim.Task) {
 
 // finish is the single completion and abort action of a collective: run calls
 // it when the root body returns, and bind registers it for an interrupt or
-// kill. It closes spans left
-// open by an abort, signals a helper's master, re-enables interrupts,
-// retires the operation entry and recycles the executor.
+// kill. It closes spans left open by an abort, signals an aborted helper's
+// master (a helper that completes signals it as its kont, which run resumes
+// after finish), re-enables interrupts, retires the operation entry and
+// recycles the executor.
 func (x *exec) finish() {
 	aborted := x.depth > 0
 	for x.depth > 0 {
 		x.s.m.Env.Trace.End(int(x.top().span))
 		x.pop()
+	}
+	if done, ok := x.kont.(*trigger); ok && aborted {
+		done.Resume()
 	}
 	if x.quiet {
 		x.ep.SetInterrupts(true)
@@ -355,9 +359,9 @@ func (x *exec) pop() {
 
 func (x *exec) waitFlagT(fl *shm.Flag, o *op) {
 	if o.eq {
-		fl.WaitForK(x.s.m, x.t, int(o.v), x)
+		fl.WaitForK(x.t, int(o.v), x)
 	} else {
-		fl.WaitGEK(x.s.m, x.t, int(o.v), x)
+		fl.WaitGEK(x.t, int(o.v), x)
 	}
 }
 
@@ -384,11 +388,11 @@ func (x *exec) count(o *op) {
 func (x *exec) effect(o *op) {
 	switch o.kind {
 	case opSet:
-		o.flag.Store(x.s.m, int(o.v))
+		o.flag.Set(int(o.v))
 	case opSetAll:
 		set := *x.oq.rare.set
 		for i := range set {
-			set[i].Store(x.s.m, int(o.v))
+			set[i].Set(int(o.v))
 		}
 	case opIncr:
 		o.cntr.Incr(1)

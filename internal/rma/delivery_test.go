@@ -332,7 +332,7 @@ func TestMarkDeadNeedsAllowDeaths(t *testing.T) {
 // pendingCount returns the length of the endpoint's pending list.
 func pendingCount(ep *Endpoint) int {
 	n := 0
-	for p := ep.pending; p != nil; p = p.next {
+	for p := ep.pending; p != nil; p = p.Next() {
 		n++
 	}
 	return n

@@ -100,10 +100,10 @@ type deferred struct {
 	fr *delivery
 }
 
-// pendingNode holds a deferred delivery on its endpoint's pending list.
+// pendingNode holds a deferred delivery on its endpoint's pending list, which
+// runs through its link (the domain's free list uses it only while idle).
 type pendingNode struct {
 	deferred
-	next *pendingNode
 	bufpool.Link[pendingNode]
 }
 
@@ -271,7 +271,7 @@ func (ep *Endpoint) push(p deferred) {
 	if ep.last == nil {
 		ep.pending = n
 	} else {
-		ep.last.next = n
+		ep.last.SetNext(n)
 	}
 	ep.last = n
 }
@@ -281,7 +281,7 @@ func (ep *Endpoint) push(p deferred) {
 func (ep *Endpoint) pop() deferred {
 	n := ep.pending
 	p := n.deferred
-	if ep.pending = n.next; ep.pending == nil {
+	if ep.pending = n.Next(); ep.pending == nil {
 		ep.last = nil
 	}
 	ep.dom.defers.Put(n)

@@ -19,8 +19,7 @@ import (
 // loop yields its time slice, see machine.WakeLatency). The condition its
 // waiters park on is embedded by value, so a flag is one piece of memory: an
 // element of a NewFlags slab, or of a slab its owner carved and bound with
-// Init. It is 40 bytes and holds no machine: Store, WaitGEK and WaitForK take
-// their caller's, and the forms without one find the machine its environment
+// Init. It is 40 bytes and holds no machine: it finds the one its environment
 // runs on (sim.Env.Host).
 type Flag struct {
 	val, node int32
@@ -58,57 +57,53 @@ func narrow(v int) int32 {
 	return int32(v)
 }
 
-// machineOf returns the machine the flag's environment runs on, for the forms
-// that are not given one.
+// machineOf returns the machine the flag's environment runs on.
 func (f *Flag) machineOf() *machine.Machine { return f.cond.Env().Host.(*machine.Machine) }
 
-// Set stores v: Store on the machine of the flag's environment.
-func (f *Flag) Set(v int) { f.Store(f.machineOf(), v) }
-
-// Store stores v on m, the machine the flag is in. The store itself is free
-// for the setter; spinning waiters observe it after the wake latency.
-func (f *Flag) Store(m *machine.Machine, v int) {
+// Set stores v. The store itself is free for the setter; spinning waiters
+// observe it after the wake latency.
+func (f *Flag) Set(v int) {
 	f.val = narrow(v)
-	f.cond.BroadcastAfter(m.WakeLatency())
+	f.cond.BroadcastAfter(f.machineOf().WakeLatency())
 }
 
 // WaitGE spins until the flag value is >= v: WaitGET from a process body.
 func (f *Flag) WaitGE(p *sim.Proc, v int) {
-	f.WaitGEK(f.machineOf(), &p.Task, v, p.Resume())
+	f.WaitGEK(&p.Task, v, p.Resume())
 	p.Park()
 }
 
 // WaitFor spins until the flag equals v: WaitForT from a process body.
 func (f *Flag) WaitFor(p *sim.Proc, v int) {
-	f.WaitForK(f.machineOf(), &p.Task, v, p.Resume())
+	f.WaitForK(&p.Task, v, p.Resume())
 	p.Park()
 }
 
 // WaitGET is WaitGEK with a closure for k.
-func (f *Flag) WaitGET(t *sim.Task, v int, k func()) { f.WaitGEK(f.machineOf(), t, v, sim.Func(k)) }
+func (f *Flag) WaitGET(t *sim.Task, v int, k func()) { f.WaitGEK(t, v, sim.Func(k)) }
 
-// WaitGEK spins on m, the machine the flag is in, until the flag value is >= v
-// (machine.SpinT), then resumes with k. This covers the monotone counter waits
-// of the SMP collectives (§2.2). A flag already at the value runs k within the
-// current step: no virtual time passes.
-func (f *Flag) WaitGEK(m *machine.Machine, t *sim.Task, v int, k sim.K) {
+// WaitGEK spins until the flag value is >= v (machine.SpinT), then resumes
+// with k. This covers the monotone counter waits of the SMP collectives
+// (§2.2). A flag already at the value runs k within the current step: no
+// virtual time passes.
+func (f *Flag) WaitGEK(t *sim.Task, v int, k sim.K) {
 	if int(f.val) >= v {
 		k.Resume()
 		return
 	}
-	m.SpinT(t, int(f.node), &f.cond, f, &f.val, v, false, k)
+	f.machineOf().SpinT(t, int(f.node), &f.cond, f, &f.val, v, false, k)
 }
 
 // WaitForT is WaitForK with a closure for k.
-func (f *Flag) WaitForT(t *sim.Task, v int, k func()) { f.WaitForK(f.machineOf(), t, v, sim.Func(k)) }
+func (f *Flag) WaitForT(t *sim.Task, v int, k func()) { f.WaitForK(t, v, sim.Func(k)) }
 
-// WaitForK spins on m until the flag equals v, then resumes with k.
-func (f *Flag) WaitForK(m *machine.Machine, t *sim.Task, v int, k sim.K) {
+// WaitForK spins until the flag equals v, then resumes with k.
+func (f *Flag) WaitForK(t *sim.Task, v int, k sim.K) {
 	if int(f.val) == v {
 		k.Resume()
 		return
 	}
-	m.SpinT(t, int(f.node), &f.cond, f, &f.val, v, true, k)
+	f.machineOf().SpinT(t, int(f.node), &f.cond, f, &f.val, v, true, k)
 }
 
 // DescribeWait implements sim.WaitDescriber for stall reports.
@@ -175,7 +170,7 @@ func (fs *FlagSet) WaitAllT(t *sim.Task, v int, k func(), skip ...int) {
 			}
 			i++
 		}
-		fs.flags[i].WaitForK(fs.flags[i].machineOf(), t, v, sim.Func(func() { step(i + 1) }))
+		fs.flags[i].WaitForK(t, v, sim.Func(func() { step(i + 1) }))
 	}
 	step(0)
 }

@@ -36,7 +36,7 @@ type Env struct {
 
 	// Host is what the simulation runs on: internal/machine sets its machine
 	// here (the last one made on the environment), for records too small to
-	// hold it — a shm flag set or waited on by a caller that does not pass it.
+	// hold it: a shm flag finds its machine here.
 	Host any
 
 	now       Time

@@ -242,6 +242,11 @@ func TestBlockedWhere(t *testing.T) {
 	if err := e.RunUntil(50); err != nil {
 		t.Fatal(err)
 	}
+	// A plain task formats its name without keeping it; give each parked one a
+	// side record, where Name caches, so a name formatted shows below.
+	for _, tk := range tasks {
+		e.SetSlowdown(tk, 2)
+	}
 	for _, tc := range []struct {
 		keep  func(*Task) bool
 		names string
