@@ -204,18 +204,15 @@ func (x *exec) bind(t *sim.Task) {
 
 // finish is the single completion and abort action of a collective: run calls
 // it when the root body returns, and bind registers it for an interrupt or
-// kill. It closes spans left open by an abort, signals an aborted helper's
-// master (a helper that completes signals it as its kont, which run resumes
-// after finish), re-enables interrupts, retires the operation entry and
-// recycles the executor.
+// kill. It closes spans left open by an abort, re-enables interrupts,
+// retires the operation entry and recycles the executor. A pipeline helper's
+// master is signalled by the helper's kont, which run resumes after finish; a
+// helper's task never arms its unwind stack, so no abort runs a helper's finish.
 func (x *exec) finish() {
 	aborted := x.depth > 0
 	for x.depth > 0 {
 		x.s.m.Env.Trace.End(int(x.top().span))
 		x.pop()
-	}
-	if done, ok := x.kont.(*trigger); ok && aborted {
-		done.Resume()
 	}
 	if x.quiet {
 		x.ep.SetInterrupts(true)
