@@ -451,8 +451,8 @@ func ranks(o *opts, args []string) error {
 			return fmt.Errorf("bcast rank %d received %v, want %v", r, buf, bufs[0])
 		}
 	}
-	fmt.Fprintf(o.w, "ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events, wall %s, %.0f events/sec, %.0f heap bytes/rank allocated%s\n",
-		n, nodes, tpn, o.op, sim, events, wall, float64(events)/wall.Seconds(), perRank, note)
+	fmt.Fprintf(o.w, "ranks %d (%d nodes x %d tasks) %s: sim %.1f us, %d events, wall %s, %.0f events/sec, %.0f heap bytes/rank allocated%s, max RSS %.1f MiB\n",
+		n, nodes, tpn, o.op, sim, events, wall, float64(events)/wall.Seconds(), perRank, note, maxRSSMiB())
 	return nil
 }
 

@@ -155,9 +155,15 @@ func newRDState(g *Group, size int, ds dataspec) *rdState {
 	return &rdState{newFold(g, size, ds, 1, func(int) int { return size })}
 }
 
-// step is the master's role; f.i counts exchange rounds.
+const (
+	rdWait   = fdExchange + 1 + iota // wait for round f.i's partial
+	rdAbsorb                         // fold it in
+)
+
+// step is the master's role; f.i counts exchange rounds. A round's put, wait
+// and fold are a step each, so neither the put nor the wait holds a queue.
 func (a *rdState) step(x *exec, f *frame) {
-	nx := int(x.nx)
+	nx, r := int(x.nx), int(f.i)
 	switch f.pc {
 	case fdReduce:
 		f.pc = fdFold
@@ -165,15 +171,19 @@ func (a *rdState) step(x *exec, f *frame) {
 			f.j = 1
 		}
 	case fdExchange:
-		if r := int(f.i); r < a.rounds {
+		if r < a.rounds {
 			partner := nx ^ (1 << r)
 			x.put(x.g.master(partner), *a.slot.at(partner, 1+r), a.partial(f), &a.cn[partner][cnRound+r])
-			x.waitcntr(&a.cn[nx][cnRound+r], 1)
-			a.absorb(x, f, *a.slot.at(nx, 1+r))
-			f.i++
+			f.pc = rdWait
 			return
 		}
 		f.pc = fdUnfold
+	case rdWait:
+		x.waitcntr(&a.cn[nx][cnRound+r], 1)
+		f.pc = rdAbsorb
+	case rdAbsorb:
+		a.absorb(x, f, *a.slot.at(nx, 1+r))
+		f.pc, f.i = fdExchange, f.i+1
 	default:
 		a.foldStep(x, f)
 	}

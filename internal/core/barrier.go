@@ -51,7 +51,9 @@ func (g *Group) barrier(x *exec, rank int) {
 	x.call(b, 0, 0, nil, nil)
 }
 
-// step: pc 0 is entry; the master counts dissemination rounds in f.k.
+// step: pc 0 is entry; the master counts dissemination rounds in f.k, and a
+// round's put (pc 1) and its wait (pc 2) are a step each, so the put holds no
+// queue.
 func (b *barrierState) step(x *exec, f *frame) {
 	g := b.g
 	fs := b.flags[x.nx]
@@ -72,11 +74,13 @@ func (b *barrierState) step(x *exec, f *frame) {
 			x.interrupts(false)
 		}
 		f.pc = 1
+	case f.pc == 2:
+		x.waitcntr(&b.cnt[x.nx][f.k], 1)
+		f.pc, f.k = 1, f.k+1
 	case nn > 1 && int(f.k) < b.rounds:
 		peer := (int(x.nx) + 1<<int(f.k)) % nn
 		x.putZero(g.master(peer), &b.cnt[peer][f.k])
-		x.waitcntr(&b.cnt[x.nx][f.k], 1)
-		f.k++
+		f.pc = 2
 	default:
 		if nn > 1 {
 			x.interrupts(true)

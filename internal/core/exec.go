@@ -40,9 +40,36 @@ import (
 // so they too come last, and an operation or call after them panics. A step
 // queues at most len(opQueue.q) operations; one that needs more is split across
 // two pcs, which runs the same operations in the same order.
+//
+// A task that suspends on the last operation of its step holds no queue, and
+// one with operations queued behind the suspending one holds its queue until
+// they have run. So a step whose suspension a census shows held by more than a
+// thousand ranks at once ends on that operation: what would follow it opens
+// the next pc. A stepper whose frame can be rebuilt from its rank alone
+// (parker; only scale's) lets such a rank park without its executor too.
 
 type stepper interface {
 	step(x *exec, f *frame)
+}
+
+// parker is a stepper's one optional hook, for a body whose frame follows from
+// its rank (scale's: the rank's slices of the call's vectors, its node and
+// local index and endpoint), which a facade collective's frame (caller buffers,
+// SMP sub-frames) does not. Before the last operation of a step, when that
+// operation is performed in one visit and neither an unwind nor a tail bit
+// holds the executor, run asks park for the record that stands in for x as the operation's
+// continuation, armed, or nil to keep x. While armed, the record's Resume only
+// notes an inline completion, as exec.Resume does, and disarm reports it; if
+// the task suspended instead, the executor goes back to SRM.execs, and the
+// record's Resume later takes one, rebuilds the frame and runs it.
+type parker interface {
+	park(x *exec, f *frame) parked
+}
+
+// parked is a parker's record as run sees it.
+type parked interface {
+	sim.K
+	disarm() (fired bool)
 }
 
 // frame is the resumable state of one running body: where it is (pc), its
@@ -60,8 +87,7 @@ const maxDepth = 2
 
 // subFrame is the frame of an SMP stage while a body has called it. It is not
 // part of the executor: a rank waits in a stage for part of a collective at
-// most, and in none of the massive-rank allreduce, whose every rank holds an
-// executor for the whole call.
+// most, and in none of the massive-rank allreduce.
 type subFrame struct {
 	frame
 	bufpool.Link[subFrame]
@@ -86,8 +112,13 @@ const (
 	opIntr                    // the rank's endpoint interrupts on (eq) or off
 )
 
+// once reports whether an operation of kind k may suspend and is performed in
+// a single visit: only then can its task park on it without an executor.
+func (k opKind) once() bool { return k <= opCombine && k != opWaitFlags }
+
 // op is one queued operation of a step. Only the fields its kind names
-// are set; i is the progress of an operation performed in several visits.
+// are set; i is the progress of opWaitFlags, the one operation performed in
+// several visits.
 type op struct {
 	kind     opKind
 	eq       bool
@@ -252,10 +283,19 @@ func (x *exec) run() {
 		for x.qh < x.qn {
 			o := &x.oq.q[x.qh]
 			last := true // this visit is the operation's last
+			var k sim.K = x
+			var pk parked
+			if x.qh+1 == x.qn && o.kind.once() && x.depth == 1 && !x.unwinds && x.bits&(bitEnd|bitRet) == 0 {
+				if p, ok := x.root.b.(parker); ok {
+					if pk = p.park(x, &x.root); pk != nil {
+						k = pk
+					}
+				}
+			}
 			x.armed = true
 			switch o.kind {
 			case opWaitFlag:
-				x.waitFlagT(o.flag, o)
+				x.waitFlagT(o.flag, o, k)
 			case opWaitFlags:
 				// One flag per visit, until every one has been passed.
 				if o.i == o.w {
@@ -264,39 +304,36 @@ func (x *exec) run() {
 				if set := *x.oq.rare.set; int(o.i) < len(set) {
 					last = false
 					o.i++
-					x.waitFlagT(&set[o.i-1], o)
+					x.waitFlagT(&set[o.i-1], o, x)
 				} else {
 					x.fired = true
 				}
 			case opWaitEvent:
-				x.oq.rare.ev.WaitK(t, x)
+				x.oq.rare.ev.WaitK(t, k)
 			case opWaitCntr:
-				x.ep.WaitcntrK(t, o.cntr, int(o.v), x)
+				x.ep.WaitcntrK(t, o.cntr, int(o.v), k)
 			case opWaitValue:
-				x.ep.WaitValueT(t, o.cntr, int(o.v), x)
+				x.ep.WaitValueT(t, o.cntr, int(o.v), k)
 			case opPut:
-				x.ep.PutK(t, x.s.dom.Endpoint(int(o.w)), o.dst, o.src, nil, o.cntr, nil, x)
+				x.ep.PutK(t, x.s.dom.Endpoint(int(o.w)), o.dst, o.src, nil, o.cntr, nil, k)
 			case opAM:
 				ev := x.oq.rare.ev
-				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, func([]byte) { ev.Trigger() }, x)
+				x.ep.AMT(t, x.s.dom.Endpoint(int(o.w)), o.src, func([]byte) { ev.Trigger() }, k)
 			case opCopy:
-				m.MemcpyT(t, int(x.node), o.dst, o.src, x)
-			case opCharge, opCombine:
-				// Two visits: pay the time, then count the bytes.
-				if o.i++; o.i == 2 {
-					x.count(o)
-					x.fired = true
-				} else if last = false; o.kind == opCharge {
-					m.ChargeCopyK(t, int(x.node), int(o.v), x)
-				} else {
-					x.reduce(o)
-					t.SleepK(m.CombineTime(len(o.dst)), x)
-				}
+				m.MemcpyT(t, int(x.node), o.dst, o.src, k)
+			case opCharge:
+				m.ChargeCopyK(t, int(x.node), int(o.v), x.tally(o, k))
+			case opCombine:
+				x.reduce(o)
+				t.SleepK(m.CombineTime(len(o.dst)), x.tally(o, k))
 			default:
 				x.effect(o)
 				x.fired = true
 			}
 			x.armed = false
+			if pk != nil && pk.disarm() {
+				x.fired = true
+			}
 			if last {
 				x.qh++
 			}
@@ -305,6 +342,10 @@ func (x *exec) run() {
 					// Parked on the step's last operation, which reads
 					// nothing of the queue again.
 					x.dropQueue()
+				}
+				if pk != nil {
+					// The record stands in for the executor.
+					x.s.execs.Put(x)
 				}
 				return
 			}
@@ -354,16 +395,15 @@ func (x *exec) pop() {
 	}
 }
 
-func (x *exec) waitFlagT(fl *shm.Flag, o *op) {
+func (x *exec) waitFlagT(fl *shm.Flag, o *op, k sim.K) {
 	if o.eq {
-		fl.WaitForK(x.t, int(o.v), x)
+		fl.WaitForK(x.t, int(o.v), k)
 	} else {
-		fl.WaitGEK(x.t, int(o.v), x)
+		fl.WaitGEK(x.t, int(o.v), k)
 	}
 }
 
-// reduce and count are the data and the statistics of opCombine (and
-// count the statistics of opCharge).
+// reduce is the data of opCombine.
 func (x *exec) reduce(o *op) {
 	ds := x.spec()
 	if o.eq {
@@ -373,12 +413,39 @@ func (x *exec) reduce(o *op) {
 	}
 }
 
-func (x *exec) count(o *op) {
+// tally is the continuation of an opCharge or opCombine: once the time has
+// passed it counts the bytes copied or the elements combined, then resumes k.
+// It holds the count, so the operation reads nothing of its queue once
+// started, and a charge or combine that ends its step parks with no queue.
+type tally struct {
+	s      *SRM
+	k      sim.K
+	n      int32
+	reduce bool
+	bufpool.Link[tally]
+}
+
+// tally returns the continuation of o, a charge or a combine, that resumes k.
+func (x *exec) tally(o *op, k sim.K) *tally {
+	c := x.s.tallies.Get()
+	c.s, c.k = x.s, k
 	if o.kind == opCharge {
-		x.s.m.Stats.AddCopy(int(o.v))
+		c.n = o.v
 	} else {
-		x.s.m.Stats.AddReduce(len(o.dst) / max(1, x.spec().dt.Size()))
+		c.n, c.reduce = int32(len(o.dst)/max(1, x.spec().dt.Size())), true
 	}
+	return c
+}
+
+func (c *tally) Resume() {
+	s, k, n := c.s, c.k, int(c.n)
+	if c.reduce {
+		s.m.Stats.AddReduce(n)
+	} else {
+		s.m.Stats.AddCopy(n)
+	}
+	s.tallies.Put(c)
+	k.Resume()
 }
 
 // effect performs an operation that never blocks.

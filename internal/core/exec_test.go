@@ -135,3 +135,45 @@ func TestParkedExecutorHoldsNoQueue(t *testing.T) {
 	}
 	t.Logf("%d events, %d samples: at most %d queues out, at most %d executors live", events, samples, maxOut, maxLive)
 }
+
+// TestScaleRanksWaitWithoutExecutors runs the massive-rank allreduce over
+// 4,096 ranks, 64 bytes each, warm, and counts what its ranks hold while they
+// wait. A worker's contribution copy ends its step, so no worker waits with
+// operations queued behind it, and a rank parked on a step's last operation
+// keeps only its 24-byte scaleRank record: the executors drawn are at most
+// about one a node, not one a rank, and the queues fit a few slabs.
+func TestScaleRanksWaitWithoutExecutors(t *testing.T) {
+	if size := reflect.TypeFor[scaleRank]().Size(); size > 24 {
+		t.Errorf("scaleRank is %d bytes, want at most 24", size)
+	}
+	const nodes, tpn, n = 512, 8, 64
+	P := nodes * tpn
+	run := func() (execs int, queueSlabs uint64) {
+		env := sim.NewEnv()
+		m := machine.New(env, machine.ColonySP(nodes, tpn))
+		s := New(m, rma.NewDomain(m), Options{})
+		send, recv := make([]byte, P*n), make([]byte, P*n)
+		before := bufpool.Slabs[opQueue]().Drawn
+		s.ScaleAllreduce(1, send, recv, make([]sim.Time, P))
+		if err := env.Run(); err != nil || env.Live() != 0 {
+			t.Fatalf("Run() = %v with %d tasks live", err, env.Live())
+		}
+		queueSlabs = bufpool.Slabs[opQueue]().Drawn - before
+		execs, idle := s.execs.Count()
+		if idle != execs {
+			t.Errorf("%d of %d executors not back after the run", execs-idle, execs)
+		}
+		s.Release()
+		env.Release()
+		return execs, queueSlabs
+	}
+	run() // warm the reserve
+	execs, slabs := run()
+	if limit := P/8 + 64; execs > limit {
+		t.Errorf("%d executors drawn for %d ranks, want at most %d", execs, P, limit)
+	}
+	if slabs > 8 {
+		t.Errorf("%d queue slabs drawn, want at most 8", slabs)
+	}
+	t.Logf("%d ranks: %d executors, %d queue slabs", P, execs, slabs)
+}

@@ -25,7 +25,7 @@ const (
 	pubExpose
 	pubConsume
 	pubCopyOut
-	pubAck   // treePub: a consumer's flags after its copies
+	pubAck   // a consumer's flags after its copies
 	pubEpoch // barrierPub: a consumer's second barrier
 )
 
@@ -91,9 +91,12 @@ func (pub *smpPub) step(x *exec, f *frame) {
 		x.waitGE(pub.ready, k+1)
 		f.pc = pubCopyOut
 	case pubCopyOut:
+		// The copy ends the step: every consumer of a node copies at once.
 		if len(f.a) > 0 {
 			x.memcpy(f.a, pub.cur[parity][:len(f.a)])
 		}
+		f.pc = pubAck
+	case pubAck:
 		x.set(&pub.done[x.l], k+1)
 		x.end()
 		x.ret()
@@ -382,17 +385,25 @@ func (rn *redNode) step(x *exec, f *frame) {
 		}
 	case int(f.i) < len(kids):
 		// Fold child f.i's slot in, charging combine time, and mark the
-		// slot free afterwards.
+		// slot free afterwards: the wait, the fold and the mark are a step
+		// each (f.j), so neither the wait nor the fold holds a queue.
 		c := kids[f.i]
-		x.waitGE(rn.full(c), k+1)
-		if len(target) > 0 {
-			if f.i > 0 {
-				own = nil
+		switch f.j {
+		case 0:
+			x.waitGE(rn.full(c), k+1)
+			f.j = 1
+		case 1:
+			if len(target) > 0 {
+				if f.i > 0 {
+					own = nil
+				}
+				x.combine(target, own, rn.slot[c][k%2][:len(target)])
 			}
-			x.combine(target, own, rn.slot[c][k%2][:len(target)])
+			f.j = 2
+		default:
+			x.set(rn.free(c), k+1)
+			f.i, f.j = f.i+1, 0
 		}
-		x.set(rn.free(c), k+1)
-		f.i++
 	case f.pc == redMaster:
 		x.ret()
 	default:

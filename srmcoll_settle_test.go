@@ -128,16 +128,18 @@ func TestRunSettles(t *testing.T) {
 }
 
 // TestScaleAllreduceSettles: ScaleAllreduce weighs what its run allocated as
-// Run and RunT do. Its executors, flags and counters are the collector's once
-// it returns, and at 16,384 ranks they and the tasks the reserve could not
-// supply cross settleAfter alone: the call is collected before it returns. A
-// 64-rank call allocates a few hundred KiB and leaves the collector alone.
+// Run and RunT do. Its rank records, flags and counters are the collector's
+// once it returns, and at 32,768 ranks they and the tasks the reserve could not
+// supply cross settleAfter alone: the call is collected before it returns. (At
+// 16,384 ranks they did while every rank held an executor; a parked rank holds
+// none now, and the call allocates about 6.6 MiB.) A 64-rank call allocates a
+// few hundred KiB and leaves the collector alone.
 func TestScaleAllreduceSettles(t *testing.T) {
 	forced := forcedCycles(t)
 	for _, tc := range []struct {
 		nodes int
 		want  uint64
-	}{{8, 0}, {2048, 1}} {
+	}{{8, 0}, {4096, 1}} {
 		cl := mustCluster(t, tc.nodes, 8)
 		before := forced()
 		start, _ := heapCounters()
