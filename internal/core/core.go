@@ -169,12 +169,10 @@ type SRM struct {
 	retired, kept []*opEntry
 
 	// The executors of the run (DESIGN.md §9), the queues of those with
-	// operations pending, the frames of the SMP stages their bodies call, and
-	// the counts of their charges and combines in progress.
-	execs   bufpool.Frames[exec, *exec]
-	queues  bufpool.Frames[opQueue, *opQueue]
-	subs    bufpool.Frames[subFrame, *subFrame]
-	tallies bufpool.Frames[tally, *tally]
+	// operations pending, and the frames of the SMP stages their bodies call.
+	execs  bufpool.Frames[exec, *exec]
+	queues bufpool.Frames[opQueue, *opQueue]
+	subs   bufpool.Frames[subFrame, *subFrame]
 }
 
 // opEntry is one collective call of a group: the state its members share,
@@ -360,7 +358,6 @@ func (s *SRM) Release() {
 	s.execs.Release()
 	s.queues.Release()
 	s.subs.Release()
-	s.tallies.Release()
 }
 
 // flags returns n zero flags in node's shared memory, and counters n counters

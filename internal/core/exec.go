@@ -78,6 +78,7 @@ type frame struct {
 	b        stepper
 	pc, span int32 // span: open trace span, closed by end or on abort; -1 when none
 	i, j, k  int32
+	due      int32 // what a charge or combine of the step counts once its time has passed (bitDue)
 	a, c     []byte
 }
 
@@ -112,9 +113,10 @@ const (
 	opIntr                    // the rank's endpoint interrupts on (eq) or off
 )
 
-// once reports whether an operation of kind k may suspend and is performed in
-// a single visit: only then can its task park on it without an executor.
-func (k opKind) once() bool { return k <= opCombine && k != opWaitFlags }
+// once reports whether an operation of kind k may suspend, is performed in a
+// single visit and owes nothing once it has: only then can its task park on
+// it without an executor.
+func (k opKind) once() bool { return k <= opCopy && k != opWaitFlags }
 
 // op is one queued operation of a step. Only the fields its kind names
 // are set; i is the progress of opWaitFlags, the one operation performed in
@@ -152,11 +154,13 @@ type opQueue struct {
 }
 
 // The bits of exec.bits: the two tail operations, which run in this order
-// once the queue has drained, and the rare slot taken.
+// once the queue has drained, the rare slot taken, and a count due.
 const (
-	bitEnd  = 1 << iota // close the span of the top frame
-	bitRet              // pop the top frame
-	bitRare             // a queued operation uses the queue's rare slot
+	bitEnd       = 1 << iota // close the span of the top frame
+	bitRet                   // pop the top frame
+	bitRare                  // a queued operation uses the queue's rare slot
+	bitDue                   // a charge's bytes or a combine's elements (frame.due) are still to be counted
+	bitDueReduce             // with bitDue: they are a combine's
 )
 
 // exec drives one task — a rank's, or a pipeline helper's beside it — through
@@ -271,6 +275,7 @@ func (x *exec) Resume() {
 		x.fired = true
 		return
 	}
+	x.pay()
 	x.run()
 }
 
@@ -322,10 +327,12 @@ func (x *exec) run() {
 			case opCopy:
 				m.MemcpyT(t, int(x.node), o.dst, o.src, k)
 			case opCharge:
-				m.ChargeCopyK(t, int(x.node), int(o.v), x.tally(o, k))
+				x.owe(int(o.v), 0)
+				m.ChargeCopyK(t, int(x.node), int(o.v), x)
 			case opCombine:
 				x.reduce(o)
-				t.SleepK(m.CombineTime(len(o.dst)), x.tally(o, k))
+				x.owe(len(o.dst)/max(1, x.spec().dt.Size()), bitDueReduce)
+				t.SleepK(m.CombineTime(len(o.dst)), x)
 			default:
 				x.effect(o)
 				x.fired = true
@@ -333,6 +340,9 @@ func (x *exec) run() {
 			x.armed = false
 			if pk != nil && pk.disarm() {
 				x.fired = true
+			}
+			if x.fired {
+				x.pay()
 			}
 			if last {
 				x.qh++
@@ -413,39 +423,26 @@ func (x *exec) reduce(o *op) {
 	}
 }
 
-// tally is the continuation of an opCharge or opCombine: once the time has
-// passed it counts the bytes copied or the elements combined, then resumes k.
-// It holds the count, so the operation reads nothing of its queue once
-// started, and a charge or combine that ends its step parks with no queue.
-type tally struct {
-	s      *SRM
-	k      sim.K
-	n      int32
-	reduce bool
-	bufpool.Link[tally]
+// owe records what a charge or a combine counts once its time has passed: n
+// bytes, or with bitDueReduce n elements. The count waits in the frame, so the
+// operation reads nothing of its queue once started, and one that ends its
+// step suspends with no queue.
+func (x *exec) owe(n int, reduce uint8) {
+	x.top().due = int32(n)
+	x.bits |= bitDue | reduce
 }
 
-// tally returns the continuation of o, a charge or a combine, that resumes k.
-func (x *exec) tally(o *op, k sim.K) *tally {
-	c := x.s.tallies.Get()
-	c.s, c.k = x.s, k
-	if o.kind == opCharge {
-		c.n = o.v
-	} else {
-		c.n, c.reduce = int32(len(o.dst)/max(1, x.spec().dt.Size())), true
+// pay counts what a charge or combine owes, once its time has passed.
+func (x *exec) pay() {
+	if x.bits&bitDue == 0 {
+		return
 	}
-	return c
-}
-
-func (c *tally) Resume() {
-	s, k, n := c.s, c.k, int(c.n)
-	if c.reduce {
-		s.m.Stats.AddReduce(n)
+	if n := int(x.top().due); x.bits&bitDueReduce != 0 {
+		x.s.m.Stats.AddReduce(n)
 	} else {
-		s.m.Stats.AddCopy(n)
+		x.s.m.Stats.AddCopy(n)
 	}
-	s.tallies.Put(c)
-	k.Resume()
+	x.bits &^= bitDue | bitDueReduce
 }
 
 // effect performs an operation that never blocks.

@@ -140,8 +140,9 @@ func TestParkedExecutorHoldsNoQueue(t *testing.T) {
 // 4,096 ranks, 64 bytes each, warm, and counts what its ranks hold while they
 // wait. A worker's contribution copy ends its step, so no worker waits with
 // operations queued behind it, and a rank parked on a step's last operation
-// keeps only its 24-byte scaleRank record: the executors drawn are at most
-// about one a node, not one a rank, and the queues fit a few slabs.
+// keeps only its 24-byte scaleRank record: the executors drawn are about one
+// a node (the masters fold at the same instants), not one a rank, and the
+// queues fit a few slabs.
 func TestScaleRanksWaitWithoutExecutors(t *testing.T) {
 	if size := reflect.TypeFor[scaleRank]().Size(); size > 24 {
 		t.Errorf("scaleRank is %d bytes, want at most 24", size)

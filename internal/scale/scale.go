@@ -3,8 +3,8 @@
 // RMA put/counter flow control between node masters, §2 of the paper), with
 // every repetition pipelined behind the last under one-deep credits. The
 // protocol is a stepper of package core (core.SRM.ScaleAllreduce), so a
-// parked rank is a pooled executor, not a stack, which is what makes 64k+
-// ranks cheap. This package sets a run up — the machine, the fault plan and
+// parked rank is a 24-byte record beside its task, not a stack nor even an
+// executor, which is what makes 64k+ ranks cheap. This package sets a run up — the machine, the fault plan and
 // its deadline, deterministic inputs — and reports and verifies it.
 //
 // Protocol memory is bounded per node — tpn·n contribution + n result +
@@ -161,10 +161,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// Every rank has finished and the result points at nothing of the
 	// simulation: its tasks, queue items and frames go back to the reserve
-	// for the next run. The engine's records — an executor per rank, the
-	// flags and counters of every node — are left to the collector: the
-	// reserve would keep each kind up to its cap through the runs that follow,
-	// mostly smaller ones (3 MB more peak RSS in fault_storm's chaos runs).
+	// for the next run. The engine's records — the executors of the ranks
+	// that ran at once, the flags and counters of every node — are left to
+	// the collector: the reserve would keep each kind up to its cap through
+	// the runs that follow, mostly smaller ones (3 MB more peak RSS in
+	// fault_storm's chaos runs).
 	// The caller that runs simulations back to back settles them
 	// (srmcoll.Cluster.ScaleAllreduce): left to the collector's pacing, the
 	// next run's first cycle would find them live and set its heap goal at

@@ -131,9 +131,9 @@ func TestRunSettles(t *testing.T) {
 // Run and RunT do. Its rank records, flags and counters are the collector's
 // once it returns, and at 32,768 ranks they and the tasks the reserve could not
 // supply cross settleAfter alone: the call is collected before it returns. (At
-// 16,384 ranks they did while every rank held an executor; a parked rank holds
-// none now, and the call allocates about 6.6 MiB.) A 64-rank call allocates a
-// few hundred KiB and leaves the collector alone.
+// 16,384 ranks they did while every rank held an executor; a waiting rank holds
+// none now, and that call stays under the line.) A 64-rank call allocates a few
+// hundred KiB and leaves the collector alone.
 func TestScaleAllreduceSettles(t *testing.T) {
 	forced := forcedCycles(t)
 	for _, tc := range []struct {
