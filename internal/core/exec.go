@@ -57,11 +57,12 @@ type stepper interface {
 // local index and endpoint), which a facade collective's frame (caller buffers,
 // SMP sub-frames) does not. Before the last operation of a step, when that
 // operation is performed in one visit and neither an unwind nor a tail bit
-// holds the executor, run asks park for the record that stands in for x as the operation's
-// continuation, armed, or nil to keep x. While armed, the record's Resume only
-// notes an inline completion, as exec.Resume does, and disarm reports it; if
-// the task suspended instead, the executor goes back to SRM.execs, and the
-// record's Resume later takes one, rebuilds the frame and runs it.
+// holds the executor, run asks park for the record that stands in for x as
+// the operation's continuation, armed, or nil to keep x. While armed, the
+// record's Resume only notes an inline completion, as exec.Resume does, and
+// disarm reports it; if the task suspended instead, the executor goes back to
+// SRM.execs, and the record's Resume later takes one, rebuilds the frame and
+// runs it.
 type parker interface {
 	park(x *exec, f *frame) parked
 }
