@@ -67,6 +67,16 @@ func (ns *nodeStages) step(x *exec, f *frame) {
 	}
 }
 
+// stage: a worker runs its part of the SMP reduce of send, then consumes
+// chunk f.k-1 of the result into recv.
+func (ns *nodeStages) stage(x *exec, f *frame) (stepper, []byte, []byte) {
+	if f.k == 0 {
+		return &ns.rn[x.nx], f.a, nil
+	}
+	c := ns.sp[f.k-1]
+	return ns.pub[x.nx], f.c[c.off : c.off+c.n], nil
+}
+
 // Allreduce combines send buffers across all ranks and leaves the full
 // result in every rank's recv. send and recv must not overlap and must
 // have equal length.

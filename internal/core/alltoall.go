@@ -80,7 +80,8 @@ func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont sim.K) 
 }
 
 const (
-	a2aStage = iota // staged exchange, phase 1; f.i counts nodes or peers
+	a2aStage  = iota // staged exchange, phase 1; f.i counts nodes or peers
+	a2aStaged        // the master: wait for the node's staging, f.j walking its flags
 	a2aPut
 	a2aWait
 	a2aReady
@@ -140,9 +141,13 @@ func (a *alltoallState) step(x *exec, f *frame) {
 		f.pc = a2aReady
 		if li == 0 {
 			// Master: wait for local staging, exchange slabs pairwise.
-			x.waitAllEQ(&a.staged[nx], 1, -1)
-			f.pc, f.i = a2aPut, 1
+			f.pc = a2aStaged
 		}
+	case a2aStaged:
+		if x.waitAt(a.staged[nx], 1, -1, true, &f.j) {
+			return
+		}
+		f.pc, f.i = a2aPut, 1
 	case a2aPut:
 		if d := int(f.i); d < nn {
 			y := (nx + d) % nn

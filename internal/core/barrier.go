@@ -51,9 +51,10 @@ func (g *Group) barrier(x *exec, rank int) {
 	x.call(b, 0, 0, nil, nil)
 }
 
-// step: pc 0 is entry; the master counts dissemination rounds in f.k, and a
-// round's put (pc 1) and its wait (pc 2) are a step each, so the put holds no
-// queue.
+// step: pc 0 is entry; the master walks its node's flags in f.i, a wait a
+// step, and counts dissemination rounds in f.k, and a round's put (pc 1) and
+// its wait (pc 2) are a step each, so the put holds no queue. Every wait ends
+// its step, the workers' too (pc 1 returns), so a rank waits parked.
 func (b *barrierState) step(x *exec, f *frame) {
 	g := b.g
 	fs := b.flags[x.nx]
@@ -61,15 +62,21 @@ func (b *barrierState) step(x *exec, f *frame) {
 	switch {
 	case x.l != 0:
 		// Check in, then wait for the master to reset the flag.
-		x.set(&fs[x.l], 1)
-		x.waitEQ(&fs[x.l], 0)
+		if f.pc == 0 {
+			x.set(&fs[x.l], 1)
+			x.waitEQ(&fs[x.l], 0)
+			f.pc = 1
+			return
+		}
 		x.ret()
 	case f.pc == 0:
 		// The master first waits until all other member tasks on the node
 		// check in, then joins the inter-node phase: dissemination with
 		// zero-byte puts, log2(n) rounds, interrupts off for the duration
 		// (§2.3).
-		x.waitAllEQ(&b.flags[x.nx], 1, 0)
+		if x.waitAt(fs, 1, 0, true, &f.i) {
+			return
+		}
 		if nn > 1 {
 			x.interrupts(false)
 		}

@@ -93,6 +93,7 @@ const (
 	bcSmallKids
 	bcSmallDone
 	bcSmallFree
+	bcDrain // the root's master, every chunk out: f.i walks the node's flags
 )
 
 func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
@@ -120,6 +121,15 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 	x.call(&b.treeBcast, tbChunk, 0, buf, nil)
 }
 
+// stage: a non-master consumes chunk f.k-1 into its share of buf.
+func (b *bcastState) stage(x *exec, f *frame) (stepper, []byte, []byte) {
+	if f.pc != bcConsume {
+		return nil, nil, nil
+	}
+	c := b.sp[f.k-1]
+	return b.pub[x.nx], f.a[c.off : c.off+c.n], nil
+}
+
 func (b *bcastState) step(x *exec, f *frame) {
 	nx, buf, k := int(x.nx), f.a, int(f.k)
 	pub := b.pub[nx]
@@ -129,7 +139,10 @@ func (b *bcastState) step(x *exec, f *frame) {
 		// Every chunk is out; masters that staged chunks through the node's
 		// buffers wait until the last one has been consumed.
 		if f.pc == bcSmall && atRoot {
-			pub.waitConsumed(x, k-1)
+			f.pc, f.i = bcDrain, 0
+		}
+		if f.pc == bcDrain && pub.waitConsumed(x, k-1, &f.i) {
+			return
 		}
 		x.ret()
 		return
@@ -181,7 +194,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 			if c.n > 0 {
 				x.memcpy(mine, b.netBuf[nx][parity][:c.n])
 			}
-			f.pc = bcSmallFree
+			f.pc, f.i = bcSmallFree, 0
 			return
 		}
 		f.pc, f.k = bcSmall, int32(k+1)
@@ -189,7 +202,9 @@ func (b *bcastState) step(x *exec, f *frame) {
 		// Free the buffer to the parent once the node is done with it (only
 		// while a chunk k+2 remains to reuse this parity).
 		if k+2 < len(b.sp) {
-			pub.waitConsumed(x, k)
+			if pub.waitConsumed(x, k, &f.i) {
+				return
+			}
 			x.putZero(b.emb.masters[b.emb.inter.Parent[nx]], &b.freeC[nx][parity])
 		}
 		x.end()

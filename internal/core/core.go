@@ -169,10 +169,12 @@ type SRM struct {
 	retired, kept []*opEntry
 
 	// The executors of the run (DESIGN.md §9), the queues of those with
-	// operations pending, and the frames of the SMP stages their bodies call.
+	// operations pending, and the frames of the SMP stages their bodies call;
+	// the records of the facade ranks that wait without an executor (park.go).
 	execs  bufpool.Frames[exec, *exec]
 	queues bufpool.Frames[opQueue, *opQueue]
 	subs   bufpool.Frames[subFrame, *subFrame]
+	waits  rankWaits
 }
 
 // opEntry is one collective call of a group: the state its members share,
@@ -358,6 +360,7 @@ func (s *SRM) Release() {
 	s.execs.Release()
 	s.queues.Release()
 	s.subs.Release()
+	s.waits.release()
 }
 
 // flags returns n zero flags in node's shared memory, and counters n counters

@@ -45,24 +45,30 @@ import (
 // one with operations queued behind the suspending one holds its queue until
 // they have run. So a step whose suspension a census shows held by more than a
 // thousand ranks at once ends on that operation: what would follow it opens
-// the next pc. A stepper whose frame can be rebuilt from its rank alone
-// (parker; only scale's) lets such a rank park without its executor too.
+// the next pc, and a wait on a node's flags walks them a wait a step. A
+// stepper whose frames can be rebuilt once the wait is over (parker: scale's
+// from its rank alone; the small broadcast's, the RD allreduce's and the
+// barrier's, and the SMP stages they call, from the rank, the operation and
+// the facade's call, park.go) lets such a rank park without its executor and
+// its stage's frame too.
 
 type stepper interface {
 	step(x *exec, f *frame)
 }
 
-// parker is a stepper's one optional hook, for a body whose frame follows from
-// its rank (scale's: the rank's slices of the call's vectors, its node and
-// local index and endpoint), which a facade collective's frame (caller buffers,
-// SMP sub-frames) does not. Before the last operation of a step, when that
-// operation is performed in one visit and neither an unwind nor a tail bit
-// holds the executor, run asks park for the record that stands in for x as
-// the operation's continuation, armed, or nil to keep x. While armed, the
-// record's Resume only notes an inline completion, as exec.Resume does, and
-// disarm reports it; if the task suspended instead, the executor goes back to
-// SRM.execs, and the record's Resume later takes one, rebuilds the frame and
-// runs it.
+// parker is a root stepper's one optional hook, for a body whose frames can be
+// rebuilt after a wait: scale's from its rank (the rank's slices of the call's
+// vectors, its node and local index and endpoint); a facade collective's from
+// the rank's place, the operation entry and the caller's buffers, which its
+// call holds (RankCall), for the root frame and for the SMP stage it has
+// called. Before the last operation of a step, when that operation is
+// performed in one visit and neither an unwind nor a tail bit holds the
+// executor, run asks park for the record that stands in for x as the
+// operation's continuation, armed, or nil to keep x. While armed, the record's
+// Resume only notes an inline completion, as exec.Resume does, and disarm
+// reports it; if the task suspended instead, the executor and the stage's
+// frame go back to SRM.execs and SRM.subs, and the record's Resume later takes
+// an executor, rebuilds the frames and runs them.
 type parker interface {
 	park(x *exec, f *frame) parked
 }
@@ -99,7 +105,6 @@ type opKind uint8
 
 const (
 	opWaitFlag  opKind = iota // flag >= v, or == v with eq
-	opWaitFlags               // every flag of rare.set but index w, as opWaitFlag
 	opWaitEvent               // rare.ev
 	opWaitCntr                // Endpoint.Waitcntr: wait for v arrivals and consume them
 	opWaitValue               // Counter.WaitValue: the same without entering an RMA call
@@ -114,18 +119,17 @@ const (
 	opIntr                    // the rank's endpoint interrupts on (eq) or off
 )
 
-// once reports whether an operation of kind k may suspend, is performed in a
-// single visit and owes nothing once it has: only then can its task park on
-// it without an executor.
-func (k opKind) once() bool { return k <= opCopy && k != opWaitFlags }
+// once reports whether an operation of kind k may suspend and owes nothing
+// once it has completed: only then can its task park on it without an
+// executor. Every operation is performed in a single visit; a wait on a
+// node's flags is one wait a step (waitAt).
+func (k opKind) once() bool { return k <= opCopy }
 
 // op is one queued operation of a step. Only the fields its kind names
-// are set; i is the progress of opWaitFlags, the one operation performed in
-// several visits.
+// are set.
 type op struct {
 	kind     opKind
 	eq       bool
-	i        int32
 	v, w     int32
 	dst, src []byte
 	flag     *shm.Flag
@@ -133,7 +137,7 @@ type op struct {
 }
 
 // rare holds the operands that only a few kinds of operation have: the flag
-// set of a waitAll or setAll, the own buffer of a first combine, the event
+// set of a setAll, the own buffer of a first combine, the event
 // of an event wait or the one an AM's arrival triggers. One queued operation
 // of a step may use it.
 type rare struct {
@@ -288,10 +292,9 @@ func (x *exec) run() {
 	for {
 		for x.qh < x.qn {
 			o := &x.oq.q[x.qh]
-			last := true // this visit is the operation's last
 			var k sim.K = x
 			var pk parked
-			if x.qh+1 == x.qn && o.kind.once() && x.depth == 1 && !x.unwinds && x.bits&(bitEnd|bitRet) == 0 {
+			if x.qh+1 == x.qn && o.kind.once() && !x.unwinds && x.bits&(bitEnd|bitRet) == 0 {
 				if p, ok := x.root.b.(parker); ok {
 					if pk = p.park(x, &x.root); pk != nil {
 						k = pk
@@ -302,18 +305,6 @@ func (x *exec) run() {
 			switch o.kind {
 			case opWaitFlag:
 				x.waitFlagT(o.flag, o, k)
-			case opWaitFlags:
-				// One flag per visit, until every one has been passed.
-				if o.i == o.w {
-					o.i++
-				}
-				if set := *x.oq.rare.set; int(o.i) < len(set) {
-					last = false
-					o.i++
-					x.waitFlagT(&set[o.i-1], o, x)
-				} else {
-					x.fired = true
-				}
 			case opWaitEvent:
 				x.oq.rare.ev.WaitK(t, k)
 			case opWaitCntr:
@@ -345,9 +336,7 @@ func (x *exec) run() {
 			if x.fired {
 				x.pay()
 			}
-			if last {
-				x.qh++
-			}
+			x.qh++
 			if !x.fired {
 				if x.qh == x.qn {
 					// Parked on the step's last operation, which reads
@@ -355,7 +344,11 @@ func (x *exec) run() {
 					x.dropQueue()
 				}
 				if pk != nil {
-					// The record stands in for the executor.
+					// The record stands in for the executor and the
+					// stage's frame.
+					if x.sub != nil {
+						x.s.subs.Put(x.sub)
+					}
 					x.s.execs.Put(x)
 				}
 				return
@@ -524,16 +517,20 @@ func (x *exec) waitEQ(fl *shm.Flag, v int) {
 	x.push(op{kind: opWaitFlag, flag: fl, v: int32(v), eq: true})
 }
 
-// waitAllGE waits, in index order, for every flag but set[skip] (-1: none)
-// to reach v; waitAllEQ for each to equal v.
-func (x *exec) waitAllGE(set *flagSet, v, skip int) {
-	x.push(op{kind: opWaitFlags, v: int32(v), w: int32(skip)})
-	x.useRare().set = set
-}
-
-func (x *exec) waitAllEQ(set *flagSet, v, skip int) {
-	x.push(op{kind: opWaitFlags, v: int32(v), w: int32(skip), eq: true})
-	x.useRare().set = set
+// waitAt waits, in index order, for every flag of set but set[skip] (-1:
+// none) to reach v, or with eq to equal it, a wait a step, so that each wait
+// ends its step: it issues the wait for flag *i, moves *i past it and reports
+// true, or reports false once every flag has been passed.
+func (x *exec) waitAt(set flagSet, v, skip int, eq bool, i *int32) bool {
+	if int(*i) == skip {
+		*i++
+	}
+	if int(*i) >= len(set) {
+		return false
+	}
+	x.push(op{kind: opWaitFlag, flag: &set[*i], v: int32(v), eq: eq})
+	*i++
+	return true
 }
 
 func (x *exec) waitEvent(ev *sim.Event) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -73,10 +74,9 @@ func TestExecQueueFitsInline(t *testing.T) {
 // from a root that enters late, an allreduce and a barrier, every rank a task
 // — over 4,096 ranks, and looks at every executor between events. No executor
 // runs then, so a queue may be out only to one parked with operations of its
-// step still to perform, or inside one it performs in several visits (qh
-// stays on those): one parked on its step's last operation, as most ranks of
-// a large collective are, holds none. Every queue is back once the run is
-// over.
+// step still to perform: one parked on its step's last operation, as most
+// ranks of a large collective are, holds none. Every queue is back once the
+// run is over.
 func TestParkedExecutorHoldsNoQueue(t *testing.T) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(512, 8))
@@ -177,4 +177,117 @@ func TestScaleRanksWaitWithoutExecutors(t *testing.T) {
 		t.Errorf("%d queue slabs drawn, want at most 8", slabs)
 	}
 	t.Logf("%d ranks: %d executors, %d queue slabs", P, execs, slabs)
+}
+
+// testCall is a rank's blocking call as the facade makes one: its task and
+// buffers, and what runs once it has completed.
+type testCall struct {
+	t    *sim.Task
+	a, c []byte
+	next func()
+}
+
+func (c *testCall) Resume()                           { c.next() }
+func (c *testCall) Args() (t *sim.Task, a, c2 []byte) { return c.t, c.a, c.c }
+
+// TestFacadeRanksWaitWithoutExecutors runs rank_ladder's RunT body — a small
+// broadcast from a root that enters late, an RD allreduce and a barrier — over
+// 4,096 plain tasks, warm, each call's continuation a RankCall as the facade's.
+// A rank that waits on the last operation of a step keeps a rankWait in place
+// of its executor and its stage's frame, so the executors and frames drawn
+// stay far below one a rank, and the queues, which a master waiting on a whole
+// node's flags at once held, fit a slab. With the unwind stacks armed, as under
+// fault tolerance, every rank keeps its executor, and the run reads the same.
+func TestFacadeRanksWaitWithoutExecutors(t *testing.T) {
+	if size := reflect.TypeFor[rankWait]().Size(); size > 64 {
+		t.Errorf("rankWait is %d bytes, want at most 64", size)
+	}
+	const nodes, tpn, n, root = 512, 8, 64, 1234
+	P := nodes * tpn
+	type census struct {
+		execs, subs int
+		queueSlabs  uint64
+	}
+	type outcome struct {
+		digest, events uint64
+		fin            []sim.Time
+		stats          string
+	}
+	run := func(armed bool) (census, outcome) {
+		env := sim.NewEnv()
+		m := machine.New(env, machine.ColonySP(nodes, tpn))
+		s := New(m, rma.NewDomain(m), Options{})
+		send, bufs, recv := make([]byte, P*n), make([]byte, P*n), make([]byte, P*n)
+		for i := range send {
+			send[i] = byte(i % 7)
+		}
+		copy(bufs[root*n:], "late root")
+		fin, calls := make([]sim.Time, P), make([]testCall, P)
+		w := s.World()
+		before := bufpool.Slabs[opQueue]().Drawn
+		for r := range P {
+			env.SpawnTask("rank", r, func(tk *sim.Task) {
+				tk.SetUnwindArmed(armed)
+				row := func(b []byte) []byte { return b[r*n : (r+1)*n : (r+1)*n] }
+				c := &calls[r]
+				coll := func() {
+					*c = testCall{t: tk, a: row(bufs), next: func() {
+						*c = testCall{t: tk, a: row(send), c: row(recv), next: func() {
+							*c = testCall{t: tk, next: func() { fin[r] = tk.Now() }}
+							w.BarrierT(tk, r, c)
+						}}
+						w.AllreduceT(tk, r, c.a, c.c, dtype.Float64, dtype.Sum, c)
+					}}
+					w.BcastT(tk, r, c.a, root, c)
+				}
+				if r == root {
+					tk.SleepThen(3, coll)
+				} else {
+					coll()
+				}
+			})
+		}
+		if err := env.Run(); err != nil || env.Live() != 0 {
+			t.Fatalf("Run() = %v with %d tasks live", err, env.Live())
+		}
+		var cs census
+		cs.queueSlabs = bufpool.Slabs[opQueue]().Drawn - before
+		cs.execs, _ = s.execs.Count()
+		cs.subs, _ = s.subs.Count()
+		for name, f := range map[string]func() (int, int){"executors": s.execs.Count, "frames": s.subs.Count, "queues": s.queues.Count} {
+			if made, idle := f(); made != idle {
+				t.Errorf("armed %v: %d of %d %s not back after the run", armed, made-idle, made, name)
+			}
+		}
+		for r := range P {
+			if string(bufs[r*n:r*n+9]) != "late root" {
+				t.Fatalf("armed %v: rank %d received %q", armed, r, bufs[r*n:r*n+9])
+			}
+		}
+		out := outcome{env.Digest(), env.Events(), fin, fmt.Sprintf("%+v", *m.Stats)}
+		s.Release()
+		env.Release()
+		return cs, out
+	}
+	run(false) // warm the reserve
+	got, want := run(false)
+	if limit := P / 4; got.execs > limit {
+		t.Errorf("%d executors drawn for %d ranks, want at most %d", got.execs, P, limit)
+	}
+	if limit := P / 8; got.subs > limit {
+		t.Errorf("%d stage frames drawn for %d ranks, want at most %d", got.subs, P, limit)
+	}
+	if got.queueSlabs > 1 {
+		t.Errorf("%d queue slabs drawn, want at most 1", got.queueSlabs)
+	}
+	t.Logf("%d ranks: %d executors, %d stage frames, %d queue slabs", P, got.execs, got.subs, got.queueSlabs)
+
+	armed, same := run(true)
+	if armed.execs < P {
+		t.Errorf("with armed unwinds %d executors drawn for %d ranks, want one a rank", armed.execs, P)
+	}
+	if !reflect.DeepEqual(same, want) {
+		t.Errorf("with armed unwinds the run reads %d events, digest %x, stats %s; without, %d, %x, %s",
+			same.events, same.digest, same.stats, want.events, want.digest, want.stats)
+	}
 }

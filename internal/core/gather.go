@@ -242,7 +242,9 @@ func (st *redistState) step(x *exec, f *frame) {
 		}
 		f.pc = rsGatherWait
 	case rsGatherWait:
-		x.waitAllEQ(&st.inFlag[nx], 1, -1)
+		if x.waitAt(st.inFlag[nx], 1, -1, true, &f.j) {
+			return
+		}
 		f.pc = rsGatherRoot
 	case rsGatherRoot:
 		x.waitEvent(&st.rootSet)
@@ -324,9 +326,11 @@ func (st *redistState) step(x *exec, f *frame) {
 			f.pc = rsAllgatherStaged
 		}
 	case rsAllgatherStaged:
-		x.waitAllEQ(&st.inFlag[nx], 1, -1)
+		if x.waitAt(st.inFlag[nx], 1, -1, true, &f.j) {
+			return
+		}
 		x.set(st.ready[nx], 1) // step 0: the node's own slabs are staged
-		f.pc, f.i = rsAllgatherRing, 1
+		f.pc, f.i, f.j = rsAllgatherRing, 1, 0
 	case rsAllgatherRing:
 		// Ring over node slabs: at step s, forward the slab that
 		// originated at node (x-s+1 mod nn); after nn-1 steps the node

@@ -184,7 +184,13 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 		g.ops = append(g.ops, e)
 		g.s.build(e, mk)
 	}
-	at := g.lay.at[i]
+	return g.place(x, rank, g.lay.at[i], seq)
+}
+
+// place binds the executor to the rank, at its place in the group, in the
+// operation of sequence number seq, which it has entered, and returns the
+// operation's state.
+func (g *Group) place(x *exec, rank int, at slot, seq int) any {
 	x.g, x.seq, x.rank = g, int32(seq), int32(rank)
 	x.nx, x.l = at.nx, at.l
 	x.node = int32(g.lay.nodes[x.nx])

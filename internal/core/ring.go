@@ -97,7 +97,9 @@ func (a *ringState) step(x *exec, f *frame) {
 		f.pc = 2
 		x.publish(a.pub[nx], 0, recv, false)
 	default:
-		a.pub[nx].waitConsumed(x, 0)
+		if a.pub[nx].waitConsumed(x, 0, &f.j) {
+			return
+		}
 		x.ret()
 	}
 }

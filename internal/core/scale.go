@@ -54,11 +54,6 @@ type scaleRank struct {
 	state uint8 // 0, rankArmed, or rankArmed|rankFired
 }
 
-const (
-	rankArmed = 1 << iota
-	rankFired
-)
-
 // Resume notes an inline completion while armed; later it takes an executor,
 // rebuilds the rank's frame and runs it.
 func (r *scaleRank) Resume() {

@@ -10,13 +10,16 @@ import (
 // publishes chunk after chunk and every other local task consumes them.
 // Masters call the body at pubPublish (f.k chunk, f.a source, f.i != 0 when
 // the source already is shared memory and is exposed as is), the others at
-// pubConsume (f.k chunk, f.a destination). waitConsumed issues the master's
-// wait until the whole node has consumed chunk k. init builds the publisher
-// of node for count local tasks, masterLocal the master, over buffers of
-// bufSize bytes.
+// pubConsume (f.k chunk, f.a destination); a frame of the body walks a node's
+// flags in f.j. waitConsumed is the master's wait until the whole node has
+// consumed chunk k, a flag a step: with *i walking the flags from 0, it issues
+// the wait on the next and reports true, or reports false once the node has
+// consumed chunk k, having issued what ends the wait. init builds the
+// publisher of node for count local tasks, masterLocal the master, over
+// buffers of bufSize bytes.
 type publisher interface {
 	stepper
-	waitConsumed(x *exec, k int)
+	waitConsumed(x *exec, k int, i *int32) bool
 	init(s *SRM, node, masterLocal, count, bufSize int)
 }
 
@@ -27,6 +30,7 @@ const (
 	pubCopyOut
 	pubAck   // a consumer's flags after its copies
 	pubEpoch // barrierPub: a consumer's second barrier
+	pubStage // smpPub: a master's copy-in, once the buffer's last chunk is consumed
 )
 
 // publish and consume call the node's publisher for chunk k.
@@ -60,7 +64,9 @@ func (pub *smpPub) init(s *SRM, node, masterLocal, count, bufSize int) {
 	pub.buf = [2][]byte{s.slot(bufSize), s.slot(bufSize)}
 }
 
-func (pub *smpPub) waitConsumed(x *exec, k int) { x.waitAllGE(&pub.done, k+1, pub.masterLocal) }
+func (pub *smpPub) waitConsumed(x *exec, k int, i *int32) bool {
+	return x.waitAt(pub.done, k+1, pub.masterLocal, false, i)
+}
 
 func (pub *smpPub) step(x *exec, f *frame) {
 	k, parity := int(f.k), int(f.k)%2
@@ -71,15 +77,18 @@ func (pub *smpPub) step(x *exec, f *frame) {
 			return
 		}
 		x.begin(f, trace.ClassSmp, "smp:publish", len(f.a))
+		f.pc = pubExpose
 		if f.i == 0 {
-			// Stage through the buffer of this parity, first waiting for
-			// its previous chunk to be consumed (Figure 3 flag protocol).
-			if k >= 2 {
-				pub.waitConsumed(x, k-2)
-			}
-			x.memcpy(pub.buf[parity][:len(f.a)], f.a)
-			f.a = pub.buf[parity][:len(f.a)]
+			f.pc = pubStage
 		}
+	case pubStage:
+		// Stage through the buffer of this parity, first waiting for its
+		// previous chunk to be consumed (Figure 3 flag protocol).
+		if k >= 2 && pub.waitConsumed(x, k-2, &f.j) {
+			return
+		}
+		x.memcpy(pub.buf[parity][:len(f.a)], f.a)
+		f.a = pub.buf[parity][:len(f.a)]
 		f.pc = pubExpose
 	case pubExpose:
 		pub.cur[parity] = f.a
@@ -127,7 +136,9 @@ func (tp *treePub) init(s *SRM, node, masterLocal, count, bufSize int) {
 
 // waitConsumed: the master's direct children acking chunk k implies their
 // subtrees have copied it (children ack only after their own copy).
-func (tp *treePub) waitConsumed(x *exec, k int) { x.waitAllGE(&tp.ack[tp.tr.Root], k+1, -1) }
+func (tp *treePub) waitConsumed(x *exec, k int, i *int32) bool {
+	return x.waitAt(tp.ack[tp.tr.Root], k+1, -1, false, i)
+}
 
 func (tp *treePub) step(x *exec, f *frame) {
 	k, parity, local, dst := int(f.k), int(f.k)%2, int(x.l), f.a
@@ -141,8 +152,8 @@ func (tp *treePub) step(x *exec, f *frame) {
 		if f.i != 0 {
 			tp.buf[root][parity] = f.a // expose shared source without a copy
 		} else {
-			if k >= 2 {
-				tp.waitConsumed(x, k-2)
+			if k >= 2 && tp.waitConsumed(x, k-2, &f.j) {
+				return
 			}
 			x.memcpy(tp.buf[root][parity][:len(f.a)], f.a)
 		}
@@ -158,8 +169,8 @@ func (tp *treePub) step(x *exec, f *frame) {
 		parent := tp.tr.Parent[local]
 		src := tp.buf[parent][parity][:len(dst)]
 		if len(tp.tr.Children[local]) > 0 {
-			if k >= 2 {
-				x.waitAllGE(&tp.ack[local], k-1, -1)
+			if k >= 2 && x.waitAt(tp.ack[local], k-1, -1, false, &f.j) {
+				return
 			}
 			if len(dst) > 0 {
 				x.memcpy(tp.buf[local][parity][:len(dst)], src)
@@ -206,18 +217,21 @@ func (pub *barrierPub) init(s *SRM, node, masterLocal, count, bufSize int) {
 	pub.buf = [2][]byte{s.slot(bufSize), s.slot(bufSize)}
 }
 
-// barrier runs one flat SMP barrier among the node's tasks, master side;
-// the other tasks set their check-in flag and wait for the epoch.
-func (pub *barrierPub) barrier(x *exec, gen int) {
-	x.waitAllGE(&pub.checkin, gen, pub.masterLocal)
+// barrier runs one flat SMP barrier among the node's tasks, master side, a
+// check-in a step with *i walking them: it issues the next wait and reports
+// true, or releases the tasks and reports false once all have checked in. The
+// other tasks set their check-in flag and wait for the epoch.
+func (pub *barrierPub) barrier(x *exec, gen int, i *int32) bool {
+	if x.waitAt(pub.checkin, gen, pub.masterLocal, false, i) {
+		return true
+	}
 	x.set(pub.epoch, gen)
+	return false
 }
 
 // waitConsumed: one more barrier guarantees all reads of chunk k finished.
-func (pub *barrierPub) waitConsumed(x *exec, k int) {
-	if len(pub.checkin) > 1 {
-		pub.barrier(x, 2*k+3)
-	}
+func (pub *barrierPub) waitConsumed(x *exec, k int, i *int32) bool {
+	return len(pub.checkin) > 1 && pub.barrier(x, 2*k+3, i)
 }
 
 func (pub *barrierPub) step(x *exec, f *frame) {
@@ -229,16 +243,20 @@ func (pub *barrierPub) step(x *exec, f *frame) {
 			return
 		}
 		// Barrier #1: nobody may still be reading this parity's buffer.
-		pub.barrier(x, 2*k+1)
+		if pub.barrier(x, 2*k+1, &f.j) {
+			return
+		}
 		if f.i == 0 {
 			x.memcpy(pub.buf[parity][:len(f.a)], f.a)
 			f.a = pub.buf[parity][:len(f.a)]
 		}
-		f.pc = pubExpose
+		f.pc, f.j = pubExpose, 0
 	case pubExpose:
 		pub.cur[parity] = f.a
 		// Barrier #2: the buffer is full; everyone may read.
-		pub.barrier(x, 2*k+2)
+		if pub.barrier(x, 2*k+2, &f.j) {
+			return
+		}
 		x.ret()
 	case pubConsume:
 		x.set(&pub.checkin[x.l], 2*k+1)

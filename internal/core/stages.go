@@ -155,12 +155,18 @@ const (
 	tbChunk = iota
 	tbKids
 	tbPut
+	tbDrain // every chunk is out: wait for the last to be consumed, f.i walking the node's flags
 )
 
 func (d *treeBcast) step(x *exec, f *frame) {
 	nx, k := int(x.nx), int(f.k)
 	if k == len(d.sp) {
-		d.pub[nx].waitConsumed(x, k-1)
+		if f.pc != tbDrain {
+			f.pc, f.i = tbDrain, 0
+		}
+		if d.pub[nx].waitConsumed(x, k-1, &f.i) {
+			return
+		}
 		x.ret()
 		return
 	}
@@ -271,6 +277,18 @@ func (fd *fold) absorb(x *exec, f *frame, src []byte) {
 	f.j = 1
 }
 
+// stage: a master reduces its node's contributions into recv, and publishes
+// the result from there.
+func (fd *fold) stage(x *exec, f *frame) (stepper, []byte, []byte) {
+	switch f.pc {
+	case fdFold:
+		return &fd.rn[x.nx], f.c, f.a
+	case fdDone:
+		return fd.pub[x.nx], f.c, nil
+	}
+	return nil, nil, nil
+}
+
 func (fd *fold) foldStep(x *exec, f *frame) {
 	g, nx, send, recv := x.g, int(x.nx), f.a, f.c
 	extra := nx + fd.pow
@@ -282,7 +300,7 @@ func (fd *fold) foldStep(x *exec, f *frame) {
 			// finished vector straight into recv.
 			x.put(g.master(peer), *fd.slot.at(peer, 0), fd.partial(f), &fd.cn[peer][cnFold])
 			x.waitcntr(&fd.cn[nx][cnRes], 1)
-			f.pc = fdDone
+			f.pc, f.i = fdDone, 0
 			x.publish(fd.pub[nx], 0, recv, false)
 			return
 		}
@@ -304,10 +322,12 @@ func (fd *fold) foldStep(x *exec, f *frame) {
 		if f.j == 0 && fd.size > 0 {
 			x.memcpy(recv, send) // single node, single task
 		}
-		f.pc = fdDone
+		f.pc, f.i = fdDone, 0
 		x.publish(fd.pub[nx], 0, recv, false)
 	case fdDone:
-		fd.pub[nx].waitConsumed(x, 0)
+		if fd.pub[nx].waitConsumed(x, 0, &f.i) {
+			return
+		}
 		x.ret()
 	}
 }

@@ -446,11 +446,11 @@ type handle struct {
 // requests and the rendezvous are carved at the rank's first (runState):
 // most runs make neither, and a rank's record is with it for the whole run.
 type rankRec struct {
+	call   frame // the rank's actor (its task, and its process when the body has a stack), and its blocking collective in flight or what the last ended with (tcomm.go); first, so that what a waiting rank's call reads is on the record's first cache line
 	rank   int
 	rs     *runState  // the run: its machine, communicator records and handle cache
 	world  Comm       // the rank's handle on the world communicator
 	stream *reqStream // its non-blocking collectives (request.go); nil before the first
-	call   frame      // the rank's actor (its task, and its process when the body has a stack), and its blocking collective in flight or what the last ended with (tcomm.go)
 	sync   *syncFrame // its Agree or Shrink likewise (ft.go); nil before the first
 }
 

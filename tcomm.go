@@ -124,8 +124,8 @@ func (tc *TComm) Sub(members []int) *TComm { return (*TComm)(tc.sub(members)) }
 // in flight or not, and is the rank record's only copy of it; what an
 // operation is called comes from its kind (name).
 type frame struct {
-	collArgs
 	actor             // the rank's, or the request helper's
+	collArgs          // after actor, so that a waiting rank's task and buffers (rankCall.Args) share a cache line
 	h          handle // the communicator, as the rank that called holds it
 	span       int32  // the operation's span, closed before k runs
 	registered bool   // for failure interrupts (ftState.register), from run to end
@@ -321,11 +321,24 @@ func (f *frame) run() {
 	if f.registered {
 		f.arm()
 	}
-	f.start(h.rec.coll.srm, f.t, h.rank, f)
+	var k sim.K = f
+	if f == &h.call {
+		k = (*rankCall)(f)
+	}
+	f.start(h.rec.coll.srm, f.t, h.rank, k)
 }
 
 // Resume is the continuation the operation itself receives.
 func (f *frame) Resume() { f.end(nil) }
+
+// rankCall is the rank's own frame as the continuation of its operation: the
+// rank's one call in flight, which holds the caller's buffers until it ends,
+// so a rank waiting in it needs no executor (core.RankCall).
+type rankCall frame
+
+func (r *rankCall) Resume() { (*frame)(r).Resume() }
+
+func (r *rankCall) Args() (t *sim.Task, a, c []byte) { return r.t, r.send, r.recv }
 
 // declared turns the payload of an interrupt that unwound the operation into
 // the error it ends with; anything but a failure declaration goes on as a panic.
