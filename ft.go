@@ -131,15 +131,21 @@ type ftReg struct {
 
 // ftGather is one Agree/Shrink rendezvous of a communicator: the completion
 // event survivors park on and, once done, the outcome. Who has entered is kept
-// on the communicator's record.
+// on the communicator's record, which holds two of these (commRec.gathers).
 type ftGather struct {
 	rec       *commRec
 	round     int
 	kind      string // "agree" or "shrink"
-	ev        *sim.Event
+	ev        sim.Event
 	startedAt float64
 	result    uint64
 	survivors []int
+}
+
+// ftEntry is what one member entered the rendezvous in flight with.
+type ftEntry struct {
+	flag uint64
+	in   bool
 }
 
 // key is the rendezvous key RepairRecord.Comm carries.
@@ -157,12 +163,13 @@ type ftState struct {
 
 	markDead func(rank int) // cuts RMA delivery to the rank
 
-	failed     []bool // declared failed, by global rank
-	crashed    []bool // actually dead (declaration may be pending)
-	inflight   []ftReg
+	failed     []bool  // declared failed, by global rank
+	crashed    []bool  // actually dead (declaration may be pending)
+	inflight   []ftReg // room for a task a rank from the start
 	failures   []FailureRecord
 	repairs    []RepairRecord
 	unexpected []sim.ProcFailure // failures that are not plan crashes or their fallout
+	due        []*ftGather       // declare's rendezvous to complete, kept for the next
 }
 
 func newFTState(env *sim.Env, markDead func(int), n int, rs *runState) *ftState {
@@ -172,6 +179,7 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState) *ftState 
 		markDead: markDead,
 		failed:   make([]bool, n),
 		crashed:  make([]bool, n),
+		inflight: make([]ftReg, 0, n),
 	}
 }
 
@@ -191,11 +199,10 @@ func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
 			// kill its request helpers so they cannot keep driving the
 			// dead rank's side of a protocol. A helper still running is
 			// that of a request not done, and those are live.
-			why := fmt.Sprintf("rank %d crashed", r)
 			if st := ft.rs.ranks[r].stream; st != nil {
 				for q := st.oldest; q != nil; q = q.newer {
 					if !q.done.Done() {
-						ft.env.Kill(q.call.t, why)
+						ft.env.Kill(q.call.t, "rank "+strconv.Itoa(r)+" crashed")
 					}
 				}
 			}
@@ -223,9 +230,9 @@ func (ft *ftState) declare(d int, diedAt float64) {
 	}
 	// Count the failure on every communicator that has the rank, and collect
 	// the rendezvous it may have been the straggler of.
-	var pending []*ftGather
+	pending := ft.due[:0]
 	for _, rec := range ft.rs.comms {
-		if rec.idx.Of(d) < 0 {
+		if rec.coll.srm.Index(d) < 0 { // fault tolerance is SRM's only
 			continue
 		}
 		rec.failed++
@@ -236,7 +243,7 @@ func (ft *ftState) declare(d int, diedAt float64) {
 	// Interrupt every registered operation whose communicator contains the
 	// failed rank. Registration order is deterministic, so so is this.
 	for _, reg := range ft.inflight {
-		if reg.rec.idx.Of(d) < 0 {
+		if reg.rec.coll.srm.Index(d) < 0 {
 			continue
 		}
 		ft.env.Interrupt(reg.t, ft.told(reg.rec))
@@ -248,6 +255,7 @@ func (ft *ftState) declare(d int, diedAt float64) {
 	for _, g := range pending {
 		ft.checkGather(g)
 	}
+	ft.due = pending
 }
 
 // told returns what the communicator's ranks are told of its failed members:
@@ -260,7 +268,7 @@ func (ft *ftState) declare(d int, diedAt float64) {
 func (ft *ftState) told(rec *commRec) *ftInterrupt {
 	if rec.told == nil || len(rec.told.failed) != rec.failed {
 		failed := make([]int, 0, rec.failed)
-		for _, r := range rec.members {
+		for _, r := range rec.list() {
 			if ft.failed[r] {
 				failed = append(failed, r)
 			}
@@ -291,25 +299,27 @@ func (ft *ftState) deregister(t *sim.Task) {
 // the last member awaited. The caller waits for the event, which has triggered
 // by then if it was.
 func (rec *commRec) enter(ft *ftState, rank int, kind string, flag uint64) *ftGather {
-	i := rec.idx.Of(rank)
+	i := rec.coll.srm.Index(rank)
 	if i < 0 {
 		panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s, which it is not a member of", rank, kind, rec.key()))
 	}
 	g := rec.pending
 	if g == nil {
-		g = &ftGather{rec: rec, round: rec.round, kind: kind, startedAt: float64(ft.env.Now())}
-		g.ev = ft.env.NewEvent().NamedBy(g)
+		g = &rec.gathers[rec.round%2]
+		*g = ftGather{rec: rec, round: rec.round, kind: kind, startedAt: float64(ft.env.Now())}
+		g.ev.Init(ft.env)
+		g.ev.NamedBy(g)
 		rec.round++
 		rec.pending = g
-		if rec.in == nil {
-			rec.entered, rec.in = make([]uint64, len(rec.members)), make([]bool, len(rec.members))
+		if rec.entered == nil {
+			rec.entered = make([]ftEntry, len(rec.members))
 		}
 	}
 	if g.kind != kind {
 		panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s but other members are in %s: FT operations must be called in the same order on every member",
 			rank, kind, rec.key(), g.kind))
 	}
-	rec.entered[i], rec.in[i] = flag, true
+	rec.entered[i] = ftEntry{flag, true}
 	ft.checkGather(g)
 	return g
 }
@@ -318,17 +328,18 @@ func (rec *commRec) enter(ft *ftState, rank int, kind string, flag uint64) *ftGa
 // or been declared failed.
 func (ft *ftState) checkGather(g *ftGather) {
 	rec := g.rec
-	for i, r := range rec.members {
-		if !rec.in[i] && !ft.failed[r] {
+	list := rec.list()
+	for i, r := range list {
+		if !rec.entered[i].in && !ft.failed[r] {
 			return
 		}
 	}
 	g.result = ^uint64(0)
-	g.survivors = make([]int, 0, len(rec.members)-rec.failed)
-	for i, r := range rec.members {
+	g.survivors = make([]int, 0, len(list)-rec.failed)
+	for i, r := range list {
 		if !ft.failed[r] {
 			g.survivors = append(g.survivors, r)
-			g.result &= rec.entered[i]
+			g.result &= rec.entered[i].flag
 		}
 	}
 	ft.repairs = append(ft.repairs, RepairRecord{
@@ -337,7 +348,7 @@ func (ft *ftState) checkGather(g *ftGather) {
 		Survivors:   g.survivors,
 	})
 	rec.pending = nil
-	clear(rec.in)
+	clear(rec.entered)
 	g.ev.Trigger()
 }
 
@@ -347,8 +358,10 @@ func (h handle) failedError(opName string) *RankFailedError {
 	return &RankFailedError{Op: opName, Rank: h.rank, Failed: h.rs.ft.told(h.rec).failed}
 }
 
-// Members returns the communicator's global ranks in member order.
-func (c *Comm) Members() []int { return slices.Clone(c.rec.members) }
+// Members returns the communicator's global ranks in member order. The slice
+// is the communicator's own, made once and shared by every member's handle:
+// it must not be modified. Its capacity is its length, so an append copies.
+func (c *Comm) Members() []int { return c.rec.members }
 
 // FailedRanks returns the communicator members declared failed so far, in
 // member order: a copy, the caller's own. Empty without fault tolerance.
@@ -414,7 +427,7 @@ func (s *syncFrame) Resume() {
 	case 1: // no request outstanding: enter, and wait for the other survivors
 		s.g = h.rec.enter(h.rs.ft, h.rank, s.class.String(), s.flag)
 		s.span = h.rs.tr.Begin(h.call.t.Track(), s.class, s.class.String(), 0)
-		h.call.wait(s.g.ev, s)
+		h.call.wait(&s.g.ev, s)
 	case 2: // all in or declared failed: the agreement protocol's cost
 		h.call.sleep(h.ftSyncCost(), s)
 	case 3:
@@ -431,7 +444,7 @@ func (h handle) ftSyncCost() float64 {
 		return 0
 	}
 	rounds := int(math.Ceil(math.Log2(float64(n))))
-	cfg := h.rs.m.Cfg
+	cfg := &h.rs.m.Cfg
 	return 2 * float64(rounds) * float64(cfg.SendOverhead+cfg.NetLatency+cfg.RecvOverhead)
 }
 

@@ -23,6 +23,13 @@ type Group struct {
 	pos     ranks.Index // global rank -> group index
 }
 
+// Members returns the member list in group order; the caller must not write
+// to it.
+func (g *Group) Members() []int { return g.members }
+
+// Index returns the group index of a global rank, or -1 for a non-member.
+func (g *Group) Index(rank int) int { return g.pos.Of(rank) }
+
 // index returns the group index of a member rank, panicking for outsiders.
 func (g *Group) index(rank int) int {
 	i := g.pos.Of(rank)

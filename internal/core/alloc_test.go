@@ -253,8 +253,7 @@ func TestStateAllocsFlat(t *testing.T) {
 				return newBarrierState(g)
 			}
 			build := func() {
-				e := &opEntry{}
-				s.build(e, state)
+				e := s.build(state)
 				for _, b := range e.bufs {
 					m.Buffers.Put(b)
 				}
@@ -352,8 +351,7 @@ func TestSyncObjectAllocGuard(t *testing.T) {
 	var lastCntr *rma.Counter
 	var e *opEntry
 	carve := func() {
-		e = &opEntry{}
-		s.build(e, func() any {
+		e = s.build(func() any {
 			for i := 0; i < n; i++ {
 				lastFlag = s.flag(0)
 				lastCntr = s.counter(1, trace.ClassWaitCredit)
@@ -401,8 +399,8 @@ func TestSyncObjectAllocGuard(t *testing.T) {
 	g := s.World()
 	for i := 0; i < 2; i++ {
 		b := g.acquire(s.exec(nil, nil), 0, func() any { return newBarrierState(g) }).(*barrierState)
-		if len(b.flags) != 2 || len(b.flags[0]) != 2 || len(b.cnt[0]) != 1 {
-			t.Fatalf("a 2x2 barrier state of %d nodes, %d flags and %d counters a node", len(b.flags), len(b.flags[0]), len(b.cnt[0]))
+		if len(b.nodes) != 2 || len(b.nodes[0].flags) != 2 || len(b.nodes[0].cnt) != 1 {
+			t.Fatalf("a 2x2 barrier state of %d nodes, %d flags and %d counters a node", len(b.nodes), len(b.nodes[0].flags), len(b.nodes[0].cnt))
 		}
 	}
 	if len(g.ops) != 2 {

@@ -4,40 +4,32 @@ import (
 	"fmt"
 
 	"srmcoll/internal/dtype"
-	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
 )
 
 // nodeStages is the SMP machinery every allreduce family wraps around its
 // inter-node exchange: the Figure-2 reduce into the node master and the
-// Figure-3 broadcast of the result back out. Node-indexed slices use the
-// layout's participating node index; the master of node index x is its
-// first group member, lay.local[x][0]. As a body (pc nsReduce, f.a send,
-// f.c recv) it is the complete role of a non-master task.
+// Figure-3 broadcast of the result back out, which a node's master receives
+// the result for in its smpNode's dst. Node-indexed tables use the layout's
+// participating node index; the master of node index x is its first group
+// member, lay.local[x][0]. As a body (pc nsReduce, f.a send, f.c recv) it is
+// the complete role of a non-master task.
 type nodeStages struct {
 	size int
 	ds   dataspec
-	sp   []span // pipeline chunks of the vector
+	sp   spans // pipeline chunks of the vector
 
-	rn       []redNode   // per-node SMP reduce machinery
-	resBuf   [][]byte    // per node: master's receive buffer (the result lands here)
-	resReady []sim.Event // per node: resBuf registered
-	pub      []publisher // per-node SMP distribution of the result
+	rn    []redNode // per-node SMP reduce machinery
+	nodes []smpNode // per-node SMP distribution of the result
 }
 
-func newNodeStages(g *Group, size int, ds dataspec, sp []span) nodeStages {
-	s, nn := g.s, len(g.lay.nodes)
-	ns := nodeStages{
-		size: size, ds: ds, sp: sp,
-		rn:       redNodes(g),
-		resBuf:   make([][]byte, nn),
-		resReady: make([]sim.Event, nn),
-		pub:      s.publishers(g),
-	}
+func newNodeStages(g *Group, size int, ds dataspec, sp spans) nodeStages {
+	s := g.s
+	ns := nodeStages{size: size, ds: ds, sp: sp, rn: redNodes(g), nodes: s.smpNodes(g)}
 	for x, nd := range g.lay.nodes {
 		ns.rn[x].init(s, nd, 0, sp)
-		ns.resReady[x].Init(s.m.Env)
-		ns.pub[x].init(s, nd, 0, len(g.lay.local[x]), sp[0].n)
+		ns.nodes[x].ready.Init(s.m.Env)
+		ns.nodes[x].pub.init(s, nd, 0, len(g.lay.local[x]), sp.at(0).n)
 	}
 	return ns
 }
@@ -58,10 +50,10 @@ func (ns *nodeStages) step(x *exec, f *frame) {
 	case f.pc == nsReduce:
 		f.pc = nsConsume
 		x.reduceWorker(&ns.rn[x.nx], f.a)
-	case int(f.k) < len(ns.sp):
-		c := ns.sp[f.k]
+	case int(f.k) < ns.sp.len():
+		c := ns.sp.at(int(f.k))
 		f.k++
-		x.consume(ns.pub[x.nx], int(f.k)-1, f.c[c.off:c.off+c.n])
+		x.consume(ns.nodes[x.nx].pub, int(f.k)-1, f.c[c.off:c.off+c.n])
 	default:
 		x.ret()
 	}
@@ -73,8 +65,8 @@ func (ns *nodeStages) stage(x *exec, f *frame) (stepper, []byte, []byte) {
 	if f.k == 0 {
 		return &ns.rn[x.nx], f.a, nil
 	}
-	c := ns.sp[f.k-1]
-	return ns.pub[x.nx], f.c[c.off : c.off+c.n], nil
+	c := ns.sp.at(int(f.k) - 1)
+	return ns.nodes[x.nx].pub, f.c[c.off : c.off+c.n], nil
 }
 
 // Allreduce combines send buffers across all ranks and leaves the full
@@ -123,8 +115,8 @@ func (g *Group) allreduce(x *exec, rank int, send, recv []byte, ds dataspec) {
 		x.call(ns, nsReduce, 0, send, recv)
 		return
 	}
-	ns.resBuf[x.nx] = recv
-	ns.resReady[x.nx].Trigger()
+	ns.nodes[x.nx].dst = recv
+	ns.nodes[x.nx].ready.Trigger()
 	if alg != AlgDualRoot {
 		// The dual-root pipeline keeps interrupts enabled at every size:
 		// its broadcast helper waits on counters without entering RMA calls
@@ -223,7 +215,7 @@ type pipeState struct {
 }
 
 func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
-	s, cfg := g.s, g.s.m.Cfg
+	s, cfg := g.s, &g.s.m.Cfg
 	// "Pipelining over the entire message range" (§2.4) keeps at least four
 	// chunks in flight until the full large chunk size pays off.
 	sp := alignedChunks(size, min(cfg.SRMLargeChunk, max((size+3)/4, cfg.SRMSmallChunk)), ds)
@@ -239,14 +231,14 @@ func newPipeState(g *Group, size int, ds dataspec, roots ...int) *pipeState {
 		tp := &trees[ti]
 		tp.emb = g.embed(kind, g.lay.local[root][0])
 		tp.chunkDone = s.flag(g.lay.nodes[root])
-		tp.window, tp.bArr = newWindow(nn), make([][]rma.Counter, nn)
-		for x := 0; x < nn; x++ {
-			tp.carve(s, x, a.sp[0].n)
-			tp.bArr[x] = s.arrivals()
+		tp.links = make([]link, nn)
+		for x := range tp.links {
+			tp.links[x].carve(s, a.sp.at(0).n)
+			tp.links[x].bArr = s.arrivals()
 		}
 	}
 	a.up = treeReduce{sp: a.sp, rn: a.rn, trees: trees, done: helperDone}
-	a.down = treeBcast{sp: a.sp, pub: a.pub, trees: trees, dst: a.resBuf, ready: a.resReady, helper: true}
+	a.down = treeBcast{sp: a.sp, nodes: a.nodes, trees: trees, helper: true}
 	return a
 }
 

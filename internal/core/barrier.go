@@ -13,17 +13,23 @@ import (
 // pairwise zero-byte puts between the node masters.
 type barrierState struct {
 	g      *Group
-	flags  []flagSet       // per participating node
-	cnt    [][]rma.Counter // [node index][round]
+	nodes  []barrierNode // per participating node
 	rounds int
+}
+
+// barrierNode is one node's part of a barrier: a flag a local task, and the
+// node's arrival counter of each dissemination round.
+type barrierNode struct {
+	flags flagSet
+	cnt   []rma.Counter
 }
 
 func newBarrierState(g *Group) *barrierState {
 	s, nn := g.s, len(g.lay.nodes)
-	b := &barrierState{g: g, flags: make([]flagSet, nn), cnt: make([][]rma.Counter, nn), rounds: tree.Log2Ceil(nn)}
+	b := &barrierState{g: g, nodes: make([]barrierNode, nn), rounds: tree.Log2Ceil(nn)}
 	for x, nd := range g.lay.nodes {
-		b.flags[x] = s.flags(nd, len(g.lay.local[x]))
-		b.cnt[x] = s.counters(b.rounds, 0, trace.ClassWaitCntr)
+		b.nodes[x].flags = s.flags(nd, len(g.lay.local[x]))
+		b.nodes[x].cnt = s.counters(b.rounds, 0, trace.ClassWaitCntr)
 	}
 	return b
 }
@@ -57,7 +63,7 @@ func (g *Group) barrier(x *exec, rank int) {
 // its step, the workers' too (pc 1 returns), so a rank waits parked.
 func (b *barrierState) step(x *exec, f *frame) {
 	g := b.g
-	fs := b.flags[x.nx]
+	fs := b.nodes[x.nx].flags
 	nn := len(g.lay.nodes)
 	switch {
 	case x.l != 0:
@@ -82,18 +88,18 @@ func (b *barrierState) step(x *exec, f *frame) {
 		}
 		f.pc = 1
 	case f.pc == 2:
-		x.waitcntr(&b.cnt[x.nx][f.k], 1)
+		x.waitcntr(&b.nodes[x.nx].cnt[f.k], 1)
 		f.pc, f.k = 1, f.k+1
 	case nn > 1 && int(f.k) < b.rounds:
 		peer := (int(x.nx) + 1<<int(f.k)) % nn
-		x.putZero(g.master(peer), &b.cnt[peer][f.k])
+		x.putZero(g.master(peer), &b.nodes[peer].cnt[f.k])
 		f.pc = 2
 	default:
 		if nn > 1 {
 			x.interrupts(true)
 		}
 		// Release the node: reset the value of all flags (§2.2).
-		x.setAll(&b.flags[x.nx], 0)
+		x.setAll(&b.nodes[x.nx].flags, 0)
 		x.ret()
 	}
 }

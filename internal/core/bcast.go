@@ -3,15 +3,14 @@ package core
 import (
 	"fmt"
 
-	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 )
 
 // bcastState is the shared state of one broadcast operation (§2.4, Fig. 4).
-// All node-indexed slices below are indexed by the layout's participating
-// node index, so the same machinery serves whole-world broadcasts and
-// arbitrary task groups (the §5 extension).
+// Its node records are indexed by the layout's participating node index, so
+// the same machinery serves whole-world broadcasts and arbitrary task groups
+// (the §5 extension).
 type bcastState struct {
 	// The large-message path: the tree broadcast into the user buffers, which
 	// the masters register with an address AM to their parent (Fig. 4
@@ -22,18 +21,19 @@ type bcastState struct {
 	emb   gEmbed
 	large bool
 
-	// Small-message path: two shared receive buffers per non-root node
-	// with arrival counters at the node's master and buffer-free credit
-	// counters held at the parent ("the parent alternates between the two
-	// buffers and sends the data after verifying that the buffer is free").
-	netBuf [][2][]byte
-	arr    [][]rma.Counter // per node, per buffer parity ("two LAPI counters")
-	freeC  [][]rma.Counter
+	// The one tree, whose links carry the small-message path too: two shared
+	// receive buffers per non-root node (link.slot) with arrival counters at
+	// the node's master (link.bArr, "two LAPI counters", which count the
+	// large path's chunks as well) and buffer-free credit counters, one a
+	// parity, held at the parent (link.credit: "the parent alternates between
+	// the two buffers and sends the data after verifying that the buffer is
+	// free").
+	tree [1]pipeTree
 }
 
 func newBcastState(g *Group, root, size int) *bcastState {
 	s := g.s
-	cfg := s.m.Cfg
+	cfg := &s.m.Cfg
 	b := &bcastState{
 		root: root,
 		size: size,
@@ -50,20 +50,19 @@ func newBcastState(g *Group, root, size int) *bcastState {
 	default:
 		b.sp = chunks(size, cfg.SRMBcastBufSize)
 	}
-	nn := len(g.lay.nodes)
-	b.netBuf, b.arr, b.freeC = make([][2][]byte, nn), make([][]rma.Counter, nn), make([][]rma.Counter, nn)
-	b.pub, b.dst, b.ready = s.publishers(g), make([][]byte, nn), make([]sim.Event, nn)
-	chunkBytes := b.sp[0].n
+	b.nodes, b.tree[0] = s.smpNodes(g), pipeTree{emb: b.emb, links: make([]link, len(g.lay.nodes))}
+	chunkBytes := b.sp.at(0).n
 	for x, nd := range g.lay.nodes {
+		l := &b.tree[0].links[x]
 		if !b.large {
-			b.netBuf[x] = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
-			b.freeC[x] = s.counters(2, 1, trace.ClassWaitCredit)
+			l.slot = [2][]byte{s.slot(chunkBytes), s.slot(chunkBytes)}
+			l.credit = s.counters(2, 1, trace.ClassWaitCredit)
 		}
-		b.arr[x] = s.arrivals()
-		b.ready[x].Init(s.m.Env)
-		b.pub[x].init(s, nd, g.lay.li(b.emb.masters[x]), len(g.lay.local[x]), chunkBytes)
+		l.bArr = s.arrivals()
+		b.nodes[x].ready.Init(s.m.Env)
+		b.nodes[x].pub.init(s, nd, g.lay.li(b.emb.masters[x]), len(g.lay.local[x]), chunkBytes)
 	}
-	b.trees = []pipeTree{{emb: b.emb, bArr: b.arr}}
+	b.trees = b.tree[:]
 	return b
 }
 
@@ -114,9 +113,9 @@ func (g *Group) bcast(x *exec, rank int, buf []byte, root int) {
 	}
 	// Large message: register buf and, below the root, send its address to
 	// the inter-node parent; then broadcast into the registered buffers.
-	b.dst[nx] = buf
+	b.nodes[nx].dst = buf
 	if nx != b.emb.inter.Root {
-		x.am(b.emb.masters[b.emb.inter.Parent[nx]], make([]byte, 8), &b.ready[nx])
+		x.am(b.emb.masters[b.emb.inter.Parent[nx]], make([]byte, 8), &b.nodes[nx].ready)
 	}
 	x.call(&b.treeBcast, tbChunk, 0, buf, nil)
 }
@@ -126,16 +125,16 @@ func (b *bcastState) stage(x *exec, f *frame) (stepper, []byte, []byte) {
 	if f.pc != bcConsume {
 		return nil, nil, nil
 	}
-	c := b.sp[f.k-1]
-	return b.pub[x.nx], f.a[c.off : c.off+c.n], nil
+	c := b.sp.at(int(f.k) - 1)
+	return b.nodes[x.nx].pub, f.a[c.off : c.off+c.n], nil
 }
 
 func (b *bcastState) step(x *exec, f *frame) {
 	nx, buf, k := int(x.nx), f.a, int(f.k)
-	pub := b.pub[nx]
+	pub, links := b.nodes[nx].pub, b.tree[0].links
 	kids := b.emb.inter.Children[nx]
 	atRoot := nx == b.emb.inter.Root
-	if k == len(b.sp) {
+	if k == b.sp.len() {
 		// Every chunk is out; masters that staged chunks through the node's
 		// buffers wait until the last one has been consumed.
 		if f.pc == bcSmall && atRoot {
@@ -147,7 +146,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 		x.ret()
 		return
 	}
-	c := b.sp[k]
+	c := b.sp.at(k)
 	parity := k % 2
 	mine := buf[c.off : c.off+c.n]
 
@@ -160,13 +159,13 @@ func (b *bcastState) step(x *exec, f *frame) {
 	// shared buffers of each node.
 	case bcSmall:
 		if !atRoot {
-			x.waitcntr(&b.arr[nx][parity], 1) // the chunk lands in the shared buffer
+			x.waitcntr(&links[nx].bArr[parity], 1) // the chunk lands in the shared buffer
 		}
 		f.pc, f.i = bcSmallKids, 0
 	case bcSmallKids:
 		src := mine
 		if !atRoot {
-			src = b.netBuf[nx][parity][:c.n]
+			src = links[nx].slot[parity][:c.n]
 			if f.i == 0 {
 				// The chunk now occupies this parity's shared receive slot;
 				// the span closes when the node is done with the buffer.
@@ -179,8 +178,8 @@ func (b *bcastState) step(x *exec, f *frame) {
 		if int(f.i) < len(kids) {
 			child := kids[f.i]
 			f.i++
-			x.waitcntr(&b.freeC[child][parity], 1)
-			x.put(b.emb.masters[child], b.netBuf[child][parity][:c.n], src, &b.arr[child][parity])
+			x.waitcntr(&links[child].credit[parity], 1)
+			x.put(b.emb.masters[child], links[child].slot[parity][:c.n], src, &links[child].bArr[parity])
 			return
 		}
 		// SMP broadcast of the chunk. From the root's private buffer this
@@ -192,7 +191,7 @@ func (b *bcastState) step(x *exec, f *frame) {
 		if !atRoot {
 			// The master's own share leaves the shared buffer too.
 			if c.n > 0 {
-				x.memcpy(mine, b.netBuf[nx][parity][:c.n])
+				x.memcpy(mine, links[nx].slot[parity][:c.n])
 			}
 			f.pc, f.i = bcSmallFree, 0
 			return
@@ -201,11 +200,11 @@ func (b *bcastState) step(x *exec, f *frame) {
 	case bcSmallFree:
 		// Free the buffer to the parent once the node is done with it (only
 		// while a chunk k+2 remains to reuse this parity).
-		if k+2 < len(b.sp) {
+		if k+2 < b.sp.len() {
 			if pub.waitConsumed(x, k, &f.i) {
 				return
 			}
-			x.putZero(b.emb.masters[b.emb.inter.Parent[nx]], &b.freeC[nx][parity])
+			x.putZero(b.emb.masters[b.emb.inter.Parent[nx]], &links[nx].credit[parity])
 		}
 		x.end()
 		f.pc, f.k = bcSmall, int32(k+1)

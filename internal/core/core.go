@@ -154,7 +154,7 @@ type SRM struct {
 	m      *machine.Machine
 	dom    *rma.Domain
 	opt    Options
-	groups map[uint64][]*Group // by ranks.Hash of the member list
+	groups map[uint64]*Group // by ranks.Hash of the member list: the first of a bucket chained by Group.next
 	world  *Group
 
 	// The intra-node trees asked for so far (intraTree). The cache is the
@@ -165,8 +165,9 @@ type SRM struct {
 
 	// The entries every member has left: in good order, oldest first, their
 	// flags and counters waiting for the last wake-up a Set scheduled (settled);
-	// and those that must keep theirs until the run is over (Group.retire).
-	retired, kept []*opEntry
+	// those that must keep theirs until the run is over (Group.retire); and
+	// those settled, which the next operations are built in (build).
+	retired, kept, spare []*opEntry
 
 	// The executors of the run (DESIGN.md §9), the queues of those with
 	// operations pending, and the frames of the SMP stages their bodies call;
@@ -233,7 +234,7 @@ func New(m *machine.Machine, dom *rma.Domain, opt Options) *SRM {
 		m:      m,
 		dom:    dom,
 		opt:    opt,
-		groups: make(map[uint64][]*Group),
+		groups: make(map[uint64]*Group),
 		trees:  make(map[treeKey]tree.Tree),
 	}
 }
@@ -270,30 +271,30 @@ func (s *SRM) World() *Group {
 // span is one pipeline chunk of a message.
 type span struct{ off, n int }
 
+// spans is a message split into pipeline chunks of at most chunk bytes: a
+// rule, not a table, so that splitting allocates nothing. A zero-byte message
+// still has one empty chunk so control flow (flags, counters) runs once.
+type spans struct{ total, chunk, n int }
+
 // chunks splits total bytes into pipeline chunks of at most chunk bytes.
-// A zero-byte message still yields one empty chunk so control flow (flags,
-// counters) runs once.
-func chunks(total, chunk int) []span {
+func chunks(total, chunk int) spans {
 	if chunk < 1 {
 		panic(fmt.Sprintf("core: chunk size %d", chunk))
 	}
-	if total == 0 {
-		return []span{{0, 0}}
-	}
-	out := make([]span, 0, (total+chunk-1)/chunk)
-	for off := 0; off < total; off += chunk {
-		n := chunk
-		if total-off < n {
-			n = total - off
-		}
-		out = append(out, span{off, n})
-	}
-	return out
+	return spans{total, chunk, max(1, (total+chunk-1)/chunk)}
+}
+
+// len returns the number of chunks, and at chunk k.
+func (sp spans) len() int { return sp.n }
+
+func (sp spans) at(k int) span {
+	off := k * sp.chunk
+	return span{off, min(sp.chunk, sp.total-off)}
 }
 
 // alignedChunks splits size bytes of ds elements into pipeline chunks of at
 // most chunk bytes, each a whole number of elements.
-func alignedChunks(size, chunk int, ds dataspec) []span {
+func alignedChunks(size, chunk int, ds dataspec) spans {
 	if ds.dt.Size() > 0 {
 		chunk -= chunk % ds.dt.Size()
 	}
@@ -303,17 +304,26 @@ func alignedChunks(size, chunk int, ds dataspec) []span {
 // flagSet is one flag per local task, each on its own cache line (§2.2).
 type flagSet []shm.Flag
 
-// build runs the state constructor of a new operation entry. While it runs,
-// slot, flags and counter hand out memory the entry owns, the flags and
-// counters from slabs of its own: what one operation carved shares no slab with
-// another's, and goes back to the reserve when the operation is over, not the
-// run. The entries that have settled return theirs first, so the constructor
-// carves the slab an operation before it has just left.
-func (s *SRM) build(e *opEntry, mk func() any) {
+// build returns a new operation entry, with the state its constructor mk
+// builds. While mk runs, slot, flags and counter hand out memory the entry
+// owns, the flags and counters from slabs of its own: what one operation carved
+// shares no slab with another's, and goes back to the reserve when the
+// operation is over, not the run. The entries that have settled return theirs
+// first, so the constructor carves the slab an operation before it has just
+// left, and the entry is one of theirs when there is one.
+func (s *SRM) build(mk func() any) *opEntry {
 	s.settled(false)
+	var e *opEntry
+	if n := len(s.spare); n > 0 {
+		e, s.spare = s.spare[n-1], s.spare[:n-1]
+		*e = opEntry{bufs: e.bufs}
+	} else {
+		e = &opEntry{}
+	}
 	s.building = e
 	e.state = mk()
 	s.building = nil
+	return e
 }
 
 // settled releases the flags and counters of the retired entries that nothing
@@ -327,6 +337,7 @@ func (s *SRM) settled(all bool) {
 	k, now, lat := 0, s.m.Env.Now(), s.m.WakeLatency()
 	for ; k < len(s.retired) && (all || s.retired[k].retiredAt+lat < now); k++ { // the sum Set's wake-up was queued at
 		s.retired[k].release()
+		s.spare = append(s.spare, s.retired[k])
 		s.retired[k] = nil
 	}
 	s.retired = s.retired[:copy(s.retired, s.retired[k:])]
@@ -347,8 +358,8 @@ func (s *SRM) Release() {
 	for _, e := range s.kept {
 		e.release()
 	}
-	for _, gs := range s.groups {
-		for _, g := range gs {
+	for _, g := range s.groups {
+		for ; g != nil; g = g.next {
 			for _, e := range g.ops {
 				if e != nil {
 					e.release()
@@ -356,7 +367,7 @@ func (s *SRM) Release() {
 			}
 		}
 	}
-	s.kept, s.groups, s.world = nil, nil, nil
+	s.kept, s.spare, s.groups, s.world = nil, nil, nil, nil
 	s.execs.Release()
 	s.queues.Release()
 	s.subs.Release()

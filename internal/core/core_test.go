@@ -620,16 +620,16 @@ func TestPropAllreduce(t *testing.T) {
 }
 
 func TestChunks(t *testing.T) {
-	if got := chunks(0, 100); len(got) != 1 || got[0].n != 0 {
+	if got := chunks(0, 100); got.len() != 1 || got.at(0).n != 0 {
 		t.Fatalf("chunks(0) = %v", got)
 	}
 	got := chunks(250, 100)
-	if len(got) != 3 || got[2].off != 200 || got[2].n != 50 {
+	if got.len() != 3 || got.at(2).off != 200 || got.at(2).n != 50 {
 		t.Fatalf("chunks(250,100) = %v", got)
 	}
 	total := 0
-	for _, c := range got {
-		total += c.n
+	for k := range got.len() {
+		total += got.at(k).n
 	}
 	if total != 250 {
 		t.Fatalf("chunks cover %d bytes", total)

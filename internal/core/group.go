@@ -32,30 +32,30 @@ type slot struct{ nx, l int32 }
 
 // newLayout validates members and builds the node-grouped layout.
 func newLayout(m *machine.Machine, members []int) layout {
-	lay := layout{
-		idx:     ranks.NewIndex("core", members, m.P()),
-		members: slices.Clone(members),
-		spans:   m.Cfg.TierSpans(),
-		at:      make([]slot, len(members)),
-	}
-	// A counting pass sizes each node's member list, one backing array holds
-	// them all, and count then maps a node to its index into nodes.
-	count := make([]int, m.Cfg.Nodes)
+	P, idx := len(members), ranks.NewIndex("core", members, m.P())
+	lo := m.NodeOf(slices.Min(members))
+	span := m.NodeOf(slices.Max(members)) - lo + 1
+	// One array holds the copy of members, their lists by node end to end, the
+	// participating nodes and a count over the nodes the members span.
+	mem := make([]int, 2*P+2*span)
+	lay := layout{idx: idx, members: append(mem[:0:P], members...), nodes: mem[2*P : 2*P : 2*P+span], spans: m.Cfg.TierSpans(), at: make([]slot, P)}
+	// A counting pass sizes each node's member list, and count then maps a
+	// node to its index into nodes.
+	flat, count := mem[P:2*P], mem[2*P+span:]
 	for _, r := range members {
-		if count[m.NodeOf(r)]++; count[m.NodeOf(r)] == 1 {
+		if count[m.NodeOf(r)-lo]++; count[m.NodeOf(r)-lo] == 1 {
 			lay.nodes = append(lay.nodes, m.NodeOf(r))
 		}
 	}
 	sort.Ints(lay.nodes)
-	flat := make([]int, len(members))
 	lay.local = make([][]int, len(lay.nodes))
 	for x, nd := range lay.nodes {
-		lay.local[x], flat = flat[:0:count[nd]], flat[count[nd]:]
-		count[nd] = x
+		lay.local[x], flat = flat[:0:count[nd-lo]], flat[count[nd-lo]:]
+		count[nd-lo] = x
 	}
-	for _, r := range members {
-		x := count[m.NodeOf(r)]
-		lay.at[lay.idx.Of(r)] = slot{nx: int32(x), l: int32(len(lay.local[x]))}
+	for i, r := range members {
+		x := count[m.NodeOf(r)-lo]
+		lay.at[i] = slot{nx: int32(x), l: int32(len(lay.local[x]))}
 		lay.local[x] = append(lay.local[x], r)
 	}
 	return lay
@@ -136,9 +136,10 @@ func (g *Group) embed(interKind tree.Kind, root int) gEmbed {
 // so SPMD callers share operation state. Every member must make the same
 // sequence of calls on the group.
 type Group struct {
-	s   *SRM
-	lay layout
-	seq []int // by group rank: operations the member has entered
+	s    *SRM
+	lay  layout
+	seq  []int  // by group rank: operations the member has entered
+	next *Group // the next group in the bucket of SRM.groups
 
 	embeds map[embedKey]gEmbed // the embeddings asked for so far (embed)
 
@@ -147,6 +148,7 @@ type Group struct {
 	// by its last member, so entries come and go at the ends.
 	ops  []*opEntry
 	base int
+	in   [2]*opEntry // what ops starts out in
 }
 
 // Group returns the (shared, cached) group for the given member ranks.
@@ -155,18 +157,26 @@ type Group struct {
 // checked and laid out.
 func (s *SRM) Group(members []int) *Group {
 	h := ranks.Hash(members)
-	for _, g := range s.groups[h] {
+	for g := s.groups[h]; g != nil; g = g.next {
 		if slices.Equal(g.lay.members, members) {
 			return g
 		}
 	}
-	g := &Group{s: s, lay: newLayout(s.m, members), seq: make([]int, len(members))}
-	s.groups[h] = append(s.groups[h], g)
+	g := &Group{s: s, lay: newLayout(s.m, members), seq: make([]int, len(members)), next: s.groups[h]}
+	g.ops = g.in[:0]
+	s.groups[h] = g
 	return g
 }
 
 // Size returns the number of member tasks.
 func (g *Group) Size() int { return len(g.lay.members) }
+
+// Members returns the member list in group order; the caller must not write
+// to it.
+func (g *Group) Members() []int { return g.lay.members }
+
+// Index returns the group rank of a global rank, or -1 for a non-member.
+func (g *Group) Index(rank int) int { return g.lay.index(rank) }
 
 // acquire enters rank into the group's next operation: it returns the
 // operation's shared state (built by mk for the first member to arrive) and
@@ -180,9 +190,7 @@ func (g *Group) acquire(x *exec, rank int, mk func() any) any {
 	seq := g.seq[i]
 	g.seq[i] = seq + 1
 	if seq-g.base == len(g.ops) {
-		e := &opEntry{}
-		g.ops = append(g.ops, e)
-		g.s.build(e, mk)
+		g.ops = append(g.ops, g.s.build(mk))
 	}
 	return g.place(x, rank, g.lay.at[i], seq)
 }
@@ -233,7 +241,7 @@ func (g *Group) retire(seq int, aborted bool) {
 	for _, b := range e.bufs {
 		s.m.Buffers.Put(b)
 	}
-	e.bufs, e.retiredAt = nil, s.m.Env.Now()
+	e.bufs, e.slab, e.retiredAt = e.bufs[:0], nil, s.m.Env.Now()
 	s.retired = append(s.retired, e)
 }
 

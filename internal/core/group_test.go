@@ -94,10 +94,10 @@ func TestGroupRegistryShared(t *testing.T) {
 	// A hash only narrows the search: with [0 2]'s group planted in the bucket
 	// [1 3] hashes to, [1 3] still gets a group of its own, there.
 	h := ranks.Hash([]int{1, 3})
-	s.groups[h] = append(s.groups[h], a)
+	s.groups[h] = a
 	d := s.Group([]int{1, 3})
-	if d == a || fmt.Sprint(d.lay.members) != "[1 3]" || len(s.groups[h]) != 2 || s.Group([]int{1, 3}) != d {
-		t.Fatalf("[1 3] in a bucket with [0 2] resolved to %v (bucket of %d)", d.lay.members, len(s.groups[h]))
+	if d == a || fmt.Sprint(d.lay.members) != "[1 3]" || s.groups[h] != d || d.next != a || s.Group([]int{1, 3}) != d {
+		t.Fatalf("[1 3] in a bucket with [0 2] resolved to %v", d.lay.members)
 	}
 	// A list seen before is found without being laid out again.
 	if n := testing.AllocsPerRun(100, func() { s.Group([]int{0, 2}) }); n != 0 {

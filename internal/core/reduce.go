@@ -43,13 +43,13 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 	nn := len(g.lay.nodes)
 	r.rn = redNodes(g)
 	r.partial = make([][]byte, nn)
-	tp := pipeTree{emb: g.embed(s.interKind("reduce", size), root), window: newWindow(nn)}
+	tp := pipeTree{emb: g.embed(s.interKind("reduce", size), root), links: make([]link, nn)}
 	for x, nd := range g.lay.nodes {
 		r.rn[x].init(s, nd, g.lay.li(tp.emb.masters[x]), r.sp)
 		if x != tp.emb.inter.Root {
 			r.partial[x] = s.slot(size)
 		}
-		tp.carve(s, x, r.sp[0].n)
+		tp.links[x].carve(s, r.sp.at(0).n)
 	}
 	r.trees = []pipeTree{tp}
 	return r

@@ -20,7 +20,7 @@ type reduceScatterState struct {
 	g   *Group
 	blk int
 	ds  dataspec
-	sp  []span
+	sp  spans
 
 	rn      []redNode
 	partial [][]byte        // per node: master's full-vector local reduction
@@ -134,8 +134,8 @@ func (st *reduceScatterState) step(x *exec, f *frame) {
 		f.pc = rscOut
 		x.reduceWorker(&st.rn[nx], send)
 	case rscReduce:
-		if k := int(f.k); k < len(st.sp) {
-			c := st.sp[k]
+		if k := int(f.k); k < st.sp.len() {
+			c := st.sp.at(k)
 			tchunk, own := st.partial[nx][c.off:c.off+c.n], send[c.off:c.off+c.n]
 			f.k++
 			x.reduceInto(&st.rn[nx], k, tchunk, own)

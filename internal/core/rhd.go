@@ -85,11 +85,11 @@ func (a *rhdState) step(x *exec, f *frame) {
 			f.pc = fdUnfold
 			return
 		}
-		x.waitEvent(&a.resReady[partner])
+		x.waitEvent(&a.nodes[partner].ready)
 		f.pc = rhdGatherPut
 	case rhdGatherPut:
 		lo, hi := a.segment(nx, r+1, elems)
-		x.put(g.master(partner), a.resBuf[partner][lo*esize:hi*esize], recv[lo*esize:hi*esize], &a.cn[partner][cnRound+2*r+1])
+		x.put(g.master(partner), a.nodes[partner].dst[lo*esize:hi*esize], recv[lo*esize:hi*esize], &a.cn[partner][cnRound+2*r+1])
 		x.waitcntr(&a.cn[nx][cnRound+2*r+1], 1)
 		f.pc, f.i = rhdGather, int32(r-1)
 	default:

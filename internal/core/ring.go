@@ -10,10 +10,10 @@ package core
 // pipeline uses between child and parent, each master sending to its right
 // neighbour; a block rides slot parity st%2 at ring step st.
 type ringState struct {
-	nodeStages // with a single whole-vector chunk
-	window
-	g   *Group
-	blk []span // one element-aligned vector block per node
+	nodeStages        // with a single whole-vector chunk
+	links      []link // by the receiving master
+	g          *Group
+	blk        []span // one element-aligned vector block per node
 }
 
 func newRingState(g *Group, size int, ds dataspec) *ringState {
@@ -36,9 +36,9 @@ func newRingState(g *Group, size int, ds dataspec) *ringState {
 			maxBlk = n * esize
 		}
 	}
-	a.window = newWindow(nn)
-	for x := 0; x < nn; x++ {
-		a.carve(s, x, maxBlk)
+	a.links = make([]link, nn)
+	for x := range a.links {
+		a.links[x].carve(s, maxBlk)
 	}
 	return a
 }
@@ -73,16 +73,16 @@ func (a *ringState) step(x *exec, f *frame) {
 		st, right := int(f.i), (nx+1)%nn
 		sendIdx, _ := a.stepBlocks(nx, st)
 		sb := a.blk[sendIdx]
-		x.waitcntr(a.credit[nx], 1)
-		x.put(g.master(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n], &a.arr[right][st%2])
-		x.waitcntr(&a.arr[nx][st%2], 1)
+		x.waitcntr(&a.links[nx].credit[0], 1)
+		x.put(g.master(right), a.links[right].slot[st%2][:sb.n], recv[sb.off:sb.off+sb.n], &a.links[right].arr[st%2])
+		x.waitcntr(&a.links[nx].arr[st%2], 1)
 		f.pc = 3
 	case f.pc == 3:
 		st, left := int(f.i), (nx+nn-1)%nn
 		f.pc, f.i = 1, int32(st+1)
 		_, recvIdx := a.stepBlocks(nx, st)
 		rb := a.blk[recvIdx]
-		src, dst := a.slot[nx][st%2][:rb.n], recv[rb.off:rb.off+rb.n]
+		src, dst := a.links[nx].slot[st%2][:rb.n], recv[rb.off:rb.off+rb.n]
 		switch {
 		case rb.n == 0:
 		case st < nn-1:
@@ -91,13 +91,13 @@ func (a *ringState) step(x *exec, f *frame) {
 			x.memcpy(dst, src)
 		}
 		if st+2 < steps {
-			x.putZero(g.master(left), a.credit[left])
+			x.putZero(g.master(left), &a.links[left].credit[0])
 		}
 	case f.pc == 1:
 		f.pc = 2
-		x.publish(a.pub[nx], 0, recv, false)
+		x.publish(a.nodes[nx].pub, 0, recv, false)
 	default:
-		if a.pub[nx].waitConsumed(x, 0, &f.j) {
+		if a.nodes[nx].pub.waitConsumed(x, 0, &f.j) {
 			return
 		}
 		x.ret()

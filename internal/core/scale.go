@@ -176,8 +176,7 @@ func (s *SRM) ScaleAllreduce(reps int, send, recv []byte, fin []sim.Time) {
 	if err := scaleSpec.validate(n); err != nil || len(send) != P*n || len(recv) != P*n || len(fin) != P {
 		panic(fmt.Sprintf("core: ScaleAllreduce of %d ranks over %d and %d bytes, %d finish times", P, len(send), len(recv), len(fin)))
 	}
-	e := &opEntry{}
-	s.build(e, func() any { return newScaleState(s, n, reps, send, recv, fin) })
+	e := s.build(func() any { return newScaleState(s, n, reps, send, recv, fin) })
 	s.kept = append(s.kept, e)
 	st := e.state.(*scaleState)
 	body := func(t *sim.Task) {

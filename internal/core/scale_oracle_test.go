@@ -129,7 +129,7 @@ func runScale(c scaleCase, oracle bool) (*scaleOutcome, error) {
 	out := &scaleOutcome{perRank: make([]sim.Time, P)}
 	if oracle {
 		var st *scaleState
-		s.build(&opEntry{}, func() any { st = newScaleState(s, n, c.reps, nil, nil, nil); return st })
+		s.build(func() any { st = newScaleState(s, n, c.reps, nil, nil, nil); return st })
 		tr := tree.New(tree.Binomial, c.nodes, 0)
 		for rank := 0; rank < P; rank++ {
 			env.SpawnIndexed("rank", rank, func(p *sim.Proc) {

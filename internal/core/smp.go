@@ -2,6 +2,7 @@ package core
 
 import (
 	"srmcoll/internal/shm"
+	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
 )
@@ -277,35 +278,42 @@ func (pub *barrierPub) step(x *exec, f *frame) {
 	}
 }
 
-// publishers returns the SMP broadcast of every node of g, of the variant
-// Options picks, each pointing into one array of that variant (the tree
+// smpNode is one node's record of the SMP broadcast an operation ends with
+// and of the tree broadcast into its master: the node's publisher, which is
+// flat unless Options picks a variant, the master's receive buffer, and the
+// event of its registration.
+type smpNode struct {
+	pub   publisher
+	flat  smpPub
+	dst   []byte    // the master's receive buffer: a large broadcast's, an allreduce's result
+	ready sim.Event // dst registered
+}
+
+// smpNodes returns the records of every node of g, each publisher of the
+// variant Options picks (a variant's publishers in one array, the tree
 // variant's tables cut from one table each); init builds each.
-func (s *SRM) publishers(g *Group) []publisher {
-	nn := len(g.lay.nodes)
+func (s *SRM) smpNodes(g *Group) []smpNode {
+	nodes := make([]smpNode, len(g.lay.nodes))
 	switch {
 	case s.opt.TreeSMPBcst:
-		tp, P := make([]treePub, nn), len(g.lay.members)
+		tp, P := make([]treePub, len(nodes)), len(g.lay.members)
 		buf, full, ack := make([][2][]byte, P), make([]*shm.Flag, P), make([]flagSet, P)
 		for x := range tp {
 			n := len(g.lay.local[x])
 			tp[x].buf, tp[x].full, tp[x].ack = cut(&buf, n), cut(&full, n), cut(&ack, n)
+			nodes[x].pub = &tp[x]
 		}
-		return pointInto(tp)
 	case s.opt.BarrierSMPBcst:
-		return pointInto(make([]barrierPub, nn))
+		bp := make([]barrierPub, len(nodes))
+		for x := range bp {
+			nodes[x].pub = &bp[x]
+		}
+	default:
+		for x := range nodes {
+			nodes[x].pub = &nodes[x].flat
+		}
 	}
-	return pointInto(make([]smpPub, nn))
-}
-
-func pointInto[T any, P interface {
-	*T
-	publisher
-}](a []T) []publisher {
-	pub := make([]publisher, len(a))
-	for x := range a {
-		pub[x] = P(&a[x])
-	}
-	return pub
+	return nodes
 }
 
 // redNode is the per-node SMP reduce machinery of Figure 2: one shared slot
@@ -314,7 +322,7 @@ func pointInto[T any, P interface {
 // combine child slots with their own user buffer in place.
 type redNode struct {
 	tr   tree.Tree   // intra-node reduce tree, rooted at the master
-	sp   []span      // the pipeline chunks of the vector being reduced
+	sp   spans       // the pipeline chunks of the vector being reduced
 	slot [][2][]byte // per local task
 	fl   flagSet     // per local task i: full at 2i, free at 2i+1
 }
@@ -332,16 +340,16 @@ func redNodes(g *Group) []redNode {
 	return rn
 }
 
-func (rn *redNode) init(s *SRM, node, masterLocal int, sp []span) {
+func (rn *redNode) init(s *SRM, node, masterLocal int, sp spans) {
 	rn.tr, rn.sp = s.intraTree(len(rn.slot), masterLocal), sp
 	rn.fl = s.flags(node, 2*len(rn.slot))
 	for i := range rn.slot {
 		// The master combines into its caller's buffer and has no slot; the
 		// second buffer of a slot serves odd chunks only.
 		if i != masterLocal {
-			rn.slot[i][0] = s.slot(sp[0].n)
-			if len(sp) > 1 {
-				rn.slot[i][1] = s.slot(sp[0].n)
+			rn.slot[i][0] = s.slot(sp.at(0).n)
+			if sp.len() > 1 {
+				rn.slot[i][1] = s.slot(sp.at(0).n)
 			}
 		}
 	}
@@ -383,11 +391,11 @@ func (rn *redNode) step(x *exec, f *frame) {
 	kids, k := rn.tr.Children[local], int(f.k)
 	target, own := f.a, f.c
 	if f.pc != redMaster {
-		if k == len(rn.sp) {
+		if k == rn.sp.len() {
 			x.ret()
 			return
 		}
-		c := rn.sp[k]
+		c := rn.sp.at(k)
 		target, own = rn.slot[local][k%2][:c.n], f.a[c.off:c.off+c.n]
 	}
 	switch {

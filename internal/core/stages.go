@@ -20,28 +20,26 @@ import (
 //   - fold, which brings a node count that is not a power of two down to one
 //     for recursive doubling (RD) and recursive halving/doubling (RHD).
 
-// window is the two-deep credit window of §2.4 on the links between node
-// masters: the receiving end of a link holds two slots for it, used by
-// parity, with an arrival counter each; the sending end holds a credit
+// link is one node's end of the two-deep credit window of §2.4 on the links
+// between node masters: the receiving end of a link holds two slots for it,
+// used by parity, with an arrival counter each; the sending end holds a credit
 // counter, initially 2, which the receiver replenishes with a zero-byte put
-// once it has drained a slot. The tables are indexed by the layout's
+// once it has drained a slot. A table of links is indexed by the layout's
 // participating node index of one end of the link: the sending child in a
-// tree, the receiving master in the ring.
-type window struct {
-	slot   [][2][]byte     // at the receiving end
-	arr    [][]rma.Counter // per parity: arrivals at the receiving end
-	credit []*rma.Counter  // at the sending end: free slots at the receiver
+// tree, the receiving master in the ring. A tree's broadcast side adds the
+// arrivals of its chunks at the child.
+type link struct {
+	slot   [2][]byte     // at the receiving end
+	arr    []rma.Counter // per parity: arrivals at the receiving end
+	credit []rma.Counter // at the sending end: free slots at the receiver (one a parity in the small broadcast)
+	bArr   []rma.Counter // per parity: broadcast chunks landed, at the child
 }
 
-func newWindow(nn int) window {
-	return window{slot: make([][2][]byte, nn), arr: make([][]rma.Counter, nn), credit: make([]*rma.Counter, nn)}
-}
-
-// carve gives the link of node x its two n-byte slots and its counters.
-func (w *window) carve(s *SRM, x, n int) {
-	w.slot[x] = [2][]byte{s.slot(n), s.slot(n)}
-	w.arr[x] = s.arrivals()
-	w.credit[x] = s.counter(2, trace.ClassWaitCredit)
+// carve gives the link its two n-byte slots and its counters.
+func (l *link) carve(s *SRM, n int) {
+	l.slot = [2][]byte{s.slot(n), s.slot(n)}
+	l.arr = s.arrivals()
+	l.credit = s.counters(1, 2, trace.ClassWaitCredit)
 }
 
 // arrivals returns a pair of arrival counters, one per slot parity.
@@ -50,12 +48,9 @@ func (s *SRM) arrivals() []rma.Counter { return s.counters(2, 0, trace.ClassWait
 // pipeTree is one inter-node tree of a chunk pipeline. Chunk k of a pipeline
 // over nt trees rides tree k%nt in slot parity (k/nt)%2.
 type pipeTree struct {
-	emb    gEmbed
-	window // reduce side: each child node sends to its parent
-
-	// Broadcast side.
-	bArr      [][]rma.Counter // per-parity chunks landed, at the child
-	chunkDone *shm.Flag       // at the root master: chunks fully reduced; nil when no reduce precedes
+	emb       gEmbed
+	links     []link    // by node: the link to its parent
+	chunkDone *shm.Flag // at the root master: chunks fully reduced; nil when no reduce precedes
 }
 
 // treeReduce is the chunk-pipelined tree reduce: each node master combines
@@ -66,7 +61,7 @@ type pipeTree struct {
 // the rest of chunk f.k with f.i counting child nodes and f.j recording that
 // the chunk has a local partial.
 type treeReduce struct {
-	sp    []span
+	sp    spans
 	rn    []redNode // per-node SMP reduce machinery
 	trees []pipeTree
 	done  []sim.Event // per node: the pipeline's broadcast helper finished; nil for Reduce
@@ -79,7 +74,7 @@ const (
 
 func (u *treeReduce) step(x *exec, f *frame) {
 	nx, k := int(x.nx), int(f.k)
-	if k == len(u.sp) {
+	if k == u.sp.len() {
 		if u.done != nil {
 			x.waitEvent(&u.done[nx])
 		}
@@ -88,7 +83,7 @@ func (u *treeReduce) step(x *exec, f *frame) {
 	}
 	nt := len(u.trees)
 	tp, idx := &u.trees[k%nt], k/nt
-	c := u.sp[k]
+	c := u.sp.at(k)
 	tchunk, own := f.c[c.off:c.off+c.n], f.a[c.off:c.off+c.n]
 	if f.pc == trChunk {
 		f.pc, f.i, f.j = trKids, 0, 0
@@ -101,17 +96,18 @@ func (u *treeReduce) step(x *exec, f *frame) {
 	if kids := tp.emb.inter.Children[nx]; int(f.i) < len(kids) {
 		child := kids[f.i]
 		f.i++
-		x.waitcntr(&tp.arr[child][idx%2], 1)
+		up := &tp.links[child]
+		x.waitcntr(&up.arr[idx%2], 1)
 		if c.n > 0 {
 			if have {
 				own = nil
 			}
-			x.combine(tchunk, own, tp.slot[child][idx%2][:c.n])
+			x.combine(tchunk, own, up.slot[idx%2][:c.n])
 		}
 		// The child's next send in this tree is chunk k+nt; returning this
 		// credit enables the one after that.
-		if k+2*nt < len(u.sp) {
-			x.putZero(tp.emb.masters[child], tp.credit[child])
+		if k+2*nt < u.sp.len() {
+			x.putZero(tp.emb.masters[child], &up.credit[0])
 		}
 		return
 	}
@@ -121,8 +117,9 @@ func (u *treeReduce) step(x *exec, f *frame) {
 		if !have {
 			src = own // single-task leaf node: send straight from the user buffer
 		}
-		x.waitcntr(tp.credit[nx], 1)
-		x.put(tp.emb.masters[tp.emb.inter.Parent[nx]], tp.slot[nx][idx%2][:c.n], src, &tp.arr[nx][idx%2])
+		up := &tp.links[nx]
+		x.waitcntr(&up.credit[0], 1)
+		x.put(tp.emb.masters[tp.emb.inter.Parent[nx]], up.slot[idx%2][:c.n], src, &up.arr[idx%2])
 	} else {
 		if !have && c.n > 0 {
 			x.memcpy(tchunk, own) // reduce over a single task: the result is a plain copy
@@ -140,11 +137,9 @@ func (u *treeReduce) step(x *exec, f *frame) {
 // (the source at the root); tbChunk waits for chunk f.k, tbKids walks the
 // child nodes with f.i, tbPut puts the chunk into child f.i.
 type treeBcast struct {
-	sp    []span
-	pub   []publisher
+	sp    spans
+	nodes []smpNode // the publishers, and the masters' registered receive buffers
 	trees []pipeTree
-	dst   [][]byte    // per node: the master's registered receive buffer
-	ready []sim.Event // per node: dst registered
 
 	// helper is set when the body runs on a helper beside the master that
 	// shares its endpoint: it waits for a chunk with waitValue, not waitcntr.
@@ -160,11 +155,11 @@ const (
 
 func (d *treeBcast) step(x *exec, f *frame) {
 	nx, k := int(x.nx), int(f.k)
-	if k == len(d.sp) {
+	if k == d.sp.len() {
 		if f.pc != tbDrain {
 			f.pc, f.i = tbDrain, 0
 		}
-		if d.pub[nx].waitConsumed(x, k-1, &f.i) {
+		if d.nodes[nx].pub.waitConsumed(x, k-1, &f.i) {
 			return
 		}
 		x.ret()
@@ -173,7 +168,7 @@ func (d *treeBcast) step(x *exec, f *frame) {
 	nt := len(d.trees)
 	tp, idx := &d.trees[k%nt], k/nt
 	kids := tp.emb.inter.Children[nx]
-	c := d.sp[k]
+	c := d.sp.at(k)
 	mine := f.a[c.off : c.off+c.n]
 	switch f.pc {
 	case tbChunk:
@@ -183,22 +178,22 @@ func (d *treeBcast) step(x *exec, f *frame) {
 				x.waitGE(tp.chunkDone, idx+1)
 			}
 		case d.helper:
-			x.waitValue(&tp.bArr[nx][idx%2], 1)
+			x.waitValue(&tp.links[nx].bArr[idx%2], 1)
 		default:
-			x.waitcntr(&tp.bArr[nx][idx%2], 1) // chunk landed in f.a[c.off:]
+			x.waitcntr(&tp.links[nx].bArr[idx%2], 1) // chunk landed in f.a[c.off:]
 		}
 		f.pc, f.i = tbKids, 0
 	case tbKids:
 		if int(f.i) < len(kids) {
-			x.waitEvent(&d.ready[kids[f.i]])
+			x.waitEvent(&d.nodes[kids[f.i]].ready)
 			f.pc = tbPut
 			return
 		}
 		f.pc, f.k = tbChunk, int32(k+1)
-		x.publish(d.pub[nx], k, mine, false)
+		x.publish(d.nodes[nx].pub, k, mine, false)
 	case tbPut:
 		child := kids[f.i]
-		x.put(tp.emb.masters[child], d.dst[child][c.off:c.off+c.n], mine, &tp.bArr[child][idx%2])
+		x.put(tp.emb.masters[child], d.nodes[child].dst[c.off:c.off+c.n], mine, &tp.links[child].bArr[idx%2])
 		f.pc, f.i = tbKids, f.i+1
 	}
 }
@@ -284,7 +279,7 @@ func (fd *fold) stage(x *exec, f *frame) (stepper, []byte, []byte) {
 	case fdFold:
 		return &fd.rn[x.nx], f.c, f.a
 	case fdDone:
-		return fd.pub[x.nx], f.c, nil
+		return fd.nodes[x.nx].pub, f.c, nil
 	}
 	return nil, nil, nil
 }
@@ -301,7 +296,7 @@ func (fd *fold) foldStep(x *exec, f *frame) {
 			x.put(g.master(peer), *fd.slot.at(peer, 0), fd.partial(f), &fd.cn[peer][cnFold])
 			x.waitcntr(&fd.cn[nx][cnRes], 1)
 			f.pc, f.i = fdDone, 0
-			x.publish(fd.pub[nx], 0, recv, false)
+			x.publish(fd.nodes[nx].pub, 0, recv, false)
 			return
 		}
 		if hasExtra {
@@ -311,21 +306,21 @@ func (fd *fold) foldStep(x *exec, f *frame) {
 		f.pc = fdExchange
 	case fdUnfold:
 		if hasExtra {
-			x.waitEvent(&fd.resReady[extra])
+			x.waitEvent(&fd.nodes[extra].ready)
 		}
 		f.pc = fdReturn
 	case fdReturn:
 		if hasExtra {
 			// Return the full result to the folded-out node's recv buffer.
-			x.put(g.master(extra), fd.resBuf[extra], fd.partial(f), &fd.cn[extra][cnRes])
+			x.put(g.master(extra), fd.nodes[extra].dst, fd.partial(f), &fd.cn[extra][cnRes])
 		}
 		if f.j == 0 && fd.size > 0 {
 			x.memcpy(recv, send) // single node, single task
 		}
 		f.pc, f.i = fdDone, 0
-		x.publish(fd.pub[nx], 0, recv, false)
+		x.publish(fd.nodes[nx].pub, 0, recv, false)
 	case fdDone:
-		if fd.pub[nx].waitConsumed(x, 0, &f.i) {
+		if fd.nodes[nx].pub.waitConsumed(x, 0, &f.i) {
 			return
 		}
 		x.ret()

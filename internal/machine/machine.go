@@ -185,7 +185,11 @@ func (c Config) TierSpans() []int {
 // node, 1 for nodes on the same leaf switch (or any pair on a flat
 // topology), and 2+i for pairs that first share a switch at Tiers[i]. Pairs
 // beyond the last tier's span clamp to the last tier.
-func (c Config) TierOf(a, b int) int {
+//
+// It and NetLatencyOf take the Config by pointer, unlike its other methods:
+// they are on the event path, and a value receiver is a copy of the whole
+// Config a call.
+func (c *Config) TierOf(a, b int) int {
 	if a == b {
 		return 0
 	}
@@ -204,7 +208,7 @@ func (c Config) TierOf(a, b int) int {
 
 // NetLatencyOf returns the one-way wire latency between two nodes' adapters.
 // On a flat topology (or within a leaf switch) this is NetLatency.
-func (c Config) NetLatencyOf(a, b int) sim.Time {
+func (c *Config) NetLatencyOf(a, b int) sim.Time {
 	if l := c.TierOf(a, b); l >= 2 {
 		return c.Tiers[l-2].Latency
 	}
@@ -450,8 +454,9 @@ func New(env *sim.Env, cfg Config) *Machine {
 	return m
 }
 
-// P returns the total task count.
-func (m *Machine) P() int { return m.Cfg.P() }
+// P returns the total task count. It reads the machine's Config in place:
+// Config.P takes it by value, a copy a call.
+func (m *Machine) P() int { return m.Cfg.Nodes * m.Cfg.TasksPerNode }
 
 // NodeOf returns the node hosting the given global rank (block distribution:
 // ranks 0..p-1 on node 0, and so on, matching the paper's task layout).

@@ -425,7 +425,7 @@ func (e *Env) nextResNum() int {
 }
 
 // Event is a one-shot occurrence processes can wait on. After Trigger,
-// waiting is a no-op. The zero value is not usable; use Env.NewEvent or Init.
+// waiting is a no-op. The zero value is not usable until Init binds it.
 type Event struct {
 	env     *Env
 	num     int          // sequence for the default id
@@ -434,15 +434,8 @@ type Event struct {
 	waiters taskList
 }
 
-// NewEvent returns an untriggered event.
-func (e *Env) NewEvent() *Event {
-	ev := new(Event)
-	ev.Init(e)
-	return ev
-}
-
-// Init binds a zero Event to the environment, drawing its report id exactly
-// as NewEvent does, so that events can live in an array of their owner's.
+// Init binds a zero Event to the environment, drawing its report id, so that
+// events can live in an array or a record of their owner's.
 func (ev *Event) Init(e *Env) { ev.env, ev.num = e, e.nextResNum() }
 
 // NamedBy sets the label stall reports name the event by and returns ev: the

@@ -584,3 +584,10 @@ func TestRunUntilCrashTakesPrecedence(t *testing.T) {
 		t.Fatalf("RunUntil = %v, want *CrashError over deadlock", err)
 	}
 }
+
+// NewEvent returns an untriggered event of its own.
+func (e *Env) NewEvent() *Event {
+	ev := new(Event)
+	ev.Init(e)
+	return ev
+}

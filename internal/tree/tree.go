@@ -79,20 +79,18 @@ func New(kind Kind, n, root int) Tree {
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("tree: root %d out of range [0,%d)", root, n))
 	}
-	t := Tree{
-		N:        n,
-		Root:     root,
-		Parent:   make([]int, n),
-		Children: make([][]int, n),
-	}
+	// One array holds Parent, then the children lists end to end, then the
+	// children in the order they were linked: a tree is two allocations.
+	mem := make([]int, 3*n)
+	t := Tree{N: n, Root: root, Parent: mem[:n], Children: make([][]int, n)}
 	for i := range t.Parent {
 		t.Parent[i] = -1
 	}
-	abs := func(rel int) int { return (rel + root) % n }
+	linked := mem[2*n : 2*n : 3*n]
 	link := func(parentRel, childRel int) {
-		p, c := abs(parentRel), abs(childRel)
-		t.Parent[c] = p
-		t.Children[p] = append(t.Children[p], c)
+		c := (childRel + root) % n
+		t.Parent[c] = (parentRel + root) % n
+		linked = append(linked, c)
 	}
 	switch kind {
 	case Binomial:
@@ -143,6 +141,20 @@ func New(kind Kind, n, root int) Tree {
 		linkParents(bineParents(n), link)
 	default:
 		panic(fmt.Sprintf("tree: unknown kind %d", int(kind)))
+	}
+	// Each vertex's list is cut once the counts are known, the counts read
+	// before the lists are written over them.
+	count, off := mem[n:2*n], n
+	for _, c := range linked {
+		count[t.Parent[c]]++
+	}
+	for p, k := range count {
+		if k > 0 {
+			t.Children[p], off = mem[off:off:off+k], off+k
+		}
+	}
+	for _, c := range linked {
+		t.Children[t.Parent[c]] = append(t.Children[t.Parent[c]], c)
 	}
 	return t
 }

@@ -119,7 +119,7 @@ func (st *reqStream) helperPrefix(rank int) string {
 // machine, RMA domain, trace and shared counters every rank works with, the
 // record of every rank, which rank each request helper acts for, trace track
 // allocation for helpers, the records requests are carved from, the record of
-// every communicator, and the handle cache that makes Comm.Sub return one
+// every communicator, which hold the handles that make Comm.Sub return one
 // canonical Comm per (parent, member list).
 type runState struct {
 	env        *sim.Env
@@ -127,15 +127,14 @@ type runState struct {
 	dom        *rma.Domain
 	tr         *trace.Trace // nil unless tracing is on
 	counters   map[string]*SharedCounter
-	ranks      []rankRec             // by rank, one slab
-	helperRank map[*sim.Task]int     // running or failed request helper -> issuing rank
-	reqs       []TRequest            // the rest of the chunk the next request is carved from
-	nextTrack  int                   // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
-	comms      []*commRec            // every communicator of the run, the world first
-	byHash     map[uint64][]*commRec // those Sub made, by ranks.Hash of their member lists
-	subs       map[subKey]*Comm
-	handles    []Comm   // what subs points into: the rest of a block of one handle a rank, theirs to keep
-	ft         *ftState // nil unless the cluster enabled fault tolerance
+	ranks      []rankRec           // by rank, one slab
+	helperRank map[*sim.Task]int   // running or failed request helper -> issuing rank
+	reqs       []TRequest          // the rest of the chunk the next request is carved from
+	nextTrack  int                 // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
+	comms      []*commRec          // every communicator of the run, the world first
+	byHash     map[uint64]*commRec // those Sub made, by ranks.Hash of their member lists: the first of a bucket chained by next
+	outside    map[subKey]*Comm    // the handles of ranks that Sub a list they are not on (handle.sub); nil before the first
+	ft         *ftState            // nil unless the cluster enabled fault tolerance
 
 	// The ranks' request streams and rendezvous frames, each carved at the
 	// rank's first request or first Agree or Shrink (rankRec).
@@ -154,8 +153,7 @@ func newRunState(env *sim.Env, p int) *runState {
 		ranks:      make([]rankRec, p),
 		helperRank: make(map[*sim.Task]int),
 		nextTrack:  2 * p,
-		byHash:     make(map[uint64][]*commRec),
-		subs:       make(map[subKey]*Comm),
+		byHash:     make(map[uint64]*commRec),
 	}
 }
 

@@ -258,6 +258,7 @@ type Cluster struct {
 	cfg     Config
 	variant Variant
 	faults  FaultPlan
+	killed  []string // by faults.Crashes: the reason each crash kills its rank with
 	ft      FTConfig
 	tracing bool
 	tuned   *TuneTable
@@ -346,8 +347,15 @@ func (cl *Cluster) algFor() func(size int) core.Alg {
 
 // SetFaultPlan installs a fault plan for subsequent runs. The zero-value
 // plan restores the default fault-free path (bit-identical to not calling
-// SetFaultPlan at all). The plan is validated at Run time.
-func (cl *Cluster) SetFaultPlan(p FaultPlan) { cl.faults = p }
+// SetFaultPlan at all). The plan is validated at Run time; its crashes are
+// the cluster's own copy from here on.
+func (cl *Cluster) SetFaultPlan(p FaultPlan) {
+	p.Crashes = slices.Clone(p.Crashes)
+	cl.faults, cl.killed = p, make([]string, len(p.Crashes))
+	for i, cr := range p.Crashes {
+		cl.killed[i] = fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At)
+	}
+}
 
 // FaultPlan returns the cluster's current fault plan.
 func (cl *Cluster) FaultPlan() FaultPlan { return cl.faults }
@@ -457,24 +465,38 @@ type rankRec struct {
 // commRec is what a run knows about one communicator, held once and shared by
 // the handles of all its members: a communicator is its member list, so every
 // rank passing the same list to Sub arrives at the same record (runState.sub)
-// and nothing per communicator is derived per rank — the copy of the list, the
-// implementation's group, the place of each rank in the list, the name.
+// and nothing per communicator is derived per rank — the list Members hands
+// out, the implementation's group, the name.
 type commRec struct {
-	members []int       // global ranks in member order; never written after creation
-	idx     ranks.Index // global rank -> member index
-	coll    collectives // the operations over the members
+	members []int       // global ranks in member order, as Members hands them out: cap == len, never written by the run
+	coll    collectives // the operations over the members, and the list and index the run reads
 	name    string      // see key; the world's is set from the start
-	from    []*commRec  // the parents the list has been checked against
+	from    []parentRec // the parents the list has been checked against, in first at first
+	first   [1]parentRec
+	next    *commRec // the next record in the bucket of runState.byHash
 
 	// The communicator's stream of Agree/Shrink rendezvous (ft.go). Survivors
-	// leave a rendezvous together, so at most one is in flight.
+	// leave a rendezvous together, so at most one is in flight, and each has
+	// read the outcome of one before it enters the next: the rounds take the
+	// two records by parity.
 	failed  int          // members declared failed so far
 	told    *ftInterrupt // those members, as of the declaration that listed them (ftState.told)
 	round   int          // rendezvous begun so far
 	pending *ftGather    // the one in flight, nil between rounds
-	entered []uint64     // by member index: the flag the member entered pending with
-	in      []bool       // by member index: the member has entered pending
+	gathers [2]ftGather
+	entered []ftEntry // by member index: what the member entered pending with
 }
+
+// parentRec is a parent of a communicator and the handles its members reached
+// the communicator by from it, by member index; nil before the first.
+type parentRec struct {
+	rec     *commRec
+	handles []Comm
+}
+
+// list returns the member list the run itself reads: the implementation
+// group's, which no caller holds.
+func (rec *commRec) list() []int { return rec.coll.group().Members() }
 
 // key names the communicator in repair records, event labels and panics:
 // "world", or the member list as fmt.Sprint prints it, "[0 1 3]". It is
@@ -482,7 +504,7 @@ type commRec struct {
 func (rec *commRec) key() string {
 	if rec.name == "" {
 		b := make([]byte, 0, 4*len(rec.members)+1)
-		for _, r := range rec.members {
+		for _, r := range rec.list() {
 			b = strconv.AppendInt(append(b, ' '), int64(r), 10)
 		}
 		b[0] = '['
@@ -522,6 +544,19 @@ func (c collectives) sub(members []int) collectives {
 	return collectives{base: c.base.Sub(members)}
 }
 
+// group returns the implementation's group, for its member list (which the
+// caller must not write to) and the member index of a global rank (-1 for a
+// non-member).
+func (c collectives) group() interface {
+	Members() []int
+	Index(rank int) int
+} {
+	if c.srm != nil {
+		return c.srm
+	}
+	return c.base
+}
+
 // sub returns the record of the communicator over members, carved out of
 // parent. The list is hashed and compared against the records in its bucket,
 // so finding a communicator builds nothing; the implementation resolves its
@@ -529,16 +564,14 @@ func (c collectives) sub(members []int) collectives {
 func (rs *runState) sub(parent *commRec, members []int) *commRec {
 	h := ranks.Hash(members)
 	rec := rs.lookup(h, members)
-	if rec != nil && slices.Contains(rec.from, parent) {
+	if rec != nil && rec.parent(parent) != nil {
 		return rec
 	}
 	coll := parent.coll.sub(members)
 	if rec == nil {
-		rec = &commRec{
-			members: slices.Clone(members),
-			idx:     ranks.NewIndex("srmcoll", members, len(rs.ranks)),
-			coll:    coll,
-		}
+		rec = &commRec{members: make([]int, len(members)), coll: coll, next: rs.byHash[h]}
+		rec.from = rec.first[:0]
+		copy(rec.members, members)
 		if rs.ft != nil {
 			for _, r := range members {
 				if rs.ft.failed[r] {
@@ -547,31 +580,41 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 			}
 		}
 		rs.comms = append(rs.comms, rec)
-		rs.byHash[h] = append(rs.byHash[h], rec)
+		rs.byHash[h] = rec
 	}
-	rec.from = append(rec.from, parent)
+	rec.from = append(rec.from, parentRec{rec: parent})
 	return rec
+}
+
+// parent returns the entry of parent in the record's from, nil if the list
+// has not been checked against it.
+func (rec *commRec) parent(parent *commRec) *parentRec {
+	for i := range rec.from {
+		if rec.from[i].rec == parent {
+			return &rec.from[i]
+		}
+	}
+	return nil
 }
 
 // lookup finds the record of a member list in the bucket of its hash h.
 func (rs *runState) lookup(h uint64, members []int) *commRec {
-	for _, rec := range rs.byHash[h] {
-		if slices.Equal(rec.members, members) {
-			return rec
-		}
+	rec := rs.byHash[h]
+	for rec != nil && !slices.Equal(rec.list(), members) {
+		rec = rec.next
 	}
-	return nil
+	return rec
 }
 
 // newWorld makes the record of the world communicator of p ranks. It is not
 // in the table Sub looks lists up in: Sub over every rank is a communicator of
 // its own.
 func (rs *runState) newWorld(p int, coll collectives) *commRec {
-	rec := &commRec{members: make([]int, p), idx: ranks.All(p), coll: coll, name: "world"}
+	rec := &commRec{members: make([]int, p), coll: coll, name: "world"}
 	for i := range rec.members {
 		rec.members[i] = i
 	}
-	rs.comms = append(rs.comms, rec)
+	rs.comms = append(make([]*commRec, 0, 4), rec)
 	return rec
 }
 
@@ -584,19 +627,29 @@ func (rs *runState) newWorld(p int, coll collectives) *commRec {
 // request ordering is per communicator, not per Sub call.
 func (c *Comm) Sub(members []int) *Comm { return c.sub(members) }
 
+// sub finds the rank's handle on the communicator over members, carved out of
+// its own: a member's is in the array of the parent's entry in the record, made
+// for all of them at the first; a rank outside the list finds its in the run's
+// table.
 func (h handle) sub(members []int) *Comm {
-	key := subKey{parent: h, rec: h.rs.sub(h.rec, members)}
-	if s, ok := h.rs.subs[key]; ok {
-		return s
+	rec := h.rs.sub(h.rec, members)
+	i := rec.coll.group().Index(h.rank)
+	if i < 0 {
+		key := subKey{h, rec}
+		if h.rs.outside[key] == nil {
+			if h.rs.outside == nil {
+				h.rs.outside = make(map[subKey]*Comm)
+			}
+			h.rs.outside[key] = &Comm{handle{h.rankRec, rec}}
+		}
+		return h.rs.outside[key]
 	}
-	if len(h.rs.handles) == 0 {
-		h.rs.handles = make([]Comm, len(h.rs.ranks))
+	from := rec.parent(h.rec)
+	if from.handles == nil {
+		from.handles = make([]Comm, len(rec.members))
 	}
-	s := &h.rs.handles[0]
-	h.rs.handles = h.rs.handles[1:]
-	s.handle = handle{h.rankRec, key.rec}
-	h.rs.subs[key] = s
-	return s
+	from.handles[i].handle = handle{h.rankRec, rec}
+	return &from.handles[i]
 }
 
 // Rank returns this task's global rank.
@@ -979,11 +1032,11 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 // filled by then.
 func (sm *simulation) scheduleFaults() {
 	env, inj, rs := sm.m.Env, sm.m.Faults, sm.rs
-	for _, cr := range sm.cl.faults.Crashes {
-		cr := cr
+	for i, cr := range sm.cl.faults.Crashes {
+		why := sm.cl.killed[i]
 		env.At(cr.At, func() {
 			inj.CountCrash()
-			env.Kill(rs.ranks[cr.Rank].call.t, fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
+			env.Kill(rs.ranks[cr.Rank].call.t, why)
 		})
 	}
 	for _, st := range sm.cl.faults.Stalls {

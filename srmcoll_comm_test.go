@@ -99,13 +99,13 @@ func TestCollidingListsGetTheirOwnRecords(t *testing.T) {
 	a, b := []int{0, 1}, []int{2, 3}
 	recB := rs.sub(world, b)
 	h := ranks.Hash(a)
-	rs.byHash[h] = append(rs.byHash[h], recB) // b's record, found under a's hash
+	rs.byHash[h] = recB // b's record, found under a's hash
 	recA := rs.sub(world, a)
 	if recA == recB || !slices.Equal(recA.members, a) {
 		t.Fatalf("list %v resolved to the record of %v", a, recA.members)
 	}
-	if len(rs.byHash[h]) != 2 || rs.lookup(h, a) != recA || rs.lookup(h, b) != recB {
-		t.Errorf("bucket %v does not tell the two lists apart", rs.byHash[h])
+	if rs.byHash[h] != recA || recA.next != recB || rs.lookup(h, a) != recA || rs.lookup(h, b) != recB {
+		t.Errorf("bucket of %v does not tell the two lists apart", a)
 	}
 	if rs.sub(world, a) != recA || rs.sub(world, b) != recB || len(rs.comms) != 3 {
 		t.Errorf("a second lookup made new records: %d of them", len(rs.comms))

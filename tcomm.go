@@ -97,7 +97,8 @@ func (tc *TComm) Node() int { return tc.rs.m.NodeOf(tc.rank) }
 // LocalRank returns this rank's index within its node.
 func (tc *TComm) LocalRank() int { return tc.rs.m.LocalRank(tc.rank) }
 
-// Members returns the communicator's global ranks in member order.
+// Members returns the communicator's global ranks in member order: the
+// communicator's own list, as Comm.Members hands it out.
 func (tc *TComm) Members() []int { return (*Comm)(tc).Members() }
 
 // FailedRanks returns the communicator members declared failed so far.
