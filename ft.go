@@ -232,7 +232,7 @@ func (ft *ftState) declare(d int, diedAt float64) {
 	// the rendezvous it may have been the straggler of.
 	pending := ft.due[:0]
 	for _, rec := range ft.rs.comms {
-		if rec.coll.srm.Index(d) < 0 { // fault tolerance is SRM's only
+		if rec.coll.Index(d) < 0 { // fault tolerance is SRM's only
 			continue
 		}
 		rec.failed++
@@ -243,15 +243,16 @@ func (ft *ftState) declare(d int, diedAt float64) {
 	// Interrupt every registered operation whose communicator contains the
 	// failed rank. Registration order is deterministic, so so is this.
 	for _, reg := range ft.inflight {
-		if reg.rec.coll.srm.Index(d) < 0 {
+		if reg.rec.coll.Index(d) < 0 {
 			continue
 		}
 		ft.env.Interrupt(reg.t, ft.told(reg.rec))
 	}
 	// Complete what is now complete, in ascending order of the rendezvous key
-	// strings: the order repair records have always had, and once per declared
-	// failure is rare enough to format the keys for.
-	slices.SortFunc(pending, func(a, b *ftGather) int { return strings.Compare(a.key(), b.key()) })
+	// strings: the order repair records have always had. A communicator has
+	// one rendezvous pending at most and its key is cached, so the keys of the
+	// communicators order them alike and build nothing.
+	slices.SortFunc(pending, func(a, b *ftGather) int { return strings.Compare(a.rec.key(), b.rec.key()) })
 	for _, g := range pending {
 		ft.checkGather(g)
 	}
@@ -299,7 +300,7 @@ func (ft *ftState) deregister(t *sim.Task) {
 // the last member awaited. The caller waits for the event, which has triggered
 // by then if it was.
 func (rec *commRec) enter(ft *ftState, rank int, kind string, flag uint64) *ftGather {
-	i := rec.coll.srm.Index(rank)
+	i := rec.coll.Index(rank)
 	if i < 0 {
 		panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s, which it is not a member of", rank, kind, rec.key()))
 	}

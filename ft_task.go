@@ -14,8 +14,8 @@ package srmcoll
 import "srmcoll/internal/trace"
 
 // block dispatches the operation from the actor's stack and returns what it
-// ended with. An SRM operation is its task form started on the process's own
-// task and the process parked until it completes; a baseline's is blocking.
+// ended with: the operation started on the process's own task, and the process
+// parked until it completes.
 func (f *frame) block() (err error) {
 	if f.registered {
 		defer func() {
@@ -24,12 +24,8 @@ func (f *frame) block() (err error) {
 			}
 		}()
 	}
-	if coll := f.h.rec.coll; coll.srm != nil {
-		f.start(coll.srm, f.t, f.h.rank, f.p().Resume())
-		f.p().Park()
-	} else {
-		f.invoke(coll.base, f.p(), f.h.rank)
-	}
+	f.start(f.h.rec.coll, f.t, f.h.rank, f.p().Resume())
+	f.p().Park()
 	return nil
 }
 

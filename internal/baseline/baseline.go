@@ -7,20 +7,23 @@
 // unlike SRM they are not SMP-aware — intra-node edges merely happen to use
 // the shared-memory p2p device.
 //
-// No tree is ever built: on each call a rank computes its own parent and
+// No tree is ever built: on each step a rank computes its own parent and
 // children (tree.BinomialRow, O(log P)), as an MPI library's mask loop does.
-// Every algorithm exists once, as a Group method; New returns the group of all
-// ranks.
+// Every algorithm exists once, in continuation form on the calling task: a
+// Group method XT starts it (group.go), and its steps run on the event loop.
+// New returns the group of all ranks.
 package baseline
 
 import (
 	"fmt"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/mpi"
 	"srmcoll/internal/ranks"
 	"srmcoll/internal/sim"
+	"srmcoll/internal/tree"
 )
 
 // Flavor selects the modeled MPI implementation.
@@ -44,7 +47,7 @@ func (f Flavor) String() string {
 const rdAllreduceLimit = 32 << 10
 
 // Tags per collective; point-to-point matching keeps operations apart
-// because calls are blocking and SPMD-ordered.
+// because a member runs one collective at a time, in SPMD order.
 const (
 	tagBarrier = 1000 + iota
 	tagBcast
@@ -66,117 +69,399 @@ func New(m *machine.Machine, f Flavor) *Group {
 	for i := range members {
 		members[i] = i
 	}
-	return &Group{w: w, flavor: f, members: members, pos: ranks.All(len(members))}
+	return &Group{w: w, flavor: f, calls: new(bufpool.Frames[call, *call]), members: members, pos: ranks.All(len(members))}
 }
 
-// Release hands the point-to-point layer's records back to the reserve (see
-// mpi.World.Release): only once the simulation ended with no rank parked in
-// it, and every group carved from this one is dropped with it.
-func (g *Group) Release() { g.w.Release() }
+// Release hands the point-to-point layer's records and the calls' back to the
+// reserve (see mpi.World.Release): only once the simulation ended with no rank
+// parked in it, and every group carved from this one is dropped with it.
+func (g *Group) Release() {
+	g.calls.Release()
+	g.w.Release()
+}
 
 func (g *Group) machine() *machine.Machine { return g.w.Machine() }
 
-// localCopy charges, records and makes a protocol-internal buffer copy.
-func (g *Group) localCopy(p *sim.Proc, rank int, dst, src []byte) {
-	g.chargeCopy(p, rank, len(src))
-	copy(dst, src)
-}
+// one is what a barrier sends: eager, so the bytes are staged at once.
+var one = []byte{1}
 
 // chargeCopy charges and records a protocol-internal copy of n bytes whose
-// bytes something else lands.
-func (g *Group) chargeCopy(p *sim.Proc, rank, n int) {
-	m := g.machine()
-	m.ChargeCopy(p, m.NodeOf(rank), n)
+// bytes something else lands, then resumes the call at step pc.
+func (c *call) chargeCopy(pc, n int) {
+	m := c.g.machine()
 	m.Stats.AddPlainCopy(n)
+	c.pc = pc
+	m.ChargeCopyK(c.t, m.NodeOf(c.rank), n, c)
 }
 
-// combine charges one elementwise reduction.
-func (g *Group) combine(p *sim.Proc, n, elem int) {
-	m := g.machine()
-	p.Sleep(m.CombineTime(n))
-	m.Stats.AddReduce(n / max(1, elem))
+// localCopy makes, records and charges a protocol-internal buffer copy, then
+// resumes the call at step pc. Nothing but the member's own later steps reads
+// dst, so the bytes move at once.
+func (c *call) localCopy(pc int, dst, src []byte) {
+	copy(dst, src)
+	c.chargeCopy(pc, len(src))
 }
 
-// ReduceScatter combines members' send vectors and scatters block i to the
-// member with group rank i — the MPICH-1 era algorithm: a reduce to the
-// first member followed by a block scatter.
-func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	if len(send) != len(recv)*len(g.members) {
-		panic(fmt.Sprintf("baseline: ReduceScatter send %d bytes, want %d",
-			len(send), len(recv)*len(g.members)))
+// combine charges one elementwise reduction of the call's send size, then
+// resumes the call at step pc.
+func (c *call) combine(pc int) {
+	m, n := c.g.machine(), len(c.send)
+	m.Stats.AddReduce(n / max(1, c.dt.Size()))
+	c.pc = pc
+	c.t.SleepK(m.CombineTime(n), c)
+}
+
+// valid panics for an operator the element type does not have.
+func (c *call) valid() {
+	if !dtype.Valid(c.op, c.dt) {
+		panic(fmt.Sprintf("baseline: operator %s invalid for %s", c.op, c.dt))
 	}
-	root := g.members[0]
-	var full []byte
-	if rank == root {
-		full = g.machine().Buffers.Get(len(send))
-	}
-	g.Reduce(p, rank, send, full, dt, op, root)
-	g.Scatter(p, rank, full, recv, root)
-	g.machine().Buffers.Put(full)
 }
 
-// Scan is the inclusive prefix reduction over group ranks, using the
-// Hillis-Steele doubling schedule with nonblocking sends.
-func (g *Group) Scan(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	g.scan(p, rank, send, recv, dt, op, false)
-}
-
-// Exscan is the exclusive prefix; the first member's recv is zeroed.
-func (g *Group) Exscan(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	g.scan(p, rank, send, recv, dt, op, true)
-}
-
-func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op, exclusive bool) {
-	if !dtype.Valid(op, dt) {
-		panic(fmt.Sprintf("baseline: operator %s invalid for %s", op, dt))
-	}
-	me := g.index(rank)
-	P := len(g.members)
-	n := len(send)
-	r := g.w.Rank(rank)
-	g.localCopy(p, rank, recv, send)
-	// Each step receives into scratch, not by folding into recv: the bytes
-	// may land while this rank's own Isend of recv is still reading it.
-	pool := g.machine().Buffers
-	scratch := pool.Get(n)
-	for dist := 1; dist < P; dist *= 2 {
-		var sreq *mpi.Request
-		if me+dist < P {
-			sreq = r.Isend(p, g.members[me+dist], tagScan, recv)
-		}
-		if me-dist >= 0 {
-			r.Recv(p, g.members[me-dist], tagScan, scratch)
-		}
-		if sreq != nil {
-			sreq.Wait(p) // the send references recv; complete it before updating
-		}
-		if me-dist >= 0 {
-			dtype.Reduce(op, dt, recv, scratch)
-			g.combine(p, n, dt.Size())
+// barrier: both era implementations use a binomial fan-in followed by a
+// fan-out over group indices (dissemination-style MPI barriers arrived
+// later); the flavors differ only through their point-to-point protocol
+// costs.
+func (c *call) barrier() {
+	g := c.g
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(len(g.members), 0, c.me, row[:0])
+	for {
+		switch c.pc {
+		case 0: // the children's fan-in
+			if c.i < len(kids) {
+				c.i++
+				c.r.RecvT(c.t, g.members[kids[c.i-1]], tagBarrier, c.flag[:], c)
+				return
+			}
+			c.pc, c.i = 1, 0
+			if parent != -1 {
+				c.r.SendT(c.t, g.members[parent], tagBarrier, one, c)
+				return
+			}
+			c.pc = 2
+		case 1: // the parent's fan-out
+			c.pc = 2
+			c.r.RecvT(c.t, g.members[parent], tagBarrier, c.flag[:], c)
+			return
+		case 2:
+			if c.i < len(kids) {
+				c.i++
+				c.r.SendT(c.t, g.members[kids[c.i-1]], tagBarrier, one, c)
+				return
+			}
+			c.finish()
+			return
 		}
 	}
-	if !exclusive {
-		pool.Put(scratch)
+}
+
+// bcast broadcasts along a binomial tree over group indices — the MPICH
+// algorithm the paper names (§2.1), and what the vendor MPI of the era used as
+// well.
+func (c *call) bcast() {
+	g := c.g
+	n := len(g.members)
+	if n == 1 {
+		c.finish()
 		return
 	}
-	var sreq *mpi.Request
-	if me+1 < P {
-		sreq = r.Isend(p, g.members[me+1], tagScan, recv)
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(n, g.index(c.root), c.me, row[:0])
+	if c.pc == 0 {
+		c.pc = 1
+		if parent != -1 {
+			c.r.RecvT(c.t, g.members[parent], tagBcast, c.send, c)
+			return
+		}
 	}
-	if me > 0 {
-		r.Recv(p, g.members[me-1], tagScan, scratch)
+	if c.i < len(kids) {
+		c.i++
+		c.r.SendT(c.t, g.members[kids[c.i-1]], tagBcast, c.send, c)
+		return
 	}
-	if sreq != nil {
-		sreq.Wait(p) // recv is about to be overwritten
+	c.finish()
+}
+
+// reduce combines members' send buffers along a binomial tree over group
+// indices, leaving the result in recv at root (ignored elsewhere; may be nil).
+// Each interior member stages its accumulator and receives every child into it
+// — the data movement at every tree level that Figure 2 contrasts with the SRM
+// shared-memory reduce. Both are charged as the copies they are, but the bytes
+// move once: each child is folded into the accumulator where its message lands
+// (mpi.Rank.RecvReduceT), and the staging copy's bytes land with the first
+// child's fold, acc = send op child. A non-root accumulator comes from the
+// machine's pool and goes back once the member is through with it; a member
+// unwound out of the operation keeps it out of the pool for the rest of the
+// run, because a transfer matched before the unwind may still land in it. It
+// is memory of the pool's blocks all the same: the rewind at the end of the run
+// takes it back with everything else, once nothing can land anywhere
+// (bufpool.HandBack), and the run is counted as having left it out
+// (Pool.Outstanding).
+func (c *call) reduce() {
+	g := c.g
+	if c.pc == 0 {
+		c.valid()
 	}
-	if me > 0 {
-		g.localCopy(p, rank, recv, scratch)
-	} else {
-		clear(recv)
+	rootIdx := g.index(c.root)
+	n := len(c.send)
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(len(g.members), rootIdx, c.me, row[:0])
+	switch c.pc {
+	case 0:
+		switch {
+		case len(g.members) == 1:
+			c.localCopy(3, c.recv, c.send)
+		case len(kids) == 0:
+			c.pc = 3
+			c.r.SendT(c.t, g.members[parent], tagReduce, c.send, c)
+		default:
+			c.buf = c.recv
+			if c.me != rootIdx {
+				c.buf = g.machine().Buffers.Get(n)
+			}
+			c.chargeCopy(1, n) // staging send into the accumulator: the first fold lands it
+		}
+	case 1:
+		// Receive children nearest-first (ascending offset), the order they
+		// complete their subtrees.
+		if c.i < len(kids) {
+			f := mpi.Fold{Op: c.op, Type: c.dt}
+			if c.i == 0 {
+				f.Own = c.send
+			}
+			c.i++
+			c.r.RecvReduceT(c.t, g.members[kids[len(kids)-c.i]], tagReduce, c.buf, f, c.combined())
+			return
+		}
+		if c.me == rootIdx {
+			c.finish()
+			return
+		}
+		c.pc = 2
+		c.r.SendT(c.t, g.members[parent], tagReduce, c.buf, c)
+	case 2:
+		g.machine().Buffers.Put(c.buf)
+		c.finish()
+	case 3:
+		c.finish()
 	}
-	pool.Put(scratch)
+}
+
+// combined is the call as the continuation of a receive that folded, whose
+// combine it charges before it resumes at the same step.
+func (c *call) combined() sim.K { return (*folded)(c) }
+
+type folded call
+
+func (f *folded) Resume() { (*call)(f).combine((*call)(f).pc) }
+
+// allreduce leaves the combined result in every member's recv. MPICH models
+// the classic reduce-to-first-member followed by broadcast; IBM uses recursive
+// doubling up to 32 KB, then reduce+broadcast.
+func (c *call) allreduce() {
+	g := c.g
+	switch c.pc {
+	case 0:
+		if g.flavor == IBM && len(c.send) <= rdAllreduceLimit {
+			c.kind = kAllreduceRD
+			c.allreduceRD()
+			return
+		}
+		x := g.start(c.t, c.rank, kReduce, nil)
+		x.send, x.recv, x.dt, x.op, x.root = c.send, c.recv, c.dt, c.op, g.members[0]
+		c.then(1, x)
+	case 1:
+		x := g.start(c.t, c.rank, kBcast, nil)
+		x.send, x.root = c.recv, g.members[0]
+		c.then(2, x)
+	case 2:
+		c.finish()
+	}
+}
+
+// allreduceRD is recursive doubling over group indices with pairwise
+// Sendrecv, folding non-power-of-two remainders in and out; c.i is the
+// doubling distance.
+func (c *call) allreduceRD() {
+	g := c.g
+	P := len(g.members)
+	pow := 1
+	for pow*2 <= P {
+		pow *= 2
+	}
+	switch c.pc {
+	case 0:
+		c.valid()
+		c.localCopy(1, c.recv, c.send)
+	case 1:
+		switch {
+		case P == 1:
+			c.finish()
+		case c.me >= pow:
+			// Fold out: contribute to the partner, then wait for the result.
+			c.pc = 6
+			c.r.SendT(c.t, g.members[c.me-pow], tagAllreduce, c.recv, c)
+		case c.me+pow < P:
+			c.pc = 2
+			c.r.RecvReduceT(c.t, g.members[c.me+pow], tagAllreduce, c.recv, mpi.Fold{Op: c.op, Type: c.dt}, c.combined())
+		default:
+			c.pc = 2
+			c.Resume()
+		}
+	case 2:
+		// The exchange cannot fold: the partner's bytes may land while this
+		// rank's own send of recv is still reading it.
+		c.scratch = g.machine().Buffers.Get(len(c.send))
+		c.i, c.pc = 1, 3
+		fallthrough
+	case 3:
+		if c.i < pow {
+			partner := g.members[c.me^c.i]
+			c.pc = 4
+			c.r.SendrecvT(c.t, partner, tagAllreduce, c.recv, partner, tagAllreduce, c.scratch, c)
+			return
+		}
+		g.machine().Buffers.Put(c.scratch)
+		if c.me+pow < P {
+			c.pc = 5
+			c.r.SendT(c.t, g.members[c.me+pow], tagAllreduce, c.recv, c)
+			return
+		}
+		c.finish()
+	case 4:
+		dtype.Reduce(c.op, c.dt, c.recv, c.scratch)
+		c.i *= 2
+		c.combine(3)
+	case 5:
+		c.finish()
+	case 6:
+		c.pc = 5
+		c.r.RecvT(c.t, g.members[c.me-pow], tagAllreduce, c.recv, c)
+	}
+}
+
+// reduceScatter combines members' send vectors and scatters block i to the
+// member with group rank i — the MPICH-1 era algorithm: a reduce to the first
+// member followed by a block scatter.
+func (c *call) reduceScatter() {
+	g := c.g
+	root := g.members[0]
+	switch c.pc {
+	case 0:
+		if len(c.send) != len(c.recv)*len(g.members) {
+			panic(fmt.Sprintf("baseline: ReduceScatter send %d bytes, want %d",
+				len(c.send), len(c.recv)*len(g.members)))
+		}
+		if c.rank == root {
+			c.buf = g.machine().Buffers.Get(len(c.send))
+		}
+		x := g.start(c.t, c.rank, kReduce, nil)
+		x.send, x.recv, x.dt, x.op, x.root = c.send, c.buf, c.dt, c.op, root
+		c.then(1, x)
+	case 1:
+		x := g.start(c.t, c.rank, kScatter, nil)
+		x.send, x.recv, x.root = c.buf, c.recv, root
+		c.then(2, x)
+	case 2:
+		g.machine().Buffers.Put(c.buf)
+		c.finish()
+	}
+}
+
+// scan is the inclusive prefix reduction over group ranks, using the
+// Hillis-Steele doubling schedule with nonblocking sends, and with a last shift
+// by one the exclusive prefix, whose first member's recv is zeroed; c.i is the
+// doubling distance.
+func (c *call) scan() {
+	g := c.g
+	P := len(g.members)
+	me := c.me
+	for {
+		switch c.pc {
+		case 0:
+			c.valid()
+			c.localCopy(1, c.recv, c.send)
+			return
+		case 1:
+			// Each step receives into scratch, not by folding into recv: the
+			// bytes may land while this rank's own Isend of recv is still
+			// reading it.
+			c.scratch = g.machine().Buffers.Get(len(c.send))
+			c.i, c.pc = 1, 2
+		case 2: // the top of a doubling step
+			if c.i >= P {
+				c.pc = 6
+				continue
+			}
+			c.pc = 3
+			if me+c.i < P {
+				c.sreq = c.r.IsendT(c.t, g.members[me+c.i], tagScan, c.recv, c)
+				return
+			}
+		case 3:
+			c.pc = 4
+			if me-c.i >= 0 {
+				c.r.RecvT(c.t, g.members[me-c.i], tagScan, c.scratch, c)
+				return
+			}
+		case 4:
+			c.pc = 5
+			if c.awaitSend() { // the send references recv; complete it before updating
+				return
+			}
+		case 5:
+			d := c.i
+			c.i, c.pc = 2*d, 2
+			if me-d >= 0 {
+				dtype.Reduce(c.op, c.dt, c.recv, c.scratch)
+				c.combine(2)
+				return
+			}
+		case 6: // the exclusive shift
+			if c.kind == kScan {
+				c.pc = 10
+				continue
+			}
+			c.pc = 7
+			if me+1 < P {
+				c.sreq = c.r.IsendT(c.t, g.members[me+1], tagScan, c.recv, c)
+				return
+			}
+		case 7:
+			c.pc = 8
+			if me > 0 {
+				c.r.RecvT(c.t, g.members[me-1], tagScan, c.scratch, c)
+				return
+			}
+		case 8:
+			c.pc = 9
+			if c.awaitSend() { // recv is about to be overwritten
+				return
+			}
+		case 9:
+			c.pc = 10
+			if me > 0 {
+				c.localCopy(10, c.recv, c.scratch)
+				return
+			}
+			clear(c.recv)
+		case 10:
+			g.machine().Buffers.Put(c.scratch)
+			c.finish()
+			return
+		}
+	}
+}
+
+// awaitSend waits for the send of the step in flight, if there is one, and
+// reports whether it did: the call resumes once the send has completed.
+func (c *call) awaitSend() bool {
+	rq := c.sreq
+	if rq == nil {
+		return false
+	}
+	c.sreq = nil
+	rq.WaitT(c.t, c)
+	return true
 }

@@ -11,14 +11,71 @@ import (
 	"srmcoll/internal/sim"
 )
 
+// blocking is a group with the blocking forms the tests call (Bcast is the
+// group's own): the continuation form started on the process's task, and the
+// process parked until it resumes.
+type blocking struct{ *Group }
+
+func (b blocking) Barrier(p *sim.Proc, rank int) {
+	b.BarrierT(&p.Task, rank, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int) {
+	b.ReduceT(&p.Task, rank, send, recv, dt, op, root, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+	b.AllreduceT(&p.Task, rank, send, recv, dt, op, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
+	b.GatherT(&p.Task, rank, send, recv, root, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
+	b.ScatterT(&p.Task, rank, send, recv, root, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Allgather(p *sim.Proc, rank int, send, recv []byte) {
+	b.AllgatherT(&p.Task, rank, send, recv, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
+	b.AlltoallT(&p.Task, rank, send, recv, p.Resume())
+	p.Park()
+}
+
+func (b blocking) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+	b.ReduceScatterT(&p.Task, rank, send, recv, dt, op, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+	b.ScanT(&p.Task, rank, send, recv, dt, op, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Exscan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+	b.ExscanT(&p.Task, rank, send, recv, dt, op, p.Resume())
+	p.Park()
+}
+
+func (b blocking) Sub(members []int) blocking { return blocking{b.Group.Sub(members)} }
+
 // harness runs body on every rank of a nodes x tpn machine, with the flavor's
 // group of all ranks, and returns the machine and each rank's exit time.
 func harness(t testing.TB, nodes, tpn int, f Flavor,
-	body func(c *Group, p *sim.Proc, rank int)) (*machine.Machine, []sim.Time) {
+	body func(c blocking, p *sim.Proc, rank int)) (*machine.Machine, []sim.Time) {
 	t.Helper()
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(nodes, tpn))
-	c := New(m, f)
+	c := blocking{New(m, f)}
 	done := make([]sim.Time, m.P())
 	for r := 0; r < m.P(); r++ {
 		r := r
@@ -54,7 +111,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		nodes, tpn := 2, 4
 		P := nodes * tpn
 		enter := make([]sim.Time, P)
-		_, exit := harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+		_, exit := harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 			p.Sleep(sim.Time(rank) * 5)
 			enter[rank] = p.Now()
 			c.Barrier(p, rank)
@@ -75,7 +132,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestBarrierSingleRank(t *testing.T) {
 	for _, f := range flavors() {
-		harness(t, 1, 1, f, func(c *Group, p *sim.Proc, rank int) { c.Barrier(p, rank) })
+		harness(t, 1, 1, f, func(c blocking, p *sim.Proc, rank int) { c.Barrier(p, rank) })
 	}
 }
 
@@ -88,7 +145,7 @@ func checkBcast(t *testing.T, f Flavor, nodes, tpn, size, root int) {
 		bufs[r] = make([]byte, size)
 	}
 	copy(bufs[root], want)
-	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 		c.Bcast(p, rank, bufs[rank], root)
 	})
 	for r := range bufs {
@@ -132,7 +189,7 @@ func checkReduce(t *testing.T, f Flavor, nodes, tpn, elems, root int) {
 		sends[r] = dtype.Float64Bytes(vecs[r])
 	}
 	recv := make([]byte, elems*8)
-	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 		var rb []byte
 		if rank == root {
 			rb = recv
@@ -173,7 +230,7 @@ func checkAllreduce(t *testing.T, f Flavor, nodes, tpn, elems int) {
 		sends[r] = dtype.Float64Bytes(vecs[r])
 		recvs[r] = make([]byte, elems*8)
 	}
-	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 		c.Allreduce(p, rank, sends[rank], recvs[rank], dtype.Float64, dtype.Sum)
 	})
 	want := sumRef(vecs)
@@ -209,7 +266,7 @@ func TestReduceFig2MessageCounts(t *testing.T) {
 		sends[r] = dtype.Float64Bytes(make([]float64, elems))
 	}
 	recv := make([]byte, elems*8)
-	m, _ := harness(t, 1, 8, MPICH, func(c *Group, p *sim.Proc, rank int) {
+	m, _ := harness(t, 1, 8, MPICH, func(c blocking, p *sim.Proc, rank int) {
 		var rb []byte
 		if rank == 0 {
 			rb = recv
@@ -225,7 +282,7 @@ func TestReduceFig2MessageCounts(t *testing.T) {
 }
 
 func TestBcastUsesShmDeviceInsideNode(t *testing.T) {
-	m, _ := harness(t, 1, 4, IBM, func(c *Group, p *sim.Proc, rank int) {
+	m, _ := harness(t, 1, 4, IBM, func(c blocking, p *sim.Proc, rank int) {
 		c.Bcast(p, rank, make([]byte, 256), 0)
 	})
 	if m.Stats.MPIShmSends != 3 || m.Stats.Puts != 0 {
@@ -234,7 +291,7 @@ func TestBcastUsesShmDeviceInsideNode(t *testing.T) {
 }
 
 func TestBcastCrossNodeCountsNetworkSends(t *testing.T) {
-	m, _ := harness(t, 4, 1, IBM, func(c *Group, p *sim.Proc, rank int) {
+	m, _ := harness(t, 4, 1, IBM, func(c blocking, p *sim.Proc, rank int) {
 		c.Bcast(p, rank, make([]byte, 256), 0)
 	})
 	if m.Stats.MPISends != 3 || m.Stats.MPIShmSends != 0 {
@@ -274,7 +331,7 @@ func TestPropFlavorsAgree(t *testing.T) {
 				sends[r] = dtype.Float64Bytes(vecs[r])
 			}
 			recv := make([]byte, elems*8)
-			harness(t, nodes, tpn, fl, func(c *Group, p *sim.Proc, rank int) {
+			harness(t, nodes, tpn, fl, func(c blocking, p *sim.Proc, rank int) {
 				var rb []byte
 				if rank == root {
 					rb = recv

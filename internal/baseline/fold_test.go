@@ -36,7 +36,7 @@ func runFoldPin(t *testing.T, c foldPin) (string, int, int) {
 	t.Helper()
 	P := c.nodes * c.tpn
 	outs := make([][]byte, P)
-	m, _ := harness(t, c.nodes, c.tpn, c.flavor, func(g *Group, p *sim.Proc, rank int) {
+	m, _ := harness(t, c.nodes, c.tpn, c.flavor, func(g blocking, p *sim.Proc, rank int) {
 		switch c.op {
 		case "reduce":
 			if rank == 0 {

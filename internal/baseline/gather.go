@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"srmcoll/internal/check"
-	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
 )
 
@@ -34,132 +33,154 @@ func subtreeSize(v, P int) int {
 	return size
 }
 
-// Gather collects each member's blk-byte send into recv at root (group
+// gather collects each member's blk-byte send into recv at root (group
 // order). Blocks travel up a binomial tree over group indices, each vertex
-// forwarding its subtree's concatenation; the tree is built in relative
-// rank space, so a subtree always covers a contiguous relative range.
-func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	me := g.index(rank)
-	rootIdx := g.index(root)
+// forwarding its subtree's concatenation; the tree is built in relative rank
+// space, so a subtree always covers a contiguous relative range.
+func (c *call) gather() {
+	g := c.g
+	rootIdx := g.index(c.root)
 	P := len(g.members)
-	blk := len(send)
-	if rank == root {
-		check.Size("baseline.Gather", rank, "recv", len(recv), blk*P)
-	}
-	if P == 1 {
-		g.localCopy(p, rank, recv, send)
-		return
-	}
-	var row [tree.MaxBinomialChildren]int
-	parent, kids := tree.BinomialRow(P, rootIdx, me, row[:0])
-	rel := (me - rootIdx + P) % P
-	r := g.w.Rank(rank)
-	mine := subtreeSize(rel, P)
-	buf := make([]byte, mine*blk)
-	g.localCopy(p, rank, buf[:blk], send)
-	// Children report in relative order; child v+2^k holds [v+2^k, ...).
-	for i := len(kids) - 1; i >= 0; i-- {
-		childIdx := kids[i]
-		childRel := (childIdx - rootIdx + P) % P
-		n := subtreeSize(childRel, P) * blk
-		off := (childRel - rel) * blk
-		r.Recv(p, g.members[childIdx], tagGather, buf[off:off+n])
-	}
-	if me != rootIdx {
-		r.Send(p, g.members[parent], tagGather, buf)
-		return
-	}
-	// Unrotate from relative to group order into recv.
-	for v := 0; v < P; v++ {
-		grp := (v + rootIdx) % P
-		copy(recv[grp*blk:(grp+1)*blk], buf[v*blk:(v+1)*blk])
-	}
-	g.machine().ChargeCopy(p, g.machine().NodeOf(rank), len(recv))
-	g.machine().Stats.AddPlainCopy(len(recv))
-}
-
-// Scatter distributes root's send (group order) so each member receives
-// blk = len(recv) bytes, via a binomial fan-out with halving payloads.
-func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	me := g.index(rank)
-	rootIdx := g.index(root)
-	P := len(g.members)
-	blk := len(recv)
-	if rank == root {
-		check.Size("baseline.Scatter", rank, "send", len(send), blk*P)
-	}
-	if P == 1 {
-		g.localCopy(p, rank, recv, send)
-		return
-	}
-	var row [tree.MaxBinomialChildren]int
-	parent, kids := tree.BinomialRow(P, rootIdx, me, row[:0])
-	rel := (me - rootIdx + P) % P
-	r := g.w.Rank(rank)
-	mine := subtreeSize(rel, P)
-	var buf []byte
-	if me == rootIdx {
-		// Rotate into relative order once.
-		buf = make([]byte, P*blk)
+	blk := len(c.send)
+	rel := (c.me - rootIdx + P) % P
+	switch c.pc {
+	case 0:
+		if c.rank == c.root {
+			check.Size("baseline.Gather", c.rank, "recv", len(c.recv), blk*P)
+		}
+		if P == 1 {
+			c.localCopy(2, c.recv, c.send)
+			return
+		}
+		c.buf = make([]byte, subtreeSize(rel, P)*blk)
+		c.localCopy(1, c.buf[:blk], c.send)
+	case 1:
+		var row [tree.MaxBinomialChildren]int
+		parent, kids := tree.BinomialRow(P, rootIdx, c.me, row[:0])
+		// Children report in relative order; child v+2^k holds [v+2^k, ...).
+		if c.i < len(kids) {
+			c.i++
+			childIdx := kids[len(kids)-c.i]
+			childRel := (childIdx - rootIdx + P) % P
+			n := subtreeSize(childRel, P) * blk
+			off := (childRel - rel) * blk
+			c.r.RecvT(c.t, g.members[childIdx], tagGather, c.buf[off:off+n], c)
+			return
+		}
+		if c.me != rootIdx {
+			c.pc = 2
+			c.r.SendT(c.t, g.members[parent], tagGather, c.buf, c)
+			return
+		}
+		// Unrotate from relative to group order into recv.
 		for v := 0; v < P; v++ {
 			grp := (v + rootIdx) % P
-			copy(buf[v*blk:(v+1)*blk], send[grp*blk:(grp+1)*blk])
+			copy(c.recv[grp*blk:(grp+1)*blk], c.buf[v*blk:(v+1)*blk])
 		}
-		g.machine().ChargeCopy(p, g.machine().NodeOf(rank), len(send))
-		g.machine().Stats.AddPlainCopy(len(send))
-	} else {
-		buf = make([]byte, mine*blk)
-		r.Recv(p, g.members[parent], tagScatter, buf)
+		c.chargeCopy(2, len(c.recv))
+	case 2:
+		c.finish()
 	}
-	for _, childIdx := range kids {
-		childRel := (childIdx - rootIdx + P) % P
-		n := subtreeSize(childRel, P) * blk
-		off := (childRel - rel) * blk
-		r.Send(p, g.members[childIdx], tagScatter, buf[off:off+n])
-	}
-	g.localCopy(p, rank, recv, buf[:blk])
 }
 
-// Allgather concatenates every member's block into every member's recv via
-// the classic ring: P-1 steps, passing the left neighbor's newest block on.
-func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	me := g.index(rank)
+// scatter distributes root's send (group order) so each member receives
+// blk = len(recv) bytes, via a binomial fan-out with halving payloads.
+func (c *call) scatter() {
+	g := c.g
+	rootIdx := g.index(c.root)
 	P := len(g.members)
-	blk := len(send)
-	check.Size("baseline.Allgather", rank, "recv", len(recv), blk*P)
-	r := g.w.Rank(rank)
-	g.localCopy(p, rank, recv[me*blk:(me+1)*blk], send)
-	if P == 1 {
+	blk := len(c.recv)
+	rel := (c.me - rootIdx + P) % P
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(P, rootIdx, c.me, row[:0])
+	switch c.pc {
+	case 0:
+		if c.rank == c.root {
+			check.Size("baseline.Scatter", c.rank, "send", len(c.send), blk*P)
+		}
+		if P == 1 {
+			c.localCopy(2, c.recv, c.send)
+			return
+		}
+		if c.me != rootIdx {
+			c.buf = make([]byte, subtreeSize(rel, P)*blk)
+			c.pc = 1
+			c.r.RecvT(c.t, g.members[parent], tagScatter, c.buf, c)
+			return
+		}
+		// Rotate into relative order once.
+		c.buf = make([]byte, P*blk)
+		for v := 0; v < P; v++ {
+			grp := (v + rootIdx) % P
+			copy(c.buf[v*blk:(v+1)*blk], c.send[grp*blk:(grp+1)*blk])
+		}
+		c.chargeCopy(1, len(c.send))
+	case 1:
+		if c.i < len(kids) {
+			childIdx := kids[c.i]
+			c.i++
+			childRel := (childIdx - rootIdx + P) % P
+			n := subtreeSize(childRel, P) * blk
+			off := (childRel - rel) * blk
+			c.r.SendT(c.t, g.members[childIdx], tagScatter, c.buf[off:off+n], c)
+			return
+		}
+		c.localCopy(2, c.recv, c.buf[:blk])
+	case 2:
+		c.finish()
+	}
+}
+
+// allgather concatenates every member's block into every member's recv via
+// the classic ring: P-1 steps, passing the left neighbor's newest block on;
+// c.i is the step.
+func (c *call) allgather() {
+	g := c.g
+	P := len(g.members)
+	blk := len(c.send)
+	if c.pc == 0 {
+		check.Size("baseline.Allgather", c.rank, "recv", len(c.recv), blk*P)
+		c.i = 1
+		c.localCopy(1, c.recv[c.me*blk:(c.me+1)*blk], c.send)
 		return
 	}
-	right := g.members[(me+1)%P]
-	left := g.members[(me-1+P)%P]
-	for step := 1; step < P; step++ {
-		outIdx := (me - step + 1 + P) % P
-		inIdx := (me - step + P) % P
-		r.Sendrecv(p, right, tagAllgather, recv[outIdx*blk:(outIdx+1)*blk],
-			left, tagAllgather, recv[inIdx*blk:(inIdx+1)*blk])
+	if c.i >= P {
+		c.finish()
+		return
 	}
+	outIdx := (c.me - c.i + 1 + P) % P
+	inIdx := (c.me - c.i + P) % P
+	c.i++
+	c.r.SendrecvT(c.t, g.members[(c.me+1)%P], tagAllgather, c.recv[outIdx*blk:(outIdx+1)*blk],
+		g.members[(c.me-1+P)%P], tagAllgather, c.recv[inIdx*blk:(inIdx+1)*blk], c)
 }
 
-// Alltoall exchanges blocks between all members with the classic pairwise
+// alltoall exchanges blocks between all members with the classic pairwise
 // Sendrecv schedule: P-1 steps, partner (me+step) mod P, plus a local copy
-// for the self block.
-func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	me := g.index(rank)
+// for the self block; c.i is the step.
+func (c *call) alltoall() {
+	g := c.g
 	P := len(g.members)
-	check.Size("baseline.Alltoall", rank, "recv", len(recv), len(send))
-	if len(send)%P != 0 {
-		panic(fmt.Sprintf("baseline: Alltoall send %d bytes not divisible over %d members",
-			len(send), P))
+	me := c.me
+	if c.pc == 0 {
+		check.Size("baseline.Alltoall", c.rank, "recv", len(c.recv), len(c.send))
+		if len(c.send)%P != 0 {
+			panic(fmt.Sprintf("baseline: Alltoall send %d bytes not divisible over %d members",
+				len(c.send), P))
+		}
+		blk := len(c.send) / P
+		c.i = 1
+		c.localCopy(1, c.recv[me*blk:(me+1)*blk], c.send[me*blk:(me+1)*blk])
+		return
 	}
-	blk := len(send) / P
-	r := g.w.Rank(rank)
-	g.localCopy(p, rank, recv[me*blk:(me+1)*blk], send[me*blk:(me+1)*blk])
-	for step := 1; step < P; step++ {
-		to := (me + step) % P
-		from := (me - step + P) % P
-		r.Sendrecv(p, g.members[to], tagAlltoall, send[to*blk:(to+1)*blk],
-			g.members[from], tagAlltoall, recv[from*blk:(from+1)*blk])
+	if c.i >= P {
+		c.finish()
+		return
 	}
+	blk := len(c.send) / P
+	to := (me + c.i) % P
+	from := (me - c.i + P) % P
+	c.i++
+	c.r.SendrecvT(c.t, g.members[to], tagAlltoall, c.send[to*blk:(to+1)*blk],
+		g.members[from], tagAlltoall, c.recv[from*blk:(from+1)*blk], c)
 }

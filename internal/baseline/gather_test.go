@@ -38,7 +38,7 @@ func checkGatherB(t *testing.T, f Flavor, nodes, tpn, blk, root int) {
 	t.Helper()
 	P := nodes * tpn
 	recv := make([]byte, blk*P)
-	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 		var rb []byte
 		if rank == root {
 			rb = recv
@@ -67,7 +67,7 @@ func checkScatterB(t *testing.T, f Flavor, nodes, tpn, blk, root int) {
 	for r := range recvs {
 		recvs[r] = make([]byte, blk)
 	}
-	harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+	harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 		var sb []byte
 		if rank == root {
 			sb = send
@@ -100,7 +100,7 @@ func TestAllgatherBaselines(t *testing.T) {
 			for r := range recvs {
 				recvs[r] = make([]byte, len(want))
 			}
-			harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+			harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 				c.Allgather(p, rank, blockOf(rank, blk), recvs[rank])
 			})
 			for r := 0; r < P; r++ {
@@ -117,7 +117,7 @@ func TestGatherGroupSubset(t *testing.T) {
 	blk := 32
 	recv := make([]byte, blk*len(members))
 	envDone := false
-	harness(t, 2, 4, MPICH, func(c *Group, p *sim.Proc, rank int) {
+	harness(t, 2, 4, MPICH, func(c blocking, p *sim.Proc, rank int) {
 		in := false
 		for _, r := range members {
 			if r == rank {
@@ -157,7 +157,7 @@ func TestPropBaselineGatherScatter(t *testing.T) {
 		for r := range got {
 			got[r] = make([]byte, blk)
 		}
-		harness(t, nodes, tpn, flavor, func(c *Group, p *sim.Proc, rank int) {
+		harness(t, nodes, tpn, flavor, func(c blocking, p *sim.Proc, rank int) {
 			var rb []byte
 			if rank == root {
 				rb = gathered
@@ -194,7 +194,7 @@ func TestAlltoallBaselines(t *testing.T) {
 				copy(sends[i][j*blk:(j+1)*blk], blockOf(i*P+j, blk))
 			}
 		}
-		harness(t, nodes, tpn, f, func(c *Group, p *sim.Proc, rank int) {
+		harness(t, nodes, tpn, f, func(c blocking, p *sim.Proc, rank int) {
 			c.Alltoall(p, rank, sends[rank], recvs[rank])
 		})
 		for j := 0; j < P; j++ {
@@ -215,7 +215,7 @@ func TestGroupCoreCollectives(t *testing.T) {
 		bufs := make(map[int][]byte, len(members))
 		reduced := make([]byte, 8)
 		allred := make(map[int][]byte, len(members))
-		harness(t, 2, 4, f, func(c *Group, p *sim.Proc, rank int) {
+		harness(t, 2, 4, f, func(c blocking, p *sim.Proc, rank int) {
 			in := false
 			for _, r := range members {
 				if r == rank {
@@ -265,7 +265,7 @@ func TestGroupAllreduceRDSubset(t *testing.T) {
 	// group recursive-doubling path with folds.
 	members := []int{0, 2, 3, 4, 7}
 	res := make(map[int]float64, len(members))
-	harness(t, 2, 4, IBM, func(c *Group, p *sim.Proc, rank int) {
+	harness(t, 2, 4, IBM, func(c blocking, p *sim.Proc, rank int) {
 		in := false
 		for _, r := range members {
 			if r == rank {
@@ -329,7 +329,7 @@ func TestScanBaselines(t *testing.T) {
 	for _, f := range flavors() {
 		incl := make([]float64, 8)
 		excl := make([]float64, 8)
-		harness(t, 2, 4, f, func(c *Group, p *sim.Proc, rank int) {
+		harness(t, 2, 4, f, func(c blocking, p *sim.Proc, rank int) {
 			send := dtype.Float64Bytes([]float64{float64(rank + 1)})
 			r1 := make([]byte, 8)
 			c.Scan(p, rank, send, r1, dtype.Float64, dtype.Sum)
@@ -350,7 +350,7 @@ func TestScanBaselines(t *testing.T) {
 func TestReduceScatterBaselines(t *testing.T) {
 	for _, f := range flavors() {
 		got := make([]float64, 8)
-		harness(t, 2, 4, f, func(c *Group, p *sim.Proc, rank int) {
+		harness(t, 2, 4, f, func(c blocking, p *sim.Proc, rank int) {
 			send := make([]float64, 8)
 			for i := range send {
 				send[i] = float64((rank + 1) * (i + 1))

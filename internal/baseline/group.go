@@ -4,21 +4,22 @@ import (
 	"fmt"
 	"slices"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/mpi"
 	"srmcoll/internal/ranks"
 	"srmcoll/internal/sim"
-	"srmcoll/internal/tree"
 )
 
 // Group provides the collectives over an arbitrary subset of ranks, the
 // way MPI communicators carve up MPI_COMM_WORLD. Trees run over group-rank
-// indices, each member computing its own row (tree.BinomialRow) per call; the
+// indices, each member computing its own row (tree.BinomialRow) per step; the
 // point-to-point layer is shared, and disjoint groups cannot cross-match
 // because sources differ.
 type Group struct {
 	w       *mpi.World
 	flavor  Flavor
+	calls   *bufpool.Frames[call, *call] // the world group's, shared by every group carved from it
 	members []int
 	pos     ranks.Index // global rank -> group index
 }
@@ -39,164 +40,6 @@ func (g *Group) index(rank int) int {
 	return i
 }
 
-// Barrier blocks until every member entered it. Both era implementations use
-// a binomial fan-in followed by a fan-out over group indices
-// (dissemination-style MPI barriers arrived later); the flavors differ only
-// through their point-to-point protocol costs.
-func (g *Group) Barrier(p *sim.Proc, rank int) {
-	me := g.index(rank)
-	n := len(g.members)
-	if n == 1 {
-		return
-	}
-	r := g.w.Rank(rank)
-	one := []byte{1}
-	buf := make([]byte, 1)
-	var row [tree.MaxBinomialChildren]int
-	parent, kids := tree.BinomialRow(n, 0, me, row[:0])
-	for _, child := range kids {
-		r.Recv(p, g.members[child], tagBarrier, buf)
-	}
-	if parent != -1 {
-		r.Send(p, g.members[parent], tagBarrier, one)
-		r.Recv(p, g.members[parent], tagBarrier, buf)
-	}
-	for _, child := range kids {
-		r.Send(p, g.members[child], tagBarrier, one)
-	}
-}
-
-// Bcast broadcasts buf from the member rank root along a binomial tree
-// over group indices — the MPICH algorithm the paper names (§2.1), and what
-// the vendor MPI of the era used as well.
-func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	me := g.index(rank)
-	n := len(g.members)
-	if n == 1 {
-		return
-	}
-	var row [tree.MaxBinomialChildren]int
-	parent, kids := tree.BinomialRow(n, g.index(root), me, row[:0])
-	r := g.w.Rank(rank)
-	if parent != -1 {
-		r.Recv(p, g.members[parent], tagBcast, buf)
-	}
-	for _, child := range kids {
-		r.Send(p, g.members[child], tagBcast, buf)
-	}
-}
-
-// Reduce combines members' send buffers along a binomial tree over group
-// indices, leaving the result in recv at the member rank root (ignored
-// elsewhere; may be nil). Each interior member stages its accumulator and
-// receives every child into it — the data movement at every tree level that
-// Figure 2 contrasts with the SRM shared-memory reduce. Both are charged as
-// the copies they are, but the bytes move once: each child is folded into the
-// accumulator where its message lands (mpi.Rank.RecvReduce), and the staging
-// copy's bytes land with the first child's fold, acc = send op child. A non-root
-// accumulator comes from the machine's pool and goes back once the member is
-// through with it; a member unwound out of the operation keeps it out of the
-// pool for the rest of the run, because a transfer matched before the unwind
-// may still land in it. It is memory of the pool's blocks all the same: the
-// rewind at the end of the run takes it back with everything else, once
-// nothing can land anywhere (bufpool.HandBack), and the run is counted as
-// having left it out (Pool.Outstanding).
-func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op, root int) {
-	if !dtype.Valid(op, dt) {
-		panic(fmt.Sprintf("baseline: operator %s invalid for %s", op, dt))
-	}
-	me := g.index(rank)
-	rootIdx := g.index(root)
-	n := len(send)
-	if len(g.members) == 1 {
-		g.localCopy(p, rank, recv, send)
-		return
-	}
-	var row [tree.MaxBinomialChildren]int
-	parent, kids := tree.BinomialRow(len(g.members), rootIdx, me, row[:0])
-	r := g.w.Rank(rank)
-	if len(kids) == 0 {
-		r.Send(p, g.members[parent], tagReduce, send)
-		return
-	}
-	pool := g.machine().Buffers
-	acc := recv
-	if me != rootIdx {
-		acc = pool.Get(n)
-	}
-	g.chargeCopy(p, rank, n) // staging send into acc: the first fold lands it
-	own := send
-	// Receive children nearest-first (ascending offset), the order they
-	// complete their subtrees.
-	for i := len(kids) - 1; i >= 0; i-- {
-		r.RecvReduce(p, g.members[kids[i]], tagReduce, acc, mpi.Fold{Op: op, Type: dt, Own: own})
-		own = nil
-		g.combine(p, n, dt.Size())
-	}
-	if me != rootIdx {
-		r.Send(p, g.members[parent], tagReduce, acc)
-		pool.Put(acc)
-	}
-}
-
-// Allreduce leaves the combined result in every member's recv. MPICH models
-// the classic reduce-to-first-member followed by broadcast; IBM uses recursive
-// doubling up to 32 KB, then reduce+broadcast.
-func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	if g.flavor == IBM && len(send) <= rdAllreduceLimit {
-		g.allreduceRD(p, rank, send, recv, dt, op)
-		return
-	}
-	g.Reduce(p, rank, send, recv, dt, op, g.members[0])
-	g.Bcast(p, rank, recv, g.members[0])
-}
-
-// allreduceRD is recursive doubling over group indices with pairwise
-// Sendrecv, folding non-power-of-two remainders in and out.
-func (g *Group) allreduceRD(p *sim.Proc, rank int, send, recv []byte,
-	dt dtype.Type, op dtype.Op) {
-	if !dtype.Valid(op, dt) {
-		panic(fmt.Sprintf("baseline: operator %s invalid for %s", op, dt))
-	}
-	me := g.index(rank)
-	P := len(g.members)
-	n := len(send)
-	r := g.w.Rank(rank)
-	g.localCopy(p, rank, recv, send)
-	if P == 1 {
-		return
-	}
-	pow := 1
-	for pow*2 <= P {
-		pow *= 2
-	}
-	if me >= pow {
-		// Fold out: contribute to the partner, then wait for the result.
-		r.Send(p, g.members[me-pow], tagAllreduce, recv)
-		r.Recv(p, g.members[me-pow], tagAllreduce, recv)
-		return
-	}
-	if me+pow < P {
-		r.RecvReduce(p, g.members[me+pow], tagAllreduce, recv, mpi.Fold{Op: op, Type: dt})
-		g.combine(p, n, dt.Size())
-	}
-	// The exchange cannot fold: the partner's bytes may land while this
-	// rank's own send of recv is still reading it.
-	scratch := g.machine().Buffers.Get(n)
-	for dist := 1; dist < pow; dist *= 2 {
-		partner := g.members[me^dist]
-		r.Sendrecv(p, partner, tagAllreduce, recv, partner, tagAllreduce, scratch)
-		dtype.Reduce(op, dt, recv, scratch)
-		g.combine(p, n, dt.Size())
-	}
-	g.machine().Buffers.Put(scratch)
-	if me+pow < P {
-		r.Send(p, g.members[me+pow], tagAllreduce, recv)
-	}
-}
-
 // Sub returns a group over a subset of this group's members. A group carries
 // no operation state, so the caller decides how long to keep it: the library's
 // communicators resolve theirs once and share it among the members.
@@ -206,6 +49,187 @@ func (g *Group) Sub(members []int) *Group {
 			panic(fmt.Sprintf("baseline: rank %d is not a member of the parent group", r))
 		}
 	}
-	return &Group{w: g.w, flavor: g.flavor, members: slices.Clone(members),
+	return &Group{w: g.w, flavor: g.flavor, calls: g.calls, members: slices.Clone(members),
 		pos: ranks.NewIndex("baseline", members, g.w.Size())}
+}
+
+// call is one member's collective in progress, from its start to its
+// continuation: which collective, its arguments, and where in its algorithm
+// the member is — a step counter and the loop's index, from which each step
+// recomputes its binomial row. It resumes as itself, and each step ends in the
+// one point-to-point operation, copy charge or combine that the next waits
+// for, passing the call as the continuation; a composite collective starts its
+// parts as calls of their own. Records come from the world group's list and go
+// back as the continuation runs, so a collective allocates nothing of its own.
+type call struct {
+	bufpool.Link[call]
+	g          *Group
+	t          *sim.Task
+	r          *mpi.Rank
+	k          sim.K
+	kind       kind
+	pc         int // the next step
+	rank, me   int // the member, as a global rank and as a group index
+	send, recv []byte
+	dt         dtype.Type
+	op         dtype.Op
+	root       int // a global rank
+	i          int // the loop's index: children taken, exchange steps, the doubling distance
+	buf        []byte
+	scratch    []byte
+	sreq       *mpi.Request // a scan step's send, in flight
+	flag       [1]byte      // a barrier's receive buffer
+}
+
+type kind uint8
+
+const (
+	kBarrier kind = iota
+	kBcast
+	kReduce
+	kAllreduce
+	kAllreduceRD
+	kGather
+	kScatter
+	kAllgather
+	kAlltoall
+	kReduceScatter
+	kScan
+	kExscan
+)
+
+// start draws the record of rank's collective of the kind on t, resuming k at
+// the end; the caller sets the arguments and runs the first step (Resume).
+func (g *Group) start(t *sim.Task, rank int, kd kind, k sim.K) *call {
+	c := g.calls.Get()
+	c.g, c.t, c.r, c.k, c.kind, c.rank, c.me = g, t, g.w.Rank(rank), k, kd, rank, g.index(rank)
+	return c
+}
+
+// Resume takes the call's next step.
+func (c *call) Resume() {
+	switch c.kind {
+	case kBarrier:
+		c.barrier()
+	case kBcast:
+		c.bcast()
+	case kReduce:
+		c.reduce()
+	case kAllreduce:
+		c.allreduce()
+	case kAllreduceRD:
+		c.allreduceRD()
+	case kGather:
+		c.gather()
+	case kScatter:
+		c.scatter()
+	case kAllgather:
+		c.allgather()
+	case kAlltoall:
+		c.alltoall()
+	case kReduceScatter:
+		c.reduceScatter()
+	case kScan, kExscan:
+		c.scan()
+	}
+}
+
+// finish ends the call: its record goes back, and its continuation runs.
+func (c *call) finish() {
+	k := c.k
+	c.g.calls.Put(c)
+	k.Resume()
+}
+
+// then runs the collective x as the call's next step, after which the call
+// resumes at step pc.
+func (c *call) then(pc int, x *call) {
+	c.pc, x.k = pc, c
+	x.Resume()
+}
+
+// Bcast is BcastT from a process body.
+func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
+	g.BcastT(&p.Task, rank, buf, root, p.Resume())
+	p.Park()
+}
+
+// BarrierT resumes k once every member has entered the barrier.
+func (g *Group) BarrierT(t *sim.Task, rank int, k sim.K) {
+	g.start(t, rank, kBarrier, k).Resume()
+}
+
+// BcastT broadcasts buf from the member rank root, then resumes k.
+func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, k sim.K) {
+	c := g.start(t, rank, kBcast, k)
+	c.send, c.root = buf, root
+	c.Resume()
+}
+
+// ReduceT combines the members' send buffers into recv at the member rank
+// root, then resumes k.
+func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, k sim.K) {
+	c := g.start(t, rank, kReduce, k)
+	c.send, c.recv, c.dt, c.op, c.root = send, recv, dt, op, root
+	c.Resume()
+}
+
+// AllreduceT leaves the combined result in every member's recv, then resumes k.
+func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
+	c := g.start(t, rank, kAllreduce, k)
+	c.send, c.recv, c.dt, c.op = send, recv, dt, op
+	c.Resume()
+}
+
+// GatherT collects every member's send block into recv at root, then resumes k.
+func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, k sim.K) {
+	c := g.start(t, rank, kGather, k)
+	c.send, c.recv, c.root = send, recv, root
+	c.Resume()
+}
+
+// ScatterT distributes root's send block by block into the members' recv, then
+// resumes k.
+func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k sim.K) {
+	c := g.start(t, rank, kScatter, k)
+	c.send, c.recv, c.root = send, recv, root
+	c.Resume()
+}
+
+// AllgatherT concatenates every member's block into every member's recv, then
+// resumes k.
+func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, k sim.K) {
+	c := g.start(t, rank, kAllgather, k)
+	c.send, c.recv = send, recv
+	c.Resume()
+}
+
+// AlltoallT exchanges blocks between all members, then resumes k.
+func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, k sim.K) {
+	c := g.start(t, rank, kAlltoall, k)
+	c.send, c.recv = send, recv
+	c.Resume()
+}
+
+// ReduceScatterT combines the members' send vectors and leaves block i in
+// member i's recv, then resumes k.
+func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
+	c := g.start(t, rank, kReduceScatter, k)
+	c.send, c.recv, c.dt, c.op = send, recv, dt, op
+	c.Resume()
+}
+
+// ScanT leaves the inclusive prefix reduction in recv, then resumes k.
+func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
+	c := g.start(t, rank, kScan, k)
+	c.send, c.recv, c.dt, c.op = send, recv, dt, op
+	c.Resume()
+}
+
+// ExscanT leaves the exclusive prefix reduction in recv (the first member's
+// zeroed), then resumes k.
+func (g *Group) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
+	c := g.start(t, rank, kExscan, k)
+	c.send, c.recv, c.dt, c.op = send, recv, dt, op
+	c.Resume()
 }

@@ -80,17 +80,19 @@ type Status struct {
 
 // World is a communication world: one endpoint per rank over a machine.
 //
-// The records a transmission needs — the message with its events, its
-// rendezvous pipe and the receive it lands in, and the request a Sendrecv's
-// helper runs — come from free lists of the world's, so a send and its receive
-// allocate nothing once the lists have warmed up; the helpers' processes are
-// reused by the environment (sim.Env.SpawnHelper). Release hands the lists'
-// memory back to the reserve; a world that is dropped without it leaves them
-// to the collector.
+// Every operation is written once, in continuation form (SendT, RecvT, ...),
+// as steps of the calling task. The records a transmission needs — the
+// operations on both sides, the message with its events, its rendezvous pipe
+// and the receive it lands in, and the request a helper runs — come from free
+// lists of the world's, so a send and its receive allocate nothing once the
+// lists have warmed up; the helpers' tasks are reused by the environment
+// (sim.Env.SpawnTaskK). Release hands the lists' memory back to the reserve; a
+// world that is dropped without it leaves them to the collector.
 type World struct {
 	m     *machine.Machine
 	proto Protocol
 	ranks []Rank
+	ops   bufpool.Frames[op, *op]
 	msgs  bufpool.Frames[message, *message]
 	reqs  bufpool.Frames[Request, *Request]
 }
@@ -105,10 +107,11 @@ func NewWorld(m *machine.Machine, proto Protocol) *World {
 }
 
 // Release hands the world's records back to the process-level reserve. Only
-// for a world whose simulation is over and ended with no process parked in
-// it: every message, receive and request is dead, and the caller drops the
+// for a world whose simulation is over and ended with no task parked in
+// it: every operation, message, receive and request is dead, and the caller drops the
 // world.
 func (w *World) Release() {
+	w.ops.Release()
 	w.msgs.Release()
 	w.reqs.Release()
 	w.ranks = nil // a use after release is a crash, not a message of another run
@@ -293,103 +296,256 @@ type Rank struct {
 	rank, node int
 	posted     msgQueue // receives waiting for a message
 	unexpected msgQueue // messages that arrived before their receive
+	status     Status   // the receive consumed last, for Recv to return
 }
 
-// callOverhead charges the per-call software cost.
-func (r *Rank) callOverhead(p *sim.Proc) {
-	p.Sleep(r.w.m.Cfg.MPIOverhead + r.w.proto.ExtraOverhead)
+// op is one blocking operation of a task on the layer, a send or a receive,
+// from its call to its continuation: where in its protocol it is, and what it
+// needs to take the next step. It comes from the world's list and goes back as
+// the continuation runs. It resumes as itself, each step ending in the sleep or
+// the wait the step before the next one takes, so an operation binds nothing.
+type op struct {
+	bufpool.Link[op]
+	r    *Rank
+	t    *sim.Task
+	step opStep
+	k    sim.K
+	msg  *message // the transmission, once the operation has one
+
+	// A send: its target and payload.
+	to   *Rank
+	tag  int
+	data []byte
+
+	// A receive: its pattern and where its bytes land.
+	rq recvReq
+
+	// The shared-memory pipe: the bytes through it so far, those landed (the
+	// sender's, which lands whole elements of a fold), and the slot in turn.
+	off, landed, slot int
 }
 
-// Send transmits data to rank dst with the given tag, blocking until the
-// send buffer is reusable (Eager: after local staging; Rendezvous: after
-// the matched transfer is injected). Self-sends of messages above the
-// shared-memory Eager limit require a concurrent receiver (use Sendrecv).
+// opStep is the step an operation takes at its next resume.
+type opStep uint8
+
+const (
+	sendCharged    opStep = iota // the call overhead has passed
+	sendStaged                   // and the per-byte staging of a deeper stack
+	shmEagerCopied               // the copy into the bounce buffer
+	pipeIn                       // the sender's pipe: wait for a free slot
+	pipeInCopied                 // a chunk's copy into the pipe
+	netEagerCopied               // the staging copy into the comm subsystem
+	netEagerSent                 // the send overhead
+	netRTS                       // the RTS's send overhead
+	netCTS                       // the CTS has arrived
+	netData                      // the data's send overhead
+	recvCharged                  // the call overhead has passed
+	recvScanned                  // the scan of the unexpected messages
+	recvPosted                   // the posted receive has matched
+	recvCopied                   // an eager message's copy-out
+	pipeOut                      // the receiver's pipe: wait for a full slot
+	pipeOutCopied                // a chunk's copy-out
+	recvCTS                      // the CTS's send overhead
+	leave                        // the last wait of a rendezvous side
+)
+
+// newOp draws the record of an operation of r on t that resumes k at the end.
+func (r *Rank) newOp(t *sim.Task, step opStep, k sim.K) *op {
+	o := r.w.ops.Get()
+	o.r, o.t, o.step, o.k = r, t, step, k
+	return o
+}
+
+// finish ends the operation: its record goes back, and its continuation runs.
+func (o *op) finish() {
+	k := o.k
+	o.r.w.ops.Put(o)
+	k.Resume()
+}
+
+// callOverhead charges the per-call software cost, then resumes k.
+func (r *Rank) callOverhead(t *sim.Task, k sim.K) {
+	t.SleepK(r.w.m.Cfg.MPIOverhead+r.w.proto.ExtraOverhead, k)
+}
+
+// Send is SendT from a process body.
 func (r *Rank) Send(p *sim.Proc, dst, tag int, data []byte) {
+	r.SendT(&p.Task, dst, tag, data, p.Resume())
+	p.Park()
+}
+
+// SendT transmits data to rank dst with the given tag and resumes k once the
+// send buffer is reusable (Eager: after local staging; Rendezvous: after the
+// matched transfer is injected). Self-sends of messages above the
+// shared-memory Eager limit require a concurrent receiver (use SendrecvT).
+func (r *Rank) SendT(t *sim.Task, dst, tag int, data []byte, k sim.K) {
 	if dst < 0 || dst >= len(r.w.ranks) {
 		panic(fmt.Sprintf("mpi: Send to rank %d of %d", dst, len(r.w.ranks)))
 	}
-	m := r.w.m
-	r.callOverhead(p)
-	if r.w.proto.ExtraPerByte > 0 {
-		p.Sleep(sim.Time(len(data)) * r.w.proto.ExtraPerByte)
-	}
-	target := &r.w.ranks[dst]
-	if target.node == r.node {
-		if len(data) <= m.Cfg.ShmPktSize {
-			m.Stats.AddSend(len(data), true, true)
-			r.sendShmEager(p, target, tag, data)
-		} else {
-			m.Stats.AddSend(len(data), false, true)
-			r.sendShmRndv(p, target, tag, data)
+	o := r.newOp(t, sendCharged, k)
+	o.to, o.tag, o.data = &r.w.ranks[dst], tag, data
+	r.callOverhead(t, o)
+}
+
+// Resume takes the operation's next step.
+func (o *op) Resume() {
+	r, m := o.r, o.r.w.m
+	switch o.step {
+	case sendCharged:
+		o.step = sendStaged
+		if pb := r.w.proto.ExtraPerByte; pb > 0 {
+			o.t.SleepK(sim.Time(len(o.data))*pb, o)
+			return
 		}
-		return
+		o.send()
+	case sendStaged:
+		o.send()
+	case shmEagerCopied:
+		m.Env.AfterK(m.Cfg.FlagLatency, o.msg)
+		o.finish()
+	case pipeIn:
+		o.pipeIn()
+	case pipeInCopied:
+		msg, pp := o.msg, &o.msg.pipe
+		n := min(m.Cfg.ShmPktSize, len(o.data)-o.off)
+		// A fold lands whole elements only: one the chunk boundary splits
+		// lands with the next chunk, read from data, which cannot change
+		// while its send runs.
+		end := msg.rq.whole(o.off + n)
+		msg.rq.land(o.landed, o.data[o.landed:end])
+		o.landed = end
+		m.Stats.AddCopy(n)
+		pp.slots[o.slot] = n
+		pp.cond.Broadcast()
+		o.off += n
+		o.slot ^= 1
+		o.pipeIn()
+	case netEagerCopied:
+		m.Stats.AddPlainCopy(len(o.data))
+		o.step = netEagerSent
+		o.t.SleepK(m.Cfg.SendOverhead, o)
+	case netEagerSent:
+		_, arrival := m.NetInjectTo(r.node, o.to.node, len(o.data)+headerBytes)
+		m.Env.AtK(arrival, o.msg)
+		o.finish()
+	case netRTS:
+		_, arrival := m.NetInjectTo(r.node, o.to.node, headerBytes)
+		m.Env.AtK(arrival, o.msg)
+		o.step = netCTS
+		o.msg.cts.WaitK(o.t, o)
+	case netCTS:
+		o.step = netData
+		o.t.SleepK(m.Cfg.SendOverhead, o)
+	case netData:
+		// The adapter reads the user buffer during injection and DMAs it
+		// straight into the receive buffer, posted before the CTS. The bytes
+		// land now, so the send buffer is truly reusable once the send
+		// completes (MPI semantics); the receiver is parked on dataDone until
+		// one wire latency later and cannot tell them from bytes that arrived
+		// then.
+		msg := o.msg
+		msg.rq.land(0, o.data)
+		injectEnd, dataArrival := m.NetInjectTo(r.node, o.to.node, msg.size)
+		m.Env.AtK(dataArrival, (*msgLanded)(msg))
+		// The send buffer is reusable once the adapter has read it.
+		if d := injectEnd - m.Env.Now(); d > 0 {
+			o.step = leave
+			o.t.SleepK(d, o)
+			return
+		}
+		o.leave()
+	case recvCharged:
+		o.step = recvScanned
+		o.t.SleepK(m.Cfg.TagMatchBase+m.Cfg.TagMatchScan*sim.Time(r.unexpected.n), o)
+	case recvScanned:
+		msg := r.unexpected.take(func(x *message) bool { return matches(o.rq.src, o.rq.tag, x.src, x.tag) })
+		if msg == nil {
+			post := r.w.msgs.Get()
+			post.rq = o.rq
+			post.done.Init(m.Env)
+			r.posted.push(post)
+			o.msg, o.step = post, recvPosted
+			post.done.WaitK(o.t, o)
+			return
+		}
+		o.consume(msg)
+	case recvPosted:
+		post := o.msg
+		msg := post.matched
+		r.w.msgs.Put(post)
+		o.consume(msg)
+	case recvCopied:
+		msg := o.msg
+		msg.rq.land(0, msg.data)
+		if msg.kind == eagerShm {
+			m.Stats.AddCopy(msg.size)
+		} else {
+			m.Stats.AddPlainCopy(msg.size)
+		}
+		m.Buffers.Put(msg.data) // bounce buffer or staging copy fully copied out
+		o.leave()
+	case pipeOut:
+		o.pipeOut()
+	case pipeOutCopied:
+		pp := &o.msg.pipe
+		n := pp.slots[o.slot]
+		m.Stats.AddCopy(n)
+		pp.slots[o.slot] = 0
+		pp.cond.Broadcast()
+		o.off += n
+		o.slot ^= 1
+		o.pipeOut()
+	case recvCTS:
+		msg := o.msg
+		_, arrival := m.NetInjectTo(r.node, r.w.ranks[msg.src].node, headerBytes)
+		m.Env.AtK(arrival, (*msgCTS)(msg))
+		o.step = leave
+		msg.dataDone.WaitK(o.t, o)
+	case leave:
+		o.leave()
 	}
-	if len(data) <= r.w.proto.EagerLimit(len(r.w.ranks)) {
-		m.Stats.AddSend(len(data), true, false)
-		r.sendNetEager(p, target, tag, data)
-	} else {
-		m.Stats.AddSend(len(data), false, false)
-		r.sendNetRndv(p, target, tag, data)
+}
+
+// send starts the transmission by the protocol its size and target take.
+func (o *op) send() {
+	r, m, n := o.r, o.r.w.m, len(o.data)
+	switch {
+	case o.to.node == r.node && n <= m.Cfg.ShmPktSize:
+		m.Stats.AddSend(n, true, true)
+		o.msg = r.newMessage(eagerShm, o.to, o.tag, n)
+		o.msg.data = m.Buffers.Get(n) // released by the receiver after copy-out
+		o.step = shmEagerCopied
+		m.MemcpyT(o.t, r.node, o.msg.data, o.data, o) // the copy into the shared bounce buffer
+	case o.to.node == r.node:
+		m.Stats.AddSend(n, false, true)
+		msg := r.newMessage(rndvShm, o.to, o.tag, n)
+		msg.senderGo.Init(m.Env)
+		msg.pipe = shmPipe{node: r.node}
+		msg.pipe.cond.Init(m.Env)
+		m.Env.AfterK(m.Cfg.FlagLatency, msg)
+		o.msg, o.step = msg, pipeIn
+		msg.senderGo.WaitK(o.t, o)
+	case n <= r.w.proto.EagerLimit(len(r.w.ranks)):
+		m.Stats.AddSend(n, true, false)
+		o.msg = r.newMessage(eagerNet, o.to, o.tag, n)
+		o.msg.data = m.Buffers.Get(n) // released by the receiver after copy-out
+		copy(o.msg.data, o.data)
+		o.step = netEagerCopied
+		m.ChargeCopyK(o.t, r.node, n, o) // the staging copy into the comm subsystem
+	default:
+		m.Stats.AddSend(n, false, false)
+		msg := r.newMessage(rndvNet, o.to, o.tag, n)
+		msg.cts.Init(m.Env)
+		msg.dataDone.Init(m.Env)
+		o.msg, o.step = msg, netRTS
+		o.t.SleepK(m.Cfg.SendOverhead, o)
 	}
 }
 
-func (r *Rank) sendShmEager(p *sim.Proc, target *Rank, tag int, data []byte) {
-	m := r.w.m
-	owned := m.Buffers.Get(len(data)) // released by consume after copy-out
-	m.Memcpy(p, r.node, owned, data)  // copy into the shared bounce buffer
-	msg := r.newMessage(eagerShm, target, tag, len(data))
-	msg.data = owned
-	m.Env.AfterK(m.Cfg.FlagLatency, msg)
-}
-
-func (r *Rank) sendShmRndv(p *sim.Proc, target *Rank, tag int, data []byte) {
-	m := r.w.m
-	msg := r.newMessage(rndvShm, target, tag, len(data))
-	msg.senderGo.Init(m.Env)
-	msg.pipe = shmPipe{node: r.node}
-	msg.pipe.cond.Init(m.Env)
-	m.Env.AfterK(m.Cfg.FlagLatency, msg)
-	p.Wait(&msg.senderGo)
-	msg.sendLoop(p, data)
-	msg.leave()
-}
-
-func (r *Rank) sendNetEager(p *sim.Proc, target *Rank, tag int, data []byte) {
-	m := r.w.m
-	owned := m.Buffers.Get(len(data)) // released by consume after copy-out
-	copy(owned, data)
-	m.ChargeCopy(p, r.node, len(data)) // staging copy into the comm subsystem
-	m.Stats.AddPlainCopy(len(data))
-	p.Sleep(m.Cfg.SendOverhead)
-	_, arrival := m.NetInjectTo(r.node, target.node, len(data)+headerBytes)
-	msg := r.newMessage(eagerNet, target, tag, len(data))
-	msg.data = owned
-	m.Env.AtK(arrival, msg)
-}
-
-func (r *Rank) sendNetRndv(p *sim.Proc, target *Rank, tag int, data []byte) {
-	m := r.w.m
-	msg := r.newMessage(rndvNet, target, tag, len(data))
-	msg.cts.Init(m.Env)
-	msg.dataDone.Init(m.Env)
-	p.Sleep(m.Cfg.SendOverhead) // RTS
-	_, arrival := m.NetInjectTo(r.node, target.node, headerBytes)
-	m.Env.AtK(arrival, msg)
-	p.Wait(&msg.cts)
-	p.Sleep(m.Cfg.SendOverhead)
-	// The adapter reads the user buffer during injection and DMAs it straight
-	// into the receive buffer, posted before the CTS. The bytes land now, so
-	// the send buffer is truly reusable once Send returns (MPI semantics); the
-	// receiver is parked on dataDone until one wire latency later and cannot
-	// tell them from bytes that arrived then.
-	msg.rq.land(0, data)
-	injectEnd, dataArrival := m.NetInjectTo(r.node, target.node, msg.size)
-	m.Env.AtK(dataArrival, (*msgLanded)(msg))
-	// The send buffer is reusable once the adapter has read it.
-	if d := injectEnd - m.Env.Now(); d > 0 {
-		p.Sleep(d)
-	}
-	msg.leave()
+// leave is the operation's last touch of its message, and its end.
+func (o *op) leave() {
+	o.msg.leave()
+	o.finish()
 }
 
 // arrive routes an arriving message or announcement through tag matching.
@@ -422,46 +578,41 @@ func (r *Rank) match(msg *message) {
 	r.unexpected.push(msg)
 }
 
-// Recv blocks until a message matching (src, tag) — either may be Any —
-// has been received into buf, and returns its status. The matched message
-// must fit in buf.
+// Recv is RecvT from a process body; it returns the receive's status.
 func (r *Rank) Recv(p *sim.Proc, src, tag int, buf []byte) Status {
-	return r.recv(p, recvReq{src: src, tag: tag, buf: buf})
+	r.RecvT(&p.Task, src, tag, buf, p.Resume())
+	p.Park()
+	return r.status
 }
 
-// RecvReduce is Recv with the message folded into buf (see Fold): wherever
-// Recv's bytes land, RecvReduce's combine, so it charges, counts and takes the
-// time Recv does, and needs no buffer of its own. Folds into one buffer run in
-// receive order, because no message's bytes move before its receive has
+// RecvT resumes k once a message matching (src, tag) — either may be Any —
+// has been received into buf. The matched message must fit in buf.
+func (r *Rank) RecvT(t *sim.Task, src, tag int, buf []byte, k sim.K) {
+	r.recvT(t, recvReq{src: src, tag: tag, buf: buf}, k)
+}
+
+// RecvReduceT is RecvT with the message folded into buf (see Fold): wherever
+// RecvT's bytes land, RecvReduceT's combine, so it charges, counts and takes
+// the time RecvT does, and needs no buffer of its own. Folds into one buffer
+// run in receive order, because no message's bytes move before its receive has
 // matched it and started consuming it.
-func (r *Rank) RecvReduce(p *sim.Proc, src, tag int, buf []byte, f Fold) Status {
+func (r *Rank) RecvReduceT(t *sim.Task, src, tag int, buf []byte, f Fold, k sim.K) {
 	if f.Own != nil && len(f.Own) != len(buf) {
 		panic(fmt.Sprintf("mpi: fold operand of %d bytes for a %d-byte receive buffer", len(f.Own), len(buf)))
 	}
-	return r.recv(p, recvReq{src: src, tag: tag, buf: buf, fold: f, folds: true})
+	r.recvT(t, recvReq{src: src, tag: tag, buf: buf, fold: f, folds: true}, k)
 }
 
-func (r *Rank) recv(p *sim.Proc, rq recvReq) Status {
-	m := r.w.m
-	r.callOverhead(p)
-	p.Sleep(m.Cfg.TagMatchBase + m.Cfg.TagMatchScan*sim.Time(r.unexpected.n))
-	msg := r.unexpected.take(func(x *message) bool { return matches(rq.src, rq.tag, x.src, x.tag) })
-	if msg == nil {
-		post := r.w.msgs.Get()
-		post.rq = rq
-		post.done.Init(m.Env)
-		r.posted.push(post)
-		p.Wait(&post.done)
-		msg = post.matched
-		r.w.msgs.Put(post)
-	}
-	msg.rq = rq
-	return r.consume(p, msg)
+func (r *Rank) recvT(t *sim.Task, rq recvReq, k sim.K) {
+	o := r.newOp(t, recvCharged, k)
+	o.rq = rq
+	r.callOverhead(t, o)
 }
 
-// consume finishes a matched message in the receiving process's context.
-func (r *Rank) consume(p *sim.Proc, msg *message) Status {
-	m := r.w.m
+// consume finishes a matched message on the receiving task.
+func (o *op) consume(msg *message) {
+	r, m := o.r, o.r.w.m
+	msg.rq = o.rq
 	rq := &msg.rq
 	if msg.size > len(rq.buf) {
 		panic(fmt.Sprintf("mpi: message of %d bytes truncated by %d-byte receive buffer",
@@ -471,42 +622,19 @@ func (r *Rank) consume(p *sim.Proc, msg *message) Status {
 		panic(fmt.Sprintf("mpi: folded message of %d bytes does not fill its %d-byte receive buffer",
 			msg.size, len(rq.buf)))
 	}
-	st := Status{Source: msg.src, Tag: msg.tag, Bytes: msg.size}
+	r.status = Status{Source: msg.src, Tag: msg.tag, Bytes: msg.size}
+	o.msg = msg
 	switch msg.kind {
-	case eagerShm:
-		m.ChargeCopy(p, r.node, msg.size)
-		rq.land(0, msg.data)
-		m.Stats.AddCopy(msg.size)
-		m.Buffers.Put(msg.data) // bounce buffer fully copied out
-	case eagerNet:
-		m.ChargeCopy(p, r.node, msg.size)
-		rq.land(0, msg.data)
-		m.Buffers.Put(msg.data) // staging copy fully copied out
-		m.Stats.AddPlainCopy(msg.size)
+	case eagerShm, eagerNet:
+		o.step = recvCopied
+		m.ChargeCopyK(o.t, r.node, msg.size, o)
 	case rndvShm:
 		msg.senderGo.Trigger()
-		msg.recvLoop(p)
+		o.pipeOut()
 	case rndvNet:
-		p.Sleep(m.Cfg.SendOverhead) // CTS
-		_, arrival := m.NetInjectTo(r.node, r.w.ranks[msg.src].node, headerBytes)
-		m.Env.AtK(arrival, (*msgCTS)(msg))
-		p.Wait(&msg.dataDone)
+		o.step = recvCTS
+		o.t.SleepK(m.Cfg.SendOverhead, o) // CTS
 	}
-	msg.leave()
-	return st
-}
-
-// Sendrecv performs a simultaneous send and receive, as needed by pairwise
-// exchange algorithms; the send runs in a helper process so neither side
-// deadlocks.
-func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte,
-	src, rtag int, rbuf []byte) Status {
-	rq := r.w.reqs.Get()
-	r.isend(rq, "mpi-sendrecv-", dst, stag, sdata)
-	st := r.Recv(p, src, rtag, rbuf)
-	p.Wait(&rq.done)
-	r.w.reqs.Put(rq)
-	return st
 }
 
 // shmPipe is the double-buffered bounce channel of the intra-node
@@ -515,92 +643,114 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte,
 // counted, but the bytes move once: the bounce buffer is read by nobody but
 // the copy-out, so the sender's copy lands each chunk in the receive request
 // (the message's rq, set by the receiver before senderGo fires), and the
-// copy-out is a charge. The receiver is parked in Recv until the last chunk is
-// charged — the buffer is the library's until the receive completes — so it
-// cannot tell when its bytes arrived.
+// copy-out is a charge. The receive completes only once the last chunk is
+// charged — the buffer is the library's until then — so the receiver cannot
+// tell when its bytes arrived. A side that finds its slot not ready waits on
+// cond and looks again at every broadcast.
 type shmPipe struct {
 	node  int
 	slots [2]int // fill level; 0 = free
 	cond  sim.Cond
 }
 
-func (msg *message) sendLoop(p *sim.Proc, data []byte) {
-	m, pp := msg.dst.w.m, &msg.pipe
-	slot := 0
-	landed := 0
-	for off := 0; off < len(data); {
-		n := min(m.Cfg.ShmPktSize, len(data)-off)
-		pp.cond.WaitUntil(p, func() bool { return pp.slots[slot] == 0 })
-		m.ChargeCopy(p, pp.node, n)
-		// A fold lands whole elements only: one the chunk boundary splits
-		// lands with the next chunk, read from data, which cannot change
-		// while its Send runs.
-		end := msg.rq.whole(off + n)
-		msg.rq.land(landed, data[landed:end])
-		landed = end
-		m.Stats.AddCopy(n)
-		pp.slots[slot] = n
-		pp.cond.Broadcast()
-		off += n
-		slot ^= 1
+// pipeIn is the top of the sender's chunk loop.
+func (o *op) pipeIn() {
+	m, pp := o.r.w.m, &o.msg.pipe
+	switch {
+	case o.off == len(o.data):
+		o.leave()
+	case pp.slots[o.slot] != 0:
+		o.step = pipeIn
+		pp.cond.WaitOnT(o.t, nil, -1, o)
+	default:
+		o.step = pipeInCopied
+		m.ChargeCopyK(o.t, pp.node, min(m.Cfg.ShmPktSize, len(o.data)-o.off), o)
 	}
 }
 
-func (msg *message) recvLoop(p *sim.Proc) {
-	m, pp := msg.dst.w.m, &msg.pipe
-	slot := 0
-	for off := 0; off < msg.size; {
-		pp.cond.WaitUntil(p, func() bool { return pp.slots[slot] != 0 })
-		n := pp.slots[slot]
-		m.ChargeCopy(p, pp.node, n) // the copy-out: its bytes are already there
-		m.Stats.AddCopy(n)
-		pp.slots[slot] = 0
-		pp.cond.Broadcast()
-		off += n
-		slot ^= 1
+// pipeOut is the top of the receiver's chunk loop. The copy-out is a charge:
+// its bytes are already there.
+func (o *op) pipeOut() {
+	m, pp := o.r.w.m, &o.msg.pipe
+	switch {
+	case o.off == o.msg.size:
+		o.leave()
+	case pp.slots[o.slot] == 0:
+		o.step = pipeOut
+		pp.cond.WaitOnT(o.t, nil, -1, o)
+	default:
+		o.step = pipeOutCopied
+		m.ChargeCopyK(o.t, pp.node, pp.slots[o.slot], o)
 	}
 }
 
-// Request tracks a nonblocking send, whose helper process runs the request
-// itself as its body (reqBody): the send, and the event it triggers once Send
-// has returned. Wait blocks until it completes. An Isend's record is the
-// caller's, valid after Wait and the collector's once dropped; a Sendrecv's
-// comes from the world's list and goes back when the exchange returns.
+// SendrecvT performs a simultaneous send and receive, as needed by pairwise
+// exchange algorithms, and resumes k once both are done: the send runs on a
+// helper task so neither side deadlocks.
+func (r *Rank) SendrecvT(t *sim.Task, dst, stag int, sdata []byte, src, rtag int, rbuf []byte, k sim.K) {
+	rq := r.w.reqs.Get()
+	r.isend(rq, "mpi-sendrecv-", dst, stag, sdata)
+	rq.wt, rq.k = t, k
+	r.RecvT(t, src, rtag, rbuf, (*reqExchanged)(rq))
+}
+
+// Request tracks a nonblocking send. It is the first step of its helper task,
+// which runs the send and triggers done once the send buffer is reusable, and
+// it comes from the world's list and goes back once waited for.
 type Request struct {
 	bufpool.Link[Request]
 	r        *Rank
+	t        *sim.Task // the helper
 	dst, tag int
 	data     []byte
 	done     sim.Event
+
+	// The wait for it: the waiting task and its continuation.
+	wt *sim.Task
+	k  sim.K
 }
 
-// reqBody is a request as the body of its helper.
-type reqBody Request
+// Resume is the helper's first step: the send.
+func (rq *Request) Resume() { rq.r.SendT(rq.t, rq.dst, rq.tag, rq.data, (*reqSent)(rq)) }
 
-func (b *reqBody) Run(p *sim.Proc) {
-	b.r.Send(p, b.dst, b.tag, b.data)
-	b.done.Trigger()
+// The request as the continuations of its send, of a Sendrecv's receive and of
+// the wait for it.
+type (
+	reqSent      Request
+	reqExchanged Request
+	reqWaited    Request
+)
+
+func (s *reqSent) Resume()      { s.done.Trigger() }
+func (x *reqExchanged) Resume() { (*Request)(x).WaitT(x.wt, x.k) }
+func (w *reqWaited) Resume() {
+	k := w.k
+	w.r.w.reqs.Put((*Request)(w))
+	k.Resume()
 }
 
-// Wait blocks until the operation completes.
-func (rq *Request) Wait(p *sim.Proc) { p.Wait(&rq.done) }
+// WaitT resumes k on t once the send has completed; the request goes back to
+// the world's list first.
+func (rq *Request) WaitT(t *sim.Task, k sim.K) {
+	rq.k = k
+	rq.done.WaitK(t, (*reqWaited)(rq))
+}
 
-// Isend starts a nonblocking send. The data buffer must not be modified
-// until the request completes (completion means the buffer is reusable,
-// exactly as for the blocking Send).
-func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	rq := new(Request)
+// IsendT starts a nonblocking send and resumes k once the caller has paid the
+// call overhead; the transfer proceeds on a helper task (the communication
+// subsystem). The data buffer must not be modified until the request completes
+// (completion means the buffer is reusable, exactly as for SendT).
+func (r *Rank) IsendT(t *sim.Task, dst, tag int, data []byte, k sim.K) *Request {
+	rq := r.w.reqs.Get()
 	r.isend(rq, "mpi-isend-", dst, tag, data)
-	// The caller pays the call overhead; the transfer proceeds in the
-	// helper (the communication subsystem).
-	r.callOverhead(p)
+	r.callOverhead(t, k)
 	return rq
 }
 
-// isend starts rq and spawns its helper, named prefix+rank; the helper's
-// process is reused once it has finished (sim.Env.SpawnHelper).
+// isend starts rq on a helper task named prefix+rank, whose record is reused
+// once it has finished (sim.Env.SpawnTaskK).
 func (r *Rank) isend(rq *Request, prefix string, dst, tag int, data []byte) {
 	rq.r, rq.dst, rq.tag, rq.data = r, dst, tag, data
 	rq.done.Init(r.w.m.Env)
-	r.w.m.Env.SpawnHelper(prefix, r.rank, (*reqBody)(rq))
+	rq.t = r.w.m.Env.SpawnTaskK(prefix, r.rank, rq)
 }

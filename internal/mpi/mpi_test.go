@@ -14,6 +14,32 @@ import (
 	"srmcoll/internal/sim"
 )
 
+// The forms the tests block in that no caller outside them does: the
+// continuation form started on the process's task, and the process parked
+// until it resumes.
+func recvReduce(p *sim.Proc, r *Rank, src, tag int, buf []byte, f Fold) Status {
+	r.RecvReduceT(&p.Task, src, tag, buf, f, p.Resume())
+	p.Park()
+	return r.status
+}
+
+func sendrecv(p *sim.Proc, r *Rank, dst, stag int, sdata []byte, src, rtag int, rbuf []byte) Status {
+	r.SendrecvT(&p.Task, dst, stag, sdata, src, rtag, rbuf, p.Resume())
+	p.Park()
+	return r.status
+}
+
+func isend(p *sim.Proc, r *Rank, dst, tag int, data []byte) *Request {
+	rq := r.IsendT(&p.Task, dst, tag, data, p.Resume())
+	p.Park()
+	return rq
+}
+
+func wait(p *sim.Proc, rq *Request) {
+	rq.WaitT(&p.Task, p.Resume())
+	p.Park()
+}
+
 // world builds nodes x tpn ranks with the given protocol.
 func world(nodes, tpn int, proto Protocol) (*sim.Env, *machine.Machine, *World) {
 	env := sim.NewEnv()
@@ -251,8 +277,8 @@ func TestSendrecvPairwiseExchange(t *testing.T) {
 	d0, d1 := make([]byte, n), make([]byte, n)
 	s0, s1 := make([]byte, n), make([]byte, n)
 	s0[0], s1[0] = 10, 11
-	env.Spawn("r0", func(p *sim.Proc) { w.Rank(0).Sendrecv(p, 1, 1, s0, 1, 1, d0) })
-	env.Spawn("r1", func(p *sim.Proc) { w.Rank(1).Sendrecv(p, 0, 1, s1, 0, 1, d1) })
+	env.Spawn("r0", func(p *sim.Proc) { sendrecv(p, w.Rank(0), 1, 1, s0, 1, 1, d0) })
+	env.Spawn("r1", func(p *sim.Proc) { sendrecv(p, w.Rank(1), 0, 1, s1, 0, 1, d1) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +300,7 @@ func TestRndvSendBufferReusableAfterReturn(t *testing.T) {
 		r := r
 		env.Spawn(fmt.Sprintf("r%d", r), func(p *sim.Proc) {
 			scratch := make([]byte, n)
-			w.Rank(r).Sendrecv(p, 1-r, 5, bufs[r], 1-r, 5, scratch)
+			sendrecv(p, w.Rank(r), 1-r, 5, bufs[r], 1-r, 5, scratch)
 			bufs[r][0] += scratch[0] // combine in place, immediately
 		})
 	}
@@ -559,14 +585,14 @@ func TestIsendIrecvOverlap(t *testing.T) {
 	dst := make([]byte, n)
 	var overlapped bool
 	env.Spawn("r0", func(p *sim.Proc) {
-		rq := w.Rank(0).Isend(p, 1, 4, src)
+		rq := isend(p, w.Rank(0), 1, 4, src)
 		before := p.Now()
 		p.Sleep(10) // compute while the rendezvous proceeds
 		if p.Now()-before != 10 {
 			t.Error("Isend blocked the caller")
 		}
 		overlapped = true
-		rq.Wait(p)
+		wait(p, rq)
 	})
 	env.Spawn("r1", func(p *sim.Proc) {
 		st := w.Rank(1).Recv(p, 0, 4, dst)
@@ -586,13 +612,16 @@ func TestRequestTest(t *testing.T) {
 	env, _, w := world(2, 1, IBM())
 	n := 64 << 10 // rendezvous: the send completes only once it is matched
 	env.Spawn("r0", func(p *sim.Proc) {
-		rq := w.Rank(0).Isend(p, 1, 9, make([]byte, n))
+		rq := isend(p, w.Rank(0), 1, 9, make([]byte, n))
 		if rq.done.Done() {
 			t.Error("request complete before any receive")
 		}
-		rq.Wait(p)
-		if !rq.done.Done() {
-			t.Error("request incomplete after Wait")
+		wait(p, rq)
+		if p.Now() < 100 {
+			t.Errorf("Wait returned at %v, before the receive was posted", p.Now())
+		}
+		if made, idle := w.reqs.Count(); idle != made {
+			t.Errorf("%d request records made, %d back on the list after Wait", made, idle)
 		}
 	})
 	env.Spawn("r1", func(p *sim.Proc) {
@@ -619,10 +648,10 @@ func TestWaitAllMany(t *testing.T) {
 	env.Spawn("send", func(p *sim.Proc) {
 		reqs := make([]*Request, k)
 		for i := k - 1; i >= 0; i-- { // reverse order: matching must sort it out
-			reqs[i] = w.Rank(0).Isend(p, 1, i, []byte{byte(i + 1)})
+			reqs[i] = isend(p, w.Rank(0), 1, i, []byte{byte(i + 1)})
 		}
 		for _, rq := range reqs {
-			rq.Wait(p)
+			wait(p, rq)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -785,7 +814,7 @@ func TestReduceFoldsOnReceive(t *testing.T) {
 						}
 						dtype.Reduce(f.op, f.dt, want, src)
 						got := run(k.nodes, k.tpn, pkt, late, src, func(p *sim.Proc, r *Rank) {
-							r.RecvReduce(p, 0, 3, buf, Fold{Op: f.op, Type: f.dt, Own: own})
+							recvReduce(p, r, 0, 3, buf, Fold{Op: f.op, Type: f.dt, Own: own})
 						})
 						if !bytes.Equal(buf, want) {
 							t.Errorf("%s: the fold differs from a copy followed by dtype.Reduce", name)
@@ -829,15 +858,15 @@ func TestMessagesReturnToTheList(t *testing.T) {
 				w.Rank(0).Send(p, 1, i, bufs[0][:n])
 				w.Rank(0).Send(p, 2, i, bufs[0][:n])
 			}
-			near := w.Rank(0).Isend(p, 1, 7, bufs[0][:64<<10])
-			far := w.Rank(0).Isend(p, 2, 7, bufs[0][:1<<10])
-			near.Wait(p)
-			far.Wait(p)
+			near := isend(p, w.Rank(0), 1, 7, bufs[0][:64<<10])
+			far := isend(p, w.Rank(0), 2, 7, bufs[0][:1<<10])
+			wait(p, near)
+			wait(p, far)
 		})
 		for _, r := range []int{1, 3} {
 			env.Spawn("exchange", func(p *sim.Proc) {
 				for _, n := range sizes {
-					w.Rank(r).Sendrecv(p, 4-r, 9, make([]byte, n), 4-r, 9, make([]byte, n))
+					sendrecv(p, w.Rank(r), 4-r, 9, make([]byte, n), 4-r, 9, make([]byte, n))
 				}
 			})
 		}
@@ -864,28 +893,28 @@ func TestMessagesReturnToTheList(t *testing.T) {
 
 // TestSendrecvHoldsBoundedProcs: a body that exchanges with Sendrecv for as
 // long as it runs — the recursive doubling of a baseline Allreduce called in a
-// loop — spawns a helper process per exchange, and a finished helper's record
-// carves a later one (sim.Env.SpawnHelper), so the run draws a few slabs of
-// processes however many exchanges it makes.
+// loop — spawns a helper task per exchange, and a finished helper's record
+// carves a later one (sim.Env.SpawnTaskK), so the run draws a few slabs of
+// tasks however many exchanges it makes.
 func TestSendrecvHoldsBoundedProcs(t *testing.T) {
 	const exchanges = 2000
 	env, m, w := world(2, 1, IBM())
-	before := bufpool.Slabs[sim.Proc]().Drawn
+	before := bufpool.Slabs[sim.Task]().Drawn
 	for r := 0; r < 2; r++ {
 		env.SpawnIndexed("rank", r, func(p *sim.Proc) {
 			send, recv := make([]byte, 256), make([]byte, 256)
 			for i := 0; i < exchanges; i++ {
-				w.Rank(r).Sendrecv(p, 1-r, 3, send, 1-r, 3, recv)
+				sendrecv(p, w.Rank(r), 1-r, 3, send, 1-r, 3, recv)
 			}
 		})
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	drawn := bufpool.Slabs[sim.Proc]().Drawn - before
-	t.Logf("%d exchanges on two ranks drew %d slabs of processes", exchanges, drawn)
+	drawn := bufpool.Slabs[sim.Task]().Drawn - before
+	t.Logf("%d exchanges on two ranks drew %d slabs of tasks", exchanges, drawn)
 	if drawn > 2 {
-		t.Errorf("%d exchanges drew %d slabs of processes, want at most 2: finished helpers are not reused", exchanges, drawn)
+		t.Errorf("%d exchanges drew %d slabs of tasks, want at most 2: finished helpers are not reused", exchanges, drawn)
 	}
 	if made, idle := w.reqs.Count(); idle != made {
 		t.Errorf("%d request records made, %d back on the list", made, idle)

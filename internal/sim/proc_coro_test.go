@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"errors"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"unsafe"
@@ -167,7 +167,7 @@ func TestKillAndInterruptInEveryState(t *testing.T) {
 		{"woken", func(e *Env) func(*Proc) {
 			c := e.NewCond()
 			e.At(5, c.Broadcast)
-			return func(p *Proc) { c.WaitUntil(p, func() bool { return false }) }
+			return func(p *Proc) { waitUntil(c, p, func() bool { return false }) }
 		}, 5, 5, 5},
 	}
 	for _, st := range states {
@@ -373,54 +373,46 @@ func TestSpawnCarvesProcs(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSpawnHelperRecyclesProcs: a helper's process is carved again for a later
-// helper once it has finished and the registry has swept it out, so a body
-// that spawns helpers one after another for as long as it runs holds a bounded
-// number of process records, where SpawnBody keeps every one until Release. A
-// helper that failed keeps its record: its failure still names it after
-// thousands of helpers have come and gone.
+// TestSpawnHelperRecyclesProcs: a helper is a task (SpawnTaskK), and only a
+// helper's record is recycled. A process is a body's: the registry's sweeps
+// never hand a finished process's record to a helper, so after thousands of
+// helpers have come and gone every process still has its own record, naming
+// it, until Release.
 func TestSpawnHelperRecyclesProcs(t *testing.T) {
-	const helpers = 4096
-	hold := func(spawn func(e *Env, b Body)) int64 {
-		e := NewEnv()
-		e.Spawn("driver", func(p *Proc) {
-			for i := 0; i < helpers; i++ {
-				var done Event
-				done.Init(e)
-				spawn(e, bodyFunc(func(h *Proc) {
-					h.Sleep(1)
-					done.Trigger()
-				}))
-				p.Wait(&done)
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		defer e.Release()
-		return e.procMem.Bytes()
-	}
-	kept := hold(func(e *Env, b Body) { e.SpawnBody("h", 0, b) })
-	reused := hold(func(e *Env, b Body) { e.SpawnHelper("h", 0, b) })
-	t.Logf("%d helpers: %d B of processes with SpawnHelper, %d B with SpawnBody", helpers, reused, kept)
-	if reused > 2*bufpool.ChunkBytes || kept < helpers*int64(unsafe.Sizeof(Proc{})) {
-		t.Errorf("%d helpers held %d B of processes with SpawnHelper and %d B with SpawnBody; want at most two slabs and all of them", helpers, reused, kept)
-	}
-
+	const procs, helpers = 64, 4096
 	e := NewEnv()
+	ps := make([]*Proc, procs)
+	for i := range ps {
+		ps[i] = e.SpawnBody("p", i, bodyFunc(func(p *Proc) { p.Sleep(1) }))
+	}
 	e.Spawn("driver", func(p *Proc) {
-		e.SpawnHelper("doomed", 7, bodyFunc(func(*Proc) { panic("boom") }))
+		p.Sleep(2)
 		for i := 0; i < helpers; i++ {
-			e.SpawnHelper("h", i, bodyFunc(func(h *Proc) { h.Sleep(1) }))
-			p.Sleep(2)
+			var done Event
+			done.Init(e)
+			h := &sleepHelper{done: &done}
+			h.t = e.SpawnTaskK("h", i, h)
+			p.Wait(&done)
 		}
 	})
-	err := e.Run()
-	var ce *CrashError
-	if !errors.As(err, &ce) || len(ce.Failures) != 1 {
-		t.Fatalf("want the one helper's failure, got %v", err)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if f := ce.Failures[0]; f.Actor.Name() != "doomed7" || !f.Actor.done {
-		t.Errorf("the failed helper's record was reused: its failure names %q", f.Actor.Name())
+	for i, p := range ps {
+		if !p.done || p.Proc() != p || p.Name() != "p"+strconv.Itoa(i) {
+			t.Errorf("process %d: done %v, its own record %v, named %q", i, p.done, p.Proc() == p, p.Name())
+		}
 	}
+	if len(e.taskIdle) == 0 {
+		t.Error("no finished helper was swept out for reuse")
+	}
+	for _, h := range e.taskIdle {
+		if h.Proc() != nil {
+			t.Errorf("the sweep handed process %s to the next helper", h.Name())
+		}
+	}
+	if got, want := e.procMem.Bytes(), int64(procs+1)*int64(unsafe.Sizeof(Proc{})); got < want {
+		t.Errorf("%d B of processes after the run, want all %d processes' %d B", got, procs+1, want)
+	}
+	e.Release()
 }

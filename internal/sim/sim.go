@@ -62,8 +62,7 @@ type Env struct {
 	sideMem  bufpool.Chunks[TaskSide]
 	procMem  bufpool.Chunks[Proc]
 	itemMem  bufpool.Chunks[item]
-	procIdle []*Proc // helpers the registry swept out finished, for the next SpawnHelper
-	taskIdle []*Task // likewise for the next SpawnTaskK
+	taskIdle []*Task // helpers the registry swept out finished, for the next SpawnTaskK
 
 	// OnFailure, when non-nil, is called immediately after a failure is
 	// recorded — a step or body that panicked, a kill, an interrupt nothing
@@ -92,7 +91,7 @@ func (e *Env) Release() {
 	e.procMem.Release()
 	e.itemMem.Release()
 	e.queue.release()
-	e.queue, e.tasks, e.free, e.procIdle, e.taskIdle = nil, nil, nil, nil, nil // a use after release is a crash, not a step of another run's task
+	e.queue, e.tasks, e.free, e.taskIdle = nil, nil, nil, nil // a use after release is a crash, not a step of another run's task
 }
 
 // Now returns the current virtual time.
@@ -249,31 +248,10 @@ func (e *Env) SpawnIndexed(prefix string, num int, fn func(*Proc)) *Proc {
 // names the process). The process is carved from a slab of the environment's,
 // as a task is, and its record lasts as long as the environment.
 func (e *Env) SpawnBody(prefix string, num int, b Body) *Proc {
-	return e.spawnProc(prefix, num, b, false)
-}
-
-// SpawnHelper is SpawnBody for a per-operation helper that nobody keeps a
-// handle to. Once its body has returned and the registry has swept it out
-// (register), its record carves the next helper, so a run that spawns helpers
-// without end holds the records of about as many as the registry does. A
-// helper that failed is never reused: its failure names it.
-func (e *Env) SpawnHelper(prefix string, num int, b Body) {
-	e.spawnProc(prefix, num, b, true)
-}
-
-func (e *Env) spawnProc(prefix string, num int, b Body, recycle bool) *Proc {
-	var p *Proc
-	if n := len(e.procIdle); n > 0 {
-		p = e.procIdle[n-1]
-		e.procIdle[n-1] = nil
-		e.procIdle = e.procIdle[:n-1]
-		*p = Proc{}
-	} else {
-		p = e.procMem.New()
-	}
+	p := e.procMem.New()
 	p.body = b
 	p.own = TaskSide{proc: p, unwindArmed: true, unwinds: p.uw[:0]}
-	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, k: startFunc(startBody), recycle: recycle, side: &p.own}
+	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, k: startFunc(startBody), side: &p.own}
 	e.admit(&p.Task)
 	return p
 }
@@ -534,14 +512,6 @@ func (c *Cond) BroadcastAfter(d Time) {
 		d = 0
 	}
 	c.env.push(c.env.now+d, (*condBroadcast)(c))
-}
-
-// WaitUntil blocks the process until pred() holds, re-checking after every
-// Broadcast of c. It evaluates pred immediately first.
-func (c *Cond) WaitUntil(p *Proc, pred func() bool) {
-	for !pred() {
-		c.Wait(p)
-	}
 }
 
 // DeadlockError is returned by Run when processes remain blocked after the

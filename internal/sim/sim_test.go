@@ -192,13 +192,32 @@ func TestCondBroadcastRepeats(t *testing.T) {
 	}
 }
 
+// waitUntil parks the process until pred holds, re-checked at every Broadcast
+// of c: the predicate wait of a task (Cond.WaitFrameT) armed on the process's
+// own, which resumes the body once the frame is ready.
+func waitUntil(c *Cond, p *Proc, pred func() bool) {
+	if pred() {
+		return
+	}
+	c.WaitFrameT(&p.Task, nil, -1, until{pred, p.Resume()})
+	p.Park()
+}
+
+type until struct {
+	pred func() bool
+	k    K
+}
+
+func (u until) Ready() bool { return u.pred() }
+func (u until) Resume()     { u.k.Resume() }
+
 func TestCondWaitUntil(t *testing.T) {
 	e := NewEnv()
 	c := e.NewCond()
 	x := 0
 	var at Time
 	e.Spawn("w", func(p *Proc) {
-		c.WaitUntil(p, func() bool { return x >= 3 })
+		waitUntil(c, p, func() bool { return x >= 3 })
 		at = p.Now()
 	})
 	for i := 1; i <= 5; i++ {
@@ -217,7 +236,7 @@ func TestCondWaitUntilImmediate(t *testing.T) {
 	e := NewEnv()
 	c := e.NewCond()
 	e.Spawn("w", func(p *Proc) {
-		c.WaitUntil(p, func() bool { return true })
+		waitUntil(c, p, func() bool { return true })
 		if p.Now() != 0 {
 			t.Errorf("immediate WaitUntil advanced time to %v", p.Now())
 		}
@@ -303,7 +322,7 @@ func TestDeterminism(t *testing.T) {
 			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				if i%2 == 1 {
 					// Wait for a share of the others to have broadcast.
-					c.WaitUntil(p, func() bool { return fired > i/2 })
+					waitUntil(c, p, func() bool { return fired > i/2 })
 				} else {
 					p.Sleep(d)
 					fired++

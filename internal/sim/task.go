@@ -30,7 +30,7 @@ type Task struct {
 	parked   bool     // suspended on a waitable with no scheduled wake-up
 	done     bool
 	started  bool  // the first step has run
-	recycle  bool  // a helper's record (its process's, if it has one), reused once it finished cleanly and left the registry (SpawnHelper, SpawnTaskK)
+	recycle  bool  // a helper's record, reused once it finished cleanly and left the registry (SpawnTaskK)
 	num      int32 // index appended to prefix; -1 when prefix is the name
 	track    int32 // trace track id, or -1 when untracked
 
@@ -199,10 +199,11 @@ func (startFunc) Resume() { panic("sim: a task's start function resumed without 
 // continuation: k resumes where SpawnTask's fn would be called, so a record
 // that starts a helper passes itself instead of a closure or a method value
 // bound to it, and learns its task from the result before the first step runs.
-// Nobody may keep the task once it has finished: as SpawnHelper's processes
-// are, its record carves the next helper once the registry has swept it out
-// (register), and a caller still holding the old *Task holds that one. A
-// helper that failed is never reused: its failure names it.
+// Nobody may keep the task once it has finished: its record carves the next
+// helper once the registry has swept it out (register), so a run that spawns
+// helpers without end holds the records of about as many as the registry does,
+// and a caller still holding the old *Task holds the new one. A helper that
+// failed is never reused: its failure names it.
 func (e *Env) SpawnTaskK(prefix string, num int, k K) *Task {
 	var t *Task
 	if n := len(e.taskIdle); n > 0 {
@@ -233,9 +234,8 @@ func (e *Env) admit(t *Task) {
 // register appends t to the registry of spawned tasks, which is what stall and
 // deadlock reports walk: parking and waking touch only the task's own parked
 // flag. When the registry fills, finished tasks are swept out before it grows,
-// so a run that spawns short-lived helpers forever holds only the live ones;
-// a swept helper's process is free for the next SpawnHelper, and a swept
-// helper task's record for the next SpawnTaskK.
+// so a run that spawns short-lived helpers forever holds only the live ones,
+// and a swept helper's record is free for the next SpawnTaskK.
 func (e *Env) register(t *Task) {
 	reg := e.tasks
 	if n := len(reg); n == cap(reg) && n > 0 {
@@ -244,8 +244,6 @@ func (e *Env) register(t *Task) {
 			switch {
 			case !a.done:
 				live = append(live, a)
-			case a.recycle && a.Proc() != nil:
-				e.procIdle = append(e.procIdle, a.Proc())
 			case a.recycle:
 				e.taskIdle = append(e.taskIdle, a)
 			}

@@ -239,12 +239,7 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 	h.rs.tr.Link(iid, r.group)
 	h.rs.tr.End(iid)
 	r.prev = st.tail
-	if h.rec.coll.srm != nil {
-		r.call.actor = actor{t: h.rs.env.SpawnTaskK(st.helperPrefix(h.rank), r.seq, (*reqStart)(r))}
-	} else {
-		p := h.rs.env.SpawnBody(st.helperPrefix(h.rank), r.seq, (*reqBody)(r))
-		r.call.actor = actor{t: &p.Task}
-	}
+	r.call.actor = actor{t: h.rs.env.SpawnTaskK(st.helperPrefix(h.rank), r.seq, (*reqStart)(r))}
 	h.rs.helperRank[r.call.t] = h.rank
 	st.tail = &r.done
 	k(st.issued)
@@ -271,15 +266,11 @@ func (h handle) readmit(oldest *request, a collArgs, k func(*TRequest)) {
 	h.call.wait(&oldest.done, sim.Func(func() { h.admit(a, k) }))
 }
 
-// reqStart and reqBody are the request as its helper's first step, as a task
-// and as a process; the helper is the request's actor from its spawn.
-type (
-	reqStart request
-	reqBody  request
-)
+// reqStart is the request as its helper's first step; the helper is the
+// request's actor from its spawn.
+type reqStart request
 
-func (s *reqStart) Resume()      { (*request)(s).start() }
-func (b *reqBody) Run(*sim.Proc) { (*request)(b).start() }
+func (s *reqStart) Resume() { (*request)(s).start() }
 
 // start runs the operation on the helper once the rank's previous request
 // ended. Its open lets go of that request, so a stream keeps no chain of every

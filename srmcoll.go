@@ -469,7 +469,7 @@ type rankRec struct {
 // out, the implementation's group, the name.
 type commRec struct {
 	members []int       // global ranks in member order, as Members hands them out: cap == len, never written by the run
-	coll    collectives // the operations over the members, and the list and index the run reads
+	coll    group       // the implementation's operations over the members, and the list and index the run reads
 	name    string      // see key; the world's is set from the start
 	from    []parentRec // the parents the list has been checked against, in first at first
 	first   [1]parentRec
@@ -496,7 +496,7 @@ type parentRec struct {
 
 // list returns the member list the run itself reads: the implementation
 // group's, which no caller holds.
-func (rec *commRec) list() []int { return rec.coll.group().Members() }
+func (rec *commRec) list() []int { return rec.coll.Members() }
 
 // key names the communicator in repair records, event labels and panics:
 // "world", or the member list as fmt.Sprint prints it, "[0 1 3]". It is
@@ -527,34 +527,12 @@ func (cl *Cluster) newSRM(m *machine.Machine, dom *rma.Domain) *core.SRM {
 	})
 }
 
-// collectives is what a communicator holds: the implementation's group over
-// its members, exactly one of the two. SRM's operations are its XT methods, in
-// continuation form (collArgs.start); a baseline's are blocking only
-// (collArgs.invoke).
-type collectives struct {
-	srm  *core.Group
-	base *baseline.Group
-}
-
-// sub returns the same implementation's group over a subset of the members.
-func (c collectives) sub(members []int) collectives {
-	if c.srm != nil {
-		return collectives{srm: c.srm.Sub(members)}
+// sub returns the implementation's group over a subset of g's members.
+func sub(g group, members []int) group {
+	if srm, ok := g.(*core.Group); ok {
+		return srm.Sub(members)
 	}
-	return collectives{base: c.base.Sub(members)}
-}
-
-// group returns the implementation's group, for its member list (which the
-// caller must not write to) and the member index of a global rank (-1 for a
-// non-member).
-func (c collectives) group() interface {
-	Members() []int
-	Index(rank int) int
-} {
-	if c.srm != nil {
-		return c.srm
-	}
-	return c.base
+	return g.(*baseline.Group).Sub(members)
 }
 
 // sub returns the record of the communicator over members, carved out of
@@ -567,7 +545,7 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 	if rec != nil && rec.parent(parent) != nil {
 		return rec
 	}
-	coll := parent.coll.sub(members)
+	coll := sub(parent.coll, members)
 	if rec == nil {
 		rec = &commRec{members: make([]int, len(members)), coll: coll, next: rs.byHash[h]}
 		rec.from = rec.first[:0]
@@ -609,7 +587,7 @@ func (rs *runState) lookup(h uint64, members []int) *commRec {
 // newWorld makes the record of the world communicator of p ranks. It is not
 // in the table Sub looks lists up in: Sub over every rank is a communicator of
 // its own.
-func (rs *runState) newWorld(p int, coll collectives) *commRec {
+func (rs *runState) newWorld(p int, coll group) *commRec {
 	rec := &commRec{members: make([]int, p), coll: coll, name: "world"}
 	for i := range rec.members {
 		rec.members[i] = i
@@ -633,7 +611,7 @@ func (c *Comm) Sub(members []int) *Comm { return c.sub(members) }
 // table.
 func (h handle) sub(members []int) *Comm {
 	rec := h.rs.sub(h.rec, members)
-	i := rec.coll.group().Index(h.rank)
+	i := rec.coll.Index(h.rank)
 	if i < 0 {
 		key := subKey{h, rec}
 		if h.rs.outside[key] == nil {
@@ -951,9 +929,8 @@ type simulation struct {
 	cl   *Cluster
 	m    *machine.Machine // m.Env is the run's clock, m.Faults its injector (nil unless the plan is active)
 	dom  *rma.Domain
-	srm  *core.SRM       // nil under a baseline
-	base *baseline.Group // nil under SRM
-	rs   *runState       // rs.ft is nil unless fault tolerance is on
+	impl interface{ Release() } // the implementation: SRM's engine, or a baseline's world group
+	rs   *runState              // rs.ft is nil unless fault tolerance is on
 	res  *Result
 }
 
@@ -981,18 +958,18 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 	if cl.faults.Reliable {
 		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
 	}
-	var coll collectives
+	var coll group
 	switch impl {
 	case SRM:
-		sm.srm = cl.newSRM(m, dom)
-		coll.srm = sm.srm.World()
+		srm := cl.newSRM(m, dom)
+		sm.impl, coll = srm, srm.World()
 	case IBMMPI, MPICHMPI:
 		flavor := baseline.IBM
 		if impl == MPICHMPI {
 			flavor = baseline.MPICH
 		}
-		sm.base = baseline.New(m, flavor)
-		coll.base = sm.base
+		base := baseline.New(m, flavor)
+		sm.impl, coll = base, base
 	default:
 		return nil, fmt.Errorf("srmcoll: unknown implementation %d", int(impl))
 	}
@@ -1109,11 +1086,7 @@ func (sm *simulation) outcome() (*Result, error) {
 	bufpool.HandBack(sm.m.Buffers)
 	sm.m.Buffers = nil // a use after hand-back is a crash, not a corrupted payload
 	if err == nil {
-		if sm.srm != nil {
-			sm.srm.Release()
-		} else {
-			sm.base.Release()
-		}
+		sm.impl.Release()
 		sm.rs.streams.Release()
 		sm.rs.syncs.Release()
 		sm.dom.Release()

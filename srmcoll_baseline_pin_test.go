@@ -103,7 +103,7 @@ func TestBaselineSchedulesPinned(t *testing.T) {
 						if issued {
 							name += "/issued"
 						}
-						for _, form := range bodyForms[:1] {
+						for _, form := range bodyForms {
 							out := make([][]byte, P)
 							res, err := form.run(cl, impl, baselinePinBody(c, n, issued, out))
 							if err != nil {

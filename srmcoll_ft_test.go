@@ -93,21 +93,17 @@ func chaosLoopBodyCompute(rounds, bytes int, compute float64, sums []float64) fu
 // TestFaultToleranceNeedsSRM: a message-passing baseline cannot abandon an
 // operation a declaration interrupted — its messages matched the retry, so
 // ranks returned nil with a sum that mixed the two, or the retry hung — and
-// fault tolerance over one is refused before any rank runs. (RunT refuses a
-// baseline whatever the cluster's settings.) Without fault tolerance the
-// baselines run as ever.
+// fault tolerance over one is refused before any rank runs, from either form
+// of body. Without fault tolerance the baselines run as ever.
 func TestFaultToleranceNeedsSRM(t *testing.T) {
 	for _, impl := range []Impl{IBMMPI, MPICHMPI} {
 		cl := ftCluster(t, 2, 4, Crash{Rank: 3, At: 40})
 		ran := false
 		_, errRun := cl.Run(impl, func(*Comm) { ran = true })
 		_, errRunT := cl.RunT(impl, func(_ *TComm, done func()) { ran = true; done() })
-		for form, want := range map[string]struct {
-			err  error
-			what string
-		}{"Run": {errRun, "fault tolerance"}, "RunT": {errRunT, "RunT"}} {
-			if err := want.err; err == nil || !strings.Contains(err.Error(), want.what) || !strings.Contains(err.Error(), impl.String()) {
-				t.Errorf("%s(%s) with fault tolerance on: error %v, want one naming %s and the implementation", form, impl, err, want.what)
+		for form, err := range map[string]error{"Run": errRun, "RunT": errRunT} {
+			if err == nil || !strings.Contains(err.Error(), "fault tolerance") || !strings.Contains(err.Error(), impl.String()) {
+				t.Errorf("%s(%s) with fault tolerance on: error %v, want one naming fault tolerance and the implementation", form, impl, err)
 			}
 		}
 		if ran {
@@ -117,6 +113,9 @@ func TestFaultToleranceNeedsSRM(t *testing.T) {
 		cl.SetFaultPlan(FaultPlan{})
 		if _, err := cl.Run(impl, func(c *Comm) { c.Barrier() }); err != nil {
 			t.Errorf("%s without fault tolerance: %v", impl, err)
+		}
+		if _, err := cl.RunT(impl, func(tc *TComm, done func()) { tc.Barrier(func(error) { done() }) }); err != nil {
+			t.Errorf("RunT(%s) without fault tolerance: %v", impl, err)
 		}
 	}
 }

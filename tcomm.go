@@ -25,12 +25,9 @@ package srmcoll
 //     Park, or by the task's interrupt handler (ft_task.go).
 
 import (
-	"fmt"
 	"strings"
 
-	"srmcoll/internal/baseline"
 	"srmcoll/internal/check"
-	"srmcoll/internal/core"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 )
@@ -212,37 +209,27 @@ var collNames = func() (names [collExscan + 1]struct{ op, public, req, issue, wa
 	return names
 }()
 
-// invoke runs a baseline's operation from a process and returns when it has
-// completed.
-func (a *collArgs) invoke(coll *baseline.Group, p *sim.Proc, rank int) {
-	switch a.kind {
-	case collBarrier:
-		coll.Barrier(p, rank)
-	case collBcast:
-		coll.Bcast(p, rank, a.send, a.root)
-	case collReduce:
-		coll.Reduce(p, rank, a.send, a.recv, a.dt, a.op, a.root)
-	case collAllreduce:
-		coll.Allreduce(p, rank, a.send, a.recv, a.dt, a.op)
-	case collGather:
-		coll.Gather(p, rank, a.send, a.recv, a.root)
-	case collScatter:
-		coll.Scatter(p, rank, a.send, a.recv, a.root)
-	case collAllgather:
-		coll.Allgather(p, rank, a.send, a.recv)
-	case collAlltoall:
-		coll.Alltoall(p, rank, a.send, a.recv)
-	case collReduceScatter:
-		coll.ReduceScatter(p, rank, a.send, a.recv, a.dt, a.op)
-	case collScan:
-		coll.Scan(p, rank, a.send, a.recv, a.dt, a.op)
-	case collExscan:
-		coll.Exscan(p, rank, a.send, a.recv, a.dt, a.op)
-	}
+// group is an implementation's operations over a communicator's members,
+// each started on a task with the continuation to run once it has completed:
+// SRM's (core.Group) or a baseline's (baseline.Group), one method set.
+type group interface {
+	Members() []int
+	Index(rank int) int
+	BarrierT(t *sim.Task, rank int, k sim.K)
+	BcastT(t *sim.Task, rank int, buf []byte, root int, k sim.K)
+	ReduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, root int, k sim.K)
+	AllreduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k sim.K)
+	GatherT(t *sim.Task, rank int, send, recv []byte, root int, k sim.K)
+	ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k sim.K)
+	AllgatherT(t *sim.Task, rank int, send, recv []byte, k sim.K)
+	AlltoallT(t *sim.Task, rank int, send, recv []byte, k sim.K)
+	ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k sim.K)
+	ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k sim.K)
+	ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k sim.K)
 }
 
-// start starts SRM's operation on a task; k runs when it has completed.
-func (a *collArgs) start(coll *core.Group, t *sim.Task, rank int, k sim.K) {
+// start starts the operation on a task; k runs when it has completed.
+func (a *collArgs) start(coll group, t *sim.Task, rank int, k sim.K) {
 	switch a.kind {
 	case collBarrier:
 		coll.BarrierT(t, rank, k)
@@ -326,7 +313,7 @@ func (f *frame) run() {
 	if f == &h.call {
 		k = (*rankCall)(f)
 	}
-	f.start(h.rec.coll.srm, f.t, h.rank, k)
+	f.start(h.rec.coll, f.t, h.rank, k)
 }
 
 // Resume is the continuation the operation itself receives.
@@ -431,12 +418,8 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 // or stack per rank, so million-rank runs fit in ordinary host memory. The body
 // must call done exactly once, after its last operation completed; done marks
 // the rank finished (the CPS analogue of returning from a Run body). Errors
-// are Run's. RunT runs SRM only: a baseline's collectives block, so its bodies
-// need Run.
+// are Run's, for every implementation.
 func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, error) {
-	if impl != SRM {
-		return nil, fmt.Errorf("srmcoll: RunT supports only the SRM implementation (got %s); a baseline needs Run", impl)
-	}
 	return cl.simulate(impl, func(sm *simulation) { sm.spawnTasks(body) })
 }
 

@@ -62,10 +62,35 @@ func sameResult(t *testing.T, rp, rt *Result) {
 	}
 }
 
+// TestTaskEngineRejects: RunT refuses an implementation that does not exist,
+// and a baseline with fault tolerance on, each with an error that names it,
+// before any rank runs.
 func TestTaskEngineRejects(t *testing.T) {
-	cl := mustCluster(t, 2, 2)
-	if _, err := cl.RunT(IBMMPI, func(tc *TComm, done func()) { done() }); err == nil {
-		t.Fatal("RunT accepted a baseline impl")
+	plain, ft := mustCluster(t, 2, 2), mustCluster(t, 2, 2)
+	ft.SetFaultTolerance(DefaultFTConfig())
+	for _, c := range []struct {
+		cl   *Cluster
+		impl Impl
+		want []string
+	}{
+		{plain, Impl(7), []string{"unknown implementation", "7"}},
+		{ft, IBMMPI, []string{"fault tolerance", "ibm-mpi"}},
+		{ft, MPICHMPI, []string{"fault tolerance", "mpich"}},
+	} {
+		ran := false
+		_, err := c.cl.RunT(c.impl, func(tc *TComm, done func()) { ran = true; done() })
+		if err == nil {
+			t.Errorf("RunT(%s) ran", c.impl)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("RunT(%s): error %q does not name %q", c.impl, err, w)
+			}
+		}
+		if ran {
+			t.Errorf("RunT(%s): a rank ran before the refusal", c.impl)
+		}
 	}
 }
 
@@ -430,16 +455,24 @@ func engCollectiveScenarios() map[string]func(P int) (func(tc *TComm, done func(
 	}
 }
 
+// TestTaskEngineCollectivesBitIdentical runs the scenario matrix under SRM and
+// both MPI baselines, from a blocking actor and from RunT's plain tasks, on a
+// power-of-two and two odd shapes.
 func TestTaskEngineCollectivesBitIdentical(t *testing.T) {
-	for _, shape := range [][2]int{{2, 4}, {3, 4}, {5, 3}} {
-		for name, mk := range engCollectiveScenarios() {
-			if shape != [2]int{2, 4} {
-				name = fmt.Sprintf("%dx%d/%s", shape[0], shape[1], name)
+	for _, impl := range []Impl{SRM, IBMMPI, MPICHMPI} {
+		for _, shape := range [][2]int{{2, 4}, {3, 4}, {5, 3}} {
+			for name, mk := range engCollectiveScenarios() {
+				if shape != [2]int{2, 4} {
+					name = fmt.Sprintf("%dx%d/%s", shape[0], shape[1], name)
+				}
+				if impl != SRM {
+					name = impl.String() + "/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					cl := mustCluster(t, shape[0], shape[1])
+					runBothEngines(t, cl, impl, mk)
+				})
 			}
-			t.Run(name, func(t *testing.T) {
-				cl := mustCluster(t, shape[0], shape[1])
-				runBothEngines(t, cl, SRM, mk)
-			})
 		}
 	}
 }
@@ -1164,28 +1197,37 @@ func TestTaskEngineMatchesRunBody(t *testing.T) {
 			}
 		},
 	}}
+	run := func(t *testing.T, pg program, impl Impl) {
+		cl := pg.mk()
+		P := cl.Config().P()
+		logP, logT := make([]string, P), make([]string, P)
+		rp, err := cl.Run(impl, pg.body(logP))
+		if err != nil {
+			t.Fatalf("Run body: %v", err)
+		}
+		rt, err := cl.RunT(impl, pg.bodyT(logT))
+		if err != nil {
+			t.Fatalf("continuation body: %v", err)
+		}
+		pg.expect(t, rp, logP)
+		if !reflect.DeepEqual(logP, logT) {
+			t.Errorf("the ranks observed\n%q from a Run body,\n%q from a continuation body", logP, logT)
+		}
+		if a, b := pinOf(rp), pinOf(rt); a != b {
+			t.Errorf("results diverge: procs %s, tasks %s", a, b)
+		}
+		if cl.Tracing() {
+			sameSpans(t, rp, rt)
+		}
+	}
 	for _, pg := range programs {
 		t.Run(pg.name, func(t *testing.T) {
-			cl := pg.mk()
-			P := cl.Config().P()
-			logP, logT := make([]string, P), make([]string, P)
-			rp, err := cl.Run(SRM, pg.body(logP))
-			if err != nil {
-				t.Fatalf("Run body: %v", err)
+			run(t, pg, SRM)
+			if pg.mk().FaultTolerance().Enabled {
+				return // fault tolerance is SRM's only
 			}
-			rt, err := cl.RunT(SRM, pg.bodyT(logT))
-			if err != nil {
-				t.Fatalf("continuation body: %v", err)
-			}
-			pg.expect(t, rp, logP)
-			if !reflect.DeepEqual(logP, logT) {
-				t.Errorf("the ranks observed\n%q from a Run body,\n%q from a continuation body", logP, logT)
-			}
-			if a, b := pinOf(rp), pinOf(rt); a != b {
-				t.Errorf("results diverge: procs %s, tasks %s", a, b)
-			}
-			if cl.Tracing() {
-				sameSpans(t, rp, rt)
+			for _, impl := range []Impl{IBMMPI, MPICHMPI} {
+				t.Run(impl.String(), func(t *testing.T) { run(t, pg, impl) })
 			}
 		})
 	}
