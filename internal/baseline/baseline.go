@@ -16,13 +16,13 @@ package baseline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"srmcoll/internal/bufpool"
 	"srmcoll/internal/dtype"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/mpi"
 	"srmcoll/internal/ranks"
-	"srmcoll/internal/sim"
 	"srmcoll/internal/tree"
 )
 
@@ -85,30 +85,70 @@ func (g *Group) machine() *machine.Machine { return g.w.Machine() }
 // one is what a barrier sends: eager, so the bytes are staged at once.
 var one = []byte{1}
 
+// The operations a step ends in. Each starts with the call as its continuation
+// and reports true, for the step to return at once (call.step); the peers are
+// group indices.
+func (c *call) sendTo(to, tag int, buf []byte) bool {
+	c.r.SendT(c.t, c.g.members[to], tag, buf, c)
+	return true
+}
+
+func (c *call) recvFrom(from, tag int, buf []byte) bool {
+	c.r.RecvT(c.t, c.g.members[from], tag, buf, c)
+	return true
+}
+
+// recvReduce receives with the message folded into buf (mpi.Rank.RecvReduceT).
+func (c *call) recvReduce(from, tag int, buf []byte, own []byte) bool {
+	c.r.RecvReduceT(c.t, c.g.members[from], tag, buf, mpi.Fold{Op: c.op, Type: c.dt, Own: own}, c)
+	return true
+}
+
+func (c *call) exchange(to, from, tag int, sbuf, rbuf []byte) bool {
+	c.r.SendrecvT(c.t, c.g.members[to], tag, sbuf, c.g.members[from], tag, rbuf, c)
+	return true
+}
+
+// isend starts a nonblocking send of buf, which awaitSend completes.
+func (c *call) isend(to, tag int, buf []byte) bool {
+	c.sreq = c.r.IsendT(c.t, c.g.members[to], tag, buf, c)
+	return true
+}
+
+// awaitSend waits for the nonblocking send in flight, if there is one.
+func (c *call) awaitSend() bool {
+	rq := c.sreq
+	if rq == nil {
+		return false
+	}
+	c.sreq = nil
+	rq.WaitT(c.t, c)
+	return true
+}
+
 // chargeCopy charges and records a protocol-internal copy of n bytes whose
-// bytes something else lands, then resumes the call at step pc.
-func (c *call) chargeCopy(pc, n int) {
+// bytes something else lands.
+func (c *call) chargeCopy(n int) bool {
 	m := c.g.machine()
 	m.Stats.AddPlainCopy(n)
-	c.pc = pc
 	m.ChargeCopyK(c.t, m.NodeOf(c.rank), n, c)
+	return true
 }
 
-// localCopy makes, records and charges a protocol-internal buffer copy, then
-// resumes the call at step pc. Nothing but the member's own later steps reads
-// dst, so the bytes move at once.
-func (c *call) localCopy(pc int, dst, src []byte) {
+// localCopy makes, records and charges a protocol-internal buffer copy.
+// Nothing but the member's own later steps reads dst, so the bytes move at
+// once.
+func (c *call) localCopy(dst, src []byte) bool {
 	copy(dst, src)
-	c.chargeCopy(pc, len(src))
+	return c.chargeCopy(len(src))
 }
 
-// combine charges one elementwise reduction of the call's send size, then
-// resumes the call at step pc.
-func (c *call) combine(pc int) {
+// combine charges one elementwise reduction of the call's send size.
+func (c *call) combine() bool {
 	m, n := c.g.machine(), len(c.send)
 	m.Stats.AddReduce(n / max(1, c.dt.Size()))
-	c.pc = pc
 	c.t.SleepK(m.CombineTime(n), c)
+	return true
 }
 
 // valid panics for an operator the element type does not have.
@@ -118,69 +158,59 @@ func (c *call) valid() {
 	}
 }
 
+// rounds is the number of doubling steps below n: the distances 1, 2, 4, ...
+// less than n.
+func rounds(n int) int { return bits.Len(uint(n - 1)) }
+
+// The algorithms, as the step s of a member's call: each recomputes where it
+// is from s, subtracting the steps of every phase it has passed, and reads
+// top to bottom as the blocking code it replaces.
+
 // barrier: both era implementations use a binomial fan-in followed by a
 // fan-out over group indices (dissemination-style MPI barriers arrived
 // later); the flavors differ only through their point-to-point protocol
 // costs.
-func (c *call) barrier() {
-	g := c.g
+func (c *call) barrier(s int) bool {
 	var row [tree.MaxBinomialChildren]int
-	parent, kids := tree.BinomialRow(len(g.members), 0, c.me, row[:0])
-	for {
-		switch c.pc {
-		case 0: // the children's fan-in
-			if c.i < len(kids) {
-				c.i++
-				c.r.RecvT(c.t, g.members[kids[c.i-1]], tagBarrier, c.flag[:], c)
-				return
-			}
-			c.pc, c.i = 1, 0
-			if parent != -1 {
-				c.r.SendT(c.t, g.members[parent], tagBarrier, one, c)
-				return
-			}
-			c.pc = 2
-		case 1: // the parent's fan-out
-			c.pc = 2
-			c.r.RecvT(c.t, g.members[parent], tagBarrier, c.flag[:], c)
-			return
-		case 2:
-			if c.i < len(kids) {
-				c.i++
-				c.r.SendT(c.t, g.members[kids[c.i-1]], tagBarrier, one, c)
-				return
-			}
-			c.finish()
-			return
-		}
+	parent, kids := tree.BinomialRow(len(c.g.members), 0, c.me, row[:0])
+	if s < len(kids) {
+		return c.recvFrom(kids[s], tagBarrier, c.flag[:])
 	}
+	if s -= len(kids); parent != -1 {
+		switch s {
+		case 0:
+			return c.sendTo(parent, tagBarrier, one)
+		case 1:
+			return c.recvFrom(parent, tagBarrier, c.flag[:])
+		}
+		s -= 2
+	}
+	if s < len(kids) {
+		return c.sendTo(kids[s], tagBarrier, one)
+	}
+	return c.finish()
 }
 
 // bcast broadcasts along a binomial tree over group indices — the MPICH
 // algorithm the paper names (§2.1), and what the vendor MPI of the era used as
 // well.
-func (c *call) bcast() {
-	g := c.g
-	n := len(g.members)
+func (c *call) bcast(s int) bool {
+	n := len(c.g.members)
 	if n == 1 {
-		c.finish()
-		return
+		return c.finish()
 	}
 	var row [tree.MaxBinomialChildren]int
-	parent, kids := tree.BinomialRow(n, g.index(c.root), c.me, row[:0])
-	if c.pc == 0 {
-		c.pc = 1
-		if parent != -1 {
-			c.r.RecvT(c.t, g.members[parent], tagBcast, c.send, c)
-			return
+	parent, kids := tree.BinomialRow(n, c.g.index(c.root), c.me, row[:0])
+	if parent != -1 {
+		if s == 0 {
+			return c.recvFrom(parent, tagBcast, c.send)
 		}
+		s--
 	}
-	if c.i < len(kids) {
-		c.i++
-		c.r.SendT(c.t, g.members[kids[c.i-1]], tagBcast, c.send, c)
-		return
+	if s < len(kids) {
+		return c.sendTo(kids[s], tagBcast, c.send)
 	}
-	c.finish()
+	return c.finish()
 }
 
 // reduce combines members' send buffers along a binomial tree over group
@@ -198,156 +228,124 @@ func (c *call) bcast() {
 // takes it back with everything else, once nothing can land anywhere
 // (bufpool.HandBack), and the run is counted as having left it out
 // (Pool.Outstanding).
-func (c *call) reduce() {
+func (c *call) reduce(s int) bool {
 	g := c.g
-	if c.pc == 0 {
+	if s == 0 {
 		c.valid()
 	}
 	rootIdx := g.index(c.root)
-	n := len(c.send)
 	var row [tree.MaxBinomialChildren]int
 	parent, kids := tree.BinomialRow(len(g.members), rootIdx, c.me, row[:0])
-	switch c.pc {
-	case 0:
-		switch {
-		case len(g.members) == 1:
-			c.localCopy(3, c.recv, c.send)
-		case len(kids) == 0:
-			c.pc = 3
-			c.r.SendT(c.t, g.members[parent], tagReduce, c.send, c)
-		default:
-			c.buf = c.recv
-			if c.me != rootIdx {
-				c.buf = g.machine().Buffers.Get(n)
-			}
-			c.chargeCopy(1, n) // staging send into the accumulator: the first fold lands it
+	switch {
+	case s > 0 && len(kids) == 0:
+		return c.finish()
+	case len(g.members) == 1:
+		return c.localCopy(c.recv, c.send)
+	case len(kids) == 0:
+		return c.sendTo(parent, tagReduce, c.send)
+	case s == 0:
+		c.buf = c.recv
+		if c.me != rootIdx {
+			c.buf = g.machine().Buffers.Get(len(c.send))
 		}
-	case 1:
-		// Receive children nearest-first (ascending offset), the order they
-		// complete their subtrees.
-		if c.i < len(kids) {
-			f := mpi.Fold{Op: c.op, Type: c.dt}
-			if c.i == 0 {
-				f.Own = c.send
-			}
-			c.i++
-			c.r.RecvReduceT(c.t, g.members[kids[len(kids)-c.i]], tagReduce, c.buf, f, c.combined())
-			return
+		return c.chargeCopy(len(c.send)) // staging send into the accumulator: the first fold lands it
+	}
+	// Receive children nearest-first (ascending offset), the order they
+	// complete their subtrees, each folded and its combine charged.
+	if s--; s < 2*len(kids) {
+		if s%2 == 1 {
+			return c.combine()
 		}
-		if c.me == rootIdx {
-			c.finish()
-			return
+		var own []byte
+		if s == 0 {
+			own = c.send
 		}
-		c.pc = 2
-		c.r.SendT(c.t, g.members[parent], tagReduce, c.buf, c)
-	case 2:
+		return c.recvReduce(kids[len(kids)-1-s/2], tagReduce, c.buf, own)
+	}
+	if s -= 2 * len(kids); s == 0 && c.me != rootIdx {
+		return c.sendTo(parent, tagReduce, c.buf)
+	}
+	if c.me != rootIdx {
 		g.machine().Buffers.Put(c.buf)
-		c.finish()
-	case 3:
-		c.finish()
 	}
+	return c.finish()
 }
 
-// combined is the call as the continuation of a receive that folded, whose
-// combine it charges before it resumes at the same step.
-func (c *call) combined() sim.K { return (*folded)(c) }
-
-type folded call
-
-func (f *folded) Resume() { (*call)(f).combine((*call)(f).pc) }
-
-// allreduce leaves the combined result in every member's recv. MPICH models
-// the classic reduce-to-first-member followed by broadcast; IBM uses recursive
-// doubling up to 32 KB, then reduce+broadcast.
-func (c *call) allreduce() {
+// allreduce is MPICH's, and IBM's above 32 KB: the classic reduce to the first
+// member followed by a broadcast.
+func (c *call) allreduce(s int) bool {
 	g := c.g
-	switch c.pc {
+	switch s {
 	case 0:
-		if g.flavor == IBM && len(c.send) <= rdAllreduceLimit {
-			c.kind = kAllreduceRD
-			c.allreduceRD()
-			return
-		}
-		x := g.start(c.t, c.rank, kReduce, nil)
-		x.send, x.recv, x.dt, x.op, x.root = c.send, c.recv, c.dt, c.op, g.members[0]
-		c.then(1, x)
+		g.begin(c.t, c.rank, (*call).reduce, c.send, c.recv, c.dt, c.op, g.members[0], c)
+		return true
 	case 1:
-		x := g.start(c.t, c.rank, kBcast, nil)
-		x.send, x.root = c.recv, g.members[0]
-		c.then(2, x)
-	case 2:
-		c.finish()
+		g.begin(c.t, c.rank, (*call).bcast, c.recv, nil, 0, 0, g.members[0], c)
+		return true
 	}
+	return c.finish()
 }
 
-// allreduceRD is recursive doubling over group indices with pairwise
-// Sendrecv, folding non-power-of-two remainders in and out; c.i is the
-// doubling distance.
-func (c *call) allreduceRD() {
+// allreduceRD is IBM's allreduce up to 32 KB: recursive doubling over group
+// indices with pairwise Sendrecv, folding non-power-of-two remainders in and
+// out.
+func (c *call) allreduceRD(s int) bool {
 	g := c.g
 	P := len(g.members)
-	pow := 1
-	for pow*2 <= P {
-		pow *= 2
-	}
-	switch c.pc {
-	case 0:
+	pow := 1 << (bits.Len(uint(P)) - 1)
+	switch {
+	case s == 0:
 		c.valid()
-		c.localCopy(1, c.recv, c.send)
-	case 1:
-		switch {
-		case P == 1:
-			c.finish()
-		case c.me >= pow:
-			// Fold out: contribute to the partner, then wait for the result.
-			c.pc = 6
-			c.r.SendT(c.t, g.members[c.me-pow], tagAllreduce, c.recv, c)
-		case c.me+pow < P:
-			c.pc = 2
-			c.r.RecvReduceT(c.t, g.members[c.me+pow], tagAllreduce, c.recv, mpi.Fold{Op: c.op, Type: c.dt}, c.combined())
-		default:
-			c.pc = 2
-			c.Resume()
+		return c.localCopy(c.recv, c.send)
+	case P == 1:
+		return c.finish()
+	case c.me >= pow: // fold out: contribute to the partner, then wait for the result
+		switch s {
+		case 1:
+			return c.sendTo(c.me-pow, tagAllreduce, c.recv)
+		case 2:
+			return c.recvFrom(c.me-pow, tagAllreduce, c.recv)
 		}
-	case 2:
-		// The exchange cannot fold: the partner's bytes may land while this
-		// rank's own send of recv is still reading it.
-		c.scratch = g.machine().Buffers.Get(len(c.send))
-		c.i, c.pc = 1, 3
-		fallthrough
-	case 3:
-		if c.i < pow {
-			partner := g.members[c.me^c.i]
-			c.pc = 4
-			c.r.SendrecvT(c.t, partner, tagAllreduce, c.recv, partner, tagAllreduce, c.scratch, c)
-			return
+		return c.finish()
+	}
+	if s--; c.me+pow < P { // fold in
+		switch s {
+		case 0:
+			return c.recvReduce(c.me+pow, tagAllreduce, c.recv, nil)
+		case 1:
+			return c.combine()
 		}
+		s -= 2
+	}
+	// The exchange cannot fold: the partner's bytes may land while this rank's
+	// own send of recv is still reading it.
+	if s < 2*rounds(pow) {
+		if s%2 == 1 {
+			dtype.Reduce(c.op, c.dt, c.recv, c.scratch)
+			return c.combine()
+		}
+		if s == 0 {
+			c.scratch = g.machine().Buffers.Get(len(c.send))
+		}
+		partner := c.me ^ 1<<(s/2)
+		return c.exchange(partner, partner, tagAllreduce, c.recv, c.scratch)
+	}
+	if s == 2*rounds(pow) {
 		g.machine().Buffers.Put(c.scratch)
 		if c.me+pow < P {
-			c.pc = 5
-			c.r.SendT(c.t, g.members[c.me+pow], tagAllreduce, c.recv, c)
-			return
+			return c.sendTo(c.me+pow, tagAllreduce, c.recv)
 		}
-		c.finish()
-	case 4:
-		dtype.Reduce(c.op, c.dt, c.recv, c.scratch)
-		c.i *= 2
-		c.combine(3)
-	case 5:
-		c.finish()
-	case 6:
-		c.pc = 5
-		c.r.RecvT(c.t, g.members[c.me-pow], tagAllreduce, c.recv, c)
 	}
+	return c.finish()
 }
 
 // reduceScatter combines members' send vectors and scatters block i to the
 // member with group rank i — the MPICH-1 era algorithm: a reduce to the first
 // member followed by a block scatter.
-func (c *call) reduceScatter() {
+func (c *call) reduceScatter(s int) bool {
 	g := c.g
 	root := g.members[0]
-	switch c.pc {
+	switch s {
 	case 0:
 		if len(c.send) != len(c.recv)*len(g.members) {
 			panic(fmt.Sprintf("baseline: ReduceScatter send %d bytes, want %d",
@@ -356,112 +354,68 @@ func (c *call) reduceScatter() {
 		if c.rank == root {
 			c.buf = g.machine().Buffers.Get(len(c.send))
 		}
-		x := g.start(c.t, c.rank, kReduce, nil)
-		x.send, x.recv, x.dt, x.op, x.root = c.send, c.buf, c.dt, c.op, root
-		c.then(1, x)
+		g.begin(c.t, c.rank, (*call).reduce, c.send, c.buf, c.dt, c.op, root, c)
+		return true
 	case 1:
-		x := g.start(c.t, c.rank, kScatter, nil)
-		x.send, x.recv, x.root = c.buf, c.recv, root
-		c.then(2, x)
-	case 2:
-		g.machine().Buffers.Put(c.buf)
-		c.finish()
+		g.begin(c.t, c.rank, (*call).scatter, c.buf, c.recv, 0, 0, root, c)
+		return true
 	}
+	g.machine().Buffers.Put(c.buf)
+	return c.finish()
 }
 
 // scan is the inclusive prefix reduction over group ranks, using the
-// Hillis-Steele doubling schedule with nonblocking sends, and with a last shift
-// by one the exclusive prefix, whose first member's recv is zeroed; c.i is the
-// doubling distance.
-func (c *call) scan() {
+// Hillis-Steele doubling schedule with nonblocking sends, four steps a
+// doubling; exscan, the exclusive prefix, shifts it by one member, and the
+// first member's recv is zeroed.
+func (c *call) scan(s int) bool { return c.prefix(s, false) }
+
+func (c *call) exscan(s int) bool { return c.prefix(s, true) }
+
+func (c *call) prefix(s int, exclusive bool) bool {
 	g := c.g
-	P := len(g.members)
-	me := c.me
-	for {
-		switch c.pc {
+	P, me := len(g.members), c.me
+	if s == 0 {
+		c.valid()
+		return c.localCopy(c.recv, c.send)
+	}
+	if s--; s == 0 {
+		// Each step receives into scratch, not by folding into recv: the
+		// bytes may land while this rank's own Isend of recv is still
+		// reading it.
+		c.scratch = g.machine().Buffers.Get(len(c.send))
+	}
+	if s < 4*rounds(P) {
+		dist := 1 << (s / 4)
+		switch s % 4 {
 		case 0:
-			c.valid()
-			c.localCopy(1, c.recv, c.send)
-			return
+			return me+dist < P && c.isend(me+dist, tagScan, c.recv)
 		case 1:
-			// Each step receives into scratch, not by folding into recv: the
-			// bytes may land while this rank's own Isend of recv is still
-			// reading it.
-			c.scratch = g.machine().Buffers.Get(len(c.send))
-			c.i, c.pc = 1, 2
-		case 2: // the top of a doubling step
-			if c.i >= P {
-				c.pc = 6
-				continue
-			}
-			c.pc = 3
-			if me+c.i < P {
-				c.sreq = c.r.IsendT(c.t, g.members[me+c.i], tagScan, c.recv, c)
-				return
-			}
+			return me-dist >= 0 && c.recvFrom(me-dist, tagScan, c.scratch)
+		case 2:
+			return c.awaitSend() // the send references recv; complete it before updating
+		}
+		if me-dist < 0 {
+			return false
+		}
+		dtype.Reduce(c.op, c.dt, c.recv, c.scratch)
+		return c.combine()
+	}
+	if s -= 4 * rounds(P); exclusive {
+		switch s {
+		case 0:
+			return me+1 < P && c.isend(me+1, tagScan, c.recv)
+		case 1:
+			return me > 0 && c.recvFrom(me-1, tagScan, c.scratch)
+		case 2:
+			return c.awaitSend() // recv is about to be overwritten
 		case 3:
-			c.pc = 4
-			if me-c.i >= 0 {
-				c.r.RecvT(c.t, g.members[me-c.i], tagScan, c.scratch, c)
-				return
-			}
-		case 4:
-			c.pc = 5
-			if c.awaitSend() { // the send references recv; complete it before updating
-				return
-			}
-		case 5:
-			d := c.i
-			c.i, c.pc = 2*d, 2
-			if me-d >= 0 {
-				dtype.Reduce(c.op, c.dt, c.recv, c.scratch)
-				c.combine(2)
-				return
-			}
-		case 6: // the exclusive shift
-			if c.kind == kScan {
-				c.pc = 10
-				continue
-			}
-			c.pc = 7
-			if me+1 < P {
-				c.sreq = c.r.IsendT(c.t, g.members[me+1], tagScan, c.recv, c)
-				return
-			}
-		case 7:
-			c.pc = 8
 			if me > 0 {
-				c.r.RecvT(c.t, g.members[me-1], tagScan, c.scratch, c)
-				return
-			}
-		case 8:
-			c.pc = 9
-			if c.awaitSend() { // recv is about to be overwritten
-				return
-			}
-		case 9:
-			c.pc = 10
-			if me > 0 {
-				c.localCopy(10, c.recv, c.scratch)
-				return
+				return c.localCopy(c.recv, c.scratch)
 			}
 			clear(c.recv)
-		case 10:
-			g.machine().Buffers.Put(c.scratch)
-			c.finish()
-			return
 		}
 	}
-}
-
-// awaitSend waits for the send of the step in flight, if there is one, and
-// reports whether it did: the call resumes once the send has completed.
-func (c *call) awaitSend() bool {
-	rq := c.sreq
-	if rq == nil {
-		return false
-	}
-	c.sreq = nil
-	rq.WaitT(c.t, c)
-	return true
+	g.machine().Buffers.Put(c.scratch)
+	return c.finish()
 }

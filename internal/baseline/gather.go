@@ -37,76 +37,66 @@ func subtreeSize(v, P int) int {
 // order). Blocks travel up a binomial tree over group indices, each vertex
 // forwarding its subtree's concatenation; the tree is built in relative rank
 // space, so a subtree always covers a contiguous relative range.
-func (c *call) gather() {
+func (c *call) gather(s int) bool {
 	g := c.g
 	rootIdx := g.index(c.root)
-	P := len(g.members)
-	blk := len(c.send)
+	P, blk := len(g.members), len(c.send)
 	rel := (c.me - rootIdx + P) % P
-	switch c.pc {
-	case 0:
+	if s == 0 {
 		if c.rank == c.root {
 			check.Size("baseline.Gather", c.rank, "recv", len(c.recv), blk*P)
 		}
 		if P == 1 {
-			c.localCopy(2, c.recv, c.send)
-			return
+			return c.localCopy(c.recv, c.send)
 		}
 		c.buf = make([]byte, subtreeSize(rel, P)*blk)
-		c.localCopy(1, c.buf[:blk], c.send)
-	case 1:
-		var row [tree.MaxBinomialChildren]int
-		parent, kids := tree.BinomialRow(P, rootIdx, c.me, row[:0])
-		// Children report in relative order; child v+2^k holds [v+2^k, ...).
-		if c.i < len(kids) {
-			c.i++
-			childIdx := kids[len(kids)-c.i]
-			childRel := (childIdx - rootIdx + P) % P
-			n := subtreeSize(childRel, P) * blk
-			off := (childRel - rel) * blk
-			c.r.RecvT(c.t, g.members[childIdx], tagGather, c.buf[off:off+n], c)
-			return
-		}
-		if c.me != rootIdx {
-			c.pc = 2
-			c.r.SendT(c.t, g.members[parent], tagGather, c.buf, c)
-			return
-		}
-		// Unrotate from relative to group order into recv.
-		for v := 0; v < P; v++ {
-			grp := (v + rootIdx) % P
-			copy(c.recv[grp*blk:(grp+1)*blk], c.buf[v*blk:(v+1)*blk])
-		}
-		c.chargeCopy(2, len(c.recv))
-	case 2:
-		c.finish()
+		return c.localCopy(c.buf[:blk], c.send)
 	}
+	if P == 1 {
+		return c.finish()
+	}
+	var row [tree.MaxBinomialChildren]int
+	parent, kids := tree.BinomialRow(P, rootIdx, c.me, row[:0])
+	// Children report in relative order; child v+2^k holds [v+2^k, ...).
+	if s--; s < len(kids) {
+		child := kids[len(kids)-1-s]
+		childRel := (child - rootIdx + P) % P
+		off := (childRel - rel) * blk
+		return c.recvFrom(child, tagGather, c.buf[off:off+subtreeSize(childRel, P)*blk])
+	}
+	switch {
+	case s > len(kids):
+		return c.finish()
+	case c.me != rootIdx:
+		return c.sendTo(parent, tagGather, c.buf)
+	}
+	// Unrotate from relative to group order into recv.
+	for v := 0; v < P; v++ {
+		grp := (v + rootIdx) % P
+		copy(c.recv[grp*blk:(grp+1)*blk], c.buf[v*blk:(v+1)*blk])
+	}
+	return c.chargeCopy(len(c.recv))
 }
 
 // scatter distributes root's send (group order) so each member receives
 // blk = len(recv) bytes, via a binomial fan-out with halving payloads.
-func (c *call) scatter() {
+func (c *call) scatter(s int) bool {
 	g := c.g
 	rootIdx := g.index(c.root)
-	P := len(g.members)
-	blk := len(c.recv)
+	P, blk := len(g.members), len(c.recv)
 	rel := (c.me - rootIdx + P) % P
 	var row [tree.MaxBinomialChildren]int
 	parent, kids := tree.BinomialRow(P, rootIdx, c.me, row[:0])
-	switch c.pc {
-	case 0:
+	if s == 0 {
 		if c.rank == c.root {
 			check.Size("baseline.Scatter", c.rank, "send", len(c.send), blk*P)
 		}
-		if P == 1 {
-			c.localCopy(2, c.recv, c.send)
-			return
-		}
-		if c.me != rootIdx {
+		switch {
+		case P == 1:
+			return c.localCopy(c.recv, c.send)
+		case c.me != rootIdx:
 			c.buf = make([]byte, subtreeSize(rel, P)*blk)
-			c.pc = 1
-			c.r.RecvT(c.t, g.members[parent], tagScatter, c.buf, c)
-			return
+			return c.recvFrom(parent, tagScatter, c.buf)
 		}
 		// Rotate into relative order once.
 		c.buf = make([]byte, P*blk)
@@ -114,73 +104,53 @@ func (c *call) scatter() {
 			grp := (v + rootIdx) % P
 			copy(c.buf[v*blk:(v+1)*blk], c.send[grp*blk:(grp+1)*blk])
 		}
-		c.chargeCopy(1, len(c.send))
-	case 1:
-		if c.i < len(kids) {
-			childIdx := kids[c.i]
-			c.i++
-			childRel := (childIdx - rootIdx + P) % P
-			n := subtreeSize(childRel, P) * blk
-			off := (childRel - rel) * blk
-			c.r.SendT(c.t, g.members[childIdx], tagScatter, c.buf[off:off+n], c)
-			return
-		}
-		c.localCopy(2, c.recv, c.buf[:blk])
-	case 2:
-		c.finish()
+		return c.chargeCopy(len(c.send))
 	}
+	s--
+	switch {
+	case P == 1 || s > len(kids):
+		return c.finish()
+	case s == len(kids):
+		return c.localCopy(c.recv, c.buf[:blk])
+	}
+	childRel := (kids[s] - rootIdx + P) % P
+	off := (childRel - rel) * blk
+	return c.sendTo(kids[s], tagScatter, c.buf[off:off+subtreeSize(childRel, P)*blk])
 }
 
 // allgather concatenates every member's block into every member's recv via
-// the classic ring: P-1 steps, passing the left neighbor's newest block on;
-// c.i is the step.
-func (c *call) allgather() {
-	g := c.g
-	P := len(g.members)
-	blk := len(c.send)
-	if c.pc == 0 {
+// the classic ring: P-1 steps, passing the left neighbor's newest block on.
+func (c *call) allgather(s int) bool {
+	P, blk, me := len(c.g.members), len(c.send), c.me
+	switch {
+	case s == 0:
 		check.Size("baseline.Allgather", c.rank, "recv", len(c.recv), blk*P)
-		c.i = 1
-		c.localCopy(1, c.recv[c.me*blk:(c.me+1)*blk], c.send)
-		return
+		return c.localCopy(c.recv[me*blk:(me+1)*blk], c.send)
+	case s == P:
+		return c.finish()
 	}
-	if c.i >= P {
-		c.finish()
-		return
-	}
-	outIdx := (c.me - c.i + 1 + P) % P
-	inIdx := (c.me - c.i + P) % P
-	c.i++
-	c.r.SendrecvT(c.t, g.members[(c.me+1)%P], tagAllgather, c.recv[outIdx*blk:(outIdx+1)*blk],
-		g.members[(c.me-1+P)%P], tagAllgather, c.recv[inIdx*blk:(inIdx+1)*blk], c)
+	out, in := (me-s+1+P)%P, (me-s+P)%P
+	return c.exchange((me+1)%P, (me-1+P)%P, tagAllgather,
+		c.recv[out*blk:(out+1)*blk], c.recv[in*blk:(in+1)*blk])
 }
 
 // alltoall exchanges blocks between all members with the classic pairwise
 // Sendrecv schedule: P-1 steps, partner (me+step) mod P, plus a local copy
-// for the self block; c.i is the step.
-func (c *call) alltoall() {
-	g := c.g
-	P := len(g.members)
-	me := c.me
-	if c.pc == 0 {
+// for the self block.
+func (c *call) alltoall(s int) bool {
+	P, me := len(c.g.members), c.me
+	blk := len(c.send) / P
+	switch {
+	case s == 0:
 		check.Size("baseline.Alltoall", c.rank, "recv", len(c.recv), len(c.send))
 		if len(c.send)%P != 0 {
 			panic(fmt.Sprintf("baseline: Alltoall send %d bytes not divisible over %d members",
 				len(c.send), P))
 		}
-		blk := len(c.send) / P
-		c.i = 1
-		c.localCopy(1, c.recv[me*blk:(me+1)*blk], c.send[me*blk:(me+1)*blk])
-		return
+		return c.localCopy(c.recv[me*blk:(me+1)*blk], c.send[me*blk:(me+1)*blk])
+	case s == P:
+		return c.finish()
 	}
-	if c.i >= P {
-		c.finish()
-		return
-	}
-	blk := len(c.send) / P
-	to := (me + c.i) % P
-	from := (me - c.i + P) % P
-	c.i++
-	c.r.SendrecvT(c.t, g.members[to], tagAlltoall, c.send[to*blk:(to+1)*blk],
-		g.members[from], tagAlltoall, c.recv[from*blk:(from+1)*blk], c)
+	to, from := (me+s)%P, (me-s+P)%P
+	return c.exchange(to, from, tagAlltoall, c.send[to*blk:(to+1)*blk], c.recv[from*blk:(from+1)*blk])
 }

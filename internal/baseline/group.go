@@ -54,98 +54,59 @@ func (g *Group) Sub(members []int) *Group {
 }
 
 // call is one member's collective in progress, from its start to its
-// continuation: which collective, its arguments, and where in its algorithm
-// the member is — a step counter and the loop's index, from which each step
-// recomputes its binomial row. It resumes as itself, and each step ends in the
-// one point-to-point operation, copy charge or combine that the next waits
-// for, passing the call as the continuation; a composite collective starts its
-// parts as calls of their own. Records come from the world group's list and go
-// back as the continuation runs, so a collective allocates nothing of its own.
+// continuation: which collective, its arguments, and the steps taken, from
+// which each step works out where in its algorithm the member is, binomial row
+// included. It resumes as itself, and a step ends in the one point-to-point
+// operation, copy charge or combine that the next waits for, passing the call
+// as the continuation; a composite collective runs its parts as calls of their
+// own. Records come from the world group's list and go back as the
+// continuation runs, so a collective allocates nothing of its own.
 type call struct {
 	bufpool.Link[call]
 	g          *Group
 	t          *sim.Task
 	r          *mpi.Rank
 	k          sim.K
-	kind       kind
-	pc         int // the next step
-	rank, me   int // the member, as a global rank and as a group index
+	alg        func(c *call, s int) bool // the algorithm, step by step
+	s          int                       // the steps taken
+	rank, me   int                       // the member, as a global rank and as a group index
 	send, recv []byte
 	dt         dtype.Type
 	op         dtype.Op
 	root       int // a global rank
-	i          int // the loop's index: children taken, exchange steps, the doubling distance
 	buf        []byte
 	scratch    []byte
 	sreq       *mpi.Request // a scan step's send, in flight
 	flag       [1]byte      // a barrier's receive buffer
 }
 
-type kind uint8
-
-const (
-	kBarrier kind = iota
-	kBcast
-	kReduce
-	kAllreduce
-	kAllreduceRD
-	kGather
-	kScatter
-	kAllgather
-	kAlltoall
-	kReduceScatter
-	kScan
-	kExscan
-)
-
-// start draws the record of rank's collective of the kind on t, resuming k at
-// the end; the caller sets the arguments and runs the first step (Resume).
-func (g *Group) start(t *sim.Task, rank int, kd kind, k sim.K) *call {
+// begin starts rank's collective on t, the algorithm alg over the arguments of
+// its XT method (root a global rank), resuming k at the end.
+func (g *Group) begin(t *sim.Task, rank int, alg func(*call, int) bool, send, recv []byte, dt dtype.Type, op dtype.Op, root int, k sim.K) {
 	c := g.calls.Get()
-	c.g, c.t, c.r, c.k, c.kind, c.rank, c.me = g, t, g.w.Rank(rank), k, kd, rank, g.index(rank)
-	return c
+	c.g, c.t, c.r, c.k, c.alg, c.rank, c.me = g, t, g.w.Rank(rank), k, alg, rank, g.index(rank)
+	c.send, c.recv, c.dt, c.op, c.root = send, recv, dt, op, root
+	c.Resume()
 }
 
-// Resume takes the call's next step.
+// Resume takes the call's next steps, up to the first that ends in an
+// operation the call waits for: step s of the algorithm reports whether it
+// ended in one, or in the call's end; if not, step s+1 follows at once.
 func (c *call) Resume() {
-	switch c.kind {
-	case kBarrier:
-		c.barrier()
-	case kBcast:
-		c.bcast()
-	case kReduce:
-		c.reduce()
-	case kAllreduce:
-		c.allreduce()
-	case kAllreduceRD:
-		c.allreduceRD()
-	case kGather:
-		c.gather()
-	case kScatter:
-		c.scatter()
-	case kAllgather:
-		c.allgather()
-	case kAlltoall:
-		c.alltoall()
-	case kReduceScatter:
-		c.reduceScatter()
-	case kScan, kExscan:
-		c.scan()
+	for {
+		c.s++
+		if c.alg(c, c.s-1) {
+			return
+		}
 	}
 }
 
 // finish ends the call: its record goes back, and its continuation runs.
-func (c *call) finish() {
+func (c *call) finish() bool {
 	k := c.k
 	c.g.calls.Put(c)
 	k.Resume()
-}
-
-// then runs the collective x as the call's next step, after which the call
-// resumes at step pc.
-func (c *call) then(pc int, x *call) {
-	c.pc, x.k = pc, c
-	x.Resume()
+	return true
 }
 
 // Bcast is BcastT from a process body.
@@ -156,80 +117,66 @@ func (g *Group) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
 
 // BarrierT resumes k once every member has entered the barrier.
 func (g *Group) BarrierT(t *sim.Task, rank int, k sim.K) {
-	g.start(t, rank, kBarrier, k).Resume()
+	g.begin(t, rank, (*call).barrier, nil, nil, 0, 0, 0, k)
 }
 
 // BcastT broadcasts buf from the member rank root, then resumes k.
 func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, k sim.K) {
-	c := g.start(t, rank, kBcast, k)
-	c.send, c.root = buf, root
-	c.Resume()
+	g.begin(t, rank, (*call).bcast, buf, nil, 0, 0, root, k)
 }
 
 // ReduceT combines the members' send buffers into recv at the member rank
 // root, then resumes k.
 func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, k sim.K) {
-	c := g.start(t, rank, kReduce, k)
-	c.send, c.recv, c.dt, c.op, c.root = send, recv, dt, op, root
-	c.Resume()
+	g.begin(t, rank, (*call).reduce, send, recv, dt, op, root, k)
 }
 
-// AllreduceT leaves the combined result in every member's recv, then resumes k.
+// AllreduceT leaves the combined result in every member's recv, then resumes
+// k: MPICH's and IBM's above 32 KB by reduce and broadcast, IBM's up to 32 KB
+// by recursive doubling.
 func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
-	c := g.start(t, rank, kAllreduce, k)
-	c.send, c.recv, c.dt, c.op = send, recv, dt, op
-	c.Resume()
+	alg := (*call).allreduce
+	if g.flavor == IBM && len(send) <= rdAllreduceLimit {
+		alg = (*call).allreduceRD
+	}
+	g.begin(t, rank, alg, send, recv, dt, op, 0, k)
 }
 
 // GatherT collects every member's send block into recv at root, then resumes k.
 func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, k sim.K) {
-	c := g.start(t, rank, kGather, k)
-	c.send, c.recv, c.root = send, recv, root
-	c.Resume()
+	g.begin(t, rank, (*call).gather, send, recv, 0, 0, root, k)
 }
 
 // ScatterT distributes root's send block by block into the members' recv, then
 // resumes k.
 func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k sim.K) {
-	c := g.start(t, rank, kScatter, k)
-	c.send, c.recv, c.root = send, recv, root
-	c.Resume()
+	g.begin(t, rank, (*call).scatter, send, recv, 0, 0, root, k)
 }
 
 // AllgatherT concatenates every member's block into every member's recv, then
 // resumes k.
 func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, k sim.K) {
-	c := g.start(t, rank, kAllgather, k)
-	c.send, c.recv = send, recv
-	c.Resume()
+	g.begin(t, rank, (*call).allgather, send, recv, 0, 0, 0, k)
 }
 
 // AlltoallT exchanges blocks between all members, then resumes k.
 func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, k sim.K) {
-	c := g.start(t, rank, kAlltoall, k)
-	c.send, c.recv = send, recv
-	c.Resume()
+	g.begin(t, rank, (*call).alltoall, send, recv, 0, 0, 0, k)
 }
 
 // ReduceScatterT combines the members' send vectors and leaves block i in
 // member i's recv, then resumes k.
 func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
-	c := g.start(t, rank, kReduceScatter, k)
-	c.send, c.recv, c.dt, c.op = send, recv, dt, op
-	c.Resume()
+	g.begin(t, rank, (*call).reduceScatter, send, recv, dt, op, 0, k)
 }
 
 // ScanT leaves the inclusive prefix reduction in recv, then resumes k.
 func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
-	c := g.start(t, rank, kScan, k)
-	c.send, c.recv, c.dt, c.op = send, recv, dt, op
-	c.Resume()
+	g.begin(t, rank, (*call).scan, send, recv, dt, op, 0, k)
 }
 
 // ExscanT leaves the exclusive prefix reduction in recv (the first member's
 // zeroed), then resumes k.
 func (g *Group) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, k sim.K) {
-	c := g.start(t, rank, kExscan, k)
-	c.send, c.recv, c.dt, c.op = send, recv, dt, op
-	c.Resume()
+	g.begin(t, rank, (*call).exscan, send, recv, dt, op, 0, k)
 }

@@ -303,7 +303,7 @@ type Rank struct {
 // from its call to its continuation: where in its protocol it is, and what it
 // needs to take the next step. It comes from the world's list and goes back as
 // the continuation runs. It resumes as itself, each step ending in the sleep or
-// the wait the step before the next one takes, so an operation binds nothing.
+// the wait the next one takes, so an operation binds nothing.
 type op struct {
 	bufpool.Link[op]
 	r    *Rank
@@ -332,8 +332,8 @@ const (
 	sendCharged    opStep = iota // the call overhead has passed
 	sendStaged                   // and the per-byte staging of a deeper stack
 	shmEagerCopied               // the copy into the bounce buffer
-	pipeIn                       // the sender's pipe: wait for a free slot
 	pipeInCopied                 // a chunk's copy into the pipe
+	pipeIn                       // the top of the sender's chunk loop
 	netEagerCopied               // the staging copy into the comm subsystem
 	netEagerSent                 // the send overhead
 	netRTS                       // the RTS's send overhead
@@ -343,17 +343,36 @@ const (
 	recvScanned                  // the scan of the unexpected messages
 	recvPosted                   // the posted receive has matched
 	recvCopied                   // an eager message's copy-out
-	pipeOut                      // the receiver's pipe: wait for a full slot
 	pipeOutCopied                // a chunk's copy-out
+	pipeOut                      // the top of the receiver's chunk loop
 	recvCTS                      // the CTS's send overhead
 	leave                        // the last wait of a rendezvous side
 )
 
-// newOp draws the record of an operation of r on t that resumes k at the end.
-func (r *Rank) newOp(t *sim.Task, step opStep, k sim.K) *op {
+// start draws the record of an operation of r on t that resumes k at the end,
+// and charges the per-call software cost before its first step.
+func (r *Rank) start(t *sim.Task, step opStep, k sim.K) *op {
 	o := r.w.ops.Get()
 	o.r, o.t, o.step, o.k = r, t, step, k
+	r.callOverhead(t, o)
 	return o
+}
+
+// callOverhead charges the per-call software cost, then resumes k.
+func (r *Rank) callOverhead(t *sim.Task, k sim.K) {
+	t.SleepK(r.w.m.Cfg.MPIOverhead+r.w.proto.ExtraOverhead, k)
+}
+
+// sleep and wait end a step: the operation resumes at the next after d of its
+// task's time, or once ev has triggered.
+func (o *op) sleep(next opStep, d sim.Time) {
+	o.step = next
+	o.t.SleepK(d, o)
+}
+
+func (o *op) wait(next opStep, ev *sim.Event) {
+	o.step = next
+	ev.WaitK(o.t, o)
 }
 
 // finish ends the operation: its record goes back, and its continuation runs.
@@ -363,9 +382,10 @@ func (o *op) finish() {
 	k.Resume()
 }
 
-// callOverhead charges the per-call software cost, then resumes k.
-func (r *Rank) callOverhead(t *sim.Task, k sim.K) {
-	t.SleepK(r.w.m.Cfg.MPIOverhead+r.w.proto.ExtraOverhead, k)
+// leave is the operation's last touch of its message, and its end.
+func (o *op) leave() {
+	o.msg.leave()
+	o.finish()
 }
 
 // Send is SendT from a process body.
@@ -382,31 +402,26 @@ func (r *Rank) SendT(t *sim.Task, dst, tag int, data []byte, k sim.K) {
 	if dst < 0 || dst >= len(r.w.ranks) {
 		panic(fmt.Sprintf("mpi: Send to rank %d of %d", dst, len(r.w.ranks)))
 	}
-	o := r.newOp(t, sendCharged, k)
+	o := r.start(t, sendCharged, k)
 	o.to, o.tag, o.data = &r.w.ranks[dst], tag, data
-	r.callOverhead(t, o)
 }
 
 // Resume takes the operation's next step.
 func (o *op) Resume() {
-	r, m := o.r, o.r.w.m
+	r, m, msg := o.r, o.r.w.m, o.msg
 	switch o.step {
 	case sendCharged:
-		o.step = sendStaged
 		if pb := r.w.proto.ExtraPerByte; pb > 0 {
-			o.t.SleepK(sim.Time(len(o.data))*pb, o)
+			o.sleep(sendStaged, sim.Time(len(o.data))*pb)
 			return
 		}
 		o.send()
 	case sendStaged:
 		o.send()
 	case shmEagerCopied:
-		m.Env.AfterK(m.Cfg.FlagLatency, o.msg)
+		m.Env.AfterK(m.Cfg.FlagLatency, msg)
 		o.finish()
-	case pipeIn:
-		o.pipeIn()
 	case pipeInCopied:
-		msg, pp := o.msg, &o.msg.pipe
 		n := min(m.Cfg.ShmPktSize, len(o.data)-o.off)
 		// A fold lands whole elements only: one the chunk boundary splits
 		// lands with the next chunk, read from data, which cannot change
@@ -415,27 +430,32 @@ func (o *op) Resume() {
 		msg.rq.land(o.landed, o.data[o.landed:end])
 		o.landed = end
 		m.Stats.AddCopy(n)
-		pp.slots[o.slot] = n
-		pp.cond.Broadcast()
-		o.off += n
-		o.slot ^= 1
-		o.pipeIn()
+		o.pass(n, n)
+		fallthrough
+	case pipeIn:
+		switch pp := &msg.pipe; {
+		case o.off == len(o.data):
+			o.leave()
+		case pp.slots[o.slot] != 0:
+			o.step = pipeIn
+			pp.cond.WaitOnT(o.t, nil, -1, o)
+		default:
+			o.step = pipeInCopied
+			m.ChargeCopyK(o.t, pp.node, min(m.Cfg.ShmPktSize, len(o.data)-o.off), o)
+		}
 	case netEagerCopied:
 		m.Stats.AddPlainCopy(len(o.data))
-		o.step = netEagerSent
-		o.t.SleepK(m.Cfg.SendOverhead, o)
+		o.sleep(netEagerSent, m.Cfg.SendOverhead)
 	case netEagerSent:
 		_, arrival := m.NetInjectTo(r.node, o.to.node, len(o.data)+headerBytes)
-		m.Env.AtK(arrival, o.msg)
+		m.Env.AtK(arrival, msg)
 		o.finish()
 	case netRTS:
 		_, arrival := m.NetInjectTo(r.node, o.to.node, headerBytes)
-		m.Env.AtK(arrival, o.msg)
-		o.step = netCTS
-		o.msg.cts.WaitK(o.t, o)
+		m.Env.AtK(arrival, msg)
+		o.wait(netCTS, &msg.cts)
 	case netCTS:
-		o.step = netData
-		o.t.SleepK(m.Cfg.SendOverhead, o)
+		o.sleep(netData, m.Cfg.SendOverhead)
 	case netData:
 		// The adapter reads the user buffer during injection and DMAs it
 		// straight into the receive buffer, posted before the CTS. The bytes
@@ -443,39 +463,32 @@ func (o *op) Resume() {
 		// completes (MPI semantics); the receiver is parked on dataDone until
 		// one wire latency later and cannot tell them from bytes that arrived
 		// then.
-		msg := o.msg
 		msg.rq.land(0, o.data)
 		injectEnd, dataArrival := m.NetInjectTo(r.node, o.to.node, msg.size)
 		m.Env.AtK(dataArrival, (*msgLanded)(msg))
 		// The send buffer is reusable once the adapter has read it.
 		if d := injectEnd - m.Env.Now(); d > 0 {
-			o.step = leave
-			o.t.SleepK(d, o)
+			o.sleep(leave, d)
 			return
 		}
 		o.leave()
 	case recvCharged:
-		o.step = recvScanned
-		o.t.SleepK(m.Cfg.TagMatchBase+m.Cfg.TagMatchScan*sim.Time(r.unexpected.n), o)
+		o.sleep(recvScanned, m.Cfg.TagMatchBase+m.Cfg.TagMatchScan*sim.Time(r.unexpected.n))
 	case recvScanned:
-		msg := r.unexpected.take(func(x *message) bool { return matches(o.rq.src, o.rq.tag, x.src, x.tag) })
-		if msg == nil {
-			post := r.w.msgs.Get()
-			post.rq = o.rq
-			post.done.Init(m.Env)
-			r.posted.push(post)
-			o.msg, o.step = post, recvPosted
-			post.done.WaitK(o.t, o)
+		if msg = r.unexpected.take(func(x *message) bool { return matches(o.rq.src, o.rq.tag, x.src, x.tag) }); msg == nil {
+			o.msg = r.w.msgs.Get()
+			o.msg.rq = o.rq
+			o.msg.done.Init(m.Env)
+			r.posted.push(o.msg)
+			o.wait(recvPosted, &o.msg.done)
 			return
 		}
 		o.consume(msg)
 	case recvPosted:
-		post := o.msg
-		msg := post.matched
-		r.w.msgs.Put(post)
-		o.consume(msg)
+		matched := msg.matched
+		r.w.msgs.Put(msg)
+		o.consume(matched)
 	case recvCopied:
-		msg := o.msg
 		msg.rq.land(0, msg.data)
 		if msg.kind == eagerShm {
 			m.Stats.AddCopy(msg.size)
@@ -484,23 +497,27 @@ func (o *op) Resume() {
 		}
 		m.Buffers.Put(msg.data) // bounce buffer or staging copy fully copied out
 		o.leave()
-	case pipeOut:
-		o.pipeOut()
 	case pipeOutCopied:
-		pp := &o.msg.pipe
-		n := pp.slots[o.slot]
+		n := msg.pipe.slots[o.slot]
 		m.Stats.AddCopy(n)
-		pp.slots[o.slot] = 0
-		pp.cond.Broadcast()
-		o.off += n
-		o.slot ^= 1
-		o.pipeOut()
+		o.pass(0, n)
+		fallthrough
+	case pipeOut:
+		// The copy-out is a charge: its bytes are already there.
+		switch pp := &msg.pipe; {
+		case o.off == msg.size:
+			o.leave()
+		case pp.slots[o.slot] == 0:
+			o.step = pipeOut
+			pp.cond.WaitOnT(o.t, nil, -1, o)
+		default:
+			o.step = pipeOutCopied
+			m.ChargeCopyK(o.t, pp.node, pp.slots[o.slot], o)
+		}
 	case recvCTS:
-		msg := o.msg
 		_, arrival := m.NetInjectTo(r.node, r.w.ranks[msg.src].node, headerBytes)
 		m.Env.AtK(arrival, (*msgCTS)(msg))
-		o.step = leave
-		msg.dataDone.WaitK(o.t, o)
+		o.wait(leave, &msg.dataDone)
 	case leave:
 		o.leave()
 	}
@@ -518,13 +535,12 @@ func (o *op) send() {
 		m.MemcpyT(o.t, r.node, o.msg.data, o.data, o) // the copy into the shared bounce buffer
 	case o.to.node == r.node:
 		m.Stats.AddSend(n, false, true)
-		msg := r.newMessage(rndvShm, o.to, o.tag, n)
-		msg.senderGo.Init(m.Env)
-		msg.pipe = shmPipe{node: r.node}
-		msg.pipe.cond.Init(m.Env)
-		m.Env.AfterK(m.Cfg.FlagLatency, msg)
-		o.msg, o.step = msg, pipeIn
-		msg.senderGo.WaitK(o.t, o)
+		o.msg = r.newMessage(rndvShm, o.to, o.tag, n)
+		o.msg.senderGo.Init(m.Env)
+		o.msg.pipe = shmPipe{node: r.node}
+		o.msg.pipe.cond.Init(m.Env)
+		m.Env.AfterK(m.Cfg.FlagLatency, o.msg)
+		o.wait(pipeIn, &o.msg.senderGo)
 	case n <= r.w.proto.EagerLimit(len(r.w.ranks)):
 		m.Stats.AddSend(n, true, false)
 		o.msg = r.newMessage(eagerNet, o.to, o.tag, n)
@@ -534,18 +550,11 @@ func (o *op) send() {
 		m.ChargeCopyK(o.t, r.node, n, o) // the staging copy into the comm subsystem
 	default:
 		m.Stats.AddSend(n, false, false)
-		msg := r.newMessage(rndvNet, o.to, o.tag, n)
-		msg.cts.Init(m.Env)
-		msg.dataDone.Init(m.Env)
-		o.msg, o.step = msg, netRTS
-		o.t.SleepK(m.Cfg.SendOverhead, o)
+		o.msg = r.newMessage(rndvNet, o.to, o.tag, n)
+		o.msg.cts.Init(m.Env)
+		o.msg.dataDone.Init(m.Env)
+		o.sleep(netRTS, m.Cfg.SendOverhead)
 	}
-}
-
-// leave is the operation's last touch of its message, and its end.
-func (o *op) leave() {
-	o.msg.leave()
-	o.finish()
 }
 
 // arrive routes an arriving message or announcement through tag matching.
@@ -604,9 +613,7 @@ func (r *Rank) RecvReduceT(t *sim.Task, src, tag int, buf []byte, f Fold, k sim.
 }
 
 func (r *Rank) recvT(t *sim.Task, rq recvReq, k sim.K) {
-	o := r.newOp(t, recvCharged, k)
-	o.rq = rq
-	r.callOverhead(t, o)
+	r.start(t, recvCharged, k).rq = rq
 }
 
 // consume finishes a matched message on the receiving task.
@@ -630,10 +637,10 @@ func (o *op) consume(msg *message) {
 		m.ChargeCopyK(o.t, r.node, msg.size, o)
 	case rndvShm:
 		msg.senderGo.Trigger()
-		o.pipeOut()
+		o.step = pipeOut
+		o.Resume()
 	case rndvNet:
-		o.step = recvCTS
-		o.t.SleepK(m.Cfg.SendOverhead, o) // CTS
+		o.sleep(recvCTS, m.Cfg.SendOverhead) // CTS
 	}
 }
 
@@ -653,35 +660,14 @@ type shmPipe struct {
 	cond  sim.Cond
 }
 
-// pipeIn is the top of the sender's chunk loop.
-func (o *op) pipeIn() {
-	m, pp := o.r.w.m, &o.msg.pipe
-	switch {
-	case o.off == len(o.data):
-		o.leave()
-	case pp.slots[o.slot] != 0:
-		o.step = pipeIn
-		pp.cond.WaitOnT(o.t, nil, -1, o)
-	default:
-		o.step = pipeInCopied
-		m.ChargeCopyK(o.t, pp.node, min(m.Cfg.ShmPktSize, len(o.data)-o.off), o)
-	}
-}
-
-// pipeOut is the top of the receiver's chunk loop. The copy-out is a charge:
-// its bytes are already there.
-func (o *op) pipeOut() {
-	m, pp := o.r.w.m, &o.msg.pipe
-	switch {
-	case o.off == o.msg.size:
-		o.leave()
-	case pp.slots[o.slot] == 0:
-		o.step = pipeOut
-		pp.cond.WaitOnT(o.t, nil, -1, o)
-	default:
-		o.step = pipeOutCopied
-		m.ChargeCopyK(o.t, pp.node, pp.slots[o.slot], o)
-	}
+// pass hands the side's slot in turn to the other side, filled to fill, and
+// counts the n bytes the chunk moved.
+func (o *op) pass(fill, n int) {
+	pp := &o.msg.pipe
+	pp.slots[o.slot] = fill
+	pp.cond.Broadcast()
+	o.off += n
+	o.slot ^= 1
 }
 
 // SendrecvT performs a simultaneous send and receive, as needed by pairwise

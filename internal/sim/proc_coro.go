@@ -109,7 +109,7 @@ func (co *coro) run() {
 	}()
 	b := p.body
 	p.body = nil
-	b.Run(p)
+	b(p)
 }
 
 // startBody is the first step of a process's task: the body starts on a

@@ -383,7 +383,7 @@ func TestSpawnHelperRecyclesProcs(t *testing.T) {
 	e := NewEnv()
 	ps := make([]*Proc, procs)
 	for i := range ps {
-		ps[i] = e.SpawnBody("p", i, bodyFunc(func(p *Proc) { p.Sleep(1) }))
+		ps[i] = e.SpawnIndexed("p", i, func(p *Proc) { p.Sleep(1) })
 	}
 	e.Spawn("driver", func(p *Proc) {
 		p.Sleep(2)

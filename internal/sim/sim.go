@@ -211,21 +211,11 @@ type waitable interface {
 // or a panicking step runs it before the failure is raised in the body.
 type Proc struct {
 	Task
-	own  TaskSide // the task's side record: a process arms its unwind stack from the start
-	body Body     // what the process runs, until the first step starts it
-	co   *coro    // the coroutine the body runs on, from start to finish
-	uw   [2]K     // where the unwind stack starts: a collective's executor and the wait it is in need two
+	own  TaskSide    // the task's side record: a process arms its unwind stack from the start
+	body func(*Proc) // what the process runs, until the first step starts it
+	co   *coro       // the coroutine the body runs on, from start to finish
+	uw   [2]K        // where the unwind stack starts: a collective's executor and the wait it is in need two
 }
-
-// Body is what a process runs. A record that runs as a process passes itself
-// (its pointer has the Run method), where a closure over the record would be a
-// heap object of its own.
-type Body interface{ Run(p *Proc) }
-
-// bodyFunc is a Body that calls a closure.
-type bodyFunc func(*Proc)
-
-func (f bodyFunc) Run(p *Proc) { f(p) }
 
 // Spawn creates a process that will start running fn at the current virtual
 // time (after already-scheduled events at this timestamp).
@@ -233,23 +223,16 @@ func (f bodyFunc) Run(p *Proc) { f(p) }
 // A panic inside fn does not kill the host program: it is recovered,
 // recorded as a ProcFailure (see Env.Failures), and the process counts as
 // finished. Run surfaces recorded failures as a *CrashError.
-func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
-	return e.SpawnBody(name, -1, bodyFunc(fn))
-}
+func (e *Env) Spawn(name string, fn func(*Proc)) *Proc { return e.SpawnIndexed(name, -1, fn) }
 
-// SpawnIndexed is Spawn with the name prefix+itoa(num), formatted lazily:
-// per-operation helper processes (rank bodies, isend/irecv helpers) are
-// spawned on hot paths where the name is read only by failure reports.
+// SpawnIndexed is Spawn with the name prefix+itoa(num), formatted lazily
+// (num < 0: prefix alone names the process): rank bodies are spawned by the
+// thousand, and the name is read only by failure reports. The process is
+// carved from a slab of the environment's, as a task is, and its record lasts
+// as long as the environment.
 func (e *Env) SpawnIndexed(prefix string, num int, fn func(*Proc)) *Proc {
-	return e.SpawnBody(prefix, num, bodyFunc(fn))
-}
-
-// SpawnBody is SpawnIndexed with the body as a value (num < 0: prefix alone
-// names the process). The process is carved from a slab of the environment's,
-// as a task is, and its record lasts as long as the environment.
-func (e *Env) SpawnBody(prefix string, num int, b Body) *Proc {
 	p := e.procMem.New()
-	p.body = b
+	p.body = fn
 	p.own = TaskSide{proc: p, unwindArmed: true, unwinds: p.uw[:0]}
 	p.Task = Task{env: e, prefix: prefix, num: int32(num), track: -1, k: startFunc(startBody), side: &p.own}
 	e.admit(&p.Task)
