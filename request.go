@@ -32,9 +32,8 @@ package srmcoll
 // tail and the spans in issue; completion, the double-Wait diagnosis and Test's
 // yield in wait, test and consume. The methods of Comm and Request below pass a
 // continuation with nothing to do and return what the record holds; TComm's
-// and TRequest's (trequest.go) pass the caller's. A helper has a stack only
-// when the implementation is blocking only: an SRM helper is a plain task
-// under either form of body.
+// and TRequest's (trequest.go) pass the caller's. A helper is a plain task
+// under every implementation and either form of body.
 
 import (
 	"fmt"

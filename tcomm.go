@@ -11,16 +11,14 @@ package srmcoll
 // every continuation has run by the time the call returns. Comm and TComm are
 // two sets of methods over one record (handle), Request and TRequest likewise.
 //
-// Three things have two forms, all about having a stack or not. An actor gets
-// one only where something must block on it: a Run body, and the request
-// helper of an implementation that is blocking only (the MPI baselines). The
-// rank of a RunT run and every SRM request helper are plain tasks.
+// Two things have two forms, both about having a stack or not. An actor gets
+// one only where user code runs on it: a Run body. The rank of a RunT run and
+// every request helper are plain tasks. Dispatching has one form under every
+// implementation: collArgs.start starts the group's XT(t, …, k), and an actor
+// with a stack passes p.Resume() as k and parks (frame.block).
 //
 //   - Suspending: actor.wait, sleep and yield hand the continuation to the
 //     task's primitive, or block on the stack and then call it.
-//   - Dispatching: collArgs.start starts SRM's XT(t, …, k); an actor with a
-//     stack passes p.Resume() as k and parks (frame.block). A baseline has
-//     the blocking form only, which collArgs.invoke calls.
 //   - Catching a failure declaration around the dispatch: by recover out of
 //     Park, or by the task's interrupt handler (ft_task.go).
 
@@ -417,8 +415,9 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 // simulation, each rank a plain task stepped by the event loop: no goroutine
 // or stack per rank, so million-rank runs fit in ordinary host memory. The body
 // must call done exactly once, after its last operation completed; done marks
-// the rank finished (the CPS analogue of returning from a Run body). Errors
-// are Run's, for every implementation.
+// the rank finished (the CPS analogue of returning from a Run body). It runs
+// every implementation, and its errors are Run's: a baseline with fault
+// tolerance on is refused, as Run refuses it.
 func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, error) {
 	return cl.simulate(impl, func(sm *simulation) { sm.spawnTasks(body) })
 }
