@@ -170,9 +170,20 @@ type ftState struct {
 	repairs    []RepairRecord
 	unexpected []sim.ProcFailure // failures that are not plan crashes or their fallout
 	due        []*ftGather       // declare's rendezvous to complete, kept for the next
+	declares   []ftDeclare       // the declarations crashes scheduled, room for each of the plan's from the start
 }
 
-func newFTState(env *sim.Env, markDead func(int), n int, rs *runState) *ftState {
+// ftDeclare is the declaration of a crashed rank as the queue item onFailure
+// schedules.
+type ftDeclare struct {
+	ft     *ftState
+	rank   int
+	diedAt float64
+}
+
+func (d *ftDeclare) Resume() { d.ft.declare(d.rank, d.diedAt) }
+
+func newFTState(env *sim.Env, markDead func(int), n, crashes int, rs *runState) *ftState {
 	return &ftState{
 		env:      env,
 		rs:       rs,
@@ -180,6 +191,7 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState) *ftState 
 		failed:   make([]bool, n),
 		crashed:  make([]bool, n),
 		inflight: make([]ftReg, 0, n),
+		declares: make([]ftDeclare, 0, crashes),
 	}
 }
 
@@ -189,7 +201,7 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState) *ftState 
 // runs before control returns to the scheduler, so it may schedule events but
 // must not park.
 func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
-	if _, isCrash := f.Cause.(sim.Crashed); isCrash {
+	if f.Killed() {
 		switch r, helper := ft.rs.rankOf(t); {
 		case helper && ft.crashed[r]:
 			return // a helper killed below: fallout, not a new failure
@@ -206,7 +218,10 @@ func (ft *ftState) onFailure(t *sim.Task, f sim.ProcFailure) {
 					}
 				}
 			}
-			ft.env.At(declareTime(f.Time), func() { ft.declare(r, float64(f.Time)) })
+			// A rank crashes once, so the plan's crashes left room for this
+			// one: the record scheduled is never moved.
+			ft.declares = append(ft.declares, ftDeclare{ft: ft, rank: r, diedAt: float64(f.Time)})
+			ft.env.AtK(declareTime(f.Time), &ft.declares[len(ft.declares)-1])
 			return
 		}
 	}
@@ -356,7 +371,7 @@ func (ft *ftState) checkGather(g *ftGather) {
 // failedError is the error of an operation on a communicator with members
 // declared failed.
 func (h handle) failedError(opName string) *RankFailedError {
-	return &RankFailedError{Op: opName, Rank: h.rank, Failed: h.rs.ft.told(h.rec).failed}
+	return &RankFailedError{Op: opName, Rank: h.rank(), Failed: h.rs().ft.told(h.rec).failed}
 }
 
 // Members returns the communicator's global ranks in member order. The slice
@@ -367,10 +382,10 @@ func (c *Comm) Members() []int { return c.rec.members }
 // FailedRanks returns the communicator members declared failed so far, in
 // member order: a copy, the caller's own. Empty without fault tolerance.
 func (c *Comm) FailedRanks() []int {
-	if c.rs.ft == nil {
+	if c.rs().ft == nil {
 		return nil
 	}
-	return slices.Clone(c.rs.ft.told(c.rec).failed)
+	return slices.Clone(c.rs().ft.told(c.rec).failed)
 }
 
 // syncFrame is a rank's Agree or Shrink from the call to its continuation, and
@@ -396,17 +411,17 @@ type syncFrame struct {
 // rank's syncFrame says which.
 func (h handle) ftSync(class trace.Class, flag uint64, k func()) {
 	if h.sync == nil {
-		h.sync = h.rs.syncs.New()
+		h.sync = h.rs().syncs.New()
 	}
 	s := h.sync
 	*s = syncFrame{h: h, class: class, flag: flag, k: k}
-	switch ft := h.rs.ft; {
+	switch ft := h.rs().ft; {
 	case ft == nil:
 		s.err = errors.New("srmcoll: " + class.String() + " requires fault tolerance (Cluster.SetFaultTolerance)")
-	case ft.failed[h.rank]:
+	case ft.failed[h.rank()]:
 		// A declared rank that is somehow still running (cannot happen
 		// for real crashes) must not join the survivors' rendezvous.
-		s.err = &RankFailedError{Op: class.String(), Rank: h.rank, Failed: []int{h.rank}}
+		s.err = &RankFailedError{Op: class.String(), Rank: h.rank(), Failed: []int{h.rank()}}
 	}
 	if s.err != nil {
 		k()
@@ -426,13 +441,13 @@ func (s *syncFrame) Resume() {
 	h := s.h
 	switch s.stage++; s.stage {
 	case 1: // no request outstanding: enter, and wait for the other survivors
-		s.g = h.rec.enter(h.rs.ft, h.rank, s.class.String(), s.flag)
-		s.span = h.rs.tr.Begin(h.call.t.Track(), s.class, s.class.String(), 0)
+		s.g = h.rec.enter(h.rs().ft, h.rank(), s.class.String(), s.flag)
+		s.span = h.rs().tr.Begin(h.call.t.Track(), s.class, s.class.String(), 0)
 		h.call.wait(&s.g.ev, s)
 	case 2: // all in or declared failed: the agreement protocol's cost
 		h.call.sleep(h.ftSyncCost(), s)
 	case 3:
-		h.rs.tr.End(s.span)
+		h.rs().tr.End(s.span)
 		s.k()
 	}
 }
@@ -445,7 +460,7 @@ func (h handle) ftSyncCost() float64 {
 		return 0
 	}
 	rounds := int(math.Ceil(math.Log2(float64(n))))
-	cfg := &h.rs.m.Cfg
+	cfg := &h.rs().m.Cfg
 	return 2 * float64(rounds) * float64(cfg.SendOverhead+cfg.NetLatency+cfg.RecvOverhead)
 }
 

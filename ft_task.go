@@ -24,7 +24,7 @@ func (f *frame) block() (err error) {
 			}
 		}()
 	}
-	f.start(f.h.rec.coll, f.t, f.h.rank, f.p().Resume())
+	f.start(f.h.rec.coll, f.t, f.h.rank(), f.p().Resume())
 	f.p().Park()
 	return nil
 }

@@ -70,6 +70,21 @@ func (e *ReentryError) Error() string {
 		e.Rank, e.Op, e.Running)
 }
 
+// DoneError is a RunT body's misuse of done, which finishes the rank whose
+// step calls it: a second call for one rank, or a call while no rank's step
+// runs (after the run, say), which names no rank.
+type DoneError struct {
+	Rank  int  // the rank the call resolved to, -1 when none
+	Twice bool // the rank had called done already
+}
+
+func (e *DoneError) Error() string {
+	if e.Twice {
+		return fmt.Sprintf("srmcoll.RunT: rank %d: done called twice; a body calls it once, after its last operation completed", e.Rank)
+	}
+	return "srmcoll.RunT: done called off every rank's task; a body calls it from a step of its rank (a continuation of its own operation or request)"
+}
+
 // WindowError describes a put whose target window was written while the put
 // was in flight: between its issue and its landing something stored into the
 // bytes it was to land in — a protocol that reused a slot its consumer had not

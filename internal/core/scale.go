@@ -188,6 +188,7 @@ func (s *SRM) ScaleAllreduce(reps int, send, recv []byte, fin []sim.Time) {
 		r.st, r.t, r.pc, r.k = st, t, scRep, 1
 		r.Resume()
 	}
+	s.m.Env.ReserveTasks(P)
 	for rank := range P {
 		s.m.Env.SpawnTask("rank", rank, body)
 	}

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"srmcoll/internal/bufpool"
 	"srmcoll/internal/fault"
@@ -381,6 +382,7 @@ func ParseTopo(spec string) (Config, error) {
 // Node is the mutable per-node simulation state.
 type Node struct {
 	ID           int
+	m            *Machine // the machine the node is part of: a copy frame finds it here
 	activeCopies int      // copies in flight through this node's memory bus
 	nicFreeAt    sim.Time // when the adapter's injection port frees up
 	noYieldSpin  int      // tasks spinning without yielding (starves LAPI threads)
@@ -434,7 +436,7 @@ func New(env *sim.Env, cfg Config) *Machine {
 	env.Host = m
 	m.nodes = make([]Node, cfg.Nodes)
 	for i := range m.nodes {
-		m.nodes[i].ID = i
+		m.nodes[i].ID, m.nodes[i].m = i, m
 	}
 	if cfg.Hierarchical() {
 		m.tierSpans = cfg.TierSpans()
@@ -515,24 +517,27 @@ func (m *Machine) Memcpy(p *sim.Proc, node int, dst, src []byte) {
 
 // copyFrame is the frame of a charged copy, live across the copy sleep only:
 // a task sleeps on exactly one thing at a time. The sleep resumes the frame.
+// Every worker of a lock-step contribute is mid-copy at once, so the frame is
+// narrow: its node finds the machine, and the two buffers, of one length, are
+// held as their first bytes.
 type copyFrame struct {
-	m        *Machine
 	nd       *Node
-	id       int // open trace span
-	dst, src []byte
+	dst, src *byte // the buffers of a move, n bytes each
 	n        int
-	move     bool // Memcpy semantics: land the bytes and count the copy
+	id       int32 // open trace span
+	move     bool  // Memcpy semantics: land the bytes and count the copy
 	k        sim.K
 	bufpool.Link[copyFrame]
 }
 
 func (fr *copyFrame) Resume() {
-	m, nd, id, dst, src, n, move, k := fr.m, fr.nd, fr.id, fr.dst, fr.src, fr.n, fr.move, fr.k
+	nd, dst, src, id, n, move, k := fr.nd, fr.dst, fr.src, fr.id, fr.n, fr.move, fr.k
+	m := nd.m
 	m.copies.Put(fr)
 	nd.activeCopies--
-	m.Env.Trace.End(id)
+	m.Env.Trace.End(int(id))
 	if move {
-		copy(dst, src)
+		copy(unsafe.Slice(dst, n), unsafe.Slice(src, n))
 		m.Stats.AddCopy(n)
 	}
 	k.Resume()
@@ -571,7 +576,7 @@ func (m *Machine) chargeCopyT(t *sim.Task, node int, dst, src []byte, n int, mov
 	id := m.Env.Trace.Begin(t.Track(), trace.ClassShmCopy, "shm:copy", int64(n))
 	nd.activeCopies++
 	fr := m.copies.Get()
-	fr.m, fr.nd, fr.id, fr.dst, fr.src, fr.n, fr.move, fr.k = m, nd, id, dst, src, n, move, k
+	fr.nd, fr.id, fr.dst, fr.src, fr.n, fr.move, fr.k = nd, int32(id), unsafe.SliceData(dst), unsafe.SliceData(src), n, move, k
 	t.SleepK(d, fr)
 }
 
@@ -654,15 +659,16 @@ func (m *Machine) SpinExit(node int) {
 // spinWait is the frame of a task spinning on a word (SpinT), and the wait
 // itself (sim.WaitFrame), live from park to resume: a task parks on at most one
 // thing at a time, and the simulator drops stale waiters on interrupt or death.
-// As a spinUnwind it is the wait's compensation on the unwind stack.
+// As a spinUnwind it is the wait's compensation on the unwind stack. Like a
+// flag it holds no machine of its own (its task's environment has it, as
+// sim.Env.Host), and its value and node are int32s.
 type spinWait struct {
-	m    *Machine
-	node int
 	word *int32
 	t    *sim.Task
-	v    int
-	eq   bool // wait for == v rather than >= v
-	id   int  // open trace span
+	v    int32
+	node int32
+	id   int32 // open trace span
+	eq   bool  // wait for == v rather than >= v
 	k    sim.K
 	bufpool.Link[spinWait]
 }
@@ -673,9 +679,9 @@ func (u *spinUnwind) Resume() { (*spinWait)(u).unwind() }
 
 func (fr *spinWait) Ready() bool {
 	if fr.eq {
-		return int(*fr.word) == fr.v
+		return *fr.word == fr.v
 	}
-	return int(*fr.word) >= fr.v
+	return *fr.word >= fr.v
 }
 
 func (fr *spinWait) Resume() {
@@ -689,7 +695,7 @@ func (fr *spinWait) Resume() {
 // interrupt abandons the wait, since a phantom spinner would inflate the node's
 // starvation penalty for good. The waiter entry is already dropped by then.
 func (fr *spinWait) unwind() {
-	m, node, id := fr.m, fr.node, fr.id
+	m, node, id := fr.t.Env().Host.(*Machine), int(fr.node), int(fr.id)
 	m.spins.Put(fr)
 	m.SpinExit(node)
 	m.Env.Trace.End(id)
@@ -697,11 +703,12 @@ func (fr *spinWait) unwind() {
 
 // SpinT spins t on c until *word is at least v (equal to it, with eq), then
 // runs k: the wait of a shm flag, which obj and v describe in stall reports.
-// Meanwhile t counts as a spinner on node (SpinEnter).
+// Meanwhile t counts as a spinner on node (SpinEnter). A value past the word's
+// int32 is refused by the park (sim.Cond.WaitFrameT), before the frame is read.
 func (m *Machine) SpinT(t *sim.Task, node int, c *sim.Cond, obj sim.WaitDescriber, word *int32, v int, eq bool, k sim.K) {
 	fr := m.spins.Get()
-	fr.m, fr.node, fr.word, fr.t, fr.v, fr.eq, fr.k = m, node, word, t, v, eq, k
-	fr.id = m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0)
+	fr.node, fr.word, fr.t, fr.v, fr.eq, fr.k = int32(node), word, t, int32(v), eq, k
+	fr.id = int32(m.Env.Trace.Begin(t.Track(), trace.ClassWaitFlag, "wait:flag", 0))
 	m.SpinEnter(node)
 	t.PushUnwind((*spinUnwind)(fr))
 	c.WaitFrameT(t, obj, v, fr)

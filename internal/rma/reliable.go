@@ -71,14 +71,19 @@ type channel struct {
 // channel returns the record of the channel from ep to peer. A rank puts to
 // the few ranks its trees and exchanges pair it with, so the list is short.
 func (ep *Endpoint) channel(peer int) *channel {
-	for c := ep.chans; c != nil; c = c.link {
+	d := ep.dom
+	if d.chans == nil {
+		d.chans = make([]*channel, len(d.eps))
+	}
+	head := &d.chans[ep.rank]
+	for c := *head; c != nil; c = c.link {
 		if c.peer == peer {
 			return c
 		}
 	}
-	c := ep.dom.chanMem.New()
-	c.peer, c.link = peer, ep.chans
-	ep.chans = c
+	c := d.chanMem.New()
+	c.peer, c.link = peer, *head
+	*head = c
 	return c
 }
 
@@ -206,7 +211,7 @@ func (fr *delivery) send() {
 	m := d.m
 	tr := m.Env.Trace
 	src, target := fr.src, fr.target
-	injectEnd, arrival := m.NetInjectTo(src.Node, target.Node, fr.n)
+	injectEnd, arrival := m.NetInjectTo(src.Node(), target.Node(), fr.n)
 	if tr != nil {
 		tr.Add(fr.g, fr.par, trace.ClassPutInject, "put:inject", int64(fr.n), m.Env.Now(), injectEnd)
 	}
@@ -217,7 +222,7 @@ func (fr *delivery) send() {
 	}
 	var v fault.Verdict
 	if m.Faults != nil {
-		v = m.Faults.Put(src.Rank, target.Rank)
+		v = m.Faults.Put(src.Rank(), target.Rank())
 	}
 	d.tally.Sent++
 	if v.Drop {
@@ -236,7 +241,7 @@ func (fr *delivery) send() {
 		if v.Dup {
 			// The duplicate takes one extra wire latency. Without reliable
 			// delivery it lands in full: no dedup, so counters double-fire.
-			wireLat := m.Cfg.NetLatencyOf(src.Node, target.Node)
+			wireLat := m.Cfg.NetLatencyOf(src.Node(), target.Node())
 			if tr != nil {
 				tr.Add(fr.g, fr.par, trace.ClassPutWire, "put:dup", int64(fr.n), injectEnd, arrival+v.Delay+wireLat)
 			}
@@ -259,7 +264,7 @@ func (fr *delivery) send() {
 	// retransmit reserves the adapter for the full serialization time
 	// the storm compounds until the run live-locks.
 	floor := (arrival - m.Env.Now()) + m.Cfg.InterruptCost + m.Cfg.RecvOverhead +
-		m.Cfg.StarvePenalty + m.Cfg.NetLatencyOf(target.Node, src.Node) + m.Cfg.NetPktOverhead
+		m.Cfg.StarvePenalty + m.Cfg.NetLatencyOf(target.Node(), src.Node()) + m.Cfg.NetPktOverhead
 	timeout := d.ackTimeout
 	for i := 0; i < fr.try && timeout < d.backoffCap; i++ {
 		timeout *= 2
@@ -308,9 +313,9 @@ func (fr *delivery) arrive() {
 		d.tally.Unresolved--
 	}
 	src, target := fr.src, fr.target
-	_, ackArrival := m.NetInjectTo(target.Node, src.Node, 0)
+	_, ackArrival := m.NetInjectTo(target.Node(), src.Node(), 0)
 	tr := m.Env.Trace
-	if m.Faults != nil && m.Faults.AckDrop(target.Rank, src.Rank) {
+	if m.Faults != nil && m.Faults.AckDrop(target.Rank(), src.Rank()) {
 		if tr != nil {
 			tr.Add(fr.g, fr.par, trace.ClassPutAck, "put:ack:drop", 0, m.Env.Now(), ackArrival)
 		}
@@ -347,7 +352,7 @@ func (fr *delivery) land() {
 		fr.tgt.Incr(1)
 	}
 	if fr.ch == nil && fr.compl != nil {
-		ackLat := m.Cfg.NetLatencyOf(fr.target.Node, fr.src.Node)
+		ackLat := m.Cfg.NetLatencyOf(fr.target.Node(), fr.src.Node())
 		if tr := m.Env.Trace; tr != nil {
 			tr.Add(fr.g, fr.par, trace.ClassPutAck, "put:ack", 0, m.Env.Now(), m.Env.Now()+ackLat)
 		}
@@ -363,7 +368,7 @@ func (fr *delivery) land() {
 func (fr *delivery) checkWindow() {
 	for i, b := range fr.dst {
 		if b != windowPoison {
-			panic(&check.WindowError{Origin: fr.src.Rank, Target: fr.target.Rank, Bytes: fr.n, First: i,
+			panic(&check.WindowError{Origin: fr.src.Rank(), Target: fr.target.Rank(), Bytes: fr.n, First: i,
 				Issued: float64(fr.issued), Landed: float64(fr.src.dom.m.Env.Now())})
 		}
 	}

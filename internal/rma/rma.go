@@ -77,10 +77,12 @@ func (c *Counter) DescribeWait(want int) string {
 }
 
 // Endpoint is one task's attachment to the RMA layer.
+// There is one per rank, all of them for the whole run, so it is 40 bytes:
+// rank and node are int32s, and the channels of reliable delivery are the
+// domain's (Domain.chans).
 type Endpoint struct {
 	dom        *Domain
-	Rank       int
-	Node       int
+	rank, node int32
 	inCall     bool
 	interrupts bool
 	dead       bool // task declared failed; deliveries are dropped
@@ -88,9 +90,13 @@ type Endpoint struct {
 	// The deferred deliveries awaiting a progress opportunity, first to last,
 	// in records of the domain's (Domain.defers).
 	pending, last *pendingNode
-
-	chans *channel // reliable delivery: the channels this rank has put on (reliable.go)
 }
+
+// Rank returns the endpoint's global rank.
+func (ep *Endpoint) Rank() int { return int(ep.rank) }
+
+// Node returns the node of the endpoint's rank.
+func (ep *Endpoint) Node() int { return int(ep.node) }
 
 // deferred is one delivery parked at an endpoint whose interrupts are off: what
 // lands it, and the put frame that is waiting for that (nil for a message that
@@ -127,6 +133,7 @@ type Domain struct {
 	ackTimeout sim.Time
 	backoffCap sim.Time
 	chanMem    bufpool.Chunks[channel]
+	chans      []*channel // by rank: the channels the rank has put on, nil before the first reliable put
 
 	wire   wireMode // how remote puts move their payload, fixed at the first
 	mortal bool     // AllowDeaths: ranks may be marked dead
@@ -190,7 +197,7 @@ func (d *Domain) decide() {
 func NewDomain(m *machine.Machine) *Domain {
 	d := &Domain{m: m, eps: make([]Endpoint, m.P())}
 	for r := range d.eps {
-		d.eps[r] = Endpoint{dom: d, Rank: r, Node: m.NodeOf(r), interrupts: true}
+		d.eps[r] = Endpoint{dom: d, rank: int32(r), node: int32(m.NodeOf(r)), interrupts: true}
 	}
 	return d
 }
@@ -204,7 +211,7 @@ func (d *Domain) Endpoint(rank int) *Endpoint { return &d.eps[rank] }
 // ledger keeps what it read of the frames; the domain must not be put on again.
 func (d *Domain) Release() {
 	d.tally = d.Tally()
-	d.eps = nil
+	d.eps, d.chans = nil, nil
 	d.deliveries.Release()
 	d.puts.Release()
 	d.waits.Release()
@@ -259,7 +266,7 @@ func (ep *Endpoint) SetInterrupts(on bool) {
 		m := ep.dom.m
 		for ep.pending != nil {
 			m.Stats.Interrupts++
-			m.Env.AfterK(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node), ep.pop().fn)
+			m.Env.AfterK(m.Cfg.InterruptCost+m.SpinPenalty(ep.Node()), ep.pop().fn)
 		}
 	}
 }
@@ -322,14 +329,14 @@ func (ep *Endpoint) deliver(fr *delivery, fn sim.K) bool {
 		// Even with the dispatcher polling, the service threads need CPU
 		// cycles that non-yielding spin loops elsewhere on the node hold
 		// (§2.4) — hence the starvation penalty here as well.
-		d := m.Cfg.RecvOverhead + m.SpinPenalty(ep.Node) + m.StormPenalty(ep.Node)
+		d := m.Cfg.RecvOverhead + m.SpinPenalty(ep.Node()) + m.StormPenalty(ep.Node())
 		if tr != nil && g >= 0 {
 			tr.Add(g, par, trace.ClassPutDeliver, "put:deliver:poll", 0, m.Env.Now(), m.Env.Now()+d)
 		}
 		m.Env.AfterK(d, fn)
 	case ep.interrupts:
 		m.Stats.Interrupts++
-		d := m.Cfg.InterruptCost + m.SpinPenalty(ep.Node) + m.StormPenalty(ep.Node)
+		d := m.Cfg.InterruptCost + m.SpinPenalty(ep.Node()) + m.StormPenalty(ep.Node())
 		if tr != nil && g >= 0 {
 			tr.Add(g, par, trace.ClassPutDeliver, "put:deliver:interrupt", 0, m.Env.Now(), m.Env.Now()+d)
 		}
@@ -394,7 +401,7 @@ func (ep *Endpoint) putRemote(target *Endpoint, par int, dst, src []byte, origin
 	fr.dst, fr.origin, fr.tgt, fr.compl = dst, origin, tgt, compl
 	fr.g, fr.par = m.Env.Trace.NewGroup(), par
 	if d.reliable {
-		fr.ch = ep.channel(target.Rank)
+		fr.ch = ep.channel(target.Rank())
 		fr.seq = fr.ch.next
 		fr.ch.next++
 	}
@@ -603,8 +610,8 @@ func (c *putCopied) Resume() { (*putFrame)(c).copyDone() }
 func (fr *putFrame) Resume() {
 	ep, target, t := fr.ep, fr.target, fr.t
 	m := ep.dom.m
-	if target.Node == ep.Node {
-		m.MemcpyT(t, ep.Node, fr.dst, fr.src, (*putCopied)(fr))
+	if target.Node() == ep.Node() {
+		m.MemcpyT(t, ep.Node(), fr.dst, fr.src, (*putCopied)(fr))
 		return
 	}
 	par := -1
@@ -677,14 +684,14 @@ func (ep *Endpoint) AMT(t *sim.Task, target *Endpoint, payload []byte, handler f
 	m := ep.dom.m
 	m.Stats.ActiveMsgs++
 	t.SleepThen(m.Cfg.SendOverhead, func() {
-		if target.Node == ep.Node {
+		if target.Node() == ep.Node() {
 			t.SleepThen(m.Cfg.AMHandlerCost, func() {
 				handler(payload)
 				k.Resume()
 			})
 			return
 		}
-		_, arrival := m.NetInjectTo(ep.Node, target.Node, len(payload))
+		_, arrival := m.NetInjectTo(ep.Node(), target.Node(), len(payload))
 		m.Env.At(arrival, func() {
 			target.deliver(nil, sim.Func(func() {
 				m.Env.After(m.Cfg.AMHandlerCost, func() { handler(payload) })
@@ -706,18 +713,18 @@ func (ep *Endpoint) Get(p *sim.Proc, target *Endpoint, dst, src []byte, compl *C
 	m.Stats.AddGet(len(src))
 	p.Sleep(m.Cfg.SendOverhead)
 
-	if target.Node == ep.Node {
-		m.Memcpy(p, ep.Node, dst, src)
+	if target.Node() == ep.Node() {
+		m.Memcpy(p, ep.Node(), dst, src)
 		if compl != nil {
 			compl.Incr(1)
 		}
 		return
 	}
 
-	_, reqArrival := m.NetInjectTo(ep.Node, target.Node, 0)
+	_, reqArrival := m.NetInjectTo(ep.Node(), target.Node(), 0)
 	m.Env.At(reqArrival, func() {
 		target.deliver(nil, sim.Func(func() {
-			_, replyArrival := m.NetInjectTo(target.Node, ep.Node, len(src))
+			_, replyArrival := m.NetInjectTo(target.Node(), ep.Node(), len(src))
 			m.Env.At(replyArrival, func() {
 				copy(dst, src)
 				if compl != nil {
@@ -779,17 +786,17 @@ func (ep *Endpoint) Rmw(p *sim.Proc, w *Word, op RmwOp, operand, cmp int64) int6
 		}
 	}
 	p.Sleep(m.Cfg.SendOverhead)
-	if w.Owner.Node == ep.Node {
+	if w.Owner.Node() == ep.Node() {
 		// Loopback: the update is a local atomic.
 		apply()
 		return prev
 	}
 	done := ep.dom.NewCounter(0)
-	_, reqArrival := m.NetInjectTo(ep.Node, w.Owner.Node, headerWord)
+	_, reqArrival := m.NetInjectTo(ep.Node(), w.Owner.Node(), headerWord)
 	m.Env.At(reqArrival, func() {
 		w.Owner.deliver(nil, sim.Func(func() {
 			apply()
-			_, replyArrival := m.NetInjectTo(w.Owner.Node, ep.Node, headerWord)
+			_, replyArrival := m.NetInjectTo(w.Owner.Node(), ep.Node(), headerWord)
 			m.Env.At(replyArrival, func() { done.Incr(1) })
 		}))
 	})

@@ -499,8 +499,8 @@ func TestDomainEndpoints(t *testing.T) {
 	}
 	for r := 0; r < 6; r++ {
 		ep := d.Endpoint(r)
-		if ep.Rank != r || ep.Node != r/3 {
-			t.Fatalf("endpoint %d: rank=%d node=%d", r, ep.Rank, ep.Node)
+		if ep.Rank() != r || ep.Node() != r/3 {
+			t.Fatalf("endpoint %d: rank=%d node=%d", r, ep.Rank(), ep.Node())
 		}
 		if !ep.interrupts {
 			t.Fatalf("endpoint %d: interrupts should start enabled", r)

@@ -39,11 +39,18 @@ func TestItemFreeListRecycles(t *testing.T) {
 	}
 	// Every executed item must come back to the free list once the queue
 	// drains; alternation means at most a couple are in flight at once.
-	if len(e.free) == 0 {
+	n := 0
+	for it := e.free; it != nil; it = it.next {
+		if it.k != nil {
+			t.Fatal("an item on the free list still holds its continuation")
+		}
+		n++
+	}
+	if n == 0 {
 		t.Fatal("free list empty after a run; items are not recycled")
 	}
-	if len(e.free) > 4 {
-		t.Fatalf("free list grew to %d for a strictly alternating run", len(e.free))
+	if n > 4 {
+		t.Fatalf("free list grew to %d for a strictly alternating run", n)
 	}
 }
 

@@ -48,7 +48,8 @@ type Env struct {
 	resuming  *coro         // the body to switch to once the running step has returned (coro.enter)
 	resSeq    int           // id source for conds/events (stall reports)
 	failures  []ProcFailure // processes that panicked (recovered)
-	free      []*item       // recycled queue items (steady state allocates none)
+	free      *item         // recycled queue items, threaded through item.next (steady state allocates none)
+	running   *Task         // the task whose step is running, nil between steps and in plain callbacks
 	processed uint64        // queue items executed so far
 	digest    uint64        // the fold of those items (digest.go)
 
@@ -142,10 +143,9 @@ type eventHeap []*item
 
 // push schedules one occurrence, reusing a recycled item if available.
 func (e *Env) push(t Time, k K) {
-	var it *item
-	if n := len(e.free); n > 0 {
-		it = e.free[n-1]
-		e.free = e.free[:n-1]
+	it := e.free
+	if it != nil {
+		e.free = it.next
 	} else {
 		it = e.itemMem.New()
 	}
@@ -154,10 +154,11 @@ func (e *Env) push(t Time, k K) {
 	e.queue.push(it)
 }
 
-// recycle returns an executed item to the free list.
+// recycle returns an executed item to the free list: the queue is done with
+// its link, so the list runs through it and costs no memory of its own.
 func (e *Env) recycle(it *item) {
-	it.k = nil
-	e.free = append(e.free, it)
+	it.k, it.next = nil, e.free
+	e.free = it
 }
 
 // At schedules fn to run at absolute time t (clamped to now).
@@ -256,7 +257,9 @@ func (e *Env) Kill(t *Task, reason string) {
 	if reason == "" {
 		reason = "killed"
 	}
-	t.cold().pending = kill{reason}
+	// The reason is held as given: the failure boxes it only where it is read
+	// (ProcFailure.Why).
+	t.cold().crash = reason
 	e.unpark(t) // deliver the crash now instead of never
 	// A task that was not parked is sleeping (or not yet started) and its
 	// queued resume delivers the crash.
@@ -276,7 +279,7 @@ func (e *Env) Kill(t *Task, reason string) {
 // already-interrupted task is a no-op, as is a nil payload. Like Kill,
 // Interrupt is called from event callbacks.
 func (e *Env) Interrupt(t *Task, payload any) {
-	if t.done || t.pending() != nil || payload == nil {
+	if t.done || t.killed() || t.pending() != nil || payload == nil {
 		return
 	}
 	t.cold().pending = payload
@@ -300,11 +303,33 @@ func (e *Env) SetSlowdown(t *Task, factor float64) {
 
 // ProcFailure records a task that died; Cause is the recovered panic value,
 // a Crashed for injected crashes, or the payload of an unhandled interrupt.
+// The failure hook (Env.OnFailure) is handed a plain task's injected crash with
+// Cause nil and the reason aside, since the fault-tolerance layer that hooks it
+// reads only whether it was one (Killed); Failures, and so a CrashError, box it.
 type ProcFailure struct {
 	Proc  string
 	Actor *Task // the task that failed (a process's own)
 	Time  Time
 	Cause any
+	crash string // an injected crash's reason while Cause is nil
+}
+
+// Why returns the failure's cause: Cause, or the Crashed of an injected crash
+// not boxed yet.
+func (f ProcFailure) Why() any {
+	if f.Cause == nil && f.crash != "" {
+		return Crashed{Reason: f.crash}
+	}
+	return f.Cause
+}
+
+// Killed reports whether the failure is an injected crash (Env.Kill).
+func (f ProcFailure) Killed() bool {
+	if f.crash != "" {
+		return true
+	}
+	_, ok := f.Cause.(Crashed)
+	return ok
 }
 
 // CrashError is returned by Run when one or more processes panicked.
@@ -318,9 +343,14 @@ func (c *CrashError) Error() string {
 	return "sim: " + fmt.Sprintf("%d process(es) crashed: ", len(c.Failures)) + strings.Join(parts, "; ")
 }
 
-// Failures returns the processes that panicked so far, in crash order.
+// Failures returns the processes that panicked so far, in crash order, each
+// with its Cause set.
 func (e *Env) Failures() []ProcFailure {
-	return append([]ProcFailure(nil), e.failures...)
+	out := append([]ProcFailure(nil), e.failures...)
+	for i := range out {
+		out[i].Cause, out[i].crash = out[i].Why(), ""
+	}
+	return out
 }
 
 // Live returns the number of spawned processes that have not finished.
@@ -587,6 +617,7 @@ func (e *Env) drain(limit Time) (again bool) {
 		if stepping == nil {
 			return
 		}
+		e.running = nil
 		if r := recover(); r != nil {
 			e.failTask(stepping, r)
 			again = true

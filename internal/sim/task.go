@@ -1,6 +1,9 @@
 package sim
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Task is the simulator's one actor: a resumable state machine driven
 // directly by the event loop. It costs one small struct, and suspending it is
@@ -52,7 +55,7 @@ type Task struct {
 }
 
 // TaskSide is the part of a Task that most tasks never touch: a stall window's
-// stretch, a pending kill or interrupt, an interrupt handler, an armed unwind
+// stretch, a pending crash or interrupt, an interrupt handler, an armed unwind
 // stack, the process the task is the actor of, and the name once formatted. A
 // task carves it from its environment's slabs the first time it needs one of
 // them (Task.cold), and it goes back with them when the run is released; a
@@ -61,7 +64,8 @@ type Task struct {
 type TaskSide struct {
 	name    string  // cached formatted name (Name)
 	slow    float64 // sleep stretch factor (stall windows); 0 or 1 = none
-	pending any     // an injected crash (kill) or an interrupt payload, delivered at next resume
+	crash   string  // an injected crash's reason (Env.Kill), delivered at next resume; "" when none
+	pending any     // an interrupt payload, delivered at next resume
 
 	// onInterrupt, when non-nil, handles an Env.Interrupt delivery: the
 	// pending continuation is discarded and the handler runs as a step (it
@@ -99,7 +103,7 @@ func (t *Task) Proc() *Proc {
 	return nil
 }
 
-// pending returns the task's undelivered kill or interrupt, nil when none.
+// pending returns the task's undelivered interrupt, nil when none.
 func (t *Task) pending() any {
 	if s := t.side; s != nil {
 		return s.pending
@@ -121,10 +125,8 @@ func (t *Task) SetOnInterrupt(h Interrupter) {
 // Interrupter handles an interrupt delivery (Task.SetOnInterrupt).
 type Interrupter interface{ Interrupted(payload any) }
 
-// kill is a pending injected crash, as TaskSide.pending holds it.
-type kill struct{ reason string }
-
-func (t *Task) killed() bool { _, ok := t.pending().(kill); return ok }
+// killed reports whether an injected crash is pending on the task.
+func (t *Task) killed() bool { return t.side != nil && t.side.crash != "" }
 
 // taskList is the FIFO of tasks parked on one resource, threaded through
 // Task.waitNext: a task parks on at most one thing, so the link lives in
@@ -224,6 +226,11 @@ func (e *Env) SpawnTaskK(prefix string, num int, k K) *Task {
 	return t
 }
 
+// ReserveTasks makes room in the registry for n more tasks, for a caller about
+// to spawn that many (a run's ranks): growing it by doubling instead leaves
+// about as much again behind for the collector.
+func (e *Env) ReserveTasks(n int) { e.tasks = slices.Grow(e.tasks, n) }
+
 // admit counts a new task live, registers it and schedules its first step.
 func (e *Env) admit(t *Task) {
 	e.live++
@@ -260,6 +267,14 @@ func (e *Env) register(t *Task) {
 
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.env.now }
+
+// Env returns the environment the task runs in.
+func (t *Task) Env() *Env { return t.env }
+
+// Running returns the task whose step is running, nil outside a task's step:
+// in a plain callback, between events, or in a process's body, which runs
+// after its step has returned.
+func (e *Env) Running() *Task { return e.running }
 
 // SetTrack assigns the task a trace track; spans recorded on its behalf land
 // on that timeline. Tasks default to track -1 (untracked: their spans are
@@ -376,12 +391,12 @@ func (e *Env) runTask(t *Task) {
 	if t.done {
 		return // stale resume of a task torn down by a failure
 	}
+	if t.killed() {
+		e.failTask(t, nil) // nil: the side record's crash (ProcFailure.Why)
+		return
+	}
 	var intr any
 	if s := t.side; s != nil && s.pending != nil {
-		if c, ok := s.pending.(kill); ok {
-			e.failTask(t, Crashed{Reason: c.reason})
-			return
-		}
 		if t.started { // one that has not started takes it at its first resume after the start
 			intr = s.pending
 			s.pending = nil
@@ -404,6 +419,8 @@ func (e *Env) runTask(t *Task) {
 // parked. A step that panics is recovered by the event loop (Env.drain) and
 // the panic delivered as a failure.
 func (e *Env) stepTask(t *Task, intr any) {
+	prev := e.running
+	e.running = t
 	switch {
 	case intr != nil:
 		t.side.onInterrupt.Interrupted(intr)
@@ -424,6 +441,7 @@ func (e *Env) stepTask(t *Task, intr any) {
 	if !t.done && t.k == nil && !t.parked && t.Proc() == nil {
 		e.retire(t)
 	}
+	e.running = prev
 }
 
 // failTask delivers a failure — a kill, an interrupt nothing handles, the
@@ -434,7 +452,8 @@ func (e *Env) stepTask(t *Task, intr any) {
 // started is instead resumed with the cause as a panic at the call the body
 // is parked in, so the body's defers and recovers behave as if the blocking
 // call itself had panicked; only a panic that reaches the bottom of the body
-// is the process's death (coro.run).
+// is the process's death (coro.run). A nil cause is the injected crash pending
+// in the side record, boxed as a Crashed only for a body to see it.
 func (e *Env) failTask(t *Task, cause any) {
 	if t.done {
 		return
@@ -449,6 +468,9 @@ func (e *Env) failTask(t *Task, cause any) {
 	t.clearWait()
 	t.k = nil
 	if p := t.Proc(); p != nil && p.co != nil {
+		if cause == nil {
+			cause = Crashed{Reason: t.side.crash}
+		}
 		p.co.raise(cause)
 		return
 	}
@@ -471,10 +493,14 @@ func (e *Env) retire(t *Task) {
 	}
 }
 
-// recordFailure records the death of t and tells the failure hook.
+// recordFailure records the death of t and tells the failure hook; a nil
+// cause is the injected crash pending in its side record.
 func (e *Env) recordFailure(t *Task, cause any) {
 	t.recycle = false // the failure names it for good
 	f := ProcFailure{Proc: t.Name(), Actor: t, Time: e.now, Cause: cause}
+	if cause == nil {
+		f.crash = t.side.crash
+	}
 	e.failures = append(e.failures, f)
 	if e.OnFailure != nil {
 		e.OnFailure(t, f)

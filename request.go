@@ -38,6 +38,7 @@ package srmcoll
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"srmcoll/internal/bufpool"
 	"srmcoll/internal/check"
@@ -89,7 +90,7 @@ func (r *request) String() string {
 type reqLabel request
 
 func (l *reqLabel) String() string {
-	return fmt.Sprintf("request %s on rank %d", (*request)(l), l.h.rank)
+	return fmt.Sprintf("request %s on rank %d", (*request)(l), l.h.rank())
 }
 
 // reqStream is one rank's request bookkeeping: the completion event of the
@@ -156,6 +157,11 @@ func newRunState(env *sim.Env, p int) *runState {
 	}
 }
 
+// indexOf returns the rank of a record of the run's: its index in the slab.
+func (rs *runState) indexOf(r *rankRec) int {
+	return int((uintptr(unsafe.Pointer(r)) - uintptr(unsafe.Pointer(unsafe.SliceData(rs.ranks)))) / unsafe.Sizeof(rankRec{}))
+}
+
 // rankOf resolves a task (a sim.ProcFailure's Actor) to the rank it acts for,
 // and whether as one of the rank's request helpers: a helper is in the
 // registry from its spawn until it ends cleanly — so for good if it fails —
@@ -176,14 +182,14 @@ func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
 // blocks the issuing rank.
 func (h handle) issue(a collArgs, k func(*TRequest)) {
 	if h.stream == nil {
-		h.stream = h.rs.streams.New()
+		h.stream = h.rs().streams.New()
 	}
 	for _, nb := range a.bufs() {
 		for o := h.stream.oldest; o != nil; o = o.newer {
 			for _, ob := range o.call.bufs() {
 				if nb.Overlaps(ob) {
 					panic(&check.RequestError{
-						Op: "srmcoll." + collNames[a.kind].public, Rank: h.rank, Req: o.String(),
+						Op: "srmcoll." + collNames[a.kind].public, Rank: h.rank(), Req: o.String(),
 						Reason: fmt.Sprintf("%s buffer overlaps the outstanding request's %s buffer; buffers are owned by a request until Wait",
 							nb.Label, ob.Label),
 					})
@@ -211,11 +217,11 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		h.readmit(oldest, a, k)
 		return
 	}
-	st.issued = h.rs.newRequest()
+	st.issued = h.rs().newRequest()
 	r := &st.issued.request
 	*r = request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, span: -1}}
 	st.seq++
-	r.done.Init(h.rs.env)
+	r.done.Init(h.rs().env)
 	r.done.NamedBy((*reqLabel)(r))
 	if r.older = st.newest; r.older != nil {
 		r.older.newer = r
@@ -233,13 +239,13 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		k(st.issued)
 		return
 	}
-	r.group = h.rs.tr.NewGroup()
-	iid := h.rs.tr.Begin(h.call.t.Track(), trace.ClassReqIssue, names.issue, a.bytes())
-	h.rs.tr.Link(iid, r.group)
-	h.rs.tr.End(iid)
+	r.group = h.rs().tr.NewGroup()
+	iid := h.rs().tr.Begin(h.call.t.Track(), trace.ClassReqIssue, names.issue, a.bytes())
+	h.rs().tr.Link(iid, r.group)
+	h.rs().tr.End(iid)
 	r.prev = st.tail
-	r.call.actor = actor{t: h.rs.env.SpawnTaskK(st.helperPrefix(h.rank), r.seq, (*reqStart)(r))}
-	h.rs.helperRank[r.call.t] = h.rank
+	r.call.actor = actor{t: h.rs().env.SpawnTaskK(st.helperPrefix(h.rank()), r.seq, (*reqStart)(r))}
+	h.rs().helperRank[r.call.t] = h.rank()
 	st.tail = &r.done
 	k(st.issued)
 }
@@ -293,9 +299,9 @@ func (o *reqOpen) Resume() { (*request)(o).open() }
 func (r *request) open() {
 	f, h := &r.call, r.h
 	r.prev = nil
-	if tr := h.rs.tr; tr != nil {
-		track := h.rs.nextTrack
-		h.rs.nextTrack++
+	if tr := h.rs().tr; tr != nil {
+		track := h.rs().nextTrack
+		h.rs().nextTrack++
 		f.t.SetTrack(track)
 		tr.NameTrackNum(track, f.t.Prefix(), f.t.Num())
 		f.span = int32(tr.Begin(track, trace.ClassReqOp, f.name(), f.bytes()))
@@ -309,7 +315,7 @@ func (r *request) open() {
 // helper, which leaves the registry of helpers as it ends cleanly: its task
 // record may be the next helper's.
 func (r *request) ended(error) {
-	delete(r.h.rs.helperRank, r.call.t)
+	delete(r.h.rs().helperRank, r.call.t)
 	r.done.Trigger()
 }
 
@@ -335,12 +341,12 @@ func (r *request) wait(k func(error)) {
 	h := r.h
 	if r.consumed {
 		panic(&check.RequestError{
-			Op: "srmcoll.Request.Wait", Rank: h.rank, Req: r.String(),
+			Op: "srmcoll.Request.Wait", Rank: h.rank(), Req: r.String(),
 			Reason: "request already completed (double Wait, or Wait after Test returned true)",
 		})
 	}
-	r.waitSpan = h.rs.tr.Begin(h.call.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
-	h.rs.tr.Link(r.waitSpan, r.group)
+	r.waitSpan = h.rs().tr.Begin(h.call.t.Track(), trace.ClassReqWait, collNames[r.call.kind].wait, r.call.bytes())
+	h.rs().tr.Link(r.waitSpan, r.group)
 	r.waitK = k
 	h.call.wait(&r.done, (*reqWaited)(r))
 }
@@ -352,7 +358,7 @@ func (w *reqWaited) Resume() {
 	r := (*request)(w)
 	k := r.waitK
 	r.waitK = nil
-	r.h.rs.tr.End(r.waitSpan)
+	r.h.rs().tr.End(r.waitSpan)
 	r.consume()
 	k(r.call.err)
 }
@@ -412,7 +418,7 @@ func (h handle) checkDrained() {
 		n++
 	}
 	panic(&check.RequestError{
-		Op: "srmcoll.Run", Rank: h.rank, Req: oldest.String(),
+		Op: "srmcoll.Run", Rank: h.rank(), Req: oldest.String(),
 		Reason: fmt.Sprintf("%d request(s) dropped: the Run body returned without Wait", n),
 	})
 }
@@ -428,27 +434,27 @@ func (c *Comm) IBarrier() *Request { return c.issued(collArgs{kind: collBarrier}
 
 // IBcast starts a non-blocking broadcast of buf from root; see Bcast.
 func (c *Comm) IBcast(buf []byte, root int) *Request {
-	return c.issued(collArgs{kind: collBcast, send: buf, root: root})
+	return c.issued(newArgs(collBcast, buf, nil, 0, 0, root))
 }
 
 // IReduce starts a non-blocking reduction into recv at root; see Reduce.
 func (c *Comm) IReduce(send, recv []byte, dt Datatype, op Op, root int) *Request {
-	return c.issued(collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root})
+	return c.issued(newArgs(collReduce, send, recv, dt, op, root))
 }
 
 // IAllreduce starts a non-blocking allreduce; see Allreduce.
 func (c *Comm) IAllreduce(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issued(collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op})
+	return c.issued(newArgs(collAllreduce, send, recv, dt, op, 0))
 }
 
 // IGather starts a non-blocking gather into recv at root; see Gather.
 func (c *Comm) IGather(send, recv []byte, root int) *Request {
-	return c.issued(collArgs{kind: collGather, send: send, recv: recv, root: root})
+	return c.issued(newArgs(collGather, send, recv, 0, 0, root))
 }
 
 // IScatter starts a non-blocking scatter from root's send; see Scatter.
 func (c *Comm) IScatter(send, recv []byte, root int) *Request {
-	return c.issued(collArgs{kind: collScatter, send: send, recv: recv, root: root})
+	return c.issued(newArgs(collScatter, send, recv, 0, 0, root))
 }
 
 // IAllgather starts a non-blocking allgather; see Allgather.
@@ -463,15 +469,15 @@ func (c *Comm) IAlltoall(send, recv []byte) *Request {
 
 // IReduceScatter starts a non-blocking reduce-scatter; see ReduceScatter.
 func (c *Comm) IReduceScatter(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issued(collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op})
+	return c.issued(newArgs(collReduceScatter, send, recv, dt, op, 0))
 }
 
 // IScan starts a non-blocking inclusive prefix reduction; see Scan.
 func (c *Comm) IScan(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issued(collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op})
+	return c.issued(newArgs(collScan, send, recv, dt, op, 0))
 }
 
 // IExscan starts a non-blocking exclusive prefix reduction; see Exscan.
 func (c *Comm) IExscan(send, recv []byte, dt Datatype, op Op) *Request {
-	return c.issued(collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op})
+	return c.issued(newArgs(collExscan, send, recv, dt, op, 0))
 }

@@ -447,16 +447,22 @@ type handle struct {
 	rec *commRec // the communicator this handle is a member's view of
 }
 
+// rs returns the run: its machine, communicator records and handle cache.
+func (h handle) rs() *runState { return h.rec.rs }
+
+// rank returns the rank's global rank.
+func (h handle) rank() int { return h.rec.rs.indexOf(h.rankRec) }
+
 // rankRec is what a run knows about one rank, shared by the rank's handles on
-// every communicator: who it is, and what its one actor can be in the middle
-// of — the requests it issued, and one blocking collective or one rendezvous,
-// since an actor is suspended in at most one thing. The records of the
-// requests and the rendezvous are carved at the rank's first (runState):
-// most runs make neither, and a rank's record is with it for the whole run.
+// every communicator: what its one actor can be in the middle of — the
+// requests it issued, and one blocking collective or one rendezvous, since an
+// actor is suspended in at most one thing. The records of the requests and the
+// rendezvous are carved at the rank's first (runState): most runs make
+// neither, and a rank's record is with it for the whole run. Who the rank is
+// and which run it is in, a handle derives (its rank is the record's index in
+// the run's slab, and the run is its communicator's): the record is 152 bytes.
 type rankRec struct {
-	call   frame // the rank's actor (its task, and its process when the body has a stack), and its blocking collective in flight or what the last ended with (tcomm.go); first, so that what a waiting rank's call reads is on the record's first cache line
-	rank   int
-	rs     *runState  // the run: its machine, communicator records and handle cache
+	call   frame      // the rank's actor (its task, and its process when the body has a stack), and its blocking collective in flight or what the last ended with (tcomm.go); first, so that what a waiting rank's call reads is on the record's first cache line
 	world  Comm       // the rank's handle on the world communicator
 	stream *reqStream // its non-blocking collectives (request.go); nil before the first
 	sync   *syncFrame // its Agree or Shrink likewise (ft.go); nil before the first
@@ -468,6 +474,7 @@ type rankRec struct {
 // and nothing per communicator is derived per rank — the list Members hands
 // out, the implementation's group, the name.
 type commRec struct {
+	rs      *runState   // the run the communicator is of
 	members []int       // global ranks in member order, as Members hands them out: cap == len, never written by the run
 	coll    group       // the implementation's operations over the members, and the list and index the run reads
 	name    string      // see key; the world's is set from the start
@@ -547,7 +554,7 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 	}
 	coll := sub(parent.coll, members)
 	if rec == nil {
-		rec = &commRec{members: make([]int, len(members)), coll: coll, next: rs.byHash[h]}
+		rec = &commRec{rs: rs, members: make([]int, len(members)), coll: coll, next: rs.byHash[h]}
 		rec.from = rec.first[:0]
 		copy(rec.members, members)
 		if rs.ft != nil {
@@ -588,7 +595,7 @@ func (rs *runState) lookup(h uint64, members []int) *commRec {
 // in the table Sub looks lists up in: Sub over every rank is a communicator of
 // its own.
 func (rs *runState) newWorld(p int, coll group) *commRec {
-	rec := &commRec{members: make([]int, p), coll: coll, name: "world"}
+	rec := &commRec{rs: rs, members: make([]int, p), coll: coll, name: "world"}
 	for i := range rec.members {
 		rec.members[i] = i
 	}
@@ -610,17 +617,17 @@ func (c *Comm) Sub(members []int) *Comm { return c.sub(members) }
 // for all of them at the first; a rank outside the list finds its in the run's
 // table.
 func (h handle) sub(members []int) *Comm {
-	rec := h.rs.sub(h.rec, members)
-	i := rec.coll.Index(h.rank)
+	rec := h.rs().sub(h.rec, members)
+	i := rec.coll.Index(h.rank())
 	if i < 0 {
 		key := subKey{h, rec}
-		if h.rs.outside[key] == nil {
-			if h.rs.outside == nil {
-				h.rs.outside = make(map[subKey]*Comm)
+		if h.rs().outside[key] == nil {
+			if h.rs().outside == nil {
+				h.rs().outside = make(map[subKey]*Comm)
 			}
-			h.rs.outside[key] = &Comm{handle{h.rankRec, rec}}
+			h.rs().outside[key] = &Comm{handle{h.rankRec, rec}}
 		}
-		return h.rs.outside[key]
+		return h.rs().outside[key]
 	}
 	from := rec.parent(h.rec)
 	if from.handles == nil {
@@ -631,17 +638,17 @@ func (h handle) sub(members []int) *Comm {
 }
 
 // Rank returns this task's global rank.
-func (c *Comm) Rank() int { return c.rank }
+func (c *Comm) Rank() int { return c.rank() }
 
 // Size returns the number of ranks in this communicator (the whole world,
 // or the subgroup for a Comm obtained from Sub).
 func (c *Comm) Size() int { return len(c.rec.members) }
 
 // Node returns the SMP node hosting this rank.
-func (c *Comm) Node() int { return c.rs.m.NodeOf(c.rank) }
+func (c *Comm) Node() int { return c.rs().m.NodeOf(c.rank()) }
 
 // LocalRank returns this rank's index within its node.
-func (c *Comm) LocalRank() int { return c.rs.m.LocalRank(c.rank) }
+func (c *Comm) LocalRank() int { return c.rs().m.LocalRank(c.rank()) }
 
 // Now returns the current virtual time in microseconds.
 func (c *Comm) Now() float64 { return c.call.t.Now() }
@@ -669,30 +676,30 @@ func (c *Comm) Barrier() error { return c.collective(collArgs{kind: collBarrier}
 
 // Bcast broadcasts buf from root; on other ranks buf is overwritten.
 func (c *Comm) Bcast(buf []byte, root int) error {
-	return c.collective(collArgs{kind: collBcast, send: buf, root: root})
+	return c.collective(newArgs(collBcast, buf, nil, 0, 0, root))
 }
 
 // Reduce combines send across ranks into recv at root (recv may be nil
 // elsewhere).
 func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
-	return c.collective(collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root})
+	return c.collective(newArgs(collReduce, send, recv, dt, op, root))
 }
 
 // Allreduce combines send across ranks into every rank's recv.
 func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
-	return c.collective(collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op})
+	return c.collective(newArgs(collAllreduce, send, recv, dt, op, 0))
 }
 
 // Gather collects every rank's send block into recv at root (recv must
 // hold Size()*len(send) bytes there; it is ignored elsewhere).
 func (c *Comm) Gather(send, recv []byte, root int) error {
-	return c.collective(collArgs{kind: collGather, send: send, recv: recv, root: root})
+	return c.collective(newArgs(collGather, send, recv, 0, 0, root))
 }
 
 // Scatter distributes root's send (Size()*len(recv) bytes) so each rank
 // receives its block in recv.
 func (c *Comm) Scatter(send, recv []byte, root int) error {
-	return c.collective(collArgs{kind: collScatter, send: send, recv: recv, root: root})
+	return c.collective(newArgs(collScatter, send, recv, 0, 0, root))
 }
 
 // Allgather concatenates every rank's send block into every rank's recv
@@ -710,18 +717,18 @@ func (c *Comm) Alltoall(send, recv []byte) error {
 // ReduceScatter combines every rank's send vector (Size()*len(recv)
 // bytes) elementwise and delivers reduced block i to rank i in recv.
 func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
-	return c.collective(collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op})
+	return c.collective(newArgs(collReduceScatter, send, recv, dt, op, 0))
 }
 
 // Scan leaves in recv the reduction of the send buffers of all ranks with
 // rank <= this one (inclusive prefix reduction).
 func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
-	return c.collective(collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op})
+	return c.collective(newArgs(collScan, send, recv, dt, op, 0))
 }
 
 // Exscan is the exclusive prefix reduction; rank 0's recv is zeroed.
 func (c *Comm) Exscan(send, recv []byte, dt Datatype, op Op) error {
-	return c.collective(collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op})
+	return c.collective(newArgs(collExscan, send, recv, dt, op, 0))
 }
 
 // The Float64 convenience wrappers have no error return; under fault
@@ -743,13 +750,13 @@ func (c *Comm) AllgatherFloat64(send []float64) []float64 {
 func (c *Comm) ReduceFloat64(send []float64, op Op, root int) []float64 {
 	sb := dtype.Float64Bytes(send)
 	var rb []byte
-	if c.rank == root {
+	if c.rank() == root {
 		rb = make([]byte, len(sb))
 	}
 	if err := c.Reduce(sb, rb, Float64, op, root); err != nil {
 		panic(err)
 	}
-	if c.rank != root {
+	if c.rank() != root {
 		return nil
 	}
 	return dtype.Float64s(rb)
@@ -779,29 +786,29 @@ type SharedCounter struct {
 // All ranks using the same id share one counter; the creating call's host
 // and init win.
 func (c *Comm) SharedCounter(id string, host int, init int64) *SharedCounter {
-	reg := c.rs.counters
+	reg := c.rs().counters
 	if w, ok := reg[id]; ok {
 		return w
 	}
-	sc := &SharedCounter{word: c.rs.dom.Endpoint(host).NewWord(init), dom: c.rs.dom}
+	sc := &SharedCounter{word: c.rs().dom.Endpoint(host).NewWord(init), dom: c.rs().dom}
 	reg[id] = sc
 	return sc
 }
 
 // FetchAdd atomically adds delta and returns the previous value.
 func (sc *SharedCounter) FetchAdd(c *Comm, delta int64) int64 {
-	return sc.dom.Endpoint(c.rank).Rmw(c.call.p(), sc.word, rma.FetchAndAdd, delta, 0)
+	return sc.dom.Endpoint(c.rank()).Rmw(c.call.p(), sc.word, rma.FetchAndAdd, delta, 0)
 }
 
 // Swap atomically stores v and returns the previous value.
 func (sc *SharedCounter) Swap(c *Comm, v int64) int64 {
-	return sc.dom.Endpoint(c.rank).Rmw(c.call.p(), sc.word, rma.Swap, v, 0)
+	return sc.dom.Endpoint(c.rank()).Rmw(c.call.p(), sc.word, rma.Swap, v, 0)
 }
 
 // CompareAndSwap stores v if the counter equals expect, returning the
 // previous value (equal to expect exactly when the swap happened).
 func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
-	return sc.dom.Endpoint(c.rank).Rmw(c.call.p(), sc.word, rma.CompareAndSwap, v, expect)
+	return sc.dom.Endpoint(c.rank()).Rmw(c.call.p(), sc.word, rma.CompareAndSwap, v, expect)
 }
 
 // Run executes body on every rank of a fresh simulation of the cluster
@@ -932,6 +939,8 @@ type simulation struct {
 	impl interface{ Release() } // the implementation: SRM's engine, or a baseline's world group
 	rs   *runState              // rs.ft is nil unless fault tolerance is on
 	res  *Result
+
+	finished []uint64 // RunT's ranks that have called done, a bit each
 }
 
 // prepare validates the plan and builds a fresh simulation of the cluster up to
@@ -983,7 +992,7 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	if cl.ft.Enabled {
 		dom.AllowDeaths()
-		ft := newFTState(env, dom.MarkDead, m.P(), rs)
+		ft := newFTState(env, dom.MarkDead, m.P(), len(cl.faults.Crashes), rs)
 		rs.ft = ft
 		env.OnFailure = ft.onFailure
 	}
@@ -994,7 +1003,6 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 	}
 	for r := range rs.ranks {
 		rk := &rs.ranks[r]
-		rk.rank, rk.rs = r, rs
 		rk.world.handle = handle{rk, world}
 	}
 	// Payload memory: a pool of the process-level reserve, the run's alone
@@ -1005,26 +1013,46 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 }
 
 // scheduleFaults wires the plan's crashes and stall windows to the ranks'
-// tasks. The callbacks look the rank up when they fire; the registry is
-// filled by then.
+// tasks, as queue items carved once per run. They look the rank's task up
+// when they fire; the ranks are spawned by then.
 func (sm *simulation) scheduleFaults() {
-	env, inj, rs := sm.m.Env, sm.m.Faults, sm.rs
-	for i, cr := range sm.cl.faults.Crashes {
-		why := sm.cl.killed[i]
-		env.At(cr.At, func() {
-			inj.CountCrash()
-			env.Kill(rs.ranks[cr.Rank].call.t, why)
-		})
+	env, plan := sm.m.Env, &sm.cl.faults
+	fs := make([]plannedFault, len(plan.Crashes)+len(plan.Stalls))
+	for i, cr := range plan.Crashes {
+		fs[i] = plannedFault{sm: sm, rank: cr.Rank, why: sm.cl.killed[i]}
+		env.AtK(cr.At, &fs[i])
 	}
-	for _, st := range sm.cl.faults.Stalls {
-		st := st
-		env.At(st.From, func() {
-			inj.CountStall()
-			env.SetSlowdown(rs.ranks[st.Rank].call.t, st.Factor)
-		})
-		env.At(st.Until, func() { env.SetSlowdown(rs.ranks[st.Rank].call.t, 1) })
+	for i, st := range plan.Stalls {
+		f := &fs[len(plan.Crashes)+i]
+		*f = plannedFault{sm: sm, rank: st.Rank, factor: st.Factor}
+		env.AtK(st.From, f)
+		env.AtK(st.Until, (*stallEnd)(f))
 	}
 }
+
+// plannedFault is a crash of the plan, or the opening of a stall window, as
+// the queue item that brings it about; as a stallEnd it closes the window.
+type plannedFault struct {
+	sm     *simulation
+	rank   int
+	why    string  // a crash's reason, as the plan formatted it (Cluster.killed); "" for a stall window
+	factor float64 // a stall window's stretch
+}
+
+type stallEnd plannedFault
+
+func (f *plannedFault) Resume() {
+	env, inj, t := f.sm.m.Env, f.sm.m.Faults, f.sm.rs.ranks[f.rank].call.t
+	if f.why != "" {
+		inj.CountCrash()
+		env.Kill(t, f.why)
+		return
+	}
+	inj.CountStall()
+	env.SetSlowdown(t, f.factor)
+}
+
+func (f *stallEnd) Resume() { f.sm.m.Env.SetSlowdown(f.sm.rs.ranks[f.rank].call.t, 1) }
 
 // spawnProcs starts body on every rank as a process. The ranks share one
 // start function, which finds its handle by the process's index.
@@ -1033,8 +1061,9 @@ func (sm *simulation) spawnProcs(body func(*Comm)) {
 		c := &sm.rs.ranks[p.Num()].world
 		body(c)
 		c.checkDrained()
-		sm.res.PerRank[c.rank] = p.Now()
+		sm.res.PerRank[c.rank()] = p.Now()
 	}
+	sm.m.Env.ReserveTasks(len(sm.rs.ranks))
 	for r := range sm.rs.ranks {
 		p := sm.m.Env.SpawnIndexed("rank", r, start)
 		sm.rs.ranks[r].call.actor = actor{t: &p.Task}
@@ -1159,7 +1188,7 @@ func (sm *simulation) finish() (*Result, error) {
 func (rs *runState) runError(f sim.ProcFailure) *RunError {
 	rank, _ := rs.rankOf(f.Actor)
 	re := &RunError{Rank: max(0, rank), Op: "run"}
-	switch cause := f.Cause.(type) {
+	switch cause := f.Why().(type) {
 	case *check.SizeError:
 		re.Op = cause.Op
 		re.Cause = cause
@@ -1168,6 +1197,9 @@ func (rs *runState) runError(f sim.ProcFailure) *RunError {
 		re.Cause = cause
 	case *check.ReentryError:
 		re.Op = cause.Op
+		re.Cause = cause
+	case *check.DoneError:
+		re.Op = "done"
 		re.Cause = cause
 	case sim.Crashed:
 		re.Op = "crash"

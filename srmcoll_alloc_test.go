@@ -38,8 +38,10 @@ func mallocsOf(fn func()) uint64 {
 // nothing: what a run recycles waits in the reserve, which no collection
 // empties.
 //
-// Recorded: 4.3 objects per rank at both 4,096 and 16,384 ranks (go1.24),
-// since a record is its own continuation and binds no method value; 5.3 and
+// Recorded: 3.0 objects per rank at both 4,096 and 16,384 ranks (go1.24),
+// the body's own three continuations and next to nothing else, since every rank
+// is handed one done (RunT); 4.3 before, since a record is its own
+// continuation and binds no method value; 5.3 and
 // 6.0 before, since an operation state's records are arrays of the operation, not objects
 // per node, and a calendar bucket grows out of slabs; 7.1 and 7.6 before, since
 // frames keep their bound methods through the reserve and a layout's node
@@ -55,7 +57,7 @@ func TestRunTAllocsPerRank(t *testing.T) {
 		t.Skip("the race detector slows the allocation guards; CI runs them without it")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const recorded, parent = 4.3, 41.8
+	const recorded, parent = 3.0, 41.8
 	var perRank []float64
 	for _, ranks := range []int{4096, 16384} {
 		run := ladderRun(t, ranks)
@@ -78,6 +80,42 @@ func TestRunTAllocsPerRank(t *testing.T) {
 	}
 	if d := perRank[1] - perRank[0]; d > 1 || d < -1 {
 		t.Errorf("objects per rank move with the rank count: %.2f at 4,096 ranks, %.2f at 16,384", perRank[0], perRank[1])
+	}
+}
+
+// bytesOf returns the heap bytes fn allocates: the least of three runs, as
+// mallocsOf counts objects.
+func bytesOf(fn func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestRunTHeapBytesPerRank holds a warm 4,096-rank RunT of the benchmark's
+// rank_ladder body to the heap bytes it allocates per rank, the body's own
+// continuations included: what sets rank_ladder's peak memory, since nearly all
+// of it is live until the run ends. Recorded: 626 bytes (go1.24), with a
+// 152-byte rank record, a 40-byte endpoint, 56-byte spin frames, an intrusive
+// queue-item free list, one done for every rank and a registry sized for the
+// ranks up front; 760 before them.
+func TestRunTHeapBytesPerRank(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector slows the allocation guards; CI runs them without it")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const ranks, recorded = 4096, 626
+	run := ladderRun(t, ranks)
+	run()
+	per := float64(bytesOf(run)) / ranks
+	t.Logf("%d ranks: %.0f heap bytes per rank", ranks, per)
+	if per > recorded*1.05 {
+		t.Errorf("%d ranks: %.0f heap bytes per rank, want at most %.0f (5%% over the recorded %d)", ranks, per, recorded*1.05, recorded)
 	}
 }
 

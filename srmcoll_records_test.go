@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"srmcoll/internal/bufpool"
+	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/shm"
 	"srmcoll/internal/sim"
@@ -360,17 +361,32 @@ func TestStaleHandleCrashes(t *testing.T) {
 // TestRecordSizes holds what a run carves per rank and per protocol edge to the
 // sizes that make a rank cost fewer bytes: a shm flag (one per local task, §2.2)
 // and an RMA counter (one per tree edge, §2.3-2.4) of 40 bytes, with an int32
-// value and node and no machine of their own, and a rank record of 192, whose
-// blocking call frame holds the rank's actor and takes its name from its kind.
-// Before, they were 56, 48 and 240.
+// value and node and no machine of their own; a rank record of 152, whose
+// blocking call frame holds the rank's actor and takes its name from its kind,
+// packs its arguments' kind, type, operator and root into a word, and which
+// holds neither its rank nor its run; an RMA endpoint of 40, with an int32 rank
+// and node and its reliable channels in the domain; and the frames of a charged
+// copy and a spin wait, which every worker of a lock-step contribute holds at
+// once, of 64 and 56, without a machine of their own. Before, they were 56, 48,
+// 240 and (the rank record) 192, 56, 112 and 80.
 func TestRecordSizes(t *testing.T) {
+	// The machine's frames are unexported: their sizes are read through the
+	// free lists that hold them (bufpool.Frames, whose idle is a *T).
+	frame := func(field string) uintptr {
+		f, _ := reflect.TypeFor[machine.Machine]().FieldByName(field)
+		idle, _ := f.Type.FieldByName("idle")
+		return idle.Type.Elem().Size()
+	}
 	for _, c := range []struct {
 		name      string
 		size, max uintptr
 	}{
 		{"shm.Flag", reflect.TypeFor[shm.Flag]().Size(), 40},
 		{"rma.Counter", reflect.TypeFor[rma.Counter]().Size(), 40},
-		{"rankRec", reflect.TypeFor[rankRec]().Size(), 192},
+		{"rankRec", reflect.TypeFor[rankRec]().Size(), 152},
+		{"rma.Endpoint", reflect.TypeFor[rma.Endpoint]().Size(), 40},
+		{"machine.copyFrame", frame("copies"), 64},
+		{"machine.spinWait", frame("spins"), 56},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)

@@ -23,6 +23,7 @@ package srmcoll
 //     Park, or by the task's interrupt handler (ft_task.go).
 
 import (
+	"fmt"
 	"strings"
 
 	"srmcoll/internal/check"
@@ -81,16 +82,16 @@ func (a actor) sleep(d float64, k sim.K) {
 func (a actor) yield(k sim.K) { a.sleep(0, k) }
 
 // Rank returns this task's global rank.
-func (tc *TComm) Rank() int { return tc.rank }
+func (tc *TComm) Rank() int { return tc.rank() }
 
 // Size returns the number of ranks in this communicator.
 func (tc *TComm) Size() int { return len(tc.rec.members) }
 
 // Node returns the SMP node hosting this rank.
-func (tc *TComm) Node() int { return tc.rs.m.NodeOf(tc.rank) }
+func (tc *TComm) Node() int { return tc.rs().m.NodeOf(tc.rank()) }
 
 // LocalRank returns this rank's index within its node.
-func (tc *TComm) LocalRank() int { return tc.rs.m.LocalRank(tc.rank) }
+func (tc *TComm) LocalRank() int { return tc.rs().m.LocalRank(tc.rank()) }
 
 // Members returns the communicator's global ranks in member order: the
 // communicator's own list, as Comm.Members hands it out.
@@ -151,13 +152,30 @@ type frameOpen frame
 func (o *frameOpen) Resume() { (*frame)(o).open() }
 
 // collArgs names a collective and its arguments as the eleven operations
-// share them; each reads the fields its signature has.
+// share them; each reads the fields its signature has. Every rank's record
+// holds one (rankRec.call), so the kind, element type, operator and root share
+// one word (newArgs).
 type collArgs struct {
-	kind       collKind
 	send, recv []byte // Bcast's buf is send
-	dt         Datatype
-	op         Op
-	root       int
+	root       int32
+	kind       collKind
+	dt         int8 // a Datatype
+	op         int8 // an Op
+}
+
+// newArgs packs the arguments of a collective that has an element type and
+// operator, or a root, or both (zero where it has not). No valid value is past
+// what the packed fields hold — a rank is an int32 — so one that is cannot be
+// told to the operation and is refused here, as the operation would refuse it.
+func newArgs(kind collKind, send, recv []byte, dt Datatype, op Op, root int) collArgs {
+	a := collArgs{send: send, recv: recv, root: int32(root), kind: kind, dt: int8(dt), op: int8(op)}
+	switch {
+	case int(a.root) != root:
+		panic(fmt.Errorf("srmcoll: %s: root %d is not a member of the communicator", collNames[kind].op, root))
+	case Datatype(a.dt) != dt || Op(a.op) != op:
+		panic(fmt.Errorf("srmcoll: %s: no reduction %v over %v", collNames[kind].op, op, dt))
+	}
+	return a
 }
 
 // bytes is the size a collective's spans carry: the caller's contribution, or
@@ -232,25 +250,25 @@ func (a *collArgs) start(coll group, t *sim.Task, rank int, k sim.K) {
 	case collBarrier:
 		coll.BarrierT(t, rank, k)
 	case collBcast:
-		coll.BcastT(t, rank, a.send, a.root, k)
+		coll.BcastT(t, rank, a.send, int(a.root), k)
 	case collReduce:
-		coll.ReduceT(t, rank, a.send, a.recv, a.dt, a.op, a.root, k)
+		coll.ReduceT(t, rank, a.send, a.recv, Datatype(a.dt), Op(a.op), int(a.root), k)
 	case collAllreduce:
-		coll.AllreduceT(t, rank, a.send, a.recv, a.dt, a.op, k)
+		coll.AllreduceT(t, rank, a.send, a.recv, Datatype(a.dt), Op(a.op), k)
 	case collGather:
-		coll.GatherT(t, rank, a.send, a.recv, a.root, k)
+		coll.GatherT(t, rank, a.send, a.recv, int(a.root), k)
 	case collScatter:
-		coll.ScatterT(t, rank, a.send, a.recv, a.root, k)
+		coll.ScatterT(t, rank, a.send, a.recv, int(a.root), k)
 	case collAllgather:
 		coll.AllgatherT(t, rank, a.send, a.recv, k)
 	case collAlltoall:
 		coll.AlltoallT(t, rank, a.send, a.recv, k)
 	case collReduceScatter:
-		coll.ReduceScatterT(t, rank, a.send, a.recv, a.dt, a.op, k)
+		coll.ReduceScatterT(t, rank, a.send, a.recv, Datatype(a.dt), Op(a.op), k)
 	case collScan:
-		coll.ScanT(t, rank, a.send, a.recv, a.dt, a.op, k)
+		coll.ScanT(t, rank, a.send, a.recv, Datatype(a.dt), Op(a.op), k)
 	case collExscan:
-		coll.ExscanT(t, rank, a.send, a.recv, a.dt, a.op, k)
+		coll.ExscanT(t, rank, a.send, a.recv, Datatype(a.dt), Op(a.op), k)
 	}
 }
 
@@ -270,7 +288,7 @@ func (h handle) outstanding() *sim.Event {
 func (h handle) begin(a collArgs, k func(error)) {
 	f := &h.call
 	if f.k != nil {
-		panic(&check.ReentryError{Op: collNames[a.kind].op, Running: f.name(), Rank: h.rank})
+		panic(&check.ReentryError{Op: collNames[a.kind].op, Running: f.name(), Rank: h.rank()})
 	}
 	f.collArgs, f.h, f.k = a, h, endFunc(k)
 	if tail := h.outstanding(); tail != nil {
@@ -282,7 +300,7 @@ func (h handle) begin(a collArgs, k func(error)) {
 
 // open opens the root span of a blocking collective and runs it.
 func (f *frame) open() {
-	f.span = int32(f.h.rs.tr.Begin(f.t.Track(), trace.ClassOp, f.name(), f.bytes()))
+	f.span = int32(f.h.rs().tr.Begin(f.t.Track(), trace.ClassOp, f.name(), f.bytes()))
 	f.run()
 }
 
@@ -292,7 +310,7 @@ func (f *frame) open() {
 // there — and dispatches it inside the catch its actor needs (ft_task.go).
 func (f *frame) run() {
 	h := f.h
-	if ft := h.rs.ft; ft != nil {
+	if ft := h.rs().ft; ft != nil {
 		if h.rec.failed > 0 {
 			f.end(h.failedError(f.name()))
 			return
@@ -311,7 +329,7 @@ func (f *frame) run() {
 	if f == &h.call {
 		k = (*rankCall)(f)
 	}
-	f.start(h.rec.coll, f.t, h.rank, k)
+	f.start(h.rec.coll, f.t, h.rank(), k)
 }
 
 // Resume is the continuation the operation itself receives.
@@ -336,8 +354,8 @@ func (f *frame) declared(payload any) error {
 	// The unwind may have skipped an interrupt re-enable inside the protocol
 	// (the barrier manages interrupts inline); restoring is idempotent when
 	// nothing was pending.
-	f.h.rs.dom.Endpoint(f.h.rank).SetInterrupts(true)
-	return &RankFailedError{Op: f.name(), Rank: f.h.rank, Failed: fi.failed}
+	f.h.rs().dom.Endpoint(f.h.rank()).SetInterrupts(true)
+	return &RankFailedError{Op: f.name(), Rank: f.h.rank(), Failed: fi.failed}
 }
 
 // end ends the operation with err: it puts the task back as run found it,
@@ -350,11 +368,11 @@ func (f *frame) end(err error) {
 			f.t.SetOnInterrupt(nil)
 			f.t.SetUnwindArmed(false)
 		}
-		f.h.rs.ft.deregister(f.t)
+		f.h.rs().ft.deregister(f.t)
 		f.registered = false
 	}
 	f.k, f.err = nil, err
-	f.h.rs.tr.End(int(f.span))
+	f.h.rs().tr.End(int(f.span))
 	k.ended(err)
 }
 
@@ -363,27 +381,27 @@ func (tc *TComm) Barrier(k func(error)) { tc.begin(collArgs{kind: collBarrier}, 
 
 // Bcast broadcasts buf from root; see Comm.Bcast.
 func (tc *TComm) Bcast(buf []byte, root int, k func(error)) {
-	tc.begin(collArgs{kind: collBcast, send: buf, root: root}, k)
+	tc.begin(newArgs(collBcast, buf, nil, 0, 0, root), k)
 }
 
 // Reduce combines send across ranks into recv at root; see Comm.Reduce.
 func (tc *TComm) Reduce(send, recv []byte, dt Datatype, op Op, root int, k func(error)) {
-	tc.begin(collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root}, k)
+	tc.begin(newArgs(collReduce, send, recv, dt, op, root), k)
 }
 
 // Allreduce combines send across ranks into every rank's recv.
 func (tc *TComm) Allreduce(send, recv []byte, dt Datatype, op Op, k func(error)) {
-	tc.begin(collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.begin(newArgs(collAllreduce, send, recv, dt, op, 0), k)
 }
 
 // Gather collects every rank's send block into recv at root.
 func (tc *TComm) Gather(send, recv []byte, root int, k func(error)) {
-	tc.begin(collArgs{kind: collGather, send: send, recv: recv, root: root}, k)
+	tc.begin(newArgs(collGather, send, recv, 0, 0, root), k)
 }
 
 // Scatter distributes root's send so each rank receives its block in recv.
 func (tc *TComm) Scatter(send, recv []byte, root int, k func(error)) {
-	tc.begin(collArgs{kind: collScatter, send: send, recv: recv, root: root}, k)
+	tc.begin(newArgs(collScatter, send, recv, 0, 0, root), k)
 }
 
 // Allgather concatenates every rank's send block into every rank's recv.
@@ -398,43 +416,68 @@ func (tc *TComm) Alltoall(send, recv []byte, k func(error)) {
 
 // ReduceScatter combines send vectors elementwise and scatters the blocks.
 func (tc *TComm) ReduceScatter(send, recv []byte, dt Datatype, op Op, k func(error)) {
-	tc.begin(collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.begin(newArgs(collReduceScatter, send, recv, dt, op, 0), k)
 }
 
 // Scan leaves the inclusive prefix reduction in recv.
 func (tc *TComm) Scan(send, recv []byte, dt Datatype, op Op, k func(error)) {
-	tc.begin(collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.begin(newArgs(collScan, send, recv, dt, op, 0), k)
 }
 
 // Exscan is the exclusive prefix reduction; rank 0's recv is zeroed.
 func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
-	tc.begin(collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.begin(newArgs(collExscan, send, recv, dt, op, 0), k)
 }
 
 // RunT executes a continuation-passing body on every rank of a fresh
 // simulation, each rank a plain task stepped by the event loop: no goroutine
-// or stack per rank, so million-rank runs fit in ordinary host memory. The body
-// must call done exactly once, after its last operation completed; done marks
-// the rank finished (the CPS analogue of returning from a Run body). It runs
+// or stack per rank, so million-rank runs fit in ordinary host memory. It runs
 // every implementation, and its errors are Run's: a baseline with fault
 // tolerance on is refused, as Run refuses it.
+//
+// done marks a rank finished (the CPS analogue of returning from a Run body).
+// Every rank is handed the same done, which finishes the rank whose step calls
+// it: the body calls it exactly once, after its last operation completed, from
+// a step of its rank — a continuation of one of its operations, or of one of
+// its requests, whose helper acts for it. A second call for a rank fails the
+// run, and a call while no rank's step runs panics, each with a
+// *check.DoneError.
 func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, error) {
 	return cl.simulate(impl, func(sm *simulation) { sm.spawnTasks(body) })
 }
 
 // spawnTasks starts body on every rank as a task. The ranks share one start
-// function, which finds its handle by the task's index.
+// function, which finds its handle by the task's index, and one done
+// (simulation.done).
 func (sm *simulation) spawnTasks(body func(tc *TComm, done func())) {
-	start := func(t *sim.Task) {
-		c := &sm.rs.ranks[t.Num()].world
-		body((*TComm)(c), func() {
-			c.checkDrained()
-			sm.res.PerRank[c.rank] = t.Now()
-		})
-	}
+	done := sm.done
+	start := func(t *sim.Task) { body((*TComm)(&sm.rs.ranks[t.Num()].world), done) }
+	sm.finished = make([]uint64, (len(sm.rs.ranks)+63)/64)
+	sm.m.Env.ReserveTasks(len(sm.rs.ranks))
 	for r := range sm.rs.ranks {
 		t := sm.m.Env.SpawnTask("rank", r, start)
 		sm.rs.ranks[r].call.t = t
 		sm.nameTrack(t)
 	}
+}
+
+// done is RunT's done: it finishes the rank whose step is running, found from
+// its task (runState.rankOf) — a closure of its own for each rank would be
+// 65,536 objects at rank_ladder's scale.
+func (sm *simulation) done() {
+	t := sm.m.Env.Running()
+	r := -1
+	if t != nil {
+		r, _ = sm.rs.rankOf(t)
+	}
+	if r < 0 {
+		panic(&check.DoneError{Rank: -1})
+	}
+	if w, bit := &sm.finished[r/64], uint64(1)<<(r%64); *w&bit == 0 {
+		*w |= bit
+	} else {
+		panic(&check.DoneError{Rank: r, Twice: true})
+	}
+	sm.rs.ranks[r].world.checkDrained()
+	sm.res.PerRank[r] = t.Now()
 }

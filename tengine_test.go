@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"srmcoll/internal/check"
+	"srmcoll/internal/sim"
 )
 
 // runTBlocking runs a RunT body on a Run body's coroutine, as the reference
@@ -1231,4 +1232,65 @@ func TestTaskEngineMatchesRunBody(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunTDoneContract: every rank of a RunT body is handed one done, which
+// finishes the rank whose step calls it. Called while no rank's step runs, or a
+// second time for a rank, it fails by name (a *check.DoneError, the second
+// carried by a *RunError naming the rank); called from a step of a rank's
+// request helper, it finishes the rank the helper acts for.
+func TestRunTDoneContract(t *testing.T) {
+	t.Run("off every rank's task", func(t *testing.T) {
+		var kept func()
+		if _, err := mustCluster(t, 2, 2).RunT(SRM, func(tc *TComm, done func()) {
+			kept = done
+			done()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			de, ok := recover().(*check.DoneError)
+			if !ok || de.Rank != -1 || de.Twice || !strings.Contains(de.Error(), "off every rank's task") {
+				t.Errorf("done after the run panicked with %v, want a *check.DoneError naming no rank", de)
+			}
+		}()
+		kept()
+	})
+	t.Run("twice", func(t *testing.T) {
+		_, err := mustCluster(t, 2, 2).RunT(SRM, func(tc *TComm, done func()) {
+			tc.Barrier(func(error) {
+				done()
+				if tc.Rank() == 2 {
+					done()
+				}
+			})
+		})
+		var re *RunError
+		var de *check.DoneError
+		if !errors.As(err, &re) || !errors.As(err, &de) || re.Rank != 2 || re.Op != "done" || de.Rank != 2 || !de.Twice ||
+			!strings.Contains(err.Error(), "rank 2: done called twice") {
+			t.Errorf("RunT = %v, want a *RunError naming rank 2 in done, carrying a *check.DoneError", err)
+		}
+	})
+	t.Run("from a helper", func(t *testing.T) {
+		// Rank 3 leaves its done to a helper of its own, which calls it 7 µs
+		// later: the rank is finished then, and no other.
+		res, err := mustCluster(t, 2, 2).RunT(SRM, func(tc *TComm, done func()) {
+			if tc.Rank() != 3 {
+				done()
+				return
+			}
+			rs := tc.rs()
+			helper := rs.env.SpawnTaskK("rank3.req", 0, sim.Func(func() {
+				rs.env.Running().SleepThen(7, done)
+			}))
+			rs.helperRank[helper] = 3
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []float64{0, 0, 0, 7}; !reflect.DeepEqual(res.PerRank, want) {
+			t.Errorf("PerRank = %v, want %v", res.PerRank, want)
+		}
+	})
 }

@@ -27,27 +27,27 @@ func (tc *TComm) IBarrier(k func(*TRequest)) { tc.issue(collArgs{kind: collBarri
 
 // IBcast starts a non-blocking broadcast of buf from root; see Bcast.
 func (tc *TComm) IBcast(buf []byte, root int, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collBcast, send: buf, root: root}, k)
+	tc.issue(newArgs(collBcast, buf, nil, 0, 0, root), k)
 }
 
 // IReduce starts a non-blocking reduction into recv at root; see Reduce.
 func (tc *TComm) IReduce(send, recv []byte, dt Datatype, op Op, root int, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collReduce, send: send, recv: recv, dt: dt, op: op, root: root}, k)
+	tc.issue(newArgs(collReduce, send, recv, dt, op, root), k)
 }
 
 // IAllreduce starts a non-blocking allreduce; see Allreduce.
 func (tc *TComm) IAllreduce(send, recv []byte, dt Datatype, op Op, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collAllreduce, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.issue(newArgs(collAllreduce, send, recv, dt, op, 0), k)
 }
 
 // IGather starts a non-blocking gather into recv at root; see Gather.
 func (tc *TComm) IGather(send, recv []byte, root int, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collGather, send: send, recv: recv, root: root}, k)
+	tc.issue(newArgs(collGather, send, recv, 0, 0, root), k)
 }
 
 // IScatter starts a non-blocking scatter from root's send; see Scatter.
 func (tc *TComm) IScatter(send, recv []byte, root int, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collScatter, send: send, recv: recv, root: root}, k)
+	tc.issue(newArgs(collScatter, send, recv, 0, 0, root), k)
 }
 
 // IAllgather starts a non-blocking allgather; see Allgather.
@@ -62,15 +62,15 @@ func (tc *TComm) IAlltoall(send, recv []byte, k func(*TRequest)) {
 
 // IReduceScatter starts a non-blocking reduce-scatter; see ReduceScatter.
 func (tc *TComm) IReduceScatter(send, recv []byte, dt Datatype, op Op, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collReduceScatter, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.issue(newArgs(collReduceScatter, send, recv, dt, op, 0), k)
 }
 
 // IScan starts a non-blocking inclusive prefix reduction; see Scan.
 func (tc *TComm) IScan(send, recv []byte, dt Datatype, op Op, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collScan, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.issue(newArgs(collScan, send, recv, dt, op, 0), k)
 }
 
 // IExscan starts a non-blocking exclusive prefix reduction; see Exscan.
 func (tc *TComm) IExscan(send, recv []byte, dt Datatype, op Op, k func(*TRequest)) {
-	tc.issue(collArgs{kind: collExscan, send: send, recv: recv, dt: dt, op: op}, k)
+	tc.issue(newArgs(collExscan, send, recv, dt, op, 0), k)
 }
