@@ -1063,7 +1063,6 @@ func (sm *simulation) spawnProcs(body func(*Comm)) {
 		c.checkDrained()
 		sm.res.PerRank[c.rank()] = p.Now()
 	}
-	sm.m.Env.ReserveTasks(len(sm.rs.ranks))
 	for r := range sm.rs.ranks {
 		p := sm.m.Env.SpawnIndexed("rank", r, start)
 		sm.rs.ranks[r].call.actor = actor{t: &p.Task}
