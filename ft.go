@@ -149,7 +149,10 @@ type ftEntry struct {
 }
 
 // key is the rendezvous key RepairRecord.Comm carries.
-func (g *ftGather) key() string { return g.rec.key() + "#" + strconv.Itoa(g.round) }
+func (g *ftGather) key() string {
+	var buf [256]byte
+	return g.rec.rs.str(strconv.AppendInt(append(append(buf[:0], g.rec.key()...), '#'), int64(g.round), 10))
+}
 
 // String labels the completion event in stall reports.
 func (g *ftGather) String() string { return g.kind + " " + g.key() }
@@ -183,16 +186,21 @@ type ftDeclare struct {
 
 func (d *ftDeclare) Resume() { d.ft.declare(d.rank, d.diedAt) }
 
-func newFTState(env *sim.Env, markDead func(int), n, crashes int, rs *runState) *ftState {
-	return &ftState{
-		env:      env,
+// newFTState turns fault tolerance on for the run: its bookkeeping is the
+// run's, from the reserve, but for the failure records the result carries.
+func (rs *runState) newFTState(markDead func(int), n, crashes int) {
+	flags := rs.bools.Take(2 * n)
+	rs.ftMem = ftState{
+		env:      rs.env,
 		rs:       rs,
 		markDead: markDead,
-		failed:   make([]bool, n),
-		crashed:  make([]bool, n),
-		inflight: make([]ftReg, 0, n),
-		declares: make([]ftDeclare, 0, crashes),
+		failed:   flags[:n],
+		crashed:  flags[n:],
+		inflight: rs.regs.Take(n)[:0],
+		declares: rs.decls.Take(crashes)[:0],
+		failures: make([]FailureRecord, 0, crashes),
 	}
+	rs.ft = &rs.ftMem
 }
 
 // onFailure is the Env.OnFailure hook: classify each task death as an expected
@@ -283,13 +291,14 @@ func (ft *ftState) declare(d int, diedAt float64) {
 // with. Callers must not write to it.
 func (ft *ftState) told(rec *commRec) *ftInterrupt {
 	if rec.told == nil || len(rec.told.failed) != rec.failed {
-		failed := make([]int, 0, rec.failed)
+		failed := carve(&ft.rs.ints, rec.failed, 256)[:0]
 		for _, r := range rec.list() {
 			if ft.failed[r] {
 				failed = append(failed, r)
 			}
 		}
-		rec.told = &ftInterrupt{failed}
+		rec.told = &carve(&ft.rs.tolds, 1, 16)[0]
+		rec.told.failed = failed
 	}
 	return rec.told
 }
@@ -328,7 +337,7 @@ func (rec *commRec) enter(ft *ftState, rank int, kind string, flag uint64) *ftGa
 		rec.round++
 		rec.pending = g
 		if rec.entered == nil {
-			rec.entered = make([]ftEntry, len(rec.members))
+			rec.entered = ft.rs.entries.Take(len(rec.members))
 		}
 	}
 	if g.kind != kind {
@@ -351,12 +360,15 @@ func (ft *ftState) checkGather(g *ftGather) {
 		}
 	}
 	g.result = ^uint64(0)
-	g.survivors = make([]int, 0, len(list)-rec.failed)
+	g.survivors = carve(&ft.rs.ints, len(list)-rec.failed, 256)[:0]
 	for i, r := range list {
 		if !ft.failed[r] {
 			g.survivors = append(g.survivors, r)
 			g.result &= rec.entered[i].flag
 		}
+	}
+	if ft.repairs == nil {
+		ft.repairs = make([]RepairRecord, 0, 2+2*cap(ft.failures)) // a Shrink and an Agree a crash, and a pair besides
 	}
 	ft.repairs = append(ft.repairs, RepairRecord{
 		Kind: g.kind, Comm: g.key(), StartedAt: g.startedAt,
@@ -371,7 +383,15 @@ func (ft *ftState) checkGather(g *ftGather) {
 // failedError is the error of an operation on a communicator with members
 // declared failed.
 func (h handle) failedError(opName string) *RankFailedError {
-	return &RankFailedError{Op: opName, Rank: h.rank(), Failed: h.rs().ft.told(h.rec).failed}
+	return h.rs().failedError(opName, h.rank(), h.rs().ft.told(h.rec).failed)
+}
+
+// failedError carves an error from the run's chunk of them: a declaration
+// hands one to nearly every member, and the caller may keep it.
+func (rs *runState) failedError(op string, rank int, failed []int) *RankFailedError {
+	e := &carve(&rs.errs, 1, min(len(rs.ranks), 64))[0]
+	*e = RankFailedError{Op: op, Rank: rank, Failed: failed}
+	return e
 }
 
 // Members returns the communicator's global ranks in member order. The slice

@@ -176,6 +176,12 @@ type SRM struct {
 	queues bufpool.Frames[opQueue, *opQueue]
 	subs   bufpool.Frames[subFrame, *subFrame]
 	waits  rankWaits
+
+	// The groups of the run, their layouts and embeddings' masters (group.go).
+	groupMem bufpool.Chunks[Group]
+	ints     bufpool.Chunks[int]
+	slots    bufpool.Chunks[slot]
+	lists    bufpool.Chunks[[]int]
 }
 
 // opEntry is one collective call of a group: the state its members share,
@@ -250,16 +256,21 @@ func (s *SRM) intraTree(n, root int) tree.Tree {
 	key := treeKey{n, root}
 	t, ok := s.trees[key]
 	if !ok {
-		t = tree.New(tree.Binomial, n, root)
+		t = s.newTree(tree.Binomial, n, root)
 		s.trees[key] = t
 	}
 	return t
 }
 
+// newTree builds a tree in the engine's memory.
+func (s *SRM) newTree(kind tree.Kind, n, root int) tree.Tree {
+	return tree.NewIn(kind, n, root, s.ints.Take(3*n), s.lists.Take(n))
+}
+
 // World returns the group of all ranks.
 func (s *SRM) World() *Group {
 	if s.world == nil {
-		all := make([]int, s.m.P())
+		all := s.ints.Take(s.m.P())
 		for i := range all {
 			all[i] = i
 		}
@@ -368,6 +379,10 @@ func (s *SRM) Release() {
 		}
 	}
 	s.kept, s.spare, s.groups, s.world = nil, nil, nil, nil
+	s.groupMem.Release()
+	s.ints.Release()
+	s.slots.Release()
+	s.lists.Release()
 	s.execs.Release()
 	s.queues.Release()
 	s.subs.Release()

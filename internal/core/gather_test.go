@@ -32,7 +32,7 @@ func wantConcat(members []int, blk int) []byte {
 func TestRunsOfWorld(t *testing.T) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(3, 4))
-	lay := newLayout(m, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	lay := New(m, nil, Options{}).newLayout([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	rs := runsOf(&lay)
 	if len(rs) != 3 {
 		t.Fatalf("world runs = %d, want one per node (%v)", len(rs), rs)
@@ -48,7 +48,7 @@ func TestRunsOfSparse(t *testing.T) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(3, 4))
 	// 1,2 contiguous on node 0; 5 on node 1; 6,7 contiguous on node 1; 9 on node 2.
-	lay := newLayout(m, []int{1, 2, 5, 6, 7, 9})
+	lay := New(m, nil, Options{}).newLayout([]int{1, 2, 5, 6, 7, 9})
 	rs := runsOf(&lay)
 	if len(rs) != 3 {
 		t.Fatalf("runs = %v", rs)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"srmcoll/internal/machine"
 	"srmcoll/internal/ranks"
 	"srmcoll/internal/tree"
 )
@@ -30,15 +29,17 @@ type layout struct {
 // local[nx].
 type slot struct{ nx, l int32 }
 
-// newLayout validates members and builds the node-grouped layout.
-func newLayout(m *machine.Machine, members []int) layout {
+// newLayout validates members and builds the node-grouped layout, in the
+// engine's memory.
+func (s *SRM) newLayout(members []int) layout {
+	m := s.m
 	P, idx := len(members), ranks.NewIndex("core", members, m.P())
 	lo := m.NodeOf(slices.Min(members))
 	span := m.NodeOf(slices.Max(members)) - lo + 1
 	// One array holds the copy of members, their lists by node end to end, the
 	// participating nodes and a count over the nodes the members span.
-	mem := make([]int, 2*P+2*span)
-	lay := layout{idx: idx, members: append(mem[:0:P], members...), nodes: mem[2*P : 2*P : 2*P+span], spans: m.Cfg.TierSpans(), at: make([]slot, P)}
+	mem := s.ints.Take(2*P + 2*span)
+	lay := layout{idx: idx, members: append(mem[:0:P], members...), nodes: mem[2*P : 2*P : 2*P+span], spans: m.Cfg.TierSpans(), at: s.slots.Take(P)}
 	// A counting pass sizes each node's member list, and count then maps a
 	// node to its index into nodes.
 	flat, count := mem[P:2*P], mem[2*P+span:]
@@ -48,7 +49,7 @@ func newLayout(m *machine.Machine, members []int) layout {
 		}
 	}
 	sort.Ints(lay.nodes)
-	lay.local = make([][]int, len(lay.nodes))
+	lay.local = s.lists.Take(len(lay.nodes))
 	for x, nd := range lay.nodes {
 		lay.local[x], flat = flat[:0:count[nd-lo]], flat[count[nd-lo]:]
 		count[nd-lo] = x
@@ -82,12 +83,12 @@ func (lay *layout) ni(rank int) int { return int(lay.at[lay.index(rank)].nx) }
 func (lay *layout) li(rank int) int { return int(lay.at[lay.index(rank)].l) }
 
 // gEmbed is a communication tree embedded into the participating subset of
-// the cluster: an inter-node tree over participating node indices plus a
-// binomial intra-node tree over each node's members (generalizing Figure 1).
+// the cluster: an inter-node tree over participating node indices, and the
+// master of each node, the root of the binomial tree over the node's members
+// the operation states take from SRM.intraTree (generalizing Figure 1).
 type gEmbed struct {
 	inter   tree.Tree // over indices into lay.nodes
-	intra   []tree.Tree
-	masters []int // global master rank per node index
+	masters []int     // global master rank per node index
 }
 
 // embedKey names one embedding of a group: the embedding is a function of the
@@ -100,35 +101,39 @@ type embedKey struct {
 // embed returns the group embedding rooted at the given member rank. It is
 // built when first asked for and kept: Figure 1's embedding is a property of
 // the task group, every collective on the group with these kinds and this root
-// uses the same one, and nothing writes to a tree once it is built (the
-// intra-node trees are the engine's, shared across groups too).
+// uses the same one, and nothing writes to a tree once it is built.
 func (g *Group) embed(interKind tree.Kind, root int) gEmbed {
 	key := embedKey{interKind, root}
-	if e, ok := g.embeds[key]; ok {
-		return e
+	for _, e := range g.embeds {
+		if e.key == key {
+			return e.gEmbed
+		}
 	}
 	lay := &g.lay
 	rootNI := lay.rootNI(root)
 	// The inter-node tree is hierarchy-aware: node ids plus the machine's
 	// tier spans let multilevel trees group participants by switch.
-	e := gEmbed{
-		inter:   tree.NewHier(interKind, lay.nodes, rootNI, lay.spans),
-		intra:   make([]tree.Tree, len(lay.nodes)),
-		masters: make([]int, len(lay.nodes)),
+	e := gEmbed{masters: g.s.ints.Take(len(lay.nodes))}
+	if len(lay.spans) > 0 {
+		e.inter = tree.NewHier(interKind, lay.nodes, rootNI, lay.spans)
+	} else {
+		e.inter = g.s.newTree(interKind, len(lay.nodes), rootNI)
 	}
 	for x := range lay.nodes {
-		rootLocal := 0
-		if x == rootNI {
-			rootLocal = lay.li(root)
-		}
-		e.intra[x] = g.s.intraTree(len(lay.local[x]), rootLocal)
-		e.masters[x] = lay.local[x][rootLocal]
+		e.masters[x] = lay.local[x][0]
 	}
+	e.masters[rootNI] = root
 	if g.embeds == nil {
-		g.embeds = make(map[embedKey]gEmbed)
+		g.embeds = g.embeds0[:0]
 	}
-	g.embeds[key] = e
+	g.embeds = append(g.embeds, keyedEmbed{key, e})
 	return e
+}
+
+// keyedEmbed is an embedding of the group's, by what it is a function of.
+type keyedEmbed struct {
+	key embedKey
+	gEmbed
 }
 
 // Group is a task subset with its own collective-operation stream. Obtain
@@ -141,7 +146,8 @@ type Group struct {
 	seq  []int  // by group rank: operations the member has entered
 	next *Group // the next group in the bucket of SRM.groups
 
-	embeds map[embedKey]gEmbed // the embeddings asked for so far (embed)
+	embeds  []keyedEmbed // the embeddings asked for so far (embed): one or two
+	embeds0 [2]keyedEmbed
 
 	// The operations in flight, oldest first: ops[i] has sequence number
 	// base+i. Members enter operations in order and an operation is retired
@@ -162,7 +168,8 @@ func (s *SRM) Group(members []int) *Group {
 			return g
 		}
 	}
-	g := &Group{s: s, lay: newLayout(s.m, members), seq: make([]int, len(members)), next: s.groups[h]}
+	g := s.groupMem.New()
+	*g = Group{s: s, lay: s.newLayout(members), seq: s.ints.Take(len(members)), next: s.groups[h]}
 	g.ops = g.in[:0]
 	s.groups[h] = g
 	return g

@@ -37,7 +37,7 @@ func groupHarness(t testing.TB, nodes, tpn int, members []int,
 func TestLayoutGrouping(t *testing.T) {
 	env := sim.NewEnv()
 	m := machine.New(env, machine.ColonySP(4, 4))
-	lay := newLayout(m, []int{9, 2, 1, 14, 8})
+	lay := New(m, nil, Options{}).newLayout([]int{9, 2, 1, 14, 8})
 	if fmt.Sprint(lay.nodes) != "[0 2 3]" {
 		t.Fatalf("nodes = %v", lay.nodes)
 	}
@@ -65,7 +65,7 @@ func TestLayoutPanics(t *testing.T) {
 					t.Errorf("newLayout(%v) did not panic", members)
 				}
 			}()
-			newLayout(m, members)
+			New(m, nil, Options{}).newLayout(members)
 		}()
 	}
 }
@@ -123,11 +123,11 @@ func TestGroupEmbedRootMaster(t *testing.T) {
 // TestTopologyBuiltOncePerRun: trees are pure functions of their shape, so a
 // run builds each shape once. Three rounds of allreduce, broadcast from a rank
 // in the middle of a node and reduce on 16 nodes of 8 ask for an intra-node tree
-// 16 times per operation state and more; the run ends with the two shapes there
-// are — eight tasks rooted at local 0, and at local 5 for the broadcast root's
-// node — and the world group with its two embeddings, every node's tree in them
-// the cached one. tree.New and tree.NewHier have no caller in this package but
-// the two caches, so entries are constructor calls.
+// 16 times per operation state and more; the run ends with the one shape they
+// use — eight tasks rooted at local 0: the broadcast's SMP stage is flat, and an
+// embedding holds no intra-node trees — and the world group with its two
+// embeddings. The tree constructors have no caller in this package but the two
+// caches, so entries are constructor calls.
 func TestTopologyBuiltOncePerRun(t *testing.T) {
 	const nodes, tpn, root, size = 16, 8, 21, 256
 	var eng *SRM
@@ -140,27 +140,14 @@ func TestTopologyBuiltOncePerRun(t *testing.T) {
 			s.Reduce(p, rank, send, recv, dtype.Float64, dtype.Sum, 0)
 		}
 	})
-	if len(eng.trees) != 2 {
-		t.Errorf("%d intra-node trees built, want 2: %v", len(eng.trees), eng.trees)
-	}
-	for _, key := range []treeKey{{tpn, 0}, {tpn, root % tpn}} {
-		if _, ok := eng.trees[key]; !ok {
-			t.Errorf("no tree for %+v", key)
-		}
+	if _, ok := eng.trees[treeKey{tpn, 0}]; !ok || len(eng.trees) != 1 {
+		t.Errorf("%d intra-node trees built, want 1, for %+v: %v", len(eng.trees), treeKey{tpn, 0}, eng.trees)
 	}
 	g := eng.World()
 	if len(g.embeds) != 2 {
 		t.Errorf("%d embeddings of the world group built, want the broadcast's and the reduce's", len(g.embeds))
 	}
-	shared := &eng.trees[treeKey{tpn, 0}].Parent[0]
-	for key, e := range g.embeds {
-		for x, tr := range e.intra {
-			if x != root/tpn && &tr.Parent[0] != shared {
-				t.Errorf("embedding %+v: node %d has a tree of its own", key, x)
-			}
-		}
-	}
-	if again := g.embed(0, root); &again.inter.Parent[0] != &g.embeds[embedKey{0, root}].inter.Parent[0] {
+	if first, again := g.embed(0, root), g.embed(0, root); &again.inter.Parent[0] != &first.inter.Parent[0] || len(g.embeds) != 2 {
 		t.Error("asking for an embedding a second time built it again")
 	}
 }

@@ -404,8 +404,8 @@ type Machine struct {
 	// simulation: transient copies (put snapshots, eager-send copies) and the
 	// protocol buffers a collective operation owns from its first member's
 	// arrival to its last member's departure. New gives the machine a pool of
-	// its own; srmcoll's runs replace it with one checked out of the
-	// process-level reserve, before anything has drawn from it.
+	// its own; srmcoll's runs and the scale allreduce check one out of the
+	// process-level reserve instead (NewWithPool).
 	Buffers *bufpool.Pool
 
 	// tierPorts[i][g] holds the free-at times of tier i group g's uplink
@@ -426,13 +426,18 @@ func (m *Machine) Release() {
 	m.Env.Release()
 }
 
-// New creates a machine. It panics on an invalid configuration, since every
-// entry point validates configs before reaching here.
-func New(env *sim.Env, cfg Config) *Machine {
+// New creates a machine with a pool of its own. It panics on an invalid
+// configuration, since every entry point validates configs before reaching
+// here.
+func New(env *sim.Env, cfg Config) *Machine { return NewWithPool(env, cfg, bufpool.New()) }
+
+// NewWithPool is New with the pool given: nil for a caller that checks one out
+// of the reserve once the machine is set up.
+func NewWithPool(env *sim.Env, cfg Config, buffers *bufpool.Pool) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{Env: env, Cfg: cfg, Stats: &trace.Stats{}, Buffers: bufpool.New()}
+	m := &Machine{Env: env, Cfg: cfg, Stats: &trace.Stats{}, Buffers: buffers}
 	env.Host = m
 	m.nodes = make([]Node, cfg.Nodes)
 	for i := range m.nodes {

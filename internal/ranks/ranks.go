@@ -34,12 +34,15 @@ func NewIndex(pkg string, members []int, p int) Index {
 	if len(members) == 0 {
 		panic(pkg + ": empty task group")
 	}
-	lo, hi := members[0], members[0]
-	for _, r := range members {
+	lo, hi, ascending := members[0], members[0], true
+	for i, r := range members {
 		if r < 0 || r >= p {
 			panic(fmt.Sprintf("%s: group rank %d out of range [0,%d)", pkg, r, p))
 		}
-		lo, hi = min(lo, r), max(hi, r)
+		lo, hi, ascending = min(lo, r), max(hi, r), ascending && r == members[0]+i
+	}
+	if ascending { // a run of consecutive ranks: every position is rank - lo
+		return Index{lo: lo, n: len(members)}
 	}
 	x := Index{lo: lo, n: hi - lo + 1, pos: make([]int32, hi-lo+1)}
 	for i := range x.pos {

@@ -108,11 +108,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	env := sim.NewEnv()
-	m := machine.New(env, cfg.Machine)
 	// The payload memory — inputs, results and protocol buffers — comes from
 	// the process-level reserve, as a Run's does, and goes back to it however
 	// the run ends: nothing executes afterwards.
-	m.Buffers = bufpool.CheckOut()
+	m := machine.NewWithPool(env, cfg.Machine, bufpool.CheckOut())
 	defer bufpool.HandBack(m.Buffers)
 	if plan.Active() {
 		m.Faults = fault.New(plan)

@@ -142,7 +142,7 @@ func TestSpawnIndexedFailureUsesFormattedName(t *testing.T) {
 	if !ok {
 		t.Fatalf("RunUntil() = %v, want *CrashError", err)
 	}
-	if len(ce.Failures) != 1 || ce.Failures[0].Proc != "rank3" {
+	if len(ce.Failures) != 1 || ce.Failures[0].Proc() != "rank3" {
 		t.Fatalf("failures = %+v, want one for rank3", ce.Failures)
 	}
 }

@@ -267,7 +267,7 @@ func TestOnFailureHookSeesCause(t *testing.T) {
 	e := NewEnv()
 	var hooked []string
 	e.OnFailure = func(_ *Task, f ProcFailure) {
-		hooked = append(hooked, fmt.Sprintf("%s:%v", f.Proc, f.Cause))
+		hooked = append(hooked, fmt.Sprintf("%s:%v", f.Proc(), f.Cause))
 	}
 	e.Spawn("boom", func(p *Proc) { panic("bang") })
 	err := e.Run()

@@ -32,13 +32,15 @@ import "iter"
 // bench/go.mod, which replaces this module, is frozen there; the build tag
 // above is what lets go vet accept iter from a 1.22 module.
 //
-// Coroutines are pooled per Env. A cold iter.Pull costs about 13 heap objects,
-// and request helper processes are spawned per operation, so a coroutine whose
-// body returned goes on Env.idle and runs the next process that starts; the
-// ones still idle when the driving RunUntil returns are stopped there, so a
-// finished simulation holds no goroutine. A process left parked by a deadlock
-// keeps its coroutine (and goroutine) for good, there being no stack to resume
-// it on otherwise.
+// Coroutines are pooled per Env. A cold coroutine costs 9 heap objects, 7 in
+// iter.Pull and 2 in startCoro, so a coroutine whose body returned goes on
+// Env.idle and runs the next process that starts; the ones still idle when the
+// driving RunUntil returns are stopped there, so a finished simulation holds
+// no goroutine. (Request helpers are plain tasks: within a Run no process
+// starts after another's body has returned, and the pool serves the processes
+// that tests and the benchmark's layer drivers spawn one after another.) A
+// process left parked by a deadlock keeps its coroutine (and goroutine) for
+// good, there being no stack to resume it on otherwise.
 //
 // runtime.Goexit in a body (t.Fatal, t.FailNow or t.SkipNow called from a rank
 // function) runs the body's deferred calls and finishes the process without a

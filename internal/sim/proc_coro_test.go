@@ -100,7 +100,7 @@ func TestPanickingBodyLeavesCoroutineReusable(t *testing.T) {
 		})
 		err := e.Run()
 		ce, ok := err.(*CrashError)
-		if !ok || len(ce.Failures) != 1 || ce.Failures[0].Proc != "bad" || ce.Failures[0].Cause != "boom" {
+		if !ok || len(ce.Failures) != 1 || ce.Failures[0].Proc() != "bad" || ce.Failures[0].Cause != "boom" {
 			t.Fatalf("Run() = %v, want one failure of bad", err)
 		}
 		if hooked != 1 {

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -251,15 +252,19 @@ func (c Crashed) Error() string { return "sim: process crashed: " + c.Reason }
 // is parked). Killing a finished or already-killed task is a no-op. Kill is
 // called from event callbacks, not from t's own steps.
 func (e *Env) Kill(t *Task, reason string) {
-	if t.done || t.killed() {
-		return
-	}
 	if reason == "" {
 		reason = "killed"
 	}
-	// The reason is held as given: the failure boxes it only where it is read
-	// (ProcFailure.Why).
-	t.cold().crash = reason
+	e.KillWith(t, Crashed{Reason: reason})
+}
+
+// KillWith is Kill with the Crashed boxed by the caller, who may box it once
+// for every run it kills a task in.
+func (e *Env) KillWith(t *Task, crash error) {
+	if t.done || t.killed() {
+		return
+	}
+	t.cold().crash = crash
 	e.unpark(t) // deliver the crash now instead of never
 	// A task that was not parked is sleeping (or not yet started) and its
 	// queued resume delivers the crash.
@@ -303,31 +308,18 @@ func (e *Env) SetSlowdown(t *Task, factor float64) {
 
 // ProcFailure records a task that died; Cause is the recovered panic value,
 // a Crashed for injected crashes, or the payload of an unhandled interrupt.
-// The failure hook (Env.OnFailure) is handed a plain task's injected crash with
-// Cause nil and the reason aside, since the fault-tolerance layer that hooks it
-// reads only whether it was one (Killed); Failures, and so a CrashError, box it.
 type ProcFailure struct {
-	Proc  string
-	Actor *Task // the task that failed (a process's own)
+	Actor *Task // the task that failed (a process's own), which the failure keeps from reuse
 	Time  Time
 	Cause any
-	crash string // an injected crash's reason while Cause is nil
 }
 
-// Why returns the failure's cause: Cause, or the Crashed of an injected crash
-// not boxed yet.
-func (f ProcFailure) Why() any {
-	if f.Cause == nil && f.crash != "" {
-		return Crashed{Reason: f.crash}
-	}
-	return f.Cause
-}
+// Proc returns the name of the task that failed, formatted here: only a
+// report reads it.
+func (f ProcFailure) Proc() string { return f.Actor.Name() }
 
 // Killed reports whether the failure is an injected crash (Env.Kill).
 func (f ProcFailure) Killed() bool {
-	if f.crash != "" {
-		return true
-	}
 	_, ok := f.Cause.(Crashed)
 	return ok
 }
@@ -338,20 +330,17 @@ type CrashError struct{ Failures []ProcFailure }
 func (c *CrashError) Error() string {
 	parts := make([]string, len(c.Failures))
 	for i, f := range c.Failures {
-		parts[i] = fmt.Sprintf("%s at t=%.3f: %v", f.Proc, f.Time, f.Cause)
+		parts[i] = fmt.Sprintf("%s at t=%.3f: %v", f.Proc(), f.Time, f.Cause)
 	}
 	return "sim: " + fmt.Sprintf("%d process(es) crashed: ", len(c.Failures)) + strings.Join(parts, "; ")
 }
 
-// Failures returns the processes that panicked so far, in crash order, each
-// with its Cause set.
-func (e *Env) Failures() []ProcFailure {
-	out := append([]ProcFailure(nil), e.failures...)
-	for i := range out {
-		out[i].Cause, out[i].crash = out[i].Why(), ""
-	}
-	return out
-}
+// Failures returns the processes that panicked so far, in crash order: the
+// environment's own record, read-only, whose capacity is its length.
+func (e *Env) Failures() []ProcFailure { return e.failures[:len(e.failures):len(e.failures)] }
+
+// ReserveFailures makes room for n more failures: a fault plan's crashes.
+func (e *Env) ReserveFailures(n int) { e.failures = slices.Grow(e.failures, n) }
 
 // Live returns the number of spawned processes that have not finished.
 func (e *Env) Live() int { return e.live }

@@ -382,7 +382,7 @@ func TestSpawnPanicBecomesCrashError(t *testing.T) {
 	if !ok {
 		t.Fatalf("Run() = %v, want *CrashError", err)
 	}
-	if len(ce.Failures) != 1 || ce.Failures[0].Proc != "bad" || ce.Failures[0].Time != 3 {
+	if len(ce.Failures) != 1 || ce.Failures[0].Proc() != "bad" || ce.Failures[0].Time != 3 {
 		t.Fatalf("failures = %+v", ce.Failures)
 	}
 	if ce.Failures[0].Cause != "boom" {

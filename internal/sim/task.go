@@ -64,7 +64,7 @@ type Task struct {
 type TaskSide struct {
 	name    string  // cached formatted name (Name)
 	slow    float64 // sleep stretch factor (stall windows); 0 or 1 = none
-	crash   string  // an injected crash's reason (Env.Kill), delivered at next resume; "" when none
+	crash   error   // an injected crash's Crashed (Env.Kill), delivered at next resume; nil when none
 	pending any     // an interrupt payload, delivered at next resume
 
 	// onInterrupt, when non-nil, handles an Env.Interrupt delivery: the
@@ -126,7 +126,7 @@ func (t *Task) SetOnInterrupt(h Interrupter) {
 type Interrupter interface{ Interrupted(payload any) }
 
 // killed reports whether an injected crash is pending on the task.
-func (t *Task) killed() bool { return t.side != nil && t.side.crash != "" }
+func (t *Task) killed() bool { return t.side != nil && t.side.crash != nil }
 
 // taskList is the FIFO of tasks parked on one resource, threaded through
 // Task.waitNext: a task parks on at most one thing, so the link lives in
@@ -453,7 +453,7 @@ func (e *Env) stepTask(t *Task, intr any) {
 // is parked in, so the body's defers and recovers behave as if the blocking
 // call itself had panicked; only a panic that reaches the bottom of the body
 // is the process's death (coro.run). A nil cause is the injected crash pending
-// in the side record, boxed as a Crashed only for a body to see it.
+// in the side record.
 func (e *Env) failTask(t *Task, cause any) {
 	if t.done {
 		return
@@ -469,7 +469,7 @@ func (e *Env) failTask(t *Task, cause any) {
 	t.k = nil
 	if p := t.Proc(); p != nil && p.co != nil {
 		if cause == nil {
-			cause = Crashed{Reason: t.side.crash}
+			cause = t.side.crash
 		}
 		p.co.raise(cause)
 		return
@@ -497,10 +497,10 @@ func (e *Env) retire(t *Task) {
 // cause is the injected crash pending in its side record.
 func (e *Env) recordFailure(t *Task, cause any) {
 	t.recycle = false // the failure names it for good
-	f := ProcFailure{Proc: t.Name(), Actor: t, Time: e.now, Cause: cause}
 	if cause == nil {
-		f.crash = t.side.crash
+		cause = t.side.crash
 	}
+	f := ProcFailure{Actor: t, Time: e.now, Cause: cause}
 	e.failures = append(e.failures, f)
 	if e.OnFailure != nil {
 		e.OnFailure(t, f)

@@ -134,7 +134,7 @@ func TestTaskPanicBecomesCrashError(t *testing.T) {
 	e := NewEnv()
 	var hooked []string
 	e.OnFailure = func(tk *Task, f ProcFailure) {
-		hooked = append(hooked, fmt.Sprintf("%s:%v@%v", f.Proc, f.Cause, f.Time))
+		hooked = append(hooked, fmt.Sprintf("%s:%v@%v", f.Proc(), f.Cause, f.Time))
 	}
 	e.SpawnTask("boom", 3, func(tk *Task) {
 		tk.SleepThen(2, func() { panic("bang") })
@@ -144,7 +144,7 @@ func TestTaskPanicBecomesCrashError(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want CrashError", err)
 	}
-	if len(ce.Failures) != 1 || ce.Failures[0].Proc != "boom3" {
+	if len(ce.Failures) != 1 || ce.Failures[0].Proc() != "boom3" {
 		t.Fatalf("failures = %+v", ce.Failures)
 	}
 	if fmt.Sprint(hooked) != "[boom3:bang@2]" {

@@ -73,6 +73,12 @@ type Tree struct {
 // (root+v) mod n) and then relabeled, so any root works without extra
 // copies, as the paper's broadcast requires.
 func New(kind Kind, n, root int) Tree {
+	return NewIn(kind, n, root, make([]int, 3*max(n, 0)), make([][]int, max(n, 0)))
+}
+
+// NewIn is New in memory the caller supplies, all zero: 3n ints and n lists,
+// which are the tree's from then on.
+func NewIn(kind Kind, n, root int, mem []int, children [][]int) Tree {
 	if n < 1 {
 		panic(fmt.Sprintf("tree: n = %d, want >= 1", n))
 	}
@@ -80,9 +86,8 @@ func New(kind Kind, n, root int) Tree {
 		panic(fmt.Sprintf("tree: root %d out of range [0,%d)", root, n))
 	}
 	// One array holds Parent, then the children lists end to end, then the
-	// children in the order they were linked: a tree is two allocations.
-	mem := make([]int, 3*n)
-	t := Tree{N: n, Root: root, Parent: mem[:n], Children: make([][]int, n)}
+	// children in the order they were linked: a tree is two pieces of memory.
+	t := Tree{N: n, Root: root, Parent: mem[:n], Children: children}
 	for i := range t.Parent {
 		t.Parent[i] = -1
 	}
@@ -136,7 +141,7 @@ func New(kind Kind, n, root int) Tree {
 	case Multilevel:
 		// Without hierarchy information a multilevel tree degenerates to a
 		// single group, i.e. the binomial shape. Use NewHier for grouping.
-		return New(Binomial, n, root)
+		return NewIn(Binomial, n, root, mem, children)
 	case Bine:
 		linkParents(bineParents(n), link)
 	default:

@@ -128,18 +128,39 @@ type runState struct {
 	tr         *trace.Trace // nil unless tracing is on
 	counters   map[string]*SharedCounter
 	ranks      []rankRec           // by rank, one slab
-	helperRank map[*sim.Task]int   // running or failed request helper -> issuing rank
-	reqs       []TRequest          // the rest of the chunk the next request is carved from
+	helperRank map[*sim.Task]int   // running or failed request helper -> issuing rank; nil before the first
 	nextTrack  int                 // next helper trace track (ranks use 0..P-1, core helpers P..2P-1)
+	world      commRec             // the world communicator's record (newWorld)
 	comms      []*commRec          // every communicator of the run, the world first
-	byHash     map[uint64]*commRec // those Sub made, by ranks.Hash of their member lists: the first of a bucket chained by next
+	comms0     [4]*commRec         // where comms starts out
+	byHash     map[uint64]*commRec // those Sub made, by ranks.Hash of their member lists: the first of a bucket chained by next; nil before the first
 	outside    map[subKey]*Comm    // the handles of ranks that Sub a list they are not on (handle.sub); nil before the first
 	ft         *ftState            // nil unless the cluster enabled fault tolerance
+	ftMem      ftState             // what ft points to when it is on
 
-	// The ranks' request streams and rendezvous frames, each carved at the
-	// rank's first request or first Agree or Shrink (rankRec).
+	// What a body or the caller may keep past the run — requests, the
+	// communicators and handles of Sub and Shrink, failure errors, the member
+	// and failed lists, repair keys — carved from chunks of the run's own
+	// (carve): the collector's once nothing points into them, never another
+	// run's.
+	reqs    []TRequest
+	recs    []commRec
+	handles []Comm
+	errs    []RankFailedError
+	tolds   []ftInterrupt
+	ints    []int
+	text    []byte
+
+	// What dies with the run, from the reserve's slabs (release): the ranks'
+	// request streams and rendezvous frames, each carved at the rank's first
+	// request or first Agree or Shrink (rankRec), and the fault-tolerance
+	// bookkeeping (ftState, commRec.entered).
 	streams bufpool.Chunks[reqStream]
 	syncs   bufpool.Chunks[syncFrame]
+	bools   bufpool.Chunks[bool]
+	regs    bufpool.Chunks[ftReg]
+	decls   bufpool.Chunks[ftDeclare]
+	entries bufpool.Chunks[ftEntry]
 }
 
 type subKey struct {
@@ -148,13 +169,35 @@ type subKey struct {
 }
 
 func newRunState(env *sim.Env, p int) *runState {
-	return &runState{
-		env:        env,
-		ranks:      make([]rankRec, p),
-		helperRank: make(map[*sim.Task]int),
-		nextTrack:  2 * p,
-		byHash:     make(map[uint64]*commRec),
+	return &runState{env: env, ranks: make([]rankRec, p), nextTrack: 2 * p}
+}
+
+// release hands the run's slabs back to the reserve, once nothing of the run
+// executes any more (simulation.outcome).
+func (rs *runState) release() {
+	rs.streams.Release()
+	rs.syncs.Release()
+	rs.bools.Release()
+	rs.regs.Release()
+	rs.decls.Release()
+	rs.entries.Release()
+}
+
+// carve returns n zero values from the rest of a chunk of the run's own,
+// starting a new one of at least per values where they do not fit.
+func carve[T any](chunk *[]T, n, per int) []T {
+	if n > len(*chunk) {
+		*chunk = make([]T, max(n, per))
 	}
+	s := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return s
+}
+
+// str returns b as a string carved from the run's text.
+func (rs *runState) str(b []byte) string {
+	s := carve(&rs.text, len(b), 512)
+	return unsafe.String(unsafe.SliceData(s), copy(s, b))
 }
 
 // indexOf returns the rank of a record of the run's: its index in the slab.
@@ -174,6 +217,14 @@ func (rs *runState) rankOf(t *sim.Task) (rank int, helper bool) {
 		return n, false
 	}
 	return -1, false
+}
+
+// addHelper enters a request helper of rank into the registry rankOf reads.
+func (rs *runState) addHelper(t *sim.Task, rank int) {
+	if rs.helperRank == nil {
+		rs.helperRank = make(map[*sim.Task]int)
+	}
+	rs.helperRank[t] = rank
 }
 
 // issue starts a non-blocking operation: it validates buffer ownership,
@@ -217,7 +268,7 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 		h.readmit(oldest, a, k)
 		return
 	}
-	st.issued = h.rs().newRequest()
+	st.issued = &carve(&h.rs().reqs, 1, 16)[0]
 	r := &st.issued.request
 	*r = request{h: h, seq: st.seq, call: frame{collArgs: a, h: h, span: -1}}
 	st.seq++
@@ -245,24 +296,9 @@ func (h handle) admit(a collArgs, k func(*TRequest)) {
 	h.rs().tr.End(iid)
 	r.prev = st.tail
 	r.call.actor = actor{t: h.rs().env.SpawnTaskK(st.helperPrefix(h.rank()), r.seq, (*reqStart)(r))}
-	h.rs().helperRank[r.call.t] = h.rank()
+	h.rs().addHelper(r.call.t, h.rank())
 	st.tail = &r.done
 	k(st.issued)
-}
-
-// reqChunk is how many requests one allocation carves.
-const reqChunk = 16
-
-// newRequest carves a request record from a chunk of the run's own. Not from
-// the reserve the run's other records come from: a caller may read
-// Request.Err after Run returned, when the reserve is the next run's.
-func (rs *runState) newRequest() *TRequest {
-	if len(rs.reqs) == 0 {
-		rs.reqs = make([]TRequest, reqChunk)
-	}
-	r := &rs.reqs[0]
-	rs.reqs = rs.reqs[1:]
-	return r
 }
 
 // readmit admits a once oldest has completed. Its closure is made here, so

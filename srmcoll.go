@@ -258,7 +258,8 @@ type Cluster struct {
 	cfg     Config
 	variant Variant
 	faults  FaultPlan
-	killed  []string // by faults.Crashes: the reason each crash kills its rank with
+	killed  []error // by faults.Crashes: the sim.Crashed each crash kills its rank with, boxed once
+	topo    string  // cfg.TopoKey(), for the tuning table
 	ft      FTConfig
 	tracing bool
 	tuned   *TuneTable
@@ -276,7 +277,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cluster{cfg: cfg, tuned: DefaultTuning()}, nil
+	return &Cluster{cfg: cfg, topo: cfg.TopoKey(), tuned: DefaultTuning()}, nil
 }
 
 // SetVariant overrides SRM algorithm choices for subsequent runs. A
@@ -312,7 +313,7 @@ func (cl *Cluster) treeFor() func(op string, size int) tree.Kind {
 	if cl.tuned == nil || cl.variant.InterTree != Binomial {
 		return nil
 	}
-	e := cl.tuned.Topo(cl.cfg.TopoKey())
+	e := cl.tuned.Topo(cl.topo)
 	if e == nil {
 		return nil
 	}
@@ -333,7 +334,7 @@ func (cl *Cluster) algFor() func(size int) core.Alg {
 	if cl.tuned == nil || cl.variant.Allreduce != AllreduceAuto {
 		return nil
 	}
-	e := cl.tuned.Topo(cl.cfg.TopoKey())
+	e := cl.tuned.Topo(cl.topo)
 	if e == nil {
 		return nil
 	}
@@ -351,9 +352,9 @@ func (cl *Cluster) algFor() func(size int) core.Alg {
 // the cluster's own copy from here on.
 func (cl *Cluster) SetFaultPlan(p FaultPlan) {
 	p.Crashes = slices.Clone(p.Crashes)
-	cl.faults, cl.killed = p, make([]string, len(p.Crashes))
+	cl.faults, cl.killed = p, make([]error, len(p.Crashes))
 	for i, cr := range p.Crashes {
-		cl.killed[i] = fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At)
+		cl.killed[i] = sim.Crashed{Reason: fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At)}
 	}
 }
 
@@ -510,12 +511,13 @@ func (rec *commRec) list() []int { return rec.coll.Members() }
 // formatted when first asked for; no lookup goes through it.
 func (rec *commRec) key() string {
 	if rec.name == "" {
-		b := make([]byte, 0, 4*len(rec.members)+1)
+		var buf [256]byte
+		b := buf[:0]
 		for _, r := range rec.list() {
 			b = strconv.AppendInt(append(b, ' '), int64(r), 10)
 		}
 		b[0] = '['
-		rec.name = string(append(b, ']'))
+		rec.name = rec.rs.str(append(b, ']'))
 	}
 	return rec.name
 }
@@ -554,7 +556,8 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 	}
 	coll := sub(parent.coll, members)
 	if rec == nil {
-		rec = &commRec{rs: rs, members: make([]int, len(members)), coll: coll, next: rs.byHash[h]}
+		rec = &carve(&rs.recs, 1, 8)[0]
+		*rec = commRec{rs: rs, members: carve(&rs.ints, len(members), 256), coll: coll, next: rs.byHash[h]}
 		rec.from = rec.first[:0]
 		copy(rec.members, members)
 		if rs.ft != nil {
@@ -565,6 +568,9 @@ func (rs *runState) sub(parent *commRec, members []int) *commRec {
 			}
 		}
 		rs.comms = append(rs.comms, rec)
+		if rs.byHash == nil {
+			rs.byHash = make(map[uint64]*commRec)
+		}
 		rs.byHash[h] = rec
 	}
 	rec.from = append(rec.from, parentRec{rec: parent})
@@ -595,11 +601,12 @@ func (rs *runState) lookup(h uint64, members []int) *commRec {
 // in the table Sub looks lists up in: Sub over every rank is a communicator of
 // its own.
 func (rs *runState) newWorld(p int, coll group) *commRec {
-	rec := &commRec{rs: rs, members: make([]int, p), coll: coll, name: "world"}
+	rec := &rs.world
+	*rec = commRec{rs: rs, members: carve(&rs.ints, p, 256), coll: coll, name: "world"}
 	for i := range rec.members {
 		rec.members[i] = i
 	}
-	rs.comms = append(make([]*commRec, 0, 4), rec)
+	rs.comms = append(rs.comms0[:0], rec)
 	return rec
 }
 
@@ -631,7 +638,7 @@ func (h handle) sub(members []int) *Comm {
 	}
 	from := rec.parent(h.rec)
 	if from.handles == nil {
-		from.handles = make([]Comm, len(rec.members))
+		from.handles = carve(&h.rs().handles, len(rec.members), 64)
 	}
 	from.handles[i].handle = handle{h.rankRec, rec}
 	return &from.handles[i]
@@ -786,12 +793,14 @@ type SharedCounter struct {
 // All ranks using the same id share one counter; the creating call's host
 // and init win.
 func (c *Comm) SharedCounter(id string, host int, init int64) *SharedCounter {
-	reg := c.rs().counters
-	if w, ok := reg[id]; ok {
+	if w, ok := c.rs().counters[id]; ok {
 		return w
 	}
+	if c.rs().counters == nil {
+		c.rs().counters = make(map[string]*SharedCounter)
+	}
 	sc := &SharedCounter{word: c.rs().dom.Endpoint(host).NewWord(init), dom: c.rs().dom}
-	reg[id] = sc
+	c.rs().counters[id] = sc
 	return sc
 }
 
@@ -957,7 +966,7 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 		return nil, err
 	}
 	env := sim.NewEnv()
-	m := machine.New(env, cl.cfg)
+	m := machine.NewWithPool(env, cl.cfg, nil)
 	sm := &simulation{cl: cl, m: m}
 	if cl.faults.Active() {
 		m.Faults = fault.New(cl.faults)
@@ -987,14 +996,14 @@ func (cl *Cluster) prepare(impl Impl) (*simulation, error) {
 		env.Trace.Reserve(int(cl.spans.Load()))
 	}
 	rs := newRunState(env, m.P())
-	rs.m, rs.dom, rs.tr, rs.counters = m, dom, env.Trace, make(map[string]*SharedCounter)
+	rs.m, rs.dom, rs.tr = m, dom, env.Trace
 	world := rs.newWorld(m.P(), coll)
 	sm.rs, sm.res = rs, &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
 	if cl.ft.Enabled {
 		dom.AllowDeaths()
-		ft := newFTState(env, dom.MarkDead, m.P(), len(cl.faults.Crashes), rs)
-		rs.ft = ft
-		env.OnFailure = ft.onFailure
+		rs.newFTState(dom.MarkDead, m.P(), len(cl.faults.Crashes))
+		env.ReserveFailures(len(cl.faults.Crashes))
+		env.OnFailure = rs.ft.onFailure
 	}
 	// Schedule fault callbacks before spawning the ranks so a window opening
 	// at t=0 is already in force when the first rank runs.
@@ -1035,7 +1044,7 @@ func (sm *simulation) scheduleFaults() {
 type plannedFault struct {
 	sm     *simulation
 	rank   int
-	why    string  // a crash's reason, as the plan formatted it (Cluster.killed); "" for a stall window
+	why    error   // a crash's cause, as the plan boxed it (Cluster.killed); nil for a stall window
 	factor float64 // a stall window's stretch
 }
 
@@ -1043,9 +1052,9 @@ type stallEnd plannedFault
 
 func (f *plannedFault) Resume() {
 	env, inj, t := f.sm.m.Env, f.sm.m.Faults, f.sm.rs.ranks[f.rank].call.t
-	if f.why != "" {
+	if f.why != nil {
 		inj.CountCrash()
-		env.Kill(t, f.why)
+		env.KillWith(t, f.why)
 		return
 	}
 	inj.CountStall()
@@ -1105,18 +1114,21 @@ func (sm *simulation) outcome() (*Result, error) {
 	if lerr != nil {
 		res, err = nil, errors.Join(err, lerr)
 	}
-	// A use after the run is a crash, not a step of another run's task.
+	// A use after the run is a crash, not a step of another run's task nor a
+	// look into another run's group.
 	for r := range sm.rs.ranks {
 		rk := &sm.rs.ranks[r]
 		rk.call.actor, rk.stream, rk.sync = actor{}, nil, nil
+	}
+	for _, rec := range sm.rs.comms {
+		rec.coll = nil
 	}
 	sm.rs.m, sm.rs.dom = nil, nil
 	bufpool.HandBack(sm.m.Buffers)
 	sm.m.Buffers = nil // a use after hand-back is a crash, not a corrupted payload
 	if err == nil {
 		sm.impl.Release()
-		sm.rs.streams.Release()
-		sm.rs.syncs.Release()
+		sm.rs.release()
 		sm.dom.Release()
 		sm.m.Release()
 	}
@@ -1136,8 +1148,7 @@ func (sm *simulation) finish() (*Result, error) {
 	if env.Trace != nil {
 		sm.cl.spans.Store(int64(len(env.Trace.Spans())))
 	}
-	var ce *sim.CrashError
-	if errors.As(runErr, &ce) {
+	if ce, ok := runErr.(*sim.CrashError); ok {
 		if ft == nil || len(ft.unexpected) > 0 {
 			// Without fault tolerance any crash ends the run; with it, only
 			// failures beyond the plan's injected crashes (and the helper
@@ -1187,7 +1198,7 @@ func (sm *simulation) finish() (*Result, error) {
 func (rs *runState) runError(f sim.ProcFailure) *RunError {
 	rank, _ := rs.rankOf(f.Actor)
 	re := &RunError{Rank: max(0, rank), Op: "run"}
-	switch cause := f.Why().(type) {
+	switch cause := f.Cause.(type) {
 	case *check.SizeError:
 		re.Op = cause.Op
 		re.Cause = cause

@@ -542,8 +542,10 @@ func TestMembersAllocatesNothing(t *testing.T) {
 // fault tolerance on, nobody crashing. The body is bench/fault_storm.go's, on
 // rows of shared arrays, so what is counted is the library's.
 //
-// Recorded: 991 objects a run (go1.24), since Comm.Members hands out the
-// communicator's list (five copies a rank before), an operation's state is a
+// Recorded: 944 objects a run (go1.24), since a run's set-up, its shrunk
+// communicator's records and its groups' layouts and trees are carved from
+// chunks of the run's and from reserve slabs; 991 before, since Comm.Members
+// hands out the communicator's list (five copies a rank before), an operation's state is a
 // record a node, and a communicator's layout, trees, handles and rendezvous
 // records are built once; 1,438 before; 1,456 before, since a process comes
 // from a slab of its Env's; 1,518 before, since a record is its own
@@ -561,7 +563,7 @@ func TestStormRunAllocs(t *testing.T) {
 		t.Skip("the race detector slows the allocation guards; CI runs them without it")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const recorded, parent = 991, 7778
+	const recorded, parent = 944, 7778
 	run := stormSurvivorRun(t)
 	var res *Result
 	n := mallocsOf(func() { res = run() })
@@ -581,9 +583,10 @@ func TestStormRunAllocs(t *testing.T) {
 // and executors come from slabs the run before handed back, and the flags and
 // counters of an operation from the slabs the operation before it returned.
 //
-// Recorded: 169,568 bytes a warm run (go1.24), since the member list is no
-// longer copied per call and an operation's state is a record a node; 343,408
-// before. Recorded at the parent (2ebd22d), where all of them were new memory
+// Recorded: 153,168 bytes a warm run (go1.24), since a group's layout, trees
+// and embeddings and the fault-tolerance bookkeeping come from slabs the run
+// before handed back; 169,568 before, since the member list is no longer
+// copied per call and an operation's state is a record a node; 343,408 before. Recorded at the parent (2ebd22d), where all of them were new memory
 // every run: 872,376 bytes (runtime.MemStats.TotalAlloc, which is
 // /gc/heap/allocs:bytes read exactly; go1.24). What is left is the facade's
 // and the protocol states'.
@@ -592,7 +595,7 @@ func TestStormRunAllocBytes(t *testing.T) {
 		t.Skip("the race detector slows the allocation guards; CI runs them without it")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const recorded, parent = 169568, 872376
+	const recorded, parent = 153168, 872376
 	run := stormSurvivorRun(t)
 	run() // leaves the reserve what a run needs
 	best := ^uint64(0)

@@ -809,3 +809,66 @@ func TestWaitLabelsInDeadlockReport(t *testing.T) {
 		t.Errorf("Run = %v, want a *RunError for rank 2, whose helper failed", err)
 	}
 }
+
+// TestRankFailedErrorsOutliveTheirRun: the errors a run hands its ranks, the
+// member lists of the communicators they shrink to and the run's repair records
+// are carved from memory of the run's own, which is the caller's to keep: three
+// more runs of the cluster, each crashing another rank, leave them as they
+// were. Every survivor's error is its own, and errors.As finds it.
+func TestRankFailedErrorsOutliveTheirRun(t *testing.T) {
+	const P, dead = 8, 3
+	cl := ftCluster(t, 2, 4)
+	run := func(crash int) (errs []error, members [][]int, res *Result) {
+		t.Helper()
+		cl.SetFaultPlan(FaultPlan{Crashes: []Crash{{Rank: crash, At: 40}}})
+		errs, members = make([]error, P), make([][]int, P)
+		res, err := cl.Run(SRM, func(c *Comm) {
+			c.Compute(250)
+			errs[c.Rank()] = c.Barrier()
+			nc, err := c.Shrink()
+			if err != nil {
+				panic(err)
+			}
+			members[c.Rank()] = nc.Members()
+		})
+		if err != nil {
+			t.Fatalf("Run crashing rank %d: %v", crash, err)
+		}
+		return errs, members, res
+	}
+	print := func(errs []error, members [][]int, res *Result) string {
+		var b strings.Builder
+		for r, err := range errs {
+			fmt.Fprintf(&b, "rank %d: %v, %v\n", r, err, members[r])
+		}
+		fmt.Fprintf(&b, "%+v", res.Repairs)
+		return b.String()
+	}
+	errs, members, res := run(dead)
+	want := print(errs, members, res)
+	for _, crash := range []int{5, 6, 1} {
+		run(crash)
+	}
+	if got := print(errs, members, res); got != want {
+		t.Errorf("what the first run handed out changed over three more runs:\n%s\nwas\n%s", got, want)
+	}
+	survivors := []int{0, 1, 2, 4, 5, 6, 7}
+	seen := map[*RankFailedError]int{}
+	for r, err := range errs {
+		if r == dead {
+			continue
+		}
+		var rfe *RankFailedError
+		if !errors.As(err, &rfe) || rfe.Rank != r || rfe.Op != "barrier" || !slices.Equal(rfe.Failed, []int{dead}) {
+			t.Errorf("rank %d kept %v, want its own *RankFailedError naming rank %d", r, err, dead)
+			continue
+		}
+		if prev, dup := seen[rfe]; dup {
+			t.Errorf("ranks %d and %d hold the same *RankFailedError", prev, r)
+		}
+		seen[rfe] = r
+		if !slices.Equal(members[r], survivors) {
+			t.Errorf("rank %d kept Members %v, want %v", r, members[r], survivors)
+		}
+	}
+}

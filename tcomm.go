@@ -355,7 +355,7 @@ func (f *frame) declared(payload any) error {
 	// (the barrier manages interrupts inline); restoring is idempotent when
 	// nothing was pending.
 	f.h.rs().dom.Endpoint(f.h.rank()).SetInterrupts(true)
-	return &RankFailedError{Op: f.name(), Rank: f.h.rank(), Failed: fi.failed}
+	return f.h.rs().failedError(f.name(), f.h.rank(), fi.failed)
 }
 
 // end ends the operation with err: it puts the task back as run found it,

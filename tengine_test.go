@@ -1284,7 +1284,7 @@ func TestRunTDoneContract(t *testing.T) {
 			helper := rs.env.SpawnTaskK("rank3.req", 0, sim.Func(func() {
 				rs.env.Running().SleepThen(7, done)
 			}))
-			rs.helperRank[helper] = 3
+			rs.addHelper(helper, 3)
 		})
 		if err != nil {
 			t.Fatal(err)
